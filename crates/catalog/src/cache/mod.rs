@@ -66,7 +66,7 @@ use uc_txdb::{ChangeRecord, Db};
 
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_NAME, T_PATH, T_TREE};
+use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PATH, T_TREE};
 
 /// How many superseded versions of an entry to retain for in-flight reads.
 const VERSION_WINDOW: usize = 4;
@@ -164,12 +164,10 @@ impl CacheStats {
 struct CachedEntry {
     versions: Vec<(u64, Option<Arc<Entity>>)>,
     /// Keys to clean from the secondary maps on eviction.
-    name_key: String,
     path_key: Option<String>,
-    /// Tree-encoded ancestor-chain key (DESIGN.md §11), kept in the name
-    /// index alongside legacy name keys — the two key shapes cannot
-    /// collide (tree keys contain segment terminators, name keys never
-    /// do), so they share shards without a fourth index.
+    /// Tree-encoded ancestor-chain key (DESIGN.md §11) — the entry's key
+    /// in the name index. Absent until a lookup by name (or a
+    /// write-through) resolved it; by-id installs carry none.
     tree_key: Option<String>,
     /// Atomic so the hit path can bump recency under a shard *read* lock.
     last_access: AtomicU64,
@@ -178,7 +176,7 @@ struct CachedEntry {
 /// FNV-1a, used for both shard selection and the shard maps themselves.
 /// The cache is in-process and never hashes attacker-controlled keys at
 /// scale, so a cheap non-keyed hash beats SipHash's per-byte cost on the
-/// ~70-byte name keys every cached lookup hashes.
+/// ~70-byte tree keys every cached name lookup hashes.
 pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
@@ -345,10 +343,11 @@ impl MsCache {
         }
     }
 
-    /// Look up by name-index key, valid at the cache's current version.
-    pub fn id_by_name(&self, name_key: &str) -> Option<Uid> {
+    /// Look up by name-index (tree) key, valid at the cache's current
+    /// version.
+    pub fn id_by_name(&self, tree_key: &str) -> Option<Uid> {
         // uc-lint: allow(hotpath) -- hot name-index probe: shard read lock, same discipline as get_at
-        self.name_shard(name_key).read().get(name_key).cloned()
+        self.name_shard(tree_key).read().get(tree_key).cloned()
     }
 
     /// Look up by path-index key.
@@ -362,13 +361,11 @@ impl MsCache {
         &self,
         entity: Arc<Entity>,
         at_version: u64,
-        name_key: String,
         path_key: Option<String>,
         tree_key: Option<String>,
     ) {
         let tick = self.next_tick();
         let id = entity.id.clone();
-        self.name_shard(&name_key).write().insert(name_key.clone(), id.clone());
         if let Some(pk) = &path_key {
             self.path_shard(pk).write().insert(pk.clone(), id.clone());
         }
@@ -381,16 +378,14 @@ impl MsCache {
                 self.len.fetch_add(1, Ordering::Relaxed);
                 CachedEntry {
                     versions: Vec::new(),
-                    name_key: name_key.clone(),
                     path_key: path_key.clone(),
                     tree_key: tree_key.clone(),
                     last_access: AtomicU64::new(tick),
                 }
             });
-            entry.name_key = name_key;
             entry.path_key = path_key;
-            // An install that did not resolve the tree key (legacy lookup
-            // path) must not orphan a mapping a previous install recorded.
+            // An install that did not resolve the tree key (by-id lookup)
+            // must not orphan a mapping a previous install recorded.
             if tree_key.is_some() {
                 entry.tree_key = tree_key;
             }
@@ -411,13 +406,12 @@ impl MsCache {
             let Some(entry) = shard.get_mut(id) else { return };
             entry.last_access.store(tick, Ordering::Relaxed);
             push_version(&mut entry.versions, at_version, None);
-            (entry.name_key.clone(), entry.path_key.clone(), entry.tree_key.clone())
+            (entry.path_key.clone(), entry.tree_key.clone())
         };
-        self.name_shard(&keys.0).write().remove(&keys.0);
-        if let Some(pk) = &keys.1 {
+        if let Some(pk) = &keys.0 {
             self.path_shard(pk).write().remove(pk);
         }
-        if let Some(tk) = &keys.2 {
+        if let Some(tk) = &keys.1 {
             self.name_shard(tk).write().remove(tk);
         }
     }
@@ -445,7 +439,6 @@ impl MsCache {
             let removed = self.entity_shards[shard_idx].write().remove(&id);
             if let Some(entry) = removed {
                 self.len.fetch_sub(1, Ordering::Relaxed);
-                self.name_shard(&entry.name_key).write().remove(&entry.name_key);
                 if let Some(pk) = &entry.path_key {
                     self.path_shard(pk).write().remove(pk);
                 }
@@ -496,7 +489,6 @@ impl MsCache {
                         let removed = self.entity_shard(&id).write().remove(&id);
                         if let Some(entry) = removed {
                             self.len.fetch_sub(1, Ordering::Relaxed);
-                            self.name_shard(&entry.name_key).write().remove(&entry.name_key);
                             if let Some(pk) = &entry.path_key {
                                 self.path_shard(pk).write().remove(pk);
                             }
@@ -507,12 +499,7 @@ impl MsCache {
                         }
                     }
                 }
-                T_NAME
-                    if change.key.starts_with(&ent_prefix) => {
-                        self.name_shard(&change.key).write().remove(&change.key);
-                    }
-                // Tree-index keys live in the name shards (disjoint key
-                // shapes); a touched tree row invalidates its mapping.
+                // A touched tree row invalidates its name mapping.
                 T_TREE
                     if change.key.starts_with(&tree_prefix) => {
                         self.name_shard(&change.key).write().remove(&change.key);
@@ -685,7 +672,7 @@ mod tests {
     }
 
     fn insert(cache: &MsCache, id: &str, name: &str, ver: u64) {
-        cache.insert(entity(id, name), ver, format!("nk/{name}"), None, None);
+        cache.insert(entity(id, name), ver, None, Some(format!("nk/{name}")));
     }
 
     #[test]
@@ -794,9 +781,8 @@ mod tests {
             c.insert(
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
-                format!("nk/n{i}"),
                 Some(format!("pk/p{i}")),
-                Some(format!("tk\u{1}n{i}\u{1}")),
+                Some(format!("nk/n{i}")),
             );
         }
         assert!(c.entry_count() <= 11, "cap 10 plus slack, got {}", c.entry_count());
@@ -809,7 +795,6 @@ mod tests {
         for i in evicted {
             assert!(c.id_by_name(&format!("nk/n{i}")).is_none());
             assert!(c.id_by_path(&format!("pk/p{i}")).is_none());
-            assert!(c.id_by_name(&format!("tk\u{1}n{i}\u{1}")).is_none());
         }
     }
 
@@ -823,9 +808,8 @@ mod tests {
             c.insert(
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
-                format!("nk/n{i}"),
                 Some(format!("pk/p{i}")),
-                None,
+                Some(format!("nk/n{i}")),
             );
         }
         // Touch a subset spread across shards (4 shards; ids hash apart),
@@ -879,9 +863,8 @@ mod tests {
                     c.insert(
                         entity(&format!("w{v}"), &format!("wn{v}")),
                         v,
-                        format!("nk/wn{v}"),
                         Some(format!("pk/wp{v}")),
-                        None,
+                        Some(format!("nk/wn{v}")),
                     );
                     c.advance(v, v);
                 }

@@ -3,14 +3,18 @@
 //! Every key is prefixed by the metastore id, so (a) all operations are
 //! naturally metastore-scoped, and (b) the cache can filter the database
 //! change log down to one metastore by key prefix during reconciliation.
+//!
+//! An entity lives in two tables: `T_ENTITY` by id (the only home of
+//! soft-deleted rows) and `T_TREE` by name. `T_TREE` is the *only* name
+//! index: an active entity's tree key is its `{group}:{name}` ancestor
+//! chain under the metastore, so a name is free exactly when no row sits
+//! at its tree key — creates are insert-if-absent on that key.
 
 use crate::ids::Uid;
 use crate::model::treekey;
 
 /// Entities by id: `{ms}/{id}` → Entity JSON.
 pub const T_ENTITY: &str = "ent";
-/// Name index: `{ms}/{parent}/{group}/{name}` → entity id.
-pub const T_NAME: &str = "name";
 /// Path index: tree-encoded `enc(ms).enc(path segments)` → entity id.
 /// Order-preserving, so overlap checks and nearest-covering-ancestor
 /// resolution are one range scan + one predecessor seek (see
@@ -20,16 +24,10 @@ pub const T_PATH: &str = "path";
 /// entity's JSON, byte-identical to its `T_ENTITY` row. All descendants
 /// of a node occupy one contiguous key range; the ancestor chain of a
 /// node is exactly the terminator-prefix chain of its key (one
-/// `scan_chain`). Maintained by `WriteEffects::upsert`; only *active*
-/// entities have tree rows (soft delete removes the row, freeing the
-/// name).
+/// `scan_chain`). Maintained by `WriteEffects`; only *active* entities
+/// have tree rows (soft delete removes the row, freeing the name). The
+/// metastore entity itself sits at the bare metastore prefix.
 pub const T_TREE: &str = "tree";
-/// Tree-index build state: `{ms}` → `"building"` | `"ready"`. Governs
-/// writers only (dual-write while building or ready); readers use the
-/// presence of the metastore's own tree row as the readiness signal, so
-/// the fast path costs no extra read. Absent for metastores created on
-/// the legacy layout until `rebuild_tree_index` runs.
-pub const T_TREEMETA: &str = "treemeta";
 /// Metastore version: `{ms}` → decimal version.
 pub const T_MSVER: &str = "msver";
 /// Grants: `{ms}/{securable}/{principal}|{privilege}` → "1".
@@ -51,9 +49,6 @@ pub const T_COMMIT: &str = "commit";
 /// Share membership: `{ms}/{share}/{entity}` → alias.
 pub const T_SHAREMEM: &str = "sharemem";
 
-/// Sentinel parent for metastore-level objects in the name index.
-pub const ROOT_PARENT: &str = "root";
-
 pub fn ent_key(ms: &Uid, id: &Uid) -> String {
     format!("{ms}/{id}")
 }
@@ -61,36 +56,6 @@ pub fn ent_key(ms: &Uid, id: &Uid) -> String {
 /// Prefix of every entity row in a metastore.
 pub fn ent_ms_prefix(ms: &Uid) -> String {
     format!("{ms}/")
-}
-
-pub fn name_key(ms: &Uid, parent: Option<&Uid>, group: &str, name: &str) -> String {
-    let ms = ms.as_str();
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    // Names are case-insensitive in SQL identifiers; normalize to lowercase.
-    // Built by hand into one pre-sized buffer: this runs on every cached
-    // name lookup, and `format!` with an intermediate `to_ascii_lowercase`
-    // would cost two allocations per call.
-    let mut key = String::with_capacity(ms.len() + parent.len() + group.len() + name.len() + 3);
-    key.push_str(ms);
-    key.push('/');
-    key.push_str(parent);
-    key.push('/');
-    key.push_str(group);
-    key.push('/');
-    key.extend(name.chars().map(|c| c.to_ascii_lowercase()));
-    key
-}
-
-/// Prefix listing all children of a parent (across groups).
-pub fn children_prefix(ms: &Uid, parent: Option<&Uid>) -> String {
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    format!("{ms}/{parent}/")
-}
-
-/// Prefix listing children of a parent within one name group.
-pub fn children_group_prefix(ms: &Uid, parent: Option<&Uid>, group: &str) -> String {
-    let parent = parent.map(|p| p.as_str()).unwrap_or(ROOT_PARENT);
-    format!("{ms}/{parent}/{group}/")
 }
 
 // ---------------------------------------------------------------------
@@ -108,7 +73,8 @@ pub fn tree_ms_prefix(ms: &Uid) -> String {
 
 /// One tree segment's content: `{group}:{lowercased name}` — the group
 /// comes first so children of one namespace group are contiguous within
-/// the parent's range.
+/// the parent's range. SQL identifiers are case-insensitive, so names
+/// are normalized to lowercase.
 fn tree_segment(group: &str, name: &str) -> String {
     let mut seg = String::with_capacity(group.len() + name.len() + 1);
     seg.push_str(group);
@@ -276,24 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn name_keys_are_lowercased() {
-        let k = name_key(&uid("ms"), Some(&uid("p")), "relation", "Orders");
-        assert_eq!(k, "ms/p/relation/orders");
-    }
-
-    #[test]
-    fn root_parent_sentinel() {
-        let k = name_key(&uid("ms"), None, "catalog", "main");
-        assert_eq!(k, "ms/root/catalog/main");
-        assert!(k.starts_with(&children_prefix(&uid("ms"), None)));
-    }
-
-    #[test]
-    fn children_prefix_covers_group_prefix() {
+    fn tree_keys_are_lowercased() {
         let ms = uid("ms");
-        let p = uid("parent");
-        let group = children_group_prefix(&ms, Some(&p), "relation");
-        assert!(group.starts_with(&children_prefix(&ms, Some(&p))));
+        assert_eq!(
+            tree_key(&ms, &[("relation", "Orders")]),
+            tree_key(&ms, &[("relation", "orders")])
+        );
     }
 
     #[test]

@@ -46,7 +46,8 @@ use crate::error::{UcError, UcResult};
 use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::model::entity::{Entity, PrincipalRecord};
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_NAME, T_PRINCIPAL, T_TREE, T_TREEMETA};
+use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
+use crate::model::treekey;
 use crate::types::{FullName, SecurableKind};
 
 /// Annotate the active request span with the metastore version a read
@@ -87,11 +88,6 @@ pub struct UcConfig {
     /// etc.) on every API call. On by default; benches flip it off for the
     /// unlabeled comparison arm.
     pub tenant_labels: bool,
-    /// Create metastores on the legacy (pre-tree) key layout: no tree
-    /// rows, no build marker. Test-only knob for exercising the
-    /// [`UnityCatalog::rebuild_tree_index`] migration path; production
-    /// metastores are born tree-ready.
-    pub start_legacy_layout: bool,
 }
 
 impl Default for UcConfig {
@@ -106,7 +102,6 @@ impl Default for UcConfig {
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
             tenant_labels: true,
-            start_legacy_layout: false,
         }
     }
 }
@@ -167,25 +162,21 @@ impl Context {
 /// publication after a successful commit.
 #[derive(Default)]
 pub(crate) struct WriteEffects {
-    /// Entities written, each with its tree-index key when the metastore
-    /// is on the tree layout (the key is installed as a cache mapping).
-    pub upserts: Vec<(Arc<Entity>, Option<String>)>,
+    /// Entities written, each with its tree-index key (installed as the
+    /// cache's name mapping).
+    pub upserts: Vec<(Arc<Entity>, String)>,
     pub tombstones: Vec<Uid>,
-    /// Name- and tree-index keys freed by this write (renames, drops), to
-    /// be dropped from the cache's name map.
+    /// Tree-index keys freed by this write (renames, drops), to be
+    /// dropped from the cache's name map.
     pub dropped_names: Vec<String>,
     pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
-    /// Memoized tree-layout marker read: one per transaction attempt,
-    /// however many entities the closure writes.
-    tree_enabled: Option<bool>,
 }
 
 /// The tree-index key of an entity: its ancestor chain of
 /// `{group}:{name}` segments under the metastore, resolved by walking
 /// parent ids inside the transaction (so the key is computed against the
 /// same snapshot the write validates). The metastore entity itself maps
-/// to the bare metastore prefix — its row's presence is the readiness
-/// signal readers key off.
+/// to the bare metastore prefix.
 pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
     let ms = &ent.metastore;
     if ent.kind == SecurableKind::Metastore {
@@ -216,68 +207,70 @@ pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
     Ok(key)
 }
 
+/// The direct children of the node at `parent_key`, optionally within one
+/// name group, decoded from **one** range scan of the tree index. `scan`
+/// runs the `T_TREE` prefix scan on whichever transaction the caller
+/// holds, so the children reflect that transaction's single snapshot and
+/// cost no per-child point read. The scan covers the whole subtree;
+/// children proper are selected by segment depth before anything deeper
+/// is decoded.
+pub(crate) fn tree_children(
+    scan: impl FnOnce(&str) -> Vec<(String, Bytes)>,
+    parent_key: &str,
+    group: Option<&str>,
+) -> UcResult<Vec<Arc<Entity>>> {
+    let child_depth = treekey::depth(parent_key) + 1;
+    let rows = match group {
+        Some(g) => scan(&keys::tree_group_prefix(parent_key, g)),
+        None => scan(parent_key),
+    };
+    rows.iter()
+        .filter(|(k, _)| treekey::depth(k) == child_depth)
+        .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
+        .collect()
+}
+
 impl WriteEffects {
-    /// Whether this metastore maintains the tree index (marker present:
-    /// either mid-build or ready — writers dual-write in both states).
-    /// Memoized per effects struct, i.e. per transaction attempt.
-    fn tree_enabled(&mut self, tx: &mut WriteTxn, ms: &Uid) -> bool {
-        *self
-            .tree_enabled
-            .get_or_insert_with(|| tx.get(T_TREEMETA, ms.as_str()).is_some())
+    /// Create, step one — insert-if-absent on the tree key: the key `ent`
+    /// will occupy, or `AlreadyExists(what)` when a row already sits
+    /// there. Only active entities have tree rows, so an occupied key is
+    /// exactly a taken name. Callers finish the entity (paths,
+    /// validation) and then [`WriteEffects::upsert_at`] the returned key.
+    pub fn vacant_key(
+        tx: &mut WriteTxn,
+        ent: &Entity,
+        what: impl std::fmt::Display,
+    ) -> UcResult<String> {
+        let tk = tree_key_of(tx, ent)?;
+        if tx.get(T_TREE, &tk).is_some() {
+            return Err(UcError::AlreadyExists(what.to_string()));
+        }
+        Ok(tk)
     }
 
-    /// Persist an entity (row + name index + tree index) and record the
-    /// effect.
+    /// Persist an entity (row + tree index) and record the effect,
+    /// resolving its tree key by the ancestor walk.
     pub fn upsert(&mut self, tx: &mut WriteTxn, ent: Entity, op: ChangeOp) -> UcResult<Arc<Entity>> {
-        let tk = if self.tree_enabled(tx, &ent.metastore) {
-            Some(tree_key_of(tx, &ent)?)
-        } else {
-            None
-        };
-        Ok(self.upsert_with_tree_key(tx, ent, op, tk))
+        let tk = tree_key_of(tx, &ent)?;
+        Ok(self.upsert_at(tx, ent, op, tk))
     }
 
-    /// [`WriteEffects::upsert`] when the caller already holds the parent's
-    /// tree key. Bulk loaders resolve each container once per chunk and
-    /// extend its key per row, instead of paying `tree_key_of`'s
-    /// per-row ancestor point reads.
-    pub fn upsert_under(
+    /// [`WriteEffects::upsert`] when the caller already holds the
+    /// entity's tree key: from [`WriteEffects::vacant_key`], or — for
+    /// bulk loaders — the container's key extended per row, which skips
+    /// `tree_key_of`'s ancestor point reads.
+    pub fn upsert_at(
         &mut self,
         tx: &mut WriteTxn,
         ent: Entity,
         op: ChangeOp,
-        parent_tree_key: &str,
+        tk: String,
     ) -> Arc<Entity> {
-        let tk = if self.tree_enabled(tx, &ent.metastore) {
-            let mut k = parent_tree_key.to_string();
-            keys::tree_push_child(&mut k, ent.kind.name_group(), &ent.name);
-            Some(k)
-        } else {
-            None
-        };
-        self.upsert_with_tree_key(tx, ent, op, tk)
-    }
-
-    fn upsert_with_tree_key(
-        &mut self,
-        tx: &mut WriteTxn,
-        ent: Entity,
-        op: ChangeOp,
-        tk: Option<String>,
-    ) -> Arc<Entity> {
-        let ms = ent.metastore.clone();
         let encoded = ent.encode();
-        tx.put(T_ENTITY, &keys::ent_key(&ms, &ent.id), encoded.clone());
-        tx.put(
-            T_NAME,
-            &keys::name_key(&ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name),
-            Bytes::from(ent.id.as_str().to_string()),
-        );
+        tx.put(T_ENTITY, &keys::ent_key(&ent.metastore, &ent.id), encoded.clone());
         // Tree row value is byte-identical to the entity row, so one
         // chain scan resolves a whole ancestor path without point reads.
-        if let Some(tk) = &tk {
-            tx.put(T_TREE, tk, encoded);
-        }
+        tx.put(T_TREE, &tk, encoded);
         let arc = Arc::new(ent);
         self.events
             .push((arc.id.clone(), arc.kind, arc.name.clone(), op));
@@ -414,12 +407,6 @@ const TENANT_MEMO_CAPACITY: usize = 64;
 
 /// The label used when a request carries no metastore or no principal.
 pub(crate) const NO_TENANT: &str = "-";
-
-/// Entities backfilled per transaction by [`UnityCatalog::rebuild_tree_index`].
-/// Small enough that each chunk's conflict window stays narrow under
-/// concurrent writes, large enough that a million-asset rebuild is a few
-/// thousand transactions.
-const TREE_BUILD_CHUNK: usize = 256;
 
 impl UnityCatalog {
     pub fn new(db: Db, store: ObjectStore, config: UcConfig, node_id: &str) -> Arc<Self> {
@@ -726,30 +713,20 @@ impl UnityCatalog {
         }
     }
 
-    fn db_entity_by_name(
-        &self,
-        rt: &ReadTxn,
-        ms: &Uid,
-        name_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        let Some(id_raw) = rt.get(T_NAME, name_key) else {
-            return Ok(None);
-        };
-        let id = Uid::from_string(
-            String::from_utf8(id_raw.to_vec())
-                .map_err(|e| UcError::Database(format!("corrupt name index: {e}")))?,
-        );
-        self.db_entity_by_id(rt, ms, &id)
+    /// Name lookup in the database: one tree-index read returns the whole
+    /// entity (only active entities have tree rows).
+    fn db_entity_by_name(&self, rt: &ReadTxn, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
+        match rt.get(T_TREE, tree_key) {
+            Some(raw) => Ok(Some(Arc::new(Entity::decode(&raw)?))),
+            None => Ok(None),
+        }
     }
 
-    fn install_in_cache(&self, c: &MsCache, ms: &Uid, ent: &Arc<Entity>, at_version: u64) {
-        self.install_in_cache_tk(c, ms, ent, at_version, None);
-    }
-
-    /// [`Self::install_in_cache`] with the entity's tree-index key when
-    /// the caller resolved one (write-through and chain-scan installs),
-    /// so cached chain lookups can probe by tree key.
-    fn install_in_cache_tk(
+    /// Install an entity read or written at `at_version`, with its
+    /// tree-index key when the caller resolved one (write-through, name
+    /// and chain-scan installs — by-id installs carry none), so cached
+    /// name lookups can probe by tree key.
+    fn install_in_cache(
         &self,
         c: &MsCache,
         ms: &Uid,
@@ -757,23 +734,22 @@ impl UnityCatalog {
         at_version: u64,
         tree_key: Option<String>,
     ) {
-        let nk = keys::name_key(ms, ent.parent.as_ref(), ent.kind.name_group(), &ent.name);
         let pk = ent.storage_path.as_ref().map(|p| keys::path_key(ms, p));
-        c.insert(ent.clone(), at_version, nk, pk, tree_key);
+        c.insert(ent.clone(), at_version, pk, tree_key);
     }
 
-    /// Look up an entity by a fully-built name-index key.
+    /// Look up an entity by name, given its tree-index key.
     pub(crate) fn entity_by_name_key(
         &self,
         ms: &Uid,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<Option<Arc<Entity>>> {
         if !self.config.cache.enabled {
             let rt = self.db.begin_read();
-            return self.db_entity_by_name(&rt, ms, name_key);
+            return self.db_entity_by_name(&rt, tree_key);
         }
         let cache = self.cache.for_metastore(ms);
-        self.entity_by_name_key_in(ms, &cache, name_key)
+        self.entity_by_name_key_in(ms, &cache, tree_key)
     }
 
     /// [`UnityCatalog::entity_by_name_key`] against an already-resolved
@@ -788,13 +764,13 @@ impl UnityCatalog {
         &self,
         ms: &Uid,
         cache: &MsCache,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<Option<Arc<Entity>>> {
         let mut missed = false;
         for _ in 0..8 {
             // Yield outside the write gate: a parked client holds no lock.
             sched::yield_point(sched::points::READ_LOOKUP);
-            if let Some(id) = cache.id_by_name(name_key) {
+            if let Some(id) = cache.id_by_name(tree_key) {
                 let ver = cache.version();
                 if let Some(hit) = cache.get_at(&id, ver) {
                     self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -810,13 +786,13 @@ impl UnityCatalog {
                 self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
             }
             // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_name_miss_in(ms, cache, name_key)? {
+            match self.entity_by_name_miss_in(ms, cache, tree_key)? {
                 MissLookup::Stale => continue,
                 MissLookup::Done(found) => return Ok(found),
             }
         }
         // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_name_uncached(ms, name_key)
+        self.db_entity_by_name_uncached(ms, tree_key)
     }
 
     /// One cold lookup round for [`Self::entity_by_name_key_in`]: read the
@@ -828,11 +804,11 @@ impl UnityCatalog {
         &self,
         ms: &Uid,
         cache: &MsCache,
-        name_key: &str,
+        tree_key: &str,
     ) -> UcResult<MissLookup> {
         let rt = self.db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
-        let found = self.db_entity_by_name(&rt, ms, name_key)?;
+        let found = self.db_entity_by_name(&rt, tree_key)?;
         let _gate = cache.write_gate();
         match db_ver.cmp(&cache.version()) {
             std::cmp::Ordering::Less => {
@@ -846,17 +822,17 @@ impl UnityCatalog {
             std::cmp::Ordering::Equal => {}
         }
         if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver);
+            self.install_in_cache(cache, ms, ent, db_ver, Some(tree_key.to_string()));
         }
         history_read_event(db_ver);
         Ok(MissLookup::Done(found))
     }
 
     /// Cache-bypassing name lookup at one db snapshot.
-    fn db_entity_by_name_uncached(&self, ms: &Uid, name_key: &str) -> UcResult<Option<Arc<Entity>>> {
+    fn db_entity_by_name_uncached(&self, ms: &Uid, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
         let rt = self.db.begin_read();
         history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_name(&rt, ms, name_key)
+        self.db_entity_by_name(&rt, tree_key)
     }
 
     /// Look up an entity by id.
@@ -923,7 +899,7 @@ impl UnityCatalog {
             std::cmp::Ordering::Equal => {}
         }
         if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver);
+            self.install_in_cache(cache, ms, ent, db_ver, None);
         }
         history_read_event(db_ver);
         Ok(MissLookup::Done(found))
@@ -969,7 +945,7 @@ impl UnityCatalog {
                 let db_ver = read_ms_version(&rt, ms);
                 let _gate = c.write_gate();
                 if db_ver == c.version() {
-                    self.install_in_cache(c, ms, ent, db_ver);
+                    self.install_in_cache(c, ms, ent, db_ver, None);
                 }
             }
             Ok(Some((ent.clone(), registered)))
@@ -1052,7 +1028,7 @@ impl UnityCatalog {
                             // the new versions, and readers after the
                             // advance see all of them.
                             for (ent, tk) in &fx.upserts {
-                                self.install_in_cache_tk(&cache_arc, ms, ent, cur + 1, tk.clone());
+                                self.install_in_cache(&cache_arc, ms, ent, cur + 1, Some(tk.clone()));
                             }
                             for id in &fx.tombstones {
                                 cache_arc.insert_tombstone(id, cur + 1);
@@ -1119,13 +1095,11 @@ impl UnityCatalog {
     /// credential). Four-part names address model versions
     /// (`catalog.schema.model.vN`).
     ///
-    /// On the tree layout the whole chain resolves in **one** range scan:
-    /// the leaf's tree key is computable from the qualified name alone,
-    /// and [`ReadTxn::scan_chain`] returns the row at every ancestor
-    /// prefix in a single traversal. The cached fast path probes the same
-    /// per-level tree keys under one version pin. Metastores whose tree
-    /// index is not (yet) built fall back to the per-segment name-index
-    /// walk.
+    /// The whole chain resolves in **one** range scan: the leaf's tree key
+    /// is computable from the qualified name alone, and
+    /// [`ReadTxn::scan_chain`] returns the row at every ancestor prefix in
+    /// a single traversal. The cached fast path probes the same per-level
+    /// tree keys under one version pin.
     pub(crate) fn lookup_chain(
         &self,
         ms: &Uid,
@@ -1134,15 +1108,20 @@ impl UnityCatalog {
     ) -> UcResult<Vec<Arc<Entity>>> {
         let not_found = || UcError::NotFound(name.to_string());
         let malformed = || UcError::InvalidArgument(format!("malformed name {name}"));
-        // (group, segment-name) pairs outermost-first: enough to build
-        // every level's tree key without touching the database.
-        let mut segs: Vec<(&str, &str)> = Vec::with_capacity(name.len());
+        // Every level's tree key, outermost first, built from the name
+        // alone without touching the database.
+        let mut level_keys: Vec<String> = Vec::with_capacity(name.len());
+        let mut key = keys::tree_ms_prefix(ms);
+        let mut push_level = |group: &str, seg_name: &str| {
+            keys::tree_push_child(&mut key, group, seg_name);
+            level_keys.push(key.clone());
+        };
         if name.len() == 1 && leaf_group != "catalog" {
-            segs.push((leaf_group, name.catalog()));
+            push_level(leaf_group, name.catalog());
         } else {
-            segs.push(("catalog", name.catalog()));
+            push_level("catalog", name.catalog());
             if name.len() >= 2 {
-                segs.push(("schema", name.schema().ok_or_else(malformed)?));
+                push_level("schema", name.schema().ok_or_else(malformed)?);
             }
             if name.len() >= 3 {
                 // For four-part names the third segment is always the
@@ -1152,18 +1131,10 @@ impl UnityCatalog {
                 } else {
                     leaf_group
                 };
-                segs.push((third_group, name.asset().ok_or_else(malformed)?));
+                push_level(third_group, name.asset().ok_or_else(malformed)?);
             }
             if name.len() == 4 {
-                segs.push((SecurableKind::ModelVersion.name_group(), name.parts[3].as_str()));
-            }
-        }
-        let mut level_keys: Vec<String> = Vec::with_capacity(segs.len());
-        {
-            let mut key = keys::tree_ms_prefix(ms);
-            for (group, seg_name) in &segs {
-                keys::tree_push_child(&mut key, group, seg_name);
-                level_keys.push(key.clone());
+                push_level(SecurableKind::ModelVersion.name_group(), name.parts[3].as_str());
             }
         }
         // Resolve the metastore cache once for the whole chain instead of
@@ -1200,110 +1171,46 @@ impl UnityCatalog {
             return Err(malformed());
         };
         let rows = rt.scan_chain(T_TREE, leaf_key);
-        if rows.first().is_some_and(|(k, _)| *k == keys::tree_ms_prefix(ms)) {
-            // Tree index ready: the chain scan returned the metastore row
-            // plus the row at every existing level, shortest key first. A
-            // missing level means the name doesn't resolve (tree rows are
-            // removed on soft delete, so presence implies active).
-            if cache.is_some() {
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            let db_ver = read_ms_version(&rt, ms);
-            let mut ents: Vec<Arc<Entity>> = Vec::with_capacity(segs.len());
-            let mut rows_iter = rows.iter().skip(1);
-            let mut complete = true;
-            for lk in &level_keys {
-                match rows_iter.next() {
-                    Some((k, raw)) if k == lk => {
-                        let ent = Entity::decode(raw)?;
-                        if !ent.is_active() {
-                            complete = false;
-                            break;
-                        }
-                        ents.push(Arc::new(ent));
-                    }
-                    _ => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            if !complete {
-                // The op still observed a snapshot: record it so checkers
-                // can place the not-found against a version.
-                history_read_event(db_ver);
-                return Err(not_found());
-            }
-            if let Some(c) = &cache {
-                // Miss path only: the cached chain hit returns above
-                // without reaching the gate. (Not a lint pragma — the
-                // chain lookup is reached from resolve, not a hotpath
-                // root, so no hotpath diagnostic fires here.)
-                let _gate = c.write_gate();
-                if db_ver > c.version() {
-                    self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
-                }
-                if db_ver == c.version() {
-                    for (ent, lk) in ents.iter().zip(&level_keys) {
-                        self.install_in_cache_tk(c, ms, ent, db_ver, Some(lk.clone()));
-                    }
-                }
-            }
+        // The chain scan returns the metastore row plus the row at every
+        // existing level, shortest key first.
+        if rows.first().is_none_or(|(k, _)| *k != keys::tree_ms_prefix(ms)) {
+            return Err(UcError::NotFound(format!("metastore {ms}")));
+        }
+        if cache.is_some() {
+            self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        let db_ver = read_ms_version(&rt, ms);
+        // One row per existing level, so a short chain means the name
+        // doesn't resolve (tree rows are removed on soft delete: presence
+        // implies active).
+        if rows.len() != level_keys.len() + 1 {
+            // The op still observed a snapshot: record it so checkers
+            // can place the not-found against a version.
             history_read_event(db_ver);
-            ents.reverse();
-            return Ok(ents);
+            return Err(not_found());
         }
-        drop(rt);
-        // Legacy layout (tree index not built): per-segment walk over the
-        // name index.
-        let lookup = |nk: &str| match &cache {
-            Some(c) => self.entity_by_name_key_in(ms, c, nk),
-            None => {
-                let rt = self.db.begin_read();
-                self.db_entity_by_name(&rt, ms, nk)
+        let mut ents = rows[1..]
+            .iter()
+            .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
+            .collect::<UcResult<Vec<_>>>()?;
+        if let Some(c) = &cache {
+            // Miss path only: the cached chain hit returns above without
+            // reaching the gate. (Not a lint pragma — the chain lookup is
+            // reached from resolve, not a hotpath root, so no hotpath
+            // diagnostic fires here.)
+            let _gate = c.write_gate();
+            if db_ver > c.version() {
+                self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
             }
-        };
-        if name.len() == 1 && leaf_group != "catalog" {
-            let ent = lookup(&keys::name_key(ms, Some(ms), leaf_group, name.catalog()))?
-                .ok_or_else(not_found)?;
-            return Ok(vec![ent]);
+            if db_ver == c.version() {
+                for (ent, lk) in ents.iter().zip(&level_keys) {
+                    self.install_in_cache(c, ms, ent, db_ver, Some(lk.clone()));
+                }
+            }
         }
-        let cat = lookup(&keys::name_key(ms, None, "catalog", name.catalog()))?
-            .ok_or_else(not_found)?;
-        if name.len() == 1 {
-            return Ok(vec![cat]);
-        }
-        let schema_name = name
-            .schema()
-            .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
-        let sch = lookup(&keys::name_key(ms, Some(&cat.id), "schema", schema_name))?
-            .ok_or_else(not_found)?;
-        if name.len() == 2 {
-            return Ok(vec![sch, cat]);
-        }
-        // For four-part names the third segment is always the registered
-        // model; `leaf_group` applies to the final segment.
-        let third_group = if name.len() == 4 {
-            SecurableKind::RegisteredModel.name_group()
-        } else {
-            leaf_group
-        };
-        let asset_name = name
-            .asset()
-            .ok_or_else(|| UcError::InvalidArgument(format!("malformed name {name}")))?;
-        let leaf = lookup(&keys::name_key(ms, Some(&sch.id), third_group, asset_name))?
-            .ok_or_else(not_found)?;
-        if name.len() == 3 {
-            return Ok(vec![leaf, sch, cat]);
-        }
-        let version = lookup(&keys::name_key(
-            ms,
-            Some(&leaf.id),
-            SecurableKind::ModelVersion.name_group(),
-            &name.parts[3],
-        ))?
-        .ok_or_else(not_found)?;
-        Ok(vec![version, leaf, sch, cat])
+        history_read_event(db_ver);
+        ents.reverse();
+        Ok(ents)
     }
 
     /// Force the node to revalidate a metastore's cache against the
@@ -1330,108 +1237,6 @@ impl UnityCatalog {
         if db_ver > cache.version() {
             self.cache.reconcile(ms, &cache, &self.db, db_ver, rt.snapshot_csn());
         }
-    }
-
-    /// Run a small maintenance transaction with bounded retry on
-    /// transient failures. Unlike [`Self::write_ms`] this bumps no
-    /// metastore version and does no cache write-through — index rows
-    /// written this way enter caches lazily through later lookups.
-    fn maintenance_txn<T>(&self, mut f: impl FnMut(&mut WriteTxn) -> UcResult<T>) -> UcResult<T> {
-        let mut attempts = 0;
-        loop {
-            sched::yield_point(sched::points::WRITE_BEGIN);
-            let mut tx = self.db.begin_write();
-            let out = f(&mut tx)?;
-            match tx.commit() {
-                Ok(_) => return Ok(out),
-                Err(err @ (TxError::Conflict { .. } | TxError::Unavailable { .. })) => {
-                    self.stats.write_retries.fetch_add(1, Ordering::Relaxed);
-                    attempts += 1;
-                    if attempts > 64 {
-                        return Err(UcError::Database(format!(
-                            "maintenance write aborted after {attempts} transient failures (last: {err})"
-                        )));
-                    }
-                    let backoff_ms = 1u64 << attempts.min(6);
-                    self.stats.write_backoff_ms.fetch_add(backoff_ms, Ordering::Relaxed);
-                    if self.clock.is_manual() {
-                        self.clock.advance_ms(backoff_ms);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Build the order-preserving tree index for a metastore created on
-    /// the legacy layout — online, without blocking readers or writers.
-    ///
-    /// Protocol (DESIGN.md §11): flip the build marker to `building` so
-    /// every concurrent writer starts dual-writing tree rows; copy the
-    /// existing entities in bounded chunks of independent transactions,
-    /// point-reading each row inside its chunk so an entity dropped or
-    /// renamed mid-build is never resurrected (the read either observes
-    /// the current row or the chunk conflicts and retries); finally write
-    /// the metastore's own tree row plus the `ready` marker in one
-    /// transaction — that row's presence is the atomic readiness signal
-    /// readers key off, so they flip to range-scan resolution all at
-    /// once. Returns the number of tree rows backfilled.
-    pub fn rebuild_tree_index(&self, ms: &Uid) -> UcResult<usize> {
-        let _api = self.api_enter_p("rebuild_tree_index", NO_TENANT, Some(ms));
-        // Phase 1: announce the build. Writers observe the marker inside
-        // their own transactions and dual-write from here on.
-        self.maintenance_txn(|tx| {
-            if tx.get(T_TREEMETA, ms.as_str()).is_none() {
-                tx.put(T_TREEMETA, ms.as_str(), Bytes::from_static(b"building"));
-            }
-            Ok(())
-        })?;
-        // Phase 2: snapshot the entity keys once (read-only, unvalidated),
-        // then backfill in chunks.
-        let ent_keys: Vec<String> = {
-            let rt = self.db.begin_read();
-            rt.scan_prefix(T_ENTITY, &keys::ent_ms_prefix(ms))
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect()
-        };
-        let mut written = 0usize;
-        for chunk in ent_keys.chunks(TREE_BUILD_CHUNK) {
-            written += self.maintenance_txn(|tx| {
-                let mut n = 0usize;
-                for ekey in chunk {
-                    // Skip rows that vanished (purged) since the snapshot;
-                    // soft-deleted rows get no tree row, and the metastore
-                    // row is reserved for the readiness flip below.
-                    let Some(raw) = tx.get(T_ENTITY, ekey) else { continue };
-                    let ent = Entity::decode(&raw)?;
-                    if !ent.is_active() || ent.kind == SecurableKind::Metastore {
-                        continue;
-                    }
-                    let tk = tree_key_of(tx, &ent)?;
-                    tx.put(T_TREE, &tk, raw);
-                    n += 1;
-                }
-                Ok(n)
-            })?;
-        }
-        // Phase 3: flip readiness atomically.
-        self.maintenance_txn(|tx| {
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, ms))
-                .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))?;
-            tx.put(T_TREE, &keys::tree_ms_prefix(ms), raw);
-            tx.put(T_TREEMETA, ms.as_str(), Bytes::from_static(b"ready"));
-            Ok(())
-        })?;
-        self.record_audit(
-            NO_TENANT,
-            "rebuildTreeIndex",
-            Some(ms),
-            AuditDecision::Allow,
-            format!("{written} rows"),
-        );
-        Ok(written)
     }
 
     /// Chain from an entity up to (and including) the metastore entity.
@@ -1596,20 +1401,20 @@ impl UnityCatalog {
         }
         // Rebuild from entities: scan storage credentials in this metastore.
         let rt = self.db.begin_read();
-        let prefix = keys::children_group_prefix(ms, Some(ms), SecurableKind::StorageCredential.name_group());
-        for (_, id_raw) in rt.scan_prefix(T_NAME, &prefix) {
-            let id = Uid::from_string(String::from_utf8(id_raw.to_vec()).unwrap_or_default());
-            if let Some(ent) = self.db_entity_by_id(&rt, ms, &id)? {
-                let (Some(b), Some(secret)) = (
-                    ent.properties.get(crate::model::entity::props::BUCKET),
-                    ent.properties.get(crate::model::entity::props::ROOT_SECRET),
-                ) else {
-                    continue;
-                };
-                if let Ok(secret) = secret.parse::<u64>() {
-                    let root = RootCredential { bucket: b.clone(), secret };
-                    self.roots.write().insert(b.clone(), root.clone());
-                }
+        for ent in tree_children(
+            |p| rt.scan_prefix(T_TREE, p),
+            &keys::tree_ms_prefix(ms),
+            Some(SecurableKind::StorageCredential.name_group()),
+        )? {
+            let (Some(b), Some(secret)) = (
+                ent.properties.get(crate::model::entity::props::BUCKET),
+                ent.properties.get(crate::model::entity::props::ROOT_SECRET),
+            ) else {
+                continue;
+            };
+            if let Ok(secret) = secret.parse::<u64>() {
+                let root = RootCredential { bucket: b.clone(), secret };
+                self.roots.write().insert(b.clone(), root.clone());
             }
         }
         self.roots

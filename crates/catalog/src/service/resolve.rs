@@ -10,6 +10,7 @@
 //! which is the batching optimization §4.5 credits for interactive-query
 //! latency.
 
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use uc_cloudstore::{AccessLevel, TempCredential};
@@ -23,6 +24,7 @@ use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
+use crate::model::keys;
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
@@ -97,41 +99,42 @@ impl UnityCatalog {
         let who = self.authz_context(ms, &ctx.principal)?;
         // Batch-local memo of container chains, keyed by the container's
         // qualified prefix: `[schema, catalog, …, metastore]` for
-        // `catalog.schema`. Bounded by the number of distinct prefixes in
-        // `refs`, which the serving plane caps per batch.
-        let mut prefixes: std::collections::HashMap<String, Vec<Arc<Entity>>> =
+        // `catalog.schema`, next to the schema's tree key (each leaf's key
+        // is that plus one segment). Bounded by the number of distinct
+        // prefixes in `refs`, which the serving plane caps per batch.
+        let mut prefixes: std::collections::HashMap<String, (Vec<Arc<Entity>>, String)> =
             std::collections::HashMap::new();
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
             let full = match name.schema() {
                 Some(schema_name) if name.len() == 3 => {
                     let prefix = format!("{}.{schema_name}", name.catalog());
-                    let upper = match prefixes.get(&prefix) {
-                        Some(chain) => chain.clone(),
-                        None => {
+                    let (upper, schema_key) = match prefixes.entry(prefix) {
+                        Entry::Occupied(memo) => memo.into_mut(),
+                        Entry::Vacant(slot) => {
                             let container = FullName::of(&[name.catalog(), schema_name]);
                             let chain = self.extend_chain(
                                 ms,
                                 self.lookup_chain(ms, &container, "schema")?,
                             )?;
-                            prefixes.insert(prefix, chain.clone());
-                            chain
+                            let schema_key = keys::tree_key(
+                                ms,
+                                &[("catalog", name.catalog()), ("schema", schema_name)],
+                            );
+                            slot.insert((chain, schema_key))
                         }
                     };
                     // Only the leaf remains to resolve for this ref.
-                    let schema_id = upper[0].id.clone();
+                    let mut leaf_key = schema_key.clone();
+                    keys::tree_push_child(
+                        &mut leaf_key,
+                        "relation",
+                        name.asset().ok_or_else(|| {
+                            UcError::InvalidArgument(format!("malformed name {name}"))
+                        })?,
+                    );
                     let leaf = self
-                        .entity_by_name_key(
-                            ms,
-                            &crate::model::keys::name_key(
-                                ms,
-                                Some(&schema_id),
-                                "relation",
-                                name.asset().ok_or_else(|| {
-                                    UcError::InvalidArgument(format!("malformed name {name}"))
-                                })?,
-                            ),
-                        )?
+                        .entity_by_name_key(ms, &leaf_key)?
                         .ok_or_else(|| UcError::NotFound(name.to_string()))?;
                     let mut full = Vec::with_capacity(upper.len() + 1);
                     full.push(leaf);

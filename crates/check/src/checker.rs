@@ -128,51 +128,48 @@ pub fn verify_structure(db: &uc_txdb::Db, ms: &uc_catalog::Uid) -> Vec<Violation
     }
 
     let tree_rows = rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(ms));
-    // An unbuilt index (legacy layout) is vacuously consistent.
-    if !tree_rows.is_empty() {
-        let present: std::collections::BTreeSet<&str> =
-            tree_rows.iter().map(|(k, _)| k.as_str()).collect();
-        for (key, raw) in &tree_rows {
-            let ent = match Entity::decode(raw) {
-                Ok(e) => e,
-                Err(e) => {
-                    violations.push(Violation::TreeIndexMismatch {
-                        key: key.clone(),
-                        why: format!("undecodable value: {e}"),
-                    });
-                    continue;
-                }
-            };
-            match active.get(ent.id.as_str()) {
-                Some(ent_raw) if ent_raw == raw => {}
-                Some(_) => violations.push(Violation::TreeIndexMismatch {
+    let present: std::collections::BTreeSet<&str> =
+        tree_rows.iter().map(|(k, _)| k.as_str()).collect();
+    for (key, raw) in &tree_rows {
+        let ent = match Entity::decode(raw) {
+            Ok(e) => e,
+            Err(e) => {
+                violations.push(Violation::TreeIndexMismatch {
                     key: key.clone(),
-                    why: format!("value not byte-identical to entity row {}", ent.id),
-                }),
-                None => violations.push(Violation::TreeIndexMismatch {
-                    key: key.clone(),
-                    why: format!("orphan row: entity {} missing or inactive", ent.id),
-                }),
+                    why: format!("undecodable value: {e}"),
+                });
+                continue;
             }
-            for prefix in treekey::chain_prefixes(key) {
-                if !present.contains(prefix) {
-                    violations.push(Violation::TreeIndexMismatch {
-                        key: key.clone(),
-                        why: format!("ancestor prefix {prefix:?} has no row"),
-                    });
-                }
+        };
+        match active.get(ent.id.as_str()) {
+            Some(ent_raw) if ent_raw == raw => {}
+            Some(_) => violations.push(Violation::TreeIndexMismatch {
+                key: key.clone(),
+                why: format!("value not byte-identical to entity row {}", ent.id),
+            }),
+            None => violations.push(Violation::TreeIndexMismatch {
+                key: key.clone(),
+                why: format!("orphan row: entity {} missing or inactive", ent.id),
+            }),
+        }
+        for prefix in treekey::chain_prefixes(key) {
+            if !present.contains(prefix) {
+                violations.push(Violation::TreeIndexMismatch {
+                    key: key.clone(),
+                    why: format!("ancestor prefix {prefix:?} has no row"),
+                });
             }
         }
-        if tree_rows.len() != active.len() {
-            violations.push(Violation::TreeIndexMismatch {
-                key: keys::tree_ms_prefix(ms),
-                why: format!(
-                    "{} tree rows for {} active entities (must be 1:1)",
-                    tree_rows.len(),
-                    active.len()
-                ),
-            });
-        }
+    }
+    if tree_rows.len() != active.len() {
+        violations.push(Violation::TreeIndexMismatch {
+            key: keys::tree_ms_prefix(ms),
+            why: format!(
+                "{} tree rows for {} active entities (must be 1:1)",
+                tree_rows.len(),
+                active.len()
+            ),
+        });
     }
 
     let path_rows = rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(ms));

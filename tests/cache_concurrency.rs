@@ -10,6 +10,8 @@
 //!   `NotFound`, never a half-installed one; the entity returned for a
 //!   name is the entity *with that name* (name→entity consistency at the
 //!   pinned version).
+//! * **No composite listings** — a catalog listing racing catalog
+//!   create/drop is a set some single metastore version held.
 //! * **Writer progress under readers** — the per-metastore write gate
 //!   serializes mutation without starving behind the lock-free hit path.
 //! * **Convergence** — once the writer stops, a cached node answers
@@ -69,6 +71,7 @@ fn stress_world(shards: usize) -> StressWorld {
     uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
     uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
     uc.create_catalog(&ctx, &ms, "main").unwrap();
+    uc.create_catalog(&ctx, &ms, "roll0").unwrap();
     uc.create_schema(&ctx, &ms, "main", "s").unwrap();
     for i in 0..STABLE_TABLES {
         uc.create_table(
@@ -81,8 +84,9 @@ fn stress_world(shards: usize) -> StressWorld {
     StressWorld { db, store, uc, ms }
 }
 
-/// Readers spin lookups while a writer churns tables in the same schema.
-/// Asserts name→entity consistency on every single read.
+/// Readers spin lookups while a writer churns tables in the same schema
+/// and rolls a window of catalogs. Asserts name→entity consistency on
+/// every single read and snapshot consistency on every listing.
 fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
     let w = stress_world(shards);
     let stop = AtomicBool::new(false);
@@ -127,6 +131,28 @@ fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
                             .expect("stable table must resolve");
                         assert_eq!(resolved.len(), 1);
                     }
+                    // The writer creates `roll{j+1}` before it drops
+                    // `roll{j}`, so every metastore version holds one
+                    // rolling catalog or two consecutive ones. A listing
+                    // that scanned one version and resolved entities at
+                    // another could come back empty or with a gap.
+                    if i % 5 == 0 {
+                        let mut rolling: Vec<usize> = uc
+                            .list_catalogs(&ctx, &ms)
+                            .expect("catalog listing")
+                            .iter()
+                            .filter_map(|c| c.name.strip_prefix("roll")?.parse().ok())
+                            .collect();
+                        rolling.sort_unstable();
+                        let snapshot = match rolling.as_slice() {
+                            [_] => true,
+                            [a, b] => a + 1 == *b,
+                            _ => false,
+                        };
+                        if !snapshot {
+                            torn.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                     reads.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                 }
@@ -135,6 +161,10 @@ fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
 
         let ctx = Context::user(ADMIN);
         for j in 0..writer_iters {
+            w.uc.create_catalog(&ctx, &w.ms, &format!("roll{}", j + 1)).unwrap();
+            w.uc
+                .drop_securable(&ctx, &w.ms, &FullName::of(&[&format!("roll{j}")]), "catalog")
+                .unwrap();
             let t = j % CHURN_TABLES;
             let name = format!("main.s.churn{t}");
             match j % 3 {

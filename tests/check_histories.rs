@@ -356,3 +356,37 @@ fn subtree_adversary_runs_replay_byte_identical() {
     let b = run_one(&cfg);
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
+
+// ---------------------------------------------------------------------
+// 10. The structural verifier has teeth
+// ---------------------------------------------------------------------
+
+/// A freshly created metastore verifies clean; an active entity whose
+/// tree row is missing is exactly one `TreeIndexMismatch`.
+#[test]
+fn verify_structure_flags_a_missing_tree_row() {
+    use uc_catalog::model::keys;
+    use uc_catalog::service::{Context, UnityCatalog};
+    use uc_check::checker::verify_structure;
+
+    let uc = UnityCatalog::in_memory();
+    let ms = uc.create_metastore("admin", "m", "us-west-2").unwrap();
+    assert!(verify_structure(uc.db(), &ms).is_empty(), "fresh metastore");
+
+    uc_check::workload::seed_world(&uc, &Context::user("admin"), &ms);
+    assert!(verify_structure(uc.db(), &ms).is_empty(), "seeded metastore");
+
+    let table_key = keys::tree_key(
+        &ms,
+        &[("catalog", "main"), ("schema", "s"), ("relation", "seed0")],
+    );
+    let mut tx = uc.db().begin_write();
+    assert!(tx.get(keys::T_TREE, &table_key).is_some());
+    tx.delete(keys::T_TREE, &table_key);
+    tx.commit().unwrap();
+    let violations = verify_structure(uc.db(), &ms);
+    assert!(
+        matches!(violations.as_slice(), [Violation::TreeIndexMismatch { .. }]),
+        "expected exactly one tree-index mismatch, got {violations:?}"
+    );
+}

@@ -2,14 +2,16 @@
 //! (DESIGN.md §11) plus the single-range-scan acceptance assertions:
 //! listing children, cascading a subtree drop, and resolving a qualified
 //! name (the chain privilege inheritance evaluates over) must each cost
-//! exactly one range scan over the tree-encoded keyspace.
+//! exactly one range scan over the tree-encoded keyspace. The exact
+//! work counts of the two-table layout (`T_ENTITY` + `T_TREE`, no other
+//! name index) close the file.
 
 use proptest::prelude::*;
 
 use uc_bench::{World, WorldConfig};
-use uc_catalog::model::treekey;
+use uc_catalog::model::{keys, treekey};
 use uc_catalog::service::crud::{BulkSchemaSpec, TableSpec};
-use uc_catalog::service::Context;
+use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_delta::value::{DataType, Field, Schema};
 
@@ -275,4 +277,118 @@ fn uncached_name_resolution_is_one_range_scan() {
         1,
         "metastore.catalog.schema.table must resolve via one chain scan"
     );
+}
+
+// ---------------------------------------------------------------------
+// 4. Exact work counts of the two-table layout (DbStats deltas)
+// ---------------------------------------------------------------------
+
+/// Creating a managed table writes four rows: the entity, its tree row,
+/// its storage path, and the metastore version. There is no other name
+/// index to maintain.
+#[test]
+fn create_table_writes_four_rows() {
+    let (world, ctx) = seeded_world(&["warm"]);
+    let writes0 = world.db.stats().writes();
+    world
+        .uc
+        .create_table(
+            &ctx,
+            &world.ms,
+            TableSpec::managed("main.s.t", Schema::new(vec![Field::new("x", DataType::Int)]))
+                .unwrap(),
+        )
+        .unwrap();
+    assert_eq!(world.db.stats().writes() - writes0, 4, "ent + tree + path + msver");
+}
+
+/// Dropping a table touches only the entity, tree, path and version
+/// tables — in particular no row of a separate name index.
+#[test]
+fn drop_table_writes_no_name_row() {
+    let (world, ctx) = seeded_world(&["t"]);
+    let csn0 = world.db.current_csn();
+    let writes0 = world.db.stats().writes();
+    let dropped = world
+        .uc
+        .drop_securable(&ctx, &world.ms, &FullName::parse("main.s.t").unwrap(), "relation")
+        .unwrap();
+    assert_eq!(dropped, 1);
+    assert_eq!(world.db.stats().writes() - writes0, 4, "ent + tree + path + msver");
+    let mut tables: Vec<String> = world
+        .db
+        .changelog()
+        .changes_since(csn0)
+        .into_iter()
+        .map(|c| c.table)
+        .collect();
+    tables.sort_unstable();
+    assert_eq!(tables, [keys::T_ENTITY, keys::T_MSVER, keys::T_PATH, keys::T_TREE]);
+}
+
+/// A bulk-loaded entity occupies exactly two live rows.
+#[test]
+fn bulk_loaded_entities_cost_two_rows_each() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = world.admin();
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    let entities = |w: &World| w.db.begin_read().scan_prefix(keys::T_ENTITY, "").len();
+    let (rows0, ents0) = (world.db.live_rows(), entities(&world));
+    let specs = [BulkSchemaSpec {
+        name: "s".into(),
+        tables: (0..50).map(|t| format!("t{t}")).collect(),
+    }];
+    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
+    let created = world.uc.bulk_create_tables(&ctx, &world.ms, "main", &specs, &schema, 16).unwrap();
+    assert_eq!(created, 51);
+    assert_eq!(entities(&world) - ents0, 51);
+    assert_eq!(world.db.live_rows() - rows0, 2 * 51, "one entity row + one tree row each");
+}
+
+/// A second catalog node over the same database, with its one-time reads
+/// (metastore row, principal record) already paid.
+fn warmed_probe(world: &World, ctx: &Context) -> std::sync::Arc<UnityCatalog> {
+    let probe =
+        UnityCatalog::new(world.db.clone(), world.store.clone(), UcConfig::default(), "probe");
+    probe.get_metastore(&world.ms).unwrap();
+    probe.principal_groups(&ctx.principal).unwrap();
+    probe
+}
+
+/// With its schema chain cached, a cold `resolve_batch` leaf costs one
+/// tree-row read (which returns the whole entity) on top of the version
+/// read every database snapshot pays.
+#[test]
+fn cold_resolve_batch_leaf_is_one_tree_read() {
+    let (world, ctx) = seeded_world(&["a", "b"]);
+    let probe = warmed_probe(&world, &ctx);
+    let refs = |t: &str| [FullName::parse(&format!("main.s.{t}")).unwrap()];
+    probe.resolve_batch(&ctx, &world.ms, &refs("a"), false).unwrap();
+    let (reads0, scans0) = (world.db.stats().reads(), world.db.stats().scans());
+    let got = probe.resolve_batch(&ctx, &world.ms, &refs("b"), false).unwrap();
+    assert_eq!(got[0].entity.name, "b");
+    assert_eq!(world.db.stats().scans() - scans0, 0, "the chain above the leaf is cached");
+    assert_eq!(world.db.stats().reads() - reads0, 2, "msver + the leaf's tree row");
+}
+
+/// Listing catalogs or shares is one range scan whose rows carry the
+/// entities: no per-object read, however many objects and however cold
+/// the node's cache.
+#[test]
+fn metastore_level_listings_are_one_scan_and_no_entity_reads() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = world.admin();
+    for i in 0..6 {
+        world.uc.create_catalog(&ctx, &world.ms, &format!("c{i}")).unwrap();
+        world.uc.create_share(&ctx, &world.ms, &format!("sh{i}")).unwrap();
+    }
+    let probe = warmed_probe(&world, &ctx);
+    let (reads0, scans0) = (world.db.stats().reads(), world.db.stats().scans());
+    assert_eq!(probe.list_catalogs(&ctx, &world.ms).unwrap().len(), 6);
+    assert_eq!(world.db.stats().scans() - scans0, 1);
+    assert_eq!(world.db.stats().reads() - reads0, 1, "the snapshot's version read only");
+    let (reads0, scans0) = (world.db.stats().reads(), world.db.stats().scans());
+    assert_eq!(probe.list_shares(&ctx, &world.ms).unwrap().len(), 6);
+    assert_eq!(world.db.stats().scans() - scans0, 1);
+    assert_eq!(world.db.stats().reads() - reads0, 1, "the snapshot's version read only");
 }
