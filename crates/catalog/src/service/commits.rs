@@ -88,7 +88,7 @@ impl UnityCatalog {
         ms: &Uid,
         commits: Vec<TableCommit>,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("commit_tables_atomically", ctx, ms);
+        let _api = self.api_enter("commit_tables_atomically", Some(&ctx.principal), Some(ms));
         if commits.is_empty() {
             return Ok(());
         }
@@ -125,7 +125,7 @@ impl UnityCatalog {
 
     /// Latest catalog-owned version of a table (-1 if none).
     pub fn latest_table_version(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<i64> {
-        let _api = self.api_enter_t("latest_table_version", ctx, ms);
+        let _api = self.api_enter("latest_table_version", Some(&ctx.principal), Some(ms));
         let entity = self.authorize_table_read(ctx, ms, table_id)?;
         Ok(entity.commit_version())
     }
@@ -138,7 +138,7 @@ impl UnityCatalog {
         table_id: &Uid,
         version: i64,
     ) -> UcResult<Option<Bytes>> {
-        let _api = self.api_enter_t("read_table_commit", ctx, ms);
+        let _api = self.api_enter("read_table_commit", Some(&ctx.principal), Some(ms));
         self.authorize_table_read(ctx, ms, table_id)?;
         Ok(self.commit_read_internal(ms, table_id, version))
     }

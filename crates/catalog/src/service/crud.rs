@@ -73,7 +73,7 @@ impl UnityCatalog {
     /// Create a metastore. Account-level: the creator becomes owner and
     /// first admin.
     pub fn create_metastore(&self, principal: &str, name: &str, region: &str) -> UcResult<Uid> {
-        let _api = self.api_enter_p("create_metastore", principal, None);
+        let _api = self.api_enter("create_metastore", Some(principal), None);
         validate_object_name(name)?;
         let now = self.now_ms();
         let mut ent = Entity::new(SecurableKind::Metastore, name, None, Uid::from(""), principal, now);
@@ -94,14 +94,14 @@ impl UnityCatalog {
 
     /// Fetch the metastore entity.
     pub fn get_metastore(&self, ms: &Uid) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_p("get_metastore", super::NO_TENANT, Some(ms));
+        let _api = self.api_enter("get_metastore", None, Some(ms));
         self.entity_by_id(ms, ms)?
             .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))
     }
 
     /// Set the managed-storage root for a metastore (admin only).
     pub fn set_metastore_root(&self, ctx: &Context, ms: &Uid, root_path: &str) -> UcResult<()> {
-        let _api = self.api_enter_t("set_metastore_root", ctx, ms);
+        let _api = self.api_enter("set_metastore_root", Some(&ctx.principal), Some(ms));
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let who = self.authz_context(ms, &ctx.principal)?;
         if !who.is_metastore_admin {
@@ -118,7 +118,7 @@ impl UnityCatalog {
 
     /// Add a metastore admin (admin only).
     pub fn add_metastore_admin(&self, ctx: &Context, ms: &Uid, principal: &str) -> UcResult<()> {
-        let _api = self.api_enter_t("add_metastore_admin", ctx, ms);
+        let _api = self.api_enter("add_metastore_admin", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         if !who.is_metastore_admin {
             self.record_audit(&ctx.principal, "addMetastoreAdmin", Some(ms), AuditDecision::Deny, principal);
@@ -149,7 +149,7 @@ impl UnityCatalog {
         name: &str,
         root: &RootCredential,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_storage_credential", ctx, ms);
+        let _api = self.api_enter("create_storage_credential", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let ms_chain = vec![self.get_metastore(ms)?];
@@ -195,7 +195,7 @@ impl UnityCatalog {
         path: &str,
         credential_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_external_location", ctx, ms);
+        let _api = self.api_enter("create_external_location", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let who = self.authz_context(ms, &ctx.principal)?;
@@ -264,7 +264,7 @@ impl UnityCatalog {
 
     /// Create a catalog in the metastore.
     pub fn create_catalog(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_catalog", ctx, ms);
+        let _api = self.api_enter("create_catalog", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let ms_chain = vec![self.get_metastore(ms)?];
@@ -285,7 +285,7 @@ impl UnityCatalog {
 
     /// Create a schema inside a catalog.
     pub fn create_schema(&self, ctx: &Context, ms: &Uid, catalog: &str, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_schema", ctx, ms);
+        let _api = self.api_enter("create_schema", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
         let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
         let full = self.chain_from_entity(ms, chain[0].clone())?;
@@ -430,7 +430,7 @@ impl UnityCatalog {
 
     /// Create a table (managed or external or foreign).
     pub fn create_table(&self, ctx: &Context, ms: &Uid, spec: TableSpec) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_table", ctx, ms);
+        let _api = self.api_enter("create_table", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, &spec.name, SecurableKind::Table)?;
         let schema_ent = full[0].clone();
         match spec.table_type {
@@ -523,7 +523,7 @@ impl UnityCatalog {
         columns: &Schema,
         chunk: usize,
     ) -> UcResult<usize> {
-        let _api = self.api_enter_t("bulk_create_tables", ctx, ms);
+        let _api = self.api_enter("bulk_create_tables", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         if !who.is_metastore_admin {
             self.record_audit(&ctx.principal, "bulkCreateTables", Some(ms), AuditDecision::Deny, catalog);
@@ -643,7 +643,7 @@ impl UnityCatalog {
         source: &FullName,
         source_version: i64,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_shallow_clone", ctx, ms);
+        let _api = self.api_enter("create_shallow_clone", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Table)?;
         let schema_ent = full[0].clone();
         let src_chain = self.lookup_chain(ms, source, "relation")?;
@@ -705,7 +705,7 @@ impl UnityCatalog {
         columns: Schema,
         dependencies: &[FullName],
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_view", ctx, ms);
+        let _api = self.api_enter("create_view", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::View)?;
         let schema_ent = full[0].clone();
         let who = self.authz_context(ms, &ctx.principal)?;
@@ -753,7 +753,7 @@ impl UnityCatalog {
         name: &FullName,
         external_path: Option<&str>,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_volume", ctx, ms);
+        let _api = self.api_enter("create_volume", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Volume)?;
         let schema_ent = full[0].clone();
         if let Some(p) = external_path {
@@ -797,7 +797,7 @@ impl UnityCatalog {
         name: &FullName,
         body: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_function", ctx, ms);
+        let _api = self.api_enter("create_function", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Function)?;
         let schema_ent = full[0].clone();
         let now = self.now_ms();
@@ -826,7 +826,7 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_registered_model", ctx, ms);
+        let _api = self.api_enter("create_registered_model", Some(&ctx.principal), Some(ms));
         let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::RegisteredModel)?;
         let schema_ent = full[0].clone();
         let now = self.now_ms();
@@ -861,7 +861,7 @@ impl UnityCatalog {
         ms: &Uid,
         model_name: &FullName,
     ) -> UcResult<(Arc<Entity>, u64)> {
-        let _api = self.api_enter_t("create_model_version", ctx, ms);
+        let _api = self.api_enter("create_model_version", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, model_name, SecurableKind::RegisteredModel.name_group())?;
         let model = chain[0].clone();
         if model.kind != SecurableKind::RegisteredModel {
@@ -929,7 +929,7 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("get_securable", ctx, ms);
+        let _api = self.api_enter("get_securable", Some(&ctx.principal), Some(ms));
         // Reuse the resolved chain for the ancestor walk (extend_chain only
         // fetches what lookup_chain didn't) and evaluate `can_see` over the
         // borrowed entities — this is the hottest read path in the service.
@@ -953,7 +953,7 @@ impl UnityCatalog {
 
     /// List catalogs visible to the caller.
     pub fn list_catalogs(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter_t("list_catalogs", ctx, ms);
+        let _api = self.api_enter("list_catalogs", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         self.visible_children(
             ms,
@@ -996,7 +996,7 @@ impl UnityCatalog {
         parent: &FullName,
         group: Option<&str>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter_t("list_children", ctx, ms);
+        let _api = self.api_enter("list_children", Some(&ctx.principal), Some(ms));
         let parent_group = if parent.len() == 1 { "catalog" } else { "schema" };
         let chain = self.lookup_chain(ms, parent, parent_group)?;
         let parent_ent = chain[0].clone();
@@ -1054,7 +1054,7 @@ impl UnityCatalog {
         leaf_group: &str,
         comment: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("update_comment", ctx, ms);
+        let _api = self.api_enter("update_comment", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, name, leaf_group)?;
         let target = chain[0].clone();
         if !manifest(target.kind).updatable_fields.contains(&"comment") {
@@ -1087,7 +1087,7 @@ impl UnityCatalog {
         leaf_group: &str,
         new_owner: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("transfer_ownership", ctx, ms);
+        let _api = self.api_enter("transfer_ownership", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, name, leaf_group)?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -1115,7 +1115,7 @@ impl UnityCatalog {
         leaf_group: &str,
         new_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("rename_securable", ctx, ms);
+        let _api = self.api_enter("rename_securable", Some(&ctx.principal), Some(ms));
         validate_object_name(new_name)?;
         let chain = self.lookup_chain(ms, name, leaf_group)?;
         let target = chain[0].clone();
@@ -1177,7 +1177,7 @@ impl UnityCatalog {
         catalog: &str,
         workspaces: &[&str],
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("set_catalog_bindings", ctx, ms);
+        let _api = self.api_enter("set_catalog_bindings", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -1208,7 +1208,7 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<usize> {
-        let _api = self.api_enter_t("drop_securable", ctx, ms);
+        let _api = self.api_enter("drop_securable", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, name, leaf_group)?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -1277,7 +1277,7 @@ impl UnityCatalog {
     /// catalog-owned commit history, and (for managed assets) their cloud
     /// storage. Returns (entities purged, storage objects deleted).
     pub fn purge_soft_deleted(&self, ms: &Uid) -> UcResult<(usize, usize)> {
-        let _api = self.api_enter_p("purge_soft_deleted", super::NO_TENANT, Some(ms));
+        let _api = self.api_enter("purge_soft_deleted", None, Some(ms));
         // Collect victims outside the write to keep the transaction small.
         let rt = self.db.begin_read();
         let victims: Vec<Entity> = rt

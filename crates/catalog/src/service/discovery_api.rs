@@ -84,7 +84,7 @@ impl UnityCatalog {
         leaf_group: &str,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("tag_update", ctx, ms);
+        let _api = self.api_enter("tag_update", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, name, leaf_group)?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -111,7 +111,7 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, String)>> {
-        let _api = self.api_enter_t("get_tags", ctx, ms);
+        let _api = self.api_enter("get_tags", Some(&ctx.principal), Some(ms));
         let ent = self.get_securable(ctx, ms, name, leaf_group)?;
         Ok(ent.tags())
     }
@@ -161,7 +161,7 @@ impl UnityCatalog {
         action: &str,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("policy_update", ctx, ms);
+        let _api = self.api_enter("policy_update", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, table, "relation")?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -189,7 +189,7 @@ impl UnityCatalog {
         scope_group: &str,
         policy: AbacPolicy,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("create_abac_policy", ctx, ms);
+        let _api = self.api_enter("create_abac_policy", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, scope, scope_group)?;
         let target = chain[0].clone();
         if !target.kind.is_container() {
@@ -227,7 +227,7 @@ impl UnityCatalog {
         downstream: &FullName,
         via: Option<&str>,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("add_lineage", ctx, ms);
+        let _api = self.api_enter("add_lineage", Some(&ctx.principal), Some(ms));
         let up = self.get_securable(ctx, ms, upstream, "relation")?;
         let down = self.get_securable(ctx, ms, downstream, "relation")?;
         let edge = LineageEdge {
@@ -268,7 +268,7 @@ impl UnityCatalog {
         direction: LineageDirection,
         max_hops: usize,
     ) -> UcResult<BTreeSet<Uid>> {
-        let _api = self.api_enter_t("lineage", ctx, ms);
+        let _api = self.api_enter("lineage", Some(&ctx.principal), Some(ms));
         let start_ent = self.get_securable(ctx, ms, start, "relation")?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
@@ -311,7 +311,7 @@ impl UnityCatalog {
     /// Consume the change-event stream from an offset. Used by second-tier
     /// services; returns (events, next offset).
     pub fn events_since(&self, offset: u64) -> (Vec<MetadataChangeEvent>, u64) {
-        let _api = self.api_enter("events_since");
+        let _api = self.api_enter("events_since", None, None);
         self.events.since(offset)
     }
 
@@ -342,7 +342,7 @@ impl UnityCatalog {
         filters: &[MetaFilter],
         limit: usize,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter_t("query_entities", ctx, ms);
+        let _api = self.api_enter("query_entities", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
         let mut out = Vec::new();

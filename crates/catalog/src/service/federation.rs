@@ -49,7 +49,7 @@ impl UnityCatalog {
         name: &str,
         endpoint: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_connection", ctx, ms);
+        let _api = self.api_enter("create_connection", Some(&ctx.principal), Some(ms));
         crate::types::validate_object_name(name)?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let authz = Self::authz_of(&[self.get_metastore(ms)?]);
@@ -86,7 +86,7 @@ impl UnityCatalog {
         name: &str,
         connection_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_federated_catalog", ctx, ms);
+        let _api = self.api_enter("create_federated_catalog", Some(&ctx.principal), Some(ms));
         let connection = self
             .entity_by_name_key(
                 ms,
@@ -114,7 +114,7 @@ impl UnityCatalog {
         schema_name: &str,
         meta: &ForeignTableMeta,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("mirror_table", ctx, ms);
+        let _api = self.api_enter("mirror_table", Some(&ctx.principal), Some(ms));
         let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
         let cat = self
             .entity_by_name_key(ms, &cat_key)?

@@ -24,7 +24,7 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("grant", ctx, ms);
+        let _api = self.api_enter("grant", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, securable, leaf_group)?;
         let target = chain[0].clone();
         if privilege != Privilege::All && !manifest(target.kind).grantable.contains(&privilege) {
@@ -62,7 +62,7 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("revoke", ctx, ms);
+        let _api = self.api_enter("revoke", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, securable, leaf_group)?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -91,7 +91,7 @@ impl UnityCatalog {
         securable: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, Privilege)>> {
-        let _api = self.api_enter_t("show_grants", ctx, ms);
+        let _api = self.api_enter("show_grants", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, securable, leaf_group)?;
         let target = chain[0].clone();
         let full = self.chain_from_entity(ms, target.clone())?;
@@ -110,7 +110,7 @@ impl UnityCatalog {
         principal: &str,
         checks: &[(Uid, Privilege)],
     ) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter_p("authorize_batch", principal, Some(ms));
+        let _api = self.api_enter("authorize_batch", Some(principal), Some(ms));
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(checks.len());
         for (id, privilege) in checks {
@@ -129,7 +129,7 @@ impl UnityCatalog {
     /// Batched visibility API: for each entity id, can `principal` see it
     /// at all? Discovery services use this to filter search results.
     pub fn visible_batch(&self, ms: &Uid, principal: &str, ids: &[Uid]) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter_p("visible_batch", principal, Some(ms));
+        let _api = self.api_enter("visible_batch", Some(principal), Some(ms));
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
@@ -147,7 +147,7 @@ impl UnityCatalog {
 
     /// Fetch an entity by id, subject to visibility.
     pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<crate::model::entity::Entity>> {
-        let _api = self.api_enter_t("get_entity_by_id", ctx, ms);
+        let _api = self.api_enter("get_entity_by_id", Some(&ctx.principal), Some(ms));
         let ent = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(id.to_string()))?;

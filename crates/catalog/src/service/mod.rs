@@ -119,7 +119,7 @@ pub enum EngineIdentity {
 /// A calling principal plus engine identity and (optionally) the
 /// workspace the request originates from — catalogs can be *bound* to
 /// specific workspaces (§3.2).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Context {
     pub principal: String,
     pub engine: EngineIdentity,
@@ -360,7 +360,7 @@ struct ApiInstruments {
     window: WindowSeries,
 }
 
-/// RAII guard returned by the `api_enter` family: the request span plus
+/// RAII guard returned by `api_enter`: the request span plus
 /// (when tenant labeling is on) the deferred per-tenant/window latency
 /// recording and the thread-local tenant scope that lets deeper layers
 /// (txdb commit, STS mint) attribute their series to this request's
@@ -501,33 +501,9 @@ impl UnityCatalog {
         self.clock.now_ms()
     }
 
-    /// Entry hook for every public API: models the engine→catalog network
-    /// hop, counts the call (globally, per-op, per-tenant, and into the
-    /// op's trailing window), and opens the request-scoped span every
-    /// deeper layer (txdb, cloudstore) parents under. Callers bind the
-    /// returned guard for the duration of the request. Prefer the
-    /// [`UnityCatalog::api_enter_t`] / [`UnityCatalog::api_enter_p`]
-    /// variants, which attribute the call to a tenant; this bare form is
-    /// for the few ops with no request identity at all.
-    pub(crate) fn api_enter(&self, op: &str) -> ApiGuard {
-        self.api_enter_inner(op, None, None)
-    }
-
-    /// [`UnityCatalog::api_enter`] with the tenant taken from the request
-    /// context: metastore alias + principal.
-    pub(crate) fn api_enter_t(&self, op: &str, ctx: &Context, ms: &Uid) -> ApiGuard {
-        self.api_enter_inner(op, Some(&ctx.principal), Some(ms))
-    }
-
-    /// [`UnityCatalog::api_enter`] for entry points that carry a bare
-    /// principal (and maybe a metastore) instead of a full [`Context`].
-    pub(crate) fn api_enter_p(&self, op: &str, principal: &str, ms: Option<&Uid>) -> ApiGuard {
-        self.api_enter_inner(op, Some(principal), ms)
-    }
-
     /// Intern the per-op instrument handles in the obs registries. Every
     /// registry lookup takes the registry mutex, so this is the cold half
-    /// of [`Self::api_enter_inner`]: callers memoize the result.
+    /// of [`Self::api_enter`]: callers memoize the result.
     fn make_api_instruments(&self, op: &str) -> ApiInstruments {
         ApiInstruments {
             count: self.config.obs.counter(&format!("catalog.{op}.count")),
@@ -544,7 +520,19 @@ impl UnityCatalog {
         }
     }
 
-    fn api_enter_inner(&self, op: &str, principal: Option<&str>, ms: Option<&Uid>) -> ApiGuard {
+    /// Entry hook for every public API: models the engine→catalog network
+    /// hop, counts the call (globally, per-op, per-tenant, and into the
+    /// op's trailing window), and opens the request-scoped span every
+    /// deeper layer (txdb, cloudstore) parents under. Callers bind the
+    /// returned guard for the duration of the request. `principal` and
+    /// `ms` attribute the call to a tenant; the few ops with no request
+    /// identity pass `None`.
+    pub(crate) fn api_enter(
+        &self,
+        op: &str,
+        principal: Option<&str>,
+        ms: Option<&Uid>,
+    ) -> ApiGuard {
         self.stats.api_calls.fetch_add(1, Ordering::Relaxed);
         // Per-op instrument handles from the fixed KNOWN_OPS table: binary
         // search + OnceLock read, lock-free after the first call per op.

@@ -56,7 +56,7 @@ impl UnityCatalog {
         refs: &[FullName],
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
-        let _api = self.api_enter_t("resolve_for_query", ctx, ms);
+        let _api = self.api_enter("resolve_for_query", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
@@ -95,7 +95,7 @@ impl UnityCatalog {
         refs: &[FullName],
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
-        let _api = self.api_enter_t("resolve_batch", ctx, ms);
+        let _api = self.api_enter("resolve_batch", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         // Batch-local memo of container chains, keyed by the container's
         // qualified prefix: `[schema, catalog, …, metastore]` for
@@ -262,7 +262,7 @@ impl UnityCatalog {
         model: &FullName,
         version: u64,
     ) -> UcResult<ResolvedSecurable> {
-        let _api = self.api_enter_t("resolve_model_version", ctx, ms);
+        let _api = self.api_enter("resolve_model_version", Some(&ctx.principal), Some(ms));
         let mut parts: Vec<&str> = model.parts.iter().map(|s| s.as_str()).collect();
         let vname = format!("v{version}");
         parts.push(&vname);

@@ -57,7 +57,7 @@ pub struct SharedTableResponse {
 impl UnityCatalog {
     /// Create a share (CREATE_SHARE on the metastore or admin).
     pub fn create_share(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter_t("create_share", ctx, ms);
+        let _api = self.api_enter("create_share", Some(&ctx.principal), Some(ms));
         crate::types::validate_object_name(name)?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let authz = Self::authz_of(&[self.get_metastore(ms)?]);
@@ -84,7 +84,7 @@ impl UnityCatalog {
         share_name: &str,
         table: &FullName,
     ) -> UcResult<()> {
-        let _api = self.api_enter_t("add_table_to_share", ctx, ms);
+        let _api = self.api_enter("add_table_to_share", Some(&ctx.principal), Some(ms));
         let share = self.share_by_name(ms, share_name)?;
         let full = self.chain_from_entity(ms, share.clone())?;
         let who = self.authz_context(ms, &ctx.principal)?;
@@ -127,7 +127,7 @@ impl UnityCatalog {
 
     /// Shares the caller can access (owner, admin, or SELECT grant).
     pub fn list_shares(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter_t("list_shares", ctx, ms);
+        let _api = self.api_enter("list_shares", Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         self.visible_children(
             ms,
@@ -144,7 +144,7 @@ impl UnityCatalog {
         ms: &Uid,
         share_name: &str,
     ) -> UcResult<Vec<ShareMember>> {
-        let _api = self.api_enter_t("list_share_tables", ctx, ms);
+        let _api = self.api_enter("list_share_tables", Some(&ctx.principal), Some(ms));
         let share = self.authorize_share_read(ctx, ms, share_name)?;
         let rt = self.db.begin_read();
         Ok(rt
@@ -178,7 +178,7 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
-        let _api = self.api_enter_t("query_share_table", ctx, ms);
+        let _api = self.api_enter("query_share_table", Some(&ctx.principal), Some(ms));
         let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias)?;
         let table_path = table
             .storage_path
@@ -214,7 +214,7 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
-        let _api = self.api_enter_t("query_share_table_as_iceberg", ctx, ms);
+        let _api = self.api_enter("query_share_table_as_iceberg", Some(&ctx.principal), Some(ms));
         let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias)?;
         let table_path = table
             .storage_path
@@ -258,7 +258,7 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<IcebergMetadata> {
-        let _api = self.api_enter_t("load_table_as_iceberg", ctx, ms);
+        let _api = self.api_enter("load_table_as_iceberg", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, name, "relation")?;
         let table = chain[0].clone();
         let full = self.chain_from_entity(ms, table.clone())?;

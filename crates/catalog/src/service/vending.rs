@@ -29,7 +29,7 @@ impl UnityCatalog {
         leaf_group: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter_t("temp_credentials", ctx, ms);
+        let _api = self.api_enter("temp_credentials", Some(&ctx.principal), Some(ms));
         let chain = self.lookup_chain(ms, asset, leaf_group)?;
         self.vend_for_entity(ctx, ms, chain[0].clone(), access, "generateTemporaryCredentials", &asset.to_string())
     }
@@ -45,7 +45,7 @@ impl UnityCatalog {
         path: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter_t("temp_credentials_for_path", ctx, ms);
+        let _api = self.api_enter("temp_credentials_for_path", Some(&ctx.principal), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let Some((entity, _registered)) = self.entity_by_path(ms, &parsed)? else {
             self.record_audit(&ctx.principal, "generateTemporaryPathCredentials", None, AuditDecision::Deny, path);
@@ -115,7 +115,7 @@ impl UnityCatalog {
         ms: &Uid,
         id: &Uid,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter_t("renew_read_credential", ctx, ms);
+        let _api = self.api_enter("renew_read_credential", Some(&ctx.principal), Some(ms));
         let entity = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(format!("asset {id}")))?;

@@ -23,7 +23,7 @@ use crate::lexer::Kind;
 const ACQ_METHODS: &[&str] = &["read", "write", "lock", "try_lock", "write_gate", "acquire"];
 
 /// `members` maps this file's fn indices to their root-chain witness
-/// (e.g. `api_enter -> api_enter_inner -> tenant_label`), computed by
+/// (e.g. `api_enter -> tenant_label`), computed by
 /// the driver from the hot-path closure.
 pub fn check(ctx: &FileCtx<'_>, members: &BTreeMap<usize, String>, out: &mut Vec<Diagnostic>) {
     if members.is_empty() {

@@ -86,12 +86,11 @@ pub fn parse_known_ops(tokens: &[Token]) -> Option<KnownOps> {
     }
 }
 
-/// The `api_enter` family. All variants take the op string as their
-/// first argument, so the token shape below holds for each.
-const API_ENTER_FNS: &[&str] = &["api_enter", "api_enter_t", "api_enter_p"];
+/// The API entry hook; its first argument is the op string.
+const API_ENTER_FNS: &[&str] = &["api_enter"];
 
-/// Find the op string of a direct `api_enter("...")` (or `api_enter_t` /
-/// `api_enter_p`) call in a token range, if any.
+/// Find the op string of a direct `api_enter("...")` call in a token
+/// range, if any.
 pub fn direct_api_op(toks: &[Token], range: (usize, usize)) -> Option<(String, u32)> {
     let (open, close) = range;
     for i in open..close {

@@ -8,7 +8,7 @@ impl Service {
     }
 
     pub fn get_table_labeled(&self, ctx: &Ctx, ms: &Uid) -> Result<Table, Error> {
-        let _api = self.api_enter_t("get_table", ctx, ms); // tenant variant counts as instrumented: no diagnostic
+        let _api = self.api_enter("get_table", Some(&ctx.principal), Some(ms)); // tenant-attributed call counts as instrumented: no diagnostic
         self.fetch("t")
     }
 

@@ -7,10 +7,11 @@
 //! a guard that releases the slot on drop, so every exit path — success,
 //! catalog error, panic unwinding through a bench harness — returns the
 //! slot. Depth accounting feeds the `serve.queue.depth` gauge and the
-//! per-tenant depth histograms; the shed decision itself (audit + 429)
-//! lives in the caller, which owns the tenant label and audit handle.
+//! per-tenant depth histograms; the shed itself (audit + 429) is the
+//! caller's `ServePlane::shed`, shared with the batch queue's bound.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use uc_catalog::Uid;
@@ -40,7 +41,7 @@ impl Admission {
         principal: &str,
         capacity: usize,
         metrics: &'a ServeMetrics,
-        label: &std::sync::Arc<str>,
+        label: &Arc<str>,
     ) -> Option<AdmissionGuard<'a>> {
         let key = (ms.clone(), principal.to_string());
         let depth = {
@@ -62,16 +63,7 @@ impl Admission {
         metrics.queue_depth.add(1);
         metrics.depth_hist.record(depth as u64);
         metrics.depth_by.record(label, depth as u64);
-        Some(AdmissionGuard { admission: self, metrics, key })
-    }
-
-    /// Current in-flight depth for a tenant (test/bench introspection).
-    pub(crate) fn depth(&self, ms: &Uid, principal: &str) -> usize {
-        let admission = self.admission.lock();
-        admission
-            .get(&(ms.clone(), principal.to_string()))
-            .copied()
-            .unwrap_or(0)
+        Some(AdmissionGuard { admission: self, metrics, key, label: Arc::clone(label) })
     }
 
     fn release(&self, key: &(Uid, String)) {
@@ -90,6 +82,9 @@ pub struct AdmissionGuard<'a> {
     admission: &'a Admission,
     metrics: &'a ServeMetrics,
     key: (Uid, String),
+    /// The request's `t=<alias>,p=<principal>` metric label, rendered
+    /// once at admission for every later step that counts.
+    pub(crate) label: Arc<str>,
 }
 
 impl Drop for AdmissionGuard<'_> {

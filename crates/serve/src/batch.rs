@@ -6,101 +6,70 @@
 //! queue a compatible group at a time — same principal, engine identity,
 //! workspace, and credential mode, so one combined call is
 //! authorization-equivalent to the per-request calls it replaces — and
-//! executes a single [`UnityCatalog::resolve_batch`] for the whole
+//! executes a single `UnityCatalog::resolve_batch` for the whole
 //! group, splitting the positional result back onto each request's slot.
 //! There is no dispatcher thread and no timer: batch size grows with
 //! concurrency naturally (a lone request is a batch of one), exactly the
 //! group-commit shape write-ahead logs use.
+//!
+//! The policy is two non-blocking steps on [`Batcher`] —
+//! [`Batcher::enqueue`] (queue, elect, or refuse) and
+//! [`Batcher::next_group`] (take one compatible group) — which
+//! `ServePlane::drain` loops over. A thread enqueues, drains if it was
+//! elected, then collects from its slot; the replay enqueues a whole
+//! quantum, drains once, and collects them all.
 //!
 //! The leader keeps draining until the queue is empty, *including groups
 //! it is not itself part of* — the leader-active flag guarantees some
 //! thread owns every enqueued item, and the flag only clears under the
 //! same lock that proves the queue is empty, so no item can be enqueued
 //! and then orphaned. If the combined call fails, the leader falls back
-//! to per-item [`UnityCatalog::resolve_for_query`] so one poisoned
+//! to per-item `UnityCatalog::resolve_for_query` so one poisoned
 //! request cannot fail its whole group.
 //!
-//! The queue is bounded by `batch_queue_capacity` (checked before the
+//! The queue is bounded by [`BATCH_QUEUE_CAPACITY`] (checked before the
 //! push — the `bounded-queue` lint invariant); overflow sheds with the
 //! same audited-429 contract as admission.
 
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use uc_catalog::service::resolve::ResolvedSecurable;
-use uc_catalog::service::{Context, EngineIdentity, UnityCatalog};
-use uc_catalog::{FullName, UcError, UcResult, Uid};
-use uc_cloudstore::sched::{is_scheduled, yield_point};
+use uc_catalog::service::Context;
+use uc_catalog::{FullName, UcResult, Uid};
+use uc_cloudstore::sched::yield_point;
 
-use crate::{points, Role, Served, ServeConfig, ServeMetrics};
+use crate::admission::AdmissionGuard;
+use crate::slot::Slot;
+use crate::{points, Role, ServePlane, Served};
 
-/// Authorization-relevant identity of a resolve request. Only requests
-/// with identical signatures may share a combined catalog call.
+/// Bound on the combining queue across tenants: belt-and-braces on top
+/// of per-tenant admission, so no caller has ever needed another value.
+pub const BATCH_QUEUE_CAPACITY: usize = 1024;
+
+/// Authorization-relevant identity of a resolve request: the whole
+/// request context (principal, engine identity, workspace), the
+/// metastore and the credential mode. Only requests with identical
+/// signatures may share a combined catalog call.
 #[derive(Clone, PartialEq, Eq)]
-struct Signature {
-    ms: Uid,
-    principal: String,
-    engine: EngineIdentity,
-    workspace: Option<String>,
-    want_credentials: bool,
+pub struct Signature {
+    pub ms: Uid,
+    pub ctx: Context,
+    pub want_credentials: bool,
 }
 
-impl Signature {
-    fn context(&self) -> Context {
-        Context {
-            principal: self.principal.clone(),
-            engine: self.engine.clone(),
-            workspace: self.workspace.clone(),
-        }
-    }
+/// One queued resolve request; `slot` receives its split of a combined
+/// result.
+pub struct PendingItem {
+    pub sig: Signature,
+    pub refs: Vec<FullName>,
+    pub slot: Arc<Slot<Vec<ResolvedSecurable>>>,
 }
 
-/// Shared slot one request waits on for its split of a combined result.
-struct BatchSlot {
-    state: Mutex<Option<UcResult<Vec<ResolvedSecurable>>>>,
-    done: Condvar,
-}
-
-impl BatchSlot {
-    fn new() -> BatchSlot {
-        BatchSlot { state: Mutex::new(None), done: Condvar::new() }
+impl PendingItem {
+    pub fn new(sig: Signature, refs: Vec<FullName>) -> PendingItem {
+        PendingItem { sig, refs, slot: Arc::new(Slot::new()) }
     }
-
-    fn poll(&self) -> Option<UcResult<Vec<ResolvedSecurable>>> {
-        let state = self.state.lock();
-        state.clone()
-    }
-
-    fn publish(&self, result: UcResult<Vec<ResolvedSecurable>>) {
-        let mut state = self.state.lock();
-        *state = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait_scheduled(&self) -> UcResult<Vec<ResolvedSecurable>> {
-        loop {
-            if let Some(result) = self.poll() {
-                return result;
-            }
-            yield_point(points::SERVE_DISPATCH);
-        }
-    }
-
-    fn wait_blocking(&self) -> UcResult<Vec<ResolvedSecurable>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = &*state {
-                return result.clone();
-            }
-            self.done.wait(&mut state);
-        }
-    }
-}
-
-struct PendingItem {
-    sig: Signature,
-    refs: Vec<FullName>,
-    slot: Arc<BatchSlot>,
 }
 
 struct BatchState {
@@ -109,140 +78,148 @@ struct BatchState {
 }
 
 /// The combining queue plus leader-election flag.
-pub(crate) struct Batcher {
+pub struct Batcher {
     pending: Mutex<BatchState>,
 }
 
-impl Batcher {
-    pub(crate) fn new() -> Batcher {
+impl Default for Batcher {
+    fn default() -> Batcher {
         Batcher {
             pending: Mutex::new(BatchState { items: Vec::new(), leader_active: false }),
         }
     }
+}
 
+impl Batcher {
     /// Queued (not yet dispatched) resolve requests (introspection).
-    pub(crate) fn queued(&self) -> usize {
+    pub fn queued(&self) -> usize {
         let pending = self.pending.lock();
         pending.items.len()
     }
 
-    /// Serve one resolve request through the combining queue.
+    /// Queue one request. `Some(true)` elects the caller batch leader —
+    /// it must drain; `Some(false)` means a leader already owns the
+    /// queue; `None` means the queue is full and the caller must shed.
     /// [admission]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve(
+    pub fn enqueue(&self, item: PendingItem) -> Option<bool> {
+        let mut pending = self.pending.lock();
+        if pending.items.len() >= BATCH_QUEUE_CAPACITY {
+            return None;
+        }
+        pending.items.push(item);
+        Some(!std::mem::replace(&mut pending.leader_active, true))
+    }
+
+    /// Take the head request and every queued request sharing its
+    /// signature, up to `max_batch`, leaving the rest in arrival order.
+    /// `None` means the queue is empty and leadership is released — the
+    /// flag clears under the lock that observes emptiness, so every
+    /// enqueued item is owned by exactly one leader.
+    pub fn next_group(&self, max_batch: usize) -> Option<Vec<PendingItem>> {
+        let mut pending = self.pending.lock();
+        let Some(head) = pending.items.first() else {
+            pending.leader_active = false;
+            return None;
+        };
+        let sig = head.sig.clone();
+        let mut group = Vec::new();
+        let mut rest = Vec::new();
+        for item in pending.items.drain(..) {
+            if group.len() < max_batch.max(1) && item.sig == sig {
+                group.push(item);
+            } else {
+                rest.push(item);
+            }
+        }
+        pending.items = rest;
+        Some(group)
+    }
+}
+
+/// An admitted resolve that is queued (or, with batching off, already
+/// served) and not yet collected; it holds the tenant's admission slot
+/// until it is.
+pub(crate) struct Queued<'a> {
+    _admitted: AdmissionGuard<'a>,
+    slot: Arc<Slot<Vec<ResolvedSecurable>>>,
+    role: Role,
+}
+
+impl Queued<'_> {
+    /// Elected batch leader: must [`ServePlane::drain`] before collecting.
+    pub(crate) fn leads(&self) -> bool {
+        self.role == Role::Leader
+    }
+
+    /// Take this request's result. A leader's own item was served by
+    /// some dispatch of its drain (which only returns once the queue is
+    /// empty), so it never waits; followers wait for whichever leader
+    /// owns the queue.
+    pub(crate) fn collect(self) -> UcResult<Served<Vec<ResolvedSecurable>>> {
+        self.slot.wait().map(|value| Served { value, role: self.role, key_version: 0 })
+    }
+}
+
+impl ServePlane {
+    /// Admit a resolve and queue it. With batching off the request runs
+    /// here, alone, and the drain it then owes as a leader finds the
+    /// never-used queue empty.
+    pub(crate) fn enqueue_resolve(
         &self,
-        uc: &UnityCatalog,
-        cfg: &ServeConfig,
-        metrics: &ServeMetrics,
-        label: &Arc<str>,
         ctx: &Context,
         ms: &Uid,
         refs: Vec<FullName>,
         want_credentials: bool,
-    ) -> UcResult<Served<Vec<ResolvedSecurable>>> {
-        yield_point(points::SERVE_BATCH);
-        let sig = Signature {
-            ms: ms.clone(),
-            principal: ctx.principal.clone(),
-            engine: ctx.engine.clone(),
-            workspace: ctx.workspace.clone(),
-            want_credentials,
-        };
-        let slot = Arc::new(BatchSlot::new());
-        let is_leader = {
-            let mut pending = self.pending.lock();
-            if pending.items.len() >= cfg.batch_queue_capacity {
-                drop(pending);
-                metrics.shed.inc();
-                metrics.shed_by.inc(label);
-                uc.audit_shed(
-                    &ctx.principal,
-                    format!(
-                        "resolve shed: batch queue over capacity ({})",
-                        cfg.batch_queue_capacity
-                    ),
-                );
-                return Err(UcError::ResourceExhausted(format!(
-                    "resolve: batch queue full (capacity {})",
-                    cfg.batch_queue_capacity
-                )));
+    ) -> UcResult<Queued<'_>> {
+        let admitted = self.admit(ms, &ctx.principal, "resolve")?;
+        let sig = Signature { ms: ms.clone(), ctx: ctx.clone(), want_credentials };
+        let item = PendingItem::new(sig, refs);
+        let slot = Arc::clone(&item.slot);
+        let role = if self.cfg.batch {
+            yield_point(points::SERVE_BATCH);
+            match self.batcher.enqueue(item) {
+                Some(true) => Role::Leader,
+                Some(false) => Role::Follower,
+                None => {
+                    let capacity = BATCH_QUEUE_CAPACITY;
+                    let why = format!("resolve: batch queue full (capacity {capacity})");
+                    return Err(self.shed(&ctx.principal, &admitted.label, why));
+                }
             }
-            pending.items.push(PendingItem { sig: sig.clone(), refs, slot: Arc::clone(&slot) });
-            if pending.leader_active {
-                false
-            } else {
-                pending.leader_active = true;
-                true
-            }
-        };
-        if is_leader {
-            self.drain(uc, cfg, metrics);
-        }
-        // The leader's own item was served by some dispatch of its drain
-        // loop (the loop only exits once the queue is empty), so its wait
-        // returns immediately; followers wait for whichever leader owns
-        // the queue.
-        let result = if is_scheduled() {
-            slot.wait_scheduled()
         } else {
-            slot.wait_blocking()
+            yield_point(points::SERVE_DISPATCH);
+            slot.publish(self.uc.resolve_for_query(ctx, ms, &item.refs, want_credentials));
+            Role::Leader
         };
-        let role = if is_leader { Role::Leader } else { Role::Follower };
-        result.map(|value| Served { value, role, key_version: 0 })
+        Ok(Queued { _admitted: admitted, slot, role })
     }
 
-    /// Leader loop: drain compatible groups until the queue is empty.
-    /// The leader-active flag clears only under the lock that observes
-    /// emptiness, so every enqueued item is owned by exactly one leader.
-    fn drain(&self, uc: &UnityCatalog, cfg: &ServeConfig, metrics: &ServeMetrics) {
-        loop {
-            let group: Vec<PendingItem> = {
-                let mut pending = self.pending.lock();
-                if pending.items.is_empty() {
-                    pending.leader_active = false;
-                    return;
-                }
-                let sig = pending.items[0].sig.clone();
-                let mut group = Vec::new();
-                let mut rest = Vec::new();
-                for item in pending.items.drain(..) {
-                    if group.len() < cfg.max_batch.max(1) && item.sig == sig {
-                        group.push(item);
-                    } else {
-                        rest.push(item);
-                    }
-                }
-                pending.items = rest;
-                group
-            };
+    /// Leader loop: dispatch compatible groups until the queue is empty
+    /// — including groups the leader is not part of. Returns the number
+    /// of combined calls made.
+    pub(crate) fn drain(&self) -> u64 {
+        let mut dispatched = 0;
+        while let Some(group) = self.batcher.next_group(self.cfg.max_batch) {
             yield_point(points::SERVE_DISPATCH);
-            self.dispatch(uc, metrics, group);
+            self.dispatch(&group);
+            dispatched += 1;
         }
+        dispatched
     }
 
     /// Execute one compatible group as a single combined call and split
     /// the positional result back onto each item's slot.
-    fn dispatch(&self, uc: &UnityCatalog, metrics: &ServeMetrics, group: Vec<PendingItem>) {
-        if group.is_empty() {
-            return;
-        }
-        let sig = group[0].sig.clone();
-        let ctx = sig.context();
-        metrics.batches.inc();
-        metrics.batch_size.record(group.len() as u64);
+    fn dispatch(&self, group: &[PendingItem]) {
+        let Signature { ms, ctx, want_credentials } = &group[0].sig;
+        self.metrics.batches.inc();
+        self.metrics.batch_size.record(group.len() as u64);
         let combined: Vec<FullName> =
             group.iter().flat_map(|item| item.refs.iter().cloned()).collect();
-        match uc.resolve_batch(&ctx, &sig.ms, &combined, sig.want_credentials) {
-            Ok(mut resolved) => {
-                // Split positionally, back to front so each split is O(1).
-                let mut splits: Vec<Vec<ResolvedSecurable>> =
-                    Vec::with_capacity(group.len());
-                for item in group.iter().rev() {
-                    let at = resolved.len().saturating_sub(item.refs.len());
-                    splits.push(resolved.split_off(at));
-                }
-                splits.reverse();
-                for (item, split) in group.iter().zip(splits) {
+        match self.uc.resolve_batch(ctx, ms, &combined, *want_credentials) {
+            Ok(resolved) => {
+                let mut resolved = resolved.into_iter();
+                for item in group {
+                    let split = resolved.by_ref().take(item.refs.len()).collect();
                     item.slot.publish(Ok(split));
                 }
             }
@@ -250,9 +227,8 @@ impl Batcher {
                 // Combined call failed (e.g. one ref denied poisons the
                 // batch): retry per item so each request gets its own
                 // success-or-error, preserving single-request semantics.
-                for item in &group {
-                    let one =
-                        uc.resolve_for_query(&ctx, &sig.ms, &item.refs, sig.want_credentials);
+                for item in group {
+                    let one = self.uc.resolve_for_query(ctx, ms, &item.refs, *want_credentials);
                     item.slot.publish(one);
                 }
             }

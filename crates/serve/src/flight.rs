@@ -15,139 +15,151 @@
 //!   answered from) a pre-invalidation flight. uc-check's
 //!   `coalesce_clients` schedules drive this adversarially.
 //!
-//! A flight is removed from the map *before* its result is published, so
-//! a late arrival after completion starts a fresh flight — which then
-//! hits the catalog cache. Followers wait on a condvar under real
-//! threading; under the deterministic scheduler (where blocking a thread
-//! would wedge the baton hand-off) they spin on yield points instead,
-//! probed via [`uc_cloudstore::sched::is_scheduled`].
+//! The policy is two non-blocking steps on [`FlightMap`] —
+//! [`FlightMap::join`] decides lead-or-follow, [`FlightMap::finish`]
+//! retires the flight and publishes — wrapped by `ServePlane::board`
+//! (admit, then join) and `Flight::land` (lead or follow to a result).
+//! A thread calls the two back to back; the replay boards a whole
+//! quantum first and lands the leaders before the followers. A flight is
+//! removed from the map *before* its result is published, so a late
+//! arrival after completion starts a fresh flight — which then hits the
+//! catalog cache.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
-use uc_catalog::service::{Context, UnityCatalog};
+use parking_lot::Mutex;
+use uc_catalog::service::Context;
 use uc_catalog::{Entity, UcResult, Uid};
-use uc_cloudstore::sched::{is_scheduled, yield_point};
+use uc_cloudstore::sched::yield_point;
 
-use crate::{points, Role, Served, ServeMetrics};
+use crate::admission::AdmissionGuard;
+use crate::slot::Slot;
+use crate::{points, Role, ServePlane, Served};
 
 /// Flight identity: metastore, principal, table name, cache version.
-type FlightKey = (Uid, String, String, u64);
+pub type FlightKey = (Uid, String, String, u64);
 
-/// Shared slot the leader publishes into and followers wait on.
-struct FlightSlot {
-    state: Mutex<Option<UcResult<Arc<Entity>>>>,
-    done: Condvar,
-}
-
-impl FlightSlot {
-    fn new() -> FlightSlot {
-        FlightSlot { state: Mutex::new(None), done: Condvar::new() }
-    }
-
-    /// Non-blocking probe of the published result.
-    fn poll(&self) -> Option<UcResult<Arc<Entity>>> {
-        let state = self.state.lock();
-        state.clone()
-    }
-
-    /// Publish the leader's result and wake all followers.
-    fn publish(&self, result: UcResult<Arc<Entity>>) {
-        let mut state = self.state.lock();
-        *state = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Follower wait under the deterministic scheduler: yield between
-    /// probes so the explorer controls exactly when the leader runs.
-    fn wait_scheduled(&self) -> UcResult<Arc<Entity>> {
-        loop {
-            if let Some(result) = self.poll() {
-                return result;
-            }
-            yield_point(points::SERVE_DISPATCH);
-        }
-    }
-
-    /// Follower wait under real threading: block on the condvar.
-    fn wait_blocking(&self) -> UcResult<Arc<Entity>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = &*state {
-                return result.clone();
-            }
-            self.done.wait(&mut state);
-        }
-    }
+/// What [`FlightMap::join`] decided; either way the request now shares
+/// the flight's result slot.
+pub enum Join {
+    /// First arrival for the key: run the catalog call, then
+    /// [`FlightMap::finish`].
+    Lead(Arc<Slot<Arc<Entity>>>),
+    /// A flight is already up: its leader will publish into this slot.
+    Follow(Arc<Slot<Arc<Entity>>>),
 }
 
 /// The in-flight table of active flights. Entries exist only between a
 /// leader's arrival and its publication, so the map is bounded by live
 /// concurrency.
-pub(crate) struct FlightMap {
-    flights: Mutex<HashMap<FlightKey, Arc<FlightSlot>>>,
+pub struct FlightMap {
+    flights: Mutex<HashMap<FlightKey, Arc<Slot<Arc<Entity>>>>>,
+}
+
+impl Default for FlightMap {
+    fn default() -> FlightMap {
+        FlightMap { flights: Mutex::new(HashMap::new()) }
+    }
 }
 
 impl FlightMap {
-    pub(crate) fn new() -> FlightMap {
-        FlightMap { flights: Mutex::new(HashMap::new()) }
-    }
-
     /// Flights currently in progress (test/bench introspection).
-    pub(crate) fn in_flight(&self) -> usize {
+    pub fn in_flight(&self) -> usize {
         let flights = self.flights.lock();
         flights.len()
     }
 
-    /// Serve one `getTable` through the flight table: join an existing
-    /// flight as a follower, or create one and lead it.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn serve(
+    /// Join the flight for `key`, or start one. Never blocks.
+    pub fn join(&self, key: &FlightKey) -> Join {
+        let mut flights = self.flights.lock();
+        match flights.get(key) {
+            Some(slot) => Join::Follow(Arc::clone(slot)),
+            None => {
+                let slot = Arc::new(Slot::new());
+                flights.insert(key.clone(), Arc::clone(&slot));
+                Join::Lead(slot)
+            }
+        }
+    }
+
+    /// Retire the flight, then publish the leader's result to its
+    /// followers — in that order, so nobody can join a finished flight.
+    pub fn finish(
         &self,
-        uc: &UnityCatalog,
-        metrics: &ServeMetrics,
-        label: &Arc<str>,
-        ctx: &Context,
+        key: &FlightKey,
+        slot: &Slot<Arc<Entity>>,
+        result: UcResult<Arc<Entity>>,
+    ) {
+        {
+            let mut flights = self.flights.lock();
+            flights.remove(key);
+        }
+        slot.publish(result);
+    }
+}
+
+/// An admitted `getTable` that has joined its flight and not yet landed;
+/// it holds the tenant's admission slot until it does.
+pub(crate) struct Flight<'a> {
+    plane: &'a ServePlane,
+    admitted: AdmissionGuard<'a>,
+    pub(crate) ctx: &'a Context,
+    key: FlightKey,
+    join: Join,
+}
+
+impl ServePlane {
+    /// Admit a `getTable`, key it under the metastore's current cache
+    /// version and join its flight. With coalescing off every request
+    /// leads a flight nobody else can see.
+    pub(crate) fn board<'a>(
+        &'a self,
+        ctx: &'a Context,
         ms: &Uid,
         name: &str,
-        key_version: u64,
-    ) -> UcResult<Served<Arc<Entity>>> {
-        let key: FlightKey =
-            (ms.clone(), ctx.principal.clone(), name.to_string(), key_version);
-        let (slot, is_leader) = {
-            let mut flights = self.flights.lock();
-            match flights.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(FlightSlot::new());
-                    flights.insert(key.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
+    ) -> UcResult<Flight<'a>> {
+        let admitted = self.admit(ms, &ctx.principal, "getTable")?;
+        let version = self.uc.metastore_cache_version(ms);
+        let key = (ms.clone(), ctx.principal.clone(), name.to_string(), version);
+        let join = if self.cfg.coalesce {
+            self.flights.join(&key)
+        } else {
+            Join::Lead(Arc::new(Slot::new()))
+        };
+        Ok(Flight { plane: self, admitted, ctx, key, join })
+    }
+}
+
+impl Flight<'_> {
+    pub(crate) fn leads(&self) -> bool {
+        matches!(self.join, Join::Lead(_))
+    }
+
+    /// Run to a result: a leader executes the catalog call and finishes
+    /// the flight, a follower waits on it.
+    pub(crate) fn land(self) -> UcResult<Served<Arc<Entity>>> {
+        let Flight { plane, admitted, ctx, key, join } = &self;
+        let label = &admitted.label;
+        let (ms, _, name, key_version) = key;
+        let (result, role) = match join {
+            Join::Lead(slot) => {
+                yield_point(points::SERVE_DISPATCH);
+                // The catalog call runs with no serve lock held; it takes
+                // its own pool permits and cache shard locks internally.
+                let result = plane.uc.get_table(ctx, ms, name);
+                plane.flights.finish(key, slot, result.clone());
+                plane.metrics.leaders.inc();
+                plane.metrics.leaders_by.inc(label);
+                (result, Role::Leader)
+            }
+            Join::Follow(slot) => {
+                let result = slot.wait();
+                plane.metrics.followers.inc();
+                plane.metrics.followers_by.inc(label);
+                (result, Role::Follower)
             }
         };
-        if is_leader {
-            yield_point(points::SERVE_DISPATCH);
-            // The catalog call runs with no serve lock held; it takes
-            // its own pool permits and cache shard locks internally.
-            let result = uc.get_table(ctx, ms, name);
-            {
-                let mut flights = self.flights.lock();
-                flights.remove(&key);
-            }
-            slot.publish(result.clone());
-            metrics.leaders.inc();
-            metrics.leaders_by.inc(label);
-            result.map(|value| Served { value, role: Role::Leader, key_version })
-        } else {
-            let result = if is_scheduled() {
-                slot.wait_scheduled()
-            } else {
-                slot.wait_blocking()
-            };
-            metrics.followers.inc();
-            metrics.followers_by.inc(label);
-            result.map(|value| Served { value, role: Role::Follower, key_version })
-        }
+        result.map(|value| Served { value, role, key_version: *key_version })
     }
 }

@@ -11,41 +11,37 @@
 //!
 //! * **Single-flight coalescing** ([`flight`]): concurrent `getTable`
 //!   requests for the same `(metastore, principal, key, cache-version)`
-//!   share one execution. The first arrival is the *leader* and runs the
-//!   catalog call (one db miss, one audit record); the rest are
-//!   *followers* that subscribe to the leader's result. The cache
-//!   version in the key is the correctness hinge: a request that
-//!   observed an invalidation computes a different key, so a leader's
-//!   result is never served across an invalidation (read-your-snapshot
-//!   holds for followers — adversarially checked by uc-check's
-//!   `coalesce_clients` schedules).
+//!   share one catalog execution — a *leader* runs it, *followers*
+//!   subscribe to its result, and the cache version in the key keeps a
+//!   result from ever being served across an invalidation.
 //!
 //! * **Batched resolution** ([`batch`]): concurrent `resolve` requests
-//!   combine, group-commit style — the first arrival becomes the batch
-//!   leader, drains compatible queued requests, and executes one
-//!   [`UnityCatalog::resolve_batch`] call for all of them. Batch size
-//!   grows with concurrency naturally; no dispatcher thread exists.
+//!   combine, group-commit style, into one
+//!   [`UnityCatalog::resolve_batch`] call per compatible group; no
+//!   dispatcher thread exists.
 //!
-//! * **Bounded per-tenant admission** ([`admission`]): each tenant
-//!   (metastore × principal) owns a bounded in-flight budget. Over
-//!   budget, the request is *shed deterministically*: an audited deny
-//!   (`requestShed`), a `serve.shed` counter tick, and a typed
+//! * **Bounded per-tenant admission** ([`admission`]): over its
+//!   in-flight budget a tenant's request is *shed deterministically* —
+//!   an audited deny (`requestShed`), a `serve.shed` tick, and a typed
 //!   [`UcError::ResourceExhausted`] that `rest.rs` maps to HTTP 429 —
-//!   never a silent drop. Shed-and-retry clients use the bounded
-//!   virtual-clock backoff helpers.
+//!   never a silent drop.
 //!
-//! Two execution modes share this policy code. The concurrent mode
-//! (`get_table`/`resolve` called from many threads) powers the
-//! `fig10b_serve` bench; the deterministic mode ([`replay`]) drives an
-//! open-loop [`uc_workload::openloop::Schedule`] single-threaded on the
-//! injected clock, so leader election, shedding, batching, telemetry,
-//! and audit are pure functions of the seed — that is what the CI
-//! byte-diff gates replay.
+//! Each mechanism is a pair of non-blocking steps (`admit`; `join` /
+//! `finish`; `enqueue` / `next_group`) with two thin drivers over them.
+//! The thread driver (`get_table`/`resolve` called from many threads,
+//! including the baton-scheduled threads of uc-check) runs one request's
+//! steps back to back and waits on its [`slot::Slot`]; it powers the
+//! `fig10b_serve` bench. The [`replay`] driver steps a whole virtual
+//! millisecond of an open-loop [`uc_workload::openloop::Schedule`]
+//! through the same functions single-threaded on the injected clock, so
+//! leader election, shedding, batching, telemetry, and audit are pure
+//! functions of the seed — that is what the CI byte-diff gates replay.
 
 pub mod admission;
 pub mod batch;
 pub mod flight;
 pub mod replay;
+pub mod slot;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,8 +73,15 @@ pub mod points {
 pub struct RetryPolicy {
     /// Retries after the first shed (0 = never retry).
     pub max_retries: u32,
-    /// Backoff before retry `k` is `base_ms << min(k, 6)`.
+    /// Backoff before the first retry; doubles per retry.
     pub base_ms: u64,
+}
+
+impl RetryPolicy {
+    /// Backoff before retry `attempt` (0-based): `base_ms << min(attempt, 6)`.
+    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+        self.base_ms << attempt.min(6)
+    }
 }
 
 impl Default for RetryPolicy {
@@ -94,9 +97,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum requests combined into one `resolve_batch` dispatch.
     pub max_batch: usize,
-    /// Bound on the combining queue across tenants (belt-and-braces on
-    /// top of per-tenant admission; overflow sheds).
-    pub batch_queue_capacity: usize,
     /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
     pub coalesce: bool,
     /// Combining batch dispatch on/off.
@@ -109,7 +109,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 64,
             max_batch: 16,
-            batch_queue_capacity: 1024,
             coalesce: true,
             batch: true,
             retry: RetryPolicy::default(),
@@ -200,16 +199,12 @@ impl ServePlane {
         ServePlane {
             metrics: ServeMetrics::new(&obs),
             admission: admission::Admission::new(),
-            flights: flight::FlightMap::new(),
-            batcher: batch::Batcher::new(),
+            flights: flight::FlightMap::default(),
+            batcher: batch::Batcher::default(),
             aliases: RwLock::new(HashMap::new()),
             uc,
             cfg,
         }
-    }
-
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     pub fn catalog(&self) -> &Arc<UnityCatalog> {
@@ -226,11 +221,6 @@ impl ServePlane {
         self.batcher.queued()
     }
 
-    /// A tenant's current admitted in-flight depth.
-    pub fn tenant_depth(&self, ms: &Uid, principal: &str) -> usize {
-        self.admission.depth(ms, principal)
-    }
-
     /// Register the human-readable alias rendered into this metastore's
     /// serve metric labels (idempotent; call alongside `create_metastore`).
     pub fn register_tenant(&self, ms: &Uid, alias: &str) {
@@ -239,20 +229,28 @@ impl ServePlane {
     }
 
     /// The `t=<alias>,p=<principal>` tenant label for a request.
-    pub(crate) fn tenant_label(&self, ms: &Uid, principal: &str) -> Arc<str> {
+    fn tenant_label(&self, ms: &Uid, principal: &str) -> Arc<str> {
         let alias = {
             let aliases = self.aliases.read();
             aliases.get(ms).cloned()
         };
-        match alias {
-            Some(a) => Arc::from(format!("t={a},p={}", uc_obs::sanitize_label_value(principal))),
-            None => Arc::from(format!("t=~,p={}", uc_obs::sanitize_label_value(principal))),
-        }
+        let alias = alias.as_deref().unwrap_or("~");
+        Arc::from(format!("t={alias},p={}", uc_obs::sanitize_label_value(principal)))
+    }
+
+    /// The one shed path: a `serve.shed` tick, an audited `requestShed`
+    /// deny, and the typed error `rest.rs` maps to HTTP 429 — never a
+    /// silent drop. `why` names the request and the bound it hit.
+    pub(crate) fn shed(&self, principal: &str, label: &Arc<str>, why: String) -> UcError {
+        self.metrics.shed.inc();
+        self.metrics.shed_by.inc(label);
+        self.uc.audit_shed(principal, format!("shed {why}"));
+        UcError::ResourceExhausted(why)
     }
 
     /// Admit or shed one request; on admit the returned guard holds the
-    /// tenant's slot until dropped. Shedding audits a deny and returns
-    /// the typed 429 error — never a silent drop.
+    /// tenant's slot until dropped and carries the tenant label, rendered
+    /// here once per request.
     pub(crate) fn admit(
         &self,
         ms: &Uid,
@@ -261,27 +259,21 @@ impl ServePlane {
     ) -> UcResult<admission::AdmissionGuard<'_>> {
         yield_point(points::SERVE_ENQUEUE);
         let label = self.tenant_label(ms, principal);
-        match self.admission.try_admit(
-            ms,
-            principal,
-            self.cfg.queue_capacity,
-            &self.metrics,
-            &label,
-        ) {
-            Some(guard) => Ok(guard),
-            None => {
-                self.metrics.shed.inc();
-                self.metrics.shed_by.inc(&label);
-                self.uc.audit_shed(
-                    principal,
-                    format!("{what} shed: tenant over admission budget ({})", self.cfg.queue_capacity),
-                );
-                Err(UcError::ResourceExhausted(format!(
-                    "{what}: tenant admission queue full (capacity {})",
-                    self.cfg.queue_capacity
-                )))
-            }
+        let capacity = self.cfg.queue_capacity;
+        self.admission.try_admit(ms, principal, capacity, &self.metrics, &label).ok_or_else(|| {
+            let why = format!("{what}: tenant admission queue full (capacity {capacity})");
+            self.shed(principal, &label, why)
+        })
+    }
+
+    /// A shed request's next move: `Some(backoff_ms)`, counted as a
+    /// retry, while `attempt` is inside the retry budget; `None` after.
+    pub(crate) fn retry_after(&self, attempt: u32) -> Option<u64> {
+        if attempt >= self.cfg.retry.max_retries {
+            return None;
         }
+        self.metrics.retries.inc();
+        Some(self.cfg.retry.backoff_ms(attempt))
     }
 
     /// Serve one `getTable` through admission + single-flight coalescing.
@@ -291,26 +283,13 @@ impl ServePlane {
         ms: &Uid,
         name: &str,
     ) -> UcResult<Served<Arc<Entity>>> {
-        let _slot = self.admit(ms, &ctx.principal, "getTable")?;
-        if !self.cfg.coalesce {
-            yield_point(points::SERVE_DISPATCH);
-            let value = self.uc.get_table(ctx, ms, name)?;
-            return Ok(Served { value, role: Role::Leader, key_version: 0 });
-        }
-        let key_version = self.uc.metastore_cache_version(ms);
-        let label = self.tenant_label(ms, &ctx.principal);
-        self.flights.serve(
-            &self.uc,
-            &self.metrics,
-            &label,
-            ctx,
-            ms,
-            name,
-            key_version,
-        )
+        self.board(ctx, ms, name)?.land()
     }
 
-    /// [`ServePlane::get_table`] with bounded shed-and-retry backoff.
+    /// [`ServePlane::get_table`] with bounded shed-and-retry backoff on
+    /// the injected clock: a manual clock advances virtual time
+    /// (chaos/replay runs stay instant and deterministic); on a system
+    /// clock the thread sleeps.
     pub fn get_table_with_retry(
         &self,
         ctx: &Context,
@@ -319,13 +298,19 @@ impl ServePlane {
     ) -> UcResult<Served<Arc<Entity>>> {
         let mut attempt: u32 = 0;
         loop {
-            match self.get_table(ctx, ms, name) {
-                Err(UcError::ResourceExhausted(_)) if attempt < self.cfg.retry.max_retries => {
-                    self.backoff(attempt);
-                    attempt += 1;
-                }
-                other => return other,
+            let served = self.get_table(ctx, ms, name);
+            let backoff_ms = match &served {
+                Err(UcError::ResourceExhausted(_)) => self.retry_after(attempt),
+                _ => None,
+            };
+            let Some(backoff_ms) = backoff_ms else { return served };
+            let clock = self.uc.clock();
+            if clock.is_manual() {
+                clock.advance_ms(backoff_ms);
+            } else {
+                std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
             }
+            attempt += 1;
         }
     }
 
@@ -338,36 +323,10 @@ impl ServePlane {
         refs: Vec<FullName>,
         want_credentials: bool,
     ) -> UcResult<Served<Vec<ResolvedSecurable>>> {
-        let _slot = self.admit(ms, &ctx.principal, "resolve")?;
-        if !self.cfg.batch {
-            yield_point(points::SERVE_DISPATCH);
-            let value = self.uc.resolve_for_query(ctx, ms, &refs, want_credentials)?;
-            return Ok(Served { value, role: Role::Leader, key_version: 0 });
+        let queued = self.enqueue_resolve(ctx, ms, refs, want_credentials)?;
+        if queued.leads() {
+            self.drain();
         }
-        let label = self.tenant_label(ms, &ctx.principal);
-        self.batcher.serve(
-            &self.uc,
-            &self.cfg,
-            &self.metrics,
-            &label,
-            ctx,
-            ms,
-            refs,
-            want_credentials,
-        )
-    }
-
-    /// Bounded virtual-clock backoff after a shed: on a manual clock
-    /// virtual time advances (chaos/replay runs stay instant and
-    /// deterministic); on a system clock the thread sleeps.
-    pub(crate) fn backoff(&self, attempt: u32) {
-        let backoff_ms = self.cfg.retry.base_ms << attempt.min(6);
-        self.metrics.retries.inc();
-        let clock = self.uc.clock();
-        if clock.is_manual() {
-            clock.advance_ms(backoff_ms);
-        } else {
-            std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-        }
+        queued.collect()
     }
 }

@@ -4,31 +4,33 @@
 //! [`crate::ServePlane::resolve`]) are thread-driven: which requests
 //! coalesce and who leads depends on OS scheduling, so two runs report
 //! different (equally correct) splits. CI byte-diff gates need the
-//! opposite — so this module replays a [`Schedule`] single-threaded on
-//! the injected manual clock, applying *the same policy code*
-//! (admission via [`crate::ServePlane::admit`], version-keyed coalescing
-//! groups, signature-compatible batch chunks, bounded shed-retry) in
-//! arrival order. Leader election is deterministic (first arrival in the
-//! group), so shed decisions, coalesce splits, batch sizes, telemetry,
-//! and the audit trail are pure functions of the schedule seed:
-//! `UC_SERVE_REPLAY=1` runs of the fig10b bench diff byte-identically.
+//! opposite — so this module is a second, single-threaded driver of the
+//! plane's own steps (`board` / `land`, `enqueue_resolve` / `drain` /
+//! `collect`, `retry_after`) on the injected manual clock. It holds no
+//! policy of its own: every decision, counter and audit record comes out
+//! of the functions the thread driver calls. Leader election is
+//! deterministic (first arrival), so shed decisions, coalesce splits,
+//! batch sizes, telemetry, and the audit trail are pure functions of the
+//! schedule seed: `UC_SERVE_REPLAY=1` runs of the fig10b bench diff
+//! byte-identically.
 //!
-//! Requests arriving in the same virtual millisecond are treated as
-//! concurrent: they are all admitted (or shed) against the quantum's
-//! queue depth, `getTable`s for the same `(tenant, key)` coalesce into
-//! one flight, and `Resolve`s with the same tenant signature chunk into
-//! combined calls of at most `max_batch`. A hook runs between quanta so
-//! tests can inject invalidations and prove flights never span a cache
-//! version change.
+//! Requests arriving in the same virtual millisecond are concurrent:
+//! each is admitted (or shed) and joins its flight or the batch queue in
+//! arrival order before anything runs; then the flight leaders land,
+//! their followers read the published slots, and the batch leader drains
+//! the queue — nothing ever waits. A hook runs between quanta so tests
+//! can inject invalidations and prove flights never span a cache version
+//! change.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use uc_catalog::service::Context;
-use uc_catalog::{FullName, Uid};
+use uc_catalog::{Entity, FullName, Uid};
 use uc_workload::openloop::{Arrival, RequestKind, Schedule};
 
-use crate::ServePlane;
+use crate::{ServePlane, Served};
 
 /// Binds a schedule's abstract tenant/key indices to a concrete world.
 pub struct ReplayBinding {
@@ -106,13 +108,6 @@ impl ReplayReport {
     }
 }
 
-/// One queued request: the arrival plus how many times it has been shed
-/// and re-offered.
-struct Pending {
-    arrival: Arrival,
-    attempt: u32,
-}
-
 /// Replay `schedule` through `plane` deterministically.
 pub fn run(plane: &ServePlane, schedule: &Schedule, binding: &ReplayBinding) -> ReplayReport {
     run_with(plane, schedule, binding, |_, _| {})
@@ -125,153 +120,102 @@ pub fn run_with(
     plane: &ServePlane,
     schedule: &Schedule,
     binding: &ReplayBinding,
+    hook: impl FnMut(u64, &ServePlane),
+) -> ReplayReport {
+    run_observed(plane, schedule, binding, hook, |_, _, _| {})
+}
+
+/// [`run_with`] plus an observer called with every `getTable` result as
+/// it lands: the quantum, the request's context, what it was served.
+pub fn run_observed(
+    plane: &ServePlane,
+    schedule: &Schedule,
+    binding: &ReplayBinding,
     mut hook: impl FnMut(u64, &ServePlane),
+    mut on_get: impl FnMut(u64, &Context, &Served<Arc<Entity>>),
 ) -> ReplayReport {
     let mut report = ReplayReport::default();
     if binding.contexts.is_empty() || binding.tables.is_empty() {
         return report;
     }
-    // Virtual-time queue: schedule arrivals plus shed-retry re-arrivals.
-    let mut queue: BTreeMap<u64, Vec<Pending>> = BTreeMap::new();
+    let ms = &binding.ms;
+    // Virtual-time queue of (arrival, times shed so far): the schedule
+    // plus shed-retry re-arrivals.
+    let mut queue: BTreeMap<u64, Vec<(&Arrival, u32)>> = BTreeMap::new();
     for arrival in &schedule.arrivals {
-        queue
-            .entry(arrival.at_ms)
-            .or_default()
-            .push(Pending { arrival: arrival.clone(), attempt: 0 });
+        queue.entry(arrival.at_ms).or_default().push((arrival, 0));
     }
-    let retry = plane.config().retry.clone();
-    while let Some((&t, _)) = queue.iter().next() {
-        let quantum = match queue.remove(&t) {
-            Some(q) => q,
-            None => break,
-        };
+    while let Some((t, quantum)) = queue.pop_first() {
         report.end_ms = t;
         let clock = plane.catalog().clock();
         if clock.is_manual() {
-            let now = clock.now_ms();
-            if t > now {
-                clock.advance_ms(t - now);
-            }
+            clock.advance_ms(t.saturating_sub(clock.now_ms()));
         }
         hook(t, plane);
+        report.last_version = plane.catalog().metastore_cache_version(ms);
 
-        // Phase 1 — admission. Every arrival in the quantum is
-        // concurrently in flight: slots are held until the quantum is
-        // fully served, so a tenant burst above its budget sheds
+        // Arrival order: admit, then join the flight or the batch queue.
+        // Nothing runs yet and every entered request holds its admission
+        // slot until it is served, so the whole quantum is concurrently
+        // in flight and a tenant burst above its budget sheds
         // deterministically (later arrivals lose).
-        let mut admitted = Vec::new();
-        let mut guards = Vec::new();
-        for pending in quantum {
-            let ctx = binding.context(pending.arrival.tenant);
-            let what = match pending.arrival.kind {
-                RequestKind::GetTable => "getTable",
-                RequestKind::Resolve { .. } => "resolve",
-            };
+        let mut flights = Vec::new();
+        let mut queued = Vec::new();
+        for (arrival, attempt) in quantum {
+            let ctx = binding.context(arrival.tenant);
+            let table = |key: usize| binding.table(arrival.tenant, key);
             report.offered += 1;
-            match plane.admit(&binding.ms, &ctx.principal, what) {
-                Ok(guard) => {
-                    guards.push(guard);
-                    admitted.push(pending.arrival);
-                    report.admitted += 1;
+            let entered = match &arrival.kind {
+                RequestKind::GetTable => {
+                    plane.board(ctx, ms, table(arrival.key)).map(|f| flights.push(f))
                 }
-                Err(_) => {
-                    report.shed += 1;
-                    if pending.attempt < retry.max_retries {
-                        let backoff_ms = retry.base_ms.max(1) << pending.attempt.min(6);
-                        plane.metrics.retries.inc();
-                        report.retried += 1;
-                        queue.entry(t + backoff_ms).or_default().push(Pending {
-                            arrival: pending.arrival,
-                            attempt: pending.attempt + 1,
-                        });
-                    } else {
-                        report.dropped += 1;
-                    }
+                RequestKind::Resolve { keys } => {
+                    let refs = keys.iter().filter_map(|k| FullName::parse(table(*k)).ok());
+                    plane
+                        .enqueue_resolve(ctx, ms, refs.collect(), binding.want_credentials)
+                        .map(|q| queued.push(q))
                 }
-            }
-        }
-
-        // Phase 2 — coalesce point reads. Same (tenant, key) in one
-        // quantum shares one flight under the quantum's cache version;
-        // the first arrival leads.
-        let version = plane.catalog().metastore_cache_version(&binding.ms);
-        report.last_version = version;
-        let mut get_groups: Vec<((usize, usize), u64)> = Vec::new();
-        for arrival in admitted.iter().filter(|a| a.kind == RequestKind::GetTable) {
-            let key = (arrival.tenant, arrival.key);
-            match get_groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, n)) => *n += 1,
-                None => get_groups.push((key, 1)),
-            }
-        }
-        for ((tenant, key), n) in get_groups {
-            let ctx = binding.context(tenant);
-            let label = plane.tenant_label(&binding.ms, &ctx.principal);
-            let name = binding.table(tenant, key);
-            let outcome = if plane.config().coalesce {
-                report.leaders += 1;
-                report.followers += n - 1;
-                plane.metrics.leaders.inc();
-                plane.metrics.leaders_by.inc(&label);
-                plane.metrics.followers.add(n - 1);
-                plane.metrics.followers_by.add(&label, n - 1);
-                plane.catalog().get_table(ctx, &binding.ms, name).map(|_| ())
-            } else {
-                // Uncoalesced arm: every request is its own catalog call.
-                report.leaders += n;
-                plane.metrics.leaders.add(n);
-                plane.metrics.leaders_by.add(&label, n);
-                let mut last = Ok(());
-                for _ in 0..n {
-                    last = plane.catalog().get_table(ctx, &binding.ms, name).map(|_| ());
-                }
-                last
             };
-            if outcome.is_err() {
-                report.errors += if plane.config().coalesce { n } else { 1 };
+            if entered.is_ok() {
+                report.admitted += 1;
+                continue;
+            }
+            report.shed += 1;
+            match plane.retry_after(attempt) {
+                Some(backoff_ms) => {
+                    report.retried += 1;
+                    queue.entry(t + backoff_ms).or_default().push((arrival, attempt + 1));
+                }
+                None => report.dropped += 1,
             }
         }
 
-        // Phase 3 — combined resolution. Same-tenant resolves chunk into
-        // batches of at most max_batch (one audited catalog call each).
-        let mut resolve_groups: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
-        for arrival in &admitted {
-            if let RequestKind::Resolve { keys } = &arrival.kind {
-                match resolve_groups.iter_mut().find(|(t, _)| *t == arrival.tenant) {
-                    Some((_, items)) => items.push(keys.clone()),
-                    None => resolve_groups.push((arrival.tenant, vec![keys.clone()])),
-                }
+        // Leaders land first (stable sort: in arrival order), so every
+        // follower finds its slot already published.
+        flights.sort_by_key(|flight| !flight.leads());
+        for flight in flights {
+            let ctx = flight.ctx;
+            if flight.leads() {
+                report.leaders += 1;
+            } else {
+                report.followers += 1;
+            }
+            match flight.land() {
+                Ok(served) => on_get(t, ctx, &served),
+                Err(_) => report.errors += 1,
             }
         }
-        let max_batch = plane.config().max_batch.max(1);
-        for (tenant, items) in resolve_groups {
-            let ctx = binding.context(tenant);
-            for chunk in items.chunks(if plane.config().batch { max_batch } else { 1 }) {
-                let mut combined = Vec::new();
-                for keys in chunk {
-                    for key in keys {
-                        if let Ok(full) = FullName::parse(binding.table(tenant, *key)) {
-                            combined.push(full);
-                        }
-                    }
-                }
-                plane.metrics.batches.inc();
-                plane.metrics.batch_size.record(chunk.len() as u64);
-                report.batches += 1;
-                report.batch_items += chunk.len() as u64;
-                let outcome = plane.catalog().resolve_batch(
-                    ctx,
-                    &binding.ms,
-                    &combined,
-                    binding.want_credentials,
-                );
-                if outcome.is_err() {
-                    report.errors += chunk.len() as u64;
-                }
+        // The quantum's first resolve found the queue idle and was
+        // elected; its drain serves every item behind it.
+        for request in queued {
+            if request.leads() {
+                report.batches += plane.drain();
+            }
+            report.batch_items += 1;
+            if request.collect().is_err() {
+                report.errors += 1;
             }
         }
-        // Quantum fully served: admission slots release here.
-        drop(guards);
     }
     report
 }

@@ -34,7 +34,7 @@ use uc_obs::Obs;
 use uc_serve::replay::{run_with, ReplayBinding};
 use uc_serve::{replay, RetryPolicy, Role, ServeConfig, ServePlane};
 use uc_txdb::{Db, DbConfig};
-use uc_workload::openloop::{OpenLoopParams, Schedule};
+use uc_workload::openloop::{Arrival, OpenLoopParams, RequestKind, Schedule};
 
 const ADMIN: &str = "admin";
 const TABLES: usize = 8;
@@ -233,6 +233,39 @@ fn retry_backoff_is_bounded_and_virtual() {
     );
 }
 
+/// The replay driver backs off on the same ladder as the thread driver
+/// (`RetryPolicy::backoff_ms`), in virtual time: a request shed at quantum
+/// `t` is re-offered at exactly `t + 4`, `t + 4 + 8`, `t + 4 + 8 + 16`, and
+/// a zero base re-offers in the same quantum instead of being clamped up.
+#[test]
+fn replay_reoffers_shed_requests_on_the_retry_ladder() {
+    for (base_ms, quanta) in [(4, [10, 14, 22, 38]), (0, [10, 10, 10, 10])] {
+        let (uc, ms) = manual_world(false);
+        let plane = ServePlane::new(
+            uc.clone(),
+            ServeConfig {
+                queue_capacity: 0,
+                retry: RetryPolicy { max_retries: 3, base_ms },
+                ..ServeConfig::default()
+            },
+        );
+        let kind = RequestKind::GetTable;
+        let arrival = Arrival { at_ms: 10, tenant: 0, client: 0, key: 0, kind };
+        let schedule = Schedule { params: OpenLoopParams::fig5(1, 1.0), arrivals: vec![arrival] };
+        let binding = ReplayBinding {
+            ms,
+            contexts: vec![Context::user(ADMIN)],
+            tables: vec![vec!["main.s.t0".to_string()]],
+            want_credentials: false,
+        };
+        let mut offered_at = Vec::new();
+        let report = run_with(&plane, &schedule, &binding, |t, _| offered_at.push(t));
+        assert_eq!(offered_at, quanta, "base_ms={base_ms}");
+        assert_eq!((report.offered, report.shed, report.retried, report.dropped), (4, 4, 3, 1));
+        assert_eq!(counter(&uc, "serve.retries"), 3);
+    }
+}
+
 fn replay_fixture() -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
     let (uc, ms) = manual_world(false);
     let plane = ServePlane::new(
@@ -321,6 +354,23 @@ fn replay_is_deterministic_and_conserves_telemetry() {
             "{base}.by_tenant must sum to the global counter"
         );
     }
+
+    // Followers are served, not just counted: each is handed exactly the
+    // entity its flight's leader fetched in that quantum.
+    let (_uc_c, plane_c, _, binding_c) = replay_fixture();
+    let mut led = std::collections::HashMap::new();
+    let mut followed = 0;
+    replay::run_observed(&plane_c, &schedule, &binding_c, |_, _| {}, |t, ctx, served| {
+        let flight = (t, ctx.principal.clone(), served.value.name.clone());
+        match served.role {
+            Role::Leader => assert!(led.insert(flight, served.value.id.clone()).is_none()),
+            Role::Follower => {
+                followed += 1;
+                assert_eq!(led.get(&flight), Some(&served.value.id), "not its leader's entity");
+            }
+        }
+    });
+    assert_eq!(followed, report_a.followers);
 }
 
 /// The flight key embeds the metastore cache version: an invalidation
