@@ -53,9 +53,6 @@ pub struct WorldConfig {
     /// default is metrics-only; pass `Obs::with_clock_fn` to also collect
     /// replayable traces.
     pub obs: Obs,
-    /// Record per-tenant dimensional series on every API call (the
-    /// service default). Benches flip this off for the unlabeled arm.
-    pub tenant_labels: bool,
     /// Per-class database latency model; when set it overrides the
     /// uniform `db_latency`. Lets a bench charge reads and scans a
     /// round-trip while keeping bulk population writes free.
@@ -73,7 +70,6 @@ impl Default for WorldConfig {
             cred_cache: true,
             sts_mint_cost: Duration::ZERO,
             obs: Obs::disabled(),
-            tenant_labels: true,
             db_latency_model: None,
         }
     }
@@ -107,7 +103,6 @@ impl World {
             cred_cache_enabled: cfg.cred_cache,
             sts_mint_cost: cfg.sts_mint_cost,
             obs: cfg.obs.clone(),
-            tenant_labels: cfg.tenant_labels,
             ..Default::default()
         };
         let uc = UnityCatalog::new(db.clone(), store.clone(), uc_config, "node-0");

@@ -18,12 +18,31 @@
 //!   invalidate exactly the touched entries (optimized) — both modes are
 //!   implemented, and the ablation bench compares them.
 //! * **Eviction**: unpopular assets are evicted LRU-batch-style when the
-//!   per-metastore entry cap is exceeded; superseded entry versions are
-//!   trimmed, keeping a small window for in-flight requests (the paper
-//!   bounds this window by the API timeout).
+//!   per-metastore entry cap is exceeded; each entry keeps its newest
+//!   `VERSION_WINDOW` versions for in-flight requests and drops older
+//!   ones as new versions are pushed (the paper bounds this window by the
+//!   API timeout).
 //!
 //! No consensus service: multiple nodes may own the same metastore; the
 //! version-conditioned writes make that safe, merely costing reconciles.
+//!
+//! # The coherence protocol (DESIGN.md §4)
+//!
+//! The protocol lives here, once, as three operations on [`MsCache`]; the
+//! service layer is their only caller and never sees the gate.
+//!
+//! * `MsCache::read_through` — the cached read every lookup shape (by
+//!   id, by name, chain, by path) goes through. A `probe` serves a hit at the
+//!   pinned version without any exclusive lock. On a miss, `load` reads
+//!   the database at **one** snapshot and the routine compares that
+//!   snapshot's metastore version with the pin under the gate: *older* →
+//!   the snapshot is stale, retry (at most `STALE_ROUNDS` rounds, then
+//!   serve a snapshot uninstalled); *newer* → reconcile to it, then
+//!   install; *equal* → install.
+//! * `MsCache::apply_write` — write-through after this node's commit:
+//!   install the effects, then advance the pin, unless a later apply or
+//!   reconcile already moved the pin past this write.
+//! * `MsCache::catch_up` — revalidate against the database on demand.
 //!
 //! # Concurrency model (see DESIGN.md §7)
 //!
@@ -41,11 +60,13 @@
 //! * LRU accounting is an atomic tick: [`MsCache::get_at`] takes `&self`
 //!   and bumps the entry's `last_access` with a relaxed store under the
 //!   shard *read* lock.
-//! * All **mutation** — write-through install, tombstones, reconciles,
-//!   eviction — happens while the caller holds the per-metastore
-//!   [`MsCache::write_gate`]. Misses serialize on the gate; hits never
-//!   touch it. Gate serialization is what lets the mutation paths take
-//!   shard locks one at a time without deadlock or lost updates.
+//! * All **mutation** — install, tombstones, reconciles, eviction, pin
+//!   advance — is private to this module and runs under the per-metastore
+//!   gate, which only the three protocol operations take. Misses
+//!   serialize on the gate; hits never touch it. Gate serialization is
+//!   what lets the mutators take shard locks one at a time without
+//!   deadlock or lost updates, and visibility (not a comment on each
+//!   method) is what guarantees no caller mutates outside it.
 //!
 //! Mutators make entries visible in an order that preserves snapshot
 //! reads without a global critical section: new entry versions are
@@ -61,15 +82,38 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
+use uc_cloudstore::sched;
 use uc_obs::Counter;
-use uc_txdb::{ChangeRecord, Db};
+use uc_txdb::{ChangeRecord, Db, ReadTxn};
 
+use crate::error::UcResult;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PATH, T_TREE};
+use crate::service::WriteEffects;
 
 /// How many superseded versions of an entry to retain for in-flight reads.
 const VERSION_WINDOW: usize = 4;
+
+/// Miss rounds a cached read retries against a stale snapshot before it
+/// serves one uninstalled.
+const STALE_ROUNDS: usize = 8;
+
+/// What a read's `load` found in the database, for the cache to install:
+/// each entity with its tree-index key when the lookup resolved one
+/// (by-id and by-path loads resolve none).
+pub(crate) type Installs = Vec<(Arc<Entity>, Option<String>)>;
+
+/// Annotate the active request span with the metastore version a read
+/// was served at. The uc-check history recorder consumes these
+/// `history.read` events to reconstruct each operation's observed
+/// snapshot window. One thread-local probe and no formatting when no
+/// span is active, so the cached hit path stays cheap.
+pub(crate) fn history_read_event(version: u64) {
+    if uc_obs::current_span_id().is_some() {
+        uc_obs::span_event("history.read", &format!("version={version}"));
+    }
+}
 
 /// Cache tuning.
 #[derive(Debug, Clone)]
@@ -206,9 +250,9 @@ type EntityShard = RwLock<HashMap<Uid, CachedEntry, FnvBuild>>;
 type IndexShard = RwLock<HashMap<String, Uid, FnvBuild>>;
 
 /// Cache state for one metastore on one node: sharded maps plus a
-/// seqlock-guarded `(version, csn)` pin. Read methods take `&self` and
-/// acquire no exclusive lock; mutating methods also take `&self` but must
-/// only be called while holding this metastore's [`MsCache::write_gate`].
+/// seqlock-guarded `(version, csn)` pin. The public read accessors take
+/// no exclusive lock; all mutation is private and reached only through
+/// the protocol operations (module docs), which hold the gate.
 pub struct MsCache {
     /// Seqlock word for the pin: even = stable, odd = update in progress.
     pin_seq: AtomicU64,
@@ -226,7 +270,7 @@ pub struct MsCache {
     tick: AtomicU64,
     /// Live entry count across entity shards (maintained by mutators).
     len: AtomicUsize,
-    max_entries: usize,
+    config: CacheConfig,
     /// Serializes all mutation on this metastore's cache.
     gate: Mutex<()>,
     stats: CacheStats,
@@ -244,8 +288,8 @@ fn hash_of<K: Hash + ?Sized>(key: &K) -> usize {
 }
 
 impl MsCache {
-    fn new(shards: usize, max_entries: usize, stats: CacheStats) -> Self {
-        let n = shards.max(1).next_power_of_two();
+    fn new(config: &CacheConfig, stats: CacheStats) -> Self {
+        let n = config.shards.max(1).next_power_of_two();
         MsCache {
             pin_seq: AtomicU64::new(0),
             pin_version: AtomicU64::new(0),
@@ -256,16 +300,15 @@ impl MsCache {
             shard_mask: n - 1,
             tick: AtomicU64::new(0),
             len: AtomicUsize::new(0),
-            max_entries,
+            config: config.clone(),
             gate: Mutex::new(()),
             stats,
         }
     }
 
-    /// Acquire the per-metastore mutation gate. Every mutating method on
-    /// this cache must be called under it; the uncontended path is one
-    /// `try_lock`.
-    pub fn write_gate(&self) -> MutexGuard<'_, ()> {
+    /// Acquire the per-metastore mutation gate; the uncontended path is
+    /// one `try_lock`.
+    fn write_gate(&self) -> MutexGuard<'_, ()> {
         if let Some(g) = self.gate.try_lock() {
             return g;
         }
@@ -300,8 +343,8 @@ impl MsCache {
         self.pin().1
     }
 
-    /// Advance the pin (callers hold the write gate, so there is exactly
-    /// one seqlock writer at a time).
+    /// Advance the pin (under the gate, so there is exactly one seqlock
+    /// writer at a time).
     fn set_pin(&self, version: u64, csn: u64) {
         self.pin_seq.fetch_add(1, Ordering::AcqRel); // odd: update begins
         self.pin_version.store(version, Ordering::Release);
@@ -352,12 +395,13 @@ impl MsCache {
 
     /// Look up by path-index key.
     pub fn id_by_path(&self, path_key: &str) -> Option<Uid> {
+        // uc-lint: allow(hotpath) -- hot path-index probe: shard read lock, same discipline as get_at
         self.path_shard(path_key).read().get(path_key).cloned()
     }
 
     /// Insert (or update) an entity at a version, maintaining secondary
-    /// keys and trimming the version window. Caller holds the write gate.
-    pub fn insert(
+    /// keys and trimming the version window.
+    fn insert(
         &self,
         entity: Arc<Entity>,
         at_version: u64,
@@ -392,14 +436,20 @@ impl MsCache {
             entry.last_access.store(tick, Ordering::Relaxed);
             push_version(&mut entry.versions, at_version, Some(entity));
         }
-        if self.len.load(Ordering::Relaxed) > self.max_entries {
+        if self.len.load(Ordering::Relaxed) > self.config.max_entries {
             self.evict_lru();
         }
     }
 
-    /// Record a deletion at a version (write-through for drops). Caller
-    /// holds the write gate.
-    pub fn insert_tombstone(&self, id: &Uid, at_version: u64) {
+    /// [`Self::insert`] with the path-index key derived from the entity's
+    /// storage path.
+    fn install(&self, ms: &Uid, entity: Arc<Entity>, at_version: u64, tree_key: Option<String>) {
+        let pk = entity.storage_path.as_ref().map(|p| keys::path_key(ms, p));
+        self.insert(entity, at_version, pk, tree_key);
+    }
+
+    /// Record a deletion at a version (write-through for drops).
+    fn insert_tombstone(&self, id: &Uid, at_version: u64) {
         let tick = self.next_tick();
         let keys = {
             let mut shard = self.entity_shard(id).write();
@@ -416,18 +466,16 @@ impl MsCache {
         }
     }
 
-    /// Drop a name-index mapping (a rename freed the key). Caller holds
-    /// the write gate.
-    pub fn remove_name_mapping(&self, name_key: &str) {
+    /// Drop a name-index mapping (a rename freed the key).
+    fn remove_name_mapping(&self, name_key: &str) {
         self.name_shard(name_key).write().remove(name_key);
     }
 
-    /// Batch-evict the least recently used ~10% beyond the cap. Caller
-    /// holds the write gate (so no competing mutator), and each shard is
-    /// locked one at a time.
+    /// Batch-evict the least recently used ~10% beyond the cap. Runs under
+    /// the gate (so no competing mutator), locking one shard at a time.
     fn evict_lru(&self) {
-        let excess =
-            self.len.load(Ordering::Relaxed).saturating_sub(self.max_entries) + self.max_entries / 10;
+        let cap = self.config.max_entries;
+        let excess = self.len.load(Ordering::Relaxed).saturating_sub(cap) + cap / 10;
         let mut by_age: Vec<(u64, usize, Uid)> = Vec::with_capacity(self.len.load(Ordering::Relaxed));
         for (i, shard) in self.entity_shards.iter().enumerate() {
             for (id, e) in shard.read().iter() {
@@ -451,9 +499,9 @@ impl MsCache {
     }
 
     /// Naive reconciliation: drop everything and adopt the new version.
-    /// Caller holds the write gate. Entries are cleared *before* the pin
-    /// advances so no reader at the new pin can see stale data.
-    pub fn reconcile_full(&self, new_version: u64, new_csn: u64) {
+    /// Entries are cleared *before* the pin advances so no reader at the
+    /// new pin can see stale data.
+    fn reconcile_full(&self, new_version: u64, new_csn: u64) {
         for shard in self.entity_shards.iter() {
             shard.write().clear();
         }
@@ -469,9 +517,9 @@ impl MsCache {
     }
 
     /// Optimized reconciliation: invalidate exactly the entries touched by
-    /// the change records between the cached CSN and the new one. Caller
-    /// holds the write gate; invalidation precedes the pin advance.
-    pub fn reconcile_selective(
+    /// the change records between the cached CSN and the new one;
+    /// invalidation precedes the pin advance.
+    fn reconcile_selective(
         &self,
         ms: &Uid,
         new_version: u64,
@@ -517,23 +565,6 @@ impl MsCache {
         self.stats.selective_reconciles.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Advance version/CSN after this node's own successful write. Caller
-    /// holds the write gate and has already installed the write's effects.
-    pub fn advance(&self, new_version: u64, new_csn: u64) {
-        self.set_pin(new_version, new_csn);
-    }
-
-    /// Trim superseded versions older than the window everywhere; called
-    /// lazily (the paper trims on next access after the API timeout).
-    /// Caller holds the write gate.
-    pub fn trim_versions(&self) {
-        for shard in self.entity_shards.iter() {
-            for entry in shard.write().values_mut() {
-                trim(&mut entry.versions);
-            }
-        }
-    }
-
     pub fn entry_count(&self) -> usize {
         self.len.load(Ordering::Relaxed)
     }
@@ -563,13 +594,168 @@ fn push_version(versions: &mut Vec<(u64, Option<Arc<Entity>>)>, v: u64, e: Optio
         }
         _ => versions.push((v, e)),
     }
-    trim(versions);
-}
-
-fn trim(versions: &mut Vec<(u64, Option<Arc<Entity>>)>) {
     if versions.len() > VERSION_WINDOW {
         let drop = versions.len() - VERSION_WINDOW;
         versions.drain(..drop);
+    }
+}
+
+/// The coherence protocol (module docs): the only functions that take the
+/// gate, and the only callers of the mutators above.
+impl MsCache {
+    /// The cached read. `probe(cache, pinned_version)` is the lock-free
+    /// hit: the value plus how many cached entries served it (a resolved
+    /// chain counts one hit per level). `load` runs on a miss, against one
+    /// database snapshot, and returns the value plus the entities to
+    /// install. This routine alone owns the yield point, the hit / miss /
+    /// stale-retry counters, the `history.read` event and the
+    /// stale / ahead / equal decision, so every lookup shape follows one
+    /// rule. A disabled cache never probes.
+    pub(crate) fn read_through<T>(
+        &self,
+        ms: &Uid,
+        db: &Db,
+        probe: impl Fn(&MsCache, u64) -> Option<(T, u64)>,
+        load: impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+    ) -> UcResult<T> {
+        let rounds = if self.config.enabled { STALE_ROUNDS } else { 0 };
+        for round in 0..rounds {
+            // Yield outside the gate: a parked client holds no lock.
+            sched::yield_point(sched::points::READ_LOOKUP);
+            let ver = self.version();
+            if let Some((hit, served)) = probe(self, ver) {
+                self.stats.hits.fetch_add(served, Ordering::Relaxed);
+                history_read_event(ver);
+                return Ok(hit);
+            }
+            // One logical lookup counts one miss, however many times a
+            // stale snapshot sends it around the loop.
+            if round == 0 {
+                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            }
+            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the gate
+            if let Some(value) = self.miss_round(ms, db, &load)? {
+                return Ok(value);
+            }
+        }
+        // uc-lint: allow(hotpath) -- cache disabled or stale-retry budget exhausted: serve this read straight from a db snapshot
+        Self::load_uninstalled(ms, db, &load)
+    }
+
+    /// Serve one `load` from a fresh snapshot without touching the cache.
+    /// The metastore version is read only when a span wants the event.
+    fn load_uninstalled<T>(
+        ms: &Uid,
+        db: &Db,
+        load: &impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+    ) -> UcResult<T> {
+        let rt = db.begin_read();
+        let (value, _) = load(&rt)?;
+        if uc_obs::current_span_id().is_some() {
+            history_read_event(read_ms_version(&rt, ms));
+        }
+        Ok(value)
+    }
+
+    /// One miss round of [`Self::read_through`]: `load` at one snapshot,
+    /// then — under the gate — compare that snapshot's metastore version
+    /// with the pin. `None` means the snapshot was older than the pin (a
+    /// write or reconcile landed after it was taken) and the caller
+    /// retries.
+    fn miss_round<T>(
+        &self,
+        ms: &Uid,
+        db: &Db,
+        load: &impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+    ) -> UcResult<Option<T>> {
+        let rt = db.begin_read();
+        let db_ver = read_ms_version(&rt, ms);
+        let (value, installs) = load(&rt)?;
+        let _gate = self.write_gate();
+        match db_ver.cmp(&self.version()) {
+            std::cmp::Ordering::Less => {
+                self.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
+            std::cmp::Ordering::Greater => self.reconcile(ms, db, db_ver, rt.snapshot_csn()),
+            std::cmp::Ordering::Equal => {}
+        }
+        for (entity, tree_key) in installs {
+            self.install(ms, entity, db_ver, tree_key);
+        }
+        history_read_event(db_ver);
+        Ok(Some(value))
+    }
+
+    /// Write-through after this node committed `prev_version + 1` at
+    /// `csn`. A slow writer must never regress the shared pin: if a later
+    /// commit's apply (or a reader's reconcile) already advanced past this
+    /// write's version, that reconcile consumed the changelog through a
+    /// CSN at or beyond this commit, so these effects are already
+    /// reflected — applying them now would pin the cache to an older
+    /// version and break read-your-writes for every client on this node.
+    pub(crate) fn apply_write(&self, ms: &Uid, db: &Db, prev_version: u64, csn: u64, fx: &WriteEffects) {
+        if !self.config.enabled {
+            return;
+        }
+        let _gate = self.write_gate();
+        let pinned = self.version();
+        if pinned > prev_version {
+            return;
+        }
+        if pinned != prev_version {
+            self.reconcile(ms, db, prev_version + 1, csn);
+        }
+        for nk in &fx.dropped_names {
+            self.remove_name_mapping(nk);
+        }
+        // Install effects first, advance the pin last: concurrent readers
+        // at the old pin can't see the new versions, and readers after
+        // the advance see all of them.
+        for (ent, tk) in &fx.upserts {
+            self.install(ms, ent.clone(), prev_version + 1, Some(tk.clone()));
+        }
+        for id in &fx.tombstones {
+            self.insert_tombstone(id, prev_version + 1);
+        }
+        self.set_pin(prev_version + 1, csn);
+    }
+
+    /// Revalidate against the database now: reconcile if it is ahead.
+    pub(crate) fn catch_up(&self, ms: &Uid, db: &Db) {
+        if !self.config.enabled {
+            return;
+        }
+        let rt = db.begin_read();
+        let db_ver = read_ms_version(&rt, ms);
+        let _gate = self.write_gate();
+        if db_ver > self.version() {
+            self.reconcile(ms, db, db_ver, rt.snapshot_csn());
+        }
+    }
+
+    /// Bring the cache to `(db_version, db_csn)` — both from one
+    /// consistent snapshot — using the configured strategy.
+    fn reconcile(&self, ms: &Uid, db: &Db, db_version: u64, db_csn: u64) {
+        if !self.config.selective_reconcile {
+            self.reconcile_full(db_version, db_csn);
+            return;
+        }
+        let cached_csn = self.csn();
+        let changes = db.changelog().changes_since(cached_csn);
+        // If the log was truncated past our position — including the case
+        // where it is now empty while history advanced — we cannot trust
+        // selective invalidation.
+        let missed_history = cached_csn > 0
+            && match db.changelog().min_retained_csn() {
+                Some(min) => min > cached_csn + 1,
+                None => db_csn > cached_csn,
+            };
+        if missed_history {
+            self.reconcile_full(db_version, db_csn);
+        } else {
+            self.reconcile_selective(ms, db_version, db_csn, &changes);
+        }
     }
 }
 
@@ -581,10 +767,6 @@ pub struct NodeCache {
 }
 
 impl NodeCache {
-    pub fn new(config: CacheConfig) -> Self {
-        NodeCache { config, per_ms: RwLock::new(HashMap::new()), stats: CacheStats::default() }
-    }
-
     /// A node cache whose counters are registered in `registry`.
     pub fn wired(config: CacheConfig, registry: &uc_obs::Registry) -> Self {
         NodeCache { config, per_ms: RwLock::new(HashMap::new()), stats: CacheStats::wired(registry) }
@@ -603,40 +785,8 @@ impl NodeCache {
         self.per_ms
             .write()
             .entry(ms.clone())
-            .or_insert_with(|| {
-                Arc::new(MsCache::new(self.config.shards, self.config.max_entries, self.stats.clone()))
-            })
+            .or_insert_with(|| Arc::new(MsCache::new(&self.config, self.stats.clone())))
             .clone()
-    }
-
-    /// Reconcile a metastore cache against the database's current state,
-    /// using the configured strategy. `db_version`/`db_csn` must come from
-    /// one consistent snapshot. Caller holds `cache`'s write gate.
-    pub fn reconcile(&self, ms: &Uid, cache: &MsCache, db: &Db, db_version: u64, db_csn: u64) {
-        if !self.config.selective_reconcile {
-            cache.reconcile_full(db_version, db_csn);
-            return;
-        }
-        let cached_csn = cache.csn();
-        let changes = db.changelog().changes_since(cached_csn);
-        // If the log was truncated past our position — including the case
-        // where it is now empty while history advanced — we cannot trust
-        // selective invalidation.
-        let missed_history = cached_csn > 0
-            && match db.changelog().min_retained_csn() {
-                Some(min) => min > cached_csn + 1,
-                None => db_csn > cached_csn,
-            };
-        if missed_history {
-            cache.reconcile_full(db_version, db_csn);
-        } else {
-            cache.reconcile_selective(ms, db_version, db_csn, &changes);
-        }
-    }
-
-    /// Drop all cached state (tests / failover simulations).
-    pub fn clear(&self) {
-        self.per_ms.write().clear();
     }
 }
 
@@ -668,7 +818,8 @@ mod tests {
 
     fn cache_with(max_entries: usize) -> (MsCache, CacheStats) {
         let stats = CacheStats::default();
-        (MsCache::new(4, max_entries, stats.clone()), stats)
+        let config = CacheConfig { shards: 4, max_entries, ..Default::default() };
+        (MsCache::new(&config, stats.clone()), stats)
     }
 
     fn insert(cache: &MsCache, id: &str, name: &str, ver: u64) {
@@ -866,7 +1017,7 @@ mod tests {
                         Some(format!("pk/wp{v}")),
                         Some(format!("nk/wn{v}")),
                     );
-                    c.advance(v, v);
+                    c.set_pin(v, v);
                 }
             })
         };
@@ -905,10 +1056,10 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two_and_one_shard_works() {
         let stats = CacheStats::default();
-        let c = MsCache::new(1, 1000, stats.clone());
+        let c = MsCache::new(&CacheConfig { shards: 1, ..Default::default() }, stats.clone());
         insert(&c, "e1", "a", 1);
         assert!(c.get_at(&Uid::from("e1"), 1).is_some());
-        let c3 = MsCache::new(3, 1000, stats);
+        let c3 = MsCache::new(&CacheConfig { shards: 3, ..Default::default() }, stats);
         assert_eq!(c3.shard_mask + 1, 4, "3 rounds up to 4 shards");
     }
 
@@ -923,7 +1074,7 @@ mod tests {
                     let _gate = c.write_gate();
                     // version and csn move in lockstep; a torn read would
                     // observe a (v, c) pair off the v == c diagonal.
-                    c.advance(v, v);
+                    c.set_pin(v, v);
                 }
             })
         };
@@ -942,9 +1093,163 @@ mod tests {
         writer.join().unwrap();
     }
 
+    // ---- protocol step tests: the three operations against a bare `Db`,
+    // no threads, no `UnityCatalog` ----
+
+    /// Commit `ents` and set the metastore version; returns the CSN.
+    fn commit(db: &Db, version: u64, ents: &[&Arc<Entity>]) -> u64 {
+        let mut tx = db.begin_write();
+        for e in ents {
+            tx.put(T_ENTITY, &keys::ent_key(&e.metastore, &e.id), e.encode());
+        }
+        tx.put(T_MSVER, "ms", bytes::Bytes::from(version.to_string()));
+        tx.commit().unwrap()
+    }
+
+    /// By-id read through the protocol. `loads` counts `load` calls, and
+    /// `in_load(n)` runs inside the n-th one, after its snapshot is taken.
+    fn read_id(
+        c: &MsCache,
+        db: &Db,
+        id: &str,
+        loads: &std::cell::Cell<u32>,
+        in_load: impl Fn(u32),
+    ) -> Option<Arc<Entity>> {
+        let (ms, id) = (Uid::from("ms"), Uid::from(id));
+        c.read_through(
+            &ms,
+            db,
+            |c, ver| Some((c.get_at(&id, ver)?, 1)),
+            |rt| {
+                loads.set(loads.get() + 1);
+                in_load(loads.get());
+                let found = match rt.get(T_ENTITY, &keys::ent_key(&ms, &id)) {
+                    Some(raw) => Some(Arc::new(Entity::decode(&raw)?)),
+                    None => None,
+                };
+                Ok((found.clone(), found.into_iter().map(|e| (e, None)).collect()))
+            },
+        )
+        .unwrap()
+    }
+
+    /// A database at metastore version 1 holding `e1`, and a cache caught
+    /// up to it.
+    fn caught_up() -> (Db, MsCache, CacheStats, std::cell::Cell<u32>) {
+        let db = Db::in_memory();
+        commit(&db, 1, &[&entity("e1", "a")]);
+        let (c, stats) = cache_with(1000);
+        c.catch_up(&Uid::from("ms"), &db);
+        assert_eq!(c.version(), 1);
+        (db, c, stats, std::cell::Cell::new(0))
+    }
+
+    #[test]
+    fn read_at_the_pinned_version_installs_and_then_hits() {
+        let (db, c, stats, loads) = caught_up();
+        assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
+        assert_eq!((loads.get(), stats.misses.get(), stats.hits.get()), (1, 1, 0));
+        assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
+        assert_eq!((loads.get(), stats.misses.get(), stats.hits.get()), (1, 1, 1), "second read must not load");
+    }
+
+    #[test]
+    fn read_finding_the_database_ahead_reconciles_before_installing() {
+        let (db, c, stats, loads) = caught_up();
+        commit(&db, 1, &[&entity("e2", "b")]);
+        read_id(&c, &db, "e2", &loads, |_| {}).unwrap();
+        // Another node rewrites e2 and moves the metastore to version 3.
+        commit(&db, 3, &[&entity("e2", "b2")]);
+        assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
+        assert_eq!(c.version(), 3, "reconciled to the snapshot's version");
+        // One reconcile beyond `caught_up`'s own, invalidating exactly e2.
+        assert_eq!((stats.selective_reconciles.get(), stats.invalidations.get()), (2, 1));
+        assert!(c.get_at(&Uid::from("e2"), 3).is_none(), "the touched entry was invalidated");
+        assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "installed at the new version, not before it");
+        let before = loads.get();
+        read_id(&c, &db, "e1", &loads, |_| {}).unwrap();
+        assert_eq!((loads.get(), stats.hits.get()), (before, 1), "the install is then a hit");
+    }
+
+    #[test]
+    fn read_whose_snapshot_is_older_than_the_pin_retries() {
+        let (db, c, stats, loads) = caught_up();
+        let ms = Uid::from("ms");
+        let found = read_id(&c, &db, "e1", &loads, |n| {
+            if n == 1 {
+                // A write commits and is applied after this round took its
+                // snapshot and before it reaches the gate.
+                let e2 = entity("e2", "b");
+                let csn = commit(&db, 2, &[&e2]);
+                let mut fx = WriteEffects::default();
+                fx.upserts.push((e2, "nk/b".to_string()));
+                c.apply_write(&ms, &db, 1, csn, &fx);
+            } else {
+                assert!(c.get_at(&Uid::from("e1"), c.version()).is_none(), "a stale round installs nothing");
+            }
+        });
+        assert_eq!(found.unwrap().name, "a");
+        assert_eq!((loads.get(), stats.stale_retries.get(), stats.misses.get()), (2, 1, 1));
+        assert!(c.get_at(&Uid::from("e1"), 2).is_some(), "the current round installed at the pin");
+    }
+
+    #[test]
+    fn read_serves_uninstalled_once_the_stale_budget_is_spent() {
+        let (db, c, stats, loads) = caught_up();
+        c.set_pin(9, 9); // a pin no snapshot of this database reaches
+        assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
+        assert_eq!(loads.get() as usize, STALE_ROUNDS + 1);
+        assert_eq!((stats.stale_retries.get() as usize, stats.misses.get()), (STALE_ROUNDS, 1));
+        assert_eq!((c.entry_count(), c.version()), (0, 9), "served, not installed");
+    }
+
+    #[test]
+    fn disabled_cache_never_probes_and_loads_once() {
+        let db = Db::in_memory();
+        let e1 = entity("e1", "a");
+        let csn = commit(&db, 1, &[&e1]);
+        let stats = CacheStats::default();
+        let c = MsCache::new(&CacheConfig::disabled(), stats.clone());
+        let (ms, loads) = (Uid::from("ms"), std::cell::Cell::new(0));
+        let got = c.read_through(
+            &ms,
+            &db,
+            |_, _| -> Option<(u32, u64)> { panic!("a disabled cache must not probe") },
+            |_| {
+                loads.set(loads.get() + 1);
+                Ok((7, vec![(e1.clone(), None)]))
+            },
+        );
+        assert_eq!((got.unwrap(), loads.get()), (7, 1));
+        // The other two operations are no-ops as well.
+        c.catch_up(&ms, &db);
+        c.apply_write(&ms, &db, 0, csn, &WriteEffects::default());
+        assert_eq!((c.pin(), c.entry_count()), ((0, 0), 0));
+        assert_eq!((stats.hits.get(), stats.misses.get()), (0, 0));
+    }
+
+    #[test]
+    fn apply_write_behind_a_later_reconcile_changes_nothing() {
+        let (db, c, _, _) = caught_up();
+        let ms = Uid::from("ms");
+        // This node commits version 2; before it applies, another node
+        // commits version 3 and a reconcile here consumes both.
+        let e2 = entity("e2", "b");
+        let csn_a = commit(&db, 2, &[&e2]);
+        let csn_b = commit(&db, 3, &[&entity("e3", "c")]);
+        c.catch_up(&ms, &db);
+        assert_eq!(c.pin(), (3, csn_b));
+        let mut fx = WriteEffects::default();
+        fx.upserts.push((e2, "nk/b".to_string()));
+        c.apply_write(&ms, &db, 1, csn_a, &fx);
+        assert_eq!(c.pin(), (3, csn_b), "a slow writer never regresses the pin");
+        assert_eq!(c.entry_count(), 0);
+        assert!(c.id_by_name("nk/b").is_none());
+    }
+
     #[test]
     fn node_cache_returns_same_instance_per_metastore() {
-        let nc = NodeCache::new(CacheConfig::default());
+        let nc = NodeCache::wired(CacheConfig::default(), &uc_obs::Registry::new());
         let a = nc.for_metastore(&Uid::from("m1"));
         let b = nc.for_metastore(&Uid::from("m1"));
         let c = nc.for_metastore(&Uid::from("m2"));

@@ -5,10 +5,14 @@
 //! creating or reading/writing its data, which fields clients may update,
 //! how its lifecycle behaves, and a validation hook for its properties.
 //!
-//! The core service consults the registry for every operation, so adding
-//! an asset type (as §4.2.3 did for MLflow registered models) means adding
-//! a manifest here plus any type-specific client glue — no changes to
-//! namespace, lifecycle, grants, vending, or audit code.
+//! The core service consults the registry where behaviour depends on the
+//! kind — the privilege that gates a create, which privileges are
+//! grantable, which privilege gates data access when vending, whether the
+//! comment is updatable, and property validation on every create and
+//! update; reads, listings and drops never look at it. Adding an asset
+//! type (as §4.2.3 did for MLflow registered models) therefore means
+//! adding a manifest here plus its typed `create_*` entry point — no
+//! changes to namespace, lifecycle, grants, vending, or audit code.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

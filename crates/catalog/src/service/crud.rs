@@ -65,6 +65,33 @@ pub struct BulkSchemaSpec {
     pub tables: Vec<String>,
 }
 
+/// A create's first step inside its write transaction: the parent
+/// container must still be live *at this snapshot*. The caller authorized
+/// against a chain resolved through the cache, which may lag a drop made
+/// on another node (or racing this write's retry); soft-deleted rows stay
+/// in `T_ENTITY`, so without this read — which also lands in the
+/// transaction's validated read set — the create would commit an
+/// unreachable tree row (and, for storage-backed kinds, a path
+/// registration) under a dropped parent. The history checker caught
+/// exactly this interleaving for tables.
+fn live_parent(
+    tx: &mut uc_txdb::WriteTxn,
+    ms: &Uid,
+    parent: &Uid,
+    what: impl std::fmt::Display,
+) -> UcResult<()> {
+    let live = tx
+        .get(T_ENTITY, &keys::ent_key(ms, parent))
+        .map(|raw| Entity::decode(&raw))
+        .transpose()?
+        .is_some_and(|e| e.is_active());
+    if live {
+        Ok(())
+    } else {
+        Err(UcError::NotFound(what.to_string()))
+    }
+}
+
 impl UnityCatalog {
     // ------------------------------------------------------------------
     // Metastore lifecycle
@@ -300,6 +327,7 @@ impl UnityCatalog {
         let parent = chain[0].id.clone();
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &parent, catalog)?;
             let ent = Entity::new(SecurableKind::Schema, name, Some(parent.clone()), ms.clone(), &ctx.principal, now);
             let tk = WriteEffects::vacant_key(tx, &ent, format_args!("{catalog}.{name}"))?;
             Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
@@ -312,7 +340,6 @@ impl UnityCatalog {
     // Leaf assets
     // ------------------------------------------------------------------
 
-    /// Shared pre-flight for creating a leaf asset under a schema:
     /// The leaf segment of a three-part name, as an owned string.
     fn leaf_of(name: &FullName) -> UcResult<String> {
         name.asset()
@@ -320,6 +347,7 @@ impl UnityCatalog {
             .ok_or_else(|| UcError::InvalidArgument(format!("expected catalog.schema.name, got {name}")))
     }
 
+    /// Shared pre-flight for creating a leaf asset under a schema:
     /// resolves the parent chain and checks the create privilege.
     fn authorize_create_in_schema(
         &self,
@@ -400,7 +428,7 @@ impl UnityCatalog {
             &keys::tree_ms_prefix(ms),
             Some(SecurableKind::ExternalLocation.name_group()),
         )?;
-        super::history_read_event(crate::cache::read_ms_version(&rt, ms));
+        crate::cache::history_read_event(crate::cache::read_ms_version(&rt, ms));
         for loc in locations {
             let Some(loc_path) = loc.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok())
             else {
@@ -456,20 +484,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(&spec.name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
-            // Re-validate the parent inside the transaction: the chain was
-            // resolved from the cache, and the schema may have been dropped
-            // concurrently. Without this read (which also lands in the
-            // transaction's validated read set) the create would succeed
-            // and orphan the table under a soft-deleted schema — the
-            // history checker caught exactly this interleaving.
-            let live_parent = tx
-                .get(T_ENTITY, &keys::ent_key(ms, &schema_ent.id))
-                .map(|raw| Entity::decode(&raw))
-                .transpose()?
-                .is_some_and(|e| e.is_active());
-            if !live_parent {
-                return Err(UcError::NotFound(spec.name.to_string()));
-            }
+            live_parent(tx, ms, &schema_ent.id, &spec.name)?;
             let mut ent = Entity::new(
                 SecurableKind::Table,
                 &leaf,
@@ -551,16 +566,8 @@ impl UnityCatalog {
                 let end = (start + chunk).min(spec.tables.len());
                 let batch = &spec.tables[start..end];
                 created += self.write_ms(ms, |tx, _ver, fx| {
-                    // The catalog must still be live in this transaction:
-                    // drops race bulk imports like any other create.
-                    let cat_live = tx
-                        .get(T_ENTITY, &keys::ent_key(ms, &cat.id))
-                        .map(|raw| Entity::decode(&raw))
-                        .transpose()?
-                        .is_some_and(|e| e.is_active());
-                    if !cat_live {
-                        return Err(UcError::NotFound(catalog.to_string()));
-                    }
+                    // Drops race bulk imports like any other create.
+                    live_parent(tx, ms, &cat.id, catalog)?;
                     let mut n = 0usize;
                     let schema_id = match tx.get(T_TREE, &schema_key) {
                         Some(raw) => Entity::decode(&raw)?.id,
@@ -665,6 +672,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &schema_ent.id, name)?;
             let mut ent = Entity::new(
                 SecurableKind::Table,
                 &leaf,
@@ -725,6 +733,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &schema_ent.id, name)?;
             let mut ent = Entity::new(
                 SecurableKind::View,
                 &leaf,
@@ -763,6 +772,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &schema_ent.id, name)?;
             let mut ent = Entity::new(
                 SecurableKind::Volume,
                 &leaf,
@@ -803,6 +813,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &schema_ent.id, name)?;
             let mut ent = Entity::new(
                 SecurableKind::Function,
                 &leaf,
@@ -832,6 +843,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
+            live_parent(tx, ms, &schema_ent.id, name)?;
             let mut ent = Entity::new(
                 SecurableKind::RegisteredModel,
                 &leaf,
@@ -983,7 +995,7 @@ impl UnityCatalog {
                 out.push(ent);
             }
         }
-        super::history_read_event(crate::cache::read_ms_version(&rt, ms));
+        crate::cache::history_read_event(crate::cache::read_ms_version(&rt, ms));
         Ok(out)
     }
 

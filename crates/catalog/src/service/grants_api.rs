@@ -161,7 +161,7 @@ impl UnityCatalog {
 
     fn publish_grant_event(&self, ms: &Uid, id: &Uid, kind: crate::types::SecurableKind, name: &str) {
         // Event version: read the cache's current version best-effort.
-        let version = self.cache.for_metastore(ms).version();
+        let version = self.metastore_cache_version(ms);
         self.events.publish(crate::events::MetadataChangeEvent {
             seq: 0,
             metastore: ms.clone(),

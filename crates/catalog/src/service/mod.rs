@@ -3,14 +3,15 @@
 //! This module holds the node state and the two protocols everything else
 //! is built on:
 //!
-//! * the **cached read protocol** — serve entity lookups from the
-//!   per-metastore write-through cache when the cached metastore version
-//!   is current; otherwise read the database at one snapshot, reconcile
-//!   the cache if the version moved, and install what was read;
+//! * the **cached reads** — the four lookup shapes (by id, by name, by
+//!   qualified-name chain, by storage path), each a `probe` / `load` pair
+//!   over [`crate::cache`]'s one read routine, which owns the coherence
+//!   protocol (hit at the pinned version; on a miss read the database at
+//!   one snapshot, retry / reconcile / install);
 //! * the **write protocol** — a retry loop running each logical write as
 //!   a serializable database transaction that reads the metastore version
-//!   and commits `version + 1`, then write-through-updates the cache and
-//!   publishes change events.
+//!   and commits `version + 1`, then hands the effects to the cache's
+//!   write-through and publishes change events.
 //!
 //! The public API surface is split across the sibling modules:
 //! [`crud`], [`grants_api`], [`vending`], [`resolve`], [`commits`],
@@ -41,7 +42,7 @@ use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 use crate::audit::{AuditDecision, AuditLog};
 use crate::authz::decision::{AuthzContext, AuthzNode, SecurableAuthz};
 use crate::cache::ttl::TtlCache;
-use crate::cache::{read_ms_version, CacheConfig, MsCache, NodeCache};
+use crate::cache::{CacheConfig, MsCache, NodeCache};
 use crate::error::{UcError, UcResult};
 use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
@@ -49,17 +50,6 @@ use crate::model::entity::{Entity, PrincipalRecord};
 use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
 use crate::model::treekey;
 use crate::types::{FullName, SecurableKind};
-
-/// Annotate the active request span with the metastore version a read
-/// was served at. The uc-check history recorder consumes these
-/// `history.read` events to reconstruct each operation's observed
-/// snapshot window. One thread-local probe and no formatting when no
-/// span is active, so the cached hit path stays cheap.
-fn history_read_event(version: u64) {
-    if uc_obs::current_span_id().is_some() {
-        uc_obs::span_event("history.read", &format!("version={version}"));
-    }
-}
 
 /// Node configuration.
 #[derive(Clone)]
@@ -84,10 +74,6 @@ pub struct UcConfig {
     /// every layer's spans land in one trace and every counter in one
     /// registry (the same sharing pattern as `faults` and the clock).
     pub obs: Obs,
-    /// Record per-tenant dimensional series (`catalog.{op}.count.by_tenant`
-    /// etc.) on every API call. On by default; benches flip it off for the
-    /// unlabeled comparison arm.
-    pub tenant_labels: bool,
 }
 
 impl Default for UcConfig {
@@ -101,7 +87,6 @@ impl Default for UcConfig {
             sts_mint_cost: std::time::Duration::ZERO,
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
-            tenant_labels: true,
         }
     }
 }
@@ -339,14 +324,6 @@ pub struct UnityCatalog {
     tenant_aliases: RwLock<std::collections::HashMap<Uid, Arc<str>>>,
 }
 
-/// Outcome of one cold (cache-miss) lookup round: the db snapshot was
-/// stale against the cache pin and the caller should retry, or the
-/// lookup completed with this result.
-enum MissLookup {
-    Stale,
-    Done(Option<Arc<Entity>>),
-}
-
 #[derive(Clone)]
 struct ApiInstruments {
     count: Counter,
@@ -360,19 +337,11 @@ struct ApiInstruments {
     window: WindowSeries,
 }
 
-/// RAII guard returned by `api_enter`: the request span plus
-/// (when tenant labeling is on) the deferred per-tenant/window latency
-/// recording and the thread-local tenant scope that lets deeper layers
-/// (txdb commit, STS mint) attribute their series to this request's
-/// tenant.
+/// RAII guard returned by `api_enter`: the request span plus the
+/// deferred per-tenant/window latency recording and the thread-local
+/// tenant scope that lets deeper layers (txdb commit, STS mint) attribute
+/// their series to this request's tenant.
 pub(crate) struct ApiGuard {
-    telemetry: Option<ApiTelemetry>,
-    /// Kept alive for the duration of the request; dropped after the
-    /// telemetry recording in [`ApiGuard::drop`] closes the books.
-    _span: SpanGuard,
-}
-
-struct ApiTelemetry {
     obs: Obs,
     start_ms: u64,
     window: WindowSeries,
@@ -380,16 +349,17 @@ struct ApiTelemetry {
     label: Arc<str>,
     /// Pops the tenant off the thread-local scope stack on drop.
     _scope: uc_obs::TenantScope,
+    /// Kept alive for the duration of the request; dropped after the
+    /// telemetry recording in [`ApiGuard::drop`] closes the books.
+    _span: SpanGuard,
 }
 
 impl Drop for ApiGuard {
     fn drop(&mut self) {
-        if let Some(t) = self.telemetry.take() {
-            let now = t.obs.clock_ms();
-            let elapsed = now.saturating_sub(t.start_ms);
-            t.window.record(now, elapsed);
-            t.labeled_latency.record(&t.label, elapsed);
-        }
+        let now = self.obs.clock_ms();
+        let elapsed = now.saturating_sub(self.start_ms);
+        self.window.record(now, elapsed);
+        self.labeled_latency.record(&self.label, elapsed);
     }
 }
 
@@ -547,29 +517,27 @@ impl UnityCatalog {
         };
         instruments.count.inc();
         self.config.api_latency.apply(OpClass::Control);
-        let telemetry = if self.config.tenant_labels {
-            // Zero-allocation on the repeat path: the label is a memoized
-            // Arc<str>, the labeled counter probe is a thread-local hash
-            // hit, the window recording is striped atomics.
-            let label = self.tenant_label(ms, principal.unwrap_or(NO_TENANT));
-            instruments.labeled_count.inc(&label);
-            Some(ApiTelemetry {
-                start_ms: self.config.obs.clock_ms(),
-                window: instruments.window.clone(),
-                labeled_latency: instruments.labeled_latency.clone(),
-                _scope: uc_obs::tenant_scope(label.clone()),
-                label,
-                obs: self.config.obs.clone(),
-            })
-        } else {
-            None
-        };
+        // Zero-allocation on the repeat path: the label is a memoized
+        // Arc<str>, the labeled counter probe is a thread-local hash hit,
+        // the window recording is striped atomics.
+        let label = self.tenant_label(ms, principal.unwrap_or(NO_TENANT));
+        instruments.labeled_count.inc(&label);
+        let start_ms = self.config.obs.clock_ms();
+        let scope = uc_obs::tenant_scope(label.clone());
         let span = self
             .config
             .obs
             .tracer()
             .span_timed("catalog", op, Some(instruments.latency));
-        ApiGuard { telemetry, _span: span }
+        ApiGuard {
+            obs: self.config.obs.clone(),
+            start_ms,
+            window: instruments.window,
+            labeled_latency: instruments.labeled_latency,
+            label,
+            _scope: scope,
+            _span: span,
+        }
     }
 
     /// Record the human-readable alias rendered into this metastore's
@@ -641,9 +609,6 @@ impl UnityCatalog {
     /// leader that started at v, so a leader's result is never served
     /// across an invalidation (read-your-snapshot for followers).
     pub fn metastore_cache_version(&self, ms: &Uid) -> u64 {
-        if !self.config.cache.enabled {
-            return 0;
-        }
         self.cache.for_metastore(ms).version()
     }
 
@@ -686,10 +651,10 @@ impl UnityCatalog {
     }
 
     // ------------------------------------------------------------------
-    // Cached read protocol
+    // Cached reads: probe / load pairs over `MsCache::read_through`
     // ------------------------------------------------------------------
 
-    fn db_entity_by_id(&self, rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
+    fn db_entity_by_id(rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
         match rt.get(T_ENTITY, &keys::ent_key(ms, id)) {
             Some(raw) => {
                 let ent = Entity::decode(&raw)?;
@@ -701,245 +666,81 @@ impl UnityCatalog {
         }
     }
 
-    /// Name lookup in the database: one tree-index read returns the whole
-    /// entity (only active entities have tree rows).
-    fn db_entity_by_name(&self, rt: &ReadTxn, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
-        match rt.get(T_TREE, tree_key) {
-            Some(raw) => Ok(Some(Arc::new(Entity::decode(&raw)?))),
-            None => Ok(None),
-        }
-    }
-
-    /// Install an entity read or written at `at_version`, with its
-    /// tree-index key when the caller resolved one (write-through, name
-    /// and chain-scan installs — by-id installs carry none), so cached
-    /// name lookups can probe by tree key.
-    fn install_in_cache(
-        &self,
-        c: &MsCache,
-        ms: &Uid,
-        ent: &Arc<Entity>,
-        at_version: u64,
-        tree_key: Option<String>,
-    ) {
-        let pk = ent.storage_path.as_ref().map(|p| keys::path_key(ms, p));
-        c.insert(ent.clone(), at_version, pk, tree_key);
-    }
-
-    /// Look up an entity by name, given its tree-index key.
+    /// Look up an entity by name, given its tree-index key: one tree-index
+    /// read returns the whole entity (only active entities have tree rows).
     pub(crate) fn entity_by_name_key(
         &self,
         ms: &Uid,
         tree_key: &str,
     ) -> UcResult<Option<Arc<Entity>>> {
-        if !self.config.cache.enabled {
-            let rt = self.db.begin_read();
-            return self.db_entity_by_name(&rt, tree_key);
-        }
-        let cache = self.cache.for_metastore(ms);
-        self.entity_by_name_key_in(ms, &cache, tree_key)
-    }
-
-    /// [`UnityCatalog::entity_by_name_key`] against an already-resolved
-    /// metastore cache (callers that loop hold the `Arc` once). Requires
-    /// the cache to be enabled.
-    ///
-    /// The hit path takes no exclusive lock: an index probe, a seqlock
-    /// read of the version pin, and a sharded snapshot read. Misses read
-    /// the database at one snapshot, then serialize on the metastore's
-    /// write gate to reconcile/install.
-    pub(crate) fn entity_by_name_key_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        tree_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        let mut missed = false;
-        for _ in 0..8 {
-            // Yield outside the write gate: a parked client holds no lock.
-            sched::yield_point(sched::points::READ_LOOKUP);
-            if let Some(id) = cache.id_by_name(tree_key) {
-                let ver = cache.version();
-                if let Some(hit) = cache.get_at(&id, ver) {
-                    self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    history_read_event(ver);
-                    return Ok(hit);
-                }
-            }
-            // One logical lookup counts one miss, however many times a
-            // stale snapshot sends it around the loop (`stale_retries`
-            // counts those).
-            if !missed {
-                missed = true;
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_name_miss_in(ms, cache, tree_key)? {
-                MissLookup::Stale => continue,
-                MissLookup::Done(found) => return Ok(found),
-            }
-        }
-        // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_name_uncached(ms, tree_key)
-    }
-
-    /// One cold lookup round for [`Self::entity_by_name_key_in`]: read the
-    /// db at a snapshot, then reconcile/install under the write gate. The
-    /// cached-hit fast path returns before its call site, so nothing here
-    /// runs on the hot path (the linter prunes the closure at the
-    /// boundary pragma above).
-    fn entity_by_name_miss_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        tree_key: &str,
-    ) -> UcResult<MissLookup> {
-        let rt = self.db.begin_read();
-        let db_ver = read_ms_version(&rt, ms);
-        let found = self.db_entity_by_name(&rt, tree_key)?;
-        let _gate = cache.write_gate();
-        match db_ver.cmp(&cache.version()) {
-            std::cmp::Ordering::Less => {
-                // Stale snapshot (pin advanced past it); retry.
-                self.cache.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
-                return Ok(MissLookup::Stale);
-            }
-            std::cmp::Ordering::Greater => {
-                self.cache.reconcile(ms, cache, &self.db, db_ver, rt.snapshot_csn())
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver, Some(tree_key.to_string()));
-        }
-        history_read_event(db_ver);
-        Ok(MissLookup::Done(found))
-    }
-
-    /// Cache-bypassing name lookup at one db snapshot.
-    fn db_entity_by_name_uncached(&self, ms: &Uid, tree_key: &str) -> UcResult<Option<Arc<Entity>>> {
-        let rt = self.db.begin_read();
-        history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_name(&rt, tree_key)
+        self.cache.for_metastore(ms).read_through(
+            ms,
+            &self.db,
+            |c, ver| Some((c.get_at(&c.id_by_name(tree_key)?, ver)?, 1)),
+            |rt| {
+                let found = match rt.get(T_TREE, tree_key) {
+                    Some(raw) => Some(Arc::new(Entity::decode(&raw)?)),
+                    None => None,
+                };
+                let installs = found.iter().map(|e| (e.clone(), Some(tree_key.to_string()))).collect();
+                Ok((found, installs))
+            },
+        )
     }
 
     /// Look up an entity by id.
     pub(crate) fn entity_by_id(&self, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        if !self.config.cache.enabled {
-            let rt = self.db.begin_read();
-            return self.db_entity_by_id(&rt, ms, id);
-        }
-        let cache = self.cache.for_metastore(ms);
-        self.entity_by_id_in(ms, &cache, id)
+        self.entity_by_id_via(&self.cache.for_metastore(ms), ms, id)
     }
 
-    /// [`UnityCatalog::entity_by_id`] against an already-resolved metastore
-    /// cache; same locking discipline as [`Self::entity_by_name_key_in`].
-    pub(crate) fn entity_by_id_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        id: &Uid,
-    ) -> UcResult<Option<Arc<Entity>>> {
-        let mut missed = false;
-        for _ in 0..8 {
-            sched::yield_point(sched::points::READ_LOOKUP);
-            let ver = cache.version();
-            if let Some(hit) = cache.get_at(id, ver) {
-                self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                history_read_event(ver);
-                return Ok(hit);
-            }
-            if !missed {
-                missed = true;
-                self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-            }
-            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the write gate
-            match self.entity_by_id_miss_in(ms, cache, id)? {
-                MissLookup::Stale => continue,
-                MissLookup::Done(found) => return Ok(found),
-            }
-        }
-        // uc-lint: allow(hotpath) -- stale-retry budget exhausted: serve this read straight from a db snapshot
-        self.db_entity_by_id_uncached(ms, id)
-    }
-
-    /// One cold lookup round for [`Self::entity_by_id_in`]; see
-    /// [`Self::entity_by_name_miss_in`].
-    fn entity_by_id_miss_in(
-        &self,
-        ms: &Uid,
-        cache: &MsCache,
-        id: &Uid,
-    ) -> UcResult<MissLookup> {
-        let rt = self.db.begin_read();
-        let db_ver = read_ms_version(&rt, ms);
-        let found = self.db_entity_by_id(&rt, ms, id)?;
-        let _gate = cache.write_gate();
-        match db_ver.cmp(&cache.version()) {
-            std::cmp::Ordering::Less => {
-                self.cache.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
-                return Ok(MissLookup::Stale);
-            }
-            std::cmp::Ordering::Greater => {
-                self.cache.reconcile(ms, cache, &self.db, db_ver, rt.snapshot_csn())
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        if let Some(ent) = &found {
-            self.install_in_cache(cache, ms, ent, db_ver, None);
-        }
-        history_read_event(db_ver);
-        Ok(MissLookup::Done(found))
-    }
-
-    /// Cache-bypassing id lookup at one db snapshot.
-    fn db_entity_by_id_uncached(&self, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        let rt = self.db.begin_read();
-        history_read_event(read_ms_version(&rt, ms));
-        self.db_entity_by_id(&rt, ms, id)
+    /// [`Self::entity_by_id`] against an already-resolved metastore cache
+    /// (callers that loop resolve the `Arc` once).
+    fn entity_by_id_via(&self, cache: &MsCache, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
+        cache.read_through(
+            ms,
+            &self.db,
+            |c, ver| Some((c.get_at(id, ver)?, 1)),
+            |rt| {
+                let found = Self::db_entity_by_id(rt, ms, id)?;
+                let installs = found.iter().map(|e| (e.clone(), None)).collect();
+                Ok((found, installs))
+            },
+        )
     }
 
     /// Resolve a storage path to the asset covering it (§4.3.1 path-based
-    /// access). Checks the in-memory path map for the path and each of its
-    /// ancestors before falling back to the database.
+    /// access): the cached path index is probed for the path and each of
+    /// its ancestors; a miss resolves it in the database.
     pub(crate) fn entity_by_path(
         &self,
         ms: &Uid,
         path: &StoragePath,
     ) -> UcResult<Option<(Arc<Entity>, StoragePath)>> {
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
-        if let Some(c) = &cache {
-            let ver = c.version();
-            let mut candidate = Some(path.clone());
-            while let Some(p) = candidate {
-                if let Some(id) = c.id_by_path(&keys::path_key(ms, &p.to_string())) {
-                    if let Some(Some(hit)) = c.get_at(&id, ver) {
-                        self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Some((hit, p)));
+        self.cache.for_metastore(ms).read_through(
+            ms,
+            &self.db,
+            |c, ver| {
+                let mut candidate = Some(path.clone());
+                while let Some(p) = candidate {
+                    if let Some(id) = c.id_by_path(&keys::path_key(ms, &p.to_string())) {
+                        if let Some(Some(hit)) = c.get_at(&id, ver) {
+                            return Some((Some((hit, p)), 1));
+                        }
                     }
+                    candidate = p.parent();
                 }
-                candidate = p.parent();
-            }
-        }
-        // Database fallback at one snapshot.
-        let rt = self.db.begin_read();
-        let Some((id, registered)) = crate::model::paths::resolve_path(&rt, ms, path) else {
-            return Ok(None);
-        };
-        let found = self.db_entity_by_id(&rt, ms, &id)?;
-        if let Some(ent) = &found {
-            if let Some(c) = &cache {
-                let db_ver = read_ms_version(&rt, ms);
-                let _gate = c.write_gate();
-                if db_ver == c.version() {
-                    self.install_in_cache(c, ms, ent, db_ver, None);
-                }
-            }
-            Ok(Some((ent.clone(), registered)))
-        } else {
-            Ok(None)
-        }
+                None
+            },
+            |rt| {
+                let Some((id, registered)) = crate::model::paths::resolve_path(rt, ms, path) else {
+                    return Ok((None, Vec::new()));
+                };
+                Ok(match Self::db_entity_by_id(rt, ms, &id)? {
+                    Some(ent) => (Some((ent.clone(), registered)), vec![(ent, None)]),
+                    None => (None, Vec::new()),
+                })
+            },
+        )
     }
 
     // ------------------------------------------------------------------
@@ -954,13 +755,13 @@ impl UnityCatalog {
         ms: &Uid,
         mut f: impl FnMut(&mut WriteTxn, u64, &mut WriteEffects) -> UcResult<T>,
     ) -> UcResult<T> {
-        let cache_arc = self.cache.for_metastore(ms);
+        let cache = self.cache.for_metastore(ms);
         let mut attempts = 0;
         loop {
             // Interleaving-exploration yields bracket the attempt: before
             // the snapshot is taken, before the commit, and (below) after
             // the commit but before the cache apply. All are placed outside
-            // the write gate and the DB commit lock so a parked client
+            // the cache's gate and the DB commit lock so a parked client
             // never wedges the running one. No-ops outside scheduled runs.
             sched::yield_point(sched::points::WRITE_BEGIN);
             let mut tx = self.db.begin_write();
@@ -993,36 +794,8 @@ impl UnityCatalog {
                     // database commit and its write-through cache update:
                     // the commit is durable but this node's cache lags until
                     // a later read or reconcile observes db_ver > version.
-                    let skip_cache = self.config.faults.should_inject(points::CATALOG_CACHE_SKIP);
-                    if self.config.cache.enabled && !skip_cache {
-                        let _gate = cache_arc.write_gate();
-                        // A slow writer must never regress the shared pin:
-                        // if a later commit's apply (or a reader's
-                        // reconcile) already advanced past this write's
-                        // version, that reconcile consumed the changelog
-                        // through a CSN at or beyond this commit, so these
-                        // effects are already reflected — applying them now
-                        // would pin the cache to an older version and break
-                        // read-your-writes for every client on this node.
-                        if cache_arc.version() <= cur {
-                            if cache_arc.version() != cur {
-                                self.cache.reconcile(ms, &cache_arc, &self.db, cur + 1, csn);
-                            }
-                            for nk in &fx.dropped_names {
-                                cache_arc.remove_name_mapping(nk);
-                            }
-                            // Install effects first, advance the pin last:
-                            // concurrent readers at the old pin can't see
-                            // the new versions, and readers after the
-                            // advance see all of them.
-                            for (ent, tk) in &fx.upserts {
-                                self.install_in_cache(&cache_arc, ms, ent, cur + 1, Some(tk.clone()));
-                            }
-                            for id in &fx.tombstones {
-                                cache_arc.insert_tombstone(id, cur + 1);
-                            }
-                            cache_arc.advance(cur + 1, csn);
-                        }
+                    if !self.config.faults.should_inject(points::CATALOG_CACHE_SKIP) {
+                        cache.apply_write(ms, &self.db, cur, csn, &fx);
                     }
                     let now = self.now_ms();
                     for (id, kind, name, op) in fx.events {
@@ -1125,80 +898,48 @@ impl UnityCatalog {
                 push_level(SecurableKind::ModelVersion.name_group(), name.parts[3].as_str());
             }
         }
-        // Resolve the metastore cache once for the whole chain instead of
-        // re-probing the node-level map per segment.
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
-        if let Some(c) = &cache {
-            // Cached fast path: every level present under one version pin.
-            sched::yield_point(sched::points::READ_LOOKUP);
-            let ver = c.version();
-            let mut chain: Vec<Arc<Entity>> = Vec::with_capacity(level_keys.len());
-            for lk in level_keys.iter().rev() {
-                match c.id_by_name(lk).map(|id| c.get_at(&id, ver)) {
-                    Some(Some(Some(hit))) => chain.push(hit),
-                    Some(Some(None)) => {
-                        // Cached tombstone at this pin: the name is gone.
-                        self.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
-                        history_read_event(ver);
-                        return Err(not_found());
-                    }
-                    _ => {
-                        chain.clear();
-                        break;
-                    }
-                }
-            }
-            if chain.len() == level_keys.len() {
-                self.cache.stats.hits.fetch_add(chain.len() as u64, Ordering::Relaxed);
-                history_read_event(ver);
-                return Ok(chain);
-            }
-        }
-        let rt = self.db.begin_read();
         let Some(leaf_key) = level_keys.last() else {
             return Err(malformed());
         };
-        let rows = rt.scan_chain(T_TREE, leaf_key);
-        // The chain scan returns the metastore row plus the row at every
-        // existing level, shortest key first.
-        if rows.first().is_none_or(|(k, _)| *k != keys::tree_ms_prefix(ms)) {
-            return Err(UcError::NotFound(format!("metastore {ms}")));
-        }
-        if cache.is_some() {
-            self.cache.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let db_ver = read_ms_version(&rt, ms);
-        // One row per existing level, so a short chain means the name
-        // doesn't resolve (tree rows are removed on soft delete: presence
-        // implies active).
-        if rows.len() != level_keys.len() + 1 {
-            // The op still observed a snapshot: record it so checkers
-            // can place the not-found against a version.
-            history_read_event(db_ver);
-            return Err(not_found());
-        }
-        let mut ents = rows[1..]
-            .iter()
-            .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
-            .collect::<UcResult<Vec<_>>>()?;
-        if let Some(c) = &cache {
-            // Miss path only: the cached chain hit returns above without
-            // reaching the gate. (Not a lint pragma — the chain lookup is
-            // reached from resolve, not a hotpath root, so no hotpath
-            // diagnostic fires here.)
-            let _gate = c.write_gate();
-            if db_ver > c.version() {
-                self.cache.reconcile(ms, c, &self.db, db_ver, rt.snapshot_csn());
-            }
-            if db_ver == c.version() {
-                for (ent, lk) in ents.iter().zip(&level_keys) {
-                    self.install_in_cache(c, ms, ent, db_ver, Some(lk.clone()));
+        let found = self.cache.for_metastore(ms).read_through(
+            ms,
+            &self.db,
+            // Every level present under the one version pin, leaf first.
+            |c, ver| {
+                let mut chain: Vec<Arc<Entity>> = Vec::with_capacity(level_keys.len());
+                for lk in level_keys.iter().rev() {
+                    match c.get_at(&c.id_by_name(lk)?, ver)? {
+                        Some(hit) => chain.push(hit),
+                        // Cached tombstone at this pin: the name is gone.
+                        None => return Some((None, 1)),
+                    }
                 }
-            }
-        }
-        history_read_event(db_ver);
-        ents.reverse();
-        Ok(ents)
+                let served = chain.len() as u64;
+                Some((Some(chain), served))
+            },
+            |rt| {
+                // The chain scan returns the metastore row plus the row at
+                // every existing level, shortest key first.
+                let rows = rt.scan_chain(T_TREE, leaf_key);
+                if rows.first().is_none_or(|(k, _)| *k != keys::tree_ms_prefix(ms)) {
+                    return Err(UcError::NotFound(format!("metastore {ms}")));
+                }
+                // One row per existing level, so a short chain means the
+                // name doesn't resolve (tree rows are removed on soft
+                // delete: presence implies active).
+                if rows.len() != level_keys.len() + 1 {
+                    return Ok((None, Vec::new()));
+                }
+                let mut ents = rows[1..]
+                    .iter()
+                    .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
+                    .collect::<UcResult<Vec<_>>>()?;
+                let installs = ents.iter().cloned().zip(level_keys.iter().cloned().map(Some)).collect();
+                ents.reverse();
+                Ok((Some(ents), installs))
+            },
+        )?;
+        found.ok_or_else(not_found)
     }
 
     /// Force the node to revalidate a metastore's cache against the
@@ -1208,9 +949,6 @@ impl UnityCatalog {
     /// event-driven keeper — or a test — calls this to bound staleness
     /// explicitly.
     pub fn reconcile_metastore(&self, ms: &Uid) {
-        if !self.config.cache.enabled {
-            return;
-        }
         let _span = self.config.obs.span("catalog", "reconcile_metastore");
         // A dropped reconciliation pass (keeper lagging, event lost). The
         // next pass — or any read that observes a newer db version — will
@@ -1218,13 +956,7 @@ impl UnityCatalog {
         if self.config.faults.should_inject(points::CATALOG_RECONCILE_SKIP) {
             return;
         }
-        let rt = self.db.begin_read();
-        let db_ver = crate::cache::read_ms_version(&rt, ms);
-        let cache = self.cache.for_metastore(ms);
-        let _gate = cache.write_gate();
-        if db_ver > cache.version() {
-            self.cache.reconcile(ms, &cache, &self.db, db_ver, rt.snapshot_csn());
-        }
+        self.cache.for_metastore(ms).catch_up(ms, &self.db);
     }
 
     /// Chain from an entity up to (and including) the metastore entity.
@@ -1246,14 +978,8 @@ impl UnityCatalog {
         ms: &Uid,
         mut chain: Vec<Arc<Entity>>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let cache = self.config.cache.enabled.then(|| self.cache.for_metastore(ms));
-        let lookup = |id: &Uid| match &cache {
-            Some(c) => self.entity_by_id_in(ms, c, id),
-            None => {
-                let rt = self.db.begin_read();
-                self.db_entity_by_id(&rt, ms, id)
-            }
-        };
+        let cache = self.cache.for_metastore(ms);
+        let lookup = |id: &Uid| self.entity_by_id_via(&cache, ms, id);
         let mut guard = 0;
         while let Some(parent_id) = chain.last().and_then(|e| e.parent.clone()) {
             let parent = lookup(&parent_id)?

@@ -9,6 +9,10 @@
 //! conservative: an ambiguous call (unknown receiver, several same-name
 //! defs) produces NO edge rather than a guessed one, so the transitive
 //! rules inherit false negatives, never false positives, from the graph.
+//! A closure literal passed in a parameter position the callee invokes
+//! directly runs inside that callee, so its calls are added as the
+//! callee's edges too (`read_through(.., |c, v| c.get_at(..), ..)` makes
+//! `get_at` a callee of `read_through`).
 //!
 //! On top of the graph three summaries feed the interprocedural rules:
 //!
@@ -59,6 +63,8 @@ pub struct Def {
     /// First type identifier after `->` in the signature, unwrapped of
     /// reference/smart-pointer/result wrappers. Best-effort.
     pub ret_type: Option<String>,
+    /// See [`invoked_params`].
+    pub invoked: Vec<usize>,
 }
 
 /// One resolved call edge. A single textual call site that resolves to
@@ -70,6 +76,10 @@ pub struct Edge {
     pub line: u32,
     pub call_name: String,
     pub callee: usize,
+    /// Unit whose source holds the call site: the caller's own, except
+    /// for a closure-argument edge (see [`invoked_params`]), whose site
+    /// is in the function that wrote the closure literal.
+    pub site_unit: usize,
 }
 
 /// Witness edge per (def, acquired class): which call-graph edge first
@@ -209,14 +219,16 @@ fn collect_struct_fields(toks: &[Token], out: &mut BTreeMap<String, BTreeMap<Str
 }
 
 /// Parse the parameter list of the fn whose name token is at `name_idx`
-/// into `var -> type` entries (plus the return type).
+/// into `var -> type` entries, plus the return type and the typed
+/// parameters' names in order (`self` has no type and is not among them).
 fn fn_signature(
     toks: &[Token],
     name_idx: usize,
     body_open: usize,
-) -> (BTreeMap<String, String>, Option<String>) {
+) -> (BTreeMap<String, String>, Option<String>, Vec<String>) {
     let mut env = BTreeMap::new();
     let mut ret = None;
+    let mut names = Vec::new();
     // Find the parameter `(` (skipping a generic list).
     let mut i = name_idx + 1;
     let mut angle = 0i64;
@@ -232,7 +244,7 @@ fn fn_signature(
         i += 1;
     }
     if i >= body_open {
-        return (env, ret);
+        return (env, ret, names);
     }
     let mut depth = 0i64;
     let mut j = i;
@@ -252,6 +264,7 @@ fn fn_signature(
         {
             if let Some(ty) = type_head(toks, j + 2, body_open) {
                 env.insert(t.text.clone(), ty);
+                names.push(t.text.clone());
             }
         }
         j += 1;
@@ -265,7 +278,58 @@ fn fn_signature(
         }
         k += 1;
     }
-    (env, ret)
+    (env, ret, names)
+}
+
+/// Positions, among `params` (a fn's typed parameters in order), of the
+/// ones its body calls directly — `probe(..)` for a parameter named
+/// `probe`. A closure literal passed in such a position runs *inside*
+/// the fn, so the calls the literal makes are the fn's calls too: edge
+/// extraction adds them as closure-argument edges. A parameter that is
+/// only handed on (`self.miss_round(.., &load)`) is not in the set.
+fn invoked_params(toks: &[Token], params: &[String], body: (usize, usize)) -> Vec<usize> {
+    let called = |name: &String| {
+        (body.0 + 1..body.1).any(|i| {
+            is_ident(&toks[i], name)
+                && is_punct(&toks[i + 1], "(")
+                && !is_punct(&toks[i - 1], ".")
+                && !is_punct(&toks[i - 1], "::")
+        })
+    };
+    (0..params.len()).filter(|&k| called(&params[k])).collect()
+}
+
+/// Token range of the closure literal (`|..| body` / `move |..| body`)
+/// passed as argument number `pos` of the call whose `(` is at `lparen`,
+/// if that argument is one.
+fn closure_arg(toks: &[Token], lparen: usize, limit: usize, pos: usize) -> Option<(usize, usize)> {
+    let is_closure = |s: usize| is_punct(&toks[s], "|") || (is_ident(&toks[s], "move") && is_punct(&toks[s + 1], "|"));
+    let (mut depth, mut arg, mut start, mut k) = (0i64, 0usize, lparen + 1, lparen);
+    while k < limit {
+        let t = &toks[k];
+        if is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{") {
+            depth += 1;
+        } else if is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}") {
+            depth -= 1;
+        }
+        let end_of_arg = (depth == 1 && is_punct(t, ",")) || depth == 0;
+        if end_of_arg && arg == pos {
+            return (start < k && is_closure(start)).then_some((start, k));
+        }
+        if depth == 0 {
+            return None;
+        }
+        if end_of_arg {
+            arg += 1;
+            start = k + 1;
+        } else if depth == 1 && is_punct(t, "|") && (k == start || (k == start + 1 && is_ident(&toks[start], "move"))) {
+            // Skip the closure's parameter list: its commas are not
+            // argument separators.
+            k = (k + 1..limit).find(|&j| is_punct(&toks[j], "|")).unwrap_or(limit);
+        }
+        k += 1;
+    }
+    None
 }
 
 struct Resolver<'a> {
@@ -490,9 +554,9 @@ impl CallGraph {
                             && unit.lexed.tokens.get(i + 1).map(|t| t.text == f.name).unwrap_or(false)
                     })
                     .map(|i| i + 1);
-                let (_, ret_type) = match name_idx {
+                let (_, ret_type, params) = match name_idx {
                     Some(ni) => fn_signature(&unit.lexed.tokens, ni, body.0),
-                    None => (BTreeMap::new(), None),
+                    None => (BTreeMap::new(), None, Vec::new()),
                 };
                 let id = defs.len();
                 defs.push(Def {
@@ -507,6 +571,7 @@ impl CallGraph {
                     body,
                     has_yield,
                     ret_type,
+                    invoked: invoked_params(&unit.lexed.tokens, &params, body),
                 });
                 def_of_fn.insert((u, fi), id);
             }
@@ -542,6 +607,9 @@ impl CallGraph {
                     None => BTreeMap::new(),
                 };
                 let impl_type = d.impl_type.as_deref();
+                // Closure literals this body passes in a position the
+                // callee invokes: (token range, callee).
+                let mut inlined: Vec<((usize, usize), usize)> = Vec::new();
                 let mut i = open + 1;
                 while i < close {
                     let t = &toks[i];
@@ -604,12 +672,21 @@ impl CallGraph {
                             if callee == caller {
                                 continue;
                             }
-                            edges.push(Edge {
-                                caller,
-                                line: t.line,
-                                call_name: t.text.clone(),
-                                callee,
-                            });
+                            let hosts = inlined.iter().filter(|((s, e), _)| (*s..*e).contains(&i)).map(|(_, h)| *h);
+                            for from in std::iter::once(caller).chain(hosts).filter(|&f| f != callee) {
+                                edges.push(Edge {
+                                    caller: from,
+                                    line: t.line,
+                                    call_name: t.text.clone(),
+                                    callee,
+                                    site_unit: d.unit,
+                                });
+                            }
+                            for &pos in &defs[callee].invoked {
+                                if let Some(range) = closure_arg(toks, i + 1, close, pos) {
+                                    inlined.push((range, callee));
+                                }
+                            }
                         }
                     }
                     i += 1;
@@ -638,7 +715,7 @@ impl CallGraph {
         self.out[def]
             .iter()
             .map(|&ei| &self.edges[ei])
-            .filter(|e| e.line == line && e.call_name == name)
+            .filter(|e| e.line == line && e.call_name == name && e.site_unit == self.defs[def].unit)
             .map(|e| e.callee)
             .collect()
     }
@@ -857,9 +934,9 @@ pub fn hotpath_closure(graph: &CallGraph, units: &[Unit], roots: &[String]) -> H
     }
     while let Some(d) = queue.pop_front() {
         let chain = member.get(&d).cloned().unwrap_or_default();
-        let unit = &units[graph.defs[d].unit];
         for &ei in &graph.out[d] {
             let e = &graph.edges[ei];
+            let unit = &units[e.site_unit];
             // Pragma pruning: a hotpath pragma covering the call line
             // marks the cold boundary.
             let pruned = unit.lexed.pragmas.iter().find(|p| {
@@ -869,7 +946,7 @@ pub fn hotpath_closure(graph: &CallGraph, units: &[Unit], roots: &[String]) -> H
                     && (p.line == e.line || p.line + 1 == e.line)
             });
             if let Some(p) = pruned {
-                used.insert((graph.defs[d].file.clone(), p.line));
+                used.insert((unit.rel.clone(), p.line));
                 continue;
             }
             if let std::collections::btree_map::Entry::Vacant(v) = member.entry(e.callee) {
@@ -962,6 +1039,33 @@ mod tests {
         let g = CallGraph::build(&[u]);
         let e = g.edges.iter().find(|e| g.defs[e.caller].name == "enter").expect("edge");
         assert_eq!(g.defs[e.callee].name, "counter");
+    }
+
+    #[test]
+    fn closure_literal_runs_inside_the_callee_that_invokes_it() {
+        // `cached` calls `probe` itself and only hands `load` on, so the
+        // first literal's calls are `cached`'s calls (site: the file that
+        // wrote the literal) and the second literal's are not.
+        let host = unit(
+            "crates/a/src/cache.rs",
+            "a",
+            "pub fn cached(k: u32, probe: impl Fn(u32) -> u32, load: impl Fn() -> u32) -> u32 {\n\
+             probe(k) + miss(&load) }\n\
+             fn miss(load: &impl Fn() -> u32) -> u32 { load() }",
+        );
+        let user = unit(
+            "crates/a/src/svc.rs",
+            "a",
+            "pub fn lookup(k: u32) -> u32 { cached(k, move |a, _b| hit_leaf(a), || cold_leaf()) }\n\
+             fn hit_leaf(a: u32) -> u32 { a }\n\
+             fn cold_leaf() -> u32 { 0 }",
+        );
+        let g = CallGraph::build(&[host, user]);
+        let from_cached: Vec<&Edge> = g.edges.iter().filter(|e| g.defs[e.caller].name == "cached").collect();
+        let callees: Vec<&str> = from_cached.iter().map(|e| g.defs[e.callee].name.as_str()).collect();
+        assert_eq!(callees, ["hit_leaf", "miss"]);
+        assert_eq!(from_cached[0].site_unit, 1, "the call site is in svc.rs");
+        assert!(g.callees_at(from_cached[0].caller, 1, "hit_leaf").is_empty(), "not a call site of cached's own body");
     }
 
     #[test]

@@ -404,16 +404,22 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     report.defs_count = graph.defs.len();
     report.call_edges_count = graph.edges.len();
     {
-        let mut pairs: BTreeMap<(String, String), u32> = BTreeMap::new();
+        // A closure-argument edge's site is in another function's
+        // source; name that file so the line is not misread.
+        let mut pairs: BTreeMap<(String, String), (u32, Option<&str>)> = BTreeMap::new();
         for e in &graph.edges {
             let key = (graph.defs[e.caller].key.clone(), graph.defs[e.callee].key.clone());
-            let entry = pairs.entry(key).or_insert(e.line);
-            if e.line < *entry {
-                *entry = e.line;
+            let foreign = (e.site_unit != graph.defs[e.caller].unit).then(|| units[e.site_unit].rel.as_str());
+            let entry = pairs.entry(key).or_insert((e.line, foreign));
+            if e.line < entry.0 {
+                *entry = (e.line, foreign);
             }
         }
-        for ((caller, callee), line) in &pairs {
-            report.call_graph.push(format!("{caller} -> {callee}  [{line}]"));
+        for ((caller, callee), (line, foreign)) in &pairs {
+            report.call_graph.push(match foreign {
+                None => format!("{caller} -> {callee}  [{line}]"),
+                Some(file) => format!("{caller} -> {callee}  [closure at {file}:{line}]"),
+            });
         }
     }
 

@@ -100,3 +100,23 @@ pub fn hot_labeled(m: &Fam, id: u32) {
     m.inc("t=fixed"); // literal label: no diagnostic
     m.record("t=fixed", 5); // literal label: no diagnostic
 }
+
+pub fn hot_cached(a: &S, probe: impl Fn(&S) -> u32, load: impl Fn(&S) -> u32) -> u32 {
+    let hit = probe(a); // invoked here: a closure literal passed as `probe` runs on the hot path
+    // uc-lint: allow(hotpath) -- hot/cold boundary: `load` is only handed on to the miss path
+    hit + cold_load(a, &load)
+}
+
+fn cold_load(a: &S, load: &impl Fn(&S) -> u32) -> u32 {
+    load(a)
+}
+
+pub fn cached_lookup(a: &S) -> u32 {
+    hot_cached(a, |s| probe_state(s), |s| { lock_tables(s); 0 }) // only the first closure is hot
+}
+
+fn probe_state(s: &S) -> u32 {
+    let g = s.state.read(); // hotpath: reached through the closure passed as `probe`
+    drop(g);
+    1
+}

@@ -27,7 +27,7 @@ use uc_catalog::cache::CacheConfig;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
-use uc_cloudstore::ObjectStore;
+use uc_cloudstore::{AccessLevel, ObjectStore};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_txdb::Db;
 
@@ -110,6 +110,19 @@ fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
                         Ok(ent) => {
                             if ent.name != stable || !ent.is_active() {
                                 torn.fetch_add(1, Ordering::Relaxed);
+                            }
+                            // The path index rides the same protocol: a
+                            // stable table's storage path resolves to that
+                            // table (the token is scoped to its path)
+                            // however the writer's applies interleave.
+                            if i % 3 == 0 {
+                                let path = ent.storage_path.as_deref().expect("managed table path");
+                                let tok = uc
+                                    .temp_credentials_for_path(&ctx, &ms, path, AccessLevel::Read)
+                                    .expect("stable table path must resolve");
+                                if tok.scope.to_string() != path {
+                                    torn.fetch_add(1, Ordering::Relaxed);
+                                }
                             }
                         }
                         Err(e) => panic!("stable table lookup failed: {e}"),

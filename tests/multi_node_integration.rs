@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use uc_bench::{World, WorldConfig, ADMIN};
+use uc_catalog::model::keys;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::sharding::ShardRouter;
@@ -188,10 +189,68 @@ fn cold_node_bootstraps_cache_from_db_reads() {
             cold.get_table(&ctx, &world.ms, &format!("main.s.t{i}")).unwrap();
         }
     }
-    let hits = cold.cache_stats().hits.load(std::sync::atomic::Ordering::Relaxed);
-    let misses = cold.cache_stats().misses.load(std::sync::atomic::Ordering::Relaxed);
+    let stats = cold.cache_stats();
+    let (hits, misses) = (stats.hits.get(), stats.misses.get());
     assert!(hits > 0, "second pass must hit");
     assert!(misses > 0, "first pass must miss");
+
+    // A path read follows the same rule as a name read. The other node
+    // creates a table the cold node has never seen: resolving its storage
+    // path is one miss (which also reconciles the lagging cache), and the
+    // install makes the next call a hit that reads nothing.
+    let spec = TableSpec::managed("main.s.late", schema()).unwrap();
+    let path = world.uc.create_table(&ctx, &world.ms, spec).unwrap().storage_path.clone().unwrap();
+    let vend = || cold.temp_credentials_for_path(&ctx, &world.ms, &path, uc_cloudstore::AccessLevel::Read);
+    vend().unwrap();
+    assert_eq!(stats.misses.get(), misses + 1, "a path miss is one cache miss");
+    let (hits, db_reads) = (stats.hits.get(), world.db.stats().reads());
+    vend().unwrap();
+    assert!(stats.hits.get() > hits, "the installed path entry must hit");
+    assert_eq!(world.db.stats().reads(), db_reads, "a cached path read touches no database row");
+}
+
+#[test]
+fn creates_under_a_parent_dropped_on_another_node_are_not_found() {
+    // Node A authorizes creates against its cached chain; node B drops the
+    // parent. A's cache is not told (no read of A's reaches the database),
+    // so only the write transaction can notice: every create re-reads its
+    // parent there and answers NotFound instead of committing an
+    // unreachable tree row — or a path registration that would block the
+    // prefix forever — under the soft-deleted container.
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    let ms = &world.ms;
+    let node_a = &world.uc;
+    node_a.create_catalog(&ctx, ms, "main").unwrap();
+    node_a.create_schema(&ctx, ms, "main", "s").unwrap();
+    node_a.create_catalog(&ctx, ms, "doomed").unwrap();
+    let name = |n: &str| FullName::parse(n).unwrap();
+    // Warm A (write-through already cached the chain; this proves it).
+    node_a.get_securable(&ctx, ms, &name("main.s"), "schema").unwrap();
+
+    let node_b = spawn_node(&world, "node-b");
+    node_b.drop_securable(&ctx, ms, &name("main.s"), "schema").unwrap();
+    node_b.drop_securable(&ctx, ms, &name("doomed"), "catalog").unwrap();
+    node_a.get_securable(&ctx, ms, &name("main.s"), "schema").expect("A still serves its cached chain");
+
+    let rows = |table: &str, prefix: String| world.db.begin_read().scan_prefix(table, &prefix).len();
+    let tree_rows = || rows(keys::T_TREE, keys::tree_ms_prefix(ms));
+    let path_rows = || rows(keys::T_PATH, keys::path_ms_prefix(ms));
+    let (tree_before, paths_before) = (tree_rows(), path_rows());
+    let not_found = |what: &str, r: uc_catalog::UcResult<Arc<uc_catalog::Entity>>| {
+        assert!(matches!(r, Err(uc_catalog::UcError::NotFound(_))), "{what}: expected NotFound, got {r:?}");
+    };
+    not_found("create_view", node_a.create_view(&ctx, ms, &name("main.s.v"), "SELECT 1", schema(), &[]));
+    not_found("create_volume", node_a.create_volume(&ctx, ms, &name("main.s.vol"), None));
+    not_found("create_function", node_a.create_function(&ctx, ms, &name("main.s.f"), "1"));
+    not_found("create_registered_model", node_a.create_registered_model(&ctx, ms, &name("main.s.m")));
+    not_found("create_schema", node_a.create_schema(&ctx, ms, "doomed", "s"));
+    // Once the tombstones are purged the parent row is absent rather than
+    // soft-deleted: still NotFound, not a `dangling parent` database error.
+    node_b.purge_soft_deleted(ms).unwrap();
+    not_found("create_volume after purge", node_a.create_volume(&ctx, ms, &name("main.s.vol"), None));
+    assert_eq!(tree_rows(), tree_before, "no tree row under a dropped parent");
+    assert_eq!(path_rows(), paths_before, "no path registered under a dropped parent");
 }
 
 #[test]
