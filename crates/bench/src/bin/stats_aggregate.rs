@@ -125,10 +125,9 @@ fn main() {
             vec!["txdb commits".into(), counter("txdb.commit.count").to_string()],
         ],
     );
-    // 503, not 502: one of the writes re-enters a public API internally,
-    // and the counter meters entries, not client requests. Deterministic
-    // either way, which is what the snapshot gate cares about.
-    assert_eq!(api_calls, 503, "2 writes (+1 nested entry) + 500 reads");
+    // The counter meters client requests: no write re-enters a public
+    // API internally.
+    assert_eq!(api_calls, 502, "2 writes + 500 reads");
 
     // The dimensional-telemetry conservation law: for every op, the
     // per-tenant labeled values (registered slots + overflow) sum exactly

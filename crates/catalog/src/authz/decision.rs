@@ -80,8 +80,11 @@ impl<T: AuthzNodeView> AuthzNodeView for std::sync::Arc<T> {
     }
 }
 
-/// Administrative authority over `chain[0]` (see
-/// [`SecurableAuthz::has_admin_authority`]).
+/// Administrative authority over `chain[0]`: metastore admin, owner of the
+/// object or any ancestor, or a MANAGE/ALL grant on the object or any
+/// ancestor. Confers management rights (grant, transfer, drop, update)
+/// over the object — but NOT data access (§3.3: a schema owner does not
+/// automatically gain SELECT on its tables).
 pub fn has_admin_authority<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     if who.is_metastore_admin {
         return true;
@@ -95,8 +98,10 @@ pub fn has_admin_authority<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) ->
     })
 }
 
-/// Does the caller hold `privilege` on `chain[0]`? (See
-/// [`SecurableAuthz::has_privilege`].)
+/// Does the caller hold `privilege` on `chain[0]`? True if they own the
+/// object itself (owners hold all privileges on their object), or a
+/// matching grant (the privilege itself or ALL) exists on the object or
+/// any ancestor (privilege inheritance, §3.3).
 pub fn has_privilege<N: AuthzNodeView>(
     chain: &[N],
     who: &AuthzContext,
@@ -114,7 +119,9 @@ pub fn has_privilege<N: AuthzNodeView>(
     })
 }
 
-/// The USE chain requirement (see [`SecurableAuthz::can_traverse`]).
+/// The USE chain requirement: USE CATALOG on the catalog ancestor and
+/// USE SCHEMA on the schema ancestor (owners of those containers and
+/// metastore admins pass implicitly for their container).
 pub fn can_traverse<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     if who.is_metastore_admin {
         return true;
@@ -134,8 +141,8 @@ pub fn can_traverse<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     true
 }
 
-/// Can the caller see `chain[0]`'s metadata at all? (See
-/// [`SecurableAuthz::can_see`].)
+/// Can the caller see `chain[0]`'s metadata at all? Any privilege,
+/// ownership anywhere in the chain, or admin authority qualifies.
 pub fn can_see<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     if has_admin_authority(chain, who) {
         return true;
@@ -145,85 +152,60 @@ pub fn can_see<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     })
 }
 
-/// Full data-access decision for reading: traversal plus the kind's read
-/// privilege.
-pub fn can_read_data<N: AuthzNodeView>(
-    chain: &[N],
-    who: &AuthzContext,
-    read_privilege: Privilege,
-) -> bool {
-    can_traverse(chain, who) && has_privilege(chain, who, read_privilege)
+/// What an operation requires of the caller on `chain[0]` — the closed set
+/// of rules the service asks for. Every allow / deny is [`decide`] over
+/// one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Need<'a> {
+    /// The caller is a metastore admin.
+    MetastoreAdmin,
+    /// Metastore admin, or the privilege held on the metastore (the chain
+    /// is the metastore alone): the `CREATE_*` rights for top-level
+    /// securables.
+    MetastoreAdminOr(Privilege),
+    /// [`has_admin_authority`].
+    Admin,
+    /// Admin authority, or any one of these privileges held.
+    AdminOrAny(&'a [Privilege]),
+    /// The data-access rule, for reads and writes alike: the USE chain
+    /// ([`can_traverse`]) plus the privilege held.
+    Data(Privilege),
+    /// [`has_privilege`] alone (no traversal requirement).
+    Holds(Privilege),
+    /// [`can_see`].
+    See,
 }
 
-/// Full data-access decision for writing.
-pub fn can_write_data<N: AuthzNodeView>(
-    chain: &[N],
-    who: &AuthzContext,
-    write_privilege: Privilege,
-) -> bool {
-    can_traverse(chain, who) && has_privilege(chain, who, write_privilege)
+impl std::fmt::Display for Need<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Need::MetastoreAdmin => f.write_str("metastore admin"),
+            Need::MetastoreAdminOr(p) => write!(f, "metastore admin or {p} on the metastore"),
+            Need::Admin => f.write_str("admin authority"),
+            Need::AdminOrAny(ps) => {
+                f.write_str("admin authority")?;
+                ps.iter().try_for_each(|p| write!(f, " or {p}"))
+            }
+            Need::Data(p) => write!(f, "{p} (plus USE on containers)"),
+            Need::Holds(p) => write!(f, "{p}"),
+            Need::See => f.write_str("visibility"),
+        }
+    }
 }
 
-/// A securable plus its ancestor chain: `chain[0]` is the object itself,
-/// the last element is the metastore.
-#[derive(Debug, Clone)]
-pub struct SecurableAuthz {
-    pub chain: Vec<AuthzNode>,
-}
-
-impl SecurableAuthz {
-    pub fn new(chain: Vec<AuthzNode>) -> Self {
-        SecurableAuthz { chain }
-    }
-
-    fn object(&self) -> &AuthzNode {
-        &self.chain[0]
-    }
-
-    /// Owner of the object itself.
-    pub fn is_owner(&self, who: &AuthzContext) -> bool {
-        who.matches(&self.object().owner)
-    }
-
-    /// Administrative authority: metastore admin, owner of the object or
-    /// any ancestor, or a MANAGE/ALL grant on the object or any ancestor.
-    /// Confers management rights (grant, transfer, drop, update) over the
-    /// object — but NOT data access (§3.3: a schema owner does not
-    /// automatically gain SELECT on its tables).
-    pub fn has_admin_authority(&self, who: &AuthzContext) -> bool {
-        has_admin_authority(&self.chain, who)
-    }
-
-    /// Does the caller hold `privilege` on the object? True if they own
-    /// the object itself (owners hold all privileges on their object), or
-    /// a matching grant (the privilege itself or ALL) exists on the object
-    /// or any ancestor (privilege inheritance, §3.3).
-    pub fn has_privilege(&self, who: &AuthzContext, privilege: Privilege) -> bool {
-        has_privilege(&self.chain, who, privilege)
-    }
-
-    /// The USE chain requirement: USE CATALOG on the catalog ancestor and
-    /// USE SCHEMA on the schema ancestor (owners of those containers and
-    /// metastore admins pass implicitly for their container).
-    pub fn can_traverse(&self, who: &AuthzContext) -> bool {
-        can_traverse(&self.chain, who)
-    }
-
-    /// Can the caller see this object's metadata at all? Any privilege,
-    /// ownership anywhere in the chain, or admin authority qualifies.
-    pub fn can_see(&self, who: &AuthzContext) -> bool {
-        can_see(&self.chain, who)
-    }
-
-    /// Full data-access decision for reading: traversal plus the kind's
-    /// read privilege.
-    pub fn can_read_data(&self, who: &AuthzContext, read_privilege: Privilege) -> bool {
-        can_read_data(&self.chain, who, read_privilege)
-    }
-
-    /// Full data-access decision for writing.
-    pub fn can_write_data(&self, who: &AuthzContext, write_privilege: Privilege) -> bool {
-        can_write_data(&self.chain, who, write_privilege)
+/// The one decision procedure: does `who` meet `need` on `chain[0]`?
+/// `chain` is the securable followed by its ancestors up to the metastore.
+pub fn decide<N: AuthzNodeView>(chain: &[N], who: &AuthzContext, need: Need<'_>) -> bool {
+    match need {
+        Need::MetastoreAdmin => who.is_metastore_admin,
+        Need::MetastoreAdminOr(p) => who.is_metastore_admin || has_privilege(chain, who, p),
+        Need::Admin => has_admin_authority(chain, who),
+        Need::AdminOrAny(ps) => {
+            has_admin_authority(chain, who) || ps.iter().any(|p| has_privilege(chain, who, *p))
+        }
+        Need::Data(p) => can_traverse(chain, who) && has_privilege(chain, who, p),
+        Need::Holds(p) => has_privilege(chain, who, p),
+        Need::See => can_see(chain, who),
     }
 }
 
@@ -245,13 +227,13 @@ mod tests {
         table_grants: &[(&str, Privilege)],
         schema_grants: &[(&str, Privilege)],
         catalog_grants: &[(&str, Privilege)],
-    ) -> SecurableAuthz {
-        SecurableAuthz::new(vec![
+    ) -> Vec<AuthzNode> {
+        vec![
             node("t", SecurableKind::Table, "table_owner", table_grants),
             node("s", SecurableKind::Schema, "schema_owner", schema_grants),
             node("c", SecurableKind::Catalog, "catalog_owner", catalog_grants),
             node("m", SecurableKind::Metastore, "ms_admin", &[]),
-        ])
+        ]
     }
 
     fn user(name: &str) -> AuthzContext {
@@ -265,7 +247,7 @@ mod tests {
             &[("alice", Privilege::UseSchema)],
             &[("alice", Privilege::UseCatalog)],
         );
-        assert!(c.can_read_data(&user("alice"), Privilege::Select));
+        assert!(decide(&c, &user("alice"), Need::Data(Privilege::Select)));
     }
 
     #[test]
@@ -275,9 +257,9 @@ mod tests {
             &[("alice", Privilege::UseSchema)],
             &[], // no USE CATALOG
         );
-        assert!(c.has_privilege(&user("alice"), Privilege::Select));
-        assert!(!c.can_traverse(&user("alice")));
-        assert!(!c.can_read_data(&user("alice"), Privilege::Select));
+        assert!(has_privilege(&c, &user("alice"), Privilege::Select));
+        assert!(!can_traverse(&c, &user("alice")));
+        assert!(!decide(&c, &user("alice"), Need::Data(Privilege::Select)));
     }
 
     #[test]
@@ -287,17 +269,17 @@ mod tests {
             &[("alice", Privilege::UseSchema)],
             &[("alice", Privilege::Select), ("alice", Privilege::UseCatalog)],
         );
-        assert!(c.can_read_data(&user("alice"), Privilege::Select));
+        assert!(decide(&c, &user("alice"), Need::Data(Privilege::Select)));
     }
 
     #[test]
     fn all_privileges_grant_implies_everything() {
         let c = chain(&[], &[], &[("alice", Privilege::All)]);
         let alice = user("alice");
-        assert!(c.has_privilege(&alice, Privilege::Select));
-        assert!(c.has_privilege(&alice, Privilege::Modify));
-        assert!(c.can_traverse(&alice), "ALL covers USE privileges too");
-        assert!(c.has_admin_authority(&alice));
+        assert!(has_privilege(&c, &alice, Privilege::Select));
+        assert!(has_privilege(&c, &alice, Privilege::Modify));
+        assert!(can_traverse(&c, &alice), "ALL covers USE privileges too");
+        assert!(has_admin_authority(&c, &alice));
     }
 
     #[test]
@@ -308,30 +290,30 @@ mod tests {
             &[("analysts", Privilege::UseCatalog)],
         );
         let mut bob = user("bob");
-        assert!(!c.can_read_data(&bob, Privilege::Select));
+        assert!(!decide(&c, &bob, Need::Data(Privilege::Select)));
         bob.groups.insert("analysts".to_string());
-        assert!(c.can_read_data(&bob, Privilege::Select));
+        assert!(decide(&c, &bob, Need::Data(Privilege::Select)));
     }
 
     #[test]
     fn table_owner_holds_all_privileges_on_table_but_still_needs_use_chain() {
         let c = chain(&[], &[], &[]);
         let owner = user("table_owner");
-        assert!(c.has_privilege(&owner, Privilege::Select));
-        assert!(c.has_privilege(&owner, Privilege::Modify));
+        assert!(has_privilege(&c, &owner, Privilege::Select));
+        assert!(has_privilege(&c, &owner, Privilege::Modify));
         // but traversal still requires USE on containers
-        assert!(!c.can_traverse(&owner));
-        assert!(!c.can_read_data(&owner, Privilege::Select));
+        assert!(!can_traverse(&c, &owner));
+        assert!(!decide(&c, &owner, Need::Data(Privilege::Select)));
     }
 
     #[test]
     fn schema_owner_has_admin_authority_but_no_data_access() {
         let c = chain(&[], &[], &[]);
         let schema_owner = user("schema_owner");
-        assert!(c.has_admin_authority(&schema_owner));
+        assert!(has_admin_authority(&c, &schema_owner));
         // the separation the paper calls out for regulated environments:
-        assert!(!c.has_privilege(&schema_owner, Privilege::Select));
-        assert!(!c.can_read_data(&schema_owner, Privilege::Select));
+        assert!(!has_privilege(&c, &schema_owner, Privilege::Select));
+        assert!(!decide(&c, &schema_owner, Need::Data(Privilege::Select)));
     }
 
     #[test]
@@ -339,8 +321,8 @@ mod tests {
         let c = chain(&[("ops", Privilege::Manage)], &[], &[]);
         let mut carol = user("carol");
         carol.groups.insert("ops".to_string());
-        assert!(c.has_admin_authority(&carol));
-        assert!(!c.has_privilege(&carol, Privilege::Select));
+        assert!(has_admin_authority(&c, &carol));
+        assert!(!has_privilege(&c, &carol, Privilege::Select));
     }
 
     #[test]
@@ -348,7 +330,7 @@ mod tests {
         let c = chain(&[], &[], &[("ops", Privilege::Manage)]);
         let mut carol = user("carol");
         carol.groups.insert("ops".to_string());
-        assert!(c.has_admin_authority(&carol));
+        assert!(has_admin_authority(&c, &carol));
     }
 
     #[test]
@@ -356,41 +338,85 @@ mod tests {
         let c = chain(&[], &[], &[]);
         let mut admin = user("root");
         admin.is_metastore_admin = true;
-        assert!(c.has_admin_authority(&admin));
-        assert!(c.can_traverse(&admin));
-        assert!(!c.has_privilege(&admin, Privilege::Select));
+        assert!(has_admin_authority(&c, &admin));
+        assert!(can_traverse(&c, &admin));
+        assert!(!has_privilege(&c, &admin, Privilege::Select));
     }
 
     #[test]
     fn use_grant_on_schema_does_not_leak_to_catalog() {
         // USE SCHEMA granted on the schema, but USE CATALOG missing.
         let c = chain(&[("alice", Privilege::Select), ("alice", Privilege::UseSchema)], &[], &[]);
-        assert!(!c.can_traverse(&user("alice")));
+        assert!(!can_traverse(&c, &user("alice")));
     }
 
     #[test]
     fn use_catalog_granted_on_metastore_inherits_to_catalog() {
         let mut c = chain(&[("alice", Privilege::Select)], &[("alice", Privilege::UseSchema)], &[]);
         // grant USE CATALOG at the metastore level
-        c.chain[3].grants.push(("alice".to_string(), Privilege::UseCatalog));
-        assert!(c.can_traverse(&user("alice")));
+        c[3].grants.push(("alice".to_string(), Privilege::UseCatalog));
+        assert!(can_traverse(&c, &user("alice")));
     }
 
     #[test]
     fn can_see_with_any_grant() {
         let c = chain(&[("alice", Privilege::Select)], &[], &[]);
-        assert!(c.can_see(&user("alice")));
-        assert!(!c.can_see(&user("mallory")));
-        assert!(c.can_see(&user("schema_owner")), "ancestors' owners see descendants");
+        assert!(can_see(&c, &user("alice")));
+        assert!(!can_see(&c, &user("mallory")));
+        assert!(can_see(&c, &user("schema_owner")), "ancestors' owners see descendants");
     }
 
     #[test]
     fn default_is_deny() {
         let c = chain(&[], &[], &[]);
         let nobody = user("nobody");
-        assert!(!c.has_privilege(&nobody, Privilege::Select));
-        assert!(!c.can_traverse(&nobody));
-        assert!(!c.can_see(&nobody));
-        assert!(!c.has_admin_authority(&nobody));
+        assert!(!has_privilege(&c, &nobody, Privilege::Select));
+        assert!(!can_traverse(&c, &nobody));
+        assert!(!can_see(&c, &nobody));
+        assert!(!has_admin_authority(&c, &nobody));
+    }
+
+    /// One row per [`Need`] variant: a principal the rule allows through a
+    /// direct grant, the same grant reaching a group member, a principal
+    /// it refuses, and what a metastore admin with no grant at all gets —
+    /// admins traverse and administer but hold no data privilege.
+    #[test]
+    fn every_need_allows_denies_and_treats_admins_as_specified() {
+        // The chain in which `who` holds `grant` (plus the USE chain), or
+        // the metastore alone carrying that grant.
+        fn build(who: &str, grant: Privilege, ms_only: bool) -> Vec<AuthzNode> {
+            if ms_only {
+                return vec![node("m", SecurableKind::Metastore, "ms_owner", &[(who, grant)])];
+            }
+            chain(&[(who, grant)], &[(who, Privilege::UseSchema)], &[(who, Privilege::UseCatalog)])
+        }
+        let create = [Privilege::CreateTable, Privilege::WriteVolume];
+        // (need, a grant that meets it — none does for the admin bit —,
+        //  metastore-only chain?, met by a grantless metastore admin?)
+        let rows = [
+            (Need::MetastoreAdmin, None, false, true),
+            (Need::MetastoreAdminOr(Privilege::CreateCatalog), Some(Privilege::CreateCatalog), true, true),
+            (Need::Admin, Some(Privilege::Manage), false, true),
+            (Need::AdminOrAny(&create), Some(Privilege::WriteVolume), false, true),
+            (Need::Data(Privilege::Select), Some(Privilege::Select), false, false),
+            (Need::Holds(Privilege::Modify), Some(Privilege::Modify), false, false),
+            (Need::See, Some(Privilege::Select), false, true),
+        ];
+        let mut member = user("bob");
+        member.groups.insert("team".to_string());
+        let mut admin = user("root");
+        admin.is_metastore_admin = true;
+        for (need, grant, ms_only, admin_allowed) in rows {
+            let of = |who| build(who, grant.unwrap_or(Privilege::All), ms_only);
+            assert_eq!(decide(&of("alice"), &user("alice"), need), grant.is_some(), "{need}: direct grant");
+            assert_eq!(decide(&of("team"), &member, need), grant.is_some(), "{need}: group member");
+            assert!(!decide(&of("alice"), &user("mallory"), need), "{need}: no grant");
+            assert!(!decide(&of("team"), &user("bob"), need), "{need}: not in the group");
+            assert_eq!(decide(&chain(&[], &[], &[]), &admin, need), admin_allowed, "{need}: metastore admin");
+        }
+        // The data rule is one rule: a privilege without the USE chain is refused.
+        let no_use = chain(&[("alice", Privilege::Modify)], &[], &[]);
+        assert!(decide(&no_use, &user("alice"), Need::Holds(Privilege::Modify)));
+        assert!(!decide(&no_use, &user("alice"), Need::Data(Privilege::Modify)));
     }
 }

@@ -22,6 +22,6 @@ pub mod fgac;
 pub mod privilege;
 
 pub use abac::{AbacEffect, AbacPolicy};
-pub use decision::{AuthzContext, AuthzNode, SecurableAuthz};
+pub use decision::{decide, AuthzContext, AuthzNode, Need};
 pub use fgac::{ColumnMaskPolicy, RowFilterPolicy};
 pub use privilege::Privilege;

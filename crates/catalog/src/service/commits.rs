@@ -17,6 +17,7 @@ use uc_delta::error::{DeltaError, DeltaResult};
 use uc_delta::log::CommitCoordinator;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
@@ -36,32 +37,30 @@ pub struct TableCommit {
 }
 
 impl UnityCatalog {
-    /// Authorize MODIFY on a table by id.
-    fn authorize_table_write(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<Arc<Entity>> {
+    /// Authorize data access (`privilege` plus the USE chain) on a table
+    /// addressed by id, auditing a refusal under the calling op's `action`.
+    fn authorize_table(
+        &self,
+        ctx: &Context,
+        ms: &Uid,
+        table_id: &Uid,
+        privilege: Privilege,
+        action: &str,
+    ) -> UcResult<Arc<Entity>> {
         let entity = self
             .entity_by_id(ms, table_id)?
             .ok_or_else(|| UcError::NotFound(table_id.to_string()))?;
-        let full = self.chain_from_entity(ms, entity.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !authz.can_write_data(&who, Privilege::Modify) {
-            self.record_audit(&ctx.principal, "commitTable", Some(table_id), AuditDecision::Deny, "");
-            return Err(UcError::PermissionDenied("MODIFY required to commit".into()));
-        }
-        Ok(entity)
+        let full = self.chain_from_entity(ms, entity)?;
+        self.gate(ctx, &full, Need::Data(privilege), action, "")?;
+        Ok(full[0].clone())
     }
 
+    /// SELECT on a table by id. `latest_table_version` is declared
+    /// unaudited in `KNOWN_OPS`, yet its refusals have always been audited
+    /// under the commit-read action; the literal stays here, shared by the
+    /// two read ops, so that trail is unchanged.
     fn authorize_table_read(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<Arc<Entity>> {
-        let entity = self
-            .entity_by_id(ms, table_id)?
-            .ok_or_else(|| UcError::NotFound(table_id.to_string()))?;
-        let full = self.chain_from_entity(ms, entity.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).can_read_data(&who, Privilege::Select) {
-            self.record_audit(&ctx.principal, "readTableCommit", Some(table_id), AuditDecision::Deny, "");
-            return Err(UcError::PermissionDenied("SELECT required to read commits".into()));
-        }
-        Ok(entity)
+        self.authorize_table(ctx, ms, table_id, Privilege::Select, "readTableCommit")
     }
 
     /// Commit one table version through the catalog.
@@ -93,7 +92,7 @@ impl UnityCatalog {
             return Ok(());
         }
         for c in &commits {
-            self.authorize_table_write(ctx, ms, &c.table_id)?;
+            self.authorize_table(ctx, ms, &c.table_id, Privilege::Modify, "commitTable")?;
         }
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {

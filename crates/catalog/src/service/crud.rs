@@ -7,6 +7,8 @@ use uc_cloudstore::{RootCredential, StoragePath};
 use uc_delta::value::Schema;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::{decide, AuthzContext, Need};
+use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -130,11 +132,7 @@ impl UnityCatalog {
     pub fn set_metastore_root(&self, ctx: &Context, ms: &Uid, root_path: &str) -> UcResult<()> {
         let _api = self.api_enter("set_metastore_root", Some(&ctx.principal), Some(ms));
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !who.is_metastore_admin {
-            self.record_audit(&ctx.principal, "setMetastoreRoot", Some(ms), AuditDecision::Deny, root_path);
-            return Err(UcError::PermissionDenied("metastore admin required".into()));
-        }
+        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "setMetastoreRoot", root_path)?;
         self.update_entity_by_id(ms, ms, |e| {
             e.properties.insert("root_location".to_string(), root_path.to_string());
             Ok(())
@@ -146,11 +144,7 @@ impl UnityCatalog {
     /// Add a metastore admin (admin only).
     pub fn add_metastore_admin(&self, ctx: &Context, ms: &Uid, principal: &str) -> UcResult<()> {
         let _api = self.api_enter("add_metastore_admin", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !who.is_metastore_admin {
-            self.record_audit(&ctx.principal, "addMetastoreAdmin", Some(ms), AuditDecision::Deny, principal);
-            return Err(UcError::PermissionDenied("metastore admin required".into()));
-        }
+        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "addMetastoreAdmin", principal)?;
         self.update_entity_by_id(ms, ms, |e| {
             let mut admins = e.metastore_admins();
             if !admins.iter().any(|a| a == principal) {
@@ -178,17 +172,8 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_storage_credential", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let ms_chain = vec![self.get_metastore(ms)?];
-        let authz = Self::authz_of(&ms_chain);
-        let allowed = who.is_metastore_admin
-            || authz.has_privilege(&who, crate::authz::Privilege::CreateExternalLocation);
-        if !allowed {
-            self.record_audit(&ctx.principal, "createStorageCredential", Some(ms), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied(
-                "CREATE_EXTERNAL_LOCATION on metastore required".into(),
-            ));
-        }
+        let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
+        self.gate(ctx, &self.metastore_chain(ms)?, need, "createStorageCredential", name)?;
         let now = self.now_ms();
         let bucket = root.bucket.clone();
         let secret = root.secret;
@@ -225,17 +210,8 @@ impl UnityCatalog {
         let _api = self.api_enter("create_external_location", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let ms_chain = vec![self.get_metastore(ms)?];
-        let authz = Self::authz_of(&ms_chain);
-        if !(who.is_metastore_admin
-            || authz.has_privilege(&who, crate::authz::Privilege::CreateExternalLocation))
-        {
-            self.record_audit(&ctx.principal, "createExternalLocation", Some(ms), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied(
-                "CREATE_EXTERNAL_LOCATION on metastore required".into(),
-            ));
-        }
+        let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
+        self.gate(ctx, &self.metastore_chain(ms)?, need, "createExternalLocation", name)?;
         // The credential must exist and cover the bucket.
         let cred = self
             .entity_by_name_key(
@@ -293,13 +269,8 @@ impl UnityCatalog {
     pub fn create_catalog(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_catalog", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let ms_chain = vec![self.get_metastore(ms)?];
-        let authz = Self::authz_of(&ms_chain);
-        if !(who.is_metastore_admin || authz.has_privilege(&who, crate::authz::Privilege::CreateCatalog)) {
-            self.record_audit(&ctx.principal, "createCatalog", Some(ms), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("CREATE_CATALOG on metastore required".into()));
-        }
+        let need = Need::MetastoreAdminOr(Privilege::CreateCatalog);
+        self.gate(ctx, &self.metastore_chain(ms)?, need, "createCatalog", name)?;
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
             let ent = Entity::new(SecurableKind::Catalog, name, None, ms.clone(), &ctx.principal, now);
@@ -314,17 +285,9 @@ impl UnityCatalog {
     pub fn create_schema(&self, ctx: &Context, ms: &Uid, catalog: &str, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_schema", Some(&ctx.principal), Some(ms));
         validate_object_name(name)?;
-        let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
-        let full = self.chain_from_entity(ms, chain[0].clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_admin_authority(&who)
-            || authz.has_privilege(&who, crate::authz::Privilege::CreateSchema))
-        {
-            self.record_audit(&ctx.principal, "createSchema", Some(&chain[0].id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("CREATE_SCHEMA on catalog required".into()));
-        }
-        let parent = chain[0].id.clone();
+        let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateSchema]), "createSchema", name)?;
+        let parent = full[0].id.clone();
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
             live_parent(tx, ms, &parent, catalog)?;
@@ -348,14 +311,17 @@ impl UnityCatalog {
     }
 
     /// Shared pre-flight for creating a leaf asset under a schema:
-    /// resolves the parent chain and checks the create privilege.
+    /// resolves the parent chain and checks the create privilege, auditing
+    /// a refusal under the calling op's `action`. Returns the schema's
+    /// full chain and the caller's context.
     fn authorize_create_in_schema(
         &self,
         ctx: &Context,
         ms: &Uid,
         name: &FullName,
         kind: SecurableKind,
-    ) -> UcResult<Vec<Arc<Entity>>> {
+        action: &str,
+    ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext)> {
         if name.len() != 3 {
             return Err(UcError::InvalidArgument(format!(
                 "expected catalog.schema.name, got {name}"
@@ -364,37 +330,20 @@ impl UnityCatalog {
         let Some(schema_name) = name.schema() else {
             return Err(UcError::InvalidArgument(format!("expected catalog.schema.name, got {name}")));
         };
-        let chain = self.lookup_chain(ms, &FullName::of(&[name.catalog(), schema_name]), "schema")?;
-        let full = self.chain_from_entity(ms, chain[0].clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
+        let full = self.chain_by_name(ms, &FullName::of(&[name.catalog(), schema_name]), "schema")?;
         let Some(needed) = manifest(kind).create_privilege else {
             return Err(UcError::UnsupportedOperation(format!("{kind} cannot be created in a schema")));
         };
-        if !(authz.has_admin_authority(&who) || authz.has_privilege(&who, needed)) {
-            // Audit with the kind-specific action so the trail matches the
-            // op that was denied, not a catch-all verb.
-            let action = match kind {
-                SecurableKind::Table => "createTable",
-                SecurableKind::View => "createView",
-                SecurableKind::Volume => "createVolume",
-                SecurableKind::Function => "createFunction",
-                _ => "createRegisteredModel",
-            };
-            self.record_audit(&ctx.principal, action, Some(&chain[0].id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied(format!(
-                "{needed} on schema required to create {kind}"
-            )));
-        }
-        Ok(full)
+        let who = self.gate(ctx, &full, Need::AdminOrAny(&[needed]), action, name)?;
+        Ok((full, who))
     }
 
-    /// Allocate a managed storage path under the metastore root.
-    fn managed_path(&self, ms: &Uid, kind: SecurableKind, id: &Uid) -> UcResult<StoragePath> {
-        let ms_ent = self.get_metastore(ms)?;
-        let root = ms_ent
-            .properties
-            .get("root_location")
+    /// Allocate a managed storage path under the metastore root, read
+    /// from the metastore entity that ends the parent's `chain`.
+    fn managed_path(chain: &[Arc<Entity>], kind: SecurableKind, id: &Uid) -> UcResult<StoragePath> {
+        let root = chain
+            .last()
+            .and_then(|ms_ent| ms_ent.properties.get("root_location"))
             .ok_or_else(|| UcError::InvalidArgument(
                 "metastore has no root location configured for managed storage".into(),
             ))?;
@@ -412,11 +361,11 @@ impl UnityCatalog {
     /// require a creation-enabling privilege on it.
     fn authorize_external_path(
         &self,
-        ctx: &Context,
+        who: &AuthzContext,
         ms: &Uid,
         path: &StoragePath,
+        action: &str,
     ) -> UcResult<()> {
-        let who = self.authz_context(ms, &ctx.principal)?;
         if who.is_metastore_admin {
             return Ok(());
         }
@@ -435,22 +384,12 @@ impl UnityCatalog {
                 continue;
             };
             if loc_path.is_prefix_of(path) {
-                let chain = self.chain_from_entity(ms, loc.clone())?;
-                let authz = Self::authz_of(&chain);
-                if authz.has_admin_authority(&who)
-                    || authz.has_privilege(&who, crate::authz::Privilege::CreateTable)
-                    || authz.has_privilege(&who, crate::authz::Privilege::WriteVolume)
-                {
-                    return Ok(());
-                }
-                self.record_audit(&ctx.principal, "useExternalPath", Some(&loc.id), AuditDecision::Deny, path);
-                return Err(UcError::PermissionDenied(format!(
-                    "no create privilege on external location {}",
-                    loc.name
-                )));
+                let chain = self.chain_from_entity(ms, loc)?;
+                let need = Need::AdminOrAny(&[Privilege::CreateTable, Privilege::WriteVolume]);
+                return self.gate_with(who, &chain, need, action, path);
             }
         }
-        self.record_audit(&ctx.principal, "useExternalPath", None, AuditDecision::Deny, path);
+        self.record_audit(&who.principal, action, None, AuditDecision::Deny, path);
         Err(UcError::PermissionDenied(format!(
             "no external location covers {path}"
         )))
@@ -459,7 +398,8 @@ impl UnityCatalog {
     /// Create a table (managed or external or foreign).
     pub fn create_table(&self, ctx: &Context, ms: &Uid, spec: TableSpec) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_table", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, &spec.name, SecurableKind::Table)?;
+        let (full, who) =
+            self.authorize_create_in_schema(ctx, ms, &spec.name, SecurableKind::Table, "createTable")?;
         let schema_ent = full[0].clone();
         match spec.table_type {
             TableType::Managed if spec.storage_path.is_some() => {
@@ -478,7 +418,7 @@ impl UnityCatalog {
         if let Some(p) = &spec.storage_path {
             let parsed = StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
             if spec.table_type == TableType::External {
-                self.authorize_external_path(ctx, ms, &parsed)?;
+                self.authorize_external_path(&who, ms, &parsed, "useExternalPath")?;
             }
         }
         let now = self.now_ms();
@@ -501,7 +441,7 @@ impl UnityCatalog {
                 ent.properties.insert(props::FOREIGN_TYPE.to_string(), ft.clone());
             }
             let path = match (spec.table_type, &spec.storage_path) {
-                (TableType::Managed, _) => Some(self.managed_path(ms, SecurableKind::Table, &ent.id)?),
+                (TableType::Managed, _) => Some(Self::managed_path(&full, SecurableKind::Table, &ent.id)?),
                 (_, Some(p)) => Some(StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?),
                 _ => None,
             };
@@ -539,11 +479,7 @@ impl UnityCatalog {
         chunk: usize,
     ) -> UcResult<usize> {
         let _api = self.api_enter("bulk_create_tables", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !who.is_metastore_admin {
-            self.record_audit(&ctx.principal, "bulkCreateTables", Some(ms), AuditDecision::Deny, catalog);
-            return Err(UcError::PermissionDenied("metastore admin required for bulk import".into()));
-        }
+        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "bulkCreateTables", catalog)?;
         let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
         let cat = chain[0].clone();
         let chunk = chunk.max(1);
@@ -651,24 +587,18 @@ impl UnityCatalog {
         source_version: i64,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_shallow_clone", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Table)?;
+        let (full, who) =
+            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Table, "createShallowClone")?;
         let schema_ent = full[0].clone();
-        let src_chain = self.lookup_chain(ms, source, "relation")?;
-        let src = src_chain[0].clone();
+        let src_full = self.chain_by_name(ms, source, "relation")?;
+        let src = src_full[0].clone();
         if src.kind != SecurableKind::Table || src.storage_path.is_none() {
             return Err(UcError::InvalidArgument(format!(
                 "{source} is not a cloneable storage-backed table"
             )));
         }
         // the cloner must be able to read the source
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let src_full = self.chain_from_entity(ms, src.clone())?;
-        if !Self::authz_of(&src_full).can_read_data(&who, crate::authz::Privilege::Select) {
-            self.record_audit(&ctx.principal, "createShallowClone", Some(&src.id), AuditDecision::Deny, source);
-            return Err(UcError::PermissionDenied(format!(
-                "SELECT on {source} required to clone it"
-            )));
-        }
+        self.gate_with(&who, &src_full, Need::Data(Privilege::Select), "createShallowClone", source)?;
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
         let created = self.write_ms(ms, |tx, _ver, fx| {
@@ -714,21 +644,15 @@ impl UnityCatalog {
         dependencies: &[FullName],
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_view", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::View)?;
+        let (full, who) =
+            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::View, "createView")?;
         let schema_ent = full[0].clone();
-        let who = self.authz_context(ms, &ctx.principal)?;
         let mut dep_ids = Vec::new();
         for dep in dependencies {
-            let dep_chain = self.lookup_chain(ms, dep, "relation")?;
-            let dep_full = self.chain_from_entity(ms, dep_chain[0].clone())?;
-            let authz = Self::authz_of(&dep_full);
-            if !authz.can_read_data(&who, crate::authz::Privilege::Select) {
-                self.record_audit(&ctx.principal, "createView", Some(&dep_chain[0].id), AuditDecision::Deny, dep);
-                return Err(UcError::PermissionDenied(format!(
-                    "view creator needs SELECT on {dep}"
-                )));
-            }
-            dep_ids.push(dep_chain[0].id.clone());
+            // the creator must be able to read every base relation
+            let dep_full = self.chain_by_name(ms, dep, "relation")?;
+            self.gate_with(&who, &dep_full, Need::Data(Privilege::Select), "createView", dep)?;
+            dep_ids.push(dep_full[0].id.clone());
         }
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
@@ -763,11 +687,12 @@ impl UnityCatalog {
         external_path: Option<&str>,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_volume", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Volume)?;
+        let (full, who) =
+            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Volume, "createVolume")?;
         let schema_ent = full[0].clone();
         if let Some(p) = external_path {
             let parsed = StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-            self.authorize_external_path(ctx, ms, &parsed)?;
+            self.authorize_external_path(&who, ms, &parsed, "useExternalPath")?;
         }
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
@@ -784,7 +709,7 @@ impl UnityCatalog {
             let tk = WriteEffects::vacant_key(tx, &ent, name)?;
             let path = match external_path {
                 Some(p) => StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?,
-                None => self.managed_path(ms, SecurableKind::Volume, &ent.id)?,
+                None => Self::managed_path(&full, SecurableKind::Volume, &ent.id)?,
             };
             paths::register_path(tx, ms, &path, &ent.id)?;
             ent.storage_path = Some(path.to_string());
@@ -808,7 +733,8 @@ impl UnityCatalog {
         body: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_function", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Function)?;
+        let (full, _who) =
+            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Function, "createFunction")?;
         let schema_ent = full[0].clone();
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
@@ -838,7 +764,13 @@ impl UnityCatalog {
         name: &FullName,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_registered_model", Some(&ctx.principal), Some(ms));
-        let full = self.authorize_create_in_schema(ctx, ms, name, SecurableKind::RegisteredModel)?;
+        let (full, _who) = self.authorize_create_in_schema(
+            ctx,
+            ms,
+            name,
+            SecurableKind::RegisteredModel,
+            "createRegisteredModel",
+        )?;
         let schema_ent = full[0].clone();
         let now = self.now_ms();
         let leaf = Self::leaf_of(name)?;
@@ -854,7 +786,7 @@ impl UnityCatalog {
             );
             let tk = WriteEffects::vacant_key(tx, &ent, name)?;
             ent.properties.insert("next_version".to_string(), "1".to_string());
-            let path = self.managed_path(ms, SecurableKind::RegisteredModel, &ent.id)?;
+            let path = Self::managed_path(&full, SecurableKind::RegisteredModel, &ent.id)?;
             paths::register_path(tx, ms, &path, &ent.id)?;
             ent.storage_path = Some(path.to_string());
             Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
@@ -874,18 +806,12 @@ impl UnityCatalog {
         model_name: &FullName,
     ) -> UcResult<(Arc<Entity>, u64)> {
         let _api = self.api_enter("create_model_version", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, model_name, SecurableKind::RegisteredModel.name_group())?;
-        let model = chain[0].clone();
+        let full = self.chain_by_name(ms, model_name, SecurableKind::RegisteredModel.name_group())?;
+        let model = full[0].clone();
         if model.kind != SecurableKind::RegisteredModel {
             return Err(UcError::InvalidArgument(format!("{model_name} is not a model")));
         }
-        let full = self.chain_from_entity(ms, model.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_admin_authority(&who) || authz.has_privilege(&who, crate::authz::Privilege::Modify)) {
-            self.record_audit(&ctx.principal, "createModelVersion", Some(&model.id), AuditDecision::Deny, model_name);
-            return Err(UcError::PermissionDenied("MODIFY on model required".into()));
-        }
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "createModelVersion", model_name)?;
         let now = self.now_ms();
         let result = self.write_ms(ms, |tx, _ver, fx| {
             // Re-read the model inside the transaction for a race-free
@@ -942,18 +868,9 @@ impl UnityCatalog {
         leaf_group: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("get_securable", Some(&ctx.principal), Some(ms));
-        // Reuse the resolved chain for the ancestor walk (extend_chain only
-        // fetches what lookup_chain didn't) and evaluate `can_see` over the
-        // borrowed entities — this is the hottest read path in the service.
-        let full = self.extend_chain(ms, self.lookup_chain(ms, name, leaf_group)?)?;
+        let full = self.chain_by_name(ms, name, leaf_group)?;
         self.enforce_workspace_binding(ctx, &full)?;
-        let root_ent = full.last().ok_or_else(|| UcError::NotFound(name.to_string()))?;
-        let who = self.authz_context_with(root_ent, &ctx.principal)?;
-        if !crate::authz::decision::can_see(&full, &who) {
-            self.record_audit(&ctx.principal, "getSecurable", Some(&full[0].id), AuditDecision::Deny, name);
-            // existence is hidden from unprivileged callers
-            return Err(UcError::NotFound(name.to_string()));
-        }
+        self.gate(ctx, &full, Need::See, "getSecurable", name)?;
         self.record_audit(&ctx.principal, "getSecurable", Some(&full[0].id), AuditDecision::Allow, name);
         Ok(full[0].clone())
     }
@@ -966,33 +883,49 @@ impl UnityCatalog {
     /// List catalogs visible to the caller.
     pub fn list_catalogs(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
         let _api = self.api_enter("list_catalogs", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
-        self.visible_children(
-            ms,
-            &who,
-            &keys::tree_ms_prefix(ms),
-            Some(SecurableKind::Catalog.name_group()),
-        )
+        let root = self.metastore_chain(ms)?;
+        let who = self.authz_context_with(&root, &ctx.principal)?;
+        self.visible_children(ms, &who, &root, Some(SecurableKind::Catalog.name_group()))
     }
 
-    /// The children of the node at `parent_key` that `who` can see, read
-    /// at **one** snapshot: entities come from the scan's own rows, never
-    /// through the cache — the cache may have advanced past the scan, and
-    /// mixing the two yields a listing no single metastore version ever
-    /// held (the history checker flags such composite listings).
+    /// The children of `parent[0]` (given with its full chain) that `who`
+    /// can see, read at **one** snapshot: entities come from the scan's
+    /// own rows, never through the cache — the cache may have advanced
+    /// past the scan, and mixing the two yields a listing no single
+    /// metastore version ever held (the history checker flags such
+    /// composite listings). For the same reason a child's ancestors are
+    /// the chain this request already resolved, not a per-child walk
+    /// through a cache that can move under the loop: a cascade landing
+    /// mid-listing used to surface as `dangling parent`.
     pub(crate) fn visible_children(
         &self,
         ms: &Uid,
-        who: &crate::authz::decision::AuthzContext,
-        parent_key: &str,
+        who: &AuthzContext,
+        parent: &[Arc<Entity>],
         group: Option<&str>,
     ) -> UcResult<Vec<Arc<Entity>>> {
+        let mut parent_key = keys::tree_ms_prefix(ms);
+        for e in parent.iter().rev().filter(|e| e.kind != SecurableKind::Metastore) {
+            keys::tree_push_child(&mut parent_key, e.kind.name_group(), &e.name);
+        }
         let rt = self.db.begin_read();
         let mut out = Vec::new();
-        for ent in tree_children(|p| rt.scan_prefix(T_TREE, p), parent_key, group)? {
-            let full = self.chain_from_entity(ms, ent.clone())?;
-            if Self::authz_of(&full).can_see(who) {
-                out.push(ent);
+        let mut full = Vec::with_capacity(parent.len() + 1);
+        for ent in tree_children(|p| rt.scan_prefix(T_TREE, p), &parent_key, group)? {
+            // Catalogs carry no parent id; everything else names its
+            // container. A mismatch means the container was dropped and
+            // re-created under the same name between the request's
+            // resolution and this scan: only then walk by parent id.
+            let under_parent = ent.parent.as_ref().is_none_or(|p| *p == parent[0].id);
+            if under_parent {
+                full.clear();
+                full.push(ent);
+                full.extend_from_slice(parent);
+            } else {
+                full = self.chain_from_entity(ms, ent)?;
+            }
+            if decide(&full, who, Need::See) {
+                out.push(full[0].clone());
             }
         }
         crate::cache::history_read_event(crate::cache::read_ms_version(&rt, ms));
@@ -1010,19 +943,10 @@ impl UnityCatalog {
     ) -> UcResult<Vec<Arc<Entity>>> {
         let _api = self.api_enter("list_children", Some(&ctx.principal), Some(ms));
         let parent_group = if parent.len() == 1 { "catalog" } else { "schema" };
-        let chain = self.lookup_chain(ms, parent, parent_group)?;
-        let parent_ent = chain[0].clone();
-        let parent_full = self.chain_from_entity(ms, parent_ent.clone())?;
+        let parent_full = self.chain_by_name(ms, parent, parent_group)?;
         self.enforce_workspace_binding(ctx, &parent_full)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let mut parent_key = keys::tree_ms_prefix(ms);
-        for e in parent_full.iter().rev() {
-            if e.kind == SecurableKind::Metastore {
-                continue;
-            }
-            keys::tree_push_child(&mut parent_key, e.kind.name_group(), &e.name);
-        }
-        self.visible_children(ms, &who, &parent_key, group)
+        let who = self.authz_context_with(&parent_full, &ctx.principal)?;
+        self.visible_children(ms, &who, &parent_full, group)
     }
 
     // ------------------------------------------------------------------
@@ -1067,21 +991,15 @@ impl UnityCatalog {
         comment: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("update_comment", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, name, leaf_group)?;
-        let target = chain[0].clone();
+        let full = self.chain_by_name(ms, name, leaf_group)?;
+        let target = &full[0];
         if !manifest(target.kind).updatable_fields.contains(&"comment") {
             return Err(UcError::UnsupportedOperation(format!(
                 "{} does not support comment updates",
                 target.kind
             )));
         }
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_admin_authority(&who) || authz.has_privilege(&who, crate::authz::Privilege::Modify)) {
-            self.record_audit(&ctx.principal, "updateComment", Some(&target.id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("MODIFY required".into()));
-        }
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "updateComment", name)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.comment = Some(comment.to_string());
             Ok(())
@@ -1100,14 +1018,9 @@ impl UnityCatalog {
         new_owner: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("transfer_ownership", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, name, leaf_group)?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "transferOwnership", Some(&target.id), AuditDecision::Deny, new_owner);
-            return Err(UcError::PermissionDenied("admin authority required".into()));
-        }
+        let full = self.chain_by_name(ms, name, leaf_group)?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::Admin, "transferOwnership", new_owner)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.owner = new_owner.to_string();
             Ok(())
@@ -1129,8 +1042,8 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("rename_securable", Some(&ctx.principal), Some(ms));
         validate_object_name(new_name)?;
-        let chain = self.lookup_chain(ms, name, leaf_group)?;
-        let target = chain[0].clone();
+        let full = self.chain_by_name(ms, name, leaf_group)?;
+        let target = &full[0];
         if target.kind.is_container() && target.kind != SecurableKind::Schema {
             // renaming catalogs would silently break external references;
             // UC likewise restricts it
@@ -1139,12 +1052,7 @@ impl UnityCatalog {
                 target.kind
             )));
         }
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "renameSecurable", Some(&target.id), AuditDecision::Deny, new_name);
-            return Err(UcError::PermissionDenied("admin authority required to rename".into()));
-        }
+        self.gate(ctx, &full, Need::Admin, "renameSecurable", new_name)?;
         let now = self.now_ms();
         let renamed = self.write_ms(ms, |tx, _ver, fx| {
             let raw = tx
@@ -1190,14 +1098,9 @@ impl UnityCatalog {
         workspaces: &[&str],
     ) -> UcResult<()> {
         let _api = self.api_enter("set_catalog_bindings", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "setCatalogBindings", Some(&target.id), AuditDecision::Deny, catalog);
-            return Err(UcError::PermissionDenied("admin authority required for bindings".into()));
-        }
+        let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::Admin, "setCatalogBindings", catalog)?;
         let list: Vec<String> = workspaces.iter().map(|w| w.to_string()).collect();
         self.update_entity_by_id(ms, &target.id, |e| {
             e.set_workspace_bindings(&list);
@@ -1221,20 +1124,15 @@ impl UnityCatalog {
         leaf_group: &str,
     ) -> UcResult<usize> {
         let _api = self.api_enter("drop_securable", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, name, leaf_group)?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "dropSecurable", Some(&target.id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("admin authority required to drop".into()));
-        }
+        let full = self.chain_by_name(ms, name, leaf_group)?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::Admin, "dropSecurable", name)?;
         let now = self.now_ms();
         let count = self.write_ms(ms, |tx, _ver, fx| {
             // The whole cascade is one range scan of the target's key
             // range, parents before children, each row carrying its full
             // entity.
-            Self::soft_delete_subtree(tx, ms, &target, now, fx)
+            Self::soft_delete_subtree(tx, ms, target, now, fx)
         })?;
         self.record_audit(&ctx.principal, "dropSecurable", Some(&target.id), AuditDecision::Allow, format!("{name} ({count} entities)"));
         Ok(count)

@@ -6,6 +6,8 @@ use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::{decide, Need};
+use crate::authz::Privilege;
 use crate::authz::abac::AbacPolicy;
 use crate::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
 use crate::error::{UcError, UcResult};
@@ -85,20 +87,14 @@ impl UnityCatalog {
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
         let _api = self.api_enter("tag_update", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, name, leaf_group)?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_admin_authority(&who) || authz.has_privilege(&who, crate::authz::Privilege::Modify)) {
-            self.record_audit(&ctx.principal, "setTag", Some(&target.id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("MODIFY required to tag".into()));
-        }
+        let full = self.chain_by_name(ms, name, leaf_group)?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "setTag", name)?;
         self.update_entity_by_id(ms, &target.id, |e| {
             f(e);
             Ok(())
         })?;
-        self.publish_simple(ms, &target, ChangeOp::TagChange);
+        self.publish_simple(ms, target, ChangeOp::TagChange);
         self.record_audit(&ctx.principal, "setTag", Some(&target.id), AuditDecision::Allow, name);
         Ok(())
     }
@@ -162,14 +158,9 @@ impl UnityCatalog {
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
         let _api = self.api_enter("policy_update", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, table, "relation")?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, action, Some(&target.id), AuditDecision::Deny, table);
-            return Err(UcError::PermissionDenied("admin authority required for policies".into()));
-        }
+        let full = self.chain_by_name(ms, table, "relation")?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::Admin, action, table)?;
         self.update_entity_by_id(ms, &target.id, |e| {
             f(e);
             Ok(())
@@ -190,19 +181,14 @@ impl UnityCatalog {
         policy: AbacPolicy,
     ) -> UcResult<()> {
         let _api = self.api_enter("create_abac_policy", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, scope, scope_group)?;
-        let target = chain[0].clone();
+        let full = self.chain_by_name(ms, scope, scope_group)?;
+        let target = &full[0];
         if !target.kind.is_container() {
             return Err(UcError::InvalidArgument(
                 "ABAC policies attach to containers".into(),
             ));
         }
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "createAbacPolicy", Some(&target.id), AuditDecision::Deny, &policy.name);
-            return Err(UcError::PermissionDenied("admin authority required".into()));
-        }
+        self.gate(ctx, &full, Need::Admin, "createAbacPolicy", &policy.name)?;
         let pname = policy.name.clone();
         self.update_entity_by_id(ms, &target.id, |e| {
             e.set_abac_policy(&policy);
@@ -295,8 +281,7 @@ impl UnityCatalog {
         let mut visible = BTreeSet::new();
         for id in seen {
             if let Some(ent) = self.entity_by_id(ms, &id)? {
-                let full = self.chain_from_entity(ms, ent)?;
-                if Self::authz_of(&full).can_see(&who) {
+                if decide(&self.chain_from_entity(ms, ent)?, &who, Need::See) {
                     visible.insert(id);
                 }
             }
@@ -359,10 +344,9 @@ impl UnityCatalog {
             if !filters.iter().all(|f| f.matches(&ent)) {
                 continue;
             }
-            let ent = Arc::new(ent);
-            let full = self.chain_from_entity(ms, ent.clone())?;
-            if Self::authz_of(&full).can_see(&who) {
-                out.push(ent);
+            let full = self.chain_from_entity(ms, Arc::new(ent))?;
+            if decide(&full, &who, Need::See) {
+                out.push(full[0].clone());
             }
         }
         Ok(out)

@@ -13,6 +13,8 @@ use std::sync::Arc;
 use uc_delta::value::Schema;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::Need;
+use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -51,14 +53,8 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_connection", Some(&ctx.principal), Some(ms));
         crate::types::validate_object_name(name)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&[self.get_metastore(ms)?]);
-        if !(who.is_metastore_admin
-            || authz.has_privilege(&who, crate::authz::Privilege::CreateConnection))
-        {
-            self.record_audit(&ctx.principal, "createConnection", Some(ms), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("CREATE_CONNECTION required".into()));
-        }
+        let need = Need::MetastoreAdminOr(Privilege::CreateConnection);
+        self.gate(ctx, &self.metastore_chain(ms)?, need, "createConnection", name)?;
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
             let mut ent = Entity::new(
@@ -125,17 +121,8 @@ impl UnityCatalog {
             )));
         }
         // Mirroring requires write authority on the federated catalog.
-        let who = self.authz_context(ms, &ctx.principal)?;
         let full = self.chain_from_entity(ms, cat.clone())?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_admin_authority(&who)
-            || authz.has_privilege(&who, crate::authz::Privilege::CreateTable))
-        {
-            self.record_audit(&ctx.principal, "mirrorTable", Some(&cat.id), AuditDecision::Deny, &meta.name);
-            return Err(UcError::PermissionDenied(
-                "CREATE_TABLE on the federated catalog required to mirror".into(),
-            ));
-        }
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateTable]), "mirrorTable", &meta.name)?;
         // Ensure the schema exists.
         let mut schema_key = cat_key;
         keys::tree_push_child(&mut schema_key, "schema", schema_name);

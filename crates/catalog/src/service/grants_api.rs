@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::{decide, Need};
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
@@ -25,22 +26,15 @@ impl UnityCatalog {
         privilege: Privilege,
     ) -> UcResult<()> {
         let _api = self.api_enter("grant", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, securable, leaf_group)?;
-        let target = chain[0].clone();
+        let full = self.chain_by_name(ms, securable, leaf_group)?;
+        let target = &full[0];
         if privilege != Privilege::All && !manifest(target.kind).grantable.contains(&privilege) {
             return Err(UcError::InvalidArgument(format!(
                 "{privilege} is not grantable on {}",
                 target.kind
             )));
         }
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "grant", Some(&target.id), AuditDecision::Deny, format!("{privilege} to {grantee}"));
-            return Err(UcError::PermissionDenied(
-                "admin authority required to grant".into(),
-            ));
-        }
+        self.gate(ctx, &full, Need::Admin, "grant", format_args!("{privilege} to {grantee}"))?;
         self.update_entity_by_id(ms, &target.id, |e| {
             e.add_grant(grantee, privilege);
             Ok(())
@@ -63,16 +57,9 @@ impl UnityCatalog {
         privilege: Privilege,
     ) -> UcResult<()> {
         let _api = self.api_enter("revoke", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, securable, leaf_group)?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "revoke", Some(&target.id), AuditDecision::Deny, format!("{privilege} from {grantee}"));
-            return Err(UcError::PermissionDenied(
-                "admin authority required to revoke".into(),
-            ));
-        }
+        let full = self.chain_by_name(ms, securable, leaf_group)?;
+        let target = &full[0];
+        self.gate(ctx, &full, Need::Admin, "revoke", format_args!("{privilege} from {grantee}"))?;
         self.update_entity_by_id(ms, &target.id, |e| {
             e.remove_grant(grantee, privilege);
             Ok(())
@@ -92,14 +79,12 @@ impl UnityCatalog {
         leaf_group: &str,
     ) -> UcResult<Vec<(String, Privilege)>> {
         let _api = self.api_enter("show_grants", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, securable, leaf_group)?;
-        let target = chain[0].clone();
-        let full = self.chain_from_entity(ms, target.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).can_see(&who) {
+        let full = self.chain_by_name(ms, securable, leaf_group)?;
+        let who = self.authz_context_with(&full, &ctx.principal)?;
+        if !decide(&full, &who, Need::See) {
             return Err(UcError::NotFound(securable.to_string()));
         }
-        Ok(target.grants.clone())
+        Ok(full[0].grants.clone())
     }
 
     /// Batched authorization API for second-tier services (§4.4): for each
@@ -116,8 +101,7 @@ impl UnityCatalog {
         for (id, privilege) in checks {
             let allowed = match self.entity_by_id(ms, id)? {
                 Some(ent) => {
-                    let full = self.chain_from_entity(ms, ent)?;
-                    Self::authz_of(&full).has_privilege(&who, *privilege)
+                    decide(&self.chain_from_entity(ms, ent)?, &who, Need::Holds(*privilege))
                 }
                 None => false,
             };
@@ -134,10 +118,7 @@ impl UnityCatalog {
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             let visible = match self.entity_by_id(ms, id)? {
-                Some(ent) => {
-                    let full = self.chain_from_entity(ms, ent)?;
-                    Self::authz_of(&full).can_see(&who)
-                }
+                Some(ent) => decide(&self.chain_from_entity(ms, ent)?, &who, Need::See),
                 None => false,
             };
             out.push(visible);
@@ -151,12 +132,12 @@ impl UnityCatalog {
         let ent = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(id.to_string()))?;
-        let full = self.chain_from_entity(ms, ent.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).can_see(&who) {
+        let full = self.chain_from_entity(ms, ent)?;
+        let who = self.authz_context_with(&full, &ctx.principal)?;
+        if !decide(&full, &who, Need::See) {
             return Err(UcError::NotFound(id.to_string()));
         }
-        Ok(ent)
+        Ok(full[0].clone())
     }
 
     fn publish_grant_event(&self, ms: &Uid, id: &Uid, kind: crate::types::SecurableKind, name: &str) {

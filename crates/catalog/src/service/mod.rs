@@ -40,7 +40,7 @@ use uc_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Obs, SpanGuard,
 use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 
 use crate::audit::{AuditDecision, AuditLog};
-use crate::authz::decision::{AuthzContext, AuthzNode, SecurableAuthz};
+use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
 use crate::cache::{CacheConfig, MsCache, NodeCache};
 use crate::error::{UcError, UcResult};
@@ -959,13 +959,31 @@ impl UnityCatalog {
         self.cache.for_metastore(ms).catch_up(ms, &self.db);
     }
 
-    /// Chain from an entity up to (and including) the metastore entity.
+    /// The full chain `[leaf, …, metastore]` of a securable addressed by
+    /// name: the levels [`Self::lookup_chain`] resolved, extended to the
+    /// metastore entity.
+    pub(crate) fn chain_by_name(
+        &self,
+        ms: &Uid,
+        name: &FullName,
+        leaf_group: &str,
+    ) -> UcResult<Vec<Arc<Entity>>> {
+        self.extend_chain(ms, self.lookup_chain(ms, name, leaf_group)?)
+    }
+
+    /// The full chain of a securable addressed by id (or found by path, or
+    /// read from a scan): the parent walk up to the metastore entity.
     pub(crate) fn chain_from_entity(
         &self,
         ms: &Uid,
         ent: Arc<Entity>,
     ) -> UcResult<Vec<Arc<Entity>>> {
         self.extend_chain(ms, vec![ent])
+    }
+
+    /// The one-element chain of a metastore-level decision.
+    pub(crate) fn metastore_chain(&self, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
+        self.extend_chain(ms, Vec::new())
     }
 
     /// Extend an already-resolved chain (leaf first) up to and including
@@ -999,21 +1017,20 @@ impl UnityCatalog {
         Ok(chain)
     }
 
-    /// The caller's authorization context within a metastore.
+    /// The caller's authorization context within a metastore, for the
+    /// batch filters that hold no chain yet.
     pub(crate) fn authz_context(&self, ms: &Uid, principal: &str) -> UcResult<AuthzContext> {
-        let ms_ent = self
-            .entity_by_id(ms, ms)?
-            .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))?;
-        self.authz_context_with(&ms_ent, principal)
+        self.authz_context_with(&self.metastore_chain(ms)?, principal)
     }
 
-    /// [`Self::authz_context`] when the caller already holds the metastore
-    /// entity (e.g. at the end of a completed chain) — skips one lookup.
+    /// The caller's authorization context, from a full chain's own
+    /// metastore entity (its last element). Built once per request.
     pub(crate) fn authz_context_with(
         &self,
-        ms_ent: &Entity,
+        chain: &[Arc<Entity>],
         principal: &str,
     ) -> UcResult<AuthzContext> {
+        let ms_ent = chain.last().ok_or_else(|| UcError::Database("empty securable chain".into()))?;
         let record = self.principal_record(principal)?;
         let groups: std::collections::HashSet<String> = record.groups.into_iter().collect();
         // Short-circuit the owner check before parsing the admin list out
@@ -1027,6 +1044,51 @@ impl UnityCatalog {
             principal: principal.to_string(),
             groups,
             is_metastore_admin: is_admin,
+        })
+    }
+
+    /// The one authorization gate: every audited allow / deny in the
+    /// service is [`decide`] over the borrowed chain, here. On refusal —
+    /// and only then — the `Deny` is recorded against `chain[0]` under the
+    /// calling op's `action`, and the error is built: `NotFound` for
+    /// [`Need::See`] (existence is hidden from callers who may not see the
+    /// object), `PermissionDenied` naming the need and the target
+    /// otherwise. Callers audit their own `Allow` once the op has run.
+    /// Returns the caller's context, built from the chain's metastore
+    /// entity, for requests that decide again ([`Self::gate_with`]).
+    pub(crate) fn gate(
+        &self,
+        ctx: &Context,
+        chain: &[Arc<Entity>],
+        need: Need<'_>,
+        action: &str,
+        detail: impl std::fmt::Display,
+    ) -> UcResult<AuthzContext> {
+        let who = self.authz_context_with(chain, &ctx.principal)?;
+        self.gate_with(&who, chain, need, action, detail)?;
+        Ok(who)
+    }
+
+    /// [`Self::gate`] for a caller whose context is already built.
+    pub(crate) fn gate_with(
+        &self,
+        who: &AuthzContext,
+        chain: &[Arc<Entity>],
+        need: Need<'_>,
+        action: &str,
+        detail: impl std::fmt::Display,
+    ) -> UcResult<()> {
+        if decide(chain, who, need) {
+            return Ok(());
+        }
+        let target = &chain[0];
+        self.record_audit(&who.principal, action, Some(&target.id), AuditDecision::Deny, &detail);
+        Err(match need {
+            Need::See => UcError::NotFound(detail.to_string()),
+            _ => UcError::PermissionDenied(format!(
+                "{need} required on {} {}",
+                target.kind, target.name
+            )),
         })
     }
 
@@ -1089,21 +1151,6 @@ impl UnityCatalog {
             }
         }
         Ok(())
-    }
-
-    /// Build the authorization view of a chain.
-    pub(crate) fn authz_of(chain: &[Arc<Entity>]) -> SecurableAuthz {
-        SecurableAuthz::new(
-            chain
-                .iter()
-                .map(|e| AuthzNode {
-                    id: e.id.clone(),
-                    kind: e.kind,
-                    owner: e.owner.clone(),
-                    grants: e.grants.clone(),
-                })
-                .collect(),
-        )
     }
 
     /// Locate the root credential for a bucket, consulting the in-memory

@@ -18,7 +18,7 @@ use uc_delta::value::Schema;
 
 use crate::audit::AuditDecision;
 use crate::authz::abac::AbacPolicy;
-use crate::authz::decision::AuthzContext;
+use crate::authz::decision::{AuthzContext, Need};
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
@@ -57,23 +57,38 @@ impl UnityCatalog {
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let _api = self.api_enter("resolve_for_query", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
+        self.resolve_refs(ctx, ms, refs, want_credentials, "resolveForQuery", |name| {
+            self.chain_by_name(ms, name, "relation")
+        })
+    }
+
+    /// The per-ref body both resolve entry points share: workspace binding
+    /// → gate (SELECT plus the USE chain) → dependency closure, policies
+    /// and credentials → `Allow` audit, all under the calling op's
+    /// `action`. The entry points differ only in `chain_of`, how each
+    /// ref's full chain is assembled. The caller's context is built once,
+    /// from the first chain's metastore entity.
+    fn resolve_refs(
+        &self,
+        ctx: &Context,
+        ms: &Uid,
+        refs: &[FullName],
+        want_credentials: bool,
+        action: &str,
+        mut chain_of: impl FnMut(&FullName) -> UcResult<Vec<Arc<Entity>>>,
+    ) -> UcResult<Vec<ResolvedSecurable>> {
+        let mut who: Option<AuthzContext> = None;
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
-            // Reuse the resolved chain for the ancestor walk and evaluate
-            // access over the borrowed entities (no AuthzNode copies).
-            let full = self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?;
-            let entity = full[0].clone();
+            let full = chain_of(name)?;
             self.enforce_workspace_binding(ctx, &full)?;
-            if !crate::authz::decision::can_read_data(&full, &who, Privilege::Select) {
-                self.record_audit(&ctx.principal, "resolveForQuery", Some(&entity.id), AuditDecision::Deny, name);
-                return Err(UcError::PermissionDenied(format!(
-                    "SELECT (plus USE on containers) required on {name}"
-                )));
-            }
-            let resolved =
-                self.resolve_entity(ctx, ms, &who, entity, &full, want_credentials, 0)?;
-            self.record_audit(&ctx.principal, "resolveForQuery", Some(&resolved.entity.id), AuditDecision::Allow, name);
+            let who = match &mut who {
+                Some(who) => who,
+                None => who.insert(self.authz_context_with(&full, &ctx.principal)?),
+            };
+            self.gate_with(who, &full, Need::Data(Privilege::Select), action, name)?;
+            let resolved = self.resolve_entity(ctx, ms, who, &full, want_credentials, 0, action)?;
+            self.record_audit(&ctx.principal, action, Some(&resolved.entity.id), AuditDecision::Allow, name);
             out.push(resolved);
         }
         Ok(out)
@@ -96,7 +111,6 @@ impl UnityCatalog {
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let _api = self.api_enter("resolve_batch", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
         // Batch-local memo of container chains, keyed by the container's
         // qualified prefix: `[schema, catalog, …, metastore]` for
         // `catalog.schema`, next to the schema's tree key (each leaf's key
@@ -104,19 +118,15 @@ impl UnityCatalog {
         // prefixes in `refs`, which the serving plane caps per batch.
         let mut prefixes: std::collections::HashMap<String, (Vec<Arc<Entity>>, String)> =
             std::collections::HashMap::new();
-        let mut out = Vec::with_capacity(refs.len());
-        for name in refs {
-            let full = match name.schema() {
+        self.resolve_refs(ctx, ms, refs, want_credentials, "resolveBatch", |name| {
+            Ok(match name.schema() {
                 Some(schema_name) if name.len() == 3 => {
                     let prefix = format!("{}.{schema_name}", name.catalog());
                     let (upper, schema_key) = match prefixes.entry(prefix) {
                         Entry::Occupied(memo) => memo.into_mut(),
                         Entry::Vacant(slot) => {
                             let container = FullName::of(&[name.catalog(), schema_name]);
-                            let chain = self.extend_chain(
-                                ms,
-                                self.lookup_chain(ms, &container, "schema")?,
-                            )?;
+                            let chain = self.chain_by_name(ms, &container, "schema")?;
                             let schema_key = keys::tree_key(
                                 ms,
                                 &[("catalog", name.catalog()), ("schema", schema_name)],
@@ -144,49 +154,38 @@ impl UnityCatalog {
                 // Shorter/longer names (metastore-level securables, model
                 // versions) take the generic walk; they are rare in
                 // engine resolve traffic.
-                _ => self.extend_chain(ms, self.lookup_chain(ms, name, "relation")?)?,
-            };
-            let entity = full[0].clone();
-            self.enforce_workspace_binding(ctx, &full)?;
-            if !crate::authz::decision::can_read_data(&full, &who, Privilege::Select) {
-                self.record_audit(&ctx.principal, "resolveBatch", Some(&entity.id), AuditDecision::Deny, name);
-                return Err(UcError::PermissionDenied(format!(
-                    "SELECT (plus USE on containers) required on {name}"
-                )));
-            }
-            let resolved =
-                self.resolve_entity(ctx, ms, &who, entity, &full, want_credentials, 0)?;
-            self.record_audit(&ctx.principal, "resolveBatch", Some(&resolved.entity.id), AuditDecision::Allow, name);
-            out.push(resolved);
-        }
-        Ok(out)
+                _ => self.chain_by_name(ms, name, "relation")?,
+            })
+        })
     }
 
     /// Resolve one entity plus its dependency closure. Dependencies of a
     /// view are resolved *without* caller privilege checks: SELECT on the
     /// view grants access to the data it exposes (view-based access
     /// control) — the engine receives base metadata and credentials even
-    /// when the caller has no direct grants on the base tables.
+    /// when the caller has no direct grants on the base tables. Policy
+    /// refusals are audited under the calling op's `action`.
     #[allow(clippy::too_many_arguments)]
     fn resolve_entity(
         &self,
         ctx: &Context,
         ms: &Uid,
         who: &AuthzContext,
-        entity: Arc<Entity>,
         full_chain: &[Arc<Entity>],
         want_credentials: bool,
         depth: usize,
+        action: &str,
     ) -> UcResult<ResolvedSecurable> {
+        let entity = full_chain[0].clone();
         if depth > MAX_DEPTH {
             return Err(UcError::InvalidArgument(format!(
                 "view nesting exceeds {MAX_DEPTH} levels at {}",
                 entity.name
             )));
         }
-        let fgac = self.effective_fgac(ms, who, &entity, full_chain)?;
+        let fgac = self.effective_fgac(who, full_chain, action)?;
         if !fgac.is_empty() && !ctx.is_trusted_engine() {
-            self.record_audit(&ctx.principal, "resolveForQuery", Some(&entity.id), AuditDecision::Deny, &entity.name);
+            self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Deny, &entity.name);
             return Err(UcError::PermissionDenied(format!(
                 "{} carries fine-grained policies; a trusted engine (or the data \
                  filtering service) is required",
@@ -199,8 +198,8 @@ impl UnityCatalog {
             let dep = self
                 .entity_by_id(ms, &dep_id)?
                 .ok_or_else(|| UcError::NotFound(format!("view dependency {dep_id} of {}", entity.name)))?;
-            let dep_chain = self.chain_from_entity(ms, dep.clone())?;
-            dependencies.push(self.resolve_entity(ctx, ms, who, dep, &dep_chain, want_credentials, depth + 1)?);
+            let dep_chain = self.chain_from_entity(ms, dep)?;
+            dependencies.push(self.resolve_entity(ctx, ms, who, &dep_chain, want_credentials, depth + 1, action)?);
         }
         let read_credential = if want_credentials && entity.storage_path.is_some() {
             Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?)
@@ -212,14 +211,15 @@ impl UnityCatalog {
 
     /// Assemble the FGAC policies in force for `who` on `entity`:
     /// directly attached row filters / column masks, plus ABAC-derived
-    /// masks and access restrictions from container-scope policies.
-    pub(crate) fn effective_fgac(
+    /// masks and access restrictions from container-scope policies. A
+    /// restriction's refusal is audited under the calling op's `action`.
+    fn effective_fgac(
         &self,
-        _ms: &Uid,
         who: &AuthzContext,
-        entity: &Entity,
         full_chain: &[Arc<Entity>],
+        action: &str,
     ) -> UcResult<FgacPolicies> {
+        let entity = &full_chain[0];
         let mut fgac = FgacPolicies {
             row_filter: entity.row_filter(),
             column_masks: entity.column_masks(),
@@ -235,7 +235,7 @@ impl UnityCatalog {
         for policy in &policies {
             if let Some(allowed) = policy.evaluate_restriction(&entity_tags, &who.groups) {
                 if !allowed {
-                    self.record_audit(&who.principal, "resolveForQuery", None, AuditDecision::Deny, &entity.name);
+                    self.record_audit(&who.principal, action, None, AuditDecision::Deny, &entity.name);
                     return Err(UcError::PermissionDenied(format!(
                         "ABAC policy '{}' restricts access to {}",
                         policy.name, entity.name
@@ -267,17 +267,9 @@ impl UnityCatalog {
         let vname = format!("v{version}");
         parts.push(&vname);
         let name = FullName::of(&parts);
-        let chain = self.lookup_chain(ms, &name, SecurableKind::ModelVersion.name_group())?;
-        let entity = chain[0].clone();
-        let full = self.chain_from_entity(ms, entity.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !authz.can_read_data(&who, Privilege::Execute) {
-            self.record_audit(&ctx.principal, "resolveModelVersion", Some(&entity.id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied(format!(
-                "EXECUTE (plus USE on containers) required on {model}"
-            )));
-        }
+        let full = self.chain_by_name(ms, &name, SecurableKind::ModelVersion.name_group())?;
+        let entity = full[0].clone();
+        self.gate(ctx, &full, Need::Data(Privilege::Execute), "resolveModelVersion", &name)?;
         let read_credential = Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?);
         self.record_audit(&ctx.principal, "resolveModelVersion", Some(&entity.id), AuditDecision::Allow, name);
         Ok(ResolvedSecurable {

@@ -19,6 +19,7 @@ use crate::error::UcError;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::service::crud::TableSpec;
+use crate::service::resolve::ResolvedSecurable;
 use crate::service::{Context, EngineIdentity, UnityCatalog};
 use crate::types::{FullName, SecurableKind, TableFormat, TableType};
 
@@ -113,6 +114,37 @@ fn name_param(params: &Json, key: &str) -> Result<FullName, ApiError> {
 /// A REST endpoint bound to one catalog node.
 pub struct RestApi {
     uc: std::sync::Arc<UnityCatalog>,
+}
+
+/// The `names` / `with_credentials` parameters of the resolve routes.
+fn resolve_params(params: &Json) -> Result<(Vec<FullName>, bool), ApiError> {
+    let names = params
+        .get("names")
+        .and_then(|v| v.as_array())
+        .ok_or_else(|| bad_request("missing 'names' array"))?;
+    let mut refs = Vec::with_capacity(names.len());
+    for n in names {
+        let s = n.as_str().ok_or_else(|| bad_request("names must be strings"))?;
+        refs.push(FullName::parse(s)?);
+    }
+    let want_creds = params
+        .get("with_credentials")
+        .and_then(|v| v.as_bool())
+        .unwrap_or(false);
+    Ok((refs, want_creds))
+}
+
+/// The reply of the resolve routes.
+fn resolved_json(resolved: &[ResolvedSecurable]) -> Json {
+    json!({
+        "securables": resolved.iter().map(|r| json!({
+            "entity": entity_json(&r.entity),
+            "has_row_filter": r.fgac.row_filter.is_some(),
+            "masked_columns": r.fgac.column_masks.iter().map(|m| m.column.clone()).collect::<Vec<_>>(),
+            "dependencies": r.dependencies.iter().map(|d| d.entity.name.clone()).collect::<Vec<_>>(),
+            "has_credential": r.read_credential.is_some(),
+        })).collect::<Vec<_>>()
+    })
 }
 
 impl RestApi {
@@ -261,54 +293,12 @@ impl RestApi {
                 }))
             }
             "tables.resolve" => {
-                let names = params
-                    .get("names")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| bad_request("missing 'names' array"))?;
-                let mut refs = Vec::with_capacity(names.len());
-                for n in names {
-                    let s = n.as_str().ok_or_else(|| bad_request("names must be strings"))?;
-                    refs.push(FullName::parse(s)?);
-                }
-                let want_creds = params
-                    .get("with_credentials")
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false);
-                let resolved = self.uc.resolve_for_query(&ctx, ms, &refs, want_creds)?;
-                Ok(json!({
-                    "securables": resolved.iter().map(|r| json!({
-                        "entity": entity_json(&r.entity),
-                        "has_row_filter": r.fgac.row_filter.is_some(),
-                        "masked_columns": r.fgac.column_masks.iter().map(|m| m.column.clone()).collect::<Vec<_>>(),
-                        "dependencies": r.dependencies.iter().map(|d| d.entity.name.clone()).collect::<Vec<_>>(),
-                        "has_credential": r.read_credential.is_some(),
-                    })).collect::<Vec<_>>()
-                }))
+                let (refs, want_creds) = resolve_params(params)?;
+                Ok(resolved_json(&self.uc.resolve_for_query(&ctx, ms, &refs, want_creds)?))
             }
             "tables.resolveBatch" => {
-                let names = params
-                    .get("names")
-                    .and_then(|v| v.as_array())
-                    .ok_or_else(|| bad_request("missing 'names' array"))?;
-                let mut refs = Vec::with_capacity(names.len());
-                for n in names {
-                    let s = n.as_str().ok_or_else(|| bad_request("names must be strings"))?;
-                    refs.push(FullName::parse(s)?);
-                }
-                let want_creds = params
-                    .get("with_credentials")
-                    .and_then(|v| v.as_bool())
-                    .unwrap_or(false);
-                let resolved = self.uc.resolve_batch(&ctx, ms, &refs, want_creds)?;
-                Ok(json!({
-                    "securables": resolved.iter().map(|r| json!({
-                        "entity": entity_json(&r.entity),
-                        "has_row_filter": r.fgac.row_filter.is_some(),
-                        "masked_columns": r.fgac.column_masks.iter().map(|m| m.column.clone()).collect::<Vec<_>>(),
-                        "dependencies": r.dependencies.iter().map(|d| d.entity.name.clone()).collect::<Vec<_>>(),
-                        "has_credential": r.read_credential.is_some(),
-                    })).collect::<Vec<_>>()
-                }))
+                let (refs, want_creds) = resolve_params(params)?;
+                Ok(resolved_json(&self.uc.resolve_batch(&ctx, ms, &refs, want_creds)?))
             }
             "events.list" => {
                 let offset = params.get("offset").and_then(|v| v.as_u64()).unwrap_or(0);

@@ -18,6 +18,7 @@ use uc_delta::uniform::{snapshot_to_iceberg, IcebergMetadata};
 use uc_delta::Snapshot;
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
@@ -59,12 +60,8 @@ impl UnityCatalog {
     pub fn create_share(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_share", Some(&ctx.principal), Some(ms));
         crate::types::validate_object_name(name)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&[self.get_metastore(ms)?]);
-        if !(who.is_metastore_admin || authz.has_privilege(&who, Privilege::CreateShare)) {
-            self.record_audit(&ctx.principal, "createShare", Some(ms), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied("CREATE_SHARE required".into()));
-        }
+        let need = Need::MetastoreAdminOr(Privilege::CreateShare);
+        self.gate(ctx, &self.metastore_chain(ms)?, need, "createShare", name)?;
         let now = self.now_ms();
         let created = self.write_ms(ms, |tx, _ver, fx| {
             let ent = Entity::new(SecurableKind::Share, name, Some(ms.clone()), ms.clone(), &ctx.principal, now);
@@ -85,22 +82,12 @@ impl UnityCatalog {
         table: &FullName,
     ) -> UcResult<()> {
         let _api = self.api_enter("add_table_to_share", Some(&ctx.principal), Some(ms));
-        let share = self.share_by_name(ms, share_name)?;
-        let full = self.chain_from_entity(ms, share.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).has_admin_authority(&who) {
-            self.record_audit(&ctx.principal, "addToShare", Some(&share.id), AuditDecision::Deny, share_name);
-            return Err(UcError::PermissionDenied("admin authority on share required".into()));
-        }
-        let table_chain = self.lookup_chain(ms, table, "relation")?;
-        let table_ent = table_chain[0].clone();
-        let table_full = self.chain_from_entity(ms, table_ent.clone())?;
-        if !Self::authz_of(&table_full).can_read_data(&who, Privilege::Select) {
-            self.record_audit(&ctx.principal, "addToShare", Some(&table_ent.id), AuditDecision::Deny, table);
-            return Err(UcError::PermissionDenied(format!(
-                "sharer needs SELECT on {table}"
-            )));
-        }
+        let full = self.share_chain(ms, share_name)?;
+        let share = &full[0];
+        let who = self.gate(ctx, &full, Need::Admin, "addToShare", share_name)?;
+        let table_full = self.chain_by_name(ms, table, "relation")?;
+        let table_ent = &table_full[0];
+        self.gate_with(&who, &table_full, Need::Data(Privilege::Select), "addToShare", table)?;
         let alias = format!("{}.{}", table.schema().unwrap_or("default"), table_ent.name);
         let member = ShareMember { table_id: table_ent.id.to_string(), alias };
         let share_id = share.id.clone();
@@ -117,24 +104,20 @@ impl UnityCatalog {
         Ok(())
     }
 
-    fn share_by_name(&self, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        self.entity_by_name_key(
-            ms,
-            &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]),
-        )?
-        .ok_or_else(|| UcError::NotFound(format!("share {name}")))
+    /// A share's full chain, `[share, metastore]`.
+    fn share_chain(&self, ms: &Uid, name: &str) -> UcResult<Vec<Arc<Entity>>> {
+        let share = self
+            .entity_by_name_key(ms, &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]))?
+            .ok_or_else(|| UcError::NotFound(format!("share {name}")))?;
+        self.chain_from_entity(ms, share)
     }
 
     /// Shares the caller can access (owner, admin, or SELECT grant).
     pub fn list_shares(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
         let _api = self.api_enter("list_shares", Some(&ctx.principal), Some(ms));
-        let who = self.authz_context(ms, &ctx.principal)?;
-        self.visible_children(
-            ms,
-            &who,
-            &keys::tree_ms_prefix(ms),
-            Some(SecurableKind::Share.name_group()),
-        )
+        let root = self.metastore_chain(ms)?;
+        let who = self.authz_context_with(&root, &ctx.principal)?;
+        self.visible_children(ms, &who, &root, Some(SecurableKind::Share.name_group()))
     }
 
     /// Tables within a share (recipient must have SELECT on the share).
@@ -145,7 +128,7 @@ impl UnityCatalog {
         share_name: &str,
     ) -> UcResult<Vec<ShareMember>> {
         let _api = self.api_enter("list_share_tables", Some(&ctx.principal), Some(ms));
-        let share = self.authorize_share_read(ctx, ms, share_name)?;
+        let share = self.authorize_share_read(ctx, ms, share_name, "queryShare")?;
         let rt = self.db.begin_read();
         Ok(rt
             .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
@@ -154,18 +137,18 @@ impl UnityCatalog {
             .collect())
     }
 
-    fn authorize_share_read(&self, ctx: &Context, ms: &Uid, share_name: &str) -> UcResult<Arc<Entity>> {
-        let share = self.share_by_name(ms, share_name)?;
-        let full = self.chain_from_entity(ms, share.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        if !(authz.has_privilege(&who, Privilege::Select) || authz.has_admin_authority(&who)) {
-            self.record_audit(&ctx.principal, "queryShare", Some(&share.id), AuditDecision::Deny, share_name);
-            return Err(UcError::PermissionDenied(format!(
-                "SELECT on share {share_name} required"
-            )));
-        }
-        Ok(share)
+    /// SELECT on the share (or admin authority over it), a refusal audited
+    /// under the calling op's `action`.
+    fn authorize_share_read(
+        &self,
+        ctx: &Context,
+        ms: &Uid,
+        share_name: &str,
+        action: &str,
+    ) -> UcResult<Arc<Entity>> {
+        let full = self.share_chain(ms, share_name)?;
+        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Select]), action, share_name)?;
+        Ok(full[0].clone())
     }
 
     /// Query a shared table: snapshot + file list + scoped read token.
@@ -179,7 +162,7 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
         let _api = self.api_enter("query_share_table", Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias)?;
+        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias, "queryShare")?;
         let table_path = table
             .storage_path
             .as_ref()
@@ -215,7 +198,7 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
         let _api = self.api_enter("query_share_table_as_iceberg", Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias)?;
+        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias, "queryShare")?;
         let table_path = table
             .storage_path
             .as_ref()
@@ -230,8 +213,9 @@ impl UnityCatalog {
         ms: &Uid,
         share_name: &str,
         alias: &str,
+        action: &str,
     ) -> UcResult<(Arc<Entity>, Snapshot)> {
-        let share = self.authorize_share_read(ctx, ms, share_name)?;
+        let share = self.authorize_share_read(ctx, ms, share_name, action)?;
         let rt = self.db.begin_read();
         let member = rt
             .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
@@ -259,20 +243,15 @@ impl UnityCatalog {
         name: &FullName,
     ) -> UcResult<IcebergMetadata> {
         let _api = self.api_enter("load_table_as_iceberg", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, name, "relation")?;
-        let table = chain[0].clone();
-        let full = self.chain_from_entity(ms, table.clone())?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        if !Self::authz_of(&full).can_read_data(&who, Privilege::Select) {
-            self.record_audit(&ctx.principal, "loadTableAsIceberg", Some(&table.id), AuditDecision::Deny, name);
-            return Err(UcError::PermissionDenied(format!("SELECT required on {name}")));
-        }
+        let full = self.chain_by_name(ms, name, "relation")?;
+        let table = &full[0];
+        self.gate(ctx, &full, Need::Data(Privilege::Select), "loadTableAsIceberg", name)?;
         if table.has_fgac() && !ctx.is_trusted_engine() {
             return Err(UcError::PermissionDenied(
                 "table has fine-grained policies; Iceberg pass-through requires a trusted engine".into(),
             ));
         }
-        let snapshot = self.table_snapshot_internal(ms, &table)?;
+        let snapshot = self.table_snapshot_internal(ms, table)?;
         let path = StoragePath::parse(table.storage_path.as_ref().ok_or_else(|| {
             UcError::UnsupportedOperation(format!("{name} has no storage"))
         })?)

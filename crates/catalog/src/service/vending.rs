@@ -12,6 +12,7 @@ use uc_cloudstore::faults::points;
 use uc_cloudstore::{AccessLevel, StoragePath, TempCredential};
 
 use crate::audit::AuditDecision;
+use crate::authz::decision::Need;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
@@ -30,8 +31,8 @@ impl UnityCatalog {
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
         let _api = self.api_enter("temp_credentials", Some(&ctx.principal), Some(ms));
-        let chain = self.lookup_chain(ms, asset, leaf_group)?;
-        self.vend_for_entity(ctx, ms, chain[0].clone(), access, "generateTemporaryCredentials", &asset.to_string())
+        let full = self.chain_by_name(ms, asset, leaf_group)?;
+        self.vend_for_chain(ctx, ms, &full, access, "generateTemporaryCredentials", asset)
     }
 
     /// Vend a temporary credential for a raw storage path: resolve the
@@ -51,19 +52,22 @@ impl UnityCatalog {
             self.record_audit(&ctx.principal, "generateTemporaryPathCredentials", None, AuditDecision::Deny, path);
             return Err(UcError::NotFound(format!("no asset governs path {path}")));
         };
-        self.vend_for_entity(ctx, ms, entity, access, "generateTemporaryPathCredentials", path)
+        let full = self.chain_from_entity(ms, entity)?;
+        self.vend_for_chain(ctx, ms, &full, access, "generateTemporaryPathCredentials", path)
     }
 
-    /// Shared vending flow once the asset is known.
-    pub(crate) fn vend_for_entity(
+    /// Shared vending flow once the asset's full chain is known — the same
+    /// decision whether it was addressed by name, by path or by id.
+    fn vend_for_chain(
         &self,
         ctx: &Context,
         ms: &Uid,
-        entity: Arc<Entity>,
+        full: &[Arc<Entity>],
         access: AccessLevel,
         action: &str,
-        detail: &str,
+        detail: impl std::fmt::Display,
     ) -> UcResult<TempCredential> {
+        let entity = &full[0];
         let m = manifest(entity.kind);
         let needed = match access {
             AccessLevel::Read => m.read_data_privilege,
@@ -75,20 +79,8 @@ impl UnityCatalog {
                 entity.kind
             ))
         })?;
-        let full = self.chain_from_entity(ms, entity.clone())?;
-        self.enforce_workspace_binding(ctx, &full)?;
-        let who = self.authz_context(ms, &ctx.principal)?;
-        let authz = Self::authz_of(&full);
-        let allowed = match access {
-            AccessLevel::Read => authz.can_read_data(&who, needed),
-            AccessLevel::ReadWrite => authz.can_write_data(&who, needed),
-        };
-        if !allowed {
-            self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Deny, detail);
-            return Err(UcError::PermissionDenied(format!(
-                "{needed} (plus USE on containers) required for {access:?} access"
-            )));
-        }
+        self.enforce_workspace_binding(ctx, full)?;
+        self.gate(ctx, full, Need::Data(needed), action, &detail)?;
         // Tables with FGAC policies must not hand raw storage access to
         // untrusted engines — the policy would be unenforceable.
         if entity.has_fgac() && !ctx.is_trusted_engine() {
@@ -97,7 +89,7 @@ impl UnityCatalog {
                 "asset has fine-grained policies; use a trusted engine or the data filtering service".into(),
             ));
         }
-        let token = self.mint_for_entity(ms, &entity, access)?;
+        let token = self.mint_for_entity(ms, entity, access)?;
         self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Allow, detail);
         Ok(token)
     }
@@ -119,7 +111,8 @@ impl UnityCatalog {
         let entity = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(format!("asset {id}")))?;
-        self.vend_for_entity(ctx, ms, entity, AccessLevel::Read, "renewTemporaryCredentials", "renew")
+        let full = self.chain_from_entity(ms, entity)?;
+        self.vend_for_chain(ctx, ms, &full, AccessLevel::Read, "renewTemporaryCredentials", "renew")
     }
 
     /// Mint (or reuse from the TTL cache) a token scoped to the entity's

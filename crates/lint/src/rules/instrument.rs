@@ -12,7 +12,7 @@
 //! (its own body or a callee's — the deny audit may live in a helper).
 //!
 //! Known false negatives (DESIGN.md §8): actions passed as variables are
-//! not checked (`vend_for_entity`-style helpers), the Deny check is
+//! not checked (`vend_for_chain`-style helpers), the Deny check is
 //! function-granular (one audited deny path satisfies it for the whole
 //! function), and a call the graph cannot resolve contributes no
 //! reachability facts.
@@ -241,7 +241,7 @@ pub fn check(
         // (b) In an op-bearing function, any string literal that IS a
         // known audit action must be allowed for that op — catches
         // cross-op mixups even when the action travels through a helper
-        // (e.g. vend_for_entity) rather than record_audit directly.
+        // (e.g. vend_for_chain) rather than record_audit directly.
         if let Some((op, _)) = &direct {
             if let Some(allowed) = known.get(op) {
                 for t in toks.iter().take(close).skip(open) {

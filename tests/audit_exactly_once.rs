@@ -144,3 +144,171 @@ fn back_to_back_retry_storms_stay_exactly_once() {
     assert_exactly_once(&w, "t_first", 3);
     assert_exactly_once(&w, "t_second", 2);
 }
+
+// ---------------------------------------------------------------------
+// Refusals: one gate, one `Deny`, under the refused op's own action
+// ---------------------------------------------------------------------
+
+mod deny {
+    use super::*;
+    use uc_catalog::audit::{AuditRecord, KNOWN_OPS};
+    use uc_catalog::authz::abac::{AbacEffect, AbacPolicy};
+    use uc_catalog::authz::fgac::RowFilterPolicy;
+    use uc_catalog::authz::Privilege;
+    use uc_catalog::error::{UcError, UcResult};
+    use uc_catalog::service::federation::ForeignTableMeta;
+    use uc_catalog::types::FullName;
+    use uc_cloudstore::{AccessLevel, RootCredential};
+    use uc_delta::expr::{CmpOp, Expr};
+
+    fn name(s: &str) -> FullName {
+        FullName::parse(s).unwrap()
+    }
+
+    /// Run `call`, which must be refused, and return the audit records it
+    /// added.
+    fn refused(w: &FaultyWorld, call: impl FnOnce() -> UcResult<()>) -> (UcError, Vec<AuditRecord>) {
+        let before = w.uc.audit_log().total_recorded();
+        let err = call().expect_err("an outsider's call must be refused");
+        let added = (w.uc.audit_log().total_recorded() - before) as usize;
+        (err, w.uc.audit_log().recent(added))
+    }
+
+    /// For each op that declares audit actions and takes a nameable
+    /// target, a principal with no grant at all is refused with
+    /// `PermissionDenied` (`NotFound` where existence is hidden) and the
+    /// refusal adds exactly one record: a `Deny`, under one of that op's
+    /// own actions, naming the securable it was decided on.
+    #[test]
+    fn every_audited_op_refuses_an_outsider_with_exactly_one_deny_under_its_own_action() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        let table = uc
+            .create_table(&admin, ms, TableSpec::managed("main.s.t", int_schema()).unwrap())
+            .unwrap();
+        let path = table.storage_path.clone().unwrap();
+        uc.create_registered_model(&admin, ms, &name("main.s.m")).unwrap();
+        uc.create_model_version(&admin, ms, &name("main.s.m")).unwrap();
+        uc.create_share(&admin, ms, "sh").unwrap();
+        uc.create_connection(&admin, ms, "conn", "thrift://hms").unwrap();
+        uc.create_federated_catalog(&admin, ms, "fed", "conn").unwrap();
+
+        let out = Context::user("mallory");
+        let root = RootCredential { bucket: "other".into(), secret: 1 };
+        let meta = ForeignTableMeta {
+            name: "ft".into(),
+            columns: int_schema(),
+            storage_path: None,
+            foreign_type: "hive".into(),
+        };
+        let policy = AbacPolicy {
+            name: "p".into(),
+            tag_key: "pii".into(),
+            tag_value: None,
+            effect: AbacEffect::RestrictAccess { allowed_groups: vec![] },
+        };
+        let filter = RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) };
+        let t = name("main.s.t");
+        let m = name("main.s.m");
+        type Call<'a> = Box<dyn FnOnce() -> UcResult<()> + 'a>;
+        let sweep: Vec<(&str, Call)> = vec![
+            ("add_metastore_admin", Box::new(|| uc.add_metastore_admin(&out, ms, "mallory"))),
+            ("add_table_to_share", Box::new(|| uc.add_table_to_share(&out, ms, "sh", &t))),
+            ("bulk_create_tables", Box::new(|| uc.bulk_create_tables(&out, ms, "main", &[], &int_schema(), 8).map(drop))),
+            ("commit_tables_atomically", Box::new(|| uc.commit_table(&out, ms, &table.id, 0, bytes::Bytes::new()))),
+            ("create_abac_policy", Box::new(|| uc.create_abac_policy(&out, ms, &name("main"), "catalog", policy.clone()))),
+            ("create_catalog", Box::new(|| uc.create_catalog(&out, ms, "c2").map(drop))),
+            ("create_connection", Box::new(|| uc.create_connection(&out, ms, "c2", "thrift://x").map(drop))),
+            ("create_external_location", Box::new(|| uc.create_external_location(&out, ms, "loc", "s3://lake/ext", "lake_cred").map(drop))),
+            ("create_function", Box::new(|| uc.create_function(&out, ms, &name("main.s.f"), "1").map(drop))),
+            ("create_model_version", Box::new(|| uc.create_model_version(&out, ms, &m).map(drop))),
+            ("create_registered_model", Box::new(|| uc.create_registered_model(&out, ms, &name("main.s.m2")).map(drop))),
+            ("create_schema", Box::new(|| uc.create_schema(&out, ms, "main", "s2").map(drop))),
+            ("create_shallow_clone", Box::new(|| uc.create_shallow_clone(&out, ms, &name("main.s.c"), &t, 0).map(drop))),
+            ("create_share", Box::new(|| uc.create_share(&out, ms, "sh2").map(drop))),
+            ("create_storage_credential", Box::new(|| uc.create_storage_credential(&out, ms, "cred2", &root).map(drop))),
+            ("create_table", Box::new(|| uc.create_table(&out, ms, TableSpec::managed("main.s.t2", int_schema()).unwrap()).map(drop))),
+            ("create_view", Box::new(|| uc.create_view(&out, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
+            ("create_volume", Box::new(|| uc.create_volume(&out, ms, &name("main.s.vol"), None).map(drop))),
+            ("drop_securable", Box::new(|| uc.drop_securable(&out, ms, &t, "relation").map(drop))),
+            ("get_securable", Box::new(|| uc.get_table(&out, ms, "main.s.t").map(drop))),
+            ("grant", Box::new(|| uc.grant(&out, ms, &t, "relation", "mallory", Privilege::Select))),
+            ("list_share_tables", Box::new(|| uc.list_share_tables(&out, ms, "sh").map(drop))),
+            ("load_table_as_iceberg", Box::new(|| uc.load_table_as_iceberg(&out, ms, &t).map(drop))),
+            ("mirror_table", Box::new(|| uc.mirror_table(&out, ms, "fed", "s", &meta).map(drop))),
+            ("policy_update", Box::new(|| uc.set_row_filter(&out, ms, &t, filter.clone()))),
+            ("query_share_table", Box::new(|| uc.query_share_table(&out, ms, "sh", "s.t").map(drop))),
+            ("query_share_table_as_iceberg", Box::new(|| uc.query_share_table_as_iceberg(&out, ms, "sh", "s.t").map(drop))),
+            ("read_table_commit", Box::new(|| uc.read_table_commit(&out, ms, &table.id, 0).map(drop))),
+            ("rename_securable", Box::new(|| uc.rename_securable(&out, ms, &t, "relation", "t9").map(drop))),
+            ("renew_read_credential", Box::new(|| uc.renew_read_credential(&out, ms, &table.id).map(drop))),
+            ("resolve_batch", Box::new(|| uc.resolve_batch(&out, ms, std::slice::from_ref(&t), false).map(drop))),
+            ("resolve_for_query", Box::new(|| uc.resolve_for_query(&out, ms, std::slice::from_ref(&t), false).map(drop))),
+            ("resolve_model_version", Box::new(|| uc.resolve_model_version(&out, ms, &m, 1).map(drop))),
+            ("revoke", Box::new(|| uc.revoke(&out, ms, &t, "relation", ADMIN, Privilege::Select))),
+            ("set_catalog_bindings", Box::new(|| uc.set_catalog_bindings(&out, ms, "main", &["ws"]))),
+            ("set_metastore_root", Box::new(|| uc.set_metastore_root(&out, ms, "s3://lake/elsewhere"))),
+            ("tag_update", Box::new(|| uc.set_tag(&out, ms, &t, "relation", "k", "v"))),
+            ("temp_credentials", Box::new(|| uc.temp_credentials(&out, ms, &t, "relation", AccessLevel::Read).map(drop))),
+            ("temp_credentials_for_path", Box::new(|| uc.temp_credentials_for_path(&out, ms, &path, AccessLevel::Read).map(drop))),
+            ("transfer_ownership", Box::new(|| uc.transfer_ownership(&out, ms, &t, "relation", "mallory").map(drop))),
+            ("update_comment", Box::new(|| uc.update_comment(&out, ms, &t, "relation", "hi").map(drop))),
+        ];
+        // Audited ops the sweep cannot reach with a refusal of their own.
+        let not_swept = [
+            "add_lineage",              // refused inside the nested `get_securable` it calls, under that op's action
+            "create_federated_catalog", // refused inside the nested `create_catalog` it calls
+            "create_metastore",         // account-level: no authorization decision
+            "purge_soft_deleted",       // node-internal: no principal
+            "serve_admit",              // the serving plane's shed, not a catalog entry point
+        ];
+        let mut covered: Vec<&str> = sweep.iter().map(|(op, _)| *op).chain(not_swept).collect();
+        covered.sort_unstable();
+        let audited: Vec<&str> =
+            KNOWN_OPS.iter().filter(|(_, actions)| !actions.is_empty()).map(|(op, _)| *op).collect();
+        assert_eq!(covered, audited, "every op that declares audit actions is swept or listed");
+
+        for (op, call) in sweep {
+            let allowed = KNOWN_OPS.iter().find(|(o, _)| *o == op).map(|(_, a)| *a).unwrap();
+            let (err, added) = refused(&w, call);
+            match op {
+                "get_securable" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
+                _ => assert!(matches!(err, UcError::PermissionDenied(_)), "{op}: {err}"),
+            }
+            assert_eq!(added.len(), 1, "{op}: exactly one audit record, got {added:?}");
+            let rec = &added[0];
+            assert_eq!(rec.decision, AuditDecision::Deny, "{op}");
+            assert_eq!(rec.principal, "mallory", "{op}");
+            assert!(allowed.contains(&rec.action.as_str()), "{op}: audited as {} (allowed {allowed:?})", rec.action);
+            assert!(rec.securable.is_some(), "{op}: the deny names the securable it was decided on");
+        }
+    }
+
+    /// A policy refusal is audited under the op that was refused: an
+    /// untrusted engine resolving a row-filtered table through the batch
+    /// entry point lands as `resolveBatch`, not as the per-ref op's action.
+    #[test]
+    fn fgac_refusals_are_audited_under_the_calling_resolve_op() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_table(&admin, ms, TableSpec::managed("main.s.rf", int_schema()).unwrap()).unwrap();
+        uc.grant_read_path(&admin, ms, "main.s.rf", "alice").unwrap();
+        let rf = name("main.s.rf");
+        uc.set_row_filter(&admin, ms, &rf, RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) })
+            .unwrap();
+        let untrusted = Context::user("alice");
+        let refs = std::slice::from_ref(&rf);
+
+        let (err, added) = refused(&w, || uc.resolve_batch(&untrusted, ms, refs, false).map(drop));
+        assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveBatch"));
+
+        let (err, added) = refused(&w, || uc.resolve_for_query(&untrusted, ms, refs, false).map(drop));
+        assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveForQuery"));
+    }
+}

@@ -346,6 +346,33 @@ fn subtree_adversary_hundred_seeded_runs_hold_invariants() {
     );
 }
 
+/// Pinned replays of subtree-adversary schedules in which a cascade lands
+/// between a request's name resolution and its ancestor walk. When the
+/// walk re-read the ancestors by parent id through the (since advanced)
+/// cache, the request died with `database error: dangling parent` — a
+/// listing in the first two, a `drop_table` in the third. A request's
+/// ancestors are the chain it resolved once.
+#[test]
+fn a_cascade_under_a_resolved_chain_never_dangles() {
+    for (seed, mode) in [
+        (77, SchedMode::RandomWalk),
+        (108, SchedMode::Pct { depth: 3 }),
+        (267, SchedMode::RandomWalk),
+    ] {
+        let mut cfg = RunConfig::new(seed, mode);
+        cfg.clients = 2;
+        cfg.subtree_clients = 2;
+        cfg.ops_per_client = 8;
+        let out = run_one(&cfg);
+        assert!(
+            out.violations.is_empty(),
+            "seed {seed} mode {mode:?}: {:#?}\nhistory:\n{}",
+            out.violations,
+            out.history.canonical_text()
+        );
+    }
+}
+
 /// The adversarial schedule replays byte-identically from its seed, like
 /// every other explorer configuration.
 #[test]

@@ -1,18 +1,20 @@
-//! Exact hot-path cost gate (ROADMAP 6b): heap allocations per cached
-//! `get_table` and per cached `temp_credentials_for_path`.
+//! Exact hot-path cost gate (ROADMAP 6b): heap allocations and cached
+//! entity reads (`cache.hits`) per cached `get_table`, by-name
+//! `temp_credentials` and `temp_credentials_for_path`.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
 //! global allocator (per-thread counter, so the libtest harness thread
 //! never pollutes the reading), warms one node with the default
 //! `UcConfig`, and asserts that each of 1 000 cached calls performs the
-//! same number of allocations and no more than the parent commit did.
+//! same number of allocations and no more than the pinned constant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::{Context, UnityCatalog};
+use uc_catalog::types::FullName;
 use uc_cloudstore::{AccessLevel, ObjectStore};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_txdb::Db;
@@ -60,8 +62,18 @@ static GLOBAL: Counting = Counting;
 /// Allocations per cached `get_table` measured by this test at the parent
 /// commit (7f121b0, before the cache module owned the read protocol).
 const PARENT_GET_TABLE_ALLOCS: u64 = 25;
-/// Allocations per cached `temp_credentials_for_path` at the parent commit.
-const PARENT_PATH_CREDENTIAL_ALLOCS: u64 = 41;
+/// Allocations per cached by-name `temp_credentials` (41 before the vend
+/// evaluated the borrowed chain instead of copying it into `AuthzNode`s).
+const NAME_CREDENTIAL_ALLOCS: u64 = 28;
+/// Allocations per cached `temp_credentials_for_path` (41 before).
+const PATH_CREDENTIAL_ALLOCS: u64 = 32;
+/// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
+/// A by-name vend must read the same (it read 7 while it re-walked the
+/// chain it had just resolved and looked the metastore up again).
+const GET_TABLE_HITS: u64 = 4;
+/// `cache.hits` per cached path vend: the asset by path, then its three
+/// ancestors (5 before: the metastore twice).
+const PATH_CREDENTIAL_HITS: u64 = 4;
 
 const CALLS: usize = 1_000;
 
@@ -82,7 +94,7 @@ fn allocs_per_call(uc: &UnityCatalog, mut op: impl FnMut()) -> Vec<u64> {
     samples
 }
 
-fn assert_constant_and_bounded(what: &str, samples: &[u64], parent: u64) {
+fn assert_constant_and_bounded(what: &str, samples: &[u64], pinned: u64) {
     let first = samples[0];
     let odd: Vec<(usize, u64)> = samples
         .iter()
@@ -92,8 +104,8 @@ fn assert_constant_and_bounded(what: &str, samples: &[u64], parent: u64) {
         .take(5)
         .collect();
     assert!(odd.is_empty(), "{what}: allocations vary across calls ({first} vs (call, n) {odd:?})");
-    println!("{what}: {first} allocations per call (parent {parent})");
-    assert!(first <= parent, "{what}: {first} allocations per call, parent commit made {parent}");
+    println!("{what}: {first} allocations per call (pinned {pinned})");
+    assert!(first <= pinned, "{what}: {first} allocations per call, pinned at {pinned}");
 }
 
 #[test]
@@ -115,24 +127,49 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
 
     // Warm: entity cache, credential cache, per-op instruments, tenant
     // label memo.
+    let name = FullName::parse("main.s.t").unwrap();
     for _ in 0..16 {
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
+        uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
         uc.temp_credentials_for_path(&ctx, &ms, &path, AccessLevel::Read).unwrap();
     }
     let db_reads = uc.db().stats().reads();
 
+    let hits = || uc.cache_stats().hits.get();
+    let hits_0 = hits();
     let get_table = allocs_per_call(&uc, || {
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
     });
+    let hits_1 = hits();
+    let name_credential = allocs_per_call(&uc, || {
+        uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
+    });
+    let hits_2 = hits();
     let path_credential = allocs_per_call(&uc, || {
         uc.temp_credentials_for_path(&ctx, &ms, &path, AccessLevel::Read).unwrap();
     });
+    let hits_3 = hits();
     assert_eq!(uc.db().stats().reads(), db_reads, "measured calls must all be cache hits");
 
     assert_constant_and_bounded("get_table", &get_table, PARENT_GET_TABLE_ALLOCS);
+    assert_constant_and_bounded("temp_credentials", &name_credential, NAME_CREDENTIAL_ALLOCS);
     assert_constant_and_bounded(
         "temp_credentials_for_path",
         &path_credential,
-        PARENT_PATH_CREDENTIAL_ALLOCS,
+        PATH_CREDENTIAL_ALLOCS,
     );
+
+    // Cached entity reads (`cache.hits`) per call: one per chain level,
+    // and nothing re-read once the chain is resolved. A by-name vend
+    // resolves exactly the chain `get_table` does.
+    let per_call = |from: u64, to: u64| (to - from) as f64 / CALLS as f64;
+    println!(
+        "cache.hits per call: get_table {}, temp_credentials {}, temp_credentials_for_path {}",
+        per_call(hits_0, hits_1),
+        per_call(hits_1, hits_2),
+        per_call(hits_2, hits_3)
+    );
+    assert_eq!(hits_1 - hits_0, GET_TABLE_HITS * CALLS as u64, "get_table cache.hits");
+    assert_eq!(hits_2 - hits_1, GET_TABLE_HITS * CALLS as u64, "by-name vend reads what get_table reads");
+    assert_eq!(hits_3 - hits_2, PATH_CREDENTIAL_HITS * CALLS as u64, "path vend cache.hits");
 }

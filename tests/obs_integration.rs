@@ -144,11 +144,20 @@ fn explicit_flight_freeze_captures_audit_trail_and_serves_over_rest() {
 fn spans_nest_across_layers_under_one_trace() {
     let w = observed_world(1);
     let ctx = Context::user(ADMIN);
+    let api_calls = || w.obs.counter("catalog.api.calls").get();
+    let get_metastore_calls = w.obs.counter("catalog.get_metastore.count").get();
+    let calls_0 = api_calls();
     w.uc.create_catalog(&ctx, &w.ms, "main").unwrap();
+    let calls_1 = api_calls();
     w.uc.create_schema(&ctx, &w.ms, "main", "s").unwrap();
     w.obs.tracer().clear();
+    let calls_2 = api_calls();
     w.uc.create_table(&ctx, &w.ms, TableSpec::managed("main.s.t", int_schema()).unwrap())
         .unwrap();
+    // One request is one API entry: neither the metastore-level privilege
+    // check nor the managed-path allocation re-enters `get_metastore`.
+    assert_eq!((calls_1 - calls_0) + (api_calls() - calls_2), 2, "create_catalog + create_table");
+    assert_eq!(w.obs.counter("catalog.get_metastore.count").get(), get_metastore_calls);
     let jsonl = w.obs.trace_jsonl();
 
     // The catalog entry point opened a root span; find its trace ID.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use uc_bench::{World, WorldConfig, ADMIN};
-use uc_catalog::authz::decision::{AuthzContext, AuthzNode, SecurableAuthz};
+use uc_catalog::authz::decision::{can_traverse, decide, AuthzContext, AuthzNode, Need};
 use uc_catalog::authz::Privilege;
 use uc_catalog::ids::Uid;
 use uc_catalog::model::paths;
@@ -182,11 +182,11 @@ proptest! {
                     .map(|(_, p)| ("alice".to_string(), privs[*p as usize]))
                     .collect(),
             };
-            SecurableAuthz::new(vec![
+            vec![
                 node(0, SecurableKind::Table),
                 node(1, SecurableKind::Schema),
                 node(2, SecurableKind::Catalog),
-            ])
+            ]
         };
         let alice = AuthzContext::new("alice");
         let before = build(&base_grants);
@@ -195,11 +195,148 @@ proptest! {
         let after = build(&extended);
         let p = privs[check_priv as usize];
         // monotone in every decision dimension
-        prop_assert!(!before.has_privilege(&alice, p) || after.has_privilege(&alice, p));
-        prop_assert!(!before.can_traverse(&alice) || after.can_traverse(&alice));
-        prop_assert!(!before.can_see(&alice) || after.can_see(&alice));
-        prop_assert!(!before.can_read_data(&alice, Privilege::Select)
-            || after.can_read_data(&alice, Privilege::Select));
+        prop_assert!(!decide(&before, &alice, Need::Holds(p)) || decide(&after, &alice, Need::Holds(p)));
+        prop_assert!(!can_traverse(&before, &alice) || can_traverse(&after, &alice));
+        prop_assert!(!decide(&before, &alice, Need::See) || decide(&after, &alice, Need::See));
+        prop_assert!(!decide(&before, &alice, Need::Data(Privilege::Select))
+            || decide(&after, &alice, Need::Data(Privilege::Select)));
+    }
+
+    // -----------------------------------------------------------------
+    // 4b. One decision procedure: `decide` over light `AuthzNode` chains
+    //     and over the service's own `Arc<Entity>` chains agree — the
+    //     reference the deleted copy-into-nodes path is held to.
+    // -----------------------------------------------------------------
+
+    #[test]
+    fn decide_agrees_over_nodes_and_entities(
+        depth in 1usize..5,
+        owners in proptest::collection::vec(0usize..4, 4..5),
+        grants in proptest::collection::vec((0usize..4, 0usize..4, 0usize..9), 0..10),
+        principal in 0usize..3,
+        in_team in 0u8..2,
+        in_ops in 0u8..2,
+        is_admin in 0u8..2,
+    ) {
+        let names = ["alice", "bob", "team", "ops"];
+        let privs = [
+            Privilege::Select, Privilege::Modify, Privilege::UseSchema, Privilege::UseCatalog,
+            Privilege::CreateTable, Privilege::CreateCatalog, Privilege::Execute,
+            Privilege::Manage, Privilege::All,
+        ];
+        // Leaf-first chains ending at the metastore: [metastore],
+        // [share-like leaf, metastore], [schema, catalog, metastore], and
+        // the full table chain.
+        let kinds: &[SecurableKind] = match depth {
+            1 => &[SecurableKind::Metastore],
+            2 => &[SecurableKind::Share, SecurableKind::Metastore],
+            3 => &[SecurableKind::Schema, SecurableKind::Catalog, SecurableKind::Metastore],
+            _ => &[SecurableKind::Table, SecurableKind::Schema, SecurableKind::Catalog, SecurableKind::Metastore],
+        };
+        let nodes: Vec<AuthzNode> = kinds
+            .iter()
+            .enumerate()
+            .map(|(level, kind)| AuthzNode {
+                id: Uid::from(format!("n{level}").as_str()),
+                kind: *kind,
+                owner: names[owners[level]].to_string(),
+                grants: grants
+                    .iter()
+                    .filter(|(l, _, _)| *l == level)
+                    .map(|(_, g, p)| (names[*g].to_string(), privs[*p]))
+                    .collect(),
+            })
+            .collect();
+        let entities: Vec<std::sync::Arc<uc_catalog::model::entity::Entity>> = nodes
+            .iter()
+            .map(|n| {
+                let mut e = uc_catalog::model::entity::Entity::new(
+                    n.kind, n.id.as_str(), None, Uid::from("m"), &n.owner, 0,
+                );
+                e.grants = n.grants.clone();
+                std::sync::Arc::new(e)
+            })
+            .collect();
+        let mut who = AuthzContext::new(["alice", "bob", "carol"][principal]);
+        if in_team == 1 {
+            who.groups.insert("team".to_string());
+        }
+        if in_ops == 1 {
+            who.groups.insert("ops".to_string());
+        }
+        who.is_metastore_admin = is_admin == 1;
+        let pair = [Privilege::CreateTable, Privilege::Modify];
+        let mut needs = vec![Need::MetastoreAdmin, Need::Admin, Need::See, Need::AdminOrAny(&pair), Need::AdminOrAny(&[])];
+        for p in privs {
+            needs.extend([Need::MetastoreAdminOr(p), Need::Data(p), Need::Holds(p)]);
+        }
+        for need in needs {
+            prop_assert_eq!(decide(&nodes, &who, need), decide(&entities, &who, need), "{}", need);
+        }
+        prop_assert_eq!(can_traverse(&nodes, &who), can_traverse(&entities, &who));
+    }
+}
+
+// ---------------------------------------------------------------------
+// 4c. A listing decides each child over `[child] + the parent's chain`;
+//     that must be the decision the per-child ancestor walk
+//     (`visible_batch`, by id) makes, on generated grants and owners.
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn listing_visibility_equals_the_per_child_walk(
+        grants in proptest::collection::vec((0usize..6, 0usize..2, 0usize..4), 0..6),
+        alice_owns in proptest::collection::vec(0u8..2, 3..4),
+        in_team in 0u8..2,
+    ) {
+        let world = World::build(&WorldConfig::default());
+        let (uc, ms) = (&world.uc, &world.ms);
+        let admin = Context::user(ADMIN);
+        uc.upsert_principal("alice", if in_team == 1 { &["team"] } else { &[] }).unwrap();
+        uc.create_catalog(&admin, ms, "main").unwrap();
+        uc.create_schema(&admin, ms, "main", "s").unwrap();
+        let columns = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let mut ids = Vec::new();
+        for (t, owned) in alice_owns.iter().enumerate() {
+            let name = FullName::parse(&format!("main.s.t{t}")).unwrap();
+            let ent = uc
+                .create_table(&admin, ms, TableSpec::managed(&name.to_string(), columns.clone()).unwrap())
+                .unwrap();
+            if *owned == 1 {
+                uc.transfer_ownership(&admin, ms, &name, "relation", "alice").unwrap();
+            }
+            ids.push(ent.id.clone());
+        }
+        let targets = [
+            ("main.s.t0", "relation"), ("main.s.t1", "relation"), ("main.s.t2", "relation"),
+            ("main.s", "schema"), ("main", "catalog"), ("main.s.t1", "relation"),
+        ];
+        let privs = [Privilege::Select, Privilege::Modify, Privilege::Manage, Privilege::All];
+        for (level, grantee, p) in grants {
+            let (name, group) = targets[level];
+            let grantee = ["alice", "team"][grantee];
+            uc.grant(&admin, ms, &FullName::parse(name).unwrap(), group, grantee, privs[p]).unwrap();
+        }
+        let alice = Context::user("alice");
+        let schema_name = FullName::parse("main.s").unwrap();
+        let listed: Vec<Uid> = uc
+            .list_children(&alice, ms, &schema_name, Some("relation"))
+            .unwrap()
+            .iter()
+            .map(|e| e.id.clone())
+            .collect();
+        let walked = uc.visible_batch(ms, "alice", &ids).unwrap();
+        let expected: Vec<Uid> =
+            ids.iter().zip(walked).filter(|(_, visible)| *visible).map(|(id, _)| id.clone()).collect();
+        prop_assert_eq!(listed, expected);
+        // One level up: schemas under the catalog, same rule.
+        let schema_id = uc.get_entity_by_id(&admin, ms, &ids[0]).unwrap().parent.clone().unwrap();
+        let listed = uc.list_children(&alice, ms, &FullName::parse("main").unwrap(), None).unwrap();
+        let walked = uc.visible_batch(ms, "alice", std::slice::from_ref(&schema_id)).unwrap();
+        prop_assert_eq!(listed.len() == 1, walked[0]);
     }
 }
 
