@@ -1,18 +1,20 @@
 //! The declarative asset-type registry (§4.2.2's adapter layer).
 //!
-//! Each securable kind registers a manifest describing where it lives in
-//! the hierarchy, which privileges apply to it, which privilege gates
-//! creating or reading/writing its data, which fields clients may update,
-//! how its lifecycle behaves, and a validation hook for its properties.
+//! Each securable kind registers a manifest holding exactly what the core
+//! reads where behaviour depends on the kind: the privilege that gates
+//! creating one, the privileges that gate its data when vending, which
+//! privileges are grantable on it, which fields clients may update, where
+//! its managed storage is allocated, and a validation hook for its
+//! properties. Reads, listings and drops never look at it.
 //!
-//! The core service consults the registry where behaviour depends on the
-//! kind — the privilege that gates a create, which privileges are
-//! grantable, which privilege gates data access when vending, whether the
-//! comment is updatable, and property validation on every create and
-//! update; reads, listings and drops never look at it. Adding an asset
-//! type (as §4.2.3 did for MLflow registered models) therefore means
-//! adding a manifest here plus its typed `create_*` entry point — no
-//! changes to namespace, lifecycle, grants, vending, or audit code.
+//! `validate` runs on every create and update by construction: there is
+//! one create (`UnityCatalog::create_entity`) and one update
+//! (`update_entity_by_id`). Adding an asset type (as §4.2.3 did for MLflow
+//! registered models) costs a manifest entry here plus an entry function
+//! of pre-flight + fill — `api_enter`, the gate under the op's audit
+//! action, any authorization of the kind's own, a closure setting its
+//! properties — and no change to namespace, lifecycle, grants, vending or
+//! audit code.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -35,10 +37,9 @@ pub struct AssetTypeManifest {
     pub grantable: &'static [Privilege],
     /// Client-updatable fields (everything else is rejected).
     pub updatable_fields: &'static [&'static str],
-    /// Whether deleting it cascades to children.
-    pub cascade_delete: bool,
-    /// Whether the catalog allocates managed storage for it.
-    pub supports_managed_storage: bool,
+    /// Sub-directory of the metastore root its managed storage is
+    /// allocated in; `None` for kinds the catalog allocates no path for.
+    pub managed_subdir: Option<&'static str>,
     /// Kind-specific property validation, run on create and update.
     pub validate: fn(&Entity) -> UcResult<()>,
 }
@@ -147,8 +148,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
             Privilege::All,
         ],
         updatable_fields: &["comment"],
-        cascade_delete: true,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_comment_len,
     });
     add(AssetTypeManifest {
@@ -158,8 +158,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: CONTAINER_GRANTS,
         updatable_fields: &["comment", "owner"],
-        cascade_delete: true,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_comment_len,
     });
     add(AssetTypeManifest {
@@ -169,8 +168,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: CONTAINER_GRANTS,
         updatable_fields: &["comment", "owner"],
-        cascade_delete: true,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_comment_len,
     });
     add(AssetTypeManifest {
@@ -180,8 +178,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[Privilege::Select, Privilege::Modify, Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner", "properties"],
-        cascade_delete: false,
-        supports_managed_storage: true,
+        managed_subdir: Some("tables"),
         validate: validate_table,
     });
     add(AssetTypeManifest {
@@ -191,8 +188,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None, // views are not writable
         grantable: &[Privilege::Select, Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_view,
     });
     add(AssetTypeManifest {
@@ -207,8 +203,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
             Privilege::All,
         ],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: true,
+        managed_subdir: Some("volumes"),
         validate: validate_comment_len,
     });
     add(AssetTypeManifest {
@@ -218,8 +213,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: &[Privilege::Execute, Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: no_validation,
     });
     add(AssetTypeManifest {
@@ -229,8 +223,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[Privilege::Execute, Privilege::Modify, Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner", "properties"],
-        cascade_delete: true, // dropping a model drops its versions
-        supports_managed_storage: true,
+        managed_subdir: Some("models"),
         validate: validate_comment_len,
     });
     add(AssetTypeManifest {
@@ -240,8 +233,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[],
         updatable_fields: &["comment", "properties"],
-        cascade_delete: false,
-        supports_managed_storage: true,
+        managed_subdir: None,
         validate: validate_model_version,
     });
     add(AssetTypeManifest {
@@ -251,8 +243,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: &[Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_storage_credential,
     });
     add(AssetTypeManifest {
@@ -268,8 +259,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
             Privilege::All,
         ],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_external_location,
     });
     add(AssetTypeManifest {
@@ -279,8 +269,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: &[Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner", "properties"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: validate_connection,
     });
     add(AssetTypeManifest {
@@ -290,8 +279,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         write_data_privilege: None,
         grantable: &[Privilege::Select, Privilege::Manage, Privilege::All],
         updatable_fields: &["comment", "owner"],
-        cascade_delete: false,
-        supports_managed_storage: false,
+        managed_subdir: None,
         validate: no_validation,
     });
     m
@@ -336,12 +324,15 @@ mod tests {
     }
 
     #[test]
-    fn containers_cascade_leaves_do_not() {
-        assert!(manifest(SecurableKind::Catalog).cascade_delete);
-        assert!(manifest(SecurableKind::Schema).cascade_delete);
-        assert!(!manifest(SecurableKind::Table).cascade_delete);
-        // models cascade to their versions
-        assert!(manifest(SecurableKind::RegisteredModel).cascade_delete);
+    fn only_table_volume_and_model_have_managed_storage() {
+        let placed: Vec<(SecurableKind, &str)> = registry()
+            .values()
+            .filter_map(|m| Some((m.kind, m.managed_subdir?)))
+            .collect();
+        assert_eq!(placed.len(), 3, "{placed:?}");
+        assert_eq!(manifest(SecurableKind::Table).managed_subdir, Some("tables"));
+        assert_eq!(manifest(SecurableKind::Volume).managed_subdir, Some("volumes"));
+        assert_eq!(manifest(SecurableKind::RegisteredModel).managed_subdir, Some("models"));
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
-use crate::model::keys::{self, T_COMMIT, T_ENTITY};
-use crate::service::{Context, UnityCatalog};
+use crate::model::keys::{self, T_COMMIT};
+use crate::service::{live_entity, Context, UnityCatalog};
 
 /// One table's contribution to a (possibly multi-table) commit.
 #[derive(Debug, Clone)]
@@ -97,13 +97,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
             for c in &commits {
-                let raw = tx
-                    .get(T_ENTITY, &keys::ent_key(ms, &c.table_id))
-                    .ok_or_else(|| UcError::NotFound(c.table_id.to_string()))?;
-                let mut ent = Entity::decode(&raw)?;
-                if !ent.is_active() {
-                    return Err(UcError::NotFound(c.table_id.to_string()));
-                }
+                let mut ent = live_entity(tx, ms, &c.table_id, &c.table_id)?;
                 let latest = ent.commit_version();
                 if c.version != latest + 1 {
                     return Err(UcError::CommitConflict { expected: c.version, actual: latest });

@@ -16,7 +16,7 @@ use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::paths;
-use crate::service::{tree_children, Context, UnityCatalog, WriteEffects};
+use crate::service::{live_entity, tree_children, Context, UnityCatalog, WriteEffects};
 use crate::types::{
     validate_object_name, FullName, LifecycleState, SecurableKind, TableFormat, TableType,
 };
@@ -65,33 +65,6 @@ impl TableSpec {
 pub struct BulkSchemaSpec {
     pub name: String,
     pub tables: Vec<String>,
-}
-
-/// A create's first step inside its write transaction: the parent
-/// container must still be live *at this snapshot*. The caller authorized
-/// against a chain resolved through the cache, which may lag a drop made
-/// on another node (or racing this write's retry); soft-deleted rows stay
-/// in `T_ENTITY`, so without this read — which also lands in the
-/// transaction's validated read set — the create would commit an
-/// unreachable tree row (and, for storage-backed kinds, a path
-/// registration) under a dropped parent. The history checker caught
-/// exactly this interleaving for tables.
-fn live_parent(
-    tx: &mut uc_txdb::WriteTxn,
-    ms: &Uid,
-    parent: &Uid,
-    what: impl std::fmt::Display,
-) -> UcResult<()> {
-    let live = tx
-        .get(T_ENTITY, &keys::ent_key(ms, parent))
-        .map(|raw| Entity::decode(&raw))
-        .transpose()?
-        .is_some_and(|e| e.is_active());
-    if live {
-        Ok(())
-    } else {
-        Err(UcError::NotFound(what.to_string()))
-    }
 }
 
 impl UnityCatalog {
@@ -171,26 +144,13 @@ impl UnityCatalog {
         root: &RootCredential,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_storage_credential", Some(&ctx.principal), Some(ms));
-        validate_object_name(name)?;
+        let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
-        self.gate(ctx, &self.metastore_chain(ms)?, need, "createStorageCredential", name)?;
-        let now = self.now_ms();
-        let bucket = root.bucket.clone();
-        let secret = root.secret;
-        let created = self.write_ms(&ms.clone(), |tx, _ver, fx| {
-            let mut ent = Entity::new(
-                SecurableKind::StorageCredential,
-                name,
-                Some(ms.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
-            ent.properties.insert(props::BUCKET.to_string(), bucket.clone());
-            ent.properties.insert(props::ROOT_SECRET.to_string(), secret.to_string());
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+        self.gate(ctx, &top, need, "createStorageCredential", name)?;
+        let created = self.create_entity(ctx, SecurableKind::StorageCredential, &top, name, name, |_tx, ent| {
+            ent.properties.insert(props::BUCKET.to_string(), root.bucket.clone());
+            ent.properties.insert(props::ROOT_SECRET.to_string(), root.secret.to_string());
+            Ok(())
         })?;
         self.roots.write().insert(root.bucket.clone(), root.clone());
         self.record_audit(&ctx.principal, "createStorageCredential", Some(&created.id), AuditDecision::Allow, name);
@@ -208,10 +168,10 @@ impl UnityCatalog {
         credential_name: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_external_location", Some(&ctx.principal), Some(ms));
-        validate_object_name(name)?;
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
+        let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
-        self.gate(ctx, &self.metastore_chain(ms)?, need, "createExternalLocation", name)?;
+        self.gate(ctx, &top, need, "createExternalLocation", name)?;
         // The credential must exist and cover the bucket.
         let cred = self
             .entity_by_name_key(
@@ -225,17 +185,7 @@ impl UnityCatalog {
                 parsed.bucket()
             )));
         }
-        let now = self.now_ms();
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            let mut ent = Entity::new(
-                SecurableKind::ExternalLocation,
-                name,
-                Some(ms.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let created = self.create_entity(ctx, SecurableKind::ExternalLocation, &top, name, name, |tx, ent| {
             // Overlap check against existing external locations (small set;
             // the scan is in the transaction's validated read set).
             for other in tree_children(
@@ -254,8 +204,7 @@ impl UnityCatalog {
             }
             ent.storage_path = Some(parsed.to_string());
             ent.properties.insert("credential".to_string(), credential_name.to_string());
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createExternalLocation", Some(&created.id), AuditDecision::Allow, path);
         Ok(created)
@@ -268,15 +217,9 @@ impl UnityCatalog {
     /// Create a catalog in the metastore.
     pub fn create_catalog(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_catalog", Some(&ctx.principal), Some(ms));
-        validate_object_name(name)?;
-        let need = Need::MetastoreAdminOr(Privilege::CreateCatalog);
-        self.gate(ctx, &self.metastore_chain(ms)?, need, "createCatalog", name)?;
-        let now = self.now_ms();
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            let ent = Entity::new(SecurableKind::Catalog, name, None, ms.clone(), &ctx.principal, now);
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
-        })?;
+        let top = self.metastore_chain(ms)?;
+        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateCatalog), "createCatalog", name)?;
+        let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, _ent| Ok(()))?;
         self.record_audit(&ctx.principal, "createCatalog", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
     }
@@ -284,17 +227,9 @@ impl UnityCatalog {
     /// Create a schema inside a catalog.
     pub fn create_schema(&self, ctx: &Context, ms: &Uid, catalog: &str, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_schema", Some(&ctx.principal), Some(ms));
-        validate_object_name(name)?;
         let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
         self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateSchema]), "createSchema", name)?;
-        let parent = full[0].id.clone();
-        let now = self.now_ms();
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &parent, catalog)?;
-            let ent = Entity::new(SecurableKind::Schema, name, Some(parent.clone()), ms.clone(), &ctx.principal, now);
-            let tk = WriteEffects::vacant_key(tx, &ent, format_args!("{catalog}.{name}"))?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
-        })?;
+        let created = self.create_entity(ctx, SecurableKind::Schema, &full, name, format_args!("{catalog}.{name}"), |_tx, _ent| Ok(()))?;
         self.record_audit(&ctx.principal, "createSchema", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
     }
@@ -303,31 +238,19 @@ impl UnityCatalog {
     // Leaf assets
     // ------------------------------------------------------------------
 
-    /// The leaf segment of a three-part name, as an owned string.
-    fn leaf_of(name: &FullName) -> UcResult<String> {
-        name.asset()
-            .map(|s| s.to_string())
-            .ok_or_else(|| UcError::InvalidArgument(format!("expected catalog.schema.name, got {name}")))
-    }
-
     /// Shared pre-flight for creating a leaf asset under a schema:
     /// resolves the parent chain and checks the create privilege, auditing
     /// a refusal under the calling op's `action`. Returns the schema's
-    /// full chain and the caller's context.
-    fn authorize_create_in_schema(
+    /// full chain, the caller's context and the leaf segment of `name`.
+    fn authorize_create_in_schema<'a>(
         &self,
         ctx: &Context,
         ms: &Uid,
-        name: &FullName,
+        name: &'a FullName,
         kind: SecurableKind,
         action: &str,
-    ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext)> {
-        if name.len() != 3 {
-            return Err(UcError::InvalidArgument(format!(
-                "expected catalog.schema.name, got {name}"
-            )));
-        }
-        let Some(schema_name) = name.schema() else {
+    ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext, &'a str)> {
+        let (Some(schema_name), Some(leaf), 3) = (name.schema(), name.asset(), name.len()) else {
             return Err(UcError::InvalidArgument(format!("expected catalog.schema.name, got {name}")));
         };
         let full = self.chain_by_name(ms, &FullName::of(&[name.catalog(), schema_name]), "schema")?;
@@ -335,26 +258,46 @@ impl UnityCatalog {
             return Err(UcError::UnsupportedOperation(format!("{kind} cannot be created in a schema")));
         };
         let who = self.gate(ctx, &full, Need::AdminOrAny(&[needed]), action, name)?;
-        Ok((full, who))
+        Ok((full, who, leaf))
     }
 
-    /// Allocate a managed storage path under the metastore root, read
-    /// from the metastore entity that ends the parent's `chain`.
-    fn managed_path(chain: &[Arc<Entity>], kind: SecurableKind, id: &Uid) -> UcResult<StoragePath> {
-        let root = chain
-            .last()
-            .and_then(|ms_ent| ms_ent.properties.get("root_location"))
-            .ok_or_else(|| UcError::InvalidArgument(
-                "metastore has no root location configured for managed storage".into(),
-            ))?;
-        let root = StoragePath::parse(root).map_err(|e| UcError::Storage(e.to_string()))?;
-        let subdir = match kind {
-            SecurableKind::Table => "tables",
-            SecurableKind::Volume => "volumes",
-            SecurableKind::RegisteredModel => "models",
-            _ => "assets",
+    /// Storage placement for every storage-backed kind: the `explicit`
+    /// path, or a managed one under the metastore root (on the entity that
+    /// ends the parent's `chain`) in the kind's manifest sub-directory —
+    /// registered in the path index inside this transaction (one asset per
+    /// path) and recorded on the entity.
+    fn place(
+        tx: &mut uc_txdb::WriteTxn,
+        chain: &[Arc<Entity>],
+        ent: &mut Entity,
+        explicit: Option<&StoragePath>,
+    ) -> UcResult<()> {
+        let path = match explicit {
+            Some(p) => p.clone(),
+            None => {
+                let subdir = manifest(ent.kind).managed_subdir.ok_or_else(|| {
+                    UcError::UnsupportedOperation(format!("{} has no managed storage", ent.kind))
+                })?;
+                let root = chain
+                    .last()
+                    .and_then(|ms_ent| ms_ent.properties.get("root_location"))
+                    .ok_or_else(|| UcError::InvalidArgument(
+                        "metastore has no root location configured for managed storage".into(),
+                    ))?;
+                let root = StoragePath::parse(root).map_err(|e| UcError::Storage(e.to_string()))?;
+                root.child(subdir).child(ent.id.as_str())
+            }
         };
-        Ok(root.child(subdir).child(id.as_str()))
+        paths::register_path(tx, &ent.metastore, &path, &ent.id)?;
+        ent.storage_path = Some(path.to_string());
+        Ok(())
+    }
+
+    /// What every table row carries, whichever create wrote it.
+    fn fill_table(ent: &mut Entity, columns: &Schema, table_type: TableType, format: TableFormat) {
+        ent.set_table_schema(columns);
+        ent.properties.insert(props::TABLE_TYPE.to_string(), table_type.as_str().to_string());
+        ent.properties.insert(props::FORMAT.to_string(), format.as_str().to_string());
     }
 
     /// For external assets: find the external location covering `path` and
@@ -398,59 +341,31 @@ impl UnityCatalog {
     /// Create a table (managed or external or foreign).
     pub fn create_table(&self, ctx: &Context, ms: &Uid, spec: TableSpec) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_table", Some(&ctx.principal), Some(ms));
-        let (full, who) =
+        let (full, who, leaf) =
             self.authorize_create_in_schema(ctx, ms, &spec.name, SecurableKind::Table, "createTable")?;
-        let schema_ent = full[0].clone();
-        match spec.table_type {
-            TableType::Managed if spec.storage_path.is_some() => {
-                return Err(UcError::InvalidArgument(
-                    "managed tables may not specify a storage path".into(),
-                ))
+        match (spec.table_type, &spec.storage_path) {
+            (TableType::Managed, Some(_)) => {
+                return Err(UcError::InvalidArgument("managed tables may not specify a storage path".into()))
             }
-            TableType::External | TableType::Foreign if spec.storage_path.is_none()
-                && spec.table_type == TableType::External => {
-                    return Err(UcError::InvalidArgument(
-                        "external tables require a storage path".into(),
-                    ));
-                }
+            (TableType::External, None) => {
+                return Err(UcError::InvalidArgument("external tables require a storage path".into()))
+            }
             _ => {}
         }
-        if let Some(p) = &spec.storage_path {
-            let parsed = StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-            if spec.table_type == TableType::External {
-                self.authorize_external_path(&who, ms, &parsed, "useExternalPath")?;
-            }
+        let explicit = spec.storage_path.as_deref().map(StoragePath::parse).transpose()
+            .map_err(|e| UcError::InvalidArgument(e.to_string()))?;
+        if let (Some(path), TableType::External) = (&explicit, spec.table_type) {
+            self.authorize_external_path(&who, ms, path, "useExternalPath")?;
         }
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(&spec.name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, &spec.name)?;
-            let mut ent = Entity::new(
-                SecurableKind::Table,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, &spec.name)?;
-            ent.set_table_schema(&spec.columns);
-            ent.properties.insert(props::TABLE_TYPE.to_string(), spec.table_type.as_str().to_string());
-            ent.properties.insert(props::FORMAT.to_string(), spec.format.as_str().to_string());
+        let created = self.create_entity(ctx, SecurableKind::Table, &full, leaf, &spec.name, |tx, ent| {
+            Self::fill_table(ent, &spec.columns, spec.table_type, spec.format);
             if let Some(ft) = &spec.foreign_type {
                 ent.properties.insert(props::FOREIGN_TYPE.to_string(), ft.clone());
             }
-            let path = match (spec.table_type, &spec.storage_path) {
-                (TableType::Managed, _) => Some(Self::managed_path(&full, SecurableKind::Table, &ent.id)?),
-                (_, Some(p)) => Some(StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?),
-                _ => None,
-            };
-            if let Some(path) = &path {
-                paths::register_path(tx, ms, path, &ent.id)?;
-                ent.storage_path = Some(path.to_string());
+            if spec.table_type == TableType::Managed || explicit.is_some() {
+                Self::place(tx, &full, ent, explicit.as_ref())?;
             }
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createTable", Some(&created.id), AuditDecision::Allow, spec.name);
         Ok(created)
@@ -503,7 +418,7 @@ impl UnityCatalog {
                 let batch = &spec.tables[start..end];
                 created += self.write_ms(ms, |tx, _ver, fx| {
                     // Drops race bulk imports like any other create.
-                    live_parent(tx, ms, &cat.id, catalog)?;
+                    live_entity(tx, ms, &cat.id, catalog)?;
                     let mut n = 0usize;
                     let schema_id = match tx.get(T_TREE, &schema_key) {
                         Some(raw) => Entity::decode(&raw)?.id,
@@ -545,15 +460,7 @@ impl UnityCatalog {
                             &ctx.principal,
                             now,
                         );
-                        ent.set_table_schema(columns);
-                        ent.properties.insert(
-                            props::TABLE_TYPE.to_string(),
-                            TableType::Managed.as_str().to_string(),
-                        );
-                        ent.properties.insert(
-                            props::FORMAT.to_string(),
-                            TableFormat::Delta.as_str().to_string(),
-                        );
+                        Self::fill_table(&mut ent, columns, TableType::Managed, TableFormat::Delta);
                         (manifest(ent.kind).validate)(&ent)?;
                         fx.upsert_at(tx, ent, ChangeOp::Create, tk);
                         n += 1;
@@ -587,9 +494,8 @@ impl UnityCatalog {
         source_version: i64,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_shallow_clone", Some(&ctx.principal), Some(ms));
-        let (full, who) =
+        let (full, who, leaf) =
             self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Table, "createShallowClone")?;
-        let schema_ent = full[0].clone();
         let src_full = self.chain_by_name(ms, source, "relation")?;
         let src = src_full[0].clone();
         if src.kind != SecurableKind::Table || src.storage_path.is_none() {
@@ -599,19 +505,7 @@ impl UnityCatalog {
         }
         // the cloner must be able to read the source
         self.gate_with(&who, &src_full, Need::Data(Privilege::Select), "createShallowClone", source)?;
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, name)?;
-            let mut ent = Entity::new(
-                SecurableKind::Table,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let created = self.create_entity(ctx, SecurableKind::Table, &full, leaf, name, |_tx, ent| {
             ent.set_table_schema(&src.table_schema()?);
             ent.properties
                 .insert(props::TABLE_TYPE.to_string(), TableType::ShallowClone.as_str().to_string());
@@ -624,8 +518,7 @@ impl UnityCatalog {
             // The clone has no storage of its own: data access flows
             // through the resolved base dependency.
             ent.set_dependencies(std::slice::from_ref(&src.id));
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createShallowClone", Some(&created.id), AuditDecision::Allow, format!("{source} -> {name}"));
         Ok(created)
@@ -644,9 +537,8 @@ impl UnityCatalog {
         dependencies: &[FullName],
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_view", Some(&ctx.principal), Some(ms));
-        let (full, who) =
+        let (full, who, leaf) =
             self.authorize_create_in_schema(ctx, ms, name, SecurableKind::View, "createView")?;
-        let schema_ent = full[0].clone();
         let mut dep_ids = Vec::new();
         for dep in dependencies {
             // the creator must be able to read every base relation
@@ -654,25 +546,12 @@ impl UnityCatalog {
             self.gate_with(&who, &dep_full, Need::Data(Privilege::Select), "createView", dep)?;
             dep_ids.push(dep_full[0].id.clone());
         }
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, name)?;
-            let mut ent = Entity::new(
-                SecurableKind::View,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let created = self.create_entity(ctx, SecurableKind::View, &full, leaf, name, |_tx, ent| {
             ent.set_table_schema(&columns);
             ent.properties.insert(props::TABLE_TYPE.to_string(), TableType::View.as_str().to_string());
             ent.properties.insert(props::VIEW_SQL.to_string(), view_sql.to_string());
             ent.set_dependencies(&dep_ids);
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createView", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -687,38 +566,20 @@ impl UnityCatalog {
         external_path: Option<&str>,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_volume", Some(&ctx.principal), Some(ms));
-        let (full, who) =
+        let (full, who, leaf) =
             self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Volume, "createVolume")?;
-        let schema_ent = full[0].clone();
-        if let Some(p) = external_path {
-            let parsed = StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-            self.authorize_external_path(&who, ms, &parsed, "useExternalPath")?;
+        let explicit = external_path.map(StoragePath::parse).transpose()
+            .map_err(|e| UcError::InvalidArgument(e.to_string()))?;
+        if let Some(path) = &explicit {
+            self.authorize_external_path(&who, ms, path, "useExternalPath")?;
         }
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, name)?;
-            let mut ent = Entity::new(
-                SecurableKind::Volume,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
-            let path = match external_path {
-                Some(p) => StoragePath::parse(p).map_err(|e| UcError::InvalidArgument(e.to_string()))?,
-                None => Self::managed_path(&full, SecurableKind::Volume, &ent.id)?,
-            };
-            paths::register_path(tx, ms, &path, &ent.id)?;
-            ent.storage_path = Some(path.to_string());
+        let created = self.create_entity(ctx, SecurableKind::Volume, &full, leaf, name, |tx, ent| {
+            Self::place(tx, &full, ent, explicit.as_ref())?;
             ent.properties.insert(
                 props::TABLE_TYPE.to_string(),
-                if external_path.is_some() { "EXTERNAL" } else { "MANAGED" }.to_string(),
+                if explicit.is_some() { "EXTERNAL" } else { "MANAGED" }.to_string(),
             );
-            (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createVolume", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -733,24 +594,11 @@ impl UnityCatalog {
         body: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_function", Some(&ctx.principal), Some(ms));
-        let (full, _who) =
+        let (full, _who, leaf) =
             self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Function, "createFunction")?;
-        let schema_ent = full[0].clone();
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, name)?;
-            let mut ent = Entity::new(
-                SecurableKind::Function,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let created = self.create_entity(ctx, SecurableKind::Function, &full, leaf, name, |_tx, ent| {
             ent.properties.insert("body".to_string(), body.to_string());
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createFunction", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -764,32 +612,16 @@ impl UnityCatalog {
         name: &FullName,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_registered_model", Some(&ctx.principal), Some(ms));
-        let (full, _who) = self.authorize_create_in_schema(
+        let (full, _who, leaf) = self.authorize_create_in_schema(
             ctx,
             ms,
             name,
             SecurableKind::RegisteredModel,
             "createRegisteredModel",
         )?;
-        let schema_ent = full[0].clone();
-        let now = self.now_ms();
-        let leaf = Self::leaf_of(name)?;
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            live_parent(tx, ms, &schema_ent.id, name)?;
-            let mut ent = Entity::new(
-                SecurableKind::RegisteredModel,
-                &leaf,
-                Some(schema_ent.id.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let created = self.create_entity(ctx, SecurableKind::RegisteredModel, &full, leaf, name, |tx, ent| {
             ent.properties.insert("next_version".to_string(), "1".to_string());
-            let path = Self::managed_path(&full, SecurableKind::RegisteredModel, &ent.id)?;
-            paths::register_path(tx, ms, &path, &ent.id)?;
-            ent.storage_path = Some(path.to_string());
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Self::place(tx, &full, ent, None)
         })?;
         self.record_audit(&ctx.principal, "createRegisteredModel", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
@@ -816,13 +648,7 @@ impl UnityCatalog {
         let result = self.write_ms(ms, |tx, _ver, fx| {
             // Re-read the model inside the transaction for a race-free
             // version counter.
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, &model.id))
-                .ok_or_else(|| UcError::NotFound(model_name.to_string()))?;
-            let mut model_now = Entity::decode(&raw)?;
-            if !model_now.is_active() {
-                return Err(UcError::NotFound(model_name.to_string()));
-            }
+            let mut model_now = live_entity(tx, ms, &model.id, model_name)?;
             let version: u64 = model_now
                 .properties
                 .get("next_version")
@@ -962,23 +788,24 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, id))
-                .ok_or_else(|| UcError::NotFound(id.to_string()))?;
-            let mut ent = Entity::decode(&raw)?;
             // A soft-deleted row must never be updated: its name may have
             // been re-assigned to a successor entity, and re-upserting
             // would resurrect the tombstoned tree-index entry (a caller
-            // can reach this via a stale cached name mapping; the
-            // serializable write is where staleness gets caught).
-            if !ent.is_active() {
-                return Err(UcError::NotFound(id.to_string()));
-            }
+            // can reach this via a stale cached name mapping).
+            let mut ent = live_entity(tx, ms, id, id)?;
             f(&mut ent)?;
             ent.updated_at_ms = now;
             (manifest(ent.kind).validate)(&ent)?;
             fx.upsert(tx, ent, ChangeOp::Update)
         })
+    }
+
+    /// `field` must be one the target's manifest lets clients update.
+    fn require_updatable(target: &Entity, field: &str) -> UcResult<()> {
+        if manifest(target.kind).updatable_fields.contains(&field) {
+            return Ok(());
+        }
+        Err(UcError::UnsupportedOperation(format!("{} does not support {field} updates", target.kind)))
     }
 
     /// Update a securable's comment (MODIFY or admin authority).
@@ -993,12 +820,7 @@ impl UnityCatalog {
         let _api = self.api_enter("update_comment", Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
-        if !manifest(target.kind).updatable_fields.contains(&"comment") {
-            return Err(UcError::UnsupportedOperation(format!(
-                "{} does not support comment updates",
-                target.kind
-            )));
-        }
+        Self::require_updatable(target, "comment")?;
         self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "updateComment", name)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.comment = Some(comment.to_string());
@@ -1020,6 +842,7 @@ impl UnityCatalog {
         let _api = self.api_enter("transfer_ownership", Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
+        Self::require_updatable(target, "owner")?;
         self.gate(ctx, &full, Need::Admin, "transferOwnership", new_owner)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.owner = new_owner.to_string();
@@ -1055,13 +878,7 @@ impl UnityCatalog {
         self.gate(ctx, &full, Need::Admin, "renameSecurable", new_name)?;
         let now = self.now_ms();
         let renamed = self.write_ms(ms, |tx, _ver, fx| {
-            let raw = tx
-                .get(T_ENTITY, &keys::ent_key(ms, &target.id))
-                .ok_or_else(|| UcError::NotFound(name.to_string()))?;
-            let mut ent = Entity::decode(&raw)?;
-            if !ent.is_active() {
-                return Err(UcError::NotFound(name.to_string()));
-            }
+            let mut ent = live_entity(tx, ms, &target.id, name)?;
             let old_tree = super::tree_key_of(tx, &ent)?;
             ent.name = new_name.to_string();
             ent.updated_at_ms = now;
@@ -1154,13 +971,10 @@ impl UnityCatalog {
         // at commit time — if it was dropped concurrently the drop counts
         // zero, even if another live entity now owns the same name (and
         // therefore the same tree key).
-        let Some(raw) = tx.get(T_ENTITY, &keys::ent_key(ms, &target.id)) else {
-            return Ok(0);
+        let current = match live_entity(tx, ms, &target.id, &target.name) {
+            Err(UcError::NotFound(_)) => return Ok(0),
+            live => live?,
         };
-        let current = Entity::decode(&raw)?;
-        if !current.is_active() {
-            return Ok(0);
-        }
         let mut count = 0;
         let root_key = super::tree_key_of(tx, &current)?;
         for (tree_key, raw) in tx.scan_prefix(T_TREE, &root_key) {

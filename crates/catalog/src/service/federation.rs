@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use uc_delta::value::Schema;
+use uc_txdb::WriteTxn;
 
 use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
@@ -20,7 +21,7 @@ use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_TREE};
-use crate::service::{Context, UnityCatalog, WriteEffects};
+use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind, TableType};
 
 /// What a connector returns for one foreign table.
@@ -52,29 +53,19 @@ impl UnityCatalog {
         endpoint: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_connection", Some(&ctx.principal), Some(ms));
-        crate::types::validate_object_name(name)?;
-        let need = Need::MetastoreAdminOr(Privilege::CreateConnection);
-        self.gate(ctx, &self.metastore_chain(ms)?, need, "createConnection", name)?;
-        let now = self.now_ms();
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            let mut ent = Entity::new(
-                SecurableKind::Connection,
-                name,
-                Some(ms.clone()),
-                ms.clone(),
-                &ctx.principal,
-                now,
-            );
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
+        let top = self.metastore_chain(ms)?;
+        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateConnection), "createConnection", name)?;
+        let created = self.create_entity(ctx, SecurableKind::Connection, &top, name, name, |_tx, ent| {
             ent.properties.insert(props::ENDPOINT.to_string(), endpoint.to_string());
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(())
         })?;
         self.record_audit(&ctx.principal, "createConnection", Some(&created.id), AuditDecision::Allow, endpoint);
         Ok(created)
     }
 
     /// Create a federated catalog mirroring a foreign catalog reachable
-    /// through `connection_name`.
+    /// through `connection_name`: a catalog whose properties name the
+    /// connection, written in one commit.
     pub fn create_federated_catalog(
         &self,
         ctx: &Context,
@@ -83,25 +74,29 @@ impl UnityCatalog {
         connection_name: &str,
     ) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_federated_catalog", Some(&ctx.principal), Some(ms));
+        let top = self.metastore_chain(ms)?;
+        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateCatalog), "createFederatedCatalog", name)?;
         let connection = self
             .entity_by_name_key(
                 ms,
                 &keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]),
             )?
             .ok_or_else(|| UcError::NotFound(format!("connection {connection_name}")))?;
-        let catalog = self.create_catalog(ctx, ms, name)?;
-        let updated = self.update_entity_by_id(ms, &catalog.id, |e| {
-            e.properties
+        let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, ent| {
+            ent.properties
                 .insert(props::CONNECTION_ID.to_string(), connection.id.to_string());
-            e.properties.insert("federated".to_string(), "true".to_string());
+            ent.properties.insert("federated".to_string(), "true".to_string());
             Ok(())
         })?;
-        Ok(updated)
+        self.record_audit(&ctx.principal, "createFederatedCatalog", Some(&created.id), AuditDecision::Allow, name);
+        Ok(created)
     }
 
     /// Push foreign-table metadata into a federated catalog (engine-driven
     /// on-demand mirroring). Creates the schema on first touch; updates
-    /// the mirrored table if it already exists.
+    /// the mirrored table if it already exists. Schema and table names
+    /// arrive from the foreign catalog: both creates go through the one
+    /// create protocol, which validates them like any other outside input.
     pub fn mirror_table(
         &self,
         ctx: &Context,
@@ -121,49 +116,27 @@ impl UnityCatalog {
             )));
         }
         // Mirroring requires write authority on the federated catalog.
-        let full = self.chain_from_entity(ms, cat.clone())?;
+        let full = self.chain_from_entity(ms, cat)?;
         self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateTable]), "mirrorTable", &meta.name)?;
+        let schema_what = format!("{federated_catalog}.{schema_name}");
+        let table_what = format!("{schema_what}.{}", meta.name);
         // Ensure the schema exists.
         let mut schema_key = cat_key;
         keys::tree_push_child(&mut schema_key, "schema", schema_name);
         let schema_ent = match self.entity_by_name_key(ms, &schema_key)? {
             Some(s) => s,
-            None => {
-                let now = self.now_ms();
-                let cat_id = cat.id.clone();
-                self.write_ms(ms, |tx, _ver, fx| {
-                    if let Some(existing) = tx.get(T_TREE, &schema_key) {
-                        // lost a race; reuse
-                        return Ok(Arc::new(Entity::decode(&existing)?));
-                    }
-                    let ent = Entity::new(
-                        SecurableKind::Schema,
-                        schema_name,
-                        Some(cat_id.clone()),
-                        ms.clone(),
-                        &ctx.principal,
-                        now,
-                    );
-                    Ok(fx.upsert_at(tx, ent, ChangeOp::Create, schema_key.clone()))
-                })?
-            }
+            None => match self.create_entity(ctx, SecurableKind::Schema, &full, schema_name, &schema_what, |_tx, _ent| Ok(())) {
+                // Lost a race to another mirror of the same schema: reuse its row.
+                Err(UcError::AlreadyExists(_)) => self
+                    .entity_by_name_key(ms, &schema_key)?
+                    .ok_or_else(|| UcError::NotFound(schema_what.clone()))?,
+                created => created?,
+            },
         };
-        // Upsert the mirrored table.
+        // What a mirror pass writes onto the table, new (as the create's
+        // fill) or existing.
         let now = self.now_ms();
-        let mut table_key = schema_key;
-        keys::tree_push_child(&mut table_key, "relation", &meta.name);
-        let mirrored = self.write_ms(ms, |tx, _ver, fx| {
-            let mut ent = match tx.get(T_TREE, &table_key) {
-                Some(existing) => Entity::decode(&existing)?,
-                None => Entity::new(
-                    SecurableKind::Table,
-                    &meta.name,
-                    Some(schema_ent.id.clone()),
-                    ms.clone(),
-                    &ctx.principal,
-                    now,
-                ),
-            };
+        let refresh = |_tx: &mut WriteTxn, ent: &mut Entity| {
             ent.set_table_schema(&meta.columns);
             ent.properties
                 .insert(props::TABLE_TYPE.to_string(), TableType::Foreign.as_str().to_string());
@@ -174,10 +147,35 @@ impl UnityCatalog {
             }
             ent.properties
                 .insert("mirrored_at_ms".to_string(), now.to_string());
-            ent.updated_at_ms = now;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Update, table_key.clone()))
-        })?;
-        self.record_audit(&ctx.principal, "mirrorTable", Some(&mirrored.id), AuditDecision::Allow, format!("{federated_catalog}.{schema_name}.{}", meta.name));
+            Ok(())
+        };
+        let mut table_key = schema_key;
+        keys::tree_push_child(&mut table_key, "relation", &meta.name);
+        // Update in place: an upsert of the row this transaction read.
+        let update = || {
+            self.write_ms(ms, |tx, _ver, fx| {
+                let raw = tx
+                    .get(T_TREE, &table_key)
+                    .ok_or_else(|| UcError::NotFound(table_what.clone()))?;
+                let mut ent = Entity::decode(&raw)?;
+                refresh(tx, &mut ent)?;
+                ent.updated_at_ms = now;
+                Ok(fx.upsert_at(tx, ent, ChangeOp::Update, table_key.clone()))
+            })
+        };
+        let mirrored = match self.entity_by_name_key(ms, &table_key)? {
+            Some(_) => update()?,
+            None => {
+                let mut parent = full;
+                parent.insert(0, schema_ent);
+                match self.create_entity(ctx, SecurableKind::Table, &parent, &meta.name, &table_what, refresh) {
+                    // Lost a race to another mirror of the same table: refresh its row.
+                    Err(UcError::AlreadyExists(_)) => update()?,
+                    created => created?,
+                }
+            }
+        };
+        self.record_audit(&ctx.principal, "mirrorTable", Some(&mirrored.id), AuditDecision::Allow, table_what);
         Ok(mirrored)
     }
 

@@ -11,7 +11,10 @@
 //! * the **write protocol** — a retry loop running each logical write as
 //!   a serializable database transaction that reads the metastore version
 //!   and commits `version + 1`, then hands the effects to the cache's
-//!   write-through and publishes change events.
+//!   write-through and publishes change events; on top of it the one
+//!   **create** ([`UnityCatalog::create_entity`]: name → live parent →
+//!   vacant key → the kind's fill → manifest validation → upsert) and the
+//!   one in-transaction by-id read ([`live_entity`]).
 //!
 //! The public API surface is split across the sibling modules:
 //! [`crud`], [`grants_api`], [`vending`], [`resolve`], [`commits`],
@@ -48,6 +51,7 @@ use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::model::entity::{Entity, PrincipalRecord};
 use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
+use crate::model::manifest::manifest;
 use crate::model::treekey;
 use crate::types::{FullName, SecurableKind};
 
@@ -192,6 +196,24 @@ pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
     Ok(key)
 }
 
+/// The one in-transaction read of an entity by id: `NotFound(what)` when
+/// the row is absent (purged) or soft-deleted at this write's snapshot.
+/// Callers resolved `id` through the cache, which may lag a drop made on
+/// another node or racing this write's retry; the serializable write is
+/// where that staleness is caught, and the read joins its validated set.
+pub(crate) fn live_entity(
+    tx: &mut WriteTxn,
+    ms: &Uid,
+    id: &Uid,
+    what: impl std::fmt::Display,
+) -> UcResult<Entity> {
+    tx.get(T_ENTITY, &keys::ent_key(ms, id))
+        .map(|raw| Entity::decode(&raw))
+        .transpose()?
+        .filter(Entity::is_active)
+        .ok_or_else(|| UcError::NotFound(what.to_string()))
+}
+
 /// The direct children of the node at `parent_key`, optionally within one
 /// name group, decoded from **one** range scan of the tree index. `scan`
 /// runs the `T_TREE` prefix scan on whichever transaction the caller
@@ -219,8 +241,8 @@ impl WriteEffects {
     /// Create, step one — insert-if-absent on the tree key: the key `ent`
     /// will occupy, or `AlreadyExists(what)` when a row already sits
     /// there. Only active entities have tree rows, so an occupied key is
-    /// exactly a taken name. Callers finish the entity (paths,
-    /// validation) and then [`WriteEffects::upsert_at`] the returned key.
+    /// exactly a taken name. [`UnityCatalog::create_entity`] then fills,
+    /// validates and [`WriteEffects::upsert_at`]s the returned key.
     pub fn vacant_key(
         tx: &mut WriteTxn,
         ent: &Entity,
@@ -845,6 +867,46 @@ impl UnityCatalog {
         }
     }
 
+    /// The one create: an asset type is its manifest plus a `fill`. `parent`
+    /// is the container's resolved chain (`[parent, …, metastore]`, the one
+    /// the caller authorized against), `what` the name errors quote.
+    /// Refusals, in order: `InvalidArgument` for a malformed `leaf`, wherever
+    /// it came from (a `FullName::of`, a foreign catalog); then inside one
+    /// transaction `NotFound` when the parent is not live at this snapshot
+    /// — else the create would commit an unreachable tree row, and a path
+    /// registration, under a dropped container (not read when the parent is
+    /// the metastore itself); `AlreadyExists` for a taken tree key; whatever
+    /// `fill` refuses while it sets the kind's properties (it may read and
+    /// register through `tx`: placement, the location overlap scan); the
+    /// manifest's `validate`. Authorization, pre-flight and the `Allow`
+    /// audit are the entry function's own.
+    pub(crate) fn create_entity(
+        &self,
+        ctx: &Context,
+        kind: SecurableKind,
+        parent: &[Arc<Entity>],
+        leaf: &str,
+        what: impl std::fmt::Display,
+        fill: impl Fn(&mut WriteTxn, &mut Entity) -> UcResult<()>,
+    ) -> UcResult<Arc<Entity>> {
+        crate::types::validate_object_name(leaf)?;
+        let container = &parent[0];
+        let ms = &container.metastore;
+        // Catalogs carry no parent id; everything else names its container.
+        let parent_id = (kind != SecurableKind::Catalog).then(|| container.id.clone());
+        let now = self.now_ms();
+        self.write_ms(ms, |tx, _ver, fx| {
+            if container.kind != SecurableKind::Metastore {
+                live_entity(tx, ms, &container.id, &what)?;
+            }
+            let mut ent = Entity::new(kind, leaf, parent_id.clone(), ms.clone(), &ctx.principal, now);
+            let tk = WriteEffects::vacant_key(tx, &ent, &what)?;
+            fill(tx, &mut ent)?;
+            (manifest(kind).validate)(&ent)?;
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+        })
+    }
+
     // ------------------------------------------------------------------
     // Name resolution and authorization assembly
     // ------------------------------------------------------------------
@@ -1183,5 +1245,34 @@ impl UnityCatalog {
             .get(bucket)
             .cloned()
             .ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The manifest's `validate` is a step of the one create, so a fill
+    /// that forgets a required property cannot commit — for any kind, with
+    /// no per-op call to remember.
+    #[test]
+    fn create_entity_validates_against_the_manifest_before_writing() {
+        let uc = UnityCatalog::in_memory();
+        let ms = uc.create_metastore("admin", "prod", "us-west-2").unwrap();
+        let ctx = Context::user("admin");
+        let top = uc.metastore_chain(&ms).unwrap();
+        let rows = || {
+            let rt = uc.db.begin_read();
+            [T_TREE, T_ENTITY, T_MSVER].map(|t| rt.scan_prefix(t, ""))
+        };
+        let before = rows();
+        let no_endpoint = uc.create_entity(&ctx, SecurableKind::Connection, &top, "conn", "conn", |_tx, _ent| Ok(()));
+        assert!(matches!(no_endpoint, Err(UcError::InvalidArgument(_))), "{no_endpoint:?}");
+        assert_eq!(rows(), before, "nothing written, no version consumed");
+        let with_endpoint = uc.create_entity(&ctx, SecurableKind::Connection, &top, "conn", "conn", |_tx, ent| {
+            ent.properties.insert(crate::model::entity::props::ENDPOINT.to_string(), "thrift://hms".to_string());
+            Ok(())
+        });
+        assert_eq!(with_endpoint.unwrap().name, "conn");
     }
 }

@@ -21,11 +21,10 @@ use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
-use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::keys::{self, T_SHAREMEM};
-use crate::service::{Context, UnityCatalog, WriteEffects};
+use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
 /// A table exposed through a share.
@@ -59,15 +58,9 @@ impl UnityCatalog {
     /// Create a share (CREATE_SHARE on the metastore or admin).
     pub fn create_share(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter("create_share", Some(&ctx.principal), Some(ms));
-        crate::types::validate_object_name(name)?;
-        let need = Need::MetastoreAdminOr(Privilege::CreateShare);
-        self.gate(ctx, &self.metastore_chain(ms)?, need, "createShare", name)?;
-        let now = self.now_ms();
-        let created = self.write_ms(ms, |tx, _ver, fx| {
-            let ent = Entity::new(SecurableKind::Share, name, Some(ms.clone()), ms.clone(), &ctx.principal, now);
-            let tk = WriteEffects::vacant_key(tx, &ent, name)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
-        })?;
+        let top = self.metastore_chain(ms)?;
+        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateShare), "createShare", name)?;
+        let created = self.create_entity(ctx, SecurableKind::Share, &top, name, name, |_tx, _ent| Ok(()))?;
         self.record_audit(&ctx.principal, "createShare", Some(&created.id), AuditDecision::Allow, name);
         Ok(created)
     }

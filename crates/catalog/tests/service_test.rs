@@ -963,3 +963,53 @@ fn principal_groups_refresh_within_ttl_window() {
     f.uc.upsert_principal("bob", &["team"]).unwrap();
     assert!(f.uc.resolve_for_query(&bob, &f.ms, &[FullName::parse("main.sales.t").unwrap()], false).is_ok());
 }
+
+#[test]
+fn a_leaf_name_is_validated_wherever_it_came_from() {
+    // `FullName::of` builds a name without `validate_object_name`; the
+    // create protocol validates the leaf itself, so no typed caller can
+    // commit an entity that no REST call (`FullName::parse`) can name.
+    use uc_catalog::model::keys;
+    let f = fixture();
+    let ctx = admin();
+    let (uc, ms) = (&f.uc, &f.ms);
+    uc.create_table(&ctx, ms, TableSpec::managed("main.sales.base", table_schema()).unwrap()).unwrap();
+    let base = FullName::parse("main.sales.base").unwrap();
+    let long = "x".repeat(256);
+    let rows = || {
+        let rt = uc.db().begin_read();
+        [keys::T_TREE, keys::T_ENTITY, keys::T_PATH].map(|t| rt.scan_prefix(t, "").len())
+    };
+    let allows = || uc.audit_log().query(|r| r.decision == uc_catalog::audit::AuditDecision::Allow).len();
+    let before = (rows(), allows());
+    for leaf in ["has space", "9lives", "", long.as_str()] {
+        let name = FullName::of(&["main", "sales", leaf]);
+        let spec = TableSpec { name: name.clone(), ..TableSpec::managed("main.sales.ok", table_schema()).unwrap() };
+        let results = [
+            ("create_table", uc.create_table(&ctx, ms, spec)),
+            ("create_shallow_clone", uc.create_shallow_clone(&ctx, ms, &name, &base, 0)),
+            ("create_view", uc.create_view(&ctx, ms, &name, "SELECT 1", table_schema(), &[])),
+            ("create_volume", uc.create_volume(&ctx, ms, &name, None)),
+            ("create_function", uc.create_function(&ctx, ms, &name, "1")),
+            ("create_registered_model", uc.create_registered_model(&ctx, ms, &name)),
+        ];
+        for (op, r) in results {
+            assert!(matches!(r, Err(UcError::InvalidArgument(_))), "{op}({leaf:?}): {r:?}");
+        }
+    }
+    assert_eq!((rows(), allows()), before, "nothing written, nothing allowed");
+}
+
+#[test]
+fn ownership_transfers_only_where_the_manifest_lists_owner() {
+    let f = fixture();
+    let ctx = admin();
+    let model = FullName::parse("main.sales.m").unwrap();
+    f.uc.create_registered_model(&ctx, &f.ms, &model).unwrap();
+    f.uc.create_model_version(&ctx, &f.ms, &model).unwrap();
+    let version = FullName::parse("main.sales.m.v1").unwrap();
+    let err = f.uc.transfer_ownership(&ctx, &f.ms, &version, "modelversion", "bob").unwrap_err();
+    assert!(matches!(err, UcError::UnsupportedOperation(_)), "{err}");
+    let moved = f.uc.transfer_ownership(&ctx, &f.ms, &model, "model", "bob").unwrap();
+    assert_eq!(moved.owner, "bob");
+}

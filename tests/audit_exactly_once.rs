@@ -221,6 +221,7 @@ mod deny {
             ("create_catalog", Box::new(|| uc.create_catalog(&out, ms, "c2").map(drop))),
             ("create_connection", Box::new(|| uc.create_connection(&out, ms, "c2", "thrift://x").map(drop))),
             ("create_external_location", Box::new(|| uc.create_external_location(&out, ms, "loc", "s3://lake/ext", "lake_cred").map(drop))),
+            ("create_federated_catalog", Box::new(|| uc.create_federated_catalog(&out, ms, "fed2", "conn").map(drop))),
             ("create_function", Box::new(|| uc.create_function(&out, ms, &name("main.s.f"), "1").map(drop))),
             ("create_model_version", Box::new(|| uc.create_model_version(&out, ms, &m).map(drop))),
             ("create_registered_model", Box::new(|| uc.create_registered_model(&out, ms, &name("main.s.m2")).map(drop))),
@@ -258,7 +259,6 @@ mod deny {
         // Audited ops the sweep cannot reach with a refusal of their own.
         let not_swept = [
             "add_lineage",              // refused inside the nested `get_securable` it calls, under that op's action
-            "create_federated_catalog", // refused inside the nested `create_catalog` it calls
             "create_metastore",         // account-level: no authorization decision
             "purge_soft_deleted",       // node-internal: no principal
             "serve_admit",              // the serving plane's shed, not a catalog entry point
@@ -283,6 +283,68 @@ mod deny {
             assert!(allowed.contains(&rec.action.as_str()), "{op}: audited as {} (allowed {allowed:?})", rec.action);
             assert!(rec.securable.is_some(), "{op}: the deny names the securable it was decided on");
         }
+    }
+
+    /// A federated catalog is created by one entry, one commit and one
+    /// metastore version, and lands in the trail under its own action —
+    /// not as a plain `createCatalog` followed by an un-audited update.
+    #[test]
+    fn federated_catalog_creation_is_one_audited_atomic_operation() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_connection(&admin, ms, "conn", "thrift://hms").unwrap();
+        let version = || -> u64 {
+            let raw = uc.db().begin_read().get(uc_catalog::model::keys::T_MSVER, ms.as_str()).unwrap();
+            String::from_utf8(raw.to_vec()).unwrap().parse().unwrap()
+        };
+        let calls = || uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
+        let before = (calls(), uc.db().stats().commits(), version(), uc.audit_log().total_recorded());
+
+        let fed = uc.create_federated_catalog(&admin, ms, "fed", "conn").unwrap();
+
+        assert_eq!(calls() - before.0, 1, "one api entry, no nested public call");
+        assert_eq!(uc.db().stats().commits() - before.1, 1, "one commit");
+        assert_eq!(version() - before.2, 1, "one metastore version");
+        assert_eq!(fed.properties.get("federated").map(String::as_str), Some("true"));
+        let added = uc.audit_log().recent((uc.audit_log().total_recorded() - before.3) as usize);
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert_eq!(
+            (added[0].decision, added[0].action.as_str(), added[0].securable.as_ref()),
+            (AuditDecision::Allow, "createFederatedCatalog", Some(&fed.id))
+        );
+    }
+
+    /// The gate comes first for every create: an unauthorised caller with
+    /// a malformed name gets an audited `PermissionDenied`, not an
+    /// unaudited `InvalidArgument` that confirms nothing was checked.
+    #[test]
+    fn an_outsider_with_a_malformed_name_is_denied_before_the_name_is_read() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        uc.create_connection(&Context::user(ADMIN), ms, "conn", "thrift://hms").unwrap();
+        let out = Context::user("mallory");
+        let root = RootCredential { bucket: "other".into(), secret: 1 };
+        let bad = "has space";
+        type Call<'a> = Box<dyn FnOnce() -> UcResult<()> + 'a>;
+        let calls: Vec<(&str, Call)> = vec![
+            ("createStorageCredential", Box::new(|| uc.create_storage_credential(&out, ms, bad, &root).map(drop))),
+            ("createExternalLocation", Box::new(|| uc.create_external_location(&out, ms, bad, "s3://lake/ext", "lake_cred").map(drop))),
+            ("createCatalog", Box::new(|| uc.create_catalog(&out, ms, bad).map(drop))),
+            ("createSchema", Box::new(|| uc.create_schema(&out, ms, "main", bad).map(drop))),
+            ("createShare", Box::new(|| uc.create_share(&out, ms, bad).map(drop))),
+            ("createConnection", Box::new(|| uc.create_connection(&out, ms, bad, "thrift://x").map(drop))),
+            ("createFederatedCatalog", Box::new(|| uc.create_federated_catalog(&out, ms, bad, "conn").map(drop))),
+        ];
+        for (action, call) in calls {
+            let (err, added) = refused(&w, call);
+            assert!(matches!(err, UcError::PermissionDenied(_)), "{action}: {err}");
+            assert_eq!(added.len(), 1, "{action}: {added:?}");
+            assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, action));
+        }
+        // The same names from an authorised caller are refused as malformed.
+        let err = uc.create_catalog(&Context::user(ADMIN), ms, bad).unwrap_err();
+        assert!(matches!(err, UcError::InvalidArgument(_)), "{err}");
     }
 
     /// A policy refusal is audited under the op that was refused: an

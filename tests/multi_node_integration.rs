@@ -254,6 +254,54 @@ fn creates_under_a_parent_dropped_on_another_node_are_not_found() {
 }
 
 #[test]
+fn mirrors_under_a_federated_catalog_dropped_on_another_node_are_not_found() {
+    // `mirror_table` creates its schema and its table through the same
+    // create protocol as every other create: names arriving from the
+    // foreign catalog are validated, and each create re-reads its parent
+    // inside its transaction, so a federated catalog (or mirrored schema)
+    // dropped on node B is NotFound on node A, whose cache still holds it.
+    use uc_catalog::service::federation::ForeignTableMeta;
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    let ms = &world.ms;
+    let node_a = &world.uc;
+    node_a.create_connection(&ctx, ms, "conn", "thrift://hms").unwrap();
+    let meta = |name: &str| ForeignTableMeta {
+        name: name.into(),
+        columns: schema(),
+        storage_path: None,
+        foreign_type: "hive".into(),
+    };
+    let tree_rows = || world.db.begin_read().scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(ms)).len();
+    let node_b = spawn_node(&world, "node-b");
+    let fed = FullName::parse("fed").unwrap();
+
+    // The schema create re-reads the federated catalog.
+    node_a.create_federated_catalog(&ctx, ms, "fed", "conn").unwrap();
+    node_b.drop_securable(&ctx, ms, &fed, "catalog").unwrap();
+    node_a.get_securable(&ctx, ms, &fed, "catalog").expect("A still serves its cached catalog");
+    let before = tree_rows();
+    let r = node_a.mirror_table(&ctx, ms, "fed", "legacy", &meta("t1"));
+    assert!(matches!(r, Err(uc_catalog::UcError::NotFound(_))), "schema under a dropped catalog: {r:?}");
+    assert_eq!(tree_rows(), before, "no tree row under a dropped federated catalog");
+
+    // The table create re-reads the mirrored schema.
+    node_a.create_federated_catalog(&ctx, ms, "fed", "conn").unwrap();
+    node_a.mirror_table(&ctx, ms, "fed", "legacy", &meta("t1")).unwrap();
+    node_b.drop_securable(&ctx, ms, &FullName::parse("fed.legacy").unwrap(), "schema").unwrap();
+    let before = tree_rows();
+    let r = node_a.mirror_table(&ctx, ms, "fed", "legacy", &meta("t2"));
+    assert!(matches!(r, Err(uc_catalog::UcError::NotFound(_))), "table under a dropped schema: {r:?}");
+    assert_eq!(tree_rows(), before, "no tree row under a dropped mirrored schema");
+
+    // Foreign names are outside input.
+    for (schema_name, table) in [("legacy2", "bad name"), ("bad schema", "t3")] {
+        let r = node_a.mirror_table(&ctx, ms, "fed", schema_name, &meta(table));
+        assert!(matches!(r, Err(uc_catalog::UcError::InvalidArgument(_))), "{schema_name}.{table}: {r:?}");
+    }
+}
+
+#[test]
 fn truncated_changelog_forces_full_reconcile() {
     // If the change log was truncated past a node's position, selective
     // invalidation can't be trusted — the node must fall back to a full

@@ -392,3 +392,47 @@ fn metastore_level_listings_are_one_scan_and_no_entity_reads() {
     assert_eq!(world.db.stats().scans() - scans0, 1);
     assert_eq!(world.db.stats().reads() - reads0, 1, "the snapshot's version read only");
 }
+
+/// The database work of `op` as `DbStats` counts it:
+/// `[reads, scans, commits, rows written]`.
+fn db_cost<T>(world: &World, op: impl FnOnce() -> T) -> [u64; 4] {
+    let s = world.db.stats();
+    let now = || [s.reads(), s.scans(), s.commits(), s.writes()];
+    let before = now();
+    op();
+    let after = now();
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+/// The create protocol's exact database bill on a warm node (ROADMAP 6b
+/// style: counts, not wall-clock). Measured at the commit before the
+/// creates were folded into one protocol and pinned equal on both sides:
+/// the conversion may not add a read, a scan, a commit or a row to any
+/// of them.
+#[test]
+fn write_ops_cost_exact_reads_scans_commits_rows() {
+    let (world, ctx) = seeded_world(&["base"]);
+    let (uc, ms) = (&world.uc, &world.ms);
+    let cols = || Schema::new(vec![Field::new("x", DataType::Int)]);
+    let name = |n: &str| FullName::parse(n).unwrap();
+
+    let create_table =
+        db_cost(&world, || uc.create_table(&ctx, ms, TableSpec::managed("main.s.t", cols()).unwrap()).unwrap());
+    let create_view = db_cost(&world, || {
+        uc.create_view(&ctx, ms, &name("main.s.v"), "SELECT x FROM main.s.base", cols(), &[name("main.s.base")])
+            .unwrap()
+    });
+    let create_volume = db_cost(&world, || uc.create_volume(&ctx, ms, &name("main.s.vol"), None).unwrap());
+    let create_schema = db_cost(&world, || uc.create_schema(&ctx, ms, "main", "s2").unwrap());
+    let grant = db_cost(&world, || {
+        uc.grant(&ctx, ms, &name("main.s.t"), "relation", "alice", uc_catalog::authz::Privilege::Select).unwrap()
+    });
+    let drop_table = db_cost(&world, || uc.drop_securable(&ctx, ms, &name("main.s.t"), "relation").unwrap());
+
+    assert_eq!(create_table, [6, 1, 1, 4], "managed create_table");
+    assert_eq!(create_view, [5, 0, 1, 3], "create_view with one dependency");
+    assert_eq!(create_volume, [6, 1, 1, 4], "managed create_volume");
+    assert_eq!(create_schema, [4, 0, 1, 3], "create_schema");
+    assert_eq!(grant, [4, 0, 1, 3], "grant");
+    assert_eq!(drop_table, [4, 1, 1, 4], "drop_securable of a table");
+}
