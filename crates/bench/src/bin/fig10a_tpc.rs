@@ -105,6 +105,14 @@ fn setup(tables: &[BenchTable], catalog: &str) -> Setup {
     Setup { world, hms }
 }
 
+/// The figure compares two metadata paths in front of the *same* cold
+/// scans. Both sides read the same tables through the same store, so
+/// without this the UC query would decode the files and the HMS query
+/// after it would find them in the node-local cache (and vice versa).
+fn drop_table_cache(setup: &Setup) {
+    uc_delta::TableCache::of(&setup.world.store).clear();
+}
+
 /// One query through UC: batched resolve + scans with vended tokens.
 fn run_query_uc(setup: &Setup, catalog: &str, q: &BenchQuery) -> Duration {
     let ctx = uc_catalog::service::Context::trusted(ADMIN, "dbr");
@@ -113,6 +121,7 @@ fn run_query_uc(setup: &Setup, catalog: &str, q: &BenchQuery) -> Duration {
         .iter()
         .map(|t| FullName::parse(&format!("{catalog}.bench.{t}")).unwrap())
         .collect();
+    drop_table_cache(setup);
     let t0 = uc_bench::Stopwatch::start();
     let resolved = setup
         .world
@@ -131,6 +140,7 @@ fn run_query_uc(setup: &Setup, catalog: &str, q: &BenchQuery) -> Duration {
 
 /// One query through local HMS: per-table metadata reads + direct scans.
 fn run_query_hms(setup: &Setup, q: &BenchQuery, root: &Credential) -> Duration {
+    drop_table_cache(setup);
     let t0 = uc_bench::Stopwatch::start();
     for t in &q.tables {
         let meta = setup.hms.get_table("bench", t).unwrap();

@@ -13,12 +13,15 @@
 //! tokens cannot be forged or re-scoped without the service secret, and any
 //! tampering with scope/expiry invalidates the signature.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use uc_obs::Obs;
 
 use crate::clock::Clock;
 use crate::error::{StorageError, StorageResult};
 use crate::faults::{points, FaultPlan};
+use crate::opcount::OpCounters;
 use crate::path::StoragePath;
 
 /// Access level a credential grants on its scope.
@@ -97,24 +100,42 @@ pub struct StsService {
     clock: Clock,
     faults: FaultPlan,
     obs: Obs,
+    ops: Arc<StsOps>,
+}
+
+/// The `sts.<op>.{count,errors}` handles.
+#[derive(Debug)]
+struct StsOps {
+    mint: OpCounters,
+    verify: OpCounters,
+}
+
+impl StsOps {
+    fn new() -> Arc<Self> {
+        Arc::new(StsOps {
+            mint: OpCounters::new("sts.mint.count", "sts.mint.errors"),
+            verify: OpCounters::new("sts.verify.count", "sts.verify.errors"),
+        })
+    }
 }
 
 impl StsService {
     /// New service with a random secret (drawn from the audited seed
     /// stream) and the given clock.
     pub fn new(clock: Clock) -> Self {
-        StsService {
-            secret: crate::seed::next_u64(),
-            clock,
-            faults: FaultPlan::disabled(),
-            obs: Obs::disabled(),
-        }
+        StsService::with_secret(crate::seed::next_u64(), clock)
     }
 
     /// New service with a fixed secret — for tests that need two instances
     /// to trust each other's tokens.
     pub fn with_secret(secret: u64, clock: Clock) -> Self {
-        StsService { secret, clock, faults: FaultPlan::disabled(), obs: Obs::disabled() }
+        StsService {
+            secret,
+            clock,
+            faults: FaultPlan::disabled(),
+            obs: Obs::disabled(),
+            ops: StsOps::new(),
+        }
     }
 
     /// Attach a fault plan (chaos tests). Consumes and returns the service
@@ -128,6 +149,7 @@ impl StsService {
     /// counters are recorded into it.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self.ops = StsOps::new();
         self
     }
 
@@ -151,7 +173,7 @@ impl StsService {
         ttl_ms: u64,
     ) -> StorageResult<TempCredential> {
         let mut span = self.obs.span("sts", "mint");
-        self.obs.counter("sts.mint.count").inc();
+        self.ops.mint.count(&self.obs).inc();
         let result = (|| {
             if root.bucket != scope.bucket() {
                 return Err(StorageError::AccessDenied(format!(
@@ -168,7 +190,7 @@ impl StsService {
             Ok(TempCredential { scope: scope.clone(), access, expires_at_ms, nonce, signature })
         })();
         if result.is_err() {
-            self.obs.counter("sts.mint.errors").inc();
+            self.ops.mint.errors(&self.obs).inc();
             span.set_status("error");
         }
         result
@@ -178,7 +200,7 @@ impl StsService {
     /// can follow up with path checks.
     pub fn verify(&self, token: &TempCredential) -> StorageResult<()> {
         let mut span = self.obs.span("sts", "verify");
-        self.obs.counter("sts.verify.count").inc();
+        self.ops.verify.count(&self.obs).inc();
         let result = (|| {
             let expect = self.sign(&token.scope, token.access, token.expires_at_ms, token.nonce);
             if expect != token.signature {
@@ -202,7 +224,7 @@ impl StsService {
             Ok(())
         })();
         if result.is_err() {
-            self.obs.counter("sts.verify.errors").inc();
+            self.ops.verify.errors(&self.obs).inc();
             span.set_status("error");
         }
         result

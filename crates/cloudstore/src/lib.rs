@@ -34,6 +34,7 @@ pub mod credentials;
 pub mod error;
 pub mod faults;
 pub mod latency;
+mod opcount;
 pub mod path;
 pub mod sched;
 pub mod seed;

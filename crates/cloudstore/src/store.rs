@@ -6,8 +6,9 @@
 //! level. This is what makes "clients only ever hold down-scoped tokens"
 //! an enforced property rather than a convention.
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -17,6 +18,7 @@ use crate::credentials::{AccessLevel, Credential, RootCredential, StsService, Te
 use crate::error::{StorageError, StorageResult};
 use crate::faults::{points, FaultPlan};
 use crate::latency::{LatencyModel, OpClass};
+use crate::opcount::OpCounters;
 use crate::path::StoragePath;
 
 /// Metadata about a stored object.
@@ -41,6 +43,30 @@ struct Bucket {
     objects: BTreeMap<String, StoredObject>,
 }
 
+/// The `store.<op>.{count,errors}` handles of every operation.
+struct StoreOps {
+    put: OpCounters,
+    put_if_absent: OpCounters,
+    get: OpCounters,
+    delete: OpCounters,
+    list: OpCounters,
+}
+
+impl StoreOps {
+    fn new() -> Arc<Self> {
+        Arc::new(StoreOps {
+            put: OpCounters::new("store.put.count", "store.put.errors"),
+            put_if_absent: OpCounters::new(
+                "store.put_if_absent.count",
+                "store.put_if_absent.errors",
+            ),
+            get: OpCounters::new("store.get.count", "store.get.errors"),
+            delete: OpCounters::new("store.delete.count", "store.delete.errors"),
+            list: OpCounters::new("store.list.count", "store.list.errors"),
+        })
+    }
+}
+
 /// A shareable in-memory object store.
 ///
 /// Cloning shares the underlying storage (`Arc` inside), mirroring how many
@@ -52,6 +78,10 @@ pub struct ObjectStore {
     latency: LatencyModel,
     faults: FaultPlan,
     obs: Obs,
+    ops: Arc<StoreOps>,
+    /// Node-local state of the one client library that keeps any (see
+    /// [`ObjectStore::local`]); shared by every clone of this handle.
+    local: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
 }
 
 impl ObjectStore {
@@ -70,6 +100,8 @@ impl ObjectStore {
             latency,
             faults,
             obs: Obs::disabled(),
+            ops: StoreOps::new(),
+            local: Arc::new(OnceLock::new()),
         }
     }
 
@@ -77,7 +109,22 @@ impl ObjectStore {
     /// are recorded into it. Composes with the other constructors.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self.ops = StoreOps::new();
         self
+    }
+
+    /// The node-local state a client library keeps for this store — what a
+    /// process holds in memory about the objects behind one endpoint, such
+    /// as a cache of what it has already read. Every clone of the handle
+    /// returns the same `Arc<T>`; `init` runs for the first caller only.
+    /// The store never looks inside it. One library owns the slot: asking
+    /// for a second type is a bug in the program and panics.
+    pub fn local<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
+        let slot = self.local.get_or_init(|| Arc::new(init()));
+        Arc::clone(slot)
+            .downcast::<T>()
+            // uc-lint: allow(hygiene) -- a second node-local type is a programming error, not an input
+            .unwrap_or_else(|_| panic!("ObjectStore::local holds another type"))
     }
 
     /// The observability handle storage operations record into.
@@ -93,12 +140,17 @@ impl ObjectStore {
     /// Wrap a storage operation in a `store.<op>` span plus count/error
     /// counters. Injected faults inside `f` attach their events to this
     /// span (or to an enclosing catalog request span, same trace).
-    fn instrument<T>(&self, op: &str, f: impl FnOnce() -> StorageResult<T>) -> StorageResult<T> {
+    fn instrument<T>(
+        &self,
+        op: &str,
+        counters: &OpCounters,
+        f: impl FnOnce() -> StorageResult<T>,
+    ) -> StorageResult<T> {
         let mut span = self.obs.span("store", op);
-        self.obs.counter(&format!("store.{op}.count")).inc();
+        counters.count(&self.obs).inc();
         let result = f();
         if result.is_err() {
-            self.obs.counter(&format!("store.{op}.errors")).inc();
+            counters.errors(&self.obs).inc();
             span.set_status("error");
         }
         result
@@ -125,7 +177,7 @@ impl ObjectStore {
 
     /// Store an object, overwriting any existing one.
     pub fn put(&self, cred: &Credential, path: &StoragePath, data: Bytes) -> StorageResult<()> {
-        self.instrument("put", || {
+        self.instrument("put", &self.ops.put, || {
             self.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
             if self.faults.should_inject(points::STORE_PUT) {
@@ -151,7 +203,7 @@ impl ObjectStore {
         path: &StoragePath,
         data: Bytes,
     ) -> StorageResult<()> {
-        self.instrument("put_if_absent", || {
+        self.instrument("put_if_absent", &self.ops.put_if_absent, || {
             self.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
             if self.faults.should_inject(points::STORE_PUT_IF_ABSENT) {
@@ -176,7 +228,7 @@ impl ObjectStore {
 
     /// Fetch an object's contents.
     pub fn get(&self, cred: &Credential, path: &StoragePath) -> StorageResult<Bytes> {
-        self.instrument("get", || {
+        self.instrument("get", &self.ops.get, || {
             self.latency.apply(OpClass::Read);
             self.authorize(cred, path, AccessLevel::Read)?;
             if self.faults.should_inject(points::STORE_GET) {
@@ -198,7 +250,7 @@ impl ObjectStore {
     /// the strictest provider semantics (callers that want idempotent
     /// deletes can ignore `NoSuchObject`).
     pub fn delete(&self, cred: &Credential, path: &StoragePath) -> StorageResult<()> {
-        self.instrument("delete", || {
+        self.instrument("delete", &self.ops.delete, || {
             self.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
             if self.faults.should_inject(points::STORE_DELETE) {
@@ -218,7 +270,7 @@ impl ObjectStore {
 
     /// List objects whose paths fall under `prefix`, in key order.
     pub fn list(&self, cred: &Credential, prefix: &StoragePath) -> StorageResult<Vec<ObjectMeta>> {
-        self.instrument("list", || {
+        self.instrument("list", &self.ops.list, || {
             self.latency.apply(OpClass::List);
             self.authorize(cred, prefix, AccessLevel::Read)?;
             if self.faults.should_inject(points::STORE_LIST) {

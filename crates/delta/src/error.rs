@@ -16,6 +16,8 @@ pub enum DeltaError {
     CommitConflict { version: i64 },
     /// The table has no log at the expected location.
     NotATable(String),
+    /// Time travel to a version the log does not (yet) have.
+    NoSuchVersion { version: i64, head: i64 },
     /// A log object or data file failed to decode.
     Corrupt(String),
     /// Schema problem: unknown column, arity mismatch, type mismatch.
@@ -32,6 +34,9 @@ impl fmt::Display for DeltaError {
                 write!(f, "commit conflict at version {version}")
             }
             DeltaError::NotATable(p) => write!(f, "no delta table at {p}"),
+            DeltaError::NoSuchVersion { version, head } => {
+                write!(f, "no version {version}: the log ends at {head}")
+            }
             DeltaError::Corrupt(msg) => write!(f, "corrupt table data: {msg}"),
             DeltaError::Schema(msg) => write!(f, "schema error: {msg}"),
             DeltaError::Coordinator(msg) => write!(f, "commit coordinator error: {msg}"),

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::{DeltaError, DeltaResult};
-use crate::value::{Row, Schema, Value};
+use crate::value::{Schema, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,14 +120,13 @@ impl Expr {
     }
 
     /// Evaluate to a value. Boolean contexts use [`Expr::eval_bool`].
-    pub fn eval(&self, schema: &Schema, row: &Row, ctx: &EvalContext) -> DeltaResult<Value> {
+    pub fn eval<R: RowView + ?Sized>(&self, schema: &Schema, row: &R, ctx: &EvalContext) -> DeltaResult<Value> {
         Ok(match self {
             Expr::Column(name) => {
                 let idx = schema
                     .index_of(name)
                     .ok_or_else(|| DeltaError::Schema(format!("unknown column {name}")))?;
-                row.get(idx)
-                    .cloned()
+                row.value(idx)
                     .ok_or_else(|| DeltaError::Schema(format!("row too short for {name}")))?
             }
             Expr::Literal(v) => v.clone(),
@@ -164,10 +163,10 @@ impl Expr {
     }
 
     /// Evaluate as a SQL boolean: `Some(true/false)` or `None` for NULL.
-    fn eval_bool3(
+    fn eval_bool3<R: RowView + ?Sized>(
         &self,
         schema: &Schema,
-        row: &Row,
+        row: &R,
         ctx: &EvalContext,
     ) -> DeltaResult<Option<bool>> {
         match self.eval(schema, row, ctx)? {
@@ -180,8 +179,22 @@ impl Expr {
     }
 
     /// Filter semantics: the row passes only on TRUE (NULL filters out).
-    pub fn eval_bool(&self, schema: &Schema, row: &Row, ctx: &EvalContext) -> DeltaResult<bool> {
+    pub fn eval_bool<R: RowView + ?Sized>(&self, schema: &Schema, row: &R, ctx: &EvalContext) -> DeltaResult<bool> {
         Ok(self.eval_bool3(schema, row, ctx)? == Some(true))
+    }
+}
+
+/// A row an expression can read columns from, by position: a plain row, or
+/// a row of a cached data file ([`crate::datafile::RowRef`]), whose values
+/// are materialized only when a column is actually read.
+pub trait RowView {
+    /// The value at `idx`; `None` past the end of the row.
+    fn value(&self, idx: usize) -> Option<Value>;
+}
+
+impl RowView for Vec<Value> {
+    fn value(&self, idx: usize) -> Option<Value> {
+        self.get(idx).cloned()
     }
 }
 
@@ -223,6 +236,7 @@ impl EvalContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Row;
     use crate::value::{DataType, Field};
 
     fn schema() -> Schema {

@@ -15,6 +15,10 @@
 //!   transactions (§6.3 of the paper).
 //! * **Snapshots by log replay**: [`Snapshot`] folds the action stream into
 //!   the active file set, schema, and table version.
+//! * **A validated node-local cache**: one [`TableCache`] per object store
+//!   keeps the last snapshot and the decoded data files of each table; a
+//!   read reuses them only after it has found the log head with its own
+//!   credential and the head matches.
 //! * **File statistics + pruning**: data files carry min/max stats and
 //!   scans skip files a predicate cannot match — the mechanism behind the
 //!   predictive-optimization experiment (Fig 10c).
@@ -29,6 +33,7 @@
 //! not the on-disk encoding.
 
 pub mod actions;
+pub mod cache;
 pub mod datafile;
 pub mod error;
 pub mod expr;
@@ -39,8 +44,9 @@ pub mod uniform;
 pub mod value;
 
 pub use actions::{Action, AddFile, ColumnStats, MetaData, Protocol, RemoveFile};
+pub use cache::TableCache;
 pub use error::{DeltaError, DeltaResult};
-pub use expr::{CmpOp, EvalContext, Expr};
+pub use expr::{CmpOp, EvalContext, Expr, RowView};
 pub use log::{CommitCoordinator, StorageCommitCoordinator};
 pub use snapshot::Snapshot;
 pub use table::{DeltaTable, OptimizeMetrics, VacuumMetrics};

@@ -11,8 +11,10 @@
 //!   tables' commit state in one metadata transaction, this enables
 //!   multi-table transactions (§6.3).
 
+use std::ops::RangeInclusive;
+
 use bytes::Bytes;
-use uc_cloudstore::{Credential, ObjectStore, StoragePath};
+use uc_cloudstore::{Credential, ObjectMeta, ObjectStore, StoragePath};
 
 use crate::actions::{decode_commit, encode_commit, Action};
 use crate::error::{DeltaError, DeltaResult};
@@ -53,10 +55,62 @@ pub fn parse_commit_version(key: &str) -> Option<i64> {
     }
 }
 
+/// What identifies the storage object behind a commit: `(size,
+/// created_at_ms)` as a listing reports them. Two logs that reach the same
+/// version at the same location differ here unless they wrote objects of
+/// the same size in the same millisecond.
+pub type ObjectStamp = (usize, u64);
+
+/// Where a table's log ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Head {
+    pub version: i64,
+    /// Stamp of the commit object at `version`; `None` when the
+    /// coordinator keeps the log somewhere a listing does not show.
+    pub stamp: Option<ObjectStamp>,
+}
+
+/// The stamp of the commit object for `version` in a listing of the log
+/// directory (key order, as [`ObjectStore::list`] returns it). Searched
+/// from the end: callers ask about the head or a version near it.
+pub fn stamp_in_listing(log_listing: &[ObjectMeta], version: i64) -> Option<ObjectStamp> {
+    log_listing
+        .iter()
+        .rev()
+        .find(|m| parse_commit_version(m.path.key()) == Some(version))
+        .map(|m| (m.size, m.created_at_ms))
+}
+
+/// The highest commit in a listing of the log directory.
+pub fn head_in_listing(log_listing: &[ObjectMeta]) -> Option<Head> {
+    log_listing.iter().rev().find_map(|m| {
+        let version = parse_commit_version(m.path.key())?;
+        Some(Head { version, stamp: Some((m.size, m.created_at_ms)) })
+    })
+}
+
+/// The newest checkpoint at or below `max_version` in a listing of the
+/// log directory.
+pub fn checkpoint_in_listing(log_listing: &[ObjectMeta], max_version: i64) -> Option<i64> {
+    log_listing
+        .iter()
+        .rev()
+        .filter_map(|m| parse_checkpoint_version(m.path.key()))
+        .find(|v| *v <= max_version)
+}
+
 /// Arbitrates which writer claims each table version.
 pub trait CommitCoordinator: Send + Sync {
     /// Latest committed version, `None` for a table with no commits.
     fn latest_version(&self, cred: &Credential) -> DeltaResult<Option<i64>>;
+
+    /// The head, for a caller that has just listed `<table>/_delta_log`
+    /// (every snapshot does, to present its credential and to find
+    /// checkpoints). A coordinator whose log is that directory answers
+    /// from the listing; any other asks its own authority.
+    fn head(&self, cred: &Credential, _log_listing: &[ObjectMeta]) -> DeltaResult<Option<Head>> {
+        Ok(self.latest_version(cred)?.map(|version| Head { version, stamp: None }))
+    }
 
     /// Atomically publish `payload` as `version`; fails with
     /// [`DeltaError::CommitConflict`] if the version is already taken.
@@ -87,10 +141,11 @@ impl StorageCommitCoordinator {
 impl CommitCoordinator for StorageCommitCoordinator {
     fn latest_version(&self, cred: &Credential) -> DeltaResult<Option<i64>> {
         let objects = self.store.list(cred, &self.log_path)?;
-        Ok(objects
-            .iter()
-            .filter_map(|m| parse_commit_version(m.path.key()))
-            .max())
+        Ok(head_in_listing(&objects).map(|h| h.version))
+    }
+
+    fn head(&self, _cred: &Credential, log_listing: &[ObjectMeta]) -> DeltaResult<Option<Head>> {
+        Ok(head_in_listing(log_listing))
     }
 
     fn try_commit(&self, cred: &Credential, version: i64, payload: Bytes) -> DeltaResult<()> {
@@ -119,11 +174,20 @@ pub fn read_log(
     coordinator: &dyn CommitCoordinator,
     cred: &Credential,
 ) -> DeltaResult<Vec<(i64, Vec<Action>)>> {
-    let Some(latest) = coordinator.latest_version(cred)? else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::with_capacity((latest + 1) as usize);
-    for v in 0..=latest {
+    match coordinator.latest_version(cred)? {
+        Some(latest) => read_commits(coordinator, cred, 0..=latest),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// Read and decode the commits in `versions`; a missing one is corruption.
+pub fn read_commits(
+    coordinator: &dyn CommitCoordinator,
+    cred: &Credential,
+    versions: RangeInclusive<i64>,
+) -> DeltaResult<Vec<(i64, Vec<Action>)>> {
+    let mut out = Vec::with_capacity(versions.size_hint().0);
+    for v in versions {
         let payload = coordinator
             .read_commit(cred, v)?
             .ok_or_else(|| DeltaError::Corrupt(format!("missing log version {v}")))?;

@@ -71,6 +71,50 @@ impl Snapshot {
         self.files.values().map(|f| f.size_bytes).sum()
     }
 
+    /// Estimate of the heap this snapshot holds, allocator overhead
+    /// included: the file and tombstone maps dominate, the schema and
+    /// protocol are a constant beside them. What the table cache charges a
+    /// snapshot against its budget.
+    pub fn approx_bytes(&self) -> usize {
+        use crate::cache::alloc_bytes;
+        use std::mem::size_of;
+        // A B-tree leaf has room for 11 entries whatever it holds, and a
+        // larger tree's nodes are on average two thirds full.
+        let btree = |len: usize, entry: usize| match len {
+            0 => 0,
+            _ => alloc_bytes(entry * (len + len / 2).max(11)),
+        };
+        let value_bytes = |v: &Option<Value>| match v {
+            Some(Value::Str(s)) => alloc_bytes(s.len()),
+            _ => 0,
+        };
+        let files: usize = self
+            .files
+            .iter()
+            .map(|(path, f)| {
+                let stats: usize = f
+                    .stats
+                    .iter()
+                    .map(|(col, s)| alloc_bytes(col.len()) + value_bytes(&s.min) + value_bytes(&s.max))
+                    .sum();
+                2 * alloc_bytes(path.len())
+                    + btree(f.stats.len(), size_of::<String>() + size_of::<crate::actions::ColumnStats>())
+                    + stats
+            })
+            .sum::<usize>()
+            + btree(self.files.len(), size_of::<String>() + size_of::<AddFile>());
+        let tombstones: usize = self.tombstones.keys().map(|path| alloc_bytes(path.len())).sum::<usize>()
+            + btree(self.tombstones.len(), size_of::<String>() + size_of::<u64>());
+        let schema: usize = self
+            .metadata
+            .schema
+            .fields
+            .iter()
+            .map(|f| size_of::<crate::value::Field>() + alloc_bytes(f.name.len()))
+            .sum();
+        size_of::<Snapshot>() + alloc_bytes(self.metadata.id.len()) + schema + files + tombstones
+    }
+
     /// Serialize the full state as checkpoint actions (protocol,
     /// metadata, every active file, every tombstone).
     pub fn to_checkpoint_actions(&self) -> Vec<Action> {

@@ -2,22 +2,29 @@
 //! a commit coordinator.
 //!
 //! All methods take the caller's [`Credential`] explicitly — in the
-//! governed system engines hold only short-lived vended tokens, and those
-//! tokens are presented to storage on every operation.
+//! governed system engines hold only short-lived vended tokens. Every
+//! operation presents its token to storage at least once, on the table's
+//! log directory, before anything the node-local [`TableCache`] holds is
+//! returned; what the cache saves is re-reading objects that listing shows
+//! unchanged.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use uc_cloudstore::{Credential, ObjectStore, StoragePath};
+use uc_cloudstore::{Credential, ObjectMeta, ObjectStore, StoragePath};
 
 use crate::actions::{
     Action, AddFile, CommitInfo, MetaData, Protocol, RemoveFile,
 };
-use crate::datafile::{collect_stats, decode_rows, encode_rows};
+use crate::cache::{Lookup, TableCache};
+use crate::datafile::{collect_stats, encode_rows, FileRows};
 use crate::error::{DeltaError, DeltaResult};
 use crate::expr::{EvalContext, Expr};
-use crate::log::{read_log, write_commit, CommitCoordinator, StorageCommitCoordinator};
+use crate::log::{
+    checkpoint_in_listing, read_commits, write_commit, CommitCoordinator, Head,
+    StorageCommitCoordinator, LOG_DIR,
+};
 use crate::snapshot::Snapshot;
 use crate::value::{Row, Schema};
 
@@ -27,6 +34,16 @@ static FILE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Write a checkpoint every this many commits (the Delta protocol's
 /// default cadence).
 pub const CHECKPOINT_INTERVAL: i64 = 10;
+
+/// Scheduler yield point between reading a table's head from the store and
+/// looking the table up in the cache — the window in which another client
+/// may commit or install (see `uc_cloudstore::sched`).
+pub const YIELD_SNAPSHOT_HEAD: &str = "delta.snapshot.head";
+
+/// Scheduler yield point between missing a data file in the cache and
+/// fetching it — the window in which another client may miss the same
+/// file, so that both decode it and both offer it to the cache.
+pub const YIELD_FILE_MISS: &str = "delta.file.miss";
 
 /// Result of an OPTIMIZE run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,14 +64,17 @@ pub struct VacuumMetrics {
 pub struct DeltaTable {
     store: ObjectStore,
     path: StoragePath,
+    log_dir: StoragePath,
     coordinator: Arc<dyn CommitCoordinator>,
+    /// The store's node-local cache, shared with every other handle.
+    cache: Arc<TableCache>,
 }
 
 impl DeltaTable {
     /// Open a table with the default storage-based commit coordinator.
     pub fn open(store: ObjectStore, path: StoragePath) -> Self {
         let coordinator = Arc::new(StorageCommitCoordinator::new(store.clone(), &path));
-        DeltaTable { store, path, coordinator }
+        DeltaTable::with_coordinator(store, path, coordinator)
     }
 
     /// Open a table with a custom (e.g. catalog-owned) coordinator.
@@ -63,7 +83,9 @@ impl DeltaTable {
         path: StoragePath,
         coordinator: Arc<dyn CommitCoordinator>,
     ) -> Self {
-        DeltaTable { store, path, coordinator }
+        let cache = TableCache::of(&store);
+        let log_dir = path.child(LOG_DIR);
+        DeltaTable { store, path, log_dir, coordinator, cache }
     }
 
     /// Create the table: commit version 0 with protocol + metadata.
@@ -106,60 +128,83 @@ impl DeltaTable {
         &self.coordinator
     }
 
-    /// Current snapshot: replay from the latest checkpoint when one
-    /// exists, otherwise from the start of the log.
-    pub fn snapshot(&self, cred: &Credential) -> DeltaResult<Snapshot> {
-        let Some(latest) = self.coordinator.latest_version(cred)? else {
-            return Err(DeltaError::NotATable(self.path.to_string()));
+    /// Current snapshot. One credentialed listing of the log directory
+    /// finds the head; the cached snapshot is returned when it was built
+    /// under that head, extended by the commits after it when the head is
+    /// ahead on the same log, and otherwise rebuilt from the newest
+    /// checkpoint (or the start of the log) and installed.
+    pub fn snapshot(&self, cred: &Credential) -> DeltaResult<Arc<Snapshot>> {
+        let (head, listing) = self.find_head(cred)?;
+        uc_cloudstore::sched::yield_point(YIELD_SNAPSHOT_HEAD);
+        let base = match self.cache.lookup(&self.path, head, &listing) {
+            Lookup::Fresh(snapshot) => return Ok(snapshot),
+            Lookup::Behind(base) => Some(base),
+            Lookup::Miss => None,
         };
-        if let Some((cv, base)) = self.read_latest_checkpoint(cred, latest)? {
-            let mut log = Vec::with_capacity((latest - cv) as usize);
-            for v in cv + 1..=latest {
-                let payload = self
-                    .coordinator
-                    .read_commit(cred, v)?
-                    .ok_or_else(|| DeltaError::Corrupt(format!("missing log version {v}")))?;
-                log.push((v, crate::actions::decode_commit(&payload)?));
-            }
-            uc_obs::span_event(
-                "delta.snapshot",
-                &format!("version={latest} replayed={} from_checkpoint={cv}", log.len()),
-            );
-            return Snapshot::replay_from(Some(base), &log);
-        }
-        let log = read_log(self.coordinator.as_ref(), cred)?;
-        uc_obs::span_event("delta.snapshot", &format!("version={latest} replayed={}", log.len()));
-        if log.is_empty() {
-            return Err(DeltaError::NotATable(self.path.to_string()));
-        }
-        Snapshot::replay(&log)
+        let extended = match base {
+            Some(base) => self.extend(cred, &base, head)?,
+            None => None,
+        };
+        let snapshot = Arc::new(match extended {
+            Some(snapshot) => snapshot,
+            None => self.build(cred, head, &listing)?,
+        });
+        self.cache.install(&self.path, head, snapshot.clone());
+        Ok(snapshot)
     }
 
-    /// Find and decode the newest checkpoint at or below `max_version`.
-    /// Checkpoints always live on storage, even for catalog-owned tables.
-    fn read_latest_checkpoint(
-        &self,
-        cred: &Credential,
-        max_version: i64,
-    ) -> DeltaResult<Option<(i64, Snapshot)>> {
-        let log_dir = self.path.child(crate::log::LOG_DIR);
-        let listed = match self.store.list(cred, &log_dir) {
-            Ok(l) => l,
-            // a catalog-owned table may have no storage log directory yet
-            Err(uc_cloudstore::StorageError::NoSuchBucket(_)) => return Ok(None),
-            Err(e) => return Err(e.into()),
+    /// Replay the commits after `base` up to `head` on top of it. `None`
+    /// when one of them is gone (log cleanup behind a checkpoint): the
+    /// caller rebuilds instead.
+    fn extend(&self, cred: &Credential, base: &Snapshot, head: Head) -> DeltaResult<Option<Snapshot>> {
+        let log = match read_commits(self.coordinator.as_ref(), cred, base.version + 1..=head.version) {
+            Ok(log) => log,
+            Err(DeltaError::Corrupt(_)) => return Ok(None),
+            Err(e) => return Err(e),
         };
-        let best = listed
-            .iter()
-            .filter_map(|m| crate::log::parse_checkpoint_version(m.path.key()))
-            .filter(|v| *v <= max_version)
-            .max();
-        let Some(v) = best else { return Ok(None) };
-        let data = self
-            .store
-            .get(cred, &log_dir.child(&crate::log::checkpoint_file_name(v)))?;
-        let actions = crate::actions::decode_commit(&data)?;
-        Ok(Some((v, Snapshot::from_checkpoint(v, actions)?)))
+        uc_obs::span_event(
+            "delta.snapshot",
+            &format!("version={} replayed={} from_cached={}", head.version, log.len(), base.version),
+        );
+        Snapshot::replay_from(Some(base.clone()), &log).map(Some)
+    }
+
+    /// The one store call every operation starts with: list the log
+    /// directory with the caller's credential and let the coordinator name
+    /// the head. The listing also shows the checkpoints and, for a log kept
+    /// on storage, the commit objects' stamps.
+    fn find_head(&self, cred: &Credential) -> DeltaResult<(Head, Vec<ObjectMeta>)> {
+        let listing = self.store.list(cred, &self.log_dir)?;
+        match self.coordinator.head(cred, &listing)? {
+            Some(head) => Ok((head, listing)),
+            None => Err(DeltaError::NotATable(self.path.to_string())),
+        }
+    }
+
+    /// Build the snapshot at `head` from storage: the newest checkpoint the
+    /// listing shows, if any, then only the commits after it.
+    /// Checkpoints always live on storage, even for catalog-owned tables.
+    fn build(&self, cred: &Credential, head: Head, listing: &[ObjectMeta]) -> DeltaResult<Snapshot> {
+        let checkpoint = checkpoint_in_listing(listing, head.version);
+        let base = match checkpoint {
+            Some(cv) => {
+                let data = self
+                    .store
+                    .get(cred, &self.log_dir.child(&crate::log::checkpoint_file_name(cv)))?;
+                Some(Snapshot::from_checkpoint(cv, crate::actions::decode_commit(&data)?)?)
+            }
+            None => None,
+        };
+        let first = checkpoint.map_or(0, |cv| cv + 1);
+        let log = read_commits(self.coordinator.as_ref(), cred, first..=head.version)?;
+        uc_obs::span_event(
+            "delta.snapshot",
+            &match checkpoint {
+                Some(cv) => format!("version={} replayed={} from_checkpoint={cv}", head.version, log.len()),
+                None => format!("version={} replayed={}", head.version, log.len()),
+            },
+        );
+        Snapshot::replay_from(base, &log)
     }
 
     /// Write a checkpoint of the current state; returns the checkpointed
@@ -167,20 +212,19 @@ impl DeltaTable {
     pub fn checkpoint(&self, cred: &Credential) -> DeltaResult<i64> {
         let snap = self.snapshot(cred)?;
         let data = crate::actions::encode_commit(&snap.to_checkpoint_actions());
-        let log_dir = self.path.child(crate::log::LOG_DIR);
         self.store
-            .put(cred, &log_dir.child(&crate::log::checkpoint_file_name(snap.version)), data)?;
+            .put(cred, &self.log_dir.child(&crate::log::checkpoint_file_name(snap.version)), data)?;
         Ok(snap.version)
     }
 
-    /// Snapshot at a historical version (time travel).
+    /// Snapshot at a historical version (time travel): a plain replay of
+    /// commits `0..=version`, never cached.
     pub fn snapshot_at(&self, cred: &Credential, version: i64) -> DeltaResult<Snapshot> {
-        let log = read_log(self.coordinator.as_ref(), cred)?;
-        let upto: Vec<_> = log.into_iter().filter(|(v, _)| *v <= version).collect();
-        if upto.is_empty() {
-            return Err(DeltaError::NotATable(self.path.to_string()));
+        let (head, _) = self.find_head(cred)?;
+        if !(0..=head.version).contains(&version) {
+            return Err(DeltaError::NoSuchVersion { version, head: head.version });
         }
-        Snapshot::replay(&upto)
+        Snapshot::replay(&read_commits(self.coordinator.as_ref(), cred, 0..=version)?)
     }
 
     /// Write a batch of rows as one data file and commit it. Returns the
@@ -263,7 +307,8 @@ impl DeltaTable {
         self.scan_snapshot(cred, &snapshot, predicate, ctx)
     }
 
-    /// Scan against an existing snapshot (avoids replaying the log again).
+    /// Scan against an existing snapshot. The predicate runs over the
+    /// shared decoded rows by reference; only the rows kept are cloned.
     pub fn scan_snapshot(
         &self,
         cred: &Credential,
@@ -276,18 +321,28 @@ impl DeltaTable {
         let files_read = files.len();
         let mut out = Vec::new();
         for file in files {
-            let data = self.store.get(cred, &self.path.child(&file.path))?;
-            for row in decode_rows(&data)? {
+            for row in self.file_rows(cred, file)?.iter() {
                 let keep = match predicate {
                     Some(p) => p.eval_bool(schema, &row, ctx)?,
                     None => true,
                 };
                 if keep {
-                    out.push(row);
+                    out.push(row.to_vec());
                 }
             }
         }
         Ok((out, files_read))
+    }
+
+    /// The decoded rows of one data file: the cache's copy, or fetched with
+    /// the caller's credential, decoded once and offered to the cache.
+    fn file_rows(&self, cred: &Credential, file: &AddFile) -> DeltaResult<Arc<FileRows>> {
+        if let Some(rows) = self.cache.rows(&self.path, file) {
+            return Ok(rows);
+        }
+        uc_cloudstore::sched::yield_point(YIELD_FILE_MISS);
+        let data = self.store.get(cred, &self.path.child(&file.path))?;
+        Ok(self.cache.install_rows(&self.path, file, FileRows::decode(&data)?))
     }
 
     /// Delete all rows matching `predicate` via copy-on-write: files with
@@ -306,14 +361,13 @@ impl DeltaTable {
         let mut deleted = 0u64;
         // Stats pruning bounds the rewrite set exactly like a scan.
         for file in snapshot.prune_files(Some(predicate)) {
-            let data = self.store.get(cred, &self.path.child(&file.path))?;
-            let rows = decode_rows(&data)?;
+            let rows = self.file_rows(cred, file)?;
             let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
+            for row in rows.iter() {
                 if predicate.eval_bool(&schema, &row, ctx)? {
                     deleted += 1;
                 } else {
-                    kept.push(row);
+                    kept.push(row.to_vec());
                 }
             }
             if kept.len() as u64 == file.num_records {
@@ -354,8 +408,7 @@ impl DeltaTable {
         // Read all small files' rows.
         let mut rows = Vec::new();
         for file in &small {
-            let data = self.store.get(cred, &self.path.child(&file.path))?;
-            rows.extend(decode_rows(&data)?);
+            rows.extend(self.file_rows(cred, file)?.iter().map(|row| row.to_vec()));
         }
         // Rewrite as target-sized files.
         let mut actions = Vec::new();
@@ -583,6 +636,7 @@ mod tests {
 mod checkpoint_tests {
     use super::*;
     use crate::expr::EvalContext;
+    use crate::log::read_log;
     use crate::value::{DataType, Field, Value};
 
     fn setup() -> (ObjectStore, Credential, DeltaTable) {

@@ -687,10 +687,13 @@ impl EngineSession {
 
     /// Snapshot + scan a Delta table with bounded recovery from mid-scan
     /// credential expiry: a token can age out between resolution and the
-    /// storage reads (long queries, small TTLs). On `ExpiredCredential`
-    /// the engine asks the catalog for a fresh read token — full
-    /// re-authorization, so revocations since resolution are honored —
-    /// and retries. `pinned` selects `snapshot_at` (shallow clones).
+    /// storage reads (long queries, small TTLs). The snapshot is the
+    /// store's shared, validated one (`uc_delta::TableCache`): a table
+    /// that has not changed costs one credentialed listing. On
+    /// `ExpiredCredential` the engine asks the catalog for a fresh read
+    /// token — full re-authorization, so revocations since resolution are
+    /// honored — and retries. `pinned` selects `snapshot_at` (shallow
+    /// clones).
     fn scan_table(
         &self,
         ctx: &Context,
@@ -710,7 +713,7 @@ impl EngineSession {
             let cred = Credential::Temp(token.clone());
             let result = (|| {
                 let snapshot = match pinned {
-                    Some(v) => handle.snapshot_at(&cred, v)?,
+                    Some(v) => Arc::new(handle.snapshot_at(&cred, v)?),
                     None => handle.snapshot(&cred)?,
                 };
                 handle.scan_snapshot(&cred, &snapshot, extra_predicate, eval_ctx)
@@ -758,7 +761,7 @@ impl EngineSession {
             if let Some(exempt) = &mask.exempt_when {
                 // Exemption conditions reference only the principal, so one
                 // evaluation (against an empty row) decides the query.
-                if exempt.eval_bool(&Schema::new(vec![]), &vec![], eval_ctx).unwrap_or(false) {
+                if exempt.eval_bool(&Schema::new(vec![]), &Row::new(), eval_ctx).unwrap_or(false) {
                     continue;
                 }
             }

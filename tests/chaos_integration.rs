@@ -192,10 +192,15 @@ fn token_expiry_mid_scan_recovers_by_revending() {
     assert_eq!(w.plan.injected(points::STS_VERIFY), 2, "both scheduled expiries fired");
 
     // An expiry landing *mid*-scan (after the snapshot was read) recovers
-    // the same way: re-vend, rescan from the snapshot.
-    w.plan.arm(points::STS_VERIFY, FaultMode::Schedule(vec![3]));
+    // the same way: re-vend, rescan from the snapshot. A SELECT over an
+    // unchanged table presents its token once (the listing), so one fresh
+    // INSERT first gives this one three verifications: the listing, the
+    // new commit, the new data file — the third (hit index 2, the last
+    // there is) is the mid-scan one.
+    s.execute("INSERT INTO main.s.t VALUES (5)").unwrap();
+    w.plan.arm(points::STS_VERIFY, FaultMode::Schedule(vec![2]));
     let result = s.execute("SELECT * FROM main.s.t").unwrap();
-    assert_eq!(result.rows.len(), 5);
+    assert_eq!(result.rows.len(), 6);
     assert_eq!(w.plan.injected(points::STS_VERIFY), 1, "mid-scan expiry fired once");
     w.plan.disarm(points::STS_VERIFY);
 }
