@@ -54,78 +54,6 @@ pub struct AuditRecord {
     pub trace_id: Option<u64>,
 }
 
-/// The instrumentation contract between the service layer and this audit
-/// module: every `api_enter("op")` op string must appear here, mapped to
-/// the audit action names that op is allowed to record. uc-lint parses
-/// this table straight out of the source (keeping the linter free of any
-/// dependency on this crate) and cross-checks each entry point's op
-/// string and audit-action literals against it. Ops with an empty action
-/// list are read/list APIs that are spanned but not audited.
-///
-/// Keep this sorted by op name; the linter's output is byte-stable and
-/// golden-tested, so gratuitous reordering churns diffs for no benefit.
-pub const KNOWN_OPS: &[(&str, &[&str])] = &[
-    ("add_lineage", &["addLineage"]),
-    ("add_metastore_admin", &["addMetastoreAdmin"]),
-    ("add_table_to_share", &["addToShare"]),
-    ("authorize_batch", &[]),
-    ("bulk_create_tables", &["bulkCreateTables"]),
-    ("commit_tables_atomically", &["commitTable"]),
-    ("create_abac_policy", &["createAbacPolicy"]),
-    ("create_catalog", &["createCatalog"]),
-    ("create_connection", &["createConnection"]),
-    ("create_external_location", &["createExternalLocation"]),
-    ("create_federated_catalog", &["createFederatedCatalog"]),
-    ("create_function", &["createFunction"]),
-    ("create_metastore", &["createMetastore"]),
-    ("create_model_version", &["createModelVersion"]),
-    ("create_registered_model", &["createRegisteredModel"]),
-    ("create_schema", &["createSchema"]),
-    ("create_shallow_clone", &["createShallowClone"]),
-    ("create_share", &["createShare"]),
-    ("create_storage_credential", &["createStorageCredential"]),
-    ("create_table", &["createTable", "useExternalPath"]),
-    ("create_view", &["createView"]),
-    ("create_volume", &["createVolume", "useExternalPath"]),
-    ("drop_securable", &["dropSecurable"]),
-    ("events_since", &[]),
-    ("get_entity_by_id", &[]),
-    ("get_metastore", &[]),
-    ("get_securable", &["getSecurable"]),
-    ("get_tags", &[]),
-    ("grant", &["grant"]),
-    ("latest_table_version", &[]),
-    ("lineage", &[]),
-    ("list_catalogs", &[]),
-    ("list_children", &[]),
-    ("list_share_tables", &["queryShare"]),
-    ("list_shares", &[]),
-    ("load_table_as_iceberg", &["loadTableAsIceberg"]),
-    ("mirror_table", &["mirrorTable"]),
-    ("policy_update", &["setRowFilter", "setColumnMask", "clearRowFilter"]),
-    ("purge_soft_deleted", &["purgeSoftDeleted"]),
-    ("query_entities", &[]),
-    ("query_share_table", &["queryShare", "queryShareTable"]),
-    ("query_share_table_as_iceberg", &["queryShare"]),
-    ("read_table_commit", &["readTableCommit"]),
-    ("rename_securable", &["renameSecurable"]),
-    ("renew_read_credential", &["renewTemporaryCredentials"]),
-    ("resolve_batch", &["resolveBatch"]),
-    ("resolve_for_query", &["resolveForQuery"]),
-    ("resolve_model_version", &["resolveModelVersion"]),
-    ("revoke", &["revoke"]),
-    ("serve_admit", &["requestShed"]),
-    ("set_catalog_bindings", &["setCatalogBindings"]),
-    ("set_metastore_root", &["setMetastoreRoot"]),
-    ("show_grants", &[]),
-    ("tag_update", &["setTag"]),
-    ("temp_credentials", &["generateTemporaryCredentials"]),
-    ("temp_credentials_for_path", &["generateTemporaryPathCredentials"]),
-    ("transfer_ownership", &["transferOwnership"]),
-    ("update_comment", &["updateComment"]),
-    ("visible_batch", &[]),
-];
-
 /// Number of append lanes. Matches the bench's widest thread sweep; more
 /// threads than lanes only costs sharing a lane's (still uncontended-by-
 /// others) mutex, never correctness.
@@ -386,15 +314,6 @@ mod tests {
         let last = log.recent(1);
         assert_eq!(last.len(), 1);
         assert_eq!(last[0].action, "grant");
-    }
-
-    #[test]
-    fn known_ops_table_is_sorted() {
-        // The linter's golden output depends on this order; drifting out
-        // of sort silently reorders its diagnostics.
-        for pair in KNOWN_OPS.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "{} must sort before {}", pair[0].0, pair[1].0);
-        }
     }
 
     #[test]

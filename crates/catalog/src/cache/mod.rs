@@ -87,10 +87,11 @@ use uc_obs::Counter;
 use uc_txdb::{ChangeRecord, Db, ReadTxn};
 
 use crate::error::UcResult;
+use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PATH, T_TREE};
-use crate::service::WriteEffects;
+use crate::types::SecurableKind;
 
 /// How many superseded versions of an entry to retain for in-flight reads.
 const VERSION_WINDOW: usize = 4;
@@ -103,6 +104,21 @@ const STALE_ROUNDS: usize = 8;
 /// each entity with its tree-index key when the lookup resolved one
 /// (by-id and by-path loads resolve none).
 pub(crate) type Installs = Vec<(Arc<Entity>, Option<String>)>;
+
+/// What a committed write did, for [`MsCache::apply_write`] to write
+/// through and the service to publish (`service/` holds the `tx`-taking
+/// helpers a write closure fills it with).
+#[derive(Default)]
+pub(crate) struct WriteEffects {
+    /// Entities written, each with its tree-index key (installed as the
+    /// cache's name mapping).
+    pub upserts: Vec<(Arc<Entity>, String)>,
+    pub tombstones: Vec<Uid>,
+    /// Tree-index keys freed by this write (renames, drops), to be
+    /// dropped from the cache's name map.
+    pub dropped_names: Vec<String>,
+    pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
+}
 
 /// Annotate the active request span with the metastore version a read
 /// was served at. The uc-check history recorder consumes these
@@ -801,7 +817,6 @@ pub fn read_ms_version(rt: &uc_txdb::ReadTxn, ms: &Uid) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::SecurableKind;
 
     fn entity(id: &str, name: &str) -> Arc<Entity> {
         let mut e = Entity::new(

@@ -13,7 +13,7 @@
 //! * **consistent governance**: ownership, SQL-style hierarchical grants,
 //!   fine-grained access control (row filters / column masks for trusted
 //!   engines), attribute-based access control, and audit logging
-//!   ([`authz`], [`audit`]);
+//!   ([`authz`], [`audit`]), over operations declared once ([`ops`]);
 //! * **credential vending**: clients never touch cloud storage directly;
 //!   the catalog resolves names *or raw paths* to assets, authorizes, and
 //!   mints down-scoped expiring tokens ([`service`], §4.3.1);
@@ -40,6 +40,7 @@ pub mod ids;
 pub(crate) mod jsonutil;
 pub mod lineage;
 pub mod model;
+pub mod ops;
 pub mod service;
 pub mod sharding;
 pub mod types;

@@ -10,11 +10,11 @@
 //! `validate` runs on every create and update by construction: there is
 //! one create (`UnityCatalog::create_entity`) and one update
 //! (`update_entity_by_id`). Adding an asset type (as §4.2.3 did for MLflow
-//! registered models) costs a manifest entry here plus an entry function
-//! of pre-flight + fill — `api_enter`, the gate under the op's audit
-//! action, any authorization of the kind's own, a closure setting its
-//! properties — and no change to namespace, lifecycle, grants, vending or
-//! audit code.
+//! registered models) costs a manifest entry here, a row in the op table
+//! ([`crate::ops`]) and an entry function of pre-flight + fill —
+//! `api_enter`, the guard's gate, any authorization of the kind's own, a
+//! closure setting its properties — and no change to namespace,
+//! lifecycle, grants, vending or audit code.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

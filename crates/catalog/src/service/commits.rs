@@ -16,7 +16,6 @@ use uc_cloudstore::Credential;
 use uc_delta::error::{DeltaError, DeltaResult};
 use uc_delta::log::CommitCoordinator;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
@@ -24,7 +23,8 @@ use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_COMMIT};
-use crate::service::{live_entity, Context, UnityCatalog};
+use crate::ops::Op;
+use crate::service::{live_entity, ApiGuard, Context, UnityCatalog};
 
 /// One table's contribution to a (possibly multi-table) commit.
 #[derive(Debug, Clone)]
@@ -38,29 +38,20 @@ pub struct TableCommit {
 
 impl UnityCatalog {
     /// Authorize data access (`privilege` plus the USE chain) on a table
-    /// addressed by id, auditing a refusal under the calling op's `action`.
+    /// addressed by id.
     fn authorize_table(
         &self,
-        ctx: &Context,
+        api: &ApiGuard<'_>,
         ms: &Uid,
         table_id: &Uid,
         privilege: Privilege,
-        action: &str,
     ) -> UcResult<Arc<Entity>> {
         let entity = self
             .entity_by_id(ms, table_id)?
             .ok_or_else(|| UcError::NotFound(table_id.to_string()))?;
         let full = self.chain_from_entity(ms, entity)?;
-        self.gate(ctx, &full, Need::Data(privilege), action, "")?;
+        api.audit.gate(&full, Need::Data(privilege), "")?;
         Ok(full[0].clone())
-    }
-
-    /// SELECT on a table by id. `latest_table_version` is declared
-    /// unaudited in `KNOWN_OPS`, yet its refusals have always been audited
-    /// under the commit-read action; the literal stays here, shared by the
-    /// two read ops, so that trail is unchanged.
-    fn authorize_table_read(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<Arc<Entity>> {
-        self.authorize_table(ctx, ms, table_id, Privilege::Select, "readTableCommit")
     }
 
     /// Commit one table version through the catalog.
@@ -87,12 +78,12 @@ impl UnityCatalog {
         ms: &Uid,
         commits: Vec<TableCommit>,
     ) -> UcResult<()> {
-        let _api = self.api_enter("commit_tables_atomically", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::COMMIT_TABLES_ATOMICALLY, Some(&ctx.principal), Some(ms));
         if commits.is_empty() {
             return Ok(());
         }
         for c in &commits {
-            self.authorize_table(ctx, ms, &c.table_id, Privilege::Modify, "commitTable")?;
+            self.authorize_table(&api, ms, &c.table_id, Privilege::Modify)?;
         }
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
@@ -111,15 +102,15 @@ impl UnityCatalog {
             Ok(())
         })?;
         for c in &commits {
-            self.record_audit(&ctx.principal, "commitTable", Some(&c.table_id), AuditDecision::Allow, format!("v{}", c.version));
+            api.audit.allow(&c.table_id, format!("v{}", c.version));
         }
         Ok(())
     }
 
     /// Latest catalog-owned version of a table (-1 if none).
     pub fn latest_table_version(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<i64> {
-        let _api = self.api_enter("latest_table_version", Some(&ctx.principal), Some(ms));
-        let entity = self.authorize_table_read(ctx, ms, table_id)?;
+        let api = self.api_enter(Op::LATEST_TABLE_VERSION, Some(&ctx.principal), Some(ms));
+        let entity = self.authorize_table(&api, ms, table_id, Privilege::Select)?;
         Ok(entity.commit_version())
     }
 
@@ -131,8 +122,8 @@ impl UnityCatalog {
         table_id: &Uid,
         version: i64,
     ) -> UcResult<Option<Bytes>> {
-        let _api = self.api_enter("read_table_commit", Some(&ctx.principal), Some(ms));
-        self.authorize_table_read(ctx, ms, table_id)?;
+        let api = self.api_enter(Op::READ_TABLE_COMMIT, Some(&ctx.principal), Some(ms));
+        self.authorize_table(&api, ms, table_id, Privilege::Select)?;
         Ok(self.commit_read_internal(ms, table_id, version))
     }
 

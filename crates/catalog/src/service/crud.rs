@@ -6,9 +6,9 @@ use std::sync::Arc;
 use uc_cloudstore::{RootCredential, StoragePath};
 use uc_delta::value::Schema;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::authz::Privilege;
+use crate::cache::WriteEffects;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -16,7 +16,8 @@ use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::paths;
-use crate::service::{live_entity, tree_children, Context, UnityCatalog, WriteEffects};
+use crate::ops::{self, Op};
+use crate::service::{live_entity, tree_children, ApiGuard, Context, UnityCatalog};
 use crate::types::{
     validate_object_name, FullName, LifecycleState, SecurableKind, TableFormat, TableType,
 };
@@ -75,7 +76,7 @@ impl UnityCatalog {
     /// Create a metastore. Account-level: the creator becomes owner and
     /// first admin.
     pub fn create_metastore(&self, principal: &str, name: &str, region: &str) -> UcResult<Uid> {
-        let _api = self.api_enter("create_metastore", Some(principal), None);
+        let api = self.api_enter(Op::CREATE_METASTORE, Some(principal), None);
         validate_object_name(name)?;
         let now = self.now_ms();
         let mut ent = Entity::new(SecurableKind::Metastore, name, None, Uid::from(""), principal, now);
@@ -90,34 +91,34 @@ impl UnityCatalog {
             fx.upsert(tx, ent.clone(), ChangeOp::Create)?;
             Ok(())
         })?;
-        self.record_audit(principal, "createMetastore", Some(&ms), AuditDecision::Allow, name);
+        api.audit.allow(&ms, name);
         Ok(ms)
     }
 
     /// Fetch the metastore entity.
     pub fn get_metastore(&self, ms: &Uid) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("get_metastore", None, Some(ms));
+        let _api = self.api_enter(Op::GET_METASTORE, None, Some(ms));
         self.entity_by_id(ms, ms)?
             .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))
     }
 
     /// Set the managed-storage root for a metastore (admin only).
     pub fn set_metastore_root(&self, ctx: &Context, ms: &Uid, root_path: &str) -> UcResult<()> {
-        let _api = self.api_enter("set_metastore_root", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::SET_METASTORE_ROOT, Some(&ctx.principal), Some(ms));
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "setMetastoreRoot", root_path)?;
+        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, root_path)?;
         self.update_entity_by_id(ms, ms, |e| {
             e.properties.insert("root_location".to_string(), root_path.to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "setMetastoreRoot", Some(ms), AuditDecision::Allow, root_path);
+        api.audit.allow(ms, root_path);
         Ok(())
     }
 
     /// Add a metastore admin (admin only).
     pub fn add_metastore_admin(&self, ctx: &Context, ms: &Uid, principal: &str) -> UcResult<()> {
-        let _api = self.api_enter("add_metastore_admin", Some(&ctx.principal), Some(ms));
-        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "addMetastoreAdmin", principal)?;
+        let api = self.api_enter(Op::ADD_METASTORE_ADMIN, Some(&ctx.principal), Some(ms));
+        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, principal)?;
         self.update_entity_by_id(ms, ms, |e| {
             let mut admins = e.metastore_admins();
             if !admins.iter().any(|a| a == principal) {
@@ -126,7 +127,7 @@ impl UnityCatalog {
             e.set_metastore_admins(&admins);
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "addMetastoreAdmin", Some(ms), AuditDecision::Allow, principal);
+        api.audit.allow(ms, principal);
         Ok(())
     }
 
@@ -143,17 +144,17 @@ impl UnityCatalog {
         name: &str,
         root: &RootCredential,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_storage_credential", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_STORAGE_CREDENTIAL, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
-        self.gate(ctx, &top, need, "createStorageCredential", name)?;
+        api.audit.gate(&top, need, name)?;
         let created = self.create_entity(ctx, SecurableKind::StorageCredential, &top, name, name, |_tx, ent| {
             ent.properties.insert(props::BUCKET.to_string(), root.bucket.clone());
             ent.properties.insert(props::ROOT_SECRET.to_string(), root.secret.to_string());
             Ok(())
         })?;
         self.roots.write().insert(root.bucket.clone(), root.clone());
-        self.record_audit(&ctx.principal, "createStorageCredential", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -167,11 +168,11 @@ impl UnityCatalog {
         path: &str,
         credential_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_external_location", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_EXTERNAL_LOCATION, Some(&ctx.principal), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
-        self.gate(ctx, &top, need, "createExternalLocation", name)?;
+        api.audit.gate(&top, need, name)?;
         // The credential must exist and cover the bucket.
         let cred = self
             .entity_by_name_key(
@@ -206,7 +207,7 @@ impl UnityCatalog {
             ent.properties.insert("credential".to_string(), credential_name.to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createExternalLocation", Some(&created.id), AuditDecision::Allow, path);
+        api.audit.allow(&created.id, path);
         Ok(created)
     }
 
@@ -216,21 +217,21 @@ impl UnityCatalog {
 
     /// Create a catalog in the metastore.
     pub fn create_catalog(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_catalog", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_CATALOG, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
-        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateCatalog), "createCatalog", name)?;
+        api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateCatalog), name)?;
         let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, _ent| Ok(()))?;
-        self.record_audit(&ctx.principal, "createCatalog", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
     /// Create a schema inside a catalog.
     pub fn create_schema(&self, ctx: &Context, ms: &Uid, catalog: &str, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_schema", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SCHEMA, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateSchema]), "createSchema", name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::CreateSchema]), name)?;
         let created = self.create_entity(ctx, SecurableKind::Schema, &full, name, format_args!("{catalog}.{name}"), |_tx, _ent| Ok(()))?;
-        self.record_audit(&ctx.principal, "createSchema", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -239,16 +240,15 @@ impl UnityCatalog {
     // ------------------------------------------------------------------
 
     /// Shared pre-flight for creating a leaf asset under a schema:
-    /// resolves the parent chain and checks the create privilege, auditing
-    /// a refusal under the calling op's `action`. Returns the schema's
-    /// full chain, the caller's context and the leaf segment of `name`.
+    /// resolves the parent chain and checks the create privilege. Returns
+    /// the schema's full chain, the caller's context and the leaf segment
+    /// of `name`.
     fn authorize_create_in_schema<'a>(
         &self,
-        ctx: &Context,
+        api: &ApiGuard<'_>,
         ms: &Uid,
         name: &'a FullName,
         kind: SecurableKind,
-        action: &str,
     ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext, &'a str)> {
         let (Some(schema_name), Some(leaf), 3) = (name.schema(), name.asset(), name.len()) else {
             return Err(UcError::InvalidArgument(format!("expected catalog.schema.name, got {name}")));
@@ -257,7 +257,7 @@ impl UnityCatalog {
         let Some(needed) = manifest(kind).create_privilege else {
             return Err(UcError::UnsupportedOperation(format!("{kind} cannot be created in a schema")));
         };
-        let who = self.gate(ctx, &full, Need::AdminOrAny(&[needed]), action, name)?;
+        let who = api.audit.gate(&full, Need::AdminOrAny(&[needed]), name)?;
         Ok((full, who, leaf))
     }
 
@@ -304,14 +304,15 @@ impl UnityCatalog {
     /// require a creation-enabling privilege on it.
     fn authorize_external_path(
         &self,
+        api: &ApiGuard<'_>,
         who: &AuthzContext,
         ms: &Uid,
         path: &StoragePath,
-        action: &str,
     ) -> UcResult<()> {
         if who.is_metastore_admin {
             return Ok(());
         }
+        let audit = api.audit.acting(ops::USE_EXTERNAL_PATH);
         // One scan yields every location at one snapshot; resolving ids
         // through the cache instead could mix in a later version.
         let rt = self.db.begin_read();
@@ -329,10 +330,10 @@ impl UnityCatalog {
             if loc_path.is_prefix_of(path) {
                 let chain = self.chain_from_entity(ms, loc)?;
                 let need = Need::AdminOrAny(&[Privilege::CreateTable, Privilege::WriteVolume]);
-                return self.gate_with(who, &chain, need, action, path);
+                return audit.gate_with(who, &chain, need, path);
             }
         }
-        self.record_audit(&who.principal, action, None, AuditDecision::Deny, path);
+        audit.deny(None, path);
         Err(UcError::PermissionDenied(format!(
             "no external location covers {path}"
         )))
@@ -340,9 +341,9 @@ impl UnityCatalog {
 
     /// Create a table (managed or external or foreign).
     pub fn create_table(&self, ctx: &Context, ms: &Uid, spec: TableSpec) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_table", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_TABLE, Some(&ctx.principal), Some(ms));
         let (full, who, leaf) =
-            self.authorize_create_in_schema(ctx, ms, &spec.name, SecurableKind::Table, "createTable")?;
+            self.authorize_create_in_schema(&api, ms, &spec.name, SecurableKind::Table)?;
         match (spec.table_type, &spec.storage_path) {
             (TableType::Managed, Some(_)) => {
                 return Err(UcError::InvalidArgument("managed tables may not specify a storage path".into()))
@@ -355,7 +356,7 @@ impl UnityCatalog {
         let explicit = spec.storage_path.as_deref().map(StoragePath::parse).transpose()
             .map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         if let (Some(path), TableType::External) = (&explicit, spec.table_type) {
-            self.authorize_external_path(&who, ms, path, "useExternalPath")?;
+            self.authorize_external_path(&api, &who, ms, path)?;
         }
         let created = self.create_entity(ctx, SecurableKind::Table, &full, leaf, &spec.name, |tx, ent| {
             Self::fill_table(ent, &spec.columns, spec.table_type, spec.format);
@@ -367,7 +368,7 @@ impl UnityCatalog {
             }
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createTable", Some(&created.id), AuditDecision::Allow, spec.name);
+        api.audit.allow(&created.id, spec.name);
         Ok(created)
     }
 
@@ -393,8 +394,8 @@ impl UnityCatalog {
         columns: &Schema,
         chunk: usize,
     ) -> UcResult<usize> {
-        let _api = self.api_enter("bulk_create_tables", Some(&ctx.principal), Some(ms));
-        self.gate(ctx, &self.metastore_chain(ms)?, Need::MetastoreAdmin, "bulkCreateTables", catalog)?;
+        let api = self.api_enter(Op::BULK_CREATE_TABLES, Some(&ctx.principal), Some(ms));
+        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, catalog)?;
         let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
         let cat = chain[0].clone();
         let chunk = chunk.max(1);
@@ -470,13 +471,7 @@ impl UnityCatalog {
                 start = end;
             }
         }
-        self.record_audit(
-            &ctx.principal,
-            "bulkCreateTables",
-            Some(&cat.id),
-            AuditDecision::Allow,
-            format!("{catalog} ({created} entities)"),
-        );
+        api.audit.allow(&cat.id, format!("{catalog} ({created} entities)"));
         Ok(created)
     }
 
@@ -493,9 +488,9 @@ impl UnityCatalog {
         source: &FullName,
         source_version: i64,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_shallow_clone", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SHALLOW_CLONE, Some(&ctx.principal), Some(ms));
         let (full, who, leaf) =
-            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Table, "createShallowClone")?;
+            self.authorize_create_in_schema(&api, ms, name, SecurableKind::Table)?;
         let src_full = self.chain_by_name(ms, source, "relation")?;
         let src = src_full[0].clone();
         if src.kind != SecurableKind::Table || src.storage_path.is_none() {
@@ -504,7 +499,7 @@ impl UnityCatalog {
             )));
         }
         // the cloner must be able to read the source
-        self.gate_with(&who, &src_full, Need::Data(Privilege::Select), "createShallowClone", source)?;
+        api.audit.gate_with(&who, &src_full, Need::Data(Privilege::Select), source)?;
         let created = self.create_entity(ctx, SecurableKind::Table, &full, leaf, name, |_tx, ent| {
             ent.set_table_schema(&src.table_schema()?);
             ent.properties
@@ -520,7 +515,7 @@ impl UnityCatalog {
             ent.set_dependencies(std::slice::from_ref(&src.id));
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createShallowClone", Some(&created.id), AuditDecision::Allow, format!("{source} -> {name}"));
+        api.audit.allow(&created.id, format!("{source} -> {name}"));
         Ok(created)
     }
 
@@ -536,14 +531,14 @@ impl UnityCatalog {
         columns: Schema,
         dependencies: &[FullName],
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_view", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_VIEW, Some(&ctx.principal), Some(ms));
         let (full, who, leaf) =
-            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::View, "createView")?;
+            self.authorize_create_in_schema(&api, ms, name, SecurableKind::View)?;
         let mut dep_ids = Vec::new();
         for dep in dependencies {
             // the creator must be able to read every base relation
             let dep_full = self.chain_by_name(ms, dep, "relation")?;
-            self.gate_with(&who, &dep_full, Need::Data(Privilege::Select), "createView", dep)?;
+            api.audit.gate_with(&who, &dep_full, Need::Data(Privilege::Select), dep)?;
             dep_ids.push(dep_full[0].id.clone());
         }
         let created = self.create_entity(ctx, SecurableKind::View, &full, leaf, name, |_tx, ent| {
@@ -553,7 +548,7 @@ impl UnityCatalog {
             ent.set_dependencies(&dep_ids);
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createView", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -565,13 +560,13 @@ impl UnityCatalog {
         name: &FullName,
         external_path: Option<&str>,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_volume", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_VOLUME, Some(&ctx.principal), Some(ms));
         let (full, who, leaf) =
-            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Volume, "createVolume")?;
+            self.authorize_create_in_schema(&api, ms, name, SecurableKind::Volume)?;
         let explicit = external_path.map(StoragePath::parse).transpose()
             .map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         if let Some(path) = &explicit {
-            self.authorize_external_path(&who, ms, path, "useExternalPath")?;
+            self.authorize_external_path(&api, &who, ms, path)?;
         }
         let created = self.create_entity(ctx, SecurableKind::Volume, &full, leaf, name, |tx, ent| {
             Self::place(tx, &full, ent, explicit.as_ref())?;
@@ -581,7 +576,7 @@ impl UnityCatalog {
             );
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createVolume", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -593,14 +588,14 @@ impl UnityCatalog {
         name: &FullName,
         body: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_function", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_FUNCTION, Some(&ctx.principal), Some(ms));
         let (full, _who, leaf) =
-            self.authorize_create_in_schema(ctx, ms, name, SecurableKind::Function, "createFunction")?;
+            self.authorize_create_in_schema(&api, ms, name, SecurableKind::Function)?;
         let created = self.create_entity(ctx, SecurableKind::Function, &full, leaf, name, |_tx, ent| {
             ent.properties.insert("body".to_string(), body.to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createFunction", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -611,19 +606,14 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_registered_model", Some(&ctx.principal), Some(ms));
-        let (full, _who, leaf) = self.authorize_create_in_schema(
-            ctx,
-            ms,
-            name,
-            SecurableKind::RegisteredModel,
-            "createRegisteredModel",
-        )?;
+        let api = self.api_enter(Op::CREATE_REGISTERED_MODEL, Some(&ctx.principal), Some(ms));
+        let (full, _who, leaf) =
+            self.authorize_create_in_schema(&api, ms, name, SecurableKind::RegisteredModel)?;
         let created = self.create_entity(ctx, SecurableKind::RegisteredModel, &full, leaf, name, |tx, ent| {
             ent.properties.insert("next_version".to_string(), "1".to_string());
             Self::place(tx, &full, ent, None)
         })?;
-        self.record_audit(&ctx.principal, "createRegisteredModel", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -637,13 +627,13 @@ impl UnityCatalog {
         ms: &Uid,
         model_name: &FullName,
     ) -> UcResult<(Arc<Entity>, u64)> {
-        let _api = self.api_enter("create_model_version", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_MODEL_VERSION, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, model_name, SecurableKind::RegisteredModel.name_group())?;
         let model = full[0].clone();
         if model.kind != SecurableKind::RegisteredModel {
             return Err(UcError::InvalidArgument(format!("{model_name} is not a model")));
         }
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "createModelVersion", model_name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), model_name)?;
         let now = self.now_ms();
         let result = self.write_ms(ms, |tx, _ver, fx| {
             // Re-read the model inside the transaction for a race-free
@@ -677,7 +667,7 @@ impl UnityCatalog {
             let arc = fx.upsert(tx, ver_ent, ChangeOp::Create)?;
             Ok((arc, version))
         })?;
-        self.record_audit(&ctx.principal, "createModelVersion", Some(&result.0.id), AuditDecision::Allow, model_name);
+        api.audit.allow(&result.0.id, model_name);
         Ok(result)
     }
 
@@ -693,11 +683,11 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("get_securable", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::GET_SECURABLE, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         self.enforce_workspace_binding(ctx, &full)?;
-        self.gate(ctx, &full, Need::See, "getSecurable", name)?;
-        self.record_audit(&ctx.principal, "getSecurable", Some(&full[0].id), AuditDecision::Allow, name);
+        api.audit.gate(&full, Need::See, name)?;
+        api.audit.allow(&full[0].id, name);
         Ok(full[0].clone())
     }
 
@@ -708,7 +698,7 @@ impl UnityCatalog {
 
     /// List catalogs visible to the caller.
     pub fn list_catalogs(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter("list_catalogs", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::LIST_CATALOGS, Some(&ctx.principal), Some(ms));
         let root = self.metastore_chain(ms)?;
         let who = self.authz_context_with(&root, &ctx.principal)?;
         self.visible_children(ms, &who, &root, Some(SecurableKind::Catalog.name_group()))
@@ -767,7 +757,7 @@ impl UnityCatalog {
         parent: &FullName,
         group: Option<&str>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter("list_children", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::LIST_CHILDREN, Some(&ctx.principal), Some(ms));
         let parent_group = if parent.len() == 1 { "catalog" } else { "schema" };
         let parent_full = self.chain_by_name(ms, parent, parent_group)?;
         self.enforce_workspace_binding(ctx, &parent_full)?;
@@ -817,16 +807,16 @@ impl UnityCatalog {
         leaf_group: &str,
         comment: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("update_comment", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::UPDATE_COMMENT, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         Self::require_updatable(target, "comment")?;
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "updateComment", name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), name)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.comment = Some(comment.to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "updateComment", Some(&target.id), AuditDecision::Allow, name);
+        api.audit.allow(&target.id, name);
         Ok(updated)
     }
 
@@ -839,16 +829,16 @@ impl UnityCatalog {
         leaf_group: &str,
         new_owner: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("transfer_ownership", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TRANSFER_OWNERSHIP, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         Self::require_updatable(target, "owner")?;
-        self.gate(ctx, &full, Need::Admin, "transferOwnership", new_owner)?;
+        api.audit.gate(&full, Need::Admin, new_owner)?;
         let updated = self.update_entity_by_id(ms, &target.id, |e| {
             e.owner = new_owner.to_string();
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "transferOwnership", Some(&target.id), AuditDecision::Allow, new_owner);
+        api.audit.allow(&target.id, new_owner);
         Ok(updated)
     }
 
@@ -863,7 +853,7 @@ impl UnityCatalog {
         leaf_group: &str,
         new_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("rename_securable", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RENAME_SECURABLE, Some(&ctx.principal), Some(ms));
         validate_object_name(new_name)?;
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
@@ -875,7 +865,7 @@ impl UnityCatalog {
                 target.kind
             )));
         }
-        self.gate(ctx, &full, Need::Admin, "renameSecurable", new_name)?;
+        api.audit.gate(&full, Need::Admin, new_name)?;
         let now = self.now_ms();
         let renamed = self.write_ms(ms, |tx, _ver, fx| {
             let mut ent = live_entity(tx, ms, &target.id, name)?;
@@ -901,7 +891,7 @@ impl UnityCatalog {
             }
             Ok(fx.upsert_at(tx, ent, ChangeOp::Update, new_tree))
         })?;
-        self.record_audit(&ctx.principal, "renameSecurable", Some(&renamed.id), AuditDecision::Allow, format!("{name} -> {new_name}"));
+        api.audit.allow(&renamed.id, format!("{name} -> {new_name}"));
         Ok(renamed)
     }
 
@@ -914,16 +904,16 @@ impl UnityCatalog {
         catalog: &str,
         workspaces: &[&str],
     ) -> UcResult<()> {
-        let _api = self.api_enter("set_catalog_bindings", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::SET_CATALOG_BINDINGS, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
         let target = &full[0];
-        self.gate(ctx, &full, Need::Admin, "setCatalogBindings", catalog)?;
+        api.audit.gate(&full, Need::Admin, catalog)?;
         let list: Vec<String> = workspaces.iter().map(|w| w.to_string()).collect();
         self.update_entity_by_id(ms, &target.id, |e| {
             e.set_workspace_bindings(&list);
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "setCatalogBindings", Some(&target.id), AuditDecision::Allow, format!("{list:?}"));
+        api.audit.allow(&target.id, format!("{list:?}"));
         Ok(())
     }
 
@@ -940,10 +930,10 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<usize> {
-        let _api = self.api_enter("drop_securable", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::DROP_SECURABLE, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
-        self.gate(ctx, &full, Need::Admin, "dropSecurable", name)?;
+        api.audit.gate(&full, Need::Admin, name)?;
         let now = self.now_ms();
         let count = self.write_ms(ms, |tx, _ver, fx| {
             // The whole cascade is one range scan of the target's key
@@ -951,7 +941,7 @@ impl UnityCatalog {
             // entity.
             Self::soft_delete_subtree(tx, ms, target, now, fx)
         })?;
-        self.record_audit(&ctx.principal, "dropSecurable", Some(&target.id), AuditDecision::Allow, format!("{name} ({count} entities)"));
+        api.audit.allow(&target.id, format!("{name} ({count} entities)"));
         Ok(count)
     }
 
@@ -1001,7 +991,7 @@ impl UnityCatalog {
     /// catalog-owned commit history, and (for managed assets) their cloud
     /// storage. Returns (entities purged, storage objects deleted).
     pub fn purge_soft_deleted(&self, ms: &Uid) -> UcResult<(usize, usize)> {
-        let _api = self.api_enter("purge_soft_deleted", None, Some(ms));
+        let api = self.api_enter(Op::PURGE_SOFT_DELETED, None, Some(ms));
         // Collect victims outside the write to keep the transaction small.
         let rt = self.db.begin_read();
         let victims: Vec<Entity> = rt
@@ -1048,13 +1038,7 @@ impl UnityCatalog {
         })?;
         // GC is a destructive governance action: it lands in the audit
         // trail like any other mutation (run as the node, not a tenant).
-        self.record_audit(
-            super::NO_TENANT,
-            "purgeSoftDeleted",
-            Some(ms),
-            AuditDecision::Allow,
-            format!("purged {purged} row(s), {objects_deleted} object(s)"),
-        );
+        api.audit.allow(ms, format!("purged {purged} row(s), {objects_deleted} object(s)"));
         Ok((purged, objects_deleted))
     }
 }

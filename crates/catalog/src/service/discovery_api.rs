@@ -5,7 +5,6 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::{decide, Need};
 use crate::authz::Privilege;
 use crate::authz::abac::AbacPolicy;
@@ -16,6 +15,7 @@ use crate::ids::Uid;
 use crate::lineage::{LineageDirection, LineageEdge};
 use crate::model::entity::Entity;
 use crate::model::keys::{self, T_ENTITY, T_LINEAGE};
+use crate::ops::{self, Action, Op};
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
@@ -86,16 +86,16 @@ impl UnityCatalog {
         leaf_group: &str,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let _api = self.api_enter("tag_update", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TAG_UPDATE, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Modify]), "setTag", name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), name)?;
         self.update_entity_by_id(ms, &target.id, |e| {
             f(e);
             Ok(())
         })?;
         self.publish_simple(ms, target, ChangeOp::TagChange);
-        self.record_audit(&ctx.principal, "setTag", Some(&target.id), AuditDecision::Allow, name);
+        api.audit.allow(&target.id, name);
         Ok(())
     }
 
@@ -107,7 +107,7 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, String)>> {
-        let _api = self.api_enter("get_tags", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::GET_TAGS, Some(&ctx.principal), Some(ms));
         let ent = self.get_securable(ctx, ms, name, leaf_group)?;
         Ok(ent.tags())
     }
@@ -124,7 +124,7 @@ impl UnityCatalog {
         table: &FullName,
         policy: RowFilterPolicy,
     ) -> UcResult<()> {
-        self.policy_update(ctx, ms, table, "setRowFilter", move |e| {
+        self.policy_update(ctx, ms, table, ops::SET_ROW_FILTER, move |e| {
             e.set_row_filter(&policy);
         })
     }
@@ -137,14 +137,14 @@ impl UnityCatalog {
         table: &FullName,
         policy: ColumnMaskPolicy,
     ) -> UcResult<()> {
-        self.policy_update(ctx, ms, table, "setColumnMask", move |e| {
+        self.policy_update(ctx, ms, table, ops::SET_COLUMN_MASK, move |e| {
             e.set_column_mask(&policy);
         })
     }
 
     /// Remove a table's row filter.
     pub fn clear_row_filter(&self, ctx: &Context, ms: &Uid, table: &FullName) -> UcResult<()> {
-        self.policy_update(ctx, ms, table, "clearRowFilter", |e| {
+        self.policy_update(ctx, ms, table, ops::CLEAR_ROW_FILTER, |e| {
             e.clear_row_filter();
         })
     }
@@ -154,18 +154,19 @@ impl UnityCatalog {
         ctx: &Context,
         ms: &Uid,
         table: &FullName,
-        action: &str,
+        action: Action,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let _api = self.api_enter("policy_update", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::POLICY_UPDATE, Some(&ctx.principal), Some(ms));
+        let audit = api.audit.acting(action);
         let full = self.chain_by_name(ms, table, "relation")?;
         let target = &full[0];
-        self.gate(ctx, &full, Need::Admin, action, table)?;
+        audit.gate(&full, Need::Admin, table)?;
         self.update_entity_by_id(ms, &target.id, |e| {
             f(e);
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, action, Some(&target.id), AuditDecision::Allow, table);
+        audit.allow(&target.id, table);
         Ok(())
     }
 
@@ -180,7 +181,7 @@ impl UnityCatalog {
         scope_group: &str,
         policy: AbacPolicy,
     ) -> UcResult<()> {
-        let _api = self.api_enter("create_abac_policy", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_ABAC_POLICY, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, scope, scope_group)?;
         let target = &full[0];
         if !target.kind.is_container() {
@@ -188,13 +189,13 @@ impl UnityCatalog {
                 "ABAC policies attach to containers".into(),
             ));
         }
-        self.gate(ctx, &full, Need::Admin, "createAbacPolicy", &policy.name)?;
+        api.audit.gate(&full, Need::Admin, &policy.name)?;
         let pname = policy.name.clone();
         self.update_entity_by_id(ms, &target.id, |e| {
             e.set_abac_policy(&policy);
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createAbacPolicy", Some(&target.id), AuditDecision::Allow, &pname);
+        api.audit.allow(&target.id, &pname);
         Ok(())
     }
 
@@ -213,7 +214,7 @@ impl UnityCatalog {
         downstream: &FullName,
         via: Option<&str>,
     ) -> UcResult<()> {
-        let _api = self.api_enter("add_lineage", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::ADD_LINEAGE, Some(&ctx.principal), Some(ms));
         let up = self.get_securable(ctx, ms, upstream, "relation")?;
         let down = self.get_securable(ctx, ms, downstream, "relation")?;
         let edge = LineageEdge {
@@ -240,7 +241,7 @@ impl UnityCatalog {
             at_version: 0,
             timestamp_ms: self.now_ms(),
         });
-        self.record_audit(&ctx.principal, "addLineage", Some(&down.id), AuditDecision::Allow, format!("{upstream} -> {downstream}"));
+        api.audit.allow(&down.id, format!("{upstream} -> {downstream}"));
         Ok(())
     }
 
@@ -254,7 +255,7 @@ impl UnityCatalog {
         direction: LineageDirection,
         max_hops: usize,
     ) -> UcResult<BTreeSet<Uid>> {
-        let _api = self.api_enter("lineage", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::LINEAGE, Some(&ctx.principal), Some(ms));
         let start_ent = self.get_securable(ctx, ms, start, "relation")?;
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
@@ -296,7 +297,7 @@ impl UnityCatalog {
     /// Consume the change-event stream from an offset. Used by second-tier
     /// services; returns (events, next offset).
     pub fn events_since(&self, offset: u64) -> (Vec<MetadataChangeEvent>, u64) {
-        let _api = self.api_enter("events_since", None, None);
+        let _api = self.api_enter(Op::EVENTS_SINCE, None, None);
         self.events.since(offset)
     }
 
@@ -327,7 +328,7 @@ impl UnityCatalog {
         filters: &[MetaFilter],
         limit: usize,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter("query_entities", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::QUERY_ENTITIES, Some(&ctx.principal), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
         let mut out = Vec::new();

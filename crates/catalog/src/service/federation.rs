@@ -13,7 +13,6 @@ use std::sync::Arc;
 use uc_delta::value::Schema;
 use uc_txdb::WriteTxn;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
@@ -21,6 +20,7 @@ use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_TREE};
+use crate::ops::Op;
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind, TableType};
 
@@ -52,14 +52,14 @@ impl UnityCatalog {
         name: &str,
         endpoint: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_connection", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_CONNECTION, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
-        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateConnection), "createConnection", name)?;
+        api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateConnection), name)?;
         let created = self.create_entity(ctx, SecurableKind::Connection, &top, name, name, |_tx, ent| {
             ent.properties.insert(props::ENDPOINT.to_string(), endpoint.to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createConnection", Some(&created.id), AuditDecision::Allow, endpoint);
+        api.audit.allow(&created.id, endpoint);
         Ok(created)
     }
 
@@ -73,9 +73,9 @@ impl UnityCatalog {
         name: &str,
         connection_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_federated_catalog", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_FEDERATED_CATALOG, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
-        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateCatalog), "createFederatedCatalog", name)?;
+        api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateCatalog), name)?;
         let connection = self
             .entity_by_name_key(
                 ms,
@@ -88,7 +88,7 @@ impl UnityCatalog {
             ent.properties.insert("federated".to_string(), "true".to_string());
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "createFederatedCatalog", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -105,7 +105,7 @@ impl UnityCatalog {
         schema_name: &str,
         meta: &ForeignTableMeta,
     ) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("mirror_table", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::MIRROR_TABLE, Some(&ctx.principal), Some(ms));
         let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
         let cat = self
             .entity_by_name_key(ms, &cat_key)?
@@ -117,7 +117,7 @@ impl UnityCatalog {
         }
         // Mirroring requires write authority on the federated catalog.
         let full = self.chain_from_entity(ms, cat)?;
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::CreateTable]), "mirrorTable", &meta.name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::CreateTable]), &meta.name)?;
         let schema_what = format!("{federated_catalog}.{schema_name}");
         let table_what = format!("{schema_what}.{}", meta.name);
         // Ensure the schema exists.
@@ -175,7 +175,7 @@ impl UnityCatalog {
                 }
             }
         };
-        self.record_audit(&ctx.principal, "mirrorTable", Some(&mirrored.id), AuditDecision::Allow, table_what);
+        api.audit.allow(&mirrored.id, table_what);
         Ok(mirrored)
     }
 

@@ -2,13 +2,13 @@
 
 use std::sync::Arc;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::{decide, Need};
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::manifest::manifest;
+use crate::ops::Op;
 use crate::service::{Context, UnityCatalog};
 use crate::types::FullName;
 
@@ -25,7 +25,7 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let _api = self.api_enter("grant", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::GRANT, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let target = &full[0];
         if privilege != Privilege::All && !manifest(target.kind).grantable.contains(&privilege) {
@@ -34,7 +34,7 @@ impl UnityCatalog {
                 target.kind
             )));
         }
-        self.gate(ctx, &full, Need::Admin, "grant", format_args!("{privilege} to {grantee}"))?;
+        api.audit.gate(&full, Need::Admin, format_args!("{privilege} to {grantee}"))?;
         self.update_entity_by_id(ms, &target.id, |e| {
             e.add_grant(grantee, privilege);
             Ok(())
@@ -42,7 +42,7 @@ impl UnityCatalog {
         // Grant changes are metadata changes: surface them on the event
         // stream for discovery consumers.
         self.publish_grant_event(ms, &target.id, target.kind, &target.name);
-        self.record_audit(&ctx.principal, "grant", Some(&target.id), AuditDecision::Allow, format!("{privilege} to {grantee}"));
+        api.audit.allow(&target.id, format!("{privilege} to {grantee}"));
         Ok(())
     }
 
@@ -56,16 +56,16 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let _api = self.api_enter("revoke", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::REVOKE, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let target = &full[0];
-        self.gate(ctx, &full, Need::Admin, "revoke", format_args!("{privilege} from {grantee}"))?;
+        api.audit.gate(&full, Need::Admin, format_args!("{privilege} from {grantee}"))?;
         self.update_entity_by_id(ms, &target.id, |e| {
             e.remove_grant(grantee, privilege);
             Ok(())
         })?;
         self.publish_grant_event(ms, &target.id, target.kind, &target.name);
-        self.record_audit(&ctx.principal, "revoke", Some(&target.id), AuditDecision::Allow, format!("{privilege} from {grantee}"));
+        api.audit.allow(&target.id, format!("{privilege} from {grantee}"));
         Ok(())
     }
 
@@ -78,7 +78,7 @@ impl UnityCatalog {
         securable: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, Privilege)>> {
-        let _api = self.api_enter("show_grants", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::SHOW_GRANTS, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let who = self.authz_context_with(&full, &ctx.principal)?;
         if !decide(&full, &who, Need::See) {
@@ -95,7 +95,7 @@ impl UnityCatalog {
         principal: &str,
         checks: &[(Uid, Privilege)],
     ) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter("authorize_batch", Some(principal), Some(ms));
+        let _api = self.api_enter(Op::AUTHORIZE_BATCH, Some(principal), Some(ms));
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(checks.len());
         for (id, privilege) in checks {
@@ -113,7 +113,7 @@ impl UnityCatalog {
     /// Batched visibility API: for each entity id, can `principal` see it
     /// at all? Discovery services use this to filter search results.
     pub fn visible_batch(&self, ms: &Uid, principal: &str, ids: &[Uid]) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter("visible_batch", Some(principal), Some(ms));
+        let _api = self.api_enter(Op::VISIBLE_BATCH, Some(principal), Some(ms));
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
@@ -128,7 +128,7 @@ impl UnityCatalog {
 
     /// Fetch an entity by id, subject to visibility.
     pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<crate::model::entity::Entity>> {
-        let _api = self.api_enter("get_entity_by_id", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::GET_ENTITY_BY_ID, Some(&ctx.principal), Some(ms));
         let ent = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(id.to_string()))?;

@@ -45,7 +45,7 @@ use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 use crate::audit::{AuditDecision, AuditLog};
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
-use crate::cache::{CacheConfig, MsCache, NodeCache};
+use crate::cache::{CacheConfig, MsCache, NodeCache, WriteEffects};
 use crate::error::{UcError, UcResult};
 use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
@@ -53,6 +53,7 @@ use crate::model::entity::{Entity, PrincipalRecord};
 use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::treekey;
+use crate::ops::{Action, Op};
 use crate::types::{FullName, SecurableKind};
 
 /// Node configuration.
@@ -145,20 +146,6 @@ impl Context {
     pub fn is_trusted_engine(&self) -> bool {
         matches!(self.engine, EngineIdentity::Trusted(_))
     }
-}
-
-/// Effects a write closure accumulates for write-through caching and event
-/// publication after a successful commit.
-#[derive(Default)]
-pub(crate) struct WriteEffects {
-    /// Entities written, each with its tree-index key (installed as the
-    /// cache's name mapping).
-    pub upserts: Vec<(Arc<Entity>, String)>,
-    pub tombstones: Vec<Uid>,
-    /// Tree-index keys freed by this write (renames, drops), to be
-    /// dropped from the cache's name map.
-    pub dropped_names: Vec<String>,
-    pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
 }
 
 /// The tree-index key of an entity: its ancestor chain of
@@ -330,13 +317,12 @@ pub struct UnityCatalog {
     pub(crate) audit: AuditLog,
     pub(crate) events: EventBus,
     pub(crate) stats: ServiceStats,
-    /// Per-op metric handles for [`UnityCatalog::api_enter`]: a fixed
-    /// table built from the sorted [`crate::audit::KNOWN_OPS`] contract at
-    /// construction, each slot lazily initialized on first use. The hot
-    /// path is a binary search plus a `OnceLock` read — no lock of any
-    /// kind (the previous `RwLock<HashMap>` read probe serialized every
-    /// API call on one cache line).
-    api_instruments: Vec<(&'static str, std::sync::OnceLock<ApiInstruments>)>,
+    /// Per-op metric handles for [`UnityCatalog::api_enter`], one slot per
+    /// row of [`Op::ALL`] at the row's `index`, each lazily initialized on
+    /// first use. The hot path is an index plus a `OnceLock` read — no
+    /// lock of any kind (the previous `RwLock<HashMap>` read probe
+    /// serialized every API call on one cache line).
+    api_instruments: [std::sync::OnceLock<ApiInstruments>; Op::ALL.len()],
     /// Human-readable tenant aliases for metric labels, keyed by metastore
     /// id. Populated at `create_metastore` from the metastore *name* —
     /// entity `Uid`s are random and must never reach a snapshot (the
@@ -346,7 +332,6 @@ pub struct UnityCatalog {
     tenant_aliases: RwLock<std::collections::HashMap<Uid, Arc<str>>>,
 }
 
-#[derive(Clone)]
 struct ApiInstruments {
     count: Counter,
     latency: Histogram,
@@ -359,15 +344,91 @@ struct ApiInstruments {
     window: WindowSeries,
 }
 
-/// RAII guard returned by `api_enter`: the request span plus the
-/// deferred per-tenant/window latency recording and the thread-local
-/// tenant scope that lets deeper layers (txdb commit, STS mint) attribute
-/// their series to this request's tenant.
-pub(crate) struct ApiGuard {
-    obs: Obs,
+/// A request as the audit trail sees it: the node, the operation's row,
+/// the caller, and which of the row's actions its refusals and its `Allow`
+/// go under, as an index into them (the primary, 0, unless
+/// [`Audited::acting`] picked another) — so a request can only ever
+/// record what its op's row declares.
+#[derive(Clone, Copy)]
+pub(crate) struct Audited<'a> {
+    uc: &'a UnityCatalog,
+    op: &'static Op,
+    action: usize,
+    principal: &'a str,
+}
+
+impl<'a> Audited<'a> {
+    /// The same request under `action`, one of its op's own.
+    pub(crate) fn acting(self, action: Action) -> Audited<'a> {
+        let at = self.op.actions.iter().position(|a| *a == action);
+        debug_assert!(at.is_some(), "{} does not declare {}", self.op.name, action.as_str());
+        Audited { action: at.unwrap_or(0), ..self }
+    }
+
+    /// Audit the op's `Allow`, once it has run.
+    pub(crate) fn allow(&self, securable: &Uid, detail: impl std::fmt::Display) {
+        let action = self.op.actions[self.action];
+        self.uc.record_audit(self.principal, action, Some(securable), AuditDecision::Allow, detail);
+    }
+
+    /// Audit a refusal [`Self::gate`] does not decide: a policy that needs
+    /// a trusted engine, a path no asset governs.
+    pub(crate) fn deny(&self, securable: Option<&Uid>, detail: impl std::fmt::Display) {
+        let action = self.op.actions[self.action];
+        self.uc.record_audit(self.principal, action, securable, AuditDecision::Deny, detail);
+    }
+
+    /// The one authorization gate: every audited allow / deny in the
+    /// service is [`decide`] over the borrowed chain, here. On refusal —
+    /// and only then — the `Deny` is recorded against `chain[0]` under the
+    /// request's action, and the error is built: `NotFound` for
+    /// [`Need::See`] (existence is hidden from callers who may not see the
+    /// object), `PermissionDenied` naming the need and the target
+    /// otherwise. Callers audit their own [`Self::allow`] once the op has
+    /// run. Returns the caller's context, built from the chain's metastore
+    /// entity, for requests that decide again ([`Self::gate_with`]).
+    pub(crate) fn gate(
+        &self,
+        chain: &[Arc<Entity>],
+        need: Need<'_>,
+        detail: impl std::fmt::Display,
+    ) -> UcResult<AuthzContext> {
+        let who = self.uc.authz_context_with(chain, self.principal)?;
+        self.gate_with(&who, chain, need, detail)?;
+        Ok(who)
+    }
+
+    /// [`Self::gate`] for a caller whose context is already built.
+    pub(crate) fn gate_with(
+        &self,
+        who: &AuthzContext,
+        chain: &[Arc<Entity>],
+        need: Need<'_>,
+        detail: impl std::fmt::Display,
+    ) -> UcResult<()> {
+        if decide(chain, who, need) {
+            return Ok(());
+        }
+        let target = &chain[0];
+        self.deny(Some(&target.id), &detail);
+        Err(match need {
+            Need::See => UcError::NotFound(detail.to_string()),
+            _ => UcError::PermissionDenied(format!(
+                "{need} required on {} {}",
+                target.kind, target.name
+            )),
+        })
+    }
+}
+
+/// RAII guard returned by `api_enter`: the request's [`Audited`] face, its
+/// span, the deferred per-tenant/window latency recording and the
+/// thread-local tenant scope that lets deeper layers (txdb commit, STS
+/// mint) attribute their series to this request's tenant.
+pub(crate) struct ApiGuard<'a> {
+    pub(crate) audit: Audited<'a>,
+    instruments: &'a ApiInstruments,
     start_ms: u64,
-    window: WindowSeries,
-    labeled_latency: HistogramFamily,
     label: Arc<str>,
     /// Pops the tenant off the thread-local scope stack on drop.
     _scope: uc_obs::TenantScope,
@@ -376,12 +437,12 @@ pub(crate) struct ApiGuard {
     _span: SpanGuard,
 }
 
-impl Drop for ApiGuard {
+impl Drop for ApiGuard<'_> {
     fn drop(&mut self) {
-        let now = self.obs.clock_ms();
+        let now = self.audit.uc.config.obs.clock_ms();
         let elapsed = now.saturating_sub(self.start_ms);
-        self.window.record(now, elapsed);
-        self.labeled_latency.record(&self.label, elapsed);
+        self.instruments.window.record(now, elapsed);
+        self.instruments.labeled_latency.record(&self.label, elapsed);
     }
 }
 
@@ -407,10 +468,7 @@ impl UnityCatalog {
             node_id: node_id.to_string(),
             db,
             cache: NodeCache::wired(config.cache.clone(), config.obs.registry()),
-            api_instruments: crate::audit::KNOWN_OPS
-                .iter()
-                .map(|(op, _)| (*op, std::sync::OnceLock::new()))
-                .collect(),
+            api_instruments: std::array::from_fn(|_| std::sync::OnceLock::new()),
             cred_cache: TtlCache::new(clock.clone(), config.cred_ttl_ms),
             principal_cache: TtlCache::new(clock.clone(), 60_000),
             roots: RwLock::new(std::collections::HashMap::new()),
@@ -497,18 +555,13 @@ impl UnityCatalog {
     /// registry lookup takes the registry mutex, so this is the cold half
     /// of [`Self::api_enter`]: callers memoize the result.
     fn make_api_instruments(&self, op: &str) -> ApiInstruments {
+        let obs = &self.config.obs;
         ApiInstruments {
-            count: self.config.obs.counter(&format!("catalog.{op}.count")),
-            latency: self.config.obs.histogram(&format!("catalog.{op}.latency_ms")),
-            labeled_count: self
-                .config
-                .obs
-                .counter_family(&format!("catalog.{op}.count.by_tenant")),
-            labeled_latency: self
-                .config
-                .obs
-                .histogram_family(&format!("catalog.{op}.latency_ms.by_tenant")),
-            window: self.config.obs.window(&format!("catalog.{op}.window")),
+            count: obs.counter(&format!("catalog.{op}.count")),
+            latency: obs.histogram(&format!("catalog.{op}.latency_ms")),
+            labeled_count: obs.counter_family(&format!("catalog.{op}.count.by_tenant")),
+            labeled_latency: obs.histogram_family(&format!("catalog.{op}.latency_ms.by_tenant")),
+            window: obs.window(&format!("catalog.{op}.window")),
         }
     }
 
@@ -516,50 +569,33 @@ impl UnityCatalog {
     /// hop, counts the call (globally, per-op, per-tenant, and into the
     /// op's trailing window), and opens the request-scoped span every
     /// deeper layer (txdb, cloudstore) parents under. Callers bind the
-    /// returned guard for the duration of the request. `principal` and
-    /// `ms` attribute the call to a tenant; the few ops with no request
-    /// identity pass `None`.
-    pub(crate) fn api_enter(
-        &self,
-        op: &str,
-        principal: Option<&str>,
+    /// returned guard for the duration of the request and gate / audit
+    /// through it. `principal` and `ms` attribute the call to a tenant;
+    /// the few ops with no request identity pass `None`.
+    pub(crate) fn api_enter<'a>(
+        &'a self,
+        op: &'static Op,
+        principal: Option<&'a str>,
         ms: Option<&Uid>,
-    ) -> ApiGuard {
+    ) -> ApiGuard<'a> {
         self.stats.api_calls.fetch_add(1, Ordering::Relaxed);
-        // Per-op instrument handles from the fixed KNOWN_OPS table: binary
-        // search + OnceLock read, lock-free after the first call per op.
-        // An op outside the table (impossible in-tree — the linter
-        // cross-checks every entry point against KNOWN_OPS) pays the
-        // registry lookups directly rather than panicking.
         // uc-lint: allow(hotpath) -- first-call interning: the OnceLock below makes every later call for this op lock-free
-        let make = || self.make_api_instruments(op);
-        let instruments = match self.api_instruments.binary_search_by_key(&op, |(name, _)| name) {
-            Ok(i) => self.api_instruments[i].1.get_or_init(make).clone(),
-            Err(_) => make(),
-        };
+        let make = || self.make_api_instruments(op.name);
+        let instruments = self.api_instruments[op.index].get_or_init(make);
         instruments.count.inc();
         self.config.api_latency.apply(OpClass::Control);
         // Zero-allocation on the repeat path: the label is a memoized
         // Arc<str>, the labeled counter probe is a thread-local hash hit,
         // the window recording is striped atomics.
-        let label = self.tenant_label(ms, principal.unwrap_or(NO_TENANT));
+        let principal = principal.unwrap_or(NO_TENANT);
+        let label = self.tenant_label(ms, principal);
         instruments.labeled_count.inc(&label);
         let start_ms = self.config.obs.clock_ms();
         let scope = uc_obs::tenant_scope(label.clone());
-        let span = self
-            .config
-            .obs
-            .tracer()
-            .span_timed("catalog", op, Some(instruments.latency));
-        ApiGuard {
-            obs: self.config.obs.clone(),
-            start_ms,
-            window: instruments.window,
-            labeled_latency: instruments.labeled_latency,
-            label,
-            _scope: scope,
-            _span: span,
-        }
+        let latency = Some(instruments.latency.clone());
+        let span = self.config.obs.tracer().span_timed("catalog", op.name, latency);
+        let audit = Audited { uc: self, op, action: 0, principal };
+        ApiGuard { audit, instruments, start_ms, label, _scope: scope, _span: span }
     }
 
     /// Record the human-readable alias rendered into this metastore's
@@ -636,16 +672,17 @@ impl UnityCatalog {
 
     /// Audit a request the serving plane shed under admission control.
     /// Shedding is a governance decision like any deny: it must land in
-    /// the audit trail (op `serve_admit`, action `requestShed`), never be
-    /// a silent drop.
+    /// the audit trail (under [`Op::SERVE_ADMIT`]'s action), never be a
+    /// silent drop.
     pub fn audit_shed(&self, principal: &str, detail: impl std::fmt::Display) {
-        self.record_audit(principal, "requestShed", None, AuditDecision::Deny, detail);
+        self.record_audit(principal, Op::SERVE_ADMIT.actions[0], None, AuditDecision::Deny, detail);
     }
 
-    pub(crate) fn record_audit(
+    /// The audit sink: [`Audited`]'s calls and the shed land here.
+    fn record_audit(
         &self,
         principal: &str,
-        action: &str,
+        action: Action,
         securable: Option<&Uid>,
         decision: AuditDecision,
         detail: impl std::fmt::Display,
@@ -658,13 +695,13 @@ impl UnityCatalog {
         self.config.obs.flight().note_audit(
             self.now_ms(),
             trace_id.unwrap_or(0),
-            action,
+            action.as_str(),
             &detail,
         );
         self.audit.record(
             self.now_ms(),
             principal,
-            action,
+            action.as_str(),
             securable,
             decision,
             detail,
@@ -715,8 +752,11 @@ impl UnityCatalog {
         self.entity_by_id_via(&self.cache.for_metastore(ms), ms, id)
     }
 
-    /// [`Self::entity_by_id`] against an already-resolved metastore cache
-    /// (callers that loop resolve the `Arc` once).
+    /// [`Self::entity_by_id`] against an already-resolved metastore cache.
+    /// It stays apart because [`Self::extend_chain`] walks up to four
+    /// parents per request and `for_metastore` is a read-lock probe on a
+    /// line every thread shares: resolving the `Arc` once keeps a walk at
+    /// one probe.
     fn entity_by_id_via(&self, cache: &MsCache, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
         cache.read_through(
             ms,
@@ -1106,51 +1146,6 @@ impl UnityCatalog {
             principal: principal.to_string(),
             groups,
             is_metastore_admin: is_admin,
-        })
-    }
-
-    /// The one authorization gate: every audited allow / deny in the
-    /// service is [`decide`] over the borrowed chain, here. On refusal —
-    /// and only then — the `Deny` is recorded against `chain[0]` under the
-    /// calling op's `action`, and the error is built: `NotFound` for
-    /// [`Need::See`] (existence is hidden from callers who may not see the
-    /// object), `PermissionDenied` naming the need and the target
-    /// otherwise. Callers audit their own `Allow` once the op has run.
-    /// Returns the caller's context, built from the chain's metastore
-    /// entity, for requests that decide again ([`Self::gate_with`]).
-    pub(crate) fn gate(
-        &self,
-        ctx: &Context,
-        chain: &[Arc<Entity>],
-        need: Need<'_>,
-        action: &str,
-        detail: impl std::fmt::Display,
-    ) -> UcResult<AuthzContext> {
-        let who = self.authz_context_with(chain, &ctx.principal)?;
-        self.gate_with(&who, chain, need, action, detail)?;
-        Ok(who)
-    }
-
-    /// [`Self::gate`] for a caller whose context is already built.
-    pub(crate) fn gate_with(
-        &self,
-        who: &AuthzContext,
-        chain: &[Arc<Entity>],
-        need: Need<'_>,
-        action: &str,
-        detail: impl std::fmt::Display,
-    ) -> UcResult<()> {
-        if decide(chain, who, need) {
-            return Ok(());
-        }
-        let target = &chain[0];
-        self.record_audit(&who.principal, action, Some(&target.id), AuditDecision::Deny, &detail);
-        Err(match need {
-            Need::See => UcError::NotFound(detail.to_string()),
-            _ => UcError::PermissionDenied(format!(
-                "{need} required on {} {}",
-                target.kind, target.name
-            )),
         })
     }
 

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use uc_cloudstore::{AccessLevel, TempCredential};
 use uc_delta::value::Schema;
 
-use crate::audit::AuditDecision;
 use crate::authz::abac::AbacPolicy;
 use crate::authz::decision::{AuthzContext, Need};
 use crate::authz::fgac::FgacPolicies;
@@ -25,7 +24,8 @@ use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::keys;
-use crate::service::{Context, UnityCatalog};
+use crate::ops::Op;
+use crate::service::{ApiGuard, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
 /// Maximum view-nesting depth resolved in one call.
@@ -56,25 +56,25 @@ impl UnityCatalog {
         refs: &[FullName],
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
-        let _api = self.api_enter("resolve_for_query", Some(&ctx.principal), Some(ms));
-        self.resolve_refs(ctx, ms, refs, want_credentials, "resolveForQuery", |name| {
+        let api = self.api_enter(Op::RESOLVE_FOR_QUERY, Some(&ctx.principal), Some(ms));
+        self.resolve_refs(&api, ctx, ms, refs, want_credentials, |name| {
             self.chain_by_name(ms, name, "relation")
         })
     }
 
     /// The per-ref body both resolve entry points share: workspace binding
     /// → gate (SELECT plus the USE chain) → dependency closure, policies
-    /// and credentials → `Allow` audit, all under the calling op's
-    /// `action`. The entry points differ only in `chain_of`, how each
-    /// ref's full chain is assembled. The caller's context is built once,
+    /// and credentials → `Allow` audit, all through the calling op's
+    /// guard. The entry points differ only in `chain_of`, how each ref's
+    /// full chain is assembled. The caller's context is built once,
     /// from the first chain's metastore entity.
     fn resolve_refs(
         &self,
+        api: &ApiGuard<'_>,
         ctx: &Context,
         ms: &Uid,
         refs: &[FullName],
         want_credentials: bool,
-        action: &str,
         mut chain_of: impl FnMut(&FullName) -> UcResult<Vec<Arc<Entity>>>,
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let mut who: Option<AuthzContext> = None;
@@ -86,9 +86,9 @@ impl UnityCatalog {
                 Some(who) => who,
                 None => who.insert(self.authz_context_with(&full, &ctx.principal)?),
             };
-            self.gate_with(who, &full, Need::Data(Privilege::Select), action, name)?;
-            let resolved = self.resolve_entity(ctx, ms, who, &full, want_credentials, 0, action)?;
-            self.record_audit(&ctx.principal, action, Some(&resolved.entity.id), AuditDecision::Allow, name);
+            api.audit.gate_with(who, &full, Need::Data(Privilege::Select), name)?;
+            let resolved = self.resolve_entity(api, ctx, ms, who, &full, want_credentials, 0)?;
+            api.audit.allow(&resolved.entity.id, name);
             out.push(resolved);
         }
         Ok(out)
@@ -110,7 +110,7 @@ impl UnityCatalog {
         refs: &[FullName],
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
-        let _api = self.api_enter("resolve_batch", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RESOLVE_BATCH, Some(&ctx.principal), Some(ms));
         // Batch-local memo of container chains, keyed by the container's
         // qualified prefix: `[schema, catalog, …, metastore]` for
         // `catalog.schema`, next to the schema's tree key (each leaf's key
@@ -118,7 +118,7 @@ impl UnityCatalog {
         // prefixes in `refs`, which the serving plane caps per batch.
         let mut prefixes: std::collections::HashMap<String, (Vec<Arc<Entity>>, String)> =
             std::collections::HashMap::new();
-        self.resolve_refs(ctx, ms, refs, want_credentials, "resolveBatch", |name| {
+        self.resolve_refs(&api, ctx, ms, refs, want_credentials, |name| {
             Ok(match name.schema() {
                 Some(schema_name) if name.len() == 3 => {
                     let prefix = format!("{}.{schema_name}", name.catalog());
@@ -164,17 +164,17 @@ impl UnityCatalog {
     /// view grants access to the data it exposes (view-based access
     /// control) — the engine receives base metadata and credentials even
     /// when the caller has no direct grants on the base tables. Policy
-    /// refusals are audited under the calling op's `action`.
+    /// refusals are audited through the calling op's guard.
     #[allow(clippy::too_many_arguments)]
     fn resolve_entity(
         &self,
+        api: &ApiGuard<'_>,
         ctx: &Context,
         ms: &Uid,
         who: &AuthzContext,
         full_chain: &[Arc<Entity>],
         want_credentials: bool,
         depth: usize,
-        action: &str,
     ) -> UcResult<ResolvedSecurable> {
         let entity = full_chain[0].clone();
         if depth > MAX_DEPTH {
@@ -183,9 +183,9 @@ impl UnityCatalog {
                 entity.name
             )));
         }
-        let fgac = self.effective_fgac(who, full_chain, action)?;
+        let fgac = self.effective_fgac(api, who, full_chain)?;
         if !fgac.is_empty() && !ctx.is_trusted_engine() {
-            self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Deny, &entity.name);
+            api.audit.deny(Some(&entity.id), &entity.name);
             return Err(UcError::PermissionDenied(format!(
                 "{} carries fine-grained policies; a trusted engine (or the data \
                  filtering service) is required",
@@ -199,7 +199,7 @@ impl UnityCatalog {
                 .entity_by_id(ms, &dep_id)?
                 .ok_or_else(|| UcError::NotFound(format!("view dependency {dep_id} of {}", entity.name)))?;
             let dep_chain = self.chain_from_entity(ms, dep)?;
-            dependencies.push(self.resolve_entity(ctx, ms, who, &dep_chain, want_credentials, depth + 1, action)?);
+            dependencies.push(self.resolve_entity(api, ctx, ms, who, &dep_chain, want_credentials, depth + 1)?);
         }
         let read_credential = if want_credentials && entity.storage_path.is_some() {
             Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?)
@@ -212,12 +212,12 @@ impl UnityCatalog {
     /// Assemble the FGAC policies in force for `who` on `entity`:
     /// directly attached row filters / column masks, plus ABAC-derived
     /// masks and access restrictions from container-scope policies. A
-    /// restriction's refusal is audited under the calling op's `action`.
+    /// restriction's refusal is audited through the calling op's guard.
     fn effective_fgac(
         &self,
+        api: &ApiGuard<'_>,
         who: &AuthzContext,
         full_chain: &[Arc<Entity>],
-        action: &str,
     ) -> UcResult<FgacPolicies> {
         let entity = &full_chain[0];
         let mut fgac = FgacPolicies {
@@ -235,7 +235,7 @@ impl UnityCatalog {
         for policy in &policies {
             if let Some(allowed) = policy.evaluate_restriction(&entity_tags, &who.groups) {
                 if !allowed {
-                    self.record_audit(&who.principal, action, None, AuditDecision::Deny, &entity.name);
+                    api.audit.deny(None, &entity.name);
                     return Err(UcError::PermissionDenied(format!(
                         "ABAC policy '{}' restricts access to {}",
                         policy.name, entity.name
@@ -262,16 +262,16 @@ impl UnityCatalog {
         model: &FullName,
         version: u64,
     ) -> UcResult<ResolvedSecurable> {
-        let _api = self.api_enter("resolve_model_version", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RESOLVE_MODEL_VERSION, Some(&ctx.principal), Some(ms));
         let mut parts: Vec<&str> = model.parts.iter().map(|s| s.as_str()).collect();
         let vname = format!("v{version}");
         parts.push(&vname);
         let name = FullName::of(&parts);
         let full = self.chain_by_name(ms, &name, SecurableKind::ModelVersion.name_group())?;
         let entity = full[0].clone();
-        self.gate(ctx, &full, Need::Data(Privilege::Execute), "resolveModelVersion", &name)?;
+        api.audit.gate(&full, Need::Data(Privilege::Execute), &name)?;
         let read_credential = Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?);
-        self.record_audit(&ctx.principal, "resolveModelVersion", Some(&entity.id), AuditDecision::Allow, name);
+        api.audit.allow(&entity.id, name);
         Ok(ResolvedSecurable {
             schema: None,
             fgac: FgacPolicies::default(),

@@ -111,9 +111,23 @@ fn name_param(params: &Json, key: &str) -> Result<FullName, ApiError> {
     FullName::parse(str_param(params, key)?).map_err(ApiError::from)
 }
 
+/// Every route [`RestApi::dispatch`] knows, sorted: the methods that get a
+/// `rest.{method}.count` series of their own.
+const ROUTES: [&str; 18] = [
+    "catalogs.create", "catalogs.list", "credentials.temporary", "events.list",
+    "grants.add", "grants.list", "grants.revoke", "iceberg.loadTable",
+    "metastore.summary", "metrics.flightrecorder", "metrics.snapshot",
+    "schemas.create", "securables.drop",
+    "tables.create", "tables.get", "tables.list", "tables.resolve", "tables.resolveBatch",
+];
+
 /// A REST endpoint bound to one catalog node.
 pub struct RestApi {
     uc: std::sync::Arc<UnityCatalog>,
+    /// One request counter per entry of [`ROUTES`], interned on its first
+    /// request, and a last one every other method shares: a series per
+    /// client-chosen `method` string would grow the registry without bound.
+    counts: [std::sync::OnceLock<uc_obs::Counter>; ROUTES.len() + 1],
 }
 
 /// The `names` / `with_credentials` parameters of the resolve routes.
@@ -149,7 +163,7 @@ fn resolved_json(resolved: &[ResolvedSecurable]) -> Json {
 
 impl RestApi {
     pub fn new(uc: std::sync::Arc<UnityCatalog>) -> Self {
-        RestApi { uc }
+        RestApi { uc, counts: std::array::from_fn(|_| std::sync::OnceLock::new()) }
     }
 
     /// Dispatch one request. `method` mirrors the REST route (e.g.
@@ -162,7 +176,9 @@ impl RestApi {
         params: &Json,
     ) -> Result<Json, ApiError> {
         let mut span = self.uc.obs().span("rest", method);
-        self.uc.obs().counter(&format!("rest.{method}.count")).inc();
+        let slot = ROUTES.binary_search(&method).unwrap_or(ROUTES.len());
+        let route = ROUTES.get(slot).unwrap_or(&"unknown");
+        self.counts[slot].get_or_init(|| self.uc.obs().counter(&format!("rest.{route}.count"))).inc();
         let result = self.dispatch(auth, ms, method, params);
         if let Err(e) = &result {
             span.set_status(if e.status >= 500 { "error" } else { "client_error" });
@@ -522,6 +538,30 @@ mod tests {
         assert!(text.contains("catalog.create_catalog.count"), "snapshot:\n{text}");
         let wire = api.handle(&admin, &ms, "metrics.snapshot", &json!({})).unwrap();
         assert!(wire["snapshot"].as_str().unwrap().contains("catalog.api.calls"));
+    }
+
+    /// `method` is the client's string: only a route the dispatcher knows
+    /// gets a series of its own, so no stream of made-up methods can grow
+    /// the registry.
+    #[test]
+    fn request_counters_are_one_per_route_and_one_for_the_rest() {
+        let (api, ms, admin) = setup();
+        assert!(ROUTES.windows(2).all(|w| w[0] < w[1]), "binary-searched");
+        for route in ROUTES {
+            let unknown = matches!(api.handle(&admin, &ms, route, &json!({})), Err(e) if e.message.starts_with("unknown method"));
+            assert!(!unknown, "{route} is listed but not dispatched");
+        }
+        let series = || api.metrics().lines().count();
+        let mut after_first = 0;
+        for i in 0..1000 {
+            let err = api.handle(&admin, &ms, &format!("made.up.{i}"), &json!({})).unwrap_err();
+            assert_eq!(err.status, 404);
+            if i == 0 {
+                after_first = series();
+            }
+        }
+        assert_eq!(series(), after_first, "999 more unknown methods, no new series");
+        assert!(api.metrics().contains("rest.unknown.count counter 1000\n"));
     }
 
     #[test]

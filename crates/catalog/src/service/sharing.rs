@@ -17,14 +17,14 @@ use uc_delta::log::StorageCommitCoordinator;
 use uc_delta::uniform::{snapshot_to_iceberg, IcebergMetadata};
 use uc_delta::Snapshot;
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::keys::{self, T_SHAREMEM};
-use crate::service::{Context, UnityCatalog};
+use crate::ops::{self, Op};
+use crate::service::{ApiGuard, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
 
 /// A table exposed through a share.
@@ -57,11 +57,11 @@ pub struct SharedTableResponse {
 impl UnityCatalog {
     /// Create a share (CREATE_SHARE on the metastore or admin).
     pub fn create_share(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let _api = self.api_enter("create_share", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SHARE, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
-        self.gate(ctx, &top, Need::MetastoreAdminOr(Privilege::CreateShare), "createShare", name)?;
+        api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateShare), name)?;
         let created = self.create_entity(ctx, SecurableKind::Share, &top, name, name, |_tx, _ent| Ok(()))?;
-        self.record_audit(&ctx.principal, "createShare", Some(&created.id), AuditDecision::Allow, name);
+        api.audit.allow(&created.id, name);
         Ok(created)
     }
 
@@ -74,13 +74,13 @@ impl UnityCatalog {
         share_name: &str,
         table: &FullName,
     ) -> UcResult<()> {
-        let _api = self.api_enter("add_table_to_share", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::ADD_TABLE_TO_SHARE, Some(&ctx.principal), Some(ms));
         let full = self.share_chain(ms, share_name)?;
         let share = &full[0];
-        let who = self.gate(ctx, &full, Need::Admin, "addToShare", share_name)?;
+        let who = api.audit.gate(&full, Need::Admin, share_name)?;
         let table_full = self.chain_by_name(ms, table, "relation")?;
         let table_ent = &table_full[0];
-        self.gate_with(&who, &table_full, Need::Data(Privilege::Select), "addToShare", table)?;
+        api.audit.gate_with(&who, &table_full, Need::Data(Privilege::Select), table)?;
         let alias = format!("{}.{}", table.schema().unwrap_or("default"), table_ent.name);
         let member = ShareMember { table_id: table_ent.id.to_string(), alias };
         let share_id = share.id.clone();
@@ -93,7 +93,7 @@ impl UnityCatalog {
             );
             Ok(())
         })?;
-        self.record_audit(&ctx.principal, "addToShare", Some(&share.id), AuditDecision::Allow, table);
+        api.audit.allow(&share.id, table);
         Ok(())
     }
 
@@ -107,7 +107,7 @@ impl UnityCatalog {
 
     /// Shares the caller can access (owner, admin, or SELECT grant).
     pub fn list_shares(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter("list_shares", Some(&ctx.principal), Some(ms));
+        let _api = self.api_enter(Op::LIST_SHARES, Some(&ctx.principal), Some(ms));
         let root = self.metastore_chain(ms)?;
         let who = self.authz_context_with(&root, &ctx.principal)?;
         self.visible_children(ms, &who, &root, Some(SecurableKind::Share.name_group()))
@@ -120,8 +120,8 @@ impl UnityCatalog {
         ms: &Uid,
         share_name: &str,
     ) -> UcResult<Vec<ShareMember>> {
-        let _api = self.api_enter("list_share_tables", Some(&ctx.principal), Some(ms));
-        let share = self.authorize_share_read(ctx, ms, share_name, "queryShare")?;
+        let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(&ctx.principal), Some(ms));
+        let share = self.authorize_share_read(&api, ms, share_name)?;
         let rt = self.db.begin_read();
         Ok(rt
             .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
@@ -130,17 +130,15 @@ impl UnityCatalog {
             .collect())
     }
 
-    /// SELECT on the share (or admin authority over it), a refusal audited
-    /// under the calling op's `action`.
+    /// SELECT on the share (or admin authority over it).
     fn authorize_share_read(
         &self,
-        ctx: &Context,
+        api: &ApiGuard<'_>,
         ms: &Uid,
         share_name: &str,
-        action: &str,
     ) -> UcResult<Arc<Entity>> {
         let full = self.share_chain(ms, share_name)?;
-        self.gate(ctx, &full, Need::AdminOrAny(&[Privilege::Select]), action, share_name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
         Ok(full[0].clone())
     }
 
@@ -154,8 +152,8 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
-        let _api = self.api_enter("query_share_table", Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias, "queryShare")?;
+        let api = self.api_enter(Op::QUERY_SHARE_TABLE, Some(&ctx.principal), Some(ms));
+        let (table, snapshot) = self.shared_snapshot(&api, ms, share_name, alias)?;
         let table_path = table
             .storage_path
             .as_ref()
@@ -171,7 +169,7 @@ impl UnityCatalog {
             })
             .collect();
         let credential = self.mint_for_entity(ms, &table, AccessLevel::Read)?;
-        self.record_audit(&ctx.principal, "queryShareTable", Some(&table.id), AuditDecision::Allow, alias);
+        api.audit.acting(ops::QUERY_SHARE_TABLE).allow(&table.id, alias);
         Ok(SharedTableResponse {
             format: "delta".into(),
             schema: snapshot.metadata.schema.clone(),
@@ -190,8 +188,8 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
-        let _api = self.api_enter("query_share_table_as_iceberg", Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(ctx, ms, share_name, alias, "queryShare")?;
+        let api = self.api_enter(Op::QUERY_SHARE_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
+        let (table, snapshot) = self.shared_snapshot(&api, ms, share_name, alias)?;
         let table_path = table
             .storage_path
             .as_ref()
@@ -202,13 +200,12 @@ impl UnityCatalog {
 
     fn shared_snapshot(
         &self,
-        ctx: &Context,
+        api: &ApiGuard<'_>,
         ms: &Uid,
         share_name: &str,
         alias: &str,
-        action: &str,
     ) -> UcResult<(Arc<Entity>, Snapshot)> {
-        let share = self.authorize_share_read(ctx, ms, share_name, action)?;
+        let share = self.authorize_share_read(api, ms, share_name)?;
         let rt = self.db.begin_read();
         let member = rt
             .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
@@ -235,10 +232,10 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<IcebergMetadata> {
-        let _api = self.api_enter("load_table_as_iceberg", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LOAD_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
-        self.gate(ctx, &full, Need::Data(Privilege::Select), "loadTableAsIceberg", name)?;
+        api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
         if table.has_fgac() && !ctx.is_trusted_engine() {
             return Err(UcError::PermissionDenied(
                 "table has fine-grained policies; Iceberg pass-through requires a trusted engine".into(),
@@ -249,7 +246,7 @@ impl UnityCatalog {
             UcError::UnsupportedOperation(format!("{name} has no storage"))
         })?)
         .map_err(|e| UcError::Storage(e.to_string()))?;
-        self.record_audit(&ctx.principal, "loadTableAsIceberg", Some(&table.id), AuditDecision::Allow, name);
+        api.audit.allow(&table.id, name);
         Ok(snapshot_to_iceberg(&snapshot, &path, self.now_ms()))
     }
 

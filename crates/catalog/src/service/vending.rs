@@ -11,13 +11,13 @@ use std::sync::Arc;
 use uc_cloudstore::faults::points;
 use uc_cloudstore::{AccessLevel, StoragePath, TempCredential};
 
-use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::manifest::manifest;
-use crate::service::{Context, UnityCatalog};
+use crate::ops::Op;
+use crate::service::{ApiGuard, Context, UnityCatalog};
 use crate::types::FullName;
 
 impl UnityCatalog {
@@ -30,9 +30,9 @@ impl UnityCatalog {
         leaf_group: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter("temp_credentials", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TEMP_CREDENTIALS, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, asset, leaf_group)?;
-        self.vend_for_chain(ctx, ms, &full, access, "generateTemporaryCredentials", asset)
+        self.vend_for_chain(&api, ctx, ms, &full, access, asset)
     }
 
     /// Vend a temporary credential for a raw storage path: resolve the
@@ -46,25 +46,25 @@ impl UnityCatalog {
         path: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter("temp_credentials_for_path", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TEMP_CREDENTIALS_FOR_PATH, Some(&ctx.principal), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let Some((entity, _registered)) = self.entity_by_path(ms, &parsed)? else {
-            self.record_audit(&ctx.principal, "generateTemporaryPathCredentials", None, AuditDecision::Deny, path);
+            api.audit.deny(None, path);
             return Err(UcError::NotFound(format!("no asset governs path {path}")));
         };
         let full = self.chain_from_entity(ms, entity)?;
-        self.vend_for_chain(ctx, ms, &full, access, "generateTemporaryPathCredentials", path)
+        self.vend_for_chain(&api, ctx, ms, &full, access, path)
     }
 
     /// Shared vending flow once the asset's full chain is known — the same
     /// decision whether it was addressed by name, by path or by id.
     fn vend_for_chain(
         &self,
+        api: &ApiGuard<'_>,
         ctx: &Context,
         ms: &Uid,
         full: &[Arc<Entity>],
         access: AccessLevel,
-        action: &str,
         detail: impl std::fmt::Display,
     ) -> UcResult<TempCredential> {
         let entity = &full[0];
@@ -80,17 +80,17 @@ impl UnityCatalog {
             ))
         })?;
         self.enforce_workspace_binding(ctx, full)?;
-        self.gate(ctx, full, Need::Data(needed), action, &detail)?;
+        api.audit.gate(full, Need::Data(needed), &detail)?;
         // Tables with FGAC policies must not hand raw storage access to
         // untrusted engines — the policy would be unenforceable.
         if entity.has_fgac() && !ctx.is_trusted_engine() {
-            self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Deny, "fgac requires trusted engine");
+            api.audit.deny(Some(&entity.id), "fgac requires trusted engine");
             return Err(UcError::PermissionDenied(
                 "asset has fine-grained policies; use a trusted engine or the data filtering service".into(),
             ));
         }
         let token = self.mint_for_entity(ms, entity, access)?;
-        self.record_audit(&ctx.principal, action, Some(&entity.id), AuditDecision::Allow, detail);
+        api.audit.allow(&entity.id, detail);
         Ok(token)
     }
 
@@ -107,12 +107,12 @@ impl UnityCatalog {
         ms: &Uid,
         id: &Uid,
     ) -> UcResult<TempCredential> {
-        let _api = self.api_enter("renew_read_credential", Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RENEW_READ_CREDENTIAL, Some(&ctx.principal), Some(ms));
         let entity = self
             .entity_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(format!("asset {id}")))?;
         let full = self.chain_from_entity(ms, entity)?;
-        self.vend_for_chain(ctx, ms, &full, AccessLevel::Read, "renewTemporaryCredentials", "renew")
+        self.vend_for_chain(&api, ctx, ms, &full, AccessLevel::Read, "renew")
     }
 
     /// Mint (or reuse from the TTL cache) a token scoped to the entity's

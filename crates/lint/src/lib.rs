@@ -188,7 +188,7 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         Err(_) => Config::default(),
     };
 
-    // Known-ops table for the instrumentation rule, parsed from source so
+    // The op table for the instrumentation rule, parsed from source so
     // uc-lint needs no dependency on the catalog crate.
     let audit_file = cfg.str("instrument", "audit_file");
     let known: Option<KnownOps> = audit_file
@@ -282,9 +282,7 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         if rules::instrument::direct_api_op(toks, d.body).is_some() {
             api_seed[i] = true;
         }
-        if d.name == "record_audit"
-            || (audit_file.as_deref() == Some(d.file.as_str()) && d.name == "record")
-        {
+        if d.name == "record_audit" {
             audit_seed[i] = true;
         }
         if (d.body.0..d.body.1).any(|k| rules::is_ident(&toks[k], "Deny")) {

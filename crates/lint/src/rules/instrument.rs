@@ -1,18 +1,18 @@
-//! Instrumentation-coverage rule, now a set of reachability checks over
-//! the workspace call graph. Every public entry point on the catalog
-//! service must *reach* an `api_enter("op")` span open (directly or
-//! through any chain of resolvable callees — delegation across files and
-//! crates counts), must reach an audit record (`record_audit`, or the
-//! audit module's `record`) whenever its op declares audit actions — an
-//! empty action set in `KNOWN_OPS` marks a deliberately unaudited
-//! read/list op, so the audit policy lives in one table — the op string
-//! must exist in the audit module's `KNOWN_OPS` table, audit action
-//! literals must belong to that op's allowed set, and any function that
-//! denies with `PermissionDenied` must reach an `AuditDecision::Deny`
-//! (its own body or a callee's — the deny audit may live in a helper).
+//! Instrumentation-coverage rule: three reachability checks over the
+//! workspace call graph and one literal check, all against the op table
+//! (`[instrument] audit_file`, parsed from source so the linter needs no
+//! dependency on the catalog crate). Every public entry point on the
+//! catalog service must *reach* an `api_enter(Op::HANDLE, ..)` span open
+//! (directly or through any chain of resolvable callees — delegation
+//! across files and crates counts); must reach an audit record
+//! (`record_audit`) whenever its op's row declares audit actions — an
+//! empty row marks a deliberately unaudited read/list op, so the audit
+//! policy lives in one table; and any function that denies with
+//! `PermissionDenied` must reach an `AuditDecision::Deny` (its own body or
+//! a callee's). That a handle names a row the compiler checks; what is
+//! left is that no entry file spells an action as a string literal.
 //!
-//! Known false negatives (DESIGN.md §8): actions passed as variables are
-//! not checked (`vend_for_chain`-style helpers), the Deny check is
+//! Known false negatives (DESIGN.md §8): the Deny check is
 //! function-granular (one audited deny path satisfies it for the whole
 //! function), and a call the graph cannot resolve contributes no
 //! reachability facts.
@@ -28,116 +28,75 @@ use crate::lexer::{Kind, Token};
 pub struct Reach {
     /// Reaches a def whose body opens an `api_enter` span.
     pub api: bool,
-    /// Reaches `record_audit` / the audit module's `record`.
+    /// Reaches `record_audit`.
     pub audit: bool,
     /// Reaches a body containing an `AuditDecision::Deny` mark.
     pub deny: bool,
 }
 
-/// op → allowed audit actions, parsed out of the audit module source.
+/// op handle → the audit actions its row declares, parsed out of the op
+/// table's source.
 pub type KnownOps = BTreeMap<String, Vec<String>>;
 
-/// Extract the `KNOWN_OPS: &[(&str, &[&str])]` table from the audit
-/// module's token stream. Returns None when the table is absent.
+/// Extract the op table: the rows of the `ops! { HANDLE = "name" =>
+/// [actions]; .. }` block, an action being a string literal or the name
+/// of a `const NAME: Action = Action("..")` in the same file. Returns
+/// None when the table is absent.
 pub fn parse_known_ops(tokens: &[Token]) -> Option<KnownOps> {
-    let kw = tokens.iter().position(|t| is_ident(t, "KNOWN_OPS"))?;
-    // Skip the type annotation (`: &[(&str, &[&str])]`) — walk the
-    // *initializer*, which starts after the `=`.
-    let start = (kw..tokens.len()).find(|&i| is_punct(&tokens[i], "="))?;
+    let named: BTreeMap<&str, &str> = tokens
+        .windows(8)
+        .filter(|w| {
+            is_ident(&w[0], "const") && is_ident(&w[5], "Action") && is_punct(&w[6], "(") && w[7].kind == Kind::Str
+        })
+        .map(|w| (w[1].text.as_str(), w[7].text.as_str()))
+        .collect();
+    let block = tokens
+        .windows(3)
+        .position(|w| is_ident(&w[0], "ops") && is_punct(&w[1], "!") && is_punct(&w[2], "{"))?;
     let mut ops = KnownOps::new();
-    let mut depth = 0i64;
-    let mut i = start;
-    let mut current: Option<(String, Vec<String>)> = None;
-    // Walk the initializer: entries look like `("op", &["a", "b"])`.
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if is_punct(t, "[") {
-            depth += 1;
-        } else if is_punct(t, "]") {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if is_punct(t, "(") && depth == 1 {
-            current = Some((String::new(), Vec::new()));
-        } else if is_punct(t, ")") && depth == 1 {
-            if let Some((op, actions)) = current.take() {
-                if !op.is_empty() {
-                    ops.insert(op, actions);
-                }
-            }
-        } else if t.kind == Kind::Str {
-            if let Some((op, actions)) = current.as_mut() {
-                if op.is_empty() {
-                    *op = t.text.clone();
-                } else {
-                    actions.push(t.text.clone());
-                }
-            }
-        } else if is_punct(t, ";") && depth == 0 && i > start {
+    let mut row: Option<(String, Vec<String>)> = None;
+    let mut in_list = false;
+    for t in &tokens[block + 3..] {
+        if is_punct(t, "}") {
             break;
         }
-        i += 1;
+        match &mut row {
+            None if t.kind == Kind::Ident => row = Some((t.text.clone(), Vec::new())),
+            Some(_) if is_punct(t, "[") || is_punct(t, "]") => in_list = is_punct(t, "["),
+            Some((_, actions)) if in_list && t.kind == Kind::Str => actions.push(t.text.clone()),
+            // A name this file does not declare still marks the row audited.
+            Some((_, actions)) if in_list && t.kind == Kind::Ident => {
+                actions.push(named.get(t.text.as_str()).unwrap_or(&t.text.as_str()).to_string())
+            }
+            Some(_) if !in_list && is_punct(t, ";") => ops.extend(row.take()),
+            _ => {}
+        }
     }
-    if ops.is_empty() {
-        None
-    } else {
-        Some(ops)
-    }
+    (!ops.is_empty()).then_some(ops)
 }
 
-/// The API entry hook; its first argument is the op string.
-const API_ENTER_FNS: &[&str] = &["api_enter"];
-
-/// Find the op string of a direct `api_enter("...")` call in a token
-/// range, if any.
-pub fn direct_api_op(toks: &[Token], range: (usize, usize)) -> Option<(String, u32)> {
+/// The op handle of a direct `api_enter(Op::HANDLE, ..)` call in a token
+/// range, if any: the last identifier of the first argument.
+pub fn direct_api_op(toks: &[Token], range: (usize, usize)) -> Option<String> {
     let (open, close) = range;
-    for i in open..close {
-        if API_ENTER_FNS.iter().any(|f| is_ident(&toks[i], f))
-            && i + 2 < close
-            && is_punct(&toks[i + 1], "(")
-            && toks[i + 2].kind == Kind::Str
-        {
-            return Some((toks[i + 2].text.clone(), toks[i + 2].line));
-        }
-    }
-    None
+    let call = (open..close.saturating_sub(1))
+        .find(|&i| is_ident(&toks[i], "api_enter") && is_punct(&toks[i + 1], "("))?;
+    toks[call + 2..close]
+        .iter()
+        .take_while(|t| !is_punct(t, ",") && !is_punct(t, ")"))
+        .filter(|t| t.kind == Kind::Ident)
+        .last()
+        .map(|t| t.text.clone())
 }
 
-/// Split a call's argument tokens into top-level comma-separated args.
-/// `open` indexes the `(`. Returns (args, index_after_close).
-fn call_args(toks: &[Token], open: usize) -> (Vec<Vec<usize>>, usize) {
-    let mut args: Vec<Vec<usize>> = vec![Vec::new()];
-    let mut depth = 0i64;
-    let mut i = open;
-    while i < toks.len() {
-        let t = &toks[i];
-        if is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{") {
-            depth += 1;
-            if depth > 1 {
-                if let Some(last) = args.last_mut() {
-                    last.push(i);
-                }
-            }
-        } else if is_punct(t, ")") || is_punct(t, "]") || is_punct(t, "}") {
-            depth -= 1;
-            if depth == 0 {
-                return (args, i + 1);
-            }
-            if let Some(last) = args.last_mut() {
-                last.push(i);
-            }
-        } else if is_punct(t, ",") && depth == 1 {
-            args.push(Vec::new());
-        } else if depth >= 1 {
-            if let Some(last) = args.last_mut() {
-                last.push(i);
-            }
-        }
-        i += 1;
-    }
-    (args, i)
+/// Whether the token at `i` is the second argument of a `record_audit(..)`
+/// call, where the sink takes its action (a first argument that itself
+/// holds a call is not seen through).
+fn is_sink_action(toks: &[Token], i: usize, open: usize) -> bool {
+    let Some(call) = (open + 1..i).rev().find(|&j| is_punct(&toks[j], "(")) else { return false };
+    is_ident(&toks[call - 1], "record_audit")
+        && is_punct(&toks[i - 1], ",")
+        && !toks[call + 1..i - 1].iter().any(|t| is_punct(t, ","))
 }
 
 /// `reach` maps this file's fn indices to their reachability facts;
@@ -159,12 +118,13 @@ pub fn check(
         out.push(ctx.diag(
             1,
             RULE_INSTRUMENT,
-            "audit module KNOWN_OPS table not found; cannot check instrumentation".to_string(),
+            "op table not found in [instrument] audit_file; cannot check instrumentation".to_string(),
         ));
         return;
     };
     let impl_type = ctx.cfg.str("instrument", "impl_type").unwrap_or_default();
-    let global_actions: BTreeSet<&str> =
+    let table_file = ctx.cfg.str("instrument", "audit_file").unwrap_or_default();
+    let table_actions: BTreeSet<&str> =
         known.values().flat_map(|v| v.iter().map(|s| s.as_str())).collect();
     let toks = ctx.tokens;
 
@@ -184,16 +144,14 @@ pub fn check(
                 format!("pub entry point `{}` does not reach api_enter (directly or through any resolvable callee)", f.name),
             ));
         }
-        // Audit reachability: an entry whose op declares audit actions in
-        // KNOWN_OPS must be able to land an audit record before returning
-        // — on the success path and on denies. An empty action set is the
-        // policy table's way of declaring an unaudited read/list op, so
-        // those entries are exempt (the exemption lives in KNOWN_OPS, not
-        // in per-site pragmas).
-        let declares_audit = match &direct {
-            Some((op, _)) => known.get(op).is_none_or(|a| !a.is_empty()),
-            None => false, // no op span: the api_enter diagnostic above covers it
-        };
+        // Audit reachability: an entry whose op's row declares audit
+        // actions must be able to land an audit record before returning —
+        // on the success path and on denies. An empty row is the table's
+        // way of declaring an unaudited read/list op, so those entries
+        // are exempt (the exemption lives in the table, not in per-site
+        // pragmas). No op span: the api_enter diagnostic above covers it.
+        let declares_audit =
+            direct.as_ref().is_some_and(|op| known.get(op).is_none_or(|a| !a.is_empty()));
         if is_entry && has_audit_target && declares_audit && !r.audit {
             out.push(ctx.diag(
                 f.line,
@@ -201,65 +159,21 @@ pub fn check(
                 format!("pub entry point `{}` declares audit actions but never reaches an audit record (record_audit) on any return path", f.name),
             ));
         }
-        if let Some((op, op_line)) = &direct {
-            if !known.contains_key(op) {
-                out.push(ctx.diag(
-                    *op_line,
-                    RULE_INSTRUMENT,
-                    format!("api op \"{op}\" is not in audit::KNOWN_OPS"),
-                ));
-            }
-        }
 
-        // (a) Every literal action handed to record_audit must be a known
-        // action — catches ad-hoc names like "create" that exist in no
-        // op's allowed set.
-        let mut i = open;
-        while i < close {
-            if is_ident(&toks[i], "record_audit") && i + 1 < close && is_punct(&toks[i + 1], "(") {
-                let (args, after) = call_args(toks, i + 1);
-                // record_audit(principal, action, entity, decision, detail)
-                if let Some(arg) = args.get(1) {
-                    if let [only] = arg.as_slice() {
-                        if toks[*only].kind == Kind::Str {
-                            let action = toks[*only].text.as_str();
-                            if !global_actions.contains(action) {
-                                out.push(ctx.diag(
-                                    toks[*only].line,
-                                    RULE_INSTRUMENT,
-                                    format!("audit action \"{action}\" is not in audit::KNOWN_OPS"),
-                                ));
-                            }
-                        }
-                    }
-                }
-                i = after;
-                continue;
-            }
-            i += 1;
-        }
-        // (b) In an op-bearing function, any string literal that IS a
-        // known audit action must be allowed for that op — catches
-        // cross-op mixups even when the action travels through a helper
-        // (e.g. vend_for_chain) rather than record_audit directly.
-        if let Some((op, _)) = &direct {
-            if let Some(allowed) = known.get(op) {
-                for t in toks.iter().take(close).skip(open) {
-                    if t.kind == Kind::Str
-                        && global_actions.contains(t.text.as_str())
-                        && !allowed.iter().any(|a| a == &t.text)
-                    {
-                        out.push(ctx.diag(
-                            t.line,
-                            RULE_INSTRUMENT,
-                            format!(
-                                "audit action \"{}\" does not match api op \"{op}\" (allowed: {})",
-                                t.text,
-                                allowed.join(", ")
-                            ),
-                        ));
-                    }
-                }
+        // No audit-action literal: an action is declared in its op's row
+        // and recorded through the request guard, so a literal here is a
+        // table action carried around the guard (how one op came to audit
+        // under another's name) or an undeclared one handed to the sink.
+        for i in open..close {
+            let t = &toks[i];
+            if t.kind == Kind::Str
+                && (table_actions.contains(t.text.as_str()) || is_sink_action(toks, i, open))
+            {
+                out.push(ctx.diag(
+                    t.line,
+                    RULE_INSTRUMENT,
+                    format!("audit action literal \"{}\" outside the op table ({table_file}): an action is declared in its op's row and recorded through the request guard", t.text),
+                ));
             }
         }
 

@@ -3,12 +3,12 @@
 
 impl Service {
     pub fn get_table(&self, name: &str) -> Result<Table, Error> {
-        let _api = self.api_enter("get_table"); // instrumented: no diagnostic
+        let _api = self.api_enter(Op::GET_TABLE); // instrumented: no diagnostic
         self.fetch(name)
     }
 
     pub fn get_table_labeled(&self, ctx: &Ctx, ms: &Uid) -> Result<Table, Error> {
-        let _api = self.api_enter("get_table", Some(&ctx.principal), Some(ms)); // tenant-attributed call counts as instrumented: no diagnostic
+        let _api = self.api_enter(Op::GET_TABLE, Some(&ctx.principal), Some(ms)); // tenant-attributed call counts as instrumented: no diagnostic
         self.fetch("t")
     }
 
@@ -17,7 +17,7 @@ impl Service {
     }
 
     fn inner_entry(&self) -> u32 {
-        let _api = self.api_enter("get_table");
+        let _api = self.api_enter(Op::GET_TABLE);
         7
     }
 
@@ -25,19 +25,19 @@ impl Service {
         19 // fn at line 24: pub entry point without api_enter
     }
 
-    pub fn ghost(&self) {
-        let _api = self.api_enter("ghost_op"); // op not in KNOWN_OPS (and, being unknown, must audit — nothing here does)
+    pub fn list_tables(&self) {
+        let _api = self.api_enter(Op::LIST_TABLES); // the row declares no action: nothing to audit, no diagnostic
     }
 
     pub fn create_table(&self, name: &str) -> Result<Table, Error> {
-        let _api = self.api_enter("create_table");
-        self.record_audit("alice", "getTable", name); // line 34: action belongs to get_table, not create_table
-        self.record_audit("alice", "madeUp", name); // line 35: action in no op's allowed set
+        let _api = self.api_enter(Op::CREATE_TABLE);
+        self.record_audit("alice", "getTable", name); // line 34: a table action spelled as a literal (and another op's)
+        self.record_audit("alice", "madeUp", name); // line 35: a literal where the sink takes its action
         self.fetch(name)
     }
 
     pub fn deny_without_audit(&self, name: &str) -> Result<Table, Error> {
-        let _api = self.api_enter("get_table"); // PermissionDenied below, no Deny audit
+        let _api = self.api_enter(Op::GET_TABLE); // PermissionDenied below, no Deny audit
         if name.is_empty() {
             return Err(Error::PermissionDenied("no".into()));
         }
@@ -45,12 +45,12 @@ impl Service {
     }
 
     pub fn silent_create(&self) -> Result<Table, Error> {
-        let _api = self.api_enter("create_table"); // op declares audit actions but nothing below records one
+        let _api = self.api_enter(Op::CREATE_TABLE); // op declares audit actions but nothing below records one
         Ok(Table)
     }
 
     fn fetch(&self, name: &str) -> Result<Table, Error> {
-        self.record_audit("alice", "getTable", name); // entries that delegate here reach the audit sink
+        self.record_audit("alice", Op::GET_TABLE.actions[0], name); // entries that delegate here reach the audit sink
         Err(Error::NotFound)
     }
 

@@ -1,7 +1,11 @@
-//! Fixture audit module: the KNOWN_OPS table the instrumentation rule
-//! parses from source. Two ops, three actions total.
+//! Fixture op table: the `ops!` block the instrumentation rule parses
+//! from source. Three ops, three actions — one of them named, as a
+//! secondary action is in the real table.
 
-pub const KNOWN_OPS: &[(&str, &[&str])] = &[
-    ("create_table", &["createTable", "useExternalPath"]),
-    ("get_table", &["getTable"]),
-];
+pub const USE_EXTERNAL_PATH: Action = Action("useExternalPath");
+
+ops! {
+    CREATE_TABLE = "create_table" => ["createTable", USE_EXTERNAL_PATH];
+    GET_TABLE = "get_table" => ["getTable"];
+    LIST_TABLES = "list_tables" => [];
+}

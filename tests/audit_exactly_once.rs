@@ -151,11 +151,12 @@ fn back_to_back_retry_storms_stay_exactly_once() {
 
 mod deny {
     use super::*;
-    use uc_catalog::audit::{AuditRecord, KNOWN_OPS};
+    use uc_catalog::audit::AuditRecord;
     use uc_catalog::authz::abac::{AbacEffect, AbacPolicy};
     use uc_catalog::authz::fgac::RowFilterPolicy;
     use uc_catalog::authz::Privilege;
     use uc_catalog::error::{UcError, UcResult};
+    use uc_catalog::ops::Op;
     use uc_catalog::service::federation::ForeignTableMeta;
     use uc_catalog::types::FullName;
     use uc_cloudstore::{AccessLevel, RootCredential};
@@ -235,6 +236,7 @@ mod deny {
             ("drop_securable", Box::new(|| uc.drop_securable(&out, ms, &t, "relation").map(drop))),
             ("get_securable", Box::new(|| uc.get_table(&out, ms, "main.s.t").map(drop))),
             ("grant", Box::new(|| uc.grant(&out, ms, &t, "relation", "mallory", Privilege::Select))),
+            ("latest_table_version", Box::new(|| uc.latest_table_version(&out, ms, &table.id).map(drop))),
             ("list_share_tables", Box::new(|| uc.list_share_tables(&out, ms, "sh").map(drop))),
             ("load_table_as_iceberg", Box::new(|| uc.load_table_as_iceberg(&out, ms, &t).map(drop))),
             ("mirror_table", Box::new(|| uc.mirror_table(&out, ms, "fed", "s", &meta).map(drop))),
@@ -266,11 +268,12 @@ mod deny {
         let mut covered: Vec<&str> = sweep.iter().map(|(op, _)| *op).chain(not_swept).collect();
         covered.sort_unstable();
         let audited: Vec<&str> =
-            KNOWN_OPS.iter().filter(|(_, actions)| !actions.is_empty()).map(|(op, _)| *op).collect();
+            Op::ALL.iter().filter(|op| !op.actions.is_empty()).map(|op| op.name).collect();
         assert_eq!(covered, audited, "every op that declares audit actions is swept or listed");
 
         for (op, call) in sweep {
-            let allowed = KNOWN_OPS.iter().find(|(o, _)| *o == op).map(|(_, a)| *a).unwrap();
+            let row = Op::ALL.iter().find(|row| row.name == op).unwrap();
+            let allowed: Vec<&str> = row.actions.iter().map(|a| a.as_str()).collect();
             let (err, added) = refused(&w, call);
             match op {
                 "get_securable" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),

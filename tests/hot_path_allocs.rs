@@ -1,6 +1,7 @@
 //! Exact hot-path cost gate (ROADMAP 6b): heap allocations and cached
 //! entity reads (`cache.hits`) per cached `get_table`, by-name
-//! `temp_credentials` and `temp_credentials_for_path`.
+//! `temp_credentials` and `temp_credentials_for_path`, and allocations
+//! per cached `tables.get` through `RestApi::handle`.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -13,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use uc_catalog::service::crud::TableSpec;
+use uc_catalog::service::rest::{RequestAuth, RestApi};
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_cloudstore::{AccessLevel, ObjectStore};
@@ -67,6 +69,12 @@ const PARENT_GET_TABLE_ALLOCS: u64 = 25;
 const NAME_CREDENTIAL_ALLOCS: u64 = 28;
 /// Allocations per cached `temp_credentials_for_path` (41 before).
 const PATH_CREDENTIAL_ALLOCS: u64 = 32;
+/// Allocations per cached `tables.get` through `RestApi::handle`: the
+/// typed call's, the request context and the JSON reply. The route's
+/// counter is interned, so a repeated request formats no series name and
+/// takes no registry lock (50 while `rest.{method}.count` was looked up
+/// per request).
+const REST_GET_TABLE_ALLOCS: u64 = 48;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -126,9 +134,12 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     let path = table.storage_path.clone().expect("managed tables have storage");
 
     // Warm: entity cache, credential cache, per-op instruments, tenant
-    // label memo.
+    // label memo, the route's counter.
     let name = FullName::parse("main.s.t").unwrap();
+    let (api, auth) = (RestApi::new(uc.clone()), RequestAuth::user("admin"));
+    let wire_get = serde_json::json!({"name": "main.s.t"});
     for _ in 0..16 {
+        api.handle(&auth, &ms, "tables.get", &wire_get).unwrap();
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
         uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
         uc.temp_credentials_for_path(&ctx, &ms, &path, AccessLevel::Read).unwrap();
@@ -149,6 +160,9 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
         uc.temp_credentials_for_path(&ctx, &ms, &path, AccessLevel::Read).unwrap();
     });
     let hits_3 = hits();
+    let rest_get_table = allocs_per_call(&uc, || {
+        api.handle(&auth, &ms, "tables.get", &wire_get).unwrap();
+    });
     assert_eq!(uc.db().stats().reads(), db_reads, "measured calls must all be cache hits");
 
     assert_constant_and_bounded("get_table", &get_table, PARENT_GET_TABLE_ALLOCS);
@@ -158,6 +172,7 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
         &path_credential,
         PATH_CREDENTIAL_ALLOCS,
     );
+    assert_constant_and_bounded("rest tables.get", &rest_get_table, REST_GET_TABLE_ALLOCS);
 
     // Cached entity reads (`cache.hits`) per call: one per chain level,
     // and nothing re-read once the chain is resolved. A by-name vend
