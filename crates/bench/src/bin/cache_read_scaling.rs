@@ -20,9 +20,8 @@
 //!
 //! * `UC_BENCH_LABEL`  — label for this run's entry (default `run`);
 //!   an existing entry with the same label is replaced.
-//! * `UC_BENCH_QUICK`  — when set, a short CI sanity mode: fewer thread
-//!   counts, shorter duration, and a gate asserting the cached path
-//!   out-runs the uncached path at 8 threads.
+//! * `UC_BENCH_QUICK`  — when set, a short CI mode: fewer thread counts,
+//!   shorter duration.
 //! * `UC_BENCH_HOP_MS` — engine→catalog network hop in milliseconds
 //!   (default 0). With a hop, a cached read is latency-bound and threads
 //!   overlap their waits, so throughput scales with threads even on one
@@ -189,15 +188,6 @@ fn main() {
             format!("{:.1}", with.p99.as_secs_f64() * 1e6),
             format!("{:.0}", without.throughput_rps),
         ]);
-        if threads == 8 && quick && hop_ms == 0 {
-            assert!(
-                with.throughput_rps >= without.throughput_rps,
-                "sanity gate: cached path ({:.0} rps) must not be slower than \
-                 uncached ({:.0} rps) at 8 threads",
-                with.throughput_rps,
-                without.throughput_rps,
-            );
-        }
         if threads == 32 && quick && hop_ms > 0 {
             let ratio = with.throughput_rps / one_thread_rps.max(1e-9);
             assert!(

@@ -90,7 +90,7 @@ use crate::error::UcResult;
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PATH, T_TREE};
+use crate::model::keys::{self, T_MSVER, T_PATH, T_TREE};
 use crate::types::SecurableKind;
 
 /// How many superseded versions of an entry to retain for in-flight reads.
@@ -101,22 +101,26 @@ const VERSION_WINDOW: usize = 4;
 const STALE_ROUNDS: usize = 8;
 
 /// What a read's `load` found in the database, for the cache to install:
-/// each entity with its tree-index key when the lookup resolved one
-/// (by-id and by-path loads resolve none).
-pub(crate) type Installs = Vec<(Arc<Entity>, Option<String>)>;
+/// each entity with the `T_TREE` key its row sits at. Every load knows the
+/// key (a by-id load reads the pointer to it first), so an entity is never
+/// cached without its name mapping.
+pub(crate) type Installs = Vec<(Arc<Entity>, String)>;
 
 /// What a committed write did, for [`MsCache::apply_write`] to write
 /// through and the service to publish (`service/` holds the `tx`-taking
 /// helpers a write closure fills it with).
 #[derive(Default)]
 pub(crate) struct WriteEffects {
-    /// Entities written, each with its tree-index key (installed as the
-    /// cache's name mapping).
+    /// Entities written or moved, each with the tree key it now sits at
+    /// (installed as the cache's name mapping, replacing the entity's
+    /// previous one).
     pub upserts: Vec<(Arc<Entity>, String)>,
     pub tombstones: Vec<Uid>,
-    /// Tree-index keys freed by this write (renames, drops), to be
-    /// dropped from the cache's name map.
-    pub dropped_names: Vec<String>,
+    /// Tree keys a rename moved a descendant away from: whatever is cached
+    /// under one is evicted, as another node's reconcile would — the moved
+    /// rows are not installed, so a rename costs the cache nothing it did
+    /// not already hold.
+    pub moved_from: Vec<String>,
     pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
 }
 
@@ -226,9 +230,10 @@ struct CachedEntry {
     /// Keys to clean from the secondary maps on eviction.
     path_key: Option<String>,
     /// Tree-encoded ancestor-chain key (DESIGN.md §11) — the entry's key
-    /// in the name index. Absent until a lookup by name (or a
-    /// write-through) resolved it; by-id installs carry none.
-    tree_key: Option<String>,
+    /// in the name index, which maps it back to this entry for as long as
+    /// the entry is live: a `T_TREE` change record alone finds the entry
+    /// it invalidates.
+    tree_key: String,
     /// Atomic so the hit path can bump recency under a shard *read* lock.
     last_access: AtomicU64,
 }
@@ -301,6 +306,17 @@ fn hash_of<K: Hash + ?Sized>(key: &K) -> usize {
     let mut h = Fnv1a::default();
     key.hash(&mut h);
     (h.finish() >> 32) as usize
+}
+
+/// Remove `key → id` from an index shard. A key freed by a drop or a move
+/// may since name another entity (the name was re-created while the old
+/// entry aged in the LRU); that entity's mapping is not this one's to
+/// remove.
+fn unmap(shard: &IndexShard, key: &str, id: &Uid) {
+    let mut map = shard.write();
+    if map.get(key) == Some(id) {
+        map.remove(key);
+    }
 }
 
 impl MsCache {
@@ -422,35 +438,33 @@ impl MsCache {
         entity: Arc<Entity>,
         at_version: u64,
         path_key: Option<String>,
-        tree_key: Option<String>,
+        tree_key: String,
     ) {
         let tick = self.next_tick();
         let id = entity.id.clone();
         if let Some(pk) = &path_key {
             self.path_shard(pk).write().insert(pk.clone(), id.clone());
         }
-        if let Some(tk) = &tree_key {
-            self.name_shard(tk).write().insert(tk.clone(), id.clone());
-        }
-        {
+        self.name_shard(&tree_key).write().insert(tree_key.clone(), id.clone());
+        let moved_from = {
             let mut shard = self.entity_shard(&id).write();
             let entry = shard.entry(id).or_insert_with(|| {
                 self.len.fetch_add(1, Ordering::Relaxed);
                 CachedEntry {
                     versions: Vec::new(),
-                    path_key: path_key.clone(),
+                    path_key: None,
                     tree_key: tree_key.clone(),
                     last_access: AtomicU64::new(tick),
                 }
             });
             entry.path_key = path_key;
-            // An install that did not resolve the tree key (by-id lookup)
-            // must not orphan a mapping a previous install recorded.
-            if tree_key.is_some() {
-                entry.tree_key = tree_key;
-            }
             entry.last_access.store(tick, Ordering::Relaxed);
-            push_version(&mut entry.versions, at_version, Some(entity));
+            push_version(&mut entry.versions, at_version, Some(entity.clone()));
+            (entry.tree_key != tree_key).then(|| std::mem::replace(&mut entry.tree_key, tree_key))
+        };
+        // The entity moved (a rename): its old key no longer names it.
+        if let Some(old) = moved_from {
+            unmap(self.name_shard(&old), &old, &entity.id);
         }
         if self.len.load(Ordering::Relaxed) > self.config.max_entries {
             self.evict_lru();
@@ -459,7 +473,7 @@ impl MsCache {
 
     /// [`Self::insert`] with the path-index key derived from the entity's
     /// storage path.
-    fn install(&self, ms: &Uid, entity: Arc<Entity>, at_version: u64, tree_key: Option<String>) {
+    fn install(&self, ms: &Uid, entity: Arc<Entity>, at_version: u64, tree_key: String) {
         let pk = entity.storage_path.as_ref().map(|p| keys::path_key(ms, p));
         self.insert(entity, at_version, pk, tree_key);
     }
@@ -475,16 +489,26 @@ impl MsCache {
             (entry.path_key.clone(), entry.tree_key.clone())
         };
         if let Some(pk) = &keys.0 {
-            self.path_shard(pk).write().remove(pk);
+            unmap(self.path_shard(pk), pk, id);
         }
-        if let Some(tk) = &keys.1 {
-            self.name_shard(tk).write().remove(tk);
-        }
+        unmap(self.name_shard(&keys.1), &keys.1, id);
     }
 
-    /// Drop a name-index mapping (a rename freed the key).
-    fn remove_name_mapping(&self, name_key: &str) {
-        self.name_shard(name_key).write().remove(name_key);
+    /// Drop an entry and its secondary keys. `false` when it was not cached.
+    fn remove_entry(&self, id: &Uid) -> bool {
+        let Some(entry) = self.entity_shard(id).write().remove(id) else { return false };
+        self.len.fetch_sub(1, Ordering::Relaxed);
+        if let Some(pk) = &entry.path_key {
+            unmap(self.path_shard(pk), pk, id);
+        }
+        unmap(self.name_shard(&entry.tree_key), &entry.tree_key, id);
+        true
+    }
+
+    /// Evict whatever entity is cached under a tree key: how a `T_TREE`
+    /// change at that key invalidates. `false` when nothing was.
+    fn evict_at_key(&self, tree_key: &str) -> bool {
+        self.id_by_name(tree_key).is_some_and(|id| self.remove_entry(&id))
     }
 
     /// Batch-evict the least recently used ~10% beyond the cap. Runs under
@@ -492,23 +516,15 @@ impl MsCache {
     fn evict_lru(&self) {
         let cap = self.config.max_entries;
         let excess = self.len.load(Ordering::Relaxed).saturating_sub(cap) + cap / 10;
-        let mut by_age: Vec<(u64, usize, Uid)> = Vec::with_capacity(self.len.load(Ordering::Relaxed));
-        for (i, shard) in self.entity_shards.iter().enumerate() {
+        let mut by_age: Vec<(u64, Uid)> = Vec::with_capacity(self.len.load(Ordering::Relaxed));
+        for shard in self.entity_shards.iter() {
             for (id, e) in shard.read().iter() {
-                by_age.push((e.last_access.load(Ordering::Relaxed), i, id.clone()));
+                by_age.push((e.last_access.load(Ordering::Relaxed), id.clone()));
             }
         }
-        by_age.sort_unstable_by_key(|(age, _, _)| *age);
-        for (_, shard_idx, id) in by_age.into_iter().take(excess) {
-            let removed = self.entity_shards[shard_idx].write().remove(&id);
-            if let Some(entry) = removed {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                if let Some(pk) = &entry.path_key {
-                    self.path_shard(pk).write().remove(pk);
-                }
-                if let Some(tk) = &entry.tree_key {
-                    self.name_shard(tk).write().remove(tk);
-                }
+        by_age.sort_unstable_by_key(|(age, _)| *age);
+        for (_, id) in by_age.into_iter().take(excess) {
+            if self.remove_entry(&id) {
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -534,7 +550,10 @@ impl MsCache {
 
     /// Optimized reconciliation: invalidate exactly the entries touched by
     /// the change records between the cached CSN and the new one;
-    /// invalidation precedes the pin advance.
+    /// invalidation precedes the pin advance. Every change to an entity —
+    /// create, update, move, drop — writes or deletes its `T_TREE` row, and
+    /// a cached entity is always in the name index under that row's key,
+    /// so the `T_TREE` records alone find every stale entry.
     fn reconcile_selective(
         &self,
         ms: &Uid,
@@ -542,38 +561,17 @@ impl MsCache {
         new_csn: u64,
         changes: &[ChangeRecord],
     ) {
-        let ent_prefix = format!("{ms}/");
         let path_prefix = keys::path_ms_prefix(ms);
         let tree_prefix = keys::tree_ms_prefix(ms);
         for change in changes {
             match change.table.as_str() {
-                T_ENTITY => {
-                    if let Some(id) = change.key.strip_prefix(&ent_prefix) {
-                        let id = Uid::from(id);
-                        let removed = self.entity_shard(&id).write().remove(&id);
-                        if let Some(entry) = removed {
-                            self.len.fetch_sub(1, Ordering::Relaxed);
-                            if let Some(pk) = &entry.path_key {
-                                self.path_shard(pk).write().remove(pk);
-                            }
-                            if let Some(tk) = &entry.tree_key {
-                                self.name_shard(tk).write().remove(tk);
-                            }
-                            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                T_TREE if change.key.starts_with(&tree_prefix) => {
+                    let evicted = self.evict_at_key(&change.key);
+                    self.stats.invalidations.fetch_add(u64::from(evicted), Ordering::Relaxed);
                 }
-                // A touched tree row invalidates its name mapping.
-                T_TREE
-                    if change.key.starts_with(&tree_prefix) => {
-                        self.name_shard(&change.key).write().remove(&change.key);
-                    }
-                T_PATH
-                    if change.key.starts_with(&path_prefix) => {
-                        self.path_shard(&change.key).write().remove(&change.key);
-                    }
-                // Grants, tags, FGAC, etc. are not cached here; the
-                // service reads them from the database at the pinned CSN.
+                T_PATH if change.key.starts_with(&path_prefix) => {
+                    self.path_shard(&change.key).write().remove(&change.key);
+                }
                 _ => {}
             }
         }
@@ -697,7 +695,18 @@ impl MsCache {
             std::cmp::Ordering::Equal => {}
         }
         for (entity, tree_key) in installs {
-            self.install(ms, entity, db_ver, tree_key);
+            // An entry still cached live *under this key* is this same
+            // row — a reconcile evicts what changed at a key — so the
+            // containers every request reads are touched, not rewritten
+            // under their shard locks. Anything else is (re)installed,
+            // which also restores a name mapping. Compared in place:
+            // `id_by_name` clones the id, and that allocation on every
+            // container of every miss cost `write_mix` 10 % of its ops/s.
+            let mapped = self.name_shard(&tree_key).read().get(&tree_key) == Some(&entity.id);
+            let current = mapped && matches!(self.get_at(&entity.id, db_ver), Some(Some(_)));
+            if !current {
+                self.install(ms, entity, db_ver, tree_key);
+            }
         }
         history_read_event(db_ver);
         Ok(Some(value))
@@ -722,17 +731,17 @@ impl MsCache {
         if pinned != prev_version {
             self.reconcile(ms, db, prev_version + 1, csn);
         }
-        for nk in &fx.dropped_names {
-            self.remove_name_mapping(nk);
-        }
         // Install effects first, advance the pin last: concurrent readers
         // at the old pin can't see the new versions, and readers after
         // the advance see all of them.
         for (ent, tk) in &fx.upserts {
-            self.install(ms, ent.clone(), prev_version + 1, Some(tk.clone()));
+            self.install(ms, ent.clone(), prev_version + 1, tk.clone());
         }
         for id in &fx.tombstones {
             self.insert_tombstone(id, prev_version + 1);
+        }
+        for key in &fx.moved_from {
+            self.evict_at_key(key);
         }
         self.set_pin(prev_version + 1, csn);
     }
@@ -837,8 +846,14 @@ mod tests {
         (MsCache::new(&config, stats.clone()), stats)
     }
 
+    /// The tree key the tests file entity `id` under (its name may change
+    /// from version to version; its key does not).
+    fn nk(id: &str) -> String {
+        keys::tree_key(&Uid::from("ms"), &[("relation", id)])
+    }
+
     fn insert(cache: &MsCache, id: &str, name: &str, ver: u64) {
-        cache.insert(entity(id, name), ver, None, Some(format!("nk/{name}")));
+        cache.insert(entity(id, name), ver, None, nk(id));
     }
 
     #[test]
@@ -860,12 +875,12 @@ mod tests {
     fn tombstone_hides_entity_and_unlinks_names() {
         let (c, _) = cache_with(1000);
         insert(&c, "e1", "t", 1);
-        assert!(c.id_by_name("nk/t").is_some());
+        assert!(c.id_by_name(&nk("e1")).is_some());
         c.insert_tombstone(&Uid::from("e1"), 2);
         assert_eq!(c.get_at(&Uid::from("e1"), 2), Some(None));
         // old version still readable for in-flight requests
         assert!(c.get_at(&Uid::from("e1"), 1).unwrap().is_some());
-        assert!(c.id_by_name("nk/t").is_none());
+        assert!(c.id_by_name(&nk("e1")).is_none());
     }
 
     #[test]
@@ -911,16 +926,42 @@ mod tests {
         insert(&c, "e2", "b", 1);
         let changes = vec![ChangeRecord {
             csn: 2,
-            table: T_ENTITY.to_string(),
-            key: "ms/e1".to_string(),
+            table: T_TREE.to_string(),
+            key: nk("e1"),
             kind: uc_txdb::ChangeKind::Put,
             value: None,
         }];
         c.reconcile_selective(&ms, 2, 2, &changes);
         assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "touched entry dropped");
         assert!(c.get_at(&Uid::from("e2"), 1).is_some(), "untouched entry kept");
-        assert!(c.id_by_name("nk/a").is_none());
-        assert!(c.id_by_name("nk/b").is_some());
+        assert!(c.id_by_name(&nk("e1")).is_none());
+        assert!(c.id_by_name(&nk("e2")).is_some());
+        assert_eq!(stats.invalidations.get(), 1);
+    }
+
+    #[test]
+    fn evicting_a_dropped_entry_keeps_the_name_for_its_successor() {
+        // e1 is dropped at K and the name re-created as e2. e1's tombstoned
+        // entry still remembers K; evicting it must not take K → e2 along,
+        // or a remote change to e2 (a `T_TREE` record at K) finds nothing
+        // and e2 is served stale by id.
+        let (ms, k) = (Uid::from("ms"), nk("t"));
+        let (c, stats) = cache_with(1000);
+        c.insert(entity("e1", "t"), 1, Some("pk/p".into()), k.clone());
+        c.insert_tombstone(&Uid::from("e1"), 2);
+        c.insert(entity("e2", "t"), 3, Some("pk/p".into()), k.clone());
+        assert!(c.remove_entry(&Uid::from("e1")));
+        assert_eq!(c.id_by_name(&k), Some(Uid::from("e2")));
+        assert_eq!(c.id_by_path("pk/p"), Some(Uid::from("e2")));
+        let changes = vec![ChangeRecord {
+            csn: 4,
+            table: T_TREE.to_string(),
+            key: k.clone(),
+            kind: uc_txdb::ChangeKind::Put,
+            value: None,
+        }];
+        c.reconcile_selective(&ms, 4, 4, &changes);
+        assert!(c.get_at(&Uid::from("e2"), 4).is_none(), "the change at K evicts e2");
         assert_eq!(stats.invalidations.get(), 1);
     }
 
@@ -931,8 +972,8 @@ mod tests {
         insert(&c, "e1", "a", 1);
         let changes = vec![ChangeRecord {
             csn: 2,
-            table: T_ENTITY.to_string(),
-            key: "other/e1".to_string(),
+            table: T_TREE.to_string(),
+            key: keys::tree_key(&Uid::from("other"), &[("relation", "e1")]),
             kind: uc_txdb::ChangeKind::Put,
             value: None,
         }];
@@ -948,7 +989,7 @@ mod tests {
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
                 Some(format!("pk/p{i}")),
-                Some(format!("nk/n{i}")),
+                format!("nk/n{i}"),
             );
         }
         assert!(c.entry_count() <= 11, "cap 10 plus slack, got {}", c.entry_count());
@@ -975,7 +1016,7 @@ mod tests {
                 entity(&format!("e{i}"), &format!("n{i}")),
                 1,
                 Some(format!("pk/p{i}")),
-                Some(format!("nk/n{i}")),
+                format!("nk/n{i}"),
             );
         }
         // Touch a subset spread across shards (4 shards; ids hash apart),
@@ -1030,7 +1071,7 @@ mod tests {
                         entity(&format!("w{v}"), &format!("wn{v}")),
                         v,
                         Some(format!("pk/wp{v}")),
-                        Some(format!("nk/wn{v}")),
+                        format!("nk/wn{v}"),
                     );
                     c.set_pin(v, v);
                 }
@@ -1115,7 +1156,7 @@ mod tests {
     fn commit(db: &Db, version: u64, ents: &[&Arc<Entity>]) -> u64 {
         let mut tx = db.begin_write();
         for e in ents {
-            tx.put(T_ENTITY, &keys::ent_key(&e.metastore, &e.id), e.encode());
+            tx.put(T_TREE, &nk(e.id.as_str()), e.encode());
         }
         tx.put(T_MSVER, "ms", bytes::Bytes::from(version.to_string()));
         tx.commit().unwrap()
@@ -1138,11 +1179,12 @@ mod tests {
             |rt| {
                 loads.set(loads.get() + 1);
                 in_load(loads.get());
-                let found = match rt.get(T_ENTITY, &keys::ent_key(&ms, &id)) {
+                let key = nk(id.as_str());
+                let found = match rt.get(T_TREE, &key) {
                     Some(raw) => Some(Arc::new(Entity::decode(&raw)?)),
                     None => None,
                 };
-                Ok((found.clone(), found.into_iter().map(|e| (e, None)).collect()))
+                Ok((found.clone(), found.into_iter().map(|e| (e, key.clone())).collect()))
             },
         )
         .unwrap()
@@ -1187,6 +1229,38 @@ mod tests {
     }
 
     #[test]
+    fn read_installs_only_what_the_cache_no_longer_holds() {
+        let (db, c, _, loads) = caught_up();
+        read_id(&c, &db, "e1", &loads, |_| {}).unwrap();
+        // Another node adds e2 at version 2; a chain-shaped load then
+        // returns e2 together with the e1 above it.
+        let e2 = entity("e2", "b");
+        commit(&db, 2, &[&e2]);
+        let (ms, e1_id) = (Uid::from("ms"), Uid::from("e1"));
+        let load = |rt: &ReadTxn| {
+            let e1 = Arc::new(Entity::decode(&rt.get(T_TREE, &nk("e1")).unwrap())?);
+            Ok((e2.name.clone(), vec![(e1, nk("e1")), (e2.clone(), nk("e2"))]))
+        };
+        let got = c.read_through(&ms, &db, |_, _| None, load).unwrap();
+        assert_eq!((got.as_str(), c.version()), ("b", 2));
+        assert!(c.get_at(&e2.id, 2).is_some(), "the new row is installed");
+        assert!(c.get_at(&e1_id, 2).is_some(), "the unchanged one still serves the new pin");
+        assert_eq!(c.version_window_len(&e1_id), 1, "and was touched, not rewritten at version 2");
+    }
+
+    #[test]
+    fn read_reinstalls_an_entry_that_is_not_mapped_under_the_loaded_key() {
+        let (db, c, _, loads) = caught_up();
+        read_id(&c, &db, "e1", &loads, |_| {}).unwrap();
+        // The entry is live but its key names nothing (or someone else):
+        // a by-name miss must put the mapping back, not skip the install.
+        c.name_shard(&nk("e1")).write().remove(&nk("e1"));
+        let (ms, e1) = (Uid::from("ms"), entity("e1", "a"));
+        c.read_through(&ms, &db, |_, _| None, |_| Ok(((), vec![(e1.clone(), nk("e1"))]))).unwrap();
+        assert_eq!(c.id_by_name(&nk("e1")), Some(e1.id.clone()));
+    }
+
+    #[test]
     fn read_whose_snapshot_is_older_than_the_pin_retries() {
         let (db, c, stats, loads) = caught_up();
         let ms = Uid::from("ms");
@@ -1197,7 +1271,7 @@ mod tests {
                 let e2 = entity("e2", "b");
                 let csn = commit(&db, 2, &[&e2]);
                 let mut fx = WriteEffects::default();
-                fx.upserts.push((e2, "nk/b".to_string()));
+                fx.upserts.push((e2, nk("e2")));
                 c.apply_write(&ms, &db, 1, csn, &fx);
             } else {
                 assert!(c.get_at(&Uid::from("e1"), c.version()).is_none(), "a stale round installs nothing");
@@ -1232,7 +1306,7 @@ mod tests {
             |_, _| -> Option<(u32, u64)> { panic!("a disabled cache must not probe") },
             |_| {
                 loads.set(loads.get() + 1);
-                Ok((7, vec![(e1.clone(), None)]))
+                Ok((7, vec![(e1.clone(), nk("e1"))]))
             },
         );
         assert_eq!((got.unwrap(), loads.get()), (7, 1));
@@ -1255,11 +1329,11 @@ mod tests {
         c.catch_up(&ms, &db);
         assert_eq!(c.pin(), (3, csn_b));
         let mut fx = WriteEffects::default();
-        fx.upserts.push((e2, "nk/b".to_string()));
+        fx.upserts.push((e2, nk("e2")));
         c.apply_write(&ms, &db, 1, csn_a, &fx);
         assert_eq!(c.pin(), (3, csn_b), "a slow writer never regresses the pin");
         assert_eq!(c.entry_count(), 0);
-        assert!(c.id_by_name("nk/b").is_none());
+        assert!(c.id_by_name(&nk("e2")).is_none());
     }
 
     #[test]

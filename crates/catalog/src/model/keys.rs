@@ -4,42 +4,39 @@
 //! naturally metastore-scoped, and (b) the cache can filter the database
 //! change log down to one metastore by key prefix during reconciliation.
 //!
-//! An entity lives in two tables: `T_ENTITY` by id (the only home of
-//! soft-deleted rows) and `T_TREE` by name. `T_TREE` is the *only* name
-//! index: an active entity's tree key is its `{group}:{name}` ancestor
-//! chain under the metastore, so a name is free exactly when no row sits
-//! at its tree key — creates are insert-if-absent on that key.
+//! An entity has one row. While it is active the row sits in `T_TREE` at
+//! its tree key — the `{group}:{name}` ancestor chain under the metastore,
+//! so a name is free exactly when no row sits at its tree key and a create
+//! is insert-if-absent on that key — and `T_ENTITY` holds a pointer from
+//! its id to that key. A soft delete moves the row to `T_TRASH` and removes
+//! the pointer, so a pointer's presence *is* liveness, every by-id read is
+//! a pointer read in front of the by-key read, and the garbage collector's
+//! victims are one range of `T_TRASH`.
 
 use crate::ids::Uid;
 use crate::model::treekey;
 
-/// Entities by id: `{ms}/{id}` → Entity JSON.
+/// Id pointers: `{ms}/{id}` → the entity's `T_TREE` key. Exactly one row
+/// per *active* entity, written only where an entity is created, moved
+/// (renamed, or under a renamed schema) or dropped.
 pub const T_ENTITY: &str = "ent";
+/// Soft-deleted entities awaiting garbage collection, keyed like the
+/// pointer they lost (`ent_key`): `{ms}/{id}` → Entity JSON.
+pub const T_TRASH: &str = "trash";
 /// Path index: tree-encoded `enc(ms).enc(path segments)` → entity id.
 /// Order-preserving, so overlap checks and nearest-covering-ancestor
 /// resolution are one range scan + one predecessor seek (see
 /// `model::paths` and DESIGN.md §11).
 pub const T_PATH: &str = "path";
-/// Tree-encoded hierarchy index: `enc(ms).enc(group:name)...` → the
-/// entity's JSON, byte-identical to its `T_ENTITY` row. All descendants
-/// of a node occupy one contiguous key range; the ancestor chain of a
-/// node is exactly the terminator-prefix chain of its key (one
-/// `scan_chain`). Maintained by `WriteEffects`; only *active* entities
-/// have tree rows (soft delete removes the row, freeing the name). The
+/// Active entities, tree-encoded: `enc(ms).enc(group:name)...` → Entity
+/// JSON, the entity's only copy. All descendants of a node occupy one
+/// contiguous key range; the ancestor chain of a node is exactly the
+/// terminator-prefix chain of its key (one `scan_chain`). Written through
+/// `WriteEffects`; a soft delete removes the row, freeing the name. The
 /// metastore entity itself sits at the bare metastore prefix.
 pub const T_TREE: &str = "tree";
 /// Metastore version: `{ms}` → decimal version.
 pub const T_MSVER: &str = "msver";
-/// Grants: `{ms}/{securable}/{principal}|{privilege}` → "1".
-pub const T_GRANT: &str = "grant";
-/// Entity tags: `{ms}/{entity}/{key}` → value.
-pub const T_TAG: &str = "tag";
-/// Column tags: `{ms}/{table}/{column}/{key}` → value.
-pub const T_COLTAG: &str = "coltag";
-/// FGAC policies: `{ms}/{table}/filter` and `{ms}/{table}/mask/{column}`.
-pub const T_FGAC: &str = "fgac";
-/// ABAC policies: `{ms}/{scope}/{policy name}` → policy JSON.
-pub const T_ABAC: &str = "abac";
 /// Principals: `{name}` → principal record JSON (account-level).
 pub const T_PRINCIPAL: &str = "prin";
 /// Lineage edges: `{ms}/d/{downstream}/{upstream}` and `{ms}/u/{upstream}/{downstream}`.
@@ -53,7 +50,8 @@ pub fn ent_key(ms: &Uid, id: &Uid) -> String {
     format!("{ms}/{id}")
 }
 
-/// Prefix of every entity row in a metastore.
+/// Prefix of every `T_ENTITY` pointer — and every `T_TRASH` row — of a
+/// metastore.
 pub fn ent_ms_prefix(ms: &Uid) -> String {
     format!("{ms}/")
 }
@@ -158,50 +156,6 @@ pub fn path_of_path_key(key: &str) -> Option<String> {
         return None;
     }
     Some(segs[1..].join("/"))
-}
-
-pub fn grant_key(ms: &Uid, securable: &Uid, principal: &str, privilege: &str) -> String {
-    format!("{ms}/{securable}/{principal}|{privilege}")
-}
-
-pub fn grants_prefix(ms: &Uid, securable: &Uid) -> String {
-    format!("{ms}/{securable}/")
-}
-
-pub fn tag_key(ms: &Uid, entity: &Uid, key: &str) -> String {
-    format!("{ms}/{entity}/{key}")
-}
-
-pub fn tags_prefix(ms: &Uid, entity: &Uid) -> String {
-    format!("{ms}/{entity}/")
-}
-
-pub fn coltag_key(ms: &Uid, table: &Uid, column: &str, key: &str) -> String {
-    format!("{ms}/{table}/{column}/{key}")
-}
-
-pub fn coltags_prefix(ms: &Uid, table: &Uid) -> String {
-    format!("{ms}/{table}/")
-}
-
-pub fn fgac_filter_key(ms: &Uid, table: &Uid) -> String {
-    format!("{ms}/{table}/filter")
-}
-
-pub fn fgac_mask_key(ms: &Uid, table: &Uid, column: &str) -> String {
-    format!("{ms}/{table}/mask/{column}")
-}
-
-pub fn fgac_mask_prefix(ms: &Uid, table: &Uid) -> String {
-    format!("{ms}/{table}/mask/")
-}
-
-pub fn abac_key(ms: &Uid, scope: &Uid, name: &str) -> String {
-    format!("{ms}/{scope}/{name}")
-}
-
-pub fn abac_prefix(ms: &Uid, scope: &Uid) -> String {
-    format!("{ms}/{scope}/")
 }
 
 pub fn lineage_down_key(ms: &Uid, downstream: &Uid, upstream: &Uid) -> String {

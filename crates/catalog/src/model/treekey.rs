@@ -130,7 +130,7 @@ pub fn depth(key: &str) -> usize {
 /// Iterate the encoded ancestor chain of `key`: every prefix of `key`
 /// that ends at a segment terminator, shortest first, including `key`
 /// itself when it is a complete encoded path.
-pub fn chain_prefixes(key: &str) -> impl Iterator<Item = &str> {
+pub fn chain_prefixes(key: &str) -> impl DoubleEndedIterator<Item = &str> {
     key.bytes()
         .enumerate()
         .filter(|(_, b)| *b == TERM as u8)

@@ -118,7 +118,6 @@ ops! {
     READ_TABLE_COMMIT = "read_table_commit" => [READ_TABLE_COMMIT];
     RENAME_SECURABLE = "rename_securable" => ["renameSecurable"];
     RENEW_READ_CREDENTIAL = "renew_read_credential" => ["renewTemporaryCredentials"];
-    RESOLVE_BATCH = "resolve_batch" => ["resolveBatch"];
     RESOLVE_FOR_QUERY = "resolve_for_query" => ["resolveForQuery"];
     RESOLVE_MODEL_VERSION = "resolve_model_version" => ["resolveModelVersion"];
     REVOKE = "revoke" => ["revoke"];

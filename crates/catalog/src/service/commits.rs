@@ -46,10 +46,9 @@ impl UnityCatalog {
         table_id: &Uid,
         privilege: Privilege,
     ) -> UcResult<Arc<Entity>> {
-        let entity = self
-            .entity_by_id(ms, table_id)?
+        let full = self
+            .chain_by_id(ms, table_id)?
             .ok_or_else(|| UcError::NotFound(table_id.to_string()))?;
-        let full = self.chain_from_entity(ms, entity)?;
         api.audit.gate(&full, Need::Data(privilege), "")?;
         Ok(full[0].clone())
     }
@@ -88,7 +87,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
             for c in &commits {
-                let mut ent = live_entity(tx, ms, &c.table_id, &c.table_id)?;
+                let (mut ent, tk) = live_entity(tx, ms, &c.table_id, &c.table_id)?;
                 let latest = ent.commit_version();
                 if c.version != latest + 1 {
                     return Err(UcError::CommitConflict { expected: c.version, actual: latest });
@@ -97,7 +96,7 @@ impl UnityCatalog {
                 ent.properties
                     .insert(props::COMMIT_VERSION.to_string(), c.version.to_string());
                 ent.updated_at_ms = now;
-                fx.upsert(tx, ent, ChangeOp::Commit)?;
+                fx.upsert_at(tx, ent, ChangeOp::Commit, tk);
             }
             Ok(())
         })?;

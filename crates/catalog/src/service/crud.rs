@@ -13,11 +13,12 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
-use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TREE};
+use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TRASH, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::paths;
+use crate::model::treekey;
 use crate::ops::{self, Op};
-use crate::service::{live_entity, tree_children, ApiGuard, Context, UnityCatalog};
+use crate::service::{live_entity, live_key, tree_children, ApiGuard, Context, UnityCatalog};
 use crate::types::{
     validate_object_name, FullName, LifecycleState, SecurableKind, TableFormat, TableType,
 };
@@ -88,7 +89,7 @@ impl UnityCatalog {
         // the name, never the random uid.
         self.register_tenant_alias(&ms, name);
         self.write_ms(&ms, |tx, _ver, fx| {
-            fx.upsert(tx, ent.clone(), ChangeOp::Create)?;
+            fx.create_at(tx, ent.clone(), keys::tree_ms_prefix(&ms));
             Ok(())
         })?;
         api.audit.allow(&ms, name);
@@ -98,8 +99,7 @@ impl UnityCatalog {
     /// Fetch the metastore entity.
     pub fn get_metastore(&self, ms: &Uid) -> UcResult<Arc<Entity>> {
         let _api = self.api_enter(Op::GET_METASTORE, None, Some(ms));
-        self.entity_by_id(ms, ms)?
-            .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))
+        Ok(self.metastore_chain(ms)?.swap_remove(0))
     }
 
     /// Set the managed-storage root for a metastore (admin only).
@@ -174,12 +174,11 @@ impl UnityCatalog {
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
         api.audit.gate(&top, need, name)?;
         // The credential must exist and cover the bucket.
+        let cred_key = keys::tree_key(ms, &[(SecurableKind::StorageCredential.name_group(), credential_name)]);
         let cred = self
-            .entity_by_name_key(
-                ms,
-                &keys::tree_key(ms, &[(SecurableKind::StorageCredential.name_group(), credential_name)]),
-            )?
-            .ok_or_else(|| UcError::NotFound(format!("storage credential {credential_name}")))?;
+            .chain_at_key(ms, &cred_key)?
+            .ok_or_else(|| UcError::NotFound(format!("storage credential {credential_name}")))?
+            .swap_remove(0);
         if cred.properties.get(props::BUCKET).map(|b| b.as_str()) != Some(parsed.bucket()) {
             return Err(UcError::InvalidArgument(format!(
                 "credential {credential_name} does not cover bucket {}",
@@ -328,7 +327,9 @@ impl UnityCatalog {
                 continue;
             };
             if loc_path.is_prefix_of(path) {
-                let chain = self.chain_from_entity(ms, loc)?;
+                // Its chain through the cache: dropped since the scan, it
+                // covers nothing.
+                let Some(chain) = self.chain_by_id(ms, &loc.id)? else { break };
                 let need = Need::AdminOrAny(&[Privilege::CreateTable, Privilege::WriteVolume]);
                 return audit.gate_with(who, &chain, need, path);
             }
@@ -396,13 +397,12 @@ impl UnityCatalog {
     ) -> UcResult<usize> {
         let api = self.api_enter(Op::BULK_CREATE_TABLES, Some(&ctx.principal), Some(ms));
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, catalog)?;
-        let chain = self.lookup_chain(ms, &FullName::of(&[catalog]), "catalog")?;
-        let cat = chain[0].clone();
+        let cat = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?.swap_remove(0);
         let chunk = chunk.max(1);
         let now = self.now_ms();
         let mut created = 0usize;
-        // Container tree keys derive from names alone — identical to what
-        // `tree_key_of` would compute, with no per-row ancestor reads.
+        // Container tree keys derive from names alone (catalogs do not
+        // move), with no per-row reads.
         let mut cat_key = keys::tree_ms_prefix(ms);
         keys::tree_push_child(&mut cat_key, SecurableKind::Catalog.name_group(), catalog);
         for spec in specs {
@@ -419,7 +419,7 @@ impl UnityCatalog {
                 let batch = &spec.tables[start..end];
                 created += self.write_ms(ms, |tx, _ver, fx| {
                     // Drops race bulk imports like any other create.
-                    live_entity(tx, ms, &cat.id, catalog)?;
+                    live_key(tx, ms, &cat.id, catalog)?;
                     let mut n = 0usize;
                     let schema_id = match tx.get(T_TREE, &schema_key) {
                         Some(raw) => Entity::decode(&raw)?.id,
@@ -432,7 +432,7 @@ impl UnityCatalog {
                                 &ctx.principal,
                                 now,
                             );
-                            let arc = fx.upsert_at(tx, ent, ChangeOp::Create, schema_key.clone());
+                            let arc = fx.create_at(tx, ent, schema_key.clone());
                             n += 1;
                             arc.id.clone()
                         }
@@ -463,7 +463,7 @@ impl UnityCatalog {
                         );
                         Self::fill_table(&mut ent, columns, TableType::Managed, TableFormat::Delta);
                         (manifest(ent.kind).validate)(&ent)?;
-                        fx.upsert_at(tx, ent, ChangeOp::Create, tk);
+                        fx.create_at(tx, ent, tk);
                         n += 1;
                     }
                     Ok(n)
@@ -638,7 +638,7 @@ impl UnityCatalog {
         let result = self.write_ms(ms, |tx, _ver, fx| {
             // Re-read the model inside the transaction for a race-free
             // version counter.
-            let mut model_now = live_entity(tx, ms, &model.id, model_name)?;
+            let (mut model_now, model_key) = live_entity(tx, ms, &model.id, model_name)?;
             let version: u64 = model_now
                 .properties
                 .get("next_version")
@@ -663,9 +663,10 @@ impl UnityCatalog {
                 ver_ent.storage_path = Some(format!("{base}/v{version}"));
             }
             (manifest(ver_ent.kind).validate)(&ver_ent)?;
-            fx.upsert(tx, model_now, ChangeOp::Update)?;
-            let arc = fx.upsert(tx, ver_ent, ChangeOp::Create)?;
-            Ok((arc, version))
+            let mut ver_key = model_key.clone();
+            keys::tree_push_child(&mut ver_key, ver_ent.kind.name_group(), &ver_ent.name);
+            fx.upsert_at(tx, model_now, ChangeOp::Update, model_key);
+            Ok((fx.create_at(tx, ver_ent, ver_key), version))
         })?;
         api.audit.allow(&result.0.id, model_name);
         Ok(result)
@@ -738,7 +739,9 @@ impl UnityCatalog {
                 full.push(ent);
                 full.extend_from_slice(parent);
             } else {
-                full = self.chain_from_entity(ms, ent)?;
+                // Dropped as well since the scan: not listed.
+                let Some(chain) = self.chain_by_id(ms, &ent.id)? else { continue };
+                full = chain;
             }
             if decide(&full, who, Need::See) {
                 out.push(full[0].clone());
@@ -778,15 +781,15 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
-            // A soft-deleted row must never be updated: its name may have
-            // been re-assigned to a successor entity, and re-upserting
-            // would resurrect the tombstoned tree-index entry (a caller
-            // can reach this via a stale cached name mapping).
-            let mut ent = live_entity(tx, ms, id, id)?;
+            // A dropped entity must never be updated: its name may have
+            // been re-assigned to a successor entity, whose row a
+            // re-upsert would overwrite (a caller can reach this via a
+            // stale cached name mapping).
+            let (mut ent, tk) = live_entity(tx, ms, id, id)?;
             f(&mut ent)?;
             ent.updated_at_ms = now;
             (manifest(ent.kind).validate)(&ent)?;
-            fx.upsert(tx, ent, ChangeOp::Update)
+            Ok(fx.upsert_at(tx, ent, ChangeOp::Update, tk))
         })
     }
 
@@ -844,7 +847,7 @@ impl UnityCatalog {
 
     /// Rename a securable in place (admin authority). IDs are stable, so
     /// grants, lineage, shares, and view dependencies survive the rename;
-    /// only the tree index moves.
+    /// only tree keys — and the id pointers to them — move.
     pub fn rename_securable(
         &self,
         ctx: &Context,
@@ -868,27 +871,33 @@ impl UnityCatalog {
         api.audit.gate(&full, Need::Admin, new_name)?;
         let now = self.now_ms();
         let renamed = self.write_ms(ms, |tx, _ver, fx| {
-            let mut ent = live_entity(tx, ms, &target.id, name)?;
-            let old_tree = super::tree_key_of(tx, &ent)?;
+            let (mut ent, old_tree) = live_entity(tx, ms, &target.id, name)?;
             ent.name = new_name.to_string();
             ent.updated_at_ms = now;
-            let new_tree = super::tree_key_of(tx, &ent)?;
+            // Same parent (the next-longest prefix of the key), new last segment.
+            let parent = treekey::chain_prefixes(&old_tree).rev().nth(1).unwrap_or_default();
+            let mut new_tree = parent.to_string();
+            keys::tree_push_child(&mut new_tree, ent.kind.name_group(), new_name);
             if new_tree != old_tree && tx.get(T_TREE, &new_tree).is_some() {
                 return Err(UcError::AlreadyExists(new_name.to_string()));
             }
             // The node's key embeds its name, so its row — and, for a
-            // schema, every descendant row sharing the prefix — moves.
-            // One range scan rewrites them; descendant *values* are
-            // untouched (they embed parent ids, not names).
+            // schema, every descendant row sharing the prefix — moves, and
+            // each moved row's id pointer with it. One range scan rewrites
+            // them; descendant *values* are untouched (they embed parent
+            // ids, not names), and the cache drops what it held under the
+            // old keys rather than learning rows nobody read.
             for (k, v) in tx.scan_prefix(T_TREE, &old_tree) {
                 tx.delete(T_TREE, &k);
                 if k != old_tree {
-                    let mut moved = new_tree.clone();
-                    moved.push_str(&k[old_tree.len()..]);
+                    let moved = format!("{new_tree}{}", &k[old_tree.len()..]);
+                    let below = Entity::decode(&v)?;
+                    tx.put(T_ENTITY, &keys::ent_key(ms, &below.id), moved.clone().into());
                     tx.put(T_TREE, &moved, v);
+                    fx.moved_from.push(k);
                 }
-                fx.dropped_names.push(k);
             }
+            tx.put(T_ENTITY, &keys::ent_key(ms, &ent.id), new_tree.clone().into());
             Ok(fx.upsert_at(tx, ent, ChangeOp::Update, new_tree))
         })?;
         api.audit.allow(&renamed.id, format!("{name} -> {new_name}"));
@@ -946,9 +955,10 @@ impl UnityCatalog {
     }
 
     /// Soft-delete `target` and every descendant in **one** range scan of
-    /// the tree index. Per row: drop the tree row (freeing the name — its
-    /// absence is what hides the subtree from listings and resolution),
-    /// unregister the storage path, and tombstone the entity row for GC.
+    /// the tree index. Per row: move it from the tree (freeing the name —
+    /// its absence is what hides the subtree from listings and resolution)
+    /// to the trash, remove its id pointer, and unregister its storage
+    /// path.
     fn soft_delete_subtree(
         tx: &mut uc_txdb::WriteTxn,
         ms: &Uid,
@@ -957,31 +967,28 @@ impl UnityCatalog {
         fx: &mut WriteEffects,
     ) -> UcResult<usize> {
         // Drops are by *identity*: `target` was resolved to an id at read
-        // time, and only that entity (plus descendants) may die. Re-read it
-        // at commit time — if it was dropped concurrently the drop counts
-        // zero, even if another live entity now owns the same name (and
-        // therefore the same tree key).
-        let current = match live_entity(tx, ms, &target.id, &target.name) {
+        // time, and only that entity (plus descendants) may die. Its
+        // pointer is read at commit time — if it was dropped concurrently
+        // the drop counts zero, even if another live entity now owns the
+        // same name (and therefore the same tree key).
+        let root_key = match live_key(tx, ms, &target.id, &target.name) {
             Err(UcError::NotFound(_)) => return Ok(0),
             live => live?,
         };
         let mut count = 0;
-        let root_key = super::tree_key_of(tx, &current)?;
         for (tree_key, raw) in tx.scan_prefix(T_TREE, &root_key) {
             let mut ent = Entity::decode(&raw)?;
-            if ent.state == LifecycleState::SoftDeleted {
-                continue;
-            }
             tx.delete(T_TREE, &tree_key);
-            fx.dropped_names.push(tree_key);
             if let Some(p) = ent.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
                 paths::unregister_path(tx, ms, &p);
             }
             ent.state = LifecycleState::SoftDeleted;
             ent.updated_at_ms = now;
-            tx.put(T_ENTITY, &keys::ent_key(ms, &ent.id), ent.encode());
+            let id_key = keys::ent_key(ms, &ent.id);
+            tx.delete(T_ENTITY, &id_key);
+            tx.put(T_TRASH, &id_key, ent.encode());
             fx.events.push((ent.id.clone(), ent.kind, ent.name.clone(), ChangeOp::Delete));
-            fx.tombstones.push(ent.id.clone());
+            fx.tombstones.push(ent.id);
             count += 1;
         }
         Ok(count)
@@ -989,18 +996,18 @@ impl UnityCatalog {
 
     /// Garbage-collect soft-deleted entities: remove their rows, their
     /// catalog-owned commit history, and (for managed assets) their cloud
-    /// storage. Returns (entities purged, storage objects deleted).
+    /// storage. The victims are exactly the metastore's range of the
+    /// trash. Returns (entities purged, storage objects deleted).
     pub fn purge_soft_deleted(&self, ms: &Uid) -> UcResult<(usize, usize)> {
         let api = self.api_enter(Op::PURGE_SOFT_DELETED, None, Some(ms));
         // Collect victims outside the write to keep the transaction small.
-        let rt = self.db.begin_read();
-        let victims: Vec<Entity> = rt
-            .scan_prefix(T_ENTITY, &keys::ent_ms_prefix(ms))
+        let victims: Vec<Entity> = self
+            .db
+            .begin_read()
+            .scan_prefix(T_TRASH, &keys::ent_ms_prefix(ms))
             .into_iter()
             .filter_map(|(_, raw)| Entity::decode(&raw).ok())
-            .filter(|e| e.state == LifecycleState::SoftDeleted)
             .collect();
-        drop(rt);
         let mut objects_deleted = 0;
         for victim in &victims {
             // Managed storage cleanup happens before metadata removal so a
@@ -1025,8 +1032,8 @@ impl UnityCatalog {
         let purged = self.write_ms(ms, |tx, _ver, _fx| {
             let mut purged = 0;
             for victim in &victims {
-                if tx.get(T_ENTITY, &keys::ent_key(ms, &victim.id)).is_some() {
-                    tx.delete(T_ENTITY, &keys::ent_key(ms, &victim.id));
+                if tx.get(T_TRASH, &keys::ent_key(ms, &victim.id)).is_some() {
+                    tx.delete(T_TRASH, &keys::ent_key(ms, &victim.id));
                     // Drop catalog-owned commit history.
                     for (k, _) in tx.scan_prefix(T_COMMIT, &keys::commit_prefix(ms, &victim.id)) {
                         tx.delete(T_COMMIT, &k);

@@ -14,7 +14,7 @@ use crate::events::{ChangeOp, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::lineage::{LineageDirection, LineageEdge};
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_ENTITY, T_LINEAGE};
+use crate::model::keys::{self, T_LINEAGE, T_TREE};
 use crate::ops::{self, Action, Op};
 use crate::service::{Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
@@ -281,10 +281,8 @@ impl UnityCatalog {
         // Authorization filter: hide entities the caller cannot see.
         let mut visible = BTreeSet::new();
         for id in seen {
-            if let Some(ent) = self.entity_by_id(ms, &id)? {
-                if decide(&self.chain_from_entity(ms, ent)?, &who, Need::See) {
-                    visible.insert(id);
-                }
+            if self.chain_by_id(ms, &id)?.is_some_and(|full| decide(&full, &who, Need::See)) {
+                visible.insert(id);
             }
         }
         Ok(visible)
@@ -332,22 +330,28 @@ impl UnityCatalog {
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
         let mut out = Vec::new();
-        for (_, raw) in rt.scan_prefix(T_ENTITY, &keys::ent_ms_prefix(ms)) {
+        // One scan of the metastore's tree range, at one snapshot. Keys
+        // sort ancestors before descendants, so the rows seen so far whose
+        // keys prefix the current one *are* its chain: `path` holds them,
+        // metastore first.
+        let mut path: Vec<(String, Arc<Entity>)> = Vec::new();
+        for (key, raw) in rt.scan_prefix(T_TREE, &keys::tree_ms_prefix(ms)) {
             if out.len() >= limit {
                 break;
             }
-            let Ok(ent) = Entity::decode(&raw) else { continue };
-            if !ent.is_active() {
-                continue;
+            let ent = Arc::new(Entity::decode(&raw)?);
+            while path.last().is_some_and(|(above, _)| !key.starts_with(above.as_str())) {
+                path.pop();
             }
+            path.push((key, ent.clone()));
             // Pushdown: cheap predicate evaluation before the (costlier)
-            // authorization walk.
+            // authorization decision.
             if !filters.iter().all(|f| f.matches(&ent)) {
                 continue;
             }
-            let full = self.chain_from_entity(ms, Arc::new(ent))?;
+            let full: Vec<Arc<Entity>> = path.iter().rev().map(|(_, e)| e.clone()).collect();
             if decide(&full, &who, Need::See) {
-                out.push(full[0].clone());
+                out.push(ent);
             }
         }
         Ok(out)

@@ -76,12 +76,11 @@ impl UnityCatalog {
         let api = self.api_enter(Op::CREATE_FEDERATED_CATALOG, Some(&ctx.principal), Some(ms));
         let top = self.metastore_chain(ms)?;
         api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateCatalog), name)?;
+        let connection_key = keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]);
         let connection = self
-            .entity_by_name_key(
-                ms,
-                &keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]),
-            )?
-            .ok_or_else(|| UcError::NotFound(format!("connection {connection_name}")))?;
+            .chain_at_key(ms, &connection_key)?
+            .ok_or_else(|| UcError::NotFound(format!("connection {connection_name}")))?
+            .swap_remove(0);
         let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, ent| {
             ent.properties
                 .insert(props::CONNECTION_ID.to_string(), connection.id.to_string());
@@ -107,30 +106,29 @@ impl UnityCatalog {
     ) -> UcResult<Arc<Entity>> {
         let api = self.api_enter(Op::MIRROR_TABLE, Some(&ctx.principal), Some(ms));
         let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
-        let cat = self
-            .entity_by_name_key(ms, &cat_key)?
+        let full = self
+            .chain_at_key(ms, &cat_key)?
             .ok_or_else(|| UcError::NotFound(federated_catalog.to_string()))?;
-        if cat.properties.get("federated").map(|s| s.as_str()) != Some("true") {
+        if full[0].properties.get("federated").map(|s| s.as_str()) != Some("true") {
             return Err(UcError::Federation(format!(
                 "{federated_catalog} is not a federated catalog"
             )));
         }
         // Mirroring requires write authority on the federated catalog.
-        let full = self.chain_from_entity(ms, cat)?;
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::CreateTable]), &meta.name)?;
         let schema_what = format!("{federated_catalog}.{schema_name}");
         let table_what = format!("{schema_what}.{}", meta.name);
-        // Ensure the schema exists.
+        // Ensure the schema exists; its chain is the table's parent chain.
         let mut schema_key = cat_key;
         keys::tree_push_child(&mut schema_key, "schema", schema_name);
-        let schema_ent = match self.entity_by_name_key(ms, &schema_key)? {
-            Some(s) => s,
+        let parent = match self.chain_at_key(ms, &schema_key)? {
+            Some(chain) => chain,
             None => match self.create_entity(ctx, SecurableKind::Schema, &full, schema_name, &schema_what, |_tx, _ent| Ok(())) {
                 // Lost a race to another mirror of the same schema: reuse its row.
                 Err(UcError::AlreadyExists(_)) => self
-                    .entity_by_name_key(ms, &schema_key)?
+                    .chain_at_key(ms, &schema_key)?
                     .ok_or_else(|| UcError::NotFound(schema_what.clone()))?,
-                created => created?,
+                created => std::iter::once(created?).chain(full).collect(),
             },
         };
         // What a mirror pass writes onto the table, new (as the create's
@@ -163,17 +161,13 @@ impl UnityCatalog {
                 Ok(fx.upsert_at(tx, ent, ChangeOp::Update, table_key.clone()))
             })
         };
-        let mirrored = match self.entity_by_name_key(ms, &table_key)? {
+        let mirrored = match self.chain_at_key(ms, &table_key)? {
             Some(_) => update()?,
-            None => {
-                let mut parent = full;
-                parent.insert(0, schema_ent);
-                match self.create_entity(ctx, SecurableKind::Table, &parent, &meta.name, &table_what, refresh) {
-                    // Lost a race to another mirror of the same table: refresh its row.
-                    Err(UcError::AlreadyExists(_)) => update()?,
-                    created => created?,
-                }
-            }
+            None => match self.create_entity(ctx, SecurableKind::Table, &parent, &meta.name, &table_what, refresh) {
+                // Lost a race to another mirror of the same table: refresh its row.
+                Err(UcError::AlreadyExists(_)) => update()?,
+                created => created?,
+            },
         };
         api.audit.allow(&mirrored.id, table_what);
         Ok(mirrored)

@@ -99,13 +99,8 @@ impl UnityCatalog {
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(checks.len());
         for (id, privilege) in checks {
-            let allowed = match self.entity_by_id(ms, id)? {
-                Some(ent) => {
-                    decide(&self.chain_from_entity(ms, ent)?, &who, Need::Holds(*privilege))
-                }
-                None => false,
-            };
-            out.push(allowed);
+            let full = self.chain_by_id(ms, id)?;
+            out.push(full.is_some_and(|full| decide(&full, &who, Need::Holds(*privilege))));
         }
         Ok(out)
     }
@@ -117,11 +112,7 @@ impl UnityCatalog {
         let who = self.authz_context(ms, principal)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            let visible = match self.entity_by_id(ms, id)? {
-                Some(ent) => decide(&self.chain_from_entity(ms, ent)?, &who, Need::See),
-                None => false,
-            };
-            out.push(visible);
+            out.push(self.chain_by_id(ms, id)?.is_some_and(|full| decide(&full, &who, Need::See)));
         }
         Ok(out)
     }
@@ -129,10 +120,7 @@ impl UnityCatalog {
     /// Fetch an entity by id, subject to visibility.
     pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<crate::model::entity::Entity>> {
         let _api = self.api_enter(Op::GET_ENTITY_BY_ID, Some(&ctx.principal), Some(ms));
-        let ent = self
-            .entity_by_id(ms, id)?
-            .ok_or_else(|| UcError::NotFound(id.to_string()))?;
-        let full = self.chain_from_entity(ms, ent)?;
+        let full = self.chain_by_id(ms, id)?.ok_or_else(|| UcError::NotFound(id.to_string()))?;
         let who = self.authz_context_with(&full, &ctx.principal)?;
         if !decide(&full, &who, Need::See) {
             return Err(UcError::NotFound(id.to_string()));

@@ -3,18 +3,19 @@
 //! This module holds the node state and the two protocols everything else
 //! is built on:
 //!
-//! * the **cached reads** — the four lookup shapes (by id, by name, by
-//!   qualified-name chain, by storage path), each a `probe` / `load` pair
-//!   over [`crate::cache`]'s one read routine, which owns the coherence
-//!   protocol (hit at the pinned version; on a miss read the database at
-//!   one snapshot, retry / reconcile / install);
+//! * the **cached read** — an entity is read with its whole chain
+//!   `[leaf, …, metastore]`, found by tree key; a lookup by id or by
+//!   storage path is a pointer read in front of that. Each is one `probe`
+//!   / `load` pair over [`crate::cache`]'s one read routine, which owns
+//!   the coherence protocol (hit at the pinned version; on a miss read the
+//!   database at one snapshot, retry / reconcile / install);
 //! * the **write protocol** — a retry loop running each logical write as
 //!   a serializable database transaction that reads the metastore version
 //!   and commits `version + 1`, then hands the effects to the cache's
 //!   write-through and publishes change events; on top of it the one
 //!   **create** ([`UnityCatalog::create_entity`]: name → live parent →
 //!   vacant key → the kind's fill → manifest validation → upsert) and the
-//!   one in-transaction by-id read ([`live_entity`]).
+//!   one in-transaction by-id read ([`live_key`], then [`live_entity`]).
 //!
 //! The public API surface is split across the sibling modules:
 //! [`crud`], [`grants_api`], [`vending`], [`resolve`], [`commits`],
@@ -45,7 +46,7 @@ use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 use crate::audit::{AuditDecision, AuditLog};
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
-use crate::cache::{CacheConfig, MsCache, NodeCache, WriteEffects};
+use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, WriteEffects};
 use crate::error::{UcError, UcResult};
 use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
 use crate::ids::Uid;
@@ -148,57 +149,44 @@ impl Context {
     }
 }
 
-/// The tree-index key of an entity: its ancestor chain of
-/// `{group}:{name}` segments under the metastore, resolved by walking
-/// parent ids inside the transaction (so the key is computed against the
-/// same snapshot the write validates). The metastore entity itself maps
-/// to the bare metastore prefix.
-pub(crate) fn tree_key_of(tx: &mut WriteTxn, ent: &Entity) -> UcResult<String> {
-    let ms = &ent.metastore;
-    if ent.kind == SecurableKind::Metastore {
-        return Ok(keys::tree_ms_prefix(ms));
-    }
-    let mut segs: Vec<(&'static str, String)> = vec![(ent.kind.name_group(), ent.name.clone())];
-    let mut parent = ent.parent.clone();
-    let mut guard = 0;
-    while let Some(pid) = parent {
-        if &pid == ms {
-            break;
-        }
-        let raw = tx
-            .get(T_ENTITY, &keys::ent_key(ms, &pid))
-            .ok_or_else(|| UcError::Database(format!("dangling parent {pid}")))?;
-        let p = Entity::decode(&raw)?;
-        segs.push((p.kind.name_group(), p.name));
-        parent = p.parent;
-        guard += 1;
-        if guard > 16 {
-            return Err(UcError::Database("parent cycle detected".into()));
-        }
-    }
-    let mut key = keys::tree_ms_prefix(ms);
-    for (group, name) in segs.iter().rev() {
-        keys::tree_push_child(&mut key, group, name);
-    }
-    Ok(key)
+/// The tree key a `T_ENTITY` pointer holds.
+fn pointed_key(pointer: Option<Bytes>) -> Option<String> {
+    String::from_utf8(pointer?.to_vec()).ok()
 }
 
-/// The one in-transaction read of an entity by id: `NotFound(what)` when
-/// the row is absent (purged) or soft-deleted at this write's snapshot.
-/// Callers resolved `id` through the cache, which may lag a drop made on
-/// another node or racing this write's retry; the serializable write is
-/// where that staleness is caught, and the read joins its validated set.
+/// Liveness of an entity inside a write: the tree key its id points at,
+/// or `NotFound(what)` when it has no pointer — it was dropped (or purged)
+/// at this write's snapshot. Callers resolved `id` through the cache,
+/// which may lag a drop made on another node or racing this write's
+/// retry; the serializable write is where that staleness is caught, and
+/// the read joins its validated set. Every drop and every move of the
+/// entity rewrites the pointer and nothing else does, so a write that
+/// needs the entity alive and in place, not its content (a create under
+/// it, a drop of it), reads no more than this.
+pub(crate) fn live_key(
+    tx: &mut WriteTxn,
+    ms: &Uid,
+    id: &Uid,
+    what: impl std::fmt::Display,
+) -> UcResult<String> {
+    pointed_key(tx.get(T_ENTITY, &keys::ent_key(ms, id)))
+        .ok_or_else(|| UcError::NotFound(what.to_string()))
+}
+
+/// The one in-transaction read of an entity by id: [`live_key`], then the
+/// row at that key. Returns the key too — an update puts the row back
+/// where it was read.
 pub(crate) fn live_entity(
     tx: &mut WriteTxn,
     ms: &Uid,
     id: &Uid,
     what: impl std::fmt::Display,
-) -> UcResult<Entity> {
-    tx.get(T_ENTITY, &keys::ent_key(ms, id))
-        .map(|raw| Entity::decode(&raw))
-        .transpose()?
-        .filter(Entity::is_active)
-        .ok_or_else(|| UcError::NotFound(what.to_string()))
+) -> UcResult<(Entity, String)> {
+    let key = live_key(tx, ms, id, what)?;
+    let raw = tx
+        .get(T_TREE, &key)
+        .ok_or_else(|| UcError::Database(format!("pointer of {id} names no tree row")))?;
+    Ok((Entity::decode(&raw)?, key))
 }
 
 /// The direct children of the node at `parent_key`, optionally within one
@@ -225,34 +213,8 @@ pub(crate) fn tree_children(
 }
 
 impl WriteEffects {
-    /// Create, step one — insert-if-absent on the tree key: the key `ent`
-    /// will occupy, or `AlreadyExists(what)` when a row already sits
-    /// there. Only active entities have tree rows, so an occupied key is
-    /// exactly a taken name. [`UnityCatalog::create_entity`] then fills,
-    /// validates and [`WriteEffects::upsert_at`]s the returned key.
-    pub fn vacant_key(
-        tx: &mut WriteTxn,
-        ent: &Entity,
-        what: impl std::fmt::Display,
-    ) -> UcResult<String> {
-        let tk = tree_key_of(tx, ent)?;
-        if tx.get(T_TREE, &tk).is_some() {
-            return Err(UcError::AlreadyExists(what.to_string()));
-        }
-        Ok(tk)
-    }
-
-    /// Persist an entity (row + tree index) and record the effect,
-    /// resolving its tree key by the ancestor walk.
-    pub fn upsert(&mut self, tx: &mut WriteTxn, ent: Entity, op: ChangeOp) -> UcResult<Arc<Entity>> {
-        let tk = tree_key_of(tx, &ent)?;
-        Ok(self.upsert_at(tx, ent, op, tk))
-    }
-
-    /// [`WriteEffects::upsert`] when the caller already holds the
-    /// entity's tree key: from [`WriteEffects::vacant_key`], or — for
-    /// bulk loaders — the container's key extended per row, which skips
-    /// `tree_key_of`'s ancestor point reads.
+    /// Persist an entity's row at its tree key and record the effect: the
+    /// whole of an update that leaves the entity where it is.
     pub fn upsert_at(
         &mut self,
         tx: &mut WriteTxn,
@@ -260,16 +222,20 @@ impl WriteEffects {
         op: ChangeOp,
         tk: String,
     ) -> Arc<Entity> {
-        let encoded = ent.encode();
-        tx.put(T_ENTITY, &keys::ent_key(&ent.metastore, &ent.id), encoded.clone());
-        // Tree row value is byte-identical to the entity row, so one
-        // chain scan resolves a whole ancestor path without point reads.
-        tx.put(T_TREE, &tk, encoded);
+        tx.put(T_TREE, &tk, ent.encode());
         let arc = Arc::new(ent);
         self.events
             .push((arc.id.clone(), arc.kind, arc.name.clone(), op));
         self.upserts.push((arc.clone(), tk));
         arc
+    }
+
+    /// A new entity: its id pointer, then its row. The caller has found
+    /// `tk` vacant — only active entities have tree rows, so an occupied
+    /// key is exactly a taken name.
+    pub fn create_at(&mut self, tx: &mut WriteTxn, ent: Entity, tk: String) -> Arc<Entity> {
+        tx.put(T_ENTITY, &keys::ent_key(&ent.metastore, &ent.id), Bytes::from(tk.clone()));
+        self.upsert_at(tx, ent, ChangeOp::Create, tk)
     }
 }
 
@@ -457,6 +423,70 @@ thread_local! {
 
 /// Entries kept in [`TENANT_MEMO`] per thread.
 const TENANT_MEMO_CAPACITY: usize = 64;
+
+/// A resolved chain `[leaf, …, metastore]`, or `None` for a name, id or
+/// path that names nothing live.
+pub(crate) type Chain = Option<Vec<Arc<Entity>>>;
+
+/// Cache probe of [`UnityCatalog::chain_at_key`]: every level present
+/// under the one version pin, leaf first; one hit per level.
+fn cached_chain(c: &MsCache, ver: u64, leaf_key: &str) -> Option<(Chain, u64)> {
+    let mut chain = Vec::with_capacity(treekey::depth(leaf_key));
+    for key in treekey::chain_prefixes(leaf_key).rev() {
+        match c.get_at(&c.id_by_name(key)?, ver)? {
+            Some(hit) => chain.push(hit),
+            // Cached tombstone at this pin: the name is gone.
+            None => return Some((None, 1)),
+        }
+    }
+    let served = chain.len() as u64;
+    Some((Some(chain), served))
+}
+
+/// Cache probe of [`UnityCatalog::chain_by_id`]: the entity, then each
+/// container it names, all under the one version pin. A level that is not
+/// cached live at the pin is a miss — the database, at one snapshot,
+/// decides what the chain is.
+fn cached_chain_by_id(c: &MsCache, ms: &Uid, ver: u64, id: &Uid) -> Option<(Chain, u64)> {
+    let Some(leaf) = c.get_at(id, ver)? else { return Some((None, 1)) };
+    let mut chain = vec![leaf];
+    while let Some(below) = chain.last().filter(|e| e.kind != SecurableKind::Metastore) {
+        // Catalogs carry no parent id: they sit under the metastore.
+        let above = c.get_at(below.parent.as_ref().unwrap_or(ms), ver)??;
+        chain.push(above);
+    }
+    let served = chain.len() as u64;
+    Some((Some(chain), served))
+}
+
+/// Database load of [`UnityCatalog::chain_at_key`]: the chain scan
+/// returns the metastore row plus the row at every existing level,
+/// shortest key first, and each is installed under its own key.
+fn load_chain(rt: &ReadTxn, ms: &Uid, leaf_key: &str) -> UcResult<(Chain, Installs)> {
+    let rows = rt.scan_chain(T_TREE, leaf_key);
+    if rows.first().is_none_or(|(k, _)| treekey::depth(k) != 1) {
+        return Err(UcError::NotFound(format!("metastore {ms}")));
+    }
+    // One row per existing level, so a short chain means the key names
+    // nothing (a soft delete removes the tree row: presence is liveness).
+    if rows.len() != treekey::depth(leaf_key) {
+        return Ok((None, Vec::new()));
+    }
+    let installs = rows
+        .into_iter()
+        .map(|(key, raw)| Ok((Arc::new(Entity::decode(&raw)?), key)))
+        .collect::<UcResult<Installs>>()?;
+    let chain = installs.iter().rev().map(|(ent, _)| ent.clone()).collect();
+    Ok((Some(chain), installs))
+}
+
+/// [`load_chain`] at the key `id`'s pointer holds, in the same snapshot.
+fn load_chain_by_id(rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<(Chain, Installs)> {
+    match pointed_key(rt.get(T_ENTITY, &keys::ent_key(ms, id))) {
+        Some(key) => load_chain(rt, ms, &key),
+        None => Ok((None, Vec::new())),
+    }
+}
 
 /// The label used when a request carries no metastore or no principal.
 pub(crate) const NO_TENANT: &str = "-";
@@ -713,94 +743,55 @@ impl UnityCatalog {
     // Cached reads: probe / load pairs over `MsCache::read_through`
     // ------------------------------------------------------------------
 
-    fn db_entity_by_id(rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        match rt.get(T_ENTITY, &keys::ent_key(ms, id)) {
-            Some(raw) => {
-                let ent = Entity::decode(&raw)?;
-                // Soft-deleted rows are invisible to the namespace; only
-                // the garbage collector reads them (by direct scan).
-                Ok(ent.is_active().then(|| Arc::new(ent)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Look up an entity by name, given its tree-index key: one tree-index
-    /// read returns the whole entity (only active entities have tree rows).
-    pub(crate) fn entity_by_name_key(
-        &self,
-        ms: &Uid,
-        tree_key: &str,
-    ) -> UcResult<Option<Arc<Entity>>> {
+    /// The chain `[leaf, …, metastore]` of the entity whose row sits at
+    /// `leaf_key`: the one cached read every lookup ends in. The probe
+    /// finds every level in the cache under one version pin; the load is
+    /// one `scan_chain` — the row at each terminator-prefix of the key, at
+    /// one snapshot — so a chain is never assembled level by level and a
+    /// cascade landing mid-request cannot leave it dangling.
+    pub(crate) fn chain_at_key(&self, ms: &Uid, leaf_key: &str) -> UcResult<Chain> {
         self.cache.for_metastore(ms).read_through(
             ms,
             &self.db,
-            |c, ver| Some((c.get_at(&c.id_by_name(tree_key)?, ver)?, 1)),
-            |rt| {
-                let found = match rt.get(T_TREE, tree_key) {
-                    Some(raw) => Some(Arc::new(Entity::decode(&raw)?)),
-                    None => None,
-                };
-                let installs = found.iter().map(|e| (e.clone(), Some(tree_key.to_string()))).collect();
-                Ok((found, installs))
-            },
+            |c, ver| cached_chain(c, ver, leaf_key),
+            |rt| load_chain(rt, ms, leaf_key),
         )
     }
 
-    /// Look up an entity by id.
-    pub(crate) fn entity_by_id(&self, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        self.entity_by_id_via(&self.cache.for_metastore(ms), ms, id)
-    }
-
-    /// [`Self::entity_by_id`] against an already-resolved metastore cache.
-    /// It stays apart because [`Self::extend_chain`] walks up to four
-    /// parents per request and `for_metastore` is a read-lock probe on a
-    /// line every thread shares: resolving the `Arc` once keeps a walk at
-    /// one probe.
-    fn entity_by_id_via(&self, cache: &MsCache, ms: &Uid, id: &Uid) -> UcResult<Option<Arc<Entity>>> {
-        cache.read_through(
+    /// [`Self::chain_at_key`] of an entity addressed by id: a miss reads
+    /// the key its `T_ENTITY` pointer holds, then loads that key's chain,
+    /// in one snapshot. `None` when the id is not live — dropped, purged,
+    /// never there.
+    pub(crate) fn chain_by_id(&self, ms: &Uid, id: &Uid) -> UcResult<Chain> {
+        self.cache.for_metastore(ms).read_through(
             ms,
             &self.db,
-            |c, ver| Some((c.get_at(id, ver)?, 1)),
-            |rt| {
-                let found = Self::db_entity_by_id(rt, ms, id)?;
-                let installs = found.iter().map(|e| (e.clone(), None)).collect();
-                Ok((found, installs))
-            },
+            |c, ver| cached_chain_by_id(c, ms, ver, id),
+            |rt| load_chain_by_id(rt, ms, id),
         )
     }
 
-    /// Resolve a storage path to the asset covering it (§4.3.1 path-based
-    /// access): the cached path index is probed for the path and each of
-    /// its ancestors; a miss resolves it in the database.
-    pub(crate) fn entity_by_path(
-        &self,
-        ms: &Uid,
-        path: &StoragePath,
-    ) -> UcResult<Option<(Arc<Entity>, StoragePath)>> {
+    /// [`Self::chain_by_id`] of the asset covering a storage path (§4.3.1
+    /// path-based access): the cached path index is probed for the path
+    /// and each of its ancestors; a miss resolves it in the database.
+    pub(crate) fn chain_by_path(&self, ms: &Uid, path: &StoragePath) -> UcResult<Chain> {
         self.cache.for_metastore(ms).read_through(
             ms,
             &self.db,
             |c, ver| {
                 let mut candidate = Some(path.clone());
                 while let Some(p) = candidate {
-                    if let Some(id) = c.id_by_path(&keys::path_key(ms, &p.to_string())) {
-                        if let Some(Some(hit)) = c.get_at(&id, ver) {
-                            return Some((Some((hit, p)), 1));
-                        }
+                    let id = c.id_by_path(&keys::path_key(ms, &p.to_string()));
+                    if let Some(hit @ (Some(_), _)) = id.and_then(|id| cached_chain_by_id(c, ms, ver, &id)) {
+                        return Some(hit);
                     }
                     candidate = p.parent();
                 }
                 None
             },
-            |rt| {
-                let Some((id, registered)) = crate::model::paths::resolve_path(rt, ms, path) else {
-                    return Ok((None, Vec::new()));
-                };
-                Ok(match Self::db_entity_by_id(rt, ms, &id)? {
-                    Some(ent) => (Some((ent.clone(), registered)), vec![(ent, None)]),
-                    None => (None, Vec::new()),
-                })
+            |rt| match crate::model::paths::resolve_path(rt, ms, path) {
+                Some((id, _registered)) => load_chain_by_id(rt, ms, &id),
+                None => Ok((None, Vec::new())),
             },
         )
     }
@@ -915,11 +906,12 @@ impl UnityCatalog {
     /// transaction `NotFound` when the parent is not live at this snapshot
     /// — else the create would commit an unreachable tree row, and a path
     /// registration, under a dropped container (not read when the parent is
-    /// the metastore itself); `AlreadyExists` for a taken tree key; whatever
-    /// `fill` refuses while it sets the kind's properties (it may read and
-    /// register through `tx`: placement, the location overlap scan); the
-    /// manifest's `validate`. Authorization, pre-flight and the `Allow`
-    /// audit are the entry function's own.
+    /// the metastore itself); `AlreadyExists` for a taken tree key — the
+    /// parent's key, as its pointer holds it now, plus the leaf's segment;
+    /// whatever `fill` refuses while it sets the kind's properties (it may
+    /// read and register through `tx`: placement, the location overlap
+    /// scan); the manifest's `validate`. Authorization, pre-flight and the
+    /// `Allow` audit are the entry function's own.
     pub(crate) fn create_entity(
         &self,
         ctx: &Context,
@@ -936,14 +928,18 @@ impl UnityCatalog {
         let parent_id = (kind != SecurableKind::Catalog).then(|| container.id.clone());
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
-            if container.kind != SecurableKind::Metastore {
-                live_entity(tx, ms, &container.id, &what)?;
+            let mut tk = match container.kind {
+                SecurableKind::Metastore => keys::tree_ms_prefix(ms),
+                _ => live_key(tx, ms, &container.id, &what)?,
+            };
+            keys::tree_push_child(&mut tk, kind.name_group(), leaf);
+            if tx.get(T_TREE, &tk).is_some() {
+                return Err(UcError::AlreadyExists(what.to_string()));
             }
             let mut ent = Entity::new(kind, leaf, parent_id.clone(), ms.clone(), &ctx.principal, now);
-            let tk = WriteEffects::vacant_key(tx, &ent, &what)?;
             fill(tx, &mut ent)?;
             (manifest(kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Create, tk))
+            Ok(fx.create_at(tx, ent, tk))
         })
     }
 
@@ -951,40 +947,28 @@ impl UnityCatalog {
     // Name resolution and authorization assembly
     // ------------------------------------------------------------------
 
-    /// Resolve a qualified name to the entity chain `[leaf, …, catalog]`.
-    /// `leaf_group` selects the namespace group of the final part. A
-    /// one-part name with a non-catalog group resolves a metastore-level
-    /// securable (share, connection, external location, storage
-    /// credential). Four-part names address model versions
-    /// (`catalog.schema.model.vN`).
-    ///
-    /// The whole chain resolves in **one** range scan: the leaf's tree key
-    /// is computable from the qualified name alone, and
-    /// [`ReadTxn::scan_chain`] returns the row at every ancestor prefix in
-    /// a single traversal. The cached fast path probes the same per-level
-    /// tree keys under one version pin.
-    pub(crate) fn lookup_chain(
+    /// The full chain `[leaf, …, metastore]` of a securable addressed by
+    /// qualified name. `leaf_group` selects the namespace group of the
+    /// final part. A one-part name with a non-catalog group resolves a
+    /// metastore-level securable (share, connection, external location,
+    /// storage credential). Four-part names address model versions
+    /// (`catalog.schema.model.vN`). The leaf's tree key is computable from
+    /// the name alone, without touching the database; the rest is
+    /// [`Self::chain_at_key`].
+    pub(crate) fn chain_by_name(
         &self,
         ms: &Uid,
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let not_found = || UcError::NotFound(name.to_string());
         let malformed = || UcError::InvalidArgument(format!("malformed name {name}"));
-        // Every level's tree key, outermost first, built from the name
-        // alone without touching the database.
-        let mut level_keys: Vec<String> = Vec::with_capacity(name.len());
         let mut key = keys::tree_ms_prefix(ms);
-        let mut push_level = |group: &str, seg_name: &str| {
-            keys::tree_push_child(&mut key, group, seg_name);
-            level_keys.push(key.clone());
-        };
         if name.len() == 1 && leaf_group != "catalog" {
-            push_level(leaf_group, name.catalog());
+            keys::tree_push_child(&mut key, leaf_group, name.catalog());
         } else {
-            push_level("catalog", name.catalog());
+            keys::tree_push_child(&mut key, "catalog", name.catalog());
             if name.len() >= 2 {
-                push_level("schema", name.schema().ok_or_else(malformed)?);
+                keys::tree_push_child(&mut key, "schema", name.schema().ok_or_else(malformed)?);
             }
             if name.len() >= 3 {
                 // For four-part names the third segment is always the
@@ -994,54 +978,13 @@ impl UnityCatalog {
                 } else {
                     leaf_group
                 };
-                push_level(third_group, name.asset().ok_or_else(malformed)?);
+                keys::tree_push_child(&mut key, third_group, name.asset().ok_or_else(malformed)?);
             }
             if name.len() == 4 {
-                push_level(SecurableKind::ModelVersion.name_group(), name.parts[3].as_str());
+                keys::tree_push_child(&mut key, SecurableKind::ModelVersion.name_group(), name.parts[3].as_str());
             }
         }
-        let Some(leaf_key) = level_keys.last() else {
-            return Err(malformed());
-        };
-        let found = self.cache.for_metastore(ms).read_through(
-            ms,
-            &self.db,
-            // Every level present under the one version pin, leaf first.
-            |c, ver| {
-                let mut chain: Vec<Arc<Entity>> = Vec::with_capacity(level_keys.len());
-                for lk in level_keys.iter().rev() {
-                    match c.get_at(&c.id_by_name(lk)?, ver)? {
-                        Some(hit) => chain.push(hit),
-                        // Cached tombstone at this pin: the name is gone.
-                        None => return Some((None, 1)),
-                    }
-                }
-                let served = chain.len() as u64;
-                Some((Some(chain), served))
-            },
-            |rt| {
-                // The chain scan returns the metastore row plus the row at
-                // every existing level, shortest key first.
-                let rows = rt.scan_chain(T_TREE, leaf_key);
-                if rows.first().is_none_or(|(k, _)| *k != keys::tree_ms_prefix(ms)) {
-                    return Err(UcError::NotFound(format!("metastore {ms}")));
-                }
-                // One row per existing level, so a short chain means the
-                // name doesn't resolve (tree rows are removed on soft
-                // delete: presence implies active).
-                if rows.len() != level_keys.len() + 1 {
-                    return Ok((None, Vec::new()));
-                }
-                let mut ents = rows[1..]
-                    .iter()
-                    .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
-                    .collect::<UcResult<Vec<_>>>()?;
-                let installs = ents.iter().cloned().zip(level_keys.iter().cloned().map(Some)).collect();
-                ents.reverse();
-                Ok((Some(ents), installs))
-            },
-        )?;
-        found.ok_or_else(not_found)
+        self.chain_at_key(ms, &key)?.ok_or_else(|| UcError::NotFound(name.to_string()))
     }
 
     /// Force the node to revalidate a metastore's cache against the
@@ -1061,62 +1004,10 @@ impl UnityCatalog {
         self.cache.for_metastore(ms).catch_up(ms, &self.db);
     }
 
-    /// The full chain `[leaf, …, metastore]` of a securable addressed by
-    /// name: the levels [`Self::lookup_chain`] resolved, extended to the
-    /// metastore entity.
-    pub(crate) fn chain_by_name(
-        &self,
-        ms: &Uid,
-        name: &FullName,
-        leaf_group: &str,
-    ) -> UcResult<Vec<Arc<Entity>>> {
-        self.extend_chain(ms, self.lookup_chain(ms, name, leaf_group)?)
-    }
-
-    /// The full chain of a securable addressed by id (or found by path, or
-    /// read from a scan): the parent walk up to the metastore entity.
-    pub(crate) fn chain_from_entity(
-        &self,
-        ms: &Uid,
-        ent: Arc<Entity>,
-    ) -> UcResult<Vec<Arc<Entity>>> {
-        self.extend_chain(ms, vec![ent])
-    }
-
     /// The one-element chain of a metastore-level decision.
     pub(crate) fn metastore_chain(&self, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        self.extend_chain(ms, Vec::new())
-    }
-
-    /// Extend an already-resolved chain (leaf first) up to and including
-    /// the metastore entity, continuing the parent walk from the chain's
-    /// last element. Callers that resolved `[leaf, …, catalog]` via
-    /// [`Self::lookup_chain`] reuse those entities instead of re-walking
-    /// the cache from the leaf.
-    pub(crate) fn extend_chain(
-        &self,
-        ms: &Uid,
-        mut chain: Vec<Arc<Entity>>,
-    ) -> UcResult<Vec<Arc<Entity>>> {
-        let cache = self.cache.for_metastore(ms);
-        let lookup = |id: &Uid| self.entity_by_id_via(&cache, ms, id);
-        let mut guard = 0;
-        while let Some(parent_id) = chain.last().and_then(|e| e.parent.clone()) {
-            let parent = lookup(&parent_id)?
-                .ok_or_else(|| UcError::Database(format!("dangling parent {parent_id}")))?;
-            chain.push(parent);
-            guard += 1;
-            if guard > 16 {
-                return Err(UcError::Database("parent cycle detected".into()));
-            }
-        }
-        // Append the metastore entity if the chain didn't reach it.
-        if chain.last().map(|e| e.kind) != Some(SecurableKind::Metastore) {
-            let ms_ent = lookup(ms)?
-                .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))?;
-            chain.push(ms_ent);
-        }
-        Ok(chain)
+        self.chain_at_key(ms, &keys::tree_ms_prefix(ms))?
+            .ok_or_else(|| UcError::NotFound(format!("metastore {ms}")))
     }
 
     /// The caller's authorization context within a metastore, for the

@@ -10,7 +10,6 @@
 //! which is the batching optimization §4.5 credits for interactive-query
 //! latency.
 
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use uc_cloudstore::{AccessLevel, TempCredential};
@@ -23,7 +22,6 @@ use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys;
 use crate::ops::Op;
 use crate::service::{ApiGuard, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
@@ -48,7 +46,11 @@ pub struct ResolvedSecurable {
 
 impl UnityCatalog {
     /// Resolve all `refs` (tables/views) for a read query in one batched
-    /// call.
+    /// call: per ref, workspace binding → gate (SELECT plus the USE chain)
+    /// → dependency closure, policies and credentials → `Allow` audit. The
+    /// caller's context is built once, from the first chain's metastore
+    /// entity. The serving plane combines concurrent engines' resolve
+    /// traffic into calls of this (see `crates/serve`).
     pub fn resolve_for_query(
         &self,
         ctx: &Context,
@@ -57,106 +59,21 @@ impl UnityCatalog {
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
         let api = self.api_enter(Op::RESOLVE_FOR_QUERY, Some(&ctx.principal), Some(ms));
-        self.resolve_refs(&api, ctx, ms, refs, want_credentials, |name| {
-            self.chain_by_name(ms, name, "relation")
-        })
-    }
-
-    /// The per-ref body both resolve entry points share: workspace binding
-    /// → gate (SELECT plus the USE chain) → dependency closure, policies
-    /// and credentials → `Allow` audit, all through the calling op's
-    /// guard. The entry points differ only in `chain_of`, how each ref's
-    /// full chain is assembled. The caller's context is built once,
-    /// from the first chain's metastore entity.
-    fn resolve_refs(
-        &self,
-        api: &ApiGuard<'_>,
-        ctx: &Context,
-        ms: &Uid,
-        refs: &[FullName],
-        want_credentials: bool,
-        mut chain_of: impl FnMut(&FullName) -> UcResult<Vec<Arc<Entity>>>,
-    ) -> UcResult<Vec<ResolvedSecurable>> {
         let mut who: Option<AuthzContext> = None;
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
-            let full = chain_of(name)?;
+            let full = self.chain_by_name(ms, name, "relation")?;
             self.enforce_workspace_binding(ctx, &full)?;
             let who = match &mut who {
                 Some(who) => who,
                 None => who.insert(self.authz_context_with(&full, &ctx.principal)?),
             };
             api.audit.gate_with(who, &full, Need::Data(Privilege::Select), name)?;
-            let resolved = self.resolve_entity(api, ctx, ms, who, &full, want_credentials, 0)?;
+            let resolved = self.resolve_entity(&api, ctx, ms, who, &full, want_credentials, 0)?;
             api.audit.allow(&resolved.entity.id, name);
             out.push(resolved);
         }
         Ok(out)
-    }
-
-    /// Resolve all `refs` in one batched pass, sharing the work the
-    /// per-ref path repeats: the authorization context is built once, the
-    /// metastore cache `Arc` is resolved once, and every container
-    /// (catalog, schema) plus the chain above it is resolved exactly once
-    /// per batch however many leaves sit under it — N tables in one
-    /// schema walk the shared prefix a single time. This is the paper's
-    /// Fig 1 engine-step batching generalized into a service entry point:
-    /// the serving plane combines concurrent engines' resolve traffic
-    /// into these calls (see `crates/serve`).
-    pub fn resolve_batch(
-        &self,
-        ctx: &Context,
-        ms: &Uid,
-        refs: &[FullName],
-        want_credentials: bool,
-    ) -> UcResult<Vec<ResolvedSecurable>> {
-        let api = self.api_enter(Op::RESOLVE_BATCH, Some(&ctx.principal), Some(ms));
-        // Batch-local memo of container chains, keyed by the container's
-        // qualified prefix: `[schema, catalog, …, metastore]` for
-        // `catalog.schema`, next to the schema's tree key (each leaf's key
-        // is that plus one segment). Bounded by the number of distinct
-        // prefixes in `refs`, which the serving plane caps per batch.
-        let mut prefixes: std::collections::HashMap<String, (Vec<Arc<Entity>>, String)> =
-            std::collections::HashMap::new();
-        self.resolve_refs(&api, ctx, ms, refs, want_credentials, |name| {
-            Ok(match name.schema() {
-                Some(schema_name) if name.len() == 3 => {
-                    let prefix = format!("{}.{schema_name}", name.catalog());
-                    let (upper, schema_key) = match prefixes.entry(prefix) {
-                        Entry::Occupied(memo) => memo.into_mut(),
-                        Entry::Vacant(slot) => {
-                            let container = FullName::of(&[name.catalog(), schema_name]);
-                            let chain = self.chain_by_name(ms, &container, "schema")?;
-                            let schema_key = keys::tree_key(
-                                ms,
-                                &[("catalog", name.catalog()), ("schema", schema_name)],
-                            );
-                            slot.insert((chain, schema_key))
-                        }
-                    };
-                    // Only the leaf remains to resolve for this ref.
-                    let mut leaf_key = schema_key.clone();
-                    keys::tree_push_child(
-                        &mut leaf_key,
-                        "relation",
-                        name.asset().ok_or_else(|| {
-                            UcError::InvalidArgument(format!("malformed name {name}"))
-                        })?,
-                    );
-                    let leaf = self
-                        .entity_by_name_key(ms, &leaf_key)?
-                        .ok_or_else(|| UcError::NotFound(name.to_string()))?;
-                    let mut full = Vec::with_capacity(upper.len() + 1);
-                    full.push(leaf);
-                    full.extend(upper.iter().cloned());
-                    full
-                }
-                // Shorter/longer names (metastore-level securables, model
-                // versions) take the generic walk; they are rare in
-                // engine resolve traffic.
-                _ => self.chain_by_name(ms, name, "relation")?,
-            })
-        })
     }
 
     /// Resolve one entity plus its dependency closure. Dependencies of a
@@ -195,10 +112,9 @@ impl UnityCatalog {
         let schema = entity.table_schema().ok();
         let mut dependencies = Vec::new();
         for dep_id in entity.dependencies() {
-            let dep = self
-                .entity_by_id(ms, &dep_id)?
+            let dep_chain = self
+                .chain_by_id(ms, &dep_id)?
                 .ok_or_else(|| UcError::NotFound(format!("view dependency {dep_id} of {}", entity.name)))?;
-            let dep_chain = self.chain_from_entity(ms, dep)?;
             dependencies.push(self.resolve_entity(api, ctx, ms, who, &dep_chain, want_credentials, depth + 1)?);
         }
         let read_credential = if want_credentials && entity.storage_path.is_some() {

@@ -113,12 +113,12 @@ fn name_param(params: &Json, key: &str) -> Result<FullName, ApiError> {
 
 /// Every route [`RestApi::dispatch`] knows, sorted: the methods that get a
 /// `rest.{method}.count` series of their own.
-const ROUTES: [&str; 18] = [
+const ROUTES: [&str; 17] = [
     "catalogs.create", "catalogs.list", "credentials.temporary", "events.list",
     "grants.add", "grants.list", "grants.revoke", "iceberg.loadTable",
     "metastore.summary", "metrics.flightrecorder", "metrics.snapshot",
     "schemas.create", "securables.drop",
-    "tables.create", "tables.get", "tables.list", "tables.resolve", "tables.resolveBatch",
+    "tables.create", "tables.get", "tables.list", "tables.resolve",
 ];
 
 /// A REST endpoint bound to one catalog node.
@@ -311,10 +311,6 @@ impl RestApi {
             "tables.resolve" => {
                 let (refs, want_creds) = resolve_params(params)?;
                 Ok(resolved_json(&self.uc.resolve_for_query(&ctx, ms, &refs, want_creds)?))
-            }
-            "tables.resolveBatch" => {
-                let (refs, want_creds) = resolve_params(params)?;
-                Ok(resolved_json(&self.uc.resolve_batch(&ctx, ms, &refs, want_creds)?))
             }
             "events.list" => {
                 let offset = params.get("offset").and_then(|v| v.as_u64()).unwrap_or(0);

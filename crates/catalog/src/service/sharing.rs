@@ -99,10 +99,8 @@ impl UnityCatalog {
 
     /// A share's full chain, `[share, metastore]`.
     fn share_chain(&self, ms: &Uid, name: &str) -> UcResult<Vec<Arc<Entity>>> {
-        let share = self
-            .entity_by_name_key(ms, &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]))?
-            .ok_or_else(|| UcError::NotFound(format!("share {name}")))?;
-        self.chain_from_entity(ms, share)
+        self.chain_at_key(ms, &keys::tree_key(ms, &[(SecurableKind::Share.name_group(), name)]))?
+            .ok_or_else(|| UcError::NotFound(format!("share {name}")))
     }
 
     /// Shares the caller can access (owner, admin, or SELECT grant).
@@ -215,8 +213,9 @@ impl UnityCatalog {
             .ok_or_else(|| UcError::NotFound(format!("{alias} in share {share_name}")))?;
         drop(rt);
         let table = self
-            .entity_by_id(ms, &Uid::from(member.table_id.as_str()))?
-            .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?;
+            .chain_by_id(ms, &Uid::from(member.table_id.as_str()))?
+            .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?
+            .swap_remove(0);
         let snapshot = self.table_snapshot_internal(ms, &table)?;
         Ok((table, snapshot))
     }

@@ -48,11 +48,10 @@ impl UnityCatalog {
     ) -> UcResult<TempCredential> {
         let api = self.api_enter(Op::TEMP_CREDENTIALS_FOR_PATH, Some(&ctx.principal), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
-        let Some((entity, _registered)) = self.entity_by_path(ms, &parsed)? else {
+        let Some(full) = self.chain_by_path(ms, &parsed)? else {
             api.audit.deny(None, path);
             return Err(UcError::NotFound(format!("no asset governs path {path}")));
         };
-        let full = self.chain_from_entity(ms, entity)?;
         self.vend_for_chain(&api, ctx, ms, &full, access, path)
     }
 
@@ -108,10 +107,9 @@ impl UnityCatalog {
         id: &Uid,
     ) -> UcResult<TempCredential> {
         let api = self.api_enter(Op::RENEW_READ_CREDENTIAL, Some(&ctx.principal), Some(ms));
-        let entity = self
-            .entity_by_id(ms, id)?
+        let full = self
+            .chain_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(format!("asset {id}")))?;
-        let full = self.chain_from_entity(ms, entity)?;
         self.vend_for_chain(&api, ctx, ms, &full, AccessLevel::Read, "renew")
     }
 

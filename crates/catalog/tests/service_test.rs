@@ -978,7 +978,7 @@ fn a_leaf_name_is_validated_wherever_it_came_from() {
     let long = "x".repeat(256);
     let rows = || {
         let rt = uc.db().begin_read();
-        [keys::T_TREE, keys::T_ENTITY, keys::T_PATH].map(|t| rt.scan_prefix(t, "").len())
+        [keys::T_TREE, keys::T_ENTITY, keys::T_TRASH, keys::T_PATH].map(|t| rt.scan_prefix(t, "").len())
     };
     let allows = || uc.audit_log().query(|r| r.decision == uc_catalog::audit::AuditDecision::Allow).len();
     let before = (rows(), allows());

@@ -43,9 +43,9 @@ pub enum Violation {
     NonMonotonicClient { client: usize, seq: u64, committed: u64, observed: u64 },
     /// Two live external tables overlap by path prefix.
     PathOverlap { version: u64, a: String, b: String },
-    /// The tree index disagrees with the entity table: an orphan tree row
-    /// (missing/inactive entity or non-identical bytes), a missing
-    /// ancestor prefix row, or an active entity with no tree row.
+    /// The tree rows and the id pointers disagree: a tree row whose id has
+    /// no pointer back to its key, a pointer that names no row, a missing
+    /// ancestor prefix row, or a trash row whose id is still live.
     TreeIndexMismatch { key: String, why: String },
     /// The path index violates one-asset-per-path: a registered key is a
     /// strict prefix of another registered key, or a row points at a
@@ -99,9 +99,11 @@ impl fmt::Display for Violation {
 /// directly against the database — independent of any recorded history,
 /// so it holds at *every* quiescent point, not just checked prefixes:
 ///
-/// * **Tree ↔ entity 1:1** — every tree row names an active entity and
-///   carries its exact entity-row bytes; every active entity has exactly
-///   one tree row (soft-deleted entities have none).
+/// * **Tree ↔ pointer 1:1** — every tree row's entity id has a
+///   `T_ENTITY` pointer holding exactly that row's key, and every pointer
+///   names a present tree row: `T_ENTITY` has one row per active entity.
+/// * **Trash is out of the namespace** — a trash row's id has neither a
+///   pointer nor a tree row.
 /// * **No orphan at any prefix** — every terminator-prefix of every tree
 ///   key is itself a present row: a child can never outlive its ancestor
 ///   chain in the index.
@@ -114,62 +116,43 @@ pub fn verify_structure(db: &uc_txdb::Db, ms: &uc_catalog::Uid) -> Vec<Violation
 
     let mut violations = Vec::new();
     let rt = db.begin_read();
+    let mismatch = |key: &str, why: String| Violation::TreeIndexMismatch { key: key.to_string(), why };
 
-    let ent_rows = rt.scan_prefix(keys::T_ENTITY, &keys::ent_ms_prefix(ms));
-    let mut active: std::collections::BTreeMap<String, bytes::Bytes> =
-        std::collections::BTreeMap::new();
-    for (_, raw) in &ent_rows {
-        match Entity::decode(raw) {
-            Ok(ent) if ent.is_active() => {
-                active.insert(ent.id.as_str().to_string(), raw.clone());
-            }
-            _ => {}
+    // Pointers by id (the `{ms}/` prefix stripped): id → tree key.
+    let ent_prefix = keys::ent_ms_prefix(ms);
+    let pointers: BTreeMap<String, String> = rt
+        .scan_prefix(keys::T_ENTITY, &ent_prefix)
+        .into_iter()
+        .map(|(k, v)| (k[ent_prefix.len()..].to_string(), String::from_utf8_lossy(&v).into_owned()))
+        .collect();
+
+    // Tree rows by key: key → the id of the entity the row holds.
+    let mut rows: BTreeMap<String, String> = BTreeMap::new();
+    for (key, raw) in rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(ms)) {
+        match Entity::decode(&raw) {
+            Ok(ent) => drop(rows.insert(key, ent.id.as_str().to_string())),
+            Err(e) => violations.push(mismatch(&key, format!("undecodable value: {e}"))),
         }
     }
-
-    let tree_rows = rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(ms));
-    let present: std::collections::BTreeSet<&str> =
-        tree_rows.iter().map(|(k, _)| k.as_str()).collect();
-    for (key, raw) in &tree_rows {
-        let ent = match Entity::decode(raw) {
-            Ok(e) => e,
-            Err(e) => {
-                violations.push(Violation::TreeIndexMismatch {
-                    key: key.clone(),
-                    why: format!("undecodable value: {e}"),
-                });
-                continue;
-            }
-        };
-        match active.get(ent.id.as_str()) {
-            Some(ent_raw) if ent_raw == raw => {}
-            Some(_) => violations.push(Violation::TreeIndexMismatch {
-                key: key.clone(),
-                why: format!("value not byte-identical to entity row {}", ent.id),
-            }),
-            None => violations.push(Violation::TreeIndexMismatch {
-                key: key.clone(),
-                why: format!("orphan row: entity {} missing or inactive", ent.id),
-            }),
+    for (key, id) in &rows {
+        match pointers.get(id) {
+            Some(pointed) if pointed == key => {}
+            Some(pointed) => violations.push(mismatch(key, format!("entity {id} points at {pointed:?}"))),
+            None => violations.push(mismatch(key, format!("orphan row: entity {id} has no pointer"))),
         }
         for prefix in treekey::chain_prefixes(key) {
-            if !present.contains(prefix) {
-                violations.push(Violation::TreeIndexMismatch {
-                    key: key.clone(),
-                    why: format!("ancestor prefix {prefix:?} has no row"),
-                });
+            if !rows.contains_key(prefix) {
+                violations.push(mismatch(key, format!("ancestor prefix {prefix:?} has no row")));
             }
         }
     }
-    if tree_rows.len() != active.len() {
-        violations.push(Violation::TreeIndexMismatch {
-            key: keys::tree_ms_prefix(ms),
-            why: format!(
-                "{} tree rows for {} active entities (must be 1:1)",
-                tree_rows.len(),
-                active.len()
-            ),
-        });
+    for (id, pointed) in pointers.iter().filter(|(id, pointed)| rows.get(*pointed) != Some(*id)) {
+        violations.push(mismatch(pointed, format!("pointer of {id} names no tree row of its own")));
+    }
+    for (key, _) in rt.scan_prefix(keys::T_TRASH, &ent_prefix) {
+        if pointers.contains_key(&key[ent_prefix.len()..]) {
+            violations.push(mismatch(&key, "trash row of an entity that is still live".to_string()));
+        }
     }
 
     let path_rows = rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(ms));
@@ -185,7 +168,7 @@ pub fn verify_structure(db: &uc_txdb::Db, ms: &uc_catalog::Uid) -> Vec<Violation
     }
     for (key, id_raw) in &path_rows {
         let id = String::from_utf8_lossy(id_raw);
-        if !active.contains_key(id.as_ref()) {
+        if !pointers.contains_key(id.as_ref()) {
             violations.push(Violation::PathIndexMismatch {
                 key: key.clone(),
                 why: format!("orphan row: entity {id} missing or inactive"),

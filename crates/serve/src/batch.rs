@@ -6,7 +6,7 @@
 //! queue a compatible group at a time — same principal, engine identity,
 //! workspace, and credential mode, so one combined call is
 //! authorization-equivalent to the per-request calls it replaces — and
-//! executes a single `UnityCatalog::resolve_batch` for the whole
+//! executes a single `UnityCatalog::resolve_for_query` for the whole
 //! group, splitting the positional result back onto each request's slot.
 //! There is no dispatcher thread and no timer: batch size grows with
 //! concurrency naturally (a lone request is a batch of one), exactly the
@@ -24,8 +24,8 @@
 //! thread owns every enqueued item, and the flag only clears under the
 //! same lock that proves the queue is empty, so no item can be enqueued
 //! and then orphaned. If the combined call fails, the leader falls back
-//! to per-item `UnityCatalog::resolve_for_query` so one poisoned
-//! request cannot fail its whole group.
+//! to one call per item so one poisoned request cannot fail its whole
+//! group.
 //!
 //! The queue is bounded by [`BATCH_QUEUE_CAPACITY`] (checked before the
 //! push — the `bounded-queue` lint invariant); overflow sheds with the
@@ -215,7 +215,7 @@ impl ServePlane {
         self.metrics.batch_size.record(group.len() as u64);
         let combined: Vec<FullName> =
             group.iter().flat_map(|item| item.refs.iter().cloned()).collect();
-        match self.uc.resolve_batch(ctx, ms, &combined, *want_credentials) {
+        match self.uc.resolve_for_query(ctx, ms, &combined, *want_credentials) {
             Ok(resolved) => {
                 let mut resolved = resolved.into_iter();
                 for item in group {

@@ -17,7 +17,7 @@
 //!
 //! * **Batched resolution** ([`batch`]): concurrent `resolve` requests
 //!   combine, group-commit style, into one
-//!   [`UnityCatalog::resolve_batch`] call per compatible group; no
+//!   [`UnityCatalog::resolve_for_query`] call per compatible group; no
 //!   dispatcher thread exists.
 //!
 //! * **Bounded per-tenant admission** ([`admission`]): over its
@@ -95,7 +95,7 @@ impl Default for RetryPolicy {
 pub struct ServeConfig {
     /// Per-tenant in-flight budget; request N+1 is shed.
     pub queue_capacity: usize,
-    /// Maximum requests combined into one `resolve_batch` dispatch.
+    /// Maximum requests combined into one `resolve_for_query` dispatch.
     pub max_batch: usize,
     /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
     pub coalesce: bool,

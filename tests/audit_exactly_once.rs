@@ -246,7 +246,6 @@ mod deny {
             ("read_table_commit", Box::new(|| uc.read_table_commit(&out, ms, &table.id, 0).map(drop))),
             ("rename_securable", Box::new(|| uc.rename_securable(&out, ms, &t, "relation", "t9").map(drop))),
             ("renew_read_credential", Box::new(|| uc.renew_read_credential(&out, ms, &table.id).map(drop))),
-            ("resolve_batch", Box::new(|| uc.resolve_batch(&out, ms, std::slice::from_ref(&t), false).map(drop))),
             ("resolve_for_query", Box::new(|| uc.resolve_for_query(&out, ms, std::slice::from_ref(&t), false).map(drop))),
             ("resolve_model_version", Box::new(|| uc.resolve_model_version(&out, ms, &m, 1).map(drop))),
             ("revoke", Box::new(|| uc.revoke(&out, ms, &t, "relation", ADMIN, Privilege::Select))),
@@ -351,8 +350,8 @@ mod deny {
     }
 
     /// A policy refusal is audited under the op that was refused: an
-    /// untrusted engine resolving a row-filtered table through the batch
-    /// entry point lands as `resolveBatch`, not as the per-ref op's action.
+    /// untrusted engine resolving a row-filtered table lands as one
+    /// `resolveForQuery` deny.
     #[test]
     fn fgac_refusals_are_audited_under_the_calling_resolve_op() {
         let w = faulty_world();
@@ -365,11 +364,6 @@ mod deny {
             .unwrap();
         let untrusted = Context::user("alice");
         let refs = std::slice::from_ref(&rf);
-
-        let (err, added) = refused(&w, || uc.resolve_batch(&untrusted, ms, refs, false).map(drop));
-        assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
-        assert_eq!(added.len(), 1, "{added:?}");
-        assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveBatch"));
 
         let (err, added) = refused(&w, || uc.resolve_for_query(&untrusted, ms, refs, false).map(drop));
         assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");

@@ -373,6 +373,98 @@ fn a_cascade_under_a_resolved_chain_never_dangles() {
     }
 }
 
+/// The same race for requests that address an asset **by id** (or by
+/// storage path, or as a view's dependency): a cascade dropping the
+/// asset's schema lands, under the seeded scheduler, at every yield point
+/// of the reads. A by-id chain is one cached read at one version — the
+/// pointer, then the chain at the key it names — so the only answers are
+/// the asset with its whole chain, or `NotFound`. When the chain was walked
+/// up parent by parent, each level its own read, a cascade between two
+/// levels surfaced as `database error: dangling parent`.
+#[test]
+fn a_cascade_under_a_by_id_chain_is_not_found_never_dangling() {
+    use uc_catalog::authz::Privilege;
+    use uc_catalog::service::crud::TableSpec;
+    use uc_catalog::service::{Context, UnityCatalog};
+    use uc_catalog::{FullName, UcError};
+    use uc_cloudstore::sched::{finish_current, Scheduler};
+    use uc_cloudstore::AccessLevel;
+    use uc_delta::value::{DataType, Field, Schema};
+
+    let base = sched_seed(0);
+    let cols = || Schema::new(vec![Field::new("x", DataType::Int)]);
+    let name = |n: &str| FullName::parse(n).unwrap();
+    let mut not_found = 0usize;
+    for offset in 0..40u64 {
+        for mode in MODES {
+            let seed = base.wrapping_add(offset);
+            let uc = UnityCatalog::in_memory();
+            let ms = uc.create_metastore("root", "check", "us-west-2").unwrap();
+            let ctx = Context::user("root");
+            let root = uc.object_store().create_bucket("lake");
+            uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+            uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+            uc.create_catalog(&ctx, &ms, "main").unwrap();
+            uc.create_schema(&ctx, &ms, "main", "keep").unwrap();
+            uc.create_schema(&ctx, &ms, "main", "doomed").unwrap();
+            let table = uc.create_table(&ctx, &ms, TableSpec::managed("main.doomed.t", cols()).unwrap()).unwrap();
+            let view = name("main.keep.v");
+            uc.create_view(&ctx, &ms, &view, "SELECT x FROM main.doomed.t", cols(), &[name("main.doomed.t")]).unwrap();
+            let path = table.storage_path.clone().unwrap();
+
+            // Each by-id entry point, twice, so the cascade can land before,
+            // between and after them; all on one node, whose cache the drop
+            // writes through.
+            let reads: Vec<Box<dyn Fn() -> Result<(), UcError> + Send>> = {
+                let by_id = |f: fn(&UnityCatalog, &Context, &uc_catalog::Uid, &uc_catalog::Uid) -> Result<(), UcError>| {
+                    let (uc, ctx, ms, id) = (uc.clone(), ctx.clone(), ms.clone(), table.id.clone());
+                    Box::new(move || f(&uc, &ctx, &ms, &id)) as Box<dyn Fn() -> Result<(), UcError> + Send>
+                };
+                let (uc_p, ctx_p, ms_p) = (uc.clone(), ctx.clone(), ms.clone());
+                let (uc_v, ctx_v, ms_v) = (uc.clone(), ctx.clone(), ms.clone());
+                vec![
+                    by_id(|uc, ctx, ms, id| uc.get_entity_by_id(ctx, ms, id).map(drop)),
+                    by_id(|uc, ctx, ms, id| uc.renew_read_credential(ctx, ms, id).map(drop)),
+                    by_id(|uc, ctx, ms, id| uc.commit_table(ctx, ms, id, 0, bytes::Bytes::from_static(b"{}"))),
+                    by_id(|uc, ctx, ms, id| uc.authorize_batch(ms, &ctx.principal, &[(id.clone(), Privilege::Select)]).map(drop)),
+                    Box::new(move || uc_p.temp_credentials_for_path(&ctx_p, &ms_p, &path, AccessLevel::Read).map(drop)),
+                    Box::new(move || uc_v.resolve_for_query(&ctx_v, &ms_v, std::slice::from_ref(&view), false).map(drop)),
+                ]
+            };
+            let sched = Scheduler::new(seed, 2, mode, 256);
+            let dropper = {
+                let (sched, uc, ctx, ms) = (sched.clone(), uc.clone(), ctx.clone(), ms.clone());
+                std::thread::spawn(move || {
+                    sched.register_current(0);
+                    let dropped = uc.drop_securable(&ctx, &ms, &FullName::parse("main.doomed").unwrap(), "schema");
+                    finish_current();
+                    dropped
+                })
+            };
+            let reader = {
+                let sched = sched.clone();
+                std::thread::spawn(move || {
+                    sched.register_current(1);
+                    let results: Vec<Result<(), UcError>> =
+                        reads.iter().chain(reads.iter()).map(|read| read()).collect();
+                    finish_current();
+                    results
+                })
+            };
+            sched.run_to_completion();
+            assert_eq!(dropper.join().unwrap().unwrap(), 2, "schema + table");
+            for (i, result) in reader.join().unwrap().into_iter().enumerate() {
+                match result {
+                    Ok(()) | Err(UcError::CommitConflict { .. }) => {}
+                    Err(UcError::NotFound(_)) => not_found += 1,
+                    Err(other) => panic!("seed {seed} mode {mode:?} read {i}: {other}"),
+                }
+            }
+        }
+    }
+    assert!(not_found > 0, "the cascade never landed before a read: the schedule is toothless");
+}
+
 /// The adversarial schedule replays byte-identically from its seed, like
 /// every other explorer configuration.
 #[test]
@@ -389,7 +481,8 @@ fn subtree_adversary_runs_replay_byte_identical() {
 // ---------------------------------------------------------------------
 
 /// A freshly created metastore verifies clean; an active entity whose
-/// tree row is missing is exactly one `TreeIndexMismatch`.
+/// tree row is missing is exactly one `TreeIndexMismatch`, and so is a
+/// trash row for an entity that is still live.
 #[test]
 fn verify_structure_flags_a_missing_tree_row() {
     use uc_catalog::model::keys;
@@ -408,12 +501,28 @@ fn verify_structure_flags_a_missing_tree_row() {
         &[("catalog", "main"), ("schema", "s"), ("relation", "seed0")],
     );
     let mut tx = uc.db().begin_write();
-    assert!(tx.get(keys::T_TREE, &table_key).is_some());
+    let row = tx.get(keys::T_TREE, &table_key).expect("seeded table");
     tx.delete(keys::T_TREE, &table_key);
     tx.commit().unwrap();
     let violations = verify_structure(uc.db(), &ms);
     assert!(
         matches!(violations.as_slice(), [Violation::TreeIndexMismatch { .. }]),
         "expected exactly one tree-index mismatch, got {violations:?}"
+    );
+
+    // Put back, the structure is whole again; a copy of the live row in
+    // the trash is one mismatch of its own.
+    let id = uc_catalog::Entity::decode(&row).unwrap().id;
+    let mut tx = uc.db().begin_write();
+    tx.put(keys::T_TREE, &table_key, row.clone());
+    tx.commit().unwrap();
+    assert!(verify_structure(uc.db(), &ms).is_empty(), "repaired metastore");
+    let mut tx = uc.db().begin_write();
+    tx.put(keys::T_TRASH, &keys::ent_key(&ms, &id), row);
+    tx.commit().unwrap();
+    let violations = verify_structure(uc.db(), &ms);
+    assert!(
+        matches!(violations.as_slice(), [Violation::TreeIndexMismatch { why, .. }] if why.contains("trash")),
+        "expected exactly one trash mismatch, got {violations:?}"
     );
 }

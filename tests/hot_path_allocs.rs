@@ -61,20 +61,23 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per cached `get_table` measured by this test at the parent
-/// commit (7f121b0, before the cache module owned the read protocol).
-const PARENT_GET_TABLE_ALLOCS: u64 = 25;
+/// Allocations per cached `get_table` (25 while the by-name probe built a
+/// key per level and the metastore was a second lookup; now one key, one
+/// chain).
+const PARENT_GET_TABLE_ALLOCS: u64 = 21;
 /// Allocations per cached by-name `temp_credentials` (41 before the vend
-/// evaluated the borrowed chain instead of copying it into `AuthzNode`s).
-const NAME_CREDENTIAL_ALLOCS: u64 = 28;
-/// Allocations per cached `temp_credentials_for_path` (41 before).
-const PATH_CREDENTIAL_ALLOCS: u64 = 32;
+/// evaluated the borrowed chain instead of copying it into `AuthzNode`s,
+/// 28 before the one-key probe).
+const NAME_CREDENTIAL_ALLOCS: u64 = 24;
+/// Allocations per cached `temp_credentials_for_path` (41, then 32 while
+/// the parent walk cloned each parent id).
+const PATH_CREDENTIAL_ALLOCS: u64 = 30;
 /// Allocations per cached `tables.get` through `RestApi::handle`: the
 /// typed call's, the request context and the JSON reply. The route's
 /// counter is interned, so a repeated request formats no series name and
 /// takes no registry lock (50 while `rest.{method}.count` was looked up
-/// per request).
-const REST_GET_TABLE_ALLOCS: u64 = 48;
+/// per request, 48 before the one-key probe).
+const REST_GET_TABLE_ALLOCS: u64 = 44;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).

@@ -395,3 +395,69 @@ fn concurrent_path_registrations_never_violate_invariant() {
     }
     assert!(all.len() >= 10, "a healthy subset must have won");
 }
+
+/// An update writes its entity's `T_TREE` row and nothing else, so a node
+/// that cached the entity **by id only** must still find it from that
+/// row's change record: every by-id load installs the entity under its
+/// tree key as well, and the name index leads the reconcile back to it.
+#[test]
+fn update_on_another_node_invalidates_an_entity_cached_by_id_only() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    world.uc.create_schema(&ctx, &world.ms, "main", "s").unwrap();
+    let table = world.uc.create_table(&ctx, &world.ms, TableSpec::managed("main.s.t", schema()).unwrap()).unwrap();
+    let node_b = spawn_node(&world, "node-b");
+    assert!(node_b.get_entity_by_id(&ctx, &world.ms, &table.id).unwrap().grants.is_empty());
+
+    let csn0 = world.db.current_csn();
+    let name = FullName::parse("main.s.t").unwrap();
+    world.uc.grant(&ctx, &world.ms, &name, "relation", "alice", uc_catalog::authz::Privilege::Select).unwrap();
+    let touched: Vec<String> = world.db.changelog().changes_since(csn0).into_iter().map(|c| c.table).collect();
+    assert!(!touched.iter().any(|t| t == keys::T_ENTITY), "an update moves nothing: no pointer record, {touched:?}");
+
+    node_b.reconcile_metastore(&world.ms);
+    let reads0 = world.db.stats().reads();
+    let seen = node_b.get_entity_by_id(&ctx, &world.ms, &table.id).unwrap();
+    assert_eq!(seen.grants, vec![("alice".to_string(), uc_catalog::authz::Privilege::Select)]);
+    assert!(world.db.stats().reads() > reads0, "the stale entry was invalidated, not served");
+}
+
+/// A dropped table's cache entry outlives its name: when the name is
+/// re-created and the old entry is then LRU-evicted, the eviction must leave
+/// the name index pointing at the successor — it is how a remote grant on
+/// the successor (one `T_TREE` record at that key) finds the entry to
+/// invalidate before a by-id read serves it.
+#[test]
+fn evicting_a_dropped_table_keeps_its_recreated_name_invalidatable() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    world.uc.create_schema(&ctx, &world.ms, "main", "s").unwrap();
+    for t in ["t", "u"] {
+        world.uc.create_table(&ctx, &world.ms, TableSpec::managed(&format!("main.s.{t}"), schema()).unwrap()).unwrap();
+    }
+    // Node B holds five entries at most: metastore, catalog, schema, the
+    // dropped table's tombstone and its successor.
+    let mut config = UcConfig::default();
+    config.cache.max_entries = 5;
+    let node_b = UnityCatalog::new(world.db.clone(), world.store.clone(), config, "node-b");
+    let name = FullName::parse("main.s.t").unwrap();
+    node_b.get_table(&ctx, &world.ms, "main.s.t").unwrap();
+    node_b.drop_securable(&ctx, &world.ms, &name, "relation").unwrap();
+    let again = node_b.create_table(&ctx, &world.ms, TableSpec::managed("main.s.t", schema()).unwrap()).unwrap();
+    // Everything but the tombstone is touched, then a sixth entry evicts
+    // the coldest one.
+    node_b.get_entity_by_id(&ctx, &world.ms, &again.id).unwrap();
+    node_b.get_table(&ctx, &world.ms, "main.s.u").unwrap();
+    assert_eq!(node_b.cache_stats().evictions.get(), 1, "the tombstone was evicted");
+    let reads0 = world.db.stats().reads();
+    node_b.get_entity_by_id(&ctx, &world.ms, &again.id).unwrap();
+    assert_eq!(world.db.stats().reads(), reads0, "the successor is still cached");
+
+    world.uc.reconcile_metastore(&world.ms);
+    world.uc.grant(&ctx, &world.ms, &name, "relation", "alice", uc_catalog::authz::Privilege::Select).unwrap();
+    node_b.reconcile_metastore(&world.ms);
+    let seen = node_b.get_entity_by_id(&ctx, &world.ms, &again.id).unwrap();
+    assert_eq!(seen.grants, vec![("alice".to_string(), uc_catalog::authz::Privilege::Select)]);
+}

@@ -341,6 +341,80 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// 4b. One row per entity: the tree ↔ pointer ↔ trash structure holds
+//     after every step of a random lifecycle, and a read by id equals
+//     the read by name (same entity, same chain)
+// ---------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn by_id_reads_equal_by_name_reads_and_structure_holds(
+        ops in proptest::collection::vec((0u8..6, 0u8..6), 1..30)
+    ) {
+        let world = World::build(&WorldConfig::default());
+        let (uc, ms) = (&world.uc, &world.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_catalog(&admin, ms, "main").unwrap();
+        // Two schemas; `schemas[s]` is what schema `s` is called now.
+        let mut schemas = ["s0".to_string(), "s1".to_string()];
+        for s in &schemas {
+            uc.create_schema(&admin, ms, "main", s).unwrap();
+        }
+        let columns = Schema::new(vec![Field::new("x", DataType::Int)]);
+        let mut live: std::collections::BTreeMap<(usize, u8), Uid> = Default::default();
+        for (step, (op, n)) in ops.into_iter().enumerate() {
+            let s = (n % 2) as usize;
+            let schema = FullName::of(&["main", &schemas[s]]);
+            let table = FullName::parse(&format!("{schema}.t{n}")).unwrap();
+            match op {
+                0 | 1 => {
+                    if let Ok(ent) = uc.create_table(&admin, ms, TableSpec::managed(&table.to_string(), columns.clone()).unwrap()) {
+                        live.insert((s, n), ent.id.clone());
+                    }
+                }
+                2 => {
+                    let (target, group) = [(&table, "relation"), (&schema, "schema")][(n % 4 / 2) as usize];
+                    let granted = uc.grant(&admin, ms, target, group, "alice", Privilege::Select);
+                    prop_assert_eq!(granted.is_ok(), group == "schema" || live.contains_key(&(s, n)));
+                }
+                3 => {
+                    let renamed = format!("s{s}r{step}");
+                    uc.rename_securable(&admin, ms, &schema, "schema", &renamed).unwrap();
+                    schemas[s] = renamed;
+                }
+                4 => {
+                    let dropped = uc.drop_securable(&admin, ms, &table, "relation").is_ok();
+                    prop_assert_eq!(dropped, live.remove(&(s, n)).is_some());
+                }
+                _ => drop(uc.purge_soft_deleted(ms).unwrap()),
+            }
+            prop_assert_eq!(uc_check::checker::verify_structure(&world.db, ms), vec![]);
+        }
+        // The writer's own cache, and a node that reads by id before it
+        // has cached anything.
+        let cold = uc_catalog::service::UnityCatalog::new(
+            world.db.clone(),
+            world.store.clone(),
+            uc_catalog::service::UcConfig::default(),
+            "cold",
+        );
+        let alice = Context::user("alice");
+        for ((s, n), id) in &live {
+            let name = format!("main.{}.t{n}", schemas[*s]);
+            for node in [&cold, uc] {
+                let by_id = node.get_entity_by_id(&admin, ms, id).unwrap();
+                prop_assert_eq!(&by_id, &node.get_table(&admin, ms, &name).unwrap());
+                // Same chain: the grants alice inherits decide both alike.
+                let seen_by_id = node.visible_batch(ms, "alice", std::slice::from_ref(id)).unwrap()[0];
+                prop_assert_eq!(seen_by_id, node.get_table(&alice, ms, &name).is_ok(), "{}", name);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // 5. Cache ≡ database equivalence under random write/read interleavings
 //    (two nodes over one database)
 // ---------------------------------------------------------------------

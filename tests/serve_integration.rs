@@ -97,11 +97,10 @@ fn manual_world(cache: bool) -> (Arc<UnityCatalog>, uc_catalog::Uid) {
     (uc, ms)
 }
 
+/// Database round trips so far: point reads plus range scans (a cache-off
+/// by-name read is one chain scan and no point read).
 fn db_reads(uc: &UnityCatalog) -> u64 {
-    match parse_snapshot(&uc.metrics_snapshot()).get("txdb.read.count") {
-        Some(SnapshotValue::Counter(n)) => *n,
-        _ => 0,
-    }
+    counter(uc, "txdb.read.count") + counter(uc, "txdb.scan.count")
 }
 
 fn counter(uc: &UnityCatalog, name: &str) -> u64 {
@@ -121,8 +120,8 @@ fn racing_get_tables_coalesce_exactly_once() {
     plane.register_tenant(&world.ms, "serve");
     let ctx = world.admin();
 
-    // Calibrate: one uncontended call's database read count (the chain
-    // walk; constant shape for any 3-part name with the cache off).
+    // Calibrate: one uncontended call's database round trips (the chain
+    // scan; constant shape for any 3-part name with the cache off).
     let before = db_reads(&world.uc);
     plane.get_table(&ctx, &world.ms, "main.s.t1").unwrap();
     let reads_per_call = db_reads(&world.uc) - before;

@@ -3,8 +3,9 @@
 //! listing children, cascading a subtree drop, and resolving a qualified
 //! name (the chain privilege inheritance evaluates over) must each cost
 //! exactly one range scan over the tree-encoded keyspace. The exact
-//! work counts of the two-table layout (`T_ENTITY` + `T_TREE`, no other
-//! name index) close the file.
+//! work counts of the one-row layout (the entity in `T_TREE`, an id
+//! pointer to it in `T_ENTITY`, a dropped entity in `T_TRASH`) close the
+//! file.
 
 use proptest::prelude::*;
 
@@ -280,12 +281,12 @@ fn uncached_name_resolution_is_one_range_scan() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Exact work counts of the two-table layout (DbStats deltas)
+// 4. Exact work counts of the one-row layout (DbStats deltas)
 // ---------------------------------------------------------------------
 
-/// Creating a managed table writes four rows: the entity, its tree row,
-/// its storage path, and the metastore version. There is no other name
-/// index to maintain.
+/// Creating a managed table writes four rows: the entity's tree row, the
+/// id pointer to it, its storage path, and the metastore version. There
+/// is no other name index to maintain.
 #[test]
 fn create_table_writes_four_rows() {
     let (world, ctx) = seeded_world(&["warm"]);
@@ -299,11 +300,12 @@ fn create_table_writes_four_rows() {
                 .unwrap(),
         )
         .unwrap();
-    assert_eq!(world.db.stats().writes() - writes0, 4, "ent + tree + path + msver");
+    assert_eq!(world.db.stats().writes() - writes0, 4, "pointer + tree + path + msver");
 }
 
-/// Dropping a table touches only the entity, tree, path and version
-/// tables — in particular no row of a separate name index.
+/// Dropping a table moves its row from the tree to the trash and removes
+/// its pointer and path: it touches those four tables and the version —
+/// in particular no row of a separate name index.
 #[test]
 fn drop_table_writes_no_name_row() {
     let (world, ctx) = seeded_world(&["t"]);
@@ -314,7 +316,7 @@ fn drop_table_writes_no_name_row() {
         .drop_securable(&ctx, &world.ms, &FullName::parse("main.s.t").unwrap(), "relation")
         .unwrap();
     assert_eq!(dropped, 1);
-    assert_eq!(world.db.stats().writes() - writes0, 4, "ent + tree + path + msver");
+    assert_eq!(world.db.stats().writes() - writes0, 5, "pointer + tree + path + trash + msver");
     let mut tables: Vec<String> = world
         .db
         .changelog()
@@ -323,10 +325,11 @@ fn drop_table_writes_no_name_row() {
         .map(|c| c.table)
         .collect();
     tables.sort_unstable();
-    assert_eq!(tables, [keys::T_ENTITY, keys::T_MSVER, keys::T_PATH, keys::T_TREE]);
+    assert_eq!(tables, [keys::T_ENTITY, keys::T_MSVER, keys::T_PATH, keys::T_TRASH, keys::T_TREE]);
 }
 
-/// A bulk-loaded entity occupies exactly two live rows.
+/// A bulk-loaded entity occupies exactly two live rows: its one copy, and
+/// the id pointer to it (whose value is the copy's key, not a second copy).
 #[test]
 fn bulk_loaded_entities_cost_two_rows_each() {
     let world = World::build(&WorldConfig::default());
@@ -342,7 +345,13 @@ fn bulk_loaded_entities_cost_two_rows_each() {
     let created = world.uc.bulk_create_tables(&ctx, &world.ms, "main", &specs, &schema, 16).unwrap();
     assert_eq!(created, 51);
     assert_eq!(entities(&world) - ents0, 51);
-    assert_eq!(world.db.live_rows() - rows0, 2 * 51, "one entity row + one tree row each");
+    assert_eq!(world.db.live_rows() - rows0, 2 * 51, "one tree row + one pointer each");
+    let rt = world.db.begin_read();
+    for (id_key, pointer) in rt.scan_prefix(keys::T_ENTITY, "") {
+        let row = rt.get(keys::T_TREE, std::str::from_utf8(&pointer).unwrap()).expect("a pointer names a tree row");
+        let ent = uc_catalog::Entity::decode(&row).unwrap();
+        assert_eq!(id_key, keys::ent_key(&world.ms, &ent.id), "the row a pointer names is that id's entity");
+    }
 }
 
 /// A second catalog node over the same database, with its one-time reads
@@ -355,20 +364,57 @@ fn warmed_probe(world: &World, ctx: &Context) -> std::sync::Arc<UnityCatalog> {
     probe
 }
 
-/// With its schema chain cached, a cold `resolve_batch` leaf costs one
-/// tree-row read (which returns the whole entity) on top of the version
-/// read every database snapshot pays.
+/// A cold `resolve_for_query` leaf is one chain scan — the leaf and every
+/// level above it from one snapshot, whether or not the levels above were
+/// cached — on top of the version read every database snapshot pays.
 #[test]
-fn cold_resolve_batch_leaf_is_one_tree_read() {
+fn cold_resolve_leaf_is_one_chain_scan() {
     let (world, ctx) = seeded_world(&["a", "b"]);
     let probe = warmed_probe(&world, &ctx);
     let refs = |t: &str| [FullName::parse(&format!("main.s.{t}")).unwrap()];
-    probe.resolve_batch(&ctx, &world.ms, &refs("a"), false).unwrap();
-    let (reads0, scans0) = (world.db.stats().reads(), world.db.stats().scans());
-    let got = probe.resolve_batch(&ctx, &world.ms, &refs("b"), false).unwrap();
-    assert_eq!(got[0].entity.name, "b");
-    assert_eq!(world.db.stats().scans() - scans0, 0, "the chain above the leaf is cached");
-    assert_eq!(world.db.stats().reads() - reads0, 2, "msver + the leaf's tree row");
+    probe.resolve_for_query(&ctx, &world.ms, &refs("a"), false).unwrap();
+    let cost = db_cost(&world, || {
+        let got = probe.resolve_for_query(&ctx, &world.ms, &refs("b"), false).unwrap();
+        assert_eq!(got[0].entity.name, "b");
+    });
+    assert_eq!(cost, [1, 1, 0, 0], "msver + the leaf's chain scan");
+}
+
+/// A by-id read is a pointer read in front of the by-key read: cold, it
+/// costs the version read, the pointer, and the same one chain scan — and
+/// returns what the by-name read returns.
+#[test]
+fn cold_by_id_reads_are_a_pointer_read_and_one_chain_scan() {
+    let (world, ctx) = seeded_world(&["a", "b"]);
+    let by_name = |t: &str| world.uc.get_table(&ctx, &world.ms, &format!("main.s.{t}")).unwrap();
+    let (a, b) = (by_name("a"), by_name("b"));
+    let probe = warmed_probe(&world, &ctx);
+    let get = db_cost(&world, || assert_eq!(probe.get_entity_by_id(&ctx, &world.ms, &a.id).unwrap(), a));
+    assert_eq!(get, [2, 1, 0, 0], "cold get_entity_by_id: msver + pointer, one chain scan");
+    // The node's first vend also looks the bucket's root credential up.
+    probe.renew_read_credential(&ctx, &world.ms, &a.id).unwrap();
+    let renew = db_cost(&world, || drop(probe.renew_read_credential(&ctx, &world.ms, &b.id).unwrap()));
+    assert_eq!(renew, [2, 1, 0, 0], "cold renew_read_credential: msver + pointer, one chain scan");
+    let warm = db_cost(&world, || drop(probe.get_entity_by_id(&ctx, &world.ms, &b.id).unwrap()));
+    assert_eq!(warm, [0, 0, 0, 0], "the by-id load cached the entity under its id and its name");
+}
+
+/// The garbage collector's victims are the metastore's range of the
+/// trash: finding them costs the same whether the dropped tables were 3
+/// of 3 or 3 of 200.
+#[test]
+fn purge_cost_does_not_depend_on_the_live_population() {
+    let purge_cost = |live: usize| {
+        let names: Vec<String> = (0..live).map(|i| format!("t{i}")).collect();
+        let (world, ctx) = seeded_world(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        for t in &names[..3] {
+            world.uc.drop_securable(&ctx, &world.ms, &FullName::parse(&format!("main.s.{t}")).unwrap(), "relation").unwrap();
+        }
+        db_cost(&world, || assert_eq!(world.uc.purge_soft_deleted(&world.ms).unwrap().0, 3))
+    };
+    let (few, many) = (purge_cost(3), purge_cost(200));
+    assert_eq!(few, many, "purge reads its victims, not the namespace");
+    println!("purge of 3 dropped tables: {few:?}");
 }
 
 /// Listing catalogs or shares is one range scan whose rows carry the
@@ -404,11 +450,11 @@ fn db_cost<T>(world: &World, op: impl FnOnce() -> T) -> [u64; 4] {
     std::array::from_fn(|i| after[i] - before[i])
 }
 
-/// The create protocol's exact database bill on a warm node (ROADMAP 6b
-/// style: counts, not wall-clock). Measured at the commit before the
-/// creates were folded into one protocol and pinned equal on both sides:
-/// the conversion may not add a read, a scan, a commit or a row to any
-/// of them.
+/// The write protocol's exact database bill on a warm node (ROADMAP 6b
+/// style: counts, not wall-clock), measured. A write reads the version,
+/// the pointer of the entity it needs alive (a create: its parent), and
+/// what it decides on: the vacant key (a create), the row (an update) or
+/// the subtree (a drop). No ancestor is read, whatever the depth.
 #[test]
 fn write_ops_cost_exact_reads_scans_commits_rows() {
     let (world, ctx) = seeded_world(&["base"]);
@@ -429,10 +475,49 @@ fn write_ops_cost_exact_reads_scans_commits_rows() {
     });
     let drop_table = db_cost(&world, || uc.drop_securable(&ctx, ms, &name("main.s.t"), "relation").unwrap());
 
-    assert_eq!(create_table, [6, 1, 1, 4], "managed create_table");
-    assert_eq!(create_view, [5, 0, 1, 3], "create_view with one dependency");
-    assert_eq!(create_volume, [6, 1, 1, 4], "managed create_volume");
-    assert_eq!(create_schema, [4, 0, 1, 3], "create_schema");
-    assert_eq!(grant, [4, 0, 1, 3], "grant");
-    assert_eq!(drop_table, [4, 1, 1, 4], "drop_securable of a table");
+    assert_eq!(create_table, [4, 1, 1, 4], "managed create_table: pointer + tree + path + msver rows");
+    assert_eq!(create_view, [3, 0, 1, 3], "create_view with one dependency");
+    assert_eq!(create_volume, [4, 1, 1, 4], "managed create_volume");
+    assert_eq!(create_schema, [3, 0, 1, 3], "create_schema");
+    assert_eq!(grant, [3, 0, 1, 2], "grant: the tree row and msver, no pointer write");
+    assert_eq!(
+        drop_table,
+        [2, 1, 1, 5],
+        "drop_securable of a table: one row more than the two-table layout's 4, the trash row \
+         (pointer and tree row deleted, path deleted, trash row put, msver)"
+    );
+}
+
+/// Renaming a schema moves its subtree in the database and costs the
+/// renaming node's cache nothing: the rows it never read are not
+/// installed (a cache smaller than the subtree evicts nothing and keeps
+/// its working set), and what it did hold under the old keys is dropped
+/// and found again under the new ones.
+#[test]
+fn schema_rename_installs_no_unread_descendants() {
+    const TABLES: u64 = 30;
+    let names: Vec<String> = (0..TABLES).map(|i| format!("t{i}")).collect();
+    let (world, ctx) = seeded_world(&names.iter().map(String::as_str).collect::<Vec<_>>());
+    world.uc.create_schema(&ctx, &world.ms, "main", "other").unwrap();
+    let cols = Schema::new(vec![Field::new("x", DataType::Int)]);
+    world.uc.create_table(&ctx, &world.ms, TableSpec::managed("main.other.hot", cols).unwrap()).unwrap();
+    let mut config = UcConfig::default();
+    config.cache.max_entries = 8;
+    let node = UnityCatalog::new(world.db.clone(), world.store.clone(), config, "small");
+    node.get_table(&ctx, &world.ms, "main.other.hot").unwrap();
+    let t0 = node.get_table(&ctx, &world.ms, "main.s.t0").unwrap();
+
+    let rename = db_cost(&world, || {
+        node.rename_securable(&ctx, &world.ms, &FullName::parse("main.s").unwrap(), "schema", "s2").unwrap()
+    });
+    // Reads: msver, the schema's pointer and row, the vacancy of the new
+    // key. Rows, per moved row: the old tree row deleted, the pointer and
+    // the new tree row put; plus msver.
+    assert_eq!(rename, [4, 1, 1, 3 * (TABLES + 1) + 1], "rename of a schema holding {TABLES} tables");
+    assert_eq!(node.cache_stats().evictions.get(), 0, "the subtree was not pushed through the cache");
+    let hot = db_cost(&world, || drop(node.get_table(&ctx, &world.ms, "main.other.hot").unwrap()));
+    assert_eq!(hot, [0, 0, 0, 0], "the working set survived the rename");
+    assert!(node.get_table(&ctx, &world.ms, "main.s.t0").is_err(), "the old name is gone");
+    let moved = node.get_entity_by_id(&ctx, &world.ms, &t0.id).unwrap();
+    assert_eq!(moved, node.get_table(&ctx, &world.ms, "main.s2.t0").unwrap(), "the table read before the rename moved with it");
 }
