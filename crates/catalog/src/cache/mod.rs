@@ -44,6 +44,13 @@
 //!   reconcile already moved the pin past this write.
 //! * `MsCache::catch_up` — revalidate against the database on demand.
 //!
+//! Each cache holds a change-log cursor ([`uc_txdb::ChangeCursor`]) at the
+//! CSN it has consumed through, so the log keeps what its next selective
+//! reconcile needs and nothing older. `catch_up`, and a miss whose snapshot
+//! shows the pinned metastore version (or that reconciled to it), advance
+//! it; the first of them registers it. A cache without a cursor, or one the
+//! log was truncated past anyway, falls back to a full reconcile.
+//!
 //! # Concurrency model (see DESIGN.md §7)
 //!
 //! The cache is **read-optimized**: the paper's workload is 98 % reads,
@@ -79,12 +86,12 @@ pub mod ttl;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use uc_cloudstore::sched;
 use uc_obs::Counter;
-use uc_txdb::{ChangeRecord, Db, ReadTxn};
+use uc_txdb::{ChangeCursor, ChangeRecord, Db, ReadTxn};
 
 use crate::error::UcResult;
 use crate::events::ChangeOp;
@@ -121,6 +128,10 @@ pub(crate) struct WriteEffects {
     /// rows are not installed, so a rename costs the cache nothing it did
     /// not already hold.
     pub moved_from: Vec<String>,
+    /// Entities purged for good: their entries are dropped, as an LRU
+    /// eviction would drop them — a later read of one misses and finds
+    /// nothing.
+    pub purged: Vec<Uid>,
     pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
 }
 
@@ -294,6 +305,10 @@ pub struct MsCache {
     config: CacheConfig,
     /// Serializes all mutation on this metastore's cache.
     gate: Mutex<()>,
+    /// Change-log position (module docs): registered by the first
+    /// `catch_up` or miss that finds the cache current, advanced under the
+    /// gate.
+    cursor: OnceLock<ChangeCursor>,
     stats: CacheStats,
 }
 
@@ -334,6 +349,7 @@ impl MsCache {
             len: AtomicUsize::new(0),
             config: config.clone(),
             gate: Mutex::new(()),
+            cursor: OnceLock::new(),
             stats,
         }
     }
@@ -382,6 +398,22 @@ impl MsCache {
         self.pin_version.store(version, Ordering::Release);
         self.pin_csn.store(csn, Ordering::Release);
         self.pin_seq.fetch_add(1, Ordering::AcqRel); // even: stable again
+    }
+
+    /// The cache is current as of snapshot `csn`: the snapshot showed the
+    /// pinned version (no write to this metastore since the pin's CSN), or
+    /// the cache was just reconciled to it. Move the pin's CSN and the
+    /// change-log cursor up to it, so the log is held only after what this
+    /// cache has seen (a cache that never reconciles selectively holds
+    /// none of it). Under the gate.
+    fn current_at(&self, db: &Db, csn: u64) {
+        let (version, pinned_csn) = self.pin();
+        if csn > pinned_csn {
+            self.set_pin(version, csn);
+        }
+        if self.config.selective_reconcile {
+            self.cursor.get_or_init(|| db.changelog().cursor(csn)).advance(csn);
+        }
     }
 
     fn entity_shard(&self, id: &Uid) -> &EntityShard {
@@ -694,6 +726,7 @@ impl MsCache {
             std::cmp::Ordering::Greater => self.reconcile(ms, db, db_ver, rt.snapshot_csn()),
             std::cmp::Ordering::Equal => {}
         }
+        self.current_at(db, rt.snapshot_csn());
         for (entity, tree_key) in installs {
             // An entry still cached live *under this key* is this same
             // row — a reconcile evicts what changed at a key — so the
@@ -743,10 +776,16 @@ impl MsCache {
         for key in &fx.moved_from {
             self.evict_at_key(key);
         }
+        for id in &fx.purged {
+            self.remove_entry(id);
+        }
         self.set_pin(prev_version + 1, csn);
     }
 
-    /// Revalidate against the database now: reconcile if it is ahead.
+    /// Revalidate against the database now: reconcile if it is ahead,
+    /// then hold the change log only from the snapshot on. A write applied
+    /// after the snapshot was taken leaves the cache ahead of it: nothing
+    /// to do.
     pub(crate) fn catch_up(&self, ms: &Uid, db: &Db) {
         if !self.config.enabled {
             return;
@@ -754,9 +793,12 @@ impl MsCache {
         let rt = db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
         let _gate = self.write_gate();
-        if db_ver > self.version() {
-            self.reconcile(ms, db, db_ver, rt.snapshot_csn());
+        match db_ver.cmp(&self.version()) {
+            std::cmp::Ordering::Less => return,
+            std::cmp::Ordering::Greater => self.reconcile(ms, db, db_ver, rt.snapshot_csn()),
+            std::cmp::Ordering::Equal => {}
         }
+        self.current_at(db, rt.snapshot_csn());
     }
 
     /// Bring the cache to `(db_version, db_csn)` — both from one
@@ -929,7 +971,6 @@ mod tests {
             table: T_TREE.to_string(),
             key: nk("e1"),
             kind: uc_txdb::ChangeKind::Put,
-            value: None,
         }];
         c.reconcile_selective(&ms, 2, 2, &changes);
         assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "touched entry dropped");
@@ -958,7 +999,6 @@ mod tests {
             table: T_TREE.to_string(),
             key: k.clone(),
             kind: uc_txdb::ChangeKind::Put,
-            value: None,
         }];
         c.reconcile_selective(&ms, 4, 4, &changes);
         assert!(c.get_at(&Uid::from("e2"), 4).is_none(), "the change at K evicts e2");
@@ -975,7 +1015,6 @@ mod tests {
             table: T_TREE.to_string(),
             key: keys::tree_key(&Uid::from("other"), &[("relation", "e1")]),
             kind: uc_txdb::ChangeKind::Put,
-            value: None,
         }];
         c.reconcile_selective(&ms, 2, 2, &changes);
         assert!(c.get_at(&Uid::from("e1"), 1).is_some());

@@ -67,6 +67,14 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
         self.inner.write().insert(key, (value, expires_at_ms));
     }
 
+    /// Drop these entries now, live or not: their subject is gone.
+    pub fn remove_all(&self, keys: impl IntoIterator<Item = K>) {
+        let mut guard = self.inner.write();
+        for key in keys {
+            guard.remove(&key);
+        }
+    }
+
     /// Drop expired entries; returns how many were removed.
     pub fn purge_expired(&self) -> usize {
         let now = self.clock.now_ms();

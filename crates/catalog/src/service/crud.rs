@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use uc_cloudstore::{RootCredential, StoragePath};
+use uc_cloudstore::{AccessLevel, RootCredential, StoragePath};
 use uc_delta::value::Schema;
 
 use crate::authz::decision::{decide, AuthzContext, Need};
@@ -1029,8 +1029,7 @@ impl UnityCatalog {
                 }
             }
         }
-        let purged = self.write_ms(ms, |tx, _ver, _fx| {
-            let mut purged = 0;
+        let purged = self.write_ms(ms, |tx, _ver, fx| {
             for victim in &victims {
                 if tx.get(T_TRASH, &keys::ent_key(ms, &victim.id)).is_some() {
                     tx.delete(T_TRASH, &keys::ent_key(ms, &victim.id));
@@ -1038,11 +1037,18 @@ impl UnityCatalog {
                     for (k, _) in tx.scan_prefix(T_COMMIT, &keys::commit_prefix(ms, &victim.id)) {
                         tx.delete(T_COMMIT, &k);
                     }
-                    purged += 1;
+                    fx.purged.push(victim.id.clone());
                 }
             }
-            Ok(purged)
+            Ok(fx.purged.len())
         })?;
+        // Release what this node holds for the victims: the cache entries
+        // went with the write-through; their vended credentials go here.
+        self.cred_cache.remove_all(
+            victims
+                .iter()
+                .flat_map(|v| [AccessLevel::Read, AccessLevel::ReadWrite].map(|level| (v.id.clone(), level))),
+        );
         // GC is a destructive governance action: it lands in the audit
         // trail like any other mutation (run as the node, not a tenant).
         api.audit.allow(ms, format!("purged {purged} row(s), {objects_deleted} object(s)"));

@@ -1161,4 +1161,42 @@ mod tests {
         });
         assert_eq!(with_endpoint.unwrap().name, "conn");
     }
+
+    /// A purge releases what the node holds for its victims — the entries
+    /// their drops tombstoned and the credentials vended for them — and a
+    /// victim read by id afterwards is still not found.
+    #[test]
+    fn purge_releases_the_victims_cache_entries_and_credentials() {
+        use crate::service::crud::TableSpec;
+        use uc_cloudstore::AccessLevel;
+        use uc_delta::value::{DataType, Field, Schema};
+        const N: usize = 12;
+        let uc = UnityCatalog::in_memory();
+        let ms = uc.create_metastore("admin", "prod", "us-west-2").unwrap();
+        let ctx = Context::user("admin");
+        let root = uc.store.create_bucket("lake");
+        uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+        uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+        uc.create_catalog(&ctx, &ms, "main").unwrap();
+        uc.create_schema(&ctx, &ms, "main", "s").unwrap();
+        let cache = uc.cache.for_metastore(&ms);
+        let held = || (uc.cred_cache.len(), cache.entry_count());
+        let before = held();
+        let mut victims = Vec::new();
+        for i in 0..N {
+            let name = FullName::parse(&format!("main.s.t{i}")).unwrap();
+            let cols = Schema::new(vec![Field::new("x", DataType::Int)]);
+            victims.push(uc.create_table(&ctx, &ms, TableSpec::managed(&name.to_string(), cols).unwrap()).unwrap().id.clone());
+            for level in [AccessLevel::Read, AccessLevel::ReadWrite] {
+                uc.temp_credentials(&ctx, &ms, &name, "relation", level).unwrap();
+            }
+            uc.drop_securable(&ctx, &ms, &name, "relation").unwrap();
+        }
+        assert_eq!(held(), (before.0 + 2 * N, before.1 + N), "two credentials and a tombstoned entry per table");
+        assert_eq!(uc.purge_soft_deleted(&ms).unwrap().0, N);
+        assert_eq!(held(), before, "the purge released all of them");
+        for id in &victims {
+            assert!(matches!(uc.get_entity_by_id(&ctx, &ms, id), Err(UcError::NotFound(_))));
+        }
+    }
 }

@@ -3,9 +3,10 @@
 //! Runs a fixed seed set in both scheduler modes, printing each run's
 //! fingerprint (schedule trace + canonical history) to stdout so CI can
 //! diff two invocations byte-for-byte. Then proves the checker has teeth:
-//! with commit validation weakened, at least one seed must produce a
-//! violation. Exits non-zero on any clean-run violation or if the
-//! weakened runs all pass.
+//! with commit validation weakened, and separately with reclamation
+//! ignoring open snapshots, at least one seed must produce a violation.
+//! Exits non-zero on any clean-run violation or if either weakened set
+//! passes.
 
 use uc_check::explorer::{run_one, sched_seed, RunConfig};
 use uc_cloudstore::sched::SchedMode;
@@ -82,23 +83,50 @@ fn main() {
         }
     }
 
-    // Teeth: weakened commit validation must be caught on some seed.
-    let mut teeth = false;
-    for offset in 0..8u64 {
-        let mut cfg = RunConfig::new(base.wrapping_add(offset), SchedMode::RandomWalk);
-        cfg.weaken_commit = true;
-        if !run_one(&cfg).violations.is_empty() {
-            teeth = true;
-            break;
+    // Adversarial reclamation pass: a reader holds a database snapshot
+    // across yields while the clients commit, and every commit reclaims
+    // below the horizon. Its re-reads must equal its first read.
+    for offset in 0..2u64 {
+        let seed = base.wrapping_add(offset);
+        for (mode_name, mode) in modes {
+            let mut cfg = RunConfig::new(seed, mode);
+            cfg.snapshot_clients = 1;
+            let out = run_one(&cfg);
+            println!("=== seed={seed} mode={mode_name} snapshot=1 ===");
+            print!("{}", out.fingerprint());
+            if !out.violations.is_empty() {
+                failed = true;
+                eprintln!("VIOLATIONS at seed={seed} mode={mode_name} (adversarial reclamation):");
+                for v in &out.violations {
+                    eprintln!("  {v}");
+                }
+            }
         }
     }
-    if !teeth {
+
+    // Teeth: weakened commit validation, and reclamation that ignores open
+    // snapshots, must each be caught on some seed.
+    let caught = |weaken: fn(&mut RunConfig)| {
+        (0..8u64).any(|offset| {
+            let mut cfg = RunConfig::new(base.wrapping_add(offset), SchedMode::RandomWalk);
+            weaken(&mut cfg);
+            !run_one(&cfg).violations.is_empty()
+        })
+    };
+    if !caught(|cfg| cfg.weaken_commit = true) {
         eprintln!("checker has no teeth: weakened commit validation went undetected");
+        failed = true;
+    }
+    if !caught(|cfg| {
+        cfg.weaken_gc = true;
+        cfg.snapshot_clients = 1;
+    }) {
+        eprintln!("checker has no teeth: reclamation ignoring open snapshots went undetected");
         failed = true;
     }
 
     if failed {
         std::process::exit(1);
     }
-    eprintln!("check_quick: all clean runs passed; weakened run detected");
+    eprintln!("check_quick: all clean runs passed; both weakened runs detected");
 }

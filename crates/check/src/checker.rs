@@ -51,6 +51,9 @@ pub enum Violation {
     /// strict prefix of another registered key, or a row points at a
     /// missing/inactive entity.
     PathIndexMismatch { key: String, why: String },
+    /// A read through a held snapshot changed while it was held:
+    /// reclamation took a version an open snapshot could still see.
+    SnapshotLost { reader: usize, csn: u64, now: u64 },
 }
 
 impl fmt::Display for Violation {
@@ -91,6 +94,10 @@ impl fmt::Display for Violation {
             Violation::PathIndexMismatch { key, why } => {
                 write!(f, "path index mismatch at {key:?}: {why}")
             }
+            Violation::SnapshotLost { reader, csn, now } => write!(
+                f,
+                "snapshot reader {reader}: its snapshot at csn {csn} read differently at csn {now}"
+            ),
         }
     }
 }

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use uc_catalog::model::keys;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_cloudstore::faults::FaultPlan;
 use uc_cloudstore::sched::{points, yield_point, Scheduler, SchedMode};
@@ -25,6 +26,9 @@ use crate::workload::{exec_op, initial_model, plan_ops, plan_subtree_ops, seed_w
 
 const ADMIN: &str = "root";
 
+/// Yield points a snapshot client holds its snapshot across.
+const SNAPSHOT_HOLD: usize = 4;
+
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     pub seed: u64,
@@ -34,6 +38,9 @@ pub struct RunConfig {
     /// Test-only: disable the transaction commit validation to prove the
     /// checker catches the resulting lost-update/duplicate-version runs.
     pub weaken_commit: bool,
+    /// Test-only: make txdb reclaim as if no snapshot were open, to prove
+    /// the `snapshot_clients` catch a reader losing its snapshot.
+    pub weaken_gc: bool,
     /// Extra *history-producing* clients running the subtree-adversary
     /// schedule ([`crate::workload::plan_subtree_ops`]): cascading schema
     /// drops vs. deep creates vs. range-scan listings, all on one schema,
@@ -66,6 +73,14 @@ pub struct RunConfig {
     /// Serve reads produce no history rows and must never change the
     /// checker's verdict.
     pub coalesce_clients: usize,
+    /// Extra scheduler clients that hold a database snapshot open across
+    /// several yield points — while the real clients commit, and every
+    /// commit reclaims versions below the horizon — re-reading the
+    /// metastore's version row, tree range and path range through it after
+    /// each yield. A reader never loses its snapshot: every re-read must
+    /// equal the first, or the run records a
+    /// [`Violation::SnapshotLost`]. They produce no history rows.
+    pub snapshot_clients: usize,
 }
 
 impl RunConfig {
@@ -76,10 +91,12 @@ impl RunConfig {
             ops_per_client: 12,
             mode,
             weaken_commit: false,
+            weaken_gc: false,
             subtree_clients: 0,
             flush_clients: 0,
             freeze_clients: 0,
             coalesce_clients: 0,
+            snapshot_clients: 0,
         }
     }
 }
@@ -138,6 +155,9 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     if cfg.weaken_commit {
         db.set_unsafe_skip_commit_validation(true);
     }
+    if cfg.weaken_gc {
+        db.set_unsafe_gc_ignore_snapshots(true);
+    }
 
     // --- base version probe (own span, so its reads are recorded) ------
     let base_version = {
@@ -152,8 +172,11 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
 
     // --- concurrent phase under the scheduler --------------------------
     let history_clients = cfg.clients + cfg.subtree_clients;
-    let total_clients =
-        history_clients + cfg.flush_clients + cfg.freeze_clients + cfg.coalesce_clients;
+    let total_clients = history_clients
+        + cfg.flush_clients
+        + cfg.freeze_clients
+        + cfg.coalesce_clients
+        + cfg.snapshot_clients;
     let steps_hint = (total_clients * cfg.ops_per_client * 8) as u64;
     let sched = Scheduler::new(cfg.seed, total_clients, cfg.mode, steps_hint);
     // Subtree adversaries are history clients like any other — planned
@@ -300,6 +323,50 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
             }));
         }
     }
+    // Snapshot clients: a snapshot held across yields, so commits — and
+    // the reclamation each one runs — land while it is open.
+    let lost: Arc<Mutex<Vec<Violation>>> = Arc::new(Mutex::new(Vec::new()));
+    for j in 0..cfg.snapshot_clients {
+        let sched = sched.clone();
+        let db = db.clone();
+        let ms = ms.clone();
+        let lost = lost.clone();
+        let iters = cfg.ops_per_client;
+        let client_idx =
+            history_clients + cfg.flush_clients + cfg.freeze_clients + cfg.coalesce_clients + j;
+        handles.push(std::thread::spawn(move || {
+            sched.register_current(client_idx);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                for _ in 0..iters {
+                    yield_point(points::OP_START);
+                    let rt = db.begin_read();
+                    let read = || {
+                        (
+                            rt.get(keys::T_MSVER, ms.as_str()),
+                            rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(&ms)),
+                            rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(&ms)),
+                        )
+                    };
+                    let first = read();
+                    for _ in 0..SNAPSHOT_HOLD {
+                        yield_point(points::READ_LOOKUP);
+                        if read() != first {
+                            lost.lock().push(Violation::SnapshotLost {
+                                reader: j,
+                                csn: rt.snapshot_csn(),
+                                now: db.current_csn(),
+                            });
+                            break;
+                        }
+                    }
+                }
+            }));
+            uc_cloudstore::sched::finish_current();
+            if let Err(p) = result {
+                resume_unwind(p);
+            }
+        }));
+    }
     sched.run_to_completion();
     for h in handles {
         h.join().expect("client thread panicked");
@@ -310,6 +377,7 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     let rows = Arc::try_unwrap(rows).expect("rows still shared").into_inner();
     let history = assemble(base_version, rows, &records);
     let mut violations = check(&history, &initial_model());
+    violations.extend(Arc::try_unwrap(lost).expect("readers still running").into_inner());
     // Every run — adversarial or not — ends with a structural sweep of
     // the quiesced indexes: tree ↔ entity 1:1, no orphan at any prefix,
     // one asset per path.
@@ -345,10 +413,12 @@ mod tests {
             ops_per_client: 8,
             mode: SchedMode::RandomWalk,
             weaken_commit: false,
+            weaken_gc: false,
             subtree_clients: 0,
             flush_clients: 0,
             freeze_clients: 0,
             coalesce_clients: 0,
+            snapshot_clients: 0,
         };
         let a = run_one(&cfg);
         let b = run_one(&cfg);

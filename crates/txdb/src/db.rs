@@ -1,6 +1,21 @@
-//! The database handle: versioned storage, commit sequencing, GC.
+//! The database handle: versioned storage, commit sequencing, and the
+//! snapshot horizon reclamation runs against.
+//!
+//! # Reclamation
+//!
+//! Every `begin_read` / `begin_write` registers its snapshot CSN and its
+//! `Drop` releases it. The **horizon** is the oldest open snapshot, or the
+//! current CSN when none is open. Each commit reclaims inside the
+//! `tables.write()` it already holds: a chain it writes keeps only its
+//! newest version at or below the horizon plus everything newer, and a key
+//! it deletes joins a FIFO of dead keys that later commits drain once the
+//! horizon passes the delete; a drained chain is removed if it is still a
+//! lone tombstone. No snapshot at or above the horizon can tell either
+//! change apart, a pruned chain keeps its latest CSN (so commit validation
+//! is unchanged), and a removed chain had no change after any open
+//! snapshot (so no scan, seek or validation can miss it).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,8 +47,7 @@ pub(crate) struct VersionChain {
 
 impl VersionChain {
     /// The version visible at `snapshot`, if any. Versions are appended in
-    /// commit order, so CSNs ascend and visibility is a binary search —
-    /// chains for hot keys (e.g. the metastore version row) grow long.
+    /// commit order, so CSNs ascend and visibility is a binary search.
     pub fn visible_at(&self, snapshot: u64) -> Option<&Version> {
         let idx = self.versions.partition_point(|v| v.csn <= snapshot);
         if idx == 0 {
@@ -47,9 +61,78 @@ impl VersionChain {
     pub fn latest_csn(&self) -> u64 {
         self.versions.last().map(|v| v.csn).unwrap_or(0)
     }
+
+    /// Keep the newest version at or below `horizon` and everything newer:
+    /// what every snapshot at or above the horizon can read. The newest
+    /// version is always kept, so `latest_csn` does not move.
+    pub fn prune(&mut self, horizon: u64) {
+        let visible = self.versions.partition_point(|v| v.csn <= horizon);
+        if visible > 1 {
+            self.versions.drain(..visible - 1);
+        }
+    }
+
+    /// Nothing but a tombstone at or below `horizon`: to every snapshot at
+    /// or above it, the same as no chain at all.
+    fn is_dead_at(&self, horizon: u64) -> bool {
+        matches!(self.versions.as_slice(), [v] if v.value.is_none() && v.csn <= horizon)
+    }
 }
 
 pub(crate) type Table = BTreeMap<String, VersionChain>;
+
+/// Keys deleted by commits, `(csn, table, key)` in commit order.
+pub(crate) type DeadKeys = VecDeque<(u64, String, String)>;
+
+/// Drain the dead keys the horizon has passed: a chain that is still a lone
+/// tombstone once pruned is removed; one written again since is left to
+/// the FIFO entry of its newer delete, if any.
+pub(crate) fn remove_dead(tables: &mut BTreeMap<String, Table>, dead: &mut DeadKeys, horizon: u64) {
+    while dead.front().is_some_and(|(csn, _, _)| *csn <= horizon) {
+        let Some((_, table, key)) = dead.pop_front() else { break };
+        let Some(t) = tables.get_mut(&table) else { continue };
+        if let Some(chain) = t.get_mut(&key) {
+            chain.prune(horizon);
+            if chain.is_dead_at(horizon) {
+                t.remove(&key);
+            }
+        }
+    }
+}
+
+/// Open snapshot CSNs with their open counts, oldest first. The CSN only
+/// grows, so a registration appends (or bumps the newest entry) and the
+/// deque stays sorted; it never allocates once it has grown.
+#[derive(Default)]
+pub(crate) struct Snapshots(VecDeque<(u64, usize)>);
+
+impl Snapshots {
+    fn register(&mut self, csn: u64) {
+        match self.0.back_mut() {
+            Some((newest, n)) if *newest == csn => *n += 1,
+            _ => self.0.push_back((csn, 1)),
+        }
+    }
+
+    /// Close one snapshot at `csn`. A closed entry between two open ones
+    /// stays until it reaches an end; it never decides the horizon.
+    fn release(&mut self, csn: u64) {
+        let i = self.0.partition_point(|(c, _)| *c < csn);
+        if let Some((_, n)) = self.0.get_mut(i).filter(|(c, _)| *c == csn) {
+            *n -= 1;
+        }
+        while self.0.front().is_some_and(|(_, n)| *n == 0) {
+            self.0.pop_front();
+        }
+        while self.0.back().is_some_and(|(_, n)| *n == 0) {
+            self.0.pop_back();
+        }
+    }
+
+    fn oldest(&self) -> Option<u64> {
+        self.0.front().map(|(csn, _)| *csn)
+    }
+}
 
 /// Tuning knobs for the simulated database.
 #[derive(Debug, Clone)]
@@ -87,10 +170,13 @@ impl DbConfig {
 
 pub(crate) struct DbInner {
     pub tables: RwLock<BTreeMap<String, Table>>,
-    /// Last committed CSN. Snapshots read this without locking.
+    /// Last committed CSN. Snapshots read this under `snapshots`.
     pub csn: AtomicU64,
-    /// Serializes commit validation + apply.
-    pub commit_lock: Mutex<()>,
+    /// Serializes commit validation + apply, and holds the dead keys only
+    /// commits touch.
+    pub commit_lock: Mutex<DeadKeys>,
+    /// Open snapshots; their oldest is the horizon.
+    pub snapshots: Mutex<Snapshots>,
     pub changelog: ChangeLog,
     pub pool: ConnectionPool,
     pub latency: LatencyModel,
@@ -101,6 +187,10 @@ pub(crate) struct DbInner {
     /// validation entirely. Exists so the history checker can prove it
     /// detects the resulting lost-update/duplicate-version anomalies.
     pub weaken_validation: AtomicBool,
+    /// Test-only mutation switch: when set, reclamation ignores open
+    /// snapshots. Exists so uc-check can prove it detects a reader losing
+    /// its snapshot.
+    pub weaken_gc: AtomicBool,
 }
 
 /// Shareable database handle. Cloning shares the storage — the model for
@@ -116,7 +206,8 @@ impl Db {
             inner: Arc::new(DbInner {
                 tables: RwLock::new(BTreeMap::new()),
                 csn: AtomicU64::new(0),
-                commit_lock: Mutex::new(()),
+                commit_lock: Mutex::new(VecDeque::new()),
+                snapshots: Mutex::new(Snapshots::default()),
                 changelog: ChangeLog::new(),
                 pool: ConnectionPool::wired(config.pool_size, config.obs.registry()),
                 latency: config.latency,
@@ -124,6 +215,7 @@ impl Db {
                 faults: config.faults,
                 obs: config.obs,
                 weaken_validation: AtomicBool::new(false),
+                weaken_gc: AtomicBool::new(false),
             }),
         }
     }
@@ -140,18 +232,45 @@ impl Db {
 
     /// Begin a snapshot-isolated read-only transaction.
     pub fn begin_read(&self) -> ReadTxn {
-        ReadTxn::new(self.clone(), self.current_csn())
-    }
-
-    /// Begin a read-only transaction pinned at an explicit snapshot. The
-    /// catalog uses this to serve reads at its cached metastore version.
-    pub fn begin_read_at(&self, snapshot: u64) -> ReadTxn {
-        ReadTxn::new(self.clone(), snapshot.min(self.current_csn()))
+        ReadTxn::new(self.clone(), self.open_snapshot())
     }
 
     /// Begin a serializable read-write transaction.
     pub fn begin_write(&self) -> WriteTxn {
-        WriteTxn::new(self.clone(), self.current_csn())
+        WriteTxn::new(self.clone(), self.open_snapshot())
+    }
+
+    /// Register a snapshot at the current CSN. The CSN is read under the
+    /// registry lock the horizon is computed under, so a horizon can never
+    /// pass a snapshot that is about to open.
+    fn open_snapshot(&self) -> u64 {
+        let mut open = self.inner.snapshots.lock();
+        let csn = self.current_csn();
+        open.register(csn);
+        csn
+    }
+
+    /// Release a snapshot registered by [`Self::open_snapshot`].
+    pub(crate) fn close_snapshot(&self, csn: u64) {
+        self.inner.snapshots.lock().release(csn);
+    }
+
+    /// The snapshot horizon: the oldest open snapshot's CSN, or the current
+    /// CSN when none is open. Reclamation keeps everything a snapshot at or
+    /// above it can read.
+    pub fn horizon(&self) -> u64 {
+        let open = self.inner.snapshots.lock();
+        open.oldest().unwrap_or_else(|| self.current_csn())
+    }
+
+    /// The horizon a commit reclaims against — the current CSN, open
+    /// snapshots ignored, under the test-only weakened-GC switch.
+    pub(crate) fn reclaim_horizon(&self) -> u64 {
+        if self.inner.weaken_gc.load(Ordering::Relaxed) {
+            self.current_csn()
+        } else {
+            self.horizon()
+        }
     }
 
     /// The committed change log.
@@ -188,11 +307,22 @@ impl Db {
         self.inner.weaken_validation.store(skip, Ordering::Relaxed);
     }
 
+    /// Test-only: make reclamation ignore open snapshots (the horizon is
+    /// always the current CSN), so a long-lived reader loses the versions
+    /// it reads — the deliberate wound `uc-check` must detect. Never call
+    /// this outside checker "teeth" tests.
+    #[doc(hidden)]
+    pub fn set_unsafe_gc_ignore_snapshots(&self, ignore: bool) {
+        self.inner.weaken_gc.store(ignore, Ordering::Relaxed);
+    }
+
     /// Read one row outside any transaction, at the latest committed state.
-    /// Convenience for tests and tools; normal code uses transactions.
+    /// Convenience for tests and tools; normal code uses transactions. The
+    /// CSN is read under the table lock: every commit that reclaimed before
+    /// it had a horizon at or below that CSN.
     pub fn get_latest(&self, table: &str, key: &str) -> Option<Bytes> {
-        let snapshot = self.current_csn();
         let guard = self.inner.tables.read();
+        let snapshot = self.current_csn();
         guard
             .get(table)?
             .get(key)?
@@ -200,41 +330,23 @@ impl Db {
             .and_then(|v| v.value.clone())
     }
 
-    /// Garbage-collect version chains: every chain keeps its newest version
-    /// at or below `horizon_csn` plus everything newer. Chains reduced to a
-    /// single old tombstone are removed entirely.
-    ///
-    /// Correctness contract: callers must ensure no active snapshot is older
-    /// than `horizon_csn`.
-    pub fn gc(&self, horizon_csn: u64) {
-        let mut guard = self.inner.tables.write();
-        for table in guard.values_mut() {
-            table.retain(|_, chain| {
-                let keep_from = chain
-                    .versions
-                    .iter()
-                    .rposition(|v| v.csn <= horizon_csn)
-                    .unwrap_or(0);
-                if keep_from > 0 {
-                    chain.versions.drain(..keep_from);
-                }
-                // Drop rows that are just an old tombstone.
-                !(chain.versions.len() == 1
-                    && chain.versions[0].value.is_none()
-                    && chain.versions[0].csn <= horizon_csn)
-            });
-        }
-    }
-
     /// Total number of live (non-tombstone latest) rows across all tables.
     pub fn live_rows(&self) -> usize {
-        let snapshot = self.current_csn();
         let guard = self.inner.tables.read();
+        let snapshot = self.current_csn();
         guard
             .values()
             .flat_map(|t| t.values())
             .filter(|chain| chain.visible_at(snapshot).is_some_and(|v| v.value.is_some()))
             .count()
+    }
+
+    /// What the heap holds: `(chains, versions)` across all tables, dead
+    /// chains and superseded versions included.
+    pub fn resident(&self) -> (usize, usize) {
+        let guard = self.inner.tables.read();
+        let chains = guard.values().flat_map(|t| t.values());
+        chains.fold((0, 0), |(c, v), chain| (c + 1, v + chain.versions.len()))
     }
 
     /// Apply an operation's pool + latency cost. Internal to the crate.
@@ -248,82 +360,161 @@ impl Db {
 mod tests {
     use super::*;
 
+    fn put1(db: &Db, key: &str, val: &str) -> u64 {
+        let mut tx = db.begin_write();
+        tx.put("t", key, Bytes::from(val.to_string()));
+        tx.commit().unwrap()
+    }
+
+    fn del1(db: &Db, key: &str) -> u64 {
+        let mut tx = db.begin_write();
+        tx.delete("t", key);
+        tx.commit().unwrap()
+    }
+
+    fn versions(db: &Db, key: &str) -> Option<usize> {
+        db.inner.tables.read().get("t")?.get(key).map(|c| c.versions.len())
+    }
+
     #[test]
     fn empty_db_reads_nothing() {
         let db = Db::in_memory();
         assert_eq!(db.current_csn(), 0);
         assert_eq!(db.get_latest("t", "k"), None);
         assert_eq!(db.live_rows(), 0);
+        assert_eq!(db.resident(), (0, 0));
     }
 
     #[test]
     fn gc_trims_old_versions_but_keeps_visible_one() {
         let db = Db::in_memory();
         for i in 0..5 {
-            let mut tx = db.begin_write();
-            tx.put("t", "k", Bytes::from(format!("v{i}")));
-            tx.commit().unwrap();
+            put1(&db, "k", &format!("v{i}"));
         }
         assert_eq!(db.current_csn(), 5);
-        db.gc(5);
         assert_eq!(db.get_latest("t", "k"), Some(Bytes::from_static(b"v4")));
-        let guard = db.inner.tables.read();
-        assert_eq!(guard["t"]["k"].versions.len(), 1);
+        assert_eq!(versions(&db, "k"), Some(2), "no snapshot open: the newest at the horizon plus the new one");
     }
 
     #[test]
     fn gc_removes_old_tombstones() {
         let db = Db::in_memory();
-        let mut tx = db.begin_write();
-        tx.put("t", "k", Bytes::from_static(b"v"));
-        tx.commit().unwrap();
-        let mut tx = db.begin_write();
-        tx.delete("t", "k");
-        tx.commit().unwrap();
-        db.gc(db.current_csn());
-        let guard = db.inner.tables.read();
-        assert!(!guard["t"].contains_key("k"));
+        put1(&db, "k", "v");
+        del1(&db, "k");
+        assert_eq!(versions(&db, "k"), Some(2), "a delete's own commit cannot pass it");
+        put1(&db, "other", "x");
+        assert_eq!(versions(&db, "k"), None, "the next commit drains the lone tombstone");
+        assert_eq!(db.resident(), (1, 1));
     }
 
     #[test]
     fn gc_preserves_versions_above_horizon() {
         let db = Db::in_memory();
-        let mut tx = db.begin_write();
-        tx.put("t", "k", Bytes::from_static(b"old"));
-        tx.commit().unwrap(); // csn 1
-        let mut tx = db.begin_write();
-        tx.put("t", "k", Bytes::from_static(b"new"));
-        tx.commit().unwrap(); // csn 2
-        db.gc(1);
-        // a snapshot at 1 must still see "old"
-        let rt = db.begin_read_at(1);
-        assert_eq!(rt.get("t", "k"), Some(Bytes::from_static(b"old")));
+        put1(&db, "k", "old");
+        put1(&db, "gone", "x");
+        let held = db.begin_read();
+        assert_eq!(db.horizon(), held.snapshot_csn());
+        for i in 0..4 {
+            put1(&db, "k", &format!("new{i}"));
+        }
+        del1(&db, "gone");
+        put1(&db, "k", "newest");
+        // A ReadTxn held open across commits still reads its versions.
+        assert_eq!(held.get("t", "k"), Some(Bytes::from_static(b"old")));
+        assert_eq!(held.get("t", "gone"), Some(Bytes::from_static(b"x")));
+        assert_eq!(versions(&db, "k"), Some(6), "nothing at or above the held snapshot is reclaimed");
+        drop(held);
+        assert_eq!(db.horizon(), db.current_csn());
+        put1(&db, "k", "after");
+        assert_eq!(versions(&db, "k"), Some(2));
+        assert_eq!(versions(&db, "gone"), None, "a lone tombstone is gone once the horizon passes it");
     }
+
+    #[test]
+    fn a_key_written_again_after_its_delete_is_not_removed() {
+        let db = Db::in_memory();
+        put1(&db, "k", "a");
+        del1(&db, "k");
+        put1(&db, "k", "b");
+        put1(&db, "other", "x");
+        assert_eq!(db.get_latest("t", "k"), Some(Bytes::from_static(b"b")));
+        del1(&db, "k");
+        put1(&db, "other", "y");
+        assert_eq!(versions(&db, "k"), None, "the newer delete's FIFO entry removes it");
+    }
+
+    #[test]
+    fn the_horizon_is_the_oldest_open_snapshot() {
+        let db = Db::in_memory();
+        put1(&db, "k", "v");
+        let a = db.begin_read();
+        put1(&db, "k", "w");
+        let b = db.begin_write();
+        let c = db.begin_read();
+        assert_eq!((a.snapshot_csn(), b.snapshot_csn(), c.snapshot_csn()), (1, 2, 2));
+        assert_eq!(db.horizon(), 1);
+        drop(a);
+        assert_eq!(db.horizon(), 2);
+        drop(c);
+        assert_eq!(db.horizon(), 2, "b still holds 2");
+        b.rollback();
+        assert_eq!(db.horizon(), db.current_csn());
+        assert!(db.inner.snapshots.lock().0.is_empty());
+    }
+
+    #[test]
+    fn a_closed_snapshot_between_open_ones_never_decides_the_horizon() {
+        let mut s = Snapshots::default();
+        for csn in [1, 2, 3] {
+            s.register(csn);
+        }
+        s.release(2);
+        assert_eq!(s.oldest(), Some(1));
+        s.release(1);
+        assert_eq!((s.oldest(), s.0.len()), (Some(3), 1), "the closed middle entry left with the front");
+    }
+
+    #[test]
+    fn weakened_gc_reclaims_under_an_open_snapshot() {
+        let db = Db::in_memory();
+        put1(&db, "k", "old");
+        let held = db.begin_read();
+        db.set_unsafe_gc_ignore_snapshots(true);
+        put1(&db, "k", "new");
+        put1(&db, "k", "newer");
+        assert_eq!(held.get("t", "k"), None, "the wound: the held snapshot lost its version");
+    }
+
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use bytes::Bytes;
+
+    fn put1(db: &Db, key: &str, val: &str) -> u64 {
+        let mut tx = db.begin_write();
+        tx.put("t", key, Bytes::from(val.to_string()));
+        tx.commit().unwrap()
+    }
 
     #[test]
-    fn begin_read_at_clamps_to_current_csn() {
+    fn begin_read_registers_the_current_csn_until_dropped() {
         let db = Db::in_memory();
-        let mut tx = db.begin_write();
-        tx.put("t", "k", Bytes::from_static(b"v"));
-        tx.commit().unwrap();
-        let rt = db.begin_read_at(9999);
+        put1(&db, "k", "v");
+        let rt = db.begin_read();
         assert_eq!(rt.snapshot_csn(), db.current_csn());
-        assert!(rt.get("t", "k").is_some());
+        put1(&db, "k", "w");
+        assert_eq!(db.horizon(), rt.snapshot_csn(), "the open snapshot holds the horizon");
+        assert_eq!(rt.get("t", "k"), Some(Bytes::from_static(b"v")));
+        drop(rt);
+        assert_eq!(db.horizon(), db.current_csn());
     }
 
     #[test]
     fn live_rows_counts_only_visible_rows() {
         let db = Db::in_memory();
         for key in ["a", "b", "c"] {
-            let mut tx = db.begin_write();
-            tx.put("t", key, Bytes::from_static(b"v"));
-            tx.commit().unwrap();
+            put1(&db, key, "v");
         }
         assert_eq!(db.live_rows(), 3);
         let mut tx = db.begin_write();
@@ -339,9 +530,7 @@ mod more_tests {
             latency: LatencyModel::uniform(std::time::Duration::from_millis(2)),
             ..Default::default()
         });
-        let mut tx = db.begin_write();
-        tx.put("t", "k", Bytes::from_static(b"v"));
-        tx.commit().unwrap();
+        put1(&db, "k", "v");
         let mut handles = Vec::new();
         for _ in 0..4 {
             let db = db.clone();

@@ -11,8 +11,13 @@
 //!   read set (including range scans, for phantom protection) at commit and
 //!   abort with [`TxError::Conflict`] if anything they observed changed.
 //! * **A change log**: every commit appends ordered change records, which
-//!   the catalog consumes for selective cache invalidation and for its
-//!   metadata change-event stream.
+//!   the catalog consumes for selective cache invalidation; consumers hold
+//!   [`ChangeCursor`]s, and the log keeps only what a cursor or an open
+//!   snapshot may still need.
+//! * **Reclamation on the write path**: every open transaction registers
+//!   its snapshot, and each commit prunes the versions and removes the dead
+//!   rows no open snapshot can see (see [`db`]). There is no sweeper and no
+//!   setting.
 //! * **A bounded connection pool with injected latency**: the resource
 //!   model that produces the paper's Fig 10(b) "DB-bottlenecked" regime.
 //!
@@ -27,7 +32,7 @@ pub mod pool;
 pub mod stats;
 pub mod txn;
 
-pub use changelog::{ChangeKind, ChangeRecord};
+pub use changelog::{ChangeCursor, ChangeKind, ChangeRecord};
 pub use db::{Db, DbConfig};
 pub use error::{TxError, TxResult};
 pub use stats::DbStats;

@@ -15,6 +15,10 @@ use uc_obs::{Counter, Registry};
 pub struct DbStats {
     reads: Counter,
     scans: Counter,
+    /// Keys `scan_prefix`, `scan_chain` and `pred_in_range` visited,
+    /// tombstones and superseded chains included: the work a scan does,
+    /// where `scans` counts the calls.
+    steps: Counter,
     writes: Counter,
     commits: Counter,
     conflicts: Counter,
@@ -26,6 +30,10 @@ impl DbStats {
         DbStats {
             reads: registry.counter("txdb.read.count"),
             scans: registry.counter("txdb.scan.count"),
+            // Not registered: how many keys a seek walks depends on where
+            // uid-bearing keys sort, which would break the byte-stable
+            // snapshots. Read it through `DbStats::steps`.
+            steps: Counter::default(),
             writes: registry.counter("txdb.write.rows"),
             commits: registry.counter("txdb.commit.count"),
             conflicts: registry.counter("txdb.commit.conflicts"),
@@ -38,6 +46,10 @@ impl DbStats {
 
     pub fn record_scan(&self) {
         self.scans.inc();
+    }
+
+    pub fn record_steps(&self, n: u64) {
+        self.steps.add(n);
     }
 
     pub fn record_write(&self, n: u64) {
@@ -58,6 +70,10 @@ impl DbStats {
 
     pub fn scans(&self) -> u64 {
         self.scans.get()
+    }
+
+    pub fn steps(&self) -> u64 {
+        self.steps.get()
     }
 
     pub fn writes(&self) -> u64 {
@@ -86,7 +102,9 @@ mod tests {
         s.record_commit();
         s.record_conflict();
         s.record_scan();
+        s.record_steps(4);
         assert_eq!(s.reads(), 2);
+        assert_eq!(s.steps(), 4);
         assert_eq!(s.writes(), 3);
         assert_eq!(s.commits(), 1);
         assert_eq!(s.conflicts(), 1);

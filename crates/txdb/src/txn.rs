@@ -9,6 +9,11 @@
 //! transaction's snapshot. Scanned-prefix validation also catches phantoms:
 //! a row inserted into a scanned range after the snapshot fails validation
 //! because its version chain's latest CSN exceeds the snapshot.
+//!
+//! Both register their snapshot with the database when they begin and
+//! release it when dropped (a committing `WriteTxn` releases it once
+//! validation is done): the oldest open snapshot is the horizon commits
+//! reclaim against (see [`crate::db`]).
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -17,7 +22,7 @@ use uc_cloudstore::faults::points;
 use uc_cloudstore::latency::OpClass;
 
 use crate::changelog::{ChangeKind, ChangeRecord};
-use crate::db::Db;
+use crate::db::{remove_dead, Db, Version};
 use crate::error::{TxError, TxResult};
 
 /// Snapshot-isolated read-only transaction.
@@ -27,6 +32,8 @@ pub struct ReadTxn {
 }
 
 impl ReadTxn {
+    /// `snapshot` must be registered with `db` (see `Db::begin_read`);
+    /// dropping the transaction releases it.
     pub(crate) fn new(db: Db, snapshot: u64) -> Self {
         ReadTxn { db, snapshot }
     }
@@ -56,15 +63,20 @@ impl ReadTxn {
         let Some(t) = guard.get(table) else {
             return Vec::new();
         };
-        t.range(prefix.to_string()..)
+        let mut steps = 0;
+        let rows = t
+            .range(prefix.to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, chain)| {
+                steps += 1;
                 chain
                     .visible_at(self.snapshot)
                     .and_then(|v| v.value.clone())
                     .map(|val| (k.clone(), val))
             })
-            .collect()
+            .collect();
+        self.db.stats().record_steps(steps);
+        rows
     }
 
     /// All live rows at the chain prefixes of `key` — every prefix ending
@@ -79,14 +91,19 @@ impl ReadTxn {
         let Some(t) = guard.get(table) else {
             return Vec::new();
         };
-        chain_prefixes(key)
+        let mut steps = 0;
+        let rows = chain_prefixes(key)
             .filter_map(|p| {
-                t.get(p)
-                    .and_then(|chain| chain.visible_at(self.snapshot))
+                let chain = t.get(p)?;
+                steps += 1;
+                chain
+                    .visible_at(self.snapshot)
                     .and_then(|v| v.value.clone())
                     .map(|val| (p.to_string(), val))
             })
-            .collect()
+            .collect();
+        self.db.stats().record_steps(steps);
+        rows
     }
 
     /// Greatest live key in `[start, end)` with its value — an index seek
@@ -98,12 +115,20 @@ impl ReadTxn {
         self.db.stats().record_read();
         let guard = self.db.inner.tables.read();
         let t = guard.get(table)?;
-        for (k, chain) in t.range(start.to_string()..end.to_string()).rev() {
-            if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
-                return Some((k.clone(), v));
-            }
-        }
-        None
+        let mut steps = 0;
+        let found = t.range(start.to_string()..end.to_string()).rev().find_map(|(k, chain)| {
+            steps += 1;
+            let v = chain.visible_at(self.snapshot)?.value.clone()?;
+            Some((k.clone(), v))
+        });
+        self.db.stats().record_steps(steps);
+        found
+    }
+}
+
+impl Drop for ReadTxn {
+    fn drop(&mut self) {
+        self.db.close_snapshot(self.snapshot);
     }
 }
 
@@ -123,6 +148,8 @@ fn chain_prefixes(key: &str) -> impl Iterator<Item = &str> {
 pub struct WriteTxn {
     db: Db,
     snapshot: u64,
+    /// The snapshot is still registered with the database.
+    snapshot_open: bool,
     finished: bool,
     /// Point reads performed (table, key).
     reads: HashSet<(String, String)>,
@@ -137,10 +164,12 @@ pub struct WriteTxn {
 }
 
 impl WriteTxn {
+    /// `snapshot` must be registered with `db` (see `Db::begin_write`).
     pub(crate) fn new(db: Db, snapshot: u64) -> Self {
         WriteTxn {
             db,
             snapshot,
+            snapshot_open: true,
             finished: false,
             reads: HashSet::new(),
             scans: Vec::new(),
@@ -180,14 +209,17 @@ impl WriteTxn {
         self.db.stats().record_scan();
         let guard = self.db.inner.tables.read();
         let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
+        let mut steps = 0;
         if let Some(t) = guard.get(table) {
             for (k, chain) in t.range(prefix.to_string()..).take_while(|(k, _)| k.starts_with(prefix)) {
+                steps += 1;
                 if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
                     merged.insert(k.clone(), Some(v));
                 }
             }
         }
         drop(guard);
+        self.db.stats().record_steps(steps);
         for ((t, k), v) in &self.writes {
             if t == table && k.starts_with(prefix) {
                 merged.insert(k.clone(), v.clone());
@@ -208,6 +240,7 @@ impl WriteTxn {
         self.db.charge(OpClass::List);
         self.db.stats().record_scan();
         let mut out = Vec::new();
+        let mut steps = 0;
         let guard = self.db.inner.tables.read();
         let t = guard.get(table);
         for p in chain_prefixes(key) {
@@ -219,14 +252,14 @@ impl WriteTxn {
                 continue;
             }
             self.reads.insert(wkey);
-            if let Some(v) = t
-                .and_then(|t| t.get(p))
-                .and_then(|chain| chain.visible_at(self.snapshot))
-                .and_then(|v| v.value.clone())
-            {
+            let Some(chain) = t.and_then(|t| t.get(p)) else { continue };
+            steps += 1;
+            if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
                 out.push((p.to_string(), v));
             }
         }
+        drop(guard);
+        self.db.stats().record_steps(steps);
         out
     }
 
@@ -239,10 +272,12 @@ impl WriteTxn {
         self.db.charge(OpClass::Read);
         self.db.stats().record_read();
         let mut best: Option<(String, Bytes)> = None;
+        let mut steps = 0;
         {
             let guard = self.db.inner.tables.read();
             if let Some(t) = guard.get(table) {
                 for (k, chain) in t.range(start.to_string()..end.to_string()).rev() {
+                    steps += 1;
                     match self.writes.get(&(table.to_string(), k.clone())) {
                         Some(None) => continue, // buffered delete masks the row
                         Some(Some(v)) => {
@@ -261,6 +296,7 @@ impl WriteTxn {
                 }
             }
         }
+        self.db.stats().record_steps(steps);
         // A buffered insert at a key the database has never seen can beat
         // the database's best.
         let lo = (table.to_string(), start.to_string());
@@ -329,7 +365,8 @@ impl WriteTxn {
         }
         self.db.charge(OpClass::Write);
 
-        let inner = &self.db.inner;
+        let db = self.db.clone();
+        let inner = &db.inner;
 
         // Fault injection at the commit boundary: the three transient
         // failure shapes the paper's DB write protocol must survive. All
@@ -356,7 +393,7 @@ impl WriteTxn {
         // a parked client never holds it. A no-op outside scheduled runs.
         uc_cloudstore::sched::yield_point(uc_cloudstore::sched::points::TXDB_COMMIT);
 
-        let _commit_guard = inner.commit_lock.lock();
+        let mut dead = inner.commit_lock.lock();
 
         // --- Validation phase (under commit lock; no commits can interleave).
         // The weaken switch exists only to prove the history checker spots
@@ -431,7 +468,11 @@ impl WriteTxn {
             }
         }
 
-        // --- Apply phase.
+        // --- Apply phase, reclaiming as the rows land (crate::db docs).
+        // Validation was this transaction's last read: its own snapshot no
+        // longer needs to hold the horizon.
+        self.close_snapshot();
+        let horizon = db.reclaim_horizon();
         let new_csn = inner.csn.load(std::sync::atomic::Ordering::Acquire) + 1;
         let mut records = Vec::with_capacity(self.writes.len());
         {
@@ -442,18 +483,18 @@ impl WriteTxn {
                     .or_default()
                     .entry(key.clone())
                     .or_default();
-                chain.versions.push(crate::db::Version { csn: new_csn, value: value.clone() });
-                records.push(ChangeRecord {
-                    csn: new_csn,
-                    table,
-                    key,
-                    kind: if value.is_some() { ChangeKind::Put } else { ChangeKind::Delete },
-                    value,
-                });
+                let kind = if value.is_some() { ChangeKind::Put } else { ChangeKind::Delete };
+                chain.versions.push(Version { csn: new_csn, value });
+                chain.prune(horizon);
+                if kind == ChangeKind::Delete {
+                    dead.push_back((new_csn, table.clone(), key.clone()));
+                }
+                records.push(ChangeRecord { csn: new_csn, table, key, kind });
             }
+            remove_dead(&mut tables, &mut dead, horizon);
         }
         inner.stats.record_write(records.len() as u64);
-        inner.changelog.append(records);
+        inner.changelog.append(records, horizon);
         inner
             .csn
             .store(new_csn, std::sync::atomic::Ordering::Release);
@@ -465,6 +506,18 @@ impl WriteTxn {
     pub fn rollback(mut self) {
         self.finished = true;
         self.writes.clear();
+    }
+
+    fn close_snapshot(&mut self) {
+        if std::mem::replace(&mut self.snapshot_open, false) {
+            self.db.close_snapshot(self.snapshot);
+        }
+    }
+}
+
+impl Drop for WriteTxn {
+    fn drop(&mut self) {
+        self.close_snapshot();
     }
 }
 

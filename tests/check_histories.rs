@@ -526,3 +526,63 @@ fn verify_structure_flags_a_missing_tree_row() {
         "expected exactly one trash mismatch, got {violations:?}"
     );
 }
+
+// ---------------------------------------------------------------------
+// 11. Reclamation adversary: a reader never loses its snapshot
+// ---------------------------------------------------------------------
+
+/// Snapshot clients hold a database snapshot across yields while the
+/// clients commit, and every commit reclaims versions and dead rows below
+/// the horizon. Whatever the interleaving, the held snapshot re-reads
+/// exactly what it first read, and the clients' verdicts stay clean.
+#[test]
+fn snapshot_readers_never_lose_their_snapshot() {
+    let base = sched_seed(0);
+    for offset in 0..6u64 {
+        for mode in MODES {
+            let seed = base.wrapping_add(offset);
+            let mut cfg = RunConfig::new(seed, mode);
+            cfg.snapshot_clients = 2;
+            cfg.subtree_clients = 1;
+            let out = run_one(&cfg);
+            assert!(out.violations.is_empty(), "seed {seed} mode {mode:?}: {:#?}", out.violations);
+            assert_eq!(
+                out.history.ops.len(),
+                (cfg.clients + cfg.subtree_clients) * cfg.ops_per_client,
+                "snapshot readers add no ops"
+            );
+        }
+    }
+}
+
+/// Teeth: reclamation that ignores open snapshots is caught as a lost
+/// snapshot — and only the held readers can catch it, since no client's
+/// own read spans a commit.
+#[test]
+fn weakened_gc_is_flagged_as_a_lost_snapshot() {
+    let base = sched_seed(0);
+    let mut all: Vec<Violation> = Vec::new();
+    for offset in 0..8u64 {
+        let mut cfg = RunConfig::new(base.wrapping_add(offset), SchedMode::RandomWalk);
+        cfg.weaken_gc = true;
+        cfg.snapshot_clients = 1;
+        all.extend(run_one(&cfg).violations);
+        if !all.is_empty() {
+            break;
+        }
+    }
+    assert!(!all.is_empty(), "reclamation ignoring open snapshots went undetected across 8 seeds");
+    assert!(
+        all.iter().all(|v| matches!(v, Violation::SnapshotLost { .. })),
+        "expected lost snapshots only, got {all:#?}"
+    );
+}
+
+#[test]
+fn snapshot_reader_runs_replay_byte_identical() {
+    let mut cfg = RunConfig::new(8_128, SchedMode::Pct { depth: 3 });
+    cfg.snapshot_clients = 2;
+    let a = run_one(&cfg);
+    let b = run_one(&cfg);
+    assert_eq!(a.fingerprint(), b.fingerprint());
+}

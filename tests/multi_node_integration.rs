@@ -461,3 +461,68 @@ fn evicting_a_dropped_table_keeps_its_recreated_name_invalidatable() {
     let seen = node_b.get_entity_by_id(&ctx, &world.ms, &again.id).unwrap();
     assert_eq!(seen.grants, vec![("alice".to_string(), uc_catalog::authz::Privilege::Select)]);
 }
+
+/// Node B reads, then stays idle while node A writes: B's change-log
+/// cursor holds the log from where B was, although no snapshot is open
+/// between A's commits, so B's next reconcile is still *selective* and
+/// invalidates exactly what A touched.
+#[test]
+fn an_idle_node_reconciles_selectively_because_its_cursor_held_the_log() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    world.uc.create_schema(&ctx, &world.ms, "main", "s").unwrap();
+    let names: Vec<String> = (0..20).map(|i| format!("main.s.t{i}")).collect();
+    for n in &names {
+        world.uc.create_table(&ctx, &world.ms, TableSpec::managed(n, schema()).unwrap()).unwrap();
+    }
+    let node_b = spawn_node(&world, "node-b");
+    for n in &names {
+        node_b.get_table(&ctx, &world.ms, n).unwrap();
+    }
+    let csn0 = world.db.current_csn();
+    for n in &names[..5] {
+        world.uc.update_comment(&ctx, &world.ms, &FullName::parse(n).unwrap(), "relation", "fresh").unwrap();
+    }
+    assert!(
+        world.db.changelog().min_retained_csn().is_some_and(|min| min <= csn0 + 1),
+        "B's cursor held every record since B last read"
+    );
+    let stats = node_b.cache_stats();
+    let (full, selective, invalidated) = (stats.full_reconciles.get(), stats.selective_reconciles.get(), stats.invalidations.get());
+    node_b.reconcile_metastore(&world.ms);
+    assert_eq!(stats.full_reconciles.get(), full, "no full reconcile");
+    assert_eq!(stats.selective_reconciles.get(), selective + 1);
+    assert_eq!(stats.invalidations.get(), invalidated + 5, "exactly the five updated tables");
+    for (i, n) in names.iter().enumerate() {
+        let comment = node_b.get_table(&ctx, &world.ms, n).unwrap().comment.clone();
+        assert_eq!(comment.as_deref(), (i < 5).then_some("fresh"), "{n}");
+    }
+}
+
+/// A metastore nobody touches holds the change log from its cache's
+/// cursor on; a `catch_up` that finds it unchanged moves the cursor to the
+/// present, and the next commit drops everything before it.
+#[test]
+fn an_idle_metastores_cache_stops_holding_the_log_after_catch_up() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    let log = world.db.changelog();
+    let idle = world.uc.create_metastore(ADMIN, "idle", "us-west-2").unwrap();
+    world.uc.create_catalog(&ctx, &idle, "c").unwrap();
+    world.uc.reconcile_metastore(&idle);
+    let idle_at = world.db.current_csn();
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    for i in 0..5 {
+        world.uc.create_schema(&ctx, &world.ms, "main", &format!("s{i}")).unwrap();
+    }
+    world.uc.reconcile_metastore(&world.ms);
+    assert_eq!(log.oldest_cursor(), Some(idle_at), "the idle metastore's cache is the oldest cursor");
+    assert_eq!(log.min_retained_csn(), Some(idle_at + 1), "and it holds the log");
+
+    world.uc.reconcile_metastore(&idle);
+    assert_eq!(log.oldest_cursor(), Some(world.db.current_csn()), "caught up to the present");
+    let csn = world.uc.create_schema(&ctx, &world.ms, "main", "after").map(|_| world.db.current_csn()).unwrap();
+    assert_eq!(log.min_retained_csn(), Some(csn), "only the newest commit's records are left");
+    assert!(log.changes_since(0).iter().all(|r| r.csn == csn));
+}

@@ -521,3 +521,59 @@ fn schema_rename_installs_no_unread_descendants() {
     let moved = node.get_entity_by_id(&ctx, &world.ms, &t0.id).unwrap();
     assert_eq!(moved, node.get_table(&ctx, &world.ms, "main.s2.t0").unwrap(), "the table read before the rename moved with it");
 }
+
+/// Keys `op`'s range scans and seeks visited, tombstones included
+/// (`DbStats::steps`).
+fn steps<T>(world: &World, op: impl FnOnce() -> T) -> u64 {
+    let before = world.db.stats().steps();
+    op();
+    world.db.stats().steps() - before
+}
+
+/// A create's path registration seeks below its key in the path index.
+/// A dropped table's path key is removed by the first commit after the
+/// horizon passes its drop, so after 500 create/drop lifecycles in one
+/// schema a create walks exactly the keys the first one walked — at the
+/// parent it walked every dead key below its own.
+#[test]
+fn create_table_after_500_lifecycles_visits_as_many_keys_as_the_first() {
+    let (world, ctx) = seeded_world(&[]);
+    let (uc, ms) = (&world.uc, &world.ms);
+    let name = |i: usize| format!("main.s.t{i}");
+    let create = |i: usize| {
+        steps(&world, || {
+            uc.create_table(&ctx, ms, TableSpec::managed(&name(i), Schema::new(vec![Field::new("x", DataType::Int)])).unwrap())
+                .unwrap()
+        })
+    };
+    let drop = |i: usize| uc.drop_securable(&ctx, ms, &FullName::parse(&name(i)).unwrap(), "relation").unwrap();
+    let first = create(0);
+    drop(0);
+    for i in 1..=500 {
+        create(i);
+        drop(i);
+    }
+    // Any commit reclaims the last drop's keys before the measured create.
+    uc.update_comment(&ctx, ms, &FullName::parse("main.s").unwrap(), "schema", "busy").unwrap();
+    assert_eq!(create(501), first, "the path seek walks no dead key");
+    let (chains, _) = world.db.resident();
+    assert_eq!(chains, world.db.live_rows(), "no dead chain is left resident: every chain is a live row");
+}
+
+/// Purge's trash scan visits its victims and nothing else: the trash rows
+/// an earlier purge deleted are reclaimed, not walked again.
+#[test]
+fn purge_scan_visits_its_victims_and_no_earlier_purge() {
+    let (world, ctx) = seeded_world(&[]);
+    let (uc, ms) = (&world.uc, &world.ms);
+    for batch in 0..3 {
+        for i in 0..20 {
+            let name = format!("main.s.b{batch}_{i}");
+            let cols = Schema::new(vec![Field::new("x", DataType::Int)]);
+            uc.create_table(&ctx, ms, TableSpec::managed(&name, cols).unwrap()).unwrap();
+            uc.drop_securable(&ctx, ms, &FullName::parse(&name).unwrap(), "relation").unwrap();
+        }
+        let visited = steps(&world, || assert_eq!(uc.purge_soft_deleted(ms).unwrap().0, 20));
+        assert_eq!(visited, 20, "purge {batch} visits its 20 victims only");
+    }
+}
