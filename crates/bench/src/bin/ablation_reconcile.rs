@@ -2,8 +2,8 @@
 //!
 //! When a node detects that another node advanced the metastore version,
 //! it must reconcile its cache. The naive strategy evicts everything; the
-//! optimized one consumes the database change log and invalidates only
-//! the touched entries. This bench measures what each strategy costs in
+//! optimized one reads the metastore's change feed from its pinned version
+//! and invalidates only the touched entries. This bench measures what each strategy costs in
 //! subsequent database reads after a small foreign write burst.
 
 use std::sync::Arc;
@@ -77,12 +77,12 @@ fn main() {
         &["strategy", "DB reads for next 500 lookups", "entries invalidated"],
         &[
             vec!["full evict".into(), full_reads.to_string(), TABLES.to_string()],
-            vec!["selective (change log)".into(), selective_reads.to_string(), invalidated.to_string()],
+            vec!["selective (change feed)".into(), selective_reads.to_string(), invalidated.to_string()],
         ],
     );
     assert!(selective_reads * 5 < full_reads, "selective must avoid most re-reads");
     println!(
-        "\nconclusion: change-log-driven invalidation preserves {:.1} % of the cache\n\
+        "\nconclusion: feed-driven invalidation preserves {:.1} % of the cache\n\
          a full evict throws away ({:.0}× fewer DB reads after reconciliation)",
         100.0 * (1.0 - FOREIGN_WRITES as f64 / TABLES as f64),
         full_reads as f64 / selective_reads.max(1) as f64

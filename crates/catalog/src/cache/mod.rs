@@ -3,20 +3,20 @@
 //! Design, mirroring the paper:
 //!
 //! * Each node caches the metastores it serves. A metastore's cache pins
-//!   the **metastore version** it is current as-of, plus the database CSN
-//!   at which that version was observed.
+//!   the **metastore version** it is current as-of.
 //! * **Snapshot reads**: lookups serve the entry version that is newest at
-//!   the cache's pinned version. In-flight batched reads pin a
-//!   (version, CSN) pair and stay consistent even while writes land.
+//!   the cache's pinned version. In-flight batched reads pin a version and
+//!   stay consistent even while writes land.
 //! * **Write-through**: a successful write (which bumped the metastore
 //!   version in the database, conditioned on the cached version) inserts
 //!   the new entity versions immediately — the invariant "cached versions
 //!   are the latest as of the version known to the node" is preserved.
 //! * **Reconciliation**: when a database read observes a different
 //!   metastore version than cached (another node wrote), the cache either
-//!   evicts everything (naive) or consumes the database change log to
-//!   invalidate exactly the touched entries (optimized) — both modes are
-//!   implemented, and the ablation bench compares them.
+//!   evicts everything (naive) or reads the metastore's change feed
+//!   ([`crate::model::feed`]) from its pin on and invalidates exactly the
+//!   touched entries (optimized) — both modes are implemented, and the
+//!   ablation bench compares them.
 //! * **Eviction**: unpopular assets are evicted LRU-batch-style when the
 //!   per-metastore entry cap is exceeded; each entry keeps its newest
 //!   `VERSION_WINDOW` versions for in-flight requests and drops older
@@ -44,12 +44,10 @@
 //!   reconcile already moved the pin past this write.
 //! * `MsCache::catch_up` — revalidate against the database on demand.
 //!
-//! Each cache holds a change-log cursor ([`uc_txdb::ChangeCursor`]) at the
-//! CSN it has consumed through, so the log keeps what its next selective
-//! reconcile needs and nothing older. `catch_up`, and a miss whose snapshot
-//! shows the pinned metastore version (or that reconciled to it), advance
-//! it; the first of them registers it. A cache without a cursor, or one the
-//! log was truncated past anyway, falls back to a full reconcile.
+//! A selective reconcile reads the feed rows after its pin, at the snapshot
+//! it reconciles to, *before* it takes the gate: a database read charges
+//! the connection pool, which is never acquired under the gate. A pin the
+//! feed's retention window has passed gets the full reconcile.
 //!
 //! # Concurrency model (see DESIGN.md §7)
 //!
@@ -61,9 +59,7 @@
 //!   into `RwLock` **shards** keyed by key hash — readers of different
 //!   keys share, readers of the same shard share, and only mutation takes
 //!   a shard writer.
-//! * The `(version, csn)` pin is held in plain atomics guarded by a
-//!   **seqlock**: readers load `(version, csn)` and validate the sequence
-//!   word, retrying on a torn read instead of blocking.
+//! * The version pin is one `AtomicU64`, read with an acquire load.
 //! * LRU accounting is an atomic tick: [`MsCache::get_at`] takes `&self`
 //!   and bumps the entry's `last_access` with a relaxed store under the
 //!   shard *read* lock.
@@ -86,19 +82,18 @@ pub mod ttl;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use uc_cloudstore::sched;
 use uc_obs::Counter;
-use uc_txdb::{ChangeCursor, ChangeRecord, Db, ReadTxn};
+use uc_txdb::{Db, ReadTxn};
 
 use crate::error::UcResult;
-use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::Entity;
-use crate::model::keys::{self, T_MSVER, T_PATH, T_TREE};
-use crate::types::SecurableKind;
+use crate::model::feed::{self, FeedEvent, FeedRow, T_FEED};
+use crate::model::keys;
 
 /// How many superseded versions of an entry to retain for in-flight reads.
 const VERSION_WINDOW: usize = 4;
@@ -114,8 +109,8 @@ const STALE_ROUNDS: usize = 8;
 pub(crate) type Installs = Vec<(Arc<Entity>, String)>;
 
 /// What a committed write did, for [`MsCache::apply_write`] to write
-/// through and the service to publish (`service/` holds the `tx`-taking
-/// helpers a write closure fills it with).
+/// through and the write's feed row to announce (`service/` holds the
+/// `tx`-taking helpers a write closure fills it with).
 #[derive(Default)]
 pub(crate) struct WriteEffects {
     /// Entities written or moved, each with the tree key it now sits at
@@ -132,7 +127,7 @@ pub(crate) struct WriteEffects {
     /// eviction would drop them — a later read of one misses and finds
     /// nothing.
     pub purged: Vec<Uid>,
-    pub events: Vec<(Uid, SecurableKind, String, ChangeOp)>,
+    pub events: Vec<FeedEvent>,
 }
 
 /// Annotate the active request span with the metastore version a read
@@ -154,7 +149,7 @@ pub struct CacheConfig {
     pub enabled: bool,
     /// Per-metastore entry cap before LRU batch eviction.
     pub max_entries: usize,
-    /// Use change-log-driven selective invalidation instead of full evict.
+    /// Use feed-driven selective invalidation instead of full evict.
     pub selective_reconcile: bool,
     /// Shards per index (entities / names / paths); rounded up to a power
     /// of two, minimum 1. One shard reproduces a single-lock cache (the
@@ -202,8 +197,8 @@ pub struct CacheStats {
     /// Write-gate acquisitions that had to block (contention between
     /// misses/writes on one metastore).
     pub gate_waits: Counter,
-    /// Seqlock validation failures on the version pin (a reader raced a
-    /// pin advance and re-read).
+    /// Always 0: the version pin is one atomic, which a reader never
+    /// retries. Kept for the readers of the field and its series.
     pub pin_retries: Counter,
 }
 
@@ -242,8 +237,8 @@ struct CachedEntry {
     path_key: Option<String>,
     /// Tree-encoded ancestor-chain key (DESIGN.md §11) — the entry's key
     /// in the name index, which maps it back to this entry for as long as
-    /// the entry is live: a `T_TREE` change record alone finds the entry
-    /// it invalidates.
+    /// the entry is live: a `T_TREE` key in a feed row alone finds the
+    /// entry it invalidates.
     tree_key: String,
     /// Atomic so the hit path can bump recency under a shard *read* lock.
     last_access: AtomicU64,
@@ -281,17 +276,13 @@ type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
 type EntityShard = RwLock<HashMap<Uid, CachedEntry, FnvBuild>>;
 type IndexShard = RwLock<HashMap<String, Uid, FnvBuild>>;
 
-/// Cache state for one metastore on one node: sharded maps plus a
-/// seqlock-guarded `(version, csn)` pin. The public read accessors take
-/// no exclusive lock; all mutation is private and reached only through
-/// the protocol operations (module docs), which hold the gate.
+/// Cache state for one metastore on one node: sharded maps plus the
+/// version pin. The public read accessors take no exclusive lock; all
+/// mutation is private and reached only through the protocol operations
+/// (module docs), which hold the gate.
 pub struct MsCache {
-    /// Seqlock word for the pin: even = stable, odd = update in progress.
-    pin_seq: AtomicU64,
     /// Metastore version this cache is current as-of.
-    pin_version: AtomicU64,
-    /// Database CSN at which `pin_version` was observed.
-    pin_csn: AtomicU64,
+    pin: AtomicU64,
     entity_shards: Box<[EntityShard]>,
     name_shards: Box<[IndexShard]>,
     path_shards: Box<[IndexShard]>,
@@ -305,10 +296,6 @@ pub struct MsCache {
     config: CacheConfig,
     /// Serializes all mutation on this metastore's cache.
     gate: Mutex<()>,
-    /// Change-log position (module docs): registered by the first
-    /// `catch_up` or miss that finds the cache current, advanced under the
-    /// gate.
-    cursor: OnceLock<ChangeCursor>,
     stats: CacheStats,
 }
 
@@ -338,9 +325,7 @@ impl MsCache {
     fn new(config: &CacheConfig, stats: CacheStats) -> Self {
         let n = config.shards.max(1).next_power_of_two();
         MsCache {
-            pin_seq: AtomicU64::new(0),
-            pin_version: AtomicU64::new(0),
-            pin_csn: AtomicU64::new(0),
+            pin: AtomicU64::new(0),
             entity_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
             name_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
             path_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
@@ -349,7 +334,6 @@ impl MsCache {
             len: AtomicUsize::new(0),
             config: config.clone(),
             gate: Mutex::new(()),
-            cursor: OnceLock::new(),
             stats,
         }
     }
@@ -364,56 +348,14 @@ impl MsCache {
         self.gate.lock()
     }
 
-    /// Consistent `(version, csn)` pin via seqlock validation: lock-free,
-    /// retries only while a writer is mid-update.
-    pub fn pin(&self) -> (u64, u64) {
-        loop {
-            let s1 = self.pin_seq.load(Ordering::Acquire);
-            if s1 & 1 == 0 {
-                let v = self.pin_version.load(Ordering::Acquire);
-                let c = self.pin_csn.load(Ordering::Acquire);
-                if self.pin_seq.load(Ordering::Acquire) == s1 {
-                    return (v, c);
-                }
-            }
-            self.stats.pin_retries.fetch_add(1, Ordering::Relaxed);
-            std::hint::spin_loop();
-        }
-    }
-
     /// Metastore version this cache is current as-of.
     pub fn version(&self) -> u64 {
-        self.pin().0
+        self.pin.load(Ordering::Acquire)
     }
 
-    /// Database CSN at which [`MsCache::version`] was observed.
-    pub fn csn(&self) -> u64 {
-        self.pin().1
-    }
-
-    /// Advance the pin (under the gate, so there is exactly one seqlock
-    /// writer at a time).
-    fn set_pin(&self, version: u64, csn: u64) {
-        self.pin_seq.fetch_add(1, Ordering::AcqRel); // odd: update begins
-        self.pin_version.store(version, Ordering::Release);
-        self.pin_csn.store(csn, Ordering::Release);
-        self.pin_seq.fetch_add(1, Ordering::AcqRel); // even: stable again
-    }
-
-    /// The cache is current as of snapshot `csn`: the snapshot showed the
-    /// pinned version (no write to this metastore since the pin's CSN), or
-    /// the cache was just reconciled to it. Move the pin's CSN and the
-    /// change-log cursor up to it, so the log is held only after what this
-    /// cache has seen (a cache that never reconciles selectively holds
-    /// none of it). Under the gate.
-    fn current_at(&self, db: &Db, csn: u64) {
-        let (version, pinned_csn) = self.pin();
-        if csn > pinned_csn {
-            self.set_pin(version, csn);
-        }
-        if self.config.selective_reconcile {
-            self.cursor.get_or_init(|| db.changelog().cursor(csn)).advance(csn);
-        }
+    /// Advance the pin (under the gate: one writer at a time).
+    fn set_pin(&self, version: u64) {
+        self.pin.store(version, Ordering::Release);
     }
 
     fn entity_shard(&self, id: &Uid) -> &EntityShard {
@@ -537,8 +479,8 @@ impl MsCache {
         true
     }
 
-    /// Evict whatever entity is cached under a tree key: how a `T_TREE`
-    /// change at that key invalidates. `false` when nothing was.
+    /// Evict whatever entity is cached under a tree key: how a feed row's
+    /// `T_TREE` key invalidates. `false` when nothing was.
     fn evict_at_key(&self, tree_key: &str) -> bool {
         self.id_by_name(tree_key).is_some_and(|id| self.remove_entry(&id))
     }
@@ -565,7 +507,7 @@ impl MsCache {
     /// Naive reconciliation: drop everything and adopt the new version.
     /// Entries are cleared *before* the pin advances so no reader at the
     /// new pin can see stale data.
-    fn reconcile_full(&self, new_version: u64, new_csn: u64) {
+    fn reconcile_full(&self, new_version: u64) {
         for shard in self.entity_shards.iter() {
             shard.write().clear();
         }
@@ -576,38 +518,27 @@ impl MsCache {
             shard.write().clear();
         }
         self.len.store(0, Ordering::Relaxed);
-        self.set_pin(new_version, new_csn);
+        self.set_pin(new_version);
         self.stats.full_reconciles.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Optimized reconciliation: invalidate exactly the entries touched by
-    /// the change records between the cached CSN and the new one;
-    /// invalidation precedes the pin advance. Every change to an entity —
-    /// create, update, move, drop — writes or deletes its `T_TREE` row, and
-    /// a cached entity is always in the name index under that row's key,
-    /// so the `T_TREE` records alone find every stale entry.
-    fn reconcile_selective(
-        &self,
-        ms: &Uid,
-        new_version: u64,
-        new_csn: u64,
-        changes: &[ChangeRecord],
-    ) {
-        let path_prefix = keys::path_ms_prefix(ms);
-        let tree_prefix = keys::tree_ms_prefix(ms);
-        for change in changes {
-            match change.table.as_str() {
-                T_TREE if change.key.starts_with(&tree_prefix) => {
-                    let evicted = self.evict_at_key(&change.key);
-                    self.stats.invalidations.fetch_add(u64::from(evicted), Ordering::Relaxed);
-                }
-                T_PATH if change.key.starts_with(&path_prefix) => {
-                    self.path_shard(&change.key).write().remove(&change.key);
-                }
-                _ => {}
+    /// Optimized reconciliation: invalidate exactly the entries the feed
+    /// rows between the pin and the new version touched; invalidation
+    /// precedes the pin advance. Every change to an entity — create,
+    /// update, move, drop — writes or deletes its `T_TREE` row, and a
+    /// cached entity is always in the name index under that row's key, so
+    /// the rows' `T_TREE` keys alone find every stale entry.
+    fn reconcile_selective(&self, new_version: u64, rows: &[FeedRow]) {
+        for row in rows {
+            for key in &row.tree {
+                let evicted = self.evict_at_key(key);
+                self.stats.invalidations.fetch_add(u64::from(evicted), Ordering::Relaxed);
+            }
+            for key in &row.path {
+                self.path_shard(key).write().remove(key);
             }
         }
-        self.set_pin(new_version, new_csn);
+        self.set_pin(new_version);
         self.stats.selective_reconciles.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -717,16 +648,16 @@ impl MsCache {
         let rt = db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
         let (value, installs) = load(&rt)?;
+        let changes = self.changes(ms, &rt, db_ver);
         let _gate = self.write_gate();
         match db_ver.cmp(&self.version()) {
             std::cmp::Ordering::Less => {
                 self.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
-            std::cmp::Ordering::Greater => self.reconcile(ms, db, db_ver, rt.snapshot_csn()),
+            std::cmp::Ordering::Greater => self.reconcile(db_ver, changes),
             std::cmp::Ordering::Equal => {}
         }
-        self.current_at(db, rt.snapshot_csn());
         for (entity, tree_key) in installs {
             // An entry still cached live *under this key* is this same
             // row — a reconcile evicts what changed at a key — so the
@@ -745,24 +676,28 @@ impl MsCache {
         Ok(Some(value))
     }
 
-    /// Write-through after this node committed `prev_version + 1` at
-    /// `csn`. A slow writer must never regress the shared pin: if a later
-    /// commit's apply (or a reader's reconcile) already advanced past this
-    /// write's version, that reconcile consumed the changelog through a
-    /// CSN at or beyond this commit, so these effects are already
-    /// reflected — applying them now would pin the cache to an older
-    /// version and break read-your-writes for every client on this node.
-    pub(crate) fn apply_write(&self, ms: &Uid, db: &Db, prev_version: u64, csn: u64, fx: &WriteEffects) {
+    /// Write-through after this node committed `prev_version + 1`. A slow
+    /// writer must never regress the shared pin: if a later commit's apply
+    /// (or a reader's reconcile) already advanced past this write's
+    /// version, that reconcile consumed the feed through this commit's row,
+    /// so these effects are already reflected — applying them now would
+    /// pin the cache to an older version and break read-your-writes for
+    /// every client on this node. A pin behind `prev_version` (another
+    /// node wrote in between) is first reconciled to it.
+    pub(crate) fn apply_write(&self, ms: &Uid, db: &Db, prev_version: u64, fx: &WriteEffects) {
         if !self.config.enabled {
             return;
         }
+        // Another node wrote in between: read its rows now, outside the gate.
+        let behind = self.version() < prev_version;
+        let changes = if behind { self.changes(ms, &db.begin_read(), prev_version) } else { None };
         let _gate = self.write_gate();
         let pinned = self.version();
         if pinned > prev_version {
             return;
         }
         if pinned != prev_version {
-            self.reconcile(ms, db, prev_version + 1, csn);
+            self.reconcile(prev_version, changes);
         }
         // Install effects first, advance the pin last: concurrent readers
         // at the old pin can't see the new versions, and readers after
@@ -779,49 +714,50 @@ impl MsCache {
         for id in &fx.purged {
             self.remove_entry(id);
         }
-        self.set_pin(prev_version + 1, csn);
+        self.set_pin(prev_version + 1);
     }
 
-    /// Revalidate against the database now: reconcile if it is ahead,
-    /// then hold the change log only from the snapshot on. A write applied
-    /// after the snapshot was taken leaves the cache ahead of it: nothing
-    /// to do.
+    /// Revalidate against the database now: reconcile if it is ahead. A
+    /// write applied after the snapshot was taken leaves the cache ahead of
+    /// it: nothing to do.
     pub(crate) fn catch_up(&self, ms: &Uid, db: &Db) {
         if !self.config.enabled {
             return;
         }
         let rt = db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
+        let changes = self.changes(ms, &rt, db_ver);
         let _gate = self.write_gate();
-        match db_ver.cmp(&self.version()) {
-            std::cmp::Ordering::Less => return,
-            std::cmp::Ordering::Greater => self.reconcile(ms, db, db_ver, rt.snapshot_csn()),
-            std::cmp::Ordering::Equal => {}
+        if db_ver > self.version() {
+            self.reconcile(db_ver, changes);
         }
-        self.current_at(db, rt.snapshot_csn());
     }
 
-    /// Bring the cache to `(db_version, db_csn)` — both from one
-    /// consistent snapshot — using the configured strategy.
-    fn reconcile(&self, ms: &Uid, db: &Db, db_version: u64, db_csn: u64) {
-        if !self.config.selective_reconcile {
-            self.reconcile_full(db_version, db_csn);
-            return;
+    /// What a selective reconcile from the pin to `to` invalidates: the
+    /// feed rows after the pin, read at `rt` (whose metastore version is
+    /// at least `to`) before the caller takes the gate. `None` when no read
+    /// is needed — the cache is at or past `to`, or reconciles in full —
+    /// and when the window has passed the pin. The pin can only move up
+    /// before the gate is taken, so rows read from here cover whatever the
+    /// reconcile then starts from.
+    fn changes(&self, ms: &Uid, rt: &ReadTxn, to: u64) -> Option<Vec<FeedRow>> {
+        let pinned = self.version();
+        if to <= pinned || !self.config.selective_reconcile {
+            return None;
         }
-        let cached_csn = self.csn();
-        let changes = db.changelog().changes_since(cached_csn);
-        // If the log was truncated past our position — including the case
-        // where it is now empty while history advanced — we cannot trust
-        // selective invalidation.
-        let missed_history = cached_csn > 0
-            && match db.changelog().min_retained_csn() {
-                Some(min) => min > cached_csn + 1,
-                None => db_csn > cached_csn,
-            };
-        if missed_history {
-            self.reconcile_full(db_version, db_csn);
-        } else {
-            self.reconcile_selective(ms, db_version, db_csn, &changes);
+        match feed::rows_between(rt, ms, pinned, to) {
+            Ok((rows, true)) => Some(rows.into_iter().map(|(_, row)| row).collect()),
+            _ => None,
+        }
+    }
+
+    /// Bring the cache to `version` with the configured strategy, given the
+    /// feed rows [`Self::changes`] read for it: without rows, the cache
+    /// missed history and is evicted in full.
+    fn reconcile(&self, version: u64, changes: Option<Vec<FeedRow>>) {
+        match changes {
+            Some(rows) => self.reconcile_selective(version, &rows),
+            None => self.reconcile_full(version),
         }
     }
 }
@@ -857,17 +793,18 @@ impl NodeCache {
     }
 }
 
-/// Re-read the metastore version from a read transaction.
-pub fn read_ms_version(rt: &uc_txdb::ReadTxn, ms: &Uid) -> u64 {
-    rt.get(T_MSVER, ms.as_str())
-        .and_then(|b| String::from_utf8(b.to_vec()).ok())
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// The metastore version at a read transaction's snapshot: the last row of
+/// its change feed, found by one seek.
+pub fn read_ms_version(rt: &ReadTxn, ms: &Uid) -> u64 {
+    let (start, end) = feed::head_range(ms);
+    rt.pred_in_range(T_FEED, &start, &end).map_or(0, |(key, _)| feed::version_of(&key))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::keys::T_TREE;
+    use crate::types::SecurableKind;
 
     fn entity(id: &str, name: &str) -> Arc<Entity> {
         let mut e = Entity::new(
@@ -953,26 +890,23 @@ mod tests {
         let (c, stats) = cache_with(1000);
         insert(&c, "e1", "a", 1);
         insert(&c, "e2", "b", 1);
-        c.reconcile_full(9, 99);
+        c.reconcile_full(9);
         assert_eq!(c.entry_count(), 0);
         assert_eq!(c.version(), 9);
-        assert_eq!(c.csn(), 99);
         assert_eq!(stats.full_reconciles.get(), 1);
+    }
+
+    /// A feed row touching the tree keys `keys`.
+    fn row(keys: &[String]) -> FeedRow {
+        FeedRow { tree: keys.to_vec(), ..Default::default() }
     }
 
     #[test]
     fn selective_reconcile_invalidates_only_touched() {
-        let ms = Uid::from("ms");
         let (c, stats) = cache_with(1000);
         insert(&c, "e1", "a", 1);
         insert(&c, "e2", "b", 1);
-        let changes = vec![ChangeRecord {
-            csn: 2,
-            table: T_TREE.to_string(),
-            key: nk("e1"),
-            kind: uc_txdb::ChangeKind::Put,
-        }];
-        c.reconcile_selective(&ms, 2, 2, &changes);
+        c.reconcile_selective(2, &[row(&[nk("e1")])]);
         assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "touched entry dropped");
         assert!(c.get_at(&Uid::from("e2"), 1).is_some(), "untouched entry kept");
         assert!(c.id_by_name(&nk("e1")).is_none());
@@ -984,9 +918,9 @@ mod tests {
     fn evicting_a_dropped_entry_keeps_the_name_for_its_successor() {
         // e1 is dropped at K and the name re-created as e2. e1's tombstoned
         // entry still remembers K; evicting it must not take K → e2 along,
-        // or a remote change to e2 (a `T_TREE` record at K) finds nothing
-        // and e2 is served stale by id.
-        let (ms, k) = (Uid::from("ms"), nk("t"));
+        // or a remote change to e2 (a feed row naming K) finds nothing and
+        // e2 is served stale by id.
+        let k = nk("t");
         let (c, stats) = cache_with(1000);
         c.insert(entity("e1", "t"), 1, Some("pk/p".into()), k.clone());
         c.insert_tombstone(&Uid::from("e1"), 2);
@@ -994,30 +928,23 @@ mod tests {
         assert!(c.remove_entry(&Uid::from("e1")));
         assert_eq!(c.id_by_name(&k), Some(Uid::from("e2")));
         assert_eq!(c.id_by_path("pk/p"), Some(Uid::from("e2")));
-        let changes = vec![ChangeRecord {
-            csn: 4,
-            table: T_TREE.to_string(),
-            key: k.clone(),
-            kind: uc_txdb::ChangeKind::Put,
-        }];
-        c.reconcile_selective(&ms, 4, 4, &changes);
+        c.reconcile_selective(4, &[row(&[k])]);
         assert!(c.get_at(&Uid::from("e2"), 4).is_none(), "the change at K evicts e2");
         assert_eq!(stats.invalidations.get(), 1);
     }
 
+    /// A reconcile reads its own metastore's feed range and nothing else:
+    /// another metastore's row naming a key this cache holds invalidates
+    /// nothing here.
     #[test]
     fn selective_reconcile_ignores_other_metastores() {
-        let ms = Uid::from("ms");
-        let (c, _) = cache_with(1000);
-        insert(&c, "e1", "a", 1);
-        let changes = vec![ChangeRecord {
-            csn: 2,
-            table: T_TREE.to_string(),
-            key: keys::tree_key(&Uid::from("other"), &[("relation", "e1")]),
-            kind: uc_txdb::ChangeKind::Put,
-        }];
-        c.reconcile_selective(&ms, 2, 2, &changes);
-        assert!(c.get_at(&Uid::from("e1"), 1).is_some());
+        let (db, c, stats, loads) = caught_up();
+        read_id(&c, &db, "e1", &loads, |_| {}).unwrap();
+        commit_in(&db, &Uid::from("other"), 2, &[nk("e1")]);
+        commit(&db, 2, &[]);
+        c.catch_up(&Uid::from("ms"), &db);
+        assert_eq!((c.version(), stats.invalidations.get()), (2, 0));
+        assert!(c.get_at(&Uid::from("e1"), 2).is_some());
     }
 
     #[test]
@@ -1094,9 +1021,9 @@ mod tests {
     #[test]
     fn eviction_racing_readers_never_tears_the_pin() {
         // Evictions take shard write locks while readers probe shards and
-        // read the seqlock pin. A reader must never observe a torn
-        // (version, csn) pair or a panic, no matter how eviction and pin
-        // advance interleave with its probes.
+        // read the pin. A reader must never see the pin move backwards or
+        // panic, no matter how eviction and pin advance interleave with
+        // its probes.
         let (c, stats) = cache_with(16);
         let c = std::sync::Arc::new(c);
         let writer = {
@@ -1112,7 +1039,7 @@ mod tests {
                         Some(format!("pk/wp{v}")),
                         format!("nk/wn{v}"),
                     );
-                    c.set_pin(v, v);
+                    c.set_pin(v);
                 }
             })
         };
@@ -1122,9 +1049,8 @@ mod tests {
             readers.push(std::thread::spawn(move || {
                 let mut last = 0u64;
                 loop {
-                    let (v, csn) = c.pin();
-                    assert_eq!(v, csn, "torn pin observed by reader {r}");
-                    assert!(v >= last, "pin went backwards under eviction");
+                    let v = c.version();
+                    assert!(v >= last, "pin went backwards under eviction (reader {r})");
                     last = v;
                     // Probe entries that may be mid-eviction: any outcome
                     // (hit at some version ≤ asked, cached miss, absent) is
@@ -1167,21 +1093,17 @@ mod tests {
             std::thread::spawn(move || {
                 for v in 1..=10_000u64 {
                     let _gate = c.write_gate();
-                    // version and csn move in lockstep; a torn read would
-                    // observe a (v, c) pair off the v == c diagonal.
-                    c.set_pin(v, v);
+                    c.set_pin(v);
                 }
             })
         };
         let mut last = 0;
         while last < 10_000 {
-            let (v, csn) = c.pin();
-            assert_eq!(v, csn, "seqlock must never expose a torn pin");
+            let v = c.version();
             assert!(v >= last, "pin went backwards");
             last = v.max(last);
             if writer.is_finished() {
-                let (v, csn) = c.pin();
-                assert_eq!((v, csn), (10_000, 10_000));
+                assert_eq!(c.version(), 10_000);
                 break;
             }
         }
@@ -1191,14 +1113,23 @@ mod tests {
     // ---- protocol step tests: the three operations against a bare `Db`,
     // no threads, no `UnityCatalog` ----
 
-    /// Commit `ents` and set the metastore version; returns the CSN.
-    fn commit(db: &Db, version: u64, ents: &[&Arc<Entity>]) -> u64 {
+    /// Commit `ents` as metastore version `version`: their rows, and the
+    /// feed row naming their keys.
+    fn commit(db: &Db, version: u64, ents: &[&Arc<Entity>]) {
+        let keys: Vec<String> = ents.iter().map(|e| nk(e.id.as_str())).collect();
         let mut tx = db.begin_write();
-        for e in ents {
-            tx.put(T_TREE, &nk(e.id.as_str()), e.encode());
+        for (e, key) in ents.iter().zip(&keys) {
+            tx.put(T_TREE, key, e.encode());
         }
-        tx.put(T_MSVER, "ms", bytes::Bytes::from(version.to_string()));
-        tx.commit().unwrap()
+        tx.put(T_FEED, &feed::key(&Uid::from("ms"), version), row(&keys).encode());
+        tx.commit().unwrap();
+    }
+
+    /// A feed row alone, in metastore `ms`.
+    fn commit_in(db: &Db, ms: &Uid, version: u64, tree_keys: &[String]) {
+        let mut tx = db.begin_write();
+        tx.put(T_FEED, &feed::key(ms, version), row(tree_keys).encode());
+        tx.commit().unwrap();
     }
 
     /// By-id read through the protocol. `loads` counts `load` calls, and
@@ -1252,16 +1183,18 @@ mod tests {
     #[test]
     fn read_finding_the_database_ahead_reconciles_before_installing() {
         let (db, c, stats, loads) = caught_up();
-        commit(&db, 1, &[&entity("e2", "b")]);
+        commit(&db, 2, &[&entity("e2", "b")]);
         read_id(&c, &db, "e2", &loads, |_| {}).unwrap();
-        // Another node rewrites e2 and moves the metastore to version 3.
+        // Another node rewrites e2 at version 3 and adds e3 at version 4.
         commit(&db, 3, &[&entity("e2", "b2")]);
+        commit(&db, 4, &[&entity("e3", "c")]);
         assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
-        assert_eq!(c.version(), 3, "reconciled to the snapshot's version");
-        // One reconcile beyond `caught_up`'s own, invalidating exactly e2.
-        assert_eq!((stats.selective_reconciles.get(), stats.invalidations.get()), (2, 1));
-        assert!(c.get_at(&Uid::from("e2"), 3).is_none(), "the touched entry was invalidated");
-        assert!(c.get_at(&Uid::from("e1"), 2).is_none(), "installed at the new version, not before it");
+        assert_eq!(c.version(), 4, "reconciled to the snapshot's version");
+        // Two reconciles beyond `caught_up`'s own (the e2 read found version
+        // 2), the second invalidating exactly e2.
+        assert_eq!((stats.selective_reconciles.get(), stats.invalidations.get()), (3, 1));
+        assert!(c.get_at(&Uid::from("e2"), 4).is_none(), "the touched entry was invalidated");
+        assert!(c.get_at(&Uid::from("e1"), 3).is_none(), "installed at the new version, not before it");
         let before = loads.get();
         read_id(&c, &db, "e1", &loads, |_| {}).unwrap();
         assert_eq!((loads.get(), stats.hits.get()), (before, 1), "the install is then a hit");
@@ -1308,10 +1241,10 @@ mod tests {
                 // A write commits and is applied after this round took its
                 // snapshot and before it reaches the gate.
                 let e2 = entity("e2", "b");
-                let csn = commit(&db, 2, &[&e2]);
+                commit(&db, 2, &[&e2]);
                 let mut fx = WriteEffects::default();
                 fx.upserts.push((e2, nk("e2")));
-                c.apply_write(&ms, &db, 1, csn, &fx);
+                c.apply_write(&ms, &db, 1, &fx);
             } else {
                 assert!(c.get_at(&Uid::from("e1"), c.version()).is_none(), "a stale round installs nothing");
             }
@@ -1324,7 +1257,7 @@ mod tests {
     #[test]
     fn read_serves_uninstalled_once_the_stale_budget_is_spent() {
         let (db, c, stats, loads) = caught_up();
-        c.set_pin(9, 9); // a pin no snapshot of this database reaches
+        c.set_pin(9); // a pin no snapshot of this database reaches
         assert_eq!(read_id(&c, &db, "e1", &loads, |_| {}).unwrap().name, "a");
         assert_eq!(loads.get() as usize, STALE_ROUNDS + 1);
         assert_eq!((stats.stale_retries.get() as usize, stats.misses.get()), (STALE_ROUNDS, 1));
@@ -1335,7 +1268,7 @@ mod tests {
     fn disabled_cache_never_probes_and_loads_once() {
         let db = Db::in_memory();
         let e1 = entity("e1", "a");
-        let csn = commit(&db, 1, &[&e1]);
+        commit(&db, 1, &[&e1]);
         let stats = CacheStats::default();
         let c = MsCache::new(&CacheConfig::disabled(), stats.clone());
         let (ms, loads) = (Uid::from("ms"), std::cell::Cell::new(0));
@@ -1351,8 +1284,8 @@ mod tests {
         assert_eq!((got.unwrap(), loads.get()), (7, 1));
         // The other two operations are no-ops as well.
         c.catch_up(&ms, &db);
-        c.apply_write(&ms, &db, 0, csn, &WriteEffects::default());
-        assert_eq!((c.pin(), c.entry_count()), ((0, 0), 0));
+        c.apply_write(&ms, &db, 0, &WriteEffects::default());
+        assert_eq!((c.version(), c.entry_count()), (0, 0));
         assert_eq!((stats.hits.get(), stats.misses.get()), (0, 0));
     }
 
@@ -1363,14 +1296,14 @@ mod tests {
         // This node commits version 2; before it applies, another node
         // commits version 3 and a reconcile here consumes both.
         let e2 = entity("e2", "b");
-        let csn_a = commit(&db, 2, &[&e2]);
-        let csn_b = commit(&db, 3, &[&entity("e3", "c")]);
+        commit(&db, 2, &[&e2]);
+        commit(&db, 3, &[&entity("e3", "c")]);
         c.catch_up(&ms, &db);
-        assert_eq!(c.pin(), (3, csn_b));
+        assert_eq!(c.version(), 3);
         let mut fx = WriteEffects::default();
         fx.upserts.push((e2, nk("e2")));
-        c.apply_write(&ms, &db, 1, csn_a, &fx);
-        assert_eq!(c.pin(), (3, csn_b), "a slow writer never regresses the pin");
+        c.apply_write(&ms, &db, 1, &fx);
+        assert_eq!(c.version(), 3, "a slow writer never regresses the pin");
         assert_eq!(c.entry_count(), 0);
         assert!(c.id_by_name(&nk("e2")).is_none());
     }

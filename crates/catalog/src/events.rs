@@ -1,12 +1,15 @@
 //! The metadata change-event stream (§4.4).
 //!
-//! Whenever metadata changes, the core service publishes an event. Second-
-//! tier services (search, lineage, external discovery catalogs) consume
-//! the stream by offset, staying fresh without polling the operational
-//! APIs. Offsets make consumption restartable and let multiple consumers
-//! progress independently.
+//! Whenever metadata changes, the commit that changes it stores the events
+//! in its metastore's change feed ([`crate::model::feed`]), so an event
+//! exists exactly when its commit does, on every node, across restarts.
+//! Second-tier services (search, lineage, external discovery catalogs)
+//! consume a metastore's stream by version through
+//! `UnityCatalog::events_since`, staying fresh without polling the
+//! operational APIs; a consumer's position is the version it has read
+//! through, so consumption is restartable and consumers progress
+//! independently.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::Uid;
@@ -28,8 +31,6 @@ pub enum ChangeOp {
 /// One published change.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetadataChangeEvent {
-    /// Position in the stream (dense, starting at 0).
-    pub seq: u64,
     pub metastore: Uid,
     pub entity_id: Uid,
     pub kind: SecurableKind,
@@ -37,110 +38,91 @@ pub struct MetadataChangeEvent {
     /// last name so consumers can de-index them).
     pub name: String,
     pub op: ChangeOp,
-    /// Metastore version after the change.
+    /// The metastore version of the commit that carried the event: its
+    /// position in the stream.
     pub at_version: u64,
     pub timestamp_ms: u64,
 }
 
-/// In-memory event stream with offset-based consumption.
-#[derive(Default)]
-pub struct EventBus {
-    events: RwLock<Vec<MetadataChangeEvent>>,
-}
-
-impl EventBus {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publish an event; the bus assigns the sequence number.
-    pub fn publish(&self, mut event: MetadataChangeEvent) -> u64 {
-        let mut events = self.events.write();
-        let seq = events.len() as u64;
-        event.seq = seq;
-        events.push(event);
-        seq
-    }
-
-    /// Events at or after `offset`, plus the next offset to poll from.
-    pub fn since(&self, offset: u64) -> (Vec<MetadataChangeEvent>, u64) {
-        let events = self.events.read();
-        let start = (offset as usize).min(events.len());
-        let batch = events[start..].to_vec();
-        let next = events.len() as u64;
-        (batch, next)
-    }
-
-    /// Current end-of-stream offset.
-    pub fn head(&self) -> u64 {
-        self.events.read().len() as u64
-    }
+/// One read of a metastore's stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EventPage {
+    /// The events of every version after the consumer's, oldest first.
+    pub events: Vec<MetadataChangeEvent>,
+    /// The version read through: the consumer's next `after_version`.
+    pub next_version: u64,
+    /// The consumer was behind the feed's retention window: the events it
+    /// missed are gone and `events` is empty. It must rebuild from the full
+    /// state, then consume from `next_version`.
+    pub resync: bool,
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
 
-    fn ev(name: &str, op: ChangeOp) -> MetadataChangeEvent {
-        MetadataChangeEvent {
-            seq: 0,
-            metastore: Uid::from("ms"),
-            entity_id: Uid::from("e"),
-            kind: SecurableKind::Table,
-            name: name.to_string(),
-            op,
-            at_version: 1,
-            timestamp_ms: 0,
-        }
+    use super::*;
+    use crate::service::{Context, UnityCatalog};
+
+    fn world() -> (Arc<UnityCatalog>, Uid, Context) {
+        let uc = UnityCatalog::in_memory();
+        let ms = uc.create_metastore("admin", "prod", "us-west-2").unwrap();
+        (uc, ms, Context::user("admin"))
     }
 
     #[test]
     fn publish_assigns_dense_sequence() {
-        let bus = EventBus::new();
-        assert_eq!(bus.publish(ev("a", ChangeOp::Create)), 0);
-        assert_eq!(bus.publish(ev("b", ChangeOp::Update)), 1);
-        assert_eq!(bus.head(), 2);
+        // Versions are the sequence: every commit is the next one, and its
+        // events carry it.
+        let (uc, ms, ctx) = world();
+        let start = uc.events_since(&ms, 0).unwrap().next_version;
+        for name in ["a", "b", "c"] {
+            uc.create_catalog(&ctx, &ms, name).unwrap();
+        }
+        let page = uc.events_since(&ms, start).unwrap();
+        let versions: Vec<u64> = page.events.iter().map(|e| e.at_version).collect();
+        assert_eq!(versions, [start + 1, start + 2, start + 3]);
+        assert_eq!(page.next_version, start + 3);
     }
 
     #[test]
     fn consumption_by_offset() {
-        let bus = EventBus::new();
-        bus.publish(ev("a", ChangeOp::Create));
-        bus.publish(ev("b", ChangeOp::Create));
-        let (batch, next) = bus.since(0);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(next, 2);
+        let (uc, ms, ctx) = world();
+        uc.create_catalog(&ctx, &ms, "a").unwrap();
+        let page = uc.events_since(&ms, 0).unwrap();
+        assert_eq!(page.events.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(), ["prod", "a"]);
+        assert!(!page.resync);
         // nothing new
-        let (batch, next) = bus.since(next);
-        assert!(batch.is_empty());
-        assert_eq!(next, 2);
-        // new event arrives
-        bus.publish(ev("c", ChangeOp::Delete));
-        let (batch, next) = bus.since(next);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].name, "c");
-        assert_eq!(next, 3);
+        let again = uc.events_since(&ms, page.next_version).unwrap();
+        assert!(again.events.is_empty());
+        assert_eq!(again.next_version, page.next_version);
+        // a new event arrives
+        uc.create_catalog(&ctx, &ms, "c").unwrap();
+        let next = uc.events_since(&ms, again.next_version).unwrap();
+        assert_eq!(next.events.len(), 1);
+        assert_eq!(next.events[0].name, "c");
+        assert_eq!(next.next_version, page.next_version + 1);
     }
 
     #[test]
     fn independent_consumers_progress_separately() {
-        let bus = EventBus::new();
+        let (uc, ms, ctx) = world();
         for i in 0..5 {
-            bus.publish(ev(&format!("e{i}"), ChangeOp::Create));
+            uc.create_catalog(&ctx, &ms, &format!("e{i}")).unwrap();
         }
-        let (fast, _) = bus.since(0);
-        let (slow, _) = bus.since(3);
-        assert_eq!(fast.len(), 5);
-        assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].name, "e3");
+        let fast = uc.events_since(&ms, 0).unwrap();
+        let slow = uc.events_since(&ms, 3).unwrap();
+        assert_eq!(fast.events.len(), 6, "the metastore's own create and five catalogs");
+        assert_eq!(slow.events.len(), 3);
+        assert_eq!(slow.events[0].name, "e2");
+        assert_eq!(fast.next_version, slow.next_version);
     }
 
     #[test]
     fn offset_beyond_head_is_safe() {
-        let bus = EventBus::new();
-        bus.publish(ev("a", ChangeOp::Create));
-        let (batch, next) = bus.since(99);
-        assert!(batch.is_empty());
-        assert_eq!(next, 1);
+        let (uc, ms, _) = world();
+        let page = uc.events_since(&ms, 99).unwrap();
+        assert!(page.events.is_empty() && !page.resync);
+        assert_eq!(page.next_version, 1, "a position past the head is brought back to it");
     }
 }

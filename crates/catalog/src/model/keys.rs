@@ -1,8 +1,8 @@
 //! Database table names and key construction.
 //!
-//! Every key is prefixed by the metastore id, so (a) all operations are
-//! naturally metastore-scoped, and (b) the cache can filter the database
-//! change log down to one metastore by key prefix during reconciliation.
+//! Every key is prefixed by the metastore id, so all operations are
+//! naturally metastore-scoped and a metastore's rows of a table are one
+//! range. The change feed's table and keys are [`super::feed`]'s.
 //!
 //! An entity has one row. While it is active the row sits in `T_TREE` at
 //! its tree key — the `{group}:{name}` ancestor chain under the metastore,
@@ -35,8 +35,6 @@ pub const T_PATH: &str = "path";
 /// `WriteEffects`; a soft delete removes the row, freeing the name. The
 /// metastore entity itself sits at the bare metastore prefix.
 pub const T_TREE: &str = "tree";
-/// Metastore version: `{ms}` → decimal version.
-pub const T_MSVER: &str = "msver";
 /// Principals: `{name}` → principal record JSON (account-level).
 pub const T_PRINCIPAL: &str = "prin";
 /// Lineage edges: `{ms}/d/{downstream}/{upstream}` and `{ms}/u/{upstream}/{downstream}`.

@@ -8,9 +8,11 @@
 //! (the one-asset-per-path invariant). [`manifest`] is the declarative
 //! asset-type registry: per-kind privileges, hierarchy position, storage
 //! behaviour, and validation hooks — the extension point through which
-//! registered models were added (§4.2.3).
+//! registered models were added (§4.2.3). [`feed`] is the per-metastore
+//! change feed each write appends to in its own transaction.
 
 pub mod entity;
+pub mod feed;
 pub mod keys;
 pub mod manifest;
 pub mod paths;

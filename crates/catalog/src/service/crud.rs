@@ -13,6 +13,7 @@ use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
+use crate::model::feed::FeedEvent;
 use crate::model::keys::{self, T_COMMIT, T_ENTITY, T_TRASH, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::paths;
@@ -107,7 +108,7 @@ impl UnityCatalog {
         let api = self.api_enter(Op::SET_METASTORE_ROOT, Some(&ctx.principal), Some(ms));
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, root_path)?;
-        self.update_entity_by_id(ms, ms, |e| {
+        self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
             e.properties.insert("root_location".to_string(), root_path.to_string());
             Ok(())
         })?;
@@ -119,7 +120,7 @@ impl UnityCatalog {
     pub fn add_metastore_admin(&self, ctx: &Context, ms: &Uid, principal: &str) -> UcResult<()> {
         let api = self.api_enter(Op::ADD_METASTORE_ADMIN, Some(&ctx.principal), Some(ms));
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, principal)?;
-        self.update_entity_by_id(ms, ms, |e| {
+        self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
             let mut admins = e.metastore_admins();
             if !admins.iter().any(|a| a == principal) {
                 admins.push(principal.to_string());
@@ -772,11 +773,13 @@ impl UnityCatalog {
     // Updates
     // ------------------------------------------------------------------
 
-    /// Internal: rewrite an entity by id through the write protocol.
+    /// Internal: rewrite an entity by id through the write protocol; the
+    /// commit announces it as one `op` event.
     pub(crate) fn update_entity_by_id(
         &self,
         ms: &Uid,
         id: &Uid,
+        op: ChangeOp,
         f: impl Fn(&mut Entity) -> UcResult<()>,
     ) -> UcResult<Arc<Entity>> {
         let now = self.now_ms();
@@ -789,7 +792,7 @@ impl UnityCatalog {
             f(&mut ent)?;
             ent.updated_at_ms = now;
             (manifest(ent.kind).validate)(&ent)?;
-            Ok(fx.upsert_at(tx, ent, ChangeOp::Update, tk))
+            Ok(fx.upsert_at(tx, ent, op, tk))
         })
     }
 
@@ -815,7 +818,7 @@ impl UnityCatalog {
         let target = &full[0];
         Self::require_updatable(target, "comment")?;
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), name)?;
-        let updated = self.update_entity_by_id(ms, &target.id, |e| {
+        let updated = self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
             e.comment = Some(comment.to_string());
             Ok(())
         })?;
@@ -837,7 +840,7 @@ impl UnityCatalog {
         let target = &full[0];
         Self::require_updatable(target, "owner")?;
         api.audit.gate(&full, Need::Admin, new_owner)?;
-        let updated = self.update_entity_by_id(ms, &target.id, |e| {
+        let updated = self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
             e.owner = new_owner.to_string();
             Ok(())
         })?;
@@ -918,7 +921,7 @@ impl UnityCatalog {
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, catalog)?;
         let list: Vec<String> = workspaces.iter().map(|w| w.to_string()).collect();
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
             e.set_workspace_bindings(&list);
             Ok(())
         })?;
@@ -987,7 +990,7 @@ impl UnityCatalog {
             let id_key = keys::ent_key(ms, &ent.id);
             tx.delete(T_ENTITY, &id_key);
             tx.put(T_TRASH, &id_key, ent.encode());
-            fx.events.push((ent.id.clone(), ent.kind, ent.name.clone(), ChangeOp::Delete));
+            fx.events.push(FeedEvent { id: ent.id.clone(), kind: ent.kind, name: ent.name.clone(), op: ChangeOp::Delete });
             fx.tombstones.push(ent.id);
             count += 1;
         }

@@ -10,10 +10,12 @@ use crate::authz::Privilege;
 use crate::authz::abac::AbacPolicy;
 use crate::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
 use crate::error::{UcError, UcResult};
-use crate::events::{ChangeOp, MetadataChangeEvent};
+use crate::cache::read_ms_version;
+use crate::events::{ChangeOp, EventPage, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::lineage::{LineageDirection, LineageEdge};
 use crate::model::entity::Entity;
+use crate::model::feed::{self, FeedEvent};
 use crate::model::keys::{self, T_LINEAGE, T_TREE};
 use crate::ops::{self, Action, Op};
 use crate::service::{Context, UnityCatalog};
@@ -90,11 +92,10 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), name)?;
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::TagChange, |e| {
             f(e);
             Ok(())
         })?;
-        self.publish_simple(ms, target, ChangeOp::TagChange);
         api.audit.allow(&target.id, name);
         Ok(())
     }
@@ -162,7 +163,7 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, table, "relation")?;
         let target = &full[0];
         audit.gate(&full, Need::Admin, table)?;
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
             f(e);
             Ok(())
         })?;
@@ -191,7 +192,7 @@ impl UnityCatalog {
         }
         api.audit.gate(&full, Need::Admin, &policy.name)?;
         let pname = policy.name.clone();
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
             e.set_abac_policy(&policy);
             Ok(())
         })?;
@@ -205,7 +206,8 @@ impl UnityCatalog {
 
     /// Record a lineage edge reported by an engine: `upstream` fed
     /// `downstream` in some job/query. The caller must be able to see both
-    /// endpoints.
+    /// endpoints, through the workspace it calls from; a refusal is this
+    /// op's own.
     pub fn add_lineage(
         &self,
         ctx: &Context,
@@ -215,8 +217,14 @@ impl UnityCatalog {
         via: Option<&str>,
     ) -> UcResult<()> {
         let api = self.api_enter(Op::ADD_LINEAGE, Some(&ctx.principal), Some(ms));
-        let up = self.get_securable(ctx, ms, upstream, "relation")?;
-        let down = self.get_securable(ctx, ms, downstream, "relation")?;
+        let mut ends = Vec::with_capacity(2);
+        for name in [upstream, downstream] {
+            let mut full = self.chain_by_name(ms, name, "relation")?;
+            self.enforce_workspace_binding(ctx, &full)?;
+            api.audit.gate(&full, Need::See, name)?;
+            ends.push(full.swap_remove(0));
+        }
+        let (up, down) = (&ends[0], &ends[1]);
         let edge = LineageEdge {
             upstream: up.id.clone(),
             downstream: down.id.clone(),
@@ -224,23 +232,16 @@ impl UnityCatalog {
             columns: vec![],
             created_at_ms: self.now_ms(),
         };
-        // Lineage is discovery metadata: stored transactionally but outside
-        // the metastore-version protocol (it never affects operational
-        // reads, so cache coherence is not required).
-        let mut tx = self.db.begin_write();
-        tx.put(T_LINEAGE, &keys::lineage_down_key(ms, &down.id, &up.id), edge.encode());
-        tx.put(T_LINEAGE, &keys::lineage_up_key(ms, &up.id, &down.id), edge.encode());
-        tx.commit()?;
-        self.events.publish(MetadataChangeEvent {
-            seq: 0,
-            metastore: ms.clone(),
-            entity_id: down.id.clone(),
-            kind: down.kind,
-            name: down.name.clone(),
-            op: ChangeOp::LineageAdd,
-            at_version: 0,
-            timestamp_ms: self.now_ms(),
-        });
+        // Lineage is discovery metadata: it commits a metastore version so
+        // that its event is in the feed, but writes no tree or path row, so
+        // another node's reconcile of that version invalidates nothing.
+        self.write_ms(ms, |tx, _ver, fx| {
+            tx.put(T_LINEAGE, &keys::lineage_down_key(ms, &down.id, &up.id), edge.encode());
+            tx.put(T_LINEAGE, &keys::lineage_up_key(ms, &up.id, &down.id), edge.encode());
+            let (id, kind, name) = (down.id.clone(), down.kind, down.name.clone());
+            fx.events.push(FeedEvent { id, kind, name, op: ChangeOp::LineageAdd });
+            Ok(())
+        })?;
         api.audit.allow(&down.id, format!("{upstream} -> {downstream}"));
         Ok(())
     }
@@ -292,24 +293,42 @@ impl UnityCatalog {
     // Events
     // ------------------------------------------------------------------
 
-    /// Consume the change-event stream from an offset. Used by second-tier
-    /// services; returns (events, next offset).
-    pub fn events_since(&self, offset: u64) -> (Vec<MetadataChangeEvent>, u64) {
-        let _api = self.api_enter(Op::EVENTS_SINCE, None, None);
-        self.events.since(offset)
-    }
-
-    fn publish_simple(&self, ms: &Uid, ent: &Entity, op: ChangeOp) {
-        self.events.publish(MetadataChangeEvent {
-            seq: 0,
-            metastore: ms.clone(),
-            entity_id: ent.id.clone(),
-            kind: ent.kind,
-            name: ent.name.clone(),
-            op,
-            at_version: 0,
-            timestamp_ms: self.now_ms(),
-        });
+    /// Consume a metastore's change-event stream after `after_version`, on
+    /// any node: one range read of the metastore's feed, at one snapshot.
+    /// Used by second-tier services, which pass `next_version` back in. A
+    /// consumer behind the feed's retention window gets `resync` and no
+    /// events: it rebuilds from the full state (the query API), then
+    /// resumes from `next_version`. On return this node's cache is at
+    /// `next_version` or later, so an entity an event names is never read
+    /// back older than the event.
+    pub fn events_since(&self, ms: &Uid, after_version: u64) -> UcResult<EventPage> {
+        let _api = self.api_enter(Op::EVENTS_SINCE, None, Some(ms));
+        let rt = self.db.begin_read();
+        let (rows, complete) = feed::rows_between(&rt, ms, after_version, u64::MAX)?;
+        let next_version = rows.last().map_or_else(|| read_ms_version(&rt, ms), |(version, _)| *version);
+        let cache = self.cache.for_metastore(ms);
+        if cache.version() < next_version {
+            cache.catch_up(ms, &self.db);
+        }
+        if !complete {
+            return Ok(EventPage { events: Vec::new(), next_version, resync: true });
+        }
+        let events = rows
+            .into_iter()
+            .flat_map(|(at_version, row)| {
+                let timestamp_ms = row.at_ms;
+                row.events.into_iter().map(move |e| MetadataChangeEvent {
+                    metastore: ms.clone(),
+                    entity_id: e.id,
+                    kind: e.kind,
+                    name: e.name,
+                    op: e.op,
+                    at_version,
+                    timestamp_ms,
+                })
+            })
+            .collect();
+        Ok(EventPage { events, next_version, resync: false })
     }
 
     // ------------------------------------------------------------------

@@ -35,13 +35,10 @@ impl UnityCatalog {
             )));
         }
         api.audit.gate(&full, Need::Admin, format_args!("{privilege} to {grantee}"))?;
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::GrantChange, |e| {
             e.add_grant(grantee, privilege);
             Ok(())
         })?;
-        // Grant changes are metadata changes: surface them on the event
-        // stream for discovery consumers.
-        self.publish_grant_event(ms, &target.id, target.kind, &target.name);
         api.audit.allow(&target.id, format!("{privilege} to {grantee}"));
         Ok(())
     }
@@ -60,11 +57,10 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, format_args!("{privilege} from {grantee}"))?;
-        self.update_entity_by_id(ms, &target.id, |e| {
+        self.update_entity_by_id(ms, &target.id, ChangeOp::GrantChange, |e| {
             e.remove_grant(grantee, privilege);
             Ok(())
         })?;
-        self.publish_grant_event(ms, &target.id, target.kind, &target.name);
         api.audit.allow(&target.id, format!("{privilege} from {grantee}"));
         Ok(())
     }
@@ -126,21 +122,6 @@ impl UnityCatalog {
             return Err(UcError::NotFound(id.to_string()));
         }
         Ok(full[0].clone())
-    }
-
-    fn publish_grant_event(&self, ms: &Uid, id: &Uid, kind: crate::types::SecurableKind, name: &str) {
-        // Event version: read the cache's current version best-effort.
-        let version = self.metastore_cache_version(ms);
-        self.events.publish(crate::events::MetadataChangeEvent {
-            seq: 0,
-            metastore: ms.clone(),
-            entity_id: id.clone(),
-            kind,
-            name: name.to_string(),
-            op: ChangeOp::GrantChange,
-            at_version: version,
-            timestamp_ms: self.now_ms(),
-        });
     }
 
     /// Convenience wrapper for tests and examples: grant on a table.

@@ -11,8 +11,9 @@
 //!   database at one snapshot, retry / reconcile / install);
 //! * the **write protocol** — a retry loop running each logical write as
 //!   a serializable database transaction that reads the metastore version
-//!   and commits `version + 1`, then hands the effects to the cache's
-//!   write-through and publishes change events; on top of it the one
+//!   and commits `version + 1` — the feed row naming what it wrote and the
+//!   change events it carries is part of that commit — then hands the
+//!   effects to the cache's write-through; on top of it the one
 //!   **create** ([`UnityCatalog::create_entity`]: name → live parent →
 //!   vacant key → the kind's fill → manifest validation → upsert) and the
 //!   one in-transaction by-id read ([`live_key`], then [`live_entity`]).
@@ -48,10 +49,11 @@ use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
 use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, WriteEffects};
 use crate::error::{UcError, UcResult};
-use crate::events::{ChangeOp, EventBus, MetadataChangeEvent};
+use crate::events::ChangeOp;
 use crate::ids::Uid;
 use crate::model::entity::{Entity, PrincipalRecord};
-use crate::model::keys::{self, T_ENTITY, T_MSVER, T_PRINCIPAL, T_TREE};
+use crate::model::feed::{self, FeedEvent, T_FEED};
+use crate::model::keys::{self, T_ENTITY, T_PATH, T_PRINCIPAL, T_TREE};
 use crate::model::manifest::manifest;
 use crate::model::treekey;
 use crate::ops::{Action, Op};
@@ -224,8 +226,7 @@ impl WriteEffects {
     ) -> Arc<Entity> {
         tx.put(T_TREE, &tk, ent.encode());
         let arc = Arc::new(ent);
-        self.events
-            .push((arc.id.clone(), arc.kind, arc.name.clone(), op));
+        self.events.push(FeedEvent { id: arc.id.clone(), kind: arc.kind, name: arc.name.clone(), op });
         self.upserts.push((arc.clone(), tk));
         arc
     }
@@ -281,7 +282,6 @@ pub struct UnityCatalog {
     /// entities for fast vending.
     pub(crate) roots: RwLock<std::collections::HashMap<String, RootCredential>>,
     pub(crate) audit: AuditLog,
-    pub(crate) events: EventBus,
     pub(crate) stats: ServiceStats,
     /// Per-op metric handles for [`UnityCatalog::api_enter`], one slot per
     /// row of [`Op::ALL`] at the row's `index`, each lazily initialized on
@@ -504,7 +504,6 @@ impl UnityCatalog {
             roots: RwLock::new(std::collections::HashMap::new()),
             tenant_aliases: RwLock::new(std::collections::HashMap::new()),
             audit: AuditLog::new(config.audit_capacity),
-            events: EventBus::new(),
             stats: ServiceStats::wired(config.obs.registry()),
             clock,
             store,
@@ -540,10 +539,6 @@ impl UnityCatalog {
 
     pub fn audit_log(&self) -> &AuditLog {
         &self.audit
-    }
-
-    pub fn event_bus(&self) -> &EventBus {
-        &self.events
     }
 
     pub fn cache_stats(&self) -> &crate::cache::CacheStats {
@@ -800,15 +795,22 @@ impl UnityCatalog {
     // Write protocol
     // ------------------------------------------------------------------
 
-    /// Run a logical write against a metastore: serializable transaction,
-    /// metastore-version bump, write-through cache update, event
-    /// publication. The closure may run multiple times on conflict.
+    /// Run a logical write against a metastore: one serializable
+    /// transaction that reads the metastore version (its feed's last row),
+    /// runs `f`, and writes the next version's feed row — every `T_TREE` /
+    /// `T_PATH` key the transaction wrote, and the events `f` announced —
+    /// retiring the row the window lets go; then the write-through cache
+    /// update. The closure may run multiple times on conflict.
     pub(crate) fn write_ms<T>(
         &self,
         ms: &Uid,
         mut f: impl FnMut(&mut WriteTxn, u64, &mut WriteEffects) -> UcResult<T>,
     ) -> UcResult<T> {
         let cache = self.cache.for_metastore(ms);
+        // The version read is a seek over the metastore's feed range, so it
+        // lands in the validated read set as a range: a concurrent writer's
+        // next row conflicts, exactly as a shared version row would.
+        let (head_start, head_end) = feed::head_range(ms);
         let mut attempts = 0;
         loop {
             // Interleaving-exploration yields bracket the attempt: before
@@ -818,11 +820,7 @@ impl UnityCatalog {
             // never wedges the running one. No-ops outside scheduled runs.
             sched::yield_point(sched::points::WRITE_BEGIN);
             let mut tx = self.db.begin_write();
-            let cur: u64 = tx
-                .get(T_MSVER, ms.as_str())
-                .and_then(|b| String::from_utf8(b.to_vec()).ok())
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
+            let cur = tx.pred_in_range(T_FEED, &head_start, &head_end).map_or(0, |(key, _)| feed::version_of(&key));
             let mut fx = WriteEffects::default();
             let out = match f(&mut tx, cur, &mut fx) {
                 Ok(out) => out,
@@ -834,7 +832,11 @@ impl UnityCatalog {
                     return Err(e);
                 }
             };
-            tx.put(T_MSVER, ms.as_str(), Bytes::from((cur + 1).to_string()));
+            let row = feed::encode(self.now_ms(), tx.written_keys(T_TREE), tx.written_keys(T_PATH), &fx.events);
+            tx.put(T_FEED, &feed::key(ms, cur + 1), row);
+            if cur >= feed::WINDOW {
+                tx.delete(T_FEED, &feed::key(ms, cur + 1 - feed::WINDOW));
+            }
             sched::yield_point(sched::points::WRITE_PRECOMMIT);
             match tx.commit() {
                 Ok(csn) => {
@@ -845,23 +847,11 @@ impl UnityCatalog {
                     sched::yield_point(sched::points::WRITE_POSTCOMMIT);
                     // CATALOG_CACHE_SKIP models a node crashing between the
                     // database commit and its write-through cache update:
-                    // the commit is durable but this node's cache lags until
-                    // a later read or reconcile observes db_ver > version.
+                    // the commit — feed row and events included — is
+                    // durable but this node's cache lags until a later read
+                    // or reconcile observes db_ver > version.
                     if !self.config.faults.should_inject(points::CATALOG_CACHE_SKIP) {
-                        cache.apply_write(ms, &self.db, cur, csn, &fx);
-                    }
-                    let now = self.now_ms();
-                    for (id, kind, name, op) in fx.events {
-                        self.events.publish(MetadataChangeEvent {
-                            seq: 0,
-                            metastore: ms.clone(),
-                            entity_id: id,
-                            kind,
-                            name,
-                            op,
-                            at_version: cur + 1,
-                            timestamp_ms: now,
-                        });
+                        cache.apply_write(ms, &self.db, cur, &fx);
                     }
                     return Ok(out);
                 }
@@ -1149,7 +1139,7 @@ mod tests {
         let top = uc.metastore_chain(&ms).unwrap();
         let rows = || {
             let rt = uc.db.begin_read();
-            [T_TREE, T_ENTITY, T_MSVER].map(|t| rt.scan_prefix(t, ""))
+            [T_TREE, T_ENTITY, T_FEED].map(|t| rt.scan_prefix(t, ""))
         };
         let before = rows();
         let no_endpoint = uc.create_entity(&ctx, SecurableKind::Connection, &top, "conn", "conn", |_tx, _ent| Ok(()));

@@ -313,12 +313,12 @@ impl RestApi {
                 Ok(resolved_json(&self.uc.resolve_for_query(&ctx, ms, &refs, want_creds)?))
             }
             "events.list" => {
-                let offset = params.get("offset").and_then(|v| v.as_u64()).unwrap_or(0);
-                let (events, next) = self.uc.events_since(offset);
+                let after = params.get("after_version").and_then(|v| v.as_u64()).unwrap_or(0);
+                let page = self.uc.events_since(ms, after)?;
                 Ok(json!({
-                    "next_offset": next,
-                    "events": events.iter().map(|e| json!({
-                        "seq": e.seq,
+                    "next_version": page.next_version,
+                    "resync": page.resync,
+                    "events": page.events.iter().map(|e| json!({
                         "entity_id": e.entity_id.as_str(),
                         "kind": e.kind.as_str(),
                         "name": e.name,
@@ -518,11 +518,15 @@ mod tests {
         assert_eq!(securables.len(), 2);
         assert_eq!(securables[0]["has_credential"], true);
 
-        let events = api.handle(&admin, &ms, "events.list", &json!({"offset": 0})).unwrap();
-        assert!(events["events"].as_array().unwrap().len() >= 4);
-        let next = events["next_offset"].as_u64().unwrap();
-        let empty = api.handle(&admin, &ms, "events.list", &json!({"offset": next})).unwrap();
+        let events = api.handle(&admin, &ms, "events.list", &json!({"after_version": 0})).unwrap();
+        let listed = events["events"].as_array().unwrap();
+        assert!(listed.len() >= 4);
+        assert_eq!(events["resync"], false);
+        let next = events["next_version"].as_u64().unwrap();
+        assert_eq!(listed.last().unwrap()["at_version"].as_u64(), Some(next), "a position is a version");
+        let empty = api.handle(&admin, &ms, "events.list", &json!({"after_version": next})).unwrap();
         assert!(empty["events"].as_array().unwrap().is_empty());
+        assert_eq!(empty["next_version"].as_u64(), Some(next));
     }
 
     #[test]

@@ -38,9 +38,13 @@ fn table_schema() -> Schema {
 /// Bootstrap a metastore with storage root + credential and one
 /// catalog/schema, as `admin`.
 fn fixture() -> Fixture {
+    fixture_with(UcConfig::default())
+}
+
+fn fixture_with(config: UcConfig) -> Fixture {
     let db = Db::in_memory();
     let store = ObjectStore::in_memory();
-    let uc = UnityCatalog::new(db, store.clone(), UcConfig::default(), "node-0");
+    let uc = UnityCatalog::new(db, store.clone(), config, "node-0");
     let ms = uc.create_metastore(ADMIN, "prod", "us-west-2").unwrap();
     let ctx = Context::user(ADMIN);
     let root = store.create_bucket("lake");
@@ -727,26 +731,43 @@ fn lineage_tracking_and_filtering() {
     assert!(gold_down.is_empty());
 }
 
+/// Every mutation is one commit and announces itself once, at that
+/// commit's version: a grant is one `GrantChange` (not an update plus a
+/// grant event), a tag one `TagChange`, and each event's `at_version` is the
+/// version its commit's `history.commit` recorded.
 #[test]
 fn change_events_flow_for_all_mutations() {
-    let f = fixture();
+    use uc_catalog::events::ChangeOp;
+    let obs = uc_obs::Obs::enabled();
+    let f = fixture_with(UcConfig { obs: obs.clone(), ..Default::default() });
     let ctx = admin();
-    let (_, offset) = f.uc.events_since(0);
+    let start = f.uc.events_since(&f.ms, 0).unwrap().next_version;
+    let orders = FullName::parse("main.sales.orders").unwrap();
     f.uc
         .create_table(&ctx, &f.ms, TableSpec::managed("main.sales.orders", table_schema()).unwrap())
         .unwrap();
     f.uc.grant_on_table(&ctx, &f.ms, "main.sales.orders", "alice", Privilege::Select).unwrap();
-    f.uc.set_tag(&ctx, &f.ms, &FullName::parse("main.sales.orders").unwrap(), "relation", "domain", "sales").unwrap();
-    f.uc
-        .drop_securable(&ctx, &f.ms, &FullName::parse("main.sales.orders").unwrap(), "relation")
-        .unwrap();
-    let (events, _) = f.uc.events_since(offset);
-    use uc_catalog::events::ChangeOp;
-    let ops: Vec<ChangeOp> = events.iter().map(|e| e.op).collect();
-    assert!(ops.contains(&ChangeOp::Create));
-    assert!(ops.contains(&ChangeOp::GrantChange));
-    assert!(ops.contains(&ChangeOp::TagChange));
-    assert!(ops.contains(&ChangeOp::Delete));
+    f.uc.set_tag(&ctx, &f.ms, &orders, "relation", "domain", "sales").unwrap();
+    f.uc.drop_securable(&ctx, &f.ms, &orders, "relation").unwrap();
+
+    let committed: Vec<u64> = obs
+        .tracer()
+        .records()
+        .iter()
+        .filter_map(|r| match r {
+            uc_obs::TraceRecord::Event { name, detail, .. } if name == "history.commit" => {
+                detail.strip_prefix("version=")?.split(' ').next()?.parse().ok()
+            }
+            _ => None,
+        })
+        .filter(|v| *v > start)
+        .collect();
+    assert_eq!(committed.len(), 4, "one commit per mutation: {committed:?}");
+    let page = f.uc.events_since(&f.ms, start).unwrap();
+    let got: Vec<(ChangeOp, u64)> = page.events.iter().map(|e| (e.op, e.at_version)).collect();
+    let ops = [ChangeOp::Create, ChangeOp::GrantChange, ChangeOp::TagChange, ChangeOp::Delete];
+    assert_eq!(got, ops.into_iter().zip(committed).collect::<Vec<_>>());
+    assert!(page.events.iter().all(|e| e.name == "orders" && e.metastore == f.ms));
 }
 
 #[test]

@@ -17,12 +17,17 @@
 //!   op by that client observes a version `>= V`.
 //! * **One-asset-per-path** — no two live external tables overlap by path
 //!   prefix in any committed state.
+//!
+//! [`check_with_feed`] adds the change-feed rule: a metastore's retained
+//! feed rows are its commit history, one row per committed version, and
+//! each names exactly the tree and path keys the model says its commit
+//! wrote.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::history::{History, OpRecord};
-use crate::model::{paths_overlap, ModelState};
+use crate::model::{paths_overlap, ModelState, ModelWrites};
 
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
@@ -54,6 +59,10 @@ pub enum Violation {
     /// A read through a held snapshot changed while it was held:
     /// reclamation took a version an open snapshot could still see.
     SnapshotLost { reader: usize, csn: u64, now: u64 },
+    /// The change feed is not the commit history: a retained row is
+    /// missing, extra or out of place, or names other keys than its
+    /// commit wrote.
+    FeedMismatch { version: u64, why: String },
 }
 
 impl fmt::Display for Violation {
@@ -98,6 +107,7 @@ impl fmt::Display for Violation {
                 f,
                 "snapshot reader {reader}: its snapshot at csn {csn} read differently at csn {now}"
             ),
+            Violation::FeedMismatch { version, why } => write!(f, "feed row {version}: {why}"),
         }
     }
 }
@@ -189,7 +199,72 @@ pub fn verify_structure(db: &uc_txdb::Db, ms: &uc_catalog::Uid) -> Vec<Violation
 /// Check a recorded history against an initial model state (the world as it
 /// stood at `history.base_version`). Returns all violations found.
 pub fn check(history: &History, initial: &ModelState) -> Vec<Violation> {
+    replay(history, initial).0
+}
+
+/// [`check`], plus the change-feed rule for metastore `ms`, read from `db`
+/// once the run is quiet:
+///
+/// * the retained rows are contiguous, at most `WINDOW` of them, and end at
+///   the last committed version (the base version when nothing committed);
+/// * the row of every committed op names exactly the `T_TREE` / `T_PATH`
+///   keys the *model* says the op wrote ([`ModelState::writes`], keyed by
+///   the catalog's key builders) — an account independent of the write
+///   path that filled the row. Where several observed snapshots explain
+///   a commit, any of their accounts will do.
+pub fn check_with_feed(
+    history: &History,
+    initial: &ModelState,
+    db: &uc_txdb::Db,
+    ms: &uc_catalog::Uid,
+) -> Vec<Violation> {
+    use uc_catalog::model::feed::{self, FeedRow, T_FEED};
+    use uc_catalog::model::keys;
+
+    let (mut violations, writes) = replay(history, initial);
+    let mismatch = |version: u64, why: String| Violation::FeedMismatch { version, why };
+    let rows = db.begin_read().scan_prefix(T_FEED, &feed::prefix(ms));
+    let commits = history.ops.iter().filter_map(|o| o.commit);
+    let head = commits.map(|(v, _)| v).fold(history.base_version, u64::max);
+    let versions: Vec<u64> = rows.iter().map(|(k, _)| feed::version_of(k)).collect();
+    let expected: Vec<u64> = (head.saturating_sub(feed::WINDOW) + 1..=head).collect();
+    if versions != expected {
+        let why = format!("retained versions {versions:?} are not the window ending at the last commit");
+        violations.push(mismatch(head, why));
+    }
+    let key_of = |(schema, table): &(String, Option<String>)| {
+        let mut chain = vec![("catalog", "main"), ("schema", schema.as_str())];
+        chain.extend(table.as_deref().map(|t| ("relation", t)));
+        keys::tree_key(ms, &chain)
+    };
+    let path_key = |p: &String| keys::path_key(ms, p);
+    for ((key, raw), version) in rows.iter().zip(&versions) {
+        let Some(accounts) = writes.get(version) else { continue };
+        let row = match FeedRow::decode(raw) {
+            Ok(row) => row,
+            Err(e) => {
+                violations.push(mismatch(*version, format!("undecodable row at {key:?}: {e}")));
+                continue;
+            }
+        };
+        let named: (BTreeSet<String>, BTreeSet<String>) = (row.tree.into_iter().collect(), row.path.into_iter().collect());
+        let explained = accounts
+            .iter()
+            .any(|w| (w.tree.iter().map(key_of).collect(), w.paths.iter().map(path_key).collect()) == named);
+        if !explained {
+            let why = format!("names tree {:?} / path {:?}, the model wrote {accounts:?}", named.0, named.1);
+            violations.push(mismatch(*version, why));
+        }
+    }
+    violations
+}
+
+/// Replay `history`'s commits through the model and check it: the
+/// violations, and per committed version the model's accounts of what the
+/// commit wrote (one per observed snapshot that explains it).
+fn replay(history: &History, initial: &ModelState) -> (Vec<Violation>, BTreeMap<u64, Vec<ModelWrites>>) {
     let mut violations = Vec::new();
+    let mut writes: BTreeMap<u64, Vec<ModelWrites>> = BTreeMap::new();
 
     // --- Phase 1: commit-order integrity -------------------------------
     let mut commits: Vec<&OpRecord> = history.ops.iter().filter(|o| o.commit.is_some()).collect();
@@ -254,10 +329,11 @@ pub fn check(history: &History, initial: &ModelState) -> Vec<Violation> {
             let mut next = pre.clone();
             let resp = next.apply_resolved(&c.op, &rs);
             if resp == c.resp {
-                committed = Some(next);
-                break;
+                writes.entry(version).or_default().push(pre.writes(&c.op, &rs, &resp));
+                committed.get_or_insert(next);
+            } else {
+                tried.push(resp);
             }
-            tried.push(resp);
         }
         tried.sort_unstable();
         tried.dedup();
@@ -394,7 +470,7 @@ pub fn check(history: &History, initial: &ModelState) -> Vec<Violation> {
         }
     }
 
-    violations
+    (violations, writes)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use uc_catalog::model::keys;
+use uc_catalog::model::{feed, keys};
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_cloudstore::faults::FaultPlan;
 use uc_cloudstore::sched::{points, yield_point, Scheduler, SchedMode};
@@ -20,7 +20,7 @@ use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_obs::{Obs, TraceRecord};
 use uc_txdb::{Db, DbConfig};
 
-use crate::checker::{check, verify_structure, Violation};
+use crate::checker::{check_with_feed, verify_structure, Violation};
 use crate::history::{assemble, DriverRow, History};
 use crate::workload::{exec_op, initial_model, plan_ops, plan_subtree_ops, seed_world};
 
@@ -76,10 +76,10 @@ pub struct RunConfig {
     /// Extra scheduler clients that hold a database snapshot open across
     /// several yield points — while the real clients commit, and every
     /// commit reclaims versions below the horizon — re-reading the
-    /// metastore's version row, tree range and path range through it after
-    /// each yield. A reader never loses its snapshot: every re-read must
-    /// equal the first, or the run records a
-    /// [`Violation::SnapshotLost`]. They produce no history rows.
+    /// metastore's feed range (whose last row is its version), tree range
+    /// and path range through it after each yield. A reader never loses
+    /// its snapshot: every re-read must equal the first, or the run records
+    /// a [`Violation::SnapshotLost`]. They produce no history rows.
     pub snapshot_clients: usize,
 }
 
@@ -342,7 +342,7 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
                     let rt = db.begin_read();
                     let read = || {
                         (
-                            rt.get(keys::T_MSVER, ms.as_str()),
+                            rt.scan_prefix(feed::T_FEED, &feed::prefix(&ms)),
                             rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(&ms)),
                             rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(&ms)),
                         )
@@ -376,7 +376,7 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     let records = obs.tracer().records();
     let rows = Arc::try_unwrap(rows).expect("rows still shared").into_inner();
     let history = assemble(base_version, rows, &records);
-    let mut violations = check(&history, &initial_model());
+    let mut violations = check_with_feed(&history, &initial_model(), &db, &ms);
     violations.extend(Arc::try_unwrap(lost).expect("readers still running").into_inner());
     // Every run — adversarial or not — ends with a structural sweep of
     // the quiesced indexes: tree ↔ entity 1:1, no orphan at any prefix,

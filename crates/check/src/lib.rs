@@ -11,7 +11,9 @@
 //! * **Checking** — [`checker::check`] replays a history against the pure
 //!   sequential [`model::ModelState`] and verifies commit-order
 //!   equivalence, read-your-snapshot, read-your-writes, no lost or
-//!   duplicate writes, and one-asset-per-path at every prefix.
+//!   duplicate writes, and one-asset-per-path at every prefix;
+//!   [`checker::check_with_feed`] adds that a metastore's change feed is
+//!   its commit history, key for key.
 //! * **Exploration** — [`explorer::run_one`] drives seeded multi-client
 //!   workloads through chosen interleavings using the cooperative
 //!   [`uc_cloudstore::sched::Scheduler`] (random walk or PCT-style

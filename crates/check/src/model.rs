@@ -18,7 +18,7 @@
 //! validates/effects the change against another (`self` — the commit-time
 //! state).  [`ModelState::apply`] is the degenerate case where both coincide.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Synthetic entity identity. Assigned densely in creation order, which is
@@ -81,6 +81,15 @@ pub fn paths_overlap(p: &str, q: &str) -> bool {
     p == q
         || q.strip_prefix(p).is_some_and(|rest| rest.starts_with('/'))
         || p.strip_prefix(q).is_some_and(|rest| rest.starts_with('/'))
+}
+
+/// The rows a committed op wrote, by name: tree rows as `(schema, table)`
+/// — `None` for the schema's own row — and registered storage paths. The
+/// model's account of a commit, to hold the change feed's row against.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ModelWrites {
+    pub tree: BTreeSet<(String, Option<String>)>,
+    pub paths: BTreeSet<String>,
 }
 
 /// The full sequential state: identity tables plus name indexes.
@@ -316,6 +325,54 @@ impl ModelState {
                 format!("ok:list:[{}]", names.join(","))
             }
         }
+    }
+
+    /// What `op` wrote when it committed against `self` (the commit-time
+    /// state), resolving names against `rs`, with response `resp`: the row
+    /// of every entity it created, changed, moved or dropped, at the name
+    /// that row had (a move writes both), and the path of every table it
+    /// created or dropped. A drop that found its target already gone
+    /// wrote nothing.
+    pub fn writes(&self, op: &ModelOp, rs: &ModelState, resp: &str) -> ModelWrites {
+        let mut w = ModelWrites::default();
+        if !resp.starts_with("ok:") || resp == "ok:dropped:0" {
+            return w;
+        }
+        let schema_name = |sid: EntId| self.schemas_by_id.get(&sid).map_or_else(String::new, |s| s.name.clone());
+        let table_row = |w: &mut ModelWrites, t: &TableRec, name: &str| {
+            w.tree.insert((schema_name(t.schema), Some(name.to_string())));
+        };
+        match op {
+            ModelOp::CreateSchema { name } => drop(w.tree.insert((name.clone(), None))),
+            ModelOp::DropSchema { name } => {
+                let Some(sid) = rs.resolve_schema(name) else { return w };
+                w.tree.insert((schema_name(sid), None));
+                for t in self.tables_by_id.values().filter(|t| t.schema == sid && t.alive) {
+                    table_row(&mut w, t, &t.name);
+                    w.paths.insert(t.path.clone());
+                }
+            }
+            ModelOp::CreateTable { schema, name, path } => {
+                let Some(sid) = rs.resolve_schema(schema) else { return w };
+                w.tree.insert((schema_name(sid), Some(name.clone())));
+                w.paths.insert(path.clone());
+            }
+            ModelOp::UpdateComment { schema, name, .. }
+            | ModelOp::RenameTable { schema, name, .. }
+            | ModelOp::DropTable { schema, name } => {
+                let Some(t) = rs.resolve_table(schema, name).and_then(|tid| self.tables_by_id.get(&tid)) else {
+                    return w;
+                };
+                table_row(&mut w, t, &t.name);
+                match op {
+                    ModelOp::RenameTable { new_name, .. } => table_row(&mut w, t, new_name),
+                    ModelOp::DropTable { .. } => drop(w.paths.insert(t.path.clone())),
+                    _ => {}
+                }
+            }
+            ModelOp::GetTable { .. } | ModelOp::ListTables { .. } => {}
+        }
+        w
     }
 
     /// All live external paths, for the one-asset-per-path sweep.

@@ -11,15 +11,20 @@
 //! discussion of the design space:
 //!
 //! * [`DiscoveryService::sync`] — event-driven: consume only what changed
-//!   since the last offset (cheap, fresh);
+//!   since the last metastore version consumed (cheap, fresh). The stream
+//!   is the metastore's change feed, so a service attached to any node
+//!   sees every node's writes, and its position survives a restart;
 //! * [`DiscoveryService::sync_by_polling`] — rescan the full metadata via
 //!   the query API (what discovery catalogs must do against catalogs
-//!   without change streams; the ablation bench quantifies the cost).
+//!   without change streams; the ablation bench quantifies the cost). An
+//!   event consumer that fell behind the feed's retention window resyncs
+//!   this way.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use uc_catalog::cache::read_ms_version;
 use uc_catalog::events::ChangeOp;
 use uc_catalog::ids::Uid;
 use uc_catalog::service::{Context, UnityCatalog};
@@ -62,7 +67,8 @@ struct IndexState {
     postings: BTreeMap<String, BTreeSet<Uid>>,
     /// id → document (for de-indexing and hit rendering).
     docs: HashMap<Uid, IndexedEntity>,
-    next_offset: u64,
+    /// The metastore version the index reflects every event through.
+    consumed: u64,
     stats: SyncStats,
 }
 
@@ -85,24 +91,25 @@ impl DiscoveryService {
             state: RwLock::new(IndexState {
                 postings: BTreeMap::new(),
                 docs: HashMap::new(),
-                next_offset: 0,
+                consumed: 0,
                 stats: SyncStats::default(),
             }),
         }
     }
 
     /// Event-driven incremental sync. Returns how many events were
-    /// processed.
+    /// processed — or, when the service was behind the feed's retention
+    /// window and resynced by polling, how many entities it re-read.
     pub fn sync(&self) -> UcResult<usize> {
         let _span = self.uc.obs().span_timed("discovery", "sync");
-        let offset = self.state.read().next_offset;
-        let (events, next) = self.uc.events_since(offset);
-        let count = events.len();
+        let consumed = self.state.read().consumed;
+        let page = self.uc.events_since(&self.ms, consumed)?;
+        if page.resync {
+            return self.sync_by_polling();
+        }
+        let count = page.events.len();
         let mut touched: BTreeMap<Uid, ChangeOp> = BTreeMap::new();
-        for ev in &events {
-            if ev.metastore != self.ms {
-                continue;
-            }
+        for ev in &page.events {
             // Later events for the same entity supersede earlier ones.
             touched.insert(ev.entity_id.clone(), ev.op);
         }
@@ -147,19 +154,24 @@ impl DiscoveryService {
                 (_, None) => Self::remove_doc(&mut state, &id),
             }
         }
-        state.next_offset = next;
+        state.consumed = state.consumed.max(page.next_version);
         self.uc.obs().counter("discovery.sync.events").add(count as u64);
         Ok(count)
     }
 
     /// Polling-style full resync: rescan every entity via the metadata
-    /// query API. Much more catalog load for the same freshness.
+    /// query API. Much more catalog load for the same freshness. The scan
+    /// reflects every version up to the feed head read before it, so event
+    /// consumption resumes from there (re-indexing what the scan already
+    /// saw is idempotent).
     pub fn sync_by_polling(&self) -> UcResult<usize> {
         let _span = self.uc.obs().span_timed("discovery", "sync_by_polling");
+        let head = self.head();
         let entities = self
             .uc
             .query_entities(&self.service_ctx, &self.ms, &[], usize::MAX)?;
         let mut state = self.state.write();
+        state.consumed = state.consumed.max(head);
         state.stats.catalog_calls += 1;
         state.postings.clear();
         let count = entities.len();
@@ -276,9 +288,13 @@ impl DiscoveryService {
         self.state.read().stats
     }
 
-    /// Freshness: events published but not yet consumed.
+    /// Freshness: metastore versions committed but not yet consumed.
     pub fn lag(&self) -> u64 {
-        let head = self.uc.event_bus().head();
-        head.saturating_sub(self.state.read().next_offset)
+        self.head().saturating_sub(self.state.read().consumed)
+    }
+
+    /// The metastore's current version: its feed head.
+    fn head(&self) -> u64 {
+        read_ms_version(&self.uc.db().begin_read(), &self.ms)
     }
 }

@@ -196,3 +196,136 @@ fn reindex_after_update_drops_stale_tokens() {
     assert!(disco.search(ADMIN, "alpha").unwrap().is_empty(), "stale token must drop");
     assert_eq!(disco.search(ADMIN, "beta").unwrap().len(), 1);
 }
+
+// ---------------------------------------------------------------------
+// The stream is the metastore's change feed: it reaches every node and
+// outlives a node.
+// ---------------------------------------------------------------------
+
+/// A node over the same database as `uc`, with its own (empty) cache.
+fn second_node(uc: &UnityCatalog, config: UcConfig, id: &str) -> Arc<UnityCatalog> {
+    UnityCatalog::new(uc.db().clone(), uc.object_store().clone(), config, id)
+}
+
+/// Node A writes; a discovery service attached to node B indexes it.
+#[test]
+fn a_service_on_another_node_indexes_writes_committed_elsewhere() {
+    let (node_a, ms) = setup();
+    let node_b = second_node(&node_a, UcConfig::default(), "n1");
+    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), ADMIN);
+    disco.sync().unwrap();
+    node_a
+        .create_table(&Context::user(ADMIN), &ms, TableSpec::managed("main.sales.remote_orders", schema()).unwrap())
+        .unwrap();
+    assert_eq!(disco.lag(), 1, "node A's commit is one version B's service has not consumed");
+    disco.sync().unwrap();
+    assert_eq!(disco.lag(), 0);
+    let hits = disco.search(ADMIN, "remote").unwrap();
+    assert_eq!(hits.iter().map(|h| h.name.as_str()).collect::<Vec<_>>(), ["remote_orders"]);
+}
+
+/// Node A updates an entity node B's service has already indexed — and so
+/// node B has cached. The event names the entity; B's service must index
+/// what A wrote, not B's cached copy from before it.
+#[test]
+fn a_service_on_another_node_reindexes_an_entity_it_had_cached() {
+    let (node_a, ms) = setup();
+    let ctx = Context::user(ADMIN);
+    let node_b = second_node(&node_a, UcConfig::default(), "n1");
+    let t = FullName::parse("main.sales.t").unwrap();
+    node_a.create_table(&ctx, &ms, TableSpec::managed("main.sales.t", schema()).unwrap()).unwrap();
+    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), ADMIN);
+    disco.sync().unwrap();
+    assert_eq!(disco.search(ADMIN, "t").unwrap().len(), 1);
+
+    node_a.update_comment(&ctx, &ms, &t, "relation", "quarterly ledger").unwrap();
+    disco.sync().unwrap();
+    let hits = disco.search(ADMIN, "ledger").unwrap();
+    assert_eq!(hits.iter().map(|h| h.name.as_str()).collect::<Vec<_>>(), ["t"]);
+
+    node_a.set_tag(&ctx, &ms, &t, "relation", "pii", "true").unwrap();
+    node_a.grant(&ctx, &ms, &t, "relation", "alice", Privilege::Select).unwrap();
+    disco.sync().unwrap();
+    assert_eq!(disco.search(ADMIN, "pii").unwrap().len(), 1, "the tag A set");
+    assert_eq!(disco.search("alice", "ledger").unwrap().len(), 1, "the grant A made");
+}
+
+/// A consumer reads part of the stream on one node; the node is replaced
+/// by a fresh one over the same database, and the consumer resumes from
+/// its version there: together the two reads are exactly one read of the
+/// whole stream — nothing lost, nothing repeated.
+#[test]
+fn a_restarted_node_resumes_a_consumers_version_with_nothing_lost_or_repeated() {
+    let (uc, ms) = setup();
+    let ctx = Context::user(ADMIN);
+    let create = |node: &UnityCatalog, t: &str| {
+        node.create_table(&ctx, &ms, TableSpec::managed(&format!("main.sales.{t}"), schema()).unwrap()).unwrap();
+    };
+    create(&uc, "before");
+    let first = uc.events_since(&ms, 0).unwrap();
+    create(&uc, "between");
+    let restarted = second_node(&uc, UcConfig::default(), "n0-restarted");
+    drop(uc);
+    create(&restarted, "after");
+    let rest = restarted.events_since(&ms, first.next_version).unwrap();
+    let whole = restarted.events_since(&ms, 0).unwrap();
+    assert!(!first.resync && !rest.resync && !whole.resync);
+    let mut resumed = first.events.clone();
+    resumed.extend(rest.events);
+    assert_eq!(resumed, whole.events);
+    assert_eq!(rest.next_version, whole.next_version);
+    let names: Vec<&str> = whole.events.iter().rev().take(2).map(|e| e.name.as_str()).collect();
+    assert_eq!(names, ["after", "between"]);
+}
+
+/// A node that crashes between its commit and its cache update
+/// (`CATALOG_CACHE_SKIP`) loses no event: the event is part of the commit.
+#[test]
+fn a_commit_whose_cache_update_was_skipped_is_in_the_feed() {
+    use uc_cloudstore::faults::{points, FaultMode, FaultPlan};
+    let (uc, ms) = setup();
+    let faults = FaultPlan::seeded(7);
+    faults.arm(points::CATALOG_CACHE_SKIP, FaultMode::EveryNth(1));
+    let crashing = second_node(&uc, UcConfig { faults: faults.clone(), ..Default::default() }, "n1");
+    let disco = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    disco.sync().unwrap();
+    crashing
+        .create_table(&Context::user(ADMIN), &ms, TableSpec::managed("main.sales.skipped", schema()).unwrap())
+        .unwrap();
+    assert_eq!(faults.injected(points::CATALOG_CACHE_SKIP), 1, "the write-through was skipped");
+    disco.sync().unwrap();
+    assert_eq!(disco.search(ADMIN, "skipped").unwrap().len(), 1);
+}
+
+/// A consumer more than `WINDOW` versions behind finds its events retired:
+/// `sync` resyncs by polling and ends with the index a fresh poll builds,
+/// then consumes events again.
+#[test]
+fn a_consumer_behind_the_window_resyncs_by_polling_to_the_same_index() {
+    use uc_catalog::model::feed::WINDOW;
+    let (uc, ms) = setup();
+    let ctx = Context::user(ADMIN);
+    let behind = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    behind.sync().unwrap();
+    uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.hot", schema()).unwrap()).unwrap();
+    let hot = FullName::parse("main.sales.hot").unwrap();
+    for i in 0..WINDOW {
+        uc.update_comment(&ctx, &ms, &hot, "relation", &format!("rev{i} ledger")).unwrap();
+    }
+    assert!(behind.lag() > WINDOW);
+    let polls_before = behind.stats().catalog_calls;
+    behind.sync().unwrap();
+    assert_eq!(behind.lag(), 0);
+    assert!(behind.stats().catalog_calls > polls_before);
+
+    let fresh = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    fresh.sync_by_polling().unwrap();
+    assert_eq!(behind.indexed_count(), fresh.indexed_count());
+    for q in ["ledger".to_string(), format!("rev{}", WINDOW - 1), "sales".into(), "hot".into()] {
+        assert_eq!(behind.search(ADMIN, &q).unwrap(), fresh.search(ADMIN, &q).unwrap(), "query {q}");
+    }
+    // Back inside the window, events flow again.
+    uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.later", schema()).unwrap()).unwrap();
+    assert_eq!(behind.sync().unwrap(), 1);
+    assert_eq!(behind.search(ADMIN, "later").unwrap().len(), 1);
+}

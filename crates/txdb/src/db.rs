@@ -26,7 +26,6 @@ use uc_cloudstore::faults::FaultPlan;
 use uc_cloudstore::latency::{LatencyModel, OpClass};
 use uc_obs::Obs;
 
-use crate::changelog::ChangeLog;
 use crate::pool::ConnectionPool;
 use crate::stats::DbStats;
 use crate::txn::{ReadTxn, WriteTxn};
@@ -177,7 +176,6 @@ pub(crate) struct DbInner {
     pub commit_lock: Mutex<DeadKeys>,
     /// Open snapshots; their oldest is the horizon.
     pub snapshots: Mutex<Snapshots>,
-    pub changelog: ChangeLog,
     pub pool: ConnectionPool,
     pub latency: LatencyModel,
     pub stats: DbStats,
@@ -208,7 +206,6 @@ impl Db {
                 csn: AtomicU64::new(0),
                 commit_lock: Mutex::new(VecDeque::new()),
                 snapshots: Mutex::new(Snapshots::default()),
-                changelog: ChangeLog::new(),
                 pool: ConnectionPool::wired(config.pool_size, config.obs.registry()),
                 latency: config.latency,
                 stats: DbStats::wired(config.obs.registry()),
@@ -271,11 +268,6 @@ impl Db {
         } else {
             self.horizon()
         }
-    }
-
-    /// The committed change log.
-    pub fn changelog(&self) -> &ChangeLog {
-        &self.inner.changelog
     }
 
     /// Operation counters.

@@ -10,10 +10,10 @@
 //! * **Serializable writes**: read-write transactions validate their full
 //!   read set (including range scans, for phantom protection) at commit and
 //!   abort with [`TxError::Conflict`] if anything they observed changed.
-//! * **A change log**: every commit appends ordered change records, which
-//!   the catalog consumes for selective cache invalidation; consumers hold
-//!   [`ChangeCursor`]s, and the log keeps only what a cursor or an open
-//!   snapshot may still need.
+//!   A write transaction lists the keys it buffered
+//!   ([`WriteTxn::written_keys`]), so a caller can record what a commit
+//!   wrote *in* that commit: the catalog's per-metastore change feed is
+//!   ordinary rows written this way, not a log kept here.
 //! * **Reclamation on the write path**: every open transaction registers
 //!   its snapshot, and each commit prunes the versions and removes the dead
 //!   rows no open snapshot can see (see [`db`]). There is no sweeper and no
@@ -25,14 +25,12 @@
 //! key, with prefix scans. Callers (the catalog) layer typed entities and
 //! secondary indexes on top by writing index rows in the same transaction.
 
-pub mod changelog;
 pub mod db;
 pub mod error;
 pub mod pool;
 pub mod stats;
 pub mod txn;
 
-pub use changelog::{ChangeCursor, ChangeKind, ChangeRecord};
 pub use db::{Db, DbConfig};
 pub use error::{TxError, TxResult};
 pub use stats::DbStats;

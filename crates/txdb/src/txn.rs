@@ -21,7 +21,6 @@ use bytes::Bytes;
 use uc_cloudstore::faults::points;
 use uc_cloudstore::latency::OpClass;
 
-use crate::changelog::{ChangeKind, ChangeRecord};
 use crate::db::{remove_dead, Db, Version};
 use crate::error::{TxError, TxResult};
 
@@ -57,6 +56,14 @@ impl ReadTxn {
 
     /// All live rows whose key starts with `prefix`, in key order.
     pub fn scan_prefix(&self, table: &str, prefix: &str) -> Vec<(String, Bytes)> {
+        self.scan_prefix_from(table, prefix, prefix)
+    }
+
+    /// The rows of [`Self::scan_prefix`] at or after `start`: a prefix scan
+    /// resumed mid-range, as a reader of a version-ordered range reads from
+    /// its position on. Charged as a single scan; it visits no key below
+    /// `start`.
+    pub fn scan_prefix_from(&self, table: &str, prefix: &str, start: &str) -> Vec<(String, Bytes)> {
         self.db.charge(OpClass::List);
         self.db.stats().record_scan();
         let guard = self.db.inner.tables.read();
@@ -65,7 +72,7 @@ impl ReadTxn {
         };
         let mut steps = 0;
         let rows = t
-            .range(prefix.to_string()..)
+            .range(start.max(prefix).to_string()..)
             .take_while(|(k, _)| k.starts_with(prefix))
             .filter_map(|(k, chain)| {
                 steps += 1;
@@ -330,6 +337,12 @@ impl WriteTxn {
         !self.writes.is_empty()
     }
 
+    /// The keys of `table` this transaction has buffered a put or a delete
+    /// for, in key order: what its commit will write there.
+    pub fn written_keys<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.writes.keys().filter(move |(t, _)| t == table).map(|(_, k)| k.as_str())
+    }
+
     /// Validate and commit; returns the new CSN. On [`TxError::Conflict`]
     /// the transaction is consumed — callers retry from `begin_write`.
     pub fn commit(self) -> TxResult<u64> {
@@ -474,7 +487,7 @@ impl WriteTxn {
         self.close_snapshot();
         let horizon = db.reclaim_horizon();
         let new_csn = inner.csn.load(std::sync::atomic::Ordering::Acquire) + 1;
-        let mut records = Vec::with_capacity(self.writes.len());
+        let rows = self.writes.len() as u64;
         {
             let mut tables = inner.tables.write();
             for ((table, key), value) in std::mem::take(&mut self.writes) {
@@ -483,18 +496,16 @@ impl WriteTxn {
                     .or_default()
                     .entry(key.clone())
                     .or_default();
-                let kind = if value.is_some() { ChangeKind::Put } else { ChangeKind::Delete };
+                let deleted = value.is_none();
                 chain.versions.push(Version { csn: new_csn, value });
                 chain.prune(horizon);
-                if kind == ChangeKind::Delete {
-                    dead.push_back((new_csn, table.clone(), key.clone()));
+                if deleted {
+                    dead.push_back((new_csn, table, key));
                 }
-                records.push(ChangeRecord { csn: new_csn, table, key, kind });
             }
             remove_dead(&mut tables, &mut dead, horizon);
         }
-        inner.stats.record_write(records.len() as u64);
-        inner.changelog.append(records, horizon);
+        inner.stats.record_write(rows);
         inner
             .csn
             .store(new_csn, std::sync::atomic::Ordering::Release);
@@ -679,28 +690,35 @@ mod tests {
     }
 
     #[test]
-    fn delete_writes_tombstone_and_changelog_records_it() {
+    fn written_keys_list_buffered_puts_and_deletes_in_key_order() {
         let db = Db::in_memory();
         put1(&db, "t", "a", "1");
         let mut tx = db.begin_write();
+        tx.put("t", "c", Bytes::from_static(b"3"));
         tx.delete("t", "a");
-        let csn = tx.commit().unwrap();
-        assert_eq!(db.begin_read().get("t", "a"), None);
-        let changes = db.changelog().changes_since(csn - 1);
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].kind, ChangeKind::Delete);
+        tx.put("u", "b", Bytes::from_static(b"2"));
+        let _ = tx.get("t", "z");
+        assert_eq!(tx.written_keys("t").collect::<Vec<_>>(), ["a", "c"], "reads are not writes");
+        assert_eq!(tx.written_keys("u").collect::<Vec<_>>(), ["b"]);
+        assert_eq!(tx.written_keys("v").count(), 0);
+        tx.commit().unwrap();
+        assert_eq!(db.begin_read().get("t", "a"), None, "the delete committed a tombstone");
     }
 
     #[test]
-    fn changelog_orders_multi_row_commits() {
+    fn scan_prefix_from_resumes_mid_prefix_and_stops_at_its_end() {
         let db = Db::in_memory();
-        let mut tx = db.begin_write();
-        tx.put("t", "a", Bytes::from_static(b"1"));
-        tx.put("t", "b", Bytes::from_static(b"2"));
-        let csn = tx.commit().unwrap();
-        let changes = db.changelog().changes_since(0);
-        assert_eq!(changes.len(), 2);
-        assert!(changes.iter().all(|c| c.csn == csn));
+        for k in ["m/01", "m/02", "m/03", "n/01"] {
+            put1(&db, "t", k, "v");
+        }
+        let rt = db.begin_read();
+        let keys = |start: &str| rt.scan_prefix_from("t", "m/", start).into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+        assert_eq!(keys("m/02"), ["m/02", "m/03"]);
+        assert_eq!(keys("m/04"), Vec::<String>::new());
+        assert_eq!(keys(""), ["m/01", "m/02", "m/03"], "a start below the prefix reads the whole prefix");
+        let steps0 = db.stats().steps();
+        keys("m/03");
+        assert_eq!(db.stats().steps() - steps0, 1, "no key below the start is visited");
     }
 
     #[test]

@@ -214,6 +214,7 @@ mod deny {
         let m = name("main.s.m");
         type Call<'a> = Box<dyn FnOnce() -> UcResult<()> + 'a>;
         let sweep: Vec<(&str, Call)> = vec![
+            ("add_lineage", Box::new(|| uc.add_lineage(&out, ms, &t, &t, None))),
             ("add_metastore_admin", Box::new(|| uc.add_metastore_admin(&out, ms, "mallory"))),
             ("add_table_to_share", Box::new(|| uc.add_table_to_share(&out, ms, "sh", &t))),
             ("bulk_create_tables", Box::new(|| uc.bulk_create_tables(&out, ms, "main", &[], &int_schema(), 8).map(drop))),
@@ -259,7 +260,6 @@ mod deny {
         ];
         // Audited ops the sweep cannot reach with a refusal of their own.
         let not_swept = [
-            "add_lineage",              // refused inside the nested `get_securable` it calls, under that op's action
             "create_metastore",         // account-level: no authorization decision
             "purge_soft_deleted",       // node-internal: no principal
             "serve_admit",              // the serving plane's shed, not a catalog entry point
@@ -275,7 +275,7 @@ mod deny {
             let allowed: Vec<&str> = row.actions.iter().map(|a| a.as_str()).collect();
             let (err, added) = refused(&w, call);
             match op {
-                "get_securable" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
+                "get_securable" | "add_lineage" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
                 _ => assert!(matches!(err, UcError::PermissionDenied(_)), "{op}: {err}"),
             }
             assert_eq!(added.len(), 1, "{op}: exactly one audit record, got {added:?}");
@@ -296,10 +296,7 @@ mod deny {
         let (uc, ms) = (&w.uc, &w.ms);
         let admin = Context::user(ADMIN);
         uc.create_connection(&admin, ms, "conn", "thrift://hms").unwrap();
-        let version = || -> u64 {
-            let raw = uc.db().begin_read().get(uc_catalog::model::keys::T_MSVER, ms.as_str()).unwrap();
-            String::from_utf8(raw.to_vec()).unwrap().parse().unwrap()
-        };
+        let version = || uc_catalog::cache::read_ms_version(&uc.db().begin_read(), ms);
         let calls = || uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
         let before = (calls(), uc.db().stats().commits(), version(), uc.audit_log().total_recorded());
 
@@ -369,5 +366,30 @@ mod deny {
         assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
         assert_eq!(added.len(), 1, "{added:?}");
         assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveForQuery"));
+    }
+
+    /// `add_lineage` decides both endpoints itself: a caller who can see
+    /// the upstream but not the downstream is refused with one `Deny` under
+    /// `addLineage`, and nothing is recorded under `getSecurable` — there
+    /// is no nested request.
+    #[test]
+    fn a_refused_add_lineage_is_one_deny_under_its_own_action() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_catalog(&admin, ms, "other").unwrap();
+        uc.create_schema(&admin, ms, "other", "s").unwrap();
+        for t in ["main.s.up", "other.s.down"] {
+            uc.create_table(&admin, ms, TableSpec::managed(t, int_schema()).unwrap()).unwrap();
+        }
+        uc.grant_read_path(&admin, ms, "main.s.up", "alice").unwrap();
+        let alice = Context::user("alice");
+        let (err, added) = refused(&w, || uc.add_lineage(&alice, ms, &name("main.s.up"), &name("other.s.down"), None));
+        assert!(matches!(err, UcError::NotFound(_)), "{err}");
+        let actions: Vec<(AuditDecision, &str)> = added.iter().map(|r| (r.decision, r.action.as_str())).collect();
+        assert_eq!(actions, [(AuditDecision::Deny, "addLineage")]);
+        let calls = uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
+        uc.add_lineage(&admin, ms, &name("main.s.up"), &name("other.s.down"), None).unwrap();
+        assert_eq!(uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed) - calls, 1, "one api entry");
     }
 }

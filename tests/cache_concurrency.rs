@@ -4,7 +4,7 @@
 //! the cached read path; these tests drive real reader threads spinning
 //! `get_table` / `resolve_for_query` against a writer thread doing
 //! create/update/drop on the same metastore and assert the snapshot-read
-//! invariants the seqlock + shard design must uphold:
+//! invariants the atomic pin + shard design must uphold:
 //!
 //! * **No torn reads** — a lookup returns either a complete entity or
 //!   `NotFound`, never a half-installed one; the entity returned for a

@@ -586,3 +586,67 @@ fn snapshot_reader_runs_replay_byte_identical() {
     let b = run_one(&cfg);
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
+
+// ---------------------------------------------------------------------
+// 12. The change feed is the commit history
+// ---------------------------------------------------------------------
+
+/// The feed rule on a hand-driven history of one committed create: clean
+/// as committed; a row that forgets a key its commit wrote, or names one it
+/// did not, is one `FeedMismatch` at that version; and so is a window that
+/// no longer ends at the last commit.
+#[test]
+fn the_feed_rule_flags_a_row_that_misnames_its_commit_or_is_missing() {
+    use uc_catalog::model::feed::{self, FeedRow, T_FEED};
+    use uc_catalog::service::{Context, UnityCatalog};
+    use uc_check::checker::check_with_feed;
+    use uc_check::model::ModelOp;
+    use uc_check::workload::{exec_op, initial_model, seed_world};
+    use uc_check::{History, OpRecord};
+
+    let uc = UnityCatalog::in_memory();
+    let ms = uc.create_metastore("admin", "m", "us-west-2").unwrap();
+    let ctx = Context::user("admin");
+    seed_world(&uc, &ctx, &ms);
+    let base = uc_catalog::cache::read_ms_version(&uc.db().begin_read(), &ms);
+    let op = ModelOp::CreateTable { schema: "s".into(), name: "t1".into(), path: "s3://lake/ext/s/t1".into() };
+    let resp = exec_op(&uc, &ctx, &ms, &op);
+    assert_eq!(resp, "ok:table:t1");
+    let commit = Some((base + 1, uc.db().current_csn()));
+    let history = History {
+        base_version: base,
+        ops: vec![OpRecord { seq: 0, client: 0, op, resp, reads: vec![base], commit, aborts: vec![] }],
+    };
+    let check = || check_with_feed(&history, &initial_model(), uc.db(), &ms);
+    assert_eq!(check(), vec![], "the feed as the write protocol left it");
+
+    let key = feed::key(&ms, base + 1);
+    let row = FeedRow::decode(&uc.db().get_latest(T_FEED, &key).unwrap()).unwrap();
+    assert_eq!((row.tree.len(), row.path.len()), (1, 1), "the table's tree row and its path");
+    let rewrite = |row: Option<FeedRow>| {
+        let mut tx = uc.db().begin_write();
+        match row {
+            Some(row) => tx.put(T_FEED, &key, row.encode()),
+            None => tx.delete(T_FEED, &key),
+        }
+        tx.commit().unwrap();
+    };
+    let flagged_at = |what: &str| {
+        let violations = check();
+        assert!(
+            matches!(violations.as_slice(), [Violation::FeedMismatch { version, .. }] if *version == base + 1),
+            "{what}: expected one feed mismatch at {}, got {violations:#?}",
+            base + 1
+        );
+    };
+    rewrite(Some(FeedRow { path: vec![], ..row.clone() }));
+    flagged_at("a forgotten path key");
+    let mut extra = row.clone();
+    extra.tree.push(uc_catalog::model::keys::tree_key(&ms, &[("catalog", "main")]));
+    rewrite(Some(extra));
+    flagged_at("a key the commit did not write");
+    rewrite(Some(row));
+    assert_eq!(check(), vec![], "restored");
+    rewrite(None);
+    flagged_at("a missing last row");
+}

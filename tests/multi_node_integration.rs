@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use uc_bench::{World, WorldConfig, ADMIN};
+use uc_catalog::model::feed::{self, FeedRow, T_FEED, WINDOW};
 use uc_catalog::model::keys;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
@@ -302,8 +303,8 @@ fn mirrors_under_a_federated_catalog_dropped_on_another_node_are_not_found() {
 }
 
 #[test]
-fn truncated_changelog_forces_full_reconcile() {
-    // If the change log was truncated past a node's position, selective
+fn a_node_more_than_a_window_behind_reconciles_in_full() {
+    // If the feed's window has moved past a node's pin, selective
     // invalidation can't be trusted — the node must fall back to a full
     // evict (and still end up coherent).
     let world = World::build(&WorldConfig::default());
@@ -321,25 +322,26 @@ fn truncated_changelog_forces_full_reconcile() {
     for i in 0..20 {
         node_b.get_table(&ctx, &world.ms, &format!("main.s.t{i}")).unwrap();
     }
-    // node A writes; then the changelog is aggressively truncated (as a
-    // bounded-retention deployment would)
-    world
-        .uc
-        .update_comment(&ctx, &world.ms, &FullName::parse("main.s.t3").unwrap(), "relation", "fresh")
-        .unwrap();
-    world.db.changelog().truncate_before(world.db.current_csn() + 1);
+    // node A writes, then writes on until the window has retired A's row
+    let comment = |t: &str, c: &str| {
+        let name = FullName::parse(t).unwrap();
+        world.uc.update_comment(&ctx, &world.ms, &name, "relation", c).unwrap();
+    };
+    let pinned = node_b.metastore_cache_version(&world.ms);
+    comment("main.s.t3", "fresh");
+    for i in 0..WINDOW {
+        comment("main.s.t4", &format!("busy {i}"));
+    }
+    let (full, selective) = (node_b.cache_stats().full_reconciles.get(), node_b.cache_stats().selective_reconciles.get());
     node_b.reconcile_metastore(&world.ms);
-    assert!(
-        node_b
-            .cache_stats()
-            .full_reconciles
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0,
-        "truncation must force the full strategy"
-    );
-    // and node B still serves the fresh value
-    let t3 = node_b.get_table(&ctx, &world.ms, "main.s.t3").unwrap();
-    assert_eq!(t3.comment, Some("fresh".into()));
+    assert_eq!(node_b.metastore_cache_version(&world.ms), pinned + WINDOW + 1);
+    assert_eq!(node_b.cache_stats().full_reconciles.get(), full + 1, "a pin behind the window forces the full strategy");
+    assert_eq!(node_b.cache_stats().selective_reconciles.get(), selective);
+    // and node B still serves the fresh values
+    let comment_of = |t: &str| node_b.get_table(&ctx, &world.ms, t).unwrap().comment.clone();
+    assert_eq!(comment_of("main.s.t3").as_deref(), Some("fresh"));
+    assert_eq!(comment_of("main.s.t4"), Some(format!("busy {}", WINDOW - 1)));
+    assert_eq!(comment_of("main.s.t5"), None);
 }
 
 #[test]
@@ -410,11 +412,13 @@ fn update_on_another_node_invalidates_an_entity_cached_by_id_only() {
     let node_b = spawn_node(&world, "node-b");
     assert!(node_b.get_entity_by_id(&ctx, &world.ms, &table.id).unwrap().grants.is_empty());
 
-    let csn0 = world.db.current_csn();
     let name = FullName::parse("main.s.t").unwrap();
     world.uc.grant(&ctx, &world.ms, &name, "relation", "alice", uc_catalog::authz::Privilege::Select).unwrap();
-    let touched: Vec<String> = world.db.changelog().changes_since(csn0).into_iter().map(|c| c.table).collect();
-    assert!(!touched.iter().any(|t| t == keys::T_ENTITY), "an update moves nothing: no pointer record, {touched:?}");
+    let rt = world.db.begin_read();
+    let version = uc_catalog::cache::read_ms_version(&rt, &world.ms);
+    let row = FeedRow::decode(&rt.get(T_FEED, &feed::key(&world.ms, version)).unwrap()).unwrap();
+    let tree_key = keys::tree_key(&world.ms, &[("catalog", "main"), ("schema", "s"), ("relation", "t")]);
+    assert_eq!((row.tree, row.path), (vec![tree_key], vec![]), "an update moves nothing: its tree row is all it names");
 
     node_b.reconcile_metastore(&world.ms);
     let reads0 = world.db.stats().reads();
@@ -462,35 +466,36 @@ fn evicting_a_dropped_table_keeps_its_recreated_name_invalidatable() {
     assert_eq!(seen.grants, vec![("alice".to_string(), uc_catalog::authz::Privilege::Select)]);
 }
 
-/// Node B reads, then stays idle while node A writes: B's change-log
-/// cursor holds the log from where B was, although no snapshot is open
-/// between A's commits, so B's next reconcile is still *selective* and
-/// invalidates exactly what A touched.
+/// Node B reads, then stays idle while node A commits `WINDOW - 1`
+/// versions: the feed still holds every row since B's pin, although
+/// nothing registered B as a reader, so B's next reconcile is *selective*
+/// and invalidates exactly what A touched.
 #[test]
-fn an_idle_node_reconciles_selectively_because_its_cursor_held_the_log() {
+fn a_node_fewer_than_a_window_behind_reconciles_selectively() {
     let world = World::build(&WorldConfig::default());
     let ctx = Context::user(ADMIN);
     world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
     world.uc.create_schema(&ctx, &world.ms, "main", "s").unwrap();
     let names: Vec<String> = (0..20).map(|i| format!("main.s.t{i}")).collect();
-    for n in &names {
+    for n in names.iter().chain([&"main.s.unread".to_string()]) {
         world.uc.create_table(&ctx, &world.ms, TableSpec::managed(n, schema()).unwrap()).unwrap();
     }
     let node_b = spawn_node(&world, "node-b");
     for n in &names {
         node_b.get_table(&ctx, &world.ms, n).unwrap();
     }
-    let csn0 = world.db.current_csn();
+    let pinned = node_b.metastore_cache_version(&world.ms);
     for n in &names[..5] {
         world.uc.update_comment(&ctx, &world.ms, &FullName::parse(n).unwrap(), "relation", "fresh").unwrap();
     }
-    assert!(
-        world.db.changelog().min_retained_csn().is_some_and(|min| min <= csn0 + 1),
-        "B's cursor held every record since B last read"
-    );
+    let unread = FullName::parse("main.s.unread").unwrap();
+    for i in 5..WINDOW - 1 {
+        world.uc.update_comment(&ctx, &world.ms, &unread, "relation", &format!("busy {i}")).unwrap();
+    }
     let stats = node_b.cache_stats();
     let (full, selective, invalidated) = (stats.full_reconciles.get(), stats.selective_reconciles.get(), stats.invalidations.get());
     node_b.reconcile_metastore(&world.ms);
+    assert_eq!(node_b.metastore_cache_version(&world.ms), pinned + WINDOW - 1);
     assert_eq!(stats.full_reconciles.get(), full, "no full reconcile");
     assert_eq!(stats.selective_reconciles.get(), selective + 1);
     assert_eq!(stats.invalidations.get(), invalidated + 5, "exactly the five updated tables");
@@ -500,29 +505,59 @@ fn an_idle_node_reconciles_selectively_because_its_cursor_held_the_log() {
     }
 }
 
-/// A metastore nobody touches holds the change log from its cache's
-/// cursor on; a `catch_up` that finds it unchanged moves the cursor to the
-/// present, and the next commit drops everything before it.
+/// Each metastore keeps its own feed and nothing per reader: a busy one
+/// retires its oldest row with every commit past the window, and an idle
+/// one keeps its few rows whatever the busy one does — neither holds the
+/// other's history.
 #[test]
-fn an_idle_metastores_cache_stops_holding_the_log_after_catch_up() {
+fn an_idle_metastore_holds_at_most_a_window_of_feed_rows() {
     let world = World::build(&WorldConfig::default());
     let ctx = Context::user(ADMIN);
-    let log = world.db.changelog();
+    let rows = |prefix: String| world.db.begin_read().scan_prefix(T_FEED, &prefix).len() as u64;
     let idle = world.uc.create_metastore(ADMIN, "idle", "us-west-2").unwrap();
     world.uc.create_catalog(&ctx, &idle, "c").unwrap();
     world.uc.reconcile_metastore(&idle);
-    let idle_at = world.db.current_csn();
+    let idle_rows = rows(feed::prefix(&idle));
+    assert_eq!(idle_rows, 2, "the metastore and its catalog");
     world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
-    for i in 0..5 {
+    for i in 0..WINDOW + 10 {
         world.uc.create_schema(&ctx, &world.ms, "main", &format!("s{i}")).unwrap();
     }
     world.uc.reconcile_metastore(&world.ms);
-    assert_eq!(log.oldest_cursor(), Some(idle_at), "the idle metastore's cache is the oldest cursor");
-    assert_eq!(log.min_retained_csn(), Some(idle_at + 1), "and it holds the log");
+    assert_eq!(rows(feed::prefix(&world.ms)), WINDOW, "the busy metastore holds its window");
+    assert_eq!(rows(feed::prefix(&idle)), idle_rows, "the idle one keeps its rows, and holds nothing else");
+    assert_eq!(rows(String::new()), WINDOW + idle_rows);
+}
 
-    world.uc.reconcile_metastore(&idle);
-    assert_eq!(log.oldest_cursor(), Some(world.db.current_csn()), "caught up to the present");
-    let csn = world.uc.create_schema(&ctx, &world.ms, "main", "after").map(|_| world.db.current_csn()).unwrap();
-    assert_eq!(log.min_retained_csn(), Some(csn), "only the newest commit's records are left");
-    assert!(log.changes_since(0).iter().all(|r| r.csn == csn));
+/// A lineage edge is discovery metadata: it commits a metastore version,
+/// so its event is in the feed, but the row names no tree or path key, so
+/// another node's reconcile across it invalidates nothing.
+#[test]
+fn a_lineage_version_costs_another_node_no_invalidation() {
+    let world = World::build(&WorldConfig::default());
+    let ctx = Context::user(ADMIN);
+    world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+    world.uc.create_schema(&ctx, &world.ms, "main", "s").unwrap();
+    for t in ["up", "down"] {
+        world.uc.create_table(&ctx, &world.ms, TableSpec::managed(&format!("main.s.{t}"), schema()).unwrap()).unwrap();
+    }
+    let node_b = spawn_node(&world, "node-b");
+    for t in ["main.s.up", "main.s.down"] {
+        node_b.get_table(&ctx, &world.ms, t).unwrap();
+    }
+    let pinned = node_b.metastore_cache_version(&world.ms);
+    let name = |n: &str| FullName::parse(n).unwrap();
+    world.uc.add_lineage(&ctx, &world.ms, &name("main.s.up"), &name("main.s.down"), Some("job")).unwrap();
+    let page = node_b.events_since(&world.ms, pinned).unwrap();
+    let ops: Vec<_> = page.events.iter().map(|e| (e.op, e.name.as_str(), e.at_version)).collect();
+    assert_eq!(ops, [(uc_catalog::events::ChangeOp::LineageAdd, "down", pinned + 1)]);
+
+    let stats = node_b.cache_stats();
+    let (invalidated, full) = (stats.invalidations.get(), stats.full_reconciles.get());
+    node_b.reconcile_metastore(&world.ms);
+    assert_eq!(node_b.metastore_cache_version(&world.ms), pinned + 1);
+    assert_eq!((stats.invalidations.get(), stats.full_reconciles.get()), (invalidated, full), "nothing invalidated");
+    let reads0 = world.db.stats().reads();
+    node_b.get_table(&ctx, &world.ms, "main.s.down").unwrap();
+    assert_eq!(world.db.stats().reads(), reads0, "still a cache hit");
 }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use uc_bench::{World, WorldConfig};
-use uc_catalog::model::{keys, treekey};
+use uc_catalog::model::{feed, keys, treekey};
 use uc_catalog::service::crud::{BulkSchemaSpec, TableSpec};
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
@@ -285,8 +285,8 @@ fn uncached_name_resolution_is_one_range_scan() {
 // ---------------------------------------------------------------------
 
 /// Creating a managed table writes four rows: the entity's tree row, the
-/// id pointer to it, its storage path, and the metastore version. There
-/// is no other name index to maintain.
+/// id pointer to it, its storage path, and the metastore's feed row (its
+/// version). There is no other name index to maintain.
 #[test]
 fn create_table_writes_four_rows() {
     let (world, ctx) = seeded_world(&["warm"]);
@@ -300,32 +300,34 @@ fn create_table_writes_four_rows() {
                 .unwrap(),
         )
         .unwrap();
-    assert_eq!(world.db.stats().writes() - writes0, 4, "pointer + tree + path + msver");
+    assert_eq!(world.db.stats().writes() - writes0, 4, "pointer + tree + path + feed row");
 }
 
 /// Dropping a table moves its row from the tree to the trash and removes
-/// its pointer and path: it touches those four tables and the version —
-/// in particular no row of a separate name index.
+/// its pointer and path: five rows — those four and the feed row naming
+/// the tree and path keys — and in particular no row of a separate name
+/// index.
 #[test]
 fn drop_table_writes_no_name_row() {
     let (world, ctx) = seeded_world(&["t"]);
-    let csn0 = world.db.current_csn();
+    let table = world.uc.get_table(&ctx, &world.ms, "main.s.t").unwrap();
+    let tree_key = keys::tree_key(&world.ms, &[("catalog", "main"), ("schema", "s"), ("relation", "t")]);
+    let path_key = keys::path_key(&world.ms, table.storage_path.as_deref().unwrap());
     let writes0 = world.db.stats().writes();
     let dropped = world
         .uc
         .drop_securable(&ctx, &world.ms, &FullName::parse("main.s.t").unwrap(), "relation")
         .unwrap();
     assert_eq!(dropped, 1);
-    assert_eq!(world.db.stats().writes() - writes0, 5, "pointer + tree + path + trash + msver");
-    let mut tables: Vec<String> = world
-        .db
-        .changelog()
-        .changes_since(csn0)
-        .into_iter()
-        .map(|c| c.table)
-        .collect();
-    tables.sort_unstable();
-    assert_eq!(tables, [keys::T_ENTITY, keys::T_MSVER, keys::T_PATH, keys::T_TRASH, keys::T_TREE]);
+    assert_eq!(world.db.stats().writes() - writes0, 5, "pointer + tree + path + trash + feed row");
+    let rt = world.db.begin_read();
+    let id_key = keys::ent_key(&world.ms, &table.id);
+    assert!(rt.get(keys::T_ENTITY, &id_key).is_none() && rt.get(keys::T_TREE, &tree_key).is_none());
+    assert!(rt.get(keys::T_PATH, &path_key).is_none() && rt.get(keys::T_TRASH, &id_key).is_some());
+    let version = uc_catalog::cache::read_ms_version(&rt, &world.ms);
+    let row = rt.get(feed::T_FEED, &feed::key(&world.ms, version)).unwrap();
+    let row = feed::FeedRow::decode(&row).unwrap();
+    assert_eq!((row.tree, row.path), (vec![tree_key], vec![path_key]), "the feed row names what the drop wrote");
 }
 
 /// A bulk-loaded entity occupies exactly two live rows: its one copy, and
@@ -336,7 +338,7 @@ fn bulk_loaded_entities_cost_two_rows_each() {
     let ctx = world.admin();
     world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
     let entities = |w: &World| w.db.begin_read().scan_prefix(keys::T_ENTITY, "").len();
-    let (rows0, ents0) = (world.db.live_rows(), entities(&world));
+    let (rows0, ents0, commits0) = (world.db.live_rows(), entities(&world), world.db.stats().commits());
     let specs = [BulkSchemaSpec {
         name: "s".into(),
         tables: (0..50).map(|t| format!("t{t}")).collect(),
@@ -345,7 +347,8 @@ fn bulk_loaded_entities_cost_two_rows_each() {
     let created = world.uc.bulk_create_tables(&ctx, &world.ms, "main", &specs, &schema, 16).unwrap();
     assert_eq!(created, 51);
     assert_eq!(entities(&world) - ents0, 51);
-    assert_eq!(world.db.live_rows() - rows0, 2 * 51, "one tree row + one pointer each");
+    let commits = (world.db.stats().commits() - commits0) as usize;
+    assert_eq!(world.db.live_rows() - rows0, 2 * 51 + commits, "one tree row + one pointer each, and a feed row per commit");
     let rt = world.db.begin_read();
     for (id_key, pointer) in rt.scan_prefix(keys::T_ENTITY, "") {
         let row = rt.get(keys::T_TREE, std::str::from_utf8(&pointer).unwrap()).expect("a pointer names a tree row");
@@ -377,7 +380,7 @@ fn cold_resolve_leaf_is_one_chain_scan() {
         let got = probe.resolve_for_query(&ctx, &world.ms, &refs("b"), false).unwrap();
         assert_eq!(got[0].entity.name, "b");
     });
-    assert_eq!(cost, [1, 1, 0, 0], "msver + the leaf's chain scan");
+    assert_eq!(cost, [1, 1, 0, 0], "the version seek + the leaf's chain scan");
 }
 
 /// A by-id read is a pointer read in front of the by-key read: cold, it
@@ -390,11 +393,11 @@ fn cold_by_id_reads_are_a_pointer_read_and_one_chain_scan() {
     let (a, b) = (by_name("a"), by_name("b"));
     let probe = warmed_probe(&world, &ctx);
     let get = db_cost(&world, || assert_eq!(probe.get_entity_by_id(&ctx, &world.ms, &a.id).unwrap(), a));
-    assert_eq!(get, [2, 1, 0, 0], "cold get_entity_by_id: msver + pointer, one chain scan");
+    assert_eq!(get, [2, 1, 0, 0], "cold get_entity_by_id: version + pointer, one chain scan");
     // The node's first vend also looks the bucket's root credential up.
     probe.renew_read_credential(&ctx, &world.ms, &a.id).unwrap();
     let renew = db_cost(&world, || drop(probe.renew_read_credential(&ctx, &world.ms, &b.id).unwrap()));
-    assert_eq!(renew, [2, 1, 0, 0], "cold renew_read_credential: msver + pointer, one chain scan");
+    assert_eq!(renew, [2, 1, 0, 0], "cold renew_read_credential: version + pointer, one chain scan");
     let warm = db_cost(&world, || drop(probe.get_entity_by_id(&ctx, &world.ms, &b.id).unwrap()));
     assert_eq!(warm, [0, 0, 0, 0], "the by-id load cached the entity under its id and its name");
 }
@@ -475,16 +478,16 @@ fn write_ops_cost_exact_reads_scans_commits_rows() {
     });
     let drop_table = db_cost(&world, || uc.drop_securable(&ctx, ms, &name("main.s.t"), "relation").unwrap());
 
-    assert_eq!(create_table, [4, 1, 1, 4], "managed create_table: pointer + tree + path + msver rows");
+    assert_eq!(create_table, [4, 1, 1, 4], "managed create_table: pointer + tree + path + feed rows");
     assert_eq!(create_view, [3, 0, 1, 3], "create_view with one dependency");
     assert_eq!(create_volume, [4, 1, 1, 4], "managed create_volume");
     assert_eq!(create_schema, [3, 0, 1, 3], "create_schema");
-    assert_eq!(grant, [3, 0, 1, 2], "grant: the tree row and msver, no pointer write");
+    assert_eq!(grant, [3, 0, 1, 2], "grant: the tree row and the feed row, no pointer write");
     assert_eq!(
         drop_table,
         [2, 1, 1, 5],
         "drop_securable of a table: one row more than the two-table layout's 4, the trash row \
-         (pointer and tree row deleted, path deleted, trash row put, msver)"
+         (pointer and tree row deleted, path deleted, trash row put, feed row)"
     );
 }
 
@@ -510,9 +513,9 @@ fn schema_rename_installs_no_unread_descendants() {
     let rename = db_cost(&world, || {
         node.rename_securable(&ctx, &world.ms, &FullName::parse("main.s").unwrap(), "schema", "s2").unwrap()
     });
-    // Reads: msver, the schema's pointer and row, the vacancy of the new
-    // key. Rows, per moved row: the old tree row deleted, the pointer and
-    // the new tree row put; plus msver.
+    // Reads: the version, the schema's pointer and row, the vacancy of the
+    // new key. Rows, per moved row: the old tree row deleted, the pointer
+    // and the new tree row put; plus the feed row.
     assert_eq!(rename, [4, 1, 1, 3 * (TABLES + 1) + 1], "rename of a schema holding {TABLES} tables");
     assert_eq!(node.cache_stats().evictions.get(), 0, "the subtree was not pushed through the cache");
     let hot = db_cost(&world, || drop(node.get_table(&ctx, &world.ms, "main.other.hot").unwrap()));
@@ -557,7 +560,38 @@ fn create_table_after_500_lifecycles_visits_as_many_keys_as_the_first() {
     uc.update_comment(&ctx, ms, &FullName::parse("main.s").unwrap(), "schema", "busy").unwrap();
     assert_eq!(create(501), first, "the path seek walks no dead key");
     let (chains, _) = world.db.resident();
-    assert_eq!(chains, world.db.live_rows(), "no dead chain is left resident: every chain is a live row");
+    assert_eq!(
+        chains,
+        world.db.live_rows() + 1,
+        "no dead chain is left resident but the feed row the last commit retired, which the next commit reclaims"
+    );
+}
+
+/// The feed keeps a metastore's newest `WINDOW` versions and the version
+/// read is a seek to its last row. Past the window a write costs exactly
+/// one row more — the delete that retires the oldest row — and nothing
+/// else; after 5 × `WINDOW` commits the version read is still one read that
+/// visits one key: retired rows are reclaimed, not walked.
+#[test]
+fn past_the_feed_window_a_write_costs_one_row_more_and_the_version_read_one_step() {
+    let (world, ctx) = seeded_world(&["t"]);
+    let name = FullName::parse("main.s.t").unwrap();
+    let comment = |c: &str| db_cost(&world, || world.uc.update_comment(&ctx, &world.ms, &name, "relation", c).unwrap());
+    let version = || uc_catalog::cache::read_ms_version(&world.db.begin_read(), &world.ms);
+    let below = comment("below");
+    assert!(version() < feed::WINDOW);
+    while version() < 5 * feed::WINDOW {
+        comment("busy");
+    }
+    let past = comment("past");
+    assert_eq!(past, [below[0], below[1], below[2], below[3] + 1], "the retention delete, and nothing else");
+
+    let rt = world.db.begin_read();
+    let (reads0, steps0) = (world.db.stats().reads(), world.db.stats().steps());
+    assert_eq!(uc_catalog::cache::read_ms_version(&rt, &world.ms), 5 * feed::WINDOW + 1);
+    assert_eq!((world.db.stats().reads() - reads0, world.db.stats().steps() - steps0), (1, 1));
+    let retained = rt.scan_prefix(feed::T_FEED, &feed::prefix(&world.ms)).len() as u64;
+    assert_eq!(retained, feed::WINDOW, "an idle metastore holds its newest WINDOW rows and no more");
 }
 
 /// Purge's trash scan visits its victims and nothing else: the trash rows
@@ -574,6 +608,6 @@ fn purge_scan_visits_its_victims_and_no_earlier_purge() {
             uc.drop_securable(&ctx, ms, &FullName::parse(&name).unwrap(), "relation").unwrap();
         }
         let visited = steps(&world, || assert_eq!(uc.purge_soft_deleted(ms).unwrap().0, 20));
-        assert_eq!(visited, 20, "purge {batch} visits its 20 victims only");
+        assert_eq!(visited, 20 + 1, "purge {batch} visits its 20 victims only, and the feed's last row for its version");
     }
 }
