@@ -2,7 +2,7 @@
 //!
 //! The paper's Fig 10(b) shows the uncached catalog hitting a throughput
 //! wall below 10 K rps — the database pool is the bottleneck, and every
-//! `getTable` pays it. `fig10b_cache` regenerates that figure; this
+//! `getTable` pays it. `cache_read_scaling` regenerates that figure; this
 //! bench regenerates it *two orders of magnitude past the wall*, where
 //! even a cache-miss storm (cache disabled, every read hits the pool)
 //! must stay live. The serving plane's answer is single-flight
@@ -12,26 +12,22 @@
 //!
 //! Two arms share the same world shape (db pool=8 @1 ms/read, 200 µs api
 //! hop, cache off): `coalesced` serves through a [`ServePlane`] with
-//! coalescing + batching on; `uncoalesced` serves through the same plane
-//! with both off (admission only). The closed-loop sweep pushes client
-//! counts far past the pool knee over a 16-key hot set; the gate asserts
-//! the coalesced arm beats the uncoalesced arm ≥ 4× at the knee.
+//! coalescing on; `uncoalesced` serves through the same plane with it off
+//! (admission only). The closed-loop sweep pushes client counts far past
+//! the pool knee over a 16-key hot set; the figure asserts the coalesced
+//! arm beats the uncoalesced arm ≥ 4× at the knee.
 //!
 //! A second, open-loop section drives the deterministic replay path with
 //! a Fig 5 Poisson schedule at 100× the paper's wall (1 M offered rps in
 //! virtual time, millions of distinct clients) through a manual-clock
-//! world: admission sheds deterministically, coalesce/batch splits are
-//! seed-pure, and `UC_SERVE_REPLAY=1` prints *only* that canonical
-//! artifact so CI can byte-diff two runs.
-//!
-//! Env: `UC_BENCH_QUICK` (short CI mode + gates), `UC_BENCH_LABEL`,
-//! `UC_BENCH_OUT` (default `BENCH_serve.json`, quick mode
-//! `BENCH_serve_quick.json`), `UC_SERVE_REPLAY` (replay artifact only).
+//! world: admission sheds deterministically and coalesce/batch splits are
+//! seed-pure. The figure replays 100 virtual ms; `UC_SERVE_REPLAY=1`
+//! replays 20 and prints *only* that canonical artifact, so CI can
+//! byte-diff two runs.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
 use uc_bench::{closed_loop_indexed, labeled_counter_sum, parse_snapshot, print_table, SnapshotValue, World, WorldConfig};
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
@@ -46,36 +42,6 @@ use uc_workload::openloop::{OpenLoopParams, Schedule};
 /// Hot-key working set: small enough that clients pile up on the same
 /// keys (Zipf reality), large enough to keep the pool busy.
 const KEYS: usize = 16;
-
-#[derive(Serialize, Deserialize, Default)]
-struct BenchFile {
-    bench: String,
-    note: String,
-    runs: Vec<Run>,
-}
-
-#[derive(Serialize, Deserialize)]
-struct Run {
-    label: String,
-    quick: bool,
-    threads: Vec<u64>,
-    coalesced_rps: Vec<f64>,
-    coalesced_p99_us: Vec<f64>,
-    uncoalesced_rps: Vec<f64>,
-    uncoalesced_p99_us: Vec<f64>,
-    /// coalesced rps ÷ uncoalesced rps at the largest client count.
-    knee_ratio: f64,
-    /// Followers per leader over the coalesced sweep — the dedup factor.
-    followers_per_leader: f64,
-    /// Open-loop replay at 100× the paper wall (virtual time).
-    replay_offered: u64,
-    replay_admitted: u64,
-    replay_shed: u64,
-    replay_leaders: u64,
-    replay_followers: u64,
-    replay_batches: u64,
-    cores: Option<u64>,
-}
 
 /// A cache-miss-storm world: metadata cache off, so every read pays the
 /// modelled database (pool=8, 1 ms/read) — the regime past Fig 10(b)'s
@@ -118,7 +84,6 @@ fn build_plane(world: &World, coalesce: bool) -> ServePlane {
             // the largest client count so admission never rejects.
             queue_capacity: 8192,
             coalesce,
-            batch: coalesce,
             ..Default::default()
         },
     );
@@ -166,7 +131,7 @@ fn replay_world() -> (Arc<UnityCatalog>, uc_catalog::Uid) {
     (uc, ms)
 }
 
-fn replay_100x(quick: bool) -> (ReplayReport, String) {
+fn replay_100x(horizon_ms: u64) -> (ReplayReport, String) {
     let (uc, ms) = replay_world();
     let plane = ServePlane::new(
         uc.clone(),
@@ -178,7 +143,7 @@ fn replay_100x(quick: bool) -> (ReplayReport, String) {
     );
     plane.register_tenant(&ms, "bench");
     let mut params = OpenLoopParams::fig5(0xF16B, 1_000_000.0);
-    params.horizon_ms = if quick { 20 } else { 100 };
+    params.horizon_ms = horizon_ms;
     let schedule = Schedule::generate(&params);
     let names = table_names();
     let binding = ReplayBinding {
@@ -217,19 +182,14 @@ fn replay_100x(quick: bool) -> (ReplayReport, String) {
 }
 
 fn main() {
-    let quick = std::env::var("UC_BENCH_QUICK").is_ok();
-    let replay_only = std::env::var("UC_SERVE_REPLAY").is_ok();
-    if replay_only {
+    if std::env::var("UC_SERVE_REPLAY").is_ok() {
         // CI determinism gate: print nothing but the canonical artifact.
-        let (_, artifact) = replay_100x(true);
+        let (_, artifact) = replay_100x(20);
         print!("{artifact}");
         return;
     }
-    let label = std::env::var("UC_BENCH_LABEL").unwrap_or_else(|_| "run".to_string());
-    let default_out = if quick { "BENCH_serve_quick.json" } else { "BENCH_serve.json" };
-    let out_path = std::env::var("UC_BENCH_OUT").unwrap_or_else(|_| default_out.to_string());
-    let thread_counts: &[usize] = if quick { &[8, 128] } else { &[1, 4, 16, 64, 128, 256] };
-    let duration = if quick { Duration::from_millis(250) } else { Duration::from_millis(400) };
+    let thread_counts = [1usize, 4, 16, 64, 128, 256];
+    let duration = Duration::from_millis(400);
 
     println!("building coalesced and uncoalesced serve worlds ({KEYS} hot tables, cache off)…");
     let world_c = build_world();
@@ -238,36 +198,13 @@ fn main() {
     let plane_u = build_plane(&world_u, false);
     let names = table_names();
 
-    let mut run = Run {
-        label: label.clone(),
-        quick,
-        threads: Vec::new(),
-        coalesced_rps: Vec::new(),
-        coalesced_p99_us: Vec::new(),
-        uncoalesced_rps: Vec::new(),
-        uncoalesced_p99_us: Vec::new(),
-        knee_ratio: 0.0,
-        followers_per_leader: 0.0,
-        replay_offered: 0,
-        replay_admitted: 0,
-        replay_shed: 0,
-        replay_leaders: 0,
-        replay_followers: 0,
-        replay_batches: 0,
-        cores: std::thread::available_parallelism().ok().map(|n| n.get() as u64),
-    };
     let mut rows = Vec::new();
     let mut ratio_at_knee = 0.0f64;
-    for &threads in thread_counts {
+    for &threads in &thread_counts {
         let with = sweep(&plane_c, &world_c, &names, threads, duration);
         let without = sweep(&plane_u, &world_u, &names, threads, duration);
         let ratio = with.throughput_rps / without.throughput_rps.max(1e-9);
         ratio_at_knee = ratio;
-        run.threads.push(threads as u64);
-        run.coalesced_rps.push(with.throughput_rps);
-        run.coalesced_p99_us.push(with.p99.as_secs_f64() * 1e6);
-        run.uncoalesced_rps.push(without.throughput_rps);
-        run.uncoalesced_p99_us.push(without.p99.as_secs_f64() * 1e6);
         rows.push(vec![
             threads.to_string(),
             format!("{:.0}", with.throughput_rps),
@@ -277,12 +214,11 @@ fn main() {
             format!("{ratio:.1}×"),
         ]);
     }
-    run.knee_ratio = ratio_at_knee;
 
     // Conservation + exactly-once accounting over the coalesced sweep:
     // leaders+followers is every served request, per-tenant label cells
     // sum exactly to the globals, and every leader is one catalog call.
-    {
+    let followers_per_leader = {
         let parsed = parse_snapshot(&world_c.uc.metrics_snapshot());
         let counter = |name: &str| match parsed.get(name) {
             Some(SnapshotValue::Counter(n)) => *n,
@@ -307,17 +243,16 @@ fn main() {
             followers,
             "per-tenant follower cells must sum to the global counter"
         );
-        run.followers_per_leader = followers as f64 / leaders.max(1) as f64;
-    }
+        followers as f64 / leaders.max(1) as f64
+    };
 
     print_table(
-        &format!("Fig 10(b) ×100 — serve-plane getTable, cache-miss storm, label={label}"),
+        "Fig 10(b) ×100 — serve-plane getTable, cache-miss storm",
         &["clients", "coalesced rps", "p99 ms", "uncoalesced rps", "p99 ms", "ratio"],
         &rows,
     );
     println!(
-        "knee ratio (largest client count): {ratio_at_knee:.1}× — followers per leader {:.1}",
-        run.followers_per_leader
+        "knee ratio (largest client count): {ratio_at_knee:.1}× — followers per leader {followers_per_leader:.1}"
     );
     assert!(
         ratio_at_knee >= 4.0,
@@ -326,31 +261,8 @@ fn main() {
     );
 
     println!("\nopen-loop replay at 100× the paper wall (1 M offered rps, virtual time)…");
-    let (report, _) = replay_100x(quick);
+    let (report, _) = replay_100x(100);
     println!("{}", report.canonical_text());
     assert!(report.shed > 0, "100× storm must exercise admission shedding");
     assert!(report.followers > 0, "100× storm must coalesce concurrent same-key reads");
-    run.replay_offered = report.offered;
-    run.replay_admitted = report.admitted;
-    run.replay_shed = report.shed;
-    run.replay_leaders = report.leaders;
-    run.replay_followers = report.followers;
-    run.replay_batches = report.batches;
-
-    let mut file: BenchFile = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_default();
-    file.bench = "fig10b_serve".to_string();
-    file.note = format!(
-        "serve-plane getTable under a cache-miss storm ({KEYS} hot tables, cache off, db \
-         pool=8 @1ms/read, 200µs hop). coalesced = single-flight + batched plane; uncoalesced \
-         = same plane, dedup off. knee_ratio gates ≥4×. replay_* = deterministic open-loop \
-         Fig 5 schedule at 1M offered rps (virtual time) with per-tenant admission (64)."
-    );
-    file.runs.retain(|r| r.label != label);
-    file.runs.push(run);
-    let json = serde_json::to_string_pretty(&file).expect("bench file serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench file");
-    println!("wrote {out_path}");
 }

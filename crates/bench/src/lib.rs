@@ -53,10 +53,6 @@ pub struct WorldConfig {
     /// default is metrics-only; pass `Obs::with_clock_fn` to also collect
     /// replayable traces.
     pub obs: Obs,
-    /// Per-class database latency model; when set it overrides the
-    /// uniform `db_latency`. Lets a bench charge reads and scans a
-    /// round-trip while keeping bulk population writes free.
-    pub db_latency_model: Option<LatencyModel>,
 }
 
 impl Default for WorldConfig {
@@ -70,7 +66,6 @@ impl Default for WorldConfig {
             cred_cache: true,
             sts_mint_cost: Duration::ZERO,
             obs: Obs::disabled(),
-            db_latency_model: None,
         }
     }
 }
@@ -81,10 +76,7 @@ impl World {
     pub fn build(cfg: &WorldConfig) -> World {
         let db = Db::new(DbConfig {
             pool_size: cfg.db_pool,
-            latency: cfg
-                .db_latency_model
-                .clone()
-                .unwrap_or_else(|| LatencyModel::uniform(cfg.db_latency)),
+            latency: LatencyModel::uniform(cfg.db_latency),
             obs: cfg.obs.clone(),
             ..Default::default()
         });
@@ -273,13 +265,6 @@ pub fn labeled_counter_sum(
             _ => None,
         })
         .sum()
-}
-
-/// Time a single closure.
-pub fn time_it(f: impl FnOnce()) -> Duration {
-    let t0 = Stopwatch::start();
-    f();
-    t0.elapsed()
 }
 
 /// Mean and standard deviation of durations, in milliseconds.

@@ -38,6 +38,9 @@ pub struct Op {
 // of taking its op's primary.
 /// Refusal at the external location covering a create's explicit path.
 pub const USE_EXTERNAL_PATH: Action = Action("useExternalPath");
+/// Seeing one securable by name: `get_securable`, and the reads that
+/// return something of it (`get_tags`, `lineage`).
+pub const GET_SECURABLE: Action = Action("getSecurable");
 /// Reading a share: its member list, or one member's snapshot.
 pub const QUERY_SHARE: Action = Action("queryShare");
 /// The `Allow` of serving one shared table's files and credential.
@@ -99,11 +102,11 @@ ops! {
     EVENTS_SINCE = "events_since" => [];
     GET_ENTITY_BY_ID = "get_entity_by_id" => [];
     GET_METASTORE = "get_metastore" => [];
-    GET_SECURABLE = "get_securable" => ["getSecurable"];
-    GET_TAGS = "get_tags" => [];
+    GET_SECURABLE = "get_securable" => [GET_SECURABLE];
+    GET_TAGS = "get_tags" => [GET_SECURABLE];
     GRANT = "grant" => ["grant"];
     LATEST_TABLE_VERSION = "latest_table_version" => [READ_TABLE_COMMIT];
-    LINEAGE = "lineage" => [];
+    LINEAGE = "lineage" => [GET_SECURABLE];
     LIST_CATALOGS = "list_catalogs" => [];
     LIST_CHILDREN = "list_children" => [];
     LIST_SHARE_TABLES = "list_share_tables" => [QUERY_SHARE];

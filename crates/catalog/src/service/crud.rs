@@ -686,9 +686,7 @@ impl UnityCatalog {
         leaf_group: &str,
     ) -> UcResult<Arc<Entity>> {
         let api = self.api_enter(Op::GET_SECURABLE, Some(&ctx.principal), Some(ms));
-        let full = self.chain_by_name(ms, name, leaf_group)?;
-        self.enforce_workspace_binding(ctx, &full)?;
-        api.audit.gate(&full, Need::See, name)?;
+        let (full, _) = api.audit.see(ctx, ms, name, leaf_group)?;
         api.audit.allow(&full[0].id, name);
         Ok(full[0].clone())
     }

@@ -108,9 +108,10 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, String)>> {
-        let _api = self.api_enter(Op::GET_TAGS, Some(&ctx.principal), Some(ms));
-        let ent = self.get_securable(ctx, ms, name, leaf_group)?;
-        Ok(ent.tags())
+        let api = self.api_enter(Op::GET_TAGS, Some(&ctx.principal), Some(ms));
+        let (full, _) = api.audit.see(ctx, ms, name, leaf_group)?;
+        api.audit.allow(&full[0].id, name);
+        Ok(full[0].tags())
     }
 
     // ------------------------------------------------------------------
@@ -219,9 +220,7 @@ impl UnityCatalog {
         let api = self.api_enter(Op::ADD_LINEAGE, Some(&ctx.principal), Some(ms));
         let mut ends = Vec::with_capacity(2);
         for name in [upstream, downstream] {
-            let mut full = self.chain_by_name(ms, name, "relation")?;
-            self.enforce_workspace_binding(ctx, &full)?;
-            api.audit.gate(&full, Need::See, name)?;
+            let (mut full, _) = api.audit.see(ctx, ms, name, "relation")?;
             ends.push(full.swap_remove(0));
         }
         let (up, down) = (&ends[0], &ends[1]);
@@ -256,9 +255,9 @@ impl UnityCatalog {
         direction: LineageDirection,
         max_hops: usize,
     ) -> UcResult<BTreeSet<Uid>> {
-        let _api = self.api_enter(Op::LINEAGE, Some(&ctx.principal), Some(ms));
-        let start_ent = self.get_securable(ctx, ms, start, "relation")?;
-        let who = self.authz_context(ms, &ctx.principal)?;
+        let api = self.api_enter(Op::LINEAGE, Some(&ctx.principal), Some(ms));
+        let (full, who) = api.audit.see(ctx, ms, start, "relation")?;
+        let start_ent = &full[0];
         let rt = self.db.begin_read();
         let mut seen: HashSet<Uid> = HashSet::new();
         let mut queue = VecDeque::from([(start_ent.id.clone(), 0usize)]);
@@ -286,6 +285,7 @@ impl UnityCatalog {
                 visible.insert(id);
             }
         }
+        api.audit.allow(&start_ent.id, start);
         Ok(visible)
     }
 

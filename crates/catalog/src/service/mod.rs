@@ -385,6 +385,23 @@ impl<'a> Audited<'a> {
             )),
         })
     }
+
+    /// The chain of the securable `name` addresses, if the caller may see
+    /// it from the workspace it calls from: resolved by name, its catalog
+    /// bindings checked, then [`Self::gate`]d on [`Need::See`] — a refusal
+    /// is this request's own. Returns the caller's context with it.
+    pub(crate) fn see(
+        &self,
+        ctx: &Context,
+        ms: &Uid,
+        name: &FullName,
+        leaf_group: &str,
+    ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext)> {
+        let full = self.uc.chain_by_name(ms, name, leaf_group)?;
+        self.uc.enforce_workspace_binding(ctx, &full)?;
+        let who = self.gate(&full, Need::See, name)?;
+        Ok((full, who))
+    }
 }
 
 /// RAII guard returned by `api_enter`: the request's [`Audited`] face, its
@@ -624,16 +641,18 @@ impl UnityCatalog {
     }
 
     /// Record the human-readable alias rendered into this metastore's
-    /// metric labels. Called by `create_metastore` with the metastore
-    /// name; idempotent.
-    pub(crate) fn register_tenant_alias(&self, ms: &Uid, name: &str) {
+    /// metric labels. `create_metastore` registers the metastore's name;
+    /// a host names a metastore another node created here, before it
+    /// serves requests (a thread that already rendered a label keeps it).
+    pub fn register_tenant_alias(&self, ms: &Uid, name: &str) {
         let alias: Arc<str> = Arc::from(uc_obs::sanitize_label_value(name));
         self.tenant_aliases.write().insert(ms.clone(), alias);
     }
 
     /// The `t=<alias>,p=<principal>` label for a request, memoized per
-    /// thread so the repeat path allocates nothing and takes no lock.
-    fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Arc<str> {
+    /// thread so the repeat path allocates nothing and takes no lock. The
+    /// serving plane labels its own series with it.
+    pub fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Arc<str> {
         let Some(ms) = ms else {
             // No metastore (node-level ops): rare enough to build fresh.
             return Arc::from(format!("t={NO_TENANT},p={}", uc_obs::sanitize_label_value(principal)));

@@ -146,7 +146,8 @@ impl Gauge {
 /// Number of histogram buckets: one for zero, three singleton buckets for
 /// 1–3, then four linear sub-buckets per octave (`[2^o, 2^(o+1))` split
 /// into quarters) for octaves 2..=63. Pure log₂ buckets quantized p99 to
-/// powers of two (BENCH_cache.json used to report a flat 8.191µs); the
+/// powers of two (the early runs frozen in BENCH_cache.json read a flat
+/// 8.191µs); the
 /// quarter-octave split bounds quantile error at ~12.5% of the value while
 /// keeping the index a pair of shifts — no floats, no tables.
 pub const HISTOGRAM_BUCKETS: usize = 252;

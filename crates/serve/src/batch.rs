@@ -47,6 +47,9 @@ use crate::{points, Role, ServePlane, Served};
 /// of per-tenant admission, so no caller has ever needed another value.
 pub const BATCH_QUEUE_CAPACITY: usize = 1024;
 
+/// Most requests combined into one `resolve_for_query` dispatch.
+pub const MAX_BATCH: usize = 16;
+
 /// Authorization-relevant identity of a resolve request: the whole
 /// request context (principal, engine identity, workspace), the
 /// metastore and the credential mode. Only requests with identical
@@ -111,11 +114,11 @@ impl Batcher {
     }
 
     /// Take the head request and every queued request sharing its
-    /// signature, up to `max_batch`, leaving the rest in arrival order.
+    /// signature, up to `cap` of them, leaving the rest in arrival order.
     /// `None` means the queue is empty and leadership is released — the
     /// flag clears under the lock that observes emptiness, so every
     /// enqueued item is owned by exactly one leader.
-    pub fn next_group(&self, max_batch: usize) -> Option<Vec<PendingItem>> {
+    pub fn next_group(&self, cap: usize) -> Option<Vec<PendingItem>> {
         let mut pending = self.pending.lock();
         let Some(head) = pending.items.first() else {
             pending.leader_active = false;
@@ -125,7 +128,7 @@ impl Batcher {
         let mut group = Vec::new();
         let mut rest = Vec::new();
         for item in pending.items.drain(..) {
-            if group.len() < max_batch.max(1) && item.sig == sig {
+            if group.len() < cap.max(1) && item.sig == sig {
                 group.push(item);
             } else {
                 rest.push(item);
@@ -136,9 +139,8 @@ impl Batcher {
     }
 }
 
-/// An admitted resolve that is queued (or, with batching off, already
-/// served) and not yet collected; it holds the tenant's admission slot
-/// until it is.
+/// An admitted resolve that is queued and not yet collected; it holds the
+/// tenant's admission slot until it is.
 pub(crate) struct Queued<'a> {
     _admitted: AdmissionGuard<'a>,
     slot: Arc<Slot<Vec<ResolvedSecurable>>>,
@@ -161,9 +163,7 @@ impl Queued<'_> {
 }
 
 impl ServePlane {
-    /// Admit a resolve and queue it. With batching off the request runs
-    /// here, alone, and the drain it then owes as a leader finds the
-    /// never-used queue empty.
+    /// Admit a resolve and queue it.
     pub(crate) fn enqueue_resolve(
         &self,
         ctx: &Context,
@@ -175,21 +175,15 @@ impl ServePlane {
         let sig = Signature { ms: ms.clone(), ctx: ctx.clone(), want_credentials };
         let item = PendingItem::new(sig, refs);
         let slot = Arc::clone(&item.slot);
-        let role = if self.cfg.batch {
-            yield_point(points::SERVE_BATCH);
-            match self.batcher.enqueue(item) {
-                Some(true) => Role::Leader,
-                Some(false) => Role::Follower,
-                None => {
-                    let capacity = BATCH_QUEUE_CAPACITY;
-                    let why = format!("resolve: batch queue full (capacity {capacity})");
-                    return Err(self.shed(&ctx.principal, &admitted.label, why));
-                }
+        yield_point(points::SERVE_BATCH);
+        let role = match self.batcher.enqueue(item) {
+            Some(true) => Role::Leader,
+            Some(false) => Role::Follower,
+            None => {
+                let capacity = BATCH_QUEUE_CAPACITY;
+                let why = format!("resolve: batch queue full (capacity {capacity})");
+                return Err(self.shed(&ctx.principal, &admitted.label, why));
             }
-        } else {
-            yield_point(points::SERVE_DISPATCH);
-            slot.publish(self.uc.resolve_for_query(ctx, ms, &item.refs, want_credentials));
-            Role::Leader
         };
         Ok(Queued { _admitted: admitted, slot, role })
     }
@@ -199,7 +193,7 @@ impl ServePlane {
     /// of combined calls made.
     pub(crate) fn drain(&self) -> u64 {
         let mut dispatched = 0;
-        while let Some(group) = self.batcher.next_group(self.cfg.max_batch) {
+        while let Some(group) = self.batcher.next_group(MAX_BATCH) {
             yield_point(points::SERVE_DISPATCH);
             self.dispatch(&group);
             dispatched += 1;

@@ -43,10 +43,8 @@ pub mod flight;
 pub mod replay;
 pub mod slot;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::{Entity, FullName, UcError, UcResult, Uid};
@@ -95,24 +93,14 @@ impl Default for RetryPolicy {
 pub struct ServeConfig {
     /// Per-tenant in-flight budget; request N+1 is shed.
     pub queue_capacity: usize,
-    /// Maximum requests combined into one `resolve_for_query` dispatch.
-    pub max_batch: usize,
     /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
     pub coalesce: bool,
-    /// Combining batch dispatch on/off.
-    pub batch: bool,
     pub retry: RetryPolicy,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            queue_capacity: 64,
-            max_batch: 16,
-            coalesce: true,
-            batch: true,
-            retry: RetryPolicy::default(),
-        }
+        ServeConfig { queue_capacity: 64, coalesce: true, retry: RetryPolicy::default() }
     }
 }
 
@@ -187,10 +175,6 @@ pub struct ServePlane {
     admission: admission::Admission,
     flights: flight::FlightMap,
     batcher: batch::Batcher,
-    /// Tenant aliases for metric labels, mirroring the catalog's scheme
-    /// (`t=<alias>,p=<principal>`); registered by the host, uid-free so
-    /// labeled snapshots stay byte-stable across runs.
-    aliases: RwLock<HashMap<Uid, Arc<str>>>,
 }
 
 impl ServePlane {
@@ -201,7 +185,6 @@ impl ServePlane {
             admission: admission::Admission::new(),
             flights: flight::FlightMap::default(),
             batcher: batch::Batcher::default(),
-            aliases: RwLock::new(HashMap::new()),
             uc,
             cfg,
         }
@@ -221,21 +204,10 @@ impl ServePlane {
         self.batcher.queued()
     }
 
-    /// Register the human-readable alias rendered into this metastore's
-    /// serve metric labels (idempotent; call alongside `create_metastore`).
+    /// Name the metastore in the catalog's tenant labels, which the serve
+    /// metrics share: [`UnityCatalog::register_tenant_alias`].
     pub fn register_tenant(&self, ms: &Uid, alias: &str) {
-        let alias: Arc<str> = Arc::from(uc_obs::sanitize_label_value(alias));
-        self.aliases.write().insert(ms.clone(), alias);
-    }
-
-    /// The `t=<alias>,p=<principal>` tenant label for a request.
-    fn tenant_label(&self, ms: &Uid, principal: &str) -> Arc<str> {
-        let alias = {
-            let aliases = self.aliases.read();
-            aliases.get(ms).cloned()
-        };
-        let alias = alias.as_deref().unwrap_or("~");
-        Arc::from(format!("t={alias},p={}", uc_obs::sanitize_label_value(principal)))
+        self.uc.register_tenant_alias(ms, alias);
     }
 
     /// The one shed path: a `serve.shed` tick, an audited `requestShed`
@@ -249,8 +221,8 @@ impl ServePlane {
     }
 
     /// Admit or shed one request; on admit the returned guard holds the
-    /// tenant's slot until dropped and carries the tenant label, rendered
-    /// here once per request.
+    /// tenant's slot until dropped and carries the catalog's memoized
+    /// tenant label.
     pub(crate) fn admit(
         &self,
         ms: &Uid,
@@ -258,7 +230,7 @@ impl ServePlane {
         what: &str,
     ) -> UcResult<admission::AdmissionGuard<'_>> {
         yield_point(points::SERVE_ENQUEUE);
-        let label = self.tenant_label(ms, principal);
+        let label = self.uc.tenant_label(Some(ms), principal);
         let capacity = self.cfg.queue_capacity;
         self.admission.try_admit(ms, principal, capacity, &self.metrics, &label).ok_or_else(|| {
             let why = format!("{what}: tenant admission queue full (capacity {capacity})");

@@ -11,7 +11,7 @@ use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::{Entity, FullName, SecurableKind, Uid};
 use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
-use uc_serve::batch::{Batcher, PendingItem, Signature, BATCH_QUEUE_CAPACITY};
+use uc_serve::batch::{Batcher, PendingItem, Signature, BATCH_QUEUE_CAPACITY, MAX_BATCH};
 use uc_serve::flight::{FlightKey, FlightMap, Join};
 use uc_serve::{replay, RetryPolicy, ServeConfig, ServePlane};
 use uc_txdb::{Db, DbConfig};
@@ -56,7 +56,7 @@ fn enqueue_elects_one_leader_and_next_group_chunks_by_signature() {
     for principal in ["bob", "alice", "alice", "bob", "alice"] {
         assert_eq!(batcher.enqueue(item(principal)), Some(false), "a leader already owns it");
     }
-    // Queue: a b a a b a, max_batch 3. The head's signature is gathered
+    // Queue: a b a a b a, cap 3. The head's signature is gathered
     // past foreign items up to the cap; the rest keep arrival order.
     let principals = |group: &[PendingItem]| -> Vec<String> {
         group.iter().map(|i| i.sig.ctx.principal.clone()).collect()
@@ -117,7 +117,7 @@ fn the_request_past_the_batch_queue_bound_sheds_with_one_audited_deny() {
     assert_eq!(report.offered, BATCH_QUEUE_CAPACITY as u64 + 1);
     assert_eq!((report.shed, report.dropped), (1, 1), "exactly the last arrival sheds");
     assert_eq!(report.batch_items, BATCH_QUEUE_CAPACITY as u64);
-    assert_eq!(report.batches, (BATCH_QUEUE_CAPACITY / ServeConfig::default().max_batch) as u64);
+    assert_eq!(report.batches, (BATCH_QUEUE_CAPACITY / MAX_BATCH) as u64);
     assert_eq!(report.errors, 0);
     assert_eq!(uc.audit_log().query(|r| r.action == "requestShed").len(), 1);
     assert_eq!(plane.batch_queue_len(), 0, "the elected leader drained the queue");

@@ -15,7 +15,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// Cheaply-cloneable immutable byte buffer.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+#[derive(Clone, PartialEq)]
 pub struct Bytes {
     data: Arc<[u8]>,
 }
@@ -31,25 +31,12 @@ impl Bytes {
         Bytes { data: Arc::from(bytes) }
     }
 
-    /// Copy a slice into a new buffer.
-    pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { data: Arc::from(data) }
-    }
-
     pub fn len(&self) -> usize {
         self.data.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.to_vec()
-    }
-
-    pub fn as_ref(&self) -> &[u8] {
-        &self.data
     }
 }
 
@@ -57,12 +44,6 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
         &self.data
     }
 }
@@ -79,18 +60,6 @@ impl From<String> for Bytes {
     }
 }
 
-impl From<&'static str> for Bytes {
-    fn from(s: &'static str) -> Self {
-        Bytes::from_static(s.as_bytes())
-    }
-}
-
-impl From<&'static [u8]> for Bytes {
-    fn from(s: &'static [u8]) -> Self {
-        Bytes::from_static(s)
-    }
-}
-
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
@@ -100,18 +69,6 @@ impl fmt::Debug for Bytes {
             }
         }
         write!(f, "\"")
-    }
-}
-
-impl PartialEq<[u8]> for Bytes {
-    fn eq(&self, other: &[u8]) -> bool {
-        &*self.data == other
-    }
-}
-
-impl PartialEq<&[u8]> for Bytes {
-    fn eq(&self, other: &&[u8]) -> bool {
-        &*self.data == *other
     }
 }
 
@@ -131,7 +88,7 @@ mod tests {
 
     #[test]
     fn from_static_and_str() {
-        assert_eq!(Bytes::from_static(b"hi"), Bytes::from("hi"));
-        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::from_static(b"hi"), Bytes::from(String::from("hi")));
+        assert_eq!(Bytes::new().len(), 0);
     }
 }

@@ -59,10 +59,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(TryLockError::WouldBlock) => None,
         }
     }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
-    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -89,7 +85,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 // RwLock
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
 pub struct RwLock<T: ?Sized> {
     inner: sync::RwLock<T>,
 }
@@ -106,10 +101,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock { inner: sync::RwLock::new(value) }
     }
-
-    pub fn into_inner(self) -> T {
-        unpoison(self.inner.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -119,10 +110,6 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard { inner: unpoison(self.inner.write()) }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        unpoison(self.inner.get_mut())
     }
 }
 
@@ -148,17 +135,10 @@ impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RwLock").finish_non_exhaustive()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Condvar
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
 }

@@ -44,7 +44,6 @@ impl TestRng {
     }
 }
 
-#[derive(Debug, Clone)]
 pub struct ProptestConfig {
     pub cases: u32,
 }
@@ -148,7 +147,6 @@ impl<T> Strategy for BoxedStrategy<T> {
 }
 
 /// Always yields a clone of the given value.
-#[derive(Clone, Debug)]
 pub struct Just<T: Clone>(pub T);
 
 impl<T: Clone> Strategy for Just<T> {
@@ -413,10 +411,6 @@ pub mod option {
     }
 }
 
-pub mod test_runner {
-    pub use super::{ProptestConfig, TestRng};
-}
-
 // ---------------------------------------------------------------------------
 // Macros
 // ---------------------------------------------------------------------------
@@ -438,12 +432,6 @@ macro_rules! prop_assert {
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr $(,)?) => { assert_eq!($a, $b) };
     ($a:expr, $b:expr, $($fmt:tt)+) => { assert_eq!($a, $b, $($fmt)+) };
-}
-
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($a:expr, $b:expr $(,)?) => { assert_ne!($a, $b) };
-    ($a:expr, $b:expr, $($fmt:tt)+) => { assert_ne!($a, $b, $($fmt)+) };
 }
 
 #[macro_export]
@@ -481,7 +469,7 @@ pub mod prelude {
     pub use crate::collection;
     pub use crate::option;
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest, BoxedStrategy, Just,
+        prop_assert, prop_assert_eq, prop_oneof, proptest, BoxedStrategy, Just,
         ProptestConfig, Strategy, TestRng, Union,
     };
 }

@@ -6,16 +6,13 @@
 //!
 //! Implements the subset the workspace uses: `RngCore`, the `Rng`
 //! extension trait (`gen`, `gen_range`, `gen_bool`), `SeedableRng`
-//! with `seed_from_u64`, `rngs::StdRng` (xoshiro256++ seeded through
-//! splitmix64), and `thread_rng()`. `StdRng::seed_from_u64` is fully
-//! deterministic, which is what the workload generators and the fault
-//! plane rely on for replayable runs. Numeric streams differ from the
+//! with `seed_from_u64`, and `rngs::StdRng` (xoshiro256++ seeded through
+//! splitmix64). `StdRng::seed_from_u64` is fully deterministic, which is
+//! what the workload generators and the fault plane rely on for
+//! replayable runs; there is no ambient-entropy source. Numeric streams differ from the
 //! real rand crate; all in-repo consumers only require determinism and
 //! reasonable uniformity, not stream compatibility.
 
-use std::cell::RefCell;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
 use std::ops::{Range, RangeInclusive};
 
 // ---------------------------------------------------------------------------
@@ -23,31 +20,11 @@ use std::ops::{Range, RangeInclusive};
 // ---------------------------------------------------------------------------
 
 pub trait RngCore {
-    fn next_u32(&mut self) -> u32;
     fn next_u64(&mut self) -> u64;
-    fn fill_bytes(&mut self, dest: &mut [u8]);
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest)
-    }
 }
 
 pub trait SeedableRng: Sized {
     fn seed_from_u64(seed: u64) -> Self;
-
-    fn from_entropy() -> Self {
-        Self::seed_from_u64(entropy_seed())
-    }
 }
 
 /// Extension methods; blanket-implemented for every `RngCore`.
@@ -80,7 +57,7 @@ pub trait Rng: RngCore {
 impl<R: RngCore + ?Sized> Rng for R {}
 
 // ---------------------------------------------------------------------------
-// Distributions (only Standard, for `gen::<T>()`)
+// Distributions (only Standard, for `gen::<f64>()`)
 // ---------------------------------------------------------------------------
 
 pub mod distributions {
@@ -95,30 +72,6 @@ pub mod distributions {
     impl Distribution<f64> for Standard {
         fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
             uniform_f64(rng.next_u64())
-        }
-    }
-
-    impl Distribution<f32> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f32 {
-            ((rng.next_u32() >> 8) as f32) * (1.0 / (1u32 << 24) as f32)
-        }
-    }
-
-    impl Distribution<u64> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-            rng.next_u64()
-        }
-    }
-
-    impl Distribution<u32> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u32 {
-            rng.next_u32()
-        }
-    }
-
-    impl Distribution<bool> for Standard {
-        fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-            rng.next_u64() & 1 == 1
         }
     }
 }
@@ -166,7 +119,7 @@ macro_rules! int_sample_uniform {
     )*};
 }
 
-int_sample_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+int_sample_uniform!(u8, u32, u64, usize, i32, i64);
 
 impl SampleUniform for f64 {
     fn sample_half_open<R: RngCore + ?Sized>(lo: Self, hi: Self, rng: &mut R) -> Self {
@@ -218,7 +171,6 @@ pub mod rngs {
     use super::{RngCore, SeedableRng};
 
     /// Deterministic PRNG: xoshiro256++ with splitmix64 seed expansion.
-    #[derive(Clone, Debug)]
     pub struct StdRng {
         s: [u64; 4],
     }
@@ -262,59 +214,6 @@ pub mod rngs {
             s[3] = s[3].rotate_left(45);
             result
         }
-
-        fn next_u32(&mut self) -> u32 {
-            (self.next_u64() >> 32) as u32
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            for chunk in dest.chunks_mut(8) {
-                let word = self.next_u64().to_le_bytes();
-                chunk.copy_from_slice(&word[..chunk.len()]);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// thread_rng
-// ---------------------------------------------------------------------------
-
-fn entropy_seed() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let mut hasher = RandomState::new().build_hasher();
-    hasher.write_u64(0xdead_beef_cafe_f00d);
-    let aslr_probe = &entropy_seed as *const _ as usize as u64;
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    hasher.finish() ^ aslr_probe.rotate_left(17) ^ nanos
-}
-
-thread_local! {
-    static THREAD_RNG: RefCell<rngs::StdRng> =
-        RefCell::new(rngs::StdRng::seed_from_u64(entropy_seed()));
-}
-
-/// Handle to a lazily-seeded thread-local RNG.
-pub struct ThreadRng;
-
-pub fn thread_rng() -> ThreadRng {
-    ThreadRng
-}
-
-impl RngCore for ThreadRng {
-    fn next_u32(&mut self) -> u32 {
-        THREAD_RNG.with(|r| r.borrow_mut().next_u32())
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        THREAD_RNG.with(|r| r.borrow_mut().next_u64())
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        THREAD_RNG.with(|r| r.borrow_mut().fill_bytes(dest))
     }
 }
 
@@ -361,13 +260,5 @@ mod tests {
         let hits = (0..20_000).filter(|_| rng.gen_bool(0.25)).count();
         let frac = hits as f64 / 20_000.0;
         assert!((frac - 0.25).abs() < 0.02, "frac was {frac}");
-    }
-
-    #[test]
-    fn thread_rng_produces_values() {
-        let mut rng = thread_rng();
-        let a = rng.next_u64();
-        let b = rng.next_u64();
-        assert_ne!(a, b);
     }
 }

@@ -16,7 +16,7 @@
 //! shapes: externally / internally / adjacently tagged enums, named-field
 //! structs, and transparent newtype structs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -26,9 +26,8 @@ pub use serde_derive::{Deserialize, Serialize};
 // ---------------------------------------------------------------------------
 
 /// JSON-shaped content tree. Objects preserve insertion order.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub enum Value {
-    #[default]
     Null,
     Bool(bool),
     Number(Number),
@@ -214,13 +213,8 @@ macro_rules! value_eq_prim {
 
 value_eq_prim! {
     &str => |v: &Value, o: &&str| v.as_str() == Some(*o),
-    String => |v: &Value, o: &String| v.as_str() == Some(o.as_str()),
     bool => |v: &Value, o: &bool| v.as_bool() == Some(*o),
     i32 => |v: &Value, o: &i32| v.as_i64() == Some(*o as i64),
-    i64 => |v: &Value, o: &i64| v.as_i64() == Some(*o),
-    u32 => |v: &Value, o: &u32| v.as_u64() == Some(*o as u64),
-    u64 => |v: &Value, o: &u64| v.as_u64() == Some(*o),
-    f64 => |v: &Value, o: &f64| v.as_f64() == Some(*o),
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ value_eq_prim! {
 // ---------------------------------------------------------------------------
 
 /// Serialization/deserialization failure, carrying a human-readable path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Error {
     msg: String,
 }
@@ -244,8 +238,6 @@ impl fmt::Display for Error {
         f.write_str(&self.msg)
     }
 }
-
-impl std::error::Error for Error {}
 
 // ---------------------------------------------------------------------------
 // Core traits
@@ -265,15 +257,6 @@ pub trait Deserialize<'de>: Sized {
 pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
 
 impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}
-
-/// Compatibility alias module (`serde::de::DeserializeOwned`).
-pub mod de {
-    pub use super::{Deserialize, DeserializeOwned, Error};
-}
-
-pub mod ser {
-    pub use super::{Error, Serialize};
-}
 
 // ---------------------------------------------------------------------------
 // Serialize impls for std types
@@ -326,21 +309,13 @@ macro_rules! ser_int {
 }
 
 ser_int! {
-    i8 => I64 as i64, i16 => I64 as i64, i32 => I64 as i64, i64 => I64 as i64,
-    isize => I64 as i64,
-    u8 => U64 as u64, u16 => U64 as u64, u32 => U64 as u64, u64 => U64 as u64,
-    usize => U64 as u64,
+    i32 => I64 as i64, i64 => I64 as i64,
+    u32 => U64 as u64, u64 => U64 as u64, usize => U64 as u64,
 }
 
 impl Serialize for f64 {
     fn to_content(&self) -> Value {
         Value::Number(Number::F64(*self))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_content(&self) -> Value {
-        Value::Number(Number::F64(*self as f64))
     }
 }
 
@@ -371,26 +346,12 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     }
 }
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_content(&self) -> Value {
-        Value::Array(vec![self.0.to_content(), self.1.to_content(), self.2.to_content()])
-    }
-}
-
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_content(&self) -> Value {
         Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_content())).collect())
     }
 }
 
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn to_content(&self) -> Value {
-        let mut entries: Vec<(String, Value)> =
-            self.iter().map(|(k, v)| (k.clone(), v.to_content())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Deserialize impls for std types
@@ -437,24 +398,13 @@ macro_rules! de_int {
 }
 
 de_int! {
-    i8 => as_i64 ("i8"), i16 => as_i64 ("i16"), i32 => as_i64 ("i32"),
-    i64 => as_i64 ("i64"), isize => as_i64 ("isize"),
-    u8 => as_u64 ("u8"), u16 => as_u64 ("u16"), u32 => as_u64 ("u32"),
-    u64 => as_u64 ("u64"), usize => as_u64 ("usize"),
+    i64 => as_i64 ("i64"),
+    u32 => as_u64 ("u32"), u64 => as_u64 ("u64"),
 }
 
 impl<'de> Deserialize<'de> for f64 {
     fn from_content(value: &Value) -> Result<Self, Error> {
         value.as_f64().ok_or_else(|| type_err("f64", value))
-    }
-}
-
-impl<'de> Deserialize<'de> for f32 {
-    fn from_content(value: &Value) -> Result<Self, Error> {
-        value
-            .as_f64()
-            .map(|v| v as f32)
-            .ok_or_else(|| type_err("f32", value))
     }
 }
 
@@ -488,30 +438,7 @@ impl<'de, A: DeserializeOwned, B: DeserializeOwned> Deserialize<'de> for (A, B) 
     }
 }
 
-impl<'de, A: DeserializeOwned, B: DeserializeOwned, C: DeserializeOwned> Deserialize<'de>
-    for (A, B, C)
-{
-    fn from_content(value: &Value) -> Result<Self, Error> {
-        let arr = value.as_array().ok_or_else(|| type_err("3-tuple", value))?;
-        if arr.len() != 3 {
-            return Err(Error::custom(format!("expected 3-tuple, got {} elements", arr.len())));
-        }
-        Ok((A::from_content(&arr[0])?, B::from_content(&arr[1])?, C::from_content(&arr[2])?))
-    }
-}
-
 impl<'de, V: DeserializeOwned> Deserialize<'de> for BTreeMap<String, V> {
-    fn from_content(value: &Value) -> Result<Self, Error> {
-        value
-            .as_object()
-            .ok_or_else(|| type_err("object", value))?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), V::from_content(v)?)))
-            .collect()
-    }
-}
-
-impl<'de, V: DeserializeOwned> Deserialize<'de> for HashMap<String, V> {
     fn from_content(value: &Value) -> Result<Self, Error> {
         value
             .as_object()

@@ -156,6 +156,7 @@ mod deny {
     use uc_catalog::authz::fgac::RowFilterPolicy;
     use uc_catalog::authz::Privilege;
     use uc_catalog::error::{UcError, UcResult};
+    use uc_catalog::lineage::LineageDirection;
     use uc_catalog::ops::Op;
     use uc_catalog::service::federation::ForeignTableMeta;
     use uc_catalog::types::FullName;
@@ -179,7 +180,8 @@ mod deny {
     /// target, a principal with no grant at all is refused with
     /// `PermissionDenied` (`NotFound` where existence is hidden) and the
     /// refusal adds exactly one record: a `Deny`, under one of that op's
-    /// own actions, naming the securable it was decided on.
+    /// own actions, naming the securable it was decided on. The refused
+    /// call is one api entry: no op nests another public one.
     #[test]
     fn every_audited_op_refuses_an_outsider_with_exactly_one_deny_under_its_own_action() {
         let w = faulty_world();
@@ -236,9 +238,11 @@ mod deny {
             ("create_volume", Box::new(|| uc.create_volume(&out, ms, &name("main.s.vol"), None).map(drop))),
             ("drop_securable", Box::new(|| uc.drop_securable(&out, ms, &t, "relation").map(drop))),
             ("get_securable", Box::new(|| uc.get_table(&out, ms, "main.s.t").map(drop))),
+            ("get_tags", Box::new(|| uc.get_tags(&out, ms, &t, "relation").map(drop))),
             ("grant", Box::new(|| uc.grant(&out, ms, &t, "relation", "mallory", Privilege::Select))),
             ("latest_table_version", Box::new(|| uc.latest_table_version(&out, ms, &table.id).map(drop))),
             ("list_share_tables", Box::new(|| uc.list_share_tables(&out, ms, "sh").map(drop))),
+            ("lineage", Box::new(|| uc.lineage(&out, ms, &t, LineageDirection::Downstream, 3).map(drop))),
             ("load_table_as_iceberg", Box::new(|| uc.load_table_as_iceberg(&out, ms, &t).map(drop))),
             ("mirror_table", Box::new(|| uc.mirror_table(&out, ms, "fed", "s", &meta).map(drop))),
             ("policy_update", Box::new(|| uc.set_row_filter(&out, ms, &t, filter.clone()))),
@@ -270,12 +274,15 @@ mod deny {
             Op::ALL.iter().filter(|op| !op.actions.is_empty()).map(|op| op.name).collect();
         assert_eq!(covered, audited, "every op that declares audit actions is swept or listed");
 
+        let calls = || uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
         for (op, call) in sweep {
             let row = Op::ALL.iter().find(|row| row.name == op).unwrap();
             let allowed: Vec<&str> = row.actions.iter().map(|a| a.as_str()).collect();
+            let calls0 = calls();
             let (err, added) = refused(&w, call);
+            assert_eq!(calls() - calls0, 1, "{op}: one api entry, no nested public call");
             match op {
-                "get_securable" | "add_lineage" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
+                "get_securable" | "get_tags" | "lineage" | "add_lineage" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
                 _ => assert!(matches!(err, UcError::PermissionDenied(_)), "{op}: {err}"),
             }
             assert_eq!(added.len(), 1, "{op}: exactly one audit record, got {added:?}");
@@ -391,5 +398,31 @@ mod deny {
         let calls = uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
         uc.add_lineage(&admin, ms, &name("main.s.up"), &name("other.s.down"), None).unwrap();
         assert_eq!(uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed) - calls, 1, "one api entry");
+    }
+
+    /// An allowed `get_tags` or `lineage` is one api entry and one `Allow`
+    /// under the op's own `getSecurable` action: no nested `get_securable`
+    /// request. (The sweep above covers their refusals.)
+    #[test]
+    fn an_allowed_get_tags_or_lineage_is_one_api_entry() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_table(&admin, ms, TableSpec::managed("main.s.t", int_schema()).unwrap()).unwrap();
+        let t = name("main.s.t");
+        let calls = || uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
+        type Call<'a> = Box<dyn Fn() -> UcResult<()> + 'a>;
+        let ops: Vec<(&str, Call)> = vec![
+            ("get_tags", Box::new(|| uc.get_tags(&admin, ms, &t, "relation").map(drop))),
+            ("lineage", Box::new(|| uc.lineage(&admin, ms, &t, LineageDirection::Upstream, 3).map(drop))),
+        ];
+        for (op, call) in ops {
+            let (calls0, audits0) = (calls(), uc.audit_log().total_recorded());
+            call().unwrap();
+            assert_eq!(calls() - calls0, 1, "{op}: one api entry");
+            let added = uc.audit_log().recent((uc.audit_log().total_recorded() - audits0) as usize);
+            let actions: Vec<(AuditDecision, &str)> = added.iter().map(|r| (r.decision, r.action.as_str())).collect();
+            assert_eq!(actions, [(AuditDecision::Allow, "getSecurable")], "{op}");
+        }
     }
 }

@@ -14,8 +14,9 @@
 //!   duplicate nothing, and preserve the canonical order contract when
 //!   appends race the merge.
 //!
-//! Sized for CI (sub-second sweeps); `cache_read_scaling` in `uc-bench`
-//! is the full-sweep companion that records `BENCH_cache.json`.
+//! Sized for CI (sub-second sweeps), and the only read-scaling gate:
+//! `cache_read_scaling` in `uc-bench` regenerates Fig 10(b) and asserts
+//! the paper's cached-vs-uncached claims, not a scaling ratio.
 
 use std::sync::Arc;
 use std::time::Duration;

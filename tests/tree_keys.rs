@@ -420,6 +420,44 @@ fn purge_cost_does_not_depend_on_the_live_population() {
     println!("purge of 3 dropped tables: {few:?}");
 }
 
+/// A listing is one bounded range scan and a cold resolution one chain
+/// scan (TreeCat's rule), so neither costs more in a bulk-loaded namespace
+/// forty times larger: listing a 50-table schema, and resolving a table on
+/// a fresh node, cost the same `[reads, scans, commits, rows]` and visit
+/// the same keys with 2 schemas as with 80.
+#[test]
+fn list_and_cold_resolve_cost_does_not_depend_on_the_namespace_size() {
+    const TABLES: usize = 50;
+    let costs = |schemas: usize| {
+        let world = World::build(&WorldConfig::default());
+        let ctx = world.admin();
+        world.uc.create_catalog(&ctx, &world.ms, "main").unwrap();
+        let specs: Vec<BulkSchemaSpec> = (0..schemas)
+            .map(|s| BulkSchemaSpec { name: format!("s{s}"), tables: (0..TABLES).map(|t| format!("t{t}")).collect() })
+            .collect();
+        let columns = Schema::new(vec![Field::new("x", DataType::Int)]);
+        world.uc.bulk_create_tables(&ctx, &world.ms, "main", &specs, &columns, 2 * TABLES).unwrap();
+        let work = |op: &dyn Fn()| {
+            let mut visited = 0;
+            let cost = db_cost(&world, || visited = steps(&world, op));
+            (cost, visited)
+        };
+        // The parent's resolution is warm, so the listing is measured alone.
+        let parent = FullName::parse("main.s1").unwrap();
+        world.uc.get_securable(&ctx, &world.ms, &parent, "schema").unwrap();
+        let list = work(&|| {
+            assert_eq!(world.uc.list_children(&ctx, &world.ms, &parent, Some("relation")).unwrap().len(), TABLES);
+        });
+        let probe = warmed_probe(&world, &ctx);
+        probe.get_table(&ctx, &world.ms, "main.s0.t0").unwrap();
+        let resolve = work(&|| assert_eq!(probe.get_table(&ctx, &world.ms, "main.s1.t7").unwrap().name, "t7"));
+        (list, resolve)
+    };
+    let (small, large) = (costs(2), costs(80));
+    assert_eq!(small, large, "([reads, scans, commits, rows], keys visited) of a listing and a cold resolution");
+    println!("listing {:?}, cold resolution {:?}", small.0, small.1);
+}
+
 /// Listing catalogs or shares is one range scan whose rows carry the
 /// entities: no per-object read, however many objects and however cold
 /// the node's cache.
