@@ -84,7 +84,6 @@ fn build_plane(world: &World, coalesce: bool) -> ServePlane {
             // the largest client count so admission never rejects.
             queue_capacity: 8192,
             coalesce,
-            ..Default::default()
         },
     );
     plane.register_tenant(&world.ms, "bench");

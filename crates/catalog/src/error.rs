@@ -30,7 +30,12 @@ pub enum UcError {
     /// The serving plane shed this request under admission control; the
     /// caller should back off and retry (HTTP 429).
     ResourceExhausted(String),
-    /// The backing database reported an unrecoverable error.
+    /// A dependency failed transiently: a write that kept conflicting or
+    /// finding the database unreachable past its retry budget, an object
+    /// store or STS outage, credential vending down. The same request may
+    /// succeed on retry (HTTP 503).
+    Unavailable(String),
+    /// A stored record is corrupt or an internal invariant is broken.
     Database(String),
     /// Storage layer error (e.g. during managed-storage provisioning).
     Storage(String),
@@ -55,6 +60,7 @@ impl fmt::Display for UcError {
                 "commit conflict: expected version {expected}, table is at {actual}"
             ),
             UcError::ResourceExhausted(s) => write!(f, "resource exhausted: {s}"),
+            UcError::Unavailable(s) => write!(f, "unavailable: {s}"),
             UcError::Database(s) => write!(f, "database error: {s}"),
             UcError::Storage(s) => write!(f, "storage error: {s}"),
             UcError::Federation(s) => write!(f, "federation error: {s}"),
@@ -66,18 +72,27 @@ impl std::error::Error for UcError {}
 
 impl From<TxError> for UcError {
     fn from(e: TxError) -> Self {
-        UcError::Database(e.to_string())
+        match e {
+            TxError::Conflict { .. } | TxError::Unavailable { .. } => UcError::Unavailable(e.to_string()),
+            TxError::AlreadyFinished => UcError::Database(e.to_string()),
+        }
     }
 }
 
 impl From<StorageError> for UcError {
     fn from(e: StorageError) -> Self {
-        UcError::Storage(e.to_string())
+        match e {
+            StorageError::Unavailable(_) => UcError::Unavailable(e.to_string()),
+            _ => UcError::Storage(e.to_string()),
+        }
     }
 }
 
 impl From<DeltaError> for UcError {
     fn from(e: DeltaError) -> Self {
-        UcError::Storage(e.to_string())
+        match e {
+            DeltaError::Storage(StorageError::Unavailable(_)) => UcError::Unavailable(e.to_string()),
+            _ => UcError::Storage(e.to_string()),
+        }
     }
 }

@@ -225,10 +225,6 @@ impl Entity {
         self.properties.insert(format!("tag:{key}"), value.to_string());
     }
 
-    pub fn remove_tag(&mut self, key: &str) {
-        self.properties.remove(&format!("tag:{key}"));
-    }
-
     /// All entity-level tags as (key, value).
     pub fn tags(&self) -> Vec<(String, String)> {
         self.properties

@@ -70,8 +70,6 @@ pub struct UcConfig {
     pub cred_ttl_ms: u64,
     /// Cache unexpired vended tokens and reuse them across requests.
     pub cred_cache_enabled: bool,
-    /// Audit log retention (records).
-    pub audit_capacity: usize,
     /// Modelled cost of one cloud STS round trip when minting a token
     /// (cache hits skip it). Zero in unit tests.
     pub sts_mint_cost: std::time::Duration,
@@ -91,7 +89,6 @@ impl Default for UcConfig {
             cache: CacheConfig::default(),
             cred_ttl_ms: 15 * 60 * 1000,
             cred_cache_enabled: true,
-            audit_capacity: 100_000,
             sts_mint_cost: std::time::Duration::ZERO,
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
@@ -246,13 +243,15 @@ impl WriteEffects {
 /// `AtomicU64` API they replaced, so existing callers (and chaos tests)
 /// compile unchanged while the values also surface in the node's metrics
 /// registry under `catalog.*` names.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ServiceStats {
     pub api_calls: Counter,
     pub write_retries: Counter,
     /// Virtual milliseconds of backoff accumulated by the write protocol
     /// while riding out transient database failures.
     pub write_backoff_ms: Counter,
+    /// STS mints — credential-cache misses — per requesting tenant.
+    pub(crate) sts_mints_by_tenant: CounterFamily,
 }
 
 impl ServiceStats {
@@ -261,6 +260,7 @@ impl ServiceStats {
             api_calls: registry.counter("catalog.api.calls"),
             write_retries: registry.counter("catalog.write.retries"),
             write_backoff_ms: registry.counter("catalog.write.backoff_ms"),
+            sts_mints_by_tenant: registry.counter_family("catalog.sts.mint.count.by_tenant"),
         }
     }
 }
@@ -508,6 +508,9 @@ fn load_chain_by_id(rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<(Chain, Instal
 /// The label used when a request carries no metastore or no principal.
 pub(crate) const NO_TENANT: &str = "-";
 
+/// Audit log retention (records).
+const AUDIT_CAPACITY: usize = 100_000;
+
 impl UnityCatalog {
     pub fn new(db: Db, store: ObjectStore, config: UcConfig, node_id: &str) -> Arc<Self> {
         let clock = store.sts().clock().clone();
@@ -520,7 +523,7 @@ impl UnityCatalog {
             principal_cache: TtlCache::new(clock.clone(), 60_000),
             roots: RwLock::new(std::collections::HashMap::new()),
             tenant_aliases: RwLock::new(std::collections::HashMap::new()),
-            audit: AuditLog::new(config.audit_capacity),
+            audit: AuditLog::new(AUDIT_CAPACITY),
             stats: ServiceStats::wired(config.obs.registry()),
             clock,
             store,
@@ -878,7 +881,7 @@ impl UnityCatalog {
                     self.stats.write_retries.fetch_add(1, Ordering::Relaxed);
                     attempts += 1;
                     if attempts > 64 {
-                        return Err(UcError::Database(format!(
+                        return Err(UcError::Unavailable(format!(
                             "write aborted after {attempts} transient failures (last: {err})"
                         )));
                     }

@@ -125,7 +125,7 @@ impl UnityCatalog {
             UcError::UnsupportedOperation(format!("{} has no storage", entity.name))
         })?;
         if self.config.faults.should_inject(points::CATALOG_VEND) {
-            return Err(UcError::Storage(
+            return Err(UcError::Unavailable(
                 "injected fault: credential vending unavailable".into(),
             ));
         }
@@ -153,10 +153,7 @@ impl UnityCatalog {
         // Count actual STS mints (cache hits returned above) against the
         // requesting tenant — the per-tenant view of who pays for vending.
         if let Some(label) = uc_obs::current_tenant() {
-            self.config
-                .obs
-                .counter_family("catalog.sts.mint.count.by_tenant")
-                .inc(&label);
+            self.stats.sts_mints_by_tenant.inc(&label);
         }
         if self.config.cred_cache_enabled {
             self.cred_cache

@@ -66,11 +66,6 @@ impl Snapshot {
         self.files.values().map(|f| f.num_records).sum()
     }
 
-    /// Total bytes across active files.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|f| f.size_bytes).sum()
-    }
-
     /// Estimate of the heap this snapshot holds, allocator overhead
     /// included: the file and tombstone maps dominate, the schema and
     /// protocol are a constant beside them. What the table cache charges a

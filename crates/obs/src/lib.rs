@@ -11,8 +11,8 @@
 //!
 //! - **Metrics** ([`metrics`]): counters, gauges, and log₂-bucketed
 //!   latency histograms in a [`Registry`] keyed by
-//!   `layer.operation.metric` names (with optional `{scope}` suffixes for
-//!   per-tenant/per-metastore breakouts). `Registry::text_snapshot`
+//!   `layer.operation.metric` names, plus bounded-cardinality labeled
+//!   families ([`labels`]) for per-tenant breakouts. `Registry::text_snapshot`
 //!   renders a sorted, deterministic snapshot that diffs cleanly in CI.
 //! - **Tracing** ([`trace`]): request-scoped spans with sequential trace
 //!   IDs, propagated across layers through a thread-local context stack
@@ -106,10 +106,6 @@ impl Obs {
         &self.tracer
     }
 
-    pub fn is_tracing(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
     /// The flight recorder (inert when tracing is disabled).
     pub fn flight(&self) -> &FlightRecorder {
         self.tracer.flight()
@@ -138,11 +134,6 @@ impl Obs {
     /// Get-or-create a counter in this handle's registry.
     pub fn counter(&self, name: &str) -> Counter {
         self.registry.counter(name)
-    }
-
-    /// Get-or-create a counter with a `{scope}` suffix (tenant/metastore).
-    pub fn counter_scoped(&self, name: &str, scope: &str) -> Counter {
-        self.registry.counter_scoped(name, scope)
     }
 
     /// Get-or-create a gauge in this handle's registry.
@@ -251,7 +242,7 @@ mod tests {
     fn snapshot_is_stable_across_identical_runs() {
         let run = || {
             let obs = Obs::disabled();
-            obs.counter_scoped("catalog.vend.count", "ms1").add(5);
+            obs.counter_family("catalog.vend.count.by_tenant").add("t=ms1", 5);
             obs.counter("store.put.count").add(2);
             obs.histogram("store.put.latency_ms").record(3);
             obs.metrics_snapshot()

@@ -349,11 +349,6 @@ impl Registry {
         }
     }
 
-    /// Get-or-create a counter with a scope label, keyed as `name{scope}`.
-    pub fn counter_scoped(&self, name: &str, scope: &str) -> Counter {
-        self.counter(&format!("{name}{{{scope}}}"))
-    }
-
     /// Get-or-create a gauge (detached on kind collision, like `counter`).
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut map = self.instruments.lock();
@@ -612,7 +607,7 @@ mod tests {
             r.counter("zeta.op.count").add(3);
             r.histogram("alpha.op.latency_ms").record(5);
             r.gauge("mid.op.depth").set(-2);
-            r.counter_scoped("alpha.op.count", "tenant=a").inc();
+            r.counter_family("alpha.op.count.by_tenant").inc("tenant=a");
             r.text_snapshot()
         };
         let s1 = build();
@@ -622,7 +617,7 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted, "snapshot lines are in canonical order");
-        assert!(s1.contains("alpha.op.count{tenant=a} counter 1"));
+        assert!(s1.contains("alpha.op.count.by_tenant{tenant=a} counter 1"));
         assert!(s1.contains("alpha.op.latency_ms histogram count=1 sum=5 p50=5 p95=5 p99=5 max=5"));
     }
 

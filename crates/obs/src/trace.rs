@@ -384,11 +384,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// True for the inert guard a disabled tracer hands out.
-    pub fn is_recording(&self) -> bool {
-        self.ctx.is_some()
-    }
-
     /// Trace ID of this span (None when not recording).
     pub fn trace_id(&self) -> Option<u64> {
         self.ctx.as_ref().map(|c| c.trace_id)

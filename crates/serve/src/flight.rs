@@ -64,12 +64,6 @@ impl Default for FlightMap {
 }
 
 impl FlightMap {
-    /// Flights currently in progress (test/bench introspection).
-    pub fn in_flight(&self) -> usize {
-        let flights = self.flights.lock();
-        flights.len()
-    }
-
     /// Join the flight for `key`, or start one. Never blocks.
     pub fn join(&self, key: &FlightKey) -> Join {
         let mut flights = self.flights.lock();

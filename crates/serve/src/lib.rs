@@ -64,29 +64,11 @@ pub mod points {
     pub const SERVE_DISPATCH: &str = "serve.dispatch";
 }
 
-/// Bounded retry/backoff policy for shed-and-retry clients. Backoff is
-/// driven by the injected clock: on a manual clock virtual time advances
-/// (deterministic, instant); on a system clock the thread sleeps.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Retries after the first shed (0 = never retry).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_ms: u64,
-}
-
-impl RetryPolicy {
-    /// Backoff before retry `attempt` (0-based): `base_ms << min(attempt, 6)`.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        self.base_ms << attempt.min(6)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 3, base_ms: 4 }
-    }
-}
+/// Retries a shed request gets after its first shed.
+pub const MAX_RETRIES: u32 = 3;
+/// Backoff before a shed request's first retry; it doubles per retry.
+/// Both drivers wait it out on the injected clock.
+pub const BACKOFF_BASE_MS: u64 = 4;
 
 /// Serving-plane configuration.
 #[derive(Debug, Clone)]
@@ -95,12 +77,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
     pub coalesce: bool,
-    pub retry: RetryPolicy,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { queue_capacity: 64, coalesce: true, retry: RetryPolicy::default() }
+        ServeConfig { queue_capacity: 64, coalesce: true }
     }
 }
 
@@ -194,11 +175,6 @@ impl ServePlane {
         &self.uc
     }
 
-    /// Coalescing flights currently in progress.
-    pub fn flights_in_progress(&self) -> usize {
-        self.flights.in_flight()
-    }
-
     /// Resolve requests queued in the combining batcher.
     pub fn batch_queue_len(&self) -> usize {
         self.batcher.queued()
@@ -238,14 +214,15 @@ impl ServePlane {
         })
     }
 
-    /// A shed request's next move: `Some(backoff_ms)`, counted as a
-    /// retry, while `attempt` is inside the retry budget; `None` after.
+    /// A shed request's next move: `Some(backoff_ms)` — `BACKOFF_BASE_MS
+    /// << attempt`, counted as a retry — while `attempt` (0-based) is
+    /// below [`MAX_RETRIES`]; `None` after.
     pub(crate) fn retry_after(&self, attempt: u32) -> Option<u64> {
-        if attempt >= self.cfg.retry.max_retries {
+        if attempt >= MAX_RETRIES {
             return None;
         }
         self.metrics.retries.inc();
-        Some(self.cfg.retry.backoff_ms(attempt))
+        Some(BACKOFF_BASE_MS << attempt)
     }
 
     /// Serve one `getTable` through admission + single-flight coalescing.

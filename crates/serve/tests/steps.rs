@@ -13,7 +13,7 @@ use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_serve::batch::{Batcher, PendingItem, Signature, BATCH_QUEUE_CAPACITY, MAX_BATCH};
 use uc_serve::flight::{FlightKey, FlightMap, Join};
-use uc_serve::{replay, RetryPolicy, ServeConfig, ServePlane};
+use uc_serve::{replay, ServeConfig, ServePlane, BACKOFF_BASE_MS};
 use uc_txdb::{Db, DbConfig};
 use uc_workload::openloop::{Arrival, OpenLoopParams, RequestKind, Schedule};
 
@@ -28,13 +28,14 @@ fn join_leads_then_follows_and_finish_retires_before_publishing() {
     let Join::Follow(follow) = flights.join(&key(0)) else { panic!("second join must follow") };
     // A request that observed an invalidation keys a different flight.
     assert!(matches!(flights.join(&key(1)), Join::Lead(_)), "a new version never joins");
-    assert_eq!(flights.in_flight(), 2);
+    let both = (flights.join(&key(0)), flights.join(&key(1)));
+    assert!(matches!(both, (Join::Follow(_), Join::Follow(_))), "both flights are up");
 
     let table = Arc::new(Entity::new(SecurableKind::Table, "t0", None, Uid::from("ms"), "o", 0));
     flights.finish(&key(0), &lead, Ok(table.clone()));
     // Retired: a late arrival starts a fresh flight rather than joining
     // the finished one — and all of that before the follower has looked.
-    assert_eq!(flights.in_flight(), 1, "only the version-1 flight is left");
+    assert!(matches!(flights.join(&key(1)), Join::Follow(_)), "the version-1 flight is left");
     assert!(matches!(flights.join(&key(0)), Join::Lead(_)), "join after finish leads again");
     let seen = follow.wait().expect("the follower is handed the leader's result");
     assert!(Arc::ptr_eq(&seen, &table), "the follower's value is the leader's");
@@ -78,7 +79,9 @@ fn enqueue_elects_one_leader_and_next_group_chunks_by_signature() {
 /// One quantum of `BATCH_QUEUE_CAPACITY + 1` resolves, replayed: nothing
 /// drains until the whole quantum is queued, so the last one hits the
 /// queue bound and sheds exactly like an admission shed — one audited
-/// `requestShed`, one `serve.shed` — while the rest are served.
+/// `requestShed`, one `serve.shed` — while the rest are served. The shed
+/// one is re-offered `BACKOFF_BASE_MS` later, to a drained queue, and is
+/// served then.
 #[test]
 fn the_request_past_the_batch_queue_bound_sheds_with_one_audited_deny() {
     let store = ObjectStore::new(StsService::new(Clock::manual(0)), LatencyModel::zero());
@@ -97,7 +100,6 @@ fn the_request_past_the_batch_queue_bound_sheds_with_one_audited_deny() {
         uc.clone(),
         ServeConfig {
             queue_capacity: 2 * BATCH_QUEUE_CAPACITY,
-            retry: RetryPolicy { max_retries: 0, base_ms: 4 },
             ..ServeConfig::default()
         },
     );
@@ -114,10 +116,11 @@ fn the_request_past_the_batch_queue_bound_sheds_with_one_audited_deny() {
         want_credentials: false,
     };
     let report = replay::run(&plane, &schedule, &binding);
-    assert_eq!(report.offered, BATCH_QUEUE_CAPACITY as u64 + 1);
-    assert_eq!((report.shed, report.dropped), (1, 1), "exactly the last arrival sheds");
-    assert_eq!(report.batch_items, BATCH_QUEUE_CAPACITY as u64);
-    assert_eq!(report.batches, (BATCH_QUEUE_CAPACITY / MAX_BATCH) as u64);
+    assert_eq!(report.offered, BATCH_QUEUE_CAPACITY as u64 + 2, "every arrival, plus one retry");
+    assert_eq!((report.shed, report.retried, report.dropped), (1, 1, 0), "exactly the last arrival sheds");
+    assert_eq!(report.end_ms, 1 + BACKOFF_BASE_MS);
+    assert_eq!(report.batch_items, BATCH_QUEUE_CAPACITY as u64 + 1);
+    assert_eq!(report.batches, (BATCH_QUEUE_CAPACITY / MAX_BATCH) as u64 + 1);
     assert_eq!(report.errors, 0);
     assert_eq!(uc.audit_log().query(|r| r.action == "requestShed").len(), 1);
     assert_eq!(plane.batch_queue_len(), 0, "the elected leader drained the queue");

@@ -8,9 +8,12 @@
 //! the accessor API is unchanged, so existing callers and tests compile
 //! and pass as before.
 
-use uc_obs::{Counter, Registry};
+use std::sync::OnceLock;
 
-/// Monotonic counters for database activity. All methods are lock-free.
+use uc_obs::{Counter, CounterFamily, Registry, WindowSeries};
+
+/// Monotonic counters for database activity. The counters are lock-free;
+/// the per-tenant commit series take the registry's lock once, to register.
 #[derive(Debug, Default)]
 pub struct DbStats {
     reads: Counter,
@@ -22,6 +25,12 @@ pub struct DbStats {
     writes: Counter,
     commits: Counter,
     conflicts: Counter,
+    /// Where the per-tenant commit series are registered.
+    registry: Registry,
+    /// `txdb.commit.count.by_tenant` and `txdb.commit.window`, registered
+    /// by the first commit a request's tenant scope attributes: a
+    /// database nobody wrote to on a tenant's behalf shows neither.
+    by_tenant: OnceLock<(CounterFamily, WindowSeries)>,
 }
 
 impl DbStats {
@@ -37,7 +46,20 @@ impl DbStats {
             writes: registry.counter("txdb.write.rows"),
             commits: registry.counter("txdb.commit.count"),
             conflicts: registry.counter("txdb.commit.conflicts"),
+            registry: registry.clone(),
+            by_tenant: OnceLock::new(),
         }
+    }
+
+    /// Attribute one commit, which took `elapsed_ms` up to `now_ms`, to
+    /// the tenant `label`.
+    pub fn record_tenant_commit(&self, label: &str, now_ms: u64, elapsed_ms: u64) {
+        let (count, window) = self.by_tenant.get_or_init(|| {
+            let count = self.registry.counter_family("txdb.commit.count.by_tenant");
+            (count, self.registry.window("txdb.commit.window"))
+        });
+        count.inc(label);
+        window.record(now_ms, elapsed_ms);
     }
 
     pub fn record_read(&self) {
@@ -122,5 +144,10 @@ mod tests {
         let snap = registry.text_snapshot();
         assert!(snap.contains("txdb.commit.count counter 1"));
         assert!(snap.contains("txdb.write.rows counter 2"));
+        assert!(!snap.contains("txdb.commit.window"), "no tenant commit, no tenant series");
+        s.record_tenant_commit("t=a,p=b", 10, 3);
+        let snap = registry.text_snapshot_at(10);
+        assert!(snap.contains("txdb.commit.count.by_tenant{t=a,p=b} counter 1"));
+        assert!(snap.contains("txdb.commit.window window"));
     }
 }

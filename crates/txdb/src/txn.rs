@@ -332,11 +332,6 @@ impl WriteTxn {
         self.writes.insert((table.to_string(), key.to_string()), None);
     }
 
-    /// True if the transaction has buffered any writes.
-    pub fn is_dirty(&self) -> bool {
-        !self.writes.is_empty()
-    }
-
     /// The keys of `table` this transaction has buffered a put or a delete
     /// for, in key order: what its commit will write there.
     pub fn written_keys<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a str> + 'a {
@@ -346,7 +341,8 @@ impl WriteTxn {
     /// Validate and commit; returns the new CSN. On [`TxError::Conflict`]
     /// the transaction is consumed — callers retry from `begin_write`.
     pub fn commit(self) -> TxResult<u64> {
-        let obs = self.db.inner.obs.clone();
+        let db = self.db.clone();
+        let obs = &db.inner.obs;
         let start_ms = obs.clock_ms();
         let mut span = obs.span("txdb", "commit");
         let result = self.commit_inner();
@@ -359,10 +355,8 @@ impl WriteTxn {
         // guard has one on the thread-local scope stack; bare commits
         // (tests, tooling) skip the labeled series entirely.
         if let Some(label) = uc_obs::current_tenant() {
-            obs.counter_family("txdb.commit.count.by_tenant").inc(&label);
             let now = obs.clock_ms();
-            obs.window("txdb.commit.window")
-                .record(now, now.saturating_sub(start_ms));
+            db.inner.stats.record_tenant_commit(&label, now, now.saturating_sub(start_ms));
         }
         result
     }

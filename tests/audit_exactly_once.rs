@@ -159,7 +159,9 @@ mod deny {
     use uc_catalog::lineage::LineageDirection;
     use uc_catalog::ops::Op;
     use uc_catalog::service::federation::ForeignTableMeta;
+    use uc_catalog::service::rest::RestApi;
     use uc_catalog::types::FullName;
+    use serde_json::json;
     use uc_cloudstore::{AccessLevel, RootCredential};
     use uc_delta::expr::{CmpOp, Expr};
 
@@ -291,6 +293,51 @@ mod deny {
             assert_eq!(rec.principal, "mallory", "{op}");
             assert!(allowed.contains(&rec.action.as_str()), "{op}: audited as {} (allowed {allowed:?})", rec.action);
             assert!(rec.securable.is_some(), "{op}: the deny names the securable it was decided on");
+        }
+    }
+
+    /// The same refusals through the REST door: every route whose op row
+    /// declares audit actions answers an outsider with 403 (404 where
+    /// existence is hidden), adds exactly one `Deny` under one of that
+    /// op's own actions, and is one api entry.
+    #[test]
+    fn every_audited_route_refuses_an_outsider_with_exactly_one_deny_under_its_own_action() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let table = uc
+            .create_table(&Context::user(ADMIN), ms, TableSpec::managed("main.s.t", int_schema()).unwrap())
+            .unwrap();
+        let api = RestApi::new(uc.clone());
+        let out = Context::user("mallory");
+        let t = json!({"name": "main.s.t"});
+        let columns = json!({"fields": [{"name": "x", "data_type": "Int", "nullable": true}]});
+        let grant = json!({"securable": "main.s.t", "kind_group": "relation", "grantee": "mallory", "privilege": "SELECT"});
+        let sweep: Vec<(&str, serde_json::Value, &Op)> = vec![
+            ("catalogs.create", json!({"name": "c2"}), Op::CREATE_CATALOG),
+            ("credentials.temporary", json!({"name": "main.s.t", "operation": "READ"}), Op::TEMP_CREDENTIALS),
+            ("credentials.temporary", json!({"path": table.storage_path, "operation": "READ"}), Op::TEMP_CREDENTIALS_FOR_PATH),
+            ("grants.add", grant.clone(), Op::GRANT),
+            ("grants.revoke", grant, Op::REVOKE),
+            ("iceberg.loadTable", t.clone(), Op::LOAD_TABLE_AS_ICEBERG),
+            ("schemas.create", json!({"catalog": "main", "name": "s2"}), Op::CREATE_SCHEMA),
+            ("securables.drop", json!({"name": "main.s.t", "kind_group": "relation"}), Op::DROP_SECURABLE),
+            ("tables.create", json!({"name": "main.s.t2", "columns": columns}), Op::CREATE_TABLE),
+            ("tables.get", t, Op::GET_SECURABLE),
+            ("tables.resolve", json!({"names": ["main.s.t"]}), Op::RESOLVE_FOR_QUERY),
+        ];
+        let calls = || uc.service_stats().api_calls.load(std::sync::atomic::Ordering::Relaxed);
+        for (route, params, op) in sweep {
+            let allowed: Vec<&str> = op.actions.iter().map(|a| a.as_str()).collect();
+            let (calls0, audits0) = (calls(), uc.audit_log().total_recorded());
+            let err = api.handle(&out, ms, route, &params).expect_err("an outsider's call must be refused");
+            assert_eq!(calls() - calls0, 1, "{route}: one api entry");
+            let hidden = route == "tables.get";
+            assert_eq!(err.status, if hidden { 404 } else { 403 }, "{route}: {}", err.message);
+            let added = uc.audit_log().recent((uc.audit_log().total_recorded() - audits0) as usize);
+            assert_eq!(added.len(), 1, "{route}: exactly one audit record, got {added:?}");
+            let rec = &added[0];
+            assert_eq!((rec.decision, rec.principal.as_str()), (AuditDecision::Deny, "mallory"), "{route}");
+            assert!(allowed.contains(&rec.action.as_str()), "{route}: audited as {} (allowed {allowed:?})", rec.action);
         }
     }
 

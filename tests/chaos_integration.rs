@@ -21,6 +21,7 @@ use uc_catalog::service::crud::{BulkSchemaSpec, TableSpec};
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::sharding::ShardRouter;
 use uc_catalog::types::FullName;
+use uc_catalog::UcError;
 use uc_cloudstore::faults::{points, FaultMode, FaultPlan};
 use uc_cloudstore::{AccessLevel, Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema, Value};
@@ -306,6 +307,7 @@ fn sustained_outage_fails_cleanly_and_heals() {
         .uc
         .create_table(&ctx, &w.ms, TableSpec::managed("main.s.doomed", int_schema()).unwrap())
         .unwrap_err();
+    assert!(matches!(err, UcError::Unavailable(_)), "a transient failure, not a server bug: {err}");
     assert!(err.to_string().contains("transient failures"), "clean abort error: {err}");
     assert_eq!(db_ms_version(&w), ver_before, "failed write must not bump the version");
     w.plan.disarm(points::TXDB_COMMIT_UNAVAILABLE);

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use uc_catalog::service::crud::TableSpec;
-use uc_catalog::service::rest::{RequestAuth, RestApi};
+use uc_catalog::service::rest::RestApi;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_cloudstore::{AccessLevel, ObjectStore};
@@ -73,11 +73,11 @@ const NAME_CREDENTIAL_ALLOCS: u64 = 24;
 /// the parent walk cloned each parent id).
 const PATH_CREDENTIAL_ALLOCS: u64 = 30;
 /// Allocations per cached `tables.get` through `RestApi::handle`: the
-/// typed call's, the request context and the JSON reply. The route's
-/// counter is interned, so a repeated request formats no series name and
-/// takes no registry lock (50 while `rest.{method}.count` was looked up
-/// per request, 48 before the one-key probe).
-const REST_GET_TABLE_ALLOCS: u64 = 44;
+/// typed call's and the JSON reply's. The caller's `Context` is handed
+/// through as it came (44 while the door rebuilt it per request, 50 while
+/// `rest.{method}.count` was looked up per request, 48 before the one-key
+/// probe).
+const REST_GET_TABLE_ALLOCS: u64 = 42;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -137,12 +137,12 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     let path = table.storage_path.clone().expect("managed tables have storage");
 
     // Warm: entity cache, credential cache, per-op instruments, tenant
-    // label memo, the route's counter.
+    // label memo.
     let name = FullName::parse("main.s.t").unwrap();
-    let (api, auth) = (RestApi::new(uc.clone()), RequestAuth::user("admin"));
+    let api = RestApi::new(uc.clone());
     let wire_get = serde_json::json!({"name": "main.s.t"});
     for _ in 0..16 {
-        api.handle(&auth, &ms, "tables.get", &wire_get).unwrap();
+        api.handle(&ctx, &ms, "tables.get", &wire_get).unwrap();
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
         uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
         uc.temp_credentials_for_path(&ctx, &ms, &path, AccessLevel::Read).unwrap();
@@ -164,7 +164,7 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     });
     let hits_3 = hits();
     let rest_get_table = allocs_per_call(&uc, || {
-        api.handle(&auth, &ms, "tables.get", &wire_get).unwrap();
+        api.handle(&ctx, &ms, "tables.get", &wire_get).unwrap();
     });
     assert_eq!(uc.db().stats().reads(), db_reads, "measured calls must all be cache hits");
 

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use uc_catalog::service::crud::TableSpec;
-use uc_catalog::service::rest::{RequestAuth, RestApi};
+use uc_catalog::service::rest::RestApi;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_cloudstore::faults::{points, FaultMode, FaultPlan};
@@ -128,7 +128,7 @@ fn explicit_flight_freeze_captures_audit_trail_and_serves_over_rest() {
     // The REST surface serves the already-frozen dump plus the
     // Chrome-trace rendering of the same events.
     let api = RestApi::new(w.uc.clone());
-    let admin = RequestAuth::user(ADMIN);
+    let admin = Context::user(ADMIN);
     let resp = api
         .handle(&admin, &w.ms, "metrics.flightrecorder", &serde_json::json!({}))
         .unwrap();
@@ -251,17 +251,18 @@ fn mid_scan_renewals_are_audited_with_trace_ids() {
 fn rest_metrics_accessor_exposes_every_layer() {
     let w = observed_world(3);
     let api = RestApi::new(w.uc.clone());
-    let admin = RequestAuth::user(ADMIN);
+    let admin = Context::user(ADMIN);
     api.handle(&admin, &w.ms, "catalogs.create", &serde_json::json!({"name": "main"}))
         .unwrap();
-    let text = api.metrics();
+    let text = w.uc.metrics_snapshot();
     assert!(text.starts_with("# uc-obs metrics snapshot"));
-    for needle in ["catalog.api.calls", "rest.catalogs.create.count", "txdb.commit.count"] {
+    for needle in ["catalog.api.calls", "catalog.create_catalog.count", "txdb.commit.count"] {
         assert!(text.contains(needle), "{needle} missing:\n{text}");
     }
-    // One registry behind both doors: the REST accessor and the service
+    // One registry behind both doors: the REST route and the service
     // accessor serve the same bytes.
-    assert_eq!(text, w.uc.metrics_snapshot());
+    let wire = api.handle(&admin, &w.ms, "metrics.snapshot", &serde_json::json!({})).unwrap();
+    assert_eq!(wire["snapshot"].as_str(), Some(text.as_str()));
 }
 
 /// Run a fixed read-heavy workload with `threads` concurrent clients and

@@ -32,7 +32,7 @@ use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_obs::Obs;
 use uc_serve::replay::{run_with, ReplayBinding};
-use uc_serve::{replay, RetryPolicy, Role, ServeConfig, ServePlane};
+use uc_serve::{replay, Role, ServeConfig, ServePlane};
 use uc_txdb::{Db, DbConfig};
 use uc_workload::openloop::{Arrival, OpenLoopParams, RequestKind, Schedule};
 
@@ -210,11 +210,7 @@ fn retry_backoff_is_bounded_and_virtual() {
     let (uc, ms) = manual_world(false);
     let plane = ServePlane::new(
         uc.clone(),
-        ServeConfig {
-            queue_capacity: 0,
-            retry: RetryPolicy { max_retries: 3, base_ms: 4 },
-            ..ServeConfig::default()
-        },
+        ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
     );
     plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
@@ -233,36 +229,29 @@ fn retry_backoff_is_bounded_and_virtual() {
 }
 
 /// The replay driver backs off on the same ladder as the thread driver
-/// (`RetryPolicy::backoff_ms`), in virtual time: a request shed at quantum
-/// `t` is re-offered at exactly `t + 4`, `t + 4 + 8`, `t + 4 + 8 + 16`, and
-/// a zero base re-offers in the same quantum instead of being clamped up.
+/// (`ServePlane::retry_after`), in virtual time: a request shed at quantum
+/// `t` is re-offered at exactly `t + 4`, `t + 4 + 8`, `t + 4 + 8 + 16`.
 #[test]
 fn replay_reoffers_shed_requests_on_the_retry_ladder() {
-    for (base_ms, quanta) in [(4, [10, 14, 22, 38]), (0, [10, 10, 10, 10])] {
-        let (uc, ms) = manual_world(false);
-        let plane = ServePlane::new(
-            uc.clone(),
-            ServeConfig {
-                queue_capacity: 0,
-                retry: RetryPolicy { max_retries: 3, base_ms },
-                ..ServeConfig::default()
-            },
-        );
-        let kind = RequestKind::GetTable;
-        let arrival = Arrival { at_ms: 10, tenant: 0, client: 0, key: 0, kind };
-        let schedule = Schedule { params: OpenLoopParams::fig5(1, 1.0), arrivals: vec![arrival] };
-        let binding = ReplayBinding {
-            ms,
-            contexts: vec![Context::user(ADMIN)],
-            tables: vec![vec!["main.s.t0".to_string()]],
-            want_credentials: false,
-        };
-        let mut offered_at = Vec::new();
-        let report = run_with(&plane, &schedule, &binding, |t, _| offered_at.push(t));
-        assert_eq!(offered_at, quanta, "base_ms={base_ms}");
-        assert_eq!((report.offered, report.shed, report.retried, report.dropped), (4, 4, 3, 1));
-        assert_eq!(counter(&uc, "serve.retries"), 3);
-    }
+    let (uc, ms) = manual_world(false);
+    let plane = ServePlane::new(
+        uc.clone(),
+        ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
+    );
+    let kind = RequestKind::GetTable;
+    let arrival = Arrival { at_ms: 10, tenant: 0, client: 0, key: 0, kind };
+    let schedule = Schedule { params: OpenLoopParams::fig5(1, 1.0), arrivals: vec![arrival] };
+    let binding = ReplayBinding {
+        ms,
+        contexts: vec![Context::user(ADMIN)],
+        tables: vec![vec!["main.s.t0".to_string()]],
+        want_credentials: false,
+    };
+    let mut offered_at = Vec::new();
+    let report = run_with(&plane, &schedule, &binding, |t, _| offered_at.push(t));
+    assert_eq!(offered_at, [10, 14, 22, 38]);
+    assert_eq!((report.offered, report.shed, report.retried, report.dropped), (4, 4, 3, 1));
+    assert_eq!(counter(&uc, "serve.retries"), 3);
 }
 
 fn replay_fixture() -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
