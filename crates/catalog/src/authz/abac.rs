@@ -14,12 +14,13 @@
 //! * [`AbacEffect::RestrictAccess`] — deny data access to matching assets
 //!   unless the caller is in one of the exempt groups.
 
+use std::collections::{BTreeMap, HashSet};
+
 use serde::{Deserialize, Serialize};
 
 use uc_delta::expr::Expr;
 
 use crate::authz::fgac::ColumnMaskPolicy;
-use crate::error::{UcError, UcResult};
 
 /// What a matched policy does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -47,26 +48,18 @@ pub struct AbacPolicy {
 }
 
 impl AbacPolicy {
-    pub fn encode(&self) -> bytes::Bytes {
-        bytes::Bytes::from(crate::jsonutil::to_vec(self))
-    }
-
-    pub fn decode(data: &[u8]) -> UcResult<Self> {
-        serde_json::from_slice(data)
-            .map_err(|e| UcError::Database(format!("corrupt ABAC policy: {e}")))
-    }
-
-    /// Does this policy match a tag assignment?
-    pub fn matches_tag(&self, key: &str, value: &str) -> bool {
-        self.tag_key == key && self.tag_value.as_ref().is_none_or(|v| v == value)
+    /// Does this policy match a tag set (`key → value`)?
+    pub fn matches(&self, tags: &BTreeMap<String, String>) -> bool {
+        tags.get(&self.tag_key)
+            .is_some_and(|value| self.tag_value.as_ref().is_none_or(|v| v == value))
     }
 
     /// Synthesize the column masks this policy induces, given a table's
-    /// column tags and the caller's groups.
+    /// column tags (`column → key → value`) and the caller's groups.
     pub fn derive_masks(
         &self,
-        column_tags: &[(String, String, String)], // (column, key, value)
-        caller_groups: &std::collections::HashSet<String>,
+        column_tags: &BTreeMap<String, BTreeMap<String, String>>,
+        caller_groups: &HashSet<String>,
     ) -> Vec<ColumnMaskPolicy> {
         let AbacEffect::MaskColumns { mask, exempt_groups } = &self.effect else {
             return Vec::new();
@@ -76,8 +69,8 @@ impl AbacPolicy {
         }
         column_tags
             .iter()
-            .filter(|(_, k, v)| self.matches_tag(k, v))
-            .map(|(col, _, _)| ColumnMaskPolicy {
+            .filter(|(_, tags)| self.matches(tags))
+            .map(|(col, _)| ColumnMaskPolicy {
                 column: col.clone(),
                 mask: mask.clone(),
                 exempt_when: None,
@@ -90,14 +83,13 @@ impl AbacPolicy {
     /// reports the decision.
     pub fn evaluate_restriction(
         &self,
-        entity_tags: &[(String, String)], // (key, value)
-        caller_groups: &std::collections::HashSet<String>,
+        entity_tags: &BTreeMap<String, String>,
+        caller_groups: &HashSet<String>,
     ) -> Option<bool> {
         let AbacEffect::RestrictAccess { allowed_groups } = &self.effect else {
             return None;
         };
-        let matches = entity_tags.iter().any(|(k, v)| self.matches_tag(k, v));
-        if !matches {
+        if !self.matches(entity_tags) {
             return None;
         }
         Some(allowed_groups.iter().any(|g| caller_groups.contains(g)))
@@ -107,8 +99,19 @@ impl AbacPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use uc_delta::value::Value;
+
+    fn tags(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+        pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    fn column_tags(triples: &[(&str, &str, &str)]) -> BTreeMap<String, BTreeMap<String, String>> {
+        let mut out: BTreeMap<String, BTreeMap<String, String>> = BTreeMap::new();
+        for (col, k, v) in triples {
+            out.entry(col.to_string()).or_default().insert(k.to_string(), v.to_string());
+        }
+        out
+    }
 
     fn pii_mask_policy() -> AbacPolicy {
         AbacPolicy {
@@ -125,23 +128,19 @@ mod tests {
     #[test]
     fn tag_matching_with_and_without_value() {
         let any = pii_mask_policy();
-        assert!(any.matches_tag("pii", "email"));
-        assert!(any.matches_tag("pii", ""));
-        assert!(!any.matches_tag("owner", "x"));
+        assert!(any.matches(&tags(&[("pii", "email")])));
+        assert!(any.matches(&tags(&[("owner", "x"), ("pii", "")])));
+        assert!(!any.matches(&tags(&[("owner", "x")])));
 
         let specific = AbacPolicy { tag_value: Some("high".into()), ..pii_mask_policy() };
-        assert!(specific.matches_tag("pii", "high"));
-        assert!(!specific.matches_tag("pii", "low"));
+        assert!(specific.matches(&tags(&[("pii", "high")])));
+        assert!(!specific.matches(&tags(&[("pii", "low")])));
     }
 
     #[test]
     fn derive_masks_for_tagged_columns() {
         let p = pii_mask_policy();
-        let coltags = vec![
-            ("email".to_string(), "pii".to_string(), "email".to_string()),
-            ("ssn".to_string(), "pii".to_string(), "high".to_string()),
-            ("amount".to_string(), "finance".to_string(), "x".to_string()),
-        ];
+        let coltags = column_tags(&[("ssn", "pii", "high"), ("email", "pii", "email"), ("amount", "finance", "x")]);
         let masks = p.derive_masks(&coltags, &HashSet::new());
         let cols: Vec<_> = masks.iter().map(|m| m.column.as_str()).collect();
         assert_eq!(cols, vec!["email", "ssn"]);
@@ -150,7 +149,7 @@ mod tests {
     #[test]
     fn exempt_groups_see_unmasked_data() {
         let p = pii_mask_policy();
-        let coltags = vec![("ssn".to_string(), "pii".to_string(), "x".to_string())];
+        let coltags = column_tags(&[("ssn", "pii", "x")]);
         let groups: HashSet<String> = ["privacy-officers".to_string()].into();
         assert!(p.derive_masks(&coltags, &groups).is_empty());
     }
@@ -163,19 +162,13 @@ mod tests {
             tag_value: Some("secret".into()),
             effect: AbacEffect::RestrictAccess { allowed_groups: vec!["cleared".into()] },
         };
-        let tags = vec![("classification".to_string(), "secret".to_string())];
-        assert_eq!(p.evaluate_restriction(&tags, &HashSet::new()), Some(false));
+        let secret = tags(&[("classification", "secret")]);
+        assert_eq!(p.evaluate_restriction(&secret, &HashSet::new()), Some(false));
         let cleared: HashSet<String> = ["cleared".to_string()].into();
-        assert_eq!(p.evaluate_restriction(&tags, &cleared), Some(true));
+        assert_eq!(p.evaluate_restriction(&secret, &cleared), Some(true));
         // untagged entity: policy silent
-        assert_eq!(p.evaluate_restriction(&[], &HashSet::new()), None);
+        assert_eq!(p.evaluate_restriction(&BTreeMap::new(), &HashSet::new()), None);
         // mask policies never answer restriction queries
-        assert_eq!(pii_mask_policy().evaluate_restriction(&tags, &HashSet::new()), None);
-    }
-
-    #[test]
-    fn policy_storage_roundtrip() {
-        let p = pii_mask_policy();
-        assert_eq!(AbacPolicy::decode(&p.encode()).unwrap(), p);
+        assert_eq!(pii_mask_policy().evaluate_restriction(&secret, &HashSet::new()), None);
     }
 }

@@ -10,25 +10,12 @@ use serde::{Deserialize, Serialize};
 
 use uc_delta::expr::Expr;
 
-use crate::error::{UcError, UcResult};
-
 /// A row filter: rows are visible only where the expression evaluates to
 /// TRUE for the calling principal. May reference `current_user()` and
 /// `is_account_group_member(...)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RowFilterPolicy {
     pub expr: Expr,
-}
-
-impl RowFilterPolicy {
-    pub fn encode(&self) -> bytes::Bytes {
-        bytes::Bytes::from(crate::jsonutil::to_vec(self))
-    }
-
-    pub fn decode(data: &[u8]) -> UcResult<Self> {
-        serde_json::from_slice(data)
-            .map_err(|e| UcError::Database(format!("corrupt row filter: {e}")))
-    }
 }
 
 /// A column mask: the column's value is replaced by `mask` unless the
@@ -42,18 +29,8 @@ pub struct ColumnMaskPolicy {
     pub exempt_when: Option<Expr>,
 }
 
-impl ColumnMaskPolicy {
-    pub fn encode(&self) -> bytes::Bytes {
-        bytes::Bytes::from(crate::jsonutil::to_vec(self))
-    }
-
-    pub fn decode(data: &[u8]) -> UcResult<Self> {
-        serde_json::from_slice(data)
-            .map_err(|e| UcError::Database(format!("corrupt column mask: {e}")))
-    }
-}
-
-/// The FGAC bundle returned with table metadata to trusted engines.
+/// The FGAC bundle: stored on a relation (its `Governance::fgac`) and
+/// returned with its metadata to trusted engines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FgacPolicies {
     pub row_filter: Option<RowFilterPolicy>,
@@ -69,27 +46,7 @@ impl FgacPolicies {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uc_delta::expr::CmpOp;
     use uc_delta::value::Value;
-
-    #[test]
-    fn policies_roundtrip_through_storage_encoding() {
-        let rf = RowFilterPolicy {
-            expr: Expr::Cmp {
-                op: CmpOp::Eq,
-                lhs: Box::new(Expr::Column("owner".into())),
-                rhs: Box::new(Expr::CurrentUser),
-            },
-        };
-        assert_eq!(RowFilterPolicy::decode(&rf.encode()).unwrap(), rf);
-
-        let mask = ColumnMaskPolicy {
-            column: "ssn".into(),
-            mask: Expr::Literal(Value::Str("***-**-****".into())),
-            exempt_when: Some(Expr::IsAccountGroupMember("hr".into())),
-        };
-        assert_eq!(ColumnMaskPolicy::decode(&mask.encode()).unwrap(), mask);
-    }
 
     #[test]
     fn empty_bundle_detection() {
@@ -103,11 +60,5 @@ mod tests {
             }],
         };
         assert!(!bundle.is_empty());
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert!(RowFilterPolicy::decode(b"zzz").is_err());
-        assert!(ColumnMaskPolicy::decode(b"zzz").is_err());
     }
 }

@@ -102,6 +102,10 @@ const VERSION_WINDOW: usize = 4;
 /// serves one uninstalled.
 const STALE_ROUNDS: usize = 8;
 
+/// Shards per index (entities / names / paths); a power of two, so a shard
+/// is selected by masking a key hash.
+const SHARDS: usize = 16;
+
 /// What a read's `load` found in the database, for the cache to install:
 /// each entity with the `T_TREE` key its row sits at. Every load knows the
 /// key (a by-id load reads the pointer to it first), so an entity is never
@@ -151,10 +155,6 @@ pub struct CacheConfig {
     pub max_entries: usize,
     /// Use feed-driven selective invalidation instead of full evict.
     pub selective_reconcile: bool,
-    /// Shards per index (entities / names / paths); rounded up to a power
-    /// of two, minimum 1. One shard reproduces a single-lock cache (the
-    /// concurrency ablation baseline).
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
@@ -163,7 +163,6 @@ impl Default for CacheConfig {
             enabled: true,
             max_entries: 100_000,
             selective_reconcile: true,
-            shards: 16,
         }
     }
 }
@@ -286,9 +285,6 @@ pub struct MsCache {
     entity_shards: Box<[EntityShard]>,
     name_shards: Box<[IndexShard]>,
     path_shards: Box<[IndexShard]>,
-    /// Bitmask selecting a shard from a key hash (shard count is a power
-    /// of two).
-    shard_mask: usize,
     /// Global access tick; unique per touch, so LRU order is total.
     tick: AtomicU64,
     /// Live entry count across entity shards (maintained by mutators).
@@ -323,13 +319,11 @@ fn unmap(shard: &IndexShard, key: &str, id: &Uid) {
 
 impl MsCache {
     fn new(config: &CacheConfig, stats: CacheStats) -> Self {
-        let n = config.shards.max(1).next_power_of_two();
         MsCache {
             pin: AtomicU64::new(0),
-            entity_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
-            name_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
-            path_shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
-            shard_mask: n - 1,
+            entity_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
+            name_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
+            path_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
             tick: AtomicU64::new(0),
             len: AtomicUsize::new(0),
             config: config.clone(),
@@ -359,15 +353,15 @@ impl MsCache {
     }
 
     fn entity_shard(&self, id: &Uid) -> &EntityShard {
-        &self.entity_shards[hash_of(id) & self.shard_mask]
+        &self.entity_shards[hash_of(id) & (SHARDS - 1)]
     }
 
     fn name_shard(&self, key: &str) -> &IndexShard {
-        &self.name_shards[hash_of(key) & self.shard_mask]
+        &self.name_shards[hash_of(key) & (SHARDS - 1)]
     }
 
     fn path_shard(&self, key: &str) -> &IndexShard {
-        &self.path_shards[hash_of(key) & self.shard_mask]
+        &self.path_shards[hash_of(key) & (SHARDS - 1)]
     }
 
     fn next_tick(&self) -> u64 {
@@ -821,7 +815,7 @@ mod tests {
 
     fn cache_with(max_entries: usize) -> (MsCache, CacheStats) {
         let stats = CacheStats::default();
-        let config = CacheConfig { shards: 4, max_entries, ..Default::default() };
+        let config = CacheConfig { max_entries, ..Default::default() };
         (MsCache::new(&config, stats.clone()), stats)
     }
 
@@ -985,7 +979,7 @@ mod tests {
                 format!("nk/n{i}"),
             );
         }
-        // Touch a subset spread across shards (4 shards; ids hash apart),
+        // Touch a subset spread across shards (ids hash apart),
         // making everything *not* touched strictly older.
         let touched = [0usize, 3, 5, 8, 11];
         for i in touched {
@@ -1072,16 +1066,6 @@ mod tests {
         }
         assert!(stats.evictions.get() > 0, "the race must actually exercise eviction");
         assert!(c.entry_count() <= 16 + 16 / 10 + 1, "cap respected after the storm");
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two_and_one_shard_works() {
-        let stats = CacheStats::default();
-        let c = MsCache::new(&CacheConfig { shards: 1, ..Default::default() }, stats.clone());
-        insert(&c, "e1", "a", 1);
-        assert!(c.get_at(&Uid::from("e1"), 1).is_some());
-        let c3 = MsCache::new(&CacheConfig { shards: 3, ..Default::default() }, stats);
-        assert_eq!(c3.shard_mask + 1, 4, "3 rounds up to 4 shards");
     }
 
     #[test]

@@ -75,15 +75,6 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
         }
     }
 
-    /// Drop expired entries; returns how many were removed.
-    pub fn purge_expired(&self) -> usize {
-        let now = self.clock.now_ms();
-        let mut guard = self.inner.write();
-        let before = guard.len();
-        guard.retain(|_, (_, expires)| *expires > now);
-        before - guard.len()
-    }
-
     pub fn len(&self) -> usize {
         self.inner.read().len()
     }
@@ -126,19 +117,6 @@ mod tests {
         cache.put_with_expiry("tok", 1, 100);
         clock.advance_ms(100);
         assert_eq!(cache.get(&"tok"), None);
-    }
-
-    #[test]
-    fn purge_removes_only_expired() {
-        let clock = Clock::manual(0);
-        let cache: TtlCache<i32, i32> = TtlCache::new(clock.clone(), 500);
-        cache.put(1, 1);
-        clock.advance_ms(400);
-        cache.put(2, 2);
-        clock.advance_ms(200); // 1 expired (600>500), 2 alive (expires at 900)
-        assert_eq!(cache.purge_expired(), 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&2), Some(2));
     }
 
     #[test]

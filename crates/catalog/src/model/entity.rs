@@ -6,6 +6,10 @@
 //! — identity, namespace position, ownership, lifecycle, storage path —
 //! are first-class fields, so the core service can implement namespace,
 //! lifecycle, access control, and auditing uniformly across kinds.
+//! Authorization metadata is typed and rides on the row too: `grants`,
+//! and everything else in one [`Governance`] value (§4.2–§4.3), so the
+//! cache protocol keeps all of it exactly as fresh as the entity (§4.5)
+//! and a value that does not decode fails the row's decode.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +17,8 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use uc_delta::value::Schema;
 
+use crate::authz::abac::AbacPolicy;
+use crate::authz::fgac::FgacPolicies;
 use crate::authz::privilege::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
@@ -48,11 +54,54 @@ pub mod props {
     pub const COMMIT_VERSION: &str = "commit_version";
     /// Region of a metastore.
     pub const REGION: &str = "region";
-    /// JSON list of metastore admin principals.
-    pub const ADMINS: &str = "admins";
+    /// Managed-storage root of a metastore.
+    pub const ROOT_LOCATION: &str = "root_location";
     /// For connections: endpoint URL of the foreign catalog.
     pub const ENDPOINT: &str = "endpoint";
+    /// For external locations: the storage credential backing it.
+    pub const CREDENTIAL: &str = "credential";
+    /// For functions: the SQL body.
+    pub const BODY: &str = "body";
+    /// For registered models: the number the next version gets.
+    pub const NEXT_VERSION: &str = "next_version";
+    /// For federated catalogs: "true".
+    pub const FEDERATED: &str = "federated";
+    /// For mirrored foreign tables: when the last mirror pass wrote it.
+    pub const MIRRORED_AT_MS: &str = "mirrored_at_ms";
+    /// For shallow clones: the base table version the clone pins.
+    pub const CLONE_VERSION: &str = "clone_version";
 }
+
+/// A securable's authorization metadata beyond its grants (§4.2–§4.3).
+/// Each part is set only on the kinds it applies to; the maps keep the
+/// order every reader sees.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Governance {
+    /// Metastore admins (metastores).
+    pub admins: Vec<String>,
+    /// Workspaces a catalog is bound to: when non-empty, only requests
+    /// from a listed workspace may reach it (§3.2).
+    pub workspace_bindings: Vec<String>,
+    /// Tags, by key.
+    pub tags: BTreeMap<String, String>,
+    /// Column tags (relations), by column, then by key.
+    pub column_tags: BTreeMap<String, BTreeMap<String, String>>,
+    /// Row filter and column masks (relations); masks sorted by column,
+    /// at most one per column.
+    pub fgac: FgacPolicies,
+    /// ABAC policies (containers), by name.
+    pub abac: BTreeMap<String, AbacPolicy>,
+}
+
+/// What [`Entity::governance`] reads when an entity carries none.
+static NO_GOVERNANCE: Governance = Governance {
+    admins: Vec::new(),
+    workspace_bindings: Vec::new(),
+    tags: BTreeMap::new(),
+    column_tags: BTreeMap::new(),
+    fgac: FgacPolicies { row_filter: None, column_masks: Vec::new() },
+    abac: BTreeMap::new(),
+};
 
 /// A securable object.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,6 +125,9 @@ pub struct Entity {
     /// authorization metadata exactly as coherent as the rest of the
     /// entity's metadata.
     pub grants: Vec<(String, Privilege)>,
+    /// The rest of its authorization metadata; `None` (one `null` in the
+    /// row) for the many securables that carry none.
+    pub governance: Option<Box<Governance>>,
     pub state: LifecycleState,
     pub created_at_ms: u64,
     pub updated_at_ms: u64,
@@ -119,6 +171,7 @@ impl Entity {
             storage_path: None,
             properties: BTreeMap::new(),
             grants: Vec::new(),
+            governance: None,
             state: LifecycleState::Active,
             created_at_ms: now_ms,
             updated_at_ms: now_ms,
@@ -213,134 +266,15 @@ impl Entity {
             .retain(|(g, p)| !(g == grantee && *p == privilege));
         self.grants.len() != before
     }
-}
 
-/// Governance metadata stored in entity properties. Tags, FGAC policies,
-/// and ABAC policies ride on the entity record itself so a single cache
-/// protocol keeps *all* authorization-relevant metadata exactly as fresh
-/// as the entity (§4.5's strong-consistency requirement for governance).
-impl Entity {
-    /// Set an entity-level tag.
-    pub fn set_tag(&mut self, key: &str, value: &str) {
-        self.properties.insert(format!("tag:{key}"), value.to_string());
+    /// The entity's governance metadata; empty when it carries none.
+    pub fn governance(&self) -> &Governance {
+        self.governance.as_deref().unwrap_or(&NO_GOVERNANCE)
     }
 
-    /// All entity-level tags as (key, value).
-    pub fn tags(&self) -> Vec<(String, String)> {
-        self.properties
-            .iter()
-            .filter_map(|(k, v)| k.strip_prefix("tag:").map(|key| (key.to_string(), v.clone())))
-            .collect()
-    }
-
-    /// Set a column-level tag (tables/views).
-    pub fn set_column_tag(&mut self, column: &str, key: &str, value: &str) {
-        self.properties
-            .insert(format!("coltag:{column}:{key}"), value.to_string());
-    }
-
-    /// All column tags as (column, key, value).
-    pub fn column_tags(&self) -> Vec<(String, String, String)> {
-        self.properties
-            .iter()
-            .filter_map(|(k, v)| {
-                let rest = k.strip_prefix("coltag:")?;
-                let (col, key) = rest.split_once(':')?;
-                Some((col.to_string(), key.to_string(), v.clone()))
-            })
-            .collect()
-    }
-
-    /// Attach/replace the row filter policy.
-    pub fn set_row_filter(&mut self, policy: &crate::authz::fgac::RowFilterPolicy) {
-        self.properties.insert(
-            "fgac:filter".to_string(),
-            crate::jsonutil::to_string(policy),
-        );
-    }
-
-    pub fn clear_row_filter(&mut self) {
-        self.properties.remove("fgac:filter");
-    }
-
-    pub fn row_filter(&self) -> Option<crate::authz::fgac::RowFilterPolicy> {
-        self.properties
-            .get("fgac:filter")
-            .and_then(|raw| serde_json::from_str(raw).ok())
-    }
-
-    /// Attach/replace a column mask.
-    pub fn set_column_mask(&mut self, policy: &crate::authz::fgac::ColumnMaskPolicy) {
-        self.properties.insert(
-            format!("fgac:mask:{}", policy.column),
-            crate::jsonutil::to_string(policy),
-        );
-    }
-
-    pub fn column_masks(&self) -> Vec<crate::authz::fgac::ColumnMaskPolicy> {
-        self.properties
-            .iter()
-            .filter(|(k, _)| k.starts_with("fgac:mask:"))
-            .filter_map(|(_, v)| serde_json::from_str(v).ok())
-            .collect()
-    }
-
-    /// True if any FGAC policy is attached (gates untrusted engines).
-    pub fn has_fgac(&self) -> bool {
-        self.properties
-            .keys()
-            .any(|k| k == "fgac:filter" || k.starts_with("fgac:mask:"))
-    }
-
-    /// Attach an ABAC policy (on container entities).
-    pub fn set_abac_policy(&mut self, policy: &crate::authz::abac::AbacPolicy) {
-        self.properties.insert(
-            format!("abac:{}", policy.name),
-            crate::jsonutil::to_string(policy),
-        );
-    }
-
-    pub fn abac_policies(&self) -> Vec<crate::authz::abac::AbacPolicy> {
-        self.properties
-            .iter()
-            .filter(|(k, _)| k.starts_with("abac:"))
-            .filter_map(|(_, v)| serde_json::from_str(v).ok())
-            .collect()
-    }
-
-    /// Workspace bindings on a catalog: when non-empty, only requests
-    /// originating from a listed workspace may access the catalog (§3.2).
-    pub fn workspace_bindings(&self) -> Vec<String> {
-        self.properties
-            .get("workspace_bindings")
-            .and_then(|raw| serde_json::from_str(raw).ok())
-            .unwrap_or_default()
-    }
-
-    pub fn set_workspace_bindings(&mut self, workspaces: &[String]) {
-        if workspaces.is_empty() {
-            self.properties.remove("workspace_bindings");
-        } else {
-            self.properties.insert(
-                "workspace_bindings".to_string(),
-                crate::jsonutil::to_string(workspaces),
-            );
-        }
-    }
-
-    /// Metastore admins (metastore entities only).
-    pub fn metastore_admins(&self) -> Vec<String> {
-        self.properties
-            .get(props::ADMINS)
-            .and_then(|raw| serde_json::from_str(raw).ok())
-            .unwrap_or_default()
-    }
-
-    pub fn set_metastore_admins(&mut self, admins: &[String]) {
-        self.properties.insert(
-            props::ADMINS.to_string(),
-            crate::jsonutil::to_string(admins),
-        );
+    /// The governance metadata to update, created empty on first use.
+    pub fn governance_mut(&mut self) -> &mut Governance {
+        self.governance.get_or_insert_default()
     }
 }
 
@@ -427,9 +361,59 @@ mod tests {
         assert_eq!(e.commit_version(), 7);
     }
 
+    /// Every governance part survives the row's own encoding, in the
+    /// orders readers rely on.
+    #[test]
+    fn every_governance_field_roundtrips() {
+        use crate::authz::abac::AbacEffect;
+        use crate::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
+        use uc_delta::expr::{CmpOp, Expr};
+        use uc_delta::value::Value;
+
+        let mut e = Entity::new(SecurableKind::Table, "t", Some(Uid::from("s")), Uid::from("ms"), "o", 0);
+        let g = e.governance_mut();
+        g.admins = vec!["admins-group".into()];
+        g.workspace_bindings = vec!["ws-1".into(), "ws-2".into()];
+        g.tags.insert("pii".into(), "yes".into());
+        g.tags.insert("domain".into(), "sales".into());
+        g.column_tags.entry("ssn".into()).or_default().insert("pii".into(), "high".into());
+        g.column_tags.entry("email".into()).or_default().insert("pii".into(), "low".into());
+        g.fgac.row_filter = Some(RowFilterPolicy { expr: Expr::cmp("region", CmpOp::Eq, "emea") });
+        g.fgac.column_masks.push(ColumnMaskPolicy {
+            column: "ssn".into(),
+            mask: Expr::Literal(Value::Str("***-**-****".into())),
+            exempt_when: Some(Expr::IsAccountGroupMember("hr".into())),
+        });
+        let restrict = AbacPolicy {
+            name: "restrict".into(),
+            tag_key: "classification".into(),
+            tag_value: Some("secret".into()),
+            effect: AbacEffect::RestrictAccess { allowed_groups: vec!["cleared".into()] },
+        };
+        g.abac.insert(restrict.name.clone(), restrict);
+        let back = Entity::decode(&e.encode()).unwrap();
+        assert_eq!(back, e);
+        let g = back.governance();
+        assert_eq!(g.tags.keys().collect::<Vec<_>>(), ["domain", "pii"]);
+        assert_eq!(g.column_tags.keys().collect::<Vec<_>>(), ["email", "ssn"]);
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         assert!(Entity::decode(b"nonsense").is_err());
         assert!(PrincipalRecord::decode(b"{bad").is_err());
+        // A governance part that does not decode fails the whole row: a
+        // restriction never reads as absent.
+        let mut e = Entity::new(SecurableKind::Catalog, "c", None, Uid::from("ms"), "o", 0);
+        e.governance_mut().workspace_bindings = vec!["ws".into()];
+        let row = String::from_utf8(e.encode().to_vec()).unwrap();
+        for (good, bad) in [
+            (r#""workspace_bindings":["ws"]"#, r#""workspace_bindings":"ws""#),
+            (r#""row_filter":null"#, r#""row_filter":"owner = current_user()""#),
+        ] {
+            assert!(row.contains(good), "{row}");
+            let err = Entity::decode(row.replace(good, bad).as_bytes()).unwrap_err();
+            assert!(matches!(err, UcError::Database(_)), "{err:?}");
+        }
     }
 }

@@ -106,12 +106,6 @@ pub fn tree_group_prefix(parent_key: &str, group: &str) -> String {
     key
 }
 
-/// The metastore id of a tree or path key (everything before the first
-/// terminator; metastore uids contain no escapable characters).
-pub fn ms_of_tree_key(key: &str) -> Option<&str> {
-    key.split(treekey::TERM).next()
-}
-
 // ---------------------------------------------------------------------
 // Path index keys (tree-encoded storage-path hierarchy)
 // ---------------------------------------------------------------------
@@ -180,11 +174,6 @@ pub fn share_members_prefix(ms: &Uid, share: &Uid) -> String {
     format!("{ms}/{share}/")
 }
 
-/// Extract the metastore id from an entity-table key (`{ms}/{id}`).
-pub fn ms_of_ent_key(key: &str) -> Option<&str> {
-    key.split('/').next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,11 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn ms_extraction() {
-        assert_eq!(ms_of_ent_key("msid/entid"), Some("msid"));
-    }
-
-    #[test]
     fn tree_keys_nest_by_string_prefix() {
         let ms = uid("ms1");
         let cat = tree_key(&ms, &[("catalog", "Main")]);
@@ -224,7 +208,6 @@ mod tests {
         assert!(cat.starts_with(&tree_ms_prefix(&ms)));
         assert!(sch.starts_with(&cat), "names are case-normalized");
         assert!(tbl.starts_with(&sch));
-        assert_eq!(ms_of_tree_key(&tbl), Some("ms1"));
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         read_data_privilege: Some(Privilege::Select),
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[Privilege::Select, Privilege::Modify, Privilege::Manage, Privilege::All],
-        updatable_fields: &["comment", "owner", "properties"],
+        updatable_fields: &["comment", "owner"],
         managed_subdir: Some("tables"),
         validate: validate_table,
     });
@@ -222,7 +222,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         read_data_privilege: Some(Privilege::Execute),
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[Privilege::Execute, Privilege::Modify, Privilege::Manage, Privilege::All],
-        updatable_fields: &["comment", "owner", "properties"],
+        updatable_fields: &["comment", "owner"],
         managed_subdir: Some("models"),
         validate: validate_comment_len,
     });
@@ -232,7 +232,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         read_data_privilege: Some(Privilege::Execute),
         write_data_privilege: Some(Privilege::Modify),
         grantable: &[],
-        updatable_fields: &["comment", "properties"],
+        updatable_fields: &["comment"],
         managed_subdir: None,
         validate: validate_model_version,
     });
@@ -268,7 +268,7 @@ fn build_registry() -> HashMap<SecurableKind, AssetTypeManifest> {
         read_data_privilege: None,
         write_data_privilege: None,
         grantable: &[Privilege::Manage, Privilege::All],
-        updatable_fields: &["comment", "owner", "properties"],
+        updatable_fields: &["comment", "owner"],
         managed_subdir: None,
         validate: validate_connection,
     });

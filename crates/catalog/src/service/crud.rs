@@ -83,7 +83,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         let mut ent = Entity::new(SecurableKind::Metastore, name, None, Uid::from(""), principal, now);
         ent.properties.insert(props::REGION.to_string(), region.to_string());
-        ent.set_metastore_admins(&[principal.to_string()]);
+        ent.governance_mut().admins.push(principal.to_string());
         let ms = ent.id.clone();
         // Register the human-readable label alias before the first write:
         // any telemetry emitted for this metastore from here on renders
@@ -109,7 +109,7 @@ impl UnityCatalog {
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, root_path)?;
         self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
-            e.properties.insert("root_location".to_string(), root_path.to_string());
+            e.properties.insert(props::ROOT_LOCATION.to_string(), root_path.to_string());
             Ok(())
         })?;
         api.audit.allow(ms, root_path);
@@ -121,11 +121,10 @@ impl UnityCatalog {
         let api = self.api_enter(Op::ADD_METASTORE_ADMIN, Some(&ctx.principal), Some(ms));
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, principal)?;
         self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
-            let mut admins = e.metastore_admins();
+            let admins = &mut e.governance_mut().admins;
             if !admins.iter().any(|a| a == principal) {
                 admins.push(principal.to_string());
             }
-            e.set_metastore_admins(&admins);
             Ok(())
         })?;
         api.audit.allow(ms, principal);
@@ -204,7 +203,7 @@ impl UnityCatalog {
                 }
             }
             ent.storage_path = Some(parsed.to_string());
-            ent.properties.insert("credential".to_string(), credential_name.to_string());
+            ent.properties.insert(props::CREDENTIAL.to_string(), credential_name.to_string());
             Ok(())
         })?;
         api.audit.allow(&created.id, path);
@@ -280,7 +279,7 @@ impl UnityCatalog {
                 })?;
                 let root = chain
                     .last()
-                    .and_then(|ms_ent| ms_ent.properties.get("root_location"))
+                    .and_then(|ms_ent| ms_ent.properties.get(props::ROOT_LOCATION))
                     .ok_or_else(|| UcError::InvalidArgument(
                         "metastore has no root location configured for managed storage".into(),
                     ))?;
@@ -510,7 +509,7 @@ impl UnityCatalog {
             }
             ent.properties.insert(props::CLONE_BASE.to_string(), src.id.to_string());
             ent.properties
-                .insert("clone_version".to_string(), source_version.to_string());
+                .insert(props::CLONE_VERSION.to_string(), source_version.to_string());
             // The clone has no storage of its own: data access flows
             // through the resolved base dependency.
             ent.set_dependencies(std::slice::from_ref(&src.id));
@@ -593,7 +592,7 @@ impl UnityCatalog {
         let (full, _who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::Function)?;
         let created = self.create_entity(ctx, SecurableKind::Function, &full, leaf, name, |_tx, ent| {
-            ent.properties.insert("body".to_string(), body.to_string());
+            ent.properties.insert(props::BODY.to_string(), body.to_string());
             Ok(())
         })?;
         api.audit.allow(&created.id, name);
@@ -611,7 +610,7 @@ impl UnityCatalog {
         let (full, _who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::RegisteredModel)?;
         let created = self.create_entity(ctx, SecurableKind::RegisteredModel, &full, leaf, name, |tx, ent| {
-            ent.properties.insert("next_version".to_string(), "1".to_string());
+            ent.properties.insert(props::NEXT_VERSION.to_string(), "1".to_string());
             Self::place(tx, &full, ent, None)
         })?;
         api.audit.allow(&created.id, name);
@@ -642,12 +641,12 @@ impl UnityCatalog {
             let (mut model_now, model_key) = live_entity(tx, ms, &model.id, model_name)?;
             let version: u64 = model_now
                 .properties
-                .get("next_version")
+                .get(props::NEXT_VERSION)
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(1);
             model_now
                 .properties
-                .insert("next_version".to_string(), (version + 1).to_string());
+                .insert(props::NEXT_VERSION.to_string(), (version + 1).to_string());
             model_now.updated_at_ms = now;
 
             let mut ver_ent = Entity::new(
@@ -920,7 +919,7 @@ impl UnityCatalog {
         api.audit.gate(&full, Need::Admin, catalog)?;
         let list: Vec<String> = workspaces.iter().map(|w| w.to_string()).collect();
         self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
-            e.set_workspace_bindings(&list);
+            e.governance_mut().workspace_bindings = list.clone();
             Ok(())
         })?;
         api.audit.allow(&target.id, format!("{list:?}"));
@@ -1007,8 +1006,8 @@ impl UnityCatalog {
             .begin_read()
             .scan_prefix(T_TRASH, &keys::ent_ms_prefix(ms))
             .into_iter()
-            .filter_map(|(_, raw)| Entity::decode(&raw).ok())
-            .collect();
+            .map(|(_, raw)| Entity::decode(&raw))
+            .collect::<UcResult<_>>()?;
         let mut objects_deleted = 0;
         for victim in &victims {
             // Managed storage cleanup happens before metadata removal so a

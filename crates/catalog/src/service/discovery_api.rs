@@ -39,7 +39,7 @@ impl MetaFilter {
             MetaFilter::KindIs(k) => e.kind == *k,
             MetaFilter::OwnerIs(o) => &e.owner == o,
             MetaFilter::PropEquals(k, v) => e.properties.get(k) == Some(v),
-            MetaFilter::HasTag(k) => e.properties.contains_key(&format!("tag:{k}")),
+            MetaFilter::HasTag(k) => e.governance().tags.contains_key(k),
             MetaFilter::NameContains(s) => e.name.contains(s.as_str()),
         }
     }
@@ -61,7 +61,7 @@ impl UnityCatalog {
         value: &str,
     ) -> UcResult<()> {
         self.tag_update(ctx, ms, name, leaf_group, |e| {
-            e.set_tag(key, value);
+            e.governance_mut().tags.insert(key.to_string(), value.to_string());
         })
     }
 
@@ -76,7 +76,8 @@ impl UnityCatalog {
         value: &str,
     ) -> UcResult<()> {
         self.tag_update(ctx, ms, name, "relation", |e| {
-            e.set_column_tag(column, key, value);
+            let tags = e.governance_mut().column_tags.entry(column.to_string()).or_default();
+            tags.insert(key.to_string(), value.to_string());
         })
     }
 
@@ -111,7 +112,7 @@ impl UnityCatalog {
         let api = self.api_enter(Op::GET_TAGS, Some(&ctx.principal), Some(ms));
         let (full, _) = api.audit.see(ctx, ms, name, leaf_group)?;
         api.audit.allow(&full[0].id, name);
-        Ok(full[0].tags())
+        Ok(full[0].governance().tags.clone().into_iter().collect())
     }
 
     // ------------------------------------------------------------------
@@ -127,7 +128,7 @@ impl UnityCatalog {
         policy: RowFilterPolicy,
     ) -> UcResult<()> {
         self.policy_update(ctx, ms, table, ops::SET_ROW_FILTER, move |e| {
-            e.set_row_filter(&policy);
+            e.governance_mut().fgac.row_filter = Some(policy.clone());
         })
     }
 
@@ -139,15 +140,21 @@ impl UnityCatalog {
         table: &FullName,
         policy: ColumnMaskPolicy,
     ) -> UcResult<()> {
+        // Masks stay sorted by column, one per column: a new mask on a
+        // masked column replaces the old one.
         self.policy_update(ctx, ms, table, ops::SET_COLUMN_MASK, move |e| {
-            e.set_column_mask(&policy);
+            let masks = &mut e.governance_mut().fgac.column_masks;
+            match masks.binary_search_by(|m| m.column.cmp(&policy.column)) {
+                Ok(at) => masks[at] = policy.clone(),
+                Err(at) => masks.insert(at, policy.clone()),
+            }
         })
     }
 
     /// Remove a table's row filter.
     pub fn clear_row_filter(&self, ctx: &Context, ms: &Uid, table: &FullName) -> UcResult<()> {
         self.policy_update(ctx, ms, table, ops::CLEAR_ROW_FILTER, |e| {
-            e.clear_row_filter();
+            e.governance_mut().fgac.row_filter = None;
         })
     }
 
@@ -194,7 +201,7 @@ impl UnityCatalog {
         api.audit.gate(&full, Need::Admin, &policy.name)?;
         let pname = policy.name.clone();
         self.update_entity_by_id(ms, &target.id, ChangeOp::Update, |e| {
-            e.set_abac_policy(&policy);
+            e.governance_mut().abac.insert(policy.name.clone(), policy.clone());
             Ok(())
         })?;
         api.audit.allow(&target.id, &pname);

@@ -84,7 +84,7 @@ impl UnityCatalog {
         let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, ent| {
             ent.properties
                 .insert(props::CONNECTION_ID.to_string(), connection.id.to_string());
-            ent.properties.insert("federated".to_string(), "true".to_string());
+            ent.properties.insert(props::FEDERATED.to_string(), "true".to_string());
             Ok(())
         })?;
         api.audit.allow(&created.id, name);
@@ -109,7 +109,7 @@ impl UnityCatalog {
         let full = self
             .chain_at_key(ms, &cat_key)?
             .ok_or_else(|| UcError::NotFound(federated_catalog.to_string()))?;
-        if full[0].properties.get("federated").map(|s| s.as_str()) != Some("true") {
+        if full[0].properties.get(props::FEDERATED).map(|s| s.as_str()) != Some("true") {
             return Err(UcError::Federation(format!(
                 "{federated_catalog} is not a federated catalog"
             )));
@@ -144,7 +144,7 @@ impl UnityCatalog {
                 ent.storage_path = Some(p.clone());
             }
             ent.properties
-                .insert("mirrored_at_ms".to_string(), now.to_string());
+                .insert(props::MIRRORED_AT_MS.to_string(), now.to_string());
             Ok(())
         };
         let mut table_key = schema_key;

@@ -160,8 +160,3 @@ impl UnityCatalog {
         self.grant(ctx, ms, &name, "relation", grantee, Privilege::Select)
     }
 }
-
-/// Arc helper so call sites can use `uc.grant(...)` on `Arc<UnityCatalog>`
-/// without noise — inherent methods already work through Deref; this
-/// module exists for the free helpers only.
-pub type SharedCatalog = Arc<UnityCatalog>;

@@ -66,8 +66,6 @@ pub struct UcConfig {
     /// an engine and the (remote) catalog service.
     pub api_latency: LatencyModel,
     pub cache: CacheConfig,
-    /// Lifetime of vended temporary credentials (paper: tens of minutes).
-    pub cred_ttl_ms: u64,
     /// Cache unexpired vended tokens and reuse them across requests.
     pub cred_cache_enabled: bool,
     /// Modelled cost of one cloud STS round trip when minting a token
@@ -87,7 +85,6 @@ impl Default for UcConfig {
         UcConfig {
             api_latency: LatencyModel::zero(),
             cache: CacheConfig::default(),
-            cred_ttl_ms: 15 * 60 * 1000,
             cred_cache_enabled: true,
             sts_mint_cost: std::time::Duration::ZERO,
             faults: FaultPlan::disabled(),
@@ -95,6 +92,9 @@ impl Default for UcConfig {
         }
     }
 }
+
+/// Lifetime of vended temporary credentials (paper: tens of minutes).
+pub const CRED_TTL_MS: u64 = 15 * 60 * 1000;
 
 /// How the calling engine authenticated (§4.3.2): trusted engines are
 /// isolated from user code and may receive + enforce FGAC policies.
@@ -519,7 +519,7 @@ impl UnityCatalog {
             db,
             cache: NodeCache::wired(config.cache.clone(), config.obs.registry()),
             api_instruments: std::array::from_fn(|_| std::sync::OnceLock::new()),
-            cred_cache: TtlCache::new(clock.clone(), config.cred_ttl_ms),
+            cred_cache: TtlCache::new(clock.clone(), CRED_TTL_MS),
             principal_cache: TtlCache::new(clock.clone(), 60_000),
             roots: RwLock::new(std::collections::HashMap::new()),
             tenant_aliases: RwLock::new(std::collections::HashMap::new()),
@@ -1038,13 +1038,8 @@ impl UnityCatalog {
         let ms_ent = chain.last().ok_or_else(|| UcError::Database("empty securable chain".into()))?;
         let record = self.principal_record(principal)?;
         let groups: std::collections::HashSet<String> = record.groups.into_iter().collect();
-        // Short-circuit the owner check before parsing the admin list out
-        // of the metastore entity's properties.
         let is_admin = ms_ent.owner == principal
-            || ms_ent
-                .metastore_admins()
-                .iter()
-                .any(|a| a == principal || groups.contains(a));
+            || ms_ent.governance().admins.iter().any(|a| a == principal || groups.contains(a));
         Ok(AuthzContext {
             principal: principal.to_string(),
             groups,
@@ -1095,7 +1090,7 @@ impl UnityCatalog {
         chain: &[Arc<Entity>],
     ) -> UcResult<()> {
         for node in chain.iter().filter(|e| e.kind == SecurableKind::Catalog) {
-            let bindings = node.workspace_bindings();
+            let bindings = &node.governance().workspace_bindings;
             if bindings.is_empty() {
                 continue;
             }

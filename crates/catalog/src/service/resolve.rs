@@ -15,7 +15,6 @@ use std::sync::Arc;
 use uc_cloudstore::{AccessLevel, TempCredential};
 use uc_delta::value::Schema;
 
-use crate::authz::abac::AbacPolicy;
 use crate::authz::decision::{AuthzContext, Need};
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
@@ -136,20 +135,13 @@ impl UnityCatalog {
         full_chain: &[Arc<Entity>],
     ) -> UcResult<FgacPolicies> {
         let entity = &full_chain[0];
-        let mut fgac = FgacPolicies {
-            row_filter: entity.row_filter(),
-            column_masks: entity.column_masks(),
-        };
+        let governed = entity.governance();
+        let mut fgac = governed.fgac.clone();
         // ABAC: policies attach to containers in the chain (schema,
         // catalog, metastore) and match tags dynamically.
-        let entity_tags = entity.tags();
-        let column_tags = entity.column_tags();
-        let mut policies: Vec<AbacPolicy> = Vec::new();
-        for container in full_chain.iter().filter(|e| e.kind.is_container()) {
-            policies.extend(container.abac_policies());
-        }
-        for policy in &policies {
-            if let Some(allowed) = policy.evaluate_restriction(&entity_tags, &who.groups) {
+        let containers = full_chain.iter().filter(|e| e.kind.is_container());
+        for policy in containers.flat_map(|c| c.governance().abac.values()) {
+            if let Some(allowed) = policy.evaluate_restriction(&governed.tags, &who.groups) {
                 if !allowed {
                     api.audit.deny(None, &entity.name);
                     return Err(UcError::PermissionDenied(format!(
@@ -158,7 +150,7 @@ impl UnityCatalog {
                     )));
                 }
             }
-            for mask in policy.derive_masks(&column_tags, &who.groups) {
+            for mask in policy.derive_masks(&governed.column_tags, &who.groups) {
                 // Directly attached masks take precedence over derived ones.
                 if !fgac.column_masks.iter().any(|m| m.column == mask.column) {
                     fgac.column_masks.push(mask);

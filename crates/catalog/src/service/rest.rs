@@ -21,7 +21,7 @@ use serde_json::{json, Value as Json};
 
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
-use crate::model::entity::Entity;
+use crate::model::entity::{props, Entity};
 use crate::service::crud::TableSpec;
 use crate::service::resolve::ResolvedSecurable;
 use crate::service::{Context, UnityCatalog};
@@ -290,8 +290,8 @@ impl RestApi {
                 Ok(json!({
                     "id": e.id.as_str(),
                     "name": e.name,
-                    "region": e.properties.get("region"),
-                    "admins": e.metastore_admins(),
+                    "region": e.properties.get(props::REGION),
+                    "admins": e.governance().admins,
                 }))
             }
             "iceberg.loadTable" => {
@@ -362,7 +362,10 @@ mod tests {
 
     /// Every error reply's status comes from the one table in
     /// `From<UcError> for ApiError`: the caller's mistakes (400 – 409), a
-    /// corrupt row (500), and — under a seeded fault plan — a transient
+    /// corrupt row (500) — including a row whose governance metadata does
+    /// not decode, which must never be served as a table with no row
+    /// filter, nor vended to an untrusted caller — and — under a seeded
+    /// fault plan — a transient
     /// failure at each layer below the door (503): the database refusing
     /// every commit past the write's retry budget, the STS mint, the vend
     /// itself, the object store's listing. Each outage heals when its
@@ -382,6 +385,17 @@ mod tests {
         }
         let mut tx = api.uc.db().begin_write();
         tx.put(T_TREE, &key, bytes::Bytes::from_static(b"not an entity"));
+        // `t`'s row, under another name, with a row filter that is not an
+        // expression.
+        let mut t_key = keys::tree_ms_prefix(&ms);
+        for (group, leaf) in [("catalog", "main"), ("schema", "s"), ("relation", "t")] {
+            keys::tree_push_child(&mut t_key, group, leaf);
+        }
+        let row = String::from_utf8(tx.get(T_TREE, &t_key).unwrap().to_vec()).unwrap();
+        let bad = r#""governance":{"admins":[],"workspace_bindings":[],"tags":{},"column_tags":{},"fgac":{"row_filter":"owner = current_user()","column_masks":[]},"abac":{}}"#;
+        assert!(row.contains(r#""governance":null"#), "{row}");
+        let ungoverned = row.replace(r#""governance":null"#, bad);
+        tx.put(T_TREE, &key.replace("corrupt", "ungoverned"), ungoverned.into_bytes().into());
         tx.commit().unwrap();
 
         let nobody = Context::user("nobody");
@@ -395,6 +409,8 @@ mod tests {
             (&admin, "tables.get", json!({"name": "main.x.y"}), None, 404),
             (&admin, "catalogs.create", json!({"name": "main"}), None, 409),
             (&admin, "tables.get", json!({"name": "main.s.corrupt"}), None, 500),
+            (&admin, "tables.get", json!({"name": "main.s.ungoverned"}), None, 500),
+            (&admin, "tables.resolve", json!({"names": ["main.s.ungoverned"], "with_credentials": true}), None, 500),
             (&admin, "tables.create", new_table, Some(points::TXDB_COMMIT_UNAVAILABLE), 503),
             (&admin, "credentials.temporary", read.clone(), Some(points::STS_MINT), 503),
             (&admin, "credentials.temporary", read, Some(points::CATALOG_VEND), 503),

@@ -235,7 +235,7 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
         api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
-        if table.has_fgac() && !ctx.is_trusted_engine() {
+        if !table.governance().fgac.is_empty() && !ctx.is_trusted_engine() {
             return Err(UcError::PermissionDenied(
                 "table has fine-grained policies; Iceberg pass-through requires a trusted engine".into(),
             ));

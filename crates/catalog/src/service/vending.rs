@@ -17,7 +17,7 @@ use crate::ids::Uid;
 use crate::model::entity::Entity;
 use crate::model::manifest::manifest;
 use crate::ops::Op;
-use crate::service::{ApiGuard, Context, UnityCatalog};
+use crate::service::{ApiGuard, Context, UnityCatalog, CRED_TTL_MS};
 use crate::types::FullName;
 
 impl UnityCatalog {
@@ -82,7 +82,7 @@ impl UnityCatalog {
         api.audit.gate(full, Need::Data(needed), &detail)?;
         // Tables with FGAC policies must not hand raw storage access to
         // untrusted engines — the policy would be unenforceable.
-        if entity.has_fgac() && !ctx.is_trusted_engine() {
+        if !entity.governance().fgac.is_empty() && !ctx.is_trusted_engine() {
             api.audit.deny(Some(&entity.id), "fgac requires trusted engine");
             return Err(UcError::PermissionDenied(
                 "asset has fine-grained policies; use a trusted engine or the data filtering service".into(),
@@ -134,7 +134,7 @@ impl UnityCatalog {
         if self.config.cred_cache_enabled {
             if let Some(tok) = self.cred_cache.get(&cache_key) {
                 // Reuse only while a useful fraction of the TTL remains.
-                if tok.remaining_ms(self.now_ms()) > self.config.cred_ttl_ms / 4 {
+                if tok.remaining_ms(self.now_ms()) > CRED_TTL_MS / 4 {
                     return Ok(tok);
                 }
             }
@@ -149,7 +149,7 @@ impl UnityCatalog {
         let token = self
             .store
             .sts()
-            .mint(&root, &scope, access, self.config.cred_ttl_ms)?;
+            .mint(&root, &scope, access, CRED_TTL_MS)?;
         // Count actual STS mints (cache hits returned above) against the
         // requesting tenant — the per-tenant view of who pays for vending.
         if let Some(label) = uc_obs::current_tenant() {

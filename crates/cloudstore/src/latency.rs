@@ -40,11 +40,6 @@ impl LatencyModel {
         LatencyModel { read: d, write: d, list: d, control: d }
     }
 
-    /// Build with explicit per-class durations.
-    pub fn per_class(read: Duration, write: Duration, list: Duration, control: Duration) -> Self {
-        LatencyModel { read, write, list, control }
-    }
-
     /// Latency configured for `class`.
     pub fn duration(&self, class: OpClass) -> Duration {
         match class {
@@ -103,12 +98,12 @@ mod tests {
 
     #[test]
     fn per_class_durations_are_respected() {
-        let m = LatencyModel::per_class(
-            Duration::from_millis(1),
-            Duration::from_millis(2),
-            Duration::from_millis(3),
-            Duration::from_millis(4),
-        );
+        let m = LatencyModel {
+            read: Duration::from_millis(1),
+            write: Duration::from_millis(2),
+            list: Duration::from_millis(3),
+            control: Duration::from_millis(4),
+        };
         assert_eq!(m.duration(OpClass::Read), Duration::from_millis(1));
         assert_eq!(m.duration(OpClass::Write), Duration::from_millis(2));
         assert_eq!(m.duration(OpClass::List), Duration::from_millis(3));

@@ -304,12 +304,6 @@ impl ObjectStore {
         })
     }
 
-    /// Total bytes stored under a prefix — used for storage-efficiency
-    /// accounting (VACUUM experiments).
-    pub fn usage_bytes(&self, cred: &Credential, prefix: &StoragePath) -> StorageResult<usize> {
-        Ok(self.list(cred, prefix)?.iter().map(|m| m.size).sum())
-    }
-
     /// Validate a credential against a path and required access level.
     fn authorize(
         &self,
@@ -432,14 +426,6 @@ mod tests {
 
         let all = store.list(&root, &base).unwrap();
         assert_eq!(all.len(), 3, "warehouse2 must not appear under warehouse");
-    }
-
-    #[test]
-    fn usage_bytes_sums_sizes() {
-        let (store, root, base) = setup();
-        store.put(&root, &base.child("a"), Bytes::from(vec![0u8; 10])).unwrap();
-        store.put(&root, &base.child("b"), Bytes::from(vec![0u8; 32])).unwrap();
-        assert_eq!(store.usage_bytes(&root, &base).unwrap(), 42);
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl DiscoveryService {
                         kind: ent.kind,
                         name: ent.name.clone(),
                         comment: ent.comment.clone(),
-                        tags: ent.tags(),
+                        tags: ent.governance().tags.clone().into_iter().collect(),
                     };
                     Self::index_doc(&mut state, doc);
                     state.stats.entities_indexed += 1;
@@ -183,7 +183,7 @@ impl DiscoveryService {
                 kind: ent.kind,
                 name: ent.name.clone(),
                 comment: ent.comment.clone(),
-                tags: ent.tags(),
+                tags: ent.governance().tags.clone().into_iter().collect(),
             };
             Self::index_doc(&mut state, doc);
             state.stats.entities_indexed += 1;

@@ -615,7 +615,7 @@ impl EngineSession {
                 })?;
                 let pinned: i64 = entity
                     .properties
-                    .get("clone_version")
+                    .get(uc_catalog::model::entity::props::CLONE_VERSION)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
                 let schema = resolved

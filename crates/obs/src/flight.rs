@@ -18,17 +18,15 @@
 //! automatically when a fault injects (`fault.injected` events) or a
 //! write retries past [`FLIGHT_RETRY_THRESHOLD`] attempts (`write.retry`
 //! events), and on demand via the `metrics.flightrecorder` REST route.
-//! The *first* automatic freeze since the last explicit one wins — the
-//! interesting state is the ring contents at the first incident, not the
-//! last.
+//! The *first* automatic freeze wins — the interesting state is the ring
+//! contents at the first incident, not the last — and an explicit freeze
+//! replaces whatever dump is held.
 //!
 //! Lock discipline: lane mutexes are leaves — `note` locks exactly one
 //! lane and returns; `freeze` takes the `frozen` slot first, then each
 //! lane in index order, and is only ever entered while holding *no* other
 //! obs lock (the tracer feeds the recorder and checks triggers *before*
 //! taking its own log mutex).
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -145,7 +143,6 @@ pub struct FlightRecorder {
     enabled: bool,
     lanes: Vec<Mutex<Lane>>,
     frozen: Mutex<Option<FrozenDump>>,
-    freezes: AtomicU64,
 }
 
 impl FlightRecorder {
@@ -154,7 +151,6 @@ impl FlightRecorder {
             enabled,
             lanes: (0..FLIGHT_LANES).map(|_| Mutex::new(Lane::default())).collect(),
             frozen: Mutex::new(None),
-            freezes: AtomicU64::new(0),
         }
     }
 
@@ -209,7 +205,6 @@ impl FlightRecorder {
             frozen_at_ms: now_ms,
             events: self.merge_lanes(),
         };
-        self.freezes.fetch_add(1, Ordering::Relaxed);
         *slot = Some(dump.clone());
         dump
     }
@@ -227,24 +222,13 @@ impl FlightRecorder {
                 frozen_at_ms: now_ms,
                 events: self.merge_lanes(),
             };
-            self.freezes.fetch_add(1, Ordering::Relaxed);
             *slot = Some(dump);
         }
-    }
-
-    /// Clear the frozen slot, re-arming automatic freezes.
-    pub fn rearm(&self) {
-        *self.frozen.lock() = None;
     }
 
     /// The currently frozen dump, if any.
     pub fn frozen(&self) -> Option<FrozenDump> {
         self.frozen.lock().clone()
-    }
-
-    /// Total freezes since construction (explicit + automatic).
-    pub fn freeze_count(&self) -> u64 {
-        self.freezes.load(Ordering::Relaxed)
     }
 
     /// Does `(name, detail)` describe an event that should auto-freeze?
@@ -312,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn first_auto_freeze_wins_until_rearmed() {
+    fn first_auto_freeze_wins_until_an_explicit_freeze() {
         let fr = FlightRecorder::new(true);
         fr.note(1, 1, "event", "fault.injected", "sts.mint#0");
         fr.freeze_if_armed(1, "fault.injected sts.mint#0");
@@ -321,11 +305,9 @@ mod tests {
         let dump = fr.frozen().expect("frozen");
         assert_eq!(dump.reason, "fault.injected sts.mint#0");
         assert_eq!(dump.events.len(), 1, "the later event is not in the first dump");
-        fr.rearm();
-        assert!(fr.frozen().is_none());
-        fr.freeze_if_armed(3, "second");
-        assert_eq!(fr.frozen().unwrap().events.len(), 2);
-        assert_eq!(fr.freeze_count(), 2, "the suppressed second trigger did not count");
+        fr.freeze(3, "explicit");
+        let dump = fr.frozen().expect("frozen");
+        assert_eq!((dump.reason.as_str(), dump.events.len()), ("explicit", 2));
     }
 
     #[test]

@@ -272,12 +272,6 @@ impl HistogramFamily {
         index.get(label).map(|&s| self.core.cells[s].clone())
     }
 
-    /// Exact total sample count across slots and overflow.
-    pub fn total_count(&self) -> u64 {
-        let per_slot: u64 = self.core.cells.iter().map(|h| h.count()).sum();
-        per_slot + self.core.overflow.count()
-    }
-
     fn render(&self, out: &mut Vec<String>) {
         let name = &self.core.name;
         let mut line = |label: &str, h: &Histogram| {
@@ -450,7 +444,7 @@ mod tests {
         let a = fam.get("t=a").unwrap();
         assert_eq!(a.count(), 2);
         assert_eq!(a.sum(), 12);
-        assert_eq!(fam.total_count(), 3);
+        assert_eq!(fam.get("t=b").unwrap().count(), 1);
         let mut out = Vec::new();
         fam.render(&mut out);
         assert_eq!(out.len(), 2);

@@ -18,7 +18,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -156,14 +155,6 @@ impl Default for DbConfig {
             faults: FaultPlan::disabled(),
             obs: Obs::disabled(),
         }
-    }
-}
-
-impl DbConfig {
-    /// A configuration resembling a remote OLTP database: a modest pool and
-    /// a uniform per-operation round-trip latency.
-    pub fn remote(pool_size: usize, round_trip: Duration) -> Self {
-        DbConfig { pool_size, latency: LatencyModel::uniform(round_trip), ..Default::default() }
     }
 }
 

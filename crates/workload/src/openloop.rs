@@ -142,14 +142,6 @@ impl Schedule {
             self.arrivals.iter().map(|a| a.client).collect();
         s.len()
     }
-
-    /// Offered load actually realized by the schedule, in requests/s.
-    pub fn offered_rate_per_s(&self) -> f64 {
-        if self.params.horizon_ms == 0 {
-            return 0.0;
-        }
-        self.arrivals.len() as f64 * 1_000.0 / self.params.horizon_ms as f64
-    }
 }
 
 #[cfg(test)]
@@ -170,7 +162,7 @@ mod tests {
         let mut p = OpenLoopParams::fig5(11, 20_000.0);
         p.horizon_ms = 2_000;
         let s = Schedule::generate(&p);
-        let rate = s.offered_rate_per_s();
+        let rate = s.arrivals.len() as f64 * 1_000.0 / p.horizon_ms as f64;
         assert!((rate - 20_000.0).abs() < 2_000.0, "rate {rate}");
         // Arrivals are sorted in time.
         assert!(s.arrivals.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));

@@ -16,9 +16,6 @@
 //!   serializes mutation without starving behind the lock-free hit path.
 //! * **Convergence** — once the writer stops, a cached node answers
 //!   exactly like a cache-disabled node reading the database.
-//!
-//! Each scenario runs at shard count 1 (the single-lock ablation layout)
-//! and the default 16, so both extremes of the sharding knob stay correct.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,16 +39,8 @@ fn int_schema() -> Schema {
     Schema::new(vec![Field::new("x", DataType::Int)])
 }
 
-fn node_with_shards(db: &Db, store: &ObjectStore, shards: usize, id: &str) -> Arc<UnityCatalog> {
-    UnityCatalog::new(
-        db.clone(),
-        store.clone(),
-        UcConfig {
-            cache: CacheConfig { shards, ..Default::default() },
-            ..Default::default()
-        },
-        id,
-    )
+fn node(db: &Db, store: &ObjectStore, id: &str) -> Arc<UnityCatalog> {
+    UnityCatalog::new(db.clone(), store.clone(), UcConfig::default(), id)
 }
 
 struct StressWorld {
@@ -61,10 +50,10 @@ struct StressWorld {
     ms: uc_catalog::ids::Uid,
 }
 
-fn stress_world(shards: usize) -> StressWorld {
+fn stress_world() -> StressWorld {
     let db = Db::in_memory();
     let store = ObjectStore::in_memory();
-    let uc = node_with_shards(&db, &store, shards, "node-0");
+    let uc = node(&db, &store, "node-0");
     let ms = uc.create_metastore(ADMIN, "stress", "us-west-2").unwrap();
     let ctx = Context::user(ADMIN);
     let root = store.create_bucket("lake");
@@ -87,8 +76,8 @@ fn stress_world(shards: usize) -> StressWorld {
 /// Readers spin lookups while a writer churns tables in the same schema
 /// and rolls a window of catalogs. Asserts name→entity consistency on
 /// every single read and snapshot consistency on every listing.
-fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
-    let w = stress_world(shards);
+fn run_stress(reader_threads: usize, writer_iters: usize) {
+    let w = stress_world();
     let stop = AtomicBool::new(false);
     let reads = AtomicU64::new(0);
     let torn = AtomicU64::new(0);
@@ -219,11 +208,11 @@ fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
     assert_eq!(
         torn.load(Ordering::Relaxed),
         0,
-        "readers observed inconsistent entities (shards={shards})"
+        "readers observed inconsistent entities"
     );
     assert!(
         reads.load(Ordering::Relaxed) > 0,
-        "readers made no progress (shards={shards})"
+        "readers made no progress"
     );
 
     // Convergence: a cache-disabled node over the same database is ground
@@ -253,12 +242,7 @@ fn run_stress(shards: usize, reader_threads: usize, writer_iters: usize) {
 
 #[test]
 fn readers_vs_writer_sharded() {
-    run_stress(16, 4, 300);
-}
-
-#[test]
-fn readers_vs_writer_single_shard() {
-    run_stress(1, 4, 300);
+    run_stress(4, 300);
 }
 
 /// Write-through visibility: after a writer's call returns, a reader on
@@ -266,7 +250,7 @@ fn readers_vs_writer_single_shard() {
 /// entry install and pin advance that loses the entity).
 #[test]
 fn own_writes_visible_immediately() {
-    let w = stress_world(16);
+    let w = stress_world();
     let ctx = Context::user(ADMIN);
     for j in 0..50 {
         let name = format!("main.s.flip{}", j % 2);
@@ -293,11 +277,11 @@ fn own_writes_visible_immediately() {
 /// insert path).
 #[test]
 fn concurrent_first_touch_converges() {
-    let w = stress_world(4);
+    let w = stress_world();
     let ctx = Context::user(ADMIN);
     // Fresh node over the same substrate: its per-ms map starts empty, so
     // every thread races the first-touch insert.
-    let fresh = node_with_shards(&w.db, &w.store, 4, "node-fresh");
+    let fresh = node(&w.db, &w.store, "node-fresh");
     std::thread::scope(|scope| {
         for r in 0..8 {
             let uc = fresh.clone();

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use uc_catalog::audit::AuditDecision;
 use uc_catalog::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
 use uc_catalog::authz::Privilege;
-use uc_catalog::service::{Context, UcConfig, UnityCatalog};
+use uc_catalog::service::{Context, UcConfig, UnityCatalog, CRED_TTL_MS};
 use uc_catalog::types::FullName;
 use uc_catalog::UcError;
 use uc_cloudstore::faults::points;
@@ -281,7 +281,7 @@ fn a_warm_table_still_refuses_foreign_forged_and_expired_tokens() {
     // A valid token for `t`, aged out.
     let own = w.read_token(ALICE, "main.s.t");
     assert_eq!(handle.snapshot(&own).unwrap().version, 3);
-    w.clock.advance_ms(UcConfig::default().cred_ttl_ms + 1);
+    w.clock.advance_ms(CRED_TTL_MS + 1);
     assert!(matches!(refused(&own), StorageError::ExpiredCredential { .. }));
 
     // None of it disturbed the entry.

@@ -1,7 +1,10 @@
 //! Exact hot-path cost gate (ROADMAP 6b): heap allocations and cached
 //! entity reads (`cache.hits`) per cached `get_table`, by-name
-//! `temp_credentials` and `temp_credentials_for_path`, and allocations
-//! per cached `tables.get` through `RestApi::handle`.
+//! `temp_credentials` and `temp_credentials_for_path`, allocations per
+//! cached `tables.get` through `RestApi::handle`, and allocations per
+//! cached governed read: a grantee's `get_table` and a trusted engine's
+//! `resolve_for_query` of a table under a row filter, a column mask and a
+//! container ABAC policy.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -12,13 +15,16 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
+use uc_catalog::authz::{AbacEffect, AbacPolicy, ColumnMaskPolicy, RowFilterPolicy};
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::rest::RestApi;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_cloudstore::{AccessLevel, ObjectStore};
-use uc_delta::value::{DataType, Field, Schema};
+use uc_delta::expr::{CmpOp, Expr};
+use uc_delta::value::{DataType, Field, Schema, Value};
 use uc_txdb::Db;
 
 thread_local! {
@@ -78,6 +84,16 @@ const PATH_CREDENTIAL_ALLOCS: u64 = 30;
 /// `rest.{method}.count` was looked up per request, 48 before the one-key
 /// probe).
 const REST_GET_TABLE_ALLOCS: u64 = 42;
+/// Allocations per cached `get_table` by a grantee who is not the
+/// metastore owner: what the owner's costs (25 while the admin list was
+/// parsed out of the metastore's properties on every such request).
+const GRANTEE_GET_TABLE_ALLOCS: u64 = 21;
+/// Allocations per cached trusted-engine `resolve_for_query` of a table
+/// with a row filter, a column mask and a schema ABAC policy masking a
+/// tagged column: the policies handed to the engine are the one copy
+/// (108 while each policy, tag list and the admin list were parsed out of
+/// JSON properties on every request).
+const GOVERNED_RESOLVE_ALLOCS: u64 = 45;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -119,8 +135,9 @@ fn assert_constant_and_bounded(what: &str, samples: &[u64], pinned: u64) {
     assert!(first <= pinned, "{what}: {first} allocations per call, pinned at {pinned}");
 }
 
-#[test]
-fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
+/// A node with the default `UcConfig` and managed table `main.s.t`
+/// (columns `x`, `y`), created by `admin`, the metastore owner.
+fn node_with_table() -> (Arc<UnityCatalog>, uc_catalog::Uid, Context, Arc<uc_catalog::Entity>) {
     let store = ObjectStore::in_memory();
     let uc = UnityCatalog::new(Db::in_memory(), store.clone(), Default::default(), "node-0");
     let ctx = Context::user("admin");
@@ -130,10 +147,16 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
     uc.create_catalog(&ctx, &ms, "main").unwrap();
     uc.create_schema(&ctx, &ms, "main", "s").unwrap();
-    let columns = Schema::new(vec![Field::new("x", DataType::Int)]);
+    let columns = Schema::new(vec![Field::new("x", DataType::Int), Field::new("y", DataType::Int)]);
     let table = uc
         .create_table(&ctx, &ms, TableSpec::managed("main.s.t", columns).unwrap())
         .unwrap();
+    (uc, ms, ctx, table)
+}
+
+#[test]
+fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
+    let (uc, ms, ctx, table) = node_with_table();
     let path = table.storage_path.clone().expect("managed tables have storage");
 
     // Warm: entity cache, credential cache, per-op instruments, tenant
@@ -190,4 +213,49 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     assert_eq!(hits_1 - hits_0, GET_TABLE_HITS * CALLS as u64, "get_table cache.hits");
     assert_eq!(hits_2 - hits_1, GET_TABLE_HITS * CALLS as u64, "by-name vend reads what get_table reads");
     assert_eq!(hits_3 - hits_2, PATH_CREDENTIAL_HITS * CALLS as u64, "path vend cache.hits");
+}
+
+#[test]
+fn cached_governed_reads_allocate_a_constant_below_the_parent() {
+    let (uc, ms, admin, _) = node_with_table();
+    let name = FullName::parse("main.s.t").unwrap();
+    uc.grant_read_path(&admin, &ms, "main.s.t", "alice").unwrap();
+    let filter = RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Gt, 0i64) };
+    uc.set_row_filter(&admin, &ms, &name, filter).unwrap();
+    let mask = ColumnMaskPolicy { column: "y".into(), mask: Expr::Literal(Value::Null), exempt_when: None };
+    uc.set_column_mask(&admin, &ms, &name, mask).unwrap();
+    uc.set_column_tag(&admin, &ms, &name, "x", "pii", "high").unwrap();
+    let pii = AbacPolicy {
+        name: "mask-pii".into(),
+        tag_key: "pii".into(),
+        tag_value: None,
+        effect: AbacEffect::MaskColumns {
+            mask: Expr::Literal(Value::Str("REDACTED".into())),
+            exempt_groups: vec!["privacy".into()],
+        },
+    };
+    uc.create_abac_policy(&admin, &ms, &FullName::parse("main.s").unwrap(), "schema", pii).unwrap();
+    let alice = Context::user("alice");
+    let engine = Context::trusted("alice", "dbr");
+    let refs = [name];
+    let resolve = || uc.resolve_for_query(&engine, &ms, &refs, false).unwrap();
+    let masked: Vec<String> = resolve()[0].fgac.column_masks.iter().map(|m| m.column.clone()).collect();
+    assert_eq!(masked, ["y", "x"], "the direct mask, then the ABAC-derived one");
+    assert!(resolve()[0].fgac.row_filter.is_some());
+    for _ in 0..16 {
+        uc.get_table(&alice, &ms, "main.s.t").unwrap();
+        resolve();
+    }
+    let db_reads = uc.db().stats().reads();
+
+    let grantee_get_table = allocs_per_call(&uc, || {
+        uc.get_table(&alice, &ms, "main.s.t").unwrap();
+    });
+    let governed_resolve = allocs_per_call(&uc, || {
+        resolve();
+    });
+    assert_eq!(uc.db().stats().reads(), db_reads, "measured calls must all be cache hits");
+
+    assert_constant_and_bounded("grantee get_table", &grantee_get_table, GRANTEE_GET_TABLE_ALLOCS);
+    assert_constant_and_bounded("governed resolve_for_query", &governed_resolve, GOVERNED_RESOLVE_ALLOCS);
 }

@@ -4,11 +4,12 @@
 use std::time::Duration;
 
 use uc_bench::{World, WorldConfig, ADMIN};
-use uc_catalog::service::Context;
+use uc_catalog::service::{Context, UcConfig, UnityCatalog, CRED_TTL_MS};
 use uc_catalog::types::FullName;
-use uc_cloudstore::{AccessLevel, Credential, StoragePath};
+use uc_cloudstore::{AccessLevel, Clock, Credential, LatencyModel, ObjectStore, StoragePath, StsService};
 use uc_delta::value::Value;
 use uc_engine::{Engine, EngineConfig};
+use uc_txdb::Db;
 
 #[test]
 fn predictive_optimization_flow() {
@@ -111,11 +112,17 @@ fn volumes_store_unstructured_data_under_governance() {
 #[test]
 fn token_expiry_mid_scan_forces_revend() {
     // Failure injection: an engine holds a token across a long scan; the
-    // token expires; storage rejects it; re-vending restores access.
-    let world = World::build(&WorldConfig::default());
-    let uc = &world.uc;
-    let ctx = world.admin();
-    let engine = Engine::new(uc.clone(), world.ms.clone(), EngineConfig::trusted("dbr"));
+    // token expires; storage rejects it; re-vending restores access. The
+    // clock is manual, so the scan outlives the token's TTL instantly.
+    let clock = Clock::manual(0);
+    let store = ObjectStore::new(StsService::new(clock.clone()), LatencyModel::zero());
+    let uc = UnityCatalog::new(Db::in_memory(), store.clone(), UcConfig::default(), "node-0");
+    let ctx = Context::user(ADMIN);
+    let ms = uc.create_metastore(ADMIN, "expiry", "us-west-2").unwrap();
+    let bucket = store.create_bucket("lake");
+    uc.create_storage_credential(&ctx, &ms, "lake_cred", &bucket).unwrap();
+    uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+    let engine = Engine::new(uc.clone(), ms.clone(), EngineConfig::trusted("dbr"));
     let mut s = engine.session(ADMIN);
     s.execute("CREATE CATALOG main").unwrap();
     s.execute("CREATE SCHEMA main.s").unwrap();
@@ -123,29 +130,18 @@ fn token_expiry_mid_scan_forces_revend() {
     s.execute("INSERT INTO main.s.t VALUES (1)").unwrap();
 
     let name = FullName::parse("main.s.t").unwrap();
-    let tok = uc.temp_credentials(&ctx, &world.ms, &name, "relation", AccessLevel::Read).unwrap();
-    let ent = uc.get_table(&ctx, &world.ms, "main.s.t").unwrap();
+    let tok = uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
+    let ent = uc.get_table(&ctx, &ms, "main.s.t").unwrap();
     let path = StoragePath::parse(ent.storage_path.as_ref().unwrap()).unwrap();
-    assert!(world.store.list(&Credential::Temp(tok.clone()), &path).is_ok());
+    assert!(store.list(&Credential::Temp(tok.clone()), &path).is_ok());
 
-    // jump past expiry (the World uses the system clock; expire by
-    // constructing an already-stale token copy through tampering is not
-    // possible — so we simulate with a tiny-TTL token instead)
-    let short_world = {
-        // ~instant expiry
-        let cfg = uc_catalog::service::UcConfig { cred_ttl_ms: 1, ..Default::default() };
-        uc_catalog::service::UnityCatalog::new(world.db.clone(), world.store.clone(), cfg, "node-short")
-    };
-    let stale = short_world
-        .temp_credentials(&ctx, &world.ms, &name, "relation", AccessLevel::Read)
-        .unwrap();
-    std::thread::sleep(Duration::from_millis(5));
-    let err = world.store.list(&Credential::Temp(stale), &path).unwrap_err();
+    clock.advance_ms(CRED_TTL_MS + 1);
+    let err = store.list(&Credential::Temp(tok), &path).unwrap_err();
     assert!(matches!(err, uc_cloudstore::StorageError::ExpiredCredential { .. }));
 
     // re-vend and continue
-    let fresh = uc.temp_credentials(&ctx, &world.ms, &name, "relation", AccessLevel::Read).unwrap();
-    assert!(world.store.list(&Credential::Temp(fresh), &path).is_ok());
+    let fresh = uc.temp_credentials(&ctx, &ms, &name, "relation", AccessLevel::Read).unwrap();
+    assert!(store.list(&Credential::Temp(fresh), &path).is_ok());
 }
 
 #[test]

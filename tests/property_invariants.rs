@@ -559,9 +559,6 @@ proptest! {
     #[test]
     fn cache_agrees_with_database_under_faults(
         seed in 0u64..1_000_000,
-        // Exercise the sharded cache across shard counts: 1 reproduces the
-        // single-lock layout, 16 is the default sharded layout.
-        shards in prop_oneof![Just(1usize), Just(4usize), Just(16usize)],
         ops in proptest::collection::vec((0u8..5, 0u8..5), 1..30),
     ) {
         // Every layer shares one seeded fault plan: commits randomly hit
@@ -577,7 +574,7 @@ proptest! {
             store.clone(),
             uc_catalog::service::UcConfig {
                 cache: if cache {
-                    uc_catalog::cache::CacheConfig { shards, ..Default::default() }
+                    uc_catalog::cache::CacheConfig::default()
                 } else {
                     uc_catalog::cache::CacheConfig::disabled()
                 },

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use uc_catalog::audit::AuditDecision;
 use uc_catalog::authz::Privilege;
 use uc_catalog::service::crud::TableSpec;
-use uc_catalog::service::{Context, UcConfig, UnityCatalog};
+use uc_catalog::service::{Context, UcConfig, UnityCatalog, CRED_TTL_MS};
 use uc_catalog::types::{FullName, TableFormat};
 use uc_catalog::UcError;
 use uc_cloudstore::{
@@ -143,8 +143,7 @@ fn expired_then_renewed_token_rerurns_full_authorization() {
     w.store.get(&Credential::Temp(tok.clone()), &part).unwrap();
 
     // Age the token out: the store now rejects it outright.
-    let ttl = UcConfig::default().cred_ttl_ms;
-    w.clock.advance_ms(ttl + 1);
+    w.clock.advance_ms(CRED_TTL_MS + 1);
     w.store
         .get(&Credential::Temp(tok), &part)
         .expect_err("expired token must be rejected");
