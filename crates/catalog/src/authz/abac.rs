@@ -171,4 +171,20 @@ mod tests {
         // mask policies never answer restriction queries
         assert_eq!(pii_mask_policy().evaluate_restriction(&secret, &HashSet::new()), None);
     }
+
+    /// ABAC policies are stored inside their container's row, by name, and
+    /// come back from its encoding unchanged.
+    #[test]
+    fn policy_storage_roundtrip() {
+        use crate::ids::Uid;
+        use crate::model::entity::Entity;
+        use crate::types::SecurableKind;
+
+        let p = pii_mask_policy();
+        let mut schema = Entity::new(SecurableKind::Schema, "s", Some(Uid::from("c")), Uid::from("ms"), "o", 0);
+        schema.governance_mut().abac.insert(p.name.clone(), p.clone());
+        let back = Entity::decode(&schema.encode()).unwrap();
+        assert_eq!(back.governance().abac.get("mask-pii"), Some(&p));
+        assert_eq!(back.governance().abac.len(), 1);
+    }
 }
