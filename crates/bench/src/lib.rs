@@ -399,8 +399,8 @@ mod tests {
     fn parse_snapshot_reads_labeled_and_window_lines() {
         let obs = Obs::disabled();
         let fam = obs.counter_family("catalog.get_table.count.by_tenant");
-        fam.inc("t=acme,p=root");
-        fam.add("t=zeta,p=root", 4);
+        fam.inc(&uc_obs::Label::tenant("acme", "root"));
+        fam.add(&uc_obs::Label::tenant("zeta", "root"), 4);
         obs.counter("catalog.get_table.count").add(5);
         obs.window("catalog.get_table.window").record(0, 3);
         let parsed = parse_snapshot(&obs.metrics_snapshot());

@@ -28,7 +28,7 @@ use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use uc_cloudstore::sched;
 
-use crate::ids::Uid;
+use crate::{ids::Uid, ops::Action};
 
 /// Outcome recorded for an audited action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,14 +115,14 @@ impl AuditLog {
     /// lock is taken (the lane mutex is private to this thread's slot
     /// residue class). Eviction happens at merge time.
     ///
-    /// `detail` is taken by value so callers that already built a string
-    /// hand it over instead of paying a second copy.
+    /// `action` is an op table row's ([`Action`] has no other source);
+    /// `detail` is taken by value so a built string is handed over.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
         timestamp_ms: u64,
         principal: &str,
-        action: &str,
+        action: Action,
         securable: Option<&Uid>,
         decision: AuditDecision,
         detail: String,
@@ -132,7 +132,7 @@ impl AuditLog {
             seq: 0, // assigned at merge time
             timestamp_ms,
             principal: principal.to_string(),
-            action: action.to_string(),
+            action: action.as_str().to_string(),
             securable: securable.cloned(),
             decision,
             detail,
@@ -259,11 +259,12 @@ fn sanitize(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::{Op, GET_SECURABLE};
 
     fn log3(log: &AuditLog) {
-        log.record(1, "alice", "getTable", None, AuditDecision::Allow, "t1".into(), None);
-        log.record(2, "bob", "getTable", None, AuditDecision::Deny, "t1".into(), Some(7));
-        log.record(3, "alice", "grant", Some(&Uid::from("x")), AuditDecision::Allow, "SELECT".into(), None);
+        log.record(1, "alice", GET_SECURABLE, None, AuditDecision::Allow, "t1".into(), None);
+        log.record(2, "bob", GET_SECURABLE, None, AuditDecision::Deny, "t1".into(), Some(7));
+        log.record(3, "alice", Op::GRANT.actions[0], Some(&Uid::from("x")), AuditDecision::Allow, "SELECT".into(), None);
     }
 
     #[test]
@@ -331,7 +332,7 @@ mod tests {
                         log.record(
                             k, // timestamp: one tick per round
                             "p",
-                            "getTable",
+                            GET_SECURABLE,
                             None,
                             AuditDecision::Allow,
                             format!("t{t}.k{k}"),
@@ -359,9 +360,9 @@ mod tests {
         let eager = AuditLog::new(100);
         let lazy = AuditLog::new(100);
         for i in 0..10u64 {
-            eager.record(i, "p", "getTable", None, AuditDecision::Allow, format!("d{i}"), Some(i));
+            eager.record(i, "p", GET_SECURABLE, None, AuditDecision::Allow, format!("d{i}"), Some(i));
             eager.flush();
-            lazy.record(i, "p", "getTable", None, AuditDecision::Allow, format!("d{i}"), Some(i));
+            lazy.record(i, "p", GET_SECURABLE, None, AuditDecision::Allow, format!("d{i}"), Some(i));
         }
         assert_eq!(eager.canonical_text(), lazy.canonical_text());
     }

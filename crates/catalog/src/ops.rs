@@ -9,7 +9,20 @@
 //! hand the audit log a string of its own.
 
 /// The name an audit record carries for what was attempted, e.g.
-/// `createTable`.
+/// `createTable`. Only this table makes one and the audit sink takes
+/// nothing else, so a request cannot record a string of its own:
+///
+/// ```compile_fail
+/// use uc_catalog::audit::{AuditDecision, AuditLog};
+/// let log = AuditLog::new(8);
+/// log.record(0, "alice", "getTable", None, AuditDecision::Allow, String::new(), None);
+/// ```
+///
+/// ```
+/// use uc_catalog::audit::{AuditDecision, AuditLog};
+/// let log = AuditLog::new(8);
+/// log.record(0, "alice", uc_catalog::ops::GET_SECURABLE, None, AuditDecision::Allow, String::new(), None);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Action(&'static str);
 

@@ -41,7 +41,7 @@ use uc_cloudstore::faults::{points, FaultPlan};
 use uc_cloudstore::latency::{LatencyModel, OpClass};
 use uc_cloudstore::sched;
 use uc_cloudstore::{AccessLevel, Clock, ObjectStore, RootCredential, StoragePath, TempCredential};
-use uc_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Obs, SpanGuard, WindowSeries};
+use uc_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Label, Obs, SpanGuard, WindowSeries};
 use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 
 use crate::audit::{AuditDecision, AuditLog};
@@ -412,7 +412,7 @@ pub(crate) struct ApiGuard<'a> {
     pub(crate) audit: Audited<'a>,
     instruments: &'a ApiInstruments,
     start_ms: u64,
-    label: Arc<str>,
+    label: Label,
     /// Pops the tenant off the thread-local scope stack on drop.
     _scope: uc_obs::TenantScope,
     /// Kept alive for the duration of the request; dropped after the
@@ -434,7 +434,7 @@ thread_local! {
     /// requests from the same tenant build no strings and take no locks.
     /// Bounded FIFO; eviction only matters for threads that serve many
     /// distinct tenants, which is exactly the cold case.
-    static TENANT_MEMO: std::cell::RefCell<Vec<(Uid, String, Arc<str>)>> =
+    static TENANT_MEMO: std::cell::RefCell<Vec<(Uid, String, Label)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -630,7 +630,7 @@ impl UnityCatalog {
         instruments.count.inc();
         self.config.api_latency.apply(OpClass::Control);
         // Zero-allocation on the repeat path: the label is a memoized
-        // Arc<str>, the labeled counter probe is a thread-local hash hit,
+        // Label, the labeled counter probe is a thread-local hash hit,
         // the window recording is striped atomics.
         let principal = principal.unwrap_or(NO_TENANT);
         let label = self.tenant_label(ms, principal);
@@ -648,17 +648,16 @@ impl UnityCatalog {
     /// a host names a metastore another node created here, before it
     /// serves requests (a thread that already rendered a label keeps it).
     pub fn register_tenant_alias(&self, ms: &Uid, name: &str) {
-        let alias: Arc<str> = Arc::from(uc_obs::sanitize_label_value(name));
-        self.tenant_aliases.write().insert(ms.clone(), alias);
+        self.tenant_aliases.write().insert(ms.clone(), Arc::from(name));
     }
 
-    /// The `t=<alias>,p=<principal>` label for a request, memoized per
-    /// thread so the repeat path allocates nothing and takes no lock. The
-    /// serving plane labels its own series with it.
-    pub fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Arc<str> {
+    /// The [`Label::tenant`] of a request, memoized per thread so the
+    /// repeat path allocates nothing and takes no lock. The serving plane
+    /// labels its own series with it.
+    pub fn tenant_label(&self, ms: Option<&Uid>, principal: &str) -> Label {
         let Some(ms) = ms else {
             // No metastore (node-level ops): rare enough to build fresh.
-            return Arc::from(format!("t={NO_TENANT},p={}", uc_obs::sanitize_label_value(principal)));
+            return Label::tenant(NO_TENANT, principal);
         };
         let hit = TENANT_MEMO.with(|memo| {
             memo.borrow()
@@ -676,17 +675,13 @@ impl UnityCatalog {
             let aliases = self.tenant_aliases.read();
             aliases.get(ms).cloned()
         };
-        let label: Arc<str> = match alias {
-            Some(a) => Arc::from(format!("t={a},p={}", uc_obs::sanitize_label_value(principal))),
+        let label = match alias {
+            Some(alias) => Label::tenant(&alias, principal),
             // Unknown metastore (created by another node of the fleet):
             // deterministic uid-derived stub. This never appears in the
             // byte-diffed telemetry gates, which always create their
             // metastores through this node.
-            None => Arc::from(format!(
-                "t=ms-{},p={}",
-                &ms.as_str()[..8.min(ms.as_str().len())],
-                uc_obs::sanitize_label_value(principal)
-            )),
+            None => Label::tenant(&format!("ms-{}", &ms.as_str()[..8.min(ms.as_str().len())]), principal),
         };
         TENANT_MEMO.with(|memo| {
             let mut memo = memo.borrow_mut();
@@ -748,7 +743,7 @@ impl UnityCatalog {
         self.audit.record(
             self.now_ms(),
             principal,
-            action.as_str(),
+            action,
             securable,
             decision,
             detail,

@@ -10,6 +10,7 @@ use uc_catalog::authz::abac::{AbacEffect, AbacPolicy};
 use uc_catalog::authz::Privilege;
 use uc_catalog::error::UcError;
 use uc_catalog::ids::Uid;
+use uc_catalog::ops::Op;
 use uc_catalog::service::commits::TableCommit;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::discovery_api::MetaFilter;
@@ -930,7 +931,7 @@ fn disabled_cache_mode_is_functionally_identical() {
 fn audit_log_respects_capacity() {
     let log = AuditLog::new(16);
     for i in 0..40u64 {
-        log.record(i, ADMIN, "createCatalog", None, AuditDecision::Allow, format!("c{i}"), None);
+        log.record(i, ADMIN, Op::CREATE_CATALOG.actions[0], None, AuditDecision::Allow, format!("c{i}"), None);
     }
     assert_eq!(log.len(), 16, "bounded retention");
     assert_eq!(log.total_recorded(), 40);

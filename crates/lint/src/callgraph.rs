@@ -117,9 +117,9 @@ const NON_CALLS: &[&str] = &[
 const STD_METHODS: &[&str] = &[
     "all", "and_then", "any", "append", "as_str", "chain", "clear", "clone", "cloned", "collect",
     "contains", "contains_key", "count", "dedup", "drain", "entry", "expect", "extend", "filter",
-    "find", "flush", "fold", "get", "get_mut", "insert", "into_iter", "is_empty", "iter", "join",
-    "keys", "len", "map", "max", "min", "next", "or_else", "parse", "pop", "position", "push",
-    "push_back", "push_front", "remove", "replace", "retain", "rev", "rposition", "sort",
+    "find", "first", "flush", "fold", "get", "get_mut", "insert", "into_iter", "is_empty", "iter",
+    "join", "keys", "len", "map", "max", "min", "next", "or_else", "parse", "pop", "position",
+    "push", "push_back", "push_front", "remove", "replace", "retain", "rev", "rposition", "sort",
     "split", "split_off", "sum", "take", "to_owned", "to_string", "unwrap", "values",
     "write_all",
 ];

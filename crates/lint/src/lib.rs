@@ -324,9 +324,7 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         };
         rules::locks::check(&ctx, &inter, &mut diags, &mut raw_edges);
         rules::hotpath::check(&ctx, &hot_members[ui], &mut diags);
-        rules::cardinality::check(&ctx, &hot_members[ui], &mut diags);
         rules::keyspace::check(&ctx, &mut diags);
-        rules::bounded_queue::check(&ctx, &mut diags);
         rules::instrument::check(&ctx, known.as_ref(), &reach_by_unit[ui], has_audit_target, &mut diags);
         let is_crate_root = unit.rel.ends_with("/src/lib.rs");
         rules::check_unsafe(&ctx, is_crate_root, &mut diags);

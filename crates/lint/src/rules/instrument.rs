@@ -1,23 +1,23 @@
 //! Instrumentation-coverage rule: three reachability checks over the
-//! workspace call graph and one literal check, all against the op table
-//! (`[instrument] audit_file`, parsed from source so the linter needs no
-//! dependency on the catalog crate). Every public entry point on the
-//! catalog service must *reach* an `api_enter(Op::HANDLE, ..)` span open
-//! (directly or through any chain of resolvable callees — delegation
-//! across files and crates counts); must reach an audit record
-//! (`record_audit`) whenever its op's row declares audit actions — an
-//! empty row marks a deliberately unaudited read/list op, so the audit
-//! policy lives in one table; and any function that denies with
-//! `PermissionDenied` must reach an `AuditDecision::Deny` (its own body or
-//! a callee's). That a handle names a row the compiler checks; what is
-//! left is that no entry file spells an action as a string literal.
+//! workspace call graph, against the op table (`[instrument] audit_file`,
+//! parsed from source so the linter needs no dependency on the catalog
+//! crate). Every public entry point on the catalog service must *reach*
+//! an `api_enter(Op::HANDLE, ..)` span open (directly or through any
+//! chain of resolvable callees — delegation across files and crates
+//! counts); must reach an audit record (`record_audit`) whenever its op's
+//! row declares audit actions — an empty row marks a deliberately
+//! unaudited read/list op, so the audit policy lives in one table; and any
+//! function that denies with `PermissionDenied` must reach an
+//! `AuditDecision::Deny` (its own body or a callee's). That a handle names
+//! a row, and that the audit sink is handed an action of the table's and
+//! never a string, the compiler checks.
 //!
 //! Known false negatives (DESIGN.md §8): the Deny check is
 //! function-granular (one audited deny path satisfies it for the whole
 //! function), and a call the graph cannot resolve contributes no
 //! reachability facts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use super::{is_ident, is_punct, Diagnostic, FileCtx, RULE_INSTRUMENT};
 use crate::lexer::{Kind, Token};
@@ -34,40 +34,29 @@ pub struct Reach {
     pub deny: bool,
 }
 
-/// op handle → the audit actions its row declares, parsed out of the op
-/// table's source.
-pub type KnownOps = BTreeMap<String, Vec<String>>;
+/// op handle → whether its row declares audit actions, parsed out of the
+/// op table's source.
+pub type KnownOps = BTreeMap<String, bool>;
 
 /// Extract the op table: the rows of the `ops! { HANDLE = "name" =>
-/// [actions]; .. }` block, an action being a string literal or the name
-/// of a `const NAME: Action = Action("..")` in the same file. Returns
-/// None when the table is absent.
+/// [actions]; .. }` block, a row declaring audit actions when its list
+/// holds any action — a string literal or a named `Action`. Returns None
+/// when the table is absent.
 pub fn parse_known_ops(tokens: &[Token]) -> Option<KnownOps> {
-    let named: BTreeMap<&str, &str> = tokens
-        .windows(8)
-        .filter(|w| {
-            is_ident(&w[0], "const") && is_ident(&w[5], "Action") && is_punct(&w[6], "(") && w[7].kind == Kind::Str
-        })
-        .map(|w| (w[1].text.as_str(), w[7].text.as_str()))
-        .collect();
     let block = tokens
         .windows(3)
         .position(|w| is_ident(&w[0], "ops") && is_punct(&w[1], "!") && is_punct(&w[2], "{"))?;
     let mut ops = KnownOps::new();
-    let mut row: Option<(String, Vec<String>)> = None;
+    let mut row: Option<(String, bool)> = None;
     let mut in_list = false;
     for t in &tokens[block + 3..] {
         if is_punct(t, "}") {
             break;
         }
         match &mut row {
-            None if t.kind == Kind::Ident => row = Some((t.text.clone(), Vec::new())),
+            None if t.kind == Kind::Ident => row = Some((t.text.clone(), false)),
             Some(_) if is_punct(t, "[") || is_punct(t, "]") => in_list = is_punct(t, "["),
-            Some((_, actions)) if in_list && t.kind == Kind::Str => actions.push(t.text.clone()),
-            // A name this file does not declare still marks the row audited.
-            Some((_, actions)) if in_list && t.kind == Kind::Ident => {
-                actions.push(named.get(t.text.as_str()).unwrap_or(&t.text.as_str()).to_string())
-            }
+            Some((_, audited)) if in_list && matches!(t.kind, Kind::Str | Kind::Ident) => *audited = true,
             Some(_) if !in_list && is_punct(t, ";") => ops.extend(row.take()),
             _ => {}
         }
@@ -87,16 +76,6 @@ pub fn direct_api_op(toks: &[Token], range: (usize, usize)) -> Option<String> {
         .filter(|t| t.kind == Kind::Ident)
         .last()
         .map(|t| t.text.clone())
-}
-
-/// Whether the token at `i` is the second argument of a `record_audit(..)`
-/// call, where the sink takes its action (a first argument that itself
-/// holds a call is not seen through).
-fn is_sink_action(toks: &[Token], i: usize, open: usize) -> bool {
-    let Some(call) = (open + 1..i).rev().find(|&j| is_punct(&toks[j], "(")) else { return false };
-    is_ident(&toks[call - 1], "record_audit")
-        && is_punct(&toks[i - 1], ",")
-        && !toks[call + 1..i - 1].iter().any(|t| is_punct(t, ","))
 }
 
 /// `reach` maps this file's fn indices to their reachability facts;
@@ -123,9 +102,6 @@ pub fn check(
         return;
     };
     let impl_type = ctx.cfg.str("instrument", "impl_type").unwrap_or_default();
-    let table_file = ctx.cfg.str("instrument", "audit_file").unwrap_or_default();
-    let table_actions: BTreeSet<&str> =
-        known.values().flat_map(|v| v.iter().map(|s| s.as_str())).collect();
     let toks = ctx.tokens;
 
     for (fn_idx, f) in ctx.scan.fns.iter().enumerate() {
@@ -150,31 +126,13 @@ pub fn check(
         // way of declaring an unaudited read/list op, so those entries
         // are exempt (the exemption lives in the table, not in per-site
         // pragmas). No op span: the api_enter diagnostic above covers it.
-        let declares_audit =
-            direct.as_ref().is_some_and(|op| known.get(op).is_none_or(|a| !a.is_empty()));
+        let declares_audit = direct.as_ref().is_some_and(|op| known.get(op) != Some(&false));
         if is_entry && has_audit_target && declares_audit && !r.audit {
             out.push(ctx.diag(
                 f.line,
                 RULE_INSTRUMENT,
                 format!("pub entry point `{}` declares audit actions but never reaches an audit record (record_audit) on any return path", f.name),
             ));
-        }
-
-        // No audit-action literal: an action is declared in its op's row
-        // and recorded through the request guard, so a literal here is a
-        // table action carried around the guard (how one op came to audit
-        // under another's name) or an undeclared one handed to the sink.
-        for i in open..close {
-            let t = &toks[i];
-            if t.kind == Kind::Str
-                && (table_actions.contains(t.text.as_str()) || is_sink_action(toks, i, open))
-            {
-                out.push(ctx.diag(
-                    t.line,
-                    RULE_INSTRUMENT,
-                    format!("audit action literal \"{}\" outside the op table ({table_file}): an action is declared in its op's row and recorded through the request guard", t.text),
-                ));
-            }
         }
 
         // Deny paths must audit: PermissionDenied without a reachable

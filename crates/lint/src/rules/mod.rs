@@ -4,8 +4,6 @@
 //! lines, pragmas, and Lint.toml, so changing one is a breaking change
 //! to golden outputs.
 
-pub mod bounded_queue;
-pub mod cardinality;
 pub mod determinism;
 pub mod hotpath;
 pub mod hygiene;
@@ -30,8 +28,6 @@ pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_HYGIENE: &str = "hygiene";
 pub const RULE_LOCKS: &str = "locks";
 pub const RULE_HOTPATH: &str = "hotpath";
-pub const RULE_CARDINALITY: &str = "cardinality";
-pub const RULE_BOUNDED_QUEUE: &str = "bounded-queue";
 pub const RULE_INSTRUMENT: &str = "instrument";
 pub const RULE_KEYSPACE: &str = "keyspace";
 pub const RULE_UNSAFE: &str = "unsafe";

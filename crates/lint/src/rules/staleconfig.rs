@@ -57,14 +57,12 @@ pub fn check(cfg: &Config, world: &World<'_>, out: &mut Vec<Diagnostic>) {
         }
     }
     // Function-key entries (`file::fn`) must resolve to a def.
-    for (section, key) in [("hotpath", "functions"), ("admission", "functions")] {
-        for (value, line) in cfg.items(section, key) {
-            if !world.fn_keys.contains(&value) {
-                out.push(diag(
-                    line,
-                    format!("[{section}] {key} names `{value}`, which matches no function in the workspace"),
-                ));
-            }
+    for (value, line) in cfg.items("hotpath", "functions") {
+        if !world.fn_keys.contains(&value) {
+            out.push(diag(
+                line,
+                format!("[hotpath] functions names `{value}`, which matches no function in the workspace"),
+            ));
         }
     }
     // Guard receivers must produce at least one acquisition site

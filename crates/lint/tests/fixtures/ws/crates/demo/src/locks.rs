@@ -78,7 +78,7 @@ pub fn hot_read(a: &S) {
 }
 
 pub fn hot_entry(a: &S, f: &Fam, id: u32) {
-    hot_helper(a, f, id); // the lock and the label live one call below this root
+    hot_helper(a, f, id); // the lock lives one call below this root
     uc_depot::depot_probe(a); // cross-crate: depot.state joins the closure too
     // uc-lint: allow(hotpath) -- hot/cold boundary: the refill is the miss path, pruned from the closure
     cold_refill(a);
@@ -87,7 +87,6 @@ pub fn hot_entry(a: &S, f: &Fam, id: u32) {
 fn hot_helper(a: &S, f: &Fam, id: u32) {
     let g = a.state.read(); // hotpath: reached from hot_entry, not listed itself
     drop(g);
-    f.inc(&format!("t={id}")); // cardinality: inline label one call below the root
 }
 
 fn cold_refill(a: &S) {
@@ -95,11 +94,12 @@ fn cold_refill(a: &S) {
     drop(g);
 }
 
-pub fn hot_labeled(m: &Fam, id: u32) {
-    m.inc(&format!("t={id}")); // cardinality: inline format! label in a hot function
-    m.inc("t=fixed"); // literal label: no diagnostic
-    m.record("t=fixed", 5); // literal label: no diagnostic
+pub fn hot_labeled(m: &Fam) {
+    m.inc(&Label::fixed("t=fixed")); // a label made once: no diagnostic
+    m.record(&Label::fixed("t=fixed"), 5);
 }
+// A label minted per call (`m.inc(&format!(..))`) no longer compiles: a
+// family takes a `uc_obs::Label` (see labels.rs's doctest).
 
 pub fn hot_cached(a: &S, probe: impl Fn(&S) -> u32, load: impl Fn(&S) -> u32) -> u32 {
     let hit = probe(a); // invoked here: a closure literal passed as `probe` runs on the hot path

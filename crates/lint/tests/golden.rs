@@ -38,9 +38,7 @@ fn fixture_exercises_every_rule_family() {
         "hygiene",
         "locks",
         "hotpath",
-        "cardinality",
         "keyspace",
-        "bounded-queue",
         "instrument",
         "unsafe",
         "pragma",

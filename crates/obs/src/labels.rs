@@ -182,7 +182,60 @@ impl<T> FamilyCore<T> {
     }
 }
 
-/// A labeled counter family: `family.add("t=acme,p=root", 1)`.
+/// What a family records under: a fixed `&'static str`, or a tenant's
+/// `t=<alias>,p=<principal>` rendered once by [`Label::tenant`]; cloning
+/// one is a reference-count bump. These are the only constructors, so a
+/// label minted per call does not compile — the hot path records under a
+/// label someone rendered once and kept:
+///
+/// ```compile_fail
+/// let family = uc_obs::Obs::disabled().counter_family("op.count.by_tenant");
+/// family.inc(&format!("t={},p={}", "acme", "root"));
+/// ```
+///
+/// ```
+/// let family = uc_obs::Obs::disabled().counter_family("op.count.by_tenant");
+/// family.inc(&uc_obs::Label::fixed("t=acme,p=root"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Label(Arc<str>);
+
+impl Label {
+    /// A label whose text is known at compile time.
+    pub fn fixed(text: &'static str) -> Label {
+        Label(Arc::from(text))
+    }
+
+    /// The `t=<alias>,p=<principal>` label of one tenant. Both values are
+    /// sanitized for the `k=v` grammar: snapshot lines are
+    /// whitespace-split and labels are `{}`-delimited, so those characters
+    /// (plus the `,` and `=` of the pairs) map to `_`.
+    pub fn tenant(alias: &str, principal: &str) -> Label {
+        let mut text = String::with_capacity(5 + alias.len() + principal.len());
+        text.push_str("t=");
+        text.extend(sanitized(alias));
+        text.push_str(",p=");
+        text.extend(sanitized(principal));
+        Label(Arc::from(text))
+    }
+
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+/// `raw` with the label grammar's characters mapped to `_`.
+fn sanitized(raw: &str) -> impl Iterator<Item = char> + '_ {
+    raw.chars().map(|c| {
+        if c.is_whitespace() || matches!(c, '{' | '}' | ',' | '=') {
+            '_'
+        } else {
+            c
+        }
+    })
+}
+
+/// A labeled counter family: `family.add(&label, 1)`.
 #[derive(Debug, Clone)]
 pub struct CounterFamily {
     id: u64,
@@ -197,11 +250,12 @@ impl CounterFamily {
         }
     }
 
-    pub fn inc(&self, label: &str) {
+    pub fn inc(&self, label: &Label) {
         self.add(label, 1);
     }
 
-    pub fn add(&self, label: &str, n: u64) {
+    pub fn add(&self, label: &Label, n: u64) {
+        let label = label.as_str();
         match self.core.slot_of(self.id, label) {
             Some(s) => self.core.cells[s].add(n),
             None => {
@@ -241,7 +295,7 @@ impl CounterFamily {
     }
 }
 
-/// A labeled histogram family: `family.record("t=acme,p=root", 3)`.
+/// A labeled histogram family: `family.record(&label, 3)`.
 #[derive(Debug, Clone)]
 pub struct HistogramFamily {
     id: u64,
@@ -256,7 +310,8 @@ impl HistogramFamily {
         }
     }
 
-    pub fn record(&self, label: &str, value: u64) {
+    pub fn record(&self, label: &Label, value: u64) {
+        let label = label.as_str();
         match self.core.slot_of(self.id, label) {
             Some(s) => self.core.cells[s].record(value),
             None => {
@@ -331,21 +386,6 @@ impl Families {
     }
 }
 
-/// Sanitize one label *value* for the `k=v` grammar: snapshot lines are
-/// whitespace-split and labels are `{}`-delimited, so those characters
-/// (plus the comma separating pairs) map to `_`.
-pub fn sanitize_label_value(raw: &str) -> String {
-    raw.chars()
-        .map(|c| {
-            if c.is_whitespace() || matches!(c, '{' | '}' | ',' | '=') {
-                '_'
-            } else {
-                c
-            }
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Tenant scope: a thread-local stack of the label active for the current
 // request, so deeper layers (txdb commit, STS mint) can attribute their
@@ -354,7 +394,7 @@ pub fn sanitize_label_value(raw: &str) -> String {
 // ---------------------------------------------------------------------------
 
 thread_local! {
-    static TENANT_STACK: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+    static TENANT_STACK: RefCell<Vec<Label>> = const { RefCell::new(Vec::new()) };
 }
 
 /// RAII guard holding one tenant label on this thread's scope stack.
@@ -364,14 +404,14 @@ pub struct TenantScope {
 }
 
 /// Push `label` as the current tenant scope for this thread. Cloning the
-/// `Arc<str>` is the only cost — no allocation.
-pub fn tenant_scope(label: Arc<str>) -> TenantScope {
+/// label is the only cost — no allocation.
+pub fn tenant_scope(label: Label) -> TenantScope {
     TENANT_STACK.with(|s| s.borrow_mut().push(label));
     TenantScope { _priv: () }
 }
 
 /// The innermost active tenant label on this thread, if any.
-pub fn current_tenant() -> Option<Arc<str>> {
+pub fn current_tenant() -> Option<Label> {
     TENANT_STACK.with(|s| s.borrow().last().cloned())
 }
 
@@ -390,9 +430,10 @@ mod tests {
     #[test]
     fn per_label_counts_sum_to_total() {
         let fam = CounterFamily::new("x.count.by_tenant");
-        fam.add("t=a", 3);
-        fam.add("t=b", 4);
-        fam.inc("t=a");
+        let (a, b) = (Label::fixed("t=a"), Label::fixed("t=b"));
+        fam.add(&a, 3);
+        fam.add(&b, 4);
+        fam.inc(&a);
         assert_eq!(fam.get("t=a"), 4);
         assert_eq!(fam.get("t=b"), 4);
         assert_eq!(fam.total(), 8);
@@ -402,21 +443,21 @@ mod tests {
     fn capacity_overflow_folds_exactly_and_sketches_heavy_hitters() {
         let fam = CounterFamily::new("y.count.by_tenant");
         for i in 0..LABEL_CAPACITY {
-            fam.add(&format!("t=reg{i:03}"), 1);
+            fam.add(&Label::tenant(&format!("reg{i:03}"), "p"), 1);
         }
         // Tail: one genuinely heavy label among noise.
         for i in 0..100 {
-            fam.add("t=whale", 5);
-            fam.add(&format!("t=minnow{i:03}"), 1);
+            fam.add(&Label::tenant("whale", "p"), 5);
+            fam.add(&Label::tenant(&format!("minnow{i:03}"), "p"), 1);
         }
-        assert_eq!(fam.get("t=whale"), 0, "tail labels get no slot");
+        assert_eq!(fam.get("t=whale,p=p"), 0, "tail labels get no slot");
         assert_eq!(fam.total(), LABEL_CAPACITY as u64 + 600, "overflow keeps totals exact");
         let mut out = Vec::new();
         fam.render(&mut out);
         assert!(out.iter().any(|l| l.contains("{~overflow}") && l.ends_with("600")));
         let whale = out
             .iter()
-            .find(|l| l.contains("{~hh:t=whale}"))
+            .find(|l| l.contains("{~hh:t=whale,p=p}"))
             .expect("heavy hitter tracked");
         assert!(whale.contains("approx count=500"), "{whale}");
     }
@@ -438,9 +479,10 @@ mod tests {
     #[test]
     fn histogram_family_records_per_label() {
         let fam = HistogramFamily::new("z.latency_ms.by_tenant");
-        fam.record("t=a", 5);
-        fam.record("t=a", 7);
-        fam.record("t=b", 100);
+        let (a, b) = (Label::fixed("t=a"), Label::fixed("t=b"));
+        fam.record(&a, 5);
+        fam.record(&a, 7);
+        fam.record(&b, 100);
         let a = fam.get("t=a").unwrap();
         assert_eq!(a.count(), 2);
         assert_eq!(a.sum(), 12);
@@ -462,7 +504,8 @@ mod tests {
                     let fam = fam.clone();
                     s.spawn(move || {
                         for i in 0..per {
-                            fam.add(&format!("t=ms{}", (t * per + i) % 3), 1);
+                            let ms = format!("ms{}", (t * per + i) % 3);
+                            fam.add(&Label::tenant(&ms, "p"), 1);
                         }
                     });
                 }
@@ -477,21 +520,28 @@ mod tests {
 
     #[test]
     fn tenant_scope_nests_and_clears() {
-        assert_eq!(current_tenant(), None);
-        let outer = tenant_scope(Arc::from("t=a,p=root"));
-        assert_eq!(current_tenant().as_deref(), Some("t=a,p=root"));
+        let current = || current_tenant().map(|label| label.as_str().to_string());
+        assert_eq!(current(), None);
+        let outer = tenant_scope(Label::tenant("a", "root"));
+        assert_eq!(current().as_deref(), Some("t=a,p=root"));
         {
-            let _inner = tenant_scope(Arc::from("t=b,p=svc"));
-            assert_eq!(current_tenant().as_deref(), Some("t=b,p=svc"));
+            let _inner = tenant_scope(Label::tenant("b", "svc"));
+            assert_eq!(current().as_deref(), Some("t=b,p=svc"));
         }
-        assert_eq!(current_tenant().as_deref(), Some("t=a,p=root"));
+        assert_eq!(current().as_deref(), Some("t=a,p=root"));
         drop(outer);
-        assert_eq!(current_tenant(), None);
+        assert_eq!(current(), None);
     }
 
     #[test]
     fn sanitize_label_value_strips_grammar_characters() {
-        assert_eq!(sanitize_label_value("a b{c}d,e=f"), "a_b_c_d_e_f");
-        assert_eq!(sanitize_label_value("acme-ms.01"), "acme-ms.01");
+        assert_eq!(
+            Label::tenant("a b{c}d,e=f", "acme-ms.01").as_str(),
+            "t=a_b_c_d_e_f,p=acme-ms.01"
+        );
+        assert_eq!(Label::tenant("acme", "x\ty").as_str(), "t=acme,p=x_y");
+        // Each value sanitized on its own, then joined as `t=..,p=..`.
+        assert_eq!(Label::tenant("a b", "p{x}").as_str(), "t=a_b,p=p_x_");
+        assert_eq!(Label::tenant("-", "admin").as_str(), "t=-,p=admin");
     }
 }

@@ -38,8 +38,8 @@ use std::sync::Arc;
 
 pub use flight::{FlightEvent, FlightRecorder, FrozenDump, FLIGHT_LANES, FLIGHT_RETRY_THRESHOLD};
 pub use labels::{
-    current_tenant, sanitize_label_value, tenant_scope, CounterFamily, HistogramFamily,
-    TenantScope, HEAVY_HITTER_K, LABEL_CAPACITY,
+    current_tenant, tenant_scope, CounterFamily, HistogramFamily, Label, TenantScope,
+    HEAVY_HITTER_K, LABEL_CAPACITY,
 };
 pub use metrics::{thread_slot, Counter, Gauge, Histogram, Instrument, Registry, HISTOGRAM_BUCKETS};
 pub use trace::{current_span_id, current_trace_id, span_event, ClockFn, SpanGuard, TraceRecord, Tracer};
@@ -242,7 +242,7 @@ mod tests {
     fn snapshot_is_stable_across_identical_runs() {
         let run = || {
             let obs = Obs::disabled();
-            obs.counter_family("catalog.vend.count.by_tenant").add("t=ms1", 5);
+            obs.counter_family("catalog.vend.count.by_tenant").add(&Label::fixed("t=ms1"), 5);
             obs.counter("store.put.count").add(2);
             obs.histogram("store.put.latency_ms").record(3);
             obs.metrics_snapshot()

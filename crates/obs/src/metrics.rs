@@ -453,6 +453,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labels::Label;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -607,7 +608,7 @@ mod tests {
             r.counter("zeta.op.count").add(3);
             r.histogram("alpha.op.latency_ms").record(5);
             r.gauge("mid.op.depth").set(-2);
-            r.counter_family("alpha.op.count.by_tenant").inc("tenant=a");
+            r.counter_family("alpha.op.count.by_tenant").inc(&Label::fixed("tenant=a"));
             r.text_snapshot()
         };
         let s1 = build();
@@ -650,8 +651,8 @@ mod tests {
     fn snapshot_interleaves_labeled_and_window_lines_in_sorted_order() {
         let r = Registry::new();
         r.counter("catalog.get_table.count").add(7);
-        r.counter_family("catalog.get_table.count.by_tenant").add("t=acme,p=root", 4);
-        r.counter_family("catalog.get_table.count.by_tenant").add("t=zeta,p=root", 3);
+        r.counter_family("catalog.get_table.count.by_tenant").add(&Label::tenant("acme", "root"), 4);
+        r.counter_family("catalog.get_table.count.by_tenant").add(&Label::tenant("zeta", "root"), 3);
         r.window("catalog.get_table.window").record(0, 2);
         let snap = r.text_snapshot();
         let lines: Vec<&str> = snap.lines().skip(1).collect();

@@ -1,20 +1,21 @@
 //! Bounded per-tenant admission control.
 //!
 //! Each tenant — a `(metastore, principal)` pair — owns a bounded
-//! in-flight budget. [`Admission::try_admit`] checks the budget *before*
-//! incrementing (the queue can never grow past capacity, the invariant
-//! the `bounded-queue` lint rule enforces on this module) and hands back
-//! a guard that releases the slot on drop, so every exit path — success,
-//! catalog error, panic unwinding through a bench harness — returns the
-//! slot. Depth accounting feeds the `serve.queue.depth` gauge and the
-//! per-tenant depth histograms; the shed itself (audit + 429) is the
-//! caller's `ServePlane::shed`, shared with the batch queue's bound.
+//! in-flight budget. The bound is a counter, not a queue: nothing waits
+//! here. [`Admission::try_admit`] compares the tenant's count with the
+//! capacity *before* incrementing it, under one lock, so the count never
+//! passes the capacity, and hands back a guard that releases the slot on
+//! drop, so every exit path — success, catalog error, panic unwinding
+//! through a bench harness — returns the slot. Depth accounting feeds the
+//! `serve.queue.depth` gauge and the per-tenant depth histograms; the shed
+//! itself (audit + 429) is the caller's `ServePlane::shed`, shared with
+//! the batch queue's bound.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 use uc_catalog::Uid;
+use uc_obs::Label;
 
 use crate::ServeMetrics;
 
@@ -34,14 +35,13 @@ impl Admission {
     /// `capacity`, returning the slot guard; `None` means the caller
     /// must shed. The capacity check happens before the increment, under
     /// the same lock, so depth never exceeds `capacity`.
-    /// [admission]
     pub(crate) fn try_admit<'a>(
         &'a self,
         ms: &Uid,
         principal: &str,
         capacity: usize,
         metrics: &'a ServeMetrics,
-        label: &Arc<str>,
+        label: &Label,
     ) -> Option<AdmissionGuard<'a>> {
         let key = (ms.clone(), principal.to_string());
         let depth = {
@@ -63,7 +63,7 @@ impl Admission {
         metrics.queue_depth.add(1);
         metrics.depth_hist.record(depth as u64);
         metrics.depth_by.record(label, depth as u64);
-        Some(AdmissionGuard { admission: self, metrics, key, label: Arc::clone(label) })
+        Some(AdmissionGuard { admission: self, metrics, key, label: label.clone() })
     }
 
     fn release(&self, key: &(Uid, String)) {
@@ -82,9 +82,9 @@ pub struct AdmissionGuard<'a> {
     admission: &'a Admission,
     metrics: &'a ServeMetrics,
     key: (Uid, String),
-    /// The request's `t=<alias>,p=<principal>` metric label, rendered
-    /// once at admission for every later step that counts.
-    pub(crate) label: Arc<str>,
+    /// The request's tenant label, rendered once at admission for every
+    /// later step that counts.
+    pub(crate) label: Label,
 }
 
 impl Drop for AdmissionGuard<'_> {

@@ -27,8 +27,8 @@
 //! to one call per item so one poisoned request cannot fail its whole
 //! group.
 //!
-//! The queue is bounded by [`BATCH_QUEUE_CAPACITY`] (checked before the
-//! push — the `bounded-queue` lint invariant); overflow sheds with the
+//! The queue is a [`BoundedQueue`] of [`BATCH_QUEUE_CAPACITY`], whose one
+//! insertion hands the item back when full; the caller sheds it with the
 //! same audited-429 contract as admission.
 
 use std::sync::Arc;
@@ -76,7 +76,7 @@ impl PendingItem {
 }
 
 struct BatchState {
-    items: Vec<PendingItem>,
+    items: BoundedQueue<PendingItem>,
     leader_active: bool,
 }
 
@@ -87,9 +87,9 @@ pub struct Batcher {
 
 impl Default for Batcher {
     fn default() -> Batcher {
-        Batcher {
-            pending: Mutex::new(BatchState { items: Vec::new(), leader_active: false }),
-        }
+        let items = BoundedQueue::new(BATCH_QUEUE_CAPACITY);
+        let pending = Mutex::new(BatchState { items, leader_active: false });
+        Batcher { pending }
     }
 }
 
@@ -103,13 +103,9 @@ impl Batcher {
     /// Queue one request. `Some(true)` elects the caller batch leader —
     /// it must drain; `Some(false)` means a leader already owns the
     /// queue; `None` means the queue is full and the caller must shed.
-    /// [admission]
     pub fn enqueue(&self, item: PendingItem) -> Option<bool> {
         let mut pending = self.pending.lock();
-        if pending.items.len() >= BATCH_QUEUE_CAPACITY {
-            return None;
-        }
-        pending.items.push(item);
+        pending.items.try_push(item).ok()?;
         Some(!std::mem::replace(&mut pending.leader_active, true))
     }
 
@@ -125,17 +121,67 @@ impl Batcher {
             return None;
         };
         let sig = head.sig.clone();
-        let mut group = Vec::new();
-        let mut rest = Vec::new();
-        for item in pending.items.drain(..) {
-            if group.len() < cap.max(1) && item.sig == sig {
-                group.push(item);
-            } else {
-                rest.push(item);
-            }
+        Some(pending.items.take_matching(cap.max(1), |item| item.sig == sig))
+    }
+}
+
+/// A FIFO that never holds more than the capacity it was built with. Its
+/// one insertion, [`BoundedQueue::try_push`], hands the item back when the
+/// queue is full; there is no `push`, no `extend` and no way to reach its
+/// items as a `Vec`, so no caller can grow it past the bound:
+///
+/// ```compile_fail
+/// let mut queue = uc_serve::batch::BoundedQueue::new(1);
+/// let _ = queue.push(7);
+/// ```
+///
+/// ```
+/// let mut queue = uc_serve::batch::BoundedQueue::new(1);
+/// let _ = queue.try_push(7);
+/// ```
+pub struct BoundedQueue<T> {
+    items: Vec<T>,
+    capacity: usize,
+}
+
+impl<T> BoundedQueue<T> {
+    pub fn new(capacity: usize) -> BoundedQueue<T> {
+        BoundedQueue { items: Vec::new(), capacity }
+    }
+
+    /// Append `item`, or hand it back if the queue is full.
+    pub fn try_push(&mut self, item: T) -> Result<(), T> {
+        if self.items.len() >= self.capacity {
+            return Err(item);
         }
-        pending.items = rest;
-        Some(group)
+        self.items.push(item);
+        Ok(())
+    }
+
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The oldest item.
+    pub fn first(&self) -> Option<&T> {
+        self.items.first()
+    }
+
+    /// Remove the oldest `max` items `wanted` accepts, in arrival order;
+    /// every other item stays, in arrival order.
+    pub fn take_matching(&mut self, max: usize, mut wanted: impl FnMut(&T) -> bool) -> Vec<T> {
+        let mut taken = 0;
+        let (group, rest) = std::mem::take(&mut self.items).into_iter().partition(|item| {
+            let take = taken < max && wanted(item);
+            taken += usize::from(take);
+            take
+        });
+        self.items = rest;
+        group
     }
 }
 

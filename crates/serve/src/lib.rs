@@ -49,7 +49,7 @@ use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::{Entity, FullName, UcError, UcResult, Uid};
 use uc_cloudstore::sched::yield_point;
-use uc_obs::{Counter, CounterFamily, Gauge, Histogram, HistogramFamily, Obs};
+use uc_obs::{Counter, CounterFamily, Gauge, Histogram, HistogramFamily, Label, Obs};
 
 /// Scheduler yield points owned by the serving plane. Constants so the
 /// interleaving explorer can land adversarial schedules at each stage;
@@ -189,7 +189,7 @@ impl ServePlane {
     /// The one shed path: a `serve.shed` tick, an audited `requestShed`
     /// deny, and the typed error `rest.rs` maps to HTTP 429 — never a
     /// silent drop. `why` names the request and the bound it hit.
-    pub(crate) fn shed(&self, principal: &str, label: &Arc<str>, why: String) -> UcError {
+    pub(crate) fn shed(&self, principal: &str, label: &Label, why: String) -> UcError {
         self.metrics.shed.inc();
         self.metrics.shed_by.inc(label);
         self.uc.audit_shed(principal, format!("shed {why}"));

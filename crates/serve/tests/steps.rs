@@ -1,6 +1,7 @@
 //! Step-level tests of the serving policy, no threads: the decisions the
 //! thread driver and the replay driver share (`FlightMap::join` /
-//! `finish`, `Batcher::enqueue` / `next_group`, the batch-queue bound) are
+//! `finish`, `Batcher::enqueue` / `next_group`, the batch-queue bound and
+//! the `BoundedQueue` it is made of) are
 //! plain functions of the calls made so far, so each is pinned here by
 //! calling it directly.
 
@@ -11,7 +12,7 @@ use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::{Entity, FullName, SecurableKind, Uid};
 use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
-use uc_serve::batch::{Batcher, PendingItem, Signature, BATCH_QUEUE_CAPACITY, MAX_BATCH};
+use uc_serve::batch::{Batcher, BoundedQueue, PendingItem, Signature, BATCH_QUEUE_CAPACITY, MAX_BATCH};
 use uc_serve::flight::{FlightKey, FlightMap, Join};
 use uc_serve::{replay, ServeConfig, ServePlane, BACKOFF_BASE_MS};
 use uc_txdb::{Db, DbConfig};
@@ -74,6 +75,28 @@ fn enqueue_elects_one_leader_and_next_group_chunks_by_signature() {
     assert!(batcher.next_group(3).is_some());
     assert!(batcher.next_group(3).is_none());
     assert_eq!(batcher.enqueue(item("alice")), Some(true), "released by the empty observation");
+}
+
+#[test]
+fn a_full_queue_hands_the_item_back_and_keeps_its_length() {
+    let mut queue = BoundedQueue::new(2);
+    assert_eq!(queue.try_push("a"), Ok(()));
+    assert_eq!(queue.try_push("b"), Ok(()));
+    assert_eq!(queue.try_push("c"), Err("c"), "the refused item comes back to the caller");
+    assert_eq!(queue.len(), 2);
+    assert_eq!(queue.first(), Some(&"a"));
+}
+
+#[test]
+fn taking_a_group_leaves_the_rest_in_arrival_order() {
+    let mut queue = BoundedQueue::new(8);
+    for n in [1, 2, 3, 4, 5, 6, 7] {
+        queue.try_push(n).unwrap();
+    }
+    // The first two odd items go; the third odd one is past the cap.
+    assert_eq!(queue.take_matching(2, |n| n % 2 == 1), [1, 3]);
+    assert_eq!(queue.take_matching(8, |_| true), [2, 4, 5, 6, 7], "the rest, in arrival order");
+    assert!(queue.is_empty());
 }
 
 /// One quantum of `BATCH_QUEUE_CAPACITY + 1` resolves, replayed: nothing

@@ -10,7 +10,7 @@
 
 use std::sync::OnceLock;
 
-use uc_obs::{Counter, CounterFamily, Registry, WindowSeries};
+use uc_obs::{Counter, CounterFamily, Label, Registry, WindowSeries};
 
 /// Monotonic counters for database activity. The counters are lock-free;
 /// the per-tenant commit series take the registry's lock once, to register.
@@ -53,7 +53,7 @@ impl DbStats {
 
     /// Attribute one commit, which took `elapsed_ms` up to `now_ms`, to
     /// the tenant `label`.
-    pub fn record_tenant_commit(&self, label: &str, now_ms: u64, elapsed_ms: u64) {
+    pub fn record_tenant_commit(&self, label: &Label, now_ms: u64, elapsed_ms: u64) {
         let (count, window) = self.by_tenant.get_or_init(|| {
             let count = self.registry.counter_family("txdb.commit.count.by_tenant");
             (count, self.registry.window("txdb.commit.window"))
@@ -145,7 +145,7 @@ mod tests {
         assert!(snap.contains("txdb.commit.count counter 1"));
         assert!(snap.contains("txdb.write.rows counter 2"));
         assert!(!snap.contains("txdb.commit.window"), "no tenant commit, no tenant series");
-        s.record_tenant_commit("t=a,p=b", 10, 3);
+        s.record_tenant_commit(&Label::tenant("a", "b"), 10, 3);
         let snap = registry.text_snapshot_at(10);
         assert!(snap.contains("txdb.commit.count.by_tenant{t=a,p=b} counter 1"));
         assert!(snap.contains("txdb.commit.window window"));
