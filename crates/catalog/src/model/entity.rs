@@ -218,13 +218,15 @@ impl Entity {
             .and_then(|s| TableFormat::parse(s))
     }
 
-    /// Dependency ids (views → base relations, functions → referenced).
-    pub fn dependencies(&self) -> Vec<Uid> {
-        self.properties
-            .get(props::DEPENDENCIES)
-            .and_then(|raw| serde_json::from_str::<Vec<String>>(raw).ok())
-            .map(|v| v.into_iter().map(Uid::from_string).collect())
-            .unwrap_or_default()
+    /// Dependency ids (views → base relations, functions → referenced);
+    /// none when the property is absent, and `Database` when it is present
+    /// but does not decode.
+    pub fn dependencies(&self) -> UcResult<Vec<Uid>> {
+        let Some(raw) = self.properties.get(props::DEPENDENCIES) else {
+            return Ok(Vec::new());
+        };
+        serde_json::from_str(raw)
+            .map_err(|e| UcError::Database(format!("corrupt dependencies on {}: {e}", self.name)))
     }
 
     pub fn set_dependencies(&mut self, deps: &[Uid]) {
@@ -347,10 +349,12 @@ mod tests {
     #[test]
     fn dependencies_roundtrip() {
         let mut e = Entity::new(SecurableKind::View, "v", None, Uid::from("ms"), "o", 0);
-        assert!(e.dependencies().is_empty());
+        assert!(e.dependencies().unwrap().is_empty());
         let deps = vec![Uid::from("a"), Uid::from("b")];
         e.set_dependencies(&deps);
-        assert_eq!(e.dependencies(), deps);
+        assert_eq!(e.dependencies().unwrap(), deps);
+        e.properties.insert(props::DEPENDENCIES.into(), "[\"a\",".into());
+        assert!(matches!(e.dependencies(), Err(UcError::Database(_))));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
-use crate::model::entity::Entity;
+use crate::model::entity::{props, Entity};
 use crate::ops::Op;
 use crate::service::{ApiGuard, Context, UnityCatalog};
 use crate::types::{FullName, SecurableKind};
@@ -108,9 +108,11 @@ impl UnityCatalog {
                 entity.name
             )));
         }
-        let schema = entity.table_schema().ok();
+        // An absent schema is none; a schema or dependency list that is
+        // present but does not decode is a corrupt row.
+        let schema = entity.properties.contains_key(props::SCHEMA).then(|| entity.table_schema()).transpose()?;
         let mut dependencies = Vec::new();
-        for dep_id in entity.dependencies() {
+        for dep_id in entity.dependencies()? {
             let dep_chain = self
                 .chain_by_id(ms, &dep_id)?
                 .ok_or_else(|| UcError::NotFound(format!("view dependency {dep_id} of {}", entity.name)))?;

@@ -120,12 +120,20 @@ impl UnityCatalog {
     ) -> UcResult<Vec<ShareMember>> {
         let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(&ctx.principal), Some(ms));
         let share = self.authorize_share_read(&api, ms, share_name)?;
+        self.share_members(ms, &share)
+    }
+
+    /// A share's members; a member row that does not decode fails the
+    /// read rather than silently leaving the share.
+    fn share_members(&self, ms: &Uid, share: &Entity) -> UcResult<Vec<ShareMember>> {
         let rt = self.db.begin_read();
-        Ok(rt
-            .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
+        rt.scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
             .into_iter()
-            .filter_map(|(_, raw)| serde_json::from_slice(&raw).ok())
-            .collect())
+            .map(|(key, raw)| {
+                serde_json::from_slice(&raw)
+                    .map_err(|e| UcError::Database(format!("corrupt share member {key}: {e}")))
+            })
+            .collect()
     }
 
     /// SELECT on the share (or admin authority over it).
@@ -204,14 +212,11 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<(Arc<Entity>, Snapshot)> {
         let share = self.authorize_share_read(api, ms, share_name)?;
-        let rt = self.db.begin_read();
-        let member = rt
-            .scan_prefix(T_SHAREMEM, &keys::share_members_prefix(ms, &share.id))
+        let member = self
+            .share_members(ms, &share)?
             .into_iter()
-            .filter_map(|(_, raw)| serde_json::from_slice::<ShareMember>(&raw).ok())
             .find(|m| m.alias == alias)
             .ok_or_else(|| UcError::NotFound(format!("{alias} in share {share_name}")))?;
-        drop(rt);
         let table = self
             .chain_by_id(ms, &Uid::from(member.table_id.as_str()))?
             .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?

@@ -10,8 +10,12 @@ use uc_catalog::authz::abac::{AbacEffect, AbacPolicy};
 use uc_catalog::authz::Privilege;
 use uc_catalog::error::UcError;
 use uc_catalog::ids::Uid;
+use uc_catalog::model::entity::props;
+use uc_catalog::model::keys;
+use uc_catalog::Entity;
 use uc_catalog::ops::Op;
 use uc_catalog::service::commits::TableCommit;
+use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::crud::TableSpec;
 use uc_catalog::service::discovery_api::MetaFilter;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
@@ -899,6 +903,60 @@ fn view_nesting_depth_is_bounded() {
         .resolve_for_query(&Context::trusted(ADMIN, "dbr"), &f.ms, &[FullName::parse(&prev).unwrap()], false)
         .unwrap_err();
     assert!(matches!(err, UcError::InvalidArgument(_)), "{err}");
+}
+
+/// A view over `main.sales.base`, in a node with no metadata cache (so a
+/// rewritten row is what the next read sees).
+fn view_over_base() -> Fixture {
+    let f = fixture_with(UcConfig { cache: uc_catalog::cache::CacheConfig::disabled(), ..Default::default() });
+    let ctx = admin();
+    f.uc.create_table(&ctx, &f.ms, TableSpec::managed("main.sales.base", table_schema()).unwrap()).unwrap();
+    let base = FullName::parse("main.sales.base").unwrap();
+    let view = FullName::parse("main.sales.v").unwrap();
+    f.uc.create_view(&ctx, &f.ms, &view, "SELECT id FROM main.sales.base", table_schema(), &[base]).unwrap();
+    f
+}
+
+/// Rewrite the view's stored row.
+fn edit_view_row(f: &Fixture, edit: impl FnOnce(&mut Entity)) {
+    let key = keys::tree_key(&f.ms, &[("catalog", "main"), ("schema", "sales"), ("relation", "v")]);
+    let mut tx = f.uc.db().begin_write();
+    let mut e = Entity::decode(&tx.get(keys::T_TREE, &key).unwrap()).unwrap();
+    edit(&mut e);
+    tx.put(keys::T_TREE, &key, e.encode());
+    tx.commit().unwrap();
+}
+
+fn resolve_view(f: &Fixture) -> Result<Vec<ResolvedSecurable>, UcError> {
+    let engine = Context::trusted(ADMIN, "dbr");
+    f.uc.resolve_for_query(&engine, &f.ms, &[FullName::parse("main.sales.v").unwrap()], false)
+}
+
+#[test]
+fn resolve_fails_closed_on_a_schema_that_does_not_decode() {
+    let f = view_over_base();
+    assert!(resolve_view(&f).unwrap()[0].schema.is_some());
+    edit_view_row(&f, |e| {
+        e.properties.insert(props::SCHEMA.into(), r#"{"fields":7}"#.into());
+    });
+    let err = resolve_view(&f).unwrap_err();
+    assert!(matches!(err, UcError::Database(_)), "{err}");
+    // An absent schema is none, not corrupt.
+    edit_view_row(&f, |e| {
+        e.properties.remove(props::SCHEMA);
+    });
+    assert!(resolve_view(&f).unwrap()[0].schema.is_none());
+}
+
+#[test]
+fn resolve_fails_closed_on_a_dependency_list_that_does_not_decode() {
+    let f = view_over_base();
+    assert_eq!(resolve_view(&f).unwrap()[0].dependencies.len(), 1);
+    edit_view_row(&f, |e| {
+        e.properties.insert(props::DEPENDENCIES.into(), r#"["base-id""#.into());
+    });
+    let err = resolve_view(&f).unwrap_err();
+    assert!(matches!(err, UcError::Database(_)), "{err}");
 }
 
 #[test]

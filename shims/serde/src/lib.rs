@@ -4,22 +4,31 @@
 
 //! Workspace-local stand-in for `serde`.
 //!
-//! The real serde is a visitor-driven framework; this shim collapses it to
-//! a *content tree*: [`Serialize`] renders a value into [`Value`] (a JSON
-//! data model) and [`Deserialize`] rebuilds a value from one. The derive
-//! macros (re-exported from the sibling `serde_derive` shim) generate
-//! straightforward `to_content`/`from_content` code for the attribute
-//! subset this workspace uses: `#[serde(tag = "...")]`,
-//! `#[serde(content = "...")]`, `#[serde(rename_all = "camelCase")]`, and
-//! `#[serde(rename = "...")]`. `serde_json` (also shimmed) prints and
-//! parses the same `Value`, so wire formats match real serde for these
-//! shapes: externally / internally / adjacently tagged enums, named-field
-//! structs, and transparent newtype structs.
+//! The real serde is a visitor-driven framework; this shim has two paths
+//! instead. The *tree* path: [`Serialize`] renders a value into [`Value`]
+//! (a JSON data model) and [`Deserialize`] rebuilds a value from one; it
+//! serves `json!`, `to_value` / `from_value` and the tagged enums. The
+//! *direct* path: `write_json` prints a value into a text buffer and
+//! `from_json` reads one off a [`json::Reader`], with no tree in between.
+//! Each direct method defaults to the tree path; the derive macros
+//! (re-exported from the sibling `serde_derive` shim) and the std impls
+//! below override it for named-field structs, unit enums, transparent
+//! newtypes, strings and containers, and both paths print and accept the
+//! same text. The attribute subset this workspace uses:
+//! `#[serde(tag = "...")]`, `#[serde(content = "...")]`,
+//! `#[serde(rename_all = "camelCase")]`, and `#[serde(rename = "...")]`,
+//! so wire formats match real serde for these shapes: externally /
+//! internally / adjacently tagged enums, named-field structs, and
+//! transparent newtype structs.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod json;
+
+use json::Reader;
 
 // ---------------------------------------------------------------------------
 // Data model
@@ -245,6 +254,11 @@ impl fmt::Display for Error {
 
 pub trait Serialize {
     fn to_content(&self) -> Value;
+
+    /// Print as compact JSON: the text `to_content`'s tree prints as.
+    fn write_json(&self, out: &mut String) {
+        json::write_value(out, &self.to_content(), None);
+    }
 }
 
 /// The lifetime mirrors real serde's signature so existing
@@ -252,6 +266,12 @@ pub trait Serialize {
 /// from the input.
 pub trait Deserialize<'de>: Sized {
     fn from_content(value: &Value) -> Result<Self, Error>;
+
+    /// Read one value off `r`: what `from_content` makes of the tree that
+    /// value parses to, `Ok` or `Err` alike.
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Self::from_content(&r.parse_value()?)
+    }
 }
 
 pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
@@ -262,9 +282,16 @@ impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}
 // Serialize impls for std types
 // ---------------------------------------------------------------------------
 
+// A scalar's tree holds nothing on the heap, so `bool`, the integers and
+// `f64` keep the default `write_json` / `from_json`: one token, no tree.
+
 impl Serialize for Value {
     fn to_content(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_value(out, self, None);
     }
 }
 
@@ -272,11 +299,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_content(&self) -> Value {
         (**self).to_content()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_content(&self) -> Value {
         (**self).to_content()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
@@ -290,11 +325,19 @@ impl Serialize for str {
     fn to_content(&self) -> Value {
         Value::String(self.to_string())
     }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_escaped(out, self);
+    }
 }
 
 impl Serialize for String {
     fn to_content(&self) -> Value {
         Value::String(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_escaped(out, self);
     }
 }
 
@@ -326,11 +369,22 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_content(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_content).collect())
+        self.as_slice().to_content()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -338,17 +392,49 @@ impl<T: Serialize> Serialize for [T] {
     fn to_content(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_content).collect())
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
+    }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn to_content(&self) -> Value {
         Value::Array(vec![self.0.to_content(), self.1.to_content()])
     }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
+    }
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_content(&self) -> Value {
         Value::Object(self.iter().map(|(k, v)| (k.clone(), v.to_content())).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_escaped(out, k);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 
@@ -361,11 +447,19 @@ impl<'de> Deserialize<'de> for Value {
     fn from_content(value: &Value) -> Result<Self, Error> {
         Ok(value.clone())
     }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.parse_value()
+    }
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Box<T> {
     fn from_content(value: &Value) -> Result<Self, Error> {
         Ok(Box::new(T::from_content(value)?))
+    }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(Box::new(T::from_json(r)?))
     }
 }
 
@@ -381,6 +475,13 @@ impl<'de> Deserialize<'de> for String {
             .as_str()
             .map(|s| s.to_string())
             .ok_or_else(|| type_err("string", value))
+    }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.peek() {
+            Some(b'"') => Ok(r.str()?.into_owned()),
+            _ => __private::from_tree(r),
+        }
     }
 }
 
@@ -415,6 +516,14 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Option<T> {
             other => Ok(Some(T::from_content(other)?)),
         }
     }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.peek() {
+            // `null`, or not a value at all.
+            Some(b'n') => r.parse_value().map(|_| None),
+            _ => T::from_json(r).map(Some),
+        }
+    }
 }
 
 impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
@@ -426,16 +535,50 @@ impl<'de, T: DeserializeOwned> Deserialize<'de> for Vec<T> {
             .map(T::from_content)
             .collect()
     }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek() != Some(b'[') {
+            return __private::from_tree(r);
+        }
+        let (mut out, mut first) = (Vec::new(), true);
+        while r.next_element(&mut first)? {
+            out.push(T::from_json(r)?);
+        }
+        Ok(out)
+    }
 }
 
 impl<'de, A: DeserializeOwned, B: DeserializeOwned> Deserialize<'de> for (A, B) {
     fn from_content(value: &Value) -> Result<Self, Error> {
         let arr = value.as_array().ok_or_else(|| type_err("2-tuple", value))?;
         if arr.len() != 2 {
-            return Err(Error::custom(format!("expected 2-tuple, got {} elements", arr.len())));
+            return Err(tuple_len_err(arr.len()));
         }
         Ok((A::from_content(&arr[0])?, B::from_content(&arr[1])?))
     }
+
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek() != Some(b'[') {
+            return __private::from_tree(r);
+        }
+        let mut first = true;
+        if !r.next_element(&mut first)? {
+            return Err(tuple_len_err(0));
+        }
+        let a = A::from_json(r)?;
+        if !r.next_element(&mut first)? {
+            return Err(tuple_len_err(1));
+        }
+        let b = B::from_json(r)?;
+        if r.next_element(&mut first)? {
+            return Err(tuple_len_err(3));
+        }
+        Ok((a, b))
+    }
+}
+
+fn tuple_len_err(len: usize) -> Error {
+    Error::custom(format!("expected 2-tuple, got {len} elements"))
 }
 
 impl<'de, V: DeserializeOwned> Deserialize<'de> for BTreeMap<String, V> {
@@ -446,6 +589,19 @@ impl<'de, V: DeserializeOwned> Deserialize<'de> for BTreeMap<String, V> {
             .iter()
             .map(|(k, v)| Ok((k.clone(), V::from_content(v)?)))
             .collect()
+    }
+
+    /// A repeated key keeps its last value, as collecting the tree does.
+    fn from_json(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.peek() != Some(b'{') {
+            return __private::from_tree(r);
+        }
+        let (mut map, mut first) = (BTreeMap::new(), true);
+        while let Some(key) = r.next_key(&mut first)? {
+            let value = V::from_json(r)?;
+            map.insert(key.into_owned(), value);
+        }
+        Ok(map)
     }
 }
 
@@ -467,7 +623,27 @@ fn type_err(expected: &str, got: &Value) -> Error {
 
 #[doc(hidden)]
 pub mod __private {
-    use super::{DeserializeOwned, Error, Value};
+    use super::{DeserializeOwned, Error, Reader, Value};
+
+    /// Read a value the direct path has no shortcut for (a mistyped one,
+    /// or a tagged enum) through its tree.
+    pub fn from_tree<T: DeserializeOwned>(r: &mut Reader<'_>) -> Result<T, Error> {
+        T::from_content(&r.parse_value()?)
+    }
+
+    /// A struct field read off the text, with [`field`]'s error context.
+    pub fn field_json<T: DeserializeOwned>(r: &mut Reader<'_>, key: &str, ty: &str) -> Result<T, Error> {
+        T::from_json(r).map_err(|e| Error::custom(format!("{ty}.{key}: {e}")))
+    }
+
+    /// A struct field's slot once the object is read: an absent key reads
+    /// as `null`, as it does in [`field`].
+    pub fn field_or_null<T: DeserializeOwned>(slot: Option<T>, key: &str, ty: &str) -> Result<T, Error> {
+        match slot {
+            Some(v) => Ok(v),
+            None => field(&[], key, ty),
+        }
+    }
 
     pub fn expect_object<'a>(value: &'a Value, ty: &str) -> Result<&'a [(String, Value)], Error> {
         value

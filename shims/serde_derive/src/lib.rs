@@ -5,7 +5,10 @@
 //! Workspace-local stand-in for `serde_derive`.
 //!
 //! Generates `Serialize`/`Deserialize` impls against the shim `serde`
-//! crate's content-tree model (`to_content`/`from_content`). Parsing is
+//! crate's content-tree model (`to_content`/`from_content`), and, for
+//! named-field structs, unit-only enums and newtypes, the direct text path
+//! too (`write_json`/`from_json`); other enums keep the trait's default,
+//! which goes through the tree. Parsing is
 //! done directly on the `proc_macro` token stream — no `syn`/`quote`,
 //! since the build environment cannot fetch crates — which works because
 //! codegen never needs field *types*: struct-literal type inference picks
@@ -434,8 +437,56 @@ fn gen_serialize(m: &Model) -> String {
 
     format!(
         "#[automatically_derived] impl ::serde::Serialize for {name} {{ \
-         fn to_content(&self) -> ::serde::Value {{ {body} }} }}"
+         fn to_content(&self) -> ::serde::Value {{ {body} }} {direct} }}",
+        direct = gen_write_json(m),
     )
+}
+
+/// A Rust string literal holding `text`.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// `key` as a JSON string (wire keys and variant names are identifiers or
+/// `rename` values; only `"` and `\` need escaping).
+fn json_str(key: &str) -> String {
+    format!("\"{}\"", key.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// Only unit variants: the enum is a bare string on the wire.
+fn unit_only(variants: &[VariantDef]) -> bool {
+    !variants.is_empty() && variants.iter().all(|v| matches!(v.shape, VariantShape::Unit))
+}
+
+/// `write_json` for the shapes with a direct path; empty for the rest.
+fn gen_write_json(m: &Model) -> String {
+    let name = &m.name;
+    let mut body = String::new();
+    match &m.shape {
+        Shape::Struct(fields) if fields.is_empty() => body.push_str("__out.push_str(\"{}\");"),
+        Shape::Struct(fields) => {
+            for (i, f) in fields.iter().enumerate() {
+                let open = if i == 0 { "{" } else { "," };
+                let _ = write!(
+                    body,
+                    "__out.push_str({}); ::serde::Serialize::write_json(&self.{}, __out);",
+                    lit(&format!("{open}{}:", json_str(&f.key))),
+                    f.name,
+                );
+            }
+            body.push_str("__out.push('}');");
+        }
+        Shape::Newtype => body.push_str("::serde::Serialize::write_json(&self.0, __out);"),
+        Shape::Enum(variants) if m.tag.is_none() && unit_only(variants) => {
+            body.push_str("__out.push_str(match self {");
+            for v in variants {
+                let _ = write!(body, "{name}::{} => {},", v.name, lit(&json_str(&m.wire_variant(&v.name))));
+            }
+            body.push_str("});");
+        }
+        Shape::Enum(_) => return String::new(),
+    }
+    format!("fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }}")
 }
 
 fn gen_serialize_variant(out: &mut String, m: &Model, v: &VariantDef) {
@@ -611,7 +662,82 @@ fn gen_deserialize(m: &Model) -> String {
     format!(
         "#[automatically_derived] impl<'de> ::serde::Deserialize<'de> for {name} {{ \
          fn from_content(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> \
-         {{ {body} }} }}"
+         {{ {body} }} {direct} }}",
+        direct = gen_from_json(m),
+    )
+}
+
+/// `from_json` for the shapes with a direct path; empty for the rest. A
+/// token the shape does not start with goes through the tree, which makes
+/// the same error of it.
+fn gen_from_json(m: &Model) -> String {
+    let name = &m.name;
+    let mut body = String::new();
+    match &m.shape {
+        Shape::Struct(fields) => {
+            // One slot per field; a key seen again keeps its first value,
+            // as the tree's first-match lookup does.
+            let _ = write!(
+                body,
+                "if __r.peek() != ::std::option::Option::Some(b'{{') {{ \
+                 return ::serde::__private::from_tree(__r); }}"
+            );
+            for i in 0..fields.len() {
+                let _ = write!(body, "let mut __f{i} = ::std::option::Option::None;");
+            }
+            body.push_str(
+                "let mut __first = true; \
+                 while let ::std::option::Option::Some(__k) = __r.next_key(&mut __first)? { \
+                 match &*__k {",
+            );
+            for (i, f) in fields.iter().enumerate() {
+                let _ = write!(
+                    body,
+                    "{key} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(\
+                     ::serde::__private::field_json(__r, {key}, \"{name}\")?),",
+                    key = lit(&f.key),
+                );
+            }
+            let _ = write!(body, "_ => __r.skip_value()?, }} }} ::std::result::Result::Ok({name} {{");
+            for (i, f) in fields.iter().enumerate() {
+                let _ = write!(
+                    body,
+                    "{}: ::serde::__private::field_or_null(__f{i}, {}, \"{name}\")?,",
+                    f.name,
+                    lit(&f.key),
+                );
+            }
+            body.push_str("})");
+        }
+        Shape::Newtype => {
+            let _ = write!(body, "::std::result::Result::Ok({name}(::serde::Deserialize::from_json(__r)?))");
+        }
+        Shape::Enum(variants) if m.tag.is_none() && unit_only(variants) => {
+            let _ = write!(
+                body,
+                "if __r.peek() != ::std::option::Option::Some(b'\"') {{ \
+                 return ::serde::__private::from_tree(__r); }} \
+                 match &*__r.str()? {{"
+            );
+            for v in variants {
+                let _ = write!(
+                    body,
+                    "{} => ::std::result::Result::Ok({name}::{}),",
+                    lit(&m.wire_variant(&v.name)),
+                    v.name,
+                );
+            }
+            let _ = write!(
+                body,
+                "__other => ::std::result::Result::Err(\
+                 ::serde::__private::unknown_variant(__other, \"{name}\")), }}"
+            );
+        }
+        Shape::Enum(_) => return String::new(),
+    }
+    format!(
+        "fn from_json(__r: &mut ::serde::json::Reader<'_>) \
+         -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}"
     )
 }
 

@@ -4,22 +4,27 @@
 
 //! Workspace-local stand-in for `serde_json`.
 //!
-//! Prints and parses the shim `serde` crate's [`Value`] content tree as
-//! JSON text. Covers the API surface the workspace uses: `to_string`,
-//! `to_string_pretty`, `to_vec`, `from_str`, `from_slice`, `to_value`,
-//! `from_value`, the [`Value`] type (re-exported from `serde`), and the
-//! `json!` macro (a tt-muncher following the canonical structure, so
-//! nested literals, match expressions, and iterator pipelines all work
-//! as values). Numbers preserve u64 magnitudes above `i64::MAX`.
+//! Entry points over the shim `serde` crate's one JSON reader and printer
+//! (`serde::json`): typed values go straight between text and struct, and
+//! [`Value`] is the tree. Covers the API surface the workspace uses:
+//! `to_string`, `to_string_pretty`, `to_vec`, `from_str`, `from_slice`,
+//! `to_value`, `from_value`, the [`Value`] type (re-exported from
+//! `serde`), and the `json!` macro (a tt-muncher following the canonical
+//! structure, so nested literals, match expressions, and iterator
+//! pipelines all work as values). Numbers preserve u64 magnitudes above
+//! `i64::MAX`.
+
+use std::cell::Cell;
 
 pub use serde::{Error, Number, Value};
 
+use serde::json::{self, Reader};
 use serde::{DeserializeOwned, Serialize};
 
 pub type Result<T> = std::result::Result<T, Error>;
 
 // ---------------------------------------------------------------------------
-// Serialization entry points
+// Entry points
 // ---------------------------------------------------------------------------
 
 pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
@@ -31,24 +36,24 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T> {
 }
 
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_content(), None, 0);
-    Ok(out)
+    Ok(print(value, str::to_owned))
 }
 
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_content(), Some(2), 0);
+    json::write_value(&mut out, &value.to_content(), Some(2));
     Ok(out)
 }
 
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    to_string(value).map(String::into_bytes)
+    Ok(print(value, |text| text.as_bytes().to_vec()))
 }
 
 pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
-    let value = parse(s)?;
-    T::from_content(&value)
+    let mut r = Reader::new(s);
+    let value = T::from_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
@@ -56,327 +61,27 @@ pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
     from_str(s)
 }
 
-// ---------------------------------------------------------------------------
-// Printer
-// ---------------------------------------------------------------------------
-
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_number(out, *n),
-        Value::String(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
+thread_local! {
+    /// The print buffer, kept between calls so an encode makes one
+    /// allocation: the exact-size copy `print` hands back.
+    static BUFFER: Cell<String> = const { Cell::new(String::new()) };
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+/// A buffer larger than this is dropped after use rather than kept.
+const BUFFER_KEEP: usize = 64 * 1024;
+
+/// Print `value` into the thread's buffer and copy the text out with
+/// `copy`. A nested call (a `Serialize` impl that prints) finds the buffer
+/// taken and prints into a fresh one.
+fn print<T: Serialize + ?Sized, R>(value: &T, copy: impl FnOnce(&str) -> R) -> R {
+    let mut buf = BUFFER.with(Cell::take);
+    value.write_json(&mut buf);
+    let out = copy(&buf);
+    if buf.capacity() <= BUFFER_KEEP {
+        buf.clear();
+        BUFFER.with(|b| b.set(buf));
     }
-}
-
-fn write_number(out: &mut String, n: Number) {
-    match n {
-        Number::I64(v) => {
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{v}"));
-        }
-        Number::U64(v) => {
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{v}"));
-        }
-        Number::F64(v) if v.is_finite() => {
-            // Debug formatting keeps a decimal point ("1.0") and is the
-            // shortest representation that round-trips.
-            let _ = std::fmt::Write::write_fmt(out, format_args!("{v:?}"));
-        }
-        Number::F64(_) => out.push_str("null"),
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(value)
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> Error {
-        Error::custom(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8, what: &str) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(what))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("unexpected character")),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value> {
-        self.eat(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value> {
-        self.eat(b'{', "expected '{'")?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':'")?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(entries));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| Error::custom(format!("invalid utf-8 in string: {e}")))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let first = self.parse_hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair.
-                                if !(self.eat_keyword("\\u")) {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                let second = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        if !is_float {
-            if text.starts_with('-') {
-                if let Ok(v) = text.parse::<i64>() {
-                    return Ok(Value::Number(Number::I64(v)));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::Number(Number::U64(v)));
-            }
-        }
-        text.parse::<f64>()
-            .map(|v| Value::Number(Number::F64(v)))
-            .map_err(|_| self.err("bad number"))
-    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -603,6 +308,48 @@ mod tests {
         assert!(pretty.contains('\n'));
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(back, v);
+    }
+
+    /// RFC 8259's grammar: no leading zeros, a digit on both sides of `.`
+    /// and after `e`, no raw control characters inside a string. Every
+    /// reader rejects the same text: the tree and each typed target.
+    #[test]
+    fn strict_grammar_rejects_what_rfc_8259_rejects() {
+        let rejected = [
+            "01", "00", "-01", "1.", "1.e5", "\"a\nb\"", "\"\u{0}\"", "\"\u{1f}\"", "-", "+1", ".5", "1e",
+            "1e+", "[1,]", "{\"a\":1,}", "\"\\x\"", "\"\\u12\"", "\"\\u+123\"", "nul", "1 2",
+        ];
+        for text in rejected {
+            assert!(from_str::<Value>(text).is_err(), "Value accepted {text:?}");
+            assert!(from_str::<u64>(text).is_err(), "u64 accepted {text:?}");
+            assert!(from_str::<f64>(text).is_err(), "f64 accepted {text:?}");
+            assert!(from_str::<String>(text).is_err(), "String accepted {text:?}");
+            assert!(from_str::<Vec<u64>>(&format!("[{text}]")).is_err(), "Vec accepted [{text}]");
+        }
+        for (text, value) in [("0", 0.0), ("-0", 0.0), ("0.5", 0.5), ("1e5", 1e5), ("1E-5", 1e-5), ("-0.25e+1", -2.5)] {
+            assert_eq!(from_str::<f64>(text).unwrap(), value, "{text}");
+        }
+        assert_eq!(from_str::<String>("\"a\\nb\\u00e9\\/\"").unwrap(), "a\nb\u{e9}/");
+    }
+
+    #[test]
+    fn typed_reads_keep_the_tree_semantics() {
+        use std::collections::BTreeMap;
+        // A repeated map key keeps the last value; whitespace anywhere.
+        let map: BTreeMap<String, u64> = from_str(" { \"a\" : 1 , \"b\":2,\"a\":3 } ").unwrap();
+        assert_eq!(map.into_iter().collect::<Vec<_>>(), [("a".to_string(), 3), ("b".to_string(), 2)]);
+        // Integer range and type errors, as the tree reports them.
+        assert!(from_str::<u32>("4294967296").is_err());
+        assert!(from_str::<u64>("-1").is_err());
+        assert!(from_str::<i64>("1.0").is_err());
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<Option<String>>("null").unwrap(), None);
+        assert!(from_str::<(u64, u64)>("[1]").is_err());
+        assert!(from_str::<(u64, u64)>("[1,2,3]").is_err());
+        assert_eq!(from_str::<(String, u64)>("[\"x\",2]").unwrap(), ("x".to_string(), 2));
+        // Trailing bytes are rejected.
+        assert!(from_str::<String>("\"a\" x").is_err());
     }
 
     #[test]

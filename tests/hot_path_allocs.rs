@@ -4,7 +4,9 @@
 //! cached `tables.get` through `RestApi::handle`, and allocations per
 //! cached governed read: a grantee's `get_table` and a trusted engine's
 //! `resolve_for_query` of a table under a row filter, a column mask and a
-//! container ABAC policy.
+//! container ABAC policy. The cold paths are pinned the same way: the row
+//! codec (`Entity::decode` / `encode`), an uncached `get_table`, and a
+//! 200-table listing, typed and through REST.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -18,10 +20,13 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use uc_catalog::authz::{AbacEffect, AbacPolicy, ColumnMaskPolicy, RowFilterPolicy};
-use uc_catalog::service::crud::TableSpec;
+use uc_catalog::authz::Privilege;
+use uc_catalog::cache::CacheConfig;
+use uc_catalog::service::crud::{BulkSchemaSpec, TableSpec};
 use uc_catalog::service::rest::RestApi;
-use uc_catalog::service::{Context, UnityCatalog};
+use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
+use uc_catalog::Entity;
 use uc_cloudstore::{AccessLevel, ObjectStore};
 use uc_delta::expr::{CmpOp, Expr};
 use uc_delta::value::{DataType, Field, Schema, Value};
@@ -101,6 +106,26 @@ const GET_TABLE_HITS: u64 = 4;
 /// `cache.hits` per cached path vend: the asset by path, then its three
 /// ancestors (5 before: the metastore twice).
 const PATH_CREDENTIAL_HITS: u64 = 4;
+
+/// Allocations per `Entity::decode` of a `meta_cold` table row: one per
+/// string the entity owns, and the properties map's node (48 while every
+/// row was parsed into a JSON tree and each string cloned out of it).
+const DECODE_TABLE_ROW_ALLOCS: u64 = 12;
+/// Allocations per `Entity::encode` of that row: the text, and its copy
+/// into `Bytes` (38 while the row was rendered into a tree, then printed).
+const ENCODE_TABLE_ROW_ALLOCS: u64 = 2;
+/// Allocations per uncached `get_table` (cache off, a chain of four rows;
+/// 199 with the tree decode).
+const COLD_GET_TABLE_ALLOCS: u64 = 64;
+/// Allocations per uncached 200-table `list_children` (10 172 with the
+/// tree decode).
+const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_873;
+/// Allocations per uncached 200-table `tables.list` through
+/// `RestApi::handle`, the JSON reply included (17 779 with the tree
+/// decode).
+const COLD_REST_LIST_ALLOCS: u64 = 10_480;
+/// Tables in the cold node's schema: a `meta_cold` schema's.
+const COLD_TABLES: usize = 200;
 
 const CALLS: usize = 1_000;
 
@@ -258,4 +283,71 @@ fn cached_governed_reads_allocate_a_constant_below_the_parent() {
 
     assert_constant_and_bounded("grantee get_table", &grantee_get_table, GRANTEE_GET_TABLE_ALLOCS);
     assert_constant_and_bounded("governed resolve_for_query", &governed_resolve, GOVERNED_RESOLVE_ALLOCS);
+}
+
+/// A node with the metadata cache off and schema `main.s` bulk-loaded with
+/// `COLD_TABLES` tables, shaped like `meta_cold`'s world: two-column
+/// managed Delta tables with no storage of their own, and the analysts'
+/// group grants on the catalog.
+fn cold_node() -> (Arc<UnityCatalog>, uc_catalog::Uid, Context) {
+    let store = ObjectStore::in_memory();
+    let config = UcConfig { cache: CacheConfig::disabled(), ..Default::default() };
+    let uc = UnityCatalog::new(Db::in_memory(), store.clone(), config, "node-0");
+    let ctx = Context::user("admin");
+    let ms = uc.create_metastore("admin", "cold", "us-west-2").unwrap();
+    let root = store.create_bucket("lake");
+    uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+    uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+    uc.create_catalog(&ctx, &ms, "main").unwrap();
+    let spec = BulkSchemaSpec {
+        name: "s".into(),
+        tables: (0..COLD_TABLES).map(|t| format!("t{t:06}")).collect(),
+    };
+    let columns = Schema::new(vec![Field::new("id", DataType::Int), Field::new("amount", DataType::Int)]);
+    uc.bulk_create_tables(&ctx, &ms, "main", &[spec], &columns, 1_000).unwrap();
+    let catalog = FullName::parse("main").unwrap();
+    for p in [Privilege::UseCatalog, Privilege::UseSchema, Privilege::Select] {
+        uc.grant(&ctx, &ms, &catalog, "catalog", "analysts", p).unwrap();
+    }
+    (uc, ms, ctx)
+}
+
+#[test]
+fn cold_reads_allocate_a_constant_below_the_parent() {
+    let (uc, ms, ctx) = cold_node();
+    let api = RestApi::new(uc.clone());
+    let schema = FullName::parse("main.s").unwrap();
+    let wire_list = serde_json::json!({"schema": "main.s"});
+    let table = uc.get_table(&ctx, &ms, "main.s.t000000").unwrap();
+    let row = table.encode();
+    assert_eq!(Entity::decode(&row).unwrap(), *table, "the row decodes to the entity it encodes");
+    for _ in 0..4 {
+        uc.get_table(&ctx, &ms, "main.s.t000000").unwrap();
+        uc.list_children(&ctx, &ms, &schema, Some("relation")).unwrap();
+        api.handle(&ctx, &ms, "tables.list", &wire_list).unwrap();
+    }
+    let db_reads = uc.db().stats().reads();
+
+    let decode = allocs_per_call(&uc, || {
+        Entity::decode(&row).unwrap();
+    });
+    let encode = allocs_per_call(&uc, || {
+        table.encode();
+    });
+    let get_table = allocs_per_call(&uc, || {
+        uc.get_table(&ctx, &ms, "main.s.t000000").unwrap();
+    });
+    let list = allocs_per_call(&uc, || {
+        assert_eq!(uc.list_children(&ctx, &ms, &schema, Some("relation")).unwrap().len(), COLD_TABLES);
+    });
+    let rest_list = allocs_per_call(&uc, || {
+        api.handle(&ctx, &ms, "tables.list", &wire_list).unwrap();
+    });
+    assert!(uc.db().stats().reads() > db_reads, "measured reads must miss the (disabled) cache");
+
+    assert_constant_and_bounded("Entity::decode of a table row", &decode, DECODE_TABLE_ROW_ALLOCS);
+    assert_constant_and_bounded("Entity::encode of a table row", &encode, ENCODE_TABLE_ROW_ALLOCS);
+    assert_constant_and_bounded("uncached get_table", &get_table, COLD_GET_TABLE_ALLOCS);
+    assert_constant_and_bounded("uncached list_children (200)", &list, COLD_LIST_CHILDREN_ALLOCS);
+    assert_constant_and_bounded("uncached rest tables.list (200)", &rest_list, COLD_REST_LIST_ALLOCS);
 }

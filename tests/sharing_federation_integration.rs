@@ -4,6 +4,8 @@
 
 use uc_bench::{World, WorldConfig, ADMIN};
 use uc_catalog::authz::Privilege;
+use uc_catalog::model::keys;
+use uc_catalog::UcError;
 use uc_catalog::service::Context;
 use uc_catalog::types::FullName;
 use uc_cloudstore::{Credential, StoragePath};
@@ -73,6 +75,34 @@ fn iceberg_reader_consumes_shared_delta_table() {
     // schema translated
     assert_eq!(meta.schemas[0].fields[0].field_type, "long");
     assert_eq!(meta.schemas[0].fields[1].field_type, "string");
+}
+
+#[test]
+fn a_share_member_row_that_does_not_decode_fails_the_share_read() {
+    let world = World::build(&WorldConfig::default());
+    let engine = Engine::new(world.uc.clone(), world.ms.clone(), EngineConfig::trusted("dbr"));
+    let mut s = engine.session(ADMIN);
+    s.execute("CREATE CATALOG a").unwrap();
+    s.execute("CREATE SCHEMA a.b").unwrap();
+    s.execute("CREATE TABLE a.b.t (x BIGINT)").unwrap();
+    let ctx = world.admin();
+    let share = world.uc.create_share(&ctx, &world.ms, "sh").unwrap();
+    world
+        .uc
+        .add_table_to_share(&ctx, &world.ms, "sh", &FullName::parse("a.b.t").unwrap())
+        .unwrap();
+    assert_eq!(world.uc.list_share_tables(&ctx, &world.ms, "sh").unwrap().len(), 1);
+
+    let garbage = format!("{}garbage", keys::share_members_prefix(&world.ms, &share.id));
+    let mut tx = world.uc.db().begin_write();
+    tx.put(keys::T_SHAREMEM, &garbage, bytes::Bytes::from_static(b"not a member"));
+    tx.commit().unwrap();
+    // The corrupt member fails the read instead of silently leaving the
+    // share, even for a lookup of the good member.
+    let listed = world.uc.list_share_tables(&ctx, &world.ms, "sh");
+    assert!(matches!(listed, Err(UcError::Database(_))), "{listed:?}");
+    let queried = world.uc.query_share_table(&ctx, &world.ms, "sh", "b.t");
+    assert!(matches!(queried, Err(UcError::Database(_))), "{:?}", queried.err());
 }
 
 #[test]
