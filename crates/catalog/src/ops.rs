@@ -121,7 +121,7 @@ ops! {
     LATEST_TABLE_VERSION = "latest_table_version" => [READ_TABLE_COMMIT];
     LINEAGE = "lineage" => [GET_SECURABLE];
     LIST_CATALOGS = "list_catalogs" => [];
-    LIST_CHILDREN = "list_children" => [];
+    LIST_CHILDREN = "list_children" => ["listChildren"];
     LIST_SHARE_TABLES = "list_share_tables" => [QUERY_SHARE];
     LIST_SHARES = "list_shares" => [];
     LOAD_TABLE_AS_ICEBERG = "load_table_as_iceberg" => ["loadTableAsIceberg"];

@@ -758,10 +758,10 @@ impl UnityCatalog {
         parent: &FullName,
         group: Option<&str>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter(Op::LIST_CHILDREN, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LIST_CHILDREN, Some(&ctx.principal), Some(ms));
         let parent_group = if parent.len() == 1 { "catalog" } else { "schema" };
         let parent_full = self.chain_by_name(ms, parent, parent_group)?;
-        self.enforce_workspace_binding(ctx, &parent_full)?;
+        api.audit.bound(ctx, &parent_full)?;
         let who = self.authz_context_with(&parent_full, &ctx.principal)?;
         self.visible_children(ms, &who, &parent_full, group)
     }

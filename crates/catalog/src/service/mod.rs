@@ -386,10 +386,31 @@ impl<'a> Audited<'a> {
         })
     }
 
+    /// Catalog→workspace bindings (§3.2): if a catalog in `chain` is bound
+    /// to specific workspaces, the request must come from one of them. A
+    /// refusal is audited like any other: one `Deny` under the request's
+    /// action, naming the bound catalog.
+    pub(crate) fn bound(&self, ctx: &Context, chain: &[Arc<Entity>]) -> UcResult<()> {
+        for node in chain.iter().filter(|e| e.kind == SecurableKind::Catalog) {
+            let bindings = &node.governance().workspace_bindings;
+            if bindings.is_empty() || ctx.workspace.as_ref().is_some_and(|w| bindings.contains(w)) {
+                continue;
+            }
+            let why = format!(
+                "catalog {} is bound to workspaces {:?}; request came from {:?}",
+                node.name, bindings, ctx.workspace
+            );
+            self.deny(Some(&node.id), &why);
+            return Err(UcError::PermissionDenied(why));
+        }
+        Ok(())
+    }
+
     /// The chain of the securable `name` addresses, if the caller may see
     /// it from the workspace it calls from: resolved by name, its catalog
-    /// bindings checked, then [`Self::gate`]d on [`Need::See`] — a refusal
-    /// is this request's own. Returns the caller's context with it.
+    /// bindings checked ([`Self::bound`]), then [`Self::gate`]d on
+    /// [`Need::See`] — a refusal is this request's own. Returns the
+    /// caller's context with it.
     pub(crate) fn see(
         &self,
         ctx: &Context,
@@ -398,7 +419,7 @@ impl<'a> Audited<'a> {
         leaf_group: &str,
     ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext)> {
         let full = self.uc.chain_by_name(ms, name, leaf_group)?;
-        self.uc.enforce_workspace_binding(ctx, &full)?;
+        self.bound(ctx, &full)?;
         let who = self.gate(&full, Need::See, name)?;
         Ok((full, who))
     }
@@ -703,11 +724,7 @@ impl UnityCatalog {
     }
 
     /// The node's current cache version for a metastore — the snapshot
-    /// pin every cached read validates against. The serving plane keys
-    /// its single-flight coalescing map on this value: a request that
-    /// observed version v+1 computes a different flight key than a
-    /// leader that started at v, so a leader's result is never served
-    /// across an invalidation (read-your-snapshot for followers).
+    /// pin every cached read validates against.
     pub fn metastore_cache_version(&self, ms: &Uid) -> u64 {
         self.cache.for_metastore(ms).version()
     }
@@ -1073,33 +1090,6 @@ impl UnityCatalog {
         // Identity changes take effect within the TTL window; drop our own
         // cached copy immediately.
         self.principal_cache.clear();
-        Ok(())
-    }
-
-    /// Enforce catalog→workspace bindings (§3.2): if any catalog in the
-    /// chain is bound to specific workspaces, the request must originate
-    /// from one of them.
-    pub(crate) fn enforce_workspace_binding(
-        &self,
-        ctx: &Context,
-        chain: &[Arc<Entity>],
-    ) -> UcResult<()> {
-        for node in chain.iter().filter(|e| e.kind == SecurableKind::Catalog) {
-            let bindings = &node.governance().workspace_bindings;
-            if bindings.is_empty() {
-                continue;
-            }
-            let ok = ctx
-                .workspace
-                .as_ref()
-                .is_some_and(|w| bindings.iter().any(|b| b == w));
-            if !ok {
-                return Err(UcError::PermissionDenied(format!(
-                    "catalog {} is bound to workspaces {:?}; request came from {:?}",
-                    node.name, bindings, ctx.workspace
-                )));
-            }
-        }
         Ok(())
     }
 

@@ -48,8 +48,8 @@ impl UnityCatalog {
     /// call: per ref, workspace binding → gate (SELECT plus the USE chain)
     /// → dependency closure, policies and credentials → `Allow` audit. The
     /// caller's context is built once, from the first chain's metastore
-    /// entity. The serving plane combines concurrent engines' resolve
-    /// traffic into calls of this (see `crates/serve`).
+    /// entity. A refusal ends the call: the refs before it have already
+    /// recorded their `Allow`s, so a caller must not re-run them.
     pub fn resolve_for_query(
         &self,
         ctx: &Context,
@@ -62,7 +62,7 @@ impl UnityCatalog {
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
             let full = self.chain_by_name(ms, name, "relation")?;
-            self.enforce_workspace_binding(ctx, &full)?;
+            api.audit.bound(ctx, &full)?;
             let who = match &mut who {
                 Some(who) => who,
                 None => who.insert(self.authz_context_with(&full, &ctx.principal)?),

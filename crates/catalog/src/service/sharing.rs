@@ -227,9 +227,9 @@ impl UnityCatalog {
 
     /// Iceberg REST-style facade for *direct* (non-share) access: an
     /// Iceberg client with SELECT on a Delta table loads it as Iceberg
-    /// metadata generated via UniForm — the same files, no copy. FGAC
-    /// tables are gated to trusted engines exactly like raw-credential
-    /// access.
+    /// metadata generated via UniForm — the same files, no copy. Catalog
+    /// bindings hold, and FGAC tables are gated to trusted engines,
+    /// exactly as for raw-credential access.
     pub fn load_table_as_iceberg(
         &self,
         ctx: &Context,
@@ -239,8 +239,10 @@ impl UnityCatalog {
         let api = self.api_enter(Op::LOAD_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
+        api.audit.bound(ctx, &full)?;
         api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
         if !table.governance().fgac.is_empty() && !ctx.is_trusted_engine() {
+            api.audit.deny(Some(&table.id), name);
             return Err(UcError::PermissionDenied(
                 "table has fine-grained policies; Iceberg pass-through requires a trusted engine".into(),
             ));

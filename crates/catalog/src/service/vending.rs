@@ -78,7 +78,7 @@ impl UnityCatalog {
                 entity.kind
             ))
         })?;
-        self.enforce_workspace_binding(ctx, full)?;
+        api.audit.bound(ctx, full)?;
         api.audit.gate(full, Need::Data(needed), &detail)?;
         // Tables with FGAC policies must not hand raw storage access to
         // untrusted engines — the policy would be unenforceable.

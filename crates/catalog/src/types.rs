@@ -48,38 +48,6 @@ impl SecurableKind {
         }
     }
 
-    /// The kind of parent this kind lives under, `None` for metastores.
-    pub fn parent_kind(self) -> Option<SecurableKind> {
-        match self {
-            SecurableKind::Metastore => None,
-            SecurableKind::Catalog => Some(SecurableKind::Metastore),
-            SecurableKind::Schema => Some(SecurableKind::Catalog),
-            SecurableKind::Table
-            | SecurableKind::View
-            | SecurableKind::Volume
-            | SecurableKind::Function
-            | SecurableKind::RegisteredModel => Some(SecurableKind::Schema),
-            SecurableKind::ModelVersion => Some(SecurableKind::RegisteredModel),
-            SecurableKind::StorageCredential
-            | SecurableKind::ExternalLocation
-            | SecurableKind::Connection
-            | SecurableKind::Share => Some(SecurableKind::Metastore),
-        }
-    }
-
-    /// Kinds that can have backing cloud storage (and therefore participate
-    /// in one-asset-per-path and credential vending).
-    pub fn has_storage(self) -> bool {
-        matches!(
-            self,
-            SecurableKind::Table
-                | SecurableKind::Volume
-                | SecurableKind::RegisteredModel
-                | SecurableKind::ModelVersion
-                | SecurableKind::ExternalLocation
-        )
-    }
-
     /// True for the container levels of the three-level namespace.
     pub fn is_container(self) -> bool {
         matches!(
@@ -281,27 +249,6 @@ mod tests {
     fn tables_and_views_share_a_name_group() {
         assert_eq!(SecurableKind::Table.name_group(), SecurableKind::View.name_group());
         assert_ne!(SecurableKind::Table.name_group(), SecurableKind::Volume.name_group());
-    }
-
-    #[test]
-    fn parent_kinds_form_the_hierarchy() {
-        assert_eq!(SecurableKind::Catalog.parent_kind(), Some(SecurableKind::Metastore));
-        assert_eq!(SecurableKind::Schema.parent_kind(), Some(SecurableKind::Catalog));
-        assert_eq!(SecurableKind::Table.parent_kind(), Some(SecurableKind::Schema));
-        assert_eq!(
-            SecurableKind::ModelVersion.parent_kind(),
-            Some(SecurableKind::RegisteredModel)
-        );
-        assert_eq!(SecurableKind::Metastore.parent_kind(), None);
-    }
-
-    #[test]
-    fn storage_kinds() {
-        assert!(SecurableKind::Table.has_storage());
-        assert!(SecurableKind::Volume.has_storage());
-        assert!(!SecurableKind::View.has_storage());
-        assert!(!SecurableKind::Function.has_storage());
-        assert!(!SecurableKind::Catalog.has_storage());
     }
 
     #[test]

@@ -59,30 +59,6 @@ fn main() {
         }
     }
 
-    // Adversarial coalescing pass: serve-plane readers share flights
-    // while the real clients commit writes that advance the metastore
-    // cache version. The in-client assertion proves read-your-snapshot
-    // on the flight key (a pre-invalidation leader's result is never
-    // served to a post-invalidation arrival); the fingerprints join the
-    // byte-diff and the verdicts must stay clean.
-    for offset in 0..2u64 {
-        let seed = base.wrapping_add(offset);
-        for (mode_name, mode) in modes {
-            let mut cfg = RunConfig::new(seed, mode);
-            cfg.coalesce_clients = 2;
-            let out = run_one(&cfg);
-            println!("=== seed={seed} mode={mode_name} coalesce=2 ===");
-            print!("{}", out.fingerprint());
-            if !out.violations.is_empty() {
-                failed = true;
-                eprintln!("VIOLATIONS at seed={seed} mode={mode_name} (adversarial coalescing):");
-                for v in &out.violations {
-                    eprintln!("  {v}");
-                }
-            }
-        }
-    }
-
     // Adversarial reclamation pass: a reader holds a database snapshot
     // across yields while the clients commit, and every commit reclaims
     // below the horizon. Its re-reads must equal its first read.

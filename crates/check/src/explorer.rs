@@ -62,17 +62,6 @@ pub struct RunConfig {
     /// A freeze is a pure read of the rings: it must never change the
     /// checker's verdict or the clients' history.
     pub freeze_clients: usize,
-    /// Extra scheduler clients that read through a shared serving plane
-    /// (`uc_serve::ServePlane::get_table`, which yields at
-    /// `serve.enqueue` / `serve.dispatch`), so the explorer lands
-    /// coalesced flights adversarially across the real clients' commits
-    /// and invalidations. Each read asserts read-your-snapshot on the
-    /// flight key: the served `key_version` is never below the metastore
-    /// cache version observed before submitting — a pre-invalidation
-    /// leader's result is never served to a post-invalidation arrival.
-    /// Serve reads produce no history rows and must never change the
-    /// checker's verdict.
-    pub coalesce_clients: usize,
     /// Extra scheduler clients that hold a database snapshot open across
     /// several yield points — while the real clients commit, and every
     /// commit reclaims versions below the horizon — re-reading the
@@ -95,7 +84,6 @@ impl RunConfig {
             subtree_clients: 0,
             flush_clients: 0,
             freeze_clients: 0,
-            coalesce_clients: 0,
             snapshot_clients: 0,
         }
     }
@@ -175,7 +163,6 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     let total_clients = history_clients
         + cfg.flush_clients
         + cfg.freeze_clients
-        + cfg.coalesce_clients
         + cfg.snapshot_clients;
     let steps_hint = (total_clients * cfg.ops_per_client * 8) as u64;
     let sched = Scheduler::new(cfg.seed, total_clients, cfg.mode, steps_hint);
@@ -278,51 +265,6 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
             }
         }));
     }
-    // Coalesce clients: each pass issues a `getTable` through a shared
-    // serving plane, so the scheduler can interleave flight creation,
-    // follower joins, and the leader's execution with the real clients'
-    // writes (which advance the metastore cache version). The assertion
-    // is the flight-key snapshot contract: the version baked into the
-    // served flight is never older than the version observed before
-    // submitting, so an invalidation can never leak a stale leader
-    // result forward. Like flushes and freezes, serve reads produce no
-    // history rows and must never change the checker's verdict.
-    if cfg.coalesce_clients > 0 {
-        let plane = Arc::new(uc_serve::ServePlane::new(
-            uc.clone(),
-            uc_serve::ServeConfig::default(),
-        ));
-        plane.register_tenant(&ms, "check");
-        for j in 0..cfg.coalesce_clients {
-            let sched = sched.clone();
-            let uc = uc.clone();
-            let plane = plane.clone();
-            let ctx = ctx.clone();
-            let ms = ms.clone();
-            let iters = cfg.ops_per_client;
-            let client_idx = history_clients + cfg.flush_clients + cfg.freeze_clients + j;
-            handles.push(std::thread::spawn(move || {
-                sched.register_current(client_idx);
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for _ in 0..iters {
-                        yield_point(points::OP_START);
-                        let v_pre = uc.metastore_cache_version(&ms);
-                        let served = plane.get_table(&ctx, &ms, "main.s.seed0").unwrap();
-                        assert!(
-                            served.key_version >= v_pre,
-                            "flight served a pre-invalidation snapshot: key_version \
-                             {} < observed version {v_pre}",
-                            served.key_version,
-                        );
-                    }
-                }));
-                uc_cloudstore::sched::finish_current();
-                if let Err(p) = result {
-                    resume_unwind(p);
-                }
-            }));
-        }
-    }
     // Snapshot clients: a snapshot held across yields, so commits — and
     // the reclamation each one runs — land while it is open.
     let lost: Arc<Mutex<Vec<Violation>>> = Arc::new(Mutex::new(Vec::new()));
@@ -332,8 +274,7 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
         let ms = ms.clone();
         let lost = lost.clone();
         let iters = cfg.ops_per_client;
-        let client_idx =
-            history_clients + cfg.flush_clients + cfg.freeze_clients + cfg.coalesce_clients + j;
+        let client_idx = history_clients + cfg.flush_clients + cfg.freeze_clients + j;
         handles.push(std::thread::spawn(move || {
             sched.register_current(client_idx);
             let result = catch_unwind(AssertUnwindSafe(|| {
@@ -417,7 +358,6 @@ mod tests {
             subtree_clients: 0,
             flush_clients: 0,
             freeze_clients: 0,
-            coalesce_clients: 0,
             snapshot_clients: 0,
         };
         let a = run_one(&cfg);

@@ -31,6 +31,8 @@
 //! calling thread holds **no lock another scheduled client could need**
 //! (e.g. outside the cache write gate and the txdb commit lock). A parked
 //! client then never blocks the running one, so the baton always moves.
+//! Nor may a scheduled client wait on another (a condvar wait holds the
+//! baton while the thread that would wake it can never run).
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -290,16 +292,6 @@ pub fn yield_point(point: &'static str) {
     if let Some((sched, client)) = reg {
         sched.yield_at(client, point);
     }
-}
-
-/// Whether the calling thread is registered with a scheduler. A blocking
-/// primitive (condvar wait) would wedge the baton model — the waiter
-/// holds the baton while the thread that would wake it can never run —
-/// so code that may execute under the explorer probes this to swap a
-/// blocking wait for a yield-and-recheck loop (see uc-serve's
-/// single-flight followers).
-pub fn is_scheduled() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
 }
 
 /// Mark the calling thread's client as finished and hand the baton on.

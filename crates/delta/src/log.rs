@@ -131,11 +131,6 @@ impl StorageCommitCoordinator {
     pub fn new(store: ObjectStore, table_path: &StoragePath) -> Self {
         StorageCommitCoordinator { store: store.clone(), log_path: table_path.child(LOG_DIR) }
     }
-
-    /// Path of the log directory.
-    pub fn log_path(&self) -> &StoragePath {
-        &self.log_path
-    }
 }
 
 impl CommitCoordinator for StorageCommitCoordinator {

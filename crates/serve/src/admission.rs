@@ -8,8 +8,7 @@
 //! drop, so every exit path — success, catalog error, panic unwinding
 //! through a bench harness — returns the slot. Depth accounting feeds the
 //! `serve.queue.depth` gauge and the per-tenant depth histograms; the shed
-//! itself (audit + 429) is the caller's `ServePlane::shed`, shared with
-//! the batch queue's bound.
+//! itself (audit + 429) is the caller's, `ServePlane::admit`.
 
 use std::collections::HashMap;
 
@@ -63,7 +62,7 @@ impl Admission {
         metrics.queue_depth.add(1);
         metrics.depth_hist.record(depth as u64);
         metrics.depth_by.record(label, depth as u64);
-        Some(AdmissionGuard { admission: self, metrics, key, label: label.clone() })
+        Some(AdmissionGuard { admission: self, metrics, key })
     }
 
     fn release(&self, key: &(Uid, String)) {
@@ -82,9 +81,6 @@ pub struct AdmissionGuard<'a> {
     admission: &'a Admission,
     metrics: &'a ServeMetrics,
     key: (Uid, String),
-    /// The request's tenant label, rendered once at admission for every
-    /// later step that counts.
-    pub(crate) label: Label,
 }
 
 impl Drop for AdmissionGuard<'_> {

@@ -1,47 +1,31 @@
 #![forbid(unsafe_code)]
-//! uc-serve: the request-coalescing, batched serving plane.
+//! uc-serve: bounded per-tenant admission in front of the catalog.
 //!
-//! `RestApi` dispatches one request at a time, synchronously; under the
-//! paper's Fig 10b engine-metadata storms the database connection pool is
-//! the knee (pool permits × per-read latency caps throughput however
-//! many clients pile in). This crate puts an explicit serving plane in
-//! front of [`UnityCatalog`] — the FoundationDB Record Layer shape: a
-//! stateless tier that owns request scheduling so shared storage sees
-//! shaped, deduplicated traffic. Three mechanisms (DESIGN.md §10):
+//! `RestApi` dispatches one request at a time, synchronously, and admits
+//! everything. This crate puts admission control in front of
+//! [`UnityCatalog`] — FoundationDB Record Layer's per-tenant resource
+//! limit (DESIGN.md §10): each `(metastore, principal)` tenant owns an
+//! in-flight budget ([`admission`]), and a request over it is *shed
+//! deterministically* — an audited deny (`requestShed`), a `serve.shed`
+//! tick, and a typed [`UcError::ResourceExhausted`] that `rest.rs` maps to
+//! HTTP 429 — never a silent drop.
 //!
-//! * **Single-flight coalescing** ([`flight`]): concurrent `getTable`
-//!   requests for the same `(metastore, principal, key, cache-version)`
-//!   share one catalog execution — a *leader* runs it, *followers*
-//!   subscribe to its result, and the cache version in the key keeps a
-//!   result from ever being served across an invalidation.
+//! The plane answers nothing itself. An admitted request is exactly one
+//! catalog call ([`UnityCatalog::get_table`] or
+//! [`UnityCatalog::resolve_for_query`]) and gets the catalog's result
+//! unchanged, so the audit trail and the `catalog.{op}.count` series see
+//! every admitted request once, exactly as they see a direct call.
 //!
-//! * **Batched resolution** ([`batch`]): concurrent `resolve` requests
-//!   combine, group-commit style, into one
-//!   [`UnityCatalog::resolve_for_query`] call per compatible group; no
-//!   dispatcher thread exists.
-//!
-//! * **Bounded per-tenant admission** ([`admission`]): over its
-//!   in-flight budget a tenant's request is *shed deterministically* —
-//!   an audited deny (`requestShed`), a `serve.shed` tick, and a typed
-//!   [`UcError::ResourceExhausted`] that `rest.rs` maps to HTTP 429 —
-//!   never a silent drop.
-//!
-//! Each mechanism is a pair of non-blocking steps (`admit`; `join` /
-//! `finish`; `enqueue` / `next_group`) with two thin drivers over them.
-//! The thread driver (`get_table`/`resolve` called from many threads,
-//! including the baton-scheduled threads of uc-check) runs one request's
-//! steps back to back and waits on its [`slot::Slot`]; it powers the
-//! `fig10b_serve` bench. The [`replay`] driver steps a whole virtual
-//! millisecond of an open-loop [`uc_workload::openloop::Schedule`]
-//! through the same functions single-threaded on the injected clock, so
-//! leader election, shedding, batching, telemetry, and audit are pure
-//! functions of the seed — that is what the CI byte-diff gates replay.
+//! Two drivers use the same `admit` / `retry_after` steps: the thread
+//! driver ([`ServePlane::get_table`] / [`ServePlane::resolve`], called
+//! from many threads), and the [`replay`] driver, which steps a whole
+//! virtual millisecond of an open-loop [`uc_workload::openloop::Schedule`]
+//! single-threaded on the injected clock, so shedding, telemetry and the
+//! audit trail are pure functions of the seed — what the CI byte-diff
+//! gates replay.
 
 pub mod admission;
-pub mod batch;
-pub mod flight;
 pub mod replay;
-pub mod slot;
 
 use std::sync::Arc;
 
@@ -49,19 +33,13 @@ use uc_catalog::service::resolve::ResolvedSecurable;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::{Entity, FullName, UcError, UcResult, Uid};
 use uc_cloudstore::sched::yield_point;
-use uc_obs::{Counter, CounterFamily, Gauge, Histogram, HistogramFamily, Label, Obs};
+use uc_obs::{Counter, CounterFamily, Gauge, Histogram, HistogramFamily, Obs};
 
-/// Scheduler yield points owned by the serving plane. Constants so the
-/// interleaving explorer can land adversarial schedules at each stage;
-/// all three are reached holding no serve lock.
+/// Scheduler yield points owned by the serving plane, reached holding no
+/// serve lock.
 pub mod points {
     /// Before admission control examines the request.
     pub const SERVE_ENQUEUE: &str = "serve.enqueue";
-    /// Before a resolve request joins (or drains) the combining batch.
-    pub const SERVE_BATCH: &str = "serve.batch";
-    /// Before a leader executes the catalog call, and between a
-    /// follower's wait-loop probes under the explorer.
-    pub const SERVE_DISPATCH: &str = "serve.dispatch";
 }
 
 /// Retries a shed request gets after its first shed.
@@ -75,46 +53,19 @@ pub const BACKOFF_BASE_MS: u64 = 4;
 pub struct ServeConfig {
     /// Per-tenant in-flight budget; request N+1 is shed.
     pub queue_capacity: usize,
-    /// Single-flight coalescing on/off (off = the uncoalesced bench arm).
-    pub coalesce: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig { queue_capacity: 64, coalesce: true }
+        ServeConfig { queue_capacity: 64 }
     }
-}
-
-/// How a request was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Executed the catalog call itself (coalescing leader, batch
-    /// leader, or coalescing disabled).
-    Leader,
-    /// Subscribed to another request's execution.
-    Follower,
-}
-
-/// A successful serve-plane response: the value plus how it was served.
-#[derive(Debug, Clone)]
-pub struct Served<T> {
-    pub value: T,
-    pub role: Role,
-    /// The metastore cache version embedded in the flight key at join
-    /// time. Read-your-snapshot invariant: this is never below the
-    /// version the caller observed before submitting.
-    pub key_version: u64,
 }
 
 /// The serving plane's instruments, all riding the PR-7 dimensional
 /// plane: each global counter has a `.by_tenant` family whose per-label
 /// cells (plus `~overflow`) sum exactly to the global value — the
-/// conservation law the benches assert.
+/// conservation law the tests assert.
 pub(crate) struct ServeMetrics {
-    pub leaders: Counter,
-    pub leaders_by: CounterFamily,
-    pub followers: Counter,
-    pub followers_by: CounterFamily,
     pub admitted: Counter,
     pub admitted_by: CounterFamily,
     pub shed: Counter,
@@ -123,17 +74,11 @@ pub(crate) struct ServeMetrics {
     pub queue_depth: Gauge,
     pub depth_hist: Histogram,
     pub depth_by: HistogramFamily,
-    pub batch_size: Histogram,
-    pub batches: Counter,
 }
 
 impl ServeMetrics {
     fn new(obs: &Obs) -> ServeMetrics {
         ServeMetrics {
-            leaders: obs.counter("serve.coalesce.leaders"),
-            leaders_by: obs.counter_family("serve.coalesce.leaders.by_tenant"),
-            followers: obs.counter("serve.coalesce.followers"),
-            followers_by: obs.counter_family("serve.coalesce.followers.by_tenant"),
             admitted: obs.counter("serve.admitted"),
             admitted_by: obs.counter_family("serve.admitted.by_tenant"),
             shed: obs.counter("serve.shed"),
@@ -142,8 +87,6 @@ impl ServeMetrics {
             queue_depth: obs.gauge("serve.queue.depth"),
             depth_hist: obs.histogram("serve.queue.depth.hist"),
             depth_by: obs.histogram_family("serve.queue.depth.by_tenant"),
-            batch_size: obs.histogram("serve.batch.size"),
-            batches: obs.counter("serve.batch.count"),
         }
     }
 }
@@ -154,8 +97,6 @@ pub struct ServePlane {
     cfg: ServeConfig,
     metrics: ServeMetrics,
     admission: admission::Admission,
-    flights: flight::FlightMap,
-    batcher: batch::Batcher,
 }
 
 impl ServePlane {
@@ -164,8 +105,6 @@ impl ServePlane {
         ServePlane {
             metrics: ServeMetrics::new(&obs),
             admission: admission::Admission::new(),
-            flights: flight::FlightMap::default(),
-            batcher: batch::Batcher::default(),
             uc,
             cfg,
         }
@@ -175,30 +114,16 @@ impl ServePlane {
         &self.uc
     }
 
-    /// Resolve requests queued in the combining batcher.
-    pub fn batch_queue_len(&self) -> usize {
-        self.batcher.queued()
-    }
-
     /// Name the metastore in the catalog's tenant labels, which the serve
     /// metrics share: [`UnityCatalog::register_tenant_alias`].
     pub fn register_tenant(&self, ms: &Uid, alias: &str) {
         self.uc.register_tenant_alias(ms, alias);
     }
 
-    /// The one shed path: a `serve.shed` tick, an audited `requestShed`
-    /// deny, and the typed error `rest.rs` maps to HTTP 429 — never a
-    /// silent drop. `why` names the request and the bound it hit.
-    pub(crate) fn shed(&self, principal: &str, label: &Label, why: String) -> UcError {
-        self.metrics.shed.inc();
-        self.metrics.shed_by.inc(label);
-        self.uc.audit_shed(principal, format!("shed {why}"));
-        UcError::ResourceExhausted(why)
-    }
-
     /// Admit or shed one request; on admit the returned guard holds the
-    /// tenant's slot until dropped and carries the catalog's memoized
-    /// tenant label.
+    /// tenant's slot until dropped. A shed is a `serve.shed` tick, an
+    /// audited `requestShed` deny, and the typed error `rest.rs` maps to
+    /// HTTP 429 — never a silent drop.
     pub(crate) fn admit(
         &self,
         ms: &Uid,
@@ -210,7 +135,10 @@ impl ServePlane {
         let capacity = self.cfg.queue_capacity;
         self.admission.try_admit(ms, principal, capacity, &self.metrics, &label).ok_or_else(|| {
             let why = format!("{what}: tenant admission queue full (capacity {capacity})");
-            self.shed(principal, &label, why)
+            self.metrics.shed.inc();
+            self.metrics.shed_by.inc(&label);
+            self.uc.audit_shed(principal, format!("shed {why}"));
+            UcError::ResourceExhausted(why)
         })
     }
 
@@ -225,14 +153,10 @@ impl ServePlane {
         Some(BACKOFF_BASE_MS << attempt)
     }
 
-    /// Serve one `getTable` through admission + single-flight coalescing.
-    pub fn get_table(
-        &self,
-        ctx: &Context,
-        ms: &Uid,
-        name: &str,
-    ) -> UcResult<Served<Arc<Entity>>> {
-        self.board(ctx, ms, name)?.land()
+    /// Admit one `getTable`, then make the one catalog call.
+    pub fn get_table(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
+        let _admitted = self.admit(ms, &ctx.principal, "getTable")?;
+        self.uc.get_table(ctx, ms, name)
     }
 
     /// [`ServePlane::get_table`] with bounded shed-and-retry backoff on
@@ -244,7 +168,7 @@ impl ServePlane {
         ctx: &Context,
         ms: &Uid,
         name: &str,
-    ) -> UcResult<Served<Arc<Entity>>> {
+    ) -> UcResult<Arc<Entity>> {
         let mut attempt: u32 = 0;
         loop {
             let served = self.get_table(ctx, ms, name);
@@ -263,19 +187,15 @@ impl ServePlane {
         }
     }
 
-    /// Serve one batched resolution through admission + the combining
-    /// batcher.
+    /// Admit one resolution, then make the one catalog call.
     pub fn resolve(
         &self,
         ctx: &Context,
         ms: &Uid,
         refs: Vec<FullName>,
         want_credentials: bool,
-    ) -> UcResult<Served<Vec<ResolvedSecurable>>> {
-        let queued = self.enqueue_resolve(ctx, ms, refs, want_credentials)?;
-        if queued.leads() {
-            self.drain();
-        }
-        queued.collect()
+    ) -> UcResult<Vec<ResolvedSecurable>> {
+        let _admitted = self.admit(ms, &ctx.principal, "resolve")?;
+        self.uc.resolve_for_query(ctx, ms, &refs, want_credentials)
     }
 }

@@ -1,36 +1,31 @@
 //! Deterministic replay of an open-loop schedule through the plane.
 //!
-//! The concurrent entry points ([`crate::ServePlane::get_table`] /
-//! [`crate::ServePlane::resolve`]) are thread-driven: which requests
-//! coalesce and who leads depends on OS scheduling, so two runs report
-//! different (equally correct) splits. CI byte-diff gates need the
-//! opposite — so this module is a second, single-threaded driver of the
-//! plane's own steps (`board` / `land`, `enqueue_resolve` / `drain` /
-//! `collect`, `retry_after`) on the injected manual clock. It holds no
-//! policy of its own: every decision, counter and audit record comes out
-//! of the functions the thread driver calls. Leader election is
-//! deterministic (first arrival), so shed decisions, coalesce splits,
-//! batch sizes, telemetry, and the audit trail are pure functions of the
-//! schedule seed: `UC_SERVE_REPLAY=1` runs of the fig10b bench diff
-//! byte-identically.
+//! The thread driver ([`crate::ServePlane::get_table`] /
+//! [`crate::ServePlane::resolve`]) sheds by OS scheduling: which of a
+//! burst's requests find their tenant's budget full depends on which
+//! thread ran first. CI byte-diff gates need the opposite — so this module
+//! is a second, single-threaded driver of the plane's own steps (`admit`,
+//! `retry_after`) on the injected manual clock. It holds no policy of its
+//! own: every decision, counter and audit record comes out of the
+//! functions the thread driver calls, so shed decisions, telemetry, and
+//! the audit trail are pure functions of the schedule seed:
+//! `UC_SERVE_REPLAY=1` runs of the fig10b bench diff byte-identically.
 //!
-//! Requests arriving in the same virtual millisecond are concurrent:
-//! each is admitted (or shed) and joins its flight or the batch queue in
-//! arrival order before anything runs; then the flight leaders land,
-//! their followers read the published slots, and the batch leader drains
-//! the queue — nothing ever waits. A hook runs between quanta so tests
-//! can inject invalidations and prove flights never span a cache version
-//! change.
+//! One rule: requests arriving in the same virtual millisecond are
+//! concurrent. All of a quantum's arrivals are admitted or shed, in
+//! arrival order, before any of them runs — each admitted one holds its
+//! tenant's slot until it has run — and then each admitted request is one
+//! catalog call, also in arrival order. A hook runs between quanta so
+//! tests can inject writes or inspect the catalog.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use uc_catalog::service::Context;
-use uc_catalog::{Entity, FullName, Uid};
+use uc_catalog::{FullName, Uid};
 use uc_workload::openloop::{Arrival, RequestKind, Schedule};
 
-use crate::{ServePlane, Served};
+use crate::ServePlane;
 
 /// Binds a schedule's abstract tenant/key indices to a concrete world.
 pub struct ReplayBinding {
@@ -71,21 +66,10 @@ pub struct ReplayReport {
     pub retried: u64,
     /// Shed requests dropped after exhausting their retry budget.
     pub dropped: u64,
-    /// Coalesce groups executed (each is one catalog call + one audit).
-    pub leaders: u64,
-    /// Requests served from another request's flight.
-    pub followers: u64,
-    /// Combined resolve dispatches.
-    pub batches: u64,
-    /// Resolve requests carried by those dispatches.
-    pub batch_items: u64,
     /// Catalog-level errors surfaced to requests (denies etc.).
     pub errors: u64,
     /// Last virtual timestamp processed.
     pub end_ms: u64,
-    /// Metastore cache version of the last quantum — flights never span
-    /// two values of this (read-your-snapshot).
-    pub last_version: u64,
 }
 
 impl ReplayReport {
@@ -97,13 +81,8 @@ impl ReplayReport {
         let _ = writeln!(out, "serve.replay.shed={}", self.shed);
         let _ = writeln!(out, "serve.replay.retried={}", self.retried);
         let _ = writeln!(out, "serve.replay.dropped={}", self.dropped);
-        let _ = writeln!(out, "serve.replay.leaders={}", self.leaders);
-        let _ = writeln!(out, "serve.replay.followers={}", self.followers);
-        let _ = writeln!(out, "serve.replay.batches={}", self.batches);
-        let _ = writeln!(out, "serve.replay.batch_items={}", self.batch_items);
         let _ = writeln!(out, "serve.replay.errors={}", self.errors);
         let _ = writeln!(out, "serve.replay.end_ms={}", self.end_ms);
-        let _ = writeln!(out, "serve.replay.last_version={}", self.last_version);
         out
     }
 }
@@ -114,25 +93,13 @@ pub fn run(plane: &ServePlane, schedule: &Schedule, binding: &ReplayBinding) -> 
 }
 
 /// [`run`] with a hook invoked at the start of every quantum (after the
-/// clock advance, before admission) — the seam tests use to inject
-/// invalidations between quanta.
+/// clock advance, before admission) — the seam tests use to inject writes
+/// between quanta.
 pub fn run_with(
     plane: &ServePlane,
     schedule: &Schedule,
     binding: &ReplayBinding,
-    hook: impl FnMut(u64, &ServePlane),
-) -> ReplayReport {
-    run_observed(plane, schedule, binding, hook, |_, _, _| {})
-}
-
-/// [`run_with`] plus an observer called with every `getTable` result as
-/// it lands: the quantum, the request's context, what it was served.
-pub fn run_observed(
-    plane: &ServePlane,
-    schedule: &Schedule,
-    binding: &ReplayBinding,
     mut hook: impl FnMut(u64, &ServePlane),
-    mut on_get: impl FnMut(u64, &Context, &Served<Arc<Entity>>),
 ) -> ReplayReport {
     let mut report = ReplayReport::default();
     if binding.contexts.is_empty() || binding.tables.is_empty() {
@@ -152,32 +119,22 @@ pub fn run_observed(
             clock.advance_ms(t.saturating_sub(clock.now_ms()));
         }
         hook(t, plane);
-        report.last_version = plane.catalog().metastore_cache_version(ms);
 
-        // Arrival order: admit, then join the flight or the batch queue.
-        // Nothing runs yet and every entered request holds its admission
-        // slot until it is served, so the whole quantum is concurrently
-        // in flight and a tenant burst above its budget sheds
-        // deterministically (later arrivals lose).
-        let mut flights = Vec::new();
-        let mut queued = Vec::new();
+        // Arrival order: admit or shed. Nothing runs yet and every
+        // admitted request holds its slot until it has run, so the whole
+        // quantum is concurrently in flight and a tenant burst above its
+        // budget sheds deterministically (later arrivals lose).
+        let mut admitted = Vec::new();
         for (arrival, attempt) in quantum {
             let ctx = binding.context(arrival.tenant);
-            let table = |key: usize| binding.table(arrival.tenant, key);
             report.offered += 1;
-            let entered = match &arrival.kind {
-                RequestKind::GetTable => {
-                    plane.board(ctx, ms, table(arrival.key)).map(|f| flights.push(f))
-                }
-                RequestKind::Resolve { keys } => {
-                    let refs = keys.iter().filter_map(|k| FullName::parse(table(*k)).ok());
-                    plane
-                        .enqueue_resolve(ctx, ms, refs.collect(), binding.want_credentials)
-                        .map(|q| queued.push(q))
-                }
+            let what = match arrival.kind {
+                RequestKind::GetTable => "getTable",
+                RequestKind::Resolve { .. } => "resolve",
             };
-            if entered.is_ok() {
+            if let Ok(slot) = plane.admit(ms, &ctx.principal, what) {
                 report.admitted += 1;
+                admitted.push((arrival, slot));
                 continue;
             }
             report.shed += 1;
@@ -190,31 +147,20 @@ pub fn run_observed(
             }
         }
 
-        // Leaders land first (stable sort: in arrival order), so every
-        // follower finds its slot already published.
-        flights.sort_by_key(|flight| !flight.leads());
-        for flight in flights {
-            let ctx = flight.ctx;
-            if flight.leads() {
-                report.leaders += 1;
-            } else {
-                report.followers += 1;
-            }
-            match flight.land() {
-                Ok(served) => on_get(t, ctx, &served),
-                Err(_) => report.errors += 1,
-            }
-        }
-        // The quantum's first resolve found the queue idle and was
-        // elected; its drain serves every item behind it.
-        for request in queued {
-            if request.leads() {
-                report.batches += plane.drain();
-            }
-            report.batch_items += 1;
-            if request.collect().is_err() {
-                report.errors += 1;
-            }
+        // Arrival order again: each admitted request is one catalog call.
+        for (arrival, _slot) in admitted {
+            let ctx = binding.context(arrival.tenant);
+            let table = |key: usize| binding.table(arrival.tenant, key);
+            let uc = plane.catalog();
+            let ok = match &arrival.kind {
+                RequestKind::GetTable => uc.get_table(ctx, ms, table(arrival.key)).is_ok(),
+                RequestKind::Resolve { keys } => {
+                    let refs: Vec<FullName> =
+                        keys.iter().filter_map(|k| FullName::parse(table(*k)).ok()).collect();
+                    uc.resolve_for_query(ctx, ms, &refs, binding.want_credentials).is_ok()
+                }
+            };
+            report.errors += u64::from(!ok);
         }
     }
     report

@@ -94,11 +94,6 @@ impl ConnectionPool {
         self.inner.capacity
     }
 
-    /// (total wait time, number of waits that blocked) so far.
-    pub fn wait_stats(&self) -> (Duration, u64) {
-        (self.total_wait(), self.waits())
-    }
-
     /// Total time callers spent blocked waiting for a permit.
     pub fn total_wait(&self) -> Duration {
         Duration::from_nanos(self.inner.wait_ns.get())
@@ -215,8 +210,5 @@ mod tests {
         waiter.join().unwrap();
         assert!(pool.waits() >= 1, "blocked acquire must be counted");
         assert!(pool.total_wait() > Duration::ZERO);
-        let (total, waits) = pool.wait_stats();
-        assert_eq!(total, pool.total_wait());
-        assert_eq!(waits, pool.waits());
     }
 }

@@ -58,8 +58,7 @@ pub struct OpenLoopParams {
     pub tenants: usize,
     pub tenant_zipf: f64,
     /// Distinct keys per tenant; popularity is Zipf(`key_zipf`) — the
-    /// skew that makes concurrent same-key misses (and thus coalescing)
-    /// common.
+    /// skew that makes concurrent same-key misses common.
     pub keys_per_tenant: usize,
     pub key_zipf: f64,
     /// Distinct client-id population per tenant (the paper serves

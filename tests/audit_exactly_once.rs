@@ -159,7 +159,7 @@ mod deny {
     use uc_catalog::lineage::LineageDirection;
     use uc_catalog::ops::Op;
     use uc_catalog::service::federation::ForeignTableMeta;
-    use uc_catalog::service::rest::RestApi;
+    use uc_catalog::service::rest::{ApiError, RestApi};
     use uc_catalog::types::FullName;
     use serde_json::json;
     use uc_cloudstore::{AccessLevel, RootCredential};
@@ -267,6 +267,7 @@ mod deny {
         // Audited ops the sweep cannot reach with a refusal of their own.
         let not_swept = [
             "create_metastore",         // account-level: no authorization decision
+            "list_children",            // an outsider gets the children it may see; its one refusal, a binding, is tested below
             "purge_soft_deleted",       // node-internal: no principal
             "serve_admit",              // the serving plane's shed, not a catalog entry point
         ];
@@ -400,6 +401,37 @@ mod deny {
         assert!(matches!(err, UcError::InvalidArgument(_)), "{err}");
     }
 
+    /// A workspace-binding refusal is audited like any other: with `main`
+    /// bound to `ws-a`, an admin calling from `ws-b` gets a 403 from each
+    /// read that checks bindings, and each adds exactly one `Deny`, under
+    /// the refused op's own action, naming the bound catalog.
+    #[test]
+    fn a_workspace_binding_refusal_is_one_deny_under_the_calling_op() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_table(&admin, ms, TableSpec::managed("main.s.t", int_schema()).unwrap()).unwrap();
+        uc.set_catalog_bindings(&admin, ms, "main", &["ws-a"]).unwrap();
+        let main = uc.get_securable(&admin.clone().in_workspace("ws-a"), ms, &name("main"), "catalog").unwrap();
+        let elsewhere = admin.in_workspace("ws-b");
+        let t = name("main.s.t");
+        type Call<'a> = Box<dyn FnOnce() -> UcResult<()> + 'a>;
+        let calls: Vec<(&str, Call)> = vec![
+            ("getSecurable", Box::new(|| uc.get_table(&elsewhere, ms, "main.s.t").map(drop))),
+            ("listChildren", Box::new(|| uc.list_children(&elsewhere, ms, &name("main.s"), None).map(drop))),
+            ("resolveForQuery", Box::new(|| uc.resolve_for_query(&elsewhere, ms, std::slice::from_ref(&t), false).map(drop))),
+            ("generateTemporaryCredentials", Box::new(|| uc.temp_credentials(&elsewhere, ms, &t, "relation", AccessLevel::Read).map(drop))),
+            ("loadTableAsIceberg", Box::new(|| uc.load_table_as_iceberg(&elsewhere, ms, &t).map(drop))),
+        ];
+        for (action, call) in calls {
+            let (err, added) = refused(&w, call);
+            assert_eq!(ApiError::from(err).status, 403, "{action}");
+            let trail: Vec<_> =
+                added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
+            assert_eq!(trail, [(AuditDecision::Deny, action, Some(&main.id))], "{action}");
+        }
+    }
+
     /// A policy refusal is audited under the op that was refused: an
     /// untrusted engine resolving a row-filtered table lands as one
     /// `resolveForQuery` deny.
@@ -420,6 +452,29 @@ mod deny {
         assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
         assert_eq!(added.len(), 1, "{added:?}");
         assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveForQuery"));
+    }
+
+    /// Clearing a row filter is one `clearRowFilter` allow, and a trusted
+    /// engine's next resolve is handed no filter.
+    #[test]
+    fn a_cleared_row_filter_is_one_allow_and_reaches_no_engine() {
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let admin = Context::user(ADMIN);
+        uc.create_table(&admin, ms, TableSpec::managed("main.s.rf", int_schema()).unwrap()).unwrap();
+        let rf = name("main.s.rf");
+        uc.set_row_filter(&admin, ms, &rf, RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) })
+            .unwrap();
+        let engine = Context::trusted(ADMIN, "dbr");
+        let row_filter = || uc.resolve_for_query(&engine, ms, std::slice::from_ref(&rf), false).unwrap()[0].fgac.row_filter.clone();
+        assert!(row_filter().is_some());
+
+        let audits0 = uc.audit_log().total_recorded();
+        uc.clear_row_filter(&admin, ms, &rf).unwrap();
+        let added = uc.audit_log().recent((uc.audit_log().total_recorded() - audits0) as usize);
+        let actions: Vec<(AuditDecision, &str)> = added.iter().map(|r| (r.decision, r.action.as_str())).collect();
+        assert_eq!(actions, [(AuditDecision::Allow, "clearRowFilter")]);
+        assert_eq!(row_filter(), None);
     }
 
     /// `add_lineage` decides both endpoints itself: a caller who can see

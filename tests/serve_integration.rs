@@ -1,24 +1,20 @@
-//! Serving-plane integration suite: coalescing exactly-once, audited
-//! shedding, bounded virtual-clock retry, deterministic replay, and the
-//! read-your-snapshot flight key.
+//! Serving-plane integration suite: one catalog call per admitted
+//! request, audited shedding, bounded virtual-clock retry, and
+//! deterministic replay.
 //!
 //! The correctness contract under test (DESIGN.md §10):
 //!
-//! * N racing `getTable`s for one key produce **exactly one database
-//!   execution and one audit record per flight** — leaders do real work,
-//!   followers are free;
+//! * an admitted request is **exactly one catalog call** with exactly the
+//!   audit records, op counts and database reads of the direct call — N
+//!   racing `getTable`s for one key are N of each;
 //! * an over-budget request is **shed, never dropped silently**: a typed
 //!   429, a `requestShed` deny in the audit trail, a `serve.shed` tick;
 //! * retry backoff runs on the injected clock — deterministic and
 //!   instant under a manual clock;
 //! * the deterministic replay of an open-loop schedule is a pure
 //!   function of its seed, with per-tenant telemetry obeying the
-//!   conservation law;
-//! * the flight key embeds the metastore cache version, so an
-//!   invalidation can never serve a stale leader result to a
-//!   post-invalidation arrival.
+//!   conservation law.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -32,7 +28,7 @@ use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
 use uc_delta::value::{DataType, Field, Schema};
 use uc_obs::Obs;
 use uc_serve::replay::{run_with, ReplayBinding};
-use uc_serve::{replay, Role, ServeConfig, ServePlane};
+use uc_serve::{replay, ServeConfig, ServePlane};
 use uc_txdb::{Db, DbConfig};
 use uc_workload::openloop::{Arrival, OpenLoopParams, RequestKind, Schedule};
 
@@ -65,9 +61,9 @@ fn miss_world() -> World {
     world
 }
 
-/// A manual-clock world (instant, deterministic) for replay and backoff
-/// tests; `cache` controls whether the metastore version can advance.
-fn manual_world(cache: bool) -> (Arc<UnityCatalog>, uc_catalog::Uid) {
+/// A manual-clock, cache-off world (instant, deterministic) for replay and
+/// backoff tests.
+fn manual_world() -> (Arc<UnityCatalog>, uc_catalog::Uid) {
     let clock = Clock::manual(0);
     let obs_clock = clock.clone();
     let obs = Obs::with_clock_fn(Arc::new(move || obs_clock.now_ms()));
@@ -78,11 +74,7 @@ fn manual_world(cache: bool) -> (Arc<UnityCatalog>, uc_catalog::Uid) {
         db,
         store.clone(),
         UcConfig {
-            cache: if cache {
-                uc_catalog::cache::CacheConfig::default()
-            } else {
-                uc_catalog::cache::CacheConfig::disabled()
-            },
+            cache: uc_catalog::cache::CacheConfig::disabled(),
             obs,
             ..Default::default()
         },
@@ -110,9 +102,15 @@ fn counter(uc: &UnityCatalog, name: &str) -> u64 {
     }
 }
 
-/// N threads racing the same key share flights: every request is served
-/// (leader xor follower), each flight is exactly one catalog execution —
-/// the database and the audit trail both count leaders, never N.
+/// The decisions recorded so far for getting `main.s.t0`.
+fn t0_audits(uc: &UnityCatalog) -> Vec<AuditDecision> {
+    let records = uc.audit_log().query(|r| r.action == "getSecurable" && r.detail.contains("main.s.t0"));
+    records.iter().map(|r| r.decision).collect()
+}
+
+/// N threads racing the same key with the cache off are N catalog calls:
+/// N `getSecurable` allows, N `get_securable` op counts and N times one
+/// call's database reads — nothing is answered on the catalog's behalf.
 #[test]
 fn racing_get_tables_coalesce_exactly_once() {
     let world = miss_world();
@@ -126,62 +124,34 @@ fn racing_get_tables_coalesce_exactly_once() {
     plane.get_table(&ctx, &world.ms, "main.s.t1").unwrap();
     let reads_per_call = db_reads(&world.uc) - before;
     assert!(reads_per_call > 0, "cache-off getTable must read the db");
-    let audits_before = world
-        .uc
-        .audit_log()
-        .query(|r| r.action == "getSecurable" && r.detail.contains("main.s.t0"))
-        .len() as u64;
+    let audits_before = t0_audits(&world.uc).len();
+    let calls_before = counter(&world.uc, "catalog.get_securable.count");
 
     const N: usize = 16;
     let before = db_reads(&world.uc);
-    let leaders = AtomicU64::new(0);
-    let followers = AtomicU64::new(0);
     let barrier = Barrier::new(N);
     std::thread::scope(|scope| {
         for _ in 0..N {
             scope.spawn(|| {
                 barrier.wait();
-                let served = plane.get_table(&ctx, &world.ms, "main.s.t0").unwrap();
-                assert_eq!(served.value.name, "t0");
-                match served.role {
-                    Role::Leader => leaders.fetch_add(1, Ordering::Relaxed),
-                    Role::Follower => followers.fetch_add(1, Ordering::Relaxed),
-                };
+                let table = plane.get_table(&ctx, &world.ms, "main.s.t0").unwrap();
+                assert_eq!(table.name, "t0");
             });
         }
     });
-    let leaders = leaders.load(Ordering::Relaxed);
-    let followers = followers.load(Ordering::Relaxed);
 
-    // Every request served exactly once; at least one flight coalesced.
-    assert_eq!(leaders + followers, N as u64);
-    assert!(leaders >= 1);
-    assert!(
-        followers > 0,
-        "16 simultaneous misses at 2 ms/db-read must share at least one flight"
-    );
-    // Exactly one database execution per leader — followers are free.
-    assert_eq!(db_reads(&world.uc) - before, leaders * reads_per_call);
-    // Exactly one audit record per leader (the coalesced requests never
-    // reached the catalog, so they cannot double-audit).
-    let audits = world
-        .uc
-        .audit_log()
-        .query(|r| r.action == "getSecurable" && r.detail.contains("main.s.t0"))
-        .len() as u64;
-    assert_eq!(audits - audits_before, leaders);
-    // Telemetry agrees with the observed roles.
-    assert_eq!(counter(&world.uc, "serve.coalesce.followers"), followers);
+    assert_eq!(counter(&world.uc, "catalog.get_securable.count") - calls_before, N as u64);
+    assert_eq!(db_reads(&world.uc) - before, N as u64 * reads_per_call);
+    let audits = t0_audits(&world.uc);
+    assert_eq!(audits[audits_before..], [AuditDecision::Allow; N], "one allow per request");
+    assert_eq!(counter(&world.uc, "serve.admitted"), N as u64 + 1);
 }
 
 /// Over-budget requests shed loudly: typed 429, audited deny, counted.
 #[test]
 fn shed_is_audited_and_maps_to_429() {
-    let (uc, ms) = manual_world(false);
-    let plane = ServePlane::new(
-        uc.clone(),
-        ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
-    );
+    let (uc, ms) = manual_world();
+    let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 0 });
     plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
 
@@ -207,11 +177,8 @@ fn shed_is_audited_and_maps_to_429() {
 /// on a manual clock it is instant and advances virtual time exactly.
 #[test]
 fn retry_backoff_is_bounded_and_virtual() {
-    let (uc, ms) = manual_world(false);
-    let plane = ServePlane::new(
-        uc.clone(),
-        ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
-    );
+    let (uc, ms) = manual_world();
+    let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 0 });
     plane.register_tenant(&ms, "serve");
     let ctx = Context::user(ADMIN);
     let t0 = uc.clock().now_ms();
@@ -233,11 +200,8 @@ fn retry_backoff_is_bounded_and_virtual() {
 /// `t` is re-offered at exactly `t + 4`, `t + 4 + 8`, `t + 4 + 8 + 16`.
 #[test]
 fn replay_reoffers_shed_requests_on_the_retry_ladder() {
-    let (uc, ms) = manual_world(false);
-    let plane = ServePlane::new(
-        uc.clone(),
-        ServeConfig { queue_capacity: 0, ..ServeConfig::default() },
-    );
+    let (uc, ms) = manual_world();
+    let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 0 });
     let kind = RequestKind::GetTable;
     let arrival = Arrival { at_ms: 10, tenant: 0, client: 0, key: 0, kind };
     let schedule = Schedule { params: OpenLoopParams::fig5(1, 1.0), arrivals: vec![arrival] };
@@ -255,11 +219,8 @@ fn replay_reoffers_shed_requests_on_the_retry_ladder() {
 }
 
 fn replay_fixture() -> (Arc<UnityCatalog>, ServePlane, Schedule, ReplayBinding) {
-    let (uc, ms) = manual_world(false);
-    let plane = ServePlane::new(
-        uc.clone(),
-        ServeConfig { queue_capacity: 8, ..ServeConfig::default() },
-    );
+    let (uc, ms) = manual_world();
+    let plane = ServePlane::new(uc.clone(), ServeConfig { queue_capacity: 8 });
     plane.register_tenant(&ms, "serve");
     let mut params = OpenLoopParams::fig5(42, 60_000.0);
     params.horizon_ms = 50;
@@ -317,21 +278,17 @@ fn replay_is_deterministic_and_conserves_telemetry() {
     assert_eq!(shed_audits(&uc_a), report_a.shed);
     assert_eq!(shed_audits(&uc_b), report_a.shed);
 
-    // The storm actually exercised every mechanism.
+    // The storm sheds, and every admitted request is one catalog call.
     assert!(report_a.shed > 0, "8-deep budget under 60 K rps must shed");
-    assert!(report_a.followers > 0, "hot keys must coalesce");
-    assert!(report_a.batches > 0, "resolve arrivals must batch");
     assert_eq!(report_a.errors, 0);
-
-    // Serve accounting: every admitted request is served exactly once.
-    assert_eq!(
-        report_a.admitted,
-        report_a.leaders + report_a.followers + report_a.batch_items
-    );
+    let calls = |uc: &UnityCatalog| {
+        counter(uc, "catalog.get_securable.count") + counter(uc, "catalog.resolve_for_query.count")
+    };
+    assert_eq!(calls(&uc_a), report_a.admitted);
     // Conservation law: per-tenant cells (plus overflow) sum exactly to
     // each global serve counter.
     let parsed = parse_snapshot(&uc_a.metrics_snapshot());
-    for base in ["serve.admitted", "serve.shed", "serve.coalesce.leaders", "serve.coalesce.followers"] {
+    for base in ["serve.admitted", "serve.shed"] {
         let global = match parsed.get(base) {
             Some(SnapshotValue::Counter(n)) => *n,
             other => panic!("{base} missing: {other:?}"),
@@ -343,124 +300,39 @@ fn replay_is_deterministic_and_conserves_telemetry() {
         );
     }
 
-    // Followers are served, not just counted: each is handed exactly the
-    // entity its flight's leader fetched in that quantum.
-    let (_uc_c, plane_c, _, binding_c) = replay_fixture();
-    let mut led = std::collections::HashMap::new();
-    let mut followed = 0;
-    replay::run_observed(&plane_c, &schedule, &binding_c, |_, _| {}, |t, ctx, served| {
-        let flight = (t, ctx.principal.clone(), served.value.name.clone());
-        match served.role {
-            Role::Leader => assert!(led.insert(flight, served.value.id.clone()).is_none()),
-            Role::Follower => {
-                followed += 1;
-                assert_eq!(led.get(&flight), Some(&served.value.id), "not its leader's entity");
-            }
-        }
-    });
-    assert_eq!(followed, report_a.followers);
 }
 
-/// The flight key embeds the metastore cache version: an invalidation
-/// advances the version, so post-invalidation requests compute a new key
-/// and can never be served a pre-invalidation leader's result.
+/// One replay quantum with two `Resolve` arrivals from one principal —
+/// one on a table it may read, one on a table it may not — is two
+/// `resolve_for_query` calls: one `Allow` for the first, one `Deny` for
+/// the second, and nothing recorded twice.
 #[test]
-fn invalidation_advances_the_flight_key_version() {
-    let (uc, ms) = manual_world(true);
+fn a_replay_quantum_audits_each_resolve_exactly_once() {
+    let (uc, ms) = manual_world();
     let plane = ServePlane::new(uc.clone(), ServeConfig::default());
-    plane.register_tenant(&ms, "serve");
-    let ctx = Context::user(ADMIN);
-
-    let v0 = uc.metastore_cache_version(&ms);
-    let served = plane.get_table(&ctx, &ms, "main.s.t0").unwrap();
-    assert_eq!(served.key_version, v0, "flight key pins the version at join time");
-
-    // A write invalidates: the metastore version advances, so new
-    // arrivals key a fresh flight.
-    let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-    uc.create_table(&ctx, &ms, TableSpec::managed("main.s.fresh", schema).unwrap()).unwrap();
-    let v1 = uc.metastore_cache_version(&ms);
-    assert!(v1 > v0, "a committed write must advance the metastore version");
-    let served = plane.get_table(&ctx, &ms, "main.s.t0").unwrap();
-    assert_eq!(served.key_version, v1, "post-invalidation requests use the new key");
-
-    // Same property through the replay driver: a write injected between
-    // quanta moves every later flight to the new version.
-    let params = OpenLoopParams {
-        horizon_ms: 10,
-        ..OpenLoopParams::fig5(7, 3_000.0)
-    };
-    let schedule = Schedule::generate(&params);
-    let names: Vec<String> = (0..TABLES).map(|i| format!("main.s.t{i}")).collect();
+    uc.grant_read_path(&Context::user(ADMIN), &ms, "main.s.t0", "alice").unwrap();
+    let resolve = |key| Arrival { at_ms: 3, tenant: 0, client: 0, key, kind: RequestKind::Resolve { keys: vec![key] } };
+    let schedule = Schedule { params: OpenLoopParams::fig5(1, 1.0), arrivals: vec![resolve(0), resolve(1)] };
     let binding = ReplayBinding {
-        ms: ms.clone(),
-        contexts: vec![ctx.clone()],
-        tables: vec![names],
+        ms,
+        contexts: vec![Context::user("alice")],
+        tables: vec![vec!["main.s.t0".to_string(), "main.s.t1".to_string()]],
         want_credentials: false,
     };
-    let mut invalidated_at = None;
-    let report = run_with(&plane, &schedule, &binding, |t, plane| {
-        if t >= 5 && invalidated_at.is_none() {
-            let schema = Schema::new(vec![Field::new("x", DataType::Int)]);
-            plane
-                .catalog()
-                .create_table(
-                    &Context::user(ADMIN),
-                    &binding.ms,
-                    TableSpec::managed("main.s.mid_replay", schema).unwrap(),
-                )
-                .unwrap();
-            invalidated_at = Some(t);
-        }
-    });
-    assert!(invalidated_at.is_some(), "schedule must reach the invalidation quantum");
-    assert!(
-        report.last_version > v1,
-        "flights after the mid-replay write must carry the advanced version"
+    let audits0 = uc.audit_log().total_recorded();
+
+    let report = replay::run(&plane, &schedule, &binding);
+
+    assert_eq!((report.offered, report.admitted, report.errors), (2, 2, 1));
+    assert_eq!(counter(&uc, "catalog.resolve_for_query.count"), 2);
+    let added = uc.audit_log().recent((uc.audit_log().total_recorded() - audits0) as usize);
+    let trail: Vec<(AuditDecision, &str, &str)> =
+        added.iter().map(|r| (r.decision, r.action.as_str(), r.detail.as_str())).collect();
+    assert_eq!(
+        trail,
+        [
+            (AuditDecision::Allow, "resolveForQuery", "main.s.t0"),
+            (AuditDecision::Deny, "resolveForQuery", "main.s.t1"),
+        ]
     );
-}
-
-/// Racing resolves combine into batches, and every request still gets
-/// exactly its own refs' results back.
-#[test]
-fn batched_resolves_split_correctly() {
-    let world = miss_world();
-    let plane = Arc::new(ServePlane::new(world.uc.clone(), ServeConfig::default()));
-    plane.register_tenant(&world.ms, "serve");
-    let ctx = world.admin();
-
-    const N: usize = 12;
-    let barrier = Arc::new(Barrier::new(N));
-    std::thread::scope(|scope| {
-        for i in 0..N {
-            let plane = Arc::clone(&plane);
-            let barrier = Arc::clone(&barrier);
-            let ctx = ctx.clone();
-            let ms = world.ms.clone();
-            scope.spawn(move || {
-                // Each request asks for a distinct slice of the tables.
-                let refs: Vec<FullName> = (0..=(i % 3))
-                    .map(|k| FullName::parse(&format!("main.s.t{}", (i + k) % TABLES)).unwrap())
-                    .collect();
-                barrier.wait();
-                let served = plane.resolve(&ctx, &ms, refs.clone(), false).unwrap();
-                assert_eq!(served.value.len(), refs.len(), "positional split must match");
-                for (want, got) in refs.iter().zip(&served.value) {
-                    assert_eq!(got.entity.name, want.asset().unwrap());
-                }
-            });
-        }
-    });
-    let parsed = parse_snapshot(&world.uc.metrics_snapshot());
-    let batches = match parsed.get("serve.batch.count") {
-        Some(SnapshotValue::Counter(n)) => *n,
-        other => panic!("serve.batch.count missing: {other:?}"),
-    };
-    assert!(batches >= 1, "racing resolves must dispatch");
-    assert!(batches <= N as u64, "dispatches never exceed requests");
-    let sizes = match parsed.get("serve.batch.size") {
-        Some(SnapshotValue::Histogram { count, sum, .. }) => (*count, *sum),
-        other => panic!("serve.batch.size missing: {other:?}"),
-    };
-    assert_eq!(sizes, (batches, N as u64), "batch sizes must sum to the request count");
 }
