@@ -54,6 +54,54 @@ pub struct AuditRecord {
     pub trace_id: Option<u64>,
 }
 
+/// Why a request was refused with `PermissionDenied`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reason {
+    /// The caller lacks the privilege (or authority) the request needs.
+    Privilege,
+    /// A catalog is bound to workspaces the request did not come from.
+    WorkspaceBinding,
+    /// A row filter or column mask binds the read; the caller is no trusted engine.
+    NeedsTrustedEngine,
+    /// An ABAC policy restricts the asset to groups the caller is not in.
+    AbacRestriction,
+    /// No external location covers the requested path.
+    NoExternalLocation,
+}
+
+/// A refused request, as `UcError::PermissionDenied` carries it. Its one
+/// constructor is [`AuditLog::refuse`], which appends the refusal's `Deny`
+/// first, so a refusal that exists was audited:
+///
+/// ```compile_fail
+/// use uc_catalog::audit::{Reason, Refusal};
+/// let _ = Refusal { reason: Reason::Privilege, message: String::new() };
+/// ```
+///
+/// ```
+/// use uc_catalog::audit::{AuditLog, Reason};
+/// let log = AuditLog::new(8);
+/// let refusal = log.refuse(0, "alice", uc_catalog::ops::GET_SECURABLE, None, String::new(), None, Reason::Privilege, "no".into());
+/// assert_eq!((refusal.reason(), log.len()), (Reason::Privilege, 1));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refusal {
+    reason: Reason,
+    message: String,
+}
+
+impl Refusal {
+    pub fn reason(&self) -> Reason {
+        self.reason
+    }
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
 /// Number of append lanes. Matches the bench's widest thread sweep; more
 /// threads than lanes only costs sharing a lane's (still uncontended-by-
 /// others) mutex, never correctness.
@@ -149,6 +197,24 @@ impl AuditLog {
             // uc-lint: allow(hotpath) -- amortized: one merge per lane_high_water appends, not per record
             self.flush();
         }
+    }
+
+    /// [`Self::record`] a refused request's `Deny`, then return the
+    /// [`Refusal`] it stands for (`message` is what the caller is told).
+    #[allow(clippy::too_many_arguments)]
+    pub fn refuse(
+        &self,
+        timestamp_ms: u64,
+        principal: &str,
+        action: Action,
+        securable: Option<&Uid>,
+        detail: String,
+        trace_id: Option<u64>,
+        reason: Reason,
+        message: String,
+    ) -> Refusal {
+        self.record(timestamp_ms, principal, action, securable, AuditDecision::Deny, detail, trace_id);
+        Refusal { reason, message }
     }
 
     /// Drain every lane and merge the pending records into the canonical

@@ -6,6 +6,8 @@ use uc_cloudstore::StorageError;
 use uc_delta::DeltaError;
 use uc_txdb::TxError;
 
+use crate::audit::Refusal;
+
 /// Result alias for catalog operations.
 pub type UcResult<T> = Result<T, UcError>;
 
@@ -17,8 +19,8 @@ pub enum UcError {
     NotFound(String),
     /// A securable with this name already exists in the namespace.
     AlreadyExists(String),
-    /// The caller lacks a required privilege.
-    PermissionDenied(String),
+    /// The request was refused, and the refusal's `Deny` recorded.
+    PermissionDenied(Refusal),
     /// The request violates the one-asset-per-path principle.
     PathConflict { requested: String, existing: String },
     /// Input failed the asset type's validation rules.

@@ -75,11 +75,11 @@ mod tests {
         // Versions are the sequence: every commit is the next one, and its
         // events carry it.
         let (uc, ms, ctx) = world();
-        let start = uc.events_since(&ms, 0).unwrap().next_version;
+        let start = uc.events_since(&ctx, &ms, 0).unwrap().next_version;
         for name in ["a", "b", "c"] {
             uc.create_catalog(&ctx, &ms, name).unwrap();
         }
-        let page = uc.events_since(&ms, start).unwrap();
+        let page = uc.events_since(&ctx, &ms, start).unwrap();
         let versions: Vec<u64> = page.events.iter().map(|e| e.at_version).collect();
         assert_eq!(versions, [start + 1, start + 2, start + 3]);
         assert_eq!(page.next_version, start + 3);
@@ -89,16 +89,16 @@ mod tests {
     fn consumption_by_offset() {
         let (uc, ms, ctx) = world();
         uc.create_catalog(&ctx, &ms, "a").unwrap();
-        let page = uc.events_since(&ms, 0).unwrap();
+        let page = uc.events_since(&ctx, &ms, 0).unwrap();
         assert_eq!(page.events.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(), ["prod", "a"]);
         assert!(!page.resync);
         // nothing new
-        let again = uc.events_since(&ms, page.next_version).unwrap();
+        let again = uc.events_since(&ctx, &ms, page.next_version).unwrap();
         assert!(again.events.is_empty());
         assert_eq!(again.next_version, page.next_version);
         // a new event arrives
         uc.create_catalog(&ctx, &ms, "c").unwrap();
-        let next = uc.events_since(&ms, again.next_version).unwrap();
+        let next = uc.events_since(&ctx, &ms, again.next_version).unwrap();
         assert_eq!(next.events.len(), 1);
         assert_eq!(next.events[0].name, "c");
         assert_eq!(next.next_version, page.next_version + 1);
@@ -110,8 +110,8 @@ mod tests {
         for i in 0..5 {
             uc.create_catalog(&ctx, &ms, &format!("e{i}")).unwrap();
         }
-        let fast = uc.events_since(&ms, 0).unwrap();
-        let slow = uc.events_since(&ms, 3).unwrap();
+        let fast = uc.events_since(&ctx, &ms, 0).unwrap();
+        let slow = uc.events_since(&ctx, &ms, 3).unwrap();
         assert_eq!(fast.events.len(), 6, "the metastore's own create and five catalogs");
         assert_eq!(slow.events.len(), 3);
         assert_eq!(slow.events[0].name, "e2");
@@ -120,8 +120,8 @@ mod tests {
 
     #[test]
     fn offset_beyond_head_is_safe() {
-        let (uc, ms, _) = world();
-        let page = uc.events_since(&ms, 99).unwrap();
+        let (uc, ms, ctx) = world();
+        let page = uc.events_since(&ctx, &ms, 99).unwrap();
         assert!(page.events.is_empty() && !page.resync);
         assert_eq!(page.next_version, 1, "a position past the head is brought back to it");
     }

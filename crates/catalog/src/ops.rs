@@ -112,7 +112,7 @@ ops! {
     CREATE_VIEW = "create_view" => ["createView"];
     CREATE_VOLUME = "create_volume" => ["createVolume", USE_EXTERNAL_PATH];
     DROP_SECURABLE = "drop_securable" => ["dropSecurable"];
-    EVENTS_SINCE = "events_since" => [];
+    EVENTS_SINCE = "events_since" => ["listEvents"];
     GET_ENTITY_BY_ID = "get_entity_by_id" => [];
     GET_METASTORE = "get_metastore" => [];
     GET_SECURABLE = "get_securable" => [GET_SECURABLE];

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use uc_cloudstore::{AccessLevel, RootCredential, StoragePath};
 use uc_delta::value::Schema;
 
+use crate::audit::Reason;
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::authz::Privilege;
 use crate::cache::WriteEffects;
@@ -153,7 +154,7 @@ impl UnityCatalog {
             ent.properties.insert(props::ROOT_SECRET.to_string(), root.secret.to_string());
             Ok(())
         })?;
-        self.roots.write().insert(root.bucket.clone(), root.clone());
+        self.roots.write().entry(ms.clone()).or_default().insert(root.bucket.clone(), root.clone());
         api.audit.allow(&created.id, name);
         Ok(created)
     }
@@ -334,10 +335,7 @@ impl UnityCatalog {
                 return audit.gate_with(who, &chain, need, path);
             }
         }
-        audit.deny(None, path);
-        Err(UcError::PermissionDenied(format!(
-            "no external location covers {path}"
-        )))
+        Err(audit.refuse(None, path, Reason::NoExternalLocation, format!("no external location covers {path}")))
     }
 
     /// Create a table (managed or external or foreign).
@@ -997,37 +995,39 @@ impl UnityCatalog {
     /// Garbage-collect soft-deleted entities: remove their rows, their
     /// catalog-owned commit history, and (for managed assets) their cloud
     /// storage. The victims are exactly the metastore's range of the
-    /// trash. Returns (entities purged, storage objects deleted).
+    /// trash; one whose storage listing or any delete fails stays there for
+    /// the next purge (counted in `catalog.purge.storage_failures`), never
+    /// orphaning the objects. Returns (entities purged, objects deleted).
     pub fn purge_soft_deleted(&self, ms: &Uid) -> UcResult<(usize, usize)> {
         let api = self.api_enter(Op::PURGE_SOFT_DELETED, None, Some(ms));
         // Collect victims outside the write to keep the transaction small.
-        let victims: Vec<Entity> = self
+        let mut victims: Vec<Entity> = self
             .db
             .begin_read()
             .scan_prefix(T_TRASH, &keys::ent_ms_prefix(ms))
             .into_iter()
             .map(|(_, raw)| Entity::decode(&raw))
             .collect::<UcResult<_>>()?;
-        let mut objects_deleted = 0;
-        for victim in &victims {
-            // Managed storage cleanup happens before metadata removal so a
-            // crash leaves the tombstone for a retry.
+        let (mut objects_deleted, mut failures) = (0, 0);
+        // Managed storage cleanup happens before metadata removal so a
+        // crash, or a failed cleanup, leaves the tombstone for a retry.
+        victims.retain(|victim| {
             let managed = victim.table_type() == Some(TableType::Managed)
                 || victim.kind == SecurableKind::RegisteredModel;
-            if managed {
-                if let Some(path) = victim.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
-                    if let Ok(root) = self.root_for_bucket(ms, path.bucket()) {
-                        let cred = uc_cloudstore::Credential::Root(root);
-                        if let Ok(objs) = self.store.list(&cred, &path) {
-                            for o in objs {
-                                if self.store.delete(&cred, &o.path).is_ok() {
-                                    objects_deleted += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            let path = victim.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok());
+            let Some(path) = path.filter(|_| managed) else { return true };
+            let cred = self.root_for_bucket(ms, path.bucket()).map(uc_cloudstore::Credential::Root);
+            let Some((objs, cred)) = cred.ok().and_then(|cred| Some((self.store.list(&cred, &path).ok()?, cred))) else {
+                failures += 1; // no root credential, or the listing failed
+                return false;
+            };
+            let deleted = objs.iter().filter(|o| self.store.delete(&cred, &o.path).is_ok()).count();
+            objects_deleted += deleted;
+            failures += objs.len() - deleted;
+            deleted == objs.len()
+        });
+        if failures > 0 {
+            self.config.obs.counter("catalog.purge.storage_failures").add(failures as u64);
         }
         let purged = self.write_ms(ms, |tx, _ver, fx| {
             for victim in &victims {

@@ -307,9 +307,10 @@ impl UnityCatalog {
     /// events: it rebuilds from the full state (the query API), then
     /// resumes from `next_version`. On return this node's cache is at
     /// `next_version` or later, so an entity an event names is never read
-    /// back older than the event.
-    pub fn events_since(&self, ms: &Uid, after_version: u64) -> UcResult<EventPage> {
-        let _api = self.api_enter(Op::EVENTS_SINCE, None, Some(ms));
+    /// back older than the event. It names every securable: admins only.
+    pub fn events_since(&self, ctx: &Context, ms: &Uid, after_version: u64) -> UcResult<EventPage> {
+        let api = self.api_enter(Op::EVENTS_SINCE, Some(&ctx.principal), Some(ms));
+        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, "events")?;
         let rt = self.db.begin_read();
         let (rows, complete) = feed::rows_between(&rt, ms, after_version, u64::MAX)?;
         let next_version = rows.last().map_or_else(|| read_ms_version(&rt, ms), |(version, _)| *version);

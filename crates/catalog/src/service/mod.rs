@@ -44,7 +44,8 @@ use uc_cloudstore::{AccessLevel, Clock, ObjectStore, RootCredential, StoragePath
 use uc_obs::{Counter, CounterFamily, Histogram, HistogramFamily, Label, Obs, SpanGuard, WindowSeries};
 use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 
-use crate::audit::{AuditDecision, AuditLog};
+use crate::audit::{AuditDecision, AuditLog, Reason};
+use crate::authz::fgac::FgacPolicies;
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
 use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, WriteEffects};
@@ -278,9 +279,9 @@ pub struct UnityCatalog {
     pub(crate) cred_cache: TtlCache<(Uid, AccessLevel), TempCredential>,
     /// TTL cache for principal/group records (weak consistency is fine).
     pub(crate) principal_cache: TtlCache<String, PrincipalRecord>,
-    /// Root credentials by bucket, mirrored from storage-credential
-    /// entities for fast vending.
-    pub(crate) roots: RwLock<std::collections::HashMap<String, RootCredential>>,
+    /// Root credentials by metastore, then bucket (a metastore vends only
+    /// with its own), mirrored from storage-credential entities.
+    pub(crate) roots: RwLock<std::collections::HashMap<Uid, std::collections::HashMap<String, RootCredential>>>,
     pub(crate) audit: AuditLog,
     pub(crate) stats: ServiceStats,
     /// Per-op metric handles for [`UnityCatalog::api_enter`], one slot per
@@ -333,15 +334,31 @@ impl<'a> Audited<'a> {
 
     /// Audit the op's `Allow`, once it has run.
     pub(crate) fn allow(&self, securable: &Uid, detail: impl std::fmt::Display) {
-        let action = self.op.actions[self.action];
-        self.uc.record_audit(self.principal, action, Some(securable), AuditDecision::Allow, detail);
+        self.record(Some(securable), AuditDecision::Allow, detail);
     }
 
-    /// Audit a refusal [`Self::gate`] does not decide: a policy that needs
-    /// a trusted engine, a path no asset governs.
-    pub(crate) fn deny(&self, securable: Option<&Uid>, detail: impl std::fmt::Display) {
+    /// Audit the `Allow`, or a `Deny` that is no `PermissionDenied` (that is
+    /// [`Self::refuse`]): a hidden securable, a path no asset governs.
+    pub(crate) fn record(&self, securable: Option<&Uid>, decision: AuditDecision, detail: impl std::fmt::Display) {
         let action = self.op.actions[self.action];
-        self.uc.record_audit(self.principal, action, securable, AuditDecision::Deny, detail);
+        self.uc.record_audit(action, detail, |log, now, detail, trace| {
+            log.record(now, self.principal, action, securable, decision, detail, trace)
+        });
+    }
+
+    /// The one `PermissionDenied`: a `Deny` under the request's action,
+    /// and the error carrying the [`crate::audit::Refusal`] it hands back.
+    pub(crate) fn refuse(
+        &self,
+        securable: Option<&Uid>,
+        detail: impl std::fmt::Display,
+        reason: Reason,
+        message: String,
+    ) -> UcError {
+        let action = self.op.actions[self.action];
+        UcError::PermissionDenied(self.uc.record_audit(action, detail, |log, now, detail, trace| {
+            log.refuse(now, self.principal, action, securable, detail, trace, reason, message)
+        }))
     }
 
     /// The one authorization gate: every audited allow / deny in the
@@ -349,10 +366,11 @@ impl<'a> Audited<'a> {
     /// and only then — the `Deny` is recorded against `chain[0]` under the
     /// request's action, and the error is built: `NotFound` for
     /// [`Need::See`] (existence is hidden from callers who may not see the
-    /// object), `PermissionDenied` naming the need and the target
-    /// otherwise. Callers audit their own [`Self::allow`] once the op has
-    /// run. Returns the caller's context, built from the chain's metastore
-    /// entity, for requests that decide again ([`Self::gate_with`]).
+    /// object), a [`Reason::Privilege`] refusal naming the need and the
+    /// target otherwise. Callers audit their own [`Self::allow`] once the
+    /// op has run. Returns the caller's context, built from the chain's
+    /// metastore entity, for requests that decide again
+    /// ([`Self::gate_with`], [`Self::policies`]).
     pub(crate) fn gate(
         &self,
         chain: &[Arc<Entity>],
@@ -376,14 +394,12 @@ impl<'a> Audited<'a> {
             return Ok(());
         }
         let target = &chain[0];
-        self.deny(Some(&target.id), &detail);
-        Err(match need {
-            Need::See => UcError::NotFound(detail.to_string()),
-            _ => UcError::PermissionDenied(format!(
-                "{need} required on {} {}",
-                target.kind, target.name
-            )),
-        })
+        if let Need::See = need {
+            self.record(Some(&target.id), AuditDecision::Deny, &detail);
+            return Err(UcError::NotFound(detail.to_string()));
+        }
+        let message = format!("{need} required on {} {}", target.kind, target.name);
+        Err(self.refuse(Some(&target.id), detail, Reason::Privilege, message))
     }
 
     /// Catalog→workspace bindings (§3.2): if a catalog in `chain` is bound
@@ -400,10 +416,44 @@ impl<'a> Audited<'a> {
                 "catalog {} is bound to workspaces {:?}; request came from {:?}",
                 node.name, bindings, ctx.workspace
             );
-            self.deny(Some(&node.id), &why);
-            return Err(UcError::PermissionDenied(why));
+            return Err(self.refuse(Some(&node.id), &why, Reason::WorkspaceBinding, why.clone()));
         }
         Ok(())
+    }
+
+    /// The data-policy rule (§4.3.2, §3.3) every path that releases data
+    /// or a data credential applies to `chain[0]` once `who` passed the
+    /// gate: a matching ABAC restriction on a container that exempts none
+    /// of `who`'s groups refuses; else the asset's own row filter and
+    /// masks plus the containers' ABAC-derived masks (a direct mask wins)
+    /// bind the read, and only a trusted engine may be handed them.
+    pub(crate) fn policies(
+        &self,
+        ctx: &Context,
+        who: &AuthzContext,
+        chain: &[Arc<Entity>],
+    ) -> UcResult<FgacPolicies> {
+        let entity = &chain[0];
+        let governed = entity.governance();
+        let abac = || chain.iter().filter(|e| e.kind.is_container()).flat_map(|c| c.governance().abac.values());
+        if let Some(p) = abac().find(|p| p.evaluate_restriction(&governed.tags, &who.groups) == Some(false)) {
+            let message = format!("ABAC policy '{}' restricts access to {}", p.name, entity.name);
+            return Err(self.refuse(Some(&entity.id), &entity.name, Reason::AbacRestriction, message));
+        }
+        let mut fgac = governed.fgac.clone();
+        for mask in abac().flat_map(|p| p.derive_masks(&governed.column_tags, &who.groups)) {
+            if !fgac.column_masks.iter().any(|m| m.column == mask.column) {
+                fgac.column_masks.push(mask);
+            }
+        }
+        if !fgac.is_empty() && !ctx.is_trusted_engine() {
+            let message = format!(
+                "{} carries fine-grained policies; a trusted engine (or the data filtering service) is required",
+                entity.name
+            );
+            return Err(self.refuse(Some(&entity.id), &entity.name, Reason::NeedsTrustedEngine, message));
+        }
+        Ok(fgac)
     }
 
     /// The chain of the securable `name` addresses, if the caller may see
@@ -426,7 +476,7 @@ impl<'a> Audited<'a> {
 }
 
 /// RAII guard returned by `api_enter`: the request's [`Audited`] face, its
-/// span, the deferred per-tenant/window latency recording and the
+/// span, the deferred latency recording (op, per-tenant, window) and the
 /// thread-local tenant scope that lets deeper layers (txdb commit, STS
 /// mint) attribute their series to this request's tenant.
 pub(crate) struct ApiGuard<'a> {
@@ -445,6 +495,7 @@ impl Drop for ApiGuard<'_> {
     fn drop(&mut self) {
         let now = self.audit.uc.config.obs.clock_ms();
         let elapsed = now.saturating_sub(self.start_ms);
+        self.instruments.latency.record(elapsed);
         self.instruments.window.record(now, elapsed);
         self.instruments.labeled_latency.record(&self.label, elapsed);
     }
@@ -658,8 +709,7 @@ impl UnityCatalog {
         instruments.labeled_count.inc(&label);
         let start_ms = self.config.obs.clock_ms();
         let scope = uc_obs::tenant_scope(label.clone());
-        let latency = Some(instruments.latency.clone());
-        let span = self.config.obs.tracer().span_timed("catalog", op.name, latency);
+        let span = self.config.obs.span("catalog", op.name);
         let audit = Audited { uc: self, op, action: 0, principal };
         ApiGuard { audit, instruments, start_ms, label, _scope: scope, _span: span }
     }
@@ -734,38 +784,27 @@ impl UnityCatalog {
     /// the audit trail (under [`Op::SERVE_ADMIT`]'s action), never be a
     /// silent drop.
     pub fn audit_shed(&self, principal: &str, detail: impl std::fmt::Display) {
-        self.record_audit(principal, Op::SERVE_ADMIT.actions[0], None, AuditDecision::Deny, detail);
+        let action = Op::SERVE_ADMIT.actions[0];
+        self.record_audit(action, detail, |log, now, detail, trace| {
+            log.record(now, principal, action, None, AuditDecision::Deny, detail, trace)
+        });
     }
 
-    /// The audit sink: [`Audited`]'s calls and the shed land here.
-    fn record_audit(
+    /// The audit sink for [`Audited`] and the shed: mirror into the flight
+    /// recorder, then `append` to the log (`record`, or `refuse`).
+    fn record_audit<T>(
         &self,
-        principal: &str,
         action: Action,
-        securable: Option<&Uid>,
-        decision: AuditDecision,
         detail: impl std::fmt::Display,
-    ) {
+        append: impl FnOnce(&AuditLog, u64, String, Option<u64>) -> T,
+    ) -> T {
         let detail = detail.to_string();
         let trace_id = uc_obs::current_trace_id();
         // Mirror the record into the flight recorder first: its lane lock
         // is a leaf taken and released before the audit log's append lane,
         // keeping the lock order acyclic. No-op when tracing is disabled.
-        self.config.obs.flight().note_audit(
-            self.now_ms(),
-            trace_id.unwrap_or(0),
-            action.as_str(),
-            &detail,
-        );
-        self.audit.record(
-            self.now_ms(),
-            principal,
-            action,
-            securable,
-            decision,
-            detail,
-            trace_id,
-        );
+        self.config.obs.flight().note_audit(self.now_ms(), trace_id.unwrap_or(0), action.as_str(), &detail);
+        append(&self.audit, self.now_ms(), detail, trace_id)
     }
 
     // ------------------------------------------------------------------
@@ -1093,12 +1132,12 @@ impl UnityCatalog {
         Ok(())
     }
 
-    /// Locate the root credential for a bucket, consulting the in-memory
-    /// mirror first and rebuilding it from storage-credential entities on
-    /// miss.
+    /// Locate a metastore's root credential for a bucket: the mirror, else
+    /// rebuilt from the metastore's storage-credential entities.
     pub(crate) fn root_for_bucket(&self, ms: &Uid, bucket: &str) -> UcResult<RootCredential> {
-        if let Some(root) = self.roots.read().get(bucket) {
-            return Ok(root.clone());
+        let mirrored = || self.roots.read().get(ms).and_then(|roots| roots.get(bucket)).cloned();
+        if let Some(root) = mirrored() {
+            return Ok(root);
         }
         // Rebuild from entities: scan storage credentials in this metastore.
         let rt = self.db.begin_read();
@@ -1115,14 +1154,10 @@ impl UnityCatalog {
             };
             if let Ok(secret) = secret.parse::<u64>() {
                 let root = RootCredential { bucket: b.clone(), secret };
-                self.roots.write().insert(b.clone(), root.clone());
+                self.roots.write().entry(ms.clone()).or_default().insert(b.clone(), root);
             }
         }
-        self.roots
-            .read()
-            .get(bucket)
-            .cloned()
-            .ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
+        mirrored().ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
     }
 }
 

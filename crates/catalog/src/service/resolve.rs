@@ -79,8 +79,8 @@ impl UnityCatalog {
     /// view are resolved *without* caller privilege checks: SELECT on the
     /// view grants access to the data it exposes (view-based access
     /// control) — the engine receives base metadata and credentials even
-    /// when the caller has no direct grants on the base tables. Policy
-    /// refusals are audited through the calling op's guard.
+    /// when the caller has no direct grants on the base tables. The
+    /// data-policy rule (`Audited::policies`) holds at every level.
     #[allow(clippy::too_many_arguments)]
     fn resolve_entity(
         &self,
@@ -99,15 +99,7 @@ impl UnityCatalog {
                 entity.name
             )));
         }
-        let fgac = self.effective_fgac(api, who, full_chain)?;
-        if !fgac.is_empty() && !ctx.is_trusted_engine() {
-            api.audit.deny(Some(&entity.id), &entity.name);
-            return Err(UcError::PermissionDenied(format!(
-                "{} carries fine-grained policies; a trusted engine (or the data \
-                 filtering service) is required",
-                entity.name
-            )));
-        }
+        let fgac = api.audit.policies(ctx, who, full_chain)?;
         // An absent schema is none; a schema or dependency list that is
         // present but does not decode is a corrupt row.
         let schema = entity.properties.contains_key(props::SCHEMA).then(|| entity.table_schema()).transpose()?;
@@ -124,42 +116,6 @@ impl UnityCatalog {
             None
         };
         Ok(ResolvedSecurable { entity, schema, fgac, dependencies, read_credential })
-    }
-
-    /// Assemble the FGAC policies in force for `who` on `entity`:
-    /// directly attached row filters / column masks, plus ABAC-derived
-    /// masks and access restrictions from container-scope policies. A
-    /// restriction's refusal is audited through the calling op's guard.
-    fn effective_fgac(
-        &self,
-        api: &ApiGuard<'_>,
-        who: &AuthzContext,
-        full_chain: &[Arc<Entity>],
-    ) -> UcResult<FgacPolicies> {
-        let entity = &full_chain[0];
-        let governed = entity.governance();
-        let mut fgac = governed.fgac.clone();
-        // ABAC: policies attach to containers in the chain (schema,
-        // catalog, metastore) and match tags dynamically.
-        let containers = full_chain.iter().filter(|e| e.kind.is_container());
-        for policy in containers.flat_map(|c| c.governance().abac.values()) {
-            if let Some(allowed) = policy.evaluate_restriction(&governed.tags, &who.groups) {
-                if !allowed {
-                    api.audit.deny(None, &entity.name);
-                    return Err(UcError::PermissionDenied(format!(
-                        "ABAC policy '{}' restricts access to {}",
-                        policy.name, entity.name
-                    )));
-                }
-            }
-            for mask in policy.derive_masks(&governed.column_tags, &who.groups) {
-                // Directly attached masks take precedence over derived ones.
-                if !fgac.column_masks.iter().any(|m| m.column == mask.column) {
-                    fgac.column_masks.push(mask);
-                }
-            }
-        }
-        Ok(fgac)
     }
 
     /// Resolve a model version for serving: metadata plus an artifact-read
@@ -179,12 +135,13 @@ impl UnityCatalog {
         let name = FullName::of(&parts);
         let full = self.chain_by_name(ms, &name, SecurableKind::ModelVersion.name_group())?;
         let entity = full[0].clone();
-        api.audit.gate(&full, Need::Data(Privilege::Execute), &name)?;
+        let who = api.audit.gate(&full, Need::Data(Privilege::Execute), &name)?;
+        let fgac = api.audit.policies(ctx, &who, &full)?;
         let read_credential = Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?);
         api.audit.allow(&entity.id, name);
         Ok(ResolvedSecurable {
             schema: None,
-            fgac: FgacPolicies::default(),
+            fgac,
             dependencies: Vec::new(),
             read_credential,
             entity,

@@ -258,7 +258,7 @@ impl RestApi {
             }
             "events.list" => {
                 let after = params.get("after_version").and_then(|v| v.as_u64()).unwrap_or(0);
-                let page = self.uc.events_since(ms, after)?;
+                let page = self.uc.events_since(ctx, ms, after)?;
                 Ok(json!({
                     "next_version": page.next_version,
                     "resync": page.resync,

@@ -111,7 +111,7 @@ impl UnityCatalog {
         self.visible_children(ms, &who, &root, Some(SecurableKind::Share.name_group()))
     }
 
-    /// Tables within a share (recipient must have SELECT on the share).
+    /// Tables within a share (SELECT on the share, or admin authority over it).
     pub fn list_share_tables(
         &self,
         ctx: &Context,
@@ -119,8 +119,9 @@ impl UnityCatalog {
         share_name: &str,
     ) -> UcResult<Vec<ShareMember>> {
         let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(&ctx.principal), Some(ms));
-        let share = self.authorize_share_read(&api, ms, share_name)?;
-        self.share_members(ms, &share)
+        let full = self.share_chain(ms, share_name)?;
+        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
+        self.share_members(ms, &full[0])
     }
 
     /// A share's members; a member row that does not decode fails the
@@ -136,21 +137,10 @@ impl UnityCatalog {
             .collect()
     }
 
-    /// SELECT on the share (or admin authority over it).
-    fn authorize_share_read(
-        &self,
-        api: &ApiGuard<'_>,
-        ms: &Uid,
-        share_name: &str,
-    ) -> UcResult<Arc<Entity>> {
-        let full = self.share_chain(ms, share_name)?;
-        api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
-        Ok(full[0].clone())
-    }
-
     /// Query a shared table: snapshot + file list + scoped read token.
     /// Note: access is authorized against the *share*, not the underlying
-    /// table — recipients need no grants on the table itself.
+    /// table — recipients need no grants on the table itself (its data
+    /// policies bind them all the same).
     pub fn query_share_table(
         &self,
         ctx: &Context,
@@ -159,12 +149,7 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
         let api = self.api_enter(Op::QUERY_SHARE_TABLE, Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(&api, ms, share_name, alias)?;
-        let table_path = table
-            .storage_path
-            .as_ref()
-            .and_then(|p| StoragePath::parse(p).ok())
-            .ok_or_else(|| UcError::UnsupportedOperation("shared table has no storage".into()))?;
+        let (table, table_path, snapshot) = self.shared_snapshot(&api, ctx, ms, share_name, alias)?;
         let files = snapshot
             .files
             .values()
@@ -195,41 +180,41 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
         let api = self.api_enter(Op::QUERY_SHARE_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
-        let (table, snapshot) = self.shared_snapshot(&api, ms, share_name, alias)?;
-        let table_path = table
-            .storage_path
-            .as_ref()
-            .and_then(|p| StoragePath::parse(p).ok())
-            .ok_or_else(|| UcError::UnsupportedOperation("shared table has no storage".into()))?;
+        let (_, table_path, snapshot) = self.shared_snapshot(&api, ctx, ms, share_name, alias)?;
         Ok(snapshot_to_iceberg(&snapshot, &table_path, self.now_ms()))
     }
 
+    /// A shared table, its path and snapshot, once SELECT on the share and
+    /// the table's data policies now (not when shared) admit the caller.
     fn shared_snapshot(
         &self,
         api: &ApiGuard<'_>,
+        ctx: &Context,
         ms: &Uid,
         share_name: &str,
         alias: &str,
-    ) -> UcResult<(Arc<Entity>, Snapshot)> {
-        let share = self.authorize_share_read(api, ms, share_name)?;
+    ) -> UcResult<(Arc<Entity>, StoragePath, Snapshot)> {
+        let share = self.share_chain(ms, share_name)?;
+        let who = api.audit.gate(&share, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
         let member = self
-            .share_members(ms, &share)?
+            .share_members(ms, &share[0])?
             .into_iter()
             .find(|m| m.alias == alias)
             .ok_or_else(|| UcError::NotFound(format!("{alias} in share {share_name}")))?;
-        let table = self
+        let mut chain = self
             .chain_by_id(ms, &Uid::from(member.table_id.as_str()))?
-            .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?
-            .swap_remove(0);
-        let snapshot = self.table_snapshot_internal(ms, &table)?;
-        Ok((table, snapshot))
+            .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?;
+        api.audit.policies(ctx, &who, &chain)?;
+        let table = chain.swap_remove(0);
+        let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
+        Ok((table, table_path, snapshot))
     }
 
     /// Iceberg REST-style facade for *direct* (non-share) access: an
     /// Iceberg client with SELECT on a Delta table loads it as Iceberg
     /// metadata generated via UniForm — the same files, no copy. Catalog
-    /// bindings hold, and FGAC tables are gated to trusted engines,
-    /// exactly as for raw-credential access.
+    /// bindings and the data-policy rule hold exactly as for
+    /// raw-credential access.
     pub fn load_table_as_iceberg(
         &self,
         ctx: &Context,
@@ -240,27 +225,18 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
         api.audit.bound(ctx, &full)?;
-        api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
-        if !table.governance().fgac.is_empty() && !ctx.is_trusted_engine() {
-            api.audit.deny(Some(&table.id), name);
-            return Err(UcError::PermissionDenied(
-                "table has fine-grained policies; Iceberg pass-through requires a trusted engine".into(),
-            ));
-        }
-        let snapshot = self.table_snapshot_internal(ms, table)?;
-        let path = StoragePath::parse(table.storage_path.as_ref().ok_or_else(|| {
-            UcError::UnsupportedOperation(format!("{name} has no storage"))
-        })?)
-        .map_err(|e| UcError::Storage(e.to_string()))?;
+        let who = api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
+        api.audit.policies(ctx, &who, &full)?;
+        let (path, snapshot) = self.table_snapshot_internal(ms, table)?;
         api.audit.allow(&table.id, name);
         Ok(snapshot_to_iceberg(&snapshot, &path, self.now_ms()))
     }
 
-    /// Build a table's current snapshot with catalog-internal access: the
-    /// catalog reads the log with its own root credential (or its own
-    /// commit store for catalog-owned tables). Used by sharing and the
-    /// Iceberg facade.
-    pub(crate) fn table_snapshot_internal(&self, ms: &Uid, table: &Entity) -> UcResult<Snapshot> {
+    /// A table's storage path and current snapshot, read with
+    /// catalog-internal access: the catalog reads the log with its own root
+    /// credential (or its own commit store for catalog-owned tables). Used
+    /// by sharing and the Iceberg facade.
+    pub(crate) fn table_snapshot_internal(&self, ms: &Uid, table: &Entity) -> UcResult<(StoragePath, Snapshot)> {
         let path_str = table
             .storage_path
             .as_ref()
@@ -279,14 +255,14 @@ impl UnityCatalog {
                 let actions = uc_delta::actions::decode_commit(&payload)?;
                 log.push((v, actions));
             }
-            Ok(Snapshot::replay(&log)?)
+            Ok((path, Snapshot::replay(&log)?))
         } else {
             let coordinator = StorageCommitCoordinator::new(self.store.clone(), &path);
             let log = uc_delta::log::read_log(&coordinator, &cred)?;
             if log.is_empty() {
                 return Err(UcError::NotFound(format!("{} has no table data", table.name)));
             }
-            Ok(Snapshot::replay(&log)?)
+            Ok((path, Snapshot::replay(&log)?))
         }
     }
 }

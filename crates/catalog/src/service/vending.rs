@@ -11,6 +11,7 @@ use std::sync::Arc;
 use uc_cloudstore::faults::points;
 use uc_cloudstore::{AccessLevel, StoragePath, TempCredential};
 
+use crate::audit::AuditDecision;
 use crate::authz::decision::Need;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
@@ -49,14 +50,15 @@ impl UnityCatalog {
         let api = self.api_enter(Op::TEMP_CREDENTIALS_FOR_PATH, Some(&ctx.principal), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let Some(full) = self.chain_by_path(ms, &parsed)? else {
-            api.audit.deny(None, path);
+            api.audit.record(None, AuditDecision::Deny, path);
             return Err(UcError::NotFound(format!("no asset governs path {path}")));
         };
         self.vend_for_chain(&api, ctx, ms, &full, access, path)
     }
 
     /// Shared vending flow once the asset's full chain is known — the same
-    /// decision whether it was addressed by name, by path or by id.
+    /// decision whether it was addressed by name, by path or by id:
+    /// bindings, the gate, then the data-policy rule.
     fn vend_for_chain(
         &self,
         api: &ApiGuard<'_>,
@@ -79,15 +81,9 @@ impl UnityCatalog {
             ))
         })?;
         api.audit.bound(ctx, full)?;
-        api.audit.gate(full, Need::Data(needed), &detail)?;
-        // Tables with FGAC policies must not hand raw storage access to
-        // untrusted engines — the policy would be unenforceable.
-        if !entity.governance().fgac.is_empty() && !ctx.is_trusted_engine() {
-            api.audit.deny(Some(&entity.id), "fgac requires trusted engine");
-            return Err(UcError::PermissionDenied(
-                "asset has fine-grained policies; use a trusted engine or the data filtering service".into(),
-            ));
-        }
+        let who = api.audit.gate(full, Need::Data(needed), &detail)?;
+        // Raw storage access would bypass any policy that binds the asset.
+        api.audit.policies(ctx, &who, full)?;
         let token = self.mint_for_entity(ms, entity, access)?;
         api.audit.allow(&entity.id, detail);
         Ok(token)

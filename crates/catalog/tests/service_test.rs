@@ -747,7 +747,7 @@ fn change_events_flow_for_all_mutations() {
     let obs = uc_obs::Obs::enabled();
     let f = fixture_with(UcConfig { obs: obs.clone(), ..Default::default() });
     let ctx = admin();
-    let start = f.uc.events_since(&f.ms, 0).unwrap().next_version;
+    let start = f.uc.events_since(&ctx, &f.ms, 0).unwrap().next_version;
     let orders = FullName::parse("main.sales.orders").unwrap();
     f.uc
         .create_table(&ctx, &f.ms, TableSpec::managed("main.sales.orders", table_schema()).unwrap())
@@ -769,7 +769,7 @@ fn change_events_flow_for_all_mutations() {
         .filter(|v| *v > start)
         .collect();
     assert_eq!(committed.len(), 4, "one commit per mutation: {committed:?}");
-    let page = f.uc.events_since(&f.ms, start).unwrap();
+    let page = f.uc.events_since(&ctx, &f.ms, start).unwrap();
     let got: Vec<(ChangeOp, u64)> = page.events.iter().map(|e| (e.op, e.at_version)).collect();
     let ops = [ChangeOp::Create, ChangeOp::GrantChange, ChangeOp::TagChange, ChangeOp::Delete];
     assert_eq!(got, ops.into_iter().zip(committed).collect::<Vec<_>>());

@@ -103,7 +103,7 @@ impl DiscoveryService {
     pub fn sync(&self) -> UcResult<usize> {
         let _span = self.uc.obs().span_timed("discovery", "sync");
         let consumed = self.state.read().consumed;
-        let page = self.uc.events_since(&self.ms, consumed)?;
+        let page = self.uc.events_since(&self.service_ctx, &self.ms, consumed)?;
         if page.resync {
             return self.sync_by_polling();
         }

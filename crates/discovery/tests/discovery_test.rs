@@ -262,13 +262,13 @@ fn a_restarted_node_resumes_a_consumers_version_with_nothing_lost_or_repeated() 
         node.create_table(&ctx, &ms, TableSpec::managed(&format!("main.sales.{t}"), schema()).unwrap()).unwrap();
     };
     create(&uc, "before");
-    let first = uc.events_since(&ms, 0).unwrap();
+    let first = uc.events_since(&ctx, &ms, 0).unwrap();
     create(&uc, "between");
     let restarted = second_node(&uc, UcConfig::default(), "n0-restarted");
     drop(uc);
     create(&restarted, "after");
-    let rest = restarted.events_since(&ms, first.next_version).unwrap();
-    let whole = restarted.events_since(&ms, 0).unwrap();
+    let rest = restarted.events_since(&ctx, &ms, first.next_version).unwrap();
+    let whole = restarted.events_since(&ctx, &ms, 0).unwrap();
     assert!(!first.resync && !rest.resync && !whole.resync);
     let mut resumed = first.events.clone();
     resumed.extend(rest.events);

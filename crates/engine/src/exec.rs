@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use uc_cloudstore::{AccessLevel, Credential, ObjectStore, StoragePath};
+use uc_catalog::audit::Reason;
 use uc_catalog::ids::Uid;
 use uc_catalog::model::entity::Entity;
 use uc_catalog::service::commits::{CatalogCommitCoordinator, TableCommit};
@@ -565,22 +566,15 @@ impl EngineSession {
     // ------------------------------------------------------------------
 
     fn select(&mut self, ctx: &Context, query: &SelectQuery) -> EngineResult<QueryResult> {
-        let resolved = match self.engine.uc.resolve_for_query(
-            ctx,
-            &self.engine.ms,
-            std::slice::from_ref(&query.from),
-            true,
-        ) {
-            Ok(r) => r,
+        let refs = std::slice::from_ref(&query.from);
+        let resolved = match (self.engine.uc.resolve_for_query(ctx, &self.engine.ms, refs, true), &self.dfs) {
+            (Ok(r), _) => r,
             // Untrusted engines delegate FGAC queries to the data
             // filtering service (§4.3.2) when one is attached.
-            Err(UcError::PermissionDenied(msg)) if msg.contains("trusted engine") => {
-                match self.dfs.clone() {
-                    Some(dfs) => return dfs.execute_select(&self.principal, query),
-                    None => return Err(UcError::PermissionDenied(msg).into()),
-                }
+            (Err(UcError::PermissionDenied(r)), Some(dfs)) if r.reason() == Reason::NeedsTrustedEngine => {
+                return dfs.execute_select(&self.principal, query);
             }
-            Err(e) => return Err(e.into()),
+            (Err(e), _) => return Err(e.into()),
         };
         let eval_ctx = self.eval_context()?;
         let (schema, rows, files) = self.execute_relation(ctx, &resolved[0], query.predicate.as_ref(), &eval_ctx)?;

@@ -271,34 +271,22 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         hot_members[def.unit].insert(def.fn_idx, chain.clone());
     }
 
-    // Instrument reachability seeds: api_enter spans, audit records,
-    // Deny marks. Each `reaches` result includes the seed def itself.
+    // Instrument reachability seeds: api_enter spans, audit records.
+    // Each `reaches` result includes the seed def itself.
     let n = graph.defs.len();
     let mut api_seed = vec![false; n];
     let mut audit_seed = vec![false; n];
-    let mut deny_seed = vec![false; n];
     for (i, d) in graph.defs.iter().enumerate() {
         let toks = &units[d.unit].lexed.tokens;
-        if rules::instrument::direct_api_op(toks, d.body).is_some() {
-            api_seed[i] = true;
-        }
-        if d.name == "record_audit" {
-            audit_seed[i] = true;
-        }
-        if (d.body.0..d.body.1).any(|k| rules::is_ident(&toks[k], "Deny")) {
-            deny_seed[i] = true;
-        }
+        api_seed[i] = rules::instrument::direct_api_op(toks, d.body).is_some();
+        audit_seed[i] = d.name == "record_audit";
     }
     let has_audit_target = audit_seed.iter().any(|&b| b);
     let api_reach = graph.reaches(&api_seed);
     let audit_reach = graph.reaches(&audit_seed);
-    let deny_reach = graph.reaches(&deny_seed);
     let mut reach_by_unit: Vec<BTreeMap<usize, Reach>> = vec![BTreeMap::new(); units.len()];
     for (i, d) in graph.defs.iter().enumerate() {
-        reach_by_unit[d.unit].insert(
-            d.fn_idx,
-            Reach { api: api_reach[i], audit: audit_reach[i], deny: deny_reach[i] },
-        );
+        reach_by_unit[d.unit].insert(d.fn_idx, Reach { api: api_reach[i], audit: audit_reach[i] });
     }
 
     // ── Phase 3: per-file rules ───────────────────────────────────────

@@ -1,4 +1,4 @@
-//! Instrumentation-coverage rule: three reachability checks over the
+//! Instrumentation-coverage rule: two reachability checks over the
 //! workspace call graph, against the op table (`[instrument] audit_file`,
 //! parsed from source so the linter needs no dependency on the catalog
 //! crate). Every public entry point on the catalog service must *reach*
@@ -6,16 +6,13 @@
 //! chain of resolvable callees — delegation across files and crates
 //! counts); must reach an audit record (`record_audit`) whenever its op's
 //! row declares audit actions — an empty row marks a deliberately
-//! unaudited read/list op, so the audit policy lives in one table; and any
-//! function that denies with `PermissionDenied` must reach an
-//! `AuditDecision::Deny` (its own body or a callee's). That a handle names
-//! a row, and that the audit sink is handed an action of the table's and
-//! never a string, the compiler checks.
+//! unaudited read/list op, so the audit policy lives in one table. That a
+//! handle names a row, that the audit sink is handed an action of the
+//! table's and never a string, and that a `PermissionDenied` carries a
+//! `Refusal` only the `Deny` append builds, the compiler checks.
 //!
-//! Known false negatives (DESIGN.md §8): the Deny check is
-//! function-granular (one audited deny path satisfies it for the whole
-//! function), and a call the graph cannot resolve contributes no
-//! reachability facts.
+//! Known false negative (DESIGN.md §8): a call the graph cannot resolve
+//! contributes no reachability facts.
 
 use std::collections::BTreeMap;
 
@@ -30,8 +27,6 @@ pub struct Reach {
     pub api: bool,
     /// Reaches `record_audit`.
     pub audit: bool,
-    /// Reaches a body containing an `AuditDecision::Deny` mark.
-    pub deny: bool,
 }
 
 /// op handle → whether its row declares audit actions, parsed out of the
@@ -132,17 +127,6 @@ pub fn check(
                 f.line,
                 RULE_INSTRUMENT,
                 format!("pub entry point `{}` declares audit actions but never reaches an audit record (record_audit) on any return path", f.name),
-            ));
-        }
-
-        // Deny paths must audit: PermissionDenied without a reachable
-        // Deny mark (own body or any resolvable callee's).
-        let has_denied = (open..close).any(|i| is_ident(&toks[i], "PermissionDenied"));
-        if has_denied && !r.deny {
-            out.push(ctx.diag(
-                f.line,
-                RULE_INSTRUMENT,
-                format!("`{}` constructs PermissionDenied without reaching a Deny audit decision", f.name),
             ));
         }
     }

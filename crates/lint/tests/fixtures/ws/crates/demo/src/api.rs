@@ -36,14 +36,6 @@ impl Service {
         self.fetch(name)
     }
 
-    pub fn deny_without_audit(&self, name: &str) -> Result<Table, Error> {
-        let _api = self.api_enter(Op::GET_TABLE); // PermissionDenied below, no Deny audit
-        if name.is_empty() {
-            return Err(Error::PermissionDenied("no".into()));
-        }
-        self.fetch(name)
-    }
-
     pub fn silent_create(&self) -> Result<Table, Error> {
         let _api = self.api_enter(Op::CREATE_TABLE); // op declares audit actions but nothing below records one
         Ok(Table)

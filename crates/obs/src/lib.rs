@@ -167,19 +167,29 @@ impl Obs {
         self.tracer.span(layer, name)
     }
 
-    /// Open a span whose virtual-clock duration is recorded into the
-    /// `layer.name.latency_ms` histogram when it ends.
+    /// Open a span whose duration on the metrics clock is recorded into
+    /// the `layer.name.latency_ms` histogram when it ends — with tracing
+    /// off too, where the span records nothing else.
     pub fn span_timed(&self, layer: &str, name: &str) -> SpanGuard {
-        let h = self.histogram(&format!("{layer}.{name}.latency_ms"));
-        self.tracer.span_timed(layer, name, Some(h))
+        self.timed(layer, name, |h| self.tracer.span_timed(layer, name, Some(h)))
     }
 
     /// Open a root span with a caller-pinned trace ID (latency recorded
     /// like [`Obs::span_timed`]). See [`Tracer::span_pinned`] for when
     /// pinning is the right tool.
     pub fn span_pinned(&self, layer: &str, name: &str, trace_id: u64) -> SpanGuard {
+        self.timed(layer, name, |h| self.tracer.span_pinned(layer, name, trace_id, Some(h)))
+    }
+
+    /// `open` a traced span timed into `layer.name.latency_ms`; with
+    /// tracing off, a span that only times itself into it.
+    fn timed(&self, layer: &str, name: &str, open: impl FnOnce(Histogram) -> SpanGuard) -> SpanGuard {
         let h = self.histogram(&format!("{layer}.{name}.latency_ms"));
-        self.tracer.span_pinned(layer, name, trace_id, Some(h))
+        if self.tracer.is_enabled() {
+            open(h)
+        } else {
+            SpanGuard::timer(h, self.clock.clone())
+        }
     }
 
     /// Deterministic text snapshot of every instrument, labeled series,
@@ -236,6 +246,16 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 4);
         assert!(obs.metrics_snapshot().contains("txdb.commit.latency_ms"));
+    }
+
+    #[test]
+    fn span_timed_counts_with_tracing_off() {
+        let obs = Obs::disabled();
+        for _ in 0..3 {
+            let _s = obs.span_timed("hms", "get_table");
+        }
+        assert_eq!(obs.histogram("hms.get_table.latency_ms").count(), 3);
+        assert!(obs.trace_jsonl().is_empty(), "and nothing is traced");
     }
 
     #[test]

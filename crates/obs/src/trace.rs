@@ -230,10 +230,11 @@ impl Tracer {
     }
 
     /// Like [`Tracer::span`], additionally recording the span's duration
-    /// (in clock milliseconds) into `histogram` when it ends.
+    /// (in clock milliseconds) into `histogram` when it ends. A disabled
+    /// tracer records nothing; `Obs::span_timed` times such a span itself.
     pub fn span_timed(&self, layer: &str, name: &str, histogram: Option<Histogram>) -> SpanGuard {
         if !self.inner.enabled {
-            return SpanGuard { ctx: None };
+            return SpanGuard { ctx: None, timer: None };
         }
         let (trace_id, parent_id) = CURRENT.with(|stack| {
             stack
@@ -264,6 +265,7 @@ impl Tracer {
                 status: None,
                 histogram,
             }),
+            timer: None,
         }
     }
 
@@ -283,7 +285,7 @@ impl Tracer {
         histogram: Option<Histogram>,
     ) -> SpanGuard {
         if !self.inner.enabled {
-            return SpanGuard { ctx: None };
+            return SpanGuard { ctx: None, timer: None };
         }
         let span_id = self.inner.next_span_id.fetch_add(1, Ordering::Relaxed);
         let start_ms = self.now_ms();
@@ -307,6 +309,7 @@ impl Tracer {
                 status: None,
                 histogram,
             }),
+            timer: None,
         }
     }
 
@@ -381,9 +384,19 @@ struct SpanCtx {
 /// gives for free.
 pub struct SpanGuard {
     ctx: Option<SpanCtx>,
+    /// A timed span with tracing off records only its duration: the
+    /// histogram, the metrics clock, and the start on that clock.
+    timer: Option<(Histogram, ClockFn, u64)>,
 }
 
 impl SpanGuard {
+    /// A span that records nothing but its duration on `clock`, into
+    /// `histogram`, when it ends.
+    pub(crate) fn timer(histogram: Histogram, clock: ClockFn) -> SpanGuard {
+        let start_ms = clock();
+        SpanGuard { ctx: None, timer: Some((histogram, clock, start_ms)) }
+    }
+
     /// Trace ID of this span (None when not recording).
     pub fn trace_id(&self) -> Option<u64> {
         self.ctx.as_ref().map(|c| c.trace_id)
@@ -399,6 +412,9 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
+        if let Some((histogram, clock, start_ms)) = self.timer.take() {
+            histogram.record(clock().saturating_sub(start_ms));
+        }
         let Some(ctx) = self.ctx.take() else { return };
         CURRENT.with(|stack| {
             let mut stack = stack.borrow_mut();

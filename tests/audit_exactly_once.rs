@@ -151,7 +151,7 @@ fn back_to_back_retry_storms_stay_exactly_once() {
 
 mod deny {
     use super::*;
-    use uc_catalog::audit::AuditRecord;
+    use uc_catalog::audit::{AuditRecord, Reason};
     use uc_catalog::authz::abac::{AbacEffect, AbacPolicy};
     use uc_catalog::authz::fgac::RowFilterPolicy;
     use uc_catalog::authz::Privilege;
@@ -239,6 +239,7 @@ mod deny {
             ("create_view", Box::new(|| uc.create_view(&out, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
             ("create_volume", Box::new(|| uc.create_volume(&out, ms, &name("main.s.vol"), None).map(drop))),
             ("drop_securable", Box::new(|| uc.drop_securable(&out, ms, &t, "relation").map(drop))),
+            ("events_since", Box::new(|| uc.events_since(&out, ms, 0).map(drop))),
             ("get_securable", Box::new(|| uc.get_table(&out, ms, "main.s.t").map(drop))),
             ("get_tags", Box::new(|| uc.get_tags(&out, ms, &t, "relation").map(drop))),
             ("grant", Box::new(|| uc.grant(&out, ms, &t, "relation", "mallory", Privilege::Select))),
@@ -317,6 +318,7 @@ mod deny {
             ("catalogs.create", json!({"name": "c2"}), Op::CREATE_CATALOG),
             ("credentials.temporary", json!({"name": "main.s.t", "operation": "READ"}), Op::TEMP_CREDENTIALS),
             ("credentials.temporary", json!({"path": table.storage_path, "operation": "READ"}), Op::TEMP_CREDENTIALS_FOR_PATH),
+            ("events.list", json!({"after_version": 0}), Op::EVENTS_SINCE),
             ("grants.add", grant.clone(), Op::GRANT),
             ("grants.revoke", grant, Op::REVOKE),
             ("iceberg.loadTable", t.clone(), Op::LOAD_TABLE_AS_ICEBERG),
@@ -449,9 +451,112 @@ mod deny {
         let refs = std::slice::from_ref(&rf);
 
         let (err, added) = refused(&w, || uc.resolve_for_query(&untrusted, ms, refs, false).map(drop));
-        assert!(matches!(&err, UcError::PermissionDenied(m) if m.contains("trusted engine")), "{err}");
+        assert!(matches!(&err, UcError::PermissionDenied(r) if r.reason() == Reason::NeedsTrustedEngine), "{err}");
         assert_eq!(added.len(), 1, "{added:?}");
         assert_eq!((added[0].decision, added[0].action.as_str()), (AuditDecision::Deny, "resolveForQuery"));
+    }
+
+    /// The governance a data-path matrix row reads under.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Governance {
+        None,
+        RowFilter,
+        AbacMask,
+        AbacRestriction,
+    }
+
+    /// The data-policy rule holds however the data is reached. Each path
+    /// that releases data or a data credential is called by `alice`, who
+    /// holds every grant it needs, through an untrusted client and through
+    /// a trusted engine, on table `main.s.t` (model version `main.s.m.v1`
+    /// for `resolve_model_version`) under four governance states, each
+    /// attached after the share was made. An ABAC restriction (to a group
+    /// alice is not in) refuses both callers; a row filter or an ABAC mask
+    /// alone refuses the untrusted client. A refusal is a 403 with its
+    /// typed reason and exactly one `Deny`, under the path's own action,
+    /// naming the asset; every other call succeeds.
+    #[test]
+    fn every_data_path_applies_one_data_policy_rule() {
+        use uc_catalog::audit::Reason;
+        use uc_delta::value::Value;
+        use uc_engine::{Engine, EngineConfig};
+        for governance in [Governance::None, Governance::RowFilter, Governance::AbacMask, Governance::AbacRestriction] {
+            let w = faulty_world();
+            let (uc, ms) = (&w.uc, &w.ms);
+            let admin = Context::user(ADMIN);
+            let mut s = Engine::new(uc.clone(), ms.clone(), EngineConfig::trusted("dbr")).session(ADMIN);
+            s.execute("CREATE TABLE main.s.t (x BIGINT)").unwrap();
+            s.execute("INSERT INTO main.s.t VALUES (1)").unwrap();
+            let (t, m, v1) = (name("main.s.t"), name("main.s.m"), name("main.s.m.v1"));
+            let table = uc.get_table(&admin, ms, "main.s.t").unwrap();
+            let path = table.storage_path.clone().unwrap();
+            uc.grant_read_path(&admin, ms, "main.s.t", "alice").unwrap();
+            uc.create_registered_model(&admin, ms, &m).unwrap();
+            let (version, _) = uc.create_model_version(&admin, ms, &m).unwrap();
+            uc.grant(&admin, ms, &m, "model", "alice", Privilege::Execute).unwrap();
+            uc.create_share(&admin, ms, "sh").unwrap();
+            uc.add_table_to_share(&admin, ms, "sh", &t).unwrap();
+            uc.grant(&admin, ms, &name("sh"), "share", "alice", Privilege::Select).unwrap();
+            let effect = match governance {
+                Governance::None => None,
+                Governance::RowFilter => {
+                    uc.set_row_filter(&admin, ms, &t, RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) }).unwrap();
+                    None
+                }
+                Governance::AbacMask => {
+                    uc.set_column_tag(&admin, ms, &t, "x", "pii", "yes").unwrap();
+                    let mask = Expr::Literal(Value::Null);
+                    Some(("pii", AbacEffect::MaskColumns { mask, exempt_groups: vec!["privacy".into()] }))
+                }
+                Governance::AbacRestriction => {
+                    uc.set_tag(&admin, ms, &t, "relation", "secret", "yes").unwrap();
+                    uc.set_tag(&admin, ms, &v1, "modelversion", "secret", "yes").unwrap();
+                    Some(("secret", AbacEffect::RestrictAccess { allowed_groups: vec!["cleared".into()] }))
+                }
+            };
+            if let Some((tag, effect)) = effect {
+                let policy = AbacPolicy { name: "p".into(), tag_key: tag.into(), tag_value: None, effect };
+                uc.create_abac_policy(&admin, ms, &name("main.s"), "schema", policy).unwrap();
+            }
+
+            for ctx in [Context::user("alice"), Context::trusted("alice", "dbr")] {
+                type Call<'a> = Box<dyn Fn() -> UcResult<()> + 'a>;
+                let paths: Vec<(&Op, Call, &uc_catalog::ids::Uid)> = vec![
+                    (Op::RESOLVE_FOR_QUERY, Box::new(|| uc.resolve_for_query(&ctx, ms, std::slice::from_ref(&t), true).map(drop)), &table.id),
+                    (Op::TEMP_CREDENTIALS, Box::new(|| uc.temp_credentials(&ctx, ms, &t, "relation", AccessLevel::Read).map(drop)), &table.id),
+                    (Op::TEMP_CREDENTIALS_FOR_PATH, Box::new(|| uc.temp_credentials_for_path(&ctx, ms, &path, AccessLevel::Read).map(drop)), &table.id),
+                    (Op::RENEW_READ_CREDENTIAL, Box::new(|| uc.renew_read_credential(&ctx, ms, &table.id).map(drop)), &table.id),
+                    (Op::LOAD_TABLE_AS_ICEBERG, Box::new(|| uc.load_table_as_iceberg(&ctx, ms, &t).map(drop)), &table.id),
+                    (Op::QUERY_SHARE_TABLE, Box::new(|| uc.query_share_table(&ctx, ms, "sh", "s.t").map(drop)), &table.id),
+                    (Op::QUERY_SHARE_TABLE_AS_ICEBERG, Box::new(|| uc.query_share_table_as_iceberg(&ctx, ms, "sh", "s.t").map(drop)), &table.id),
+                    (Op::RESOLVE_MODEL_VERSION, Box::new(|| uc.resolve_model_version(&ctx, ms, &m, 1).map(drop)), &version.id),
+                ];
+                for (op, call, asset) in paths {
+                    let row = format!("{} / {governance:?} / {:?}", op.name, ctx.engine);
+                    let governed = match governance {
+                        Governance::RowFilter | Governance::AbacMask => op.name != "resolve_model_version",
+                        _ => false,
+                    };
+                    let expected = match governance {
+                        Governance::AbacRestriction => Some(Reason::AbacRestriction),
+                        _ if governed && !ctx.is_trusted_engine() => Some(Reason::NeedsTrustedEngine),
+                        _ => None,
+                    };
+                    let before = uc.audit_log().total_recorded();
+                    let result = call();
+                    let added = uc.audit_log().recent((uc.audit_log().total_recorded() - before) as usize);
+                    let Some(reason) = expected else {
+                        assert!(result.is_ok(), "{row}: {:?}", result.err());
+                        continue;
+                    };
+                    let err = result.expect_err(&row);
+                    assert!(matches!(&err, UcError::PermissionDenied(r) if r.reason() == reason), "{row}: {err}");
+                    assert_eq!(ApiError::from(err).status, 403, "{row}");
+                    let trail: Vec<_> = added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
+                    assert_eq!(trail, [(AuditDecision::Deny, op.actions[0].as_str(), Some(asset))], "{row}");
+                }
+            }
+        }
     }
 
     /// Clearing a row filter is one `clearRowFilter` allow, and a trusted

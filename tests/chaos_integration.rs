@@ -23,7 +23,7 @@ use uc_catalog::sharding::ShardRouter;
 use uc_catalog::types::FullName;
 use uc_catalog::UcError;
 use uc_cloudstore::faults::{points, FaultMode, FaultPlan};
-use uc_cloudstore::{AccessLevel, Clock, LatencyModel, ObjectStore, StsService};
+use uc_cloudstore::{AccessLevel, Clock, Credential, LatencyModel, ObjectStore, RootCredential, StoragePath, StsService};
 use uc_delta::value::{DataType, Field, Schema, Value};
 use uc_engine::{Engine, EngineConfig};
 use uc_obs::Obs;
@@ -41,6 +41,8 @@ struct ChaosWorld {
     uc: Arc<UnityCatalog>,
     ms: uc_catalog::ids::Uid,
     obs: Obs,
+    /// The root credential of bucket `lake`, for checking what storage holds.
+    root: RootCredential,
 }
 
 /// Seed selection: `UC_CHAOS_SEED` env var if set (replay), otherwise the
@@ -75,7 +77,7 @@ fn chaos_world(seed: u64) -> ChaosWorld {
     let root = store.create_bucket("lake");
     uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
     uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
-    ChaosWorld { plan, db, store, uc, ms, obs }
+    ChaosWorld { plan, db, store, uc, ms, obs, root }
 }
 
 /// A second catalog node over the same database and store, sharing the
@@ -357,6 +359,38 @@ fn vending_outage_degrades_gracefully_and_recovers() {
         .unwrap();
     assert!(w.store.sts().verify(&tok).is_ok());
     assert_eq!(s.execute("SELECT * FROM main.s.t").unwrap().rows.len(), 1);
+}
+
+/// A purge that cannot list a dropped table's storage keeps the table's
+/// trash row and counts the failure, so its objects are never orphaned:
+/// once storage heals, the next purge removes the row and the objects.
+#[test]
+fn a_purge_that_fails_on_storage_keeps_the_victim_for_the_next() {
+    let seed = chaos_seed(0x9A6E);
+    let w = chaos_world(seed);
+    let engine = Engine::new(w.uc.clone(), w.ms.clone(), EngineConfig::trusted("dbr"));
+    let mut s = engine.session(ADMIN);
+    s.execute("CREATE CATALOG main").unwrap();
+    s.execute("CREATE SCHEMA main.s").unwrap();
+    s.execute("CREATE TABLE main.s.t (x BIGINT)").unwrap();
+    s.execute("INSERT INTO main.s.t VALUES (1)").unwrap();
+    let table = w.uc.get_table(&Context::user(ADMIN), &w.ms, "main.s.t").unwrap();
+    let path = StoragePath::parse(table.storage_path.as_ref().unwrap()).unwrap();
+    let objects = || w.store.list(&Credential::Root(w.root.clone()), &path).unwrap().len();
+    let stored = objects();
+    assert!(stored > 0);
+    s.execute("DROP TABLE main.s.t").unwrap();
+    let failures = || w.obs.counter("catalog.purge.storage_failures").get();
+
+    w.plan.arm(points::STORE_LIST, FaultMode::FirstN(1));
+    assert_eq!(w.uc.purge_soft_deleted(&w.ms).unwrap(), (0, 0), "the victim is held back");
+    w.plan.disarm(points::STORE_LIST);
+    assert_eq!((failures(), objects()), (1, stored), "one failure counted, nothing deleted");
+
+    assert_eq!(w.uc.purge_soft_deleted(&w.ms).unwrap(), (1, stored), "the retry purges row and objects");
+    assert_eq!(objects(), 0);
+    assert_eq!(w.uc.purge_soft_deleted(&w.ms).unwrap(), (0, 0), "nothing is left to retry");
+    assert_eq!(failures(), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -548,7 +548,7 @@ fn a_lineage_version_costs_another_node_no_invalidation() {
     let pinned = node_b.metastore_cache_version(&world.ms);
     let name = |n: &str| FullName::parse(n).unwrap();
     world.uc.add_lineage(&ctx, &world.ms, &name("main.s.up"), &name("main.s.down"), Some("job")).unwrap();
-    let page = node_b.events_since(&world.ms, pinned).unwrap();
+    let page = node_b.events_since(&ctx, &world.ms, pinned).unwrap();
     let ops: Vec<_> = page.events.iter().map(|e| (e.op, e.name.as_str(), e.at_version)).collect();
     assert_eq!(ops, [(uc_catalog::events::ChangeOp::LineageAdd, "down", pinned + 1)]);
 

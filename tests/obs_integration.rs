@@ -408,3 +408,42 @@ fn write_retry_backoff_lands_in_latency_histograms() {
         "histogram duration is bounded by the recorded backoff"
     );
 }
+
+/// With tracing off — `Obs::disabled()`, the production-shaped default —
+/// each catalog call still lands in its op's latency histogram: for every
+/// op called, `catalog.{op}.latency_ms` counts exactly as many samples as
+/// `catalog.{op}.count` counts calls, refusals and errors included.
+#[test]
+fn latency_histograms_count_every_call_with_tracing_off() {
+    let uc = UnityCatalog::in_memory();
+    assert!(!uc.obs().tracer().is_enabled());
+    let ms = uc.create_metastore(ADMIN, "quiet", "us-west-2").unwrap();
+    let ctx = Context::user(ADMIN);
+    let root = uc.object_store().create_bucket("lake");
+    uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+    uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+    uc.create_catalog(&ctx, &ms, "main").unwrap();
+    uc.create_schema(&ctx, &ms, "main", "s").unwrap();
+    uc.create_table(&ctx, &ms, TableSpec::managed("main.s.t", int_schema()).unwrap()).unwrap();
+    for _ in 0..5 {
+        uc.get_table(&ctx, &ms, "main.s.t").unwrap();
+    }
+    uc.get_table(&Context::user("mallory"), &ms, "main.s.t").unwrap_err();
+    uc.get_table(&ctx, &ms, "main.s.missing").unwrap_err();
+    let name = FullName::parse("main.s").unwrap();
+    uc.list_children(&ctx, &ms, &name, None).unwrap();
+
+    let registry = uc.obs().registry();
+    let mut checked = Vec::new();
+    for series in registry.names() {
+        let Some(op) = series.strip_prefix("catalog.").and_then(|s| s.strip_suffix(".count")) else { continue };
+        let Some(uc_obs::Instrument::Counter(calls)) = registry.get(&series) else { continue };
+        let latency = match registry.get(&format!("catalog.{op}.latency_ms")) {
+            Some(uc_obs::Instrument::Histogram(h)) => h.count(),
+            _ => 0,
+        };
+        assert_eq!(latency, calls.get(), "catalog.{op}: latency samples vs calls");
+        checked.push(op.to_string());
+    }
+    assert!(checked.iter().any(|op| op == "get_securable"), "{checked:?}");
+}

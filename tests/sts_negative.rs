@@ -175,3 +175,30 @@ fn expired_then_renewed_token_rerurns_full_authorization() {
     });
     assert!(!allows.is_empty(), "successful renewal must be audited");
 }
+
+// ---------------------------------------------------------------------
+// 3. Root credentials are a metastore's own: a second metastore on the
+//    node, with no storage credential for bucket `lake`, cannot vend with
+//    the first one's — the same refusal a fresh node gives.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_metastore_vends_only_with_its_own_storage_credential() {
+    let w = world();
+    let admin = Context::user(ADMIN);
+    let other = w.uc.create_metastore(ADMIN, "other", "us-west-2").unwrap();
+    w.uc.create_catalog(&admin, &other, "main").unwrap();
+    w.uc.create_schema(&admin, &other, "main", "s").unwrap();
+    let spec = TableSpec::external("main.s.b", int_schema(), "s3://lake/other/b", TableFormat::Delta).unwrap();
+    w.uc.create_table(&admin, &other, spec).unwrap();
+    // This node has vended with the first metastore's root for `lake`.
+    let t1 = FullName::parse("main.s.t1").unwrap();
+    w.uc.temp_credentials(&admin, &w.ms, &t1, "relation", AccessLevel::Read).unwrap();
+
+    let fresh = UnityCatalog::new(w.uc.db().clone(), w.store.clone(), UcConfig::default(), "node-1");
+    let b = FullName::parse("main.s.b").unwrap();
+    for node in [&fresh, &w.uc] {
+        let err = node.temp_credentials(&admin, &other, &b, "relation", AccessLevel::Read).unwrap_err();
+        assert_eq!(err, UcError::Storage("no storage credential for bucket lake".into()), "{}", node.node_id());
+    }
+}
