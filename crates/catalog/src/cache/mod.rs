@@ -22,6 +22,9 @@
 //!   `VERSION_WINDOW` versions for in-flight requests and drops older
 //!   ones as new versions are pushed (the paper bounds this window by the
 //!   API timeout).
+//! * **Parse once**: each entry version keeps its row's bytes, and
+//!   [`MsCache::decoded`] serves a row the cache holds byte for byte as the
+//!   cached entity instead of decoding it again (DESIGN.md §4.1).
 //!
 //! No consensus service: multiple nodes may own the same metastore; the
 //! version-conditioned writes make that safe, merely costing reconciles.
@@ -84,6 +87,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use uc_cloudstore::sched;
 use uc_obs::Counter;
@@ -106,21 +110,32 @@ const STALE_ROUNDS: usize = 8;
 /// is selected by masking a key hash.
 const SHARDS: usize = 16;
 
+/// A `T_TREE` row as the cache holds it: the entity, the key the row sits
+/// at, and the row's bytes — the `Bytes` the database stores (or the write
+/// put), shared, not copied — which is what [`MsCache::decoded`] matches a
+/// later read of the same key against.
+#[derive(Clone)]
+pub(crate) struct TreeRow {
+    pub entity: Arc<Entity>,
+    pub key: String,
+    pub raw: Bytes,
+}
+
 /// What a read's `load` found in the database, for the cache to install:
-/// each entity with the `T_TREE` key its row sits at. Every load knows the
-/// key (a by-id load reads the pointer to it first), so an entity is never
-/// cached without its name mapping.
-pub(crate) type Installs = Vec<(Arc<Entity>, String)>;
+/// each entity's row with its key. Every load knows the key (a by-id load
+/// reads the pointer to it first), so an entity is never cached without
+/// its name mapping.
+pub(crate) type Installs = Vec<TreeRow>;
 
 /// What a committed write did, for [`MsCache::apply_write`] to write
 /// through and the write's feed row to announce (`service/` holds the
 /// `tx`-taking helpers a write closure fills it with).
 #[derive(Default)]
 pub(crate) struct WriteEffects {
-    /// Entities written or moved, each with the tree key it now sits at
+    /// Rows written, each at the tree key its entity now sits at
     /// (installed as the cache's name mapping, replacing the entity's
     /// previous one).
-    pub upserts: Vec<(Arc<Entity>, String)>,
+    pub upserts: Vec<TreeRow>,
     pub tombstones: Vec<Uid>,
     /// Tree keys a rename moved a descendant away from: whatever is cached
     /// under one is evicted, as another node's reconcile would — the moved
@@ -228,10 +243,13 @@ impl CacheStats {
     }
 }
 
-/// One cached entity's recent versions, newest last. `None` marks a
-/// deletion at that version.
+/// One version of a cached entity: the entity and the row bytes it was
+/// decoded from (or encoded to); `None` marks a deletion at that version.
+type Version = (u64, Option<(Arc<Entity>, Bytes)>);
+
+/// One cached entity's recent versions, newest last.
 struct CachedEntry {
-    versions: Vec<(u64, Option<Arc<Entity>>)>,
+    versions: Vec<Version>,
     /// Keys to clean from the secondary maps on eviction.
     path_key: Option<String>,
     /// Tree-encoded ancestor-chain key (DESIGN.md §11) — the entry's key
@@ -342,6 +360,11 @@ impl MsCache {
         self.gate.lock()
     }
 
+    /// Whether this cache holds anything: a disabled one never installs.
+    pub(crate) fn enabled(&self) -> bool {
+        self.config.enabled
+    }
+
     /// Metastore version this cache is current as-of.
     pub fn version(&self) -> u64 {
         self.pin.load(Ordering::Acquire)
@@ -382,8 +405,36 @@ impl MsCache {
         if idx == 0 {
             None
         } else {
-            Some(entry.versions[idx - 1].1.clone())
+            Some(entry.versions[idx - 1].1.as_ref().map(|(ent, _)| ent.clone()))
         }
+    }
+
+    /// The entity the `T_TREE` row `raw` at `tree_key` encodes: the cached
+    /// `Arc` when the entry under that key holds exactly these bytes, at
+    /// any version, else a fresh decode. Equal bytes decode to equal
+    /// entities, so the result is `Entity::decode(raw)` whatever the pin
+    /// or the version the row was read at; a cached entity is parsed once
+    /// per node, not once per read that passes it. Recency is not
+    /// touched, and the name shard and the entity shard are read one after
+    /// the other, never together. A disabled cache only decodes.
+    pub(crate) fn decoded(&self, tree_key: &str, raw: &Bytes) -> UcResult<Arc<Entity>> {
+        if self.config.enabled {
+            if let Some(held) = self.holding(tree_key, raw) {
+                return Ok(held);
+            }
+        }
+        Ok(Arc::new(Entity::decode(raw)?))
+    }
+
+    /// [`Self::decoded`]'s probe: the cached entity under `tree_key` whose
+    /// row is `raw`.
+    fn holding(&self, tree_key: &str, raw: &Bytes) -> Option<Arc<Entity>> {
+        let id = self.name_shard(tree_key).read().get(tree_key)?.clone();
+        let shard = self.entity_shard(&id).read();
+        shard.get(&id)?.versions.iter().rev().find_map(|(_, held)| match held {
+            Some((ent, bytes)) if bytes == raw => Some(ent.clone()),
+            _ => None,
+        })
     }
 
     /// Look up by name-index (tree) key, valid at the cache's current
@@ -399,15 +450,10 @@ impl MsCache {
         self.path_shard(path_key).read().get(path_key).cloned()
     }
 
-    /// Insert (or update) an entity at a version, maintaining secondary
-    /// keys and trimming the version window.
-    fn insert(
-        &self,
-        entity: Arc<Entity>,
-        at_version: u64,
-        path_key: Option<String>,
-        tree_key: String,
-    ) {
+    /// Insert (or update) an entity's row at a version, maintaining
+    /// secondary keys and trimming the version window.
+    fn insert(&self, row: TreeRow, at_version: u64, path_key: Option<String>) {
+        let TreeRow { entity, key: tree_key, raw } = row;
         let tick = self.next_tick();
         let id = entity.id.clone();
         if let Some(pk) = &path_key {
@@ -427,7 +473,7 @@ impl MsCache {
             });
             entry.path_key = path_key;
             entry.last_access.store(tick, Ordering::Relaxed);
-            push_version(&mut entry.versions, at_version, Some(entity.clone()));
+            push_version(&mut entry.versions, at_version, Some((entity.clone(), raw)));
             (entry.tree_key != tree_key).then(|| std::mem::replace(&mut entry.tree_key, tree_key))
         };
         // The entity moved (a rename): its old key no longer names it.
@@ -441,9 +487,9 @@ impl MsCache {
 
     /// [`Self::insert`] with the path-index key derived from the entity's
     /// storage path.
-    fn install(&self, ms: &Uid, entity: Arc<Entity>, at_version: u64, tree_key: String) {
-        let pk = entity.storage_path.as_ref().map(|p| keys::path_key(ms, p));
-        self.insert(entity, at_version, pk, tree_key);
+    fn install(&self, ms: &Uid, row: TreeRow, at_version: u64) {
+        let pk = row.entity.storage_path.as_ref().map(|p| keys::path_key(ms, p));
+        self.insert(row, at_version, pk);
     }
 
     /// Record a deletion at a version (write-through for drops).
@@ -466,11 +512,16 @@ impl MsCache {
     fn remove_entry(&self, id: &Uid) -> bool {
         let Some(entry) = self.entity_shard(id).write().remove(id) else { return false };
         self.len.fetch_sub(1, Ordering::Relaxed);
+        self.unmap_entry(id, &entry);
+        true
+    }
+
+    /// Remove a removed entry's secondary keys.
+    fn unmap_entry(&self, id: &Uid, entry: &CachedEntry) {
         if let Some(pk) = &entry.path_key {
             unmap(self.path_shard(pk), pk, id);
         }
         unmap(self.name_shard(&entry.tree_key), &entry.tree_key, id);
-        true
     }
 
     /// Evict whatever entity is cached under a tree key: how a feed row's
@@ -481,19 +532,32 @@ impl MsCache {
 
     /// Batch-evict the least recently used ~10% beyond the cap. Runs under
     /// the gate (so no competing mutator), locking one shard at a time.
+    /// Ticks are unique, so the `excess` oldest entries are exactly those
+    /// at or below the `excess`-th smallest tick: one pass collects the
+    /// ticks, a selection finds that cutoff, and one pass per shard takes
+    /// the entries at or below it; their names and paths are unmapped
+    /// once the shard's lock is released. An entry a reader touches after
+    /// the tally is spared: it is no longer among the oldest.
     fn evict_lru(&self) {
         let cap = self.config.max_entries;
-        let excess = self.len.load(Ordering::Relaxed).saturating_sub(cap) + cap / 10;
-        let mut by_age: Vec<(u64, Uid)> = Vec::with_capacity(self.len.load(Ordering::Relaxed));
+        let len = self.len.load(Ordering::Relaxed);
+        let excess = len.saturating_sub(cap) + cap / 10;
+        let mut ticks: Vec<u64> = Vec::with_capacity(len);
         for shard in self.entity_shards.iter() {
-            for (id, e) in shard.read().iter() {
-                by_age.push((e.last_access.load(Ordering::Relaxed), id.clone()));
-            }
+            ticks.extend(shard.read().values().map(|e| e.last_access.load(Ordering::Relaxed)));
         }
-        by_age.sort_unstable_by_key(|(age, _)| *age);
-        for (_, id) in by_age.into_iter().take(excess) {
-            if self.remove_entry(&id) {
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        let cutoff = match excess.checked_sub(1) {
+            None => return,
+            Some(nth) if nth < ticks.len() => *ticks.select_nth_unstable(nth).1,
+            Some(_) => u64::MAX,
+        };
+        for shard in self.entity_shards.iter() {
+            let victims: Vec<(Uid, CachedEntry)> =
+                shard.write().extract_if(|_, e| e.last_access.load(Ordering::Relaxed) <= cutoff).collect();
+            self.len.fetch_sub(victims.len(), Ordering::Relaxed);
+            self.stats.evictions.fetch_add(victims.len() as u64, Ordering::Relaxed);
+            for (id, entry) in &victims {
+                self.unmap_entry(id, entry);
             }
         }
     }
@@ -550,7 +614,7 @@ impl MsCache {
     }
 }
 
-fn push_version(versions: &mut Vec<(u64, Option<Arc<Entity>>)>, v: u64, e: Option<Arc<Entity>>) {
+fn push_version(versions: &mut Vec<Version>, v: u64, e: Option<(Arc<Entity>, Bytes)>) {
     match versions.last_mut() {
         Some((last_v, last_e)) if *last_v == v => *last_e = e,
         Some((last_v, _)) if *last_v > v => {
@@ -576,18 +640,19 @@ fn push_version(versions: &mut Vec<(u64, Option<Arc<Entity>>)>, v: u64, e: Optio
 impl MsCache {
     /// The cached read. `probe(cache, pinned_version)` is the lock-free
     /// hit: the value plus how many cached entries served it (a resolved
-    /// chain counts one hit per level). `load` runs on a miss, against one
-    /// database snapshot, and returns the value plus the entities to
-    /// install. This routine alone owns the yield point, the hit / miss /
-    /// stale-retry counters, the `history.read` event and the
-    /// stale / ahead / equal decision, so every lookup shape follows one
-    /// rule. A disabled cache never probes.
+    /// chain counts one hit per level). `load(cache, snapshot)` runs on a
+    /// miss, against one database snapshot, and returns the value plus the
+    /// rows to install, each decoded through [`Self::decoded`]. This
+    /// routine alone owns the yield point, the hit / miss / stale-retry
+    /// counters, the `history.read` event and the stale / ahead / equal
+    /// decision, so every lookup shape follows one rule. A disabled cache
+    /// never probes.
     pub(crate) fn read_through<T>(
         &self,
         ms: &Uid,
         db: &Db,
         probe: impl Fn(&MsCache, u64) -> Option<(T, u64)>,
-        load: impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+        load: impl Fn(&MsCache, &ReadTxn) -> UcResult<(T, Installs)>,
     ) -> UcResult<T> {
         let rounds = if self.config.enabled { STALE_ROUNDS } else { 0 };
         for round in 0..rounds {
@@ -610,18 +675,19 @@ impl MsCache {
             }
         }
         // uc-lint: allow(hotpath) -- cache disabled or stale-retry budget exhausted: serve this read straight from a db snapshot
-        Self::load_uninstalled(ms, db, &load)
+        self.load_uninstalled(ms, db, &load)
     }
 
     /// Serve one `load` from a fresh snapshot without touching the cache.
     /// The metastore version is read only when a span wants the event.
     fn load_uninstalled<T>(
+        &self,
         ms: &Uid,
         db: &Db,
-        load: &impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+        load: &impl Fn(&MsCache, &ReadTxn) -> UcResult<(T, Installs)>,
     ) -> UcResult<T> {
         let rt = db.begin_read();
-        let (value, _) = load(&rt)?;
+        let (value, _) = load(self, &rt)?;
         if uc_obs::current_span_id().is_some() {
             history_read_event(read_ms_version(&rt, ms));
         }
@@ -637,11 +703,11 @@ impl MsCache {
         &self,
         ms: &Uid,
         db: &Db,
-        load: &impl Fn(&ReadTxn) -> UcResult<(T, Installs)>,
+        load: &impl Fn(&MsCache, &ReadTxn) -> UcResult<(T, Installs)>,
     ) -> UcResult<Option<T>> {
         let rt = db.begin_read();
         let db_ver = read_ms_version(&rt, ms);
-        let (value, installs) = load(&rt)?;
+        let (value, installs) = load(self, &rt)?;
         let changes = self.changes(ms, &rt, db_ver);
         let _gate = self.write_gate();
         match db_ver.cmp(&self.version()) {
@@ -652,7 +718,7 @@ impl MsCache {
             std::cmp::Ordering::Greater => self.reconcile(db_ver, changes),
             std::cmp::Ordering::Equal => {}
         }
-        for (entity, tree_key) in installs {
+        for row in installs {
             // An entry still cached live *under this key* is this same
             // row — a reconcile evicts what changed at a key — so the
             // containers every request reads are touched, not rewritten
@@ -660,10 +726,10 @@ impl MsCache {
             // which also restores a name mapping. Compared in place:
             // `id_by_name` clones the id, and that allocation on every
             // container of every miss cost `write_mix` 10 % of its ops/s.
-            let mapped = self.name_shard(&tree_key).read().get(&tree_key) == Some(&entity.id);
-            let current = mapped && matches!(self.get_at(&entity.id, db_ver), Some(Some(_)));
+            let mapped = self.name_shard(&row.key).read().get(&row.key) == Some(&row.entity.id);
+            let current = mapped && matches!(self.get_at(&row.entity.id, db_ver), Some(Some(_)));
             if !current {
-                self.install(ms, entity, db_ver, tree_key);
+                self.install(ms, row, db_ver);
             }
         }
         history_read_event(db_ver);
@@ -696,8 +762,8 @@ impl MsCache {
         // Install effects first, advance the pin last: concurrent readers
         // at the old pin can't see the new versions, and readers after
         // the advance see all of them.
-        for (ent, tk) in &fx.upserts {
-            self.install(ms, ent.clone(), prev_version + 1, tk.clone());
+        for row in &fx.upserts {
+            self.install(ms, row.clone(), prev_version + 1);
         }
         for id in &fx.tombstones {
             self.insert_tombstone(id, prev_version + 1);
@@ -813,6 +879,11 @@ mod tests {
         Arc::new(e)
     }
 
+    /// `e`'s row at `key`, as a load or a write hands it to the cache.
+    fn tree_row(e: &Arc<Entity>, key: String) -> TreeRow {
+        TreeRow { entity: e.clone(), key, raw: e.encode() }
+    }
+
     fn cache_with(max_entries: usize) -> (MsCache, CacheStats) {
         let stats = CacheStats::default();
         let config = CacheConfig { max_entries, ..Default::default() };
@@ -826,7 +897,7 @@ mod tests {
     }
 
     fn insert(cache: &MsCache, id: &str, name: &str, ver: u64) {
-        cache.insert(entity(id, name), ver, None, nk(id));
+        cache.insert(tree_row(&entity(id, name), nk(id)), ver, None);
     }
 
     #[test]
@@ -916,9 +987,9 @@ mod tests {
         // e2 is served stale by id.
         let k = nk("t");
         let (c, stats) = cache_with(1000);
-        c.insert(entity("e1", "t"), 1, Some("pk/p".into()), k.clone());
+        c.insert(tree_row(&entity("e1", "t"), k.clone()), 1, Some("pk/p".into()));
         c.insert_tombstone(&Uid::from("e1"), 2);
-        c.insert(entity("e2", "t"), 3, Some("pk/p".into()), k.clone());
+        c.insert(tree_row(&entity("e2", "t"), k.clone()), 3, Some("pk/p".into()));
         assert!(c.remove_entry(&Uid::from("e1")));
         assert_eq!(c.id_by_name(&k), Some(Uid::from("e2")));
         assert_eq!(c.id_by_path("pk/p"), Some(Uid::from("e2")));
@@ -946,10 +1017,9 @@ mod tests {
         let (c, stats) = cache_with(10);
         for i in 0..20 {
             c.insert(
-                entity(&format!("e{i}"), &format!("n{i}")),
+                tree_row(&entity(&format!("e{i}"), &format!("n{i}")), format!("nk/n{i}")),
                 1,
                 Some(format!("pk/p{i}")),
-                format!("nk/n{i}"),
             );
         }
         assert!(c.entry_count() <= 11, "cap 10 plus slack, got {}", c.entry_count());
@@ -973,10 +1043,9 @@ mod tests {
         let (c, _) = cache_with(12);
         for i in 0..12 {
             c.insert(
-                entity(&format!("e{i}"), &format!("n{i}")),
+                tree_row(&entity(&format!("e{i}"), &format!("n{i}")), format!("nk/n{i}")),
                 1,
                 Some(format!("pk/p{i}")),
-                format!("nk/n{i}"),
             );
         }
         // Touch a subset spread across shards (ids hash apart),
@@ -1013,6 +1082,89 @@ mod tests {
     }
 
     #[test]
+    fn lru_eviction_takes_exactly_the_oldest_ticks() {
+        // Touch the entries in a scrambled order, so age is unrelated to
+        // insertion order and to shard; the batch must take exactly the
+        // `excess` entries with the smallest ticks.
+        const CAP: usize = 40;
+        let (c, stats) = cache_with(CAP);
+        let ids: Vec<Uid> = (0..CAP).map(|i| Uid::from(format!("e{i}").as_str())).collect();
+        for (i, id) in ids.iter().enumerate() {
+            insert(&c, id.as_str(), &format!("n{i}"), 1);
+        }
+        for i in (0..CAP).map(|i| (i * 17 + 5) % CAP) {
+            assert!(c.get_at(&ids[i], 1).is_some());
+        }
+        let tick_of = |id: &Uid| c.entity_shard(id).read()[id].last_access.load(Ordering::Relaxed);
+        let mut by_age: Vec<(u64, Uid)> = ids.iter().map(|id| (tick_of(id), id.clone())).collect();
+        by_age.sort_unstable();
+        // One more insert crosses the cap: `excess` = overage 1 + cap / 10.
+        let excess = 1 + CAP / 10;
+        insert(&c, "new", "new", 1);
+        let mut expected: Vec<Uid> = by_age.into_iter().take(excess).map(|(_, id)| id).collect();
+        expected.sort_unstable();
+        let mut evicted: Vec<Uid> = ids.iter().filter(|id| c.get_at(id, 1).is_none()).cloned().collect();
+        evicted.sort_unstable();
+        assert_eq!(evicted, expected, "the evicted set is the {excess} oldest ticks");
+        assert_eq!((stats.evictions.get() as usize, c.entry_count()), (excess, CAP + 1 - excess));
+        for id in &evicted {
+            assert!(c.id_by_name(&nk(id.as_str())).is_none(), "the name of {id} is unmapped");
+        }
+    }
+
+    #[test]
+    fn decoded_serves_the_held_entity_for_identical_bytes() {
+        let (c, stats) = cache_with(1000);
+        let e1 = entity("e1", "a");
+        let row = tree_row(&e1, nk("e1"));
+        c.insert(row.clone(), 1, None);
+        let ticks = c.tick.load(Ordering::Relaxed);
+        let held = c.decoded(&nk("e1"), &row.raw).unwrap();
+        assert!(Arc::ptr_eq(&held, &e1), "the installed entity, not a decode");
+        // Byte identity, not buffer identity: a copy of the row matches too.
+        let copy = Bytes::from(row.raw.to_vec());
+        assert!(Arc::ptr_eq(&c.decoded(&nk("e1"), &copy).unwrap(), &e1));
+        assert_eq!(c.tick.load(Ordering::Relaxed), ticks, "recency is not touched");
+        assert_eq!((stats.hits.get(), stats.misses.get()), (0, 0), "and nothing is counted");
+    }
+
+    #[test]
+    fn decoded_decodes_bytes_the_entry_does_not_hold() {
+        let (c, _) = cache_with(1000);
+        let e1 = entity("e1", "a");
+        c.insert(tree_row(&e1, nk("e1")), 1, None);
+        let other = entity("e1", "b").encode();
+        let differing = other.iter().zip(e1.encode().iter()).filter(|(x, y)| x != y).count();
+        assert_eq!((other.len(), differing), (e1.encode().len(), 1), "the rows differ in one byte");
+        let got = c.decoded(&nk("e1"), &other).unwrap();
+        assert!(!Arc::ptr_eq(&got, &e1));
+        assert_eq!(*got, Entity::decode(&other).unwrap());
+        // A key the cache does not map is a decode as well.
+        assert_eq!(*c.decoded(&nk("e2"), &other).unwrap(), Entity::decode(&other).unwrap());
+    }
+
+    #[test]
+    fn decoded_fails_a_corrupt_row_under_a_cached_key() {
+        let (c, _) = cache_with(1000);
+        c.insert(tree_row(&entity("e1", "a"), nk("e1")), 1, None);
+        let corrupt = c.decoded(&nk("e1"), &Bytes::from_static(b"{\"id\":"));
+        assert!(matches!(corrupt, Err(crate::error::UcError::Database(_))), "{:?}", corrupt.map(|_| ()));
+    }
+
+    #[test]
+    fn decoded_on_a_disabled_cache_never_probes() {
+        let c = MsCache::new(&CacheConfig::disabled(), CacheStats::default());
+        let e1 = entity("e1", "a");
+        let row = tree_row(&e1, nk("e1"));
+        // Held all the same (no protocol operation installs into a
+        // disabled cache): a probe would find it.
+        c.insert(row.clone(), 1, None);
+        let got = c.decoded(&nk("e1"), &row.raw).unwrap();
+        assert!(!Arc::ptr_eq(&got, &e1), "a disabled cache only decodes");
+        assert_eq!(got, e1);
+    }
+
+    #[test]
     fn eviction_racing_readers_never_tears_the_pin() {
         // Evictions take shard write locks while readers probe shards and
         // read the pin. A reader must never see the pin move backwards or
@@ -1028,10 +1180,9 @@ mod tests {
                     // Insert with a fresh id each round: len keeps crossing
                     // the cap, so evict_lru runs constantly.
                     c.insert(
-                        entity(&format!("w{v}"), &format!("wn{v}")),
+                        tree_row(&entity(&format!("w{v}"), &format!("wn{v}")), format!("nk/wn{v}")),
                         v,
                         Some(format!("pk/wp{v}")),
-                        format!("nk/wn{v}"),
                     );
                     c.set_pin(v);
                 }
@@ -1130,15 +1281,13 @@ mod tests {
             &ms,
             db,
             |c, ver| Some((c.get_at(&id, ver)?, 1)),
-            |rt| {
+            |c, rt| {
                 loads.set(loads.get() + 1);
                 in_load(loads.get());
                 let key = nk(id.as_str());
-                let found = match rt.get(T_TREE, &key) {
-                    Some(raw) => Some(Arc::new(Entity::decode(&raw)?)),
-                    None => None,
-                };
-                Ok((found.clone(), found.into_iter().map(|e| (e, key.clone())).collect()))
+                let Some(raw) = rt.get(T_TREE, &key) else { return Ok((None, Vec::new())) };
+                let entity = c.decoded(&key, &raw)?;
+                Ok((Some(entity.clone()), vec![TreeRow { entity, key, raw }]))
             },
         )
         .unwrap()
@@ -1193,9 +1342,10 @@ mod tests {
         let e2 = entity("e2", "b");
         commit(&db, 2, &[&e2]);
         let (ms, e1_id) = (Uid::from("ms"), Uid::from("e1"));
-        let load = |rt: &ReadTxn| {
-            let e1 = Arc::new(Entity::decode(&rt.get(T_TREE, &nk("e1")).unwrap())?);
-            Ok((e2.name.clone(), vec![(e1, nk("e1")), (e2.clone(), nk("e2"))]))
+        let load = |c: &MsCache, rt: &ReadTxn| {
+            let raw = rt.get(T_TREE, &nk("e1")).unwrap();
+            let e1 = TreeRow { entity: c.decoded(&nk("e1"), &raw)?, key: nk("e1"), raw };
+            Ok((e2.name.clone(), vec![e1, tree_row(&e2, nk("e2"))]))
         };
         let got = c.read_through(&ms, &db, |_, _| None, load).unwrap();
         assert_eq!((got.as_str(), c.version()), ("b", 2));
@@ -1212,7 +1362,7 @@ mod tests {
         // a by-name miss must put the mapping back, not skip the install.
         c.name_shard(&nk("e1")).write().remove(&nk("e1"));
         let (ms, e1) = (Uid::from("ms"), entity("e1", "a"));
-        c.read_through(&ms, &db, |_, _| None, |_| Ok(((), vec![(e1.clone(), nk("e1"))]))).unwrap();
+        c.read_through(&ms, &db, |_, _| None, |_, _| Ok(((), vec![tree_row(&e1, nk("e1"))]))).unwrap();
         assert_eq!(c.id_by_name(&nk("e1")), Some(e1.id.clone()));
     }
 
@@ -1227,7 +1377,7 @@ mod tests {
                 let e2 = entity("e2", "b");
                 commit(&db, 2, &[&e2]);
                 let mut fx = WriteEffects::default();
-                fx.upserts.push((e2, nk("e2")));
+                fx.upserts.push(tree_row(&e2, nk("e2")));
                 c.apply_write(&ms, &db, 1, &fx);
             } else {
                 assert!(c.get_at(&Uid::from("e1"), c.version()).is_none(), "a stale round installs nothing");
@@ -1260,9 +1410,9 @@ mod tests {
             &ms,
             &db,
             |_, _| -> Option<(u32, u64)> { panic!("a disabled cache must not probe") },
-            |_| {
+            |_, _| {
                 loads.set(loads.get() + 1);
-                Ok((7, vec![(e1.clone(), nk("e1"))]))
+                Ok((7, vec![tree_row(&e1, nk("e1"))]))
             },
         );
         assert_eq!((got.unwrap(), loads.get()), (7, 1));
@@ -1285,7 +1435,7 @@ mod tests {
         c.catch_up(&ms, &db);
         assert_eq!(c.version(), 3);
         let mut fx = WriteEffects::default();
-        fx.upserts.push((e2, nk("e2")));
+        fx.upserts.push(tree_row(&e2, nk("e2")));
         c.apply_write(&ms, &db, 1, &fx);
         assert_eq!(c.version(), 3, "a slow writer never regresses the pin");
         assert_eq!(c.entry_count(), 0);

@@ -24,7 +24,7 @@ use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
 use crate::model::keys::{self, T_COMMIT};
 use crate::ops::Op;
-use crate::service::{live_entity, ApiGuard, Context, UnityCatalog};
+use crate::service::{ApiGuard, Context, UnityCatalog};
 
 /// One table's contribution to a (possibly multi-table) commit.
 #[derive(Debug, Clone)]
@@ -87,7 +87,7 @@ impl UnityCatalog {
         let now = self.now_ms();
         self.write_ms(ms, |tx, _ver, fx| {
             for c in &commits {
-                let (mut ent, tk) = live_entity(tx, ms, &c.table_id, &c.table_id)?;
+                let (mut ent, tk) = self.live_entity(tx, ms, &c.table_id, &c.table_id)?;
                 let latest = ent.commit_version();
                 if c.version != latest + 1 {
                     return Err(UcError::CommitConflict { expected: c.version, actual: latest });

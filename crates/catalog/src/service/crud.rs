@@ -9,7 +9,7 @@ use uc_delta::value::Schema;
 use crate::audit::Reason;
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::authz::Privilege;
-use crate::cache::WriteEffects;
+use crate::cache::{MsCache, WriteEffects};
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -20,7 +20,7 @@ use crate::model::manifest::manifest;
 use crate::model::paths;
 use crate::model::treekey;
 use crate::ops::{self, Op};
-use crate::service::{live_entity, live_key, tree_children, ApiGuard, Context, UnityCatalog};
+use crate::service::{live_key, tree_children, ApiGuard, Context, UnityCatalog};
 use crate::types::{
     validate_object_name, FullName, LifecycleState, SecurableKind, TableFormat, TableType,
 };
@@ -190,6 +190,7 @@ impl UnityCatalog {
             // Overlap check against existing external locations (small set;
             // the scan is in the transaction's validated read set).
             for other in tree_children(
+                &self.cache.for_metastore(ms),
                 |p| tx.scan_prefix(T_TREE, p),
                 &keys::tree_ms_prefix(ms),
                 Some(SecurableKind::ExternalLocation.name_group()),
@@ -317,6 +318,7 @@ impl UnityCatalog {
         // through the cache instead could mix in a later version.
         let rt = self.db.begin_read();
         let locations = tree_children(
+            &self.cache.for_metastore(ms),
             |p| rt.scan_prefix(T_TREE, p),
             &keys::tree_ms_prefix(ms),
             Some(SecurableKind::ExternalLocation.name_group()),
@@ -398,6 +400,7 @@ impl UnityCatalog {
         let cat = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?.swap_remove(0);
         let chunk = chunk.max(1);
         let now = self.now_ms();
+        let cache = self.cache.for_metastore(ms);
         let mut created = 0usize;
         // Container tree keys derive from names alone (catalogs do not
         // move), with no per-row reads.
@@ -420,7 +423,7 @@ impl UnityCatalog {
                     live_key(tx, ms, &cat.id, catalog)?;
                     let mut n = 0usize;
                     let schema_id = match tx.get(T_TREE, &schema_key) {
-                        Some(raw) => Entity::decode(&raw)?.id,
+                        Some(raw) => cache.decoded(&schema_key, &raw)?.id.clone(),
                         None => {
                             let ent = Entity::new(
                                 SecurableKind::Schema,
@@ -636,7 +639,7 @@ impl UnityCatalog {
         let result = self.write_ms(ms, |tx, _ver, fx| {
             // Re-read the model inside the transaction for a race-free
             // version counter.
-            let (mut model_now, model_key) = live_entity(tx, ms, &model.id, model_name)?;
+            let (mut model_now, model_key) = self.live_entity(tx, ms, &model.id, model_name)?;
             let version: u64 = model_now
                 .properties
                 .get(props::NEXT_VERSION)
@@ -724,7 +727,8 @@ impl UnityCatalog {
         let rt = self.db.begin_read();
         let mut out = Vec::new();
         let mut full = Vec::with_capacity(parent.len() + 1);
-        for ent in tree_children(|p| rt.scan_prefix(T_TREE, p), &parent_key, group)? {
+        let cache = self.cache.for_metastore(ms);
+        for ent in tree_children(&cache, |p| rt.scan_prefix(T_TREE, p), &parent_key, group)? {
             // Catalogs carry no parent id; everything else names its
             // container. A mismatch means the container was dropped and
             // re-created under the same name between the request's
@@ -783,7 +787,7 @@ impl UnityCatalog {
             // been re-assigned to a successor entity, whose row a
             // re-upsert would overwrite (a caller can reach this via a
             // stale cached name mapping).
-            let (mut ent, tk) = live_entity(tx, ms, id, id)?;
+            let (mut ent, tk) = self.live_entity(tx, ms, id, id)?;
             f(&mut ent)?;
             ent.updated_at_ms = now;
             (manifest(ent.kind).validate)(&ent)?;
@@ -868,8 +872,9 @@ impl UnityCatalog {
         }
         api.audit.gate(&full, Need::Admin, new_name)?;
         let now = self.now_ms();
+        let cache = self.cache.for_metastore(ms);
         let renamed = self.write_ms(ms, |tx, _ver, fx| {
-            let (mut ent, old_tree) = live_entity(tx, ms, &target.id, name)?;
+            let (mut ent, old_tree) = self.live_entity(tx, ms, &target.id, name)?;
             ent.name = new_name.to_string();
             ent.updated_at_ms = now;
             // Same parent (the next-longest prefix of the key), new last segment.
@@ -889,7 +894,7 @@ impl UnityCatalog {
                 tx.delete(T_TREE, &k);
                 if k != old_tree {
                     let moved = format!("{new_tree}{}", &k[old_tree.len()..]);
-                    let below = Entity::decode(&v)?;
+                    let below = cache.decoded(&k, &v)?;
                     tx.put(T_ENTITY, &keys::ent_key(ms, &below.id), moved.clone().into());
                     tx.put(T_TREE, &moved, v);
                     fx.moved_from.push(k);
@@ -942,11 +947,12 @@ impl UnityCatalog {
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, name)?;
         let now = self.now_ms();
+        let cache = self.cache.for_metastore(ms);
         let count = self.write_ms(ms, |tx, _ver, fx| {
             // The whole cascade is one range scan of the target's key
             // range, parents before children, each row carrying its full
             // entity.
-            Self::soft_delete_subtree(tx, ms, target, now, fx)
+            Self::soft_delete_subtree(&cache, tx, ms, target, now, fx)
         })?;
         api.audit.allow(&target.id, format!("{name} ({count} entities)"));
         Ok(count)
@@ -958,6 +964,7 @@ impl UnityCatalog {
     /// to the trash, remove its id pointer, and unregister its storage
     /// path.
     fn soft_delete_subtree(
+        cache: &MsCache,
         tx: &mut uc_txdb::WriteTxn,
         ms: &Uid,
         target: &Entity,
@@ -975,7 +982,7 @@ impl UnityCatalog {
         };
         let mut count = 0;
         for (tree_key, raw) in tx.scan_prefix(T_TREE, &root_key) {
-            let mut ent = Entity::decode(&raw)?;
+            let mut ent = Arc::unwrap_or_clone(cache.decoded(&tree_key, &raw)?);
             tx.delete(T_TREE, &tree_key);
             if let Some(p) = ent.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok()) {
                 paths::unregister_path(tx, ms, &p);

@@ -362,11 +362,12 @@ impl UnityCatalog {
         // keys prefix the current one *are* its chain: `path` holds them,
         // metastore first.
         let mut path: Vec<(String, Arc<Entity>)> = Vec::new();
+        let cache = self.cache.for_metastore(ms);
         for (key, raw) in rt.scan_prefix(T_TREE, &keys::tree_ms_prefix(ms)) {
             if out.len() >= limit {
                 break;
             }
-            let ent = Arc::new(Entity::decode(&raw)?);
+            let ent = cache.decoded(&key, &raw)?;
             while path.last().is_some_and(|(above, _)| !key.starts_with(above.as_str())) {
                 path.pop();
             }

@@ -150,12 +150,13 @@ impl UnityCatalog {
         let mut table_key = schema_key;
         keys::tree_push_child(&mut table_key, "relation", &meta.name);
         // Update in place: an upsert of the row this transaction read.
+        let cache = self.cache.for_metastore(ms);
         let update = || {
             self.write_ms(ms, |tx, _ver, fx| {
                 let raw = tx
                     .get(T_TREE, &table_key)
                     .ok_or_else(|| UcError::NotFound(table_what.clone()))?;
-                let mut ent = Entity::decode(&raw)?;
+                let mut ent = Arc::unwrap_or_clone(cache.decoded(&table_key, &raw)?);
                 refresh(tx, &mut ent)?;
                 ent.updated_at_ms = now;
                 Ok(fx.upsert_at(tx, ent, ChangeOp::Update, table_key.clone()))

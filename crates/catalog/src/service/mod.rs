@@ -16,7 +16,12 @@
 //!   effects to the cache's write-through; on top of it the one
 //!   **create** ([`UnityCatalog::create_entity`]: name → live parent →
 //!   vacant key → the kind's fill → manifest validation → upsert) and the
-//!   one in-transaction by-id read ([`live_key`], then [`live_entity`]).
+//!   one in-transaction by-id read ([`live_key`], then
+//!   [`UnityCatalog::live_entity`]).
+//!
+//! Every `T_TREE` row either protocol reads is decoded through
+//! [`MsCache::decoded`]: a row the node already holds, byte for byte, is
+//! served as the cached entity instead of being parsed again.
 //!
 //! The public API surface is split across the sibling modules:
 //! [`crud`], [`grants_api`], [`vending`], [`resolve`], [`commits`],
@@ -48,7 +53,7 @@ use crate::audit::{AuditDecision, AuditLog, Reason};
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::decision::{decide, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
-use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, WriteEffects};
+use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, TreeRow, WriteEffects};
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -173,30 +178,15 @@ pub(crate) fn live_key(
         .ok_or_else(|| UcError::NotFound(what.to_string()))
 }
 
-/// The one in-transaction read of an entity by id: [`live_key`], then the
-/// row at that key. Returns the key too — an update puts the row back
-/// where it was read.
-pub(crate) fn live_entity(
-    tx: &mut WriteTxn,
-    ms: &Uid,
-    id: &Uid,
-    what: impl std::fmt::Display,
-) -> UcResult<(Entity, String)> {
-    let key = live_key(tx, ms, id, what)?;
-    let raw = tx
-        .get(T_TREE, &key)
-        .ok_or_else(|| UcError::Database(format!("pointer of {id} names no tree row")))?;
-    Ok((Entity::decode(&raw)?, key))
-}
-
 /// The direct children of the node at `parent_key`, optionally within one
 /// name group, decoded from **one** range scan of the tree index. `scan`
 /// runs the `T_TREE` prefix scan on whichever transaction the caller
 /// holds, so the children reflect that transaction's single snapshot and
 /// cost no per-child point read. The scan covers the whole subtree;
 /// children proper are selected by segment depth before anything deeper
-/// is decoded.
+/// is decoded, and a child `cache` holds is not decoded at all.
 pub(crate) fn tree_children(
+    cache: &MsCache,
     scan: impl FnOnce(&str) -> Vec<(String, Bytes)>,
     parent_key: &str,
     group: Option<&str>,
@@ -208,7 +198,7 @@ pub(crate) fn tree_children(
     };
     rows.iter()
         .filter(|(k, _)| treekey::depth(k) == child_depth)
-        .map(|(_, raw)| Ok(Arc::new(Entity::decode(raw)?)))
+        .map(|(key, raw)| cache.decoded(key, raw))
         .collect()
 }
 
@@ -222,11 +212,12 @@ impl WriteEffects {
         op: ChangeOp,
         tk: String,
     ) -> Arc<Entity> {
-        tx.put(T_TREE, &tk, ent.encode());
-        let arc = Arc::new(ent);
-        self.events.push(FeedEvent { id: arc.id.clone(), kind: arc.kind, name: arc.name.clone(), op });
-        self.upserts.push((arc.clone(), tk));
-        arc
+        let raw = ent.encode();
+        tx.put(T_TREE, &tk, raw.clone());
+        let entity = Arc::new(ent);
+        self.events.push(FeedEvent { id: entity.id.clone(), kind: entity.kind, name: entity.name.clone(), op });
+        self.upserts.push(TreeRow { entity: entity.clone(), key: tk, raw });
+        entity
     }
 
     /// A new entity: its id pointer, then its row. The caller has found
@@ -550,8 +541,10 @@ fn cached_chain_by_id(c: &MsCache, ms: &Uid, ver: u64, id: &Uid) -> Option<(Chai
 
 /// Database load of [`UnityCatalog::chain_at_key`]: the chain scan
 /// returns the metastore row plus the row at every existing level,
-/// shortest key first, and each is installed under its own key.
-fn load_chain(rt: &ReadTxn, ms: &Uid, leaf_key: &str) -> UcResult<(Chain, Installs)> {
+/// shortest key first, and each is installed under its own key. A level
+/// the cache holds byte for byte — on a cold leaf, its containers — is
+/// the cached entity, not a second decode.
+fn load_chain(c: &MsCache, rt: &ReadTxn, ms: &Uid, leaf_key: &str) -> UcResult<(Chain, Installs)> {
     let rows = rt.scan_chain(T_TREE, leaf_key);
     if rows.first().is_none_or(|(k, _)| treekey::depth(k) != 1) {
         return Err(UcError::NotFound(format!("metastore {ms}")));
@@ -561,18 +554,22 @@ fn load_chain(rt: &ReadTxn, ms: &Uid, leaf_key: &str) -> UcResult<(Chain, Instal
     if rows.len() != treekey::depth(leaf_key) {
         return Ok((None, Vec::new()));
     }
-    let installs = rows
-        .into_iter()
-        .map(|(key, raw)| Ok((Arc::new(Entity::decode(&raw)?), key)))
-        .collect::<UcResult<Installs>>()?;
-    let chain = installs.iter().rev().map(|(ent, _)| ent.clone()).collect();
+    let chain: Vec<Arc<Entity>> =
+        rows.iter().rev().map(|(key, raw)| c.decoded(key, raw)).collect::<UcResult<_>>()?;
+    // A disabled cache installs nothing, so it is handed no rows.
+    let installs = if c.enabled() {
+        let entities = chain.iter().rev().cloned();
+        rows.into_iter().zip(entities).map(|((key, raw), entity)| TreeRow { entity, key, raw }).collect()
+    } else {
+        Vec::new()
+    };
     Ok((Some(chain), installs))
 }
 
 /// [`load_chain`] at the key `id`'s pointer holds, in the same snapshot.
-fn load_chain_by_id(rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<(Chain, Installs)> {
+fn load_chain_by_id(c: &MsCache, rt: &ReadTxn, ms: &Uid, id: &Uid) -> UcResult<(Chain, Installs)> {
     match pointed_key(rt.get(T_ENTITY, &keys::ent_key(ms, id))) {
-        Some(key) => load_chain(rt, ms, &key),
+        Some(key) => load_chain(c, rt, ms, &key),
         None => Ok((None, Vec::new())),
     }
 }
@@ -822,7 +819,7 @@ impl UnityCatalog {
             ms,
             &self.db,
             |c, ver| cached_chain(c, ver, leaf_key),
-            |rt| load_chain(rt, ms, leaf_key),
+            |c, rt| load_chain(c, rt, ms, leaf_key),
         )
     }
 
@@ -835,7 +832,7 @@ impl UnityCatalog {
             ms,
             &self.db,
             |c, ver| cached_chain_by_id(c, ms, ver, id),
-            |rt| load_chain_by_id(rt, ms, id),
+            |c, rt| load_chain_by_id(c, rt, ms, id),
         )
     }
 
@@ -857,8 +854,8 @@ impl UnityCatalog {
                 }
                 None
             },
-            |rt| match crate::model::paths::resolve_path(rt, ms, path) {
-                Some((id, _registered)) => load_chain_by_id(rt, ms, &id),
+            |c, rt| match crate::model::paths::resolve_path(rt, ms, path) {
+                Some((id, _registered)) => load_chain_by_id(c, rt, ms, &id),
                 None => Ok((None, Vec::new())),
             },
         )
@@ -867,6 +864,25 @@ impl UnityCatalog {
     // ------------------------------------------------------------------
     // Write protocol
     // ------------------------------------------------------------------
+
+    /// The one in-transaction read of an entity by id: [`live_key`], then
+    /// the row at that key — a copy of the cached entity when the node
+    /// holds that row, else its decode. Returns the key too — an update
+    /// puts the row back where it was read.
+    pub(crate) fn live_entity(
+        &self,
+        tx: &mut WriteTxn,
+        ms: &Uid,
+        id: &Uid,
+        what: impl std::fmt::Display,
+    ) -> UcResult<(Entity, String)> {
+        let key = live_key(tx, ms, id, what)?;
+        let raw = tx
+            .get(T_TREE, &key)
+            .ok_or_else(|| UcError::Database(format!("pointer of {id} names no tree row")))?;
+        let ent = self.cache.for_metastore(ms).decoded(&key, &raw)?;
+        Ok((Arc::unwrap_or_clone(ent), key))
+    }
 
     /// Run a logical write against a metastore: one serializable
     /// transaction that reads the metastore version (its feed's last row),
@@ -1142,6 +1158,7 @@ impl UnityCatalog {
         // Rebuild from entities: scan storage credentials in this metastore.
         let rt = self.db.begin_read();
         for ent in tree_children(
+            &self.cache.for_metastore(ms),
             |p| rt.scan_prefix(T_TREE, p),
             &keys::tree_ms_prefix(ms),
             Some(SecurableKind::StorageCredential.name_group()),

@@ -5,8 +5,9 @@
 //! cached governed read: a grantee's `get_table` and a trusted engine's
 //! `resolve_for_query` of a table under a row filter, a column mask and a
 //! container ABAC policy. The cold paths are pinned the same way: the row
-//! codec (`Entity::decode` / `encode`), an uncached `get_table`, and a
-//! 200-table listing, typed and through REST.
+//! codec (`Entity::decode` / `encode`), an uncached `get_table`, a
+//! 200-table listing, typed and through REST, and a `get_table` that
+//! misses the table on a node whose cache holds its containers.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -125,6 +126,13 @@ const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_873;
 /// `RestApi::handle`, the JSON reply included (17 779 with the tree
 /// decode).
 const COLD_REST_LIST_ALLOCS: u64 = 10_480;
+/// Allocations per `get_table` that misses the table but finds its three
+/// containers cached (the cache on, as `meta_cold` runs it): one chain
+/// scan, one decode, one install. 78 while a miss decoded all four rows,
+/// the containers it already held included: their decodes cost 25
+/// allocations and their `Arc`s 3, where finding them costs an id copy
+/// each and the rows to install one vector.
+const MISS_GET_TABLE_ALLOCS: u64 = 54;
 /// Tables in the cold node's schema: a `meta_cold` schema's.
 const COLD_TABLES: usize = 200;
 
@@ -136,12 +144,17 @@ const CALLS: usize = 1_000;
 /// every ~3 000, and draining it makes that amortised cost exactly one
 /// lane allocation per call instead of an occasional outlier.
 fn allocs_per_call(uc: &UnityCatalog, mut op: impl FnMut()) -> Vec<u64> {
+    allocs_of_calls(uc, CALLS, |_| op())
+}
+
+/// [`allocs_per_call`] of `op(0)`, …, `op(calls - 1)`.
+fn allocs_of_calls(uc: &UnityCatalog, calls: usize, mut op: impl FnMut(usize)) -> Vec<u64> {
     // Pre-sized so recording a sample never allocates inside a window.
-    let mut samples = Vec::with_capacity(CALLS);
-    for _ in 0..CALLS {
+    let mut samples = Vec::with_capacity(calls);
+    for call in 0..calls {
         uc.audit_log().flush();
         let before = ALLOCS.with(Cell::get);
-        op();
+        op(call);
         samples.push(ALLOCS.with(Cell::get) - before);
     }
     samples
@@ -351,4 +364,34 @@ fn cold_reads_allocate_a_constant_below_the_parent() {
     assert_constant_and_bounded("uncached get_table", &get_table, COLD_GET_TABLE_ALLOCS);
     assert_constant_and_bounded("uncached list_children (200)", &list, COLD_LIST_CHILDREN_ALLOCS);
     assert_constant_and_bounded("uncached rest tables.list (200)", &rest_list, COLD_REST_LIST_ALLOCS);
+}
+
+/// A cache miss decodes only the row the node does not hold: node 2 reads
+/// every table of the cold node's schema once, node 1 rewrites each one,
+/// and node 2 reconciles, which evicts the 200 tables and keeps their
+/// containers (and leaves its maps sized for the tables, so a re-install
+/// never grows one). Each `get_table` on node 2 is then a miss on the
+/// table alone.
+#[test]
+fn a_miss_under_cached_containers_allocates_a_constant_below_the_parent() {
+    let (uc, ms, ctx) = cold_node();
+    let node = UnityCatalog::new(uc.db().clone(), uc.object_store().clone(), UcConfig::default(), "node-1");
+    let names: Vec<String> = (0..COLD_TABLES).map(|t| format!("main.s.t{t:06}")).collect();
+    for name in &names {
+        node.get_table(&ctx, &ms, name).unwrap();
+    }
+    for name in &names {
+        uc.update_comment(&ctx, &ms, &FullName::parse(name).unwrap(), "relation", "rewritten").unwrap();
+    }
+    node.reconcile_metastore(&ms);
+    let stats = node.cache_stats();
+    let (misses, hits, db_reads) = (stats.misses.get(), stats.hits.get(), node.db().stats().reads());
+
+    let miss = allocs_of_calls(&node, COLD_TABLES, |t| {
+        assert_eq!(node.get_table(&ctx, &ms, &names[t]).unwrap().comment.as_deref(), Some("rewritten"));
+    });
+    assert_eq!(stats.misses.get() - misses, COLD_TABLES as u64, "every measured call misses");
+    assert_eq!(stats.hits.get(), hits, "a miss is served from its one snapshot");
+    assert!(node.db().stats().reads() > db_reads);
+    assert_constant_and_bounded("get_table missing the table alone", &miss, MISS_GET_TABLE_ALLOCS);
 }
