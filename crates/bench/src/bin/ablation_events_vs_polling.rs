@@ -30,8 +30,8 @@ fn main() {
             .unwrap();
     }
 
-    let eventful = DiscoveryService::new(world.uc.clone(), world.ms.clone(), ADMIN);
-    let poller = DiscoveryService::new(world.uc.clone(), world.ms.clone(), ADMIN);
+    let eventful = DiscoveryService::new(world.uc.clone(), world.ms.clone(), Context::user(ADMIN));
+    let poller = DiscoveryService::new(world.uc.clone(), world.ms.clone(), Context::user(ADMIN));
     eventful.sync().unwrap();
     poller.sync_by_polling().unwrap();
     let e0 = eventful.stats();
@@ -51,8 +51,8 @@ fn main() {
         let t0 = uc_bench::Stopwatch::start();
         poller.sync_by_polling().unwrap();
         poll_time += t0.elapsed();
-        assert_eq!(eventful.search(ADMIN, &format!("new{round}")).unwrap().len(), 1);
-        assert_eq!(poller.search(ADMIN, &format!("new{round}")).unwrap().len(), 1);
+        assert_eq!(eventful.search(&Context::user(ADMIN), &format!("new{round}")).unwrap().len(), 1);
+        assert_eq!(poller.search(&Context::user(ADMIN), &format!("new{round}")).unwrap().len(), 1);
     }
     let e = eventful.stats();
     let p = poller.stats();

@@ -51,8 +51,8 @@ pub struct Op {
 // of taking its op's primary.
 /// Refusal at the external location covering a create's explicit path.
 pub const USE_EXTERNAL_PATH: Action = Action("useExternalPath");
-/// Seeing one securable by name: `get_securable`, and the reads that
-/// return something of it (`get_tags`, `lineage`).
+/// Seeing one securable: `get_securable`, `get_entity_by_id`, and the
+/// reads that return something of it (`get_tags`, `lineage`).
 pub const GET_SECURABLE: Action = Action("getSecurable");
 /// Reading a share: its member list, or one member's snapshot.
 pub const QUERY_SHARE: Action = Action("queryShare");
@@ -113,7 +113,7 @@ ops! {
     CREATE_VOLUME = "create_volume" => ["createVolume", USE_EXTERNAL_PATH];
     DROP_SECURABLE = "drop_securable" => ["dropSecurable"];
     EVENTS_SINCE = "events_since" => ["listEvents"];
-    GET_ENTITY_BY_ID = "get_entity_by_id" => [];
+    GET_ENTITY_BY_ID = "get_entity_by_id" => [GET_SECURABLE];
     GET_METASTORE = "get_metastore" => [];
     GET_SECURABLE = "get_securable" => [GET_SECURABLE];
     GET_TAGS = "get_tags" => [GET_SECURABLE];
@@ -140,7 +140,7 @@ ops! {
     SERVE_ADMIT = "serve_admit" => ["requestShed"];
     SET_CATALOG_BINDINGS = "set_catalog_bindings" => ["setCatalogBindings"];
     SET_METASTORE_ROOT = "set_metastore_root" => ["setMetastoreRoot"];
-    SHOW_GRANTS = "show_grants" => [];
+    SHOW_GRANTS = "show_grants" => ["getPermissions"];
     TAG_UPDATE = "tag_update" => ["setTag"];
     TEMP_CREDENTIALS = "temp_credentials" => ["generateTemporaryCredentials"];
     TEMP_CREDENTIALS_FOR_PATH = "temp_credentials_for_path" => ["generateTemporaryPathCredentials"];

@@ -77,7 +77,7 @@ impl UnityCatalog {
         ms: &Uid,
         commits: Vec<TableCommit>,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::COMMIT_TABLES_ATOMICALLY, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::COMMIT_TABLES_ATOMICALLY, Some(ctx), Some(ms));
         if commits.is_empty() {
             return Ok(());
         }
@@ -108,7 +108,7 @@ impl UnityCatalog {
 
     /// Latest catalog-owned version of a table (-1 if none).
     pub fn latest_table_version(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<i64> {
-        let api = self.api_enter(Op::LATEST_TABLE_VERSION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LATEST_TABLE_VERSION, Some(ctx), Some(ms));
         let entity = self.authorize_table(&api, ms, table_id, Privilege::Select)?;
         Ok(entity.commit_version())
     }
@@ -121,7 +121,7 @@ impl UnityCatalog {
         table_id: &Uid,
         version: i64,
     ) -> UcResult<Option<Bytes>> {
-        let api = self.api_enter(Op::READ_TABLE_COMMIT, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::READ_TABLE_COMMIT, Some(ctx), Some(ms));
         self.authorize_table(&api, ms, table_id, Privilege::Select)?;
         Ok(self.commit_read_internal(ms, table_id, version))
     }

@@ -7,7 +7,7 @@ use uc_cloudstore::{AccessLevel, RootCredential, StoragePath};
 use uc_delta::value::Schema;
 
 use crate::audit::Reason;
-use crate::authz::decision::{decide, AuthzContext, Need};
+use crate::authz::decision::{AuthzContext, Need};
 use crate::authz::Privilege;
 use crate::cache::{MsCache, WriteEffects};
 use crate::error::{UcError, UcResult};
@@ -79,7 +79,8 @@ impl UnityCatalog {
     /// Create a metastore. Account-level: the creator becomes owner and
     /// first admin.
     pub fn create_metastore(&self, principal: &str, name: &str, region: &str) -> UcResult<Uid> {
-        let api = self.api_enter(Op::CREATE_METASTORE, Some(principal), None);
+        let caller = Context::user(principal);
+        let api = self.api_enter(Op::CREATE_METASTORE, Some(&caller), None);
         validate_object_name(name)?;
         let now = self.now_ms();
         let mut ent = Entity::new(SecurableKind::Metastore, name, None, Uid::from(""), principal, now);
@@ -106,7 +107,7 @@ impl UnityCatalog {
 
     /// Set the managed-storage root for a metastore (admin only).
     pub fn set_metastore_root(&self, ctx: &Context, ms: &Uid, root_path: &str) -> UcResult<()> {
-        let api = self.api_enter(Op::SET_METASTORE_ROOT, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::SET_METASTORE_ROOT, Some(ctx), Some(ms));
         StoragePath::parse(root_path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, root_path)?;
         self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
@@ -119,7 +120,7 @@ impl UnityCatalog {
 
     /// Add a metastore admin (admin only).
     pub fn add_metastore_admin(&self, ctx: &Context, ms: &Uid, principal: &str) -> UcResult<()> {
-        let api = self.api_enter(Op::ADD_METASTORE_ADMIN, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::ADD_METASTORE_ADMIN, Some(ctx), Some(ms));
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, principal)?;
         self.update_entity_by_id(ms, ms, ChangeOp::Update, |e| {
             let admins = &mut e.governance_mut().admins;
@@ -145,7 +146,7 @@ impl UnityCatalog {
         name: &str,
         root: &RootCredential,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_STORAGE_CREDENTIAL, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_STORAGE_CREDENTIAL, Some(ctx), Some(ms));
         let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
         api.audit.gate(&top, need, name)?;
@@ -169,7 +170,7 @@ impl UnityCatalog {
         path: &str,
         credential_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_EXTERNAL_LOCATION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_EXTERNAL_LOCATION, Some(ctx), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let top = self.metastore_chain(ms)?;
         let need = Need::MetastoreAdminOr(Privilege::CreateExternalLocation);
@@ -218,7 +219,7 @@ impl UnityCatalog {
 
     /// Create a catalog in the metastore.
     pub fn create_catalog(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_CATALOG, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_CATALOG, Some(ctx), Some(ms));
         let top = self.metastore_chain(ms)?;
         api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateCatalog), name)?;
         let created = self.create_entity(ctx, SecurableKind::Catalog, &top, name, name, |_tx, _ent| Ok(()))?;
@@ -228,7 +229,7 @@ impl UnityCatalog {
 
     /// Create a schema inside a catalog.
     pub fn create_schema(&self, ctx: &Context, ms: &Uid, catalog: &str, name: &str) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_SCHEMA, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SCHEMA, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::CreateSchema]), name)?;
         let created = self.create_entity(ctx, SecurableKind::Schema, &full, name, format_args!("{catalog}.{name}"), |_tx, _ent| Ok(()))?;
@@ -342,7 +343,7 @@ impl UnityCatalog {
 
     /// Create a table (managed or external or foreign).
     pub fn create_table(&self, ctx: &Context, ms: &Uid, spec: TableSpec) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_TABLE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_TABLE, Some(ctx), Some(ms));
         let (full, who, leaf) =
             self.authorize_create_in_schema(&api, ms, &spec.name, SecurableKind::Table)?;
         match (spec.table_type, &spec.storage_path) {
@@ -395,9 +396,10 @@ impl UnityCatalog {
         columns: &Schema,
         chunk: usize,
     ) -> UcResult<usize> {
-        let api = self.api_enter(Op::BULK_CREATE_TABLES, Some(&ctx.principal), Some(ms));
-        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, catalog)?;
-        let cat = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?.swap_remove(0);
+        let api = self.api_enter(Op::BULK_CREATE_TABLES, Some(ctx), Some(ms));
+        let mut full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
+        api.audit.gate(&full, Need::MetastoreAdmin, catalog)?;
+        let cat = full.swap_remove(0);
         let chunk = chunk.max(1);
         let now = self.now_ms();
         let cache = self.cache.for_metastore(ms);
@@ -489,7 +491,7 @@ impl UnityCatalog {
         source: &FullName,
         source_version: i64,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_SHALLOW_CLONE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SHALLOW_CLONE, Some(ctx), Some(ms));
         let (full, who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::Table)?;
         let src_full = self.chain_by_name(ms, source, "relation")?;
@@ -532,7 +534,7 @@ impl UnityCatalog {
         columns: Schema,
         dependencies: &[FullName],
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_VIEW, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_VIEW, Some(ctx), Some(ms));
         let (full, who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::View)?;
         let mut dep_ids = Vec::new();
@@ -561,7 +563,7 @@ impl UnityCatalog {
         name: &FullName,
         external_path: Option<&str>,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_VOLUME, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_VOLUME, Some(ctx), Some(ms));
         let (full, who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::Volume)?;
         let explicit = external_path.map(StoragePath::parse).transpose()
@@ -589,7 +591,7 @@ impl UnityCatalog {
         name: &FullName,
         body: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_FUNCTION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_FUNCTION, Some(ctx), Some(ms));
         let (full, _who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::Function)?;
         let created = self.create_entity(ctx, SecurableKind::Function, &full, leaf, name, |_tx, ent| {
@@ -607,7 +609,7 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_REGISTERED_MODEL, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_REGISTERED_MODEL, Some(ctx), Some(ms));
         let (full, _who, leaf) =
             self.authorize_create_in_schema(&api, ms, name, SecurableKind::RegisteredModel)?;
         let created = self.create_entity(ctx, SecurableKind::RegisteredModel, &full, leaf, name, |tx, ent| {
@@ -628,7 +630,7 @@ impl UnityCatalog {
         ms: &Uid,
         model_name: &FullName,
     ) -> UcResult<(Arc<Entity>, u64)> {
-        let api = self.api_enter(Op::CREATE_MODEL_VERSION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_MODEL_VERSION, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, model_name, SecurableKind::RegisteredModel.name_group())?;
         let model = full[0].clone();
         if model.kind != SecurableKind::RegisteredModel {
@@ -685,8 +687,8 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::GET_SECURABLE, Some(&ctx.principal), Some(ms));
-        let (full, _) = api.audit.see(ctx, ms, name, leaf_group)?;
+        let api = self.api_enter(Op::GET_SECURABLE, Some(ctx), Some(ms));
+        let (full, _) = api.audit.see(ms, name, leaf_group)?;
         api.audit.allow(&full[0].id, name);
         Ok(full[0].clone())
     }
@@ -698,14 +700,15 @@ impl UnityCatalog {
 
     /// List catalogs visible to the caller.
     pub fn list_catalogs(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter(Op::LIST_CATALOGS, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LIST_CATALOGS, Some(ctx), Some(ms));
         let root = self.metastore_chain(ms)?;
         let who = self.authz_context_with(&root, &ctx.principal)?;
-        self.visible_children(ms, &who, &root, Some(SecurableKind::Catalog.name_group()))
+        self.visible_children(&api, ms, &who, &root, Some(SecurableKind::Catalog.name_group()))
     }
 
     /// The children of `parent[0]` (given with its full chain) that `who`
-    /// can see, read at **one** snapshot: entities come from the scan's
+    /// can see from the request's workspace ([`Audited::visible`]), read at
+    /// **one** snapshot: entities come from the scan's
     /// own rows, never through the cache — the cache may have advanced
     /// past the scan, and mixing the two yields a listing no single
     /// metastore version ever held (the history checker flags such
@@ -715,6 +718,7 @@ impl UnityCatalog {
     /// mid-listing used to surface as `dangling parent`.
     pub(crate) fn visible_children(
         &self,
+        api: &ApiGuard<'_>,
         ms: &Uid,
         who: &AuthzContext,
         parent: &[Arc<Entity>],
@@ -743,7 +747,7 @@ impl UnityCatalog {
                 let Some(chain) = self.chain_by_id(ms, &ent.id)? else { continue };
                 full = chain;
             }
-            if decide(&full, who, Need::See) {
+            if api.audit.visible(who, &full) {
                 out.push(full[0].clone());
             }
         }
@@ -760,12 +764,12 @@ impl UnityCatalog {
         parent: &FullName,
         group: Option<&str>,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let api = self.api_enter(Op::LIST_CHILDREN, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LIST_CHILDREN, Some(ctx), Some(ms));
         let parent_group = if parent.len() == 1 { "catalog" } else { "schema" };
         let parent_full = self.chain_by_name(ms, parent, parent_group)?;
-        api.audit.bound(ctx, &parent_full)?;
+        api.audit.bound(&parent_full)?;
         let who = self.authz_context_with(&parent_full, &ctx.principal)?;
-        self.visible_children(ms, &who, &parent_full, group)
+        self.visible_children(&api, ms, &who, &parent_full, group)
     }
 
     // ------------------------------------------------------------------
@@ -812,7 +816,7 @@ impl UnityCatalog {
         leaf_group: &str,
         comment: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::UPDATE_COMMENT, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::UPDATE_COMMENT, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         Self::require_updatable(target, "comment")?;
@@ -834,7 +838,7 @@ impl UnityCatalog {
         leaf_group: &str,
         new_owner: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::TRANSFER_OWNERSHIP, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TRANSFER_OWNERSHIP, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         Self::require_updatable(target, "owner")?;
@@ -858,7 +862,7 @@ impl UnityCatalog {
         leaf_group: &str,
         new_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::RENAME_SECURABLE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RENAME_SECURABLE, Some(ctx), Some(ms));
         validate_object_name(new_name)?;
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
@@ -916,7 +920,7 @@ impl UnityCatalog {
         catalog: &str,
         workspaces: &[&str],
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::SET_CATALOG_BINDINGS, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::SET_CATALOG_BINDINGS, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, &FullName::of(&[catalog]), "catalog")?;
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, catalog)?;
@@ -942,7 +946,7 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<usize> {
-        let api = self.api_enter(Op::DROP_SECURABLE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::DROP_SECURABLE, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, name)?;

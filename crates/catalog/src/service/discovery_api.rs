@@ -5,7 +5,7 @@
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
-use crate::authz::decision::{decide, Need};
+use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::authz::abac::AbacPolicy;
 use crate::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
@@ -89,7 +89,7 @@ impl UnityCatalog {
         leaf_group: &str,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::TAG_UPDATE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TAG_UPDATE, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, name, leaf_group)?;
         let target = &full[0];
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Modify]), name)?;
@@ -109,8 +109,8 @@ impl UnityCatalog {
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, String)>> {
-        let api = self.api_enter(Op::GET_TAGS, Some(&ctx.principal), Some(ms));
-        let (full, _) = api.audit.see(ctx, ms, name, leaf_group)?;
+        let api = self.api_enter(Op::GET_TAGS, Some(ctx), Some(ms));
+        let (full, _) = api.audit.see(ms, name, leaf_group)?;
         api.audit.allow(&full[0].id, name);
         Ok(full[0].governance().tags.clone().into_iter().collect())
     }
@@ -166,7 +166,7 @@ impl UnityCatalog {
         action: Action,
         f: impl Fn(&mut Entity),
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::POLICY_UPDATE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::POLICY_UPDATE, Some(ctx), Some(ms));
         let audit = api.audit.acting(action);
         let full = self.chain_by_name(ms, table, "relation")?;
         let target = &full[0];
@@ -190,7 +190,7 @@ impl UnityCatalog {
         scope_group: &str,
         policy: AbacPolicy,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::CREATE_ABAC_POLICY, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_ABAC_POLICY, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, scope, scope_group)?;
         let target = &full[0];
         if !target.kind.is_container() {
@@ -224,10 +224,10 @@ impl UnityCatalog {
         downstream: &FullName,
         via: Option<&str>,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::ADD_LINEAGE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::ADD_LINEAGE, Some(ctx), Some(ms));
         let mut ends = Vec::with_capacity(2);
         for name in [upstream, downstream] {
-            let (mut full, _) = api.audit.see(ctx, ms, name, "relation")?;
+            let (mut full, _) = api.audit.see(ms, name, "relation")?;
             ends.push(full.swap_remove(0));
         }
         let (up, down) = (&ends[0], &ends[1]);
@@ -262,8 +262,8 @@ impl UnityCatalog {
         direction: LineageDirection,
         max_hops: usize,
     ) -> UcResult<BTreeSet<Uid>> {
-        let api = self.api_enter(Op::LINEAGE, Some(&ctx.principal), Some(ms));
-        let (full, who) = api.audit.see(ctx, ms, start, "relation")?;
+        let api = self.api_enter(Op::LINEAGE, Some(ctx), Some(ms));
+        let (full, who) = api.audit.see(ms, start, "relation")?;
         let start_ent = &full[0];
         let rt = self.db.begin_read();
         let mut seen: HashSet<Uid> = HashSet::new();
@@ -288,7 +288,7 @@ impl UnityCatalog {
         // Authorization filter: hide entities the caller cannot see.
         let mut visible = BTreeSet::new();
         for id in seen {
-            if self.chain_by_id(ms, &id)?.is_some_and(|full| decide(&full, &who, Need::See)) {
+            if self.chain_by_id(ms, &id)?.is_some_and(|full| api.audit.visible(&who, &full)) {
                 visible.insert(id);
             }
         }
@@ -309,7 +309,7 @@ impl UnityCatalog {
     /// `next_version` or later, so an entity an event names is never read
     /// back older than the event. It names every securable: admins only.
     pub fn events_since(&self, ctx: &Context, ms: &Uid, after_version: u64) -> UcResult<EventPage> {
-        let api = self.api_enter(Op::EVENTS_SINCE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::EVENTS_SINCE, Some(ctx), Some(ms));
         api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, "events")?;
         let rt = self.db.begin_read();
         let (rows, complete) = feed::rows_between(&rt, ms, after_version, u64::MAX)?;
@@ -353,7 +353,7 @@ impl UnityCatalog {
         filters: &[MetaFilter],
         limit: usize,
     ) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter(Op::QUERY_ENTITIES, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::QUERY_ENTITIES, Some(ctx), Some(ms));
         let who = self.authz_context(ms, &ctx.principal)?;
         let rt = self.db.begin_read();
         let mut out = Vec::new();
@@ -378,7 +378,7 @@ impl UnityCatalog {
                 continue;
             }
             let full: Vec<Arc<Entity>> = path.iter().rev().map(|(_, e)| e.clone()).collect();
-            if decide(&full, &who, Need::See) {
+            if api.audit.visible(&who, &full) {
                 out.push(ent);
             }
         }

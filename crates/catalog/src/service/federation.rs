@@ -52,7 +52,7 @@ impl UnityCatalog {
         name: &str,
         endpoint: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_CONNECTION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_CONNECTION, Some(ctx), Some(ms));
         let top = self.metastore_chain(ms)?;
         api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateConnection), name)?;
         let created = self.create_entity(ctx, SecurableKind::Connection, &top, name, name, |_tx, ent| {
@@ -73,7 +73,7 @@ impl UnityCatalog {
         name: &str,
         connection_name: &str,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_FEDERATED_CATALOG, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_FEDERATED_CATALOG, Some(ctx), Some(ms));
         let top = self.metastore_chain(ms)?;
         api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateCatalog), name)?;
         let connection_key = keys::tree_key(ms, &[(SecurableKind::Connection.name_group(), connection_name)]);
@@ -104,7 +104,7 @@ impl UnityCatalog {
         schema_name: &str,
         meta: &ForeignTableMeta,
     ) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::MIRROR_TABLE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::MIRROR_TABLE, Some(ctx), Some(ms));
         let cat_key = keys::tree_key(ms, &[("catalog", federated_catalog)]);
         let full = self
             .chain_at_key(ms, &cat_key)?

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use crate::authz::decision::{decide, Need};
+use crate::authz::decision::Need;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
@@ -25,7 +25,7 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::GRANT, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::GRANT, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let target = &full[0];
         if privilege != Privilege::All && !manifest(target.kind).grantable.contains(&privilege) {
@@ -53,7 +53,7 @@ impl UnityCatalog {
         grantee: &str,
         privilege: Privilege,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::REVOKE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::REVOKE, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, securable, leaf_group)?;
         let target = &full[0];
         api.audit.gate(&full, Need::Admin, format_args!("{privilege} from {grantee}"))?;
@@ -74,53 +74,43 @@ impl UnityCatalog {
         securable: &FullName,
         leaf_group: &str,
     ) -> UcResult<Vec<(String, Privilege)>> {
-        let _api = self.api_enter(Op::SHOW_GRANTS, Some(&ctx.principal), Some(ms));
-        let full = self.chain_by_name(ms, securable, leaf_group)?;
-        let who = self.authz_context_with(&full, &ctx.principal)?;
-        if !decide(&full, &who, Need::See) {
-            return Err(UcError::NotFound(securable.to_string()));
-        }
+        let api = self.api_enter(Op::SHOW_GRANTS, Some(ctx), Some(ms));
+        let (full, _) = api.audit.see(ms, securable, leaf_group)?;
         Ok(full[0].grants.clone())
     }
 
     /// Batched authorization API for second-tier services (§4.4): for each
-    /// (entity id, privilege) pair, report whether `principal` holds it.
-    pub fn authorize_batch(
-        &self,
-        ms: &Uid,
-        principal: &str,
-        checks: &[(Uid, Privilege)],
-    ) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter(Op::AUTHORIZE_BATCH, Some(principal), Some(ms));
-        let who = self.authz_context(ms, principal)?;
+    /// (entity id, privilege) pair, report whether the caller holds it from
+    /// the workspace it calls from — a service answers for its user's.
+    pub fn authorize_batch(&self, ctx: &Context, ms: &Uid, checks: &[(Uid, Privilege)]) -> UcResult<Vec<bool>> {
+        let api = self.api_enter(Op::AUTHORIZE_BATCH, Some(ctx), Some(ms));
+        let who = self.authz_context(ms, &ctx.principal)?;
         let mut out = Vec::with_capacity(checks.len());
         for (id, privilege) in checks {
             let full = self.chain_by_id(ms, id)?;
-            out.push(full.is_some_and(|full| decide(&full, &who, Need::Holds(*privilege))));
+            out.push(full.is_some_and(|full| api.audit.admits(&who, &full, Need::Holds(*privilege))));
         }
         Ok(out)
     }
 
-    /// Batched visibility API: for each entity id, can `principal` see it
-    /// at all? Discovery services use this to filter search results.
-    pub fn visible_batch(&self, ms: &Uid, principal: &str, ids: &[Uid]) -> UcResult<Vec<bool>> {
-        let _api = self.api_enter(Op::VISIBLE_BATCH, Some(principal), Some(ms));
-        let who = self.authz_context(ms, principal)?;
+    /// Batched visibility API: for each entity id, can the caller see it
+    /// at all, from its workspace? Discovery services use this to filter
+    /// search results.
+    pub fn visible_batch(&self, ctx: &Context, ms: &Uid, ids: &[Uid]) -> UcResult<Vec<bool>> {
+        let api = self.api_enter(Op::VISIBLE_BATCH, Some(ctx), Some(ms));
+        let who = self.authz_context(ms, &ctx.principal)?;
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            out.push(self.chain_by_id(ms, id)?.is_some_and(|full| decide(&full, &who, Need::See)));
+            out.push(self.chain_by_id(ms, id)?.is_some_and(|full| api.audit.visible(&who, &full)));
         }
         Ok(out)
     }
 
     /// Fetch an entity by id, subject to visibility.
     pub fn get_entity_by_id(&self, ctx: &Context, ms: &Uid, id: &Uid) -> UcResult<Arc<crate::model::entity::Entity>> {
-        let _api = self.api_enter(Op::GET_ENTITY_BY_ID, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::GET_ENTITY_BY_ID, Some(ctx), Some(ms));
         let full = self.chain_by_id(ms, id)?.ok_or_else(|| UcError::NotFound(id.to_string()))?;
-        let who = self.authz_context_with(&full, &ctx.principal)?;
-        if !decide(&full, &who, Need::See) {
-            return Err(UcError::NotFound(id.to_string()));
-        }
+        api.audit.gate(&full, Need::See, id)?;
         Ok(full[0].clone())
     }
 

@@ -306,13 +306,15 @@ struct ApiInstruments {
 /// the caller, and which of the row's actions its refusals and its `Allow`
 /// go under, as an index into them (the primary, 0, unless
 /// [`Audited::acting`] picked another) — so a request can only ever
-/// record what its op's row declares.
+/// record what its op's row declares. The gate's bindings and
+/// [`Audited::policies`] read the caller (`None`: no request identity).
 #[derive(Clone, Copy)]
 pub(crate) struct Audited<'a> {
     uc: &'a UnityCatalog,
     op: &'static Op,
     action: usize,
     principal: &'a str,
+    caller: Option<&'a Context>,
 }
 
 impl<'a> Audited<'a> {
@@ -353,15 +355,15 @@ impl<'a> Audited<'a> {
     }
 
     /// The one authorization gate: every audited allow / deny in the
-    /// service is [`decide`] over the borrowed chain, here. On refusal —
-    /// and only then — the `Deny` is recorded against `chain[0]` under the
-    /// request's action, and the error is built: `NotFound` for
-    /// [`Need::See`] (existence is hidden from callers who may not see the
-    /// object), a [`Reason::Privilege`] refusal naming the need and the
-    /// target otherwise. Callers audit their own [`Self::allow`] once the
-    /// op has run. Returns the caller's context, built from the chain's
-    /// metastore entity, for requests that decide again
-    /// ([`Self::gate_with`], [`Self::policies`]).
+    /// service is [`decide`] over the borrowed chain, then [`Self::bound`]
+    /// on it, here. On refusal — and only then — the `Deny` is recorded
+    /// under the request's action and the error built: `NotFound` for
+    /// [`Need::See`] (existence, bindings included, is hidden from callers
+    /// who may not see the object), a [`Reason::Privilege`] refusal naming
+    /// the need and `chain[0]` otherwise. Callers audit their own
+    /// [`Self::allow`] once the op has run. Returns the caller's context,
+    /// built from the chain's metastore entity, for requests that decide
+    /// again ([`Self::gate_with`], [`Self::policies`]).
     pub(crate) fn gate(
         &self,
         chain: &[Arc<Entity>],
@@ -382,7 +384,7 @@ impl<'a> Audited<'a> {
         detail: impl std::fmt::Display,
     ) -> UcResult<()> {
         if decide(chain, who, need) {
-            return Ok(());
+            return self.bound(chain);
         }
         let target = &chain[0];
         if let Need::See = need {
@@ -393,23 +395,45 @@ impl<'a> Audited<'a> {
         Err(self.refuse(Some(&target.id), detail, Reason::Privilege, message))
     }
 
-    /// Catalog→workspace bindings (§3.2): if a catalog in `chain` is bound
-    /// to specific workspaces, the request must come from one of them. A
-    /// refusal is audited like any other: one `Deny` under the request's
-    /// action, naming the bound catalog.
-    pub(crate) fn bound(&self, ctx: &Context, chain: &[Arc<Entity>]) -> UcResult<()> {
-        for node in chain.iter().filter(|e| e.kind == SecurableKind::Catalog) {
-            let bindings = &node.governance().workspace_bindings;
-            if bindings.is_empty() || ctx.workspace.as_ref().is_some_and(|w| bindings.contains(w)) {
-                continue;
-            }
-            let why = format!(
-                "catalog {} is bound to workspaces {:?}; request came from {:?}",
-                node.name, bindings, ctx.workspace
-            );
-            return Err(self.refuse(Some(&node.id), &why, Reason::WorkspaceBinding, why.clone()));
+    /// Catalog→workspace bindings (§3.2), the gate's second half: a
+    /// catalog in `chain` bound to workspaces the request does not come
+    /// from refuses, with one `Deny` under the request's action naming that
+    /// catalog. Called alone only by `list_children`, on the parent it does
+    /// not gate.
+    pub(crate) fn bound(&self, chain: &[Arc<Entity>]) -> UcResult<()> {
+        let Some(node) = self.foreign_catalog(chain) else { return Ok(()) };
+        let bound_to = &node.governance().workspace_bindings;
+        let from = self.caller.and_then(|c| c.workspace.as_ref());
+        let why = format!("catalog {} is bound to workspaces {bound_to:?}; request came from {from:?}", node.name);
+        Err(self.refuse(Some(&node.id), &why, Reason::WorkspaceBinding, why.clone()))
+    }
+
+    /// The first catalog in `chain` bound to workspaces other than the
+    /// caller's. No binding binds `set_catalog_bindings`: a catalog's admin
+    /// must be able to undo one from outside it (a request with no
+    /// workspace does, in `workspace_bindings_gate_catalog_access`).
+    fn foreign_catalog<'c>(&self, chain: &'c [Arc<Entity>]) -> Option<&'c Arc<Entity>> {
+        if self.op.index == Op::SET_CATALOG_BINDINGS.index {
+            return None;
         }
-        Ok(())
+        let workspace = self.caller.and_then(|c| c.workspace.as_ref());
+        chain.iter().filter(|e| e.kind == SecurableKind::Catalog).find(|node| {
+            let bindings = &node.governance().workspace_bindings;
+            !bindings.is_empty() && !workspace.is_some_and(|w| bindings.contains(w))
+        })
+    }
+
+    /// The gate's answer without its audit — [`decide`] plus the bindings —
+    /// for callers that keep a yes / no to themselves: `authorize_batch`
+    /// (`Holds(P)`) and, through [`Self::visible`], every set filter.
+    pub(crate) fn admits(&self, who: &AuthzContext, chain: &[Arc<Entity>], need: Need<'_>) -> bool {
+        decide(chain, who, need) && self.foreign_catalog(chain).is_none()
+    }
+
+    /// May the caller see `chain[0]` from its workspace? The one predicate
+    /// of listings, `lineage`, `query_entities` and `visible_batch`.
+    pub(crate) fn visible(&self, who: &AuthzContext, chain: &[Arc<Entity>]) -> bool {
+        self.admits(who, chain, Need::See)
     }
 
     /// The data-policy rule (§4.3.2, §3.3) every path that releases data
@@ -418,12 +442,7 @@ impl<'a> Audited<'a> {
     /// of `who`'s groups refuses; else the asset's own row filter and
     /// masks plus the containers' ABAC-derived masks (a direct mask wins)
     /// bind the read, and only a trusted engine may be handed them.
-    pub(crate) fn policies(
-        &self,
-        ctx: &Context,
-        who: &AuthzContext,
-        chain: &[Arc<Entity>],
-    ) -> UcResult<FgacPolicies> {
+    pub(crate) fn policies(&self, who: &AuthzContext, chain: &[Arc<Entity>]) -> UcResult<FgacPolicies> {
         let entity = &chain[0];
         let governed = entity.governance();
         let abac = || chain.iter().filter(|e| e.kind.is_container()).flat_map(|c| c.governance().abac.values());
@@ -437,7 +456,7 @@ impl<'a> Audited<'a> {
                 fgac.column_masks.push(mask);
             }
         }
-        if !fgac.is_empty() && !ctx.is_trusted_engine() {
+        if !fgac.is_empty() && !self.caller.is_some_and(Context::is_trusted_engine) {
             let message = format!(
                 "{} carries fine-grained policies; a trusted engine (or the data filtering service) is required",
                 entity.name
@@ -448,19 +467,16 @@ impl<'a> Audited<'a> {
     }
 
     /// The chain of the securable `name` addresses, if the caller may see
-    /// it from the workspace it calls from: resolved by name, its catalog
-    /// bindings checked ([`Self::bound`]), then [`Self::gate`]d on
-    /// [`Need::See`] — a refusal is this request's own. Returns the
-    /// caller's context with it.
+    /// it from the workspace it calls from: resolved by name, then
+    /// [`Self::gate`]d on [`Need::See`] — a refusal is this request's own.
+    /// Returns the caller's context with it.
     pub(crate) fn see(
         &self,
-        ctx: &Context,
         ms: &Uid,
         name: &FullName,
         leaf_group: &str,
     ) -> UcResult<(Vec<Arc<Entity>>, AuthzContext)> {
         let full = self.uc.chain_by_name(ms, name, leaf_group)?;
-        self.bound(ctx, &full)?;
         let who = self.gate(&full, Need::See, name)?;
         Ok((full, who))
     }
@@ -684,12 +700,12 @@ impl UnityCatalog {
     /// op's trailing window), and opens the request-scoped span every
     /// deeper layer (txdb, cloudstore) parents under. Callers bind the
     /// returned guard for the duration of the request and gate / audit
-    /// through it. `principal` and `ms` attribute the call to a tenant;
-    /// the few ops with no request identity pass `None`.
+    /// through it. `caller` and `ms` attribute the call to a tenant; the
+    /// few ops with no request identity pass `None`.
     pub(crate) fn api_enter<'a>(
         &'a self,
         op: &'static Op,
-        principal: Option<&'a str>,
+        caller: Option<&'a Context>,
         ms: Option<&Uid>,
     ) -> ApiGuard<'a> {
         self.stats.api_calls.fetch_add(1, Ordering::Relaxed);
@@ -701,13 +717,13 @@ impl UnityCatalog {
         // Zero-allocation on the repeat path: the label is a memoized
         // Label, the labeled counter probe is a thread-local hash hit,
         // the window recording is striped atomics.
-        let principal = principal.unwrap_or(NO_TENANT);
+        let principal = caller.map_or(NO_TENANT, |c| c.principal.as_str());
         let label = self.tenant_label(ms, principal);
         instruments.labeled_count.inc(&label);
         let start_ms = self.config.obs.clock_ms();
         let scope = uc_obs::tenant_scope(label.clone());
         let span = self.config.obs.span("catalog", op.name);
-        let audit = Audited { uc: self, op, action: 0, principal };
+        let audit = Audited { uc: self, op, action: 0, principal, caller };
         ApiGuard { audit, instruments, start_ms, label, _scope: scope, _span: span }
     }
 

@@ -45,8 +45,9 @@ pub struct ResolvedSecurable {
 
 impl UnityCatalog {
     /// Resolve all `refs` (tables/views) for a read query in one batched
-    /// call: per ref, workspace binding → gate (SELECT plus the USE chain)
-    /// → dependency closure, policies and credentials → `Allow` audit. The
+    /// call: per ref, the gate (SELECT plus the USE chain, then the
+    /// workspace bindings) → dependency closure, policies and credentials →
+    /// `Allow` audit. The
     /// caller's context is built once, from the first chain's metastore
     /// entity. A refusal ends the call: the refs before it have already
     /// recorded their `Allow`s, so a caller must not re-run them.
@@ -57,18 +58,17 @@ impl UnityCatalog {
         refs: &[FullName],
         want_credentials: bool,
     ) -> UcResult<Vec<ResolvedSecurable>> {
-        let api = self.api_enter(Op::RESOLVE_FOR_QUERY, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RESOLVE_FOR_QUERY, Some(ctx), Some(ms));
         let mut who: Option<AuthzContext> = None;
         let mut out = Vec::with_capacity(refs.len());
         for name in refs {
             let full = self.chain_by_name(ms, name, "relation")?;
-            api.audit.bound(ctx, &full)?;
             let who = match &mut who {
                 Some(who) => who,
                 None => who.insert(self.authz_context_with(&full, &ctx.principal)?),
             };
             api.audit.gate_with(who, &full, Need::Data(Privilege::Select), name)?;
-            let resolved = self.resolve_entity(&api, ctx, ms, who, &full, want_credentials, 0)?;
+            let resolved = self.resolve_entity(&api, ms, who, &full, want_credentials, 0)?;
             api.audit.allow(&resolved.entity.id, name);
             out.push(resolved);
         }
@@ -81,11 +81,9 @@ impl UnityCatalog {
     /// control) — the engine receives base metadata and credentials even
     /// when the caller has no direct grants on the base tables. The
     /// data-policy rule (`Audited::policies`) holds at every level.
-    #[allow(clippy::too_many_arguments)]
     fn resolve_entity(
         &self,
         api: &ApiGuard<'_>,
-        ctx: &Context,
         ms: &Uid,
         who: &AuthzContext,
         full_chain: &[Arc<Entity>],
@@ -99,7 +97,7 @@ impl UnityCatalog {
                 entity.name
             )));
         }
-        let fgac = api.audit.policies(ctx, who, full_chain)?;
+        let fgac = api.audit.policies(who, full_chain)?;
         // An absent schema is none; a schema or dependency list that is
         // present but does not decode is a corrupt row.
         let schema = entity.properties.contains_key(props::SCHEMA).then(|| entity.table_schema()).transpose()?;
@@ -108,7 +106,7 @@ impl UnityCatalog {
             let dep_chain = self
                 .chain_by_id(ms, &dep_id)?
                 .ok_or_else(|| UcError::NotFound(format!("view dependency {dep_id} of {}", entity.name)))?;
-            dependencies.push(self.resolve_entity(api, ctx, ms, who, &dep_chain, want_credentials, depth + 1)?);
+            dependencies.push(self.resolve_entity(api, ms, who, &dep_chain, want_credentials, depth + 1)?);
         }
         let read_credential = if want_credentials && entity.storage_path.is_some() {
             Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?)
@@ -128,7 +126,7 @@ impl UnityCatalog {
         model: &FullName,
         version: u64,
     ) -> UcResult<ResolvedSecurable> {
-        let api = self.api_enter(Op::RESOLVE_MODEL_VERSION, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RESOLVE_MODEL_VERSION, Some(ctx), Some(ms));
         let mut parts: Vec<&str> = model.parts.iter().map(|s| s.as_str()).collect();
         let vname = format!("v{version}");
         parts.push(&vname);
@@ -136,7 +134,7 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, &name, SecurableKind::ModelVersion.name_group())?;
         let entity = full[0].clone();
         let who = api.audit.gate(&full, Need::Data(Privilege::Execute), &name)?;
-        let fgac = api.audit.policies(ctx, &who, &full)?;
+        let fgac = api.audit.policies(&who, &full)?;
         let read_credential = Some(self.mint_for_entity(ms, &entity, AccessLevel::Read)?);
         api.audit.allow(&entity.id, name);
         Ok(ResolvedSecurable {

@@ -18,6 +18,7 @@ use uc_delta::uniform::{snapshot_to_iceberg, IcebergMetadata};
 use uc_delta::Snapshot;
 
 use crate::authz::decision::Need;
+use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
@@ -52,12 +53,15 @@ pub struct SharedTableResponse {
     pub files: Vec<SharedFile>,
     /// Read credential scoped to the shared table's path.
     pub credential: TempCredential,
+    /// The row filter and column masks the recipient's engine must enforce
+    /// (empty when none bind; only a trusted engine is handed any).
+    pub policies: FgacPolicies,
 }
 
 impl UnityCatalog {
     /// Create a share (CREATE_SHARE on the metastore or admin).
     pub fn create_share(&self, ctx: &Context, ms: &Uid, name: &str) -> UcResult<Arc<Entity>> {
-        let api = self.api_enter(Op::CREATE_SHARE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::CREATE_SHARE, Some(ctx), Some(ms));
         let top = self.metastore_chain(ms)?;
         api.audit.gate(&top, Need::MetastoreAdminOr(Privilege::CreateShare), name)?;
         let created = self.create_entity(ctx, SecurableKind::Share, &top, name, name, |_tx, _ent| Ok(()))?;
@@ -74,7 +78,7 @@ impl UnityCatalog {
         share_name: &str,
         table: &FullName,
     ) -> UcResult<()> {
-        let api = self.api_enter(Op::ADD_TABLE_TO_SHARE, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::ADD_TABLE_TO_SHARE, Some(ctx), Some(ms));
         let full = self.share_chain(ms, share_name)?;
         let share = &full[0];
         let who = api.audit.gate(&full, Need::Admin, share_name)?;
@@ -105,10 +109,10 @@ impl UnityCatalog {
 
     /// Shares the caller can access (owner, admin, or SELECT grant).
     pub fn list_shares(&self, ctx: &Context, ms: &Uid) -> UcResult<Vec<Arc<Entity>>> {
-        let _api = self.api_enter(Op::LIST_SHARES, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LIST_SHARES, Some(ctx), Some(ms));
         let root = self.metastore_chain(ms)?;
         let who = self.authz_context_with(&root, &ctx.principal)?;
-        self.visible_children(ms, &who, &root, Some(SecurableKind::Share.name_group()))
+        self.visible_children(&api, ms, &who, &root, Some(SecurableKind::Share.name_group()))
     }
 
     /// Tables within a share (SELECT on the share, or admin authority over it).
@@ -118,7 +122,7 @@ impl UnityCatalog {
         ms: &Uid,
         share_name: &str,
     ) -> UcResult<Vec<ShareMember>> {
-        let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(ctx), Some(ms));
         let full = self.share_chain(ms, share_name)?;
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
         self.share_members(ms, &full[0])
@@ -148,8 +152,8 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
-        let api = self.api_enter(Op::QUERY_SHARE_TABLE, Some(&ctx.principal), Some(ms));
-        let (table, table_path, snapshot) = self.shared_snapshot(&api, ctx, ms, share_name, alias)?;
+        let api = self.api_enter(Op::QUERY_SHARE_TABLE, Some(ctx), Some(ms));
+        let (table, table_path, snapshot, policies) = self.shared_snapshot(&api, ms, share_name, alias)?;
         let files = snapshot
             .files
             .values()
@@ -167,6 +171,7 @@ impl UnityCatalog {
             version: snapshot.version,
             files,
             credential,
+            policies,
         })
     }
 
@@ -179,21 +184,21 @@ impl UnityCatalog {
         share_name: &str,
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
-        let api = self.api_enter(Op::QUERY_SHARE_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
-        let (_, table_path, snapshot) = self.shared_snapshot(&api, ctx, ms, share_name, alias)?;
+        let api = self.api_enter(Op::QUERY_SHARE_TABLE_AS_ICEBERG, Some(ctx), Some(ms));
+        let (_, table_path, snapshot, _) = self.shared_snapshot(&api, ms, share_name, alias)?;
         Ok(snapshot_to_iceberg(&snapshot, &table_path, self.now_ms()))
     }
 
-    /// A shared table, its path and snapshot, once SELECT on the share and
-    /// the table's data policies now (not when shared) admit the caller.
+    /// A shared table, its path, snapshot and the policies that bind it,
+    /// once SELECT on the share and the table's data policies now (not
+    /// when shared) admit the caller.
     fn shared_snapshot(
         &self,
         api: &ApiGuard<'_>,
-        ctx: &Context,
         ms: &Uid,
         share_name: &str,
         alias: &str,
-    ) -> UcResult<(Arc<Entity>, StoragePath, Snapshot)> {
+    ) -> UcResult<(Arc<Entity>, StoragePath, Snapshot, FgacPolicies)> {
         let share = self.share_chain(ms, share_name)?;
         let who = api.audit.gate(&share, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
         let member = self
@@ -204,10 +209,10 @@ impl UnityCatalog {
         let mut chain = self
             .chain_by_id(ms, &Uid::from(member.table_id.as_str()))?
             .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?;
-        api.audit.policies(ctx, &who, &chain)?;
+        let policies = api.audit.policies(&who, &chain)?;
         let table = chain.swap_remove(0);
         let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
-        Ok((table, table_path, snapshot))
+        Ok((table, table_path, snapshot, policies))
     }
 
     /// Iceberg REST-style facade for *direct* (non-share) access: an
@@ -221,12 +226,11 @@ impl UnityCatalog {
         ms: &Uid,
         name: &FullName,
     ) -> UcResult<IcebergMetadata> {
-        let api = self.api_enter(Op::LOAD_TABLE_AS_ICEBERG, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::LOAD_TABLE_AS_ICEBERG, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
-        api.audit.bound(ctx, &full)?;
         let who = api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
-        api.audit.policies(ctx, &who, &full)?;
+        api.audit.policies(&who, &full)?;
         let (path, snapshot) = self.table_snapshot_internal(ms, table)?;
         api.audit.allow(&table.id, name);
         Ok(snapshot_to_iceberg(&snapshot, &path, self.now_ms()))

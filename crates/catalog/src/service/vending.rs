@@ -31,9 +31,9 @@ impl UnityCatalog {
         leaf_group: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let api = self.api_enter(Op::TEMP_CREDENTIALS, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TEMP_CREDENTIALS, Some(ctx), Some(ms));
         let full = self.chain_by_name(ms, asset, leaf_group)?;
-        self.vend_for_chain(&api, ctx, ms, &full, access, asset)
+        self.vend_for_chain(&api, ms, &full, access, asset)
     }
 
     /// Vend a temporary credential for a raw storage path: resolve the
@@ -47,22 +47,21 @@ impl UnityCatalog {
         path: &str,
         access: AccessLevel,
     ) -> UcResult<TempCredential> {
-        let api = self.api_enter(Op::TEMP_CREDENTIALS_FOR_PATH, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::TEMP_CREDENTIALS_FOR_PATH, Some(ctx), Some(ms));
         let parsed = StoragePath::parse(path).map_err(|e| UcError::InvalidArgument(e.to_string()))?;
         let Some(full) = self.chain_by_path(ms, &parsed)? else {
             api.audit.record(None, AuditDecision::Deny, path);
             return Err(UcError::NotFound(format!("no asset governs path {path}")));
         };
-        self.vend_for_chain(&api, ctx, ms, &full, access, path)
+        self.vend_for_chain(&api, ms, &full, access, path)
     }
 
     /// Shared vending flow once the asset's full chain is known — the same
-    /// decision whether it was addressed by name, by path or by id:
-    /// bindings, the gate, then the data-policy rule.
+    /// decision whether it was addressed by name, by path or by id: the
+    /// gate (bindings included), then the data-policy rule.
     fn vend_for_chain(
         &self,
         api: &ApiGuard<'_>,
-        ctx: &Context,
         ms: &Uid,
         full: &[Arc<Entity>],
         access: AccessLevel,
@@ -80,10 +79,9 @@ impl UnityCatalog {
                 entity.kind
             ))
         })?;
-        api.audit.bound(ctx, full)?;
         let who = api.audit.gate(full, Need::Data(needed), &detail)?;
         // Raw storage access would bypass any policy that binds the asset.
-        api.audit.policies(ctx, &who, full)?;
+        api.audit.policies(&who, full)?;
         let token = self.mint_for_entity(ms, entity, access)?;
         api.audit.allow(&entity.id, detail);
         Ok(token)
@@ -102,11 +100,11 @@ impl UnityCatalog {
         ms: &Uid,
         id: &Uid,
     ) -> UcResult<TempCredential> {
-        let api = self.api_enter(Op::RENEW_READ_CREDENTIAL, Some(&ctx.principal), Some(ms));
+        let api = self.api_enter(Op::RENEW_READ_CREDENTIAL, Some(ctx), Some(ms));
         let full = self
             .chain_by_id(ms, id)?
             .ok_or_else(|| UcError::NotFound(format!("asset {id}")))?;
-        self.vend_for_chain(&api, ctx, ms, &full, AccessLevel::Read, "renew")
+        self.vend_for_chain(&api, ms, &full, AccessLevel::Read, "renew")
     }
 
     /// Mint (or reuse from the TTL cache) a token scoped to the entity's

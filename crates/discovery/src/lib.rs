@@ -77,17 +77,18 @@ pub struct DiscoveryService {
     uc: Arc<UnityCatalog>,
     ms: Uid,
     /// Platform identity with visibility over the metastore (typically a
-    /// metastore admin service principal).
+    /// metastore admin service principal), calling from the workspace the
+    /// service runs in: the index holds what this context may see.
     service_ctx: Context,
     state: RwLock<IndexState>,
 }
 
 impl DiscoveryService {
-    pub fn new(uc: Arc<UnityCatalog>, ms: Uid, service_principal: &str) -> Self {
+    pub fn new(uc: Arc<UnityCatalog>, ms: Uid, service_ctx: Context) -> Self {
         DiscoveryService {
             uc,
             ms,
-            service_ctx: Context::user(service_principal),
+            service_ctx,
             state: RwLock::new(IndexState {
                 postings: BTreeMap::new(),
                 docs: HashMap::new(),
@@ -234,11 +235,11 @@ impl DiscoveryService {
         }
     }
 
-    /// Search for entities matching all query tokens, visible to
-    /// `principal`. Authorization is enforced through the catalog's batch
-    /// visibility API at query time — the index itself is not an
-    /// authorization boundary.
-    pub fn search(&self, principal: &str, query: &str) -> UcResult<Vec<SearchHit>> {
+    /// Search for entities matching all query tokens, visible to the user
+    /// `ctx` names from the workspace it calls from. Authorization is
+    /// enforced through the catalog's batch visibility API at query time —
+    /// the index itself is not an authorization boundary.
+    pub fn search(&self, ctx: &Context, query: &str) -> UcResult<Vec<SearchHit>> {
         let _span = self.uc.obs().span_timed("discovery", "search");
         self.uc.obs().counter("discovery.search.count").inc();
         let tokens: Vec<String> = query
@@ -270,7 +271,7 @@ impl DiscoveryService {
             .collect();
         drop(state);
         // Authorization filter via the core service.
-        let visible = self.uc.visible_batch(&self.ms, principal, &ids)?;
+        let visible = self.uc.visible_batch(ctx, &self.ms, &ids)?;
         Ok(hits
             .into_iter()
             .zip(visible)

@@ -34,7 +34,7 @@ fn schema() -> Schema {
 fn event_driven_index_tracks_creates_updates_deletes() {
     let (uc, ms) = setup();
     let ctx = Context::user(ADMIN);
-    let disco = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     disco.sync().unwrap();
     let base = disco.indexed_count();
 
@@ -46,7 +46,7 @@ fn event_driven_index_tracks_creates_updates_deletes() {
     assert_eq!(disco.indexed_count(), base + 1);
 
     // searchable by name token
-    let hits = disco.search(ADMIN, "orders").unwrap();
+    let hits = disco.search(&Context::user(ADMIN), "orders").unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].name, "customer_orders");
 
@@ -54,14 +54,14 @@ fn event_driven_index_tracks_creates_updates_deletes() {
     uc.update_comment(&ctx, &ms, &FullName::parse("main.sales.customer_orders").unwrap(), "relation", "contains PII data")
         .unwrap();
     disco.sync().unwrap();
-    let hits = disco.search(ADMIN, "pii").unwrap();
+    let hits = disco.search(&Context::user(ADMIN), "pii").unwrap();
     assert_eq!(hits.len(), 1);
 
     // deletes de-index
     uc.drop_securable(&ctx, &ms, &FullName::parse("main.sales.customer_orders").unwrap(), "relation")
         .unwrap();
     disco.sync().unwrap();
-    assert!(disco.search(ADMIN, "orders").unwrap().is_empty());
+    assert!(disco.search(&Context::user(ADMIN), "orders").unwrap().is_empty());
     assert_eq!(disco.indexed_count(), base);
 }
 
@@ -73,10 +73,10 @@ fn search_by_tag_finds_tagged_assets() {
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.events", schema()).unwrap()).unwrap();
     uc.set_tag(&ctx, &ms, &FullName::parse("main.sales.users").unwrap(), "relation", "pii", "true")
         .unwrap();
-    let disco = DiscoveryService::new(uc.clone(), ms, ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms, Context::user(ADMIN));
     disco.sync().unwrap();
     // the "find all assets tagged PII" use case from the paper's intro
-    let hits = disco.search(ADMIN, "pii").unwrap();
+    let hits = disco.search(&Context::user(ADMIN), "pii").unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].name, "users");
 }
@@ -91,17 +91,17 @@ fn search_results_are_authorization_filtered() {
         .unwrap();
     uc.grant(&ctx, &ms, &FullName::parse("main.sales.revenue_public").unwrap(), "relation", "alice", Privilege::Select)
         .unwrap();
-    let disco = DiscoveryService::new(uc.clone(), ms, ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms, Context::user(ADMIN));
     disco.sync().unwrap();
 
     // admin sees both
-    assert_eq!(disco.search(ADMIN, "revenue").unwrap().len(), 2);
+    assert_eq!(disco.search(&Context::user(ADMIN), "revenue").unwrap().len(), 2);
     // alice sees only what she has any grant on
-    let hits = disco.search("alice", "revenue").unwrap();
+    let hits = disco.search(&Context::user("alice"), "revenue").unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].name, "revenue_public");
     // a stranger sees nothing
-    assert!(disco.search("mallory", "revenue").unwrap().is_empty());
+    assert!(disco.search(&Context::user("mallory"), "revenue").unwrap().is_empty());
 }
 
 #[test]
@@ -111,13 +111,13 @@ fn multi_token_queries_intersect() {
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.orders_gold", schema()).unwrap()).unwrap();
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.orders_raw", schema()).unwrap()).unwrap();
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.users_gold", schema()).unwrap()).unwrap();
-    let disco = DiscoveryService::new(uc.clone(), ms, ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms, Context::user(ADMIN));
     disco.sync().unwrap();
-    assert_eq!(disco.search(ADMIN, "orders").unwrap().len(), 2);
-    assert_eq!(disco.search(ADMIN, "gold").unwrap().len(), 2);
-    assert_eq!(disco.search(ADMIN, "orders gold").unwrap().len(), 1);
-    assert!(disco.search(ADMIN, "").unwrap().is_empty());
-    assert!(disco.search(ADMIN, "nonexistent").unwrap().is_empty());
+    assert_eq!(disco.search(&Context::user(ADMIN), "orders").unwrap().len(), 2);
+    assert_eq!(disco.search(&Context::user(ADMIN), "gold").unwrap().len(), 2);
+    assert_eq!(disco.search(&Context::user(ADMIN), "orders gold").unwrap().len(), 1);
+    assert!(disco.search(&Context::user(ADMIN), "").unwrap().is_empty());
+    assert!(disco.search(&Context::user(ADMIN), "nonexistent").unwrap().is_empty());
 }
 
 #[test]
@@ -128,9 +128,9 @@ fn polling_sync_costs_more_than_event_sync() {
         uc.create_table(&ctx, &ms, TableSpec::managed(&format!("main.sales.t{i}"), schema()).unwrap())
             .unwrap();
     }
-    let eventful = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let eventful = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     eventful.sync().unwrap();
-    let poller = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let poller = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     poller.sync_by_polling().unwrap();
     assert_eq!(eventful.indexed_count(), poller.indexed_count() );
 
@@ -142,8 +142,8 @@ fn polling_sync_costs_more_than_event_sync() {
     poller.sync_by_polling().unwrap();
     assert_eq!(eventful.stats().entities_indexed - e_before, 1);
     assert!(poller.stats().entities_indexed - p_before > 20);
-    assert_eq!(eventful.search(ADMIN, "extra").unwrap().len(), 1);
-    assert_eq!(poller.search(ADMIN, "extra").unwrap().len(), 1);
+    assert_eq!(eventful.search(&Context::user(ADMIN), "extra").unwrap().len(), 1);
+    assert_eq!(poller.search(&Context::user(ADMIN), "extra").unwrap().len(), 1);
 }
 
 #[test]
@@ -162,22 +162,22 @@ fn tokenization_covers_names_comments_and_tag_values() {
     .unwrap();
     uc.set_tag(&ctx, &ms, &FullName::parse("main.sales.customer_churn_scores").unwrap(), "relation", "domain", "retention")
         .unwrap();
-    let disco = DiscoveryService::new(uc.clone(), ms, ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms, Context::user(ADMIN));
     disco.sync().unwrap();
     // name tokens split on separators
     for q in ["customer", "churn", "scores"] {
-        assert_eq!(disco.search(ADMIN, q).unwrap().len(), 1, "query {q}");
+        assert_eq!(disco.search(&Context::user(ADMIN), q).unwrap().len(), 1, "query {q}");
     }
     // comment words, punctuation-trimmed, case-insensitive
     for q in ["weekly", "EMAILS", "output"] {
-        assert_eq!(disco.search(ADMIN, q).unwrap().len(), 1, "query {q}");
+        assert_eq!(disco.search(&Context::user(ADMIN), q).unwrap().len(), 1, "query {q}");
     }
     // tag key and value both searchable; prefix matching works
     for q in ["domain", "retention", "reten"] {
-        assert_eq!(disco.search(ADMIN, q).unwrap().len(), 1, "query {q}");
+        assert_eq!(disco.search(&Context::user(ADMIN), q).unwrap().len(), 1, "query {q}");
     }
     // unrelated tokens miss
-    assert!(disco.search(ADMIN, "unrelated").unwrap().is_empty());
+    assert!(disco.search(&Context::user(ADMIN), "unrelated").unwrap().is_empty());
 }
 
 #[test]
@@ -187,14 +187,14 @@ fn reindex_after_update_drops_stale_tokens() {
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.t", schema()).unwrap()).unwrap();
     uc.update_comment(&ctx, &ms, &FullName::parse("main.sales.t").unwrap(), "relation", "alpha")
         .unwrap();
-    let disco = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     disco.sync().unwrap();
-    assert_eq!(disco.search(ADMIN, "alpha").unwrap().len(), 1);
+    assert_eq!(disco.search(&Context::user(ADMIN), "alpha").unwrap().len(), 1);
     uc.update_comment(&ctx, &ms, &FullName::parse("main.sales.t").unwrap(), "relation", "beta")
         .unwrap();
     disco.sync().unwrap();
-    assert!(disco.search(ADMIN, "alpha").unwrap().is_empty(), "stale token must drop");
-    assert_eq!(disco.search(ADMIN, "beta").unwrap().len(), 1);
+    assert!(disco.search(&Context::user(ADMIN), "alpha").unwrap().is_empty(), "stale token must drop");
+    assert_eq!(disco.search(&Context::user(ADMIN), "beta").unwrap().len(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -212,7 +212,7 @@ fn second_node(uc: &UnityCatalog, config: UcConfig, id: &str) -> Arc<UnityCatalo
 fn a_service_on_another_node_indexes_writes_committed_elsewhere() {
     let (node_a, ms) = setup();
     let node_b = second_node(&node_a, UcConfig::default(), "n1");
-    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), ADMIN);
+    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), Context::user(ADMIN));
     disco.sync().unwrap();
     node_a
         .create_table(&Context::user(ADMIN), &ms, TableSpec::managed("main.sales.remote_orders", schema()).unwrap())
@@ -220,7 +220,7 @@ fn a_service_on_another_node_indexes_writes_committed_elsewhere() {
     assert_eq!(disco.lag(), 1, "node A's commit is one version B's service has not consumed");
     disco.sync().unwrap();
     assert_eq!(disco.lag(), 0);
-    let hits = disco.search(ADMIN, "remote").unwrap();
+    let hits = disco.search(&Context::user(ADMIN), "remote").unwrap();
     assert_eq!(hits.iter().map(|h| h.name.as_str()).collect::<Vec<_>>(), ["remote_orders"]);
 }
 
@@ -234,20 +234,20 @@ fn a_service_on_another_node_reindexes_an_entity_it_had_cached() {
     let node_b = second_node(&node_a, UcConfig::default(), "n1");
     let t = FullName::parse("main.sales.t").unwrap();
     node_a.create_table(&ctx, &ms, TableSpec::managed("main.sales.t", schema()).unwrap()).unwrap();
-    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), ADMIN);
+    let disco = DiscoveryService::new(node_b.clone(), ms.clone(), Context::user(ADMIN));
     disco.sync().unwrap();
-    assert_eq!(disco.search(ADMIN, "t").unwrap().len(), 1);
+    assert_eq!(disco.search(&Context::user(ADMIN), "t").unwrap().len(), 1);
 
     node_a.update_comment(&ctx, &ms, &t, "relation", "quarterly ledger").unwrap();
     disco.sync().unwrap();
-    let hits = disco.search(ADMIN, "ledger").unwrap();
+    let hits = disco.search(&Context::user(ADMIN), "ledger").unwrap();
     assert_eq!(hits.iter().map(|h| h.name.as_str()).collect::<Vec<_>>(), ["t"]);
 
     node_a.set_tag(&ctx, &ms, &t, "relation", "pii", "true").unwrap();
     node_a.grant(&ctx, &ms, &t, "relation", "alice", Privilege::Select).unwrap();
     disco.sync().unwrap();
-    assert_eq!(disco.search(ADMIN, "pii").unwrap().len(), 1, "the tag A set");
-    assert_eq!(disco.search("alice", "ledger").unwrap().len(), 1, "the grant A made");
+    assert_eq!(disco.search(&Context::user(ADMIN), "pii").unwrap().len(), 1, "the tag A set");
+    assert_eq!(disco.search(&Context::user("alice"), "ledger").unwrap().len(), 1, "the grant A made");
 }
 
 /// A consumer reads part of the stream on one node; the node is replaced
@@ -287,14 +287,14 @@ fn a_commit_whose_cache_update_was_skipped_is_in_the_feed() {
     let faults = FaultPlan::seeded(7);
     faults.arm(points::CATALOG_CACHE_SKIP, FaultMode::EveryNth(1));
     let crashing = second_node(&uc, UcConfig { faults: faults.clone(), ..Default::default() }, "n1");
-    let disco = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let disco = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     disco.sync().unwrap();
     crashing
         .create_table(&Context::user(ADMIN), &ms, TableSpec::managed("main.sales.skipped", schema()).unwrap())
         .unwrap();
     assert_eq!(faults.injected(points::CATALOG_CACHE_SKIP), 1, "the write-through was skipped");
     disco.sync().unwrap();
-    assert_eq!(disco.search(ADMIN, "skipped").unwrap().len(), 1);
+    assert_eq!(disco.search(&Context::user(ADMIN), "skipped").unwrap().len(), 1);
 }
 
 /// A consumer more than `WINDOW` versions behind finds its events retired:
@@ -305,7 +305,7 @@ fn a_consumer_behind_the_window_resyncs_by_polling_to_the_same_index() {
     use uc_catalog::model::feed::WINDOW;
     let (uc, ms) = setup();
     let ctx = Context::user(ADMIN);
-    let behind = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let behind = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     behind.sync().unwrap();
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.hot", schema()).unwrap()).unwrap();
     let hot = FullName::parse("main.sales.hot").unwrap();
@@ -318,14 +318,31 @@ fn a_consumer_behind_the_window_resyncs_by_polling_to_the_same_index() {
     assert_eq!(behind.lag(), 0);
     assert!(behind.stats().catalog_calls > polls_before);
 
-    let fresh = DiscoveryService::new(uc.clone(), ms.clone(), ADMIN);
+    let fresh = DiscoveryService::new(uc.clone(), ms.clone(), Context::user(ADMIN));
     fresh.sync_by_polling().unwrap();
     assert_eq!(behind.indexed_count(), fresh.indexed_count());
     for q in ["ledger".to_string(), format!("rev{}", WINDOW - 1), "sales".into(), "hot".into()] {
-        assert_eq!(behind.search(ADMIN, &q).unwrap(), fresh.search(ADMIN, &q).unwrap(), "query {q}");
+        assert_eq!(behind.search(&Context::user(ADMIN), &q).unwrap(), fresh.search(&Context::user(ADMIN), &q).unwrap(), "query {q}");
     }
     // Back inside the window, events flow again.
     uc.create_table(&ctx, &ms, TableSpec::managed("main.sales.later", schema()).unwrap()).unwrap();
     assert_eq!(behind.sync().unwrap(), 1);
-    assert_eq!(behind.search(ADMIN, "later").unwrap().len(), 1);
+    assert_eq!(behind.search(&Context::user(ADMIN), "later").unwrap().len(), 1);
+}
+
+/// A search answers for the workspace it comes from (§3.2, §4.4): with
+/// `main` bound to `ws-a`, a service running in `ws-a` indexes a table of
+/// `main`; a search from `ws-a` finds it, the same user's search from
+/// `ws-b` does not.
+#[test]
+fn a_search_answers_for_the_callers_workspace() {
+    let (uc, ms) = setup();
+    let admin = Context::user(ADMIN);
+    uc.create_table(&admin, &ms, TableSpec::managed("main.sales.bound_orders", schema()).unwrap()).unwrap();
+    uc.set_catalog_bindings(&admin, &ms, "main", &["ws-a"]).unwrap();
+    let disco = DiscoveryService::new(uc.clone(), ms, admin.clone().in_workspace("ws-a"));
+    disco.sync().unwrap();
+    let hits = disco.search(&admin.clone().in_workspace("ws-a"), "bound").unwrap();
+    assert_eq!(hits.iter().map(|h| h.name.as_str()).collect::<Vec<_>>(), ["bound_orders"]);
+    assert!(disco.search(&admin.in_workspace("ws-b"), "bound").unwrap().is_empty());
 }

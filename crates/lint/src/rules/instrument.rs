@@ -6,7 +6,9 @@
 //! chain of resolvable callees — delegation across files and crates
 //! counts); must reach an audit record (`record_audit`) whenever its op's
 //! row declares audit actions — an empty row marks a deliberately
-//! unaudited read/list op, so the audit policy lives in one table. That a
+//! unaudited read/list op, so the audit policy lives in one table — and
+//! must not reach one when the row is empty, where the audit face would
+//! index an empty action list and panic. That a
 //! handle names a row, that the audit sink is handed an action of the
 //! table's and never a string, and that a `PermissionDenied` carries a
 //! `Refusal` only the `Deny` append builds, the compiler checks.
@@ -127,6 +129,15 @@ pub fn check(
                 f.line,
                 RULE_INSTRUMENT,
                 format!("pub entry point `{}` declares audit actions but never reaches an audit record (record_audit) on any return path", f.name),
+            ));
+        }
+        // The converse: an entry whose row declares no action must not be
+        // able to record one — the record indexes the row's actions.
+        if is_entry && direct.is_some() && !declares_audit && r.audit {
+            out.push(ctx.diag(
+                f.line,
+                RULE_INSTRUMENT,
+                format!("pub entry point `{}` declares no audit actions but reaches an audit record (record_audit), which would index an empty action list", f.name),
             ));
         }
     }

@@ -50,4 +50,9 @@ impl Service {
         // The fixture's audit sink: reachability to this def satisfies
         // the instrument rule's audit-record check.
     }
+
+    pub fn noisy_list(&self) -> Result<Table, Error> {
+        let _api = self.api_enter(Op::LIST_TABLES); // the row declares no action, yet `fetch` records one
+        self.fetch("t")
+    }
 }

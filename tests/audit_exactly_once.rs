@@ -156,7 +156,9 @@ mod deny {
     use uc_catalog::authz::fgac::RowFilterPolicy;
     use uc_catalog::authz::Privilege;
     use uc_catalog::error::{UcError, UcResult};
+    use uc_catalog::ids::Uid;
     use uc_catalog::lineage::LineageDirection;
+    use uc_catalog::model::entity::Entity;
     use uc_catalog::ops::Op;
     use uc_catalog::service::federation::ForeignTableMeta;
     use uc_catalog::service::rest::{ApiError, RestApi};
@@ -240,6 +242,7 @@ mod deny {
             ("create_volume", Box::new(|| uc.create_volume(&out, ms, &name("main.s.vol"), None).map(drop))),
             ("drop_securable", Box::new(|| uc.drop_securable(&out, ms, &t, "relation").map(drop))),
             ("events_since", Box::new(|| uc.events_since(&out, ms, 0).map(drop))),
+            ("get_entity_by_id", Box::new(|| uc.get_entity_by_id(&out, ms, &table.id).map(drop))),
             ("get_securable", Box::new(|| uc.get_table(&out, ms, "main.s.t").map(drop))),
             ("get_tags", Box::new(|| uc.get_tags(&out, ms, &t, "relation").map(drop))),
             ("grant", Box::new(|| uc.grant(&out, ms, &t, "relation", "mallory", Privilege::Select))),
@@ -259,6 +262,7 @@ mod deny {
             ("revoke", Box::new(|| uc.revoke(&out, ms, &t, "relation", ADMIN, Privilege::Select))),
             ("set_catalog_bindings", Box::new(|| uc.set_catalog_bindings(&out, ms, "main", &["ws"]))),
             ("set_metastore_root", Box::new(|| uc.set_metastore_root(&out, ms, "s3://lake/elsewhere"))),
+            ("show_grants", Box::new(|| uc.show_grants(&out, ms, &t, "relation").map(drop))),
             ("tag_update", Box::new(|| uc.set_tag(&out, ms, &t, "relation", "k", "v"))),
             ("temp_credentials", Box::new(|| uc.temp_credentials(&out, ms, &t, "relation", AccessLevel::Read).map(drop))),
             ("temp_credentials_for_path", Box::new(|| uc.temp_credentials_for_path(&out, ms, &path, AccessLevel::Read).map(drop))),
@@ -286,7 +290,9 @@ mod deny {
             let (err, added) = refused(&w, call);
             assert_eq!(calls() - calls0, 1, "{op}: one api entry, no nested public call");
             match op {
-                "get_securable" | "get_tags" | "lineage" | "add_lineage" => assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}"),
+                "get_securable" | "get_entity_by_id" | "get_tags" | "show_grants" | "lineage" | "add_lineage" => {
+                    assert!(matches!(err, UcError::NotFound(_)), "{op}: {err}")
+                }
                 _ => assert!(matches!(err, UcError::PermissionDenied(_)), "{op}: {err}"),
             }
             assert_eq!(added.len(), 1, "{op}: exactly one audit record, got {added:?}");
@@ -320,6 +326,7 @@ mod deny {
             ("credentials.temporary", json!({"path": table.storage_path, "operation": "READ"}), Op::TEMP_CREDENTIALS_FOR_PATH),
             ("events.list", json!({"after_version": 0}), Op::EVENTS_SINCE),
             ("grants.add", grant.clone(), Op::GRANT),
+            ("grants.list", json!({"securable": "main.s.t", "kind_group": "relation"}), Op::SHOW_GRANTS),
             ("grants.revoke", grant, Op::REVOKE),
             ("iceberg.loadTable", t.clone(), Op::LOAD_TABLE_AS_ICEBERG),
             ("schemas.create", json!({"catalog": "main", "name": "s2"}), Op::CREATE_SCHEMA),
@@ -334,7 +341,7 @@ mod deny {
             let (calls0, audits0) = (calls(), uc.audit_log().total_recorded());
             let err = api.handle(&out, ms, route, &params).expect_err("an outsider's call must be refused");
             assert_eq!(calls() - calls0, 1, "{route}: one api entry");
-            let hidden = route == "tables.get";
+            let hidden = matches!(route, "tables.get" | "grants.list");
             assert_eq!(err.status, if hidden { 404 } else { 403 }, "{route}: {}", err.message);
             let added = uc.audit_log().recent((uc.audit_log().total_recorded() - audits0) as usize);
             assert_eq!(added.len(), 1, "{route}: exactly one audit record, got {added:?}");
@@ -403,35 +410,217 @@ mod deny {
         assert!(matches!(err, UcError::InvalidArgument(_)), "{err}");
     }
 
-    /// A workspace-binding refusal is audited like any other: with `main`
-    /// bound to `ws-a`, an admin calling from `ws-b` gets a 403 from each
-    /// read that checks bindings, and each adds exactly one `Deny`, under
-    /// the refused op's own action, naming the bound catalog.
-    #[test]
-    fn a_workspace_binding_refusal_is_one_deny_under_the_calling_op() {
+    /// What the binding matrix calls: the metastore admin's world with
+    /// `main` (and the federated catalog `fed`) bound to `ws-a`. `main.s.t`
+    /// holds a row, is in share `sh` and is downstream of `other.s.up`;
+    /// `main.s.m` has a version.
+    struct BoundWorld {
+        w: FaultyWorld,
+        main: Arc<Entity>,
+        fed: Arc<Entity>,
+        t: Arc<Entity>,
+        up: Arc<Entity>,
+        /// What each set-returning call returns before anything is bound.
+        unbound: Vec<Vec<Uid>>,
+    }
+
+    type SetCall = fn(&UnityCatalog, &Uid, &Context, &BoundWorld) -> UcResult<Vec<Uid>>;
+
+    /// The set-returning ops of the binding matrix, each as the ids it
+    /// returns.
+    fn set_calls() -> Vec<(&'static str, SetCall)> {
+        use uc_catalog::service::discovery_api::MetaFilter;
+        use uc_catalog::types::SecurableKind;
+        fn ids(es: Vec<Arc<Entity>>) -> Vec<Uid> {
+            es.iter().map(|e| e.id.clone()).collect()
+        }
+        // The batch APIs answer for `[t, up]`: the ids they say yes to.
+        fn kept(b: &BoundWorld, yes: Vec<bool>) -> Vec<Uid> {
+            [&b.t.id, &b.up.id].into_iter().zip(yes).filter(|(_, y)| *y).map(|(id, _)| id.clone()).collect()
+        }
+        vec![
+            ("list_catalogs", |uc, ms, ctx, _| uc.list_catalogs(ctx, ms).map(ids)),
+            ("query_entities", |uc, ms, ctx, _| uc.query_entities(ctx, ms, &[MetaFilter::KindIs(SecurableKind::Table)], 100).map(ids)),
+            ("lineage", |uc, ms, ctx, _| uc.lineage(ctx, ms, &name("other.s.up"), LineageDirection::Downstream, 3).map(|s| s.into_iter().collect())),
+            ("visible_batch", |uc, ms, ctx, b| uc.visible_batch(ctx, ms, &[b.t.id.clone(), b.up.id.clone()]).map(|k| kept(b, k))),
+            ("authorize_batch", |uc, ms, ctx, b| {
+                let checks = [(b.t.id.clone(), Privilege::Select), (b.up.id.clone(), Privilege::Select)];
+                uc.authorize_batch(ctx, ms, &checks).map(|k| kept(b, k))
+            }),
+        ]
+    }
+
+    fn bound_world() -> BoundWorld {
+        use uc_engine::{Engine, EngineConfig};
         let w = faulty_world();
         let (uc, ms) = (&w.uc, &w.ms);
         let admin = Context::user(ADMIN);
-        uc.create_table(&admin, ms, TableSpec::managed("main.s.t", int_schema()).unwrap()).unwrap();
-        uc.set_catalog_bindings(&admin, ms, "main", &["ws-a"]).unwrap();
-        let main = uc.get_securable(&admin.clone().in_workspace("ws-a"), ms, &name("main"), "catalog").unwrap();
-        let elsewhere = admin.in_workspace("ws-b");
-        let t = name("main.s.t");
-        type Call<'a> = Box<dyn FnOnce() -> UcResult<()> + 'a>;
-        let calls: Vec<(&str, Call)> = vec![
-            ("getSecurable", Box::new(|| uc.get_table(&elsewhere, ms, "main.s.t").map(drop))),
-            ("listChildren", Box::new(|| uc.list_children(&elsewhere, ms, &name("main.s"), None).map(drop))),
-            ("resolveForQuery", Box::new(|| uc.resolve_for_query(&elsewhere, ms, std::slice::from_ref(&t), false).map(drop))),
-            ("generateTemporaryCredentials", Box::new(|| uc.temp_credentials(&elsewhere, ms, &t, "relation", AccessLevel::Read).map(drop))),
-            ("loadTableAsIceberg", Box::new(|| uc.load_table_as_iceberg(&elsewhere, ms, &t).map(drop))),
-        ];
-        for (action, call) in calls {
-            let (err, added) = refused(&w, call);
-            assert_eq!(ApiError::from(err).status, 403, "{action}");
-            let trail: Vec<_> =
-                added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
-            assert_eq!(trail, [(AuditDecision::Deny, action, Some(&main.id))], "{action}");
+        let mut s = Engine::new(uc.clone(), ms.clone(), EngineConfig::trusted("dbr")).session(ADMIN);
+        s.execute("CREATE TABLE main.s.t (x BIGINT)").unwrap();
+        s.execute("INSERT INTO main.s.t VALUES (1)").unwrap();
+        uc.create_registered_model(&admin, ms, &name("main.s.m")).unwrap();
+        uc.create_model_version(&admin, ms, &name("main.s.m")).unwrap();
+        uc.create_share(&admin, ms, "sh").unwrap();
+        uc.add_table_to_share(&admin, ms, "sh", &name("main.s.t")).unwrap();
+        uc.create_connection(&admin, ms, "conn", "thrift://hms").unwrap();
+        let fed = uc.create_federated_catalog(&admin, ms, "fed", "conn").unwrap();
+        uc.create_catalog(&admin, ms, "other").unwrap();
+        uc.create_schema(&admin, ms, "other", "s").unwrap();
+        let up = uc.create_table(&admin, ms, TableSpec::managed("other.s.up", int_schema()).unwrap()).unwrap();
+        uc.add_lineage(&admin, ms, &name("other.s.up"), &name("main.s.t"), None).unwrap();
+        let main = uc.get_securable(&admin, ms, &name("main"), "catalog").unwrap();
+        let t = uc.get_table(&admin, ms, "main.s.t").unwrap();
+        let mut b = BoundWorld { w, main, fed, t, up, unbound: Vec::new() };
+        let unbound = set_calls().into_iter().map(|(_, call)| call(&b.w.uc, &b.w.ms, &admin, &b).unwrap()).collect();
+        b.unbound = unbound;
+        for catalog in ["main", "fed"] {
+            b.w.uc.set_catalog_bindings(&admin, &b.w.ms, catalog, &["ws-a"]).unwrap();
         }
+        b
+    }
+
+    /// Workspace bindings (§3.2) hold on every op. With `main` and `fed`
+    /// bound to `ws-a`, the metastore admin calling from `ws-b`:
+    /// - is refused by every op whose target lies in a bound catalog, with
+    ///   a 403 and exactly one `Deny`, under the op's primary action,
+    ///   naming that catalog (each row in a world of its own);
+    /// - gets nothing of either catalog from a set-returning op, which
+    ///   records nothing of its own;
+    /// - is served by the ops deliberately left unbound.
+    ///
+    /// From `ws-a` every call returns what it returns with no binding.
+    /// Every `Op::ALL` row is in one of those lists or has no target in a
+    /// catalog.
+    #[test]
+    fn a_workspace_binding_refusal_is_one_deny_under_the_calling_op() {
+        type Call<'a> = Box<dyn Fn(&UnityCatalog, &Uid, &Context, &BoundWorld) -> UcResult<()> + 'a>;
+        let (t, m) = (name("main.s.t"), name("main.s.m"));
+        let meta = ForeignTableMeta { name: "ft".into(), columns: int_schema(), storage_path: None, foreign_type: "hive".into() };
+        let policy = AbacPolicy {
+            name: "p".into(),
+            tag_key: "pii".into(),
+            tag_value: None,
+            effect: AbacEffect::RestrictAccess { allowed_groups: vec![] },
+        };
+        let filter = RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) };
+        let single: Vec<(&str, Call)> = vec![
+            ("add_lineage", Box::new(|uc, ms, ctx, _| uc.add_lineage(ctx, ms, &t, &t, None))),
+            ("add_table_to_share", Box::new(|uc, ms, ctx, _| uc.add_table_to_share(ctx, ms, "sh", &t))),
+            ("bulk_create_tables", Box::new(|uc, ms, ctx, _| uc.bulk_create_tables(ctx, ms, "main", &[], &int_schema(), 8).map(drop))),
+            ("commit_tables_atomically", Box::new(|uc, ms, ctx, b| uc.commit_table(ctx, ms, &b.t.id, 0, bytes::Bytes::new()))),
+            ("create_abac_policy", Box::new(|uc, ms, ctx, _| uc.create_abac_policy(ctx, ms, &name("main.s"), "schema", policy.clone()))),
+            ("create_function", Box::new(|uc, ms, ctx, _| uc.create_function(ctx, ms, &name("main.s.f"), "1").map(drop))),
+            ("create_model_version", Box::new(|uc, ms, ctx, _| uc.create_model_version(ctx, ms, &m).map(drop))),
+            ("create_registered_model", Box::new(|uc, ms, ctx, _| uc.create_registered_model(ctx, ms, &name("main.s.m2")).map(drop))),
+            ("create_schema", Box::new(|uc, ms, ctx, _| uc.create_schema(ctx, ms, "main", "s2").map(drop))),
+            ("create_shallow_clone", Box::new(|uc, ms, ctx, _| uc.create_shallow_clone(ctx, ms, &name("main.s.c"), &t, 0).map(drop))),
+            ("create_table", Box::new(|uc, ms, ctx, _| uc.create_table(ctx, ms, TableSpec::managed("main.s.t2", int_schema()).unwrap()).map(drop))),
+            ("create_view", Box::new(|uc, ms, ctx, _| uc.create_view(ctx, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
+            ("create_volume", Box::new(|uc, ms, ctx, _| uc.create_volume(ctx, ms, &name("main.s.vol"), None).map(drop))),
+            ("drop_securable", Box::new(|uc, ms, ctx, _| uc.drop_securable(ctx, ms, &t, "relation").map(drop))),
+            ("get_entity_by_id", Box::new(|uc, ms, ctx, b| uc.get_entity_by_id(ctx, ms, &b.t.id).map(drop))),
+            ("get_securable", Box::new(|uc, ms, ctx, _| uc.get_table(ctx, ms, "main.s.t").map(drop))),
+            ("get_tags", Box::new(|uc, ms, ctx, _| uc.get_tags(ctx, ms, &t, "relation").map(drop))),
+            ("grant", Box::new(|uc, ms, ctx, _| uc.grant(ctx, ms, &t, "relation", "bob", Privilege::Select))),
+            ("latest_table_version", Box::new(|uc, ms, ctx, b| uc.latest_table_version(ctx, ms, &b.t.id).map(drop))),
+            ("lineage", Box::new(|uc, ms, ctx, _| uc.lineage(ctx, ms, &t, LineageDirection::Upstream, 3).map(drop))),
+            ("list_children", Box::new(|uc, ms, ctx, _| uc.list_children(ctx, ms, &name("main.s"), None).map(drop))),
+            ("load_table_as_iceberg", Box::new(|uc, ms, ctx, _| uc.load_table_as_iceberg(ctx, ms, &t).map(drop))),
+            ("mirror_table", Box::new(|uc, ms, ctx, _| uc.mirror_table(ctx, ms, "fed", "s", &meta).map(drop))),
+            ("policy_update", Box::new(|uc, ms, ctx, _| uc.set_row_filter(ctx, ms, &t, filter.clone()))),
+            ("read_table_commit", Box::new(|uc, ms, ctx, b| uc.read_table_commit(ctx, ms, &b.t.id, 0).map(drop))),
+            ("rename_securable", Box::new(|uc, ms, ctx, _| uc.rename_securable(ctx, ms, &t, "relation", "t9").map(drop))),
+            ("renew_read_credential", Box::new(|uc, ms, ctx, b| uc.renew_read_credential(ctx, ms, &b.t.id).map(drop))),
+            ("resolve_for_query", Box::new(|uc, ms, ctx, _| uc.resolve_for_query(ctx, ms, std::slice::from_ref(&t), false).map(drop))),
+            ("resolve_model_version", Box::new(|uc, ms, ctx, _| uc.resolve_model_version(ctx, ms, &m, 1).map(drop))),
+            ("revoke", Box::new(|uc, ms, ctx, _| uc.revoke(ctx, ms, &t, "relation", ADMIN, Privilege::Select))),
+            ("show_grants", Box::new(|uc, ms, ctx, _| uc.show_grants(ctx, ms, &t, "relation").map(drop))),
+            ("tag_update", Box::new(|uc, ms, ctx, _| uc.set_tag(ctx, ms, &t, "relation", "k", "v"))),
+            ("temp_credentials", Box::new(|uc, ms, ctx, _| uc.temp_credentials(ctx, ms, &t, "relation", AccessLevel::Read).map(drop))),
+            ("temp_credentials_for_path", Box::new(|uc, ms, ctx, b| {
+                uc.temp_credentials_for_path(ctx, ms, b.t.storage_path.as_deref().unwrap(), AccessLevel::Read).map(drop)
+            })),
+            ("transfer_ownership", Box::new(|uc, ms, ctx, _| uc.transfer_ownership(ctx, ms, &t, "relation", "bob").map(drop))),
+            ("update_comment", Box::new(|uc, ms, ctx, _| uc.update_comment(ctx, ms, &t, "relation", "hi").map(drop))),
+        ];
+        // Deliberately unbound: the share ops (a share's chain holds no
+        // catalog; the share and the member table's data policies govern),
+        // the metastore admin's change stream, and the one op that undoes a
+        // binding.
+        let unbound: Vec<(&str, Call)> = vec![
+            ("events_since", Box::new(|uc, ms, ctx, _| uc.events_since(ctx, ms, 0).map(drop))),
+            ("list_share_tables", Box::new(|uc, ms, ctx, _| uc.list_share_tables(ctx, ms, "sh").map(drop))),
+            ("query_share_table", Box::new(|uc, ms, ctx, _| uc.query_share_table(ctx, ms, "sh", "s.t").map(drop))),
+            ("query_share_table_as_iceberg", Box::new(|uc, ms, ctx, _| uc.query_share_table_as_iceberg(ctx, ms, "sh", "s.t").map(drop))),
+            ("set_catalog_bindings", Box::new(|uc, ms, ctx, _| uc.set_catalog_bindings(ctx, ms, "main", &["ws-a"]))),
+        ];
+        // Ops with no target inside a catalog.
+        let catalog_free = [
+            "add_metastore_admin",
+            "create_catalog",
+            "create_connection",
+            "create_external_location",
+            "create_federated_catalog",
+            "create_metastore",
+            "create_share",
+            "create_storage_credential",
+            "get_metastore",
+            "list_shares",
+            "purge_soft_deleted",
+            "serve_admit",
+            "set_metastore_root",
+        ];
+        let sets = set_calls();
+        let mut covered: Vec<&str> = single.iter().map(|(op, _)| *op).chain(unbound.iter().map(|(op, _)| *op)).collect();
+        covered.extend(sets.iter().map(|(op, _)| *op).chain(catalog_free));
+        covered.sort_unstable();
+        covered.dedup();
+        let all: Vec<&str> = Op::ALL.iter().map(|op| op.name).collect();
+        assert_eq!(covered, all, "every op is in the matrix or has no target in a catalog");
+
+        let (here, elsewhere) = (Context::user(ADMIN).in_workspace("ws-a"), Context::user(ADMIN).in_workspace("ws-b"));
+        let mut failures: Vec<String> = Vec::new();
+        for (op, call) in &single {
+            let b = bound_world();
+            let (uc, ms) = (&b.w.uc, &b.w.ms);
+            let action = Op::ALL.iter().find(|row| row.name == *op).unwrap().actions[0].as_str();
+            let bound = if *op == "mirror_table" { &b.fed.id } else { &b.main.id };
+            let before = uc.audit_log().total_recorded();
+            let status = call(uc, ms, &elsewhere, &b).map_err(|e| ApiError::from(e).status);
+            let added = uc.audit_log().recent((uc.audit_log().total_recorded() - before) as usize);
+            let trail: Vec<_> = added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
+            if status != Err(403) || trail != [(AuditDecision::Deny, action, Some(bound))] {
+                failures.push(format!("{op} from ws-b: {status:?}, trail {trail:?}"));
+            }
+            if let Err(e) = call(uc, ms, &here, &b) {
+                failures.push(format!("{op} from ws-a: {e}"));
+            }
+        }
+        let b = bound_world();
+        let (uc, ms) = (&b.w.uc, &b.w.ms);
+        let in_bound = [b.main.id.clone(), b.fed.id.clone(), b.t.id.clone()];
+        for ((op, call), unbound) in sets.iter().zip(&b.unbound) {
+            assert!(unbound.iter().any(|id| in_bound.contains(id)), "{op}: the unbound answer holds something of main");
+            let audits = |ctx: &Context| {
+                let before = uc.audit_log().total_recorded();
+                let got = call(uc, ms, ctx, &b).unwrap();
+                (got, uc.audit_log().recent((uc.audit_log().total_recorded() - before) as usize))
+            };
+            let ((from_a, trail_a), (from_b, trail_b)) = (audits(&here), audits(&elsewhere));
+            let outside: Vec<_> = unbound.iter().filter(|id| !in_bound.contains(id)).cloned().collect();
+            if &from_a != unbound || from_b != outside {
+                failures.push(format!("{op}: ws-a {from_a:?}, ws-b {from_b:?}, unbound {unbound:?}"));
+            }
+            if trail_b.len() != trail_a.len() || trail_b.iter().any(|r| r.decision == AuditDecision::Deny) {
+                failures.push(format!("{op}: ws-b recorded {trail_b:?}"));
+            }
+        }
+        for (op, call) in &unbound {
+            if let Err(e) = call(uc, ms, &elsewhere, &b) {
+                failures.push(format!("{op} from ws-b: {e}"));
+            }
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 
     /// A policy refusal is audited under the op that was refused: an
@@ -554,6 +743,12 @@ mod deny {
                     assert_eq!(ApiError::from(err).status, 403, "{row}");
                     let trail: Vec<_> = added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
                     assert_eq!(trail, [(AuditDecision::Deny, op.actions[0].as_str(), Some(asset))], "{row}");
+                }
+                // A trusted recipient is handed what binds the shared table.
+                if ctx.is_trusted_engine() && matches!(governance, Governance::RowFilter | Governance::AbacMask) {
+                    let policies = uc.query_share_table(&ctx, ms, "sh", "s.t").unwrap().policies;
+                    let handed = (policies.row_filter.is_some(), !policies.column_masks.is_empty());
+                    assert_eq!(handed, (governance == Governance::RowFilter, governance == Governance::AbacMask), "{governance:?}");
                 }
             }
         }

@@ -426,7 +426,7 @@ fn a_cascade_under_a_by_id_chain_is_not_found_never_dangling() {
                     by_id(|uc, ctx, ms, id| uc.get_entity_by_id(ctx, ms, id).map(drop)),
                     by_id(|uc, ctx, ms, id| uc.renew_read_credential(ctx, ms, id).map(drop)),
                     by_id(|uc, ctx, ms, id| uc.commit_table(ctx, ms, id, 0, bytes::Bytes::from_static(b"{}"))),
-                    by_id(|uc, ctx, ms, id| uc.authorize_batch(ms, &ctx.principal, &[(id.clone(), Privilege::Select)]).map(drop)),
+                    by_id(|uc, ctx, ms, id| uc.authorize_batch(ctx, ms, &[(id.clone(), Privilege::Select)]).map(drop)),
                     Box::new(move || uc_p.temp_credentials_for_path(&ctx_p, &ms_p, &path, AccessLevel::Read).map(drop)),
                     Box::new(move || uc_v.resolve_for_query(&ctx_v, &ms_v, std::slice::from_ref(&view), false).map(drop)),
                 ]

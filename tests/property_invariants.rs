@@ -328,14 +328,14 @@ proptest! {
             .iter()
             .map(|e| e.id.clone())
             .collect();
-        let walked = uc.visible_batch(ms, "alice", &ids).unwrap();
+        let walked = uc.visible_batch(&Context::user("alice"), ms, &ids).unwrap();
         let expected: Vec<Uid> =
             ids.iter().zip(walked).filter(|(_, visible)| *visible).map(|(id, _)| id.clone()).collect();
         prop_assert_eq!(listed, expected);
         // One level up: schemas under the catalog, same rule.
         let schema_id = uc.get_entity_by_id(&admin, ms, &ids[0]).unwrap().parent.clone().unwrap();
         let listed = uc.list_children(&alice, ms, &FullName::parse("main").unwrap(), None).unwrap();
-        let walked = uc.visible_batch(ms, "alice", std::slice::from_ref(&schema_id)).unwrap();
+        let walked = uc.visible_batch(&Context::user("alice"), ms, std::slice::from_ref(&schema_id)).unwrap();
         prop_assert_eq!(listed.len() == 1, walked[0]);
     }
 }
@@ -407,7 +407,7 @@ proptest! {
                 let by_id = node.get_entity_by_id(&admin, ms, id).unwrap();
                 prop_assert_eq!(&by_id, &node.get_table(&admin, ms, &name).unwrap());
                 // Same chain: the grants alice inherits decide both alike.
-                let seen_by_id = node.visible_batch(ms, "alice", std::slice::from_ref(id)).unwrap()[0];
+                let seen_by_id = node.visible_batch(&Context::user("alice"), ms, std::slice::from_ref(id)).unwrap()[0];
                 prop_assert_eq!(seen_by_id, node.get_table(&alice, ms, &name).is_ok(), "{}", name);
             }
         }
