@@ -76,7 +76,6 @@ impl From<TxError> for UcError {
     fn from(e: TxError) -> Self {
         match e {
             TxError::Conflict { .. } | TxError::Unavailable { .. } => UcError::Unavailable(e.to_string()),
-            TxError::AlreadyFinished => UcError::Database(e.to_string()),
         }
     }
 }

@@ -960,7 +960,8 @@ impl UnityCatalog {
                     }
                     return Ok(out);
                 }
-                Err(err @ (TxError::Conflict { .. } | TxError::Unavailable { .. })) => {
+                // Every commit error is transient: a conflict or an outage.
+                Err(err) => {
                     self.stats.write_retries.fetch_add(1, Ordering::Relaxed);
                     attempts += 1;
                     if attempts > 64 {
@@ -988,7 +989,6 @@ impl UnityCatalog {
                     }
                     continue;
                 }
-                Err(e) => return Err(e.into()),
             }
         }
     }

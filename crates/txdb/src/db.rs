@@ -3,17 +3,17 @@
 //!
 //! # Reclamation
 //!
-//! Every `begin_read` / `begin_write` registers its snapshot CSN and its
-//! `Drop` releases it. The **horizon** is the oldest open snapshot, or the
-//! current CSN when none is open. Each commit reclaims inside the
-//! `tables.write()` it already holds: a chain it writes keeps only its
-//! newest version at or below the horizon plus everything newer, and a key
-//! it deletes joins a FIFO of dead keys that later commits drain once the
-//! horizon passes the delete; a drained chain is removed if it is still a
-//! lone tombstone. No snapshot at or above the horizon can tell either
-//! change apart, a pruned chain keeps its latest CSN (so commit validation
-//! is unchanged), and a removed chain had no change after any open
-//! snapshot (so no scan, seek or validation can miss it).
+//! Every `begin_read` registers its snapshot CSN and the reader's `Drop`
+//! releases it; a `begin_write` holds such a reader. The **horizon** is the
+//! oldest open snapshot, or the current CSN when none is open. Each commit
+//! reclaims inside the `tables.write()` it already holds: a chain it writes
+//! keeps only its newest version at or below the horizon plus everything
+//! newer, and a key it deletes joins a FIFO of dead keys that later commits
+//! drain once the horizon passes the delete; a drained chain is removed if
+//! it is still a lone tombstone. No snapshot at or above the horizon can
+//! tell either change apart, a pruned chain keeps its latest CSN (so commit
+//! validation is unchanged), and a removed chain had no change after any
+//! open snapshot (so no scan, seek or validation can miss it).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -223,9 +223,10 @@ impl Db {
         ReadTxn::new(self.clone(), self.open_snapshot())
     }
 
-    /// Begin a serializable read-write transaction.
+    /// Begin a serializable read-write transaction: a reader, plus the
+    /// writes it buffers.
     pub fn begin_write(&self) -> WriteTxn {
-        WriteTxn::new(self.clone(), self.open_snapshot())
+        WriteTxn::new(self.begin_read())
     }
 
     /// Register a snapshot at the current CSN. The CSN is read under the
@@ -299,20 +300,6 @@ impl Db {
         self.inner.weaken_gc.store(ignore, Ordering::Relaxed);
     }
 
-    /// Read one row outside any transaction, at the latest committed state.
-    /// Convenience for tests and tools; normal code uses transactions. The
-    /// CSN is read under the table lock: every commit that reclaimed before
-    /// it had a horizon at or below that CSN.
-    pub fn get_latest(&self, table: &str, key: &str) -> Option<Bytes> {
-        let guard = self.inner.tables.read();
-        let snapshot = self.current_csn();
-        guard
-            .get(table)?
-            .get(key)?
-            .visible_at(snapshot)
-            .and_then(|v| v.value.clone())
-    }
-
     /// Total number of live (non-tombstone latest) rows across all tables.
     pub fn live_rows(&self) -> usize {
         let guard = self.inner.tables.read();
@@ -363,7 +350,7 @@ mod tests {
     fn empty_db_reads_nothing() {
         let db = Db::in_memory();
         assert_eq!(db.current_csn(), 0);
-        assert_eq!(db.get_latest("t", "k"), None);
+        assert_eq!(db.begin_read().get("t", "k"), None);
         assert_eq!(db.live_rows(), 0);
         assert_eq!(db.resident(), (0, 0));
     }
@@ -375,7 +362,7 @@ mod tests {
             put1(&db, "k", &format!("v{i}"));
         }
         assert_eq!(db.current_csn(), 5);
-        assert_eq!(db.get_latest("t", "k"), Some(Bytes::from_static(b"v4")));
+        assert_eq!(db.begin_read().get("t", "k"), Some(Bytes::from_static(b"v4")));
         assert_eq!(versions(&db, "k"), Some(2), "no snapshot open: the newest at the horizon plus the new one");
     }
 
@@ -420,7 +407,7 @@ mod tests {
         del1(&db, "k");
         put1(&db, "k", "b");
         put1(&db, "other", "x");
-        assert_eq!(db.get_latest("t", "k"), Some(Bytes::from_static(b"b")));
+        assert_eq!(db.begin_read().get("t", "k"), Some(Bytes::from_static(b"b")));
         del1(&db, "k");
         put1(&db, "other", "y");
         assert_eq!(versions(&db, "k"), None, "the newer delete's FIFO entry removes it");
@@ -440,7 +427,7 @@ mod tests {
         assert_eq!(db.horizon(), 2);
         drop(c);
         assert_eq!(db.horizon(), 2, "b still holds 2");
-        b.rollback();
+        drop(b);
         assert_eq!(db.horizon(), db.current_csn());
         assert!(db.inner.snapshots.lock().0.is_empty());
     }

@@ -11,8 +11,6 @@ pub enum TxError {
     /// Serialization failure: something in the transaction's read or write
     /// set changed after its snapshot. Retry the whole transaction.
     Conflict { detail: String },
-    /// The transaction was already finished (committed or rolled back).
-    AlreadyFinished,
     /// The database was transiently unreachable (connection-pool permit
     /// timeout, backend outage, fault injection). Retry the transaction.
     Unavailable { detail: String },
@@ -22,7 +20,6 @@ impl fmt::Display for TxError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TxError::Conflict { detail } => write!(f, "serialization conflict: {detail}"),
-            TxError::AlreadyFinished => write!(f, "transaction already finished"),
             TxError::Unavailable { detail } => write!(f, "database unavailable: {detail}"),
         }
     }

@@ -1,30 +1,44 @@
 //! Read and write transactions.
 //!
-//! `ReadTxn` gives snapshot isolation for free: it pins a CSN and resolves
-//! every lookup against version chains at that CSN.
+//! A [`ReadTxn`] is a snapshot: it pins a CSN and every read resolves the
+//! version chains at that CSN. Each read primitive is written once, here,
+//! over the snapshot with an optional *overlay* — one table's buffered
+//! writes — laid over its answer. A `ReadTxn` has none.
 //!
-//! `WriteTxn` is serializable via optimistic concurrency control. It tracks
-//! the full read set — point reads *and* scanned prefixes — and validates at
-//! commit that nothing observed has a newer committed version than the
-//! transaction's snapshot. Scanned-prefix validation also catches phantoms:
-//! a row inserted into a scanned range after the snapshot fails validation
-//! because its version chain's latest CSN exceeds the snapshot.
+//! A [`WriteTxn`] is a reader plus a write buffer and a read set, and is
+//! serializable via optimistic concurrency control. Its reads are the
+//! reader's with the buffer as the overlay; each records the `Span` of
+//! keys whose change could alter its answer. At commit, one loop checks
+//! every buffered key and every span read: a chain in one with a committed
+//! version newer than the snapshot is a conflict. A span covers keys that
+//! were absent at the snapshot too, so a row inserted into a scanned range
+//! after the snapshot conflicts (no phantoms).
 //!
-//! Both register their snapshot with the database when they begin and
-//! release it when dropped (a committing `WriteTxn` releases it once
-//! validation is done): the oldest open snapshot is the horizon commits
+//! The reader registers its snapshot with the database when it begins and
+//! releases it when dropped; a committing `WriteTxn` drops its reader once
+//! validation is done. The oldest open snapshot is the horizon commits
 //! reclaim against (see [`crate::db`]).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use bytes::Bytes;
 use uc_cloudstore::faults::points;
 use uc_cloudstore::latency::OpClass;
 
-use crate::db::{remove_dead, Db, Version};
+use crate::db::{remove_dead, Db, Table, Version, VersionChain};
 use crate::error::{TxError, TxResult};
 
-/// Snapshot-isolated read-only transaction.
+/// One table's buffered writes by key; `None` is a delete.
+type Buffer = BTreeMap<String, Option<Bytes>>;
+
+/// The value `chain` holds at `snapshot`; `None` if absent or deleted.
+fn value_at(chain: &VersionChain, snapshot: u64) -> Option<Bytes> {
+    chain.visible_at(snapshot).and_then(|v| v.value.clone())
+}
+
+/// Snapshot-isolated read-only transaction, and the reader inside every
+/// [`WriteTxn`].
 pub struct ReadTxn {
     db: Db,
     snapshot: u64,
@@ -47,11 +61,7 @@ impl ReadTxn {
         self.db.charge(OpClass::Read);
         self.db.stats().record_read();
         let guard = self.db.inner.tables.read();
-        guard
-            .get(table)?
-            .get(key)?
-            .visible_at(self.snapshot)
-            .and_then(|v| v.value.clone())
+        value_at(guard.get(table)?.get(key)?, self.snapshot)
     }
 
     /// All live rows whose key starts with `prefix`, in key order.
@@ -64,26 +74,7 @@ impl ReadTxn {
     /// its position on. Charged as a single scan; it visits no key below
     /// `start`.
     pub fn scan_prefix_from(&self, table: &str, prefix: &str, start: &str) -> Vec<(String, Bytes)> {
-        self.db.charge(OpClass::List);
-        self.db.stats().record_scan();
-        let guard = self.db.inner.tables.read();
-        let Some(t) = guard.get(table) else {
-            return Vec::new();
-        };
-        let mut steps = 0;
-        let rows = t
-            .range(start.max(prefix).to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .filter_map(|(k, chain)| {
-                steps += 1;
-                chain
-                    .visible_at(self.snapshot)
-                    .and_then(|v| v.value.clone())
-                    .map(|val| (k.clone(), val))
-            })
-            .collect();
-        self.db.stats().record_steps(steps);
-        rows
+        self.scan_over(table, prefix, start, None)
     }
 
     /// All live rows at the chain prefixes of `key` — every prefix ending
@@ -92,25 +83,7 @@ impl ReadTxn {
     /// ancestor chain of a node in one table traversal under one lock
     /// acquisition, charged as a single scan.
     pub fn scan_chain(&self, table: &str, key: &str) -> Vec<(String, Bytes)> {
-        self.db.charge(OpClass::List);
-        self.db.stats().record_scan();
-        let guard = self.db.inner.tables.read();
-        let Some(t) = guard.get(table) else {
-            return Vec::new();
-        };
-        let mut steps = 0;
-        let rows = chain_prefixes(key)
-            .filter_map(|p| {
-                let chain = t.get(p)?;
-                steps += 1;
-                chain
-                    .visible_at(self.snapshot)
-                    .and_then(|v| v.value.clone())
-                    .map(|val| (p.to_string(), val))
-            })
-            .collect();
-        self.db.stats().record_steps(steps);
-        rows
+        self.chain_over(table, key, None)
     }
 
     /// Greatest live key in `[start, end)` with its value — an index seek
@@ -118,18 +91,87 @@ impl ReadTxn {
     /// plus this primitive are what the tree keyspace's ancestor checks
     /// (path overlap, nearest-covering-path resolution) run on.
     pub fn pred_in_range(&self, table: &str, start: &str, end: &str) -> Option<(String, Bytes)> {
+        self.pred_over(table, start, end, None)
+    }
+
+    /// [`Self::scan_prefix_from`] with `over` laid over the rows. Steps
+    /// count every chain the range visits, buffered or not.
+    fn scan_over(&self, table: &str, prefix: &str, start: &str, over: Option<&Buffer>) -> Vec<(String, Bytes)> {
+        self.db.charge(OpClass::List);
+        self.db.stats().record_scan();
+        let from = (Included(start.max(prefix)), Unbounded);
+        let guard = self.db.inner.tables.read();
+        let mut steps = 0;
+        let rows = guard.get(table).map_or_else(Vec::new, |t| {
+            t.range::<str, _>(from)
+                .take_while(|(k, _)| k.starts_with(prefix))
+                .filter_map(|(k, chain)| {
+                    steps += 1;
+                    value_at(chain, self.snapshot).map(|v| (k.clone(), v))
+                })
+                .collect()
+        });
+        drop(guard);
+        self.db.stats().record_steps(steps);
+        match over {
+            Some(b) => lay_over(rows, b.range::<str, _>(from).take_while(|(k, _)| k.starts_with(prefix))),
+            None => rows,
+        }
+    }
+
+    /// [`Self::scan_chain`] with `over` laid over the rows. A buffered
+    /// prefix is not looked up, so it is no step.
+    fn chain_over(&self, table: &str, key: &str, over: Option<&Buffer>) -> Vec<(String, Bytes)> {
+        self.db.charge(OpClass::List);
+        self.db.stats().record_scan();
+        let guard = self.db.inner.tables.read();
+        let t = guard.get(table);
+        let mut steps = 0;
+        let rows = chain_prefixes(key)
+            .filter_map(|p| {
+                let value = match over.and_then(|b| b.get(p)) {
+                    Some(buffered) => buffered.clone(),
+                    None => {
+                        let chain = t?.get(p)?;
+                        steps += 1;
+                        value_at(chain, self.snapshot)
+                    }
+                };
+                value.map(|v| (p.to_string(), v))
+            })
+            .collect();
+        drop(guard);
+        self.db.stats().record_steps(steps);
+        rows
+    }
+
+    /// [`Self::pred_in_range`] with `over` laid over the range: a buffered
+    /// delete hides a row, a buffered put is a row.
+    fn pred_over(&self, table: &str, start: &str, end: &str, over: Option<&Buffer>) -> Option<(String, Bytes)> {
         self.db.charge(OpClass::Read);
         self.db.stats().record_read();
+        let range = (Included(start), Excluded(end));
         let guard = self.db.inner.tables.read();
-        let t = guard.get(table)?;
         let mut steps = 0;
-        let found = t.range(start.to_string()..end.to_string()).rev().find_map(|(k, chain)| {
-            steps += 1;
-            let v = chain.visible_at(self.snapshot)?.value.clone()?;
-            Some((k.clone(), v))
+        let found = guard.get(table).and_then(|t| {
+            t.range::<str, _>(range).rev().find_map(|(k, chain)| {
+                steps += 1;
+                let value = match over.and_then(|b| b.get(k)) {
+                    Some(buffered) => buffered.clone(),
+                    None => value_at(chain, self.snapshot),
+                };
+                value.map(|v| (k.clone(), v))
+            })
         });
+        drop(guard);
         self.db.stats().record_steps(steps);
-        found
+        // A buffered put at a key the snapshot does not hold can beat the
+        // snapshot's best.
+        let put = over.and_then(|b| b.range::<str, _>(range).rev().find_map(|(k, v)| Some((k, v.as_ref()?))));
+        match put {
+            Some((k, v)) if found.as_ref().is_none_or(|(f, _)| k > f) => Some((k.clone(), v.clone())),
+            _ => found,
+        }
     }
 }
 
@@ -137,6 +179,25 @@ impl Drop for ReadTxn {
     fn drop(&mut self) {
         self.db.close_snapshot(self.snapshot);
     }
+}
+
+/// `rows` with `buffered` (both in key order) laid over them: a buffered
+/// put replaces or joins a row, a buffered delete removes one.
+fn lay_over<'a>(
+    rows: Vec<(String, Bytes)>,
+    buffered: impl Iterator<Item = (&'a String, &'a Option<Bytes>)>,
+) -> Vec<(String, Bytes)> {
+    let mut rows = rows.into_iter().peekable();
+    let mut out = Vec::new();
+    for (key, value) in buffered {
+        while let Some(row) = rows.next_if(|(k, _)| k < key) {
+            out.push(row);
+        }
+        rows.next_if(|(k, _)| k == key);
+        out.extend(value.clone().map(|v| (key.clone(), v)));
+    }
+    out.extend(rows);
+    out
 }
 
 /// Chain-prefix separator byte recognized by [`ReadTxn::scan_chain`] /
@@ -151,201 +212,148 @@ fn chain_prefixes(key: &str) -> impl Iterator<Item = &str> {
         .map(move |(i, _)| &key[..=i])
 }
 
-/// Serializable read-write transaction.
+/// The keys of one table a read's answer depends on: a commit after the
+/// snapshot to any of them could have changed it.
+#[derive(Debug)]
+enum Span<K> {
+    /// One key: a point read, one prefix of a chain scan, a buffered write.
+    Key(K),
+    /// Every key starting with the prefix: a prefix scan.
+    Prefix(K),
+    /// `[lo, end)`: a predecessor seek, from the key it found (changes
+    /// below it cannot alter the answer), or from its start when it found
+    /// none.
+    Range(K, K),
+}
+
+impl Span<String> {
+    fn as_str(&self) -> Span<&str> {
+        match self {
+            Span::Key(k) => Span::Key(k),
+            Span::Prefix(p) => Span::Prefix(p),
+            Span::Range(lo, end) => Span::Range(lo, end),
+        }
+    }
+}
+
+impl Span<&str> {
+    /// Some chain of `t` in the span has a version newer than `snapshot`.
+    fn changed_after(&self, t: &Table, snapshot: u64) -> bool {
+        let newer = |(_, chain): (&String, &VersionChain)| chain.latest_csn() > snapshot;
+        match *self {
+            Span::Key(k) => t.get_key_value(k).is_some_and(newer),
+            Span::Prefix(p) => {
+                t.range::<str, _>((Included(p), Unbounded)).take_while(|(k, _)| k.starts_with(p)).any(newer)
+            }
+            Span::Range(lo, end) => t.range::<str, _>((Included(lo), Excluded(end))).any(newer),
+        }
+    }
+
+    /// What the `txdb.conflict` event calls the read: nothing for a point.
+    fn kind(&self) -> &'static str {
+        match self {
+            Span::Key(_) => "",
+            Span::Prefix(_) => " scan",
+            Span::Range(..) => " pred",
+        }
+    }
+}
+
+/// Serializable read-write transaction: a reader, the writes it buffers
+/// and the spans its reads saw.
 pub struct WriteTxn {
-    db: Db,
-    snapshot: u64,
-    /// The snapshot is still registered with the database.
-    snapshot_open: bool,
-    finished: bool,
-    /// Point reads performed (table, key).
-    reads: HashSet<(String, String)>,
-    /// Prefix scans performed (table, prefix).
-    scans: Vec<(String, String)>,
-    /// Predecessor seeks performed: (table, effective lower bound, end).
-    /// The lower bound is the found key when the seek hit (changes below
-    /// it cannot alter the result) or the seek's `start` when it missed.
-    preds: Vec<(String, String, String)>,
-    /// Buffered writes; `None` = delete.
-    writes: BTreeMap<(String, String), Option<Bytes>>,
+    reader: ReadTxn,
+    /// Buffered writes by table.
+    writes: BTreeMap<String, Buffer>,
+    /// `(table, span)` per read, validated at commit.
+    reads: Vec<(String, Span<String>)>,
 }
 
 impl WriteTxn {
-    /// `snapshot` must be registered with `db` (see `Db::begin_write`).
-    pub(crate) fn new(db: Db, snapshot: u64) -> Self {
-        WriteTxn {
-            db,
-            snapshot,
-            snapshot_open: true,
-            finished: false,
-            reads: HashSet::new(),
-            scans: Vec::new(),
-            preds: Vec::new(),
-            writes: BTreeMap::new(),
-        }
+    pub(crate) fn new(reader: ReadTxn) -> Self {
+        WriteTxn { reader, writes: BTreeMap::new(), reads: Vec::new() }
     }
 
     /// CSN this transaction reads at.
     pub fn snapshot_csn(&self) -> u64 {
-        self.snapshot
+        self.reader.snapshot
     }
 
-    /// Point lookup: sees the transaction's own buffered writes first, then
-    /// the snapshot. The read is recorded for commit-time validation.
+    /// Point lookup: the transaction's own buffered write if it has one,
+    /// else the snapshot's row, and the key joins the read set.
     pub fn get(&mut self, table: &str, key: &str) -> Option<Bytes> {
-        let wkey = (table.to_string(), key.to_string());
-        if let Some(buffered) = self.writes.get(&wkey) {
+        if let Some(buffered) = self.writes.get(table).and_then(|b| b.get(key)) {
             return buffered.clone();
         }
-        self.reads.insert(wkey);
-        self.db.charge(OpClass::Read);
-        self.db.stats().record_read();
-        let guard = self.db.inner.tables.read();
-        guard
-            .get(table)?
-            .get(key)?
-            .visible_at(self.snapshot)
-            .and_then(|v| v.value.clone())
+        self.reads.push((table.to_string(), Span::Key(key.to_string())));
+        self.reader.get(table, key)
     }
 
-    /// Prefix scan merging buffered writes over the snapshot. The prefix is
-    /// recorded for phantom-safe validation.
+    /// [`ReadTxn::scan_prefix`] with buffered writes laid over it. The
+    /// prefix joins the read set, so a phantom in it conflicts.
     pub fn scan_prefix(&mut self, table: &str, prefix: &str) -> Vec<(String, Bytes)> {
-        self.scans.push((table.to_string(), prefix.to_string()));
-        self.db.charge(OpClass::List);
-        self.db.stats().record_scan();
-        let guard = self.db.inner.tables.read();
-        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
-        let mut steps = 0;
-        if let Some(t) = guard.get(table) {
-            for (k, chain) in t.range(prefix.to_string()..).take_while(|(k, _)| k.starts_with(prefix)) {
-                steps += 1;
-                if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
-                    merged.insert(k.clone(), Some(v));
-                }
-            }
-        }
-        drop(guard);
-        self.db.stats().record_steps(steps);
-        for ((t, k), v) in &self.writes {
-            if t == table && k.starts_with(prefix) {
-                merged.insert(k.clone(), v.clone());
-            }
-        }
-        merged
-            .into_iter()
-            .filter_map(|(k, v)| v.map(|val| (k, val)))
-            .collect()
+        self.reads.push((table.to_string(), Span::Prefix(prefix.to_string())));
+        self.reader.scan_over(table, prefix, prefix, self.writes.get(table))
     }
 
-    /// All live rows at the chain prefixes of `key` (see
-    /// [`ReadTxn::scan_chain`]), merging buffered writes. Every prefix —
-    /// present *and* absent — lands in the validated read set, so a
-    /// concurrent create or drop anywhere on the ancestor chain conflicts
-    /// at commit. Charged as a single scan.
+    /// [`ReadTxn::scan_chain`] with buffered writes laid over it. Every
+    /// prefix it did not find buffered — present *and* absent — joins the
+    /// read set, so a concurrent create or drop anywhere on the ancestor
+    /// chain conflicts.
     pub fn scan_chain(&mut self, table: &str, key: &str) -> Vec<(String, Bytes)> {
-        self.db.charge(OpClass::List);
-        self.db.stats().record_scan();
-        let mut out = Vec::new();
-        let mut steps = 0;
-        let guard = self.db.inner.tables.read();
-        let t = guard.get(table);
-        for p in chain_prefixes(key) {
-            let wkey = (table.to_string(), p.to_string());
-            if let Some(buffered) = self.writes.get(&wkey) {
-                if let Some(v) = buffered {
-                    out.push((p.to_string(), v.clone()));
-                }
-                continue;
-            }
-            self.reads.insert(wkey);
-            let Some(chain) = t.and_then(|t| t.get(p)) else { continue };
-            steps += 1;
-            if let Some(v) = chain.visible_at(self.snapshot).and_then(|v| v.value.clone()) {
-                out.push((p.to_string(), v));
-            }
-        }
-        drop(guard);
-        self.db.stats().record_steps(steps);
-        out
+        let buffer = self.writes.get(table);
+        let rows = self.reader.chain_over(table, key, buffer);
+        let read = chain_prefixes(key).filter(|p| !buffer.is_some_and(|b| b.contains_key(*p)));
+        self.reads.extend(read.map(|p| (table.to_string(), Span::Key(p.to_string()))));
+        rows
     }
 
-    /// Greatest live key in `[start, end)` (see [`ReadTxn::pred_in_range`])
-    /// merging buffered writes. The seek is recorded for commit-time
-    /// validation: any committed change in `[found-or-start, end)` after
-    /// the snapshot — which is exactly the set of changes that could move
-    /// the result — conflicts.
+    /// [`ReadTxn::pred_in_range`] with buffered writes laid over it.
+    /// `[found-or-start, end)` joins the read set: a change there is
+    /// exactly what could move the answer.
     pub fn pred_in_range(&mut self, table: &str, start: &str, end: &str) -> Option<(String, Bytes)> {
-        self.db.charge(OpClass::Read);
-        self.db.stats().record_read();
-        let mut best: Option<(String, Bytes)> = None;
-        let mut steps = 0;
-        {
-            let guard = self.db.inner.tables.read();
-            if let Some(t) = guard.get(table) {
-                for (k, chain) in t.range(start.to_string()..end.to_string()).rev() {
-                    steps += 1;
-                    match self.writes.get(&(table.to_string(), k.clone())) {
-                        Some(None) => continue, // buffered delete masks the row
-                        Some(Some(v)) => {
-                            best = Some((k.clone(), v.clone()));
-                            break;
-                        }
-                        None => {
-                            if let Some(v) =
-                                chain.visible_at(self.snapshot).and_then(|v| v.value.clone())
-                            {
-                                best = Some((k.clone(), v));
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.db.stats().record_steps(steps);
-        // A buffered insert at a key the database has never seen can beat
-        // the database's best.
-        let lo = (table.to_string(), start.to_string());
-        let hi = (table.to_string(), end.to_string());
-        for ((_, k), v) in self.writes.range(lo..hi).rev() {
-            if let Some(v) = v {
-                if best.as_ref().map(|(bk, _)| k > bk).unwrap_or(true) {
-                    best = Some((k.clone(), v.clone()));
-                }
-                break;
-            }
-        }
-        let effective_lo = best.as_ref().map(|(k, _)| k.clone()).unwrap_or_else(|| start.to_string());
-        self.preds.push((table.to_string(), effective_lo, end.to_string()));
-        best
+        let found = self.reader.pred_over(table, start, end, self.writes.get(table));
+        let lo = found.as_ref().map_or(start, |(k, _)| k.as_str());
+        self.reads.push((table.to_string(), Span::Range(lo.to_string(), end.to_string())));
+        found
     }
 
     /// Buffer an upsert.
     pub fn put(&mut self, table: &str, key: &str, value: Bytes) {
-        self.writes
-            .insert((table.to_string(), key.to_string()), Some(value));
+        self.buffer(table, key, Some(value));
     }
 
     /// Buffer a delete.
     pub fn delete(&mut self, table: &str, key: &str) {
-        self.writes.insert((table.to_string(), key.to_string()), None);
+        self.buffer(table, key, None);
+    }
+
+    fn buffer(&mut self, table: &str, key: &str, value: Option<Bytes>) {
+        match self.writes.get_mut(table) {
+            Some(b) => {
+                b.insert(key.to_string(), value);
+            }
+            None => {
+                self.writes.insert(table.to_string(), BTreeMap::from([(key.to_string(), value)]));
+            }
+        }
     }
 
     /// The keys of `table` this transaction has buffered a put or a delete
     /// for, in key order: what its commit will write there.
     pub fn written_keys<'a>(&'a self, table: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.writes.keys().filter(move |(t, _)| t == table).map(|(_, k)| k.as_str())
+        self.writes.get(table).into_iter().flat_map(|b| b.keys().map(String::as_str))
     }
 
     /// Validate and commit; returns the new CSN. On [`TxError::Conflict`]
     /// the transaction is consumed — callers retry from `begin_write`.
+    /// Dropping a transaction instead discards its writes.
     pub fn commit(self) -> TxResult<u64> {
-        let db = self.db.clone();
+        let db = self.reader.db.clone();
         let obs = &db.inner.obs;
         let start_ms = obs.clock_ms();
         let mut span = obs.span("txdb", "commit");
-        let result = self.commit_inner();
+        let result = self.commit_inner(&db);
         match &result {
             Err(TxError::Conflict { .. }) => span.set_status("conflict"),
             Err(_) => span.set_status("error"),
@@ -361,18 +369,14 @@ impl WriteTxn {
         result
     }
 
-    fn commit_inner(mut self) -> TxResult<u64> {
-        if self.finished {
-            return Err(TxError::AlreadyFinished);
-        }
-        self.finished = true;
-        if self.writes.is_empty() {
+    fn commit_inner(self, db: &Db) -> TxResult<u64> {
+        let WriteTxn { reader, writes, reads } = self;
+        let snapshot = reader.snapshot;
+        if writes.is_empty() {
             // Read-only write-txn: snapshot reads are already consistent.
-            return Ok(self.snapshot);
+            return Ok(snapshot);
         }
-        self.db.charge(OpClass::Write);
-
-        let db = self.db.clone();
+        db.charge(OpClass::Write);
         let inner = &db.inner;
 
         // Fault injection at the commit boundary: the three transient
@@ -390,9 +394,9 @@ impl WriteTxn {
         }
         if inner.faults.should_inject(points::TXDB_COMMIT_CONFLICT) {
             inner.stats.record_conflict();
-            uc_obs::span_event("txdb.conflict", &format!("injected snapshot={}", self.snapshot));
+            uc_obs::span_event("txdb.conflict", &format!("injected snapshot={snapshot}"));
             return Err(TxError::Conflict {
-                detail: format!("injected conflict at snapshot {}", self.snapshot),
+                detail: format!("injected conflict at snapshot {snapshot}"),
             });
         }
 
@@ -402,99 +406,48 @@ impl WriteTxn {
 
         let mut dead = inner.commit_lock.lock();
 
-        // --- Validation phase (under commit lock; no commits can interleave).
-        // The weaken switch exists only to prove the history checker spots
-        // the anomalies validation prevents; see Db::set_unsafe_skip_commit_validation.
+        // --- Validation (under the commit lock: no commit interleaves). Every
+        // key written and every span read must be unchanged since the
+        // snapshot. The weaken switch exists only to prove the history
+        // checker spots the anomalies this prevents; see
+        // Db::set_unsafe_skip_commit_validation.
         if !inner.weaken_validation.load(std::sync::atomic::Ordering::Relaxed) {
             let tables = inner.tables.read();
-            let conflicting_key = |table: &str, key: &str| -> bool {
-                tables
-                    .get(table)
-                    .and_then(|t| t.get(key))
-                    .is_some_and(|chain| chain.latest_csn() > self.snapshot)
-            };
-            for (table, key) in self.reads.iter().chain(self.writes.keys()) {
-                if conflicting_key(table, key) {
-                    inner.stats.record_conflict();
-                    // Event detail names the table but not the key: keys can
-                    // embed random entity Uids, which would break trace-dump
-                    // byte-determinism across runs.
-                    uc_obs::span_event(
-                        "txdb.conflict",
-                        &format!("{table} snapshot={}", self.snapshot),
-                    );
-                    return Err(TxError::Conflict {
-                        detail: format!("{table}/{key} changed after snapshot {}", self.snapshot),
-                    });
-                }
-            }
-            for (table, prefix) in &self.scans {
-                if let Some(t) = tables.get(table) {
-                    let phantom = t
-                        .range(prefix.clone()..)
-                        .take_while(|(k, _)| k.starts_with(prefix.as_str()))
-                        .any(|(_, chain)| chain.latest_csn() > self.snapshot);
-                    if phantom {
-                        inner.stats.record_conflict();
-                        uc_obs::span_event(
-                            "txdb.conflict",
-                            &format!("{table} scan snapshot={}", self.snapshot),
-                        );
-                        return Err(TxError::Conflict {
-                            detail: format!(
-                                "scan {table}/{prefix}* observed a change after snapshot {}",
-                                self.snapshot
-                            ),
-                        });
-                    }
-                }
-            }
-            // Predecessor seeks: a commit into [found-or-start, end) after
-            // the snapshot could have produced a different predecessor
-            // (a new key above the found one, or a change/removal of the
-            // found key itself), so it invalidates the seek.
-            for (table, lo, end) in &self.preds {
-                if let Some(t) = tables.get(table) {
-                    let moved = t
-                        .range(lo.clone()..end.clone())
-                        .any(|(_, chain)| chain.latest_csn() > self.snapshot);
-                    if moved {
-                        inner.stats.record_conflict();
-                        uc_obs::span_event(
-                            "txdb.conflict",
-                            &format!("{table} pred snapshot={}", self.snapshot),
-                        );
-                        return Err(TxError::Conflict {
-                            detail: format!(
-                                "pred seek {table} range observed a change after snapshot {}",
-                                self.snapshot
-                            ),
-                        });
-                    }
-                }
+            let written = writes.iter().flat_map(|(table, b)| b.keys().map(move |k| (table, Span::Key(k.as_str()))));
+            let mut spans = written.chain(reads.iter().map(|(table, span)| (table, span.as_str())));
+            let conflict = spans.find(|(table, span)| {
+                tables.get(table.as_str()).is_some_and(|t| span.changed_after(t, snapshot))
+            });
+            if let Some((table, span)) = conflict {
+                inner.stats.record_conflict();
+                // Event detail names the table and the read's kind but not
+                // the key: keys can embed random entity Uids, which would
+                // break trace-dump byte-determinism across runs.
+                uc_obs::span_event("txdb.conflict", &format!("{table}{} snapshot={snapshot}", span.kind()));
+                return Err(TxError::Conflict {
+                    detail: format!("{table} {span:?} changed after snapshot {snapshot}"),
+                });
             }
         }
 
         // --- Apply phase, reclaiming as the rows land (crate::db docs).
         // Validation was this transaction's last read: its own snapshot no
         // longer needs to hold the horizon.
-        self.close_snapshot();
+        drop(reader);
         let horizon = db.reclaim_horizon();
         let new_csn = inner.csn.load(std::sync::atomic::Ordering::Acquire) + 1;
-        let rows = self.writes.len() as u64;
+        let rows = writes.values().map(Buffer::len).sum::<usize>() as u64;
         {
             let mut tables = inner.tables.write();
-            for ((table, key), value) in std::mem::take(&mut self.writes) {
-                let chain = tables
-                    .entry(table.clone())
-                    .or_default()
-                    .entry(key.clone())
-                    .or_default();
-                let deleted = value.is_none();
-                chain.versions.push(Version { csn: new_csn, value });
-                chain.prune(horizon);
-                if deleted {
-                    dead.push_back((new_csn, table, key));
+            for (table, buffer) in writes {
+                for (key, _) in buffer.iter().filter(|(_, value)| value.is_none()) {
+                    dead.push_back((new_csn, table.clone(), key.clone()));
+                }
+                let t = tables.entry(table).or_default();
+                for (key, value) in buffer {
+                    let chain = t.entry(key).or_default();
+                    chain.versions.push(Version { csn: new_csn, value });
+                    chain.prune(horizon);
                 }
             }
             remove_dead(&mut tables, &mut dead, horizon);
@@ -505,24 +458,6 @@ impl WriteTxn {
             .store(new_csn, std::sync::atomic::Ordering::Release);
         inner.stats.record_commit();
         Ok(new_csn)
-    }
-
-    /// Discard buffered writes.
-    pub fn rollback(mut self) {
-        self.finished = true;
-        self.writes.clear();
-    }
-
-    fn close_snapshot(&mut self) {
-        if std::mem::replace(&mut self.snapshot_open, false) {
-            self.db.close_snapshot(self.snapshot);
-        }
-    }
-}
-
-impl Drop for WriteTxn {
-    fn drop(&mut self) {
-        self.close_snapshot();
     }
 }
 
@@ -576,7 +511,7 @@ mod tests {
         let mut tx = db.begin_write();
         tx.put("t", "a", Bytes::from_static(b"x"));
         assert_eq!(db.begin_read().get("t", "a"), None);
-        tx.rollback();
+        drop(tx);
         assert_eq!(db.begin_read().get("t", "a"), None);
     }
 
@@ -827,6 +762,46 @@ mod tests {
         assert!(matches!(tx.commit(), Err(TxError::Conflict { .. })));
     }
 
+    /// `f`'s answer and the `[reads, scans, steps]` it charged.
+    fn charged<R>(db: &Db, f: impl FnOnce() -> R) -> (R, [u64; 3]) {
+        let s = db.stats();
+        let before = [s.reads(), s.scans(), s.steps()];
+        let answer = f();
+        (answer, [s.reads() - before[0], s.scans() - before[1], s.steps() - before[2]])
+    }
+
+    #[test]
+    fn a_write_txn_with_nothing_buffered_reads_and_charges_as_a_read_txn() {
+        let db = Db::in_memory();
+        let keys = ["r\u{1}", "r\u{1}a\u{1}", "r\u{1}a\u{1}x\u{1}", "r\u{1}b\u{1}", "r\u{1}b\u{1}z\u{1}", "s\u{1}"];
+        for k in keys {
+            put1(&db, "t", k, k);
+        }
+        // A held snapshot keeps a deleted chain resident: a tombstone every
+        // scan and seek still steps over.
+        let held = db.begin_read();
+        let mut tx = db.begin_write();
+        tx.delete("t", "r\u{1}b\u{1}");
+        tx.commit().unwrap();
+        let rt = db.begin_read();
+        let mut tx = db.begin_write();
+        assert_eq!(rt.snapshot_csn(), tx.snapshot_csn());
+        let probes = keys.into_iter().chain(["", "r\u{1}a", "r\u{1}b\u{1}q\u{1}", "t\u{1}"]);
+        for p in probes {
+            let read = charged(&db, || rt.get("t", p));
+            assert_eq!(charged(&db, || tx.get("t", p)), read, "get {p:?}");
+            let read = charged(&db, || rt.scan_prefix("t", p));
+            assert_eq!(charged(&db, || tx.scan_prefix("t", p)), read, "scan_prefix {p:?}");
+            let read = charged(&db, || rt.scan_chain("t", p));
+            assert_eq!(charged(&db, || tx.scan_chain("t", p)), read, "scan_chain {p:?}");
+            for end in keys.into_iter().filter(|end| *end > p) {
+                let read = charged(&db, || rt.pred_in_range("t", p, end));
+                assert_eq!(charged(&db, || tx.pred_in_range("t", p, end)), read, "pred_in_range {p:?}..{end:?}");
+            }
+        }
+        drop(held);
+    }
+
     #[test]
     fn concurrent_counter_increments_are_serializable() {
         // Classic lost-update test: N threads increment a counter with
@@ -858,7 +833,8 @@ mod tests {
             h.join().unwrap();
         }
         let final_val: i64 = db
-            .get_latest("t", "ctr")
+            .begin_read()
+            .get("t", "ctr")
             .map(|b| String::from_utf8(b.to_vec()).unwrap().parse().unwrap())
             .unwrap();
         assert_eq!(final_val, (threads * iters) as i64);

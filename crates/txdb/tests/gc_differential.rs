@@ -1,5 +1,6 @@
 //! Reclamation is invisible: random interleavings of begin / get / scan /
-//! chain scan / predecessor seek / put / delete / commit / drop run against
+//! resumed scan / chain scan / predecessor seek / put / delete / commit /
+//! drop run against
 //! the real database — which prunes versions and removes dead chains on
 //! every commit — and against a reference that keeps every version forever.
 //! Every read of every open transaction, and every commit verdict, must
@@ -120,8 +121,9 @@ type Op = (u8, usize, usize, usize);
 const READERS: usize = 2;
 
 /// One step. An op on an empty slot begins its transaction first; codes
-/// past 9 weight puts and commits up, since reclamation needs a key
-/// committed more than once while a snapshot is open.
+/// 10 to 15 weight puts and commits up, since reclamation needs a key
+/// committed more than once while a snapshot is open; 16 resumes a prefix
+/// scan, which only a read transaction has.
 fn step(db: &Db, reference: &mut Reference, slots: &mut [Option<Slot>], (op, slot, a, b): Op, n: usize) {
     let key = KEYS[a];
     let op = match op {
@@ -200,6 +202,12 @@ fn step(db: &Db, reference: &mut Reference, slots: &mut [Option<Slot>], (op, slo
             tx.delete(T, key);
             m.writes.insert(key.to_string(), None);
         }
+        (16, Slot::Read(rt)) => {
+            let (p, start) = (PREFIXES[a % PREFIXES.len()], KEYS[b]);
+            let view = reference.view(rt.snapshot_csn(), &BTreeMap::new());
+            let want: Vec<_> = prefix_rows(&view, p).into_iter().filter(|(k, _)| k.as_str() >= start).collect();
+            assert_eq!(rt.scan_prefix_from(T, p, start), want);
+        }
         (8, Slot::Write(..)) => {
             let Some(Slot::Write(tx, m)) = slots[slot].take() else { unreachable!() };
             commit(reference, tx, *m);
@@ -233,7 +241,7 @@ fn commit(reference: &mut Reference, tx: WriteTxn, m: WriteModel) {
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    collection::vec((0u8..16, 0usize..SLOTS, 0usize..KEYS.len(), 0usize..KEYS.len()), 1..160)
+    collection::vec((0u8..17, 0usize..SLOTS, 0usize..KEYS.len(), 0usize..KEYS.len()), 1..160)
 }
 
 /// Drive `ops` against `db` and the reference; panics at the first

@@ -621,7 +621,7 @@ fn the_feed_rule_flags_a_row_that_misnames_its_commit_or_is_missing() {
     assert_eq!(check(), vec![], "the feed as the write protocol left it");
 
     let key = feed::key(&ms, base + 1);
-    let row = FeedRow::decode(&uc.db().get_latest(T_FEED, &key).unwrap()).unwrap();
+    let row = FeedRow::decode(&uc.db().begin_read().get(T_FEED, &key).unwrap()).unwrap();
     assert_eq!((row.tree.len(), row.path.len()), (1, 1), "the table's tree row and its path");
     let rewrite = |row: Option<FeedRow>| {
         let mut tx = uc.db().begin_write();

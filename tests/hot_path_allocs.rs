@@ -120,19 +120,21 @@ const ENCODE_TABLE_ROW_ALLOCS: u64 = 2;
 /// 199 with the tree decode).
 const COLD_GET_TABLE_ALLOCS: u64 = 64;
 /// Allocations per uncached 200-table `list_children` (10 172 with the
-/// tree decode).
-const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_873;
+/// tree decode; 2 873 while every txdb range read copied its bounds into
+/// `String`s).
+const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_870;
 /// Allocations per uncached 200-table `tables.list` through
 /// `RestApi::handle`, the JSON reply included (17 779 with the tree
-/// decode).
-const COLD_REST_LIST_ALLOCS: u64 = 10_480;
+/// decode; 10 480 with the copied bounds).
+const COLD_REST_LIST_ALLOCS: u64 = 10_477;
 /// Allocations per `get_table` that misses the table but finds its three
 /// containers cached (the cache on, as `meta_cold` runs it): one chain
 /// scan, one decode, one install. 78 while a miss decoded all four rows,
 /// the containers it already held included: their decodes cost 25
 /// allocations and their `Arc`s 3, where finding them costs an id copy
-/// each and the rows to install one vector.
-const MISS_GET_TABLE_ALLOCS: u64 = 54;
+/// each and the rows to install one vector. 54 while the metastore
+/// version's seek copied its two bounds into `String`s.
+const MISS_GET_TABLE_ALLOCS: u64 = 52;
 /// Tables in the cold node's schema: a `meta_cold` schema's.
 const COLD_TABLES: usize = 200;
 
