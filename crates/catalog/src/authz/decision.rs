@@ -141,15 +141,19 @@ pub fn can_traverse<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
     true
 }
 
-/// Can the caller see `chain[0]`'s metadata at all? Any privilege,
-/// ownership anywhere in the chain, or admin authority qualifies.
+/// Can the caller see `chain[0]`'s metadata at all? A metastore admin
+/// can; anyone else must own, or hold some grant on, a node of the chain
+/// ([`sees_node`]). Admin authority needs no rule of its own here: an
+/// owner or a MANAGE / ALL grantee already sees the node.
 pub fn can_see<N: AuthzNodeView>(chain: &[N], who: &AuthzContext) -> bool {
-    if has_admin_authority(chain, who) {
-        return true;
-    }
-    chain.iter().any(|node| {
-        node.node_grants().iter().any(|(g, _)| who.matches(g)) || who.matches(node.node_owner())
-    })
+    who.is_metastore_admin || chain.iter().any(|node| sees_node(node, who))
+}
+
+/// [`can_see`]'s rule for one node: the caller owns it or holds any grant
+/// on it. A listing decides its parent's chain with it once, then each
+/// child alone.
+pub fn sees_node<N: AuthzNodeView>(node: &N, who: &AuthzContext) -> bool {
+    who.matches(node.node_owner()) || node.node_grants().iter().any(|(g, _)| who.matches(g))
 }
 
 /// What an operation requires of the caller on `chain[0]` — the closed set

@@ -291,7 +291,46 @@ impl std::hash::Hasher for Fnv1a {
 type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
 
 type EntityShard = RwLock<HashMap<Uid, CachedEntry, FnvBuild>>;
-type IndexShard = RwLock<HashMap<String, Uid, FnvBuild>>;
+type IndexShard = RwLock<Index>;
+
+/// A name or path index shard's map, kept at most half full.
+///
+/// Eviction leaves tombstones, and tombstones use up a hash table's growth
+/// budget. A table out of budget rehashes in place if it is at most half
+/// full and reallocates otherwise, so at a map's usual load whether a
+/// re-install allocated depended on where earlier evictions had left
+/// tombstones: on the keys' hashes, which carry the metastore's random uid
+/// and so differ from run to run. Sized for twice the most live entries it
+/// has held, a map allocates only when that high is raised.
+#[derive(Default)]
+struct Index {
+    map: HashMap<String, Uid, FnvBuild>,
+    /// The most live entries the map has held.
+    high: usize,
+}
+
+impl Index {
+    fn get(&self, key: &str) -> Option<&Uid> {
+        self.map.get(key)
+    }
+
+    fn insert(&mut self, key: String, id: Uid) {
+        if self.map.len() == self.high && !self.map.contains_key(&key) {
+            self.high += 1;
+            // `reserve` counts from the live entries: room for twice the high.
+            self.map.reserve(2 * self.high - self.map.len());
+        }
+        self.map.insert(key, id);
+    }
+
+    fn remove(&mut self, key: &str) {
+        self.map.remove(key);
+    }
+
+    fn clear(&mut self) {
+        self.map.clear();
+    }
+}
 
 /// Cache state for one metastore on one node: sharded maps plus the
 /// version pin. The public read accessors take no exclusive lock; all
@@ -340,8 +379,8 @@ impl MsCache {
         MsCache {
             pin: AtomicU64::new(0),
             entity_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            name_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            path_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
+            name_shards: (0..SHARDS).map(|_| RwLock::new(Index::default())).collect(),
+            path_shards: (0..SHARDS).map(|_| RwLock::new(Index::default())).collect(),
             tick: AtomicU64::new(0),
             len: AtomicUsize::new(0),
             config: config.clone(),

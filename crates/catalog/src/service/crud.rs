@@ -707,7 +707,8 @@ impl UnityCatalog {
     }
 
     /// The children of `parent[0]` (given with its full chain) that `who`
-    /// can see from the request's workspace ([`Audited::visible`]), read at
+    /// can see from the request's workspace ([`Audited::visible`], the
+    /// parent's half decided once: [`Audited::visible_below`]), read at
     /// **one** snapshot: entities come from the scan's
     /// own rows, never through the cache — the cache may have advanced
     /// past the scan, and mixing the two yields a listing no single
@@ -730,26 +731,25 @@ impl UnityCatalog {
         }
         let rt = self.db.begin_read();
         let mut out = Vec::new();
-        let mut full = Vec::with_capacity(parent.len() + 1);
         let cache = self.cache.for_metastore(ms);
+        let visible = api.audit.visible_below(who, parent);
         for ent in tree_children(&cache, |p| rt.scan_prefix(T_TREE, p), &parent_key, group)? {
             // Catalogs carry no parent id; everything else names its
             // container. A mismatch means the container was dropped and
             // re-created under the same name between the request's
-            // resolution and this scan: only then walk by parent id.
+            // resolution and this scan: only then walk by parent id, and
+            // decide over the chain that walk finds.
             let under_parent = ent.parent.as_ref().is_none_or(|p| *p == parent[0].id);
             if under_parent {
-                full.clear();
-                full.push(ent);
-                full.extend_from_slice(parent);
-            } else {
-                // Dropped as well since the scan: not listed.
-                let Some(chain) = self.chain_by_id(ms, &ent.id)? else { continue };
-                full = chain;
+                if visible(&ent) {
+                    out.push(ent);
+                }
+            } else if let Some(chain) = self.chain_by_id(ms, &ent.id)? {
+                if api.audit.visible(who, &chain) {
+                    out.push(chain[0].clone());
+                }
             }
-            if api.audit.visible(who, &full) {
-                out.push(full[0].clone());
-            }
+            // else: dropped as well since the scan, so not listed.
         }
         crate::cache::history_read_event(crate::cache::read_ms_version(&rt, ms));
         Ok(out)

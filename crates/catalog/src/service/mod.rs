@@ -51,7 +51,7 @@ use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 
 use crate::audit::{AuditDecision, AuditLog, Reason};
 use crate::authz::fgac::FgacPolicies;
-use crate::authz::decision::{decide, AuthzContext, Need};
+use crate::authz::decision::{can_see, decide, sees_node, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
 use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, TreeRow, WriteEffects};
 use crate::error::{UcError, UcResult};
@@ -413,14 +413,17 @@ impl<'a> Audited<'a> {
     /// must be able to undo one from outside it (a request with no
     /// workspace does, in `workspace_bindings_gate_catalog_access`).
     fn foreign_catalog<'c>(&self, chain: &'c [Arc<Entity>]) -> Option<&'c Arc<Entity>> {
-        if self.op.index == Op::SET_CATALOG_BINDINGS.index {
-            return None;
+        chain.iter().find(|node| self.foreign(node))
+    }
+
+    /// [`Self::foreign_catalog`]'s rule for one node.
+    fn foreign(&self, node: &Entity) -> bool {
+        if node.kind != SecurableKind::Catalog || self.op.index == Op::SET_CATALOG_BINDINGS.index {
+            return false;
         }
+        let bindings = &node.governance().workspace_bindings;
         let workspace = self.caller.and_then(|c| c.workspace.as_ref());
-        chain.iter().filter(|e| e.kind == SecurableKind::Catalog).find(|node| {
-            let bindings = &node.governance().workspace_bindings;
-            !bindings.is_empty() && !workspace.is_some_and(|w| bindings.contains(w))
-        })
+        !bindings.is_empty() && !workspace.is_some_and(|w| bindings.contains(w))
     }
 
     /// The gate's answer without its audit — [`decide`] plus the bindings —
@@ -434,6 +437,20 @@ impl<'a> Audited<'a> {
     /// of listings, `lineage`, `query_entities` and `visible_batch`.
     pub(crate) fn visible(&self, who: &AuthzContext, chain: &[Arc<Entity>]) -> bool {
         self.admits(who, chain, Need::See)
+    }
+
+    /// [`Self::visible`] of `[child] + parent` for each child of the chain
+    /// `parent`, split by node: the parent's owners, grants and bindings
+    /// are decided here, once per listing; the predicate returned decides
+    /// only each child's owner, grants and, for a catalog, bindings.
+    pub(crate) fn visible_below<'s>(
+        &'s self,
+        who: &'s AuthzContext,
+        parent: &[Arc<Entity>],
+    ) -> impl Fn(&Entity) -> bool + 's {
+        let open = self.foreign_catalog(parent).is_none();
+        let seen = can_see(parent, who);
+        move |child| open && (seen || sees_node(child, who)) && !self.foreign(child)
     }
 
     /// The data-policy rule (§4.3.2, §3.3) every path that releases data
@@ -1197,6 +1214,7 @@ impl UnityCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::authz::Privilege;
 
     /// The manifest's `validate` is a step of the one create, so a fill
     /// that forgets a required property cannot commit — for any kind, with
@@ -1257,6 +1275,69 @@ mod tests {
         assert_eq!(held(), before, "the purge released all of them");
         for id in &victims {
             assert!(matches!(uc.get_entity_by_id(&ctx, &ms, id), Err(UcError::NotFound(_))));
+        }
+    }
+
+    /// A node of a random chain: its owner, its grants (grantee,
+    /// privilege) and its workspace bindings, each an index into the
+    /// tables of `split_visibility_is_the_chain_decision`.
+    type NodeSpec = (usize, Vec<(usize, usize)>, usize);
+
+    fn node_spec() -> impl proptest::Strategy<Value = NodeSpec> {
+        (0..4usize, proptest::collection::vec((0..4usize, 0..4usize), 0..3), 0..4usize)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// A listing's split decision, [`Audited::visible_below`] of the
+        /// parent then the child alone, is [`Audited::visible`] over
+        /// `[child] + parent` for random chains: a catalog, schema or table
+        /// child; owners and grants naming the caller, its groups or
+        /// others; a metastore admin or not; bindings on every node (only a
+        /// catalog's count) to the caller's workspace, another one, both or
+        /// none; under the listing ops and the one op bindings do not bind.
+        #[test]
+        fn split_visibility_is_the_chain_decision(
+            nodes in proptest::collection::vec(node_spec(), 4..5),
+            caller in (0..4usize, 0..2usize, 0..3usize, 0..3usize),
+            depth in 1..4usize,
+        ) {
+            const PRINCIPALS: [&str; 4] = ["alice", "bob", "analysts", "eng"];
+            const PRIVILEGES: [Privilege; 4] = [Privilege::Select, Privilege::UseCatalog, Privilege::Manage, Privilege::All];
+            const WORKSPACES: [&[&str]; 4] = [&[], &["ws-1"], &["ws-2"], &["ws-1", "ws-2"]];
+            let uc = UnityCatalog::in_memory();
+            let (groups, admin, workspace, op) = caller;
+            let kinds = [SecurableKind::Table, SecurableKind::Schema, SecurableKind::Catalog, SecurableKind::Metastore];
+            let chain: Vec<Arc<Entity>> = nodes
+                .iter()
+                .zip(kinds)
+                .map(|((owner, grants, bound), kind)| {
+                    let mut e = Entity::new(kind, "n", None, Uid::from("ms"), PRINCIPALS[*owner], 0);
+                    for (grantee, privilege) in grants {
+                        e.add_grant(PRINCIPALS[*grantee], PRIVILEGES[*privilege]);
+                    }
+                    e.governance_mut().workspace_bindings = WORKSPACES[*bound].iter().map(|w| w.to_string()).collect();
+                    Arc::new(e)
+                })
+                .collect();
+            let chain = &chain[3 - depth..];
+            let who = AuthzContext {
+                principal: "alice".into(),
+                groups: ["analysts", "eng"]
+                    .iter()
+                    .enumerate()
+                    .filter(|(bit, _)| groups & (1 << bit) != 0)
+                    .map(|(_, g)| g.to_string())
+                    .collect(),
+                is_metastore_admin: admin == 1,
+            };
+            let mut ctx = Context::user("alice");
+            ctx.workspace = [None, Some("ws-1"), Some("ws-2")][workspace].map(str::to_string);
+            let op = [Op::LIST_CHILDREN, Op::LIST_CATALOGS, Op::SET_CATALOG_BINDINGS][op];
+            let audit = Audited { uc: &uc, op, action: 0, principal: "alice", caller: Some(&ctx) };
+            let split = audit.visible_below(&who, &chain[1..])(&chain[0]);
+            proptest::prop_assert_eq!(split, audit.visible(&who, chain), "{:?} over {:?}", who, chain);
         }
     }
 }

@@ -17,9 +17,14 @@
 //! `RestApi::dispatch`; each error status is chosen once, in
 //! `From<UcError> for ApiError`.
 
-use serde_json::{json, Value as Json};
+use std::sync::Arc;
 
+use serde_json::Value as Json;
+use uc_cloudstore::TempCredential;
+
+use crate::authz::Privilege;
 use crate::error::{UcError, UcResult};
+use crate::events::{EventPage, MetadataChangeEvent};
 use crate::ids::Uid;
 use crate::model::entity::{props, Entity};
 use crate::service::crud::TableSpec;
@@ -56,23 +61,75 @@ impl From<UcError> for ApiError {
 /// The alias keeps the name wire clients already use.
 pub type RequestAuth = Context;
 
+/// A reply object: `fields` in order, built at their exact number. Every
+/// reply is assembled from parts moved in; the JSON macro would render
+/// each finished subtree it is handed by copying it.
+fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
 /// The wire representation of an entity.
 fn entity_json(e: &Entity) -> Json {
-    json!({
-        "id": e.id.as_str(),
-        "kind": e.kind.as_str(),
-        "name": e.name,
-        "owner": e.owner,
-        "comment": e.comment,
-        "storage_path": e.storage_path,
-        "table_type": e.table_type().map(|t| t.as_str()),
-        "format": e.table_format().map(|f| f.as_str()),
-        "created_at_ms": e.created_at_ms,
-        "updated_at_ms": e.updated_at_ms,
-        "grants": e.grants.iter()
-            .map(|(g, p)| json!({"grantee": g, "privilege": p.as_str()}))
-            .collect::<Vec<_>>(),
-    })
+    object([
+        ("id", e.id.as_str().into()),
+        ("kind", e.kind.as_str().into()),
+        ("name", e.name.as_str().into()),
+        ("owner", e.owner.as_str().into()),
+        ("comment", e.comment.as_deref().into()),
+        ("storage_path", e.storage_path.as_deref().into()),
+        ("table_type", e.table_type().map(TableType::as_str).into()),
+        ("format", e.table_format().map(TableFormat::as_str).into()),
+        ("created_at_ms", e.created_at_ms.into()),
+        ("updated_at_ms", e.updated_at_ms.into()),
+        ("grants", grants_json(&e.grants)),
+    ])
+}
+
+fn grants_json(grants: &[(String, Privilege)]) -> Json {
+    grants.iter().map(|(g, p)| object([("grantee", g.as_str().into()), ("privilege", p.as_str().into())])).collect()
+}
+
+/// The reply of `grants.list`.
+fn grants_reply(grants: &[(String, Privilege)]) -> Json {
+    object([("grants", grants_json(grants))])
+}
+
+/// The reply of the listing routes: the entities under `key`.
+fn list_reply(key: &str, list: &[Arc<Entity>]) -> Json {
+    object([(key, list.iter().map(|e| entity_json(e)).collect())])
+}
+
+/// The reply of `events.list`.
+fn events_reply(page: &EventPage) -> Json {
+    let event = |e: &MetadataChangeEvent| {
+        object([
+            ("entity_id", e.entity_id.as_str().into()),
+            ("kind", e.kind.as_str().into()),
+            ("name", e.name.as_str().into()),
+            ("op", format!("{:?}", e.op).into()),
+            ("at_version", e.at_version.into()),
+        ])
+    };
+    object([
+        ("next_version", page.next_version.into()),
+        ("resync", page.resync.into()),
+        ("events", page.events.iter().map(event).collect()),
+    ])
+}
+
+/// The reply of `credentials.temporary`.
+fn credential_reply(token: &TempCredential) -> Json {
+    let access = match token.access {
+        uc_cloudstore::AccessLevel::Read => "READ",
+        uc_cloudstore::AccessLevel::ReadWrite => "READ_WRITE",
+    };
+    object([
+        ("scope", token.scope.to_string().into()),
+        ("access", access.into()),
+        ("expires_at_ms", token.expires_at_ms.into()),
+        ("nonce", token.nonce.into()),
+        ("signature", token.signature.into()),
+    ])
 }
 
 fn str_param<'a>(params: &'a Json, key: &str) -> UcResult<&'a str> {
@@ -88,7 +145,7 @@ fn name_param(params: &Json, key: &str) -> UcResult<FullName> {
 
 /// A REST endpoint bound to one catalog node.
 pub struct RestApi {
-    uc: std::sync::Arc<UnityCatalog>,
+    uc: Arc<UnityCatalog>,
 }
 
 /// The `names` / `with_credentials` parameters of the resolve routes.
@@ -111,19 +168,20 @@ fn resolve_params(params: &Json) -> UcResult<(Vec<FullName>, bool)> {
 
 /// The reply of the resolve routes.
 fn resolved_json(resolved: &[ResolvedSecurable]) -> Json {
-    json!({
-        "securables": resolved.iter().map(|r| json!({
-            "entity": entity_json(&r.entity),
-            "has_row_filter": r.fgac.row_filter.is_some(),
-            "masked_columns": r.fgac.column_masks.iter().map(|m| m.column.clone()).collect::<Vec<_>>(),
-            "dependencies": r.dependencies.iter().map(|d| d.entity.name.clone()).collect::<Vec<_>>(),
-            "has_credential": r.read_credential.is_some(),
-        })).collect::<Vec<_>>()
-    })
+    let securable = |r: &ResolvedSecurable| {
+        object([
+            ("entity", entity_json(&r.entity)),
+            ("has_row_filter", r.fgac.row_filter.is_some().into()),
+            ("masked_columns", r.fgac.column_masks.iter().map(|m| m.column.as_str()).collect()),
+            ("dependencies", r.dependencies.iter().map(|d| d.entity.name.as_str()).collect()),
+            ("has_credential", r.read_credential.is_some().into()),
+        ])
+    };
+    object([("securables", resolved.iter().map(securable).collect())])
 }
 
 impl RestApi {
-    pub fn new(uc: std::sync::Arc<UnityCatalog>) -> Self {
+    pub fn new(uc: Arc<UnityCatalog>) -> Self {
         RestApi { uc }
     }
 
@@ -152,7 +210,7 @@ impl RestApi {
             }
             "catalogs.list" => {
                 let list = self.uc.list_catalogs(ctx, ms)?;
-                Ok(json!({ "catalogs": list.iter().map(|e| entity_json(e)).collect::<Vec<_>>() }))
+                Ok(list_reply("catalogs", &list))
             }
             "schemas.create" => {
                 let e = self.uc.create_schema(
@@ -194,13 +252,13 @@ impl RestApi {
             "tables.list" => {
                 let parent = name_param(params, "schema")?;
                 let list = self.uc.list_children(ctx, ms, &parent, Some("relation"))?;
-                Ok(json!({ "tables": list.iter().map(|e| entity_json(e)).collect::<Vec<_>>() }))
+                Ok(list_reply("tables", &list))
             }
             "securables.drop" => {
                 let name = name_param(params, "name")?;
                 let group = str_param(params, "kind_group")?;
                 let dropped = self.uc.drop_securable(ctx, ms, &name, group)?;
-                Ok(json!({ "dropped": dropped }))
+                Ok(object([("dropped", dropped.into())]))
             }
             "grants.add" | "grants.revoke" => {
                 let name = name_param(params, "securable")?;
@@ -213,17 +271,13 @@ impl RestApi {
                 } else {
                     self.uc.revoke(ctx, ms, &name, group, grantee, privilege)?;
                 }
-                Ok(json!({ "ok": true }))
+                Ok(object([("ok", true.into())]))
             }
             "grants.list" => {
                 let name = name_param(params, "securable")?;
                 let group = str_param(params, "kind_group")?;
                 let grants = self.uc.show_grants(ctx, ms, &name, group)?;
-                Ok(json!({
-                    "grants": grants.iter()
-                        .map(|(g, p)| json!({"grantee": g, "privilege": p.as_str()}))
-                        .collect::<Vec<_>>()
-                }))
+                Ok(grants_reply(&grants))
             }
             "credentials.temporary" => {
                 let access = match str_param(params, "operation")? {
@@ -241,16 +295,7 @@ impl RestApi {
                         .unwrap_or("relation");
                     self.uc.temp_credentials(ctx, ms, &name, group, access)?
                 };
-                Ok(json!({
-                    "scope": token.scope.to_string(),
-                    "access": match token.access {
-                        uc_cloudstore::AccessLevel::Read => "READ",
-                        uc_cloudstore::AccessLevel::ReadWrite => "READ_WRITE",
-                    },
-                    "expires_at_ms": token.expires_at_ms,
-                    "nonce": token.nonce,
-                    "signature": token.signature,
-                }))
+                Ok(credential_reply(&token))
             }
             "tables.resolve" => {
                 let (refs, want_creds) = resolve_params(params)?;
@@ -259,19 +304,9 @@ impl RestApi {
             "events.list" => {
                 let after = params.get("after_version").and_then(|v| v.as_u64()).unwrap_or(0);
                 let page = self.uc.events_since(ctx, ms, after)?;
-                Ok(json!({
-                    "next_version": page.next_version,
-                    "resync": page.resync,
-                    "events": page.events.iter().map(|e| json!({
-                        "entity_id": e.entity_id.as_str(),
-                        "kind": e.kind.as_str(),
-                        "name": e.name,
-                        "op": format!("{:?}", e.op),
-                        "at_version": e.at_version,
-                    })).collect::<Vec<_>>()
-                }))
+                Ok(events_reply(&page))
             }
-            "metrics.snapshot" => Ok(json!({ "snapshot": self.uc.metrics_snapshot() })),
+            "metrics.snapshot" => Ok(object([("snapshot", self.uc.metrics_snapshot().into())])),
             "metrics.flightrecorder" => {
                 // Serve the existing frozen dump if a trigger already
                 // fired; otherwise freeze now so the operator always gets
@@ -280,19 +315,16 @@ impl RestApi {
                     Some(j) => j,
                     None => self.uc.flight_freeze("rest.request"),
                 };
-                Ok(json!({
-                    "jsonl": jsonl,
-                    "chrome_trace": self.uc.obs().flight_chrome_trace(),
-                }))
+                Ok(object([("jsonl", jsonl.into()), ("chrome_trace", self.uc.obs().flight_chrome_trace().into())]))
             }
             "metastore.summary" => {
                 let e = self.uc.get_metastore(ms)?;
-                Ok(json!({
-                    "id": e.id.as_str(),
-                    "name": e.name,
-                    "region": e.properties.get(props::REGION),
-                    "admins": e.governance().admins,
-                }))
+                Ok(object([
+                    ("id", e.id.as_str().into()),
+                    ("name", e.name.as_str().into()),
+                    ("region", e.properties.get(props::REGION).map(String::as_str).into()),
+                    ("admins", e.governance().admins.iter().map(String::as_str).collect()),
+                ]))
             }
             "iceberg.loadTable" => {
                 let name = name_param(params, "name")?;
@@ -309,6 +341,7 @@ mod tests {
     use super::*;
     use crate::model::keys::{self, T_TREE};
     use crate::service::UcConfig;
+    use crate::types::SecurableKind;
     use serde_json::json;
     use uc_cloudstore::faults::{points, FaultMode, FaultPlan};
     use uc_cloudstore::{Clock, LatencyModel, ObjectStore, StsService};
@@ -528,5 +561,103 @@ mod tests {
             assert_eq!(err.status, 404);
         }
         assert_eq!(snapshot(), text, "unknown methods register nothing");
+    }
+
+    /// A table with fixed ids and times, a comment that needs escaping, a
+    /// storage path and two grants.
+    fn fixed_table() -> Entity {
+        let mut e = Entity::new(SecurableKind::Table, "t", Some(Uid::from("s-1")), Uid::from("ms-1"), "alice", 1_000);
+        e.id = Uid::from("t-1");
+        e.comment = Some("daily \"sales\"".into());
+        e.storage_path = Some("s3://lake/managed/t".into());
+        e.properties.insert(props::TABLE_TYPE.into(), TableType::Managed.as_str().into());
+        e.properties.insert(props::FORMAT.into(), TableFormat::Delta.as_str().into());
+        e.updated_at_ms = 2_000;
+        e.add_grant("bob", Privilege::Select);
+        e.add_grant("analysts", Privilege::Modify);
+        e
+    }
+
+    /// An entity of `kind` with no comment, storage, properties or grants.
+    fn fixed_bare(kind: SecurableKind, id: &str, name: &str) -> Arc<Entity> {
+        let mut e = Entity::new(kind, name, None, Uid::from("ms-1"), "admin", 500);
+        e.id = Uid::from(id);
+        Arc::new(e)
+    }
+
+    fn fixed_token(access: uc_cloudstore::AccessLevel) -> TempCredential {
+        TempCredential {
+            scope: uc_cloudstore::StoragePath::parse("s3://lake/managed/t").unwrap(),
+            access,
+            expires_at_ms: 3_600_000,
+            nonce: 42,
+            signature: u64::MAX - 1,
+        }
+    }
+
+    /// Each reply builder prints, byte for byte and in key order, the text
+    /// the `json!` builders it replaced printed for the same inputs.
+    #[test]
+    fn reply_builders_print_their_golden_text() {
+        use crate::authz::fgac::FgacPolicies;
+        use crate::authz::{ColumnMaskPolicy, RowFilterPolicy};
+        use crate::events::{ChangeOp, MetadataChangeEvent};
+        use uc_cloudstore::AccessLevel;
+        use uc_delta::expr::{CmpOp, Expr};
+
+        let table = Arc::new(fixed_table());
+        let view = fixed_bare(SecurableKind::View, "v-1", "v");
+        let filtered = ResolvedSecurable {
+            entity: table.clone(),
+            schema: None,
+            fgac: FgacPolicies {
+                row_filter: Some(RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Gt, 0i64) }),
+                column_masks: vec![ColumnMaskPolicy {
+                    column: "y".into(),
+                    mask: Expr::Literal(uc_delta::value::Value::Null),
+                    exempt_when: None,
+                }],
+            },
+            dependencies: Vec::new(),
+            read_credential: Some(fixed_token(AccessLevel::Read)),
+        };
+        let resolved = [
+            ResolvedSecurable {
+                entity: view,
+                schema: None,
+                fgac: FgacPolicies::default(),
+                dependencies: vec![filtered.clone()],
+                read_credential: None,
+            },
+            filtered,
+        ];
+        let event = |id: &str, op: ChangeOp, at_version: u64| MetadataChangeEvent {
+            metastore: Uid::from("ms-1"),
+            entity_id: Uid::from(id),
+            kind: SecurableKind::Table,
+            name: "t".into(),
+            op,
+            at_version,
+            timestamp_ms: 9_000,
+        };
+        let page = EventPage {
+            events: vec![event("t-1", ChangeOp::Create, 7), event("t-1", ChangeOp::GrantChange, 8)],
+            next_version: 8,
+            resync: false,
+        };
+        let catalogs = [fixed_bare(SecurableKind::Catalog, "c-1", "main"), fixed_bare(SecurableKind::Catalog, "c-2", "dev")];
+        let cases = [
+            ("entity_json", entity_json(&table), r#"{"id":"t-1","kind":"TABLE","name":"t","owner":"alice","comment":"daily \"sales\"","storage_path":"s3://lake/managed/t","table_type":"MANAGED","format":"DELTA","created_at_ms":1000,"updated_at_ms":2000,"grants":[{"grantee":"bob","privilege":"SELECT"},{"grantee":"analysts","privilege":"MODIFY"}]}"#),
+            ("resolved_json", resolved_json(&resolved), r#"{"securables":[{"entity":{"id":"v-1","kind":"VIEW","name":"v","owner":"admin","comment":null,"storage_path":null,"table_type":null,"format":null,"created_at_ms":500,"updated_at_ms":500,"grants":[]},"has_row_filter":false,"masked_columns":[],"dependencies":["t"],"has_credential":false},{"entity":{"id":"t-1","kind":"TABLE","name":"t","owner":"alice","comment":"daily \"sales\"","storage_path":"s3://lake/managed/t","table_type":"MANAGED","format":"DELTA","created_at_ms":1000,"updated_at_ms":2000,"grants":[{"grantee":"bob","privilege":"SELECT"},{"grantee":"analysts","privilege":"MODIFY"}]},"has_row_filter":true,"masked_columns":["y"],"dependencies":[],"has_credential":true}]}"#),
+            ("grants.list", grants_reply(&table.grants), r#"{"grants":[{"grantee":"bob","privilege":"SELECT"},{"grantee":"analysts","privilege":"MODIFY"}]}"#),
+            ("catalogs.list", list_reply("catalogs", &catalogs), r#"{"catalogs":[{"id":"c-1","kind":"CATALOG","name":"main","owner":"admin","comment":null,"storage_path":null,"table_type":null,"format":null,"created_at_ms":500,"updated_at_ms":500,"grants":[]},{"id":"c-2","kind":"CATALOG","name":"dev","owner":"admin","comment":null,"storage_path":null,"table_type":null,"format":null,"created_at_ms":500,"updated_at_ms":500,"grants":[]}]}"#),
+            ("events.list", events_reply(&page), r#"{"next_version":8,"resync":false,"events":[{"entity_id":"t-1","kind":"TABLE","name":"t","op":"Create","at_version":7},{"entity_id":"t-1","kind":"TABLE","name":"t","op":"GrantChange","at_version":8}]}"#),
+            ("credentials.temporary READ", credential_reply(&fixed_token(AccessLevel::Read)), r#"{"scope":"s3://lake/managed/t","access":"READ","expires_at_ms":3600000,"nonce":42,"signature":18446744073709551614}"#),
+            ("credentials.temporary READ_WRITE", credential_reply(&fixed_token(AccessLevel::ReadWrite)), r#"{"scope":"s3://lake/managed/t","access":"READ_WRITE","expires_at_ms":3600000,"nonce":42,"signature":18446744073709551614}"#),
+        ];
+        for (what, reply, golden) in cases {
+            let text = serde_json::to_string(&reply).unwrap();
+            assert_eq!(text, golden, "{what}");
+        }
     }
 }

@@ -161,6 +161,53 @@ impl Value {
     }
 }
 
+// Conversions into the tree, as upstream `serde_json` has them: a value
+// built from parts moves each part in, where `json!` renders a finished
+// subtree through `Serialize::to_content` and so copies it. An integer
+// takes the variant `Serialize` gives it.
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::String(s)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Number(Number::U64(n))
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Number(Number::U64(n as u64))
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
 static NULL_VALUE: Value = Value::Null;
 
 impl std::ops::Index<&str> for Value {

@@ -6,8 +6,10 @@
 //! `resolve_for_query` of a table under a row filter, a column mask and a
 //! container ABAC policy. The cold paths are pinned the same way: the row
 //! codec (`Entity::decode` / `encode`), an uncached `get_table`, a
-//! 200-table listing, typed and through REST, and a `get_table` that
-//! misses the table on a node whose cache holds its containers.
+//! 200-table listing, typed and through REST, a three-table
+//! `tables.resolve` and a catalog's `grants.list` through REST, and a
+//! `get_table` that misses the table on a node whose cache holds its
+//! containers.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -88,8 +90,9 @@ const PATH_CREDENTIAL_ALLOCS: u64 = 30;
 /// typed call's and the JSON reply's. The caller's `Context` is handed
 /// through as it came (44 while the door rebuilt it per request, 50 while
 /// `rest.{method}.count` was looked up per request, 48 before the one-key
-/// probe).
-const REST_GET_TABLE_ALLOCS: u64 = 42;
+/// probe, 42 while the reply object grew by doubling instead of being
+/// built at its size).
+const REST_GET_TABLE_ALLOCS: u64 = 40;
 /// Allocations per cached `get_table` by a grantee who is not the
 /// metastore owner: what the owner's costs (25 while the admin list was
 /// parsed out of the metastore's properties on every such request).
@@ -125,8 +128,17 @@ const COLD_GET_TABLE_ALLOCS: u64 = 64;
 const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_870;
 /// Allocations per uncached 200-table `tables.list` through
 /// `RestApi::handle`, the JSON reply included (17 779 with the tree
-/// decode; 10 480 with the copied bounds).
-const COLD_REST_LIST_ALLOCS: u64 = 10_477;
+/// decode; 10 480 with the copied bounds; 10 477 while the reply's
+/// 200-entity array was built, then deep-copied by `json!`).
+const COLD_REST_LIST_ALLOCS: u64 = 6_476;
+/// Allocations per uncached `tables.resolve` of three tables through
+/// `RestApi::handle`, the JSON reply included (410 while each entity's
+/// grants and the reply's arrays were built, then copied).
+const COLD_REST_RESOLVE_ALLOCS: u64 = 274;
+/// Allocations per uncached `grants.list` through `RestApi::handle` of the
+/// catalog's three grants (70 while the reply's array was built, then
+/// copied).
+const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 54;
 /// Allocations per `get_table` that misses the table but finds its three
 /// containers cached (the cache on, as `meta_cold` runs it): one chain
 /// scan, one decode, one install. 78 while a miss decoded all four rows,
@@ -334,6 +346,8 @@ fn cold_reads_allocate_a_constant_below_the_parent() {
     let api = RestApi::new(uc.clone());
     let schema = FullName::parse("main.s").unwrap();
     let wire_list = serde_json::json!({"schema": "main.s"});
+    let wire_resolve = serde_json::json!({"names": ["main.s.t000000", "main.s.t000001", "main.s.t000002"]});
+    let wire_grants = serde_json::json!({"securable": "main", "kind_group": "catalog"});
     let table = uc.get_table(&ctx, &ms, "main.s.t000000").unwrap();
     let row = table.encode();
     assert_eq!(Entity::decode(&row).unwrap(), *table, "the row decodes to the entity it encodes");
@@ -341,6 +355,8 @@ fn cold_reads_allocate_a_constant_below_the_parent() {
         uc.get_table(&ctx, &ms, "main.s.t000000").unwrap();
         uc.list_children(&ctx, &ms, &schema, Some("relation")).unwrap();
         api.handle(&ctx, &ms, "tables.list", &wire_list).unwrap();
+        api.handle(&ctx, &ms, "tables.resolve", &wire_resolve).unwrap();
+        api.handle(&ctx, &ms, "grants.list", &wire_grants).unwrap();
     }
     let db_reads = uc.db().stats().reads();
 
@@ -359,6 +375,12 @@ fn cold_reads_allocate_a_constant_below_the_parent() {
     let rest_list = allocs_per_call(&uc, || {
         api.handle(&ctx, &ms, "tables.list", &wire_list).unwrap();
     });
+    let rest_resolve = allocs_per_call(&uc, || {
+        api.handle(&ctx, &ms, "tables.resolve", &wire_resolve).unwrap();
+    });
+    let rest_grants = allocs_per_call(&uc, || {
+        assert_eq!(api.handle(&ctx, &ms, "grants.list", &wire_grants).unwrap()["grants"].as_array().unwrap().len(), 3);
+    });
     assert!(uc.db().stats().reads() > db_reads, "measured reads must miss the (disabled) cache");
 
     assert_constant_and_bounded("Entity::decode of a table row", &decode, DECODE_TABLE_ROW_ALLOCS);
@@ -366,6 +388,8 @@ fn cold_reads_allocate_a_constant_below_the_parent() {
     assert_constant_and_bounded("uncached get_table", &get_table, COLD_GET_TABLE_ALLOCS);
     assert_constant_and_bounded("uncached list_children (200)", &list, COLD_LIST_CHILDREN_ALLOCS);
     assert_constant_and_bounded("uncached rest tables.list (200)", &rest_list, COLD_REST_LIST_ALLOCS);
+    assert_constant_and_bounded("uncached rest tables.resolve (3)", &rest_resolve, COLD_REST_RESOLVE_ALLOCS);
+    assert_constant_and_bounded("uncached rest grants.list (3)", &rest_grants, COLD_REST_GRANTS_LIST_ALLOCS);
 }
 
 /// A cache miss decodes only the row the node does not hold: node 2 reads
