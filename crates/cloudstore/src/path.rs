@@ -53,11 +53,6 @@ impl StoragePath {
         })
     }
 
-    /// Construct from components. `key` is normalized (slashes trimmed).
-    pub fn new(scheme: &str, bucket: &str, key: &str) -> StorageResult<Self> {
-        Self::parse(&format!("{scheme}://{bucket}/{key}"))
-    }
-
     pub fn scheme(&self) -> &str {
         &self.scheme
     }
@@ -103,16 +98,20 @@ impl StoragePath {
     /// scheme and bucket and `self.key` is a (possibly equal) directory
     /// prefix of `other.key`.
     pub fn is_prefix_of(&self, other: &StoragePath) -> bool {
-        if self.scheme != other.scheme || self.bucket != other.bucket {
-            return false;
-        }
-        if self.key.is_empty() {
-            return true;
-        }
-        if !other.key.starts_with(&self.key) {
-            return false;
-        }
-        other.key.len() == self.key.len() || other.key.as_bytes()[self.key.len()] == b'/'
+        self.scheme == other.scheme && self.bucket == other.bucket && self.covers_key(&other.key)
+    }
+
+    /// [`StoragePath::is_prefix_of`] for a key in this path's bucket.
+    pub(crate) fn covers_key(&self, key: &str) -> bool {
+        self.key.is_empty()
+            || (key.starts_with(&self.key)
+                && (key.len() == self.key.len() || key.as_bytes()[self.key.len()] == b'/'))
+    }
+
+    /// The path of `key` in this path's bucket. `key` must be a normalized
+    /// key, as every stored object's is: it is not parsed again.
+    pub(crate) fn with_key(&self, key: &str) -> StoragePath {
+        StoragePath { scheme: self.scheme.clone(), bucket: self.bucket.clone(), key: key.to_string() }
     }
 
     /// True if either path is a prefix of the other — the "overlap" the

@@ -8,6 +8,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
@@ -283,19 +284,17 @@ impl ObjectStore {
             let mut out = Vec::new();
             // Range-scan from the prefix key: BTreeMap keys are sorted, so all
             // keys under the prefix are contiguous.
-            let start = prefix.key().to_string();
-            for (key, obj) in bucket.objects.range(start..) {
-                let path = StoragePath::new(prefix.scheme(), prefix.bucket(), key)
-                    // uc-lint: allow(hygiene) -- keys were validated by StoragePath::parse on put
-                    .expect("stored keys are valid");
-                if !prefix.is_prefix_of(&path) {
-                    if !key.starts_with(prefix.key()) {
-                        break;
-                    }
+            let from = (Bound::Included(prefix.key()), Bound::Unbounded);
+            for (key, obj) in bucket.objects.range::<str, _>(from) {
+                if !key.starts_with(prefix.key()) {
+                    break;
+                }
+                if !prefix.covers_key(key) {
                     continue; // sibling like `foo2` when prefix is `foo`
                 }
                 out.push(ObjectMeta {
-                    path,
+                    // stored keys were normalized by StoragePath::parse on put
+                    path: prefix.with_key(key),
                     size: obj.data.len(),
                     created_at_ms: obj.created_at_ms,
                 });

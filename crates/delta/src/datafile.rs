@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::actions::ColumnStats;
 use crate::error::{DeltaError, DeltaResult};
-use crate::expr::RowView;
-use crate::value::{Row, Schema, Value};
+use crate::expr::Cells;
+use crate::value::{Row, Schema, Value, ValueRef};
 
 /// On-storage representation of a data file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,8 +53,8 @@ enum Cell {
 /// cells (`width` per row) and one buffer holding every string — two
 /// allocations per file, where `Vec<Row>` makes one per row and one per
 /// string. This is what the table cache holds. Scans evaluate predicates
-/// over it through [`RowRef`] without materializing a row; a row becomes a
-/// `Vec<Value>` only when a scan keeps it.
+/// over it through [`RowRef`], reading each cell in place; a scan builds a
+/// `Vec<Value>` only for a row it keeps, of only the columns it keeps.
 #[derive(Debug)]
 pub struct FileRows {
     width: usize,
@@ -70,29 +70,29 @@ pub struct RowRef<'a> {
     text: &'a str,
 }
 
-impl RowRef<'_> {
-    fn materialize(&self, cell: &Cell) -> Value {
+impl<'a> RowRef<'a> {
+    fn view(&self, cell: &Cell) -> ValueRef<'a> {
         match *cell {
-            Cell::Null => Value::Null,
-            Cell::Bool(b) => Value::Bool(b),
-            Cell::Int(i) => Value::Int(i),
-            Cell::Float(f) => Value::Float(f),
+            Cell::Null => ValueRef::Null,
+            Cell::Bool(b) => ValueRef::Bool(b),
+            Cell::Int(i) => ValueRef::Int(i),
+            Cell::Float(f) => ValueRef::Float(f),
             Cell::Str { start, len } => {
                 let start = start as usize;
-                Value::Str(self.text[start..start + len as usize].to_string())
+                ValueRef::Str(&self.text[start..start + len as usize])
             }
         }
     }
 
     /// The row as an owned [`Row`].
     pub fn to_vec(&self) -> Row {
-        self.cells.iter().map(|c| self.materialize(c)).collect()
+        self.cells.iter().map(|c| self.view(c).to_value()).collect()
     }
 }
 
-impl RowView for RowRef<'_> {
-    fn value(&self, idx: usize) -> Option<Value> {
-        self.cells.get(idx).map(|c| self.materialize(c))
+impl Cells for RowRef<'_> {
+    fn cell(&self, idx: usize) -> Option<ValueRef<'_>> {
+        self.cells.get(idx).map(|c| self.view(c))
     }
 }
 
@@ -260,9 +260,9 @@ mod tests {
         let back: Vec<Row> = packed.iter().map(|r| r.to_vec()).collect();
         assert_eq!(back, rows);
         let second = packed.iter().nth(1).unwrap();
-        assert_eq!(second.value(0), Some(Value::Float(2.5)));
-        assert_eq!(second.value(1), Some(Value::Str(String::new())));
-        assert_eq!(second.value(3), None, "past the end of the row");
+        assert_eq!(second.cell(0).map(ValueRef::to_value), Some(Value::Float(2.5)));
+        assert_eq!(second.cell(1).map(ValueRef::to_value), Some(Value::Str(String::new())));
+        assert!(second.cell(3).is_none(), "past the end of the row");
         // an expression sees the same row either way
         let e = crate::expr::Expr::cmp("name", crate::expr::CmpOp::Eq, "zoë");
         let s = Schema::new(vec![
@@ -270,8 +270,10 @@ mod tests {
             Field::new("name", DataType::Str),
             Field::new("flag", DataType::Bool),
         ]);
-        let ctx = crate::expr::EvalContext::anonymous();
-        let kept: Vec<bool> = packed.iter().map(|r| e.eval_bool(&s, &r, &ctx).unwrap()).collect();
+        let bound = e.bind(&s, &crate::expr::EvalContext::anonymous()).unwrap();
+        let kept: Vec<bool> = packed.iter().map(|r| bound.matches(&r).unwrap()).collect();
+        let owned: Vec<bool> = rows.iter().map(|r| bound.matches(r.as_slice()).unwrap()).collect();
+        assert_eq!(kept, owned);
         assert_eq!(kept, vec![false, false, true]);
     }
 

@@ -7,8 +7,12 @@
 //! [`Expr::IsAccountGroupMember`], mirroring Unity Catalog's SQL UDF-based
 //! policies; these evaluate against the [`EvalContext`].
 //!
-//! Evaluation uses SQL-flavoured three-valued logic: comparisons with NULL
-//! yield NULL, and a row passes a filter only if it evaluates to TRUE.
+//! An `Expr` is never evaluated as written: [`Expr::bind`] compiles it for
+//! one schema and one caller into a [`Bound`] expression — columns
+//! resolved to positions, the principal functions folded to constants —
+//! which reads the cells of any [`Cells`] row in place. Evaluation uses
+//! SQL-flavoured three-valued logic: comparisons with NULL yield NULL, and
+//! a row passes a filter only if it evaluates to TRUE.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -16,7 +20,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::error::{DeltaError, DeltaResult};
-use crate::value::{Schema, Value};
+use crate::value::{Schema, Value, ValueRef};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -30,6 +34,17 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
+    /// The operator with its operands swapped: `a < b` is `b > a`.
+    pub fn flip(self) -> CmpOp {
+        match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            op => op,
+        }
+    }
+
     fn test(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -97,105 +112,156 @@ impl Expr {
     /// All column names referenced by the expression.
     pub fn referenced_columns(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        self.collect_columns(&mut out);
+        self.for_each_column(&mut |c| {
+            out.insert(c.to_string());
+        });
         out
     }
 
-    fn collect_columns(&self, out: &mut BTreeSet<String>) {
+    /// Whether the expression reads a column `cols` holds for.
+    pub fn reads_any(&self, cols: impl Fn(&str) -> bool) -> bool {
+        let mut any = false;
+        self.for_each_column(&mut |c| any |= cols(c));
+        any
+    }
+
+    fn for_each_column(&self, f: &mut impl FnMut(&str)) {
         match self {
-            Expr::Column(c) => {
-                out.insert(c.clone());
+            Expr::Column(c) => f(c),
+            Expr::Cmp { lhs: a, rhs: b, .. } | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.for_each_column(f);
+                b.for_each_column(f);
             }
-            Expr::Cmp { lhs, rhs, .. } => {
-                lhs.collect_columns(out);
-                rhs.collect_columns(out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
-            }
-            Expr::Not(e) | Expr::IsNull(e) => e.collect_columns(out),
+            Expr::Not(e) | Expr::IsNull(e) => e.for_each_column(f),
             Expr::Literal(_) | Expr::CurrentUser | Expr::IsAccountGroupMember(_) => {}
         }
     }
 
-    /// Evaluate to a value. Boolean contexts use [`Expr::eval_bool`].
-    pub fn eval<R: RowView + ?Sized>(&self, schema: &Schema, row: &R, ctx: &EvalContext) -> DeltaResult<Value> {
-        Ok(match self {
-            Expr::Column(name) => {
-                let idx = schema
+    /// Compile the expression for `schema` and the caller `ctx`: every
+    /// column resolved to its position, `current_user()` and
+    /// `is_account_group_member(..)` folded to constants. An unknown column
+    /// fails here, whether or not any row is ever read.
+    pub fn bind(&self, schema: &Schema, ctx: &EvalContext) -> DeltaResult<Bound> {
+        Ok(Bound(Node::bind(self, schema, ctx)?))
+    }
+}
+
+/// A row a [`Bound`] expression reads, by position and in place: a row of
+/// a cached data file ([`crate::datafile::RowRef`]) or a slice of values.
+pub trait Cells {
+    /// The cell at `idx`; `None` past the end of the row.
+    fn cell(&self, idx: usize) -> Option<ValueRef<'_>>;
+}
+
+impl Cells for [Value] {
+    fn cell(&self, idx: usize) -> Option<ValueRef<'_>> {
+        self.get(idx).map(ValueRef::from)
+    }
+}
+
+impl<R: Cells + ?Sized> Cells for &R {
+    fn cell(&self, idx: usize) -> Option<ValueRef<'_>> {
+        (**self).cell(idx)
+    }
+}
+
+/// An expression bound to a schema and a caller by [`Expr::bind`]; the one
+/// evaluator of every scan, row filter, mask and `DELETE`.
+#[derive(Debug, Clone)]
+pub struct Bound(Node);
+
+#[derive(Debug, Clone)]
+enum Node {
+    Const(Value),
+    Column(usize),
+    /// `column <op> literal`, either way round as written.
+    ColumnCmp { col: usize, op: CmpOp, lit: Value },
+    Cmp { op: CmpOp, lhs: Box<Node>, rhs: Box<Node> },
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+    IsNull(Box<Node>),
+}
+
+impl Bound {
+    /// Filter semantics: the row passes only on TRUE (NULL filters out).
+    pub fn matches<R: Cells + ?Sized>(&self, row: &R) -> DeltaResult<bool> {
+        Ok(self.0.truth(row)? == Some(true))
+    }
+
+    /// The expression's value over `row` (what a column mask writes).
+    pub fn value<R: Cells + ?Sized>(&self, row: &R) -> DeltaResult<Value> {
+        Ok(self.0.scalar(row)?.to_value())
+    }
+}
+
+impl Node {
+    fn bind(expr: &Expr, schema: &Schema, ctx: &EvalContext) -> DeltaResult<Node> {
+        let bind = |e: &Expr| Node::bind(e, schema, ctx).map(Box::new);
+        Ok(match expr {
+            Expr::Column(name) => Node::Column(
+                schema
                     .index_of(name)
-                    .ok_or_else(|| DeltaError::Schema(format!("unknown column {name}")))?;
-                row.value(idx)
-                    .ok_or_else(|| DeltaError::Schema(format!("row too short for {name}")))?
-            }
-            Expr::Literal(v) => v.clone(),
-            Expr::Cmp { op, lhs, rhs } => {
-                let l = lhs.eval(schema, row, ctx)?;
-                let r = rhs.eval(schema, row, ctx)?;
-                match l.try_cmp(&r) {
-                    Some(ord) => Value::Bool(op.test(ord)),
-                    None => Value::Null, // NULL comparison → NULL
-                }
-            }
-            Expr::And(a, b) => {
-                match (a.eval_bool3(schema, row, ctx)?, b.eval_bool3(schema, row, ctx)?) {
-                    (Some(false), _) | (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                }
-            }
-            Expr::Or(a, b) => {
-                match (a.eval_bool3(schema, row, ctx)?, b.eval_bool3(schema, row, ctx)?) {
-                    (Some(true), _) | (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                }
-            }
-            Expr::Not(e) => match e.eval_bool3(schema, row, ctx)? {
-                Some(b) => Value::Bool(!b),
-                None => Value::Null,
+                    .ok_or_else(|| DeltaError::Schema(format!("unknown column {name}")))?,
+            ),
+            Expr::Literal(v) => Node::Const(v.clone()),
+            Expr::CurrentUser => Node::Const(Value::Str(ctx.user.clone())),
+            Expr::IsAccountGroupMember(g) => Node::Const(Value::Bool(ctx.groups.contains(g))),
+            Expr::Cmp { op, lhs, rhs } => match (*bind(lhs)?, *bind(rhs)?) {
+                (Node::Column(col), Node::Const(lit)) => Node::ColumnCmp { col, op: *op, lit },
+                (Node::Const(lit), Node::Column(col)) => Node::ColumnCmp { col, op: op.flip(), lit },
+                (lhs, rhs) => Node::Cmp { op: *op, lhs: Box::new(lhs), rhs: Box::new(rhs) },
             },
-            Expr::IsNull(e) => Value::Bool(e.eval(schema, row, ctx)?.is_null()),
-            Expr::CurrentUser => Value::Str(ctx.user.clone()),
-            Expr::IsAccountGroupMember(g) => Value::Bool(ctx.groups.contains(g)),
+            Expr::And(a, b) => Node::And(bind(a)?, bind(b)?),
+            Expr::Or(a, b) => Node::Or(bind(a)?, bind(b)?),
+            Expr::Not(e) => Node::Not(bind(e)?),
+            Expr::IsNull(e) => Node::IsNull(bind(e)?),
         })
     }
 
-    /// Evaluate as a SQL boolean: `Some(true/false)` or `None` for NULL.
-    fn eval_bool3<R: RowView + ?Sized>(
-        &self,
-        schema: &Schema,
-        row: &R,
-        ctx: &EvalContext,
-    ) -> DeltaResult<Option<bool>> {
-        match self.eval(schema, row, ctx)? {
-            Value::Bool(b) => Ok(Some(b)),
-            Value::Null => Ok(None),
-            other => Err(DeltaError::Schema(format!(
-                "expected boolean, got {other}"
-            ))),
-        }
+    /// Three-valued truth: `Some(true/false)`, or `None` for NULL.
+    fn truth<R: Cells + ?Sized>(&self, row: &R) -> DeltaResult<Option<bool>> {
+        Ok(match self {
+            Node::ColumnCmp { col, op, lit } => cell(row, *col)?.try_cmp(lit.into()).map(|o| op.test(o)),
+            Node::Cmp { op, lhs, rhs } => lhs.scalar(row)?.try_cmp(rhs.scalar(row)?).map(|o| op.test(o)),
+            Node::And(a, b) => match (a.truth(row)?, b.truth(row)?) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            Node::Or(a, b) => match (a.truth(row)?, b.truth(row)?) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            Node::Not(e) => e.truth(row)?.map(|b| !b),
+            Node::IsNull(e) => Some(e.scalar(row)?.is_null()),
+            Node::Const(_) | Node::Column(_) => match self.scalar(row)? {
+                ValueRef::Bool(b) => Some(b),
+                ValueRef::Null => None,
+                other => {
+                    return Err(DeltaError::Schema(format!("expected boolean, got {other}")))
+                }
+            },
+        })
     }
 
-    /// Filter semantics: the row passes only on TRUE (NULL filters out).
-    pub fn eval_bool<R: RowView + ?Sized>(&self, schema: &Schema, row: &R, ctx: &EvalContext) -> DeltaResult<bool> {
-        Ok(self.eval_bool3(schema, row, ctx)? == Some(true))
+    fn scalar<'a, R: Cells + ?Sized>(&'a self, row: &'a R) -> DeltaResult<ValueRef<'a>> {
+        Ok(match self {
+            Node::Const(v) => v.into(),
+            Node::Column(col) => cell(row, *col)?,
+            _ => match self.truth(row)? {
+                Some(b) => ValueRef::Bool(b),
+                None => ValueRef::Null,
+            },
+        })
     }
 }
 
-/// A row an expression can read columns from, by position: a plain row, or
-/// a row of a cached data file ([`crate::datafile::RowRef`]), whose values
-/// are materialized only when a column is actually read.
-pub trait RowView {
-    /// The value at `idx`; `None` past the end of the row.
-    fn value(&self, idx: usize) -> Option<Value>;
-}
-
-impl RowView for Vec<Value> {
-    fn value(&self, idx: usize) -> Option<Value> {
-        self.get(idx).cloned()
-    }
+/// The cell at `col`; a row that ends before it is a schema error.
+pub(crate) fn cell<R: Cells + ?Sized>(row: &R, col: usize) -> DeltaResult<ValueRef<'_>> {
+    row.cell(col)
+        .ok_or_else(|| DeltaError::Schema(format!("row too short for column {col}")))
 }
 
 impl fmt::Display for Expr {
@@ -255,6 +321,11 @@ mod tests {
         EvalContext::new("alice", vec!["hr".to_string()])
     }
 
+    /// Filter semantics of `e` over `r`, bound as a scan binds it.
+    fn holds(e: &Expr, s: &Schema, r: &Row) -> bool {
+        e.bind(s, &ctx()).unwrap().matches(r.as_slice()).unwrap()
+    }
+
     #[test]
     fn comparison_operators() {
         let s = schema();
@@ -268,7 +339,7 @@ mod tests {
             (CmpOp::Ge, false),
         ] {
             let e = Expr::cmp("id", op, 10i64);
-            assert_eq!(e.eval_bool(&s, &r, &ctx()).unwrap(), expect, "op {op}");
+            assert_eq!(holds(&e, &s, &r), expect, "op {op}");
         }
     }
 
@@ -278,11 +349,11 @@ mod tests {
         let r = row(5, "eng", 100.0);
         let t = Expr::cmp("id", CmpOp::Eq, 5i64);
         let f = Expr::cmp("id", CmpOp::Eq, 6i64);
-        assert!(t.clone().and(t.clone()).eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(!t.clone().and(f.clone()).eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(t.clone().or(f.clone()).eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(!f.clone().or(f.clone()).eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(Expr::Not(Box::new(f)).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(holds(&t.clone().and(t.clone()), &s, &r));
+        assert!(!holds(&t.clone().and(f.clone()), &s, &r));
+        assert!(holds(&t.clone().or(f.clone()), &s, &r));
+        assert!(!holds(&f.clone().or(f.clone()), &s, &r));
+        assert!(holds(&Expr::Not(Box::new(f)), &s, &r));
     }
 
     #[test]
@@ -290,13 +361,11 @@ mod tests {
         let s = schema();
         let r = vec![Value::Null, Value::Str("eng".into()), Value::Null];
         // NULL = 5 → NULL → row filtered out
-        assert!(!Expr::cmp("id", CmpOp::Eq, 5i64).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(!holds(&Expr::cmp("id", CmpOp::Eq, 5i64), &s, &r));
         // NULL <> 5 also filters out (three-valued logic)
-        assert!(!Expr::cmp("id", CmpOp::Ne, 5i64).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(!holds(&Expr::cmp("id", CmpOp::Ne, 5i64), &s, &r));
         // IS NULL is the way to match nulls
-        assert!(Expr::IsNull(Box::new(Expr::Column("id".into())))
-            .eval_bool(&s, &r, &ctx())
-            .unwrap());
+        assert!(holds(&Expr::IsNull(Box::new(Expr::Column("id".into()))), &s, &r));
     }
 
     #[test]
@@ -307,12 +376,12 @@ mod tests {
         let true_cmp = Expr::cmp("dept", CmpOp::Eq, "eng"); // TRUE
         let false_cmp = Expr::cmp("dept", CmpOp::Eq, "hr"); // FALSE
         // NULL AND FALSE = FALSE → filtered, NULL AND TRUE = NULL → filtered
-        assert!(!null_cmp.clone().and(false_cmp.clone()).eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(!null_cmp.clone().and(true_cmp.clone()).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(!holds(&null_cmp.clone().and(false_cmp.clone()), &s, &r));
+        assert!(!holds(&null_cmp.clone().and(true_cmp.clone()), &s, &r));
         // NULL OR TRUE = TRUE → passes
-        assert!(null_cmp.clone().or(true_cmp).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(holds(&null_cmp.clone().or(true_cmp), &s, &r));
         // NULL OR FALSE = NULL → filtered
-        assert!(!null_cmp.or(false_cmp).eval_bool(&s, &r, &ctx()).unwrap());
+        assert!(!holds(&null_cmp.or(false_cmp), &s, &r));
     }
 
     #[test]
@@ -324,23 +393,47 @@ mod tests {
             lhs: Box::new(Expr::CurrentUser),
             rhs: Box::new(Expr::Literal("alice".into())),
         };
-        assert!(is_alice.eval_bool(&s, &r, &ctx()).unwrap());
-        assert!(Expr::IsAccountGroupMember("hr".into())
-            .eval_bool(&s, &r, &ctx())
-            .unwrap());
-        assert!(!Expr::IsAccountGroupMember("finance".into())
-            .eval_bool(&s, &r, &ctx())
-            .unwrap());
+        assert!(holds(&is_alice, &s, &r));
+        assert!(holds(&Expr::IsAccountGroupMember("hr".into()), &s, &r));
+        assert!(!holds(&Expr::IsAccountGroupMember("finance".into()), &s, &r));
     }
 
     #[test]
     fn unknown_column_is_a_schema_error() {
+        // at bind time: no row is needed to find it
         let s = schema();
-        let r = row(1, "eng", 1.0);
         assert!(matches!(
-            Expr::cmp("nope", CmpOp::Eq, 1i64).eval(&s, &r, &ctx()),
+            Expr::cmp("nope", CmpOp::Eq, 1i64).bind(&s, &ctx()),
             Err(DeltaError::Schema(_))
         ));
+    }
+
+    #[test]
+    fn binding_folds_the_caller_and_puts_the_literal_on_the_right() {
+        let s = schema();
+        let r = row(1, "alice", 1.0);
+        // `dept = current_user()` as alice: a column against a constant
+        let own = Expr::Cmp {
+            op: CmpOp::Eq,
+            lhs: Box::new(Expr::Column("dept".into())),
+            rhs: Box::new(Expr::CurrentUser),
+        };
+        let bound = own.bind(&s, &ctx()).unwrap();
+        assert!(matches!(bound.0, Node::ColumnCmp { col: 1, op: CmpOp::Eq, .. }), "{bound:?}");
+        assert!(bound.matches(r.as_slice()).unwrap());
+        // a literal on the left is flipped onto the column: 0 < id is id > 0
+        let flipped = Expr::Cmp {
+            op: CmpOp::Lt,
+            lhs: Box::new(Expr::Literal(Value::Int(0))),
+            rhs: Box::new(Expr::Column("id".into())),
+        };
+        let bound = flipped.bind(&s, &ctx()).unwrap();
+        assert!(matches!(bound.0, Node::ColumnCmp { col: 0, op: CmpOp::Gt, .. }), "{bound:?}");
+        assert!(bound.matches(r.as_slice()).unwrap());
+        // a non-boolean under NOT binds, and fails on each row it reads
+        let bad = Expr::Not(Box::new(Expr::Literal(Value::Int(5))));
+        let bound = bad.bind(&s, &ctx()).unwrap();
+        assert!(matches!(bound.matches(r.as_slice()), Err(DeltaError::Schema(_))));
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod datafile;
 pub mod error;
 pub mod expr;
 pub mod log;
+pub mod plan;
 pub mod snapshot;
 pub mod table;
 pub mod uniform;
@@ -46,8 +47,9 @@ pub mod value;
 pub use actions::{Action, AddFile, ColumnStats, MetaData, Protocol, RemoveFile};
 pub use cache::TableCache;
 pub use error::{DeltaError, DeltaResult};
-pub use expr::{CmpOp, EvalContext, Expr, RowView};
+pub use expr::{Bound, Cells, CmpOp, EvalContext, Expr};
 pub use log::{CommitCoordinator, StorageCommitCoordinator};
+pub use plan::{Mask, Plan, ScanSpec};
 pub use snapshot::Snapshot;
 pub use table::{DeltaTable, OptimizeMetrics, VacuumMetrics};
-pub use value::{DataType, Field, Row, Schema, Value};
+pub use value::{DataType, Field, Row, Schema, Value, ValueRef};

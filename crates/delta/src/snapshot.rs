@@ -132,12 +132,24 @@ impl Snapshot {
     }
 
     /// Active files that might contain rows matching `predicate`, using
-    /// per-file statistics. `None` predicate returns everything.
-    pub fn prune_files(&self, predicate: Option<&Expr>) -> Vec<&AddFile> {
+    /// per-file statistics. `None` predicate returns everything. Stats
+    /// describe stored values, so a conjunct that reads a column for which
+    /// `masked` holds (the predicate sees its mask, not what is stored)
+    /// never prunes.
+    pub fn prune_files(&self, predicate: Option<&Expr>, masked: impl Fn(&str) -> bool) -> Vec<&AddFile> {
         self.files
             .values()
-            .filter(|f| predicate.is_none_or(|p| file_may_match(p, f)))
+            .filter(|f| predicate.is_none_or(|p| conjuncts_may_match(p, &masked, f)))
             .collect()
+    }
+}
+
+/// [`file_may_match`] of each top-level conjunct that reads no masked
+/// column.
+fn conjuncts_may_match(expr: &Expr, masked: &impl Fn(&str) -> bool, file: &AddFile) -> bool {
+    match expr {
+        Expr::And(a, b) => conjuncts_may_match(a, masked, file) && conjuncts_may_match(b, masked, file),
+        e => e.reads_any(masked) || file_may_match(e, file),
     }
 }
 
@@ -152,7 +164,7 @@ pub fn file_may_match(expr: &Expr, file: &AddFile) -> bool {
             // Only `col <op> literal` (either orientation) is prunable.
             let (col, lit, op) = match (lhs.as_ref(), rhs.as_ref()) {
                 (Expr::Column(c), Expr::Literal(v)) => (c, v, *op),
-                (Expr::Literal(v), Expr::Column(c)) => (c, v, flip(*op)),
+                (Expr::Literal(v), Expr::Column(c)) => (c, v, op.flip()),
                 _ => return true,
             };
             let Some(stats) = file.stats.get(col) else {
@@ -176,18 +188,6 @@ pub fn file_may_match(expr: &Expr, file: &AddFile) -> bool {
         },
         // NOT, principal functions, bare columns/literals: not prunable.
         _ => true,
-    }
-}
-
-fn flip(op: crate::expr::CmpOp) -> crate::expr::CmpOp {
-    use crate::expr::CmpOp::*;
-    match op {
-        Eq => Eq,
-        Ne => Ne,
-        Lt => Gt,
-        Le => Ge,
-        Gt => Lt,
-        Ge => Le,
     }
 }
 
@@ -337,6 +337,28 @@ mod tests {
         assert!(file_may_match(&in_range, &f));
         assert!(!file_may_match(&out_of_range, &f));
         assert!(file_may_match(&out_of_range.clone().or(in_range), &f));
+    }
+
+    #[test]
+    fn only_conjuncts_over_unmasked_columns_prune() {
+        let log = vec![(
+            0,
+            vec![
+                Action::Protocol(Protocol::default()),
+                Action::MetaData(meta()),
+                Action::Add(add_with_stats("a", 10, 20, 0, 100)),
+            ],
+        )];
+        let snap = Snapshot::replay(&log).unwrap();
+        let out = Expr::cmp("x", CmpOp::Eq, -1i64);
+        assert!(snap.prune_files(Some(&out), |_| false).is_empty());
+        // masked, `x` reads as its mask: the stored range says nothing
+        assert_eq!(snap.prune_files(Some(&out), |c| c == "x").len(), 1);
+        // with `y` masked, the conjunct over `x` still prunes; a disjunction
+        // that reads `y` does not
+        let unmasked = Expr::cmp("y", CmpOp::Eq, 1i64);
+        assert!(snap.prune_files(Some(&out.clone().and(unmasked.clone())), |c| c == "y").is_empty());
+        assert_eq!(snap.prune_files(Some(&out.or(unmasked)), |c| c == "y").len(), 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::cache::{Lookup, TableCache};
 use crate::datafile::{collect_stats, encode_rows, FileRows};
 use crate::error::{DeltaError, DeltaResult};
 use crate::expr::{EvalContext, Expr};
+use crate::plan::{Plan, ScanSpec};
 use crate::log::{
     checkpoint_in_listing, read_commits, write_commit, CommitCoordinator, Head,
     StorageCommitCoordinator, LOG_DIR,
@@ -307,8 +308,8 @@ impl DeltaTable {
         self.scan_snapshot(cred, &snapshot, predicate, ctx)
     }
 
-    /// Scan against an existing snapshot. The predicate runs over the
-    /// shared decoded rows by reference; only the rows kept are cloned.
+    /// Scan against an existing snapshot: [`DeltaTable::scan_planned`] with
+    /// no policies, keeping every column.
     pub fn scan_snapshot(
         &self,
         cred: &Credential,
@@ -316,20 +317,28 @@ impl DeltaTable {
         predicate: Option<&Expr>,
         ctx: &EvalContext,
     ) -> DeltaResult<(Vec<Row>, usize)> {
+        self.scan_planned(cred, snapshot, &ScanSpec { predicate, ..Default::default() }, ctx)
+    }
+
+    /// The one scan loop: bind `spec` to the snapshot's schema and the
+    /// caller, skip the files stats rule out, and take every row of the
+    /// rest through the [`Plan`], reading the shared decoded cells in
+    /// place. Returns the kept rows and the number of files read.
+    pub fn scan_planned(
+        &self,
+        cred: &Credential,
+        snapshot: &Snapshot,
+        spec: &ScanSpec,
+        ctx: &EvalContext,
+    ) -> DeltaResult<(Vec<Row>, usize)> {
         let schema = snapshot.schema();
-        let files = snapshot.prune_files(predicate);
+        let plan = Plan::bind(schema, spec, ctx)?;
+        let files = snapshot
+            .prune_files(spec.predicate, |c| schema.index_of(c).is_some_and(|i| plan.masks_column(i)));
         let files_read = files.len();
         let mut out = Vec::new();
         for file in files {
-            for row in self.file_rows(cred, file)?.iter() {
-                let keep = match predicate {
-                    Some(p) => p.eval_bool(schema, &row, ctx)?,
-                    None => true,
-                };
-                if keep {
-                    out.push(row.to_vec());
-                }
-            }
+            plan.run(self.file_rows(cred, file)?.iter(), &mut out)?;
         }
         Ok((out, files_read))
     }
@@ -356,15 +365,16 @@ impl DeltaTable {
     ) -> DeltaResult<u64> {
         let snapshot = self.snapshot(cred)?;
         let schema = snapshot.schema().clone();
+        let bound = predicate.bind(&schema, ctx)?;
         let now = self.now_ms();
         let mut actions = Vec::new();
         let mut deleted = 0u64;
         // Stats pruning bounds the rewrite set exactly like a scan.
-        for file in snapshot.prune_files(Some(predicate)) {
+        for file in snapshot.prune_files(Some(predicate), |_| false) {
             let rows = self.file_rows(cred, file)?;
             let mut kept = Vec::with_capacity(rows.len());
             for row in rows.iter() {
-                if predicate.eval_bool(&schema, &row, ctx)? {
+                if bound.matches(&row)? {
                     deleted += 1;
                 } else {
                     kept.push(row.to_vec());

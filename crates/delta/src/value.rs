@@ -32,18 +32,75 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// Three-valued comparison: [`ValueRef::try_cmp`].
+    pub fn try_cmp(&self, other: &Value) -> Option<Ordering> {
+        ValueRef::from(self).try_cmp(other.into())
+    }
+}
+
+/// A value read in place: a borrowed cell of a row, a string pointing into
+/// the row's (or the cached file's) text. What bound expressions compare.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+}
+
+impl ValueRef<'_> {
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
     /// Three-valued comparison: `None` when either side is null or the
     /// types are incomparable (ints and floats compare numerically).
-    pub fn try_cmp(&self, other: &Value) -> Option<Ordering> {
+    pub fn try_cmp(self, other: ValueRef<'_>) -> Option<Ordering> {
         match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
+            (ValueRef::Null, _) | (_, ValueRef::Null) => None,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => Some(a.cmp(&b)),
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a.cmp(&b)),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.partial_cmp(&b),
+            (ValueRef::Int(a), ValueRef::Float(b)) => (a as f64).partial_cmp(&b),
+            (ValueRef::Float(a), ValueRef::Int(b)) => a.partial_cmp(&(b as f64)),
+            (ValueRef::Str(a), ValueRef::Str(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+
+    /// The owned value; a string is copied.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Null => write!(f, "NULL"),
+            ValueRef::Bool(b) => write!(f, "{b}"),
+            ValueRef::Int(i) => write!(f, "{i}"),
+            ValueRef::Float(x) => write!(f, "{x}"),
+            ValueRef::Str(s) => write!(f, "{s}"),
         }
     }
 }
@@ -62,13 +119,7 @@ impl PartialEq for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => write!(f, "{s}"),
-        }
+        ValueRef::from(self).fmt(f)
     }
 }
 

@@ -85,12 +85,12 @@ fn reference(
     predicate: Option<&Expr>,
 ) -> (Snapshot, Vec<i64>) {
     let snapshot = Snapshot::replay(&read_log(writer.coordinator().as_ref(), cred).unwrap()).unwrap();
-    let ctx = EvalContext::anonymous();
+    let bound = predicate.map(|p| p.bind(snapshot.schema(), &EvalContext::anonymous()).unwrap());
     let mut rows = Vec::new();
     for file in snapshot.files.values() {
         let data = store.get(cred, &table_path().child(&file.path)).unwrap();
         for row in decode_rows(&data).unwrap() {
-            if predicate.is_none_or(|p| p.eval_bool(snapshot.schema(), &row, &ctx).unwrap()) {
+            if bound.as_ref().is_none_or(|p| p.matches(row.as_slice()).unwrap()) {
                 rows.push(row);
             }
         }

@@ -15,7 +15,7 @@ use uc_catalog::UcError;
 use uc_delta::actions::encode_commit;
 use uc_delta::expr::{EvalContext, Expr};
 use uc_delta::value::{Field, Row, Schema, Value};
-use uc_delta::DeltaTable;
+use uc_delta::{DeltaTable, Mask, Plan, ScanSpec};
 
 use crate::dfs::DataFilteringService;
 use crate::error::{EngineError, EngineResult};
@@ -577,8 +577,8 @@ impl EngineSession {
             (Err(e), _) => return Err(e.into()),
         };
         let eval_ctx = self.eval_context()?;
-        let (schema, rows, files) = self.execute_relation(ctx, &resolved[0], query.predicate.as_ref(), &eval_ctx)?;
-        let mut result = project(&schema, rows, &query.projection, files)?;
+        let mut result =
+            self.execute_relation(ctx, &resolved[0], query.predicate.as_ref(), &query.projection, &eval_ctx)?;
         apply_order_and_limit(&mut result, query)?;
         Ok(result)
     }
@@ -589,18 +589,47 @@ impl EngineSession {
         Ok(EvalContext::new(&self.principal, groups))
     }
 
-    /// Recursively evaluate a resolved relation (table or view) with an
-    /// optional extra predicate, applying FGAC policies at every level.
+    /// Read a resolved relation as one plan per level — the relation's row
+    /// filter over its own rows, its masks, then `predicate` over the
+    /// masked rows, keeping `projection`'s columns: the trusted-engine
+    /// contract, faithfully enforcing the policies the catalog returned. A
+    /// table, or a shallow clone over its base's files, is one scan; a view
+    /// reads its base under its own query (recursively, with the base's
+    /// policies), then runs its own level over that output.
     fn execute_relation(
         &self,
         ctx: &Context,
         resolved: &ResolvedSecurable,
-        extra_predicate: Option<&Expr>,
+        predicate: Option<&Expr>,
+        projection: &Projection,
         eval_ctx: &EvalContext,
-    ) -> EngineResult<(Schema, Vec<Row>, usize)> {
+    ) -> EngineResult<QueryResult> {
         let entity = &resolved.entity;
-        match entity.kind {
-            SecurableKind::Table if entity.table_type() == Some(TableType::ShallowClone) => {
+        let empty = Schema::default();
+        let schema = match (&resolved.schema, entity.kind) {
+            (Some(schema), SecurableKind::Table | SecurableKind::View) => schema,
+            (None, SecurableKind::View) => &empty,
+            (None, SecurableKind::Table) => {
+                return Err(EngineError::Unsupported(format!("{} has no schema", entity.name)))
+            }
+            (_, other) => return Err(EngineError::Unsupported(format!("cannot SELECT from a {other}"))),
+        };
+        let (columns, keep) = output_columns(schema, projection)?;
+        let fgac = &resolved.fgac;
+        let masks: Vec<Mask> = fgac
+            .column_masks
+            .iter()
+            .map(|m| Mask { column: &m.column, mask: &m.mask, exempt_when: m.exempt_when.as_ref() })
+            .collect();
+        let spec = ScanSpec {
+            row_filter: fgac.row_filter.as_ref().map(|f| &f.expr),
+            masks: &masks,
+            predicate,
+            columns: keep,
+        };
+        let (rows, files_scanned) = match entity.kind {
+            SecurableKind::View => self.execute_view(ctx, resolved, schema, &spec, eval_ctx)?,
+            _ if entity.table_type() == Some(TableType::ShallowClone) => {
                 // A shallow clone shares the base's files at a pinned
                 // version; the base arrives as a resolved dependency
                 // (clone SELECT grants base access, §4.3.2).
@@ -612,77 +641,68 @@ impl EngineSession {
                     .get(uc_catalog::model::entity::props::CLONE_VERSION)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
-                let schema = resolved
-                    .schema
-                    .clone()
-                    .ok_or_else(|| EngineError::Unsupported(format!("{} has no schema", entity.name)))?;
                 let token = base.read_credential.clone().ok_or_else(|| {
                     EngineError::Unsupported(format!("no read credential for clone base of {}", entity.name))
                 })?;
-                let (mut rows, files) = self.scan_table(
-                    ctx, &base.entity, token, Some(pinned), extra_predicate, eval_ctx,
-                )?;
-                rows = self.apply_fgac(resolved, &schema, rows, eval_ctx)?;
-                Ok((schema, rows, files))
+                self.scan_table(ctx, &base.entity, token, Some(pinned), &spec, eval_ctx)?
             }
-            SecurableKind::Table => {
-                let schema = resolved
-                    .schema
-                    .clone()
-                    .ok_or_else(|| EngineError::Unsupported(format!("{} has no schema", entity.name)))?;
+            _ => {
                 let token = resolved.read_credential.clone().ok_or_else(|| {
                     EngineError::Unsupported(format!("no read credential for {}", entity.name))
                 })?;
-                let (mut rows, files) =
-                    self.scan_table(ctx, entity, token, None, extra_predicate, eval_ctx)?;
-                rows = self.apply_fgac(resolved, &schema, rows, eval_ctx)?;
-                Ok((schema, rows, files))
+                self.scan_table(ctx, entity, token, None, &spec, eval_ctx)?
             }
-            SecurableKind::View => {
-                let view_sql = entity
-                    .properties
-                    .get(uc_catalog::model::entity::props::VIEW_SQL)
-                    .ok_or_else(|| EngineError::Unsupported(format!("view {} has no SQL", entity.name)))?;
-                let Statement::Select(inner) = parse_statement(view_sql)? else {
-                    return Err(EngineError::Unsupported("view SQL is not a SELECT".into()));
-                };
-                let base = resolved.dependencies.first().ok_or_else(|| {
-                    EngineError::Unsupported(format!("view {} has no resolved base", entity.name))
-                })?;
-                // Evaluate the view's own query against the base relation
-                // (using the *resolution's* authority, not the caller's).
-                let (base_schema, base_rows, files) =
-                    self.execute_relation(ctx, base, inner.predicate.as_ref(), eval_ctx)?;
-                let mut view_result = project(&base_schema, base_rows, &inner.projection, files)?;
-                // a view's own ORDER BY / LIMIT are part of its definition
-                apply_order_and_limit(&mut view_result, &inner)?;
-                let view_schema = resolved
-                    .schema
-                    .clone()
-                    .unwrap_or_else(|| Schema::new(vec![]));
-                // Apply the outer predicate over the view's output, then
-                // the view's own FGAC policies.
-                let mut rows = view_result.rows;
-                if let Some(p) = extra_predicate {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        if p.eval_bool(&view_schema, &row, eval_ctx)? {
-                            kept.push(row);
-                        }
-                    }
-                    rows = kept;
-                }
-                let rows = self.apply_fgac(resolved, &view_schema, rows, eval_ctx)?;
-                Ok((view_schema, rows, view_result.files_scanned))
-            }
-            other => Err(EngineError::Unsupported(format!("cannot SELECT from a {other}"))),
-        }
+        };
+        let rows = match projection {
+            Projection::CountStar => vec![vec![Value::Int(rows.len() as i64)]],
+            _ => rows,
+        };
+        Ok(QueryResult { columns, rows, files_scanned, message: String::new() })
     }
 
-    /// Snapshot + scan a Delta table with bounded recovery from mid-scan
-    /// credential expiry: a token can age out between resolution and the
-    /// storage reads (long queries, small TTLs). The snapshot is the
-    /// store's shared, validated one (`uc_delta::TableCache`): a table
+    /// A view's level of [`Self::execute_relation`]: its base read under the
+    /// view's own query and its own ORDER BY / LIMIT, then `spec` (the
+    /// view's policies, the caller's predicate and projection) over that
+    /// output.
+    fn execute_view(
+        &self,
+        ctx: &Context,
+        resolved: &ResolvedSecurable,
+        schema: &Schema,
+        spec: &ScanSpec,
+        eval_ctx: &EvalContext,
+    ) -> EngineResult<(Vec<Row>, usize)> {
+        let entity = &resolved.entity;
+        let view_sql = entity
+            .properties
+            .get(uc_catalog::model::entity::props::VIEW_SQL)
+            .ok_or_else(|| EngineError::Unsupported(format!("view {} has no SQL", entity.name)))?;
+        let Statement::Select(inner) = parse_statement(view_sql)? else {
+            return Err(EngineError::Unsupported("view SQL is not a SELECT".into()));
+        };
+        let base = resolved.dependencies.first().ok_or_else(|| {
+            EngineError::Unsupported(format!("view {} has no resolved base", entity.name))
+        })?;
+        // Evaluate the view's own query against the base relation
+        // (using the *resolution's* authority, not the caller's).
+        let mut view = self.execute_relation(
+            ctx,
+            base,
+            inner.predicate.as_ref(),
+            &inner.projection,
+            eval_ctx,
+        )?;
+        // a view's own ORDER BY / LIMIT are part of its definition
+        apply_order_and_limit(&mut view, &inner)?;
+        let mut rows = Vec::new();
+        Plan::bind(schema, spec, eval_ctx)?.run(view.rows.iter().map(Vec::as_slice), &mut rows)?;
+        Ok((rows, view.files_scanned))
+    }
+
+    /// Snapshot + planned scan of a Delta table with bounded recovery from
+    /// mid-scan credential expiry: a token can age out between resolution
+    /// and the storage reads (long queries, small TTLs). The snapshot is
+    /// the store's shared, validated one (`uc_delta::TableCache`): a table
     /// that has not changed costs one credentialed listing. On
     /// `ExpiredCredential` the engine asks the catalog for a fresh read
     /// token — full re-authorization, so revocations since resolution are
@@ -694,7 +714,7 @@ impl EngineSession {
         entity: &Arc<Entity>,
         token: uc_cloudstore::TempCredential,
         pinned: Option<i64>,
-        extra_predicate: Option<&Expr>,
+        spec: &ScanSpec,
         eval_ctx: &EvalContext,
     ) -> EngineResult<(Vec<Row>, usize)> {
         let handle = self.engine.delta_table(ctx, entity)?;
@@ -710,7 +730,7 @@ impl EngineSession {
                     Some(v) => Arc::new(handle.snapshot_at(&cred, v)?),
                     None => handle.snapshot(&cred)?,
                 };
-                handle.scan_snapshot(&cred, &snapshot, extra_predicate, eval_ctx)
+                handle.scan_planned(&cred, &snapshot, spec, eval_ctx)
             })();
             match result {
                 Ok(out) => return Ok(out),
@@ -730,41 +750,6 @@ impl EngineSession {
                 }
             }
         }
-    }
-
-    /// Faithfully enforce the FGAC policies the catalog returned — this is
-    /// the trusted-engine contract.
-    fn apply_fgac(
-        &self,
-        resolved: &ResolvedSecurable,
-        schema: &Schema,
-        rows: Vec<Row>,
-        eval_ctx: &EvalContext,
-    ) -> EngineResult<Vec<Row>> {
-        let mut rows = rows;
-        if let Some(filter) = &resolved.fgac.row_filter {
-            let mut kept = Vec::with_capacity(rows.len());
-            for row in rows {
-                if filter.expr.eval_bool(schema, &row, eval_ctx)? {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
-        for mask in &resolved.fgac.column_masks {
-            if let Some(exempt) = &mask.exempt_when {
-                // Exemption conditions reference only the principal, so one
-                // evaluation (against an empty row) decides the query.
-                if exempt.eval_bool(&Schema::new(vec![]), &Row::new(), eval_ctx).unwrap_or(false) {
-                    continue;
-                }
-            }
-            let Some(idx) = schema.index_of(&mask.column) else { continue };
-            for row in &mut rows {
-                row[idx] = mask.mask.eval(schema, row, eval_ctx)?;
-            }
-        }
-        Ok(rows)
     }
 }
 
@@ -793,38 +778,20 @@ fn apply_order_and_limit(result: &mut QueryResult, query: &SelectQuery) -> Engin
     Ok(())
 }
 
-/// Apply a projection and assemble the result.
-fn project(
+/// The result's column names, and the columns a plan keeps for them
+/// (`None`: all). An unknown column is refused before anything is read.
+fn output_columns<'p>(
     schema: &Schema,
-    rows: Vec<Row>,
-    projection: &Projection,
-    files_scanned: usize,
-) -> EngineResult<QueryResult> {
+    projection: &'p Projection,
+) -> EngineResult<(Vec<String>, Option<&'p [String]>)> {
     match projection {
-        Projection::CountStar => Ok(QueryResult {
-            columns: vec!["count".into()],
-            rows: vec![vec![Value::Int(rows.len() as i64)]],
-            files_scanned,
-            message: String::new(),
-        }),
-        Projection::Star => Ok(QueryResult {
-            columns: schema.fields.iter().map(|f| f.name.clone()).collect(),
-            rows,
-            files_scanned,
-            message: String::new(),
-        }),
+        Projection::CountStar => Ok((vec!["count".into()], Some(&[]))),
+        Projection::Star => Ok((schema.fields.iter().map(|f| f.name.clone()).collect(), None)),
         Projection::Columns(cols) => {
-            let mut indices = Vec::with_capacity(cols.len());
-            for c in cols {
-                indices.push(schema.index_of(c).ok_or_else(|| {
-                    EngineError::Catalog(UcError::InvalidArgument(format!("unknown column {c}")))
-                })?);
+            if let Some(c) = cols.iter().find(|c| schema.index_of(c).is_none()) {
+                return Err(EngineError::Catalog(UcError::InvalidArgument(format!("unknown column {c}"))));
             }
-            let rows = rows
-                .into_iter()
-                .map(|row| indices.iter().map(|&i| row[i].clone()).collect())
-                .collect();
-            Ok(QueryResult { columns: cols.clone(), rows, files_scanned, message: String::new() })
+            Ok((cols.clone(), Some(cols)))
         }
     }
 }

@@ -633,3 +633,90 @@ fn view_with_limit_keeps_its_definition() {
     let res = s.execute("SELECT * FROM main.s.top3 WHERE x < 9").unwrap();
     assert_eq!(res.rows.len(), 2);
 }
+
+/// `(id, amount)` of every row of `sql`'s result, sorted.
+fn id_amount(session: &mut uc_engine::EngineSession, sql: &str) -> Vec<(i64, i64)> {
+    let res = session.execute(sql).unwrap();
+    let mut out: Vec<(i64, i64)> = res
+        .rows
+        .iter()
+        .map(|r| match (&r[0], &r[1]) {
+            (Value::Int(id), Value::Int(amount)) => (*id, *amount),
+            other => panic!("unexpected row {other:?}"),
+        })
+        .collect();
+    out.sort_unstable();
+    out
+}
+
+/// A masked column reads as its mask on every path a query can take: a
+/// WHERE over it matches the masked value, never the stored one, and stats
+/// (which describe stored values) prune no file for it — through a trusted
+/// engine, through the data filtering service, and at a view's own level.
+/// The row filter still reads stored values.
+#[test]
+fn a_where_clause_reads_masked_values_never_stored_ones() {
+    let w = world();
+    let trusted = trusted_engine(&w);
+    let mut admin = trusted.session(ADMIN);
+    admin.execute("CREATE CATALOG main").unwrap();
+    admin.execute("CREATE SCHEMA main.s").unwrap();
+    for table in ["f", "t"] {
+        admin.execute(&format!("CREATE TABLE main.s.{table} (id BIGINT, owner STRING, amount BIGINT)")).unwrap();
+        // two files: amounts 1000–1001 and 1002–1003
+        for ids in [[0, 1], [2, 3]] {
+            let values: Vec<String> = ids
+                .iter()
+                .map(|i| format!("({i}, '{}', {})", if i % 2 == 0 { "alice" } else { "bob" }, 1000 + i))
+                .collect();
+            admin.execute(&format!("INSERT INTO main.s.{table} VALUES {}", values.join(", "))).unwrap();
+        }
+    }
+    admin.execute("CREATE VIEW main.s.v AS SELECT id, amount, owner FROM main.s.t").unwrap();
+    let ctx = Context::user(ADMIN);
+    let is_admin = Expr::Cmp {
+        op: CmpOp::Eq,
+        lhs: Box::new(Expr::CurrentUser),
+        rhs: Box::new(Expr::Literal(Value::Str(ADMIN.into()))),
+    };
+    let own_rows = Expr::Cmp {
+        op: CmpOp::Eq,
+        lhs: Box::new(Expr::Column("owner".into())),
+        rhs: Box::new(Expr::CurrentUser),
+    };
+    for relation in ["main.s.f", "main.s.v"] {
+        let name = FullName::parse(relation).unwrap();
+        let filter = RowFilterPolicy { expr: own_rows.clone().or(is_admin.clone()) };
+        w.uc.set_row_filter(&ctx, &w.ms, &name, filter).unwrap();
+        let mask = ColumnMaskPolicy {
+            column: "amount".into(),
+            mask: Expr::Literal(Value::Int(-1)),
+            exempt_when: Some(is_admin.clone()),
+        };
+        w.uc.set_column_mask(&ctx, &w.ms, &name, mask).unwrap();
+        w.uc.grant_read_path(&ctx, &w.ms, relation, "alice").unwrap();
+    }
+
+    let untrusted = Engine::new(w.uc.clone(), w.ms.clone(), EngineConfig::untrusted("ml-gpu"));
+    let dfs = DataFilteringService::new(trusted.clone());
+    let mut paths = [
+        ("trusted", trusted.session("alice")),
+        ("data filtering service", untrusted.session("alice").with_dfs(dfs)),
+    ];
+    for (path, alice) in &mut paths {
+        for relation in ["main.s.f", "main.s.v"] {
+            let q = |pred: &str| format!("SELECT id, amount FROM {relation} WHERE {pred}");
+            // the stored value is not there to be matched …
+            assert_eq!(id_amount(alice, &q("amount = 1002")), vec![], "{path}, {relation}");
+            assert_eq!(id_amount(alice, &q("amount > 0")), vec![], "{path}, {relation}");
+            // … the masked one is, in every file: her rows only (the filter)
+            assert_eq!(id_amount(alice, &q("amount = -1")), vec![(0, -1), (2, -1)], "{path}, {relation}");
+            assert_eq!(id_amount(alice, &q("id >= 2 AND amount < 0")), vec![(2, -1)], "{path}, {relation}");
+        }
+    }
+    // the exempt admin reads and matches what is stored
+    for relation in ["main.s.f", "main.s.v"] {
+        let sql = format!("SELECT id, amount FROM {relation} WHERE amount = 1002");
+        assert_eq!(id_amount(&mut admin, &sql), vec![(2, 1002)], "{relation}");
+    }
+}

@@ -9,7 +9,9 @@
 //! 200-table listing, typed and through REST, a three-table
 //! `tables.resolve` and a catalog's `grants.list` through REST, and a
 //! `get_table` that misses the table on a node whose cache holds its
-//! containers.
+//! containers. A warm engine SELECT is pinned per shape `query_hot` runs —
+//! a plain table, a view, a row-filtered and masked table — and so is the
+//! one `_delta_log` listing each of them makes.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -30,9 +32,10 @@ use uc_catalog::service::rest::RestApi;
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
 use uc_catalog::Entity;
-use uc_cloudstore::{AccessLevel, ObjectStore};
+use uc_cloudstore::{AccessLevel, Credential, ObjectStore, StoragePath};
 use uc_delta::expr::{CmpOp, Expr};
 use uc_delta::value::{DataType, Field, Schema, Value};
+use uc_engine::{Engine, EngineConfig};
 use uc_txdb::Db;
 
 thread_local! {
@@ -147,6 +150,23 @@ const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 54;
 /// each and the rows to install one vector. 54 while the metastore
 /// version's seek copied its two bounds into `String`s.
 const MISS_GET_TABLE_ALLOCS: u64 = 52;
+/// Allocations per warm `SELECT id, owner, amount … WHERE grp = 3` over a
+/// plain 128-row table in four files (221 while the predicate built an
+/// owned value per side per row, and each kept row was copied whole, then
+/// copied again by the projection).
+const TABLE_SELECT_ALLOCS: u64 = 164;
+/// Allocations per warm `SELECT … WHERE grp = 3` through a view
+/// `SELECT id, grp, owner, amount … WHERE grp < 4` over that table (524
+/// with the copies above at both levels).
+const VIEW_SELECT_ALLOCS: u64 = 370;
+/// Allocations per warm `SELECT … WHERE grp = 3` over that table under a
+/// row filter (`owner = current_user()`) and a mask on `amount` (259 while
+/// the filter and the mask ran as passes of their own over the copied
+/// rows).
+const GOVERNED_SELECT_ALLOCS: u64 = 178;
+/// Allocations per `ObjectStore::list` of a five-commit `_delta_log` (39
+/// while each listed path was `format!`ted and parsed back).
+const LOG_LISTING_ALLOCS: u64 = 17;
 /// Tables in the cold node's schema: a `meta_cold` schema's.
 const COLD_TABLES: usize = 200;
 
@@ -420,4 +440,87 @@ fn a_miss_under_cached_containers_allocates_a_constant_below_the_parent() {
     assert_eq!(stats.hits.get(), hits, "a miss is served from its one snapshot");
     assert!(node.db().stats().reads() > db_reads);
     assert_constant_and_bounded("get_table missing the table alone", &miss, MISS_GET_TABLE_ALLOCS);
+}
+
+/// A trusted engine's node with `main.s.t`, `main.s.f` (`query_hot`'s
+/// shape: `id, grp, owner, amount`, four INSERTs of 32 rows; `f` under a
+/// row filter `owner = current_user()` and a mask on `amount`) and the view
+/// `main.s.v` over `t`, each readable by `alice`.
+fn engine_node() -> (Arc<UnityCatalog>, Arc<Engine>, ObjectStore, Credential) {
+    let store = ObjectStore::in_memory();
+    let uc = UnityCatalog::new(Db::in_memory(), store.clone(), Default::default(), "node-0");
+    let ctx = Context::user("admin");
+    let ms = uc.create_metastore("admin", "allocs", "us-west-2").unwrap();
+    let root = store.create_bucket("lake");
+    uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+    uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+    let engine = Engine::new(uc.clone(), ms.clone(), EngineConfig::trusted("dbr"));
+    let mut admin = engine.session("admin");
+    admin.execute("CREATE CATALOG main").unwrap();
+    admin.execute("CREATE SCHEMA main.s").unwrap();
+    for table in ["t", "f"] {
+        admin.execute(&format!("CREATE TABLE main.s.{table} (id BIGINT, grp BIGINT, owner STRING, amount BIGINT)")).unwrap();
+        for c in 0..4 {
+            let values: Vec<String> = (c * 32..(c + 1) * 32)
+                .map(|j| format!("({j}, {}, 'user{}', {})", j % 8, j / 2 % 4, 1000 + j))
+                .collect();
+            admin.execute(&format!("INSERT INTO main.s.{table} VALUES {}", values.join(", "))).unwrap();
+        }
+    }
+    admin.execute("CREATE VIEW main.s.v AS SELECT id, grp, owner, amount FROM main.s.t WHERE grp < 4").unwrap();
+    let f = FullName::parse("main.s.f").unwrap();
+    let own_rows = Expr::Cmp {
+        op: CmpOp::Eq,
+        lhs: Box::new(Expr::Column("owner".into())),
+        rhs: Box::new(Expr::CurrentUser),
+    };
+    uc.set_row_filter(&ctx, &ms, &f, RowFilterPolicy { expr: own_rows }).unwrap();
+    let mask = ColumnMaskPolicy { column: "amount".into(), mask: Expr::Literal(Value::Int(-1)), exempt_when: None };
+    uc.set_column_mask(&ctx, &ms, &f, mask).unwrap();
+    for relation in ["main.s.t", "main.s.f", "main.s.v"] {
+        uc.grant_read_path(&ctx, &ms, relation, "user1").unwrap();
+    }
+    (uc, engine, store, Credential::Root(root))
+}
+
+/// A warm governed SELECT allocates a constant, below the parent's, for
+/// each shape `query_hot` runs: a plain table, a view, and a row-filtered,
+/// masked table. Each statement is run twice to warm every cache on its
+/// path (metadata, credential, snapshot, decoded files) before the
+/// measured calls.
+#[test]
+fn a_warm_select_allocates_a_constant_below_the_parent() {
+    let (uc, engine, _, _) = engine_node();
+    let mut user = engine.session("user1");
+    let db_reads = uc.db().stats().reads();
+    let mut measure = |sql: &str, rows: usize| {
+        for _ in 0..2 {
+            assert_eq!(user.execute(sql).unwrap().rows.len(), rows, "{sql}");
+        }
+        let db_reads = uc.db().stats().reads();
+        let samples = allocs_of_calls(&uc, 200, |_| {
+            assert_eq!(user.execute(sql).unwrap().rows.len(), rows, "{sql}");
+        });
+        assert_eq!(uc.db().stats().reads(), db_reads, "{sql}: warm calls read no row");
+        samples
+    };
+    let table = measure("SELECT id, owner, amount FROM main.s.t WHERE grp = 3", 16);
+    let view = measure("SELECT id, owner, amount FROM main.s.v WHERE grp = 3", 16);
+    let governed = measure("SELECT id, owner, amount FROM main.s.f WHERE grp = 3", 16);
+    assert!(uc.db().stats().reads() > db_reads);
+    assert_constant_and_bounded("warm table SELECT", &table, TABLE_SELECT_ALLOCS);
+    assert_constant_and_bounded("warm view SELECT", &view, VIEW_SELECT_ALLOCS);
+    assert_constant_and_bounded("warm filtered, masked SELECT", &governed, GOVERNED_SELECT_ALLOCS);
+}
+
+/// Listing a table's five-commit log: what every warm SELECT does once.
+#[test]
+fn a_log_listing_allocates_a_constant_below_the_parent() {
+    let (uc, engine, store, root) = engine_node();
+    let table = uc.get_table(&Context::user("admin"), engine.metastore(), "main.s.t").unwrap();
+    let log = StoragePath::parse(table.storage_path.as_ref().unwrap()).unwrap().child("_delta_log");
+    let listing = allocs_of_calls(&uc, CALLS, |_| {
+        assert_eq!(store.list(&root, &log).unwrap().len(), 5);
+    });
+    assert_constant_and_bounded("5-object _delta_log listing", &listing, LOG_LISTING_ALLOCS);
 }
