@@ -67,6 +67,9 @@ pub enum Reason {
     AbacRestriction,
     /// No external location covers the requested path.
     NoExternalLocation,
+    /// A row filter or column mask binds the read, and the path can hand a
+    /// reader only files — no rule to enforce (the Iceberg facades).
+    PoliciesNotExpressible,
 }
 
 /// A refused request, as `UcError::PermissionDenied` carries it. Its one

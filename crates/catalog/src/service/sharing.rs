@@ -20,6 +20,7 @@ use uc_delta::Snapshot;
 use crate::authz::decision::Need;
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::Privilege;
+use crate::audit::Reason;
 use crate::error::{UcError, UcResult};
 use crate::ids::Uid;
 use crate::model::entity::Entity;
@@ -153,7 +154,8 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<SharedTableResponse> {
         let api = self.api_enter(Op::QUERY_SHARE_TABLE, Some(ctx), Some(ms));
-        let (table, table_path, snapshot, policies) = self.shared_snapshot(&api, ms, share_name, alias)?;
+        let (table, policies) = self.shared_table(&api, ms, share_name, alias)?;
+        let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
         let files = snapshot
             .files
             .values()
@@ -176,7 +178,9 @@ impl UnityCatalog {
     }
 
     /// Serve a shared table as Iceberg metadata (UniForm): Iceberg-only
-    /// clients read the same files through their own metadata model.
+    /// clients read the same files through their own metadata model. A
+    /// table a row filter or mask binds is refused (see
+    /// [`only_unbound_for_iceberg`]).
     pub fn query_share_table_as_iceberg(
         &self,
         ctx: &Context,
@@ -185,20 +189,22 @@ impl UnityCatalog {
         alias: &str,
     ) -> UcResult<IcebergMetadata> {
         let api = self.api_enter(Op::QUERY_SHARE_TABLE_AS_ICEBERG, Some(ctx), Some(ms));
-        let (_, table_path, snapshot, _) = self.shared_snapshot(&api, ms, share_name, alias)?;
+        let (table, policies) = self.shared_table(&api, ms, share_name, alias)?;
+        only_unbound_for_iceberg(&api, &table, &policies)?;
+        let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
         Ok(snapshot_to_iceberg(&snapshot, &table_path, self.now_ms()))
     }
 
-    /// A shared table, its path, snapshot and the policies that bind it,
-    /// once SELECT on the share and the table's data policies now (not
-    /// when shared) admit the caller.
-    fn shared_snapshot(
+    /// A shared table and the policies that bind it, once SELECT on the
+    /// share and the table's data policies now (not when shared) admit the
+    /// caller.
+    fn shared_table(
         &self,
         api: &ApiGuard<'_>,
         ms: &Uid,
         share_name: &str,
         alias: &str,
-    ) -> UcResult<(Arc<Entity>, StoragePath, Snapshot, FgacPolicies)> {
+    ) -> UcResult<(Arc<Entity>, FgacPolicies)> {
         let share = self.share_chain(ms, share_name)?;
         let who = api.audit.gate(&share, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
         let member = self
@@ -210,16 +216,15 @@ impl UnityCatalog {
             .chain_by_id(ms, &Uid::from(member.table_id.as_str()))?
             .ok_or_else(|| UcError::NotFound(format!("shared table {alias} was dropped")))?;
         let policies = api.audit.policies(&who, &chain)?;
-        let table = chain.swap_remove(0);
-        let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
-        Ok((table, table_path, snapshot, policies))
+        Ok((chain.swap_remove(0), policies))
     }
 
     /// Iceberg REST-style facade for *direct* (non-share) access: an
     /// Iceberg client with SELECT on a Delta table loads it as Iceberg
     /// metadata generated via UniForm — the same files, no copy. Catalog
     /// bindings and the data-policy rule hold exactly as for
-    /// raw-credential access.
+    /// raw-credential access, and a table a row filter or mask binds is
+    /// refused even to a trusted engine ([`only_unbound_for_iceberg`]).
     pub fn load_table_as_iceberg(
         &self,
         ctx: &Context,
@@ -230,7 +235,8 @@ impl UnityCatalog {
         let full = self.chain_by_name(ms, name, "relation")?;
         let table = &full[0];
         let who = api.audit.gate(&full, Need::Data(Privilege::Select), name)?;
-        api.audit.policies(&who, &full)?;
+        let policies = api.audit.policies(&who, &full)?;
+        only_unbound_for_iceberg(&api, table, &policies)?;
         let (path, snapshot) = self.table_snapshot_internal(ms, table)?;
         api.audit.allow(&table.id, name);
         Ok(snapshot_to_iceberg(&snapshot, &path, self.now_ms()))
@@ -269,4 +275,19 @@ impl UnityCatalog {
             Ok((path, Snapshot::replay(&log)?))
         }
     }
+}
+
+/// An Iceberg facade hands its reader the table's files and nothing else:
+/// no row filter or mask travels with Iceberg metadata, so a read any of
+/// them binds is refused — one audited `Deny` — and the caller is pointed
+/// at the data filtering service, which enforces them.
+fn only_unbound_for_iceberg(api: &ApiGuard<'_>, table: &Entity, policies: &FgacPolicies) -> UcResult<()> {
+    if policies.is_empty() {
+        return Ok(());
+    }
+    let message = format!(
+        "{} carries fine-grained policies Iceberg metadata cannot express; read it through the data filtering service",
+        table.name
+    );
+    Err(api.audit.refuse(Some(&table.id), &table.name, Reason::PoliciesNotExpressible, message))
 }

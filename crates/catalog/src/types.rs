@@ -92,9 +92,20 @@ impl FullName {
     /// Parse a dotted name with 1–4 parts (4 covers model versions:
     /// `catalog.schema.model.version`).
     pub fn parse(s: &str) -> UcResult<FullName> {
-        let parts: Vec<String> = s.split('.').map(|p| p.trim().to_string()).collect();
+        FullName::checked(s.split('.').map(|p| p.trim().to_string()).collect(), |_| s.to_string())
+    }
+
+    /// A name from its parts, validated as [`FullName::parse`] validates
+    /// the parts of a dotted one: 1–4 parts, each a valid object name.
+    pub fn from_parts(parts: Vec<String>) -> UcResult<FullName> {
+        FullName::checked(parts, |parts| parts.join("."))
+    }
+
+    /// `parts` as a name, if valid; `written` renders the name as the
+    /// caller wrote it, for the error.
+    fn checked(parts: Vec<String>, written: impl FnOnce(&[String]) -> String) -> UcResult<FullName> {
         if parts.is_empty() || parts.len() > 4 || parts.iter().any(|p| p.is_empty()) {
-            return Err(UcError::InvalidArgument(format!("bad qualified name: {s}")));
+            return Err(UcError::InvalidArgument(format!("bad qualified name: {}", written(&parts))));
         }
         for p in &parts {
             validate_object_name(p)?;

@@ -14,6 +14,12 @@
 //! and builds a kept row once, of only the kept columns. The same plan runs
 //! over a cached data file's cells ([`crate::DeltaTable::scan_planned`])
 //! and over a view's output rows.
+//!
+//! A view over a table is one plan of two levels ([`ScanSpec::view`]): the
+//! base level (the table's filter and masks, the view's `WHERE` and
+//! columns) keeps a row, and the view level (the view's own filter and
+//! masks, the caller's predicate and columns) reads that kept row in
+//! place, as the base level outputs it — no row is built between them.
 
 use crate::error::{DeltaError, DeltaResult};
 use crate::expr::{cell, Bound, Cells, EvalContext, Expr};
@@ -39,6 +45,11 @@ pub struct ScanSpec<'a> {
     pub predicate: Option<&'a Expr>,
     /// The columns a kept row carries, in order; `None` keeps all.
     pub columns: Option<&'a [String]>,
+    /// A view's level over this one: the view's schema, whose columns are
+    /// this level's kept columns by position, and what the view enforces
+    /// and keeps over them. `None`: the kept rows are the result. The view
+    /// level has no view of its own.
+    pub view: Option<(&'a Schema, &'a ScanSpec<'a>)>,
 }
 
 /// A [`ScanSpec`] bound to a schema and a caller.
@@ -50,6 +61,8 @@ pub struct Plan {
     masks: Vec<(usize, Bound)>,
     predicate: Option<Bound>,
     columns: Vec<usize>,
+    /// The view level, run over each row this level keeps.
+    view: Option<Box<Plan>>,
 }
 
 impl Plan {
@@ -75,7 +88,14 @@ impl Plan {
                 .map(|c| schema.index_of(c).ok_or_else(|| DeltaError::Schema(format!("unknown column {c}"))))
                 .collect::<DeltaResult<_>>()?,
         };
-        Ok(Plan { filter: bind(spec.row_filter)?, masks, predicate: bind(spec.predicate)?, columns })
+        let view = match spec.view {
+            None => None,
+            Some((_, view)) if view.view.is_some() => {
+                return Err(DeltaError::Schema("a view level has no view of its own".into()))
+            }
+            Some((view_schema, view)) => Some(Box::new(Plan::bind(view_schema, view, ctx)?)),
+        };
+        Ok(Plan { filter: bind(spec.row_filter)?, masks, predicate: bind(spec.predicate)?, columns, view })
     }
 
     /// Whether a mask replaces the column at `idx`.
@@ -83,22 +103,35 @@ impl Plan {
         self.masks.iter().any(|(col, _)| *col == idx)
     }
 
+    /// Whether the view level's column `name` reads the stored column of
+    /// the same name in `schema` (this level's), masked at neither level:
+    /// only then do that column's file stats bound what the view level
+    /// reads.
+    pub(crate) fn view_reads_stored(&self, schema: &Schema, view_schema: &Schema, name: &str) -> bool {
+        let Some(view) = &self.view else { return false };
+        let Some(idx) = view_schema.index_of(name) else { return false };
+        let Some(&col) = self.columns.get(idx) else { return false };
+        !view.masks_column(idx) && !self.masks_column(col) && schema.fields[col].name == name
+    }
+
     /// Take each row through the plan; push every kept row onto `out`. The
     /// rows are read in place: a cached file's (`RowRef`s) or a view's
-    /// output (`&[Value]`s).
+    /// output (`&[Value]`s); so is a kept row, by the view level.
     pub fn run<R: Cells>(&self, rows: impl IntoIterator<Item = R>, out: &mut Vec<Row>) -> DeltaResult<()> {
         let mut masked = Vec::with_capacity(self.masks.len());
+        let mut view_masked = Vec::with_capacity(self.view.as_ref().map_or(0, |v| v.masks.len()));
         for row in rows {
-            if self.keep(&row, &mut masked)? {
-                let mut kept = Vec::with_capacity(self.columns.len());
-                for &col in &self.columns {
-                    kept.push(match self.mask_of(col, masked.len()) {
-                        Some(j) => masked[j].clone(),
-                        None => cell(&row, col)?.to_value(),
-                    });
-                }
-                out.push(kept);
+            if !self.keep(&row, &mut masked)? {
+                continue;
             }
+            let kept = Kept(Masked { row: &row, plan: self, values: &masked });
+            out.push(match &self.view {
+                None => kept.to_row()?,
+                Some(view) if view.keep(&kept, &mut view_masked)? => {
+                    Kept(Masked { row: &kept, plan: view, values: &view_masked }).to_row()?
+                }
+                Some(_) => continue,
+            });
         }
         Ok(())
     }
@@ -145,6 +178,27 @@ impl<R: Cells + ?Sized> Cells for Masked<'_, R> {
     }
 }
 
+/// A row as its plan's level outputs it, every mask applied: cell `i` is
+/// the `i`-th kept column.
+struct Kept<'p, R: ?Sized>(Masked<'p, R>);
+
+impl<R: Cells + ?Sized> Cells for Kept<'_, R> {
+    fn cell(&self, idx: usize) -> Option<ValueRef<'_>> {
+        self.0.cell(*self.0.plan.columns.get(idx)?)
+    }
+}
+
+impl<R: Cells + ?Sized> Kept<'_, R> {
+    /// The kept row, built once.
+    fn to_row(&self) -> DeltaResult<Row> {
+        let mut row = Vec::with_capacity(self.0.plan.columns.len());
+        for idx in 0..self.0.plan.columns.len() {
+            row.push(cell(self, idx)?.to_value());
+        }
+        Ok(row)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,7 +237,8 @@ mod tests {
         let masks = [Mask { column: "amount", mask: &hidden, exempt_when: None }];
         let columns = ["id".to_string(), "amount".to_string()];
         let stored = Expr::cmp("amount", CmpOp::Eq, 1002i64);
-        let spec = ScanSpec { row_filter: Some(&own), masks: &masks, predicate: Some(&stored), columns: Some(&columns) };
+        let spec =
+            ScanSpec { row_filter: Some(&own), masks: &masks, predicate: Some(&stored), columns: Some(&columns), view: None };
         assert!(run(&spec, &ctx).is_empty(), "a stored amount is never matched");
         let shown = Expr::cmp("amount", CmpOp::Eq, -1i64);
         let spec = ScanSpec { predicate: Some(&shown), ..spec };

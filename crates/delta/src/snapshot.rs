@@ -146,7 +146,7 @@ impl Snapshot {
 
 /// [`file_may_match`] of each top-level conjunct that reads no masked
 /// column.
-fn conjuncts_may_match(expr: &Expr, masked: &impl Fn(&str) -> bool, file: &AddFile) -> bool {
+pub(crate) fn conjuncts_may_match(expr: &Expr, masked: &impl Fn(&str) -> bool, file: &AddFile) -> bool {
     match expr {
         Expr::And(a, b) => conjuncts_may_match(a, masked, file) && conjuncts_may_match(b, masked, file),
         e => e.reads_any(masked) || file_may_match(e, file),

@@ -26,7 +26,7 @@ use crate::log::{
     checkpoint_in_listing, read_commits, write_commit, CommitCoordinator, Head,
     StorageCommitCoordinator, LOG_DIR,
 };
-use crate::snapshot::Snapshot;
+use crate::snapshot::{conjuncts_may_match, Snapshot};
 use crate::value::{Row, Schema};
 
 /// Process-unique suffix source for data file names.
@@ -324,6 +324,11 @@ impl DeltaTable {
     /// caller, skip the files stats rule out, and take every row of the
     /// rest through the [`Plan`], reading the shared decoded cells in
     /// place. Returns the kept rows and the number of files read.
+    ///
+    /// A file is skipped when its stats rule out a conjunct of `spec`'s
+    /// predicate over unmasked columns, or — for a view level — a conjunct
+    /// of the view's predicate whose every column reads a stored column
+    /// that neither level masks ([`Plan::view_reads_stored`]).
     pub fn scan_planned(
         &self,
         cred: &Credential,
@@ -333,8 +338,12 @@ impl DeltaTable {
     ) -> DeltaResult<(Vec<Row>, usize)> {
         let schema = snapshot.schema();
         let plan = Plan::bind(schema, spec, ctx)?;
-        let files = snapshot
+        let mut files = snapshot
             .prune_files(spec.predicate, |c| schema.index_of(c).is_some_and(|i| plan.masks_column(i)));
+        if let Some((view_schema, Some(predicate))) = spec.view.map(|(s, v)| (s, v.predicate)) {
+            let opaque = |c: &str| !plan.view_reads_stored(schema, view_schema, c);
+            files.retain(|f| conjuncts_may_match(predicate, &opaque, f));
+        }
         let files_read = files.len();
         let mut out = Vec::new();
         for file in files {

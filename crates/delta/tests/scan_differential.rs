@@ -331,6 +331,7 @@ fn planned(case: &Case) -> (Result<Vec<Row>, DeltaError>, Result<Vec<Row>, Delta
         masks: &masks,
         predicate: case.predicate.as_ref(),
         columns: case.columns.as_deref(),
+        view: None,
     };
     let ctx = context(case);
     let (t, cred) = table(&case.rows, case.chunk);

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use crate::error::EngineResult;
 use crate::exec::{Engine, QueryResult};
-use crate::sql::{render_select, SelectQuery};
+use crate::sql::{SelectQuery, Statement};
 
 /// A trusted execution endpoint for FGAC delegation.
 pub struct DataFilteringService {
@@ -34,7 +34,7 @@ impl DataFilteringService {
     /// rows (already filtered and masked).
     pub fn execute_select(&self, principal: &str, query: &SelectQuery) -> EngineResult<QueryResult> {
         let mut session = self.trusted_engine.session(principal);
-        session.execute(&render_select(query))
+        session.execute_statement(Statement::Select(query.clone()))
     }
 }
 

@@ -1,9 +1,12 @@
 //! Statement execution: the life of a SQL query (§3.4).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use uc_cloudstore::{AccessLevel, Credential, ObjectStore, StoragePath};
 use uc_catalog::audit::Reason;
+use uc_catalog::authz::fgac::FgacPolicies;
 use uc_catalog::ids::Uid;
 use uc_catalog::model::entity::Entity;
 use uc_catalog::service::commits::{CatalogCommitCoordinator, TableCommit};
@@ -66,18 +69,49 @@ impl EngineConfig {
     }
 }
 
+/// Most parsed view bodies an [`Engine`] keeps; inserting past it drops
+/// the entry of the lowest view id.
+const VIEW_BODIES: usize = 1024;
+
 /// A compute engine attached to one metastore.
 pub struct Engine {
     pub(crate) uc: Arc<UnityCatalog>,
     pub(crate) ms: Uid,
     pub(crate) store: ObjectStore,
     pub(crate) config: EngineConfig,
+    /// Each view's parsed body, by view id, with the stored SQL it was
+    /// parsed from: an entry serves a view only while that SQL is what the
+    /// view's entity holds, byte for byte, so no write can make one stale.
+    view_bodies: RwLock<BTreeMap<Uid, (String, Arc<SelectQuery>)>>,
 }
 
 impl Engine {
     pub fn new(uc: Arc<UnityCatalog>, ms: Uid, config: EngineConfig) -> Arc<Self> {
         let store = uc.object_store().clone();
-        Arc::new(Engine { uc, ms, store, config })
+        Arc::new(Engine { uc, ms, store, config, view_bodies: RwLock::new(BTreeMap::new()) })
+    }
+
+    /// The defining SELECT of `view`, parsed once per stored SQL text.
+    fn view_body(&self, view: &Entity) -> EngineResult<Arc<SelectQuery>> {
+        let sql = view
+            .properties
+            .get(uc_catalog::model::entity::props::VIEW_SQL)
+            .ok_or_else(|| EngineError::Unsupported(format!("view {} has no SQL", view.name)))?;
+        if let Some((parsed_from, body)) = self.view_bodies.read().get(&view.id) {
+            if parsed_from == sql {
+                return Ok(body.clone());
+            }
+        }
+        let Statement::Select(body) = parse_statement(sql)? else {
+            return Err(EngineError::Unsupported("view SQL is not a SELECT".into()));
+        };
+        let body = Arc::new(body);
+        let mut bodies = self.view_bodies.write();
+        if bodies.len() >= VIEW_BODIES && !bodies.contains_key(&view.id) {
+            bodies.pop_first();
+        }
+        bodies.insert(view.id.clone(), (sql.clone(), body.clone()));
+        Ok(body)
     }
 
     /// Open a session for a principal.
@@ -615,18 +649,8 @@ impl EngineSession {
             (_, other) => return Err(EngineError::Unsupported(format!("cannot SELECT from a {other}"))),
         };
         let (columns, keep) = output_columns(schema, projection)?;
-        let fgac = &resolved.fgac;
-        let masks: Vec<Mask> = fgac
-            .column_masks
-            .iter()
-            .map(|m| Mask { column: &m.column, mask: &m.mask, exempt_when: m.exempt_when.as_ref() })
-            .collect();
-        let spec = ScanSpec {
-            row_filter: fgac.row_filter.as_ref().map(|f| &f.expr),
-            masks: &masks,
-            predicate,
-            columns: keep,
-        };
+        let masks = masks_of(&resolved.fgac);
+        let spec = level(&resolved.fgac, &masks, predicate, keep);
         let (rows, files_scanned) = match entity.kind {
             SecurableKind::View => self.execute_view(ctx, resolved, schema, &spec, eval_ctx)?,
             _ if entity.table_type() == Some(TableType::ShallowClone) => {
@@ -660,10 +684,13 @@ impl EngineSession {
         Ok(QueryResult { columns, rows, files_scanned, message: String::new() })
     }
 
-    /// A view's level of [`Self::execute_relation`]: its base read under the
-    /// view's own query and its own ORDER BY / LIMIT, then `spec` (the
-    /// view's policies, the caller's predicate and projection) over that
-    /// output.
+    /// A view's level of [`Self::execute_relation`]: `spec` (the view's
+    /// policies, the caller's predicate and projection) over the view's
+    /// body run on its base. Over a plain table, and with no ORDER BY or
+    /// LIMIT in the body, that is one scan of the table: the base level
+    /// (the table's policies, the body's WHERE and columns) and the view
+    /// level composed into one plan. Otherwise the base is read whole under
+    /// the body first, then `spec` runs over that output.
     fn execute_view(
         &self,
         ctx: &Context,
@@ -673,16 +700,27 @@ impl EngineSession {
         eval_ctx: &EvalContext,
     ) -> EngineResult<(Vec<Row>, usize)> {
         let entity = &resolved.entity;
-        let view_sql = entity
-            .properties
-            .get(uc_catalog::model::entity::props::VIEW_SQL)
-            .ok_or_else(|| EngineError::Unsupported(format!("view {} has no SQL", entity.name)))?;
-        let Statement::Select(inner) = parse_statement(view_sql)? else {
-            return Err(EngineError::Unsupported("view SQL is not a SELECT".into()));
-        };
+        let inner = self.engine.view_body(entity)?;
         let base = resolved.dependencies.first().ok_or_else(|| {
             EngineError::Unsupported(format!("view {} has no resolved base", entity.name))
         })?;
+        let one_scan = inner.order_by.is_none()
+            && inner.limit.is_none()
+            && inner.projection != Projection::CountStar
+            && base.entity.kind == SecurableKind::Table
+            && base.entity.table_type() != Some(TableType::ShallowClone);
+        if let (true, Some(base_schema)) = (one_scan, &base.schema) {
+            let (_, keep) = output_columns(base_schema, &inner.projection)?;
+            let masks = masks_of(&base.fgac);
+            let base_spec = ScanSpec {
+                view: Some((schema, spec)),
+                ..level(&base.fgac, &masks, inner.predicate.as_ref(), keep)
+            };
+            let token = base.read_credential.clone().ok_or_else(|| {
+                EngineError::Unsupported(format!("no read credential for {}", base.entity.name))
+            })?;
+            return self.scan_table(ctx, &base.entity, token, None, &base_spec, eval_ctx);
+        }
         // Evaluate the view's own query against the base relation
         // (using the *resolution's* authority, not the caller's).
         let mut view = self.execute_relation(
@@ -751,6 +789,25 @@ impl EngineSession {
             }
         }
     }
+}
+
+/// A relation's masks as a plan takes them.
+fn masks_of(fgac: &FgacPolicies) -> Vec<Mask<'_>> {
+    fgac.column_masks
+        .iter()
+        .map(|m| Mask { column: &m.column, mask: &m.mask, exempt_when: m.exempt_when.as_ref() })
+        .collect()
+}
+
+/// One level of a read: the relation's row filter and `masks`, then
+/// `predicate` over the masked rows, keeping `columns`.
+fn level<'a>(
+    fgac: &'a FgacPolicies,
+    masks: &'a [Mask<'a>],
+    predicate: Option<&'a Expr>,
+    columns: Option<&'a [String]>,
+) -> ScanSpec<'a> {
+    ScanSpec { row_filter: fgac.row_filter.as_ref().map(|f| &f.expr), masks, predicate, columns, view: None }
 }
 
 /// Apply ORDER BY and LIMIT to an assembled result.

@@ -86,58 +86,62 @@ pub enum Statement {
 // Lexer
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
-    Num(String),
-    Punct(String),
+/// A token, borrowed from the statement's text: the lexer copies nothing,
+/// and a `String` is made only where the syntax tree keeps one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'s> {
+    Ident(&'s str),
+    /// A string literal's contents, between its quotes.
+    Str(&'s str),
+    Num(&'s str),
+    Punct(&'static str),
 }
 
-fn lex(input: &str) -> EngineResult<Vec<Token>> {
+/// Operators of two characters, tried before the one-character ones.
+const PUNCT2: [&str; 4] = ["<=", ">=", "<>", "!="];
+/// The one-character operators, each its own `&'static str`.
+const PUNCT1: [&str; 9] = ["(", ")", ",", ".", "*", "=", "<", ">", ";"];
+
+/// One pass over the input's bytes. Every token boundary is an ASCII byte,
+/// so each token is a slice of `input`; a non-ASCII character is
+/// whitespace to skip or an error, and may appear only inside a string.
+fn lex(input: &str) -> EngineResult<Vec<Token<'_>>> {
+    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let bytes: Vec<char> = input.chars().collect();
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
-        if c.is_whitespace() {
-            i += 1;
-        } else if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+        let start = i;
+        if c.is_ascii_alphabetic() || c == b'_' {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            tokens.push(Token::Ident(bytes[start..i].iter().collect()));
-        } else if c.is_ascii_digit() || (c == '-' && bytes.get(i + 1).is_some_and(|d| d.is_ascii_digit())) {
-            let start = i;
+            tokens.push(Token::Ident(&input[start..i]));
+        } else if c.is_ascii_digit() || (c == b'-' && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)) {
             i += 1;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '.') {
+            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
                 i += 1;
             }
-            tokens.push(Token::Num(bytes[start..i].iter().collect()));
-        } else if c == '\'' {
-            i += 1;
-            let start = i;
-            while i < bytes.len() && bytes[i] != '\'' {
-                i += 1;
-            }
-            if i == bytes.len() {
+            tokens.push(Token::Num(&input[start..i]));
+        } else if c == b'\'' {
+            let Some(len) = bytes[i + 1..].iter().position(|&b| b == b'\'') else {
                 return Err(EngineError::Parse("unterminated string literal".into()));
-            }
-            tokens.push(Token::Str(bytes[start..i].iter().collect()));
+            };
+            tokens.push(Token::Str(&input[i + 1..i + 1 + len]));
+            i += len + 2;
+        } else if let Some(p) = PUNCT2.iter().find(|p| bytes[i..].starts_with(p.as_bytes())) {
+            tokens.push(Token::Punct(p));
+            i += 2;
+        } else if let Some(p) = PUNCT1.iter().find(|p| p.as_bytes()[0] == c) {
+            tokens.push(Token::Punct(p));
             i += 1;
         } else {
-            // multi-char operators first
-            let two: String = bytes[i..(i + 2).min(bytes.len())].iter().collect();
-            if ["<=", ">=", "<>", "!="].contains(&two.as_str()) {
-                tokens.push(Token::Punct(two));
-                i += 2;
-            } else if "(),.*=<>;".contains(c) {
-                tokens.push(Token::Punct(c.to_string()));
-                i += 1;
-            } else {
-                return Err(EngineError::Parse(format!("unexpected character {c:?}")));
+            // whitespace, or a character no token starts with
+            let Some(ch) = input[i..].chars().next() else { break };
+            if !ch.is_whitespace() {
+                return Err(EngineError::Parse(format!("unexpected character {ch:?}")));
             }
+            i += ch.len_utf8();
         }
     }
     Ok(tokens)
@@ -147,30 +151,24 @@ fn lex(input: &str) -> EngineResult<Vec<Token>> {
 // Parser
 // ---------------------------------------------------------------------
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'s> {
+    tokens: Vec<Token<'s>>,
     pos: usize,
-    original: String,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Option<Token<'s>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> EngineResult<Token> {
-        let t = self
-            .tokens
-            .get(self.pos)
-            .cloned()
-            .ok_or_else(|| EngineError::Parse("unexpected end of input".into()))?;
+    fn next(&mut self) -> EngineResult<Token<'s>> {
+        let t = self.peek().ok_or_else(|| EngineError::Parse("unexpected end of input".into()))?;
         self.pos += 1;
         Ok(t)
     }
 
     fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
-            || matches!(self.peek(), Some(Token::Punct(p)) if p == ";")
+        matches!(self.peek(), None | Some(Token::Punct(";")))
     }
 
     /// Consume a keyword (case-insensitive); error if absent.
@@ -208,7 +206,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> EngineResult<String> {
+    fn ident(&mut self) -> EngineResult<&'s str> {
         match self.next()? {
             Token::Ident(w) => Ok(w),
             other => Err(EngineError::Parse(format!("expected identifier, found {other:?}"))),
@@ -216,17 +214,17 @@ impl Parser {
     }
 
     fn qualified_name(&mut self) -> EngineResult<FullName> {
-        let mut parts = vec![self.ident()?];
+        let mut parts = Vec::with_capacity(3);
+        parts.push(self.ident()?.to_string());
         while self.eat_punct(".") {
-            parts.push(self.ident()?);
+            parts.push(self.ident()?.to_string());
         }
-        let joined = parts.join(".");
-        FullName::parse(&joined).map_err(|e| EngineError::Parse(e.to_string()))
+        FullName::from_parts(parts).map_err(|e| EngineError::Parse(e.to_string()))
     }
 
     fn string(&mut self) -> EngineResult<String> {
         match self.next()? {
-            Token::Str(s) => Ok(s),
+            Token::Str(s) => Ok(s.to_string()),
             other => Err(EngineError::Parse(format!("expected string literal, found {other:?}"))),
         }
     }
@@ -273,7 +271,7 @@ impl Parser {
             return Ok(if negated { Expr::Not(Box::new(e)) } else { e });
         }
         let op = match self.peek() {
-            Some(Token::Punct(p)) => match p.as_str() {
+            Some(Token::Punct(p)) => match p {
                 "=" => CmpOp::Eq,
                 "<>" | "!=" => CmpOp::Ne,
                 "<" => CmpOp::Lt,
@@ -291,13 +289,13 @@ impl Parser {
 
     fn primary(&mut self) -> EngineResult<Expr> {
         match self.next()? {
-            Token::Punct(p) if p == "(" => {
+            Token::Punct("(") => {
                 let e = self.expr()?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
-            Token::Num(n) => Ok(Expr::Literal(parse_number(&n)?)),
-            Token::Str(s) => Ok(Expr::Literal(Value::Str(s))),
+            Token::Num(n) => Ok(Expr::Literal(parse_number(n)?)),
+            Token::Str(s) => Ok(Expr::Literal(Value::Str(s.to_string()))),
             Token::Ident(w) if w.eq_ignore_ascii_case("TRUE") => Ok(Expr::Literal(Value::Bool(true))),
             Token::Ident(w) if w.eq_ignore_ascii_case("FALSE") => Ok(Expr::Literal(Value::Bool(false))),
             Token::Ident(w) if w.eq_ignore_ascii_case("NULL") => Ok(Expr::Literal(Value::Null)),
@@ -312,7 +310,7 @@ impl Parser {
                 self.expect_punct(")")?;
                 Ok(Expr::IsAccountGroupMember(group))
             }
-            Token::Ident(col) => Ok(Expr::Column(col)),
+            Token::Ident(col) => Ok(Expr::Column(col.to_string())),
             other => Err(EngineError::Parse(format!("unexpected token in expression: {other:?}"))),
         }
     }
@@ -330,9 +328,9 @@ impl Parser {
             self.expect_punct(")")?;
             Projection::CountStar
         } else {
-            let mut cols = vec![self.ident()?];
+            let mut cols = vec![self.ident()?.to_string()];
             while self.eat_punct(",") {
-                cols.push(self.ident()?);
+                cols.push(self.ident()?.to_string());
             }
             Projection::Columns(cols)
         };
@@ -341,7 +339,7 @@ impl Parser {
         let predicate = if self.eat_kw("WHERE") { Some(self.expr()?) } else { None };
         let order_by = if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
-            let col = self.ident()?;
+            let col = self.ident()?.to_string();
             let desc = if self.eat_kw("DESC") {
                 true
             } else {
@@ -367,8 +365,8 @@ impl Parser {
 
     fn value_literal(&mut self) -> EngineResult<Value> {
         match self.next()? {
-            Token::Num(n) => parse_number(&n),
-            Token::Str(s) => Ok(Value::Str(s)),
+            Token::Num(n) => parse_number(n),
+            Token::Str(s) => Ok(Value::Str(s.to_string())),
             Token::Ident(w) if w.eq_ignore_ascii_case("NULL") => Ok(Value::Null),
             Token::Ident(w) if w.eq_ignore_ascii_case("TRUE") => Ok(Value::Bool(true)),
             Token::Ident(w) if w.eq_ignore_ascii_case("FALSE") => Ok(Value::Bool(false)),
@@ -378,19 +376,19 @@ impl Parser {
 
     fn object_kind(&mut self) -> EngineResult<ObjectKind> {
         let w = self.ident()?;
-        match w.to_ascii_uppercase().as_str() {
+        match keyword(w, &["CATALOG", "SCHEMA", "DATABASE", "TABLE", "VIEW", "VOLUME"]) {
             "CATALOG" => Ok(ObjectKind::Catalog),
             "SCHEMA" | "DATABASE" => Ok(ObjectKind::Schema),
             "TABLE" => Ok(ObjectKind::Table),
             "VIEW" => Ok(ObjectKind::View),
             "VOLUME" => Ok(ObjectKind::Volume),
-            other => Err(EngineError::Parse(format!("unknown object kind {other}"))),
+            _ => Err(EngineError::Parse(format!("unknown object kind {}", w.to_ascii_uppercase()))),
         }
     }
 
     fn statement(&mut self) -> EngineResult<Statement> {
-        let head = self.ident()?.to_ascii_uppercase();
-        let stmt = match head.as_str() {
+        let head = self.ident()?;
+        let stmt = match keyword(head, &STATEMENT_KEYWORDS) {
             "CREATE" => self.create_statement()?,
             "INSERT" => {
                 self.expect_kw("INTO")?;
@@ -447,7 +445,7 @@ impl Parser {
             "OPTIMIZE" => Statement::Optimize { table: self.qualified_name()? },
             "VACUUM" => Statement::Vacuum { table: self.qualified_name()? },
             "DESCRIBE" | "DESC" => Statement::Describe { table: self.qualified_name()? },
-            other => return Err(EngineError::Parse(format!("unknown statement {other}"))),
+            _ => return Err(EngineError::Parse(format!("unknown statement {}", head.to_ascii_uppercase()))),
         };
         if !self.at_end() {
             return Err(EngineError::Parse(format!(
@@ -462,20 +460,21 @@ impl Parser {
         // Privileges can be two words (USE CATALOG / USE SCHEMA / ALL
         // PRIVILEGES / CREATE TABLE …); greedily join while the next token
         // is not ON.
-        let mut words = vec![self.ident()?];
+        let mut privilege = self.ident()?.to_ascii_uppercase();
         while let Some(Token::Ident(w)) = self.peek() {
             if w.eq_ignore_ascii_case("ON") {
                 break;
             }
-            words.push(self.ident()?);
+            self.pos += 1;
+            privilege.push(' ');
+            privilege.extend(w.chars().map(|c| c.to_ascii_uppercase()));
         }
-        Ok(words.join(" ").to_ascii_uppercase())
+        Ok(privilege)
     }
 
     fn grantee(&mut self) -> EngineResult<String> {
         match self.next()? {
-            Token::Ident(w) => Ok(w),
-            Token::Str(s) => Ok(s),
+            Token::Ident(w) | Token::Str(w) => Ok(w.to_string()),
             other => Err(EngineError::Parse(format!("expected grantee, found {other:?}"))),
         }
     }
@@ -483,7 +482,7 @@ impl Parser {
     fn create_statement(&mut self) -> EngineResult<Statement> {
         let kind = self.object_kind()?;
         match kind {
-            ObjectKind::Catalog => Ok(Statement::CreateCatalog { name: self.ident()? }),
+            ObjectKind::Catalog => Ok(Statement::CreateCatalog { name: self.ident()?.to_string() }),
             ObjectKind::Schema => {
                 let name = self.qualified_name()?;
                 let Some(schema) = name.schema().filter(|_| name.len() == 2) else {
@@ -506,14 +505,14 @@ impl Parser {
                 loop {
                     let col = self.ident()?;
                     let ty_name = self.ident()?;
-                    let dt = DataType::parse(&ty_name)
+                    let dt = DataType::parse(ty_name)
                         .ok_or_else(|| EngineError::Parse(format!("unknown type {ty_name}")))?;
                     let mut nullable = true;
                     if self.eat_kw("NOT") {
                         self.expect_kw("NULL")?;
                         nullable = false;
                     }
-                    columns.push((col, dt, nullable));
+                    columns.push((col.to_string(), dt, nullable));
                     if !self.eat_punct(",") {
                         break;
                     }
@@ -549,6 +548,18 @@ impl Parser {
             }
         }
     }
+}
+
+/// The words a statement can start with.
+const STATEMENT_KEYWORDS: [&str; 14] = [
+    "CREATE", "INSERT", "SELECT", "DELETE", "GRANT", "REVOKE", "DROP", "BEGIN", "COMMIT", "ROLLBACK",
+    "OPTIMIZE", "VACUUM", "DESCRIBE", "DESC",
+];
+
+/// The keyword of `keywords` that `word` spells, in any case; `""` when
+/// none does.
+fn keyword(word: &str, keywords: &[&'static str]) -> &'static str {
+    keywords.iter().find(|k| word.eq_ignore_ascii_case(k)).copied().unwrap_or("")
 }
 
 fn parse_number(n: &str) -> EngineResult<Value> {
@@ -589,10 +600,7 @@ pub fn parse_statement(sql: &str) -> EngineResult<Statement> {
     if tokens.is_empty() {
         return Err(EngineError::Parse("empty statement".into()));
     }
-    let mut parser = Parser { tokens, pos: 0, original: sql.to_string() };
-    let stmt = parser.statement()?;
-    let _ = &parser.original;
-    Ok(stmt)
+    Parser { tokens, pos: 0 }.statement()
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 
 use std::sync::Arc;
 
+use uc_catalog::audit::Reason;
 use uc_catalog::authz::fgac::{ColumnMaskPolicy, RowFilterPolicy};
 use uc_catalog::service::{Context, UcConfig, UnityCatalog};
 use uc_catalog::types::FullName;
+use uc_catalog::UcError;
 use uc_cloudstore::ObjectStore;
 use uc_delta::expr::{CmpOp, Expr};
 use uc_delta::value::Value;
@@ -432,7 +434,9 @@ fn direct_iceberg_facade_serves_governed_tables() {
     let nobody = Context::user("nobody");
     assert!(w.uc.load_table_as_iceberg(&nobody, &w.ms, &name).is_err());
 
-    // FGAC gates untrusted pass-through
+    // FGAC gates pass-through: Iceberg metadata carries files and no rule,
+    // so a filtered table is refused to every Iceberg client, a trusted
+    // engine included, and the refusal names the data filtering service
     w.uc.set_row_filter(
         &ctx,
         &w.ms,
@@ -448,7 +452,13 @@ fn direct_iceberg_facade_serves_governed_tables() {
     .unwrap();
     assert!(w.uc.load_table_as_iceberg(&ice_client, &w.ms, &name).is_err());
     let trusted = Context::trusted("iceuser", "trusted-iceberg-engine");
-    assert!(w.uc.load_table_as_iceberg(&trusted, &w.ms, &name).is_ok());
+    match w.uc.load_table_as_iceberg(&trusted, &w.ms, &name) {
+        Err(UcError::PermissionDenied(r)) => {
+            assert_eq!(r.reason(), Reason::PoliciesNotExpressible);
+            assert!(r.to_string().contains("data filtering service"), "{r}");
+        }
+        other => panic!("a trusted Iceberg load of a filtered table: {other:?}"),
+    }
 }
 
 #[test]

@@ -661,9 +661,11 @@ mod deny {
     /// for `resolve_model_version`) under four governance states, each
     /// attached after the share was made. An ABAC restriction (to a group
     /// alice is not in) refuses both callers; a row filter or an ABAC mask
-    /// alone refuses the untrusted client. A refusal is a 403 with its
-    /// typed reason and exactly one `Deny`, under the path's own action,
-    /// naming the asset; every other call succeeds.
+    /// alone refuses the untrusted client, and refuses the trusted engine
+    /// on the two Iceberg facades, whose metadata carries files and no
+    /// rule. A refusal is a 403 with its typed reason and exactly one
+    /// `Deny`, under the path's own action, naming the asset; every other
+    /// call succeeds.
     #[test]
     fn every_data_path_applies_one_data_policy_rule() {
         use uc_catalog::audit::Reason;
@@ -726,9 +728,11 @@ mod deny {
                         Governance::RowFilter | Governance::AbacMask => op.name != "resolve_model_version",
                         _ => false,
                     };
+                    let iceberg = op.name.ends_with("as_iceberg");
                     let expected = match governance {
                         Governance::AbacRestriction => Some(Reason::AbacRestriction),
                         _ if governed && !ctx.is_trusted_engine() => Some(Reason::NeedsTrustedEngine),
+                        _ if governed && iceberg => Some(Reason::PoliciesNotExpressible),
                         _ => None,
                     };
                     let before = uc.audit_log().total_recorded();

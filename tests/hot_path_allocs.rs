@@ -10,8 +10,9 @@
 //! `tables.resolve` and a catalog's `grants.list` through REST, and a
 //! `get_table` that misses the table on a node whose cache holds its
 //! containers. A warm engine SELECT is pinned per shape `query_hot` runs —
-//! a plain table, a view, a row-filtered and masked table — and so is the
-//! one `_delta_log` listing each of them makes.
+//! a plain table, a view, a row-filtered and masked table — and so are the
+//! parse each of them starts with and the one `_delta_log` listing each of
+//! them makes.
 //!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
 //! percent; an allocation count is exact. This binary installs a counting
@@ -153,17 +154,29 @@ const MISS_GET_TABLE_ALLOCS: u64 = 52;
 /// Allocations per warm `SELECT id, owner, amount … WHERE grp = 3` over a
 /// plain 128-row table in four files (221 while the predicate built an
 /// owned value per side per row, and each kept row was copied whole, then
-/// copied again by the projection).
-const TABLE_SELECT_ALLOCS: u64 = 164;
+/// copied again by the projection; 164 while the lexer made a `String` of
+/// every token and the parser cloned each again).
+const TABLE_SELECT_ALLOCS: u64 = 129;
 /// Allocations per warm `SELECT … WHERE grp = 3` through a view
 /// `SELECT id, grp, owner, amount … WHERE grp < 4` over that table (524
-/// with the copies above at both levels).
-const VIEW_SELECT_ALLOCS: u64 = 370;
+/// with the copies above at both levels; 370 while the view's body was
+/// parsed again on every read and the base level built each of its 64
+/// rows for the view level to read). Within 25 of the table's: the view is
+/// one scan of the table.
+const VIEW_SELECT_ALLOCS: u64 = 148;
 /// Allocations per warm `SELECT … WHERE grp = 3` over that table under a
 /// row filter (`owner = current_user()`) and a mask on `amount` (259 while
 /// the filter and the mask ran as passes of their own over the copied
-/// rows).
-const GOVERNED_SELECT_ALLOCS: u64 = 178;
+/// rows; 178 with the copying lexer).
+const GOVERNED_SELECT_ALLOCS: u64 = 143;
+/// Allocations per `parse_statement` of a `query_hot` SELECT,
+/// `SELECT id, owner, amount FROM main.s000.t000012 WHERE id >= 5 AND grp
+/// <> 2`: the token vector, the syntax tree's strings and boxes, the name's
+/// parts (60 while the lexer collected the text into a `Vec<char>`, made a
+/// `String` of every token and of every punctuation character, the parser
+/// cloned each token it read and kept a copy of the text, and the name's
+/// parts were joined, then split again).
+const PARSE_SELECT_ALLOCS: u64 = 21;
 /// Allocations per `ObjectStore::list` of a five-commit `_delta_log` (39
 /// while each listed path was `format!`ted and parsed back).
 const LOG_LISTING_ALLOCS: u64 = 17;
@@ -511,6 +524,18 @@ fn a_warm_select_allocates_a_constant_below_the_parent() {
     assert_constant_and_bounded("warm table SELECT", &table, TABLE_SELECT_ALLOCS);
     assert_constant_and_bounded("warm view SELECT", &view, VIEW_SELECT_ALLOCS);
     assert_constant_and_bounded("warm filtered, masked SELECT", &governed, GOVERNED_SELECT_ALLOCS);
+    assert!(view[0] <= table[0] + 25, "a warm view SELECT allocates {} to the table's {}", view[0], table[0]);
+}
+
+/// Parsing a SELECT of `query_hot`'s shape: what every SELECT does once.
+#[test]
+fn parsing_a_select_allocates_a_constant_below_the_parent() {
+    let (uc, ..) = node_with_table();
+    let sql = "SELECT id, owner, amount FROM main.s000.t000012 WHERE id >= 5 AND grp <> 2";
+    let parses = allocs_of_calls(&uc, CALLS, |_| {
+        assert!(matches!(uc_engine::parse_statement(sql), Ok(uc_engine::Statement::Select(_))));
+    });
+    assert_constant_and_bounded("parse_statement of a SELECT", &parses, PARSE_SELECT_ALLOCS);
 }
 
 /// Listing a table's five-commit log: what every warm SELECT does once.
