@@ -191,13 +191,11 @@ impl AuditLog {
         };
         let lane = &self.lanes[uc_obs::thread_slot() % AUDIT_LANES];
         let overflow = {
-            // uc-lint: allow(hotpath) -- per-thread lane mutex: no other lane's writer ever touches it
             let mut buf = lane.buf.lock();
             buf.push(rec);
             buf.len() >= self.lane_high_water
         };
         if overflow {
-            // uc-lint: allow(hotpath) -- amortized: one merge per lane_high_water appends, not per record
             self.flush();
         }
     }

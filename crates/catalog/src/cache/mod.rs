@@ -436,7 +436,6 @@ impl MsCache {
     /// search.
     pub fn get_at(&self, id: &Uid, version: u64) -> Option<Option<Arc<Entity>>> {
         let tick = self.next_tick();
-        // uc-lint: allow(hotpath) -- the hot cached read itself: a shard read lock; writers serialize behind the write gate, not here
         let shard = self.entity_shard(id).read();
         let entry = shard.get(id)?;
         entry.last_access.store(tick, Ordering::Relaxed);
@@ -479,13 +478,11 @@ impl MsCache {
     /// Look up by name-index (tree) key, valid at the cache's current
     /// version.
     pub fn id_by_name(&self, tree_key: &str) -> Option<Uid> {
-        // uc-lint: allow(hotpath) -- hot name-index probe: shard read lock, same discipline as get_at
         self.name_shard(tree_key).read().get(tree_key).cloned()
     }
 
     /// Look up by path-index key.
     pub fn id_by_path(&self, path_key: &str) -> Option<Uid> {
-        // uc-lint: allow(hotpath) -- hot path-index probe: shard read lock, same discipline as get_at
         self.path_shard(path_key).read().get(path_key).cloned()
     }
 
@@ -708,12 +705,10 @@ impl MsCache {
             if round == 0 {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
             }
-            // uc-lint: allow(hotpath) -- hot/cold boundary: the cached hit returned above; a miss round reads the db and takes the gate
             if let Some(value) = self.miss_round(ms, db, &load)? {
                 return Ok(value);
             }
         }
-        // uc-lint: allow(hotpath) -- cache disabled or stale-retry budget exhausted: serve this read straight from a db snapshot
         self.load_uninstalled(ms, db, &load)
     }
 

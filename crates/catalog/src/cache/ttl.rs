@@ -42,7 +42,6 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
         Q: Hash + Eq + ?Sized,
     {
         let now = self.clock.now_ms();
-        // uc-lint: allow(hotpath) -- shared read lock, writers only on insert/expiry; acceptable on the principal-record path
         let guard = self.inner.read();
         match guard.get(key) {
             Some((v, expires)) if *expires > now => {

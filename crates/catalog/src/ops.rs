@@ -3,8 +3,8 @@
 //! requests). `api_enter` takes a row's handle (`Op::CREATE_TABLE`) and
 //! returns a guard carrying the row; the guard's gate and audit calls
 //! record under the row's actions, the per-op instrument table is indexed
-//! by `index`, the deny sweep iterates [`Op::ALL`], and uc-lint parses the
-//! `ops!` block below straight from this source. An action exists only
+//! by `index`, and the deny sweep and the per-op audit trail pins iterate
+//! [`Op::ALL`]. An action exists only
 //! here: [`Action`] has no public constructor, so no other module can
 //! hand the audit log a string of its own.
 
@@ -154,8 +154,8 @@ mod tests {
     use super::*;
 
     /// What every reader of the table relies on: `api_instruments` indexes
-    /// by `index`, uc-lint's golden output and the metric namespace by the
-    /// sorted unique names, the audit log by non-empty actions.
+    /// by `index`, the metric namespace by the sorted unique names, the
+    /// audit log by non-empty actions.
     #[test]
     fn op_table_invariants() {
         for pair in Op::ALL.windows(2) {

@@ -155,7 +155,6 @@ impl UnityCatalog {
             ent.properties.insert(props::ROOT_SECRET.to_string(), root.secret.to_string());
             Ok(())
         })?;
-        self.roots.write().entry(ms.clone()).or_default().insert(root.bucket.clone(), root.clone());
         api.audit.allow(&created.id, name);
         Ok(created)
     }
@@ -1020,6 +1019,9 @@ impl UnityCatalog {
             .map(|(_, raw)| Entity::decode(&raw))
             .collect::<UcResult<_>>()?;
         let (mut objects_deleted, mut failures) = (0, 0);
+        // Each bucket's root credential is read once per purge, not once
+        // per victim.
+        let mut roots = std::collections::HashMap::new();
         // Managed storage cleanup happens before metadata removal so a
         // crash, or a failed cleanup, leaves the tombstone for a retry.
         victims.retain(|victim| {
@@ -1027,8 +1029,10 @@ impl UnityCatalog {
                 || victim.kind == SecurableKind::RegisteredModel;
             let path = victim.storage_path.as_ref().and_then(|p| StoragePath::parse(p).ok());
             let Some(path) = path.filter(|_| managed) else { return true };
-            let cred = self.root_for_bucket(ms, path.bucket()).map(uc_cloudstore::Credential::Root);
-            let Some((objs, cred)) = cred.ok().and_then(|cred| Some((self.store.list(&cred, &path).ok()?, cred))) else {
+            let cred: &Option<_> = roots
+                .entry(path.bucket().to_string())
+                .or_insert_with(|| self.root_for_bucket(ms, path.bucket()).ok().map(uc_cloudstore::Credential::Root));
+            let Some((objs, cred)) = cred.clone().and_then(|cred| Some((self.store.list(&cred, &path).ok()?, cred))) else {
                 failures += 1; // no root credential, or the listing failed
                 return false;
             };

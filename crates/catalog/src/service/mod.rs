@@ -270,9 +270,6 @@ pub struct UnityCatalog {
     pub(crate) cred_cache: TtlCache<(Uid, AccessLevel), TempCredential>,
     /// TTL cache for principal/group records (weak consistency is fine).
     pub(crate) principal_cache: TtlCache<String, PrincipalRecord>,
-    /// Root credentials by metastore, then bucket (a metastore vends only
-    /// with its own), mirrored from storage-credential entities.
-    pub(crate) roots: RwLock<std::collections::HashMap<Uid, std::collections::HashMap<String, RootCredential>>>,
     pub(crate) audit: AuditLog,
     pub(crate) stats: ServiceStats,
     /// Per-op metric handles for [`UnityCatalog::api_enter`], one slot per
@@ -623,7 +620,6 @@ impl UnityCatalog {
             api_instruments: std::array::from_fn(|_| std::sync::OnceLock::new()),
             cred_cache: TtlCache::new(clock.clone(), CRED_TTL_MS),
             principal_cache: TtlCache::new(clock.clone(), 60_000),
-            roots: RwLock::new(std::collections::HashMap::new()),
             tenant_aliases: RwLock::new(std::collections::HashMap::new()),
             audit: AuditLog::new(AUDIT_CAPACITY),
             stats: ServiceStats::wired(config.obs.registry()),
@@ -726,7 +722,6 @@ impl UnityCatalog {
         ms: Option<&Uid>,
     ) -> ApiGuard<'a> {
         self.stats.api_calls.fetch_add(1, Ordering::Relaxed);
-        // uc-lint: allow(hotpath) -- first-call interning: the OnceLock below makes every later call for this op lock-free
         let make = || self.make_api_instruments(op.name);
         let instruments = self.api_instruments[op.index].get_or_init(make);
         instruments.count.inc();
@@ -772,7 +767,6 @@ impl UnityCatalog {
         // Cold path: resolve the alias under the shared registry lock and
         // memoize the rendered label for this thread.
         let alias = {
-            // uc-lint: allow(hotpath) -- read lock only on the first (ms, principal) sighting per thread; the repeat path is the memo above
             let aliases = self.tenant_aliases.read();
             aliases.get(ms).cloned()
         };
@@ -1181,33 +1175,26 @@ impl UnityCatalog {
         Ok(())
     }
 
-    /// Locate a metastore's root credential for a bucket: the mirror, else
-    /// rebuilt from the metastore's storage-credential entities.
+    /// Locate a metastore's root credential for a bucket (a metastore vends
+    /// only with its own): its storage-credential entities, read at one
+    /// snapshot, so a dropped credential stops vending on every node. Of
+    /// two credentials for one bucket, the last by name wins.
     pub(crate) fn root_for_bucket(&self, ms: &Uid, bucket: &str) -> UcResult<RootCredential> {
-        let mirrored = || self.roots.read().get(ms).and_then(|roots| roots.get(bucket)).cloned();
-        if let Some(root) = mirrored() {
-            return Ok(root);
-        }
-        // Rebuild from entities: scan storage credentials in this metastore.
+        use crate::model::entity::props::{BUCKET, ROOT_SECRET};
         let rt = self.db.begin_read();
-        for ent in tree_children(
+        let creds = tree_children(
             &self.cache.for_metastore(ms),
             |p| rt.scan_prefix(T_TREE, p),
             &keys::tree_ms_prefix(ms),
             Some(SecurableKind::StorageCredential.name_group()),
-        )? {
-            let (Some(b), Some(secret)) = (
-                ent.properties.get(crate::model::entity::props::BUCKET),
-                ent.properties.get(crate::model::entity::props::ROOT_SECRET),
-            ) else {
-                continue;
-            };
-            if let Ok(secret) = secret.parse::<u64>() {
-                let root = RootCredential { bucket: b.clone(), secret };
-                self.roots.write().entry(ms.clone()).or_default().insert(b.clone(), root);
-            }
-        }
-        mirrored().ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
+        )?;
+        creds
+            .iter()
+            .rev()
+            .filter(|ent| ent.properties.get(BUCKET).is_some_and(|b| b == bucket))
+            .find_map(|ent| ent.properties.get(ROOT_SECRET)?.parse::<u64>().ok())
+            .map(|secret| RootCredential { bucket: bucket.to_string(), secret })
+            .ok_or_else(|| UcError::Storage(format!("no storage credential for bucket {bucket}")))
     }
 }
 

@@ -252,7 +252,6 @@ impl Scheduler {
     }
 
     fn yield_at(&self, client: usize, point: &'static str) {
-        // uc-lint: allow(hotpath) -- deterministic-scheduler rendezvous: only registered model-run threads get here (yield_point returns early otherwise)
         let mut st = self.inner.state.lock();
         debug_assert_eq!(st.active, Some(client), "yield from a non-active client");
         st.steps += 1;

@@ -23,11 +23,8 @@
 //!     by hand.
 //!   * `acq_star` — the set of lock classes each def may acquire while
 //!     executing (transitively), with a per-(def, class) witness.
-//!   * `hotpath_closure` — the closure of `[hotpath] functions` roots
-//!     over call edges, pruned at call sites carrying a reasoned
-//!     `allow(hotpath)` pragma (the structural hot/cold boundary: a
-//!     pragma on a miss-path call says "everything below is off the hot
-//!     path").
+//!   * `reaches` — which defs reach a seed set (the instrument rule's
+//!     `api_enter` span opens).
 //!
 //! All iteration is over sorted structures, so the `--call-graph`
 //! artifact and every diagnostic derived from the graph are byte-stable.
@@ -93,8 +90,6 @@ pub struct CallGraph {
     pub out: Vec<Vec<usize>>,
     /// def -> indices into `edges` arriving at it.
     pub incoming: Vec<Vec<usize>>,
-    /// `file::fn` -> def ids (several for same-name fns in one file).
-    pub by_key: BTreeMap<String, Vec<usize>>,
     /// (unit, fn_idx) -> def id, for rule lookups.
     pub def_of_fn: BTreeMap<(usize, usize), usize>,
 }
@@ -702,11 +697,7 @@ impl CallGraph {
             out[e.caller].push(ei);
             incoming[e.callee].push(ei);
         }
-        let mut by_key: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, d) in defs.iter().enumerate() {
-            by_key.entry(d.key.clone()).or_default().push(i);
-        }
-        CallGraph { defs, edges, out, incoming, by_key, def_of_fn }
+        CallGraph { defs, edges, out, incoming, def_of_fn }
     }
 
     /// Edges leaving `def` at a given source line with a given call name
@@ -820,7 +811,7 @@ impl CallGraph {
     }
 
     /// Which defs can reach (or are) a seed def, following call edges
-    /// forward. Generic helper for the instrument reachability checks.
+    /// forward: the instrument rule's `api_enter` reachability.
     pub fn reaches(&self, seed: &[bool]) -> Vec<bool> {
         let mut flag = seed.to_vec();
         let mut queue: VecDeque<usize> =
@@ -904,60 +895,6 @@ fn infer_expr_type(
     None
 }
 
-/// The transitive hot-path closure: membership chains keyed by def id,
-/// plus the pragma sites consumed while pruning (so the driver can count
-/// them as used).
-pub struct HotClosure {
-    /// def id -> witness chain from a root (`api_enter -> inner -> f`).
-    pub member: BTreeMap<usize, String>,
-    /// (file, pragma line) of every `allow(hotpath)` pragma that pruned
-    /// a call edge out of the closure.
-    pub used_pragmas: BTreeSet<(String, u32)>,
-}
-
-/// Compute the closure of the configured hot-path roots over call edges.
-/// A call site covered by a reasoned `allow(hotpath)` pragma is a
-/// hot/cold boundary: the edge is pruned and the pragma counted as used.
-pub fn hotpath_closure(graph: &CallGraph, units: &[Unit], roots: &[String]) -> HotClosure {
-    let mut member: BTreeMap<usize, String> = BTreeMap::new();
-    let mut used: BTreeSet<(String, u32)> = BTreeSet::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for r in roots {
-        if let Some(ids) = graph.by_key.get(r) {
-            for &d in ids {
-                if let std::collections::btree_map::Entry::Vacant(v) = member.entry(d) {
-                    v.insert(graph.defs[d].name.clone());
-                    queue.push_back(d);
-                }
-            }
-        }
-    }
-    while let Some(d) = queue.pop_front() {
-        let chain = member.get(&d).cloned().unwrap_or_default();
-        for &ei in &graph.out[d] {
-            let e = &graph.edges[ei];
-            let unit = &units[e.site_unit];
-            // Pragma pruning: a hotpath pragma covering the call line
-            // marks the cold boundary.
-            let pruned = unit.lexed.pragmas.iter().find(|p| {
-                !p.malformed
-                    && p.has_reason
-                    && p.rules.iter().any(|r| r == "hotpath")
-                    && (p.line == e.line || p.line + 1 == e.line)
-            });
-            if let Some(p) = pruned {
-                used.insert((unit.rel.clone(), p.line));
-                continue;
-            }
-            if let std::collections::btree_map::Entry::Vacant(v) = member.entry(e.callee) {
-                v.insert(format!("{} -> {}", chain, graph.defs[e.callee].name));
-                queue.push_back(e.callee);
-            }
-        }
-    }
-    HotClosure { member, used_pragmas: used }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1002,8 +939,8 @@ mod tests {
              pub fn unknown(x: &Unknown) { x.get(); }",
         );
         let g = CallGraph::build(&[u]);
-        // Two `get` defs share a file, so by_key groups them; resolve by
-        // receiver type instead.
+        // Two `get` defs share a file and a key; resolve by receiver type
+        // instead.
         let keys = edge_keys(&g);
         let a_get: Vec<_> = keys.iter().filter(|(_, c)| c.ends_with("::get")).collect();
         // `a.get()` resolves to exactly one target (A::get); `x.get()`

@@ -212,7 +212,7 @@ mod tests {
             "[determinism]\n\
              allow_files = [\n  \"a/b.rs\",\n  \"c/d.rs\", # note\n]\n\
              [instrument]\n\
-             audit_file = \"x/y.rs\"\n",
+             impl_type = \"Svc\"\n",
         )
         .map_err(|e| panic!("{e}"))
         .unwrap_or_default();
@@ -220,9 +220,9 @@ mod tests {
             cfg.items("determinism", "allow_files"),
             vec![("a/b.rs".to_string(), 3), ("c/d.rs".to_string(), 4)]
         );
-        assert_eq!(cfg.items("instrument", "audit_file"), vec![("x/y.rs".to_string(), 7)]);
+        assert_eq!(cfg.items("instrument", "impl_type"), vec![("Svc".to_string(), 7)]);
         assert_eq!(cfg.key_line("determinism", "allow_files"), Some(2));
-        assert!(cfg.has_key("instrument", "audit_file"));
+        assert!(cfg.has_key("instrument", "impl_type"));
         assert!(!cfg.has_key("locks", "yieldful_calls"));
     }
 }

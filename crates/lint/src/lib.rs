@@ -3,19 +3,18 @@
 //! reproduction. Zero external dependencies: a lightweight Rust lexer +
 //! brace-matched item scanner feed an interprocedural call graph
 //! (`callgraph`) and the rule families (determinism, lock discipline,
-//! hot-path purity, instrumentation coverage, hygiene, stale config)
-//! plus an `unsafe_code` gate. Output is byte-stable and sorted so CI
+//! instrumentation coverage, keyspace, hygiene, stale config) plus an
+//! `unsafe_code` gate. Output is byte-stable and sorted so CI
 //! can diff consecutive runs. See DESIGN.md §8 for the rule catalog.
 //!
 //! The driver runs in phases: (1) load and scan every workspace file,
 //! (2) build the call graph and its fixpoint summaries (yield
-//! reachability, transitive lock acquisition, the hot-path closure,
-//! audit reachability), (3) run per-file rules with the summaries in
-//! hand, (4) global passes (lock census + order graph + cycle check,
+//! reachability, transitive lock acquisition, `api_enter`
+//! reachability), (3) run per-file rules with the summaries in hand,
+//! (4) global passes (lock census + order graph + cycle check,
 //! stale-config), (5) pragma suppression over the *whole* diagnostic
-//! set — which is also where pragmas that suppress nothing (and were
-//! not consumed as hot/cold boundary markers) become diagnostics
-//! themselves.
+//! set — which is also where pragmas that suppress nothing become
+//! diagnostics themselves.
 
 pub mod callgraph;
 pub mod config;
@@ -30,7 +29,6 @@ use std::path::{Path, PathBuf};
 
 use callgraph::{CallGraph, Unit};
 use config::Config;
-use rules::instrument::{KnownOps, Reach};
 use rules::locks::{Interproc, LockAcq, LockEdge};
 use rules::{Diagnostic, FileCtx, RULE_PRAGMA};
 
@@ -188,14 +186,6 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
         Err(_) => Config::default(),
     };
 
-    // The op table for the instrumentation rule, parsed from source so
-    // uc-lint needs no dependency on the catalog crate.
-    let audit_file = cfg.str("instrument", "audit_file");
-    let known: Option<KnownOps> = audit_file
-        .as_deref()
-        .and_then(|p| fs::read_to_string(root.join(p)).ok())
-        .and_then(|src| rules::instrument::parse_known_ops(&lexer::lex(&src).tokens));
-
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = Vec::new();
     let entries =
@@ -261,32 +251,17 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     let (star, witness) = graph.acq_star(&direct);
     let (yields, yhop) = graph.yields_star();
 
-    // Hot-path closure from the configured roots, pruned at pragma'd
-    // call sites (the hot/cold boundary).
-    let roots = cfg.list("hotpath", "functions");
-    let hot = callgraph::hotpath_closure(&graph, &units, &roots);
-    let mut hot_members: Vec<BTreeMap<usize, String>> = vec![BTreeMap::new(); units.len()];
-    for (&d, chain) in &hot.member {
-        let def = &graph.defs[d];
-        hot_members[def.unit].insert(def.fn_idx, chain.clone());
-    }
-
-    // Instrument reachability seeds: api_enter spans, audit records.
-    // Each `reaches` result includes the seed def itself.
-    let n = graph.defs.len();
-    let mut api_seed = vec![false; n];
-    let mut audit_seed = vec![false; n];
-    for (i, d) in graph.defs.iter().enumerate() {
-        let toks = &units[d.unit].lexed.tokens;
-        api_seed[i] = rules::instrument::direct_api_op(toks, d.body).is_some();
-        audit_seed[i] = d.name == "record_audit";
-    }
-    let has_audit_target = audit_seed.iter().any(|&b| b);
-    let api_reach = graph.reaches(&api_seed);
-    let audit_reach = graph.reaches(&audit_seed);
-    let mut reach_by_unit: Vec<BTreeMap<usize, Reach>> = vec![BTreeMap::new(); units.len()];
-    for (i, d) in graph.defs.iter().enumerate() {
-        reach_by_unit[d.unit].insert(d.fn_idx, Reach { api: api_reach[i], audit: audit_reach[i] });
+    // Instrument reachability: which defs reach an `api_enter` span
+    // open (each def's own body included).
+    let api_seed: Vec<bool> = graph
+        .defs
+        .iter()
+        .map(|d| rules::instrument::opens_api_span(&units[d.unit].lexed.tokens, d.body))
+        .collect();
+    let mut reaches_api: Vec<BTreeMap<usize, bool>> = vec![BTreeMap::new(); units.len()];
+    for (i, reached) in graph.reaches(&api_seed).into_iter().enumerate() {
+        let d = &graph.defs[i];
+        reaches_api[d.unit].insert(d.fn_idx, reached);
     }
 
     // ── Phase 3: per-file rules ───────────────────────────────────────
@@ -311,9 +286,8 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
             witness: &witness,
         };
         rules::locks::check(&ctx, &inter, &mut diags, &mut raw_edges);
-        rules::hotpath::check(&ctx, &hot_members[ui], &mut diags);
         rules::keyspace::check(&ctx, &mut diags);
-        rules::instrument::check(&ctx, known.as_ref(), &reach_by_unit[ui], has_audit_target, &mut diags);
+        rules::instrument::check(&ctx, &reaches_api[ui], &mut diags);
         let is_crate_root = unit.rel.ends_with("/src/lib.rs");
         rules::check_unsafe(&ctx, is_crate_root, &mut diags);
     }
@@ -339,12 +313,10 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     // Stale-config: every Lint.toml entry must still resolve against the
     // workspace it governs.
     {
-        let fn_keys: BTreeSet<String> = graph.by_key.keys().cloned().collect();
         let classes: BTreeSet<String> = by_class.keys().cloned().collect();
         let world = rules::staleconfig::World {
             files: &file_set,
             crates: &crate_names,
-            fn_keys: &fn_keys,
             classes: &classes,
         };
         rules::staleconfig::check(&cfg, &world, &mut diags);
@@ -410,8 +382,7 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     // ── Phase 5: pragma suppression over the whole diagnostic set ─────
     // `// uc-lint: allow(rule) -- reason` covers its own line and the one
     // below. Malformed pragmas and pragmas without a reason are
-    // diagnostics; so are well-formed pragmas that suppress nothing and
-    // were not consumed as hot-path boundary markers.
+    // diagnostics; so are well-formed pragmas that suppress nothing.
     struct ValidPragma {
         file: String,
         line: u32,
@@ -445,7 +416,7 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
                 file: unit.rel.clone(),
                 line: p.line,
                 rules: p.rules.clone(),
-                used: hot.used_pragmas.contains(&(unit.rel.clone(), p.line)),
+                used: false,
             });
         }
     }

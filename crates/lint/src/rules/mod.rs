@@ -5,7 +5,6 @@
 //! to golden outputs.
 
 pub mod determinism;
-pub mod hotpath;
 pub mod hygiene;
 pub mod instrument;
 pub mod keyspace;
@@ -27,7 +26,6 @@ pub struct Diagnostic {
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_HYGIENE: &str = "hygiene";
 pub const RULE_LOCKS: &str = "locks";
-pub const RULE_HOTPATH: &str = "hotpath";
 pub const RULE_INSTRUMENT: &str = "instrument";
 pub const RULE_KEYSPACE: &str = "keyspace";
 pub const RULE_UNSAFE: &str = "unsafe";

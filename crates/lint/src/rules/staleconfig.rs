@@ -1,6 +1,6 @@
 //! Stale-config rule: `Lint.toml` is reviewed like code, so the linter
 //! reviews it. Every entry that names a workspace artifact — a file, a
-//! crate, a `file::fn` key, a guard receiver, a lock class — must still
+//! crate, a guard receiver, a lock class — must still
 //! resolve against the scanned workspace; an entry that no longer
 //! matches anything is a diagnostic (attributed to its `Lint.toml`
 //! line), because a stale allowlist silently widens what the other
@@ -20,8 +20,6 @@ pub struct World<'a> {
     pub files: &'a BTreeSet<String>,
     /// Every crate directory name under `crates/`.
     pub crates: &'a BTreeSet<String>,
-    /// Every `file::fn` def key in the call graph.
-    pub fn_keys: &'a BTreeSet<String>,
     /// Every lock class the census observed (`crate.receiver` form).
     pub classes: &'a BTreeSet<String>,
 }
@@ -36,7 +34,6 @@ pub fn check(cfg: &Config, world: &World<'_>, out: &mut Vec<Diagnostic>) {
         ("determinism", "allow_files"),
         ("keyspace", "allow_files"),
         ("instrument", "entry_files"),
-        ("instrument", "audit_file"),
     ] {
         for (value, line) in cfg.items(section, key) {
             if !world.files.contains(&value) {
@@ -53,15 +50,6 @@ pub fn check(cfg: &Config, world: &World<'_>, out: &mut Vec<Diagnostic>) {
             out.push(diag(
                 line,
                 format!("[hygiene] allow_crates names `{value}`, which is not a workspace crate"),
-            ));
-        }
-    }
-    // Function-key entries (`file::fn`) must resolve to a def.
-    for (value, line) in cfg.items("hotpath", "functions") {
-        if !world.fn_keys.contains(&value) {
-            out.push(diag(
-                line,
-                format!("[hotpath] functions names `{value}`, which matches no function in the workspace"),
             ));
         }
     }

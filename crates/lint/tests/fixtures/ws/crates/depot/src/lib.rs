@@ -27,10 +27,3 @@ pub fn mid_hop(uc: &Uc) {
 fn leaf_hop(_uc: &Uc) {
     yield_point(3);
 }
-
-/// Cross-crate hot-path helper: acquires a tracked guard (`depot.state`)
-/// one call below the demo crate's hot root.
-pub fn depot_probe(s: &S) {
-    let g = s.state.read();
-    drop(g);
-}

@@ -37,7 +37,6 @@ fn fixture_exercises_every_rule_family() {
         "determinism",
         "hygiene",
         "locks",
-        "hotpath",
         "keyspace",
         "instrument",
         "unsafe",

@@ -171,7 +171,6 @@ impl FlightRecorder {
             name: name.to_string(),
             detail: detail.to_string(),
         };
-        // uc-lint: allow(hotpath) -- per-thread flight lane: thread_slot partitioning keeps each lane mutex uncontended
         self.lanes[thread_slot() % FLIGHT_LANES].lock().push(ev);
     }
 

@@ -145,7 +145,6 @@ impl<T> FamilyCore<T> {
         }
         // Slow path: consult (and possibly grow) the shared index.
         let slot = {
-            // uc-lint: allow(hotpath) -- taken once per (thread, family, label); every later call hits the SLOT_CACHE probe above
             let mut index = self.index.lock();
             match index.get(label) {
                 Some(&s) => Some(s),

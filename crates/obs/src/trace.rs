@@ -191,7 +191,6 @@ impl Tracer {
         // released (and any auto-freeze fully completes) while this thread
         // holds no other obs lock, keeping the pinned lock order acyclic.
         self.feed_flight(&record);
-        // uc-lint: allow(hotpath) -- trace ring: leaf mutex with a bounded O(1) append critical section
         let mut log = self.inner.log.lock();
         if log.records.len() >= MAX_RECORDS {
             log.dropped += 1;
@@ -212,7 +211,6 @@ impl Tracer {
             TraceRecord::Event { trace_id, name, detail, ts_ms, .. } => {
                 fr.note(*ts_ms, *trace_id, "event", name, detail);
                 if let Some(reason) = FlightRecorder::trigger_reason(name, detail) {
-                    // uc-lint: allow(hotpath) -- incident freeze: fires at most once per armed trigger, never on the steady path
                     fr.freeze_if_armed(*ts_ms, &reason);
                 }
             }

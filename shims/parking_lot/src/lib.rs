@@ -10,10 +10,37 @@
 //! workspace treats a panic while holding a lock as fatal to the test
 //! anyway, so recovering keeps behavior equivalent to parking_lot's
 //! no-poisoning semantics.
+//!
+//! One addition upstream does not have: every acquisition bumps a
+//! per-thread counter, read with [`acquisitions`], so a test can pin how
+//! many locks a call takes exactly.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, TryLockError};
+
+thread_local! {
+    /// This thread's acquisitions so far: (shared, exclusive). Const
+    /// initialised and without a destructor, so counting never allocates.
+    static ACQUISITIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// The lock acquisitions this thread has made so far, `(shared,
+/// exclusive)`: an `RwLock::read` is shared; a `Mutex::lock`, a successful
+/// `Mutex::try_lock`, an `RwLock::write` and the re-acquisition at the end
+/// of a `Condvar::wait` are exclusive. Not part of upstream `parking_lot`.
+pub fn acquisitions() -> (u64, u64) {
+    ACQUISITIONS.with(Cell::get)
+}
+
+fn count(shared: u64, exclusive: u64) {
+    // `try_with`: a lock may be taken during thread teardown.
+    let _ = ACQUISITIONS.try_with(|c| {
+        let (s, e) = c.get();
+        c.set((s + shared, e + exclusive));
+    });
+}
 
 fn unpoison<G>(r: sync::LockResult<G>) -> G {
     match r {
@@ -49,15 +76,18 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count(0, 1);
         MutexGuard { inner: Some(unpoison(self.inner.lock())) }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard { inner: Some(p.into_inner()) }),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let held = match self.inner.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        count(0, 1);
+        Some(MutexGuard { inner: Some(held) })
     }
 }
 
@@ -105,10 +135,12 @@ impl<T> RwLock<T> {
 
 impl<T: ?Sized> RwLock<T> {
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        count(1, 0);
         RwLockReadGuard { inner: unpoison(self.inner.read()) }
     }
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        count(0, 1);
         RwLockWriteGuard { inner: unpoison(self.inner.write()) }
     }
 }
@@ -153,6 +185,7 @@ impl Condvar {
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let held = guard.inner.take().expect("mutex guard vacated");
         guard.inner = Some(unpoison(self.inner.wait(held)));
+        count(0, 1);
     }
 
     pub fn notify_one(&self) -> bool {
@@ -186,16 +219,65 @@ mod tests {
         assert_eq!(l.read().len(), 2);
     }
 
+    /// The counts this thread adds while running `f`.
+    fn counted(f: impl FnOnce()) -> (u64, u64) {
+        let (s0, e0) = acquisitions();
+        f();
+        let (s1, e1) = acquisitions();
+        (s1 - s0, e1 - e0)
+    }
+
+    #[test]
+    fn shared_and_exclusive_acquisitions_are_counted_apart() {
+        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        assert_eq!(counted(|| drop(l.read())), (1, 0));
+        assert_eq!(counted(|| drop(l.write())), (0, 1));
+        assert_eq!(counted(|| drop(m.lock())), (0, 1));
+        assert_eq!(counted(|| drop((l.read(), l.read(), m.lock()))), (2, 1));
+    }
+
+    #[test]
+    fn only_a_try_lock_that_succeeds_is_counted() {
+        let m = Mutex::new(0);
+        assert_eq!(counted(|| drop(m.try_lock().expect("free"))), (0, 1));
+        let held = m.lock();
+        assert_eq!(counted(|| assert!(m.try_lock().is_none())), (0, 0));
+        drop(held);
+    }
+
+    #[test]
+    fn counts_are_per_thread() {
+        let l = Arc::new(RwLock::new(0));
+        let before = acquisitions();
+        let other = Arc::clone(&l);
+        let theirs = thread::spawn(move || {
+            counted(|| {
+                drop((other.read(), other.read()));
+                drop(other.write());
+            })
+        })
+        .join()
+        .unwrap();
+        assert_eq!(theirs, (2, 1));
+        assert_eq!(acquisitions(), before, "another thread's locks are not this thread's");
+    }
+
     #[test]
     fn condvar_wakes_waiter() {
         let pair = Arc::new((Mutex::new(false), Condvar::new()));
         let p2 = Arc::clone(&pair);
         let t = thread::spawn(move || {
             let (lock, cvar) = &*p2;
-            let mut started = lock.lock();
-            while !*started {
-                cvar.wait(&mut started);
-            }
+            let mut waits = 0;
+            let locks = counted(|| {
+                let mut started = lock.lock();
+                while !*started {
+                    cvar.wait(&mut started);
+                    waits += 1;
+                }
+            });
+            // The first lock, and the re-acquisition that ends each wait.
+            assert_eq!(locks, (0, 1 + waits));
         });
         {
             let (lock, cvar) = &*pair;

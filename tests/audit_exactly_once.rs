@@ -171,13 +171,30 @@ mod deny {
         FullName::parse(s).unwrap()
     }
 
+    /// What `call` returns, and the audit records it added.
+    fn trail_of<T>(uc: &UnityCatalog, call: impl FnOnce() -> T) -> (T, Vec<AuditRecord>) {
+        let before = uc.audit_log().total_recorded();
+        let got = call();
+        let added = (uc.audit_log().total_recorded() - before) as usize;
+        (got, uc.audit_log().recent(added))
+    }
+
     /// Run `call`, which must be refused, and return the audit records it
     /// added.
     fn refused(w: &FaultyWorld, call: impl FnOnce() -> UcResult<()>) -> (UcError, Vec<AuditRecord>) {
-        let before = w.uc.audit_log().total_recorded();
-        let err = call().expect_err("an outsider's call must be refused");
-        let added = (w.uc.audit_log().total_recorded() - before) as usize;
-        (err, w.uc.audit_log().recent(added))
+        let (got, added) = trail_of(&w.uc, call);
+        (got.expect_err("an outsider's call must be refused"), added)
+    }
+
+    /// A served call's trail is `len` records, none a `Deny`, each under
+    /// an action of `op`'s own row. `None` when it is; else what it was.
+    fn served_trail(op: &str, trail: &[AuditRecord], len: usize) -> Option<String> {
+        let row = Op::ALL.iter().find(|row| row.name == op).expect("an op of the table");
+        let foreign = |r: &AuditRecord| {
+            r.decision == AuditDecision::Deny || !row.actions.iter().any(|a| a.as_str() == r.action)
+        };
+        let got: Vec<_> = trail.iter().map(|r| (r.decision, r.action.as_str())).collect();
+        (trail.len() != len || trail.iter().any(foreign)).then(|| format!("{op} served: trail {got:?}, pinned at {len} records"))
     }
 
     /// For each op that declares audit actions and takes a nameable
@@ -488,9 +505,13 @@ mod deny {
     ///   records nothing of its own;
     /// - is served by the ops deliberately left unbound.
     ///
-    /// From `ws-a` every call returns what it returns with no binding.
-    /// Every `Op::ALL` row is in one of those lists or has no target in a
-    /// catalog.
+    /// From `ws-a` every call returns what it returns with no binding, and
+    /// its trail is pinned: the number written beside each op is how many
+    /// records a served call adds, none a `Deny`, each under an action of
+    /// the op's own row. So are the unbound ops', and those of the ops with
+    /// no target in a catalog, called once by the admin. Every `Op::ALL`
+    /// row is in one of those lists. A pin of 0 beside an op whose row has
+    /// actions is a read that audits its refusals only.
     #[test]
     fn a_workspace_binding_refusal_is_one_deny_under_the_calling_op() {
         type Call<'a> = Box<dyn Fn(&UnityCatalog, &Uid, &Context, &BoundWorld) -> UcResult<()> + 'a>;
@@ -503,76 +524,80 @@ mod deny {
             effect: AbacEffect::RestrictAccess { allowed_groups: vec![] },
         };
         let filter = RowFilterPolicy { expr: Expr::cmp("x", CmpOp::Eq, 1i64) };
-        let single: Vec<(&str, Call)> = vec![
-            ("add_lineage", Box::new(|uc, ms, ctx, _| uc.add_lineage(ctx, ms, &t, &t, None))),
-            ("add_table_to_share", Box::new(|uc, ms, ctx, _| uc.add_table_to_share(ctx, ms, "sh", &t))),
-            ("bulk_create_tables", Box::new(|uc, ms, ctx, _| uc.bulk_create_tables(ctx, ms, "main", &[], &int_schema(), 8).map(drop))),
-            ("commit_tables_atomically", Box::new(|uc, ms, ctx, b| uc.commit_table(ctx, ms, &b.t.id, 0, bytes::Bytes::new()))),
-            ("create_abac_policy", Box::new(|uc, ms, ctx, _| uc.create_abac_policy(ctx, ms, &name("main.s"), "schema", policy.clone()))),
-            ("create_function", Box::new(|uc, ms, ctx, _| uc.create_function(ctx, ms, &name("main.s.f"), "1").map(drop))),
-            ("create_model_version", Box::new(|uc, ms, ctx, _| uc.create_model_version(ctx, ms, &m).map(drop))),
-            ("create_registered_model", Box::new(|uc, ms, ctx, _| uc.create_registered_model(ctx, ms, &name("main.s.m2")).map(drop))),
-            ("create_schema", Box::new(|uc, ms, ctx, _| uc.create_schema(ctx, ms, "main", "s2").map(drop))),
-            ("create_shallow_clone", Box::new(|uc, ms, ctx, _| uc.create_shallow_clone(ctx, ms, &name("main.s.c"), &t, 0).map(drop))),
-            ("create_table", Box::new(|uc, ms, ctx, _| uc.create_table(ctx, ms, TableSpec::managed("main.s.t2", int_schema()).unwrap()).map(drop))),
-            ("create_view", Box::new(|uc, ms, ctx, _| uc.create_view(ctx, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
-            ("create_volume", Box::new(|uc, ms, ctx, _| uc.create_volume(ctx, ms, &name("main.s.vol"), None).map(drop))),
-            ("drop_securable", Box::new(|uc, ms, ctx, _| uc.drop_securable(ctx, ms, &t, "relation").map(drop))),
-            ("get_entity_by_id", Box::new(|uc, ms, ctx, b| uc.get_entity_by_id(ctx, ms, &b.t.id).map(drop))),
-            ("get_securable", Box::new(|uc, ms, ctx, _| uc.get_table(ctx, ms, "main.s.t").map(drop))),
-            ("get_tags", Box::new(|uc, ms, ctx, _| uc.get_tags(ctx, ms, &t, "relation").map(drop))),
-            ("grant", Box::new(|uc, ms, ctx, _| uc.grant(ctx, ms, &t, "relation", "bob", Privilege::Select))),
-            ("latest_table_version", Box::new(|uc, ms, ctx, b| uc.latest_table_version(ctx, ms, &b.t.id).map(drop))),
-            ("lineage", Box::new(|uc, ms, ctx, _| uc.lineage(ctx, ms, &t, LineageDirection::Upstream, 3).map(drop))),
-            ("list_children", Box::new(|uc, ms, ctx, _| uc.list_children(ctx, ms, &name("main.s"), None).map(drop))),
-            ("load_table_as_iceberg", Box::new(|uc, ms, ctx, _| uc.load_table_as_iceberg(ctx, ms, &t).map(drop))),
-            ("mirror_table", Box::new(|uc, ms, ctx, _| uc.mirror_table(ctx, ms, "fed", "s", &meta).map(drop))),
-            ("policy_update", Box::new(|uc, ms, ctx, _| uc.set_row_filter(ctx, ms, &t, filter.clone()))),
-            ("read_table_commit", Box::new(|uc, ms, ctx, b| uc.read_table_commit(ctx, ms, &b.t.id, 0).map(drop))),
-            ("rename_securable", Box::new(|uc, ms, ctx, _| uc.rename_securable(ctx, ms, &t, "relation", "t9").map(drop))),
-            ("renew_read_credential", Box::new(|uc, ms, ctx, b| uc.renew_read_credential(ctx, ms, &b.t.id).map(drop))),
-            ("resolve_for_query", Box::new(|uc, ms, ctx, _| uc.resolve_for_query(ctx, ms, std::slice::from_ref(&t), false).map(drop))),
-            ("resolve_model_version", Box::new(|uc, ms, ctx, _| uc.resolve_model_version(ctx, ms, &m, 1).map(drop))),
-            ("revoke", Box::new(|uc, ms, ctx, _| uc.revoke(ctx, ms, &t, "relation", ADMIN, Privilege::Select))),
-            ("show_grants", Box::new(|uc, ms, ctx, _| uc.show_grants(ctx, ms, &t, "relation").map(drop))),
-            ("tag_update", Box::new(|uc, ms, ctx, _| uc.set_tag(ctx, ms, &t, "relation", "k", "v"))),
-            ("temp_credentials", Box::new(|uc, ms, ctx, _| uc.temp_credentials(ctx, ms, &t, "relation", AccessLevel::Read).map(drop))),
-            ("temp_credentials_for_path", Box::new(|uc, ms, ctx, b| {
+        let single: Vec<(&str, usize, Call)> = vec![
+            ("add_lineage", 1, Box::new(|uc, ms, ctx, _| uc.add_lineage(ctx, ms, &t, &t, None))),
+            ("add_table_to_share", 1, Box::new(|uc, ms, ctx, _| uc.add_table_to_share(ctx, ms, "sh", &t))),
+            ("bulk_create_tables", 1, Box::new(|uc, ms, ctx, _| uc.bulk_create_tables(ctx, ms, "main", &[], &int_schema(), 8).map(drop))),
+            ("commit_tables_atomically", 1, Box::new(|uc, ms, ctx, b| uc.commit_table(ctx, ms, &b.t.id, 0, bytes::Bytes::new()))),
+            ("create_abac_policy", 1, Box::new(|uc, ms, ctx, _| uc.create_abac_policy(ctx, ms, &name("main.s"), "schema", policy.clone()))),
+            ("create_function", 1, Box::new(|uc, ms, ctx, _| uc.create_function(ctx, ms, &name("main.s.f"), "1").map(drop))),
+            ("create_model_version", 1, Box::new(|uc, ms, ctx, _| uc.create_model_version(ctx, ms, &m).map(drop))),
+            ("create_registered_model", 1, Box::new(|uc, ms, ctx, _| uc.create_registered_model(ctx, ms, &name("main.s.m2")).map(drop))),
+            ("create_schema", 1, Box::new(|uc, ms, ctx, _| uc.create_schema(ctx, ms, "main", "s2").map(drop))),
+            ("create_shallow_clone", 1, Box::new(|uc, ms, ctx, _| uc.create_shallow_clone(ctx, ms, &name("main.s.c"), &t, 0).map(drop))),
+            ("create_table", 1, Box::new(|uc, ms, ctx, _| uc.create_table(ctx, ms, TableSpec::managed("main.s.t2", int_schema()).unwrap()).map(drop))),
+            ("create_view", 1, Box::new(|uc, ms, ctx, _| uc.create_view(ctx, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
+            ("create_volume", 1, Box::new(|uc, ms, ctx, _| uc.create_volume(ctx, ms, &name("main.s.vol"), None).map(drop))),
+            ("drop_securable", 1, Box::new(|uc, ms, ctx, _| uc.drop_securable(ctx, ms, &t, "relation").map(drop))),
+            ("get_entity_by_id", 0, Box::new(|uc, ms, ctx, b| uc.get_entity_by_id(ctx, ms, &b.t.id).map(drop))),
+            ("get_securable", 1, Box::new(|uc, ms, ctx, _| uc.get_table(ctx, ms, "main.s.t").map(drop))),
+            ("get_tags", 1, Box::new(|uc, ms, ctx, _| uc.get_tags(ctx, ms, &t, "relation").map(drop))),
+            ("grant", 1, Box::new(|uc, ms, ctx, _| uc.grant(ctx, ms, &t, "relation", "bob", Privilege::Select))),
+            ("latest_table_version", 0, Box::new(|uc, ms, ctx, b| uc.latest_table_version(ctx, ms, &b.t.id).map(drop))),
+            ("lineage", 1, Box::new(|uc, ms, ctx, _| uc.lineage(ctx, ms, &t, LineageDirection::Upstream, 3).map(drop))),
+            ("list_children", 0, Box::new(|uc, ms, ctx, _| uc.list_children(ctx, ms, &name("main.s"), None).map(drop))),
+            ("load_table_as_iceberg", 1, Box::new(|uc, ms, ctx, _| uc.load_table_as_iceberg(ctx, ms, &t).map(drop))),
+            ("mirror_table", 1, Box::new(|uc, ms, ctx, _| uc.mirror_table(ctx, ms, "fed", "s", &meta).map(drop))),
+            ("policy_update", 1, Box::new(|uc, ms, ctx, _| uc.set_row_filter(ctx, ms, &t, filter.clone()))),
+            ("read_table_commit", 0, Box::new(|uc, ms, ctx, b| uc.read_table_commit(ctx, ms, &b.t.id, 0).map(drop))),
+            ("rename_securable", 1, Box::new(|uc, ms, ctx, _| uc.rename_securable(ctx, ms, &t, "relation", "t9").map(drop))),
+            ("renew_read_credential", 1, Box::new(|uc, ms, ctx, b| uc.renew_read_credential(ctx, ms, &b.t.id).map(drop))),
+            ("resolve_for_query", 1, Box::new(|uc, ms, ctx, _| uc.resolve_for_query(ctx, ms, std::slice::from_ref(&t), false).map(drop))),
+            ("resolve_model_version", 1, Box::new(|uc, ms, ctx, _| uc.resolve_model_version(ctx, ms, &m, 1).map(drop))),
+            ("revoke", 1, Box::new(|uc, ms, ctx, _| uc.revoke(ctx, ms, &t, "relation", ADMIN, Privilege::Select))),
+            ("show_grants", 0, Box::new(|uc, ms, ctx, _| uc.show_grants(ctx, ms, &t, "relation").map(drop))),
+            ("tag_update", 1, Box::new(|uc, ms, ctx, _| uc.set_tag(ctx, ms, &t, "relation", "k", "v"))),
+            ("temp_credentials", 1, Box::new(|uc, ms, ctx, _| uc.temp_credentials(ctx, ms, &t, "relation", AccessLevel::Read).map(drop))),
+            ("temp_credentials_for_path", 1, Box::new(|uc, ms, ctx, b| {
                 uc.temp_credentials_for_path(ctx, ms, b.t.storage_path.as_deref().unwrap(), AccessLevel::Read).map(drop)
             })),
-            ("transfer_ownership", Box::new(|uc, ms, ctx, _| uc.transfer_ownership(ctx, ms, &t, "relation", "bob").map(drop))),
-            ("update_comment", Box::new(|uc, ms, ctx, _| uc.update_comment(ctx, ms, &t, "relation", "hi").map(drop))),
+            ("transfer_ownership", 1, Box::new(|uc, ms, ctx, _| uc.transfer_ownership(ctx, ms, &t, "relation", "bob").map(drop))),
+            ("update_comment", 1, Box::new(|uc, ms, ctx, _| uc.update_comment(ctx, ms, &t, "relation", "hi").map(drop))),
         ];
         // Deliberately unbound: the share ops (a share's chain holds no
         // catalog; the share and the member table's data policies govern),
         // the metastore admin's change stream, and the one op that undoes a
         // binding.
-        let unbound: Vec<(&str, Call)> = vec![
-            ("events_since", Box::new(|uc, ms, ctx, _| uc.events_since(ctx, ms, 0).map(drop))),
-            ("list_share_tables", Box::new(|uc, ms, ctx, _| uc.list_share_tables(ctx, ms, "sh").map(drop))),
-            ("query_share_table", Box::new(|uc, ms, ctx, _| uc.query_share_table(ctx, ms, "sh", "s.t").map(drop))),
-            ("query_share_table_as_iceberg", Box::new(|uc, ms, ctx, _| uc.query_share_table_as_iceberg(ctx, ms, "sh", "s.t").map(drop))),
-            ("set_catalog_bindings", Box::new(|uc, ms, ctx, _| uc.set_catalog_bindings(ctx, ms, "main", &["ws-a"]))),
+        let unbound: Vec<(&str, usize, Call)> = vec![
+            ("events_since", 0, Box::new(|uc, ms, ctx, _| uc.events_since(ctx, ms, 0).map(drop))),
+            ("list_share_tables", 0, Box::new(|uc, ms, ctx, _| uc.list_share_tables(ctx, ms, "sh").map(drop))),
+            ("query_share_table", 1, Box::new(|uc, ms, ctx, _| uc.query_share_table(ctx, ms, "sh", "s.t").map(drop))),
+            ("query_share_table_as_iceberg", 0, Box::new(|uc, ms, ctx, _| uc.query_share_table_as_iceberg(ctx, ms, "sh", "s.t").map(drop))),
+            ("set_catalog_bindings", 1, Box::new(|uc, ms, ctx, _| uc.set_catalog_bindings(ctx, ms, "main", &["ws-a"]))),
         ];
-        // Ops with no target inside a catalog.
-        let catalog_free = [
-            "add_metastore_admin",
-            "create_catalog",
-            "create_connection",
-            "create_external_location",
-            "create_federated_catalog",
-            "create_metastore",
-            "create_share",
-            "create_storage_credential",
-            "get_metastore",
-            "list_shares",
-            "purge_soft_deleted",
-            "serve_admit",
-            "set_metastore_root",
+        // Ops with no target inside a catalog, each served to the admin.
+        let cred = RootCredential { bucket: "other".into(), secret: 1 };
+        let catalog_free: Vec<(&str, usize, Call)> = vec![
+            ("add_metastore_admin", 1, Box::new(|uc, ms, ctx, _| uc.add_metastore_admin(ctx, ms, "bob"))),
+            ("create_catalog", 1, Box::new(|uc, ms, ctx, _| uc.create_catalog(ctx, ms, "c2").map(drop))),
+            ("create_connection", 1, Box::new(|uc, ms, ctx, _| uc.create_connection(ctx, ms, "conn2", "thrift://x").map(drop))),
+            ("create_external_location", 1, Box::new(|uc, ms, ctx, _| uc.create_external_location(ctx, ms, "loc", "s3://lake/ext", "lake_cred").map(drop))),
+            ("create_federated_catalog", 1, Box::new(|uc, ms, ctx, _| uc.create_federated_catalog(ctx, ms, "fed2", "conn").map(drop))),
+            ("create_metastore", 1, Box::new(|uc, _, ctx, _| uc.create_metastore(&ctx.principal, "ms2", "us-west-2").map(drop))),
+            ("create_share", 1, Box::new(|uc, ms, ctx, _| uc.create_share(ctx, ms, "sh2").map(drop))),
+            ("create_storage_credential", 1, Box::new(|uc, ms, ctx, _| uc.create_storage_credential(ctx, ms, "cred2", &cred).map(drop))),
+            ("get_metastore", 0, Box::new(|uc, ms, _, _| uc.get_metastore(ms).map(drop))),
+            ("list_shares", 0, Box::new(|uc, ms, ctx, _| uc.list_shares(ctx, ms).map(drop))),
+            ("purge_soft_deleted", 1, Box::new(|uc, ms, _, _| uc.purge_soft_deleted(ms).map(drop))),
+            ("set_metastore_root", 1, Box::new(|uc, ms, ctx, _| uc.set_metastore_root(ctx, ms, "s3://lake/managed2"))),
         ];
         let sets = set_calls();
-        let mut covered: Vec<&str> = single.iter().map(|(op, _)| *op).chain(unbound.iter().map(|(op, _)| *op)).collect();
-        covered.extend(sets.iter().map(|(op, _)| *op).chain(catalog_free));
+        // What the admin's served call of each set-returning op records, in
+        // `set_calls` order.
+        let set_trails = [0, 0, 1, 0, 0];
+        let mut covered: Vec<&str> = [&single, &unbound, &catalog_free].into_iter().flatten().map(|(op, ..)| *op).collect();
+        // The serving plane's shed is its one record: see below.
+        covered.extend(sets.iter().map(|(op, _)| *op).chain(["serve_admit"]));
         covered.sort_unstable();
         covered.dedup();
         let all: Vec<&str> = Op::ALL.iter().map(|op| op.name).collect();
@@ -580,32 +605,27 @@ mod deny {
 
         let (here, elsewhere) = (Context::user(ADMIN).in_workspace("ws-a"), Context::user(ADMIN).in_workspace("ws-b"));
         let mut failures: Vec<String> = Vec::new();
-        for (op, call) in &single {
+        for (op, len, call) in &single {
             let b = bound_world();
             let (uc, ms) = (&b.w.uc, &b.w.ms);
             let action = Op::ALL.iter().find(|row| row.name == *op).unwrap().actions[0].as_str();
             let bound = if *op == "mirror_table" { &b.fed.id } else { &b.main.id };
-            let before = uc.audit_log().total_recorded();
-            let status = call(uc, ms, &elsewhere, &b).map_err(|e| ApiError::from(e).status);
-            let added = uc.audit_log().recent((uc.audit_log().total_recorded() - before) as usize);
+            let (status, added) = trail_of(uc, || call(uc, ms, &elsewhere, &b).map_err(|e| ApiError::from(e).status));
             let trail: Vec<_> = added.iter().map(|r| (r.decision, r.action.as_str(), r.securable.as_ref())).collect();
             if status != Err(403) || trail != [(AuditDecision::Deny, action, Some(bound))] {
                 failures.push(format!("{op} from ws-b: {status:?}, trail {trail:?}"));
             }
-            if let Err(e) = call(uc, ms, &here, &b) {
-                failures.push(format!("{op} from ws-a: {e}"));
+            match trail_of(uc, || call(uc, ms, &here, &b)) {
+                (Err(e), _) => failures.push(format!("{op} from ws-a: {e}")),
+                (Ok(()), trail) => failures.extend(served_trail(op, &trail, *len)),
             }
         }
         let b = bound_world();
         let (uc, ms) = (&b.w.uc, &b.w.ms);
         let in_bound = [b.main.id.clone(), b.fed.id.clone(), b.t.id.clone()];
-        for ((op, call), unbound) in sets.iter().zip(&b.unbound) {
+        for (((op, call), unbound), len) in sets.iter().zip(&b.unbound).zip(set_trails) {
             assert!(unbound.iter().any(|id| in_bound.contains(id)), "{op}: the unbound answer holds something of main");
-            let audits = |ctx: &Context| {
-                let before = uc.audit_log().total_recorded();
-                let got = call(uc, ms, ctx, &b).unwrap();
-                (got, uc.audit_log().recent((uc.audit_log().total_recorded() - before) as usize))
-            };
+            let audits = |ctx: &Context| trail_of(uc, || call(uc, ms, ctx, &b).unwrap());
             let ((from_a, trail_a), (from_b, trail_b)) = (audits(&here), audits(&elsewhere));
             let outside: Vec<_> = unbound.iter().filter(|id| !in_bound.contains(id)).cloned().collect();
             if &from_a != unbound || from_b != outside {
@@ -614,13 +634,58 @@ mod deny {
             if trail_b.len() != trail_a.len() || trail_b.iter().any(|r| r.decision == AuditDecision::Deny) {
                 failures.push(format!("{op}: ws-b recorded {trail_b:?}"));
             }
+            failures.extend(served_trail(op, &trail_a, len));
         }
-        for (op, call) in &unbound {
-            if let Err(e) = call(uc, ms, &elsewhere, &b) {
-                failures.push(format!("{op} from ws-b: {e}"));
+        for (op, len, call) in &unbound {
+            match trail_of(uc, || call(uc, ms, &elsewhere, &b)) {
+                (Err(e), _) => failures.push(format!("{op} from ws-b: {e}")),
+                (Ok(()), trail) => failures.extend(served_trail(op, &trail, *len)),
             }
         }
+        let admin = Context::user(ADMIN);
+        for (op, len, call) in &catalog_free {
+            match trail_of(uc, || call(uc, ms, &admin, &b)) {
+                (Err(e), _) => failures.push(format!("{op}: {e}")),
+                (Ok(()), trail) => failures.extend(served_trail(op, &trail, *len)),
+            }
+        }
+        // A shed request is recorded as what it is: one `Deny`.
+        let (_, shed) = trail_of(uc, || uc.audit_shed(ADMIN, "over budget"));
+        let shed: Vec<_> = shed.iter().map(|r| (r.decision, r.action.as_str())).collect();
+        assert_eq!(shed, [(AuditDecision::Deny, Op::SERVE_ADMIT.actions[0].as_str())]);
         assert!(failures.is_empty(), "{failures:#?}");
+    }
+
+    /// An op whose row declares no action records nothing, served or
+    /// refused: for the metastore admin and for an outsider alike.
+    #[test]
+    fn an_op_without_actions_adds_no_record_for_an_admin_or_an_outsider() {
+        use uc_catalog::service::discovery_api::MetaFilter;
+        use uc_catalog::types::SecurableKind;
+        let w = faulty_world();
+        let (uc, ms) = (&w.uc, &w.ms);
+        let table = uc
+            .create_table(&Context::user(ADMIN), ms, TableSpec::managed("main.s.t", int_schema()).unwrap())
+            .unwrap();
+        let id = table.id.clone();
+        type Call<'a> = Box<dyn Fn(&Context) -> bool + 'a>;
+        let calls: Vec<(&str, Call)> = vec![
+            ("authorize_batch", Box::new(|ctx| uc.authorize_batch(ctx, ms, &[(id.clone(), Privilege::Select)]).is_ok())),
+            ("get_metastore", Box::new(|_| uc.get_metastore(ms).is_ok())),
+            ("list_catalogs", Box::new(|ctx| uc.list_catalogs(ctx, ms).is_ok())),
+            ("list_shares", Box::new(|ctx| uc.list_shares(ctx, ms).is_ok())),
+            ("query_entities", Box::new(|ctx| uc.query_entities(ctx, ms, &[MetaFilter::KindIs(SecurableKind::Table)], 100).is_ok())),
+            ("visible_batch", Box::new(|ctx| uc.visible_batch(ctx, ms, std::slice::from_ref(&id)).is_ok())),
+        ];
+        let actionless: Vec<&str> = Op::ALL.iter().filter(|op| op.actions.is_empty()).map(|op| op.name).collect();
+        assert_eq!(calls.iter().map(|(op, _)| *op).collect::<Vec<_>>(), actionless);
+        for (op, call) in &calls {
+            for who in [ADMIN, "mallory"] {
+                let (served, trail) = trail_of(uc, || call(&Context::user(who)));
+                assert!(served || who != ADMIN, "{op}: the admin is served");
+                assert!(trail.is_empty(), "{op} as {who}: {trail:?}");
+            }
+        }
     }
 
     /// A policy refusal is audited under the op that was refused: an

@@ -1,4 +1,4 @@
-//! Exact hot-path cost gate (ROADMAP 6b): heap allocations and cached
+//! Exact hot-path cost gate (ROADMAP 6b, 22): heap allocations and cached
 //! entity reads (`cache.hits`) per cached `get_table`, by-name
 //! `temp_credentials` and `temp_credentials_for_path`, allocations per
 //! cached `tables.get` through `RestApi::handle`, and allocations per
@@ -14,12 +14,21 @@
 //! parse each of them starts with and the one `_delta_log` listing each of
 //! them makes.
 //!
+//! Next to every warm allocation pin sits a lock pin: the `(shared,
+//! exclusive)` acquisitions the call makes, as the `parking_lot` shim
+//! counts them per thread (`parking_lot::acquisitions`), with tracing off
+//! and, for a cached `get_table`, on. The paper's cached read takes no
+//! shared exclusive lock past its fast path; each pin's comment names every
+//! lock it counts and why it is there, so a lock added to any warm path
+//! fails its pin, in debug and in release.
+//!
 //! A wall-clock ratio on a shared 1–2 core host cannot resolve a few
-//! percent; an allocation count is exact. This binary installs a counting
-//! global allocator (per-thread counter, so the libtest harness thread
-//! never pollutes the reading), warms one node with the default
-//! `UcConfig`, and asserts that each of 1 000 cached calls performs the
-//! same number of allocations and no more than the pinned constant.
+//! percent; an allocation count is exact, and so is a lock count. This
+//! binary installs a counting global allocator (per-thread counter, so the
+//! libtest harness thread never pollutes the reading), warms one node with
+//! the default `UcConfig`, and asserts that each of 1 000 cached calls
+//! performs the same number of allocations and lock acquisitions, and no
+//! more than the pinned constants.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -37,6 +46,7 @@ use uc_cloudstore::{AccessLevel, Credential, ObjectStore, StoragePath};
 use uc_delta::expr::{CmpOp, Expr};
 use uc_delta::value::{DataType, Field, Schema, Value};
 use uc_engine::{Engine, EngineConfig};
+use uc_obs::Obs;
 use uc_txdb::Db;
 
 thread_local! {
@@ -108,6 +118,52 @@ const GRANTEE_GET_TABLE_ALLOCS: u64 = 21;
 /// JSON properties on every request; pinned 45, measured 30, once rows
 /// decoded straight into their structs).
 const GOVERNED_RESOLVE_ALLOCS: u64 = 30;
+/// Lock acquisitions `(shared, exclusive)` per cached `get_table`, tracing
+/// off. Shared: the node's metastore map (`NodeCache::for_metastore`);
+/// per chain level a name-index probe and the cached read itself
+/// (`MsCache::id_by_name`, `MsCache::get_at`), each a shard read lock whose
+/// writers serialize behind the write gate, not here; and the principal
+/// cache (`TtlCache::get`, written only on insert and expiry): that is
+/// 1 + 4 × 2 + 1. Exclusive: the audit record's lane mutex, which no other
+/// lane's writer touches; the lane's merge into the log (one per
+/// `lane_high_water` records) runs in the flush outside the window.
+///
+/// A warm call takes none of the cold halves: a miss round (a db read,
+/// then the write gate) or the uncached read from a db snapshot when the
+/// cache is off or the stale-retry budget is spent; the first call's
+/// interning of an op's instruments (a `OnceLock` after it) and of a
+/// label's metric slot (a per-thread cache after it); the alias map's
+/// read lock on the first sighting of a (metastore, principal) per
+/// thread; and the deterministic scheduler's rendezvous, which only
+/// threads registered with a model run reach.
+const GET_TABLE_LOCKS: (u64, u64) = (10, 1);
+/// A by-name vend: `get_table`'s, and the credential cache's read lock.
+const NAME_CREDENTIAL_LOCKS: (u64, u64) = (11, 1);
+/// A path vend: the metastore map, one path-index probe
+/// (`MsCache::id_by_path`), the cached read of each of four levels, the
+/// principal and credential caches: 1 + 1 + 4 + 2.
+const PATH_CREDENTIAL_LOCKS: (u64, u64) = (8, 1);
+/// `tables.get` through `RestApi::handle`: the typed call's; the door
+/// takes none.
+const REST_GET_TABLE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
+/// A grantee's cached `get_table`: the owner's.
+const GRANTEE_GET_TABLE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
+/// A trusted resolve of the governed table, no credential asked: the
+/// chain and the principal record, as `get_table`.
+const GOVERNED_RESOLVE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
+/// A cached `get_table` with tracing on (`Obs::enabled()`): the untraced
+/// call's, and seven exclusive acquisitions more. The span's open and
+/// close, and the cache's history-read event, each append to the trace
+/// ring (a leaf mutex over a bounded O(1) append) and to this thread's
+/// flight-recorder lane (`thread_slot` partitions the lanes, so no other
+/// writer contends); the audit record is mirrored into the flight lane
+/// too: 3 × 2 + 1. An armed incident trigger's freeze fires at most once
+/// per trigger, never on this steady path. The op's trailing window turns
+/// a slot over under a mutex once per `WINDOW_BUCKET_MS` (125 ms) of the
+/// obs clock, so under `Obs::enabled()`'s system clock one call in each
+/// bucket takes eight; the test freezes the clock to count the steady
+/// call. Untraced, the clock reads 0 and never turns a slot over.
+const TRACED_GET_TABLE_LOCKS: (u64, u64) = (10, 8);
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -169,6 +225,21 @@ const VIEW_SELECT_ALLOCS: u64 = 148;
 /// the filter and the mask ran as passes of their own over the copied
 /// rows; 178 with the copying lexer).
 const GOVERNED_SELECT_ALLOCS: u64 = 143;
+/// Lock acquisitions `(shared, exclusive)` per warm SELECT of the plain
+/// table. Shared: the trusted resolve's chain and principal record (ten,
+/// as `get_table`) and its credential cache; the session's group lookup
+/// (the principal cache); the `_delta_log` listing (the store's object
+/// map). Exclusive: the audit lane, the table cache's snapshot lookup and
+/// one decoded-rows lookup per data file (four).
+const TABLE_SELECT_LOCKS: (u64, u64) = (13, 6);
+/// Per warm SELECT through the view. Shared: the view's chain by name (9,
+/// as the table's), the principal record, the base's chain by id (the
+/// metastore map and four cached reads: 5), the credential cache, the
+/// session's group lookup, the engine's parsed-body cache and the
+/// listing: 9 + 1 + 5 + 1 + 1 + 1 + 1. Exclusive: the table's six.
+const VIEW_SELECT_LOCKS: (u64, u64) = (19, 6);
+/// Per warm SELECT of the row-filtered, masked table: the plain table's.
+const GOVERNED_SELECT_LOCKS: (u64, u64) = TABLE_SELECT_LOCKS;
 /// Allocations per `parse_statement` of a `query_hot` SELECT,
 /// `SELECT id, owner, amount FROM main.s000.t000012 WHERE id >= 5 AND grp
 /// <> 2`: the token vector, the syntax tree's strings and boxes, the name's
@@ -180,52 +251,86 @@ const PARSE_SELECT_ALLOCS: u64 = 21;
 /// Allocations per `ObjectStore::list` of a five-commit `_delta_log` (39
 /// while each listed path was `format!`ted and parsed back).
 const LOG_LISTING_ALLOCS: u64 = 17;
+/// Lock acquisitions per listing with the bucket's root credential: the
+/// store's object map, read to check the secret and to list.
+const LOG_LISTING_LOCKS: (u64, u64) = (2, 0);
 /// Tables in the cold node's schema: a `meta_cold` schema's.
 const COLD_TABLES: usize = 200;
 
 const CALLS: usize = 1_000;
 
-/// Allocation count of each of `CALLS` invocations of `op`. The audit
-/// log is flushed between calls, outside the counted window: its
-/// per-thread lane is a `Vec` that doubles every 2^k records and merges
-/// every ~3 000, and draining it makes that amortised cost exactly one
-/// lane allocation per call instead of an occasional outlier.
-fn allocs_per_call(uc: &UnityCatalog, mut op: impl FnMut()) -> Vec<u64> {
+/// What one call cost the calling thread: its heap allocations, and its
+/// lock acquisitions `(shared, exclusive)` as the `parking_lot` shim
+/// counts them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Cost {
+    allocs: u64,
+    locks: (u64, u64),
+}
+
+/// The [`Cost`] of each of `CALLS` invocations of `op`. The audit log is
+/// flushed between calls, outside the counted window: its per-thread lane
+/// is a `Vec` that doubles every 2^k records and merges every ~3 000, and
+/// draining it makes that amortised cost exactly one lane allocation per
+/// call instead of an occasional outlier, and keeps the merge's locks out
+/// of the count.
+fn allocs_per_call(uc: &UnityCatalog, mut op: impl FnMut()) -> Vec<Cost> {
     allocs_of_calls(uc, CALLS, |_| op())
 }
 
 /// [`allocs_per_call`] of `op(0)`, …, `op(calls - 1)`.
-fn allocs_of_calls(uc: &UnityCatalog, calls: usize, mut op: impl FnMut(usize)) -> Vec<u64> {
+fn allocs_of_calls(uc: &UnityCatalog, calls: usize, mut op: impl FnMut(usize)) -> Vec<Cost> {
     // Pre-sized so recording a sample never allocates inside a window.
     let mut samples = Vec::with_capacity(calls);
     for call in 0..calls {
         uc.audit_log().flush();
-        let before = ALLOCS.with(Cell::get);
+        let (allocs, (shared, exclusive)) = (ALLOCS.with(Cell::get), parking_lot::acquisitions());
         op(call);
-        samples.push(ALLOCS.with(Cell::get) - before);
+        let locks = parking_lot::acquisitions();
+        samples.push(Cost {
+            allocs: ALLOCS.with(Cell::get) - allocs,
+            locks: (locks.0 - shared, locks.1 - exclusive),
+        });
     }
     samples
 }
 
-fn assert_constant_and_bounded(what: &str, samples: &[u64], pinned: u64) {
-    let first = samples[0];
-    let odd: Vec<(usize, u64)> = samples
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|(_, n)| *n != first)
-        .take(5)
-        .collect();
-    assert!(odd.is_empty(), "{what}: allocations vary across calls ({first} vs (call, n) {odd:?})");
+/// What every call in `samples` read: `read` of each must be the same.
+fn constant<T: Copy + PartialEq + std::fmt::Debug>(what: &str, samples: &[Cost], read: impl Fn(&Cost) -> T) -> T {
+    let first = read(&samples[0]);
+    let odd: Vec<(usize, T)> =
+        samples.iter().map(read).enumerate().filter(|(_, n)| *n != first).take(5).collect();
+    assert!(odd.is_empty(), "{what}: the cost varies across calls ({first:?} vs (call, n) {odd:?})");
+    first
+}
+
+fn assert_constant_and_bounded(what: &str, samples: &[Cost], pinned: u64) {
+    let first = constant(what, samples, |c| c.allocs);
     println!("{what}: {first} allocations per call (pinned {pinned})");
     assert!(first <= pinned, "{what}: {first} allocations per call, pinned at {pinned}");
+}
+
+/// Every call takes the same lock acquisitions, and no more shared or
+/// exclusive ones than pinned.
+fn assert_locks(what: &str, samples: &[Cost], pinned: (u64, u64)) {
+    let (shared, exclusive) = constant(what, samples, |c| c.locks);
+    println!("{what}: {shared} shared, {exclusive} exclusive lock acquisitions per call (pinned {pinned:?})");
+    assert!(
+        shared <= pinned.0 && exclusive <= pinned.1,
+        "{what}: ({shared}, {exclusive}) lock acquisitions per call, pinned at {pinned:?}"
+    );
 }
 
 /// A node with the default `UcConfig` and managed table `main.s.t`
 /// (columns `x`, `y`), created by `admin`, the metastore owner.
 fn node_with_table() -> (Arc<UnityCatalog>, uc_catalog::Uid, Context, Arc<uc_catalog::Entity>) {
+    node_with_table_under(UcConfig::default())
+}
+
+/// [`node_with_table`] under `config`.
+fn node_with_table_under(config: UcConfig) -> (Arc<UnityCatalog>, uc_catalog::Uid, Context, Arc<uc_catalog::Entity>) {
     let store = ObjectStore::in_memory();
-    let uc = UnityCatalog::new(Db::in_memory(), store.clone(), Default::default(), "node-0");
+    let uc = UnityCatalog::new(Db::in_memory(), store.clone(), config, "node-0");
     let ctx = Context::user("admin");
     let ms = uc.create_metastore("admin", "allocs", "us-west-2").unwrap();
     let root = store.create_bucket("lake");
@@ -285,6 +390,10 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
         PATH_CREDENTIAL_ALLOCS,
     );
     assert_constant_and_bounded("rest tables.get", &rest_get_table, REST_GET_TABLE_ALLOCS);
+    assert_locks("get_table", &get_table, GET_TABLE_LOCKS);
+    assert_locks("temp_credentials", &name_credential, NAME_CREDENTIAL_LOCKS);
+    assert_locks("temp_credentials_for_path", &path_credential, PATH_CREDENTIAL_LOCKS);
+    assert_locks("rest tables.get", &rest_get_table, REST_GET_TABLE_LOCKS);
 
     // Cached entity reads (`cache.hits`) per call: one per chain level,
     // and nothing re-read once the chain is resolved. A by-name vend
@@ -299,6 +408,22 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     assert_eq!(hits_1 - hits_0, GET_TABLE_HITS * CALLS as u64, "get_table cache.hits");
     assert_eq!(hits_2 - hits_1, GET_TABLE_HITS * CALLS as u64, "by-name vend reads what get_table reads");
     assert_eq!(hits_3 - hits_2, PATH_CREDENTIAL_HITS * CALLS as u64, "path vend cache.hits");
+}
+
+/// With tracing on, a cached `get_table` takes the trace ring's and the
+/// flight recorder's locks on top of the untraced call's. Only the lock
+/// pair is pinned: a traced call allocates its records.
+#[test]
+fn a_traced_cached_read_takes_a_constant_number_of_locks() {
+    let obs = Obs::with_clock_fn(Arc::new(|| 0));
+    let (uc, ms, ctx, _) = node_with_table_under(UcConfig { obs, ..Default::default() });
+    for _ in 0..16 {
+        uc.get_table(&ctx, &ms, "main.s.t").unwrap();
+    }
+    let get_table = allocs_per_call(&uc, || {
+        uc.get_table(&ctx, &ms, "main.s.t").unwrap();
+    });
+    assert_locks("traced get_table", &get_table, TRACED_GET_TABLE_LOCKS);
 }
 
 #[test]
@@ -344,6 +469,8 @@ fn cached_governed_reads_allocate_a_constant_below_the_parent() {
 
     assert_constant_and_bounded("grantee get_table", &grantee_get_table, GRANTEE_GET_TABLE_ALLOCS);
     assert_constant_and_bounded("governed resolve_for_query", &governed_resolve, GOVERNED_RESOLVE_ALLOCS);
+    assert_locks("grantee get_table", &grantee_get_table, GRANTEE_GET_TABLE_LOCKS);
+    assert_locks("governed resolve_for_query", &governed_resolve, GOVERNED_RESOLVE_LOCKS);
 }
 
 /// A node with the metadata cache off and schema `main.s` bulk-loaded with
@@ -524,7 +651,11 @@ fn a_warm_select_allocates_a_constant_below_the_parent() {
     assert_constant_and_bounded("warm table SELECT", &table, TABLE_SELECT_ALLOCS);
     assert_constant_and_bounded("warm view SELECT", &view, VIEW_SELECT_ALLOCS);
     assert_constant_and_bounded("warm filtered, masked SELECT", &governed, GOVERNED_SELECT_ALLOCS);
-    assert!(view[0] <= table[0] + 25, "a warm view SELECT allocates {} to the table's {}", view[0], table[0]);
+    assert_locks("warm table SELECT", &table, TABLE_SELECT_LOCKS);
+    assert_locks("warm view SELECT", &view, VIEW_SELECT_LOCKS);
+    assert_locks("warm filtered, masked SELECT", &governed, GOVERNED_SELECT_LOCKS);
+    let (view, table) = (view[0].allocs, table[0].allocs);
+    assert!(view <= table + 25, "a warm view SELECT allocates {view} to the table's {table}");
 }
 
 /// Parsing a SELECT of `query_hot`'s shape: what every SELECT does once.
@@ -536,6 +667,7 @@ fn parsing_a_select_allocates_a_constant_below_the_parent() {
         assert!(matches!(uc_engine::parse_statement(sql), Ok(uc_engine::Statement::Select(_))));
     });
     assert_constant_and_bounded("parse_statement of a SELECT", &parses, PARSE_SELECT_ALLOCS);
+    assert_locks("parse_statement of a SELECT", &parses, (0, 0));
 }
 
 /// Listing a table's five-commit log: what every warm SELECT does once.
@@ -548,4 +680,5 @@ fn a_log_listing_allocates_a_constant_below_the_parent() {
         assert_eq!(store.list(&root, &log).unwrap().len(), 5);
     });
     assert_constant_and_bounded("5-object _delta_log listing", &listing, LOG_LISTING_ALLOCS);
+    assert_locks("5-object _delta_log listing", &listing, LOG_LISTING_LOCKS);
 }

@@ -561,3 +561,39 @@ fn a_lineage_version_costs_another_node_no_invalidation() {
     node_b.get_table(&ctx, &world.ms, "main.s.down").unwrap();
     assert_eq!(world.db.stats().reads(), reads0, "still a cache hit");
 }
+
+/// A dropped storage credential vends on no node: neither the one that
+/// created (and vended with) it, nor one over the same database that never
+/// saw it. The root credential is read from the metastore's storage
+/// credentials on every mint, not from a per-node copy.
+#[test]
+fn a_dropped_storage_credential_vends_on_no_node() {
+    use uc_catalog::error::UcError;
+    use uc_cloudstore::{AccessLevel, ObjectStore};
+    use uc_txdb::Db;
+
+    let store = ObjectStore::in_memory();
+    let node_a = UnityCatalog::new(Db::in_memory(), store.clone(), UcConfig::default(), "node-a");
+    let node_b = UnityCatalog::new(node_a.db().clone(), store.clone(), UcConfig::default(), "node-b");
+    let ctx = Context::user(ADMIN);
+    let ms = node_a.create_metastore(ADMIN, "creds", "us-west-2").unwrap();
+    node_a.create_storage_credential(&ctx, &ms, "cred", &store.create_bucket("lake")).unwrap();
+    node_a.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+    node_a.create_catalog(&ctx, &ms, "main").unwrap();
+    node_a.create_schema(&ctx, &ms, "main", "s").unwrap();
+    let [first, second] = ["main.s.t1", "main.s.t2"].map(|t| {
+        node_a.create_table(&ctx, &ms, TableSpec::managed(t, schema()).unwrap()).unwrap();
+        FullName::parse(t).unwrap()
+    });
+    node_a.temp_credentials(&ctx, &ms, &first, "relation", AccessLevel::Read).unwrap();
+
+    node_a.drop_securable(&ctx, &ms, &FullName::parse("cred").unwrap(), "storagecred").unwrap();
+    for node in [&node_a, &node_b] {
+        let vend = node.temp_credentials(&ctx, &ms, &second, "relation", AccessLevel::Read);
+        assert!(
+            matches!(vend, Err(UcError::Storage(ref m)) if m == "no storage credential for bucket lake"),
+            "{}: {vend:?}",
+            node.node_id()
+        );
+    }
+}

@@ -394,10 +394,11 @@ fn cold_by_id_reads_are_a_pointer_read_and_one_chain_scan() {
     let probe = warmed_probe(&world, &ctx);
     let get = db_cost(&world, || assert_eq!(probe.get_entity_by_id(&ctx, &world.ms, &a.id).unwrap(), a));
     assert_eq!(get, [2, 1, 0, 0], "cold get_entity_by_id: version + pointer, one chain scan");
-    // The node's first vend also looks the bucket's root credential up.
+    // A mint reads the bucket's root credential from the metastore's
+    // storage credentials: one scan more, on every uncached vend.
     probe.renew_read_credential(&ctx, &world.ms, &a.id).unwrap();
     let renew = db_cost(&world, || drop(probe.renew_read_credential(&ctx, &world.ms, &b.id).unwrap()));
-    assert_eq!(renew, [2, 1, 0, 0], "cold renew_read_credential: version + pointer, one chain scan");
+    assert_eq!(renew, [2, 2, 0, 0], "cold renew_read_credential: version + pointer, one chain scan, the credentials");
     let warm = db_cost(&world, || drop(probe.get_entity_by_id(&ctx, &world.ms, &b.id).unwrap()));
     assert_eq!(warm, [0, 0, 0, 0], "the by-id load cached the entity under its id and its name");
 }
@@ -633,7 +634,8 @@ fn past_the_feed_window_a_write_costs_one_row_more_and_the_version_read_one_step
 }
 
 /// Purge's trash scan visits its victims and nothing else: the trash rows
-/// an earlier purge deleted are reclaimed, not walked again.
+/// an earlier purge deleted are reclaimed, not walked again. Beside it,
+/// the purge reads the bucket's root credential once: one row.
 #[test]
 fn purge_scan_visits_its_victims_and_no_earlier_purge() {
     let (world, ctx) = seeded_world(&[]);
@@ -646,6 +648,10 @@ fn purge_scan_visits_its_victims_and_no_earlier_purge() {
             uc.drop_securable(&ctx, ms, &FullName::parse(&name).unwrap(), "relation").unwrap();
         }
         let visited = steps(&world, || assert_eq!(uc.purge_soft_deleted(ms).unwrap().0, 20));
-        assert_eq!(visited, 20 + 1, "purge {batch} visits its 20 victims only, and the feed's last row for its version");
+        assert_eq!(
+            visited,
+            20 + 1 + 1,
+            "purge {batch} visits its 20 victims only, the feed's last row for its version, and the one storage credential"
+        );
     }
 }
