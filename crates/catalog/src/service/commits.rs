@@ -110,6 +110,7 @@ impl UnityCatalog {
     pub fn latest_table_version(&self, ctx: &Context, ms: &Uid, table_id: &Uid) -> UcResult<i64> {
         let api = self.api_enter(Op::LATEST_TABLE_VERSION, Some(ctx), Some(ms));
         let entity = self.authorize_table(&api, ms, table_id, Privilege::Select)?;
+        api.audit.allow(table_id, "latest");
         Ok(entity.commit_version())
     }
 
@@ -123,7 +124,9 @@ impl UnityCatalog {
     ) -> UcResult<Option<Bytes>> {
         let api = self.api_enter(Op::READ_TABLE_COMMIT, Some(ctx), Some(ms));
         self.authorize_table(&api, ms, table_id, Privilege::Select)?;
-        Ok(self.commit_read_internal(ms, table_id, version))
+        let payload = self.commit_read_internal(ms, table_id, version);
+        api.audit.allow(table_id, format!("v{version}"));
+        Ok(payload)
     }
 
     /// Internal commit read (no authorization; catalog-internal flows

@@ -768,7 +768,9 @@ impl UnityCatalog {
         let parent_full = self.chain_by_name(ms, parent, parent_group)?;
         api.audit.bound(&parent_full)?;
         let who = self.authz_context_with(&parent_full, &ctx.principal)?;
-        self.visible_children(&api, ms, &who, &parent_full, group)
+        let children = self.visible_children(&api, ms, &who, &parent_full, group)?;
+        api.audit.allow(&parent_full[0].id, parent);
+        Ok(children)
     }
 
     // ------------------------------------------------------------------

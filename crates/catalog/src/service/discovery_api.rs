@@ -310,9 +310,11 @@ impl UnityCatalog {
     /// back older than the event. It names every securable: admins only.
     pub fn events_since(&self, ctx: &Context, ms: &Uid, after_version: u64) -> UcResult<EventPage> {
         let api = self.api_enter(Op::EVENTS_SINCE, Some(ctx), Some(ms));
-        api.audit.gate(&self.metastore_chain(ms)?, Need::MetastoreAdmin, "events")?;
+        let root = self.metastore_chain(ms)?;
+        api.audit.gate(&root, Need::MetastoreAdmin, "events")?;
         let rt = self.db.begin_read();
         let (rows, complete) = feed::rows_between(&rt, ms, after_version, u64::MAX)?;
+        api.audit.allow(&root[0].id, format!("events after v{after_version}"));
         let next_version = rows.last().map_or_else(|| read_ms_version(&rt, ms), |(version, _)| *version);
         let cache = self.cache.for_metastore(ms);
         if cache.version() < next_version {

@@ -76,6 +76,7 @@ impl UnityCatalog {
     ) -> UcResult<Vec<(String, Privilege)>> {
         let api = self.api_enter(Op::SHOW_GRANTS, Some(ctx), Some(ms));
         let (full, _) = api.audit.see(ms, securable, leaf_group)?;
+        api.audit.allow(&full[0].id, securable);
         Ok(full[0].grants.clone())
     }
 
@@ -111,6 +112,7 @@ impl UnityCatalog {
         let api = self.api_enter(Op::GET_ENTITY_BY_ID, Some(ctx), Some(ms));
         let full = self.chain_by_id(ms, id)?.ok_or_else(|| UcError::NotFound(id.to_string()))?;
         api.audit.gate(&full, Need::See, id)?;
+        api.audit.allow(id, id);
         Ok(full[0].clone())
     }
 

@@ -126,7 +126,9 @@ impl UnityCatalog {
         let api = self.api_enter(Op::LIST_SHARE_TABLES, Some(ctx), Some(ms));
         let full = self.share_chain(ms, share_name)?;
         api.audit.gate(&full, Need::AdminOrAny(&[Privilege::Select]), share_name)?;
-        self.share_members(ms, &full[0])
+        let members = self.share_members(ms, &full[0])?;
+        api.audit.allow(&full[0].id, share_name);
+        Ok(members)
     }
 
     /// A share's members; a member row that does not decode fails the
@@ -192,6 +194,7 @@ impl UnityCatalog {
         let (table, policies) = self.shared_table(&api, ms, share_name, alias)?;
         only_unbound_for_iceberg(&api, &table, &policies)?;
         let (table_path, snapshot) = self.table_snapshot_internal(ms, &table)?;
+        api.audit.allow(&table.id, alias);
         Ok(snapshot_to_iceberg(&snapshot, &table_path, self.now_ms()))
     }
 

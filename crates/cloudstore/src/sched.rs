@@ -32,7 +32,11 @@
 //! (e.g. outside the cache write gate and the txdb commit lock). A parked
 //! client then never blocks the running one, so the baton always moves.
 //! Nor may a scheduled client wait on another (a condvar wait holds the
-//! baton while the thread that would wake it can never run).
+//! baton while the thread that would wake it can never run). The one
+//! exception is an *opt-in* point ([`OPT_IN`]): it sits inside a lock,
+//! and only a scheduler that asks for it ([`Scheduler::park_at`]) stops
+//! there — one whose other clients never need that lock. Every other
+//! scheduler passes through it without a step.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -54,8 +58,12 @@ pub mod points {
     /// After a successful DB commit, before the write-through cache
     /// apply — the window a node crash would leave the cache stale in.
     pub const WRITE_POSTCOMMIT: &str = "write.postcommit";
-    /// Transactional commit entry, before the commit lock is taken.
+    /// Transactional commit entry, before any partition lock is taken.
     pub const TXDB_COMMIT: &str = "txdb.commit";
+    /// Inside a txdb commit's partition section, validation done: the
+    /// committer holds the commit locks of the partitions it touches.
+    /// Opt-in (see [`super::OPT_IN`]).
+    pub const TXDB_PARTITION: &str = "txdb.partition";
     /// Immediately before the audit log's lane-merge flush drains the
     /// per-thread append lanes into canonical order — the window where a
     /// concurrent writer's record may land in this batch or the next.
@@ -68,6 +76,11 @@ pub mod points {
     /// audit trail may be captured mid-flight.
     pub const FLIGHT_FREEZE: &str = "flight.freeze";
 }
+
+/// Yield points a scheduler stops at only if it asked to with
+/// [`Scheduler::park_at`]: each is inside a lock another client could
+/// need, so a scheduler whose clients share that lock must pass through.
+pub const OPT_IN: &[&str] = &[points::TXDB_PARTITION];
 
 /// Interleaving selection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +110,8 @@ struct State {
     change_points: Vec<u64>,
     /// PCT: next fresh lowest priority.
     next_low: i64,
+    /// Opt-in points this scheduler stops at, always handing the baton on.
+    park_at: Vec<&'static str>,
 }
 
 struct Inner {
@@ -169,10 +184,22 @@ impl Scheduler {
                     priorities,
                     change_points,
                     next_low: 0,
+                    park_at: Vec::new(),
                 }),
                 cv: Condvar::new(),
             }),
         }
+    }
+
+    /// Stop at the opt-in point `point` ([`OPT_IN`]), and there always hand
+    /// the baton to another client that can run: a preemption at exactly
+    /// that point. Only for a run where no other client needs the lock the
+    /// point sits in (for `TXDB_PARTITION`: no other client commits in the
+    /// parked client's partitions).
+    pub fn park_at(self, point: &'static str) -> Self {
+        assert!(OPT_IN.contains(&point), "{point} is not an opt-in yield point");
+        self.inner.state.lock().park_at.push(point);
+        self
     }
 
     /// Register the calling thread as `client` and park until the
@@ -197,7 +224,7 @@ impl Scheduler {
             self.inner.cv.wait(&mut st);
         }
         st.started = true;
-        let first = Self::pick_next(&mut st, None);
+        let first = Self::pick_next(&mut st, None, false);
         st.active = Some(first);
         self.inner.cv.notify_all();
         while !st.done.iter().all(|d| *d) {
@@ -223,9 +250,13 @@ impl Scheduler {
     }
 
     /// Choose the next client to run among the not-done ones. `current`
-    /// is the yielding client (a candidate to continue), `None` at start.
-    fn pick_next(st: &mut State, current: Option<usize>) -> usize {
-        let runnable: Vec<usize> = (0..st.n).filter(|i| !st.done[*i]).collect();
+    /// is the yielding client (a candidate to continue unless it `parks`
+    /// while another can run), `None` at start.
+    fn pick_next(st: &mut State, current: Option<usize>, parks: bool) -> usize {
+        let mut runnable: Vec<usize> = (0..st.n).filter(|i| !st.done[*i]).collect();
+        if parks && runnable.len() > 1 {
+            runnable.retain(|i| Some(*i) != current);
+        }
         assert!(!runnable.is_empty(), "pick_next with no runnable clients");
         match st.mode {
             SchedMode::RandomWalk => {
@@ -253,11 +284,15 @@ impl Scheduler {
 
     fn yield_at(&self, client: usize, point: &'static str) {
         let mut st = self.inner.state.lock();
+        let parks = st.park_at.contains(&point);
+        if !parks && OPT_IN.contains(&point) {
+            return;
+        }
         debug_assert_eq!(st.active, Some(client), "yield from a non-active client");
         st.steps += 1;
         let step = st.steps;
         st.trace.push((step, client, point, String::new()));
-        let next = Self::pick_next(&mut st, Some(client));
+        let next = Self::pick_next(&mut st, Some(client), parks);
         if next != client {
             st.active = Some(next);
             self.inner.cv.notify_all();
@@ -276,7 +311,7 @@ impl Scheduler {
         if st.done.iter().all(|d| *d) {
             st.active = None;
         } else {
-            let next = Self::pick_next(&mut st, None);
+            let next = Self::pick_next(&mut st, None, false);
             st.active = Some(next);
         }
         self.inner.cv.notify_all();
@@ -384,6 +419,38 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn an_opt_in_point_is_a_step_only_where_a_scheduler_parks_at_it() {
+        let run = |sched: Scheduler| {
+            let other = sched.clone();
+            let h = std::thread::spawn(move || {
+                other.register_current(1);
+                yield_point("test.step");
+                finish_current();
+            });
+            let me = sched.clone();
+            let h0 = std::thread::spawn(move || {
+                me.register_current(0);
+                yield_point(points::TXDB_PARTITION);
+                finish_current();
+            });
+            sched.run_to_completion();
+            h.join().unwrap();
+            h0.join().unwrap();
+            sched.trace_text()
+        };
+        for seed in 0..8 {
+            let passed = run(Scheduler::new(seed, 2, SchedMode::RandomWalk, 8));
+            assert!(!passed.contains("txdb.partition"), "seed {seed}: {passed}");
+            let parked = run(Scheduler::new(seed, 2, SchedMode::Pct { depth: 1 }, 8).park_at(points::TXDB_PARTITION));
+            // Where client 0 parks while client 1 can run, client 1 runs next.
+            let lines: Vec<_> = parked.lines().collect();
+            let at = lines.iter().position(|l| l.ends_with("client=0 point=txdb.partition")).unwrap();
+            let one_done = lines[..at].iter().any(|l| l.ends_with("client=1 point=client.done"));
+            assert!(one_done || lines[at + 1].contains("client=1"), "seed {seed}: {parked}");
+        }
     }
 
     #[test]

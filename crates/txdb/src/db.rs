@@ -1,22 +1,47 @@
-//! The database handle: versioned storage, commit sequencing, and the
-//! snapshot horizon reclamation runs against.
+//! The database handle: partitioned versioned storage, commit sequencing,
+//! and the snapshot horizon reclamation runs against.
+//!
+//! # Partitions
+//!
+//! Storage is split by key range. A key's partition is its first segment,
+//! the text before its first `/` or [`CHAIN_SEP`] — for every catalog key
+//! the metastore id — and a key with neither lives in the one global
+//! partition (named `""`). Each [`Partition`] has its own rows (every
+//! table's chains of its keys) under its own `RwLock`, its own commit lock
+//! and its own dead-key FIFO, so readers and writers of one metastore never
+//! wait on another's. What every commit shares is one sequencer: CSN
+//! assignment, install and publication, in CSN order (see [`crate::txn`]).
+//!
+//! The partition map is copy-on-write: a new partition is added under the
+//! snapshot registry's lock, and each transaction takes the map it will
+//! read with its snapshot, under that same lock — so a read finds its
+//! partition with no lock of its own. A partition missing from a
+//! transaction's map was made after its snapshot, and holds nothing it may
+//! see.
 //!
 //! # Reclamation
 //!
 //! Every `begin_read` registers its snapshot CSN and the reader's `Drop`
 //! releases it; a `begin_write` holds such a reader. The **horizon** is the
 //! oldest open snapshot, or the current CSN when none is open. Each commit
-//! reclaims inside the `tables.write()` it already holds: a chain it writes
-//! keeps only its newest version at or below the horizon plus everything
-//! newer, and a key it deletes joins a FIFO of dead keys that later commits
-//! drain once the horizon passes the delete; a drained chain is removed if
-//! it is still a lone tombstone. No snapshot at or above the horizon can
-//! tell either change apart, a pruned chain keeps its latest CSN (so commit
-//! validation is unchanged), and a removed chain had no change after any
-//! open snapshot (so no scan, seek or validation can miss it).
+//! reclaims inside the row-map write locks it already holds: a chain it
+//! writes keeps only its newest version at or below the horizon plus
+//! everything newer, and a key it deletes joins its partition's FIFO of
+//! dead keys, drained once the horizon passes the delete; a drained chain
+//! is removed if it is still a lone tombstone. A commit drains the FIFOs of
+//! the partitions it writes, and the sequencer keeps a [`Note`] per
+//! partition with dead keys left: a commit also drains, after it
+//! publishes, every other partition whose oldest dead key the horizon has
+//! passed and that has gone idle (see [`Sequencer::take_idle`]) — so a
+//! partition no commit writes again is still emptied, and one still being
+//! written is left to its own commits. No
+//! snapshot at or above the horizon can tell either change apart, a pruned
+//! chain keeps its latest CSN (so commit validation is unchanged), and a
+//! removed chain had no change after any open snapshot (so no scan, seek
+//! or validation can miss it).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -27,7 +52,7 @@ use uc_obs::Obs;
 
 use crate::pool::ConnectionPool;
 use crate::stats::DbStats;
-use crate::txn::{ReadTxn, WriteTxn};
+use crate::txn::{ReadTxn, WriteTxn, CHAIN_SEP};
 
 /// One visible state of a row at a point in commit history.
 #[derive(Debug, Clone)]
@@ -79,22 +104,112 @@ impl VersionChain {
 
 pub(crate) type Table = BTreeMap<String, VersionChain>;
 
-/// Keys deleted by commits, `(csn, table, key)` in commit order.
-pub(crate) type DeadKeys = VecDeque<(u64, String, String)>;
+/// The name of the partition `key` lives in: its first segment, or `""`
+/// (the global partition) for a key with no `/` or [`CHAIN_SEP`].
+pub(crate) fn partition_of(key: &str) -> &str {
+    first_sep(key).map_or("", |i| &key[..i])
+}
 
-/// Drain the dead keys the horizon has passed: a chain that is still a lone
-/// tombstone once pruned is removed; one written again since is left to
-/// the FIFO entry of its newer delete, if any.
-pub(crate) fn remove_dead(tables: &mut BTreeMap<String, Table>, dead: &mut DeadKeys, horizon: u64) {
-    while dead.front().is_some_and(|(csn, _, _)| *csn <= horizon) {
-        let Some((_, table, key)) = dead.pop_front() else { break };
-        let Some(t) = tables.get_mut(&table) else { continue };
-        if let Some(chain) = t.get_mut(&key) {
-            chain.prune(horizon);
-            if chain.is_dead_at(horizon) {
-                t.remove(&key);
+/// Byte offset of the first `/` or [`CHAIN_SEP`] in `s`; both are ASCII,
+/// so it is a char boundary.
+pub(crate) fn first_sep(s: &str) -> Option<usize> {
+    s.bytes().position(|b| b == b'/' || b == CHAIN_SEP as u8)
+}
+
+/// The partitions a transaction can read, sorted by name.
+pub(crate) type Parts = Vec<Arc<Partition>>;
+
+/// The partition of `parts` named `name`, if it has one.
+pub(crate) fn find<'a>(parts: &'a [Arc<Partition>], name: &str) -> Option<&'a Arc<Partition>> {
+    parts.binary_search_by(|p| p.name.as_str().cmp(name)).ok().map(|i| &parts[i])
+}
+
+/// One key range's storage.
+pub(crate) struct Partition {
+    pub name: String,
+    /// Held by a commit that touches the partition, from validation to
+    /// publication; taken in name order.
+    pub commit: Mutex<()>,
+    pub rows: RwLock<Rows>,
+}
+
+/// A partition's tables and the keys its commits deleted. The FIFO is
+/// changed only with the rows, so it shares their lock.
+#[derive(Default)]
+pub(crate) struct Rows {
+    pub tables: BTreeMap<String, Table>,
+    /// Keys deleted by commits, `(csn, table, key)` in commit order.
+    pub dead: VecDeque<(u64, String, String)>,
+}
+
+impl Rows {
+    /// Drain the dead keys the horizon has passed: a chain that is still a
+    /// lone tombstone once pruned is removed; one written again since is
+    /// left to the FIFO entry of its newer delete, if any.
+    pub fn remove_dead(&mut self, horizon: u64) {
+        while self.dead.front().is_some_and(|(csn, _, _)| *csn <= horizon) {
+            let Some((_, table, key)) = self.dead.pop_front() else { break };
+            let Some(t) = self.tables.get_mut(&table) else { continue };
+            if let Some(chain) = t.get_mut(&key) {
+                chain.prune(horizon);
+                if chain.is_dead_at(horizon) {
+                    t.remove(&key);
+                }
             }
         }
+    }
+
+    /// The CSN of the oldest dead key `remove_dead(horizon)` leaves.
+    pub fn dead_after(&self, horizon: u64) -> Option<u64> {
+        self.dead.iter().map(|(csn, _, _)| *csn).find(|csn| *csn > horizon)
+    }
+}
+
+/// A partition with dead keys left, as a commit or a drain left it.
+pub(crate) struct Note {
+    /// The CSN of its oldest dead key.
+    oldest: u64,
+    /// The commit that last wrote or drained it.
+    at: u64,
+    part: Arc<Partition>,
+}
+
+/// The section every commit shares (CSN assignment, install, publication),
+/// and what it knows of the dead keys: a [`Note`] per partition with some
+/// left.
+#[derive(Default)]
+pub(crate) struct Sequencer {
+    dead: Vec<Note>,
+}
+
+impl Sequencer {
+    /// Commit `at` wrote or drained `p`, whose oldest dead key is now at
+    /// `oldest` (`None`: it has none).
+    pub fn note(&mut self, p: &Arc<Partition>, oldest: Option<u64>, at: u64) {
+        self.dead.retain(|n| !Arc::ptr_eq(p, &n.part));
+        if let Some(oldest) = oldest {
+            self.dead.push(Note { oldest, at, part: Arc::clone(p) });
+        }
+    }
+
+    /// Take the notes of the partitions commit `now` drains for their
+    /// writers: those whose oldest dead key `horizon` has passed, and that
+    /// no commit has written for four times as many commits as there are
+    /// notes — a partition's own commits drain it while it is written, so
+    /// a commit of another partition steps in only once it has gone idle.
+    pub fn take_idle(&mut self, horizon: u64, now: u64) -> Vec<Note> {
+        let idle = 4 * self.dead.len() as u64;
+        let mut taken = Vec::new();
+        let mut i = 0;
+        while i < self.dead.len() {
+            let n = &self.dead[i];
+            if n.oldest <= horizon && now - n.at >= idle {
+                taken.push(self.dead.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+        taken
     }
 }
 
@@ -132,6 +247,12 @@ impl Snapshots {
     }
 }
 
+/// The open snapshots and the partition map a new snapshot reads.
+pub(crate) struct Registry {
+    pub open: Snapshots,
+    pub parts: Arc<Parts>,
+}
+
 /// Tuning knobs for the simulated database.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -159,14 +280,16 @@ impl Default for DbConfig {
 }
 
 pub(crate) struct DbInner {
-    pub tables: RwLock<BTreeMap<String, Table>>,
     /// Last committed CSN. Snapshots read this under `snapshots`.
     pub csn: AtomicU64,
-    /// Serializes commit validation + apply, and holds the dead keys only
-    /// commits touch.
-    pub commit_lock: Mutex<DeadKeys>,
-    /// Open snapshots; their oldest is the horizon.
-    pub snapshots: Mutex<Snapshots>,
+    /// Open snapshots (their oldest is the horizon) and the partition map.
+    pub snapshots: Mutex<Registry>,
+    /// Partitions made so far: a commit that validated against all of them
+    /// tells from this whether one was made since. Stored under the
+    /// registry lock before the maker's commit takes the sequencer, and
+    /// read under the sequencer, whose lock orders it; so `Relaxed`.
+    pub made: AtomicUsize,
+    pub sequencer: Mutex<Sequencer>,
     pub pool: ConnectionPool,
     pub latency: LatencyModel,
     pub stats: DbStats,
@@ -193,10 +316,10 @@ impl Db {
     pub fn new(config: DbConfig) -> Self {
         Db {
             inner: Arc::new(DbInner {
-                tables: RwLock::new(BTreeMap::new()),
                 csn: AtomicU64::new(0),
-                commit_lock: Mutex::new(VecDeque::new()),
-                snapshots: Mutex::new(Snapshots::default()),
+                snapshots: Mutex::new(Registry { open: Snapshots::default(), parts: Arc::default() }),
+                made: AtomicUsize::new(0),
+                sequencer: Mutex::new(Sequencer::default()),
                 pool: ConnectionPool::wired(config.pool_size, config.obs.registry()),
                 latency: config.latency,
                 stats: DbStats::wired(config.obs.registry()),
@@ -220,7 +343,8 @@ impl Db {
 
     /// Begin a snapshot-isolated read-only transaction.
     pub fn begin_read(&self) -> ReadTxn {
-        ReadTxn::new(self.clone(), self.open_snapshot())
+        let (snapshot, parts) = self.open_snapshot();
+        ReadTxn::new(self.clone(), snapshot, parts)
     }
 
     /// Begin a serializable read-write transaction: a reader, plus the
@@ -229,27 +353,52 @@ impl Db {
         WriteTxn::new(self.begin_read())
     }
 
-    /// Register a snapshot at the current CSN. The CSN is read under the
-    /// registry lock the horizon is computed under, so a horizon can never
-    /// pass a snapshot that is about to open.
-    fn open_snapshot(&self) -> u64 {
-        let mut open = self.inner.snapshots.lock();
+    /// Register a snapshot at the current CSN, with the partition map it
+    /// reads. The CSN is read under the registry lock the horizon is
+    /// computed under, so a horizon can never pass a snapshot that is about
+    /// to open; and a partition is added under it too, so one missing from
+    /// the map was made after the snapshot.
+    fn open_snapshot(&self) -> (u64, Arc<Parts>) {
+        let mut reg = self.inner.snapshots.lock();
         let csn = self.current_csn();
-        open.register(csn);
-        csn
+        reg.open.register(csn);
+        (csn, Arc::clone(&reg.parts))
     }
 
     /// Release a snapshot registered by [`Self::open_snapshot`].
     pub(crate) fn close_snapshot(&self, csn: u64) {
-        self.inner.snapshots.lock().release(csn);
+        self.inner.snapshots.lock().open.release(csn);
     }
 
     /// The snapshot horizon: the oldest open snapshot's CSN, or the current
     /// CSN when none is open. Reclamation keeps everything a snapshot at or
     /// above it can read.
     pub fn horizon(&self) -> u64 {
-        let open = self.inner.snapshots.lock();
-        open.oldest().unwrap_or_else(|| self.current_csn())
+        let reg = self.inner.snapshots.lock();
+        reg.open.oldest().unwrap_or_else(|| self.current_csn())
+    }
+
+    /// Every partition now.
+    pub(crate) fn partitions(&self) -> Arc<Parts> {
+        Arc::clone(&self.inner.snapshots.lock().parts)
+    }
+
+    /// Every partition now, with those named `names` (sorted, distinct)
+    /// made where missing.
+    pub(crate) fn partitions_with(&self, names: &[&str]) -> Arc<Parts> {
+        let mut reg = self.inner.snapshots.lock();
+        if names.iter().any(|n| find(&reg.parts, n).is_none()) {
+            let mut parts = Parts::clone(&reg.parts);
+            for name in names {
+                if let Err(i) = parts.binary_search_by(|p| p.name.as_str().cmp(name)) {
+                    let rows = RwLock::new(Rows::default());
+                    parts.insert(i, Arc::new(Partition { name: name.to_string(), commit: Mutex::new(()), rows }));
+                }
+            }
+            self.inner.made.store(parts.len(), Ordering::Relaxed);
+            reg.parts = Arc::new(parts);
+        }
+        Arc::clone(&reg.parts)
     }
 
     /// The horizon a commit reclaims against — the current CSN, open
@@ -302,21 +451,39 @@ impl Db {
 
     /// Total number of live (non-tombstone latest) rows across all tables.
     pub fn live_rows(&self) -> usize {
-        let guard = self.inner.tables.read();
-        let snapshot = self.current_csn();
-        guard
-            .values()
-            .flat_map(|t| t.values())
-            .filter(|chain| chain.visible_at(snapshot).is_some_and(|v| v.value.is_some()))
-            .count()
+        let rt = self.begin_read();
+        let snapshot = rt.snapshot_csn();
+        let live = |rows: &Rows| {
+            let chains = rows.tables.values().flat_map(|t| t.values());
+            chains.filter(|chain| chain.visible_at(snapshot).is_some_and(|v| v.value.is_some())).count()
+        };
+        rt.parts().iter().map(|p| live(&p.rows.read())).sum()
     }
 
     /// What the heap holds: `(chains, versions)` across all tables, dead
     /// chains and superseded versions included.
     pub fn resident(&self) -> (usize, usize) {
-        let guard = self.inner.tables.read();
-        let chains = guard.values().flat_map(|t| t.values());
-        chains.fold((0, 0), |(c, v), chain| (c + 1, v + chain.versions.len()))
+        let held = |rows: &Rows| {
+            let chains = rows.tables.values().flat_map(|t| t.values());
+            chains.fold((0, 0), |(c, v), chain| (c + 1, v + chain.versions.len()))
+        };
+        self.partitions()
+            .iter().map(|p| held(&p.rows.read())).fold((0, 0), |(c, v), (pc, pv)| (c + pc, v + pv))
+    }
+
+    /// Drain the dead keys up to `horizon` of the partition commit `now`
+    /// took the note of, and note what is left. Rows some other reader or
+    /// writer holds are not waited for: the note goes back as it was.
+    pub(crate) fn drain(&self, note: Note, horizon: u64, now: u64) {
+        let p = &note.part;
+        let Some(mut rows) = p.rows.try_write() else {
+            self.inner.sequencer.lock().note(p, Some(note.oldest), note.at);
+            return;
+        };
+        rows.remove_dead(horizon);
+        if let Some((left, _, _)) = rows.dead.front() {
+            self.inner.sequencer.lock().note(p, Some(*left), now);
+        }
     }
 
     /// Apply an operation's pool + latency cost. Internal to the crate.
@@ -343,7 +510,9 @@ mod tests {
     }
 
     fn versions(db: &Db, key: &str) -> Option<usize> {
-        db.inner.tables.read().get("t")?.get(key).map(|c| c.versions.len())
+        let parts = db.partitions();
+        let rows = find(&parts, partition_of(key))?.rows.read();
+        rows.tables.get("t")?.get(key).map(|c| c.versions.len())
     }
 
     #[test]
@@ -429,7 +598,7 @@ mod tests {
         assert_eq!(db.horizon(), 2, "b still holds 2");
         drop(b);
         assert_eq!(db.horizon(), db.current_csn());
-        assert!(db.inner.snapshots.lock().0.is_empty());
+        assert!(db.inner.snapshots.lock().open.0.is_empty());
     }
 
     #[test]
@@ -442,6 +611,30 @@ mod tests {
         assert_eq!(s.oldest(), Some(1));
         s.release(1);
         assert_eq!((s.oldest(), s.0.len()), (Some(3), 1), "the closed middle entry left with the front");
+    }
+
+    #[test]
+    fn a_key_lives_in_the_partition_of_its_first_segment() {
+        assert_eq!(partition_of("ms1/ent"), "ms1");
+        assert_eq!(partition_of("ms1\u{1}c\u{1}"), "ms1");
+        assert_eq!(partition_of("ms1\u{1}c/d"), "ms1");
+        assert_eq!(partition_of("alice"), "", "a key with no separator is global");
+    }
+
+    #[test]
+    fn a_partition_no_commit_writes_is_drained_once_idle() {
+        let db = Db::in_memory();
+        put1(&db, "a/k", "v");
+        del1(&db, "a/k");
+        // One partition has dead keys: it is idle after 4 commits that
+        // are not its own.
+        for _ in 0..3 {
+            put1(&db, "b/k", "w");
+        }
+        assert_eq!(versions(&db, "a/k"), Some(2), "b's commits leave a's keys to a while it may still be written");
+        put1(&db, "b/k", "w");
+        assert_eq!(versions(&db, "a/k"), None, "the fourth drains the idle partition");
+        assert_eq!(db.resident(), (1, 2));
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //!   ([`WriteTxn::written_keys`]), so a caller can record what a commit
 //!   wrote *in* that commit: the catalog's per-metastore change feed is
 //!   ordinary rows written this way, not a log kept here.
+//! * **One partition per metastore key range**: a key's first segment (the
+//!   text before its first `/` or [`CHAIN_SEP`], the metastore id of every
+//!   catalog key) picks its partition, and each partition has its own rows,
+//!   commit lock and dead keys. Readers and writers of one metastore never
+//!   wait on another's; what every commit shares is assigning, installing
+//!   and publishing its CSN, in CSN order (see [`db`] and [`txn`]).
 //! * **Reclamation on the write path**: every open transaction registers
 //!   its snapshot, and each commit prunes the versions and removes the dead
-//!   rows no open snapshot can see (see [`db`]). There is no sweeper and no
-//!   setting.
+//!   rows no open snapshot can see, in the partitions it writes and in any
+//!   that no commit writes any more (see [`db`]). There is no sweeper and
+//!   no setting.
 //! * **A bounded connection pool with injected latency**: the resource
 //!   model that produces the paper's Fig 10(b) "DB-bottlenecked" regime.
 //!

@@ -1,18 +1,27 @@
 //! Read and write transactions.
 //!
-//! A [`ReadTxn`] is a snapshot: it pins a CSN and every read resolves the
-//! version chains at that CSN. Each read primitive is written once, here,
-//! over the snapshot with an optional *overlay* — one table's buffered
-//! writes — laid over its answer. A `ReadTxn` has none.
+//! A [`ReadTxn`] is a snapshot: it pins a CSN and the partition map of that
+//! moment (see [`crate::db`]), and every read resolves the version chains
+//! at that CSN. Each read primitive is written once, here, over the
+//! snapshot with an optional *overlay* — one table's buffered writes — laid
+//! over its answer. A `ReadTxn` has none. A read whose keys all lie in one
+//! partition reads that partition alone; a shorter prefix or a range that
+//! spans partitions reads each and merges them in key order.
 //!
 //! A [`WriteTxn`] is a reader plus a write buffer and a read set, and is
 //! serializable via optimistic concurrency control. Its reads are the
 //! reader's with the buffer as the overlay; each records the `Span` of
-//! keys whose change could alter its answer. At commit, one loop checks
-//! every buffered key and every span read: a chain in one with a committed
-//! version newer than the snapshot is a conflict. A span covers keys that
-//! were absent at the snapshot too, so a row inserted into a scanned range
-//! after the snapshot conflicts (no phantoms).
+//! keys whose change could alter its answer. A commit takes the commit
+//! locks of the partitions it touches (those of every key written and every
+//! span read; all of them for a span no one partition holds) in name order,
+//! then checks every buffered key and every span read: a chain in one with
+//! a committed version newer than the snapshot is a conflict. A span covers
+//! keys that were absent at the snapshot too, so a row inserted into a
+//! scanned range after the snapshot conflicts (no phantoms). It then takes
+//! the row-map write locks of the partitions it writes, and last the one
+//! sequencer, under which it assigns its CSN, installs and publishes — so
+//! CSNs are published in order and a snapshot at `c` sees every commit up
+//! to `c` whole.
 //!
 //! The reader registers its snapshot with the database when it begins and
 //! releases it when dropped; a committing `WriteTxn` drops its reader once
@@ -21,12 +30,15 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use uc_cloudstore::faults::points;
 use uc_cloudstore::latency::OpClass;
+use uc_cloudstore::sched;
 
-use crate::db::{remove_dead, Db, Table, Version, VersionChain};
+use crate::db::{find, first_sep, partition_of, Db, Partition, Parts, Table, Version, VersionChain};
 use crate::error::{TxError, TxResult};
 
 /// One table's buffered writes by key; `None` is a delete.
@@ -42,13 +54,16 @@ fn value_at(chain: &VersionChain, snapshot: u64) -> Option<Bytes> {
 pub struct ReadTxn {
     db: Db,
     snapshot: u64,
+    /// The partitions at the snapshot.
+    parts: Arc<Parts>,
 }
 
 impl ReadTxn {
-    /// `snapshot` must be registered with `db` (see `Db::begin_read`);
-    /// dropping the transaction releases it.
-    pub(crate) fn new(db: Db, snapshot: u64) -> Self {
-        ReadTxn { db, snapshot }
+    /// `snapshot` must be registered with `db`, and `parts` be the
+    /// partition map read with it (see `Db::begin_read`); dropping the
+    /// transaction releases it.
+    pub(crate) fn new(db: Db, snapshot: u64, parts: Arc<Parts>) -> Self {
+        ReadTxn { db, snapshot, parts }
     }
 
     /// CSN this transaction observes.
@@ -56,12 +71,25 @@ impl ReadTxn {
         self.snapshot
     }
 
+    pub(crate) fn parts(&self) -> &[Arc<Partition>] {
+        &self.parts
+    }
+
+    /// The partitions that can hold a key of `span`: its one partition, or
+    /// every partition when no one partition holds it.
+    fn cover(&self, span: &Span<&str>) -> &[Arc<Partition>] {
+        match span.partition() {
+            Some(name) => find(&self.parts, name).map_or(&[], std::slice::from_ref),
+            None => &self.parts,
+        }
+    }
+
     /// Point lookup at the snapshot.
     pub fn get(&self, table: &str, key: &str) -> Option<Bytes> {
         self.db.charge(OpClass::Read);
         self.db.stats().record_read();
-        let guard = self.db.inner.tables.read();
-        value_at(guard.get(table)?.get(key)?, self.snapshot)
+        let rows = find(&self.parts, partition_of(key))?.rows.read();
+        value_at(rows.tables.get(table)?.get(key)?, self.snapshot)
     }
 
     /// All live rows whose key starts with `prefix`, in key order.
@@ -100,18 +128,20 @@ impl ReadTxn {
         self.db.charge(OpClass::List);
         self.db.stats().record_scan();
         let from = (Included(start.max(prefix)), Unbounded);
-        let guard = self.db.inner.tables.read();
+        let parts = self.cover(&Span::Prefix(prefix));
         let mut steps = 0;
-        let rows = guard.get(table).map_or_else(Vec::new, |t| {
-            t.range::<str, _>(from)
-                .take_while(|(k, _)| k.starts_with(prefix))
-                .filter_map(|(k, chain)| {
-                    steps += 1;
-                    value_at(chain, self.snapshot).map(|v| (k.clone(), v))
-                })
-                .collect()
-        });
-        drop(guard);
+        let mut rows = Vec::new();
+        for p in parts {
+            let guard = p.rows.read();
+            let Some(t) = guard.tables.get(table) else { continue };
+            rows.extend(t.range::<str, _>(from).take_while(|(k, _)| k.starts_with(prefix)).filter_map(|(k, chain)| {
+                steps += 1;
+                value_at(chain, self.snapshot).map(|v| (k.clone(), v))
+            }));
+        }
+        if parts.len() > 1 {
+            rows.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        }
         self.db.stats().record_steps(steps);
         match over {
             Some(b) => lay_over(rows, b.range::<str, _>(from).take_while(|(k, _)| k.starts_with(prefix))),
@@ -120,12 +150,13 @@ impl ReadTxn {
     }
 
     /// [`Self::scan_chain`] with `over` laid over the rows. A buffered
-    /// prefix is not looked up, so it is no step.
+    /// prefix is not looked up, so it is no step. Every chain prefix of a
+    /// key is in the key's partition.
     fn chain_over(&self, table: &str, key: &str, over: Option<&Buffer>) -> Vec<(String, Bytes)> {
         self.db.charge(OpClass::List);
         self.db.stats().record_scan();
-        let guard = self.db.inner.tables.read();
-        let t = guard.get(table);
+        let guard = find(&self.parts, partition_of(key)).map(|p| p.rows.read());
+        let t = guard.as_ref().and_then(|rows| rows.tables.get(table));
         let mut steps = 0;
         let rows = chain_prefixes(key)
             .filter_map(|p| {
@@ -151,19 +182,23 @@ impl ReadTxn {
         self.db.charge(OpClass::Read);
         self.db.stats().record_read();
         let range = (Included(start), Excluded(end));
-        let guard = self.db.inner.tables.read();
         let mut steps = 0;
-        let found = guard.get(table).and_then(|t| {
-            t.range::<str, _>(range).rev().find_map(|(k, chain)| {
+        let mut found: Option<(String, Bytes)> = None;
+        for p in self.cover(&Span::Range(start, end)) {
+            let guard = p.rows.read();
+            let Some(t) = guard.tables.get(table) else { continue };
+            let best = t.range::<str, _>(range).rev().find_map(|(k, chain)| {
                 steps += 1;
                 let value = match over.and_then(|b| b.get(k)) {
                     Some(buffered) => buffered.clone(),
                     None => value_at(chain, self.snapshot),
                 };
-                value.map(|v| (k.clone(), v))
-            })
-        });
-        drop(guard);
+                value.map(|v| (k, v))
+            });
+            if let Some((k, v)) = best.filter(|(k, _)| found.as_ref().is_none_or(|(f, _)| *k > f)) {
+                found = Some((k.clone(), v));
+            }
+        }
         self.db.stats().record_steps(steps);
         // A buffered put at a key the snapshot does not hold can beat the
         // snapshot's best.
@@ -236,7 +271,21 @@ impl Span<String> {
     }
 }
 
-impl Span<&str> {
+impl<'a> Span<&'a str> {
+    /// The one partition every key of the span lives in, or `None` when
+    /// its keys can lie in several: a prefix, or the common prefix of a
+    /// range's ends, that stops short of the first separator.
+    fn partition(&self) -> Option<&'a str> {
+        match *self {
+            Span::Key(k) => Some(partition_of(k)),
+            Span::Prefix(p) => first_sep(p).map(|i| &p[..i]),
+            Span::Range(lo, end) => {
+                let i = first_sep(lo)?;
+                (end.as_bytes().get(..=i) == lo.as_bytes().get(..=i)).then(|| &lo[..i])
+            }
+        }
+    }
+
     /// Some chain of `t` in the span has a version newer than `snapshot`.
     fn changed_after(&self, t: &Table, snapshot: u64) -> bool {
         let newer = |(_, chain): (&String, &VersionChain)| chain.latest_csn() > snapshot;
@@ -400,33 +449,61 @@ impl WriteTxn {
             });
         }
 
-        // Interleaving-exploration yield: placed before the commit lock so
-        // a parked client never holds it. A no-op outside scheduled runs.
-        uc_cloudstore::sched::yield_point(uc_cloudstore::sched::points::TXDB_COMMIT);
+        // Interleaving-exploration yield: placed before any partition lock
+        // so a parked client never holds one. A no-op outside scheduled runs.
+        sched::yield_point(sched::points::TXDB_COMMIT);
 
-        let mut dead = inner.commit_lock.lock();
+        // Every key written (as a point), then every span read, with the one
+        // partition it lies in, if it has one.
+        let rows = writes.values().map(Buffer::len).sum::<usize>();
+        let written = writes.iter().flat_map(|(table, b)| b.keys().map(move |k| (table.as_str(), Span::Key(k.as_str()))));
+        let checks: Vec<(Option<&str>, &str, Span<&str>)> = written
+            .chain(reads.iter().map(|(table, span)| (table.as_str(), span.as_str())))
+            .map(|(table, span)| (span.partition(), table, span))
+            .collect();
+        let mut names: Vec<&str> = checks.iter().filter_map(|(part, _, _)| *part).collect();
+        names.sort_unstable();
+        names.dedup();
 
-        // --- Validation (under the commit lock: no commit interleaves). Every
-        // key written and every span read must be unchanged since the
-        // snapshot. The weaken switch exists only to prove the history
-        // checker spots the anomalies this prevents; see
-        // Db::set_unsafe_skip_commit_validation.
-        if !inner.weaken_validation.load(std::sync::atomic::Ordering::Relaxed) {
-            let tables = inner.tables.read();
-            let written = writes.iter().flat_map(|(table, b)| b.keys().map(move |k| (table, Span::Key(k.as_str()))));
-            let mut spans = written.chain(reads.iter().map(|(table, span)| (table, span.as_str())));
-            let conflict = spans.find(|(table, span)| {
-                tables.get(table.as_str()).is_some_and(|t| span.changed_after(t, snapshot))
-            });
-            if let Some((table, span)) = conflict {
-                inner.stats.record_conflict();
-                // Event detail names the table and the read's kind but not
-                // the key: keys can embed random entity Uids, which would
-                // break trace-dump byte-determinism across runs.
-                uc_obs::span_event("txdb.conflict", &format!("{table}{} snapshot={snapshot}", span.kind()));
-                return Err(TxError::Conflict {
-                    detail: format!("{table} {span:?} changed after snapshot {snapshot}"),
+        // The partitions to lock: the named ones — from the snapshot's map,
+        // or made if missing — or, when some span has no one partition,
+        // every partition.
+        let wide = checks.iter().any(|(part, _, _)| part.is_none());
+        let map = if wide || names.iter().any(|n| find(reader.parts(), n).is_none()) {
+            db.partitions_with(&names)
+        } else {
+            Arc::clone(&reader.parts)
+        };
+        let parts: Parts = if wide {
+            Parts::clone(&map)
+        } else {
+            names.iter().filter_map(|n| find(&map, n).cloned()).collect()
+        };
+        let locked: Vec<_> = parts.iter().map(|p| p.commit.lock()).collect();
+        // Holds the commit locks, so it is an opt-in point: only a scheduler
+        // that asks for it stops here, one whose other clients commit in
+        // other partitions (see sched::OPT_IN).
+        sched::yield_point(sched::points::TXDB_PARTITION);
+
+        // --- Validation, under the commit locks: no commit touching these
+        // partitions interleaves. Every key written and every span read
+        // must be unchanged since the snapshot. The weaken switch exists
+        // only to prove the history checker spots the anomalies this
+        // prevents; see Db::set_unsafe_skip_commit_validation.
+        if !inner.weaken_validation.load(Ordering::Relaxed) {
+            for p in &parts {
+                let rows = p.rows.read();
+                let mut mine = checks.iter().filter(|(part, _, _)| part.is_none_or(|n| n == p.name));
+                let changed = mine.find(|(_, table, span)| {
+                    rows.tables.get(*table).is_some_and(|t| span.changed_after(t, snapshot))
                 });
+                if let Some((_, table, span)) = changed {
+                    // The event detail names the table and the read's kind
+                    // but not the key: keys can embed random entity Uids,
+                    // which would break trace-dump byte-determinism.
+                    let event = format!("{table}{} snapshot={snapshot}", span.kind());
+                    return Err(conflict(db, &event, format!("{table} {span:?} changed after snapshot {snapshot}")));
+                }
             }
         }
 
@@ -435,30 +512,59 @@ impl WriteTxn {
         // longer needs to hold the horizon.
         drop(reader);
         let horizon = db.reclaim_horizon();
-        let new_csn = inner.csn.load(std::sync::atomic::Ordering::Acquire) + 1;
-        let rows = writes.values().map(Buffer::len).sum::<usize>() as u64;
-        {
-            let mut tables = inner.tables.write();
-            for (table, buffer) in writes {
-                for (key, _) in buffer.iter().filter(|(_, value)| value.is_none()) {
-                    dead.push_back((new_csn, table.clone(), key.clone()));
-                }
-                let t = tables.entry(table).or_default();
-                for (key, value) in buffer {
-                    let chain = t.entry(key).or_default();
-                    chain.versions.push(Version { csn: new_csn, value });
-                    chain.prune(horizon);
-                }
-            }
-            remove_dead(&mut tables, &mut dead, horizon);
+        let wrote: Vec<&Arc<Partition>> =
+            parts.iter().filter(|p| checks[..rows].iter().any(|(part, _, _)| *part == Some(p.name.as_str()))).collect();
+        let mut guards: Vec<_> = wrote.iter().map(|p| p.rows.write()).collect();
+        let mut seq = inner.sequencer.lock();
+        if wide && inner.made.load(Ordering::Relaxed) != map.len() {
+            // A partition made since the spans were checked may hold a
+            // commit ahead of this one, into a span it never checked there.
+            drop(seq);
+            let detail = format!("a partition was made while spans at snapshot {snapshot} were checked");
+            return Err(conflict(db, &format!("partition made snapshot={snapshot}"), detail));
         }
-        inner.stats.record_write(rows);
-        inner
-            .csn
-            .store(new_csn, std::sync::atomic::Ordering::Release);
+        let new_csn = inner.csn.load(Ordering::Acquire) + 1;
+        for (table, buffer) in writes {
+            for (key, value) in buffer {
+                let Some(i) = wrote.iter().position(|p| p.name == partition_of(&key)) else { continue };
+                let part = &mut *guards[i];
+                if value.is_none() {
+                    part.dead.push_back((new_csn, table.clone(), key.clone()));
+                }
+                if !part.tables.contains_key(&table) {
+                    part.tables.insert(table.clone(), Table::new());
+                }
+                let Some(t) = part.tables.get_mut(&table) else { continue };
+                let chain = t.entry(key).or_default();
+                chain.versions.push(Version { csn: new_csn, value });
+                chain.prune(horizon);
+            }
+        }
+        for (p, part) in wrote.iter().zip(&guards) {
+            seq.note(p, part.dead_after(horizon), new_csn);
+        }
+        let due = seq.take_idle(horizon, new_csn);
+        inner.csn.store(new_csn, Ordering::Release);
+        drop(seq);
+        for part in &mut guards {
+            part.remove_dead(horizon);
+        }
+        drop(guards);
+        drop(locked);
+        for note in due {
+            db.drain(note, horizon, new_csn);
+        }
+        inner.stats.record_write(rows as u64);
         inner.stats.record_commit();
         Ok(new_csn)
     }
+}
+
+/// Count a conflict, record its `txdb.conflict` event and build its error.
+fn conflict(db: &Db, event: &str, detail: String) -> TxError {
+    db.inner.stats.record_conflict();
+    uc_obs::span_event("txdb.conflict", event);
+    TxError::Conflict { detail }
 }
 
 #[cfg(test)]

@@ -1,11 +1,19 @@
-//! Reclamation is invisible: random interleavings of begin / get / scan /
-//! resumed scan / chain scan / predecessor seek / put / delete / commit /
-//! drop run against
-//! the real database — which prunes versions and removes dead chains on
-//! every commit — and against a reference that keeps every version forever.
-//! Every read of every open transaction, and every commit verdict, must
-//! agree; after each step, every open read snapshot must re-read exactly
-//! what the reference says it holds.
+//! Reclamation and partitioning are invisible: random interleavings of
+//! begin / get / scan / resumed scan / chain scan / predecessor seek / put /
+//! delete / commit / drop run against the real database — which splits its
+//! keys into partitions by first segment, and prunes versions and removes
+//! dead chains on every commit — and against a reference that is one key
+//! space and keeps every version forever. Every read of every open
+//! transaction, and every commit verdict, must agree; after each step,
+//! every open read snapshot must re-read exactly what the reference says it
+//! holds.
+//!
+//! The keys lie in three metastore partitions (`m1`, `m2`, `m3`) and the
+//! global one (`g`, `z`), so scans of a short prefix merge partitions, a
+//! seek can span them, and a write transaction can write several. Halfway
+//! through each sequence `m3` stops being written, with whatever snapshots
+//! are open still reading it; once every transaction is gone, one commit
+//! elsewhere must leave no dead chain in any partition.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -15,18 +23,30 @@ use uc_txdb::{Db, ReadTxn, TxError, WriteTxn};
 
 const T: &str = "t";
 
-/// Tree-shaped keys (segments end in `\u{1}`), so chain scans, prefix
-/// scans and seeks all cross each other's ranges.
-const KEYS: [&str; 7] = [
-    "r\u{1}",
-    "r\u{1}a\u{1}",
-    "r\u{1}a\u{1}x\u{1}",
-    "r\u{1}a\u{1}y\u{1}",
-    "r\u{1}b\u{1}",
-    "r\u{1}b\u{1}z\u{1}",
-    "s\u{1}",
+/// Tree-shaped keys (segments end in `\u{1}`) and `/`-keys in three
+/// metastore partitions, and two global keys, in key order: chain scans,
+/// prefix scans and seeks all cross each other's ranges and partitions.
+const KEYS: [&str; 12] = [
+    "g",
+    "m1\u{1}",
+    "m1\u{1}a\u{1}",
+    "m1\u{1}a\u{1}x\u{1}",
+    "m1/p",
+    "m2\u{1}",
+    "m2\u{1}b\u{1}",
+    "m2/q",
+    "m3\u{1}",
+    "m3\u{1}c\u{1}",
+    "m3/r",
+    "z",
 ];
-const PREFIXES: [&str; 5] = ["", "r\u{1}", "r\u{1}a\u{1}", "r\u{1}b\u{1}", "s"];
+/// One partition's (`m1\u{1}…`, `m3/`), or several: the global prefix, a
+/// prefix of metastore ids, and short prefixes a global key shares.
+const PREFIXES: [&str; 7] = ["", "m", "m1\u{1}", "m1\u{1}a\u{1}", "m2", "m3/", "g"];
+/// The partition that stops being written halfway through a sequence, and
+/// where its writes go instead.
+const RETIRED: &str = "m3";
+const RETIRED_TO: usize = 1;
 const SLOTS: usize = 5;
 
 /// Every version ever committed, never reclaimed.
@@ -123,13 +143,18 @@ const READERS: usize = 2;
 /// One step. An op on an empty slot begins its transaction first; codes
 /// 10 to 15 weight puts and commits up, since reclamation needs a key
 /// committed more than once while a snapshot is open; 16 resumes a prefix
-/// scan, which only a read transaction has.
-fn step(db: &Db, reference: &mut Reference, slots: &mut [Option<Slot>], (op, slot, a, b): Op, n: usize) {
-    let key = KEYS[a];
+/// scan, which only a read transaction has. Once `retired`, a write to the
+/// retired partition goes to a key of `m1` instead.
+fn step(db: &Db, reference: &mut Reference, slots: &mut [Option<Slot>], (op, slot, a, b): Op, n: usize, retired: bool) {
     let op = match op {
         10..=12 => 6,
         13..=15 => 8,
         op => op,
+    };
+    let writes = matches!(op, 6 | 7 | 9);
+    let key = match KEYS[a] {
+        k if retired && writes && k.starts_with(RETIRED) => KEYS[RETIRED_TO + a % 3],
+        k => k,
     };
     let current = slots[slot].get_or_insert_with(|| {
         if slot < READERS {
@@ -245,17 +270,37 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Drive `ops` against `db` and the reference; panics at the first
-/// divergence.
+/// divergence. The retired partition is not written in the second half.
+/// Once every transaction is gone, commits to a key outside the universe
+/// drain every partition's dead keys — a partition's own commits drain it,
+/// and a commit elsewhere drains one left idle for four times as many
+/// commits as there are partitions with dead keys, here at most four —
+/// so what stays is one chain per live key.
 fn run(db: &Db, ops: Vec<Op>) {
     let mut reference = Reference::default();
     let mut slots: Vec<Option<Slot>> = (0..SLOTS).map(|_| None).collect();
+    let half = ops.len() / 2;
     for (n, op) in ops.into_iter().enumerate() {
-        step(db, &mut reference, &mut slots, op, n);
+        step(db, &mut reference, &mut slots, op, n, n >= half);
         check_open_snapshots(&slots, &reference);
         assert!(db.resident().1 <= reference.versions(), "reclamation only ever removes");
     }
     slots.clear();
     assert_eq!(db.horizon(), db.current_csn(), "every snapshot was released");
+    for _ in 0..=4 * 4 {
+        let mut tx = db.begin_write();
+        tx.put(T, "settle", Bytes::from_static(b"s"));
+        tx.commit().unwrap();
+    }
+    let live = KEYS.iter().filter(|k| reference.at(k, reference.csn).is_some()).count();
+    assert_eq!(db.resident().0, live + 1, "a dead chain outlived every snapshot that could read it");
+}
+
+#[test]
+fn the_keys_are_in_key_order_and_span_four_partitions() {
+    assert!(KEYS.windows(2).all(|w| w[0] < w[1]));
+    let parts: BTreeSet<&str> = KEYS.iter().map(|k| k.find(['/', '\u{1}']).map_or("", |i| &k[..i])).collect();
+    assert_eq!(parts.into_iter().collect::<Vec<_>>(), ["", "m1", "m2", "m3"]);
 }
 
 proptest! {
@@ -315,4 +360,53 @@ fn a_held_reader_pins_versions_and_releasing_it_frees_them() {
     assert_eq!(chains, KEYS.len());
     assert!(versions <= 2 * KEYS.len(), "{versions} versions resident after release (was {pinned})");
     assert!(pinned > 20 * KEYS.len(), "the held snapshot kept {pinned} versions");
+}
+
+/// One multi-metastore commit sequence — puts, overwrites and deletes in
+/// three metastores and the global partition, cross-partition commits, a
+/// reader held across part of it, and a metastore no commit writes again,
+/// then commits to one global key — and `(chains, versions)` resident
+/// after each commit. The pins are what one unpartitioned row map with one
+/// dead-key FIFO held after the same sequence: any commit drained every
+/// key the horizon had passed. Here a partition no commit writes waits
+/// until it has gone idle, so the heap may lag the pins, never lead them,
+/// and ends equal to them.
+#[test]
+fn resident_after_a_multi_metastore_sequence_ends_at_the_unpartitioned_ones() {
+    let db = Db::in_memory();
+    let mut seen = Vec::new();
+    let mut commit = |puts: &[&str], deletes: &[&str]| {
+        let mut tx = db.begin_write();
+        for key in puts {
+            tx.put(T, key, Bytes::from(format!("{key}@{}", tx.snapshot_csn())));
+        }
+        for key in deletes {
+            tx.delete(T, key);
+        }
+        tx.commit().unwrap();
+        seen.push(db.resident());
+    };
+    commit(&["m1\u{1}", "m1\u{1}a\u{1}", "m1/p", "g"], &[]);
+    commit(&["m2\u{1}", "m2/q", "m3\u{1}", "m3/r"], &[]);
+    let held = db.begin_read();
+    commit(&["m1\u{1}", "m1/p"], &["m2/q"]);
+    commit(&["m3\u{1}c\u{1}"], &["m3/r", "g"]);
+    commit(&["m1\u{1}a\u{1}"], &["m3\u{1}", "m3\u{1}c\u{1}"]);
+    drop(held);
+    commit(&["m2\u{1}b\u{1}"], &[]);
+    commit(&["z"], &["m1/p"]);
+    commit(&["m1\u{1}"], &[]);
+    commit(&["m2\u{1}"], &["z"]);
+    commit(&["g"], &[]);
+    commit(&["m1\u{1}"], &[]);
+    for _ in 0..16 {
+        commit(&["g"], &[]);
+    }
+    let pins = [(4, 4), (8, 8), (8, 11), (9, 14), (9, 17), (5, 8), (6, 9), (5, 7), (5, 9), (5, 8), (5, 8)]
+        .into_iter()
+        .chain([(5, 9); 16]);
+    for (step, (held, pin)) in seen.iter().zip(pins).enumerate() {
+        assert!(held.0 >= pin.0 && held.1 >= pin.1, "commit {step}: {held:?} resident, below the pin {pin:?}");
+    }
+    assert_eq!(seen.last(), Some(&(5, 9)), "{seen:?}");
 }

@@ -28,8 +28,9 @@ thread_local! {
 
 /// The lock acquisitions this thread has made so far, `(shared,
 /// exclusive)`: an `RwLock::read` is shared; a `Mutex::lock`, a successful
-/// `Mutex::try_lock`, an `RwLock::write` and the re-acquisition at the end
-/// of a `Condvar::wait` are exclusive. Not part of upstream `parking_lot`.
+/// `Mutex::try_lock`, an `RwLock::write`, a successful `RwLock::try_write`
+/// and the re-acquisition at the end of a `Condvar::wait` are exclusive.
+/// Not part of upstream `parking_lot`.
 pub fn acquisitions() -> (u64, u64) {
     ACQUISITIONS.with(Cell::get)
 }
@@ -143,6 +144,16 @@ impl<T: ?Sized> RwLock<T> {
         count(0, 1);
         RwLockWriteGuard { inner: unpoison(self.inner.write()) }
     }
+
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        let held = match self.inner.try_write() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        count(0, 1);
+        Some(RwLockWriteGuard { inner: held })
+    }
 }
 
 impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
@@ -243,6 +254,11 @@ mod tests {
         let held = m.lock();
         assert_eq!(counted(|| assert!(m.try_lock().is_none())), (0, 0));
         drop(held);
+        let l = RwLock::new(0);
+        assert_eq!(counted(|| drop(l.try_write().expect("free"))), (0, 1));
+        let reading = l.read();
+        assert_eq!(counted(|| assert!(l.try_write().is_none())), (0, 0));
+        drop(reading);
     }
 
     #[test]

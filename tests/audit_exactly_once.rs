@@ -539,23 +539,23 @@ mod deny {
             ("create_view", 1, Box::new(|uc, ms, ctx, _| uc.create_view(ctx, ms, &name("main.s.v"), "select 1", int_schema(), &[]).map(drop))),
             ("create_volume", 1, Box::new(|uc, ms, ctx, _| uc.create_volume(ctx, ms, &name("main.s.vol"), None).map(drop))),
             ("drop_securable", 1, Box::new(|uc, ms, ctx, _| uc.drop_securable(ctx, ms, &t, "relation").map(drop))),
-            ("get_entity_by_id", 0, Box::new(|uc, ms, ctx, b| uc.get_entity_by_id(ctx, ms, &b.t.id).map(drop))),
+            ("get_entity_by_id", 1, Box::new(|uc, ms, ctx, b| uc.get_entity_by_id(ctx, ms, &b.t.id).map(drop))),
             ("get_securable", 1, Box::new(|uc, ms, ctx, _| uc.get_table(ctx, ms, "main.s.t").map(drop))),
             ("get_tags", 1, Box::new(|uc, ms, ctx, _| uc.get_tags(ctx, ms, &t, "relation").map(drop))),
             ("grant", 1, Box::new(|uc, ms, ctx, _| uc.grant(ctx, ms, &t, "relation", "bob", Privilege::Select))),
-            ("latest_table_version", 0, Box::new(|uc, ms, ctx, b| uc.latest_table_version(ctx, ms, &b.t.id).map(drop))),
+            ("latest_table_version", 1, Box::new(|uc, ms, ctx, b| uc.latest_table_version(ctx, ms, &b.t.id).map(drop))),
             ("lineage", 1, Box::new(|uc, ms, ctx, _| uc.lineage(ctx, ms, &t, LineageDirection::Upstream, 3).map(drop))),
-            ("list_children", 0, Box::new(|uc, ms, ctx, _| uc.list_children(ctx, ms, &name("main.s"), None).map(drop))),
+            ("list_children", 1, Box::new(|uc, ms, ctx, _| uc.list_children(ctx, ms, &name("main.s"), None).map(drop))),
             ("load_table_as_iceberg", 1, Box::new(|uc, ms, ctx, _| uc.load_table_as_iceberg(ctx, ms, &t).map(drop))),
             ("mirror_table", 1, Box::new(|uc, ms, ctx, _| uc.mirror_table(ctx, ms, "fed", "s", &meta).map(drop))),
             ("policy_update", 1, Box::new(|uc, ms, ctx, _| uc.set_row_filter(ctx, ms, &t, filter.clone()))),
-            ("read_table_commit", 0, Box::new(|uc, ms, ctx, b| uc.read_table_commit(ctx, ms, &b.t.id, 0).map(drop))),
+            ("read_table_commit", 1, Box::new(|uc, ms, ctx, b| uc.read_table_commit(ctx, ms, &b.t.id, 0).map(drop))),
             ("rename_securable", 1, Box::new(|uc, ms, ctx, _| uc.rename_securable(ctx, ms, &t, "relation", "t9").map(drop))),
             ("renew_read_credential", 1, Box::new(|uc, ms, ctx, b| uc.renew_read_credential(ctx, ms, &b.t.id).map(drop))),
             ("resolve_for_query", 1, Box::new(|uc, ms, ctx, _| uc.resolve_for_query(ctx, ms, std::slice::from_ref(&t), false).map(drop))),
             ("resolve_model_version", 1, Box::new(|uc, ms, ctx, _| uc.resolve_model_version(ctx, ms, &m, 1).map(drop))),
             ("revoke", 1, Box::new(|uc, ms, ctx, _| uc.revoke(ctx, ms, &t, "relation", ADMIN, Privilege::Select))),
-            ("show_grants", 0, Box::new(|uc, ms, ctx, _| uc.show_grants(ctx, ms, &t, "relation").map(drop))),
+            ("show_grants", 1, Box::new(|uc, ms, ctx, _| uc.show_grants(ctx, ms, &t, "relation").map(drop))),
             ("tag_update", 1, Box::new(|uc, ms, ctx, _| uc.set_tag(ctx, ms, &t, "relation", "k", "v"))),
             ("temp_credentials", 1, Box::new(|uc, ms, ctx, _| uc.temp_credentials(ctx, ms, &t, "relation", AccessLevel::Read).map(drop))),
             ("temp_credentials_for_path", 1, Box::new(|uc, ms, ctx, b| {
@@ -569,10 +569,10 @@ mod deny {
         // the metastore admin's change stream, and the one op that undoes a
         // binding.
         let unbound: Vec<(&str, usize, Call)> = vec![
-            ("events_since", 0, Box::new(|uc, ms, ctx, _| uc.events_since(ctx, ms, 0).map(drop))),
-            ("list_share_tables", 0, Box::new(|uc, ms, ctx, _| uc.list_share_tables(ctx, ms, "sh").map(drop))),
+            ("events_since", 1, Box::new(|uc, ms, ctx, _| uc.events_since(ctx, ms, 0).map(drop))),
+            ("list_share_tables", 1, Box::new(|uc, ms, ctx, _| uc.list_share_tables(ctx, ms, "sh").map(drop))),
             ("query_share_table", 1, Box::new(|uc, ms, ctx, _| uc.query_share_table(ctx, ms, "sh", "s.t").map(drop))),
-            ("query_share_table_as_iceberg", 0, Box::new(|uc, ms, ctx, _| uc.query_share_table_as_iceberg(ctx, ms, "sh", "s.t").map(drop))),
+            ("query_share_table_as_iceberg", 1, Box::new(|uc, ms, ctx, _| uc.query_share_table_as_iceberg(ctx, ms, "sh", "s.t").map(drop))),
             ("set_catalog_bindings", 1, Box::new(|uc, ms, ctx, _| uc.set_catalog_bindings(ctx, ms, "main", &["ws-a"]))),
         ];
         // Ops with no target inside a catalog, each served to the admin.

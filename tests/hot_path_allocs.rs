@@ -182,23 +182,26 @@ const ENCODE_TABLE_ROW_ALLOCS: u64 = 2;
 /// Allocations per uncached `get_table` (cache off, a chain of four rows;
 /// 199 with the tree decode).
 const COLD_GET_TABLE_ALLOCS: u64 = 64;
-/// Allocations per uncached 200-table `list_children` (10 172 with the
-/// tree decode; 2 873 while every txdb range read copied its bounds into
-/// `String`s).
-const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_870;
+/// Allocations per uncached 200-table `list_children`, its audited `Allow`
+/// included (10 172 with the tree decode; 2 873 while every txdb range
+/// read copied its bounds into `String`s; 2 870 while a served listing
+/// recorded no `Allow`, whose record is the 5 more).
+const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_875;
 /// Allocations per uncached 200-table `tables.list` through
-/// `RestApi::handle`, the JSON reply included (17 779 with the tree
-/// decode; 10 480 with the copied bounds; 10 477 while the reply's
-/// 200-entity array was built, then deep-copied by `json!`).
-const COLD_REST_LIST_ALLOCS: u64 = 6_476;
+/// `RestApi::handle`, the JSON reply and the audited `Allow` included
+/// (17 779 with the tree decode; 10 480 with the copied bounds; 10 477
+/// while the reply's 200-entity array was built, then deep-copied by
+/// `json!`; 6 476 while a served listing recorded no `Allow`).
+const COLD_REST_LIST_ALLOCS: u64 = 6_481;
 /// Allocations per uncached `tables.resolve` of three tables through
 /// `RestApi::handle`, the JSON reply included (410 while each entity's
 /// grants and the reply's arrays were built, then copied).
 const COLD_REST_RESOLVE_ALLOCS: u64 = 274;
 /// Allocations per uncached `grants.list` through `RestApi::handle` of the
-/// catalog's three grants (70 while the reply's array was built, then
-/// copied).
-const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 54;
+/// catalog's three grants, the audited `Allow` included (70 while the
+/// reply's array was built, then copied; 54 while a served `show_grants`
+/// recorded no `Allow`, whose record and its detail are the 6 more).
+const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 60;
 /// Allocations per `get_table` that misses the table but finds its three
 /// containers cached (the cache on, as `meta_cold` runs it): one chain
 /// scan, one decode, one install. 78 while a miss decoded all four rows,
