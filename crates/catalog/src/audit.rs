@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Class, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use uc_cloudstore::sched;
 
@@ -38,13 +38,14 @@ pub enum AuditDecision {
 }
 
 /// One audited event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditRecord {
     pub seq: u64,
     pub timestamp_ms: u64,
     pub principal: String,
-    /// API/action name, e.g. `getTable`, `grant`, `generateTemporaryCredentials`.
-    pub action: String,
+    /// What was attempted, an op table row's action, e.g. `getTable`,
+    /// `grant`, `generateTemporaryCredentials`.
+    pub action: Action,
     pub securable: Option<Uid>,
     pub decision: AuditDecision,
     pub detail: String,
@@ -113,7 +114,6 @@ pub const AUDIT_LANES: usize = 32;
 /// One append lane, cache-line-aligned so neighboring lanes' mutex words
 /// don't false-share.
 #[repr(align(64))]
-#[derive(Default)]
 struct Lane {
     buf: Mutex<Vec<AuditRecord>>,
 }
@@ -155,8 +155,8 @@ impl AuditLog {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         AuditLog {
-            lanes: std::array::from_fn(|_| Lane::default()),
-            state: RwLock::new(AuditState { records: VecDeque::new(), next_seq: 0 }),
+            lanes: std::array::from_fn(|_| Lane { buf: Mutex::ranked(Class::CatalogBuf, Vec::new()) }),
+            state: RwLock::ranked(Class::CatalogState, AuditState { records: VecDeque::new(), next_seq: 0 }),
             capacity,
             lane_high_water: (capacity / AUDIT_LANES).max(1),
         }
@@ -183,7 +183,7 @@ impl AuditLog {
             seq: 0, // assigned at merge time
             timestamp_ms,
             principal: principal.to_string(),
-            action: action.as_str().to_string(),
+            action,
             securable: securable.cloned(),
             decision,
             detail,
@@ -304,7 +304,7 @@ impl AuditLog {
                 r.timestamp_ms,
                 trace,
                 sanitize(&r.principal),
-                sanitize(&r.action),
+                sanitize(r.action.as_str()),
                 securable,
                 decision,
                 sanitize(&r.detail),

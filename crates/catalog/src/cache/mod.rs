@@ -88,7 +88,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Class, Mutex, MutexGuard, RwLock};
 use uc_cloudstore::sched;
 use uc_obs::Counter;
 use uc_txdb::{Db, ReadTxn};
@@ -378,13 +378,13 @@ impl MsCache {
     fn new(config: &CacheConfig, stats: CacheStats) -> Self {
         MsCache {
             pin: AtomicU64::new(0),
-            entity_shards: (0..SHARDS).map(|_| RwLock::new(HashMap::default())).collect(),
-            name_shards: (0..SHARDS).map(|_| RwLock::new(Index::default())).collect(),
-            path_shards: (0..SHARDS).map(|_| RwLock::new(Index::default())).collect(),
+            entity_shards: (0..SHARDS).map(|_| RwLock::ranked(Class::CatalogShard, HashMap::default())).collect(),
+            name_shards: (0..SHARDS).map(|_| RwLock::ranked(Class::CatalogShard, Index::default())).collect(),
+            path_shards: (0..SHARDS).map(|_| RwLock::ranked(Class::CatalogShard, Index::default())).collect(),
             tick: AtomicU64::new(0),
             len: AtomicUsize::new(0),
             config: config.clone(),
-            gate: Mutex::new(()),
+            gate: Mutex::ranked(Class::CatalogGate, ()),
             stats,
         }
     }

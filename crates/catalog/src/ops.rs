@@ -32,6 +32,18 @@ impl Action {
     }
 }
 
+impl PartialEq<&str> for Action {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
+    }
+}
+
+impl std::fmt::Display for Action {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
 /// One API operation.
 #[derive(Debug)]
 pub struct Op {

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Class, Mutex};
 
 /// Well-known injection point names. Constants rather than an enum so
 /// downstream crates can add points without touching this crate.
@@ -115,8 +115,8 @@ impl FaultPlan {
                 enabled: AtomicBool::new(false),
                 seed: 0,
                 total_injected: AtomicU64::new(0),
-                points: Mutex::new(BTreeMap::new()),
-                log: Mutex::new(Vec::new()),
+                points: Mutex::ranked(Class::CloudstorePoints, BTreeMap::new()),
+                log: Mutex::ranked(Class::CloudstoreLog, Vec::new()),
             }),
         }
     }
@@ -130,8 +130,8 @@ impl FaultPlan {
                 enabled: AtomicBool::new(true),
                 seed,
                 total_injected: AtomicU64::new(0),
-                points: Mutex::new(BTreeMap::new()),
-                log: Mutex::new(Vec::new()),
+                points: Mutex::ranked(Class::CloudstorePoints, BTreeMap::new()),
+                log: Mutex::ranked(Class::CloudstoreLog, Vec::new()),
             }),
         }
     }

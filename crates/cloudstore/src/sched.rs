@@ -41,7 +41,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Class, Condvar, Mutex};
 
 /// Well-known yield point names. Constants rather than an enum so
 /// downstream crates can add points without touching this crate (the
@@ -171,7 +171,7 @@ impl Scheduler {
         }
         Scheduler {
             inner: Arc::new(Inner {
-                state: Mutex::new(State {
+                state: Mutex::ranked(Class::CloudstoreSched, State {
                     mode,
                     rng,
                     n,
@@ -322,6 +322,9 @@ impl Scheduler {
 /// registered with a scheduler, this may park it and run other clients;
 /// otherwise it is a no-op (one thread-local probe).
 pub fn yield_point(point: &'static str) {
+    if let Some(class) = parking_lot::held() {
+        assert!(OPT_IN.contains(&point), "yield point `{point}` reached holding a `{class}` guard");
+    }
     let reg = CURRENT.with(|c| c.borrow().clone());
     if let Some((sched, client)) = reg {
         sched.yield_at(client, point);
@@ -459,5 +462,20 @@ mod tests {
         assert_eq!(trace.matches("point=test.step").count(), 4);
         assert_eq!(trace.matches("point=client.done").count(), 2);
         assert!(trace.starts_with("step=1 "));
+    }
+
+    #[test]
+    #[should_panic(expected = "yield point `test.step` reached holding a `catalog.gate` guard")]
+    fn no_guard_is_held_across_a_yield_point() {
+        let gate = Mutex::ranked(Class::CatalogGate, ());
+        let _held = gate.lock();
+        yield_point("test.step");
+    }
+
+    #[test]
+    fn an_opt_in_point_is_reached_holding_the_commit_locks() {
+        let commit = Mutex::ranked(Class::TxdbCommit, ());
+        let _held = commit.lock();
+        yield_point(points::TXDB_PARTITION);
     }
 }

@@ -117,8 +117,8 @@ impl DiscoveryService {
         // Fetch updated entities *before* taking the index write lock:
         // get_entity_by_id re-enters the catalog service (a yield point
         // under the deterministic scheduler), and the index lock must not
-        // be held across it — readers would stall and the lock-order
-        // checker flags the inversion.
+        // be held across it — readers would stall, and a yield point
+        // reached holding a guard panics.
         let mut fetched = Vec::with_capacity(touched.len());
         let mut calls = 0u64;
         for (id, op) in touched {
@@ -156,6 +156,8 @@ impl DiscoveryService {
             }
         }
         state.consumed = state.consumed.max(page.next_version);
+        // The index lock is a leaf: released before the registry's.
+        drop(state);
         self.uc.obs().counter("discovery.sync.events").add(count as u64);
         Ok(count)
     }

@@ -3,10 +3,10 @@
 //! (single- or multi-line). Comments start with `#`. This deliberately
 //! avoids any external TOML dependency — uc-lint must stay zero-dep.
 //!
-//! Beyond values, the parser records *where* each string item and each
-//! key appeared (1-based line numbers) so the stale-config rule can
-//! point its diagnostics at the exact `Lint.toml` line that names a
-//! function or file that no longer exists.
+//! Beyond values, the parser records *where* each string item appeared
+//! (1-based line numbers) so the stale-config rule can point its
+//! diagnostics at the exact `Lint.toml` line that names a file or crate
+//! that no longer exists.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +21,6 @@ pub enum Value {
 #[derive(Debug, Default)]
 pub struct Config {
     sections: BTreeMap<String, BTreeMap<String, Value>>,
-    /// (section, key) -> line of the `key = ...` assignment.
-    key_lines: BTreeMap<(String, String), u32>,
     /// (section, key) -> each string item with the line it appeared on
     /// (list elements individually; scalar strings as one entry).
     item_lines: BTreeMap<(String, String), Vec<(String, u32)>>,
@@ -116,7 +114,6 @@ impl Config {
                 return Err(format!("expected key = value: {raw}"));
             };
             let key = line[..eq].trim().to_string();
-            cfg.key_lines.insert((section.clone(), key.clone()), line_no);
             let mut value = line[eq + 1..].trim().to_string();
             let mut items: Vec<(String, u32)> = Vec::new();
             strings_on_line(&value, line_no, &mut items);
@@ -161,16 +158,6 @@ impl Config {
         }
     }
 
-    /// Is the key present at all (whatever its value)?
-    pub fn has_key(&self, section: &str, key: &str) -> bool {
-        self.sections.get(section).map(|s| s.contains_key(key)).unwrap_or(false)
-    }
-
-    /// Line of the `key = ...` assignment, if the key exists.
-    pub fn key_line(&self, section: &str, key: &str) -> Option<u32> {
-        self.key_lines.get(&(section.to_string(), key.to_string())).copied()
-    }
-
     /// Every string item of the key with the `Lint.toml` line it sits on.
     pub fn items(&self, section: &str, key: &str) -> Vec<(String, u32)> {
         self.item_lines
@@ -203,7 +190,7 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(Config::parse("not a kv line\n").is_err());
-        assert!(Config::parse("[locks]\norder = [\"a\"").is_err());
+        assert!(Config::parse("[hygiene]\nallow_crates = [\"a\"").is_err());
     }
 
     #[test]
@@ -221,8 +208,5 @@ mod tests {
             vec![("a/b.rs".to_string(), 3), ("c/d.rs".to_string(), 4)]
         );
         assert_eq!(cfg.items("instrument", "impl_type"), vec![("Svc".to_string(), 7)]);
-        assert_eq!(cfg.key_line("determinism", "allow_files"), Some(2));
-        assert!(cfg.has_key("instrument", "impl_type"));
-        assert!(!cfg.has_key("locks", "yieldful_calls"));
     }
 }

@@ -1,16 +1,14 @@
-//! `cargo run -p uc-lint [-- --root <dir>] [--lock-graph] [--call-graph]`
+//! `cargo run -p uc-lint [-- --root <dir>]`
 //!
 //! Lints every `crates/*/src/**/*.rs` under the workspace root, prints
 //! sorted `file:line:rule:message` diagnostics, and exits non-zero when
-//! any diagnostic fires. `--lock-graph` appends the inferred lock
-//! acquisition-order graph artifact; `--call-graph` appends the
-//! workspace call graph. Output is byte-stable: CI runs the tool twice
+//! any diagnostic fires. Output is byte-stable: CI runs the tool twice
 //! and diffs.
 //!
 //! Wall-time is reported on *stderr* (stdout must stay byte-stable for
-//! the CI diff) with a soft budget: the whole-workspace run, including
-//! the interprocedural passes, is expected to stay in single-digit
-//! seconds, and a breach prints a warning rather than failing the run.
+//! the CI diff) with a soft budget: the whole-workspace run is expected
+//! to stay in single-digit seconds, and a breach prints a warning rather
+//! than failing the run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,16 +19,12 @@ const SOFT_BUDGET_SECS: f64 = 9.0;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut with_lock_graph = false;
-    let mut with_call_graph = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--lock-graph" => with_lock_graph = true,
-            "--call-graph" => with_call_graph = true,
             "--help" | "-h" => {
-                println!("usage: uc-lint [--root <dir>] [--lock-graph] [--call-graph]");
+                println!("usage: uc-lint [--root <dir>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -56,10 +50,10 @@ fn main() -> ExitCode {
     match uc_lint::run(&root) {
         Ok(report) => {
             let elapsed = started.elapsed().as_secs_f64();
-            print!("{}", report.render(with_lock_graph, with_call_graph));
+            print!("{}", report.render());
             eprintln!(
-                "uc-lint: wall {elapsed:.3}s ({} file(s), {} function(s), {} call edge(s))",
-                report.files_scanned, report.fns_scanned, report.call_edges_count
+                "uc-lint: wall {elapsed:.3}s ({} file(s), {} function(s))",
+                report.files_scanned, report.fns_scanned
             );
             if elapsed > SOFT_BUDGET_SECS {
                 eprintln!(

@@ -1,46 +1,74 @@
-//! Instrumentation-coverage rule, a reachability check over the
-//! workspace call graph: every public entry point on the catalog service
-//! must *reach* an `api_enter(Op::HANDLE, ..)` span open, directly or
-//! through any chain of resolvable callees (delegation across files and
-//! crates counts). What an op audits is pinned per op by the tests, not
-//! inferred here: that a handle names a row, that the audit sink is
-//! handed an action of the table's and never a string, and that a
-//! `PermissionDenied` carries a `Refusal` only the `Deny` append builds,
-//! the compiler checks; how many records each op's trail holds,
-//! `tests/audit_exactly_once.rs` counts.
-//!
-//! Known false negative (DESIGN.md §8): a call the graph cannot resolve
-//! contributes no reachability facts.
+//! Instrumentation-coverage rule: every public method of the configured
+//! `impl_type` in the `[instrument] entry_files` opens an
+//! `api_enter(Op::HANDLE, ..)` span — in its own body, or in a method of
+//! the same type that it calls as `self.m(..)` and that passes by the same
+//! rule. `m` is looked up by name among the type's methods in the whole
+//! workspace, public or private, which is exact: Rust allows no two
+//! inherent methods of one type with one name. What an op audits is
+//! pinned per op by the tests, not inferred here: that a handle names a
+//! row, that the audit sink is handed an action of the table's and never a
+//! string, and that a `PermissionDenied` carries a `Refusal` only the
+//! `Deny` append builds, the compiler checks; how many records each op's
+//! trail holds, `tests/audit_exactly_once.rs` counts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use super::{is_ident, is_punct, Diagnostic, FileCtx, RULE_INSTRUMENT};
-use crate::lexer::Token;
+use crate::Unit;
 
-/// Does the token range call `api_enter(..)` itself?
-pub fn opens_api_span(toks: &[Token], (open, close): (usize, usize)) -> bool {
-    (open..close.saturating_sub(1)).any(|i| is_ident(&toks[i], "api_enter") && is_punct(&toks[i + 1], "("))
+/// The methods of `impl_type`, anywhere in the workspace, that open an
+/// `api_enter` span themselves or through `self.m(..)` calls.
+pub fn covered(units: &[Unit], impl_type: &str) -> BTreeSet<String> {
+    // Each method: whether it opens a span, and the methods it calls on `self`.
+    let mut methods: BTreeMap<&str, (bool, BTreeSet<&str>)> = BTreeMap::new();
+    for unit in units {
+        for f in &unit.scan.fns {
+            let Some((open, close)) = f.body else { continue };
+            if f.impl_type.as_deref() != Some(impl_type) || unit.scan.test_mask[open] {
+                continue;
+            }
+            let body = &unit.lexed.tokens[open..=close];
+            let entry = methods.entry(f.name.as_str()).or_default();
+            entry.0 |= body.windows(2).any(|w| is_ident(&w[0], "api_enter") && is_punct(&w[1], "("));
+            for w in body.windows(4) {
+                if is_ident(&w[0], "self") && is_punct(&w[1], ".") && is_punct(&w[3], "(") {
+                    entry.1.insert(w[2].text.as_str());
+                }
+            }
+        }
+    }
+    let mut covered: BTreeSet<&str> = methods.iter().filter(|(_, m)| m.0).map(|(name, _)| *name).collect();
+    loop {
+        let reached: Vec<&str> = methods
+            .iter()
+            .filter(|(name, m)| !covered.contains(*name) && m.1.iter().any(|c| covered.contains(c)))
+            .map(|(name, _)| *name)
+            .collect();
+        if reached.is_empty() {
+            return covered.into_iter().map(str::to_string).collect();
+        }
+        covered.extend(reached);
+    }
 }
 
-/// `reaches_api` maps this file's fn indices to whether they reach a
-/// def whose body opens an `api_enter` span (their own body included).
-pub fn check(ctx: &FileCtx<'_>, reaches_api: &BTreeMap<usize, bool>, out: &mut Vec<Diagnostic>) {
+/// Flag each public method of `impl_type` in an entry file that is not
+/// [`covered`].
+pub fn check(ctx: &FileCtx<'_>, covered: &BTreeSet<String>, out: &mut Vec<Diagnostic>) {
     let entry_files = ctx.cfg.list("instrument", "entry_files");
     if !entry_files.iter().any(|f| f == ctx.rel_path) {
         return;
     }
     let impl_type = ctx.cfg.str("instrument", "impl_type").unwrap_or_default();
-    for (fn_idx, f) in ctx.scan.fns.iter().enumerate() {
-        let Some(open) = f.body.map(|b| b.0) else { continue };
-        if ctx.scan.test_mask[open] {
+    for f in &ctx.scan.fns {
+        let Some((open, _)) = f.body else { continue };
+        if ctx.scan.test_mask[open] || !f.is_pub || f.impl_type.as_deref() != Some(impl_type.as_str()) {
             continue;
         }
-        let is_entry = f.is_pub && f.impl_type.as_deref() == Some(impl_type.as_str());
-        if is_entry && !reaches_api.get(&fn_idx).copied().unwrap_or(false) {
+        if !covered.contains(&f.name) {
             out.push(ctx.diag(
                 f.line,
                 RULE_INSTRUMENT,
-                format!("pub entry point `{}` does not reach api_enter (directly or through any resolvable callee)", f.name),
+                format!("pub entry point `{}` does not call api_enter, itself or through a `self.` method that does", f.name),
             ));
         }
     }

@@ -8,7 +8,6 @@ pub mod determinism;
 pub mod hygiene;
 pub mod instrument;
 pub mod keyspace;
-pub mod locks;
 pub mod staleconfig;
 
 use crate::config::Config;
@@ -25,7 +24,6 @@ pub struct Diagnostic {
 
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_HYGIENE: &str = "hygiene";
-pub const RULE_LOCKS: &str = "locks";
 pub const RULE_INSTRUMENT: &str = "instrument";
 pub const RULE_KEYSPACE: &str = "keyspace";
 pub const RULE_UNSAFE: &str = "unsafe";

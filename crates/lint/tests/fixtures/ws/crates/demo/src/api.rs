@@ -33,4 +33,12 @@ impl Service {
     fn fetch(&self, _name: &str) -> Result<Table, Error> {
         Err(Error::NotFound)
     }
+
+    pub fn delegated_twice(&self) -> u32 {
+        self.delegated() // two `self.` hops to api_enter: no diagnostic
+    }
+
+    pub fn fetch_only(&self) -> Result<Table, Error> {
+        self.fetch("t") // fn at line 41: its one `self.` callee opens no span
+    }
 }

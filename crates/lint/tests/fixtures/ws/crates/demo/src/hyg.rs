@@ -1,5 +1,5 @@
 //! Hygiene fixtures plus pragma behavior: honored suppression,
-//! reason-less pragma, malformed pragma.
+//! reason-less pragma, malformed pragma, stale pragma.
 
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap() // line 5: .unwrap()
@@ -34,4 +34,9 @@ pub fn reasonless(x: Option<u32>) -> u32 {
 pub fn mangled(x: Option<u32>) -> u32 {
     // uc-lint: allow hygiene please
     x.expect("line 36: malformed-pragma diag at 35 AND hygiene diag here")
+}
+
+pub fn tidy(x: u32) -> u32 {
+    // uc-lint: allow(hygiene) -- fixture: line 40 suppresses nothing, since nothing below panics anymore
+    x
 }

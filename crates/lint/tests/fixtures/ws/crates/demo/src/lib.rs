@@ -7,7 +7,6 @@ pub mod clock_ok;
 pub mod det;
 pub mod hyg;
 pub mod keyspace;
-pub mod locks;
 
 pub fn touch_raw(ptr: *const u8) -> u8 {
     unsafe { *ptr } // line 12: the `unsafe` keyword itself

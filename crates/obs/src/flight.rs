@@ -28,7 +28,7 @@
 //! obs lock (the tracer feeds the recorder and checks triggers *before*
 //! taking its own log mutex).
 
-use parking_lot::Mutex;
+use parking_lot::{Class, Mutex};
 
 use crate::metrics::thread_slot;
 
@@ -149,8 +149,8 @@ impl FlightRecorder {
     pub fn new(enabled: bool) -> Self {
         FlightRecorder {
             enabled,
-            lanes: (0..FLIGHT_LANES).map(|_| Mutex::new(Lane::default())).collect(),
-            frozen: Mutex::new(None),
+            lanes: (0..FLIGHT_LANES).map(|_| Mutex::ranked(Class::ObsLane, Lane::default())).collect(),
+            frozen: Mutex::ranked(Class::ObsFrozen, None),
         }
     }
 

@@ -375,11 +375,15 @@ impl Families {
     }
 
     /// Push every family's lines into `out` (caller sorts globally).
+    /// Families render with the maps released: a family's index and
+    /// sketch are leaf locks.
     pub(crate) fn render(&self, out: &mut Vec<String>) {
-        for fam in self.counters.lock().values() {
+        let counters: Vec<CounterFamily> = self.counters.lock().values().cloned().collect();
+        let histograms: Vec<HistogramFamily> = self.histograms.lock().values().cloned().collect();
+        for fam in counters {
             fam.render(out);
         }
-        for fam in self.histograms.lock().values() {
+        for fam in histograms {
             fam.render(out);
         }
     }

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Class, Mutex};
 
 use crate::flight::FlightRecorder;
 use crate::metrics::Histogram;
@@ -162,7 +162,7 @@ impl Tracer {
                 clock,
                 next_trace_id: AtomicU64::new(1),
                 next_span_id: AtomicU64::new(1),
-                log: Mutex::new(TraceLog::default()),
+                log: Mutex::ranked(Class::ObsLog, TraceLog::default()),
                 flight: FlightRecorder::new(enabled),
             }),
         }

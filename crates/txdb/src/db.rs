@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Class, Mutex, RwLock};
 use uc_cloudstore::faults::FaultPlan;
 use uc_cloudstore::latency::{LatencyModel, OpClass};
 use uc_obs::Obs;
@@ -317,9 +317,9 @@ impl Db {
         Db {
             inner: Arc::new(DbInner {
                 csn: AtomicU64::new(0),
-                snapshots: Mutex::new(Registry { open: Snapshots::default(), parts: Arc::default() }),
+                snapshots: Mutex::ranked(Class::TxdbSnapshots, Registry { open: Snapshots::default(), parts: Arc::default() }),
                 made: AtomicUsize::new(0),
-                sequencer: Mutex::new(Sequencer::default()),
+                sequencer: Mutex::ranked(Class::TxdbSequencer, Sequencer::default()),
                 pool: ConnectionPool::wired(config.pool_size, config.obs.registry()),
                 latency: config.latency,
                 stats: DbStats::wired(config.obs.registry()),
@@ -391,8 +391,8 @@ impl Db {
             let mut parts = Parts::clone(&reg.parts);
             for name in names {
                 if let Err(i) = parts.binary_search_by(|p| p.name.as_str().cmp(name)) {
-                    let rows = RwLock::new(Rows::default());
-                    parts.insert(i, Arc::new(Partition { name: name.to_string(), commit: Mutex::new(()), rows }));
+                    let rows = RwLock::ranked(Class::TxdbRows, Rows::default());
+                    parts.insert(i, Arc::new(Partition { name: name.to_string(), commit: Mutex::ranked(Class::TxdbCommit, ()), rows }));
                 }
             }
             self.inner.made.store(parts.len(), Ordering::Relaxed);

@@ -73,8 +73,12 @@ impl ConnectionPool {
         }
     }
 
-    /// Block until a connection is available.
+    /// Block until a connection is available. The pool is always taken
+    /// first: a caller holding a lock could keep the permit's next holder
+    /// from finishing.
     pub fn acquire(&self) -> Permit {
+        let held = parking_lot::held();
+        assert!(held.is_none(), "connection pool acquired while holding a `{}` guard", held.unwrap_or_default());
         let mut available = self.inner.available.lock();
         if *available == 0 {
             // uc-lint: allow(determinism) -- measures real blocking wait for the pool.wait_ns metric

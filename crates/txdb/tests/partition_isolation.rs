@@ -6,7 +6,8 @@
 //!
 //! A store with one commit lock for every metastore fails this test: B's
 //! commit waits for A's, which waits for the baton B's caller holds, and
-//! the test gives up after `PATIENCE`.
+//! the test gives up after `PATIENCE`. Nor does A's parked commit add any
+//! work to B's: B's commit takes exactly the locks it takes with A idle.
 
 use std::sync::mpsc;
 use std::thread;
@@ -14,7 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use uc_cloudstore::sched::{self, points, SchedMode, Scheduler};
-use uc_txdb::Db;
+use uc_txdb::{Db, TxResult};
 
 const T: &str = "tree";
 
@@ -22,8 +23,30 @@ const T: &str = "tree";
 /// blocked behind A.
 const PATIENCE: Duration = Duration::from_secs(10);
 
+/// Lock acquisitions `(shared, exclusive)` of B's commit, a chain read and
+/// one write in B's partition. Shared: the validation read of B's rows.
+/// Exclusive: the connection pool's count twice (the permit taken and
+/// returned), B's commit lock, the snapshot registry twice (the commit's
+/// snapshot closes, the horizon is read), B's rows to install, and the
+/// sequencer.
+const B_COMMIT_LOCKS: (u64, u64) = (1, 7);
+
 fn val(s: &str) -> Bytes {
     Bytes::from(s.to_string())
+}
+
+type Rows = Vec<(String, Bytes)>;
+
+/// Metastore B's transaction: a chain read, then `key` written and
+/// committed; with the lock acquisitions of its commit.
+fn commit_in_b(db: &Db, key: &str, value: &str) -> (Rows, TxResult<u64>, (u64, u64)) {
+    let mut tx = db.begin_write();
+    let chain = tx.scan_chain(T, "msB\u{1}c\u{1}x\u{1}");
+    tx.put(T, key, val(value));
+    let (shared, exclusive) = parking_lot::acquisitions();
+    let committed = tx.commit();
+    let (s, e) = parking_lot::acquisitions();
+    (chain, committed, (s - shared, e - exclusive))
 }
 
 #[test]
@@ -79,14 +102,11 @@ fn a_commit_parked_in_one_metastore_blocks_no_read_or_commit_in_another() {
         thread::spawn(move || {
             let rt = db.begin_read();
             let read = rt.scan_prefix(T, "msB\u{1}");
-            let mut tx = db.begin_write();
-            let chain = tx.scan_chain(T, "msB\u{1}c\u{1}x\u{1}");
-            tx.put(T, "msB\u{1}d\u{1}", val("B.d"));
-            let committed = tx.commit();
-            done_tx.send((rt, read, chain, committed)).unwrap();
+            let (chain, committed, locks) = commit_in_b(&db, "msB\u{1}d\u{1}", "B.d");
+            done_tx.send((rt, read, chain, committed, locks)).unwrap();
         })
     };
-    let (rt, read, chain, committed) = done_rx.recv_timeout(PATIENCE).unwrap_or_else(|_| {
+    let (rt, read, chain, committed, parked_locks) = done_rx.recv_timeout(PATIENCE).unwrap_or_else(|_| {
         panic!("metastore B's read and commit did not complete within {PATIENCE:?} while A's commit was parked")
     });
     let b_csn = committed.unwrap();
@@ -107,4 +127,9 @@ fn a_commit_parked_in_one_metastore_blocks_no_read_or_commit_in_another() {
     now.push(("msB\u{1}d\u{1}".to_string(), val("B.d")));
     assert_eq!(db.begin_read().scan_prefix(T, "msB\u{1}"), now);
     assert_eq!(db.begin_read().get(T, "msA\u{1}c\u{1}"), Some(val("A.c")));
+
+    let (_, idle, idle_locks) = commit_in_b(&db, "msB\u{1}e\u{1}", "B.e");
+    idle.unwrap();
+    assert_eq!(parked_locks, idle_locks, "B's commit takes the same locks with A's commit parked as with A idle");
+    assert_eq!(parked_locks, B_COMMIT_LOCKS);
 }

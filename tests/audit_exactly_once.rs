@@ -191,7 +191,7 @@ mod deny {
     fn served_trail(op: &str, trail: &[AuditRecord], len: usize) -> Option<String> {
         let row = Op::ALL.iter().find(|row| row.name == op).expect("an op of the table");
         let foreign = |r: &AuditRecord| {
-            r.decision == AuditDecision::Deny || !row.actions.iter().any(|a| a.as_str() == r.action)
+            r.decision == AuditDecision::Deny || !row.actions.contains(&r.action)
         };
         let got: Vec<_> = trail.iter().map(|r| (r.decision, r.action.as_str())).collect();
         (trail.len() != len || trail.iter().any(foreign)).then(|| format!("{op} served: trail {got:?}, pinned at {len} records"))

@@ -92,32 +92,38 @@ static GLOBAL: Counting = Counting;
 /// Allocations per cached `get_table` (25 while the by-name probe built a
 /// key per level and the metastore was a second lookup; now one key, one
 /// chain).
-const PARENT_GET_TABLE_ALLOCS: u64 = 21;
+/// 21 while an audit record copied its action into a `String`.
+const PARENT_GET_TABLE_ALLOCS: u64 = 20;
 /// Allocations per cached by-name `temp_credentials` (41 before the vend
 /// evaluated the borrowed chain instead of copying it into `AuthzNode`s,
 /// 28 before the one-key probe).
-const NAME_CREDENTIAL_ALLOCS: u64 = 24;
+/// 24 while an audit record copied its action into a `String`.
+const NAME_CREDENTIAL_ALLOCS: u64 = 23;
 /// Allocations per cached `temp_credentials_for_path` (41, then 32 while
 /// the parent walk cloned each parent id).
-const PATH_CREDENTIAL_ALLOCS: u64 = 30;
+/// 30 while an audit record copied its action into a `String`.
+const PATH_CREDENTIAL_ALLOCS: u64 = 29;
 /// Allocations per cached `tables.get` through `RestApi::handle`: the
 /// typed call's and the JSON reply's. The caller's `Context` is handed
 /// through as it came (44 while the door rebuilt it per request, 50 while
 /// `rest.{method}.count` was looked up per request, 48 before the one-key
 /// probe, 42 while the reply object grew by doubling instead of being
 /// built at its size).
-const REST_GET_TABLE_ALLOCS: u64 = 40;
+/// 40 while an audit record copied its action into a `String`.
+const REST_GET_TABLE_ALLOCS: u64 = 39;
 /// Allocations per cached `get_table` by a grantee who is not the
 /// metastore owner: what the owner's costs (25 while the admin list was
 /// parsed out of the metastore's properties on every such request).
-const GRANTEE_GET_TABLE_ALLOCS: u64 = 21;
+/// 21 while an audit record copied its action into a `String`.
+const GRANTEE_GET_TABLE_ALLOCS: u64 = 20;
 /// Allocations per cached trusted-engine `resolve_for_query` of a table
 /// with a row filter, a column mask and a schema ABAC policy masking a
 /// tagged column: the policies handed to the engine are the one copy
 /// (108 while each policy, tag list and the admin list were parsed out of
 /// JSON properties on every request; pinned 45, measured 30, once rows
 /// decoded straight into their structs).
-const GOVERNED_RESOLVE_ALLOCS: u64 = 30;
+/// 30 while an audit record copied its action into a `String`.
+const GOVERNED_RESOLVE_ALLOCS: u64 = 29;
 /// Lock acquisitions `(shared, exclusive)` per cached `get_table`, tracing
 /// off. Shared: the node's metastore map (`NodeCache::for_metastore`);
 /// per chain level a name-index probe and the cached read itself
@@ -181,27 +187,32 @@ const DECODE_TABLE_ROW_ALLOCS: u64 = 12;
 const ENCODE_TABLE_ROW_ALLOCS: u64 = 2;
 /// Allocations per uncached `get_table` (cache off, a chain of four rows;
 /// 199 with the tree decode).
-const COLD_GET_TABLE_ALLOCS: u64 = 64;
+/// 64 while an audit record copied its action into a `String`.
+const COLD_GET_TABLE_ALLOCS: u64 = 63;
 /// Allocations per uncached 200-table `list_children`, its audited `Allow`
 /// included (10 172 with the tree decode; 2 873 while every txdb range
 /// read copied its bounds into `String`s; 2 870 while a served listing
 /// recorded no `Allow`, whose record is the 5 more).
-const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_875;
+/// 2 875 while an audit record copied its action into a `String`.
+const COLD_LIST_CHILDREN_ALLOCS: u64 = 2_874;
 /// Allocations per uncached 200-table `tables.list` through
 /// `RestApi::handle`, the JSON reply and the audited `Allow` included
 /// (17 779 with the tree decode; 10 480 with the copied bounds; 10 477
 /// while the reply's 200-entity array was built, then deep-copied by
 /// `json!`; 6 476 while a served listing recorded no `Allow`).
-const COLD_REST_LIST_ALLOCS: u64 = 6_481;
+/// 6 481 while an audit record copied its action into a `String`.
+const COLD_REST_LIST_ALLOCS: u64 = 6_480;
 /// Allocations per uncached `tables.resolve` of three tables through
 /// `RestApi::handle`, the JSON reply included (410 while each entity's
 /// grants and the reply's arrays were built, then copied).
-const COLD_REST_RESOLVE_ALLOCS: u64 = 274;
+/// 274 while each audit record copied its action into a `String`.
+const COLD_REST_RESOLVE_ALLOCS: u64 = 271;
 /// Allocations per uncached `grants.list` through `RestApi::handle` of the
 /// catalog's three grants, the audited `Allow` included (70 while the
 /// reply's array was built, then copied; 54 while a served `show_grants`
 /// recorded no `Allow`, whose record and its detail are the 6 more).
-const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 60;
+/// 60 while an audit record copied its action into a `String`.
+const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 59;
 /// Allocations per `get_table` that misses the table but finds its three
 /// containers cached (the cache on, as `meta_cold` runs it): one chain
 /// scan, one decode, one install. 78 while a miss decoded all four rows,
@@ -209,25 +220,29 @@ const COLD_REST_GRANTS_LIST_ALLOCS: u64 = 60;
 /// allocations and their `Arc`s 3, where finding them costs an id copy
 /// each and the rows to install one vector. 54 while the metastore
 /// version's seek copied its two bounds into `String`s.
-const MISS_GET_TABLE_ALLOCS: u64 = 52;
+/// 52 while an audit record copied its action into a `String`.
+const MISS_GET_TABLE_ALLOCS: u64 = 51;
 /// Allocations per warm `SELECT id, owner, amount … WHERE grp = 3` over a
 /// plain 128-row table in four files (221 while the predicate built an
 /// owned value per side per row, and each kept row was copied whole, then
 /// copied again by the projection; 164 while the lexer made a `String` of
 /// every token and the parser cloned each again).
-const TABLE_SELECT_ALLOCS: u64 = 129;
+/// 129 while an audit record copied its action into a `String`.
+const TABLE_SELECT_ALLOCS: u64 = 128;
 /// Allocations per warm `SELECT … WHERE grp = 3` through a view
 /// `SELECT id, grp, owner, amount … WHERE grp < 4` over that table (524
 /// with the copies above at both levels; 370 while the view's body was
 /// parsed again on every read and the base level built each of its 64
 /// rows for the view level to read). Within 25 of the table's: the view is
 /// one scan of the table.
-const VIEW_SELECT_ALLOCS: u64 = 148;
+/// 148 while an audit record copied its action into a `String`.
+const VIEW_SELECT_ALLOCS: u64 = 147;
 /// Allocations per warm `SELECT … WHERE grp = 3` over that table under a
 /// row filter (`owner = current_user()`) and a mask on `amount` (259 while
 /// the filter and the mask ran as passes of their own over the copied
 /// rows; 178 with the copying lexer).
-const GOVERNED_SELECT_ALLOCS: u64 = 143;
+/// 143 while an audit record copied its action into a `String`.
+const GOVERNED_SELECT_ALLOCS: u64 = 142;
 /// Lock acquisitions `(shared, exclusive)` per warm SELECT of the plain
 /// table. Shared: the trusted resolve's chain and principal record (ten,
 /// as `get_table`) and its credential cache; the session's group lookup
