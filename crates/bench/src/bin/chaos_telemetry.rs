@@ -11,6 +11,8 @@
 //! ID in a span name, a wall-clock timestamp, hash-map iteration order)
 //! shows up here as a diff.
 
+#![expect(clippy::disallowed_methods, reason = "a bin reads its own configuration from the environment")]
+
 use std::sync::Arc;
 
 use uc_catalog::service::crud::TableSpec;

@@ -12,6 +12,8 @@
 //! `UC_SERVE_REPLAY=1` replays 20 and prints *only* the canonical
 //! artifact, so CI can byte-diff two runs.
 
+#![expect(clippy::disallowed_methods, reason = "a bin reads its own configuration from the environment")]
+
 use std::sync::Arc;
 
 use uc_bench::{parse_snapshot, SnapshotValue};

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Shared harness for the figure-regeneration binaries and benches.
 //!
 //! Every table and figure in the paper's evaluation (§6) has a binary in

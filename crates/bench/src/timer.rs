@@ -1,10 +1,13 @@
-//! The single audited wall-clock site for bench reporting (uc-lint:
-//! determinism allowlist). Benchmarks measure *real* elapsed time by
-//! definition — but every measurement goes through this `Stopwatch` so
-//! `Instant::now` appears exactly once in the bench crate, in a module
-//! whose purpose is to be that boundary. Simulation code paths use the
-//! injected `uc_cloudstore::Clock` instead; if you are reaching for this
-//! type outside a bench harness, you want that clock.
+//! The single audited wall-clock site for bench reporting (the bench
+//! crate's one clock exemption from `clippy::disallowed_methods`).
+//! Benchmarks measure *real* elapsed time by definition — but every
+//! measurement goes through this `Stopwatch` so `Instant::now` appears
+//! exactly once in the bench crate, in a module whose purpose is to be
+//! that boundary. Simulation code paths use the injected
+//! `uc_cloudstore::Clock` instead; if you are reaching for this type
+//! outside a bench harness, you want that clock.
+
+#![expect(clippy::disallowed_methods, reason = "Stopwatch: the single audited wall-clock site for bench reporting")]
 
 use std::time::{Duration, Instant};
 

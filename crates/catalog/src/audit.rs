@@ -168,7 +168,7 @@ impl AuditLog {
     ///
     /// `action` is an op table row's ([`Action`] has no other source);
     /// `detail` is taken by value so a built string is handed over.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per field of the record it appends")]
     pub fn record(
         &self,
         timestamp_ms: u64,
@@ -202,7 +202,7 @@ impl AuditLog {
 
     /// [`Self::record`] a refused request's `Deny`, then return the
     /// [`Refusal`] it stands for (`message` is what the caller is told).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the record's fields, then the refusal's reason and message")]
     pub fn refuse(
         &self,
         timestamp_ms: u64,

@@ -10,13 +10,13 @@
 use serde::Serialize;
 
 /// JSON-encode a model value to bytes.
+#[expect(clippy::expect_used, reason = "model types serialize infallibly; a failure here is a code bug")]
 pub(crate) fn to_vec<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    // uc-lint: allow(hygiene) -- model types serialize infallibly; a failure here is a code bug
     serde_json::to_vec(value).expect("model type serializes")
 }
 
 /// JSON-encode a model value to a string.
+#[expect(clippy::expect_used, reason = "model types serialize infallibly; a failure here is a code bug")]
 pub(crate) fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
-    // uc-lint: allow(hygiene) -- model types serialize infallibly; a failure here is a code bug
     serde_json::to_string(value).expect("model type serializes")
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Unity Catalog: an open, universal Lakehouse catalog — Rust reproduction.
 //!
 //! This crate implements the paper's primary contribution: a multi-tenant

@@ -292,8 +292,8 @@ pub fn registry() -> &'static HashMap<SecurableKind, AssetTypeManifest> {
 }
 
 /// Look up one kind's manifest. Every kind is registered.
+#[expect(clippy::expect_used, reason = "the registry is total over SecurableKind; a miss is a code bug")]
 pub fn manifest(kind: SecurableKind) -> &'static AssetTypeManifest {
-    // uc-lint: allow(hygiene) -- the registry is total over SecurableKind; a miss is a code bug
     registry().get(&kind).expect("all kinds registered")
 }
 

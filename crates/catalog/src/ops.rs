@@ -86,7 +86,7 @@ macro_rules! action {
 /// `Op::HANDLE` consts and `Op::ALL`; a row's index is its position.
 macro_rules! ops {
     ($($handle:ident = $name:literal => [$($action:tt),*];)*) => {
-        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms, reason = "one variant per op handle, named as the handle")]
         enum Position { $($handle),* }
         impl Op {
             $(pub const $handle: &'static Op = &Op {

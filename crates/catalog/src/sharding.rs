@@ -27,11 +27,11 @@ impl ShardRouter {
     }
 
     /// The node assigned to a metastore (highest rendezvous weight).
+    #[expect(clippy::expect_used, reason = "the constructor asserts the fleet is non-empty")]
     pub fn node_for(&self, ms: &Uid) -> Arc<UnityCatalog> {
         self.nodes
             .iter()
             .max_by_key(|n| rendezvous_weight(n.node_id(), ms.as_str()))
-            // uc-lint: allow(hygiene) -- the constructor asserts the fleet is non-empty
             .expect("non-empty")
             .clone()
     }

@@ -1,6 +1,8 @@
 //! End-to-end tests of the Unity Catalog service: namespace, governance,
 //! vending, FGAC/ABAC, caching across nodes, commits, sharing, federation.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::Arc;
 
 use bytes::Bytes;

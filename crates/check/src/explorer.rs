@@ -111,7 +111,10 @@ impl RunOutput {
 /// Resolve the explorer seed: `UC_SCHED_SEED` env override or the default.
 /// Prints the seed so any failure is replayable.
 pub fn sched_seed(default: u64) -> u64 {
-    // uc-lint: allow(determinism) -- this IS the seed override entry point; the seed is printed for replay
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this IS the seed override entry point; the seed is printed for replay"
+    )]
     let seed = std::env::var("UC_SCHED_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

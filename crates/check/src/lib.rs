@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `uc-check`: deterministic interleaving explorer and snapshot-isolation
 //! history checker for the catalog stack.
 //!

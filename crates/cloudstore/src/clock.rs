@@ -4,6 +4,8 @@
 //! clock. Production code uses [`Clock::system`]; tests use [`Clock::manual`]
 //! and advance time explicitly, so expiry behaviour is deterministic.
 
+#![expect(clippy::disallowed_methods, reason = "the injectable Clock's System backend: the one real wall-clock read")]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -39,9 +41,9 @@ impl Clock {
     /// Current time in milliseconds since the clock's epoch.
     pub fn now_ms(&self) -> u64 {
         match &self.inner {
+            #[expect(clippy::expect_used, reason = "a pre-epoch system clock is unrecoverable environment corruption")]
             ClockInner::System => SystemTime::now()
                 .duration_since(UNIX_EPOCH)
-                // uc-lint: allow(hygiene) -- a pre-epoch system clock is unrecoverable environment corruption
                 .expect("system clock before unix epoch")
                 .as_millis() as u64,
             ClockInner::Manual(t) => t.load(Ordering::SeqCst),
@@ -52,7 +54,7 @@ impl Clock {
     /// advancing real time is a logic error in the caller.
     pub fn advance_ms(&self, delta_ms: u64) {
         match &self.inner {
-            // uc-lint: allow(hygiene) -- advancing the system clock is a documented caller logic error
+            #[expect(clippy::panic, reason = "advancing the system clock is a documented caller logic error")]
             ClockInner::System => panic!("cannot advance the system clock"),
             ClockInner::Manual(t) => {
                 t.fetch_add(delta_ms, Ordering::SeqCst);

@@ -192,7 +192,11 @@ impl FaultPlan {
         if fire {
             state.injected += 1;
             self.inner.total_injected.fetch_add(1, Ordering::Relaxed);
+            // Under `points`: the log's order is the replay witness.
             self.inner.log.lock().push(FaultEvent { point: point.to_string(), hit });
+        }
+        drop(points);
+        if fire {
             // Annotate whatever request span is active so chaos tests can
             // assert "this fault actually fired inside that request".
             uc_obs::span_event("fault.injected", &format!("{point}#{hit}"));

@@ -5,6 +5,8 @@
 //! connection pool, and object-store round trips. Benchmarks configure a
 //! [`LatencyModel`] per component; unit tests use [`LatencyModel::zero`].
 
+#![expect(clippy::disallowed_methods, reason = "real-sleep injection must measure actually-elapsed time")]
+
 use std::time::Duration;
 
 /// Classes of operations that may have distinct costs.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Simulated multi-cloud object storage with STS-style temporary credentials.
 //!
 //! This crate is the substrate that stands in for Amazon S3 / Azure ADLS /

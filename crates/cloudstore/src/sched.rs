@@ -263,6 +263,7 @@ impl Scheduler {
                 let idx = (next_u64(&mut st.rng) % runnable.len() as u64) as usize;
                 runnable[idx]
             }
+            #[expect(clippy::expect_used, reason = "the caller checked runnable is non-empty this iteration")]
             SchedMode::Pct { .. } => {
                 // Consume due change points: deprioritize the running
                 // client below every other, forcing a preemption.
@@ -276,7 +277,6 @@ impl Scheduler {
                 *runnable
                     .iter()
                     .max_by_key(|i| (st.priorities[**i], usize::MAX - **i))
-                    // uc-lint: allow(hygiene) -- the caller checked runnable is non-empty this iteration
                     .expect("nonempty runnable set")
             }
         }

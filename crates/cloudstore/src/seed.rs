@@ -1,4 +1,4 @@
-//! The audited entropy boundary (uc-lint: determinism).
+//! The audited entropy boundary (clippy: `disallowed_methods`).
 //!
 //! Nothing outside this module (and the injectable [`crate::clock`]) may
 //! touch ambient nondeterminism — no `thread_rng`, no `SystemTime::now`.
@@ -17,6 +17,8 @@
 //! and the sched scheduler derive their own named streams from
 //! UC_CHAOS_SEED / UC_SCHED_SEED and never consult this module, so
 //! pinning one plane does not perturb the other.
+
+#![expect(clippy::disallowed_methods, reason = "the audited entropy/seed module (UC_SEED override, ambient fallback)")]
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};

@@ -120,11 +120,11 @@ impl ObjectStore {
     /// returns the same `Arc<T>`; `init` runs for the first caller only.
     /// The store never looks inside it. One library owns the slot: asking
     /// for a second type is a bug in the program and panics.
+    #[expect(clippy::panic, reason = "a second node-local type is a programming error, not an input")]
     pub fn local<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
         let slot = self.local.get_or_init(|| Arc::new(init()));
         Arc::clone(slot)
             .downcast::<T>()
-            // uc-lint: allow(hygiene) -- a second node-local type is a programming error, not an input
             .unwrap_or_else(|_| panic!("ObjectStore::local holds another type"))
     }
 

@@ -1,6 +1,8 @@
 //! Property tests over storage-path algebra — the foundation the
 //! one-asset-per-path invariant stands on.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use proptest::prelude::*;
 use uc_cloudstore::StoragePath;
 

@@ -87,7 +87,7 @@ pub enum Action {
 pub fn encode_commit(actions: &[Action]) -> bytes::Bytes {
     let mut out = String::new();
     for a in actions {
-        // uc-lint: allow(hygiene) -- Action is a plain enum; serialization is infallible
+        #[expect(clippy::expect_used, reason = "Action is a plain enum; serialization is infallible")]
         out.push_str(&serde_json::to_string(a).expect("actions serialize"));
         out.push('\n');
     }

@@ -22,12 +22,12 @@ pub struct DataFile {
 }
 
 /// Encode rows, validating each against the schema.
+#[expect(clippy::expect_used, reason = "rows are schema-validated first; serialization is infallible")]
 pub fn encode_rows(schema: &Schema, rows: &[Row]) -> DeltaResult<Bytes> {
     for row in rows {
         schema.validate_row(row).map_err(DeltaError::Schema)?;
     }
     let file = DataFile { rows: rows.to_vec() };
-    // uc-lint: allow(hygiene) -- rows were schema-validated above; serialization is infallible
     Ok(Bytes::from(serde_json::to_vec(&file).expect("rows serialize")))
 }
 

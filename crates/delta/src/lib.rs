@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A miniature Delta-Lake-style table format over [`uc_cloudstore`].
 //!
 //! The paper's governed assets are predominantly Delta tables: a table is a

@@ -15,6 +15,8 @@
 //! Schedules derive from `UC_SCHED_SEED` (printed, default 0), as in
 //! `tests/check_histories.rs`.
 
+#![allow(clippy::unwrap_used, clippy::panic, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -180,6 +182,11 @@ const COMMITS: i64 = 6;
 const READERS: usize = 2;
 const READS: usize = 8;
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::print_stderr,
+    reason = "UC_SCHED_SEED is the replay knob; the seed is printed for replay"
+)]
 fn sched_seed() -> u64 {
     let seed = std::env::var("UC_SCHED_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0);
     eprintln!("UC_SCHED_SEED={seed}");

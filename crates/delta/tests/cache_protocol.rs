@@ -7,6 +7,8 @@
 //! Counts are read from the store's own `store.list.count` /
 //! `store.get.count`; none of this is wall-clock.
 
+#![allow(clippy::unwrap_used, clippy::panic, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::Arc;
 
 use uc_cloudstore::sched::{self, SchedMode, Scheduler};

@@ -14,6 +14,8 @@
 //! `&[Value]` rows (a view's level). `delete_where` must keep exactly the rows the reference's
 //! predicate does not hold for.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::cmp::Ordering;
 
 use proptest::prelude::*;

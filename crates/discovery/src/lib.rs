@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Second-tier discovery services (§4.4): search over catalog metadata.
 //!
 //! The discovery service is a *background* consumer of the core catalog:

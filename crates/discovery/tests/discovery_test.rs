@@ -1,6 +1,8 @@
 //! Discovery pipeline tests: event-driven indexing, search with
 //! authorization, freshness accounting.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::Arc;
 
 use uc_catalog::authz::Privilege;

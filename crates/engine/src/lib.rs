@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! A miniature SQL engine — the Databricks-Runtime stand-in.
 //!
 //! The engine exists to exercise the catalog exactly the way Figure 1 of

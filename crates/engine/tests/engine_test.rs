@@ -1,5 +1,7 @@
 //! End-to-end "life of a SQL query" tests: engine ↔ catalog ↔ storage.
 
+#![allow(clippy::unwrap_used, clippy::panic, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::Arc;
 
 use uc_catalog::audit::Reason;

@@ -9,6 +9,8 @@
 //!
 //! Lines are split on `\n` alone, so a statement may end in `\r`.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::fmt::Write;
 
 use uc_engine::parse_statement;

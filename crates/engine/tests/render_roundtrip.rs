@@ -12,6 +12,8 @@
 //! parenthesized AND / OR), and a float carries a fraction — `1.0` renders
 //! as `1`, which reads back as an integer.
 
+#![allow(clippy::unwrap_used, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use proptest::prelude::*;
 use rand::Rng;
 use uc_catalog::types::FullName;

@@ -20,6 +20,8 @@
 //! caller's predicate, the caller's columns — runs over those. The
 //! engine's rows must be the reference's, in order.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::sync::Arc;
 
 use proptest::prelude::*;

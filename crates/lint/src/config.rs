@@ -5,8 +5,8 @@
 //!
 //! Beyond values, the parser records *where* each string item appeared
 //! (1-based line numbers) so the stale-config rule can point its
-//! diagnostics at the exact `Lint.toml` line that names a file or crate
-//! that no longer exists.
+//! diagnostics at the exact `Lint.toml` line that names a file that no
+//! longer exists.
 
 use std::collections::BTreeMap;
 
@@ -175,14 +175,14 @@ mod tests {
     fn parses_sections_lists_and_comments() {
         let cfg = Config::parse(
             "# top comment\n\
-             [determinism]\n\
+             [keyspace]\n\
              allow_files = [\n  \"a/b.rs\", # why a\n  \"c/d.rs\",\n]\n\
              [instrument]\n\
              impl_type = \"UnityCatalog\" # the service\n",
         )
         .map_err(|e| panic!("{e}"))
         .unwrap_or_default();
-        assert_eq!(cfg.list("determinism", "allow_files"), vec!["a/b.rs", "c/d.rs"]);
+        assert_eq!(cfg.list("keyspace", "allow_files"), vec!["a/b.rs", "c/d.rs"]);
         assert_eq!(cfg.str("instrument", "impl_type").as_deref(), Some("UnityCatalog"));
         assert!(cfg.list("missing", "key").is_empty());
     }
@@ -190,13 +190,13 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(Config::parse("not a kv line\n").is_err());
-        assert!(Config::parse("[hygiene]\nallow_crates = [\"a\"").is_err());
+        assert!(Config::parse("[keyspace]\nallow_files = [\"a\"").is_err());
     }
 
     #[test]
     fn tracks_item_and_key_lines() {
         let cfg = Config::parse(
-            "[determinism]\n\
+            "[keyspace]\n\
              allow_files = [\n  \"a/b.rs\",\n  \"c/d.rs\", # note\n]\n\
              [instrument]\n\
              impl_type = \"Svc\"\n",
@@ -204,7 +204,7 @@ mod tests {
         .map_err(|e| panic!("{e}"))
         .unwrap_or_default();
         assert_eq!(
-            cfg.items("determinism", "allow_files"),
+            cfg.items("keyspace", "allow_files"),
             vec![("a/b.rs".to_string(), 3), ("c/d.rs".to_string(), 4)]
         );
         assert_eq!(cfg.items("instrument", "impl_type"), vec![("Svc".to_string(), 7)]);

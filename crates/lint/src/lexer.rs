@@ -24,23 +24,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A `// uc-lint: allow(rule, ...) -- reason` suppression comment.
-/// `rules` is empty when the pragma is syntactically malformed; the
-/// driver reports both malformed pragmas and pragmas without a reason.
-#[derive(Debug, Clone)]
-pub struct Pragma {
-    pub line: u32,
-    pub rules: Vec<String>,
-    pub has_reason: bool,
-    pub malformed: bool,
-}
-
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub tokens: Vec<Token>,
-    pub pragmas: Vec<Pragma>,
-}
-
 fn is_ident_start(c: char) -> bool {
     c.is_alphabetic() || c == '_'
 }
@@ -49,38 +32,12 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-fn parse_pragma(comment: &str, line: u32) -> Option<Pragma> {
-    // Only a comment that *starts* with `uc-lint:` is a pragma attempt —
-    // prose that merely mentions uc-lint (doc comments, this line) is not.
-    let rest = comment.trim_start().strip_prefix("uc-lint:")?.trim_start();
-    if !rest.starts_with("allow") {
-        return None;
-    }
-    let Some(body) = rest.strip_prefix("allow(") else {
-        return Some(Pragma { line, rules: Vec::new(), has_reason: false, malformed: true });
-    };
-    let Some(close) = body.find(')') else {
-        return Some(Pragma { line, rules: Vec::new(), has_reason: false, malformed: true });
-    };
-    let rules: Vec<String> = body[..close]
-        .split(',')
-        .map(|r| r.trim().to_string())
-        .filter(|r| !r.is_empty())
-        .collect();
-    let tail = body[close + 1..].trim_start();
-    let has_reason = tail
-        .strip_prefix("--")
-        .map(|r| !r.trim().is_empty())
-        .unwrap_or(false);
-    Some(Pragma { line, rules, has_reason, malformed: false })
-}
-
 /// Lex a whole source file. Never fails: unterminated constructs consume
 /// to end-of-file, which is the forgiving behavior a linter wants.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
     let n = b.len();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
@@ -95,16 +52,10 @@ pub fn lex(src: &str) -> Lexed {
             i += 1;
             continue;
         }
-        // Line comment (also covers doc comments). May hold a pragma.
+        // Line comment (also covers doc comments).
         if c == '/' && i + 1 < n && b[i + 1] == '/' {
-            let mut text = String::new();
-            i += 2;
             while i < n && b[i] != '\n' {
-                text.push(b[i]);
                 i += 1;
-            }
-            if let Some(p) = parse_pragma(&text, line) {
-                out.pragmas.push(p);
             }
             continue;
         }
@@ -184,7 +135,7 @@ pub fn lex(src: &str) -> Lexed {
                     text.push(b[i]);
                     i += 1;
                 }
-                out.tokens.push(Token { kind: Kind::Str, text, line: start_line });
+                out.push(Token { kind: Kind::Str, text, line: start_line });
                 continue;
             }
             // Fall through: plain identifier starting with r/b.
@@ -195,7 +146,7 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 i += 1;
             }
-            out.tokens.push(Token { kind: Kind::Ident, text, line });
+            out.push(Token { kind: Kind::Ident, text, line });
             continue;
         }
         if c.is_ascii_digit() {
@@ -207,7 +158,7 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 i += 1;
             }
-            out.tokens.push(Token { kind: Kind::Num, text, line });
+            out.push(Token { kind: Kind::Num, text, line });
             continue;
         }
         if c == '"' {
@@ -231,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 i += 1;
             }
-            out.tokens.push(Token { kind: Kind::Str, text, line: start_line });
+            out.push(Token { kind: Kind::Str, text, line: start_line });
             continue;
         }
         if c == '\'' {
@@ -253,7 +204,7 @@ pub fn lex(src: &str) -> Lexed {
                     i += 1;
                 }
                 i += 1; // closing quote
-                out.tokens.push(Token { kind: Kind::Char, text, line: start_line });
+                out.push(Token { kind: Kind::Char, text, line: start_line });
                 continue;
             }
             if i + 1 < n && is_ident_start(b[i + 1]) {
@@ -264,19 +215,19 @@ pub fn lex(src: &str) -> Lexed {
                 if j < n && b[j] == '\'' {
                     // 'x' — a char literal.
                     let text: String = b[i + 1..j].iter().collect();
-                    out.tokens.push(Token { kind: Kind::Char, text, line });
+                    out.push(Token { kind: Kind::Char, text, line });
                     i = j + 1;
                 } else {
                     // 'lifetime
                     let text: String = b[i + 1..j].iter().collect();
-                    out.tokens.push(Token { kind: Kind::Lifetime, text, line });
+                    out.push(Token { kind: Kind::Lifetime, text, line });
                     i = j;
                 }
                 continue;
             }
             // `'('` style single-punct char, or a stray quote.
             if i + 2 < n && b[i + 2] == '\'' {
-                out.tokens.push(Token { kind: Kind::Char, text: b[i + 1].to_string(), line });
+                out.push(Token { kind: Kind::Char, text: b[i + 1].to_string(), line });
                 i += 3;
                 continue;
             }
@@ -285,11 +236,11 @@ pub fn lex(src: &str) -> Lexed {
         }
         // `::` fused; everything else is a single-char punct.
         if c == ':' && i + 1 < n && b[i + 1] == ':' {
-            out.tokens.push(Token { kind: Kind::Punct, text: "::".into(), line });
+            out.push(Token { kind: Kind::Punct, text: "::".into(), line });
             i += 2;
             continue;
         }
-        out.tokens.push(Token { kind: Kind::Punct, text: c.to_string(), line });
+        out.push(Token { kind: Kind::Punct, text: c.to_string(), line });
         i += 1;
     }
     out
@@ -300,7 +251,7 @@ mod tests {
     use super::*;
 
     fn texts(src: &str) -> Vec<String> {
-        lex(src).tokens.into_iter().map(|t| t.text).collect()
+        lex(src).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
@@ -312,7 +263,6 @@ mod tests {
     fn raw_strings_do_not_leak_tokens() {
         let lexed = lex(r####"let s = r#"SystemTime::now() "quoted" "#; x"####);
         let idents: Vec<&str> = lexed
-            .tokens
             .iter()
             .filter(|t| t.kind == Kind::Ident)
             .map(|t| t.text.as_str())
@@ -320,7 +270,6 @@ mod tests {
         assert_eq!(idents, vec!["let", "s", "x"]);
         // the raw-string content is carried on one Str token
         assert!(lexed
-            .tokens
             .iter()
             .any(|t| t.kind == Kind::Str && t.text.contains("SystemTime::now")));
     }
@@ -334,47 +283,21 @@ mod tests {
     fn lifetimes_vs_char_literals() {
         let lexed = lex("fn f<'a>(x: &'a str) { let c = 'a'; let nl = '\\n'; }");
         let lifetimes: Vec<&str> = lexed
-            .tokens
             .iter()
             .filter(|t| t.kind == Kind::Lifetime)
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(lifetimes, vec!["a", "a"]);
-        let chars = lexed.tokens.iter().filter(|t| t.kind == Kind::Char).count();
+        let chars = lexed.iter().filter(|t| t.kind == Kind::Char).count();
         assert_eq!(chars, 2);
     }
 
     #[test]
     fn tracks_lines_across_strings_and_comments() {
         let lexed = lex("a\n\"two\nline\"\n/*\n*/\nb");
-        let a = &lexed.tokens[0];
-        let b = &lexed.tokens[2];
+        let a = &lexed[0];
+        let b = &lexed[2];
         assert_eq!((a.text.as_str(), a.line), ("a", 1));
         assert_eq!((b.text.as_str(), b.line), ("b", 6));
-    }
-
-    #[test]
-    fn pragma_with_reason() {
-        let lexed = lex("// uc-lint: allow(hygiene, locks) -- guard is provably short\nfn f() {}");
-        assert_eq!(lexed.pragmas.len(), 1);
-        let p = &lexed.pragmas[0];
-        assert_eq!(p.rules, vec!["hygiene", "locks"]);
-        assert!(p.has_reason && !p.malformed);
-    }
-
-    #[test]
-    fn pragma_without_reason_is_flagged() {
-        let lexed = lex("// uc-lint: allow(hygiene)\nfn f() {}");
-        assert!(!lexed.pragmas[0].has_reason);
-        let lexed = lex("// uc-lint: allow hygiene please\nfn f() {}");
-        assert!(lexed.pragmas[0].malformed);
-    }
-
-    #[test]
-    fn prose_mentioning_uc_lint_is_not_a_pragma() {
-        let lexed = lex("//! the single audited site (uc-lint: determinism allowlist)\nfn f() {}");
-        assert!(lexed.pragmas.is_empty());
-        let lexed = lex("// uc-lint: please ignore\nfn f() {}");
-        assert!(lexed.pragmas.is_empty());
     }
 }

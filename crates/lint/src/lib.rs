@@ -1,18 +1,17 @@
-#![forbid(unsafe_code)]
 //! uc-lint: workspace invariant linter for the Unity Catalog
 //! reproduction. Zero external dependencies: a lightweight Rust lexer +
-//! brace-matched item scanner feed the rule families (determinism,
-//! instrumentation coverage, keyspace, hygiene, stale config) plus an
-//! `unsafe_code` gate. Output is byte-stable and sorted so CI can diff
-//! consecutive runs. See DESIGN.md §8 for the rule catalog. Lock order is
-//! not a rule here: the `parking_lot` shim checks it where each lock is
+//! brace-matched item scanner feed the three rules that need the
+//! workspace's own knowledge (instrumentation coverage, keyspace, stale
+//! config). Output is byte-stable and sorted so CI can diff consecutive
+//! runs. See DESIGN.md §8 for the rule catalog. What rustc and clippy can
+//! check is configured in the root `Cargo.toml` and `clippy.toml`
+//! instead (determinism, hygiene, `unsafe`, reasoned exemptions), and
+//! lock order is checked by the `parking_lot` shim where each lock is
 //! taken.
 //!
 //! The driver runs in phases: (1) load and scan every workspace file,
 //! (2) find the service methods that open an `api_enter` span, (3) run
-//! per-file rules, (4) stale-config, (5) pragma suppression over the
-//! *whole* diagnostic set — which is also where pragmas that suppress
-//! nothing become diagnostics themselves.
+//! per-file rules, (4) stale-config.
 
 pub mod config;
 pub mod lexer;
@@ -25,15 +24,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use config::Config;
-use lexer::Lexed;
-use rules::{Diagnostic, FileCtx, RULE_PRAGMA};
+use lexer::Token;
+use rules::{Diagnostic, FileCtx};
 use scan::FileScan;
 
 /// One scanned workspace file.
 pub struct Unit {
     pub rel: String,
-    pub crate_name: String,
-    pub lexed: Lexed,
+    pub tokens: Vec<Token>,
     pub scan: FileScan,
 }
 
@@ -116,22 +114,16 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
 
     // ── Phase 1: load and scan every file ─────────────────────────────
     let mut units: Vec<Unit> = Vec::new();
-    let mut crate_names: BTreeSet<String> = BTreeSet::new();
     for crate_dir in &crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
-            .map(|n| n.to_string_lossy().to_string())
-            .unwrap_or_default();
-        crate_names.insert(crate_name.clone());
         let mut files = Vec::new();
         list_rs_files(&crate_dir.join("src"), &mut files)?;
         for path in files {
             let rel = rel_of(root, &path);
             let src =
                 fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let lexed = lexer::lex(&src);
-            let scanned = scan::scan(&lexed.tokens, &rel);
-            units.push(Unit { rel, crate_name: crate_name.clone(), lexed, scan: scanned });
+            let tokens = lexer::lex(&src);
+            let scanned = scan::scan(&tokens);
+            units.push(Unit { rel, tokens, scan: scanned });
         }
     }
     let file_set: BTreeSet<String> = units.iter().map(|u| u.rel.clone()).collect();
@@ -145,93 +137,17 @@ pub fn run(root: &Path) -> Result<LintReport, String> {
     for unit in &units {
         let ctx = FileCtx {
             rel_path: &unit.rel,
-            crate_name: &unit.crate_name,
-            tokens: &unit.lexed.tokens,
+            tokens: &unit.tokens,
             scan: &unit.scan,
             cfg: &cfg,
         };
-        rules::determinism::check(&ctx, &mut diags);
-        rules::hygiene::check(&ctx, &mut diags);
         rules::keyspace::check(&ctx, &mut diags);
         rules::instrument::check(&ctx, &covered, &mut diags);
-        let is_crate_root = unit.rel.ends_with("/src/lib.rs");
-        rules::check_unsafe(&ctx, is_crate_root, &mut diags);
     }
 
     // ── Phase 4: stale-config: every Lint.toml entry must still resolve
     // against the workspace it governs.
-    let world = rules::staleconfig::World { files: &file_set, crates: &crate_names };
-    rules::staleconfig::check(&cfg, &world, &mut diags);
-
-    // ── Phase 5: pragma suppression over the whole diagnostic set ─────
-    // `// uc-lint: allow(rule) -- reason` covers its own line and the one
-    // below. Malformed pragmas and pragmas without a reason are
-    // diagnostics; so are well-formed pragmas that suppress nothing.
-    struct ValidPragma {
-        file: String,
-        line: u32,
-        rules: Vec<String>,
-        used: bool,
-    }
-    let mut valid: Vec<ValidPragma> = Vec::new();
-    for unit in &units {
-        for p in &unit.lexed.pragmas {
-            if p.malformed {
-                diags.push(Diagnostic {
-                    file: unit.rel.clone(),
-                    line: p.line,
-                    rule: RULE_PRAGMA,
-                    message:
-                        "malformed uc-lint pragma (expected `// uc-lint: allow(rule, ...) -- reason`)"
-                            .to_string(),
-                });
-                continue;
-            }
-            if !p.has_reason {
-                diags.push(Diagnostic {
-                    file: unit.rel.clone(),
-                    line: p.line,
-                    rule: RULE_PRAGMA,
-                    message: "uc-lint pragma requires a justification (`-- <reason>`)".to_string(),
-                });
-                continue;
-            }
-            valid.push(ValidPragma {
-                file: unit.rel.clone(),
-                line: p.line,
-                rules: p.rules.clone(),
-                used: false,
-            });
-        }
-    }
-    diags.retain(|d| {
-        if d.rule == RULE_PRAGMA {
-            return true;
-        }
-        for p in valid.iter_mut() {
-            if p.file == d.file
-                && (p.line == d.line || p.line + 1 == d.line)
-                && p.rules.iter().any(|r| r == d.rule)
-            {
-                p.used = true;
-                return false;
-            }
-        }
-        true
-    });
-    for p in &valid {
-        if !p.used {
-            diags.push(Diagnostic {
-                file: p.file.clone(),
-                line: p.line,
-                rule: RULE_PRAGMA,
-                message: format!(
-                    "pragma allow({}) suppresses no diagnostic (stale — delete it, or it hides a check that no longer fires)",
-                    p.rules.join(", ")
-                ),
-            });
-        }
-    }
+    rules::staleconfig::check(&cfg, &file_set, &mut diags);
 
     diags.sort();
     diags.dedup();

@@ -4,18 +4,11 @@
 //! sorted `file:line:rule:message` diagnostics, and exits non-zero when
 //! any diagnostic fires. Output is byte-stable: CI runs the tool twice
 //! and diffs.
-//!
-//! Wall-time is reported on *stderr* (stdout must stay byte-stable for
-//! the CI diff) with a soft budget: the whole-workspace run is expected
-//! to stay in single-digit seconds, and a breach prints a warning rather
-//! than failing the run.
+
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a command-line tool reports on stdio")]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
-
-/// Soft wall-time budget for a whole-workspace run.
-const SOFT_BUDGET_SECS: f64 = 9.0;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -46,20 +39,9 @@ fn main() -> ExitCode {
             }
         }
     };
-    let started = Instant::now();
     match uc_lint::run(&root) {
         Ok(report) => {
-            let elapsed = started.elapsed().as_secs_f64();
             print!("{}", report.render());
-            eprintln!(
-                "uc-lint: wall {elapsed:.3}s ({} file(s), {} function(s))",
-                report.files_scanned, report.fns_scanned
-            );
-            if elapsed > SOFT_BUDGET_SECS {
-                eprintln!(
-                    "uc-lint: WARNING wall time {elapsed:.3}s exceeds the {SOFT_BUDGET_SECS}s soft budget"
-                );
-            }
             if report.is_clean() {
                 ExitCode::SUCCESS
             } else {

@@ -27,7 +27,7 @@ pub fn covered(units: &[Unit], impl_type: &str) -> BTreeSet<String> {
             if f.impl_type.as_deref() != Some(impl_type) || unit.scan.test_mask[open] {
                 continue;
             }
-            let body = &unit.lexed.tokens[open..=close];
+            let body = &unit.tokens[open..=close];
             let entry = methods.entry(f.name.as_str()).or_default();
             entry.0 |= body.windows(2).any(|w| is_ident(&w[0], "api_enter") && is_punct(&w[1], "("));
             for w in body.windows(4) {

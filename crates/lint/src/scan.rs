@@ -1,6 +1,6 @@
 //! Brace-matched item scanner: finds function items (with pub-ness and
-//! the enclosing `impl` type), masks `#[cfg(test)]` / `#[test]` regions,
-//! and classifies bin targets. Works on the token stream from `lexer`.
+//! the enclosing `impl` type) and masks `#[cfg(test)]` / `#[test]`
+//! regions. Works on the token stream from `lexer`.
 
 use crate::lexer::{Kind, Token};
 
@@ -23,7 +23,6 @@ pub struct FileScan {
     /// Per-token mask: true when the token is inside a `#[cfg(test)]` or
     /// `#[test]` attributed item (including the attribute itself).
     pub test_mask: Vec<bool>,
-    pub is_bin: bool,
 }
 
 fn is_punct(t: &Token, s: &str) -> bool {
@@ -180,10 +179,7 @@ fn is_bare_pub(tokens: &[Token], fn_idx: usize) -> bool {
     false
 }
 
-pub fn scan(tokens: &[Token], rel_path: &str) -> FileScan {
-    let is_bin = rel_path.contains("/bin/")
-        || rel_path.ends_with("/main.rs")
-        || rel_path.ends_with("build.rs");
+pub fn scan(tokens: &[Token]) -> FileScan {
     let mut test_mask = vec![false; tokens.len()];
     mask_test_regions(tokens, &mut test_mask);
 
@@ -238,7 +234,7 @@ pub fn scan(tokens: &[Token], rel_path: &str) -> FileScan {
         i += 1;
     }
 
-    FileScan { fns, test_mask, is_bin }
+    FileScan { fns, test_mask }
 }
 
 #[cfg(test)]
@@ -250,8 +246,7 @@ mod tests {
     fn finds_pub_fns_and_impl_types() {
         let src = "impl Service { pub fn a(&self) {} pub(crate) fn b(&self) {} fn c() {} }\n\
                    pub fn free() {}";
-        let lexed = lex(src);
-        let s = scan(&lexed.tokens, "crates/demo/src/lib.rs");
+        let s = scan(&lex(src));
         let got: Vec<(String, bool, Option<String>)> = s
             .fns
             .iter()
@@ -271,28 +266,19 @@ mod tests {
     #[test]
     fn impl_trait_for_type_uses_type() {
         let src = "impl Display for Uid { fn fmt(&self) {} }";
-        let lexed = lex(src);
-        let s = scan(&lexed.tokens, "x.rs");
+        let s = scan(&lex(src));
         assert_eq!(s.fns[0].impl_type.as_deref(), Some("Uid"));
     }
 
     #[test]
     fn cfg_test_mod_is_masked() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests { fn inner() { bad(); } }";
-        let lexed = lex(src);
-        let s = scan(&lexed.tokens, "x.rs");
+        let tokens = lex(src);
+        let s = scan(&tokens);
         // Every token of the tests mod is masked; `live` is not.
-        let live_idx = lexed.tokens.iter().position(|t| t.text == "live");
-        let bad_idx = lexed.tokens.iter().position(|t| t.text == "bad");
+        let live_idx = tokens.iter().position(|t| t.text == "live");
+        let bad_idx = tokens.iter().position(|t| t.text == "bad");
         assert_eq!(live_idx.map(|i| s.test_mask[i]), Some(false));
         assert_eq!(bad_idx.map(|i| s.test_mask[i]), Some(true));
-    }
-
-    #[test]
-    fn bins_are_classified() {
-        let lexed = lex("fn main() {}");
-        assert!(scan(&lexed.tokens, "crates/bench/src/bin/fig10a.rs").is_bin);
-        assert!(scan(&lexed.tokens, "crates/lint/src/main.rs").is_bin);
-        assert!(!scan(&lexed.tokens, "crates/lint/src/lib.rs").is_bin);
     }
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `uc-obs`: unified tracing + metrics plane for the Unity Catalog
 //! reproduction.
 //!
@@ -78,8 +77,8 @@ impl Obs {
 
     /// Live metrics and tracing, timestamped from the system clock.
     pub fn enabled() -> Self {
+        #[expect(clippy::disallowed_methods, reason = "Obs::enabled() is the explicit system-clock constructor")]
         let clock: ClockFn = Arc::new(|| {
-            // uc-lint: allow(determinism) -- Obs::enabled() is the explicit system-clock constructor
             std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)

@@ -30,9 +30,12 @@ const MAX_RECORDS: usize = 1_000_000;
 /// the shared virtual clock in tests; defaults to the system clock.
 pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the documented system-clock default; tests install a virtual clock"
+)]
 fn system_clock() -> ClockFn {
     Arc::new(|| {
-        // uc-lint: allow(determinism) -- the documented system-clock default; tests install a virtual clock
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! uc-serve: bounded per-tenant admission in front of the catalog.
 //!
 //! `RestApi` dispatches one request at a time, synchronously, and admits

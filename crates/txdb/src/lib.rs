@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! An embedded ACID metadata database with MVCC.
 //!
 //! This crate stands in for the "standard relational database" (MySQL in the

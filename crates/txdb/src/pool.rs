@@ -81,7 +81,7 @@ impl ConnectionPool {
         assert!(held.is_none(), "connection pool acquired while holding a `{}` guard", held.unwrap_or_default());
         let mut available = self.inner.available.lock();
         if *available == 0 {
-            // uc-lint: allow(determinism) -- measures real blocking wait for the pool.wait_ns metric
+            #[expect(clippy::disallowed_methods, reason = "measures real blocking wait for the pool.wait_ns metric")]
             let start = Instant::now();
             while *available == 0 {
                 self.inner.cond.wait(&mut available);

@@ -502,7 +502,10 @@ impl WriteTxn {
                     // but not the key: keys can embed random entity Uids,
                     // which would break trace-dump byte-determinism.
                     let event = format!("{table}{} snapshot={snapshot}", span.kind());
-                    return Err(conflict(db, &event, format!("{table} {span:?} changed after snapshot {snapshot}")));
+                    let detail = format!("{table} {span:?} changed after snapshot {snapshot}");
+                    drop(rows);
+                    drop(locked);
+                    return Err(conflict(db, &event, detail));
                 }
             }
         }
@@ -520,6 +523,8 @@ impl WriteTxn {
             // A partition made since the spans were checked may hold a
             // commit ahead of this one, into a span it never checked there.
             drop(seq);
+            drop(guards);
+            drop(locked);
             let detail = format!("a partition was made while spans at snapshot {snapshot} were checked");
             return Err(conflict(db, &format!("partition made snapshot={snapshot}"), detail));
         }
@@ -561,6 +566,7 @@ impl WriteTxn {
 }
 
 /// Count a conflict, record its `txdb.conflict` event and build its error.
+/// Called with no lock held: the event takes the tracer's lock.
 fn conflict(db: &Db, event: &str, detail: String) -> TxError {
     db.inner.stats.record_conflict();
     uc_obs::span_event("txdb.conflict", event);

@@ -15,6 +15,8 @@
 //! are open still reading it; once every transaction is gone, one commit
 //! elsewhere must leave no dead chain in any partition.
 
+#![allow(clippy::unwrap_used, clippy::panic, reason = "helpers outside #[test] functions fail the test as a test body does")]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;

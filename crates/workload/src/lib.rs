@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Workload generators for the paper's evaluation (§6).
 //!
 //! The published evaluation is built on production telemetry from ~9,000

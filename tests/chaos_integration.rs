@@ -48,6 +48,7 @@ struct ChaosWorld {
 /// Seed selection: `UC_CHAOS_SEED` env var if set (replay), otherwise the
 /// test's own fixed default. The chosen seed is printed so a failing run
 /// can be reproduced exactly.
+#[expect(clippy::disallowed_methods, reason = "UC_CHAOS_SEED is the replay knob; the seed is printed for replay")]
 fn chaos_seed(default: u64) -> u64 {
     let seed = std::env::var("UC_CHAOS_SEED")
         .ok()
@@ -495,6 +496,7 @@ fn bulk_namespace_survives_fault_storm() {
 
     // 10⁵ assets in release; debug builds shrink the population so plain
     // `cargo test` stays fast. `UC_CHAOS_ASSETS` overrides both.
+    #[expect(clippy::disallowed_methods, reason = "UC_CHAOS_ASSETS sizes the population, not the fault schedule")]
     let assets: usize = std::env::var("UC_CHAOS_ASSETS")
         .ok()
         .and_then(|v| v.parse().ok())

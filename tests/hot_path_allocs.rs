@@ -65,6 +65,7 @@ fn bump() {
 // upholds the `GlobalAlloc` contract; the only addition is a thread-local
 // counter bump that neither allocates (const-initialised `Cell<u64>`, no
 // destructor) nor touches the memory being managed.
+#[allow(unsafe_code, reason = "a counting global allocator can only be written as an unsafe impl; see SAFETY above")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
