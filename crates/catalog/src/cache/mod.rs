@@ -155,9 +155,7 @@ pub(crate) struct WriteEffects {
 /// snapshot window. One thread-local probe and no formatting when no
 /// span is active, so the cached hit path stays cheap.
 pub(crate) fn history_read_event(version: u64) {
-    if uc_obs::current_span_id().is_some() {
-        uc_obs::span_event("history.read", &format!("version={version}"));
-    }
+    uc_obs::span_event("history.read", format_args!("version={version}"));
 }
 
 /// Cache tuning.
@@ -743,7 +741,7 @@ impl MsCache {
         let db_ver = read_ms_version(&rt, ms);
         let (value, installs) = load(self, &rt)?;
         let changes = self.changes(ms, &rt, db_ver);
-        let _gate = self.write_gate();
+        let gate = self.write_gate();
         match db_ver.cmp(&self.version()) {
             std::cmp::Ordering::Less => {
                 self.stats.stale_retries.fetch_add(1, Ordering::Relaxed);
@@ -766,6 +764,8 @@ impl MsCache {
                 self.install(ms, row, db_ver);
             }
         }
+        // Telemetry is recorded holding no lock.
+        drop(gate);
         history_read_event(db_ver);
         Ok(Some(value))
     }

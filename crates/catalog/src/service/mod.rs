@@ -824,9 +824,8 @@ impl UnityCatalog {
     ) -> T {
         let detail = detail.to_string();
         let trace_id = uc_obs::current_trace_id();
-        // Mirror the record into the flight recorder first: its lane lock
-        // is a leaf taken and released before the audit log's append lane,
-        // keeping the lock order acyclic. No-op when tracing is disabled.
+        // Mirror the record into the flight recorder first, holding no
+        // lock: its lane is a leaf. No-op when tracing is disabled.
         self.config.obs.flight().note_audit(self.now_ms(), trace_id.unwrap_or(0), action.as_str(), &detail);
         append(&self.audit, self.now_ms(), detail, trace_id)
     }
@@ -944,7 +943,7 @@ impl UnityCatalog {
                     // The closure decided at metastore version `cur`; the
                     // history checker verifies the error against the model
                     // state at exactly that version.
-                    uc_obs::span_event("history.abort", &format!("version={cur}"));
+                    uc_obs::span_event("history.abort", format_args!("version={cur}"));
                     return Err(e);
                 }
             };
@@ -956,10 +955,7 @@ impl UnityCatalog {
             sched::yield_point(sched::points::WRITE_PRECOMMIT);
             match tx.commit() {
                 Ok(csn) => {
-                    uc_obs::span_event(
-                        "history.commit",
-                        &format!("version={} csn={csn}", cur + 1),
-                    );
+                    uc_obs::span_event("history.commit", format_args!("version={} csn={csn}", cur + 1));
                     sched::yield_point(sched::points::WRITE_POSTCOMMIT);
                     // CATALOG_CACHE_SKIP models a node crashing between the
                     // database commit and its write-through cache update:
@@ -992,7 +988,7 @@ impl UnityCatalog {
                     };
                     uc_obs::span_event(
                         "write.retry",
-                        &format!("attempt={attempts} cause={cause} backoff_ms={backoff_ms}"),
+                        format_args!("attempt={attempts} cause={cause} backoff_ms={backoff_ms}"),
                     );
                     self.stats.write_backoff_ms.fetch_add(backoff_ms, Ordering::Relaxed);
                     if self.clock.is_manual() {

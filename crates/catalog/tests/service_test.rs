@@ -763,7 +763,7 @@ fn change_events_flow_for_all_mutations() {
         .records()
         .iter()
         .filter_map(|r| match r {
-            uc_obs::TraceRecord::Event { name, detail, .. } if name == "history.commit" => {
+            uc_obs::TraceRecord::Event { name, detail, .. } if *name == "history.commit" => {
                 detail.strip_prefix("version=")?.split(' ').next()?.parse().ok()
             }
             _ => None,

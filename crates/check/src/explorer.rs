@@ -334,7 +334,7 @@ fn max_read_version(records: &[TraceRecord], trace_id: u64) -> Option<u64> {
         .iter()
         .filter_map(|r| match r {
             TraceRecord::Event { trace_id: t, name, detail, .. }
-                if *t == trace_id && name == "history.read" =>
+                if *t == trace_id && *name == "history.read" =>
             {
                 detail
                     .split_whitespace()

@@ -120,7 +120,7 @@ pub fn assemble(base_version: u64, rows: Vec<DriverRow>, records: &[TraceRecord]
         let Some(op) = by_trace.get_mut(trace_id) else {
             continue;
         };
-        match name.as_str() {
+        match *name {
             "history.read" => {
                 if let Some(v) = parse_kv(detail, "version") {
                     op.reads.push(v);

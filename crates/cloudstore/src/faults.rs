@@ -199,7 +199,7 @@ impl FaultPlan {
         if fire {
             // Annotate whatever request span is active so chaos tests can
             // assert "this fault actually fired inside that request".
-            uc_obs::span_event("fault.injected", &format!("{point}#{hit}"));
+            uc_obs::span_event("fault.injected", format_args!("{point}#{hit}"));
         }
         fire
     }

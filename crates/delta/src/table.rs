@@ -165,7 +165,7 @@ impl DeltaTable {
         };
         uc_obs::span_event(
             "delta.snapshot",
-            &format!("version={} replayed={} from_cached={}", head.version, log.len(), base.version),
+            format_args!("version={} replayed={} from_cached={}", head.version, log.len(), base.version),
         );
         Snapshot::replay_from(Some(base.clone()), &log).map(Some)
     }
@@ -198,13 +198,13 @@ impl DeltaTable {
         };
         let first = checkpoint.map_or(0, |cv| cv + 1);
         let log = read_commits(self.coordinator.as_ref(), cred, first..=head.version)?;
-        uc_obs::span_event(
-            "delta.snapshot",
-            &match checkpoint {
-                Some(cv) => format!("version={} replayed={} from_checkpoint={cv}", head.version, log.len()),
-                None => format!("version={} replayed={}", head.version, log.len()),
-            },
-        );
+        match checkpoint {
+            Some(cv) => uc_obs::span_event(
+                "delta.snapshot",
+                format_args!("version={} replayed={} from_checkpoint={cv}", head.version, log.len()),
+            ),
+            None => uc_obs::span_event("delta.snapshot", format_args!("version={} replayed={}", head.version, log.len())),
+        }
         Snapshot::replay_from(base, &log)
     }
 
@@ -245,7 +245,7 @@ impl DeltaTable {
             }),
         ];
         write_commit(self.coordinator.as_ref(), cred, version, &actions)?;
-        uc_obs::span_event("delta.commit", &format!("version={version}"));
+        uc_obs::span_event("delta.commit", format_args!("version={version}"));
         // Periodic checkpointing, as the Delta protocol does every N
         // commits, keeps snapshot construction O(recent commits).
         if version > 0 && version % CHECKPOINT_INTERVAL == 0 {

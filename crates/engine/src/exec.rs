@@ -776,7 +776,7 @@ impl EngineSession {
                     uc_cloudstore::StorageError::ExpiredCredential { .. },
                 )) if attempts < 3 => {
                     attempts += 1;
-                    uc_obs::span_event("engine.credential_renew", &format!("attempt={attempts}"));
+                    uc_obs::span_event("engine.credential_renew", format_args!("attempt={attempts}"));
                     token = self
                         .engine
                         .uc

@@ -1,48 +1,59 @@
-//! Flight recorder: a bounded per-thread ring of recent span/audit/fault
-//! events, frozen into a canonical dump when something goes wrong.
+//! Flight recorder: the tracer's one record store, kept in per-thread
+//! lanes, and the canonical dump frozen from it when something goes wrong.
 //!
-//! The trace log answers "what happened" after the fact, but it is
-//! unbounded and global; production-shaped deployments want the last few
-//! hundred events *leading up to* an incident, cheaply, always-on. The
-//! recorder keeps [`FLIGHT_LANES`] rings of [`FLIGHT_LANE_CAPACITY`]
-//! events each — a thread appends to the lane picked by
-//! [`crate::thread_slot`], so appends touch one uncontended mutex and
-//! never a shared structure.
+//! Every span start/end and span event a thread records, and every audit
+//! decision it mirrors, is appended to the lane [`crate::thread_slot`]
+//! picks among [`FLIGHT_LANES`]: one mutex that no other thread writes on
+//! the steady path. Each entry is tagged with a sequence number from one
+//! atomic counter; the trace ([`crate::Tracer::records`], `jsonl`) is the
+//! lanes' trace records merged by it. The store retains at most
+//! [`MAX_RECORDS`] entries plus one flight tail per lane: a lane shorter
+//! than [`FLIGHT_LANE_CAPACITY`] always grows, and a push into a full
+//! store overwrites its lane's oldest entry and counts it as dropped.
 //!
-//! **Freezing** merges every lane into one canonical event list sorted by
-//! `(ts_ms, trace_id, kind, name, detail)` — a pure content key, so the
-//! frozen dump is byte-identical no matter how threads were scheduled or
-//! how many lanes the same events were spread across (lane index and
-//! per-lane arrival order are deliberately excluded; span IDs too, since
-//! their allocation order is schedule-dependent). Freezes trigger
+//! **Freezing** renders each lane's newest [`FLIGHT_LANE_CAPACITY`]
+//! entries into [`FlightEvent`]s — `"{layer}.{name}"` and `"status=…"`
+//! are formatted here, not on every push — sorted by the pure content key
+//! `(ts_ms, trace_id, kind, name, detail)`, so the frozen dump is
+//! byte-identical no matter how threads were scheduled or how many lanes
+//! the events were spread across (lane index, sequence number and span
+//! IDs are schedule-dependent and excluded). Freezes trigger
 //! automatically when a fault injects (`fault.injected` events) or a
 //! write retries past [`FLIGHT_RETRY_THRESHOLD`] attempts (`write.retry`
 //! events), and on demand via the `metrics.flightrecorder` REST route.
-//! The *first* automatic freeze wins — the interesting state is the ring
-//! contents at the first incident, not the last — and an explicit freeze
-//! replaces whatever dump is held.
+//! The *first* automatic freeze wins — the interesting state is the tails
+//! at the first incident, not the last — and an explicit freeze replaces
+//! whatever dump is held.
 //!
-//! Lock discipline: lane mutexes are leaves — `note` locks exactly one
-//! lane and returns; `freeze` takes the `frozen` slot first, then each
-//! lane in index order, and is only ever entered while holding *no* other
-//! obs lock (the tracer feeds the recorder and checks triggers *before*
-//! taking its own log mutex).
+//! Lock discipline: every lock here is an unranked leaf, taken alone. A
+//! push takes its lane; a freeze takes each lane, then the frozen slot,
+//! one at a time. Nothing is recorded while the thread holds another lock.
 
-use parking_lot::{Class, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+use parking_lot::Mutex;
 
 use crate::metrics::thread_slot;
+use crate::trace::TraceRecord;
 
-/// Number of per-thread event lanes (same shape as the audit log's lanes).
+/// Number of per-thread lanes (same shape as the audit log's lanes).
 pub const FLIGHT_LANES: usize = 32;
 
-/// Events retained per lane; older events are overwritten ring-style.
+/// Entries per lane a freeze renders, and that a lane keeps however full
+/// the store is.
 pub const FLIGHT_LANE_CAPACITY: usize = 256;
+
+/// Entries the store holds before a push overwrites its lane's oldest (a
+/// lane shorter than its flight tail still grows), so a runaway workload
+/// cannot exhaust memory through its own observability.
+pub const MAX_RECORDS: usize = 1_000_000;
 
 /// A `write.retry` span event with `attempt=` at or above this freezes
 /// the recorder.
 pub const FLIGHT_RETRY_THRESHOLD: u64 = 4;
 
-/// One recorded event. `kind` partitions the namespace: `span.start`,
+/// One rendered event. `kind` partitions the namespace: `span.start`,
 /// `span.end`, `event` (span events, including fault injections), and
 /// `audit` (access decisions).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,26 +79,34 @@ impl FlightEvent {
     }
 }
 
-#[derive(Debug, Default)]
-struct Lane {
-    ring: Vec<FlightEvent>,
-    /// Next ring position to overwrite once the lane is full.
-    write_at: usize,
+/// One entry of a lane: a trace record, or an audit decision, which the
+/// flight dump shows and the trace does not.
+#[derive(Debug)]
+pub(crate) enum Entry {
+    Trace(TraceRecord),
+    Audit { ts_ms: u64, trace_id: u64, action: &'static str, detail: String },
 }
 
-impl Lane {
-    fn push(&mut self, ev: FlightEvent) {
-        if self.ring.len() < FLIGHT_LANE_CAPACITY {
-            self.ring.push(ev);
-        } else {
-            self.ring[self.write_at] = ev;
-            self.write_at = (self.write_at + 1) % FLIGHT_LANE_CAPACITY;
-        }
+impl Entry {
+    fn render(&self) -> FlightEvent {
+        let (ts_ms, trace_id, kind, name, detail) = match self {
+            Entry::Trace(TraceRecord::SpanStart { ts_ms, trace_id, layer, name, .. }) => {
+                (ts_ms, trace_id, "span.start", format!("{layer}.{name}"), String::new())
+            }
+            Entry::Trace(TraceRecord::Event { ts_ms, trace_id, name, detail, .. }) => {
+                (ts_ms, trace_id, "event", name.to_string(), detail.clone())
+            }
+            Entry::Trace(TraceRecord::SpanEnd { ts_ms, trace_id, status, .. }) => {
+                (ts_ms, trace_id, "span.end", String::new(), format!("status={status}"))
+            }
+            Entry::Audit { ts_ms, trace_id, action, detail } => (ts_ms, trace_id, "audit", action.to_string(), detail.clone()),
+        };
+        FlightEvent { ts_ms: *ts_ms, trace_id: *trace_id, kind, name, detail }
     }
 }
 
-/// A frozen dump: the merged, canonically-ordered ring contents at the
-/// moment of the freeze.
+/// A frozen dump: the lanes' tails at the moment of the freeze, rendered
+/// and canonically ordered.
 #[derive(Debug, Clone)]
 pub struct FrozenDump {
     pub reason: String,
@@ -137,11 +156,17 @@ impl FrozenDump {
     }
 }
 
-/// The recorder. Shared by clone via `Arc` inside the tracer/`Obs`.
+/// The store and its frozen dump. Owned by the tracer, shared by clone
+/// via `Arc` inside the tracer/`Obs`.
 #[derive(Debug)]
 pub struct FlightRecorder {
     enabled: bool,
-    lanes: Vec<Mutex<Lane>>,
+    next_seq: AtomicU64,
+    /// Entries held, over all lanes.
+    held: AtomicUsize,
+    dropped: AtomicU64,
+    /// Per lane, its entries oldest first, each with its sequence number.
+    lanes: Vec<Mutex<VecDeque<(u64, Entry)>>>,
     frozen: Mutex<Option<FrozenDump>>,
 }
 
@@ -149,46 +174,75 @@ impl FlightRecorder {
     pub fn new(enabled: bool) -> Self {
         FlightRecorder {
             enabled,
-            lanes: (0..FLIGHT_LANES).map(|_| Mutex::ranked(Class::ObsLane, Lane::default())).collect(),
-            frozen: Mutex::ranked(Class::ObsFrozen, None),
+            next_seq: AtomicU64::new(0),
+            held: AtomicUsize::new(0),
+            dropped: AtomicU64::new(0),
+            lanes: (0..FLIGHT_LANES).map(|_| Mutex::new(VecDeque::new())).collect(),
+            frozen: Mutex::new(None),
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Append one event to the calling thread's lane. One uncontended
-    /// lane mutex; no shared state.
-    pub fn note(&self, ts_ms: u64, trace_id: u64, kind: &'static str, name: &str, detail: &str) {
-        if !self.enabled {
-            return;
+    /// Append one entry to the calling thread's lane: one mutex no other
+    /// thread writes on the steady path.
+    pub(crate) fn push(&self, entry: Entry) {
+        let mut lane = self.lanes[thread_slot() % FLIGHT_LANES].lock();
+        if lane.len() >= FLIGHT_LANE_CAPACITY && self.held.load(Ordering::Relaxed) >= MAX_RECORDS {
+            lane.pop_front();
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.held.fetch_add(1, Ordering::Relaxed);
         }
-        let ev = FlightEvent {
-            ts_ms,
-            trace_id,
-            kind,
-            name: name.to_string(),
-            detail: detail.to_string(),
-        };
-        self.lanes[thread_slot() % FLIGHT_LANES].lock().push(ev);
+        lane.push_back((self.next_seq.fetch_add(1, Ordering::Relaxed), entry));
     }
 
     /// Audit-decision feed (called by the catalog's audit path).
-    pub fn note_audit(&self, ts_ms: u64, trace_id: u64, action: &str, detail: &str) {
-        self.note(ts_ms, trace_id, "audit", action, detail);
+    pub fn note_audit(&self, ts_ms: u64, trace_id: u64, action: &'static str, detail: &str) {
+        if self.enabled {
+            self.push(Entry::Audit { ts_ms, trace_id, action, detail: detail.to_string() });
+        }
     }
 
-    fn merge_lanes(&self) -> Vec<FlightEvent> {
+    /// The trace records held, merged by sequence number: append order.
+    pub(crate) fn records(&self) -> Vec<TraceRecord> {
+        let mut records = Vec::new();
+        for lane in &self.lanes {
+            records.extend(lane.lock().iter().filter_map(|(seq, entry)| match entry {
+                Entry::Trace(record) => Some((*seq, record.clone())),
+                Entry::Audit { .. } => None,
+            }));
+        }
+        records.sort_unstable_by_key(|(seq, _)| *seq);
+        records.into_iter().map(|(_, record)| record).collect()
+    }
+
+    /// Entries overwritten since the store filled up.
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Empty every lane. The frozen dump, if any, stays.
+    pub(crate) fn clear(&self) {
+        for lane in &self.lanes {
+            let mut lane = lane.lock();
+            self.held.fetch_sub(lane.len(), Ordering::Relaxed);
+            lane.clear();
+        }
+        self.dropped.store(0, Ordering::Relaxed);
+    }
+
+    /// A dump of every lane's newest [`FLIGHT_LANE_CAPACITY`] entries,
+    /// rendered and in content order: no lane index, sequence number or
+    /// span id, since anything schedule-dependent would break
+    /// cross-thread-count byte-stability.
+    fn dump(&self, now_ms: u64, reason: &str) -> FrozenDump {
         let mut events = Vec::new();
         for lane in &self.lanes {
-            events.extend(lane.lock().ring.iter().cloned());
+            let lane = lane.lock();
+            let tail = lane.len().saturating_sub(FLIGHT_LANE_CAPACITY);
+            events.extend(lane.range(tail..).map(|(_, entry)| entry.render()));
         }
-        // Pure content order: no lane index, arrival counter, or span id —
-        // anything schedule-dependent would break cross-thread-count
-        // byte-stability.
         events.sort();
-        events
+        FrozenDump { reason: reason.to_string(), frozen_at_ms: now_ms, events }
     }
 
     /// Freeze now and store the dump, replacing any previous one. Returns
@@ -198,31 +252,19 @@ impl FlightRecorder {
         if !self.enabled {
             return FrozenDump { reason: "disabled".into(), frozen_at_ms: now_ms, events: Vec::new() };
         }
-        let mut slot = self.frozen.lock();
-        let dump = FrozenDump {
-            reason: reason.to_string(),
-            frozen_at_ms: now_ms,
-            events: self.merge_lanes(),
-        };
-        *slot = Some(dump.clone());
+        let dump = self.dump(now_ms, reason);
+        *self.frozen.lock() = Some(dump.clone());
         dump
     }
 
     /// Automatic trigger path: freeze only if nothing is frozen yet, so
     /// the dump captures the *first* incident.
     pub fn freeze_if_armed(&self, now_ms: u64, reason: &str) {
-        if !self.enabled {
+        if !self.enabled || self.frozen.lock().is_some() {
             return;
         }
-        let mut slot = self.frozen.lock();
-        if slot.is_none() {
-            let dump = FrozenDump {
-                reason: reason.to_string(),
-                frozen_at_ms: now_ms,
-                events: self.merge_lanes(),
-            };
-            *slot = Some(dump);
-        }
+        let dump = self.dump(now_ms, reason);
+        self.frozen.lock().get_or_insert(dump);
     }
 
     /// The currently frozen dump, if any.
@@ -253,14 +295,18 @@ impl FlightRecorder {
 mod tests {
     use super::*;
 
+    fn event(ts_ms: u64, trace_id: u64, name: &'static str, detail: &str) -> Entry {
+        Entry::Trace(TraceRecord::Event { trace_id, span_id: 1, name, detail: detail.to_string(), ts_ms })
+    }
+
     #[test]
     fn dump_order_is_content_canonical_not_arrival_order() {
         let run = |spread: bool| {
             let fr = FlightRecorder::new(true);
             let feed = |fr: &FlightRecorder| {
-                fr.note(2, 7, "event", "b", "x");
-                fr.note(1, 7, "event", "a", "x");
-                fr.note(1, 3, "span.start", "op", "");
+                fr.push(event(2, 7, "b", "x"));
+                fr.push(event(1, 7, "a", "x"));
+                fr.note_audit(1, 3, "op", "");
             };
             if spread {
                 std::thread::scope(|s| {
@@ -286,20 +332,20 @@ mod tests {
     fn lane_ring_is_bounded() {
         let fr = FlightRecorder::new(true);
         for i in 0..(FLIGHT_LANE_CAPACITY as u64 + 50) {
-            fr.note(i, 1, "event", "e", "");
+            fr.push(event(i, 1, "e", ""));
         }
         let dump = fr.freeze(0, "bound");
         assert_eq!(dump.events.len(), FLIGHT_LANE_CAPACITY);
-        // The oldest events were overwritten.
-        assert!(dump.events.iter().all(|e| e.ts_ms >= 50));
+        assert!(dump.events.iter().all(|e| e.ts_ms >= 50), "only the newest entries");
+        assert_eq!(fr.records().len(), FLIGHT_LANE_CAPACITY + 50, "the store keeps all of them");
     }
 
     #[test]
     fn first_auto_freeze_wins_until_an_explicit_freeze() {
         let fr = FlightRecorder::new(true);
-        fr.note(1, 1, "event", "fault.injected", "sts.mint#0");
+        fr.push(event(1, 1, "fault.injected", "sts.mint#0"));
         fr.freeze_if_armed(1, "fault.injected sts.mint#0");
-        fr.note(2, 1, "event", "late", "");
+        fr.push(event(2, 1, "late", ""));
         fr.freeze_if_armed(2, "fault.injected other");
         let dump = fr.frozen().expect("frozen");
         assert_eq!(dump.reason, "fault.injected sts.mint#0");
@@ -323,7 +369,7 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let fr = FlightRecorder::new(false);
-        fr.note(1, 1, "event", "e", "");
+        fr.note_audit(1, 1, "e", "");
         fr.freeze_if_armed(1, "r");
         assert!(fr.frozen().is_none());
         assert_eq!(fr.freeze(1, "r").events.len(), 0);
@@ -332,10 +378,14 @@ mod tests {
     #[test]
     fn chrome_export_maps_spans_and_instants() {
         let fr = FlightRecorder::new(true);
-        fr.note(1, 9, "span.start", "catalog.get_table", "");
-        fr.note(2, 9, "event", "history.read", "version=3");
-        fr.note(3, 9, "span.end", "catalog.get_table", "status=ok");
-        let chrome = fr.freeze(3, "test").to_chrome_trace();
+        let (layer, name) = ("catalog", "get_table".to_string());
+        fr.push(Entry::Trace(TraceRecord::SpanStart { trace_id: 9, span_id: 1, parent_id: 0, layer, name, ts_ms: 1 }));
+        fr.push(event(2, 9, "history.read", "version=3"));
+        fr.push(Entry::Trace(TraceRecord::SpanEnd { trace_id: 9, span_id: 1, ts_ms: 3, status: "ok" }));
+        let dump = fr.freeze(3, "test");
+        assert_eq!(dump.events[0].name, "catalog.get_table", "rendered at the freeze");
+        assert_eq!(dump.events[2].detail, "status=ok");
+        let chrome = dump.to_chrome_trace();
         assert!(chrome.starts_with('[') && chrome.ends_with(']'));
         assert!(chrome.contains("\"ph\":\"B\",\"ts\":1000,\"pid\":1,\"tid\":9"));
         assert!(chrome.contains("\"ph\":\"E\",\"ts\":3000"));

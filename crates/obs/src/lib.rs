@@ -24,8 +24,8 @@
 //!   and must not appear in metric names or span names).
 //! - Timestamps come from the injected clock; with a manual clock two
 //!   identical runs emit identical timestamps.
-//! - All exports iterate sorted maps or append-ordered logs; no HashMap
-//!   iteration order leaks into output.
+//! - All exports iterate sorted maps, or the trace's lanes merged by
+//!   sequence number; no HashMap iteration order leaks into output.
 
 pub mod flight;
 pub mod labels;
@@ -77,14 +77,7 @@ impl Obs {
 
     /// Live metrics and tracing, timestamped from the system clock.
     pub fn enabled() -> Self {
-        #[expect(clippy::disallowed_methods, reason = "Obs::enabled() is the explicit system-clock constructor")]
-        let clock: ClockFn = Arc::new(|| {
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0)
-        });
-        Obs::with_clock_fn(clock)
+        Obs::with_clock_fn(trace::system_clock())
     }
 
     /// Live metrics and tracing with timestamps drawn from `clock` —
@@ -162,27 +155,27 @@ impl Obs {
 
     /// Open a request-scoped span (child of any span already active on
     /// this thread).
-    pub fn span(&self, layer: &str, name: &str) -> SpanGuard {
+    pub fn span(&self, layer: &'static str, name: &str) -> SpanGuard {
         self.tracer.span(layer, name)
     }
 
     /// Open a span whose duration on the metrics clock is recorded into
     /// the `layer.name.latency_ms` histogram when it ends — with tracing
     /// off too, where the span records nothing else.
-    pub fn span_timed(&self, layer: &str, name: &str) -> SpanGuard {
+    pub fn span_timed(&self, layer: &'static str, name: &str) -> SpanGuard {
         self.timed(layer, name, |h| self.tracer.span_timed(layer, name, Some(h)))
     }
 
     /// Open a root span with a caller-pinned trace ID (latency recorded
     /// like [`Obs::span_timed`]). See [`Tracer::span_pinned`] for when
     /// pinning is the right tool.
-    pub fn span_pinned(&self, layer: &str, name: &str, trace_id: u64) -> SpanGuard {
+    pub fn span_pinned(&self, layer: &'static str, name: &str, trace_id: u64) -> SpanGuard {
         self.timed(layer, name, |h| self.tracer.span_pinned(layer, name, trace_id, Some(h)))
     }
 
     /// `open` a traced span timed into `layer.name.latency_ms`; with
     /// tracing off, a span that only times itself into it.
-    fn timed(&self, layer: &str, name: &str, open: impl FnOnce(Histogram) -> SpanGuard) -> SpanGuard {
+    fn timed(&self, layer: &'static str, name: &str, open: impl FnOnce(Histogram) -> SpanGuard) -> SpanGuard {
         let h = self.histogram(&format!("{layer}.{name}.latency_ms"));
         if self.tracer.is_enabled() {
             open(h)

@@ -8,23 +8,19 @@
 //! function — the virtual clock in tests — so two runs of the same seeded
 //! workload produce byte-identical JSON-lines dumps.
 //!
-//! The trace log is a flat, append-ordered stream of records
-//! (`span_start` / `event` / `span_end`), which is exactly the JSONL
-//! export format: no post-hoc merging, no reordering, no wall-clock.
+//! The trace is a flat stream of records (`span_start` / `event` /
+//! `span_end`), which is exactly the JSONL export format. Each thread
+//! appends to its own lane of the flight recorder ([`crate::flight`]),
+//! the one record store; the stream is the lanes merged by sequence
+//! number, which is append order. No wall-clock.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Class, Mutex};
-
-use crate::flight::FlightRecorder;
+use crate::flight::{Entry, FlightRecorder};
 use crate::metrics::Histogram;
-
-/// Upper bound on retained trace records; beyond it new records are
-/// counted as dropped rather than buffered, so a runaway workload cannot
-/// exhaust memory through its own observability.
-const MAX_RECORDS: usize = 1_000_000;
 
 /// Clock function: milliseconds since the tracer's epoch. Installed from
 /// the shared virtual clock in tests; defaults to the system clock.
@@ -34,7 +30,7 @@ pub type ClockFn = Arc<dyn Fn() -> u64 + Send + Sync>;
     clippy::disallowed_methods,
     reason = "the documented system-clock default; tests install a virtual clock"
 )]
-fn system_clock() -> ClockFn {
+pub(crate) fn system_clock() -> ClockFn {
     Arc::new(|| {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -43,7 +39,8 @@ fn system_clock() -> ClockFn {
     })
 }
 
-/// One record in the append-ordered trace stream.
+/// One record in the trace stream. Layer, event name and status are
+/// always literals; a span's name may be built at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     SpanStart {
@@ -51,14 +48,14 @@ pub enum TraceRecord {
         span_id: u64,
         /// 0 for a root span.
         parent_id: u64,
-        layer: String,
+        layer: &'static str,
         name: String,
         ts_ms: u64,
     },
     Event {
         trace_id: u64,
         span_id: u64,
-        name: String,
+        name: &'static str,
         detail: String,
         ts_ms: u64,
     },
@@ -66,7 +63,7 @@ pub enum TraceRecord {
         trace_id: u64,
         span_id: u64,
         ts_ms: u64,
-        status: String,
+        status: &'static str,
     },
 }
 
@@ -115,21 +112,12 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-#[derive(Debug, Default)]
-struct TraceLog {
-    records: Vec<TraceRecord>,
-    dropped: u64,
-}
-
 struct TracerInner {
     enabled: bool,
     clock: ClockFn,
     next_trace_id: AtomicU64,
     next_span_id: AtomicU64,
-    log: Mutex<TraceLog>,
-    /// Always-on incident ring, live iff the tracer is enabled. Fed from
-    /// [`Tracer::push`] *before* the log mutex is taken (flight lane
-    /// mutexes and the log mutex never nest).
+    /// The record store, live iff the tracer is enabled.
     flight: FlightRecorder,
 }
 
@@ -142,10 +130,7 @@ pub struct Tracer {
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &self.inner.enabled)
-            .field("records", &self.inner.log.lock().records.len())
-            .finish()
+        f.debug_struct("Tracer").field("enabled", &self.inner.enabled).finish_non_exhaustive()
     }
 }
 
@@ -165,7 +150,6 @@ impl Tracer {
                 clock,
                 next_trace_id: AtomicU64::new(1),
                 next_span_id: AtomicU64::new(1),
-                log: Mutex::ranked(Class::ObsLog, TraceLog::default()),
                 flight: FlightRecorder::new(enabled),
             }),
         }
@@ -180,60 +164,21 @@ impl Tracer {
         &self.inner.flight
     }
 
-    /// Current time on the tracer's injected clock.
-    pub fn clock_ms(&self) -> u64 {
-        self.now_ms()
-    }
-
     fn now_ms(&self) -> u64 {
         (self.inner.clock)()
-    }
-
-    fn push(&self, record: TraceRecord) {
-        // Feed the flight recorder first: its lane mutex is taken and
-        // released (and any auto-freeze fully completes) while this thread
-        // holds no other obs lock, keeping the pinned lock order acyclic.
-        self.feed_flight(&record);
-        let mut log = self.inner.log.lock();
-        if log.records.len() >= MAX_RECORDS {
-            log.dropped += 1;
-        } else {
-            log.records.push(record);
-        }
-    }
-
-    fn feed_flight(&self, record: &TraceRecord) {
-        let fr = &self.inner.flight;
-        if !fr.is_enabled() {
-            return;
-        }
-        match record {
-            TraceRecord::SpanStart { trace_id, layer, name, ts_ms, .. } => {
-                fr.note(*ts_ms, *trace_id, "span.start", &format!("{layer}.{name}"), "");
-            }
-            TraceRecord::Event { trace_id, name, detail, ts_ms, .. } => {
-                fr.note(*ts_ms, *trace_id, "event", name, detail);
-                if let Some(reason) = FlightRecorder::trigger_reason(name, detail) {
-                    fr.freeze_if_armed(*ts_ms, &reason);
-                }
-            }
-            TraceRecord::SpanEnd { trace_id, ts_ms, status, .. } => {
-                fr.note(*ts_ms, *trace_id, "span.end", "", &format!("status={status}"));
-            }
-        }
     }
 
     /// Open a span. If a span is already active on this thread the new one
     /// becomes its child (same trace); otherwise a new trace begins. The
     /// returned guard ends the span on drop.
-    pub fn span(&self, layer: &str, name: &str) -> SpanGuard {
+    pub fn span(&self, layer: &'static str, name: &str) -> SpanGuard {
         self.span_timed(layer, name, None)
     }
 
     /// Like [`Tracer::span`], additionally recording the span's duration
     /// (in clock milliseconds) into `histogram` when it ends. A disabled
     /// tracer records nothing; `Obs::span_timed` times such a span itself.
-    pub fn span_timed(&self, layer: &str, name: &str, histogram: Option<Histogram>) -> SpanGuard {
+    pub fn span_timed(&self, layer: &'static str, name: &str, histogram: Option<Histogram>) -> SpanGuard {
         if !self.inner.enabled {
             return SpanGuard { ctx: None, timer: None };
         }
@@ -244,30 +189,7 @@ impl Tracer {
                 .map(|top| (top.trace_id, top.span_id))
                 .unwrap_or_else(|| (self.inner.next_trace_id.fetch_add(1, Ordering::Relaxed), 0))
         });
-        let span_id = self.inner.next_span_id.fetch_add(1, Ordering::Relaxed);
-        let start_ms = self.now_ms();
-        self.push(TraceRecord::SpanStart {
-            trace_id,
-            span_id,
-            parent_id,
-            layer: layer.to_string(),
-            name: name.to_string(),
-            ts_ms: start_ms,
-        });
-        CURRENT.with(|stack| {
-            stack.borrow_mut().push(ActiveSpan { tracer: self.clone(), trace_id, span_id })
-        });
-        SpanGuard {
-            ctx: Some(SpanCtx {
-                tracer: self.clone(),
-                trace_id,
-                span_id,
-                start_ms,
-                status: None,
-                histogram,
-            }),
-            timer: None,
-        }
+        self.open(layer, name, trace_id, parent_id, histogram)
     }
 
     /// Open a *root* span with a caller-chosen trace ID, ignoring any span
@@ -280,7 +202,7 @@ impl Tracer {
     /// allocator used by [`Tracer::span`].
     pub fn span_pinned(
         &self,
-        layer: &str,
+        layer: &'static str,
         name: &str,
         trace_id: u64,
         histogram: Option<Histogram>,
@@ -288,47 +210,37 @@ impl Tracer {
         if !self.inner.enabled {
             return SpanGuard { ctx: None, timer: None };
         }
+        self.open(layer, name, trace_id, 0, histogram)
+    }
+
+    /// Record a span's start and make it this thread's innermost span.
+    fn open(&self, layer: &'static str, name: &str, trace_id: u64, parent_id: u64, histogram: Option<Histogram>) -> SpanGuard {
         let span_id = self.inner.next_span_id.fetch_add(1, Ordering::Relaxed);
         let start_ms = self.now_ms();
-        self.push(TraceRecord::SpanStart {
-            trace_id,
-            span_id,
-            parent_id: 0,
-            layer: layer.to_string(),
-            name: name.to_string(),
-            ts_ms: start_ms,
-        });
+        let name = name.to_string();
+        self.inner.flight.push(Entry::Trace(TraceRecord::SpanStart { trace_id, span_id, parent_id, layer, name, ts_ms: start_ms }));
         CURRENT.with(|stack| {
             stack.borrow_mut().push(ActiveSpan { tracer: self.clone(), trace_id, span_id })
         });
-        SpanGuard {
-            ctx: Some(SpanCtx {
-                tracer: self.clone(),
-                trace_id,
-                span_id,
-                start_ms,
-                status: None,
-                histogram,
-            }),
-            timer: None,
-        }
+        let ctx = SpanCtx { tracer: self.clone(), trace_id, span_id, start_ms, status: "ok", histogram };
+        SpanGuard { ctx: Some(ctx), timer: None }
     }
 
-    /// Records accumulated so far, in append order.
+    /// Records held, in append order.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.inner.log.lock().records.clone()
+        self.inner.flight.records()
     }
 
-    /// Number of records discarded after the retention cap was reached.
+    /// Number of records and audit entries overwritten once the store was
+    /// full.
     pub fn dropped(&self) -> u64 {
-        self.inner.log.lock().dropped
+        self.inner.flight.dropped()
     }
 
-    /// The full trace stream as JSON lines, in append order.
+    /// The trace stream as JSON lines, in append order.
     pub fn jsonl(&self) -> String {
-        let log = self.inner.log.lock();
         let mut out = String::new();
-        for record in &log.records {
+        for record in self.records() {
             out.push_str(&record.to_json());
             out.push('\n');
         }
@@ -339,25 +251,20 @@ impl Tracer {
     /// of the detail — chaos tests assert with this ("the retry path fired
     /// exactly N times") instead of end-state only.
     pub fn count_events(&self, name: &str, detail_contains: Option<&str>) -> u64 {
-        self.inner
-            .log
-            .lock()
-            .records
-            .iter()
-            .filter(|r| match r {
-                TraceRecord::Event { name: n, detail, .. } => {
-                    n == name && detail_contains.is_none_or(|s| detail.contains(s))
-                }
-                _ => false,
-            })
-            .count() as u64
+        let records = self.records();
+        let matching = records.iter().filter(|r| match r {
+            TraceRecord::Event { name: n, detail, .. } => {
+                *n == name && detail_contains.is_none_or(|s| detail.contains(s))
+            }
+            _ => false,
+        });
+        matching.count() as u64
     }
 
-    /// Discard all records (between workload phases in a long test).
+    /// Discard every record and audit entry (between workload phases in a
+    /// long test). A frozen dump stays.
     pub fn clear(&self) {
-        let mut log = self.inner.log.lock();
-        log.records.clear();
-        log.dropped = 0;
+        self.inner.flight.clear();
     }
 }
 
@@ -376,7 +283,7 @@ struct SpanCtx {
     trace_id: u64,
     span_id: u64,
     start_ms: u64,
-    status: Option<String>,
+    status: &'static str,
     histogram: Option<Histogram>,
 }
 
@@ -404,9 +311,9 @@ impl SpanGuard {
     }
 
     /// Override the `"ok"` status reported at span end.
-    pub fn set_status(&mut self, status: &str) {
+    pub fn set_status(&mut self, status: &'static str) {
         if let Some(ctx) = &mut self.ctx {
-            ctx.status = Some(status.to_string());
+            ctx.status = status;
         }
     }
 }
@@ -427,12 +334,8 @@ impl Drop for SpanGuard {
         if let Some(h) = &ctx.histogram {
             h.record(end_ms.saturating_sub(ctx.start_ms));
         }
-        ctx.tracer.push(TraceRecord::SpanEnd {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            ts_ms: end_ms,
-            status: ctx.status.unwrap_or_else(|| "ok".to_string()),
-        });
+        let (trace_id, span_id, status) = (ctx.trace_id, ctx.span_id, ctx.status);
+        ctx.tracer.inner.flight.push(Entry::Trace(TraceRecord::SpanEnd { trace_id, span_id, ts_ms: end_ms, status }));
     }
 }
 
@@ -450,19 +353,21 @@ pub fn current_span_id() -> Option<u64> {
 /// Attach an event to the innermost active span on this thread. No-op when
 /// no span is active (production paths with tracing disabled) — which is
 /// what lets deep layers like the fault plane annotate request traces
-/// without holding any handle.
-pub fn span_event(name: &str, detail: &str) {
+/// without holding any handle. The detail is formatted only when a span
+/// is active. An incident event (`FlightRecorder::trigger_reason`) then
+/// freezes the flight recorder, if nothing froze it before.
+pub fn span_event(name: &'static str, detail: fmt::Arguments<'_>) {
     CURRENT.with(|stack| {
         let stack = stack.borrow();
         let Some(top) = stack.last() else { return };
         let ts_ms = top.tracer.now_ms();
-        top.tracer.push(TraceRecord::Event {
-            trace_id: top.trace_id,
-            span_id: top.span_id,
-            name: name.to_string(),
-            detail: detail.to_string(),
-            ts_ms,
-        });
+        let detail = fmt::format(detail);
+        let incident = FlightRecorder::trigger_reason(name, &detail);
+        let flight = top.tracer.flight();
+        flight.push(Entry::Trace(TraceRecord::Event { trace_id: top.trace_id, span_id: top.span_id, name, detail, ts_ms }));
+        if let Some(reason) = incident {
+            flight.freeze_if_armed(ts_ms, &reason);
+        }
     });
 }
 
@@ -479,7 +384,7 @@ mod tests {
         let tracer = Tracer::disabled();
         {
             let _s = tracer.span("layer", "op");
-            span_event("e", "d");
+            span_event("e", format_args!("d"));
         }
         assert!(tracer.records().is_empty());
         assert_eq!(current_trace_id(), None);
@@ -495,7 +400,7 @@ mod tests {
             assert_eq!(current_trace_id(), outer.trace_id());
             {
                 let _inner = tracer.span("txdb", "commit");
-                span_event("fault.injected", "txdb.commit.conflict#0");
+                span_event("fault.injected", format_args!("txdb.commit.conflict#0"));
                 clock.store(5, Ordering::SeqCst);
             }
         }
@@ -509,7 +414,7 @@ mod tests {
             panic!("expected child span_start");
         };
         assert_eq!(parent_id, outer_id);
-        let TraceRecord::Event { span_id, trace_id: event_trace, ref name, .. } = records[2] else {
+        let TraceRecord::Event { span_id, trace_id: event_trace, name, .. } = records[2] else {
             panic!("expected event");
         };
         assert_eq!(span_id, inner_id);
@@ -583,7 +488,7 @@ mod tests {
             let mut bad = tracer.span("l", "broken");
             bad.set_status("error");
         }
-        let statuses: Vec<String> = tracer
+        let statuses: Vec<&str> = tracer
             .records()
             .into_iter()
             .filter_map(|r| match r {
@@ -591,7 +496,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(statuses, vec!["ok".to_string(), "error".to_string()]);
+        assert_eq!(statuses, ["ok", "error"]);
     }
 
     #[test]
@@ -600,7 +505,7 @@ mod tests {
             let tracer = manual_tracer(Arc::new(AtomicU64::new(0)));
             {
                 let _s = tracer.span("catalog", "tables.create");
-                span_event("note", "say \"hi\"\nline2");
+                span_event("note", format_args!("say \"hi\"\nline2"));
             }
             tracer.jsonl()
         };
@@ -617,9 +522,9 @@ mod tests {
         let tracer = manual_tracer(Arc::new(AtomicU64::new(0)));
         {
             let _s = tracer.span("l", "op");
-            span_event("fault.injected", "txdb.commit.conflict#0");
-            span_event("fault.injected", "store.put#3");
-            span_event("write.retry", "attempt=1");
+            span_event("fault.injected", format_args!("txdb.commit.conflict#{}", 0));
+            span_event("fault.injected", format_args!("store.put#{}", 3));
+            span_event("write.retry", format_args!("attempt={}", 1));
         }
         assert_eq!(tracer.count_events("fault.injected", None), 2);
         assert_eq!(tracer.count_events("fault.injected", Some("txdb.commit")), 1);
@@ -636,5 +541,84 @@ mod tests {
         assert!(!tracer.records().is_empty());
         tracer.clear();
         assert!(tracer.records().is_empty());
+    }
+
+    #[test]
+    fn records_from_two_threads_come_back_in_append_order() {
+        let tracer = manual_tracer(Arc::new(AtomicU64::new(0)));
+        let turn = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (tracer, turn) = (&tracer, &turn);
+                s.spawn(move || {
+                    for round in 0..6u64 {
+                        if round % 2 == t {
+                            let _s = tracer.span("l", &format!("t{t}.r{round}"));
+                            span_event("e", format_args!("round={round}"));
+                        }
+                        turn.wait();
+                    }
+                });
+            }
+        });
+        let records = tracer.records();
+        let rounds: Vec<String> = records
+            .iter()
+            .map(|r| match r {
+                TraceRecord::SpanStart { name, .. } => name.clone(),
+                TraceRecord::Event { detail, .. } => detail.clone(),
+                TraceRecord::SpanEnd { status, .. } => status.to_string(),
+            })
+            .collect();
+        let expected: Vec<String> = (0..6)
+            .flat_map(|round| [format!("t{}.r{round}", round % 2), format!("round={round}"), "ok".into()])
+            .collect();
+        assert_eq!(rounds, expected, "the threads' turns, in the order they took them");
+        let lines: Vec<String> = records.iter().map(TraceRecord::to_json).collect();
+        assert_eq!(tracer.jsonl().lines().collect::<Vec<_>>(), lines);
+    }
+
+    #[test]
+    fn past_the_cap_a_lane_keeps_its_newest_entries_and_counts_the_rest() {
+        use crate::flight::{FLIGHT_LANE_CAPACITY, MAX_RECORDS};
+        let clock = Arc::new(AtomicU64::new(0));
+        let tracer = manual_tracer(clock.clone());
+        let extra = 300;
+        let total = MAX_RECORDS + extra;
+        {
+            let _s = tracer.span("l", "flood");
+            for i in 1..=total as u64 {
+                clock.store(i, Ordering::Relaxed);
+                span_event("e", format_args!(""));
+            }
+        }
+        // Pushed: the span's start, `total` events and its end; held: the
+        // newest `MAX_RECORDS` of them.
+        assert_eq!(tracer.dropped(), extra as u64 + 2);
+        assert_eq!(tracer.count_events("e", None), MAX_RECORDS as u64 - 1);
+        let dump = tracer.flight().freeze(0, "cap");
+        assert_eq!(dump.events.len(), FLIGHT_LANE_CAPACITY);
+        let oldest = dump.events.iter().map(|e| e.ts_ms).min();
+        assert_eq!(oldest, Some((total - (FLIGHT_LANE_CAPACITY - 2)) as u64), "the newest 255 events, then the end");
+        assert_eq!(dump.events.iter().filter(|e| e.kind == "span.end").count(), 1);
+        // A lane shorter than its flight tail grows however full the store.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _s = tracer.span("l", "late");
+                span_event("other", format_args!(""));
+            });
+        });
+        assert_eq!(tracer.count_events("other", None), 1);
+        assert_eq!(tracer.dropped(), extra as u64 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "taking `unranked` while holding `catalog.gate`; an unranked lock is taken alone")]
+    fn an_event_recorded_under_a_ranked_lock_panics() {
+        let tracer = manual_tracer(Arc::new(AtomicU64::new(0)));
+        let gate = parking_lot::Mutex::ranked(parking_lot::Class::CatalogGate, ());
+        let _s = tracer.span("catalog", "op");
+        let _g = gate.lock();
+        span_event("history.read", format_args!("version={}", 1));
     }
 }

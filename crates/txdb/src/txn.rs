@@ -443,7 +443,7 @@ impl WriteTxn {
         }
         if inner.faults.should_inject(points::TXDB_COMMIT_CONFLICT) {
             inner.stats.record_conflict();
-            uc_obs::span_event("txdb.conflict", &format!("injected snapshot={snapshot}"));
+            uc_obs::span_event("txdb.conflict", format_args!("injected snapshot={snapshot}"));
             return Err(TxError::Conflict {
                 detail: format!("injected conflict at snapshot {snapshot}"),
             });
@@ -501,11 +501,10 @@ impl WriteTxn {
                     // The event detail names the table and the read's kind
                     // but not the key: keys can embed random entity Uids,
                     // which would break trace-dump byte-determinism.
-                    let event = format!("{table}{} snapshot={snapshot}", span.kind());
                     let detail = format!("{table} {span:?} changed after snapshot {snapshot}");
                     drop(rows);
                     drop(locked);
-                    return Err(conflict(db, &event, detail));
+                    return Err(conflict(db, format_args!("{table}{} snapshot={snapshot}", span.kind()), detail));
                 }
             }
         }
@@ -526,7 +525,7 @@ impl WriteTxn {
             drop(guards);
             drop(locked);
             let detail = format!("a partition was made while spans at snapshot {snapshot} were checked");
-            return Err(conflict(db, &format!("partition made snapshot={snapshot}"), detail));
+            return Err(conflict(db, format_args!("partition made snapshot={snapshot}"), detail));
         }
         let new_csn = inner.csn.load(Ordering::Acquire) + 1;
         for (table, buffer) in writes {
@@ -566,8 +565,8 @@ impl WriteTxn {
 }
 
 /// Count a conflict, record its `txdb.conflict` event and build its error.
-/// Called with no lock held: the event takes the tracer's lock.
-fn conflict(db: &Db, event: &str, detail: String) -> TxError {
+/// Called with no lock held: the event takes the tracer's lane, a leaf.
+fn conflict(db: &Db, event: std::fmt::Arguments<'_>, detail: String) -> TxError {
     db.inner.stats.record_conflict();
     uc_obs::span_event("txdb.conflict", event);
     TxError::Conflict { detail }

@@ -89,12 +89,6 @@ order! {
     CatalogState "catalog.state";
     /// An audit append lane.
     CatalogBuf "catalog.buf";
-    /// The flight recorder's frozen dump, taken by a freeze before the lanes.
-    ObsFrozen "obs.frozen";
-    /// A flight recorder event lane.
-    ObsLane "obs.lane";
-    /// The trace buffer.
-    ObsLog "obs.log";
     /// The interleaving scheduler's state, taken at every yield point, and
     /// at an opt-in one under the commit locks.
     CloudstoreSched "cloudstore.sched";
@@ -607,9 +601,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "taking `obs.log` while holding `unranked`; an unranked lock is taken alone")]
+    #[should_panic(expected = "taking `catalog.buf` while holding `unranked`; an unranked lock is taken alone")]
     fn nothing_is_taken_under_an_unranked_lock() {
-        let (leaf, log) = (RwLock::new(()), Mutex::ranked(Class::ObsLog, ()));
+        let (leaf, log) = (RwLock::new(()), Mutex::ranked(Class::CatalogBuf, ()));
         let _l = leaf.read();
         let _g = log.lock();
     }

@@ -17,7 +17,8 @@
 //! Next to every warm allocation pin sits a lock pin: the `(shared,
 //! exclusive)` acquisitions the call makes, as the `parking_lot` shim
 //! counts them per thread (`parking_lot::acquisitions`), with tracing off
-//! and, for a cached `get_table`, on. The paper's cached read takes no
+//! and, for a cached `get_table`, on (where the allocations are pinned
+//! too). The paper's cached read takes no
 //! shared exclusive lock past its fast path; each pin's comment names every
 //! lock it counts and why it is there, so a lock added to any warm path
 //! fails its pin, in debug and in release.
@@ -159,18 +160,28 @@ const GRANTEE_GET_TABLE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
 /// chain and the principal record, as `get_table`.
 const GOVERNED_RESOLVE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
 /// A cached `get_table` with tracing on (`Obs::enabled()`): the untraced
-/// call's, and seven exclusive acquisitions more. The span's open and
-/// close, and the cache's history-read event, each append to the trace
-/// ring (a leaf mutex over a bounded O(1) append) and to this thread's
-/// flight-recorder lane (`thread_slot` partitions the lanes, so no other
-/// writer contends); the audit record is mirrored into the flight lane
-/// too: 3 × 2 + 1. An armed incident trigger's freeze fires at most once
-/// per trigger, never on this steady path. The op's trailing window turns
-/// a slot over under a mutex once per `WINDOW_BUCKET_MS` (125 ms) of the
-/// obs clock, so under `Obs::enabled()`'s system clock one call in each
-/// bucket takes eight; the test freezes the clock to count the steady
-/// call. Untraced, the clock reads 0 and never turns a slot over.
-const TRACED_GET_TABLE_LOCKS: (u64, u64) = (10, 8);
+/// call's, and four exclusive acquisitions more. The span's open, the
+/// cache's history-read event, the span's close and the audit entry each
+/// append to the calling thread's lane of the trace store, a leaf mutex
+/// over an O(1) append that no other thread writes on the steady path
+/// (`thread_slot` picks the lane): 1 + 4. An armed incident trigger's
+/// freeze fires at most once per trigger, never on this steady path. The
+/// op's trailing window turns a slot over under a mutex once per
+/// `WINDOW_BUCKET_MS` (125 ms) of the obs clock, so under
+/// `Obs::enabled()`'s system clock one call in each bucket takes one
+/// more; the test freezes the clock to count the steady call. Untraced,
+/// the clock reads 0 and never turns a slot over.
+/// (10, 8) while every record also went to one trace buffer all threads
+/// shared, and the flight lane kept a reformatted copy.
+const TRACED_GET_TABLE_LOCKS: (u64, u64) = (10, 5);
+/// Allocations per cached `get_table` with tracing on: the untraced
+/// call's, the span's name, the history-read event's detail and the
+/// audit entry's detail. Layer, event name and status are literals, and
+/// a span's `"{layer}.{name}"` and `"status=…"` are formatted only when a
+/// flight dump is frozen. The lane's buffer doubles now and then; the call
+/// that grows it makes one more.
+/// 35 while every record was stored twice, once reformatted.
+const TRACED_GET_TABLE_ALLOCS: u64 = 23;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -429,20 +440,31 @@ fn cached_reads_allocate_a_constant_no_larger_than_the_parent() {
     assert_eq!(hits_3 - hits_2, PATH_CREDENTIAL_HITS * CALLS as u64, "path vend cache.hits");
 }
 
-/// With tracing on, a cached `get_table` takes the trace ring's and the
-/// flight recorder's locks on top of the untraced call's. Only the lock
-/// pair is pinned: a traced call allocates its records.
+/// With tracing on, a cached `get_table` appends its records to this
+/// thread's lane of the trace store on top of the untraced call's work.
 #[test]
 fn a_traced_cached_read_takes_a_constant_number_of_locks() {
     let obs = Obs::with_clock_fn(Arc::new(|| 0));
     let (uc, ms, ctx, _) = node_with_table_under(UcConfig { obs, ..Default::default() });
-    for _ in 0..16 {
+    // As many calls as are measured: the lane then holds at least as many
+    // entries as the measured calls add, so its buffer grows at most once
+    // among them.
+    for _ in 0..CALLS {
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
     }
     let get_table = allocs_per_call(&uc, || {
         uc.get_table(&ctx, &ms, "main.s.t").unwrap();
     });
     assert_locks("traced get_table", &get_table, TRACED_GET_TABLE_LOCKS);
+    let steady = get_table.iter().map(|c| c.allocs).min().unwrap_or(0);
+    let grew: Vec<(usize, u64)> =
+        get_table.iter().map(|c| c.allocs).enumerate().filter(|(_, n)| *n != steady).collect();
+    println!("traced get_table: {steady} allocations per call (pinned {TRACED_GET_TABLE_ALLOCS}), lane growth at {grew:?}");
+    assert!(
+        grew.len() <= 1 && grew.iter().all(|(_, n)| *n == steady + 1),
+        "traced get_table: every call but the one that grows the lane reads {steady} allocations, (call, n) {grew:?}"
+    );
+    assert!(steady <= TRACED_GET_TABLE_ALLOCS, "traced get_table: {steady} allocations per call, pinned at {TRACED_GET_TABLE_ALLOCS}");
 }
 
 #[test]
