@@ -335,6 +335,10 @@ impl Index {
 /// mutation is private and reached only through the protocol operations
 /// (module docs), which hold the gate.
 pub struct MsCache {
+    /// Unique per cache in the process, never reused: what a per-thread
+    /// memo of this cache's reads is keyed by (an address can be reused by
+    /// the next cache allocated after this one is dropped).
+    id: u64,
     /// Metastore version this cache is current as-of.
     pin: AtomicU64,
     entity_shards: Box<[EntityShard]>,
@@ -355,7 +359,7 @@ pub struct MsCache {
 /// hash's low bits — selecting shards by those same low bits would leave
 /// every key within a shard sharing them, collapsing small maps into a
 /// single bucket.
-fn hash_of<K: Hash + ?Sized>(key: &K) -> usize {
+pub(crate) fn hash_of<K: Hash + ?Sized>(key: &K) -> usize {
     let mut h = Fnv1a::default();
     key.hash(&mut h);
     (h.finish() >> 32) as usize
@@ -372,9 +376,13 @@ fn unmap(shard: &IndexShard, key: &str, id: &Uid) {
     }
 }
 
+/// Source of [`MsCache::id`]s.
+static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
+
 impl MsCache {
     fn new(config: &CacheConfig, stats: CacheStats) -> Self {
         MsCache {
+            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             pin: AtomicU64::new(0),
             entity_shards: (0..SHARDS).map(|_| RwLock::ranked(Class::CatalogShard, HashMap::default())).collect(),
             name_shards: (0..SHARDS).map(|_| RwLock::ranked(Class::CatalogShard, Index::default())).collect(),
@@ -400,6 +408,11 @@ impl MsCache {
     /// Whether this cache holds anything: a disabled one never installs.
     pub(crate) fn enabled(&self) -> bool {
         self.config.enabled
+    }
+
+    /// This cache's process-unique id (never 0).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Metastore version this cache is current as-of.

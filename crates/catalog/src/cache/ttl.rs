@@ -8,18 +8,20 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use uc_cloudstore::Clock;
+use uc_obs::Counter;
 
-/// A clock-driven TTL cache.
+/// A clock-driven TTL cache. Its hit and miss counts are striped
+/// [`Counter`]s, so a hit writes no cache line another thread's hit
+/// writes.
 pub struct TtlCache<K, V> {
     inner: RwLock<HashMap<K, (V, u64)>>,
     clock: Clock,
     ttl_ms: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
@@ -28,8 +30,8 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
             inner: RwLock::new(HashMap::new()),
             clock,
             ttl_ms,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
         }
     }
 
@@ -45,11 +47,11 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
         let guard = self.inner.read();
         match guard.get(key) {
             Some((v, expires)) if *expires > now => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(v.clone())
             }
             _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 None
             }
         }
@@ -88,7 +90,7 @@ impl<K: Eq + Hash + Clone, V: Clone> TtlCache<K, V> {
 
     /// (hits, misses) so far.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
+        (self.hits.get(), self.misses.get())
     }
 }
 

@@ -53,7 +53,7 @@ use crate::audit::{AuditDecision, AuditLog, Reason};
 use crate::authz::fgac::FgacPolicies;
 use crate::authz::decision::{can_see, decide, sees_node, AuthzContext, Need};
 use crate::cache::ttl::TtlCache;
-use crate::cache::{CacheConfig, Installs, MsCache, NodeCache, TreeRow, WriteEffects};
+use crate::cache::{hash_of, CacheConfig, Installs, MsCache, NodeCache, TreeRow, WriteEffects};
 use crate::error::{UcError, UcResult};
 use crate::events::ChangeOp;
 use crate::ids::Uid;
@@ -553,6 +553,93 @@ fn cached_chain(c: &MsCache, ver: u64, leaf_key: &str) -> Option<(Chain, u64)> {
     Some((Some(chain), served))
 }
 
+thread_local! {
+    /// Per-thread memo of cached chains by leaf tree key, in front of
+    /// [`cached_chain`]: a repeat read of a chain on this thread takes no
+    /// shard lock, bumps no LRU tick and clones no id, so two threads
+    /// reading the same warm chains write no memory the other reads.
+    /// Direct-mapped, [`CHAIN_MEMO_SLOTS`] slots, allocated on first use.
+    static CHAIN_MEMO: std::cell::RefCell<Vec<MemoSlot>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Slots in [`CHAIN_MEMO`] per thread (a power of two). A slot is 72
+/// bytes plus its key and chain vector, ~200 bytes in all for a table's
+/// chain, so ~400 KiB per thread that reads; a memoized chain also keeps
+/// alive entities the shared cache has since evicted.
+const CHAIN_MEMO_SLOTS: usize = 2048;
+
+/// One [`CHAIN_MEMO`] entry: the chain [`cached_chain`] returned for
+/// `key` in cache `cache` at pin `pin`, and the hits it counted. Valid
+/// only while that cache's pin is still `pin`: every write, reconcile and
+/// catch-up advances the pin before anything it changed is visible, and
+/// an eviction changes what the cache holds, never what a chain at a pin
+/// is.
+///
+/// A slot is armed by the first probe hit of its key at a pin and filled
+/// by the second: a key read once per pin — a cold read, or a read between
+/// two writes — costs a key copy, and its chain is not kept alive here.
+#[derive(Default)]
+struct MemoSlot {
+    /// [`MsCache::id`] of the cache probed; 0 for an empty slot.
+    cache: u64,
+    pin: u64,
+    key: String,
+    /// `None` while the slot is only armed.
+    chain: Option<Chain>,
+    served: u64,
+}
+
+/// The [`CHAIN_MEMO`] slot of a leaf key: the bits the cache's shard maps
+/// select by.
+fn memo_slot(key: &str) -> usize {
+    hash_of(key) & (CHAIN_MEMO_SLOTS - 1)
+}
+
+/// [`cached_chain`] behind this thread's [`CHAIN_MEMO`]: the memoized
+/// chain when its slot holds `leaf_key` from this cache at pin `ver`;
+/// otherwise the probe, whose hit arms the slot, or fills it if it was
+/// armed for this key at this pin, when the pin is still `ver`. A miss
+/// fills nothing: only what the cache served at a pin is memoized at that
+/// pin, never a database load.
+fn memo_chain(c: &MsCache, ver: u64, leaf_key: &str) -> Option<(Chain, u64)> {
+    let slot = memo_slot(leaf_key);
+    if let Some(memoized) = memoized(c, ver, leaf_key, slot) {
+        return Some(memoized);
+    }
+    let (chain, served) = cached_chain(c, ver, leaf_key)?;
+    if c.version() == ver {
+        CHAIN_MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            if memo.is_empty() {
+                memo.resize_with(CHAIN_MEMO_SLOTS, MemoSlot::default);
+            }
+            let e = &mut memo[slot];
+            if e.cache == c.id() && e.pin == ver && e.key == leaf_key {
+                e.chain = Some(chain.clone());
+                e.served = served;
+            } else {
+                e.cache = c.id();
+                e.pin = ver;
+                e.key.clear();
+                e.key.push_str(leaf_key);
+                e.chain = None;
+            }
+        });
+    }
+    Some((chain, served))
+}
+
+/// The chain [`CHAIN_MEMO`]'s slot `slot` holds for `leaf_key` in cache
+/// `c` at pin `ver`, if it holds one.
+fn memoized(c: &MsCache, ver: u64, leaf_key: &str, slot: usize) -> Option<(Chain, u64)> {
+    CHAIN_MEMO.with(|memo| {
+        let memo = memo.borrow();
+        let e = memo.get(slot)?;
+        let chain = e.chain.as_ref().filter(|_| e.cache == c.id() && e.pin == ver && e.key == leaf_key)?;
+        Some((chain.clone(), e.served))
+    })
+}
+
 /// Cache probe of [`UnityCatalog::chain_by_id`]: the entity, then each
 /// container it names, all under the one version pin. A level that is not
 /// cached live at the pin is a miss — the database, at one snapshot,
@@ -727,8 +814,9 @@ impl UnityCatalog {
         instruments.count.inc();
         self.config.api_latency.apply(OpClass::Control);
         // Zero-allocation on the repeat path: the label is a memoized
-        // Label, the labeled counter probe is a thread-local hash hit,
-        // the window recording is striped atomics.
+        // Label, the labeled counter probe is a thread-local hash hit.
+        // The window recording (on drop) is four relaxed atomic adds to
+        // the current slot, which every thread shares: it is not striped.
         let principal = caller.map_or(NO_TENANT, |c| c.principal.as_str());
         let label = self.tenant_label(ms, principal);
         instruments.labeled_count.inc(&label);
@@ -836,7 +924,8 @@ impl UnityCatalog {
 
     /// The chain `[leaf, …, metastore]` of the entity whose row sits at
     /// `leaf_key`: the one cached read every lookup ends in. The probe
-    /// finds every level in the cache under one version pin; the load is
+    /// finds every level in the cache under one version pin, or the
+    /// thread's memo of that probe at that pin ([`memo_chain`]); the load is
     /// one `scan_chain` — the row at each terminator-prefix of the key, at
     /// one snapshot — so a chain is never assembled level by level and a
     /// cascade landing mid-request cannot leave it dangling.
@@ -844,7 +933,7 @@ impl UnityCatalog {
         self.cache.for_metastore(ms).read_through(
             ms,
             &self.db,
-            |c, ver| cached_chain(c, ver, leaf_key),
+            |c, ver| memo_chain(c, ver, leaf_key),
             |c, rt| load_chain(c, rt, ms, leaf_key),
         )
     }
@@ -1259,6 +1348,128 @@ mod tests {
         for id in &victims {
             assert!(matches!(uc.get_entity_by_id(&ctx, &ms, id), Err(UcError::NotFound(_))));
         }
+    }
+
+    /// The metastore `ms`, created in `uc`'s database with `ms` as its id
+    /// and `name` as its name: how two databases come to hold one
+    /// metastore id (ids are otherwise drawn fresh).
+    fn metastore_with_id(uc: &UnityCatalog, ms: &Uid, name: &str) {
+        let mut ent = Entity::new(SecurableKind::Metastore, name, None, Uid::from(""), "admin", 0);
+        ent.id = ms.clone();
+        ent.governance_mut().admins.push("admin".to_string());
+        uc.write_ms(ms, |tx, _ver, fx| {
+            fx.create_at(tx, ent.clone(), keys::tree_ms_prefix(ms));
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// Nodes created and dropped in turn on one thread, each over its own
+    /// database holding the same metastore id at the same version: the
+    /// same key at the same pin, in a cache that may sit where the last
+    /// one did. Each reads its own metastore: a load, a probe hit that arms
+    /// the memo, one that fills it, then memo hits.
+    #[test]
+    fn nodes_created_and_dropped_in_turn_never_serve_each_others_memo() {
+        let ms = Uid::from("ms-shared-id");
+        let key = keys::tree_ms_prefix(&ms);
+        for round in 0..16 {
+            let uc = UnityCatalog::in_memory();
+            let name = format!("round{round}");
+            metastore_with_id(&uc, &ms, &name);
+            let pin = uc.metastore_cache_version(&ms);
+            for read in 0..4 {
+                let chain = uc.chain_at_key(&ms, &key).unwrap().unwrap();
+                assert_eq!(chain[0].name, name, "round {round}, read {read}");
+            }
+            let c = uc.cache.for_metastore(&ms);
+            assert!(memoized(&c, pin, &key, memo_slot(&key)).is_some(), "round {round}: the last reads were memoized");
+        }
+    }
+
+    /// Reads on one thread interleave with writes, renames, drops and
+    /// reconciles on another, through a cache of a few entries (so reads
+    /// evict), while a second node over the same database writes too (so
+    /// the first reconciles, on a miss or by `catch_up`). Whenever the memo
+    /// holds a chain at the current pin, a probe of the cache at that pin
+    /// that finds every level finds the same chain.
+    #[test]
+    fn a_memoized_chain_is_the_probe_at_its_pin_under_concurrent_writes() {
+        use crate::service::crud::TableSpec;
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        use uc_delta::value::{DataType, Field, Schema};
+        const TABLES: usize = 6;
+        let db = Db::in_memory();
+        let store = ObjectStore::in_memory();
+        let config = UcConfig { cache: CacheConfig { max_entries: 8, ..Default::default() }, ..Default::default() };
+        let uc = UnityCatalog::new(db.clone(), store.clone(), config.clone(), "node-0");
+        let other = UnityCatalog::new(db, store.clone(), config, "node-1");
+        let ctx = Context::user("admin");
+        let ms = uc.create_metastore("admin", "prod", "us-west-2").unwrap();
+        let root = store.create_bucket("lake");
+        uc.create_storage_credential(&ctx, &ms, "lake_cred", &root).unwrap();
+        uc.set_metastore_root(&ctx, &ms, "s3://lake/managed").unwrap();
+        uc.create_catalog(&ctx, &ms, "main").unwrap();
+        uc.create_schema(&ctx, &ms, "main", "s").unwrap();
+        let columns = || Schema::new(vec![Field::new("x", DataType::Int)]);
+        for t in 0..TABLES {
+            uc.create_table(&ctx, &ms, TableSpec::managed(&format!("main.s.t{t}"), columns()).unwrap()).unwrap();
+        }
+        let key_of = |schema: &str, t: usize| {
+            let mut key = keys::tree_ms_prefix(&ms);
+            keys::tree_push_child(&mut key, "catalog", "main");
+            keys::tree_push_child(&mut key, "schema", schema);
+            keys::tree_push_child(&mut key, "relation", &format!("t{t}"));
+            key
+        };
+        let keys: Vec<String> = ["s", "s2"].iter().flat_map(|s| (0..TABLES).map(move |t| (*s, t))).map(|(s, t)| key_of(s, t)).collect();
+        let done = AtomicBool::new(false);
+        let compared = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let name = |t: usize| FullName::parse(&format!("main.s.t{t}")).unwrap();
+                for round in 0..600usize {
+                    let t = round % TABLES;
+                    let node = if round % 3 == 0 { &other } else { &uc };
+                    match round % 8 {
+                        // A rename moves every table's key, then back.
+                        5 => {
+                            let s = FullName::parse("main.s").unwrap();
+                            node.rename_securable(&ctx, &ms, &s, "schema", "s2").unwrap();
+                            let s2 = FullName::parse("main.s2").unwrap();
+                            node.rename_securable(&ctx, &ms, &s2, "schema", "s").unwrap();
+                        }
+                        6 => {
+                            node.drop_securable(&ctx, &ms, &name(t), "relation").unwrap();
+                            node.create_table(&ctx, &ms, TableSpec::managed(&name(t).to_string(), columns()).unwrap()).unwrap();
+                        }
+                        7 => uc.reconcile_metastore(&ms),
+                        _ => {
+                            node.update_comment(&ctx, &ms, &name(t), "relation", &format!("c{round}")).unwrap();
+                        }
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    // Each key thrice in a row: a probe hit arms its memo
+                    // slot, the next fills it, the third is served from it.
+                    for key in keys.iter().flat_map(|key| [key; 3]) {
+                        let c = uc.cache.for_metastore(&ms);
+                        let ver = c.version();
+                        if let Some((memo, _)) = memoized(&c, ver, key, memo_slot(key)) {
+                            if let Some((probe, _)) = cached_chain(&c, ver, key) {
+                                assert_eq!(memo, probe, "{key} at pin {ver}");
+                                compared.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        uc.chain_at_key(&ms, key).unwrap();
+                    }
+                }
+            });
+        });
+        assert!(compared.load(Ordering::Relaxed) > 0, "the memo served some chain a probe could check");
     }
 
     /// A node of a random chain: its owner, its grants (grantee,

@@ -7,7 +7,6 @@
 //! failing run replays exactly from its seed — set `UC_SCHED_SEED` to pin
 //! one, mirroring `UC_CHAOS_SEED` in the chaos suite.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -183,38 +182,29 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
 
     let mut handles = Vec::new();
     for (i, ops) in plans.into_iter().enumerate() {
-        let sched = sched.clone();
         let uc = uc.clone();
         let ctx = ctx.clone();
         let ms = ms.clone();
         let obs = obs.clone();
         let rows = rows.clone();
         let seq = seq.clone();
-        handles.push(std::thread::spawn(move || {
-            sched.register_current(i);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for (k, op) in ops.iter().enumerate() {
-                    yield_point(points::OP_START);
-                    // The baton serializes clients, so fetch_add observes a
-                    // deterministic global op order.
-                    let s = seq.fetch_add(1, Ordering::SeqCst);
-                    let span = obs.span("check", &format!("c{i}.op{k}"));
-                    let trace_id = uc_obs::current_trace_id().expect("op span active");
-                    let resp = exec_op(&uc, &ctx, &ms, op);
-                    drop(span);
-                    rows.lock().push(DriverRow {
-                        seq: s,
-                        client: i,
-                        op: op.clone(),
-                        resp,
-                        trace_id,
-                    });
-                }
-            }));
-            // Always hand the baton back, even on panic, or the run hangs.
-            uc_cloudstore::sched::finish_current();
-            if let Err(p) = result {
-                resume_unwind(p);
+        handles.push(sched.spawn(i, move || {
+            for (k, op) in ops.iter().enumerate() {
+                yield_point(points::OP_START);
+                // The baton serializes clients, so fetch_add observes a
+                // deterministic global op order.
+                let s = seq.fetch_add(1, Ordering::SeqCst);
+                let span = obs.span("check", &format!("c{i}.op{k}"));
+                let trace_id = uc_obs::current_trace_id().expect("op span active");
+                let resp = exec_op(&uc, &ctx, &ms, op);
+                drop(span);
+                rows.lock().push(DriverRow {
+                    seq: s,
+                    client: i,
+                    op: op.clone(),
+                    resp,
+                    trace_id,
+                });
             }
         }));
     }
@@ -225,22 +215,14 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     // commit steps. They produce no history rows; their only legal effect
     // is on *when* telemetry is merged, never on what the checker sees.
     for j in 0..cfg.flush_clients {
-        let sched = sched.clone();
         let uc = uc.clone();
         let iters = cfg.ops_per_client;
         let client_idx = history_clients + j;
-        handles.push(std::thread::spawn(move || {
-            sched.register_current(client_idx);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for _ in 0..iters {
-                    yield_point(points::OP_START);
-                    uc.audit_log().flush();
-                    let _ = uc.metrics_snapshot();
-                }
-            }));
-            uc_cloudstore::sched::finish_current();
-            if let Err(p) = result {
-                resume_unwind(p);
+        handles.push(sched.spawn(client_idx, move || {
+            for _ in 0..iters {
+                yield_point(points::OP_START);
+                uc.audit_log().flush();
+                let _ = uc.metrics_snapshot();
             }
         }));
     }
@@ -250,21 +232,13 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     // only the recorder's own frozen slot — it must never perturb the
     // clients' ops, versions, or the checker's verdict.
     for j in 0..cfg.freeze_clients {
-        let sched = sched.clone();
         let uc = uc.clone();
         let iters = cfg.ops_per_client;
         let client_idx = history_clients + cfg.flush_clients + j;
-        handles.push(std::thread::spawn(move || {
-            sched.register_current(client_idx);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for k in 0..iters {
-                    yield_point(points::OP_START);
-                    let _ = uc.flight_freeze(&format!("check.adversary#{k}"));
-                }
-            }));
-            uc_cloudstore::sched::finish_current();
-            if let Err(p) = result {
-                resume_unwind(p);
+        handles.push(sched.spawn(client_idx, move || {
+            for k in 0..iters {
+                yield_point(points::OP_START);
+                let _ = uc.flight_freeze(&format!("check.adversary#{k}"));
             }
         }));
     }
@@ -272,42 +246,34 @@ pub fn run_one(cfg: &RunConfig) -> RunOutput {
     // the reclamation each one runs — land while it is open.
     let lost: Arc<Mutex<Vec<Violation>>> = Arc::new(Mutex::new(Vec::new()));
     for j in 0..cfg.snapshot_clients {
-        let sched = sched.clone();
         let db = db.clone();
         let ms = ms.clone();
         let lost = lost.clone();
         let iters = cfg.ops_per_client;
         let client_idx = history_clients + cfg.flush_clients + cfg.freeze_clients + j;
-        handles.push(std::thread::spawn(move || {
-            sched.register_current(client_idx);
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for _ in 0..iters {
-                    yield_point(points::OP_START);
-                    let rt = db.begin_read();
-                    let read = || {
-                        (
-                            rt.scan_prefix(feed::T_FEED, &feed::prefix(&ms)),
-                            rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(&ms)),
-                            rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(&ms)),
-                        )
-                    };
-                    let first = read();
-                    for _ in 0..SNAPSHOT_HOLD {
-                        yield_point(points::READ_LOOKUP);
-                        if read() != first {
-                            lost.lock().push(Violation::SnapshotLost {
-                                reader: j,
-                                csn: rt.snapshot_csn(),
-                                now: db.current_csn(),
-                            });
-                            break;
-                        }
+        handles.push(sched.spawn(client_idx, move || {
+            for _ in 0..iters {
+                yield_point(points::OP_START);
+                let rt = db.begin_read();
+                let read = || {
+                    (
+                        rt.scan_prefix(feed::T_FEED, &feed::prefix(&ms)),
+                        rt.scan_prefix(keys::T_TREE, &keys::tree_ms_prefix(&ms)),
+                        rt.scan_prefix(keys::T_PATH, &keys::path_ms_prefix(&ms)),
+                    )
+                };
+                let first = read();
+                for _ in 0..SNAPSHOT_HOLD {
+                    yield_point(points::READ_LOOKUP);
+                    if read() != first {
+                        lost.lock().push(Violation::SnapshotLost {
+                            reader: j,
+                            csn: rt.snapshot_csn(),
+                            now: db.current_csn(),
+                        });
+                        break;
                     }
                 }
-            }));
-            uc_cloudstore::sched::finish_current();
-            if let Err(p) = result {
-                resume_unwind(p);
             }
         }));
     }

@@ -27,6 +27,12 @@
 //! tests) pay one thread-local probe and return — the same "disabled is
 //! nearly free" contract the fault plan and tracer follow.
 //!
+//! Clients are started with [`Scheduler::spawn`], the one way a thread
+//! joins a run. A client that panics, whenever it happens (in
+//! registration, between yields), fails the run:
+//! [`Scheduler::run_to_completion`] then panics with its message, and
+//! every client still parked gives up.
+//!
 //! Deadlock discipline: yield points must only be placed where the
 //! calling thread holds **no lock another scheduled client could need**
 //! (e.g. outside the cache write gate and the txdb commit lock). A parked
@@ -38,10 +44,12 @@
 //! there — one whose other clients never need that lock. Every other
 //! scheduler passes through it without a step.
 
+use std::any::Any;
 use std::cell::RefCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::{Class, Condvar, Mutex};
+use parking_lot::{Class, Condvar, Mutex, MutexGuard};
 
 /// Well-known yield point names. Constants rather than an enum so
 /// downstream crates can add points without touching this crate (the
@@ -96,8 +104,12 @@ struct State {
     mode: SchedMode,
     rng: u64,
     n: usize,
-    registered: usize,
+    /// Which client ids a thread has registered as.
+    registered: Vec<bool>,
     started: bool,
+    /// What failed the run: the first panic a spawned client reported.
+    /// Once set, every waiter gives up instead of waiting.
+    failure: Option<String>,
     /// The client currently holding the baton; `None` before start and
     /// after the last client finishes.
     active: Option<usize>,
@@ -175,8 +187,9 @@ impl Scheduler {
                     mode,
                     rng,
                     n,
-                    registered: 0,
+                    registered: vec![false; n],
                     started: false,
+                    failure: None,
                     active: None,
                     done: vec![false; n],
                     steps: 0,
@@ -204,32 +217,97 @@ impl Scheduler {
 
     /// Register the calling thread as `client` and park until the
     /// scheduler starts the run and hands this client the baton. Each
-    /// client id must be registered by exactly one thread.
-    pub fn register_current(&self, client: usize) {
-        CURRENT.with(|c| *c.borrow_mut() = Some((self.clone(), client)));
+    /// client id must be registered by exactly one thread; a second
+    /// registration, or an id out of range, panics.
+    fn register_current(&self, client: usize) {
         let mut st = self.inner.state.lock();
         assert!(client < st.n, "client id {client} out of range");
-        st.registered += 1;
+        assert!(!st.registered[client], "client id {client} registered twice");
+        CURRENT.with(|c| *c.borrow_mut() = Some((self.clone(), client)));
+        st.registered[client] = true;
         self.inner.cv.notify_all();
         while !(st.started && st.active == Some(client)) {
-            self.inner.cv.wait(&mut st);
+            self.wait(&mut st);
+        }
+    }
+
+    /// Run `body` as client `client` on a new thread: registered first,
+    /// finished when `body` returns. A panic — in the registration, in
+    /// `body` or in finishing — fails the run
+    /// ([`Self::run_to_completion`] panics with its message) and is resumed
+    /// on the thread, so joining it returns the panic.
+    pub fn spawn<T: Send + 'static>(
+        &self,
+        client: usize,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        let sched = self.clone();
+        std::thread::spawn(move || {
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                sched.register_current(client);
+                let out = body();
+                finish_current();
+                out
+            }));
+            match ran {
+                Ok(out) => out,
+                Err(payload) => {
+                    CURRENT.with(|c| c.borrow_mut().take());
+                    sched.fail(client, payload.as_ref());
+                    resume_unwind(payload)
+                }
+            }
+        })
+    }
+
+    /// Record that client `client` panicked with `payload`: the run has
+    /// failed (the first failure is the one reported) and every waiter is
+    /// woken to give up.
+    fn fail(&self, client: usize, payload: &(dyn Any + Send)) {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-string panic".to_string());
+        let mut st = self.inner.state.lock();
+        st.failure.get_or_insert_with(|| format!("client {client} panicked: {message}"));
+        if let Some(done) = st.done.get_mut(client) {
+            *done = true;
+        }
+        self.inner.cv.notify_all();
+    }
+
+    /// Wait for the next state change; panic instead when the run has
+    /// failed, so that no thread waits on a client that will never come.
+    fn wait(&self, st: &mut MutexGuard<'_, State>) {
+        Self::give_up_if_failed(st);
+        self.inner.cv.wait(st);
+        Self::give_up_if_failed(st);
+    }
+
+    #[expect(clippy::panic, reason = "a failed run is reported by unwinding every waiter")]
+    fn give_up_if_failed(st: &State) {
+        if let Some(failure) = &st.failure {
+            panic!("scheduled run failed: {failure}");
         }
     }
 
     /// Coordinator entry: wait for all `n` clients to register, start
-    /// the run, and block until every client has finished.
+    /// the run, and block until every client has finished. Panics with the
+    /// failure when a spawned client panics ([`Self::spawn`]).
     pub fn run_to_completion(&self) {
         let mut st = self.inner.state.lock();
-        while st.registered < st.n {
-            self.inner.cv.wait(&mut st);
+        while !st.registered.iter().all(|r| *r) {
+            self.wait(&mut st);
         }
         st.started = true;
         let first = Self::pick_next(&mut st, None, false);
         st.active = Some(first);
         self.inner.cv.notify_all();
         while !st.done.iter().all(|d| *d) {
-            self.inner.cv.wait(&mut st);
+            self.wait(&mut st);
         }
+        Self::give_up_if_failed(&st);
     }
 
     /// The recorded interleaving: one `(step, client, point)` line per
@@ -284,6 +362,7 @@ impl Scheduler {
 
     fn yield_at(&self, client: usize, point: &'static str) {
         let mut st = self.inner.state.lock();
+        Self::give_up_if_failed(&st);
         let parks = st.park_at.contains(&point);
         if !parks && OPT_IN.contains(&point) {
             return;
@@ -297,7 +376,7 @@ impl Scheduler {
             st.active = Some(next);
             self.inner.cv.notify_all();
             while st.active != Some(client) {
-                self.inner.cv.wait(&mut st);
+                self.wait(&mut st);
             }
         }
     }
@@ -305,6 +384,10 @@ impl Scheduler {
     fn finish(&self, client: usize) {
         let mut st = self.inner.state.lock();
         st.done[client] = true;
+        if st.failure.is_some() {
+            self.inner.cv.notify_all();
+            return;
+        }
         st.steps += 1;
         let step = st.steps;
         st.trace.push((step, client, "client.done", String::new()));
@@ -332,10 +415,8 @@ pub fn yield_point(point: &'static str) {
 }
 
 /// Mark the calling thread's client as finished and hand the baton on.
-/// Unregisters the thread; a no-op for unregistered threads. Drivers
-/// must call this even when the client's workload panicked (wrap the
-/// workload in `catch_unwind`), or the run never terminates.
-pub fn finish_current() {
+/// Unregisters the thread; a no-op for unregistered threads.
+fn finish_current() {
     let reg = CURRENT.with(|c| c.borrow_mut().take());
     if let Some((sched, client)) = reg {
         sched.finish(client);
@@ -354,15 +435,12 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for i in 0..n {
-            let sched = sched.clone();
             let log = log.clone();
-            handles.push(std::thread::spawn(move || {
-                sched.register_current(i);
+            handles.push(sched.spawn(i, move || {
                 for _ in 0..k {
                     log.lock().push(i);
                     yield_point("test.step");
                 }
-                finish_current();
             }));
         }
         sched.run_to_completion();
@@ -427,18 +505,8 @@ mod tests {
     #[test]
     fn an_opt_in_point_is_a_step_only_where_a_scheduler_parks_at_it() {
         let run = |sched: Scheduler| {
-            let other = sched.clone();
-            let h = std::thread::spawn(move || {
-                other.register_current(1);
-                yield_point("test.step");
-                finish_current();
-            });
-            let me = sched.clone();
-            let h0 = std::thread::spawn(move || {
-                me.register_current(0);
-                yield_point(points::TXDB_PARTITION);
-                finish_current();
-            });
+            let h = sched.spawn(1, || yield_point("test.step"));
+            let h0 = sched.spawn(0, || yield_point(points::TXDB_PARTITION));
             sched.run_to_completion();
             h.join().unwrap();
             h0.join().unwrap();
@@ -453,6 +521,49 @@ mod tests {
             let at = lines.iter().position(|l| l.ends_with("client=0 point=txdb.partition")).unwrap();
             let one_done = lines[..at].iter().any(|l| l.ends_with("client=1 point=client.done"));
             assert!(one_done || lines[at + 1].contains("client=1"), "seed {seed}: {parked}");
+        }
+    }
+
+    /// The message of a caught panic.
+    fn message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_client_that_panics_before_registering_fails_the_run() {
+        let sched = Scheduler::new(5, 2, SchedMode::RandomWalk, 8);
+        let waiting = sched.spawn(0, || yield_point("test.step"));
+        // A driver bug: id 0 again, so client 1 never registers.
+        let twice = sched.spawn(0, || ());
+        let failed = catch_unwind(AssertUnwindSafe(|| sched.run_to_completion())).unwrap_err();
+        assert!(message(failed.as_ref()).contains("client id 0 registered twice"), "{}", message(failed.as_ref()));
+        assert!(twice.join().is_err());
+        assert!(waiting.join().is_err(), "the registered client gives up too");
+    }
+
+    #[test]
+    fn a_client_that_panics_between_yields_fails_the_run() {
+        for seed in 0..8 {
+            let sched = Scheduler::new(seed, 2, SchedMode::RandomWalk, 16);
+            let broken = sched.spawn(0, || {
+                yield_point("test.step");
+                panic!("client 0 gives up");
+            });
+            let other = sched.spawn(1, || {
+                for _ in 0..4 {
+                    yield_point("test.step");
+                }
+            });
+            let failed = catch_unwind(AssertUnwindSafe(|| sched.run_to_completion())).unwrap_err();
+            let failed = message(failed.as_ref());
+            assert!(failed.contains("client 0 panicked: client 0 gives up"), "seed {seed}: {failed}");
+            assert!(broken.join().is_err());
+            // Client 1 either finished before the panic or gave up after it.
+            let _ = other.join();
         }
     }
 

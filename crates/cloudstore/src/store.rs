@@ -54,8 +54,8 @@ struct StoreOps {
 }
 
 impl StoreOps {
-    fn new() -> Arc<Self> {
-        Arc::new(StoreOps {
+    fn new() -> Self {
+        StoreOps {
             put: OpCounters::new("store.put.count", "store.put.errors"),
             put_if_absent: OpCounters::new(
                 "store.put_if_absent.count",
@@ -64,24 +64,31 @@ impl StoreOps {
             get: OpCounters::new("store.get.count", "store.get.errors"),
             delete: OpCounters::new("store.delete.count", "store.delete.errors"),
             list: OpCounters::new("store.list.count", "store.list.errors"),
-        })
+        }
     }
 }
 
 /// A shareable in-memory object store.
 ///
-/// Cloning shares the underlying storage (`Arc` inside), mirroring how many
-/// engines talk to the same cloud store.
+/// Cloning shares the underlying storage, mirroring how many engines talk
+/// to the same cloud store: a handle is one `Arc`, so a clone is one
+/// reference count, whatever the store holds.
 #[derive(Clone)]
 pub struct ObjectStore {
-    inner: Arc<RwLock<BTreeMap<String, Bucket>>>,
+    inner: Arc<StoreInner>,
+}
+
+struct StoreInner {
+    /// The buckets; shared with every handle [`ObjectStore::with_obs`]
+    /// derives from this one.
+    buckets: Arc<RwLock<BTreeMap<String, Bucket>>>,
     sts: StsService,
     latency: LatencyModel,
     faults: FaultPlan,
     obs: Obs,
-    ops: Arc<StoreOps>,
+    ops: StoreOps,
     /// Node-local state of the one client library that keeps any (see
-    /// [`ObjectStore::local`]); shared by every clone of this handle.
+    /// [`ObjectStore::local`]); shared like `buckets`.
     local: Arc<OnceLock<Arc<dyn Any + Send + Sync>>>,
 }
 
@@ -96,22 +103,34 @@ impl ObjectStore {
     /// not the credential check.
     pub fn with_faults(sts: StsService, latency: LatencyModel, faults: FaultPlan) -> Self {
         ObjectStore {
-            inner: Arc::new(RwLock::new(BTreeMap::new())),
-            sts,
-            latency,
-            faults,
-            obs: Obs::disabled(),
-            ops: StoreOps::new(),
-            local: Arc::new(OnceLock::new()),
+            inner: Arc::new(StoreInner {
+                buckets: Arc::new(RwLock::new(BTreeMap::new())),
+                sts,
+                latency,
+                faults,
+                obs: Obs::disabled(),
+                ops: StoreOps::new(),
+                local: Arc::new(OnceLock::new()),
+            }),
         }
     }
 
     /// Attach an observability handle; per-op spans and `store.*` metrics
-    /// are recorded into it. Composes with the other constructors.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self.ops = StoreOps::new();
-        self
+    /// are recorded into it. Composes with the other constructors: the
+    /// new handle shares this one's buckets and node-local state.
+    pub fn with_obs(self, obs: Obs) -> Self {
+        let inner = &self.inner;
+        ObjectStore {
+            inner: Arc::new(StoreInner {
+                buckets: inner.buckets.clone(),
+                sts: inner.sts.clone(),
+                latency: inner.latency.clone(),
+                faults: inner.faults.clone(),
+                obs,
+                ops: StoreOps::new(),
+                local: inner.local.clone(),
+            }),
+        }
     }
 
     /// The node-local state a client library keeps for this store — what a
@@ -122,7 +141,7 @@ impl ObjectStore {
     /// for a second type is a bug in the program and panics.
     #[expect(clippy::panic, reason = "a second node-local type is a programming error, not an input")]
     pub fn local<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> Arc<T> {
-        let slot = self.local.get_or_init(|| Arc::new(init()));
+        let slot = self.inner.local.get_or_init(|| Arc::new(init()));
         Arc::clone(slot)
             .downcast::<T>()
             .unwrap_or_else(|_| panic!("ObjectStore::local holds another type"))
@@ -130,12 +149,12 @@ impl ObjectStore {
 
     /// The observability handle storage operations record into.
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        &self.inner.obs
     }
 
     /// The fault plan consulted by storage operations.
     pub fn faults(&self) -> &FaultPlan {
-        &self.faults
+        &self.inner.faults
     }
 
     /// Wrap a storage operation in a `store.<op>` span plus count/error
@@ -147,11 +166,11 @@ impl ObjectStore {
         counters: &OpCounters,
         f: impl FnOnce() -> StorageResult<T>,
     ) -> StorageResult<T> {
-        let mut span = self.obs.span("store", op);
-        counters.count(&self.obs).inc();
+        let mut span = self.inner.obs.span("store", op);
+        counters.count(&self.inner.obs).inc();
         let result = f();
         if result.is_err() {
-            counters.errors(&self.obs).inc();
+            counters.errors(&self.inner.obs).inc();
             span.set_status("error");
         }
         result
@@ -164,13 +183,13 @@ impl ObjectStore {
 
     /// The STS service this store trusts.
     pub fn sts(&self) -> &StsService {
-        &self.sts
+        &self.inner.sts
     }
 
     /// Create a bucket and return its root credential.
     pub fn create_bucket(&self, name: &str) -> RootCredential {
-        let root = self.sts.issue_root(name);
-        let mut guard = self.inner.write();
+        let root = self.inner.sts.issue_root(name);
+        let mut guard = self.inner.buckets.write();
         let bucket = guard.entry(name.to_string()).or_default();
         bucket.roots.push(root.secret);
         root
@@ -178,14 +197,14 @@ impl ObjectStore {
 
     /// Store an object, overwriting any existing one.
     pub fn put(&self, cred: &Credential, path: &StoragePath, data: Bytes) -> StorageResult<()> {
-        self.instrument("put", &self.ops.put, || {
-            self.latency.apply(OpClass::Write);
+        self.instrument("put", &self.inner.ops.put, || {
+            self.inner.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
-            if self.faults.should_inject(points::STORE_PUT) {
+            if self.inner.faults.should_inject(points::STORE_PUT) {
                 return Err(StorageError::Unavailable(format!("injected fault: put {path}")));
             }
-            let now = self.sts.clock().now_ms();
-            let mut guard = self.inner.write();
+            let now = self.inner.sts.clock().now_ms();
+            let mut guard = self.inner.buckets.write();
             let bucket = guard
                 .get_mut(path.bucket())
                 .ok_or_else(|| StorageError::NoSuchBucket(path.bucket().to_string()))?;
@@ -204,16 +223,16 @@ impl ObjectStore {
         path: &StoragePath,
         data: Bytes,
     ) -> StorageResult<()> {
-        self.instrument("put_if_absent", &self.ops.put_if_absent, || {
-            self.latency.apply(OpClass::Write);
+        self.instrument("put_if_absent", &self.inner.ops.put_if_absent, || {
+            self.inner.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
-            if self.faults.should_inject(points::STORE_PUT_IF_ABSENT) {
+            if self.inner.faults.should_inject(points::STORE_PUT_IF_ABSENT) {
                 return Err(StorageError::Unavailable(format!(
                     "injected fault: put_if_absent {path}"
                 )));
             }
-            let now = self.sts.clock().now_ms();
-            let mut guard = self.inner.write();
+            let now = self.inner.sts.clock().now_ms();
+            let mut guard = self.inner.buckets.write();
             let bucket = guard
                 .get_mut(path.bucket())
                 .ok_or_else(|| StorageError::NoSuchBucket(path.bucket().to_string()))?;
@@ -229,13 +248,13 @@ impl ObjectStore {
 
     /// Fetch an object's contents.
     pub fn get(&self, cred: &Credential, path: &StoragePath) -> StorageResult<Bytes> {
-        self.instrument("get", &self.ops.get, || {
-            self.latency.apply(OpClass::Read);
+        self.instrument("get", &self.inner.ops.get, || {
+            self.inner.latency.apply(OpClass::Read);
             self.authorize(cred, path, AccessLevel::Read)?;
-            if self.faults.should_inject(points::STORE_GET) {
+            if self.inner.faults.should_inject(points::STORE_GET) {
                 return Err(StorageError::Unavailable(format!("injected fault: get {path}")));
             }
-            let guard = self.inner.read();
+            let guard = self.inner.buckets.read();
             let bucket = guard
                 .get(path.bucket())
                 .ok_or_else(|| StorageError::NoSuchBucket(path.bucket().to_string()))?;
@@ -251,13 +270,13 @@ impl ObjectStore {
     /// the strictest provider semantics (callers that want idempotent
     /// deletes can ignore `NoSuchObject`).
     pub fn delete(&self, cred: &Credential, path: &StoragePath) -> StorageResult<()> {
-        self.instrument("delete", &self.ops.delete, || {
-            self.latency.apply(OpClass::Write);
+        self.instrument("delete", &self.inner.ops.delete, || {
+            self.inner.latency.apply(OpClass::Write);
             self.authorize(cred, path, AccessLevel::ReadWrite)?;
-            if self.faults.should_inject(points::STORE_DELETE) {
+            if self.inner.faults.should_inject(points::STORE_DELETE) {
                 return Err(StorageError::Unavailable(format!("injected fault: delete {path}")));
             }
-            let mut guard = self.inner.write();
+            let mut guard = self.inner.buckets.write();
             let bucket = guard
                 .get_mut(path.bucket())
                 .ok_or_else(|| StorageError::NoSuchBucket(path.bucket().to_string()))?;
@@ -271,13 +290,13 @@ impl ObjectStore {
 
     /// List objects whose paths fall under `prefix`, in key order.
     pub fn list(&self, cred: &Credential, prefix: &StoragePath) -> StorageResult<Vec<ObjectMeta>> {
-        self.instrument("list", &self.ops.list, || {
-            self.latency.apply(OpClass::List);
+        self.instrument("list", &self.inner.ops.list, || {
+            self.inner.latency.apply(OpClass::List);
             self.authorize(cred, prefix, AccessLevel::Read)?;
-            if self.faults.should_inject(points::STORE_LIST) {
+            if self.inner.faults.should_inject(points::STORE_LIST) {
                 return Err(StorageError::Unavailable(format!("injected fault: list {prefix}")));
             }
-            let guard = self.inner.read();
+            let guard = self.inner.buckets.read();
             let bucket = guard
                 .get(prefix.bucket())
                 .ok_or_else(|| StorageError::NoSuchBucket(prefix.bucket().to_string()))?;
@@ -319,7 +338,7 @@ impl ObjectStore {
                         path.bucket()
                     )));
                 }
-                let guard = self.inner.read();
+                let guard = self.inner.buckets.read();
                 let bucket = guard
                     .get(path.bucket())
                     .ok_or_else(|| StorageError::NoSuchBucket(path.bucket().to_string()))?;
@@ -340,7 +359,7 @@ impl ObjectStore {
         path: &StoragePath,
         need: AccessLevel,
     ) -> StorageResult<()> {
-        self.sts.verify(token)?;
+        self.inner.sts.verify(token)?;
         if !token.scope.is_prefix_of(path) {
             return Err(StorageError::AccessDenied(format!(
                 "token scope {} does not cover {}",

@@ -129,7 +129,7 @@ pub struct StorageCommitCoordinator {
 
 impl StorageCommitCoordinator {
     pub fn new(store: ObjectStore, table_path: &StoragePath) -> Self {
-        StorageCommitCoordinator { store: store.clone(), log_path: table_path.child(LOG_DIR) }
+        StorageCommitCoordinator { store, log_path: table_path.child(LOG_DIR) }
     }
 }
 

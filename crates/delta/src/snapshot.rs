@@ -17,6 +17,9 @@ pub struct Snapshot {
     pub files: BTreeMap<String, AddFile>,
     /// Files removed but not yet vacuumed (path → deletion timestamp).
     pub tombstones: BTreeMap<String, u64>,
+    /// The table cache's slots for the decoded rows of `files`, when the
+    /// cache installed this snapshot ([`crate::cache::TableCache`]).
+    pub(crate) decoded: crate::cache::Decoded,
 }
 
 impl Snapshot {
@@ -54,7 +57,7 @@ impl Snapshot {
             protocol.ok_or_else(|| DeltaError::Corrupt("log has no protocol action".into()))?;
         let metadata =
             metadata.ok_or_else(|| DeltaError::Corrupt("log has no metaData action".into()))?;
-        Ok(Snapshot { version, protocol, metadata, files, tombstones })
+        Ok(Snapshot { version, protocol, metadata, files, tombstones, decoded: Default::default() })
     }
 
     pub fn schema(&self) -> &Schema {

@@ -146,12 +146,11 @@ impl DeltaTable {
             Some(base) => self.extend(cred, &base, head)?,
             None => None,
         };
-        let snapshot = Arc::new(match extended {
+        let snapshot = match extended {
             Some(snapshot) => snapshot,
             None => self.build(cred, head, &listing)?,
-        });
-        self.cache.install(&self.path, head, snapshot.clone());
-        Ok(snapshot)
+        };
+        Ok(self.cache.install(&self.path, head, snapshot))
     }
 
     /// Replay the commits after `base` up to `head` on top of it. `None`
@@ -347,20 +346,21 @@ impl DeltaTable {
         let files_read = files.len();
         let mut out = Vec::new();
         for file in files {
-            plan.run(self.file_rows(cred, file)?.iter(), &mut out)?;
+            plan.run(self.file_rows(cred, snapshot, file)?.iter(), &mut out)?;
         }
         Ok((out, files_read))
     }
 
-    /// The decoded rows of one data file: the cache's copy, or fetched with
-    /// the caller's credential, decoded once and offered to the cache.
-    fn file_rows(&self, cred: &Credential, file: &AddFile) -> DeltaResult<Arc<FileRows>> {
-        if let Some(rows) = self.cache.rows(&self.path, file) {
+    /// The decoded rows of one data file of `snapshot`: the cache's copy,
+    /// or fetched with the caller's credential, decoded once and offered
+    /// to the cache.
+    fn file_rows(&self, cred: &Credential, snapshot: &Snapshot, file: &AddFile) -> DeltaResult<Arc<FileRows>> {
+        if let Some(rows) = self.cache.rows(&self.path, snapshot, file) {
             return Ok(rows);
         }
         uc_cloudstore::sched::yield_point(YIELD_FILE_MISS);
         let data = self.store.get(cred, &self.path.child(&file.path))?;
-        Ok(self.cache.install_rows(&self.path, file, FileRows::decode(&data)?))
+        Ok(self.cache.install_rows(&self.path, snapshot, file, FileRows::decode(&data)?))
     }
 
     /// Delete all rows matching `predicate` via copy-on-write: files with
@@ -380,7 +380,7 @@ impl DeltaTable {
         let mut deleted = 0u64;
         // Stats pruning bounds the rewrite set exactly like a scan.
         for file in snapshot.prune_files(Some(predicate), |_| false) {
-            let rows = self.file_rows(cred, file)?;
+            let rows = self.file_rows(cred, &snapshot, file)?;
             let mut kept = Vec::with_capacity(rows.len());
             for row in rows.iter() {
                 if bound.matches(&row)? {
@@ -427,7 +427,7 @@ impl DeltaTable {
         // Read all small files' rows.
         let mut rows = Vec::new();
         for file in &small {
-            rows.extend(self.file_rows(cred, file)?.iter().map(|row| row.to_vec()));
+            rows.extend(self.file_rows(cred, &snapshot, file)?.iter().map(|row| row.to_vec()));
         }
         // Rewrite as target-sized files.
         let mut actions = Vec::new();

@@ -236,61 +236,52 @@ fn freshness_run(seed: u64, mode: SchedMode, skip_validation: bool) -> (Vec<Stri
     let sched = Scheduler::new(seed, clients, mode, (clients * READS * 3) as u64);
     let mut handles = Vec::new();
     for client in 0..clients {
-        let sched = sched.clone();
         let store = store.clone();
         let table = DeltaTable::open(store.clone(), table_path());
         let cred = cred.clone();
         let acknowledged = acknowledged.clone();
         let violations = violations.clone();
-        handles.push(std::thread::spawn(move || {
-            sched.register_current(client);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if client == 0 {
-                    for v in 1..=COMMITS {
-                        sched::yield_point(points::OP_START);
-                        match table.append(&cred, &[vec![Value::Int(v)]]) {
-                            Ok(committed) => assert_eq!(committed, v, "single writer"),
-                            Err(e) => {
-                                violations
-                                    .lock()
-                                    .unwrap()
-                                    .push(format!("writer built version {v} on a stale snapshot: {e}"));
-                                commit_remotely(&store, &cred, &table, v);
-                            }
-                        }
-                        acknowledged.store(v, Ordering::SeqCst);
-                    }
-                    return;
-                }
-                for read in 0..READS {
+        handles.push(sched.spawn(client, move || {
+            if client == 0 {
+                for v in 1..=COMMITS {
                     sched::yield_point(points::OP_START);
-                    // The baton serializes clients: this is the last
-                    // version acknowledged before the read begins.
-                    let floor = acknowledged.load(Ordering::SeqCst);
-                    let snapshot = table.snapshot(&cred).unwrap();
-                    let (rows, _) = table
-                        .scan_snapshot(&cred, &snapshot, None, &EvalContext::anonymous())
-                        .unwrap();
-                    if snapshot.version < floor {
-                        violations.lock().unwrap().push(format!(
-                            "client {client} read {read}: version {} after {floor} was acknowledged",
-                            snapshot.version
-                        ));
+                    match table.append(&cred, &[vec![Value::Int(v)]]) {
+                        Ok(committed) => assert_eq!(committed, v, "single writer"),
+                        Err(e) => {
+                            violations
+                                .lock()
+                                .unwrap()
+                                .push(format!("writer built version {v} on a stale snapshot: {e}"));
+                            commit_remotely(&store, &cred, &table, v);
+                        }
                     }
-                    let expect: Vec<i64> = (1..=snapshot.version).collect();
-                    if sorted_xs(&rows) != expect {
-                        violations.lock().unwrap().push(format!(
-                            "client {client} read {read}: rows {:?} at version {}",
-                            sorted_xs(&rows),
-                            snapshot.version
-                        ));
-                    }
+                    acknowledged.store(v, Ordering::SeqCst);
                 }
-            }));
-            // Always hand the baton back, even on panic, or the run hangs.
-            sched::finish_current();
-            if let Err(p) = result {
-                std::panic::resume_unwind(p);
+                return;
+            }
+            for read in 0..READS {
+                sched::yield_point(points::OP_START);
+                // The baton serializes clients: this is the last
+                // version acknowledged before the read begins.
+                let floor = acknowledged.load(Ordering::SeqCst);
+                let snapshot = table.snapshot(&cred).unwrap();
+                let (rows, _) = table
+                    .scan_snapshot(&cred, &snapshot, None, &EvalContext::anonymous())
+                    .unwrap();
+                if snapshot.version < floor {
+                    violations.lock().unwrap().push(format!(
+                        "client {client} read {read}: version {} after {floor} was acknowledged",
+                        snapshot.version
+                    ));
+                }
+                let expect: Vec<i64> = (1..=snapshot.version).collect();
+                if sorted_xs(&rows) != expect {
+                    violations.lock().unwrap().push(format!(
+                        "client {client} read {read}: rows {:?} at version {}",
+                        sorted_xs(&rows),
+                        snapshot.version
+                    ));
+                }
             }
         }));
     }

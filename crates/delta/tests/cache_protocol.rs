@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use uc_cloudstore::sched::{self, SchedMode, Scheduler};
+use uc_cloudstore::sched::{SchedMode, Scheduler};
 use uc_cloudstore::{Clock, Credential, LatencyModel, ObjectStore, StoragePath, StsService};
 use uc_delta::expr::{CmpOp, EvalContext, Expr};
 use uc_delta::table::{CHECKPOINT_INTERVAL, YIELD_FILE_MISS};
@@ -280,6 +280,43 @@ fn the_cache_stays_within_its_budget_and_evicted_tables_read_correctly() {
     );
 }
 
+/// Filling a table's file makes it the most recent table, even when every
+/// other table was found since the cache last changed: the one over-budget
+/// fill evicts one of the others, never the table just filled.
+#[test]
+fn the_table_just_filled_is_not_the_one_evicted() {
+    // Enough rows that a table's decoded file outweighs its snapshot.
+    let one_file_table = |store: &ObjectStore, cred: &Credential, name: &str| {
+        let table = DeltaTable::create(store.clone(), path(name), cred, name, schema()).unwrap();
+        table.append(cred, &rows(0..200)).unwrap();
+        table
+    };
+    let full = {
+        let (store, cred) = setup();
+        let table = one_file_table(&store, &cred, "a");
+        TableCache::of(&store).clear();
+        scan_all(&table, &cred);
+        TableCache::of(&store).weight_bytes()
+    };
+    // Each run is a new cache, so a new order of its table map.
+    for run in 0..16 {
+        let (store, cred) = setup();
+        let cache = TableCache::install_with_budget(&store, 2 * full + full / 2);
+        let [a, b, c] = ["a", "b", "c"].map(|name| one_file_table(&store, &cred, name));
+        cache.clear();
+        scan_all(&a, &cred);
+        scan_all(&b, &cred);
+        c.snapshot(&cred).unwrap();
+        assert_eq!(cache.tables(), 3, "run {run}: C's snapshot fits beside A and B");
+        // Found again since C's install: A, B and C carry one tick.
+        a.snapshot(&cred).unwrap();
+        b.snapshot(&cred).unwrap();
+        assert_eq!(scan_all(&c, &cred), (0..200).collect::<Vec<_>>());
+        assert_eq!(cache.tables(), 2, "run {run}: three full tables do not fit");
+        assert_eq!(cache.cached_files(&path("c")), 1, "run {run}: the table just filled stays");
+    }
+}
+
 /// Two clients scan the same cold one-file table under the deterministic
 /// scheduler. Returns `(data-file gets, files held, weight)`.
 fn two_clients_miss_one_file(seed: u64) -> (u64, usize, usize) {
@@ -296,22 +333,14 @@ fn two_clients_miss_one_file(seed: u64) -> (u64, usize, usize) {
     let sched = Scheduler::new(seed, 2, SchedMode::RandomWalk, 16);
     let handles: Vec<_> = (0..2)
         .map(|client| {
-            let sched = sched.clone();
             let table = DeltaTable::open(store.clone(), root.clone());
             let cred = cred.clone();
-            std::thread::spawn(move || {
-                sched.register_current(client);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    scan_all(&table, &cred)
-                }));
-                sched::finish_current();
-                result
-            })
+            sched.spawn(client, move || scan_all(&table, &cred))
         })
         .collect();
     sched.run_to_completion();
     for h in handles {
-        let got = h.join().unwrap().unwrap_or_else(|p| std::panic::resume_unwind(p));
+        let got = h.join().unwrap();
         assert_eq!(got, (0..25).collect::<Vec<_>>(), "seed {seed}");
     }
     assert!(sched.trace_text().contains(YIELD_FILE_MISS), "the miss window is a yield point");

@@ -20,7 +20,7 @@
 //!   this way.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use uc_catalog::cache::read_ms_version;
@@ -29,6 +29,7 @@ use uc_catalog::ids::Uid;
 use uc_catalog::service::{Context, UnityCatalog};
 use uc_catalog::types::SecurableKind;
 use uc_catalog::UcResult;
+use uc_obs::{Histogram, SpanGuard};
 
 /// An indexed document: the searchable projection of one securable.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +81,16 @@ pub struct DiscoveryService {
     /// service runs in: the index holds what this context may see.
     service_ctx: Context,
     state: RwLock<IndexState>,
+    /// Latency of `sync`, `sync_by_polling` and `search`, interned in the
+    /// node's registry on first use and held after it.
+    latency: [OnceLock<Histogram>; 3],
 }
+
+/// The timed calls, by their index in [`DiscoveryService::latency`].
+const TIMED: [&str; 3] = ["sync", "sync_by_polling", "search"];
+const SYNC: usize = 0;
+const SYNC_BY_POLLING: usize = 1;
+const SEARCH: usize = 2;
 
 impl DiscoveryService {
     pub fn new(uc: Arc<UnityCatalog>, ms: Uid, service_ctx: Context) -> Self {
@@ -94,14 +104,24 @@ impl DiscoveryService {
                 consumed: 0,
                 stats: SyncStats::default(),
             }),
+            latency: Default::default(),
         }
+    }
+
+    /// Open the span of timed call `TIMED[call]`, timed into
+    /// `discovery.{name}.latency_ms`.
+    fn span_timed(&self, call: usize) -> SpanGuard {
+        let obs = self.uc.obs();
+        let name = TIMED[call];
+        let latency = self.latency[call].get_or_init(|| obs.histogram(&format!("discovery.{name}.latency_ms")));
+        obs.span_timed("discovery", name, latency)
     }
 
     /// Event-driven incremental sync. Returns how many events were
     /// processed — or, when the service was behind the feed's retention
     /// window and resynced by polling, how many entities it re-read.
     pub fn sync(&self) -> UcResult<usize> {
-        let _span = self.uc.obs().span_timed("discovery", "sync");
+        let _span = self.span_timed(SYNC);
         let consumed = self.state.read().consumed;
         let page = self.uc.events_since(&self.service_ctx, &self.ms, consumed)?;
         if page.resync {
@@ -167,7 +187,7 @@ impl DiscoveryService {
     /// consumption resumes from there (re-indexing what the scan already
     /// saw is idempotent).
     pub fn sync_by_polling(&self) -> UcResult<usize> {
-        let _span = self.uc.obs().span_timed("discovery", "sync_by_polling");
+        let _span = self.span_timed(SYNC_BY_POLLING);
         let head = self.head();
         let entities = self
             .uc
@@ -241,7 +261,7 @@ impl DiscoveryService {
     /// enforced through the catalog's batch visibility API at query time —
     /// the index itself is not an authorization boundary.
     pub fn search(&self, ctx: &Context, query: &str) -> UcResult<Vec<SearchHit>> {
-        let _span = self.uc.obs().span_timed("discovery", "search");
+        let _span = self.span_timed(SEARCH);
         self.uc.obs().counter("discovery.search.count").inc();
         let tokens: Vec<String> = query
             .split_whitespace()

@@ -15,9 +15,12 @@
 //! It runs over the same [`uc_txdb::Db`] substrate as Unity Catalog so
 //! the Fig 10 comparisons hold the storage/database model constant.
 
+use std::sync::{Arc, OnceLock};
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use uc_delta::value::Schema;
+use uc_obs::{Counter, Histogram};
 use uc_txdb::Db;
 
 use uc_catalog::error::{UcError, UcResult};
@@ -70,20 +73,60 @@ pub type HmsResult<T> = Result<T, HmsError>;
 const T_DB: &str = "hms_db";
 const T_TBL: &str = "hms_tbl";
 
+/// The metastore's API calls, each timed into `hms.{name}.latency_ms`.
+#[derive(Clone, Copy)]
+enum Api {
+    CreateDatabase,
+    GetDatabase,
+    ListDatabases,
+    CreateTable,
+    GetTable,
+    ListTables,
+    DropTable,
+    AlterTable,
+}
+
+impl Api {
+    const COUNT: usize = 8;
+
+    fn name(self) -> &'static str {
+        match self {
+            Api::CreateDatabase => "create_database",
+            Api::GetDatabase => "get_database",
+            Api::ListDatabases => "list_databases",
+            Api::CreateTable => "create_table",
+            Api::GetTable => "get_table",
+            Api::ListTables => "list_tables",
+            Api::DropTable => "drop_table",
+            Api::AlterTable => "alter_table",
+        }
+    }
+}
+
+/// The API's metric handles, interned in the database's registry on a
+/// call's first use (so a call never touched registers no series) and
+/// held after it: a call takes no registry lock.
+#[derive(Default)]
+struct Instruments {
+    calls: OnceLock<Counter>,
+    latency: [OnceLock<Histogram>; Api::COUNT],
+}
+
 /// A Hive Metastore over a transactional database, in "local metastore"
 /// mode: every call is a direct database operation.
 #[derive(Clone)]
 pub struct HiveMetastore {
     db: Db,
+    instruments: Arc<Instruments>,
 }
 
 impl HiveMetastore {
     pub fn new(db: Db) -> Self {
-        HiveMetastore { db }
+        HiveMetastore { db, instruments: Arc::default() }
     }
 
     pub fn in_memory() -> Self {
-        HiveMetastore { db: Db::in_memory() }
+        HiveMetastore::new(Db::in_memory())
     }
 
     pub fn db(&self) -> &Db {
@@ -93,13 +136,17 @@ impl HiveMetastore {
     /// Open an API span on the database's shared observability handle —
     /// the baseline shows up in the same traces and snapshots as UC, so
     /// the §6.2 comparison can be read off one `/metrics` dump.
-    fn api_enter(&self, op: &str) -> uc_obs::SpanGuard {
-        self.db.obs().counter("hms.api.calls").inc();
-        self.db.obs().span_timed("hms", op)
+    fn api_enter(&self, api: Api) -> uc_obs::SpanGuard {
+        let obs = self.db.obs();
+        self.instruments.calls.get_or_init(|| obs.counter("hms.api.calls")).inc();
+        let name = api.name();
+        let latency = self.instruments.latency[api as usize]
+            .get_or_init(|| obs.histogram(&format!("hms.{name}.latency_ms")));
+        obs.span_timed("hms", name, latency)
     }
 
     pub fn create_database(&self, database: &HmsDatabase) -> HmsResult<()> {
-        let _api = self.api_enter("create_database");
+        let _api = self.api_enter(Api::CreateDatabase);
         let mut tx = self.db.begin_write();
         if tx.get(T_DB, &database.name).is_some() {
             return Err(HmsError::AlreadyExists(database.name.clone()));
@@ -110,7 +157,7 @@ impl HiveMetastore {
     }
 
     pub fn get_database(&self, name: &str) -> HmsResult<HmsDatabase> {
-        let _api = self.api_enter("get_database");
+        let _api = self.api_enter(Api::GetDatabase);
         let rt = self.db.begin_read();
         let raw = rt
             .get(T_DB, name)
@@ -119,13 +166,13 @@ impl HiveMetastore {
     }
 
     pub fn list_databases(&self) -> Vec<String> {
-        let _api = self.api_enter("list_databases");
+        let _api = self.api_enter(Api::ListDatabases);
         let rt = self.db.begin_read();
         rt.scan_prefix(T_DB, "").into_iter().map(|(k, _)| k).collect()
     }
 
     pub fn create_table(&self, table: &HmsTable) -> HmsResult<()> {
-        let _api = self.api_enter("create_table");
+        let _api = self.api_enter(Api::CreateTable);
         let key = format!("{}/{}", table.db, table.name);
         let mut tx = self.db.begin_write();
         if tx.get(T_DB, &table.db).is_none() {
@@ -143,7 +190,7 @@ impl HiveMetastore {
     /// storage location. No authorization — that's the point of the
     /// baseline.
     pub fn get_table(&self, db: &str, name: &str) -> HmsResult<HmsTable> {
-        let _api = self.api_enter("get_table");
+        let _api = self.api_enter(Api::GetTable);
         let rt = self.db.begin_read();
         let raw = rt
             .get(T_TBL, &format!("{db}/{name}"))
@@ -152,7 +199,7 @@ impl HiveMetastore {
     }
 
     pub fn list_tables(&self, db: &str) -> Vec<String> {
-        let _api = self.api_enter("list_tables");
+        let _api = self.api_enter(Api::ListTables);
         let rt = self.db.begin_read();
         rt.scan_prefix(T_TBL, &format!("{db}/"))
             .into_iter()
@@ -161,7 +208,7 @@ impl HiveMetastore {
     }
 
     pub fn drop_table(&self, db: &str, name: &str) -> HmsResult<()> {
-        let _api = self.api_enter("drop_table");
+        let _api = self.api_enter(Api::DropTable);
         let key = format!("{db}/{name}");
         let mut tx = self.db.begin_write();
         if tx.get(T_TBL, &key).is_none() {
@@ -173,7 +220,7 @@ impl HiveMetastore {
     }
 
     pub fn alter_table(&self, table: &HmsTable) -> HmsResult<()> {
-        let _api = self.api_enter("alter_table");
+        let _api = self.api_enter(Api::AlterTable);
         let key = format!("{}/{}", table.db, table.name);
         let mut tx = self.db.begin_write();
         if tx.get(T_TBL, &key).is_none() {

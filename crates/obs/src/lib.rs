@@ -160,27 +160,28 @@ impl Obs {
     }
 
     /// Open a span whose duration on the metrics clock is recorded into
-    /// the `layer.name.latency_ms` histogram when it ends — with tracing
-    /// off too, where the span records nothing else.
-    pub fn span_timed(&self, layer: &'static str, name: &str) -> SpanGuard {
-        self.timed(layer, name, |h| self.tracer.span_timed(layer, name, Some(h)))
+    /// `latency` when it ends — with tracing off too, where the span
+    /// records nothing else. Callers intern `latency` once (by convention
+    /// `layer.name.latency_ms`) and hold it: a call takes no lock and
+    /// formats nothing.
+    pub fn span_timed(&self, layer: &'static str, name: &str, latency: &Histogram) -> SpanGuard {
+        self.timed(latency, |h| self.tracer.span_timed(layer, name, Some(h)))
     }
 
     /// Open a root span with a caller-pinned trace ID (latency recorded
     /// like [`Obs::span_timed`]). See [`Tracer::span_pinned`] for when
     /// pinning is the right tool.
-    pub fn span_pinned(&self, layer: &'static str, name: &str, trace_id: u64) -> SpanGuard {
-        self.timed(layer, name, |h| self.tracer.span_pinned(layer, name, trace_id, Some(h)))
+    pub fn span_pinned(&self, layer: &'static str, name: &str, trace_id: u64, latency: &Histogram) -> SpanGuard {
+        self.timed(latency, |h| self.tracer.span_pinned(layer, name, trace_id, Some(h)))
     }
 
-    /// `open` a traced span timed into `layer.name.latency_ms`; with
-    /// tracing off, a span that only times itself into it.
-    fn timed(&self, layer: &'static str, name: &str, open: impl FnOnce(Histogram) -> SpanGuard) -> SpanGuard {
-        let h = self.histogram(&format!("{layer}.{name}.latency_ms"));
+    /// `open` a traced span timed into `latency`; with tracing off, a span
+    /// that only times itself into it.
+    fn timed(&self, latency: &Histogram, open: impl FnOnce(Histogram) -> SpanGuard) -> SpanGuard {
         if self.tracer.is_enabled() {
-            open(h)
+            open(latency.clone())
         } else {
-            SpanGuard::timer(h, self.clock.clone())
+            SpanGuard::timer(latency.clone(), self.clock.clone())
         }
     }
 
@@ -230,11 +231,11 @@ mod tests {
         let t = Arc::new(AtomicU64::new(100));
         let tc = t.clone();
         let obs = Obs::with_clock_fn(Arc::new(move || tc.load(Ordering::SeqCst)));
+        let h = obs.histogram("txdb.commit.latency_ms");
         {
-            let _s = obs.span_timed("txdb", "commit");
+            let _s = obs.span_timed("txdb", "commit", &h);
             t.store(104, Ordering::SeqCst);
         }
-        let h = obs.histogram("txdb.commit.latency_ms");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 4);
         assert!(obs.metrics_snapshot().contains("txdb.commit.latency_ms"));
@@ -243,11 +244,25 @@ mod tests {
     #[test]
     fn span_timed_counts_with_tracing_off() {
         let obs = Obs::disabled();
+        let latency = obs.histogram("hms.get_table.latency_ms");
         for _ in 0..3 {
-            let _s = obs.span_timed("hms", "get_table");
+            let _s = obs.span_timed("hms", "get_table", &latency);
         }
         assert_eq!(obs.histogram("hms.get_table.latency_ms").count(), 3);
         assert!(obs.trace_jsonl().is_empty(), "and nothing is traced");
+    }
+
+    #[test]
+    fn a_timed_span_with_tracing_off_takes_no_lock() {
+        let obs = Obs::disabled();
+        let latency = obs.histogram("hms.get_table.latency_ms");
+        let before = parking_lot::acquisitions();
+        for _ in 0..10 {
+            let _s = obs.span_timed("hms", "get_table", &latency);
+        }
+        let after = parking_lot::acquisitions();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 0), "10 disabled timed spans");
+        assert_eq!(latency.count(), 10);
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! Concurrency: recording is lock-free — each bucket is a block of plain
 //! atomics; `fetch_add`/`fetch_max` commute, so fold results are
 //! independent of recording order and thread placement. Bucket *turnover*
-//! (the epoch advancing past a slot) re-initializes the slot under a
-//! per-series mutex with an epoch re-check, so exactly one thread resets
-//! a slot per epoch; with a virtual clock, turnover points are themselves
-//! deterministic.
+//! (the epoch advancing past a slot) is claimed by a compare-and-swap of
+//! the slot's epoch to a reset marker, so exactly one thread resets a slot
+//! per epoch; a recorder that finds the slot mid-reset waits for the new
+//! epoch and then records, so no sample is lost. With a virtual clock,
+//! turnover points are themselves deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,11 +40,14 @@ pub const WINDOW_BUCKET_MS: u64 = 125;
 /// Total trailing window covered by one series.
 pub const WINDOW_MS: u64 = WINDOW_SLOTS as u64 * WINDOW_BUCKET_MS;
 
+/// [`WindowSlot::epoch`] of a slot being reset.
+const RESETTING: u64 = u64::MAX;
+
 /// One ring slot: the epoch it currently holds plus fold-friendly atomics.
 struct WindowSlot {
-    /// `now_ms / WINDOW_BUCKET_MS` of the data in this slot. `u64::MAX`
-    /// marks a slot mid-reset (writers skip it rather than pollute either
-    /// epoch).
+    /// `now_ms / WINDOW_BUCKET_MS` of the data in this slot, or
+    /// [`RESETTING`] while the recorder that claimed it zeroes it (folds
+    /// skip it; recorders wait for it).
     epoch: AtomicU64,
     count: AtomicU64,
     sum: AtomicU64,
@@ -62,8 +66,32 @@ impl WindowSlot {
         }
     }
 
+    /// Hold this slot open for samples of `epoch`. A slot of an older
+    /// epoch is claimed by one compare-and-swap to [`RESETTING`], zeroed
+    /// and republished; a recorder that loses the race, or finds the slot
+    /// mid-reset, waits until the epoch is published. `false` when the
+    /// slot already holds a newer epoch: the sample is a full ring older
+    /// than the slot's data, outside every window a fold can still ask
+    /// for.
+    fn open(&self, epoch: u64) -> bool {
+        loop {
+            let held = self.epoch.load(Ordering::Acquire);
+            if held == epoch {
+                return true;
+            }
+            if held == RESETTING {
+                std::thread::yield_now();
+            } else if held > epoch {
+                return false;
+            } else if self.epoch.compare_exchange(held, RESETTING, Ordering::Acquire, Ordering::Acquire).is_ok() {
+                self.reset_to(epoch);
+                return true;
+            }
+        }
+    }
+
+    /// Zero a claimed slot and publish `epoch` ([`Self::open`]).
     fn reset_to(&self, epoch: u64) {
-        self.epoch.store(u64::MAX, Ordering::Release);
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -76,9 +104,6 @@ impl WindowSlot {
 
 struct WindowInner {
     slots: Vec<WindowSlot>,
-    /// Serializes slot turnover only; never taken on the record hit path
-    /// (the epoch fast-check fails at most once per slot per epoch).
-    turnover: Mutex<()>,
 }
 
 /// A named trailing-window series. Clone-shared like the other handles.
@@ -104,7 +129,6 @@ impl WindowSeries {
         WindowSeries {
             inner: Arc::new(WindowInner {
                 slots: (0..WINDOW_SLOTS).map(|_| WindowSlot::new()).collect(),
-                turnover: Mutex::new(()),
             }),
         }
     }
@@ -113,12 +137,8 @@ impl WindowSeries {
     pub fn record(&self, now_ms: u64, value: u64) {
         let epoch = now_ms / WINDOW_BUCKET_MS;
         let slot = &self.inner.slots[(epoch as usize) % WINDOW_SLOTS];
-        if slot.epoch.load(Ordering::Acquire) != epoch {
-            // Slot still holds an older epoch (or is mid-reset): rotate it.
-            let _turn = self.inner.turnover.lock();
-            if slot.epoch.load(Ordering::Acquire) != epoch {
-                slot.reset_to(epoch);
-            }
+        if !slot.open(epoch) {
+            return;
         }
         slot.buckets[Histogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         slot.count.fetch_add(1, Ordering::Relaxed);
@@ -137,7 +157,7 @@ impl WindowSeries {
         let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
         for slot in &self.inner.slots {
             let e = slot.epoch.load(Ordering::Acquire);
-            if e == u64::MAX || e < oldest || e > cur {
+            if e == RESETTING || e < oldest || e > cur {
                 continue;
             }
             count += slot.count.load(Ordering::Relaxed);
@@ -293,6 +313,31 @@ mod tests {
         assert_eq!(c4, 128);
         assert!(r1.contains("count=32"));
         assert!(r4.contains("count=128"));
+    }
+
+    #[test]
+    fn concurrent_turnover_loses_no_sample() {
+        // Every thread finds the slot of epoch 0 stale at once: one resets
+        // it, the rest wait for the reset and record.
+        const THREADS: u64 = 4;
+        const SAMPLES: u64 = 500;
+        let w = WindowSeries::new();
+        w.record(0, 1);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for v in 0..SAMPLES {
+                        w.record(WINDOW_MS, v);
+                    }
+                });
+            }
+        });
+        assert_eq!(w.count(WINDOW_MS), THREADS * SAMPLES);
+        let before = parking_lot::acquisitions();
+        w.record(2 * WINDOW_MS, 3);
+        let after = parking_lot::acquisitions();
+        assert_eq!((after.0 - before.0, after.1 - before.1), (0, 0), "a turnover takes no lock");
+        assert_eq!(w.count(2 * WINDOW_MS), 1);
     }
 
     impl WindowSeries {

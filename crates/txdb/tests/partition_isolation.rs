@@ -63,29 +63,24 @@ fn a_commit_parked_in_one_metastore_blocks_no_read_or_commit_in_another() {
     let (resume_tx, resume_rx) = mpsc::channel::<()>();
     // Client 0: a commit in metastore A, parked inside its partition section.
     let a = {
-        let (db, sched) = (db.clone(), sched.clone());
-        thread::spawn(move || {
-            sched.register_current(0);
+        let db = db.clone();
+        sched.spawn(0, move || {
             let mut tx = db.begin_write();
             let _ = tx.get(T, "msA\u{1}");
             tx.put(T, "msA\u{1}c\u{1}", val("A.c"));
-            let committed = tx.commit();
-            sched::finish_current();
-            committed
+            tx.commit()
         })
     };
     // Client 1: keeps the baton from the moment A parks until B is done.
     let gate = {
-        let sched = sched.clone();
-        thread::spawn(move || {
-            sched.register_current(1);
+        let watch = sched.clone();
+        sched.spawn(1, move || {
             let parked = |trace: String| trace.lines().last().is_some_and(|l| l.ends_with("client=0 point=txdb.partition"));
-            while !parked(sched.trace_text()) {
+            while !parked(watch.trace_text()) {
                 sched::yield_point("test.wait");
             }
             parked_tx.send(()).unwrap();
             let _ = resume_rx.recv();
-            sched::finish_current();
         })
     };
     let run = {

@@ -387,7 +387,7 @@ fn a_cascade_under_a_by_id_chain_is_not_found_never_dangling() {
     use uc_catalog::service::crud::TableSpec;
     use uc_catalog::service::{Context, UnityCatalog};
     use uc_catalog::{FullName, UcError};
-    use uc_cloudstore::sched::{finish_current, Scheduler};
+    use uc_cloudstore::sched::Scheduler;
     use uc_cloudstore::AccessLevel;
     use uc_delta::value::{DataType, Field, Schema};
 
@@ -433,24 +433,12 @@ fn a_cascade_under_a_by_id_chain_is_not_found_never_dangling() {
             };
             let sched = Scheduler::new(seed, 2, mode, 256);
             let dropper = {
-                let (sched, uc, ctx, ms) = (sched.clone(), uc.clone(), ctx.clone(), ms.clone());
-                std::thread::spawn(move || {
-                    sched.register_current(0);
-                    let dropped = uc.drop_securable(&ctx, &ms, &FullName::parse("main.doomed").unwrap(), "schema");
-                    finish_current();
-                    dropped
-                })
+                let (uc, ctx, ms) = (uc.clone(), ctx.clone(), ms.clone());
+                sched.spawn(0, move || uc.drop_securable(&ctx, &ms, &FullName::parse("main.doomed").unwrap(), "schema"))
             };
-            let reader = {
-                let sched = sched.clone();
-                std::thread::spawn(move || {
-                    sched.register_current(1);
-                    let results: Vec<Result<(), UcError>> =
-                        reads.iter().chain(reads.iter()).map(|read| read()).collect();
-                    finish_current();
-                    results
-                })
-            };
+            let reader = sched.spawn(1, move || {
+                reads.iter().chain(reads.iter()).map(|read| read()).collect::<Vec<Result<(), UcError>>>()
+            });
             sched.run_to_completion();
             assert_eq!(dropper.join().unwrap().unwrap(), 2, "schema + table");
             for (i, result) in reader.join().unwrap().into_iter().enumerate() {

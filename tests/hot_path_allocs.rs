@@ -94,13 +94,16 @@ static GLOBAL: Counting = Counting;
 /// Allocations per cached `get_table` (25 while the by-name probe built a
 /// key per level and the metastore was a second lookup; now one key, one
 /// chain).
-/// 21 while an audit record copied its action into a `String`.
-const PARENT_GET_TABLE_ALLOCS: u64 = 20;
+/// 21 while an audit record copied its action into a `String`; 20 while
+/// the by-name probe copied the id out of the name index at each of four
+/// levels (the thread's chain memo now serves the chain).
+const PARENT_GET_TABLE_ALLOCS: u64 = 16;
 /// Allocations per cached by-name `temp_credentials` (41 before the vend
 /// evaluated the borrowed chain instead of copying it into `AuthzNode`s,
 /// 28 before the one-key probe).
-/// 24 while an audit record copied its action into a `String`.
-const NAME_CREDENTIAL_ALLOCS: u64 = 23;
+/// 24 while an audit record copied its action into a `String`; 23 before
+/// the chain memo.
+const NAME_CREDENTIAL_ALLOCS: u64 = 19;
 /// Allocations per cached `temp_credentials_for_path` (41, then 32 while
 /// the parent walk cloned each parent id).
 /// 30 while an audit record copied its action into a `String`.
@@ -111,30 +114,34 @@ const PATH_CREDENTIAL_ALLOCS: u64 = 29;
 /// `rest.{method}.count` was looked up per request, 48 before the one-key
 /// probe, 42 while the reply object grew by doubling instead of being
 /// built at its size).
-/// 40 while an audit record copied its action into a `String`.
-const REST_GET_TABLE_ALLOCS: u64 = 39;
+/// 40 while an audit record copied its action into a `String`; 39 before
+/// the chain memo.
+const REST_GET_TABLE_ALLOCS: u64 = 35;
 /// Allocations per cached `get_table` by a grantee who is not the
 /// metastore owner: what the owner's costs (25 while the admin list was
 /// parsed out of the metastore's properties on every such request).
-/// 21 while an audit record copied its action into a `String`.
-const GRANTEE_GET_TABLE_ALLOCS: u64 = 20;
+/// 21 while an audit record copied its action into a `String`; 20 before
+/// the chain memo.
+const GRANTEE_GET_TABLE_ALLOCS: u64 = 16;
 /// Allocations per cached trusted-engine `resolve_for_query` of a table
 /// with a row filter, a column mask and a schema ABAC policy masking a
 /// tagged column: the policies handed to the engine are the one copy
 /// (108 while each policy, tag list and the admin list were parsed out of
 /// JSON properties on every request; pinned 45, measured 30, once rows
 /// decoded straight into their structs).
-/// 30 while an audit record copied its action into a `String`.
-const GOVERNED_RESOLVE_ALLOCS: u64 = 29;
+/// 30 while an audit record copied its action into a `String`; 29 before
+/// the chain memo.
+const GOVERNED_RESOLVE_ALLOCS: u64 = 25;
 /// Lock acquisitions `(shared, exclusive)` per cached `get_table`, tracing
-/// off. Shared: the node's metastore map (`NodeCache::for_metastore`);
-/// per chain level a name-index probe and the cached read itself
-/// (`MsCache::id_by_name`, `MsCache::get_at`), each a shard read lock whose
-/// writers serialize behind the write gate, not here; and the principal
-/// cache (`TtlCache::get`, written only on insert and expiry): that is
-/// 1 + 4 × 2 + 1. Exclusive: the audit record's lane mutex, which no other
+/// off. Shared: the node's metastore map (`NodeCache::for_metastore`) and
+/// the principal cache (`TtlCache::get`, written only on insert and
+/// expiry): the chain is the thread's memo of it at the cache's pin, so no
+/// shard is read. Exclusive: the audit record's lane mutex, which no other
 /// lane's writer touches; the lane's merge into the log (one per
 /// `lane_high_water` records) runs in the flush outside the window.
+/// (10, 1) while every call probed the name index and the entity shard at
+/// each of four levels (`MsCache::id_by_name`, `MsCache::get_at`): the
+/// call that fills the memo still does.
 ///
 /// A warm call takes none of the cold halves: a miss round (a db read,
 /// then the write gate) or the uncached read from a db snapshot when the
@@ -144,9 +151,10 @@ const GOVERNED_RESOLVE_ALLOCS: u64 = 29;
 /// read lock on the first sighting of a (metastore, principal) per
 /// thread; and the deterministic scheduler's rendezvous, which only
 /// threads registered with a model run reach.
-const GET_TABLE_LOCKS: (u64, u64) = (10, 1);
-/// A by-name vend: `get_table`'s, and the credential cache's read lock.
-const NAME_CREDENTIAL_LOCKS: (u64, u64) = (11, 1);
+const GET_TABLE_LOCKS: (u64, u64) = (2, 1);
+/// A by-name vend: `get_table`'s, and the credential cache's read lock
+/// ((11, 1) before the chain memo).
+const NAME_CREDENTIAL_LOCKS: (u64, u64) = (3, 1);
 /// A path vend: the metastore map, one path-index probe
 /// (`MsCache::id_by_path`), the cached read of each of four levels, the
 /// principal and credential caches: 1 + 1 + 4 + 2.
@@ -166,22 +174,20 @@ const GOVERNED_RESOLVE_LOCKS: (u64, u64) = GET_TABLE_LOCKS;
 /// over an O(1) append that no other thread writes on the steady path
 /// (`thread_slot` picks the lane): 1 + 4. An armed incident trigger's
 /// freeze fires at most once per trigger, never on this steady path. The
-/// op's trailing window turns a slot over under a mutex once per
-/// `WINDOW_BUCKET_MS` (125 ms) of the obs clock, so under
-/// `Obs::enabled()`'s system clock one call in each bucket takes one
-/// more; the test freezes the clock to count the steady call. Untraced,
-/// the clock reads 0 and never turns a slot over.
+/// op's trailing window turns a slot over by a compare-and-swap, no lock.
 /// (10, 8) while every record also went to one trace buffer all threads
-/// shared, and the flight lane kept a reformatted copy.
-const TRACED_GET_TABLE_LOCKS: (u64, u64) = (10, 5);
+/// shared, and the flight lane kept a reformatted copy; (10, 5) before
+/// the chain memo.
+const TRACED_GET_TABLE_LOCKS: (u64, u64) = (2, 5);
 /// Allocations per cached `get_table` with tracing on: the untraced
 /// call's, the span's name, the history-read event's detail and the
 /// audit entry's detail. Layer, event name and status are literals, and
 /// a span's `"{layer}.{name}"` and `"status=…"` are formatted only when a
 /// flight dump is frozen. The lane's buffer doubles now and then; the call
 /// that grows it makes one more.
-/// 35 while every record was stored twice, once reformatted.
-const TRACED_GET_TABLE_ALLOCS: u64 = 23;
+/// 35 while every record was stored twice, once reformatted; 23 before
+/// the chain memo.
+const TRACED_GET_TABLE_ALLOCS: u64 = 19;
 /// `cache.hits` per cached `get_table`: table, schema, catalog, metastore.
 /// A by-name vend must read the same (it read 7 while it re-walked the
 /// chain it had just resolved and looked the metastore up again).
@@ -239,35 +245,41 @@ const MISS_GET_TABLE_ALLOCS: u64 = 51;
 /// owned value per side per row, and each kept row was copied whole, then
 /// copied again by the projection; 164 while the lexer made a `String` of
 /// every token and the parser cloned each again).
-/// 129 while an audit record copied its action into a `String`.
-const TABLE_SELECT_ALLOCS: u64 = 128;
+/// 129 while an audit record copied its action into a `String`; 128
+/// before the chain memo.
+const TABLE_SELECT_ALLOCS: u64 = 124;
 /// Allocations per warm `SELECT … WHERE grp = 3` through a view
 /// `SELECT id, grp, owner, amount … WHERE grp < 4` over that table (524
 /// with the copies above at both levels; 370 while the view's body was
 /// parsed again on every read and the base level built each of its 64
 /// rows for the view level to read). Within 25 of the table's: the view is
 /// one scan of the table.
-/// 148 while an audit record copied its action into a `String`.
-const VIEW_SELECT_ALLOCS: u64 = 147;
+/// 148 while an audit record copied its action into a `String`; 147
+/// before the chain memo.
+const VIEW_SELECT_ALLOCS: u64 = 143;
 /// Allocations per warm `SELECT … WHERE grp = 3` over that table under a
 /// row filter (`owner = current_user()`) and a mask on `amount` (259 while
 /// the filter and the mask ran as passes of their own over the copied
 /// rows; 178 with the copying lexer).
-/// 143 while an audit record copied its action into a `String`.
-const GOVERNED_SELECT_ALLOCS: u64 = 142;
+/// 143 while an audit record copied its action into a `String`; 142
+/// before the chain memo.
+const GOVERNED_SELECT_ALLOCS: u64 = 138;
 /// Lock acquisitions `(shared, exclusive)` per warm SELECT of the plain
-/// table. Shared: the trusted resolve's chain and principal record (ten,
+/// table. Shared: the trusted resolve's chain and principal record (two,
 /// as `get_table`) and its credential cache; the session's group lookup
 /// (the principal cache); the `_delta_log` listing (the store's object
-/// map). Exclusive: the audit lane, the table cache's snapshot lookup and
-/// one decoded-rows lookup per data file (four).
-const TABLE_SELECT_LOCKS: (u64, u64) = (13, 6);
-/// Per warm SELECT through the view. Shared: the view's chain by name (9,
-/// as the table's), the principal record, the base's chain by id (the
+/// map); the table cache's one lookup, which returns the snapshot with
+/// its files' decoded rows. Exclusive: the audit lane.
+/// (13, 6) while the cache's one mutex was taken for the snapshot and
+/// again for each of four data files, and the chain probed eight shards.
+const TABLE_SELECT_LOCKS: (u64, u64) = (6, 1);
+/// Per warm SELECT through the view. Shared: the view's chain by name (1,
+/// the metastore map), the principal record, the base's chain by id (the
 /// metastore map and four cached reads: 5), the credential cache, the
-/// session's group lookup, the engine's parsed-body cache and the
-/// listing: 9 + 1 + 5 + 1 + 1 + 1 + 1. Exclusive: the table's six.
-const VIEW_SELECT_LOCKS: (u64, u64) = (19, 6);
+/// session's group lookup, the engine's parsed-body cache, the listing and
+/// the table cache: 1 + 1 + 5 + 1 + 1 + 1 + 1 + 1. Exclusive: the audit
+/// lane. (19, 6) before the chain memo and the one table-cache lookup.
+const VIEW_SELECT_LOCKS: (u64, u64) = (12, 1);
 /// Per warm SELECT of the row-filtered, masked table: the plain table's.
 const GOVERNED_SELECT_LOCKS: (u64, u64) = TABLE_SELECT_LOCKS;
 /// Allocations per `parse_statement` of a `query_hot` SELECT,

@@ -299,6 +299,7 @@ fn thread_variant_snapshot(threads: usize) -> (String, String) {
     // (timestamp, trace) is identical across distributions.
     let total_ops = 16u64; // divisible by 1, 4, and 16
     let per_thread = total_ops / threads as u64 * OPS_PER_THREAD;
+    let latency = w.obs.histogram("bench.get_table.latency_ms");
     std::thread::scope(|scope| {
         for t in 0..threads as u64 {
             let uc = w.uc.clone();
@@ -306,10 +307,11 @@ fn thread_variant_snapshot(threads: usize) -> (String, String) {
             let obs = w.obs.clone();
             let ctx = ctx.clone();
             let names = &names;
+            let latency = &latency;
             scope.spawn(move || {
                 for k in 0..per_thread {
                     let op = t * per_thread + k; // globally unique op index
-                    let _span = obs.span_pinned("bench", "get_table", BASE + op);
+                    let _span = obs.span_pinned("bench", "get_table", BASE + op, latency);
                     uc.get_table(&ctx, &ms, &names[op as usize % TABLES]).unwrap();
                 }
             });

@@ -102,6 +102,7 @@ fn concurrent_audit_appends_lose_and_duplicate_nothing() {
     const OPS: u64 = 25;
     let obs = Obs::with_clock_fn(Arc::new(|| 0));
     let (world, names) = warmed_world(Duration::ZERO, obs.clone());
+    let latency = obs.histogram("bench.get_table.latency_ms");
 
     std::thread::scope(|scope| {
         for t in 0..THREADS as u64 {
@@ -110,9 +111,10 @@ fn concurrent_audit_appends_lose_and_duplicate_nothing() {
             let ctx = world.admin();
             let obs = obs.clone();
             let names = &names;
+            let latency = &latency;
             scope.spawn(move || {
                 for k in 0..OPS {
-                    let _span = obs.span_pinned("bench", "get_table", BASE + t * OPS + k);
+                    let _span = obs.span_pinned("bench", "get_table", BASE + t * OPS + k, latency);
                     let name = &names[(t as usize + k as usize) % TABLES];
                     uc.get_table(&ctx, &ms, name).unwrap();
                 }
